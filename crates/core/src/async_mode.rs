@@ -1,9 +1,8 @@
 //! Barrier-free asynchronous execution for [`ShardedEngine`] (DESIGN.md §16).
 //!
 //! [`ExecutionMode::Async`] replaces the deterministic superstep loop of
-//! one `run_queue` call — the phase structure around it (delete
-//! propagation, request seeding, insert streaming, recompute) is
-//! unchanged. Inside the call:
+//! one drain — the phase structure around it (delete propagation, request
+//! seeding, insert streaming, recompute) is unchanged. Inside the call:
 //!
 //! * every worker drains its own [`CoalescingQueue`] continuously in
 //!   *passes*, processing events through the shared kernel; emissions to
@@ -78,7 +77,7 @@ use crate::sharded::sync::{
 use crate::sharded::{maybe_yield, Shard};
 use crate::stats::RunStats;
 
-/// Read-only configuration shared by one async `run_queue` call.
+/// Read-only configuration shared by one async drain.
 pub(crate) struct AsyncParams<'a> {
     /// The algorithm being evaluated.
     pub alg: &'a dyn Algorithm,
@@ -201,7 +200,7 @@ impl ExecState for AsyncState<'_> {
     }
 }
 
-/// One worker's whole async lifetime for one `run_queue` call.
+/// One worker's whole async lifetime for one drain.
 struct WorkerLoop<'a> {
     worker: usize,
     thread: usize,
@@ -508,7 +507,7 @@ impl Detector {
     }
 }
 
-/// Drives one async `run_queue` call to quiescence: spawns one worker per
+/// Drives one async drain to quiescence: spawns one worker per
 /// shard, seeds their queues, detects termination, and orders the final
 /// state reads behind each worker's `Done` ack.
 pub(crate) fn run_to_quiescence(

@@ -1,11 +1,17 @@
-use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
+//! The engine's vocabulary (configuration, update classification,
+//! checkpoint errors) and the sequential executor behind
+//! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
+
+use jetstream_algorithms::{Algorithm, Value};
+use jetstream_graph::{AdjacencyGraph, CsrPair, VertexId};
 
 use crate::event::Event;
+use crate::flow::sealed::Drain;
+use crate::flow::{Executor, RunState, StreamingFlow};
 use crate::kernel::{self, ExecState, KernelCtx};
 use crate::queue::{CoalescingQueue, QueueStats};
-use crate::stats::{Phase, RunStats};
-use crate::trace::{OpKind, Trace, TraceBuilder, TraceOp};
+use crate::stats::RunStats;
+use crate::trace::{Trace, TraceBuilder, TraceOp};
 
 /// Delete-propagation strategy (§3.4 base algorithm and the §5 optimizations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -66,9 +72,9 @@ pub enum AccumulativeRecovery {
 /// re-evaluation — vs *unsafe*).
 ///
 /// The classification is a pre-check, not a semantic change: applying a
-/// safe update through the full [`StreamingEngine::apply_update_batch`]
+/// safe update through the full [`StreamingFlow::apply_update_batch`]
 /// machinery produces bit-identical values — the delete wave provably
-/// resets nothing — so [`StreamingEngine::apply_admitted_batch`] may skip
+/// resets nothing — so [`StreamingFlow::apply_admitted_batch`] may skip
 /// scheduling it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateSafety {
@@ -83,7 +89,7 @@ pub enum UpdateSafety {
 }
 
 /// Per-batch tally of [`UpdateSafety`] classifications, computed by
-/// [`StreamingEngine::classify_batch`] against the pre-batch converged
+/// [`StreamingFlow::classify_batch`] against the pre-batch converged
 /// state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchClassification {
@@ -143,77 +149,12 @@ impl Default for EngineConfig {
     }
 }
 
-/// The JetStream functional engine.
-///
-/// Runs any [`Algorithm`] with the event-driven execution model of
-/// GraphPulse (Algorithm 1) and supports streaming update batches with the
-/// JetStream recovery flows:
-///
-/// * selective algorithms: delete tagging → impacted reset → request-based
-///   re-approximation → insertion events → recompute (Algorithms 4 & 5);
-/// * accumulative algorithms: sink transform → negative deltas on the
-///   intermediate graph → re-insertion events → recompute (Algorithms 3 & 6,
-///   Fig. 5).
-///
-/// # Example
-///
-/// ```
-/// use jetstream_core::{StreamingEngine, EngineConfig};
-/// use jetstream_algorithms::Sssp;
-/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
-///
-/// # fn main() -> Result<(), jetstream_graph::GraphError> {
-/// let mut g = AdjacencyGraph::new(3);
-/// g.insert_edge(0, 1, 4.0)?;
-/// g.insert_edge(1, 2, 1.0)?;
-///
-/// let mut engine = StreamingEngine::new(Box::new(Sssp::new(0)), g, EngineConfig::default());
-/// engine.initial_compute();
-/// assert_eq!(engine.values()[2], 5.0);
-///
-/// let mut batch = UpdateBatch::new();
-/// batch.insert(0, 2, 2.0); // a shortcut appears
-/// engine.apply_update_batch(&batch)?;
-/// assert_eq!(engine.values()[2], 2.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct StreamingEngine {
-    alg: Box<dyn Algorithm>,
-    host: AdjacencyGraph,
-    csr: CsrPair,
-    values: Vec<Value>,
-    dependency: Vec<Option<VertexId>>,
-    impacted: Vec<VertexId>,
-    queue: CoalescingQueue,
-    config: EngineConfig,
-    /// Slice currently being drained (`active_slice * capacity ..`),
-    /// meaningful only while the graph is partitioned (§4.7).
-    active_slice: usize,
-    stats: RunStats,
-    tracer: TraceBuilder,
-    /// Reusable round buffer for [`run_queue`](StreamingEngine::run_queue):
-    /// grows to the high-water event count once, then steady-state drains
-    /// allocate nothing.
-    round_scratch: Vec<Event>,
-    /// Reusable per-batch scratch (same lifetime story as `round_scratch`):
-    /// touched vertices of an accumulative batch, their captured old
-    /// out-edges (flattened, with prefix bounds), their value snapshot, a
-    /// neighbor buffer for phases that emit while reading the CSR, and the
-    /// request-phase source list. All empty between batches.
-    touched_scratch: Vec<VertexId>,
-    old_edge_scratch: Vec<(VertexId, Value)>,
-    old_edge_bounds: Vec<usize>,
-    state_scratch: Vec<Value>,
-    edge_scratch: Vec<(VertexId, Value)>,
-    source_scratch: Vec<VertexId>,
-}
-
 /// Why restored checkpoint state cannot be mounted on a graph.
 ///
-/// Produced by [`StreamingEngine::from_checkpoint`]; the durable-store crate
-/// maps this into its own error type when recovering from disk.
+/// Produced by [`StreamingEngine::from_checkpoint`] and
+/// [`ShardedEngine::from_checkpoint`](crate::ShardedEngine::from_checkpoint);
+/// the durable-store crate maps this into its own error type when
+/// recovering from disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CheckpointError {
@@ -256,8 +197,8 @@ impl std::error::Error for CheckpointError {}
 
 /// Checks that restored checkpoint state can belong to `host`: vector
 /// lengths match the vertex count and every recorded Leads-To dependence is
-/// an edge of the graph. Shared by [`StreamingEngine::from_checkpoint`] and
-/// [`ShardedEngine::from_checkpoint`](crate::ShardedEngine::from_checkpoint).
+/// an edge of the graph. Run once per mount, by
+/// [`StreamingFlow::mount_checkpoint`].
 pub(crate) fn check_checkpoint_state(
     host: &AdjacencyGraph,
     values: &[Value],
@@ -292,42 +233,85 @@ pub(crate) fn check_checkpoint_state(
     Ok(())
 }
 
-impl StreamingEngine {
+/// The sequential [`Executor`](crate::Executor): one [`CoalescingQueue`]
+/// drained in canonical rounds on the calling thread.
+///
+/// The reference the sharded executors are differentially tested against,
+/// and the only executor that records kernel operations into a [`Trace`]
+/// and models the §4.7 slice spills.
+#[derive(Debug)]
+pub struct Sequential {
+    queue: CoalescingQueue,
+    /// On-chip queue capacity in vertices ([`EngineConfig::queue_capacity`]).
+    queue_capacity: Option<usize>,
+    /// Reusable round buffer for [`drain`](Drain::drain): grows to the
+    /// high-water event count once, then steady-state drains allocate
+    /// nothing.
+    round_scratch: Vec<Event>,
+}
+
+impl Sequential {
+    fn new(csr: &CsrPair, config: &EngineConfig) -> Self {
+        Sequential {
+            queue: CoalescingQueue::new(csr.out.num_vertices(), config.num_bins),
+            queue_capacity: config.queue_capacity,
+            round_scratch: Vec::new(),
+        }
+    }
+
+    fn num_slices(&self, num_vertices: usize) -> usize {
+        match self.queue_capacity {
+            Some(cap) if cap > 0 => num_vertices.div_ceil(cap).max(1),
+            _ => 1,
+        }
+    }
+}
+
+impl Executor for Sequential {}
+
+/// The JetStream engine on the calling thread: the §4.6
+/// [`StreamingFlow`] drained by the [`Sequential`] executor.
+///
+/// # Example
+///
+/// ```
+/// use jetstream_core::{StreamingEngine, EngineConfig};
+/// use jetstream_algorithms::Sssp;
+/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+///
+/// # fn main() -> Result<(), jetstream_graph::GraphError> {
+/// let mut g = AdjacencyGraph::new(3);
+/// g.insert_edge(0, 1, 4.0)?;
+/// g.insert_edge(1, 2, 1.0)?;
+///
+/// let mut engine = StreamingEngine::new(Box::new(Sssp::new(0)), g, EngineConfig::default());
+/// engine.initial_compute();
+/// assert_eq!(engine.values()[2], 5.0);
+///
+/// let mut batch = UpdateBatch::new();
+/// batch.insert(0, 2, 2.0); // a shortcut appears
+/// engine.apply_update_batch(&batch)?;
+/// assert_eq!(engine.values()[2], 2.0);
+/// # Ok(())
+/// # }
+/// ```
+pub type StreamingEngine = StreamingFlow<Sequential>;
+
+impl StreamingFlow<Sequential> {
     /// Creates an engine over `host` (the evolving graph) for `alg`.
     pub fn new(alg: Box<dyn Algorithm>, host: AdjacencyGraph, config: EngineConfig) -> Self {
-        let csr = host.snapshot_pair();
-        let n = host.num_vertices();
-        let identity = alg.identity();
-        StreamingEngine {
-            queue: CoalescingQueue::new(n, config.num_bins),
-            values: vec![identity; n],
-            dependency: vec![None; n],
-            impacted: Vec::new(),
-            alg,
-            host,
-            csr,
-            config,
-            active_slice: 0,
-            stats: RunStats::default(),
-            tracer: TraceBuilder::default(),
-            round_scratch: Vec::new(),
-            touched_scratch: Vec::new(),
-            old_edge_scratch: Vec::new(),
-            old_edge_bounds: Vec::new(),
-            state_scratch: Vec::new(),
-            edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
-        }
+        Self::mount(alg, host, config, None, |csr| Sequential::new(csr, &config))
     }
 
     /// Warm-starts an engine from previously converged state — the durable
     /// counterpart of the recoverable approximation of §3.4.
     ///
     /// `values` and `dependency` must be the `values()` / `dependencies()`
-    /// of an engine that had converged over `host` with the same algorithm.
-    /// No recomputation happens: the event queue starts empty and the next
-    /// `apply_update_batch` proceeds incrementally from the restored state,
-    /// exactly as it would have on the original engine.
+    /// of an engine (under any executor) that had converged over `host`
+    /// with the same algorithm. No recomputation happens: the event queue
+    /// starts empty and the next `apply_update_batch` proceeds
+    /// incrementally from the restored state, exactly as it would have on
+    /// the original engine.
     ///
     /// # Errors
     ///
@@ -335,7 +319,7 @@ impl StreamingEngine {
     /// `host`: mismatched lengths, or a dependence edge that does not exist
     /// in the graph. Value-level convergence is *not* re-derived here (that
     /// would be a cold start); callers wanting the full check can run
-    /// [`validate_converged`](StreamingEngine::validate_converged) on the
+    /// [`validate_converged`](StreamingFlow::validate_converged) on the
     /// returned engine.
     pub fn from_checkpoint(
         alg: Box<dyn Algorithm>,
@@ -344,80 +328,15 @@ impl StreamingEngine {
         dependency: Vec<Option<VertexId>>,
         config: EngineConfig,
     ) -> Result<Self, CheckpointError> {
-        check_checkpoint_state(&host, &values, &dependency)?;
-        let csr = host.snapshot_pair();
-        let n = host.num_vertices();
-        Ok(StreamingEngine {
-            queue: CoalescingQueue::new(n, config.num_bins),
-            values,
-            dependency,
-            impacted: Vec::new(),
-            alg,
-            host,
-            csr,
-            config,
-            active_slice: 0,
-            stats: RunStats::default(),
-            tracer: TraceBuilder::default(),
-            round_scratch: Vec::new(),
-            touched_scratch: Vec::new(),
-            old_edge_scratch: Vec::new(),
-            old_edge_bounds: Vec::new(),
-            state_scratch: Vec::new(),
-            edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
+        Self::mount_checkpoint(alg, host, values, dependency, config, |csr| {
+            Sequential::new(csr, &config)
         })
     }
 
     /// Number of slices the graph is partitioned into (1 when it fits the
     /// configured queue capacity).
     pub fn num_slices(&self) -> usize {
-        match self.config.queue_capacity {
-            Some(cap) if cap > 0 => self.values.len().div_ceil(cap).max(1),
-            _ => 1,
-        }
-    }
-
-    /// The algorithm being evaluated.
-    pub fn algorithm(&self) -> &dyn Algorithm {
-        self.alg.as_ref()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Current converged (or in-progress) vertex values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// The host-side evolving graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.host
-    }
-
-    /// The active CSR snapshot.
-    pub fn csr(&self) -> &CsrPair {
-        &self.csr
-    }
-
-    /// Vertices reset during the most recent streaming batch (Fig. 10).
-    pub fn last_impacted(&self) -> &[VertexId] {
-        &self.impacted
-    }
-
-    /// The recorded dependency (`Leads-To`) source of each vertex under DAP
-    /// (§5.2): the vertex whose contribution last changed this vertex's
-    /// state, or `None` for initializer-seeded or reset vertices.
-    pub fn dependencies(&self) -> &[Option<VertexId>] {
-        &self.dependency
-    }
-
-    /// Cumulative queue statistics.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+        self.exec.num_slices(self.values().len())
     }
 
     /// Enables or disables operation tracing (for the cycle simulator).
@@ -429,248 +348,36 @@ impl StreamingEngine {
     pub fn take_trace(&mut self) -> Trace {
         self.tracer.take()
     }
+}
 
-    /// Runs the static (cold) evaluation from scratch on the current graph
-    /// version — the GraphPulse execution flow (§4.6.1).
-    pub fn initial_compute(&mut self) -> RunStats {
-        self.stats = RunStats::default();
-        let identity = self.alg.identity();
-        self.values.fill(identity);
-        self.dependency.fill(None);
-        self.tracer.begin_phase(Phase::Initial);
-        for (v, val) in self.alg.initial_events(&self.csr.out) {
-            let targets_start = self.tracer.targets_start();
-            self.emit(Event::regular(v, val));
-            self.tracer.push_target(v);
-            self.tracer.push_op(TraceOp {
-                vertex: v,
-                kind: OpKind::StreamRead,
-                changed: true,
-                edges_read: 0,
-                targets_start,
-                targets_len: 1,
-            });
-        }
-        self.tracer.end_round();
-        self.run_queue(Phase::Initial);
-        self.stats.events_coalesced = self.queue.stats().coalesced;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-compute invariant violated");
-        self.stats
-    }
-
-    /// Applies a streaming update batch and incrementally reevaluates the
-    /// query (the JetStream flow, §4.6.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// current graph version (the graph and query state are unchanged).
-    pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.stats = RunStats::default();
-        let coalesced_before = self.queue.stats().coalesced;
-        match self.alg.kind() {
-            UpdateKind::Selective => self.stream_selective(batch)?,
-            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
-        }
-        self.stats.events_coalesced = self.queue.stats().coalesced - coalesced_before;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-batch invariant violated");
-        Ok(self.stats)
-    }
-
-    /// Checks the engine's cross-structure invariants after a completed
-    /// computation, returning a description of the first violation found:
-    ///
-    /// * the event queue is fully drained and internally consistent;
-    /// * the active CSR pair is structurally valid and direction-symmetric;
-    /// * under DAP, every recorded `Leads-To` dependency (§5.2) is an edge
-    ///   of the active graph — a dangling dependency means a deleted edge's
-    ///   contribution survived recovery (the recoverable-approximation
-    ///   property of §3.4 would be broken);
-    /// * selective algorithms: the values are a fixed point — no edge can
-    ///   still improve its target, i.e. for every edge `u -> v` the
-    ///   contribution `u` currently sends over it reduces into `v`'s value
-    ///   without changing it;
-    /// * accumulative algorithms: every value is finite (the rollback and
-    ///   replay waves of Fig. 5 must cancel, never diverge).
-    ///
-    /// Always compiled; `apply_update_batch` and `initial_compute` wire it
-    /// into a debug assertion under the `strict-invariants` feature.
-    pub fn validate_converged(&self) -> Result<(), String> {
-        if !self.queue.is_empty() {
-            return Err(format!("queue still holds {} events", self.queue.len()));
-        }
-        self.queue.validate().map_err(|e| format!("queue: {e}"))?;
-        self.csr.validate().map_err(|e| format!("csr: {e}"))?;
-        kernel::validate_converged_values(
-            self.alg.as_ref(),
-            &self.csr,
-            &self.values,
-            &self.dependency,
-            self.config.delete_strategy,
-        )
-    }
-
-    /// Classifies a single insertion against the converged state.
-    ///
-    /// Selective (monotone) algorithms admit any insertion safely: the new
-    /// edge can only *improve* its target, which the ordinary insert flow
-    /// handles without delete recovery. Accumulative algorithms are always
-    /// unsafe: an out-edge changes the source's contribution factor
-    /// (`1/deg` or `w/wsum`), forcing the rollback/replay waves of Fig. 5.
-    pub fn classify_insert(&self) -> UpdateSafety {
-        match self.alg.kind() {
-            UpdateKind::Selective => UpdateSafety::Safe,
-            UpdateKind::Accumulative => UpdateSafety::Unsafe,
-        }
-    }
-
-    /// Classifies a single deletion against the converged state: the
-    /// RisGraph safe/unsafe pre-check, realized on JetStream's dependence
-    /// tree (§5.2).
-    ///
-    /// Under DAP, a delete event for edge `u -> v` resets `v` only when
-    /// `v`'s recorded `Leads-To` dependency is exactly `u` and `v` holds a
-    /// non-identity value (see the kernel's reset guard). Both facts are
-    /// readable in O(1) *before* the batch is scheduled, so a deletion of a
-    /// non-tree edge is provably a no-op for the query state: every other
-    /// vertex's value is still supported by its intact dependence chain.
-    ///
-    /// Anything that cannot be proven safe — a tree-edge delete, a non-DAP
-    /// strategy, an accumulative algorithm, an out-of-range id (left for
-    /// the apply path to reject with a typed error) — is `Unsafe`.
-    pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
-        if !self.dap_active() {
-            return UpdateSafety::Unsafe;
-        }
+/// Counts an emission, accounts a spill when it leaves the active slice
+/// (§4.7), and inserts it into the coalescing queue — shared by the setup
+/// phases' seeds (`active_slice` 0) and the kernel's emissions.
+fn emit(
+    queue: &mut CoalescingQueue,
+    stats: &mut RunStats,
+    queue_capacity: Option<usize>,
+    active_slice: usize,
+    alg: &dyn Algorithm,
+    ev: Event,
+) {
+    stats.events_generated += 1;
+    if let Some(cap) = queue_capacity {
         // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let Some(&value) = self.values.get(target as usize) else {
-            return UpdateSafety::Unsafe;
-        };
-        if value == self.alg.identity() {
-            // The kernel never resets an identity-valued vertex, whatever
-            // its dependency says.
-            return UpdateSafety::Safe;
-        }
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if self.dependency[target as usize] == Some(source) {
-            UpdateSafety::Unsafe
-        } else {
-            UpdateSafety::Safe
+        if cap > 0 && (ev.target as usize) / cap != active_slice {
+            stats.spilled_events += 1;
         }
     }
+    queue.insert(ev, alg);
+}
 
-    /// Classifies one wire update against the converged state.
-    pub fn classify_update(&self, update: &EdgeUpdate) -> UpdateSafety {
-        match *update {
-            EdgeUpdate::Insert { .. } => self.classify_insert(),
-            EdgeUpdate::Delete { source, target } => self.classify_delete(source, target),
-        }
+impl Drain for Sequential {
+    fn set_coalesce_deletes(&mut self, on: bool) {
+        self.queue.set_coalesce_deletes(on);
     }
 
-    /// Tallies [`classify_update`](StreamingEngine::classify_update) over a
-    /// whole batch against the *pre-batch* converged state.
-    ///
-    /// The tally stays valid for every deletion in the batch even though
-    /// they apply together: a safe deletion resets nothing, so it cannot
-    /// flip another deletion's classification mid-batch.
-    pub fn classify_batch(&self, batch: &UpdateBatch) -> BatchClassification {
-        let mut class = BatchClassification::default();
-        match self.classify_insert() {
-            UpdateSafety::Safe => class.safe_inserts = batch.insertions().len(),
-            UpdateSafety::Unsafe => class.unsafe_inserts = batch.insertions().len(),
-        }
-        for &(u, v) in batch.deletions() {
-            match self.classify_delete(u, v) {
-                UpdateSafety::Safe => class.safe_deletes += 1,
-                UpdateSafety::Unsafe => class.unsafe_deletes += 1,
-            }
-        }
-        class
-    }
-
-    /// Applies a streaming batch through the admission pre-check: when
-    /// every deletion is provably safe (DAP, non-tree edges), the delete
-    /// setup/propagation/re-approximation phases are skipped entirely and
-    /// only the insert flow runs — the RisGraph-style fast path for
-    /// monotone-safe updates. Otherwise this is exactly
-    /// [`apply_update_batch`](StreamingEngine::apply_update_batch).
-    ///
-    /// Values, dependencies, and the impacted set are bit-identical to the
-    /// full path either way (the skipped delete wave is a proven no-op on
-    /// all three); [`RunStats`] and queue statistics reflect the work
-    /// actually performed, so the fast path reports fewer events.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// current graph version (the graph and query state are unchanged).
-    pub fn apply_admitted_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(RunStats, BatchClassification), GraphError> {
-        let class = self.classify_batch(batch);
-        if !(self.dap_active() && class.all_deletes_safe() && !batch.deletions().is_empty()) {
-            // Nothing to skip (or nothing provably skippable): run the
-            // full flow. Insert-only selective batches already take the
-            // cheap path inside `stream_selective` (no delete events, no
-            // impacted vertices), so they need no special casing here.
-            return self.apply_update_batch(batch).map(|stats| (stats, class));
-        }
-        self.stats = RunStats::default();
-        let coalesced_before = self.queue.stats().coalesced;
-        // `apply_batch` validates the whole batch (missing deletions,
-        // duplicate insertions, out-of-range ids) before mutating, so a
-        // rejected batch leaves the engine untouched, exactly like the
-        // full path. The CSR mirror is then maintained in place in
-        // O(batch · degree) instead of rebuilt in O(E).
-        self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-        self.impacted.clear();
-        // Phase 4 of the selective flow: inserted edges become regular
-        // events on the new graph; the delete phases are skipped because
-        // classification proved them no-ops.
-        self.stream_inserts(batch.insertions());
-        self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
-        self.stats.events_coalesced = self.queue.stats().coalesced - coalesced_before;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-batch invariant violated");
-        Ok((self.stats, class))
-    }
-
-    /// Applies the batch and recomputes from scratch — the GraphPulse
-    /// "cold-start" baseline the paper compares against.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid.
-    pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-        Ok(self.initial_compute())
-    }
-
-    // ------------------------------------------------------------------
-    // Event-loop machinery
-    // ------------------------------------------------------------------
-
-    fn emit(&mut self, event: Event) {
-        self.stats.events_generated += 1;
-        if let Some(cap) = self.config.queue_capacity {
-            // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            if cap > 0 && (event.target as usize) / cap != self.active_slice {
-                self.stats.spilled_events += 1;
-            }
-        }
-        self.queue.insert(event, self.alg.as_ref());
+    fn seed(&mut self, alg: &dyn Algorithm, stats: &mut RunStats, ev: Event) {
+        emit(&mut self.queue, stats, self.queue_capacity, 0, alg, ev);
     }
 
     /// Drains the queue in canonical supersteps until empty.
@@ -682,422 +389,68 @@ impl StreamingEngine {
     /// schedule of the paper's §4.3 scheduler, where a round completes when
     /// every bin has drained once and all processing lanes idle.
     ///
-    /// This schedule is what [`ShardedEngine`](crate::ShardedEngine)
-    /// reproduces with parallel workers: because a round's event set and
-    /// the order events coalesce into the next round's queue are both fixed
-    /// here, a sharded run is bit-identical to this loop for any shard
-    /// count.
-    fn run_queue(&mut self, phase: Phase) {
+    /// This schedule is what [`Sharded`](crate::Sharded) reproduces with
+    /// parallel workers in its deterministic mode: because a round's event
+    /// set and the order events coalesce into the next round's queue are
+    /// both fixed here, a sharded run is bit-identical to this loop for any
+    /// shard count.
+    fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
         // Slicing (§4.7) only affects spill accounting under this schedule:
         // while processing an event, the slice of its target is on-chip and
         // emissions leaving that slice count as spills.
-        let slice_cap = if self.num_slices() > 1 { self.config.queue_capacity } else { None };
+        let slice_cap =
+            if self.num_slices(run.values.len()) > 1 { self.queue_capacity } else { None };
         // Swap the round buffer out of `self` so draining into it can
-        // coexist with the `&mut self` event processing below; it goes back
-        // at the end, so the allocation survives across rounds and calls.
+        // coexist with the queue borrow below; it goes back at the end, so
+        // the allocation survives across rounds and calls.
         let mut events = std::mem::take(&mut self.round_scratch);
-        while !self.queue.is_empty() {
+        let mut st = SeqState {
+            values: run.values,
+            dependency: run.dependency,
+            queue: &mut self.queue,
+            stats: run.stats,
+            tracer: run.tracer,
+            impacted: run.impacted,
+            queue_capacity: self.queue_capacity,
+            active_slice: 0,
+        };
+        while !st.queue.is_empty() {
             events.clear();
-            self.queue.take_all_into(&mut events);
-            let pending = self.queue.overflow_len();
+            st.queue.take_all_into(&mut events);
+            let pending = st.queue.overflow_len();
             events.reserve(pending);
             for _ in 0..pending {
-                let Some(ev) = self.queue.pop_overflow() else { break };
+                let Some(ev) = st.queue.pop_overflow() else { break };
                 events.push(ev);
             }
             for &ev in &events {
                 if let Some(cap) = slice_cap {
-                    self.active_slice = ev.target as usize / cap; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                    st.active_slice = ev.target as usize / cap; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
                 }
-                self.process_event(ev);
+                kernel::process_event(cx, &mut st, ev);
             }
-            self.active_slice = 0;
-            self.stats.rounds += 1;
-            self.tracer.end_round();
+            st.stats.rounds += 1;
+            st.tracer.end_round();
             #[cfg(feature = "strict-invariants")]
-            self.queue.debug_validate();
+            st.queue.debug_validate();
         }
         self.round_scratch = events;
-        let _ = phase;
     }
 
-    fn process_event(&mut self, ev: Event) {
-        let cx = KernelCtx {
-            alg: self.alg.as_ref(),
-            csr: &self.csr,
-            delete_strategy: self.config.delete_strategy,
-        };
-        let mut st = SeqState {
-            values: &mut self.values,
-            dependency: &mut self.dependency,
-            queue: &mut self.queue,
-            stats: &mut self.stats,
-            tracer: &mut self.tracer,
-            impacted: &mut self.impacted,
-            queue_capacity: self.config.queue_capacity,
-            active_slice: self.active_slice,
-        };
-        kernel::process_event(&cx, &mut st, ev);
+    fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
-    fn weight_sum(&self, u: VertexId) -> Value {
-        if self.alg.needs_weight_sum() {
-            self.csr.out.neighbors(u).map(|e| e.weight).sum()
-        } else {
-            0.0
+    fn validate_drained(&self) -> Result<(), String> {
+        if !self.queue.is_empty() {
+            return Err(format!("queue still holds {} events", self.queue.len()));
         }
-    }
-
-    fn dap_active(&self) -> bool {
-        self.config.delete_strategy == DeleteStrategy::Dap
-            && self.alg.kind() == UpdateKind::Selective
-    }
-
-    // ------------------------------------------------------------------
-    // Selective (monotonic) streaming flow — Algorithms 4 & 5
-    // ------------------------------------------------------------------
-
-    fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Capture deleted-edge weights before mutating, then validate and
-        // apply the batch to the host graph. The delete phase still runs on
-        // the old CSR (`self.csr` is only swapped after recovery).
-        let deleted: Vec<(VertexId, VertexId, Value)> = batch
-            .deletions()
-            .iter()
-            .map(|&(u, v)| {
-                self.host
-                    .edge_weight(u, v)
-                    .map(|w| (u, v, w))
-                    .ok_or(GraphError::MissingEdge { source: u, target: v })
-            })
-            .collect::<Result<_, _>>()?;
-        self.host.apply_batch(batch)?;
-        self.impacted.clear();
-
-        // DAP must keep per-source delete events distinct from the very
-        // first event on: two deletions targeting the same vertex carry
-        // different source ids and must both be examined (§5.2).
-        self.queue.set_coalesce_deletes(self.config.delete_strategy != DeleteStrategy::Dap);
-
-        // Phase 1 — stream deleted edges into delete events (Algorithm 4,
-        // ProcessDeletesSelective; §4.6.2 "Delete Setup and Preparation").
-        self.tracer.begin_phase(Phase::DeleteSetup);
-        for (u, v, w) in deleted {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1; // source state read
-            let targets_start = self.tracer.targets_start();
-            let event = match self.config.delete_strategy {
-                DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
-                DeleteStrategy::Vap => {
-                    // Payload carries the contribution that flowed over the
-                    // deleted edge; if the source never propagated there is
-                    // nothing to revert.
-                    let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                    let deg = self.csr.out.degree(u);
-                    let wsum = self.weight_sum(u);
-                    let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                    self.alg
-                        .propagate(state, state, &ctx)
-                        .map(|payload| Event::delete(u, v, payload))
-                }
-                DeleteStrategy::Dap => Some(Event::delete(u, v, self.alg.identity())),
-            };
-            let emitted = event.is_some();
-            if let Some(ev) = event {
-                self.emit(ev);
-                self.tracer.push_target(v);
-            }
-            self.tracer.push_op(TraceOp {
-                vertex: u,
-                kind: OpKind::StreamRead,
-                changed: emitted,
-                edges_read: 0,
-                targets_start,
-                targets_len: emitted as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            });
-        }
-        self.tracer.end_round();
-
-        // Phase 2 — delete propagation on the *old* graph: tag and reset
-        // every potentially impacted vertex (Algorithm 4, ResetImpacted).
-        self.tracer.begin_phase(Phase::DeletePropagation);
-        self.run_queue(Phase::DeletePropagation);
-        self.queue.set_coalesce_deletes(true);
-
-        // Graph switches to the new version (§3.5): the mirror is
-        // maintained in place in O(batch · degree) instead of rebuilt.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-
-        // Phase 3 — request events along each impacted vertex's incoming
-        // edges (Algorithm 4, Reapproximate).
-        self.tracer.begin_phase(Phase::RequestSetup);
-        let impacted = std::mem::take(&mut self.impacted);
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let identity = self.alg.identity();
-        for &x in &impacted {
-            let in_deg = self.csr.inc.degree(x);
-            self.stats.edge_reads += in_deg as u64;
-            let targets_start = self.tracer.targets_start();
-            sources.clear();
-            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
-            let mut count = sources.len() as u32; // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            for &u in &sources {
-                self.stats.request_events += 1;
-                self.emit(Event::request(u, identity));
-                self.tracer.push_target(u);
-            }
-            // Replay the initializer's contribution for the reset vertex:
-            // values seeded by InitialEvents() (the query root, CC
-            // self-labels) do not arrive over any edge, so neighbor
-            // requests alone cannot restore them.
-            if let Some(seed) = self.alg.initial_event(x) {
-                self.emit(Event::regular(x, seed));
-                self.tracer.push_target(x);
-                count += 1;
-            }
-            self.tracer.push_op(TraceOp {
-                vertex: x,
-                kind: OpKind::RequestSetup,
-                changed: count > 0,
-                edges_read: in_deg as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-                targets_start,
-                targets_len: count,
-            });
-        }
-        self.impacted = impacted;
-        sources.clear();
-        self.source_scratch = sources;
-        self.tracer.end_round();
-
-        // Phase 4 — stream inserted edges into regular events
-        // (Algorithm 2); they coalesce with pending request events.
-        self.stream_inserts(batch.insertions());
-
-        // Phase 5 — incremental reevaluation on the new graph.
-        self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
-        Ok(())
-    }
-
-    fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
-        self.tracer.begin_phase(Phase::InsertSetup);
-        for &(u, v, w) in insertions {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1;
-            let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            let deg = self.csr.out.degree(u);
-            let wsum = self.weight_sum(u);
-            let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-            let targets_start = self.tracer.targets_start();
-            let delta = self.alg.propagate(state, state, &ctx);
-            let emitted = delta.is_some();
-            if let Some(d) = delta {
-                let event = if self.dap_active() {
-                    Event::regular_from(u, v, d)
-                } else {
-                    Event::regular(v, d)
-                };
-                self.emit(event);
-                self.tracer.push_target(v);
-            }
-            self.tracer.push_op(TraceOp {
-                vertex: u,
-                kind: OpKind::StreamRead,
-                changed: emitted,
-                edges_read: 0,
-                targets_start,
-                targets_len: emitted as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            });
-        }
-        self.tracer.end_round();
-    }
-
-    // ------------------------------------------------------------------
-    // Accumulative streaming flow — Algorithms 3 & 6, Fig. 5
-    // ------------------------------------------------------------------
-
-    fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Per-batch scratch (sorted touched ids, flattened old out-edges
-        // with prefix bounds, value snapshot) is swapped out of `self` so
-        // the body can borrow it alongside `&mut self`; it goes back at
-        // the end, so steady-state streaming allocates nothing.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        let mut old_edges = std::mem::take(&mut self.old_edge_scratch);
-        let mut bounds = std::mem::take(&mut self.old_edge_bounds);
-        let mut snapshot = std::mem::take(&mut self.state_scratch);
-        let result = self.stream_accumulative_with(
-            batch,
-            &mut touched,
-            &mut old_edges,
-            &mut bounds,
-            &mut snapshot,
-        );
-        touched.clear();
-        old_edges.clear();
-        bounds.clear();
-        snapshot.clear();
-        self.touched_scratch = touched;
-        self.old_edge_scratch = old_edges;
-        self.old_edge_bounds = bounds;
-        self.state_scratch = snapshot;
-        result
-    }
-
-    fn stream_accumulative_with(
-        &mut self,
-        batch: &UpdateBatch,
-        touched: &mut Vec<VertexId>,
-        old_edges: &mut Vec<(VertexId, Value)>,
-        bounds: &mut Vec<usize>,
-        snapshot: &mut Vec<Value>,
-    ) -> Result<(), GraphError> {
-        // `touched` vertices have an out-edge added or deleted: their
-        // per-edge contribution factor (1/deg or w/wsum) changes, so the
-        // sink transform of Fig. 5 removes *all* their out-edges first.
-        touched.extend(batch.deletions().iter().map(|&(u, _)| u));
-        touched.extend(batch.insertions().iter().map(|&(u, _, _)| u));
-        touched.sort_unstable();
-        touched.dedup();
-        // Only the touched vertices' out-edge lists change when the batch
-        // applies, so capturing those slices (flattened; row `i` lives at
-        // `old_edges[bounds[i]..bounds[i+1]]`) replaces the former full
-        // `self.host.clone()` (O(batch) instead of O(V + E) per batch).
-        bounds.push(0);
-        for &u in touched.iter() {
-            old_edges.extend(self.host.neighbors(u));
-            bounds.push(old_edges.len());
-        }
-        self.host.apply_batch(batch)?;
-        self.impacted.clear();
-        // The CSR mirror advances to the new version in O(batch · degree);
-        // phases that need the *old* adjacency use the captured slices.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-
-        // Phase 1 — negative events for every old out-edge of a touched
-        // vertex, using the old degree/weight-sum (Algorithm 3).
-        self.tracer.begin_phase(Phase::DeleteSetup);
-        snapshot.extend(touched.iter().map(|&u| self.values[u as usize])); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        for (i, (&u, &state)) in touched.iter().zip(snapshot.iter()).enumerate() {
-            let row = &old_edges[bounds[i]..bounds[i + 1]];
-            let deg = row.len();
-            let wsum: Value =
-                if self.alg.needs_weight_sum() { row.iter().map(|&(_, w)| w).sum() } else { 0.0 };
-            self.stats.vertex_reads += 1;
-            let targets_start = self.tracer.targets_start();
-            let mut generated = 0u32;
-            for &(v, w) in row {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.emit(Event::regular(v, -c));
-                        self.tracer.push_target(v);
-                        generated += 1;
-                    }
-                }
-            }
-            self.tracer.push_op(TraceOp {
-                vertex: u,
-                kind: OpKind::StreamRead,
-                changed: generated > 0,
-                edges_read: deg as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-                targets_start,
-                targets_len: generated,
-            });
-        }
-        self.tracer.end_round();
-
-        if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
-            // Compute on the intermediate graph: the old graph with all
-            // touched vertices turned into sinks, breaking every cyclic
-            // path through them (Fig. 5b). Untouched vertices' out-edges
-            // are identical before and after the batch, so the new host
-            // filtered by `touched` yields exactly the old graph's
-            // non-touched edges. The maintained mirror is parked while the
-            // intermediate computation runs and restored for Phase 2.
-            let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
-                .host
-                .iter_edges()
-                .filter(|(u, _, _)| touched.binary_search(u).is_err())
-                .collect();
-            let maintained = std::mem::replace(
-                &mut self.csr,
-                CsrPair::new(jetstream_graph::Csr::from_edges(
-                    self.host.num_vertices(),
-                    &intermediate_edges,
-                )),
-            );
-            self.tracer.begin_phase(Phase::IntermediateCompute);
-            self.run_queue(Phase::IntermediateCompute);
-            self.csr = maintained;
-        }
-
-        // Phase 2 — re-insertion events for every *new* out-edge of a
-        // touched vertex, using the new degree/weight-sum (Fig. 5c). Under
-        // coalesced recovery these merge in the queue with the pending
-        // negative events, cancelling the rollback of kept edges.
-        self.tracer.begin_phase(Phase::InsertSetup);
-        let mut edges = std::mem::take(&mut self.edge_scratch);
-        for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
-            let deg = self.csr.out.degree(u);
-            let wsum: Value = if self.alg.needs_weight_sum() {
-                self.csr.out.neighbors(u).map(|e| e.weight).sum()
-            } else {
-                0.0
-            };
-            // Two-phase recovery replays whatever state the intermediate
-            // convergence left; coalesced recovery replays the same
-            // snapshot the rollback used.
-            let state = match self.config.accumulative_recovery {
-                AccumulativeRecovery::TwoPhase => self.values[u as usize], // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                AccumulativeRecovery::Coalesced => old_state,
-            };
-            self.stats.vertex_reads += 1;
-            let targets_start = self.tracer.targets_start();
-            let mut generated = 0u32;
-            edges.clear();
-            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
-            for &(v, w) in &edges {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.emit(Event::regular(v, c));
-                        self.tracer.push_target(v);
-                        generated += 1;
-                    }
-                }
-            }
-            self.tracer.push_op(TraceOp {
-                vertex: u,
-                kind: OpKind::StreamRead,
-                changed: generated > 0,
-                edges_read: deg as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-                targets_start,
-                targets_len: generated,
-            });
-        }
-        edges.clear();
-        self.edge_scratch = edges;
-        self.tracer.end_round();
-
-        // Phase 3 — recompute on the new graph version (the mirror already
-        // points at it).
-        self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
-        Ok(())
+        self.queue.validate().map_err(|e| format!("queue: {e}"))
     }
 }
 
-/// [`ExecState`] backed by the sequential engine's global vectors, queue,
-/// and tracer. Built from disjoint field borrows so the kernel can hold the
-/// CSR and algorithm immutably alongside it.
+/// [`ExecState`] backed by the flow's global vectors and tracer and the
+/// sequential executor's queue, for the length of one drain.
 struct SeqState<'a> {
     values: &'a mut [Value],
     dependency: &'a mut [Option<VertexId>],
@@ -1139,17 +492,7 @@ impl ExecState for SeqState<'_> {
     }
 
     fn emit(&mut self, alg: &dyn Algorithm, ev: Event) {
-        // Mirrors `StreamingEngine::emit` (used by the phase drivers):
-        // count the emission, account a spill when it leaves the active
-        // slice (§4.7), insert into the coalescing queue.
-        self.stats.events_generated += 1;
-        if let Some(cap) = self.queue_capacity {
-            // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            if cap > 0 && (ev.target as usize) / cap != self.active_slice {
-                self.stats.spilled_events += 1;
-            }
-        }
-        self.queue.insert(ev, alg);
+        emit(self.queue, self.stats, self.queue_capacity, self.active_slice, alg, ev);
     }
 
     fn trace_targets_start(&mut self) -> u32 {
@@ -1164,7 +507,6 @@ impl ExecState for SeqState<'_> {
         self.tracer.push_op(op);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,775 @@
+//! The JetStream streaming flow (§4.6), written once.
+//!
+//! The paper has one execution flow that any number of processing lanes
+//! drain: static evaluation (§4.6.1), and per update batch delete setup →
+//! delete propagation → request setup → insert setup → recompute (§4.6.2,
+//! Algorithms 2–6). [`StreamingFlow`] owns everything that flow is a
+//! function of — the host graph and its CSR mirror, vertex values, the
+//! dependence tree, the impacted list, the coordinator's [`RunStats`], the
+//! tracer, and the per-batch scratch — and is the only place phases are
+//! sequenced, checkpoints are mounted, updates are classified
+//! (RisGraph-style safe/unsafe, a property of the converged state and not
+//! of how many threads drain the queue), and convergence is validated.
+//!
+//! What differs between engines is only *how a phase's seeded events are
+//! drained to quiescence*. That is the [`Executor`]:
+//! [`Sequential`](crate::Sequential) drains one coalescing queue in
+//! canonical rounds and is the reference; [`Sharded`](crate::Sharded)
+//! drains one queue per worker thread, in barriered supersteps or
+//! barrier-free. Dispatch is static (the flow is monomorphised per
+//! executor, as [`kernel::process_event`] already is per `ExecState`).
+
+use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
+use jetstream_graph::{AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
+
+use crate::engine::{
+    check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
+    DeleteStrategy, EngineConfig, UpdateSafety,
+};
+use crate::event::Event;
+use crate::kernel::{self, KernelCtx};
+use crate::queue::QueueStats;
+use crate::stats::{Phase, RunStats};
+use crate::trace::{OpKind, TraceBuilder, TraceOp};
+
+/// The flow state one drain reads and writes, lent to the executor for the
+/// duration of [`Drain::drain`](sealed::Drain::drain).
+pub struct RunState<'a> {
+    pub(crate) values: &'a mut [Value],
+    pub(crate) dependency: &'a mut [Option<VertexId>],
+    /// Vertices reset by this drain are appended in the executor's
+    /// canonical order.
+    pub(crate) impacted: &'a mut Vec<VertexId>,
+    /// The current run's counters; workers' shares are folded in before
+    /// the drain returns.
+    pub(crate) stats: &'a mut RunStats,
+    pub(crate) tracer: &'a mut TraceBuilder,
+}
+
+pub(crate) mod sealed {
+    use super::{Algorithm, Event, KernelCtx, QueueStats, RunState, RunStats};
+
+    /// The seams [`StreamingFlow`](super::StreamingFlow) needs around an
+    /// event queue. Crate-private by construction: the module is not
+    /// exported, so [`Executor`](super::Executor) cannot be implemented
+    /// (or these methods called) downstream.
+    pub trait Drain: std::fmt::Debug {
+        /// Whether delete events may coalesce in the phase being seeded
+        /// (off during DAP delete propagation, §5.2).
+        fn set_coalesce_deletes(&mut self, on: bool);
+        /// Queues one setup-phase event, counting it in `stats`.
+        fn seed(&mut self, alg: &dyn Algorithm, stats: &mut RunStats, ev: Event);
+        /// Drains everything seeded (and everything that emits) to
+        /// quiescence through [`kernel::process_event`](crate::kernel).
+        fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>);
+        /// Cumulative queue statistics over every queue the executor owns.
+        fn queue_stats(&self) -> QueueStats;
+        /// Errors when an event is still queued anywhere, or a queue's
+        /// internal invariants do not hold.
+        fn validate_drained(&self) -> Result<(), String>;
+    }
+}
+
+/// How a [`StreamingFlow`] drains a phase's events to quiescence.
+///
+/// Sealed: the two implementations are [`Sequential`](crate::Sequential)
+/// and [`Sharded`](crate::Sharded).
+pub trait Executor: sealed::Drain {}
+
+/// The JetStream functional engine: the §4.6 flow over a pluggable
+/// [`Executor`].
+///
+/// Runs any [`Algorithm`] with the event-driven execution model of
+/// GraphPulse (Algorithm 1) and supports streaming update batches with the
+/// JetStream recovery flows:
+///
+/// * selective algorithms: delete tagging → impacted reset → request-based
+///   re-approximation → insertion events → recompute (Algorithms 4 & 5);
+/// * accumulative algorithms: sink transform → negative deltas on the
+///   intermediate graph → re-insertion events → recompute (Algorithms 3 & 6,
+///   Fig. 5).
+///
+/// Use it through the aliases [`StreamingEngine`](crate::StreamingEngine)
+/// and [`ShardedEngine`](crate::ShardedEngine), which also carry the
+/// constructors.
+#[derive(Debug)]
+pub struct StreamingFlow<X: Executor> {
+    alg: Box<dyn Algorithm>,
+    host: AdjacencyGraph,
+    csr: CsrPair,
+    values: Vec<Value>,
+    dependency: Vec<Option<VertexId>>,
+    impacted: Vec<VertexId>,
+    config: EngineConfig,
+    /// The current run's counters: setup-phase work is counted here
+    /// directly, drains add theirs through [`RunState`].
+    stats: RunStats,
+    pub(crate) tracer: TraceBuilder,
+    pub(crate) exec: X,
+    /// Reusable per-batch scratch, the flow's alone (executors keep their
+    /// own drain buffers): touched vertices of an accumulative batch, their
+    /// captured old out-edges (flattened, with prefix bounds), their value
+    /// snapshot, a neighbor buffer for phases that seed while reading the
+    /// CSR, and the request-phase source list. Each grows to its high-water
+    /// mark once and is empty between batches, so steady-state streaming
+    /// allocates nothing.
+    touched_scratch: Vec<VertexId>,
+    old_edge_scratch: Vec<(VertexId, Value)>,
+    old_edge_bounds: Vec<usize>,
+    state_scratch: Vec<Value>,
+    edge_scratch: Vec<(VertexId, Value)>,
+    source_scratch: Vec<VertexId>,
+}
+
+impl<X: Executor> StreamingFlow<X> {
+    /// Mounts a flow on `host`: from `state` (`values`, `dependency`) when
+    /// given, cold (identity values, no dependences) otherwise. `exec`
+    /// builds the executor from the freshly snapshotted CSR mirror.
+    pub(crate) fn mount(
+        alg: Box<dyn Algorithm>,
+        host: AdjacencyGraph,
+        config: EngineConfig,
+        state: Option<(Vec<Value>, Vec<Option<VertexId>>)>,
+        exec: impl FnOnce(&CsrPair) -> X,
+    ) -> Self {
+        let csr = host.snapshot_pair();
+        let n = host.num_vertices();
+        let (values, dependency) =
+            state.unwrap_or_else(|| (vec![alg.identity(); n], vec![None; n]));
+        StreamingFlow {
+            exec: exec(&csr),
+            alg,
+            host,
+            csr,
+            values,
+            dependency,
+            impacted: Vec::new(),
+            config,
+            stats: RunStats::default(),
+            tracer: TraceBuilder::default(),
+            touched_scratch: Vec::new(),
+            old_edge_scratch: Vec::new(),
+            old_edge_bounds: Vec::new(),
+            state_scratch: Vec::new(),
+            edge_scratch: Vec::new(),
+            source_scratch: Vec::new(),
+        }
+    }
+
+    /// Warm-starts a flow from previously converged state, after checking
+    /// (once) that the state can belong to `host`. The public contract is
+    /// on the `from_checkpoint` wrappers.
+    pub(crate) fn mount_checkpoint(
+        alg: Box<dyn Algorithm>,
+        host: AdjacencyGraph,
+        values: Vec<Value>,
+        dependency: Vec<Option<VertexId>>,
+        config: EngineConfig,
+        exec: impl FnOnce(&CsrPair) -> X,
+    ) -> Result<Self, CheckpointError> {
+        check_checkpoint_state(&host, &values, &dependency)?;
+        Ok(Self::mount(alg, host, config, Some((values, dependency)), exec))
+    }
+
+    /// The algorithm being evaluated.
+    pub fn algorithm(&self) -> &dyn Algorithm {
+        self.alg.as_ref()
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// Current converged (or in-progress) vertex values.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The host-side evolving graph.
+    pub fn graph(&self) -> &AdjacencyGraph {
+        &self.host
+    }
+
+    /// The active CSR snapshot.
+    pub fn csr(&self) -> &CsrPair {
+        &self.csr
+    }
+
+    /// Vertices reset during the most recent streaming batch (Fig. 10), in
+    /// the order the sequential executor resets them (ascending vertex id
+    /// under [`ExecutionMode::Async`](crate::ExecutionMode::Async)).
+    pub fn last_impacted(&self) -> &[VertexId] {
+        &self.impacted
+    }
+
+    /// The recorded dependency (`Leads-To`) source of each vertex under DAP
+    /// (§5.2): the vertex whose contribution last changed this vertex's
+    /// state, or `None` for initializer-seeded or reset vertices.
+    pub fn dependencies(&self) -> &[Option<VertexId>] {
+        &self.dependency
+    }
+
+    /// Cumulative queue statistics, rolled up over every queue the
+    /// executor owns.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.exec.queue_stats()
+    }
+
+    /// Runs the static (cold) evaluation from scratch on the current graph
+    /// version — the GraphPulse execution flow (§4.6.1).
+    pub fn initial_compute(&mut self) -> RunStats {
+        self.stats = RunStats::default();
+        let identity = self.alg.identity();
+        self.values.fill(identity);
+        self.dependency.fill(None);
+        self.tracer.begin_phase(Phase::Initial);
+        for (v, val) in self.alg.initial_events(&self.csr.out) {
+            let targets_start = self.tracer.targets_start();
+            self.seed(Event::regular(v, val));
+            self.trace_setup_op(OpKind::StreamRead, v, 0, targets_start, 1);
+        }
+        self.tracer.end_round();
+        self.drain();
+        // A cold evaluation reports the queues' cumulative coalesce counter
+        // (not a per-run delta).
+        self.finish_run(0)
+    }
+
+    /// Applies a streaming update batch and incrementally reevaluates the
+    /// query (the JetStream flow, §4.6.2).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GraphError`] when the batch is invalid against the
+    /// current graph version (the graph and query state are unchanged).
+    pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
+        self.stats = RunStats::default();
+        let coalesced_before = self.exec.queue_stats().coalesced;
+        match self.alg.kind() {
+            UpdateKind::Selective => self.stream_selective(batch)?,
+            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
+        }
+        Ok(self.finish_run(coalesced_before))
+    }
+
+    /// Checks the engine's cross-structure invariants after a completed
+    /// computation, returning a description of the first violation found:
+    ///
+    /// * every event queue is fully drained and internally consistent;
+    /// * the active CSR pair is structurally valid and direction-symmetric;
+    /// * under DAP, every recorded `Leads-To` dependency (§5.2) is an edge
+    ///   of the active graph — a dangling dependency means a deleted edge's
+    ///   contribution survived recovery (the recoverable-approximation
+    ///   property of §3.4 would be broken);
+    /// * selective algorithms: the values are a fixed point — no edge can
+    ///   still improve its target, i.e. for every edge `u -> v` the
+    ///   contribution `u` currently sends over it reduces into `v`'s value
+    ///   without changing it;
+    /// * accumulative algorithms: every value is finite (the rollback and
+    ///   replay waves of Fig. 5 must cancel, never diverge).
+    ///
+    /// Always compiled; `apply_update_batch` and `initial_compute` wire it
+    /// into a debug assertion under the `strict-invariants` feature.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn validate_converged(&self) -> Result<(), String> {
+        self.exec.validate_drained()?;
+        self.csr.validate().map_err(|e| format!("csr: {e}"))?;
+        kernel::validate_converged_values(&self.cx(), &self.values, &self.dependency)
+    }
+
+    /// Classifies a single insertion against the converged state.
+    ///
+    /// Selective (monotone) algorithms admit any insertion safely: the new
+    /// edge can only *improve* its target, which the ordinary insert flow
+    /// handles without delete recovery. Accumulative algorithms are always
+    /// unsafe: an out-edge changes the source's contribution factor
+    /// (`1/deg` or `w/wsum`), forcing the rollback/replay waves of Fig. 5.
+    pub fn classify_insert(&self) -> UpdateSafety {
+        match self.alg.kind() {
+            UpdateKind::Selective => UpdateSafety::Safe,
+            UpdateKind::Accumulative => UpdateSafety::Unsafe,
+        }
+    }
+
+    /// Classifies a single deletion against the converged state: the
+    /// RisGraph safe/unsafe pre-check, realized on JetStream's dependence
+    /// tree (§5.2).
+    ///
+    /// Under DAP, a delete event for edge `u -> v` resets `v` only when
+    /// `v`'s recorded `Leads-To` dependency is exactly `u` and `v` holds a
+    /// non-identity value (see the kernel's reset guard). Both facts are
+    /// readable in O(1) *before* the batch is scheduled, so a deletion of a
+    /// non-tree edge is provably a no-op for the query state: every other
+    /// vertex's value is still supported by its intact dependence chain.
+    ///
+    /// Anything that cannot be proven safe — a tree-edge delete, a non-DAP
+    /// strategy, an accumulative algorithm, an out-of-range id (left for
+    /// the apply path to reject with a typed error) — is `Unsafe`.
+    pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
+        if !self.cx().dap_active() {
+            return UpdateSafety::Unsafe;
+        }
+        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let Some(&value) = self.values.get(target as usize) else {
+            return UpdateSafety::Unsafe;
+        };
+        if value == self.alg.identity() {
+            // The kernel never resets an identity-valued vertex, whatever
+            // its dependency says.
+            return UpdateSafety::Safe;
+        }
+        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        if self.dependency[target as usize] == Some(source) {
+            UpdateSafety::Unsafe
+        } else {
+            UpdateSafety::Safe
+        }
+    }
+
+    /// Classifies one wire update against the converged state.
+    pub fn classify_update(&self, update: &EdgeUpdate) -> UpdateSafety {
+        match *update {
+            EdgeUpdate::Insert { .. } => self.classify_insert(),
+            EdgeUpdate::Delete { source, target } => self.classify_delete(source, target),
+        }
+    }
+
+    /// Tallies [`classify_update`](Self::classify_update) over a whole
+    /// batch against the *pre-batch* converged state.
+    ///
+    /// The tally stays valid for every deletion in the batch even though
+    /// they apply together: a safe deletion resets nothing, so it cannot
+    /// flip another deletion's classification mid-batch.
+    pub fn classify_batch(&self, batch: &UpdateBatch) -> BatchClassification {
+        let mut class = BatchClassification::default();
+        match self.classify_insert() {
+            UpdateSafety::Safe => class.safe_inserts = batch.insertions().len(),
+            UpdateSafety::Unsafe => class.unsafe_inserts = batch.insertions().len(),
+        }
+        for &(u, v) in batch.deletions() {
+            match self.classify_delete(u, v) {
+                UpdateSafety::Safe => class.safe_deletes += 1,
+                UpdateSafety::Unsafe => class.unsafe_deletes += 1,
+            }
+        }
+        class
+    }
+
+    /// Applies a streaming batch through the admission pre-check: when
+    /// every deletion is provably safe (DAP, non-tree edges), the delete
+    /// setup/propagation/re-approximation phases are skipped entirely and
+    /// only the insert flow runs — the RisGraph-style fast path for
+    /// monotone-safe updates. Otherwise this is exactly
+    /// [`apply_update_batch`](Self::apply_update_batch).
+    ///
+    /// Values, dependencies, and the impacted set are bit-identical to the
+    /// full path either way (the skipped delete wave is a proven no-op on
+    /// all three); [`RunStats`] and queue statistics reflect the work
+    /// actually performed, so the fast path reports fewer events.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GraphError`] when the batch is invalid against the
+    /// current graph version (the graph and query state are unchanged).
+    pub fn apply_admitted_batch(
+        &mut self,
+        batch: &UpdateBatch,
+    ) -> Result<(RunStats, BatchClassification), GraphError> {
+        let class = self.classify_batch(batch);
+        if !(self.cx().dap_active() && class.all_deletes_safe() && !batch.deletions().is_empty()) {
+            // Nothing to skip (or nothing provably skippable): run the
+            // full flow. Insert-only selective batches already take the
+            // cheap path inside `stream_selective` (no delete events, no
+            // impacted vertices), so they need no special casing here.
+            return self.apply_update_batch(batch).map(|stats| (stats, class));
+        }
+        self.stats = RunStats::default();
+        let coalesced_before = self.exec.queue_stats().coalesced;
+        // `apply_batch` validates the whole batch (missing deletions,
+        // duplicate insertions, out-of-range ids) before mutating, so a
+        // rejected batch leaves the engine untouched, exactly like the
+        // full path.
+        self.host.apply_batch(batch)?;
+        self.advance_mirror(batch);
+        self.impacted.clear();
+        // Phase 4 of the selective flow: inserted edges become regular
+        // events on the new graph; the delete phases are skipped because
+        // classification proved them no-ops.
+        self.stream_inserts(batch.insertions());
+        self.drain_phase(Phase::Recompute);
+        Ok((self.finish_run(coalesced_before), class))
+    }
+
+    /// Applies the batch and recomputes from scratch — the GraphPulse
+    /// "cold-start" baseline the paper compares against.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GraphError`] when the batch is invalid.
+    pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
+        self.host.apply_batch(batch)?;
+        self.advance_mirror(batch);
+        Ok(self.initial_compute())
+    }
+
+    // ------------------------------------------------------------------
+    // Seams to the executor
+    // ------------------------------------------------------------------
+
+    fn cx(&self) -> KernelCtx<'_> {
+        KernelCtx {
+            alg: self.alg.as_ref(),
+            csr: &self.csr,
+            delete_strategy: self.config.delete_strategy,
+        }
+    }
+
+    /// Emits a setup-phase event, exactly in program order, as a target
+    /// of the op being traced.
+    fn seed(&mut self, event: Event) {
+        self.exec.seed(self.alg.as_ref(), &mut self.stats, event);
+        self.tracer.push_target(event.target);
+    }
+
+    /// Records one setup-phase op that read `edges_read` edges and seeded
+    /// `generated` events since `targets_start`.
+    fn trace_setup_op(
+        &mut self,
+        kind: OpKind,
+        vertex: VertexId,
+        edges_read: usize,
+        targets_start: u32,
+        generated: u32,
+    ) {
+        self.tracer.push_op(TraceOp {
+            vertex,
+            kind,
+            changed: generated > 0,
+            edges_read: edges_read as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+            targets_start,
+            targets_len: generated,
+        });
+    }
+
+    /// Drains the seeded events to quiescence on the active CSR.
+    fn drain(&mut self) {
+        let StreamingFlow { alg, csr, config, values, dependency, impacted, stats, tracer, .. } =
+            self;
+        let cx = KernelCtx { alg: alg.as_ref(), csr, delete_strategy: config.delete_strategy };
+        self.exec.drain(&cx, RunState { values, dependency, impacted, stats, tracer });
+    }
+
+    fn drain_phase(&mut self, phase: Phase) {
+        self.tracer.begin_phase(phase);
+        self.drain();
+    }
+
+    /// Closes a run: reports the coalescing the queues did since
+    /// `coalesced_before` and, under `strict-invariants`, asserts
+    /// convergence.
+    fn finish_run(&mut self, coalesced_before: u64) -> RunStats {
+        self.stats.events_coalesced = self.exec.queue_stats().coalesced - coalesced_before;
+        #[cfg(feature = "strict-invariants")]
+        debug_assert_eq!(self.validate_converged(), Ok(()), "post-run invariant violated");
+        self.stats
+    }
+
+    /// Advances the CSR mirror to the graph version `host` already holds,
+    /// in place in O(batch · degree) instead of an O(E) rebuild.
+    fn advance_mirror(&mut self, batch: &UpdateBatch) {
+        #[allow(clippy::expect_used)] // invariant: `host` validated the batch before applying it
+        self.csr
+            .apply_batch(batch)
+            .expect("invariant: host-validated batch applies to the CSR mirror");
+    }
+
+    // ------------------------------------------------------------------
+    // Selective (monotonic) streaming flow — Algorithms 4 & 5
+    // ------------------------------------------------------------------
+
+    fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        // Capture deleted-edge weights before mutating, then validate and
+        // apply the batch to the host graph. The delete phase still runs on
+        // the old CSR (the mirror only advances after recovery).
+        let deleted: Vec<(VertexId, VertexId, Value)> = batch
+            .deletions()
+            .iter()
+            .map(|&(u, v)| {
+                self.host
+                    .edge_weight(u, v)
+                    .map(|w| (u, v, w))
+                    .ok_or(GraphError::MissingEdge { source: u, target: v })
+            })
+            .collect::<Result<_, _>>()?;
+        self.host.apply_batch(batch)?;
+        self.impacted.clear();
+
+        // DAP must keep per-source delete events distinct from the very
+        // first event on: two deletions targeting the same vertex carry
+        // different source ids and must both be examined (§5.2).
+        self.exec.set_coalesce_deletes(self.config.delete_strategy != DeleteStrategy::Dap);
+
+        // Phase 1 — stream deleted edges into delete events (Algorithm 4,
+        // ProcessDeletesSelective; §4.6.2 "Delete Setup and Preparation").
+        self.tracer.begin_phase(Phase::DeleteSetup);
+        for (u, v, w) in deleted {
+            self.stats.stream_reads += 1;
+            self.stats.vertex_reads += 1; // source state read
+            let targets_start = self.tracer.targets_start();
+            let event = match self.config.delete_strategy {
+                DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
+                DeleteStrategy::Vap => {
+                    // Payload carries the contribution that flowed over the
+                    // deleted edge; if the source never propagated there is
+                    // nothing to revert.
+                    let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                    let deg = self.csr.out.degree(u);
+                    let wsum = self.cx().weight_sum(u);
+                    let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
+                    self.alg
+                        .propagate(state, state, &ctx)
+                        .map(|payload| Event::delete(u, v, payload))
+                }
+                DeleteStrategy::Dap => Some(Event::delete(u, v, self.alg.identity())),
+            };
+            let emitted = u32::from(event.is_some());
+            if let Some(ev) = event {
+                self.seed(ev);
+            }
+            self.trace_setup_op(OpKind::StreamRead, u, 0, targets_start, emitted);
+        }
+        self.tracer.end_round();
+
+        // Phase 2 — delete propagation on the *old* graph: tag and reset
+        // every potentially impacted vertex (Algorithm 4, ResetImpacted).
+        self.drain_phase(Phase::DeletePropagation);
+        self.exec.set_coalesce_deletes(true);
+
+        // Graph switches to the new version (§3.5).
+        self.advance_mirror(batch);
+
+        // Phase 3 — request events along each impacted vertex's incoming
+        // edges (Algorithm 4, Reapproximate).
+        self.tracer.begin_phase(Phase::RequestSetup);
+        let impacted = std::mem::take(&mut self.impacted);
+        let mut sources = std::mem::take(&mut self.source_scratch);
+        let identity = self.alg.identity();
+        for &x in &impacted {
+            let in_deg = self.csr.inc.degree(x);
+            self.stats.edge_reads += in_deg as u64;
+            let targets_start = self.tracer.targets_start();
+            sources.clear();
+            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
+            let mut count = sources.len() as u32; // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+            for &u in &sources {
+                self.stats.request_events += 1;
+                self.seed(Event::request(u, identity));
+            }
+            // Replay the initializer's contribution for the reset vertex:
+            // values seeded by InitialEvents() (the query root, CC
+            // self-labels) do not arrive over any edge, so neighbor
+            // requests alone cannot restore them.
+            if let Some(seed) = self.alg.initial_event(x) {
+                self.seed(Event::regular(x, seed));
+                count += 1;
+            }
+            self.trace_setup_op(OpKind::RequestSetup, x, in_deg, targets_start, count);
+        }
+        self.impacted = impacted;
+        sources.clear();
+        self.source_scratch = sources;
+        self.tracer.end_round();
+
+        // Phase 4 — stream inserted edges into regular events
+        // (Algorithm 2); they coalesce with pending request events.
+        self.stream_inserts(batch.insertions());
+
+        // Phase 5 — incremental reevaluation on the new graph.
+        self.drain_phase(Phase::Recompute);
+        Ok(())
+    }
+
+    fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
+        self.tracer.begin_phase(Phase::InsertSetup);
+        let dap = self.cx().dap_active();
+        for &(u, v, w) in insertions {
+            self.stats.stream_reads += 1;
+            self.stats.vertex_reads += 1;
+            let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            let deg = self.csr.out.degree(u);
+            let wsum = self.cx().weight_sum(u);
+            let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
+            let targets_start = self.tracer.targets_start();
+            let delta = self.alg.propagate(state, state, &ctx);
+            if let Some(d) = delta {
+                let event = if dap { Event::regular_from(u, v, d) } else { Event::regular(v, d) };
+                self.seed(event);
+            }
+            let emitted = u32::from(delta.is_some());
+            self.trace_setup_op(OpKind::StreamRead, u, 0, targets_start, emitted);
+        }
+        self.tracer.end_round();
+    }
+
+    // ------------------------------------------------------------------
+    // Accumulative streaming flow — Algorithms 3 & 6, Fig. 5
+    // ------------------------------------------------------------------
+
+    fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        // Per-batch scratch (sorted touched ids, flattened old out-edges
+        // with prefix bounds, value snapshot) is swapped out of `self` so
+        // the body can borrow it alongside `&mut self`; it goes back at
+        // the end, so steady-state streaming allocates nothing.
+        let mut touched = std::mem::take(&mut self.touched_scratch);
+        let mut old_edges = std::mem::take(&mut self.old_edge_scratch);
+        let mut bounds = std::mem::take(&mut self.old_edge_bounds);
+        let mut snapshot = std::mem::take(&mut self.state_scratch);
+        let result = self.stream_accumulative_with(
+            batch,
+            &mut touched,
+            &mut old_edges,
+            &mut bounds,
+            &mut snapshot,
+        );
+        touched.clear();
+        old_edges.clear();
+        bounds.clear();
+        snapshot.clear();
+        self.touched_scratch = touched;
+        self.old_edge_scratch = old_edges;
+        self.old_edge_bounds = bounds;
+        self.state_scratch = snapshot;
+        result
+    }
+
+    fn stream_accumulative_with(
+        &mut self,
+        batch: &UpdateBatch,
+        touched: &mut Vec<VertexId>,
+        old_edges: &mut Vec<(VertexId, Value)>,
+        bounds: &mut Vec<usize>,
+        snapshot: &mut Vec<Value>,
+    ) -> Result<(), GraphError> {
+        // `touched` vertices have an out-edge added or deleted: their
+        // per-edge contribution factor (1/deg or w/wsum) changes, so the
+        // sink transform of Fig. 5 removes *all* their out-edges first.
+        touched.extend(batch.deletions().iter().map(|&(u, _)| u));
+        touched.extend(batch.insertions().iter().map(|&(u, _, _)| u));
+        touched.sort_unstable();
+        touched.dedup();
+        // Only the touched vertices' out-edge lists change when the batch
+        // applies, so capturing those slices (flattened; row `i` lives at
+        // `old_edges[bounds[i]..bounds[i+1]]`) replaces the former full
+        // `self.host.clone()` (O(batch) instead of O(V + E) per batch).
+        bounds.push(0);
+        for &u in touched.iter() {
+            // An out-of-range source has no row to capture; `apply_batch`
+            // below rejects the batch with the typed error.
+            if usize::try_from(u).is_ok_and(|row| row < self.host.num_vertices()) {
+                old_edges.extend(self.host.neighbors(u));
+            }
+            bounds.push(old_edges.len());
+        }
+        self.host.apply_batch(batch)?;
+        self.impacted.clear();
+        // The CSR mirror advances to the new version right away; phases
+        // that need the *old* adjacency use the captured slices.
+        self.advance_mirror(batch);
+
+        // Phase 1 — negative events for every old out-edge of a touched
+        // vertex, using the old degree/weight-sum (Algorithm 3).
+        self.tracer.begin_phase(Phase::DeleteSetup);
+        snapshot.extend(touched.iter().map(|&u| self.values[u as usize])); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        for (i, (&u, &state)) in touched.iter().zip(snapshot.iter()).enumerate() {
+            let row = &old_edges[bounds[i]..bounds[i + 1]];
+            let deg = row.len();
+            let wsum: Value =
+                if self.alg.needs_weight_sum() { row.iter().map(|&(_, w)| w).sum() } else { 0.0 };
+            self.stats.vertex_reads += 1;
+            let targets_start = self.tracer.targets_start();
+            let mut generated = 0u32;
+            for &(v, w) in row {
+                self.stats.stream_reads += 1;
+                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
+                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
+                    if self.alg.changes_state(0.0, c) {
+                        self.seed(Event::regular(v, -c));
+                        generated += 1;
+                    }
+                }
+            }
+            self.trace_setup_op(OpKind::StreamRead, u, deg, targets_start, generated);
+        }
+        self.tracer.end_round();
+
+        if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
+            // Compute on the intermediate graph: the old graph with all
+            // touched vertices turned into sinks, breaking every cyclic
+            // path through them (Fig. 5b). Untouched vertices' out-edges
+            // are identical before and after the batch, so the new host
+            // filtered by `touched` yields exactly the old graph's
+            // non-touched edges. The maintained mirror is parked while the
+            // intermediate computation runs and restored for Phase 2.
+            let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
+                .host
+                .iter_edges()
+                .filter(|(u, _, _)| touched.binary_search(u).is_err())
+                .collect();
+            let maintained = std::mem::replace(
+                &mut self.csr,
+                CsrPair::new(jetstream_graph::Csr::from_edges(
+                    self.host.num_vertices(),
+                    &intermediate_edges,
+                )),
+            );
+            self.drain_phase(Phase::IntermediateCompute);
+            self.csr = maintained;
+        }
+
+        // Phase 2 — re-insertion events for every *new* out-edge of a
+        // touched vertex, using the new degree/weight-sum (Fig. 5c). Under
+        // coalesced recovery these merge in the queue with the pending
+        // negative events, cancelling the rollback of kept edges.
+        self.tracer.begin_phase(Phase::InsertSetup);
+        let mut edges = std::mem::take(&mut self.edge_scratch);
+        for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
+            let deg = self.csr.out.degree(u);
+            let wsum = self.cx().weight_sum(u);
+            // Two-phase recovery replays whatever state the intermediate
+            // convergence left; coalesced recovery replays the same
+            // snapshot the rollback used.
+            let state = match self.config.accumulative_recovery {
+                AccumulativeRecovery::TwoPhase => self.values[u as usize], // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                AccumulativeRecovery::Coalesced => old_state,
+            };
+            self.stats.vertex_reads += 1;
+            let targets_start = self.tracer.targets_start();
+            let mut generated = 0u32;
+            edges.clear();
+            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
+            for &(v, w) in &edges {
+                self.stats.stream_reads += 1;
+                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
+                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
+                    if self.alg.changes_state(0.0, c) {
+                        self.seed(Event::regular(v, c));
+                        generated += 1;
+                    }
+                }
+            }
+            self.trace_setup_op(OpKind::StreamRead, u, deg, targets_start, generated);
+        }
+        edges.clear();
+        self.edge_scratch = edges;
+        self.tracer.end_round();
+
+        // Phase 3 — recompute on the new graph version (the mirror already
+        // points at it).
+        self.drain_phase(Phase::Recompute);
+        Ok(())
+    }
+}

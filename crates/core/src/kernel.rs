@@ -1,14 +1,14 @@
-//! Per-event processing kernel shared by the sequential and sharded engines.
+//! Per-event processing kernel shared by every executor.
 //!
 //! [`StreamingEngine`](crate::StreamingEngine) and
 //! [`ShardedEngine`](crate::ShardedEngine) must produce bit-identical
 //! results (the differential-test harness asserts it), so the semantics of
 //! applying one event — reduce, state update, dependency recording, reset
-//! guards, and propagation — live here exactly once. The two engines differ
+//! guards, and propagation — live here exactly once. The executors differ
 //! only in where state lives and where emitted events go, which is what
-//! [`ExecState`] abstracts: the sequential engine backs it with its global
-//! vectors and coalescing queue, a sharded worker backs it with its owned
-//! vertex range and an emission outbox.
+//! [`ExecState`] abstracts: the sequential executor backs it with the
+//! flow's global vectors and its coalescing queue, a sharded worker backs
+//! it with its owned vertex range and an emission outbox.
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
 use jetstream_graph::{CsrPair, VertexId};
@@ -19,7 +19,10 @@ use crate::stats::RunStats;
 use crate::trace::{OpKind, TraceOp};
 
 /// Read-only context shared by every event applied in one phase.
-pub(crate) struct KernelCtx<'a> {
+///
+/// Nominally `pub` only because the sealed executor seam
+/// ([`crate::flow::sealed::Drain`]) names it; the module is private.
+pub struct KernelCtx<'a> {
     /// The algorithm being evaluated.
     pub alg: &'a dyn Algorithm,
     /// The active CSR snapshot (propagation reads out-edges from it).
@@ -232,8 +235,8 @@ fn propagate_deletes(
     (generated, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
 }
 
-/// Value-level convergence checks shared by both engines'
-/// `validate_converged`:
+/// Value-level convergence checks behind
+/// [`StreamingFlow::validate_converged`](crate::StreamingFlow::validate_converged):
 ///
 /// * under DAP, every recorded `Leads-To` dependency is an edge of the
 ///   active graph;
@@ -241,13 +244,11 @@ fn propagate_deletes(
 ///   edges;
 /// * accumulative algorithms: every value is finite.
 pub(crate) fn validate_converged_values(
-    alg: &dyn Algorithm,
-    csr: &CsrPair,
+    cx: &KernelCtx<'_>,
     values: &[Value],
     dependency: &[Option<VertexId>],
-    delete_strategy: DeleteStrategy,
 ) -> Result<(), String> {
-    let cx = KernelCtx { alg, csr, delete_strategy };
+    let (alg, csr) = (cx.alg, cx.csr);
     if cx.dap_active() {
         for (v, dep) in dependency.iter().enumerate() {
             if let Some(u) = dep {

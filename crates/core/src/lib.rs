@@ -48,6 +48,7 @@
 mod async_mode;
 mod engine;
 mod event;
+mod flow;
 mod kernel;
 mod queue;
 mod sharded;
@@ -57,10 +58,11 @@ pub mod trace;
 
 pub use engine::{
     AccumulativeRecovery, BatchClassification, CheckpointError, DeleteStrategy, EngineConfig,
-    StreamingEngine, UpdateSafety,
+    Sequential, StreamingEngine, UpdateSafety,
 };
 pub use event::Event;
+pub use flow::{Executor, StreamingFlow};
 pub use queue::{CoalescingQueue, QueueStats};
 pub use sharded::sync;
-pub use sharded::{ExecutionMode, ParallelModel, ShardedEngine};
+pub use sharded::{ExecutionMode, ParallelModel, Sharded, ShardedEngine};
 pub use stats::{Phase, RunStats};

@@ -1,19 +1,21 @@
-//! Sharded parallel execution of the JetStream streaming engine.
+//! Sharded parallel execution of the JetStream streaming flow.
 //!
-//! [`ShardedEngine`] partitions the vertex space into `S` contiguous shards
-//! (via [`jetstream_graph::Partition::contiguous_balanced`]) and runs one
+//! [`Sharded`] is the [`Executor`] behind [`ShardedEngine`]: it partitions
+//! the vertex space into `S` contiguous shards (via
+//! [`jetstream_graph::Partition::contiguous_balanced`]) and runs one
 //! worker thread per shard. Each worker owns its shard's slice of the value
 //! and dependency vectors plus a private [`CoalescingQueue`], mirroring the
 //! paper's §4 queue/lane partitioning where every processing lane serves a
-//! disjoint bin range of the event queue.
+//! disjoint bin range of the event queue. The phases around a drain are
+//! [`StreamingFlow`]'s, shared with the sequential executor.
 //!
 //! # Execution modes
 //!
-//! [`run_queue`](ShardedEngine::run_queue) is driven in one of two
-//! [`ExecutionMode`]s. [`ExecutionMode::Async`] (DESIGN.md §16) is
-//! barrier-free: workers drain continuously, cross-shard events travel as
-//! runs, and a double-probe detector decides quiescence — value-equivalent
-//! to the sequential engine, not schedule-equivalent. The default,
+//! A drain is driven in one of two [`ExecutionMode`]s.
+//! [`ExecutionMode::Async`] (DESIGN.md §16) is barrier-free: workers drain
+//! continuously, cross-shard events travel as runs, and a double-probe
+//! detector decides quiescence — value-equivalent to the sequential
+//! engine, not schedule-equivalent. The default,
 //! [`ExecutionMode::Deterministic`], is described below.
 //!
 //! # Determinism
@@ -24,7 +26,7 @@
 //! Three mechanisms make that hold:
 //!
 //! * **Supersteps.** Workers drain exactly the canonical round the
-//!   sequential `run_queue` would: the events resident at round start, slot
+//!   sequential executor would: the events resident at round start, slot
 //!   events in ascending vertex order first, overflowed delete events in
 //!   FIFO order second. Everything emitted during a round is exchanged at a
 //!   barrier and belongs to the next round.
@@ -33,30 +35,29 @@
 //!   processing (major = target vertex id), class 1 for emissions from
 //!   overflow processing (major = a globally assigned FIFO counter), idx =
 //!   the per-emitter emission index. Merging the per-shard outboxes by key
-//!   reproduces the exact order the sequential engine would have inserted
+//!   reproduces the exact order the sequential executor would have inserted
 //!   the same events into its single queue — so slot coalescing folds
 //!   (which pick a "dominant source" order-sensitively) are bitwise equal.
 //! * **Shared kernel.** Per-event semantics live in [`crate::kernel`] and
-//!   are the same code the sequential engine runs.
+//!   are the same code the sequential executor runs.
 //!
 //! # Divergences from [`StreamingEngine`]
 //!
 //! * `queue_capacity` slicing (§4.7 spill accounting) is not modelled:
 //!   `spilled_events` is always 0. Shards *are* the slicing.
-//! * Operation tracing is not supported (traces are a sequential-engine
-//!   feature consumed by the cycle simulator).
+//! * Kernel operations are not traced (traces are consumed by the cycle
+//!   simulator, which models the sequential schedule).
 //!
 //! [`StreamingEngine`]: crate::StreamingEngine
 
-use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
+use jetstream_algorithms::{Algorithm, Value};
 use jetstream_graph::partition::Partition;
-use jetstream_graph::{AdjacencyGraph, CsrPair, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{AdjacencyGraph, Csr, VertexId};
 
-use crate::engine::{
-    check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
-    DeleteStrategy, EngineConfig, UpdateSafety,
-};
+use crate::engine::{CheckpointError, EngineConfig};
 use crate::event::Event;
+use crate::flow::sealed::Drain;
+use crate::flow::{Executor, RunState, StreamingFlow};
 use crate::kernel::{self, ExecState, KernelCtx};
 use crate::queue::{CoalescingQueue, QueueStats};
 use crate::stats::RunStats;
@@ -101,9 +102,8 @@ pub(crate) struct Shard {
     /// assigned overflow counter.
     pub(crate) overflow: Vec<(u64, Event)>,
     /// Work units (events processed + edges read) this shard spent in each
-    /// superstep of the current [`run_queue`](ShardedEngine::run_queue)
-    /// call; folded into the engine's [`ParallelModel`] at the barrierless
-    /// end of the call.
+    /// superstep of the current drain; folded into the executor's
+    /// [`ParallelModel`] at the barrierless end of the call.
     pub(crate) round_costs: Vec<u64>,
     /// Persistent drain buffer for [`worker_round`]: grows to the shard's
     /// high-water event count once, then steady-state rounds allocate
@@ -205,7 +205,7 @@ impl ExecState for WorkerState<'_> {
     }
 }
 
-/// How [`ShardedEngine::run_queue`] drives its workers.
+/// How a [`Sharded`] drain drives its workers.
 ///
 /// The differential suite pins the semantics of each mode: deterministic
 /// runs are bit-identical to [`StreamingEngine`](crate::StreamingEngine),
@@ -381,18 +381,78 @@ fn exchange(
     total
 }
 
-/// Sharded parallel counterpart of [`StreamingEngine`](crate::StreamingEngine).
+/// The sharded [`Executor`](crate::Executor): one worker thread per
+/// contiguous vertex range, each with a private [`CoalescingQueue`], driven
+/// in the selected [`ExecutionMode`].
+#[derive(Debug)]
+pub struct Sharded {
+    shards: Vec<Shard>,
+    /// `S + 1` contiguous range boundaries; shard `s` owns
+    /// `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<usize>,
+    /// Per-shard seed inboxes for the next [`drain`](Drain::drain), filled
+    /// by the flow's setup phases.
+    pending: Vec<Vec<Keyed>>,
+    /// Monotone counter keying coordinator seeds and overflow FIFO order.
+    seq: u64,
+    coalesce_deletes: bool,
+    /// Per-worker yield intervals (worker `i` uses `plan[i % len]`; an
+    /// interval of 0 means that worker never yields). Empty = no yielding.
+    yield_plan: Vec<usize>,
+    /// How [`drain`](Drain::drain) drives its workers.
+    mode: ExecutionMode,
+    /// Async-mode run-length perturbation: worker `i` drains
+    /// `plan[i % len]` queue bins per processing pass (0 = the whole
+    /// queue). Empty = every worker drains its whole queue each pass.
+    chunk_plan: Vec<usize>,
+    /// Cumulative scaling model (see [`ParallelModel`]).
+    model: ParallelModel,
+    /// Trace sink for the race sanitizer (disabled by default).
+    race_log: sync::RaceLog,
+}
+
+impl Sharded {
+    /// Fixes shard ownership: contiguous vertex ranges balanced by
+    /// `degree + 1` of `out` at this moment.
+    fn new(out: &Csr, num_bins: usize, num_shards: usize) -> Self {
+        assert!(num_shards > 0, "need at least one shard");
+        let part = Partition::contiguous_balanced(out, num_shards as u32); // cast-ok: shard counts are small (bounded by worker threads), far below 2^32
+        let ranges = part.contiguous_ranges().unwrap_or_default();
+        assert_eq!(ranges.len(), num_shards, "contiguous partition must yield one range per shard");
+        let mut bounds = Vec::with_capacity(num_shards + 1);
+        bounds.push(0);
+        let shards = ranges
+            .iter()
+            .map(|r| {
+                bounds.push(r.end);
+                Shard::new(r.start, r.len(), num_bins)
+            })
+            .collect();
+        Sharded {
+            shards,
+            bounds,
+            pending: vec![Vec::new(); num_shards],
+            seq: 0,
+            coalesce_deletes: true,
+            yield_plan: Vec::new(),
+            mode: ExecutionMode::default(),
+            chunk_plan: Vec::new(),
+            model: ParallelModel::default(),
+            race_log: sync::RaceLog::default(),
+        }
+    }
+}
+
+impl Executor for Sharded {}
+
+/// The JetStream engine on `S` worker threads: the §4.6
+/// [`StreamingFlow`] drained by the [`Sharded`] executor.
 ///
-/// Supports the full streaming API — [`initial_compute`], [`apply_update_batch`],
-/// [`cold_restart`], checkpoint mount via [`from_checkpoint`] — for every
-/// algorithm and every [`DeleteStrategy`], and produces bit-identical
-/// values, dependencies, and [`RunStats`] to the sequential engine for any
-/// shard count. See the [module docs](self) for how.
-///
-/// [`initial_compute`]: ShardedEngine::initial_compute
-/// [`apply_update_batch`]: ShardedEngine::apply_update_batch
-/// [`cold_restart`]: ShardedEngine::cold_restart
-/// [`from_checkpoint`]: ShardedEngine::from_checkpoint
+/// Supports the full streaming API for every algorithm and every
+/// [`DeleteStrategy`](crate::DeleteStrategy), and in deterministic mode
+/// produces bit-identical values, dependencies, and [`RunStats`] to
+/// [`StreamingEngine`](crate::StreamingEngine) for any shard count. See
+/// the [module docs](self) for how.
 ///
 /// # Example
 ///
@@ -419,56 +479,9 @@ fn exchange(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct ShardedEngine {
-    alg: Box<dyn Algorithm>,
-    host: AdjacencyGraph,
-    csr: CsrPair,
-    values: Vec<Value>,
-    dependency: Vec<Option<VertexId>>,
-    impacted: Vec<VertexId>,
-    shards: Vec<Shard>,
-    /// `S + 1` contiguous range boundaries; shard `s` owns
-    /// `bounds[s]..bounds[s + 1]`.
-    bounds: Vec<usize>,
-    /// Per-shard seed inboxes for the next [`run_queue`](Self::run_queue),
-    /// filled by the coordinator-side setup phases.
-    pending: Vec<Vec<Keyed>>,
-    /// Monotone counter keying coordinator seeds and overflow FIFO order.
-    seq: u64,
-    coalesce_deletes: bool,
-    config: EngineConfig,
-    /// Coordinator's share of the current run's counters (rounds, stream
-    /// reads, request events, seed emissions).
-    stats: RunStats,
-    coalesced_before: u64,
-    /// Per-worker yield intervals (worker `i` uses `plan[i % len]`; an
-    /// interval of 0 means that worker never yields). Empty = no yielding.
-    yield_plan: Vec<usize>,
-    /// How [`run_queue`](Self::run_queue) drives its workers.
-    mode: ExecutionMode,
-    /// Async-mode run-length perturbation: worker `i` drains
-    /// `plan[i % len]` queue bins per processing pass (0 = the whole
-    /// queue). Empty = every worker drains its whole queue each pass.
-    chunk_plan: Vec<usize>,
-    /// Cumulative scaling model (see [`ParallelModel`]).
-    model: ParallelModel,
-    /// Trace sink for the race sanitizer (disabled by default).
-    race_log: sync::RaceLog,
-    /// Reusable per-batch scratch mirroring the sequential engine's:
-    /// touched vertices of an accumulative batch, their captured old
-    /// out-edges (flattened, with prefix bounds), their value snapshot, a
-    /// neighbor buffer for phases that seed while reading the CSR, and the
-    /// request-phase source list. All empty between batches.
-    touched_scratch: Vec<VertexId>,
-    old_edge_scratch: Vec<(VertexId, Value)>,
-    old_edge_bounds: Vec<usize>,
-    state_scratch: Vec<Value>,
-    edge_scratch: Vec<(VertexId, Value)>,
-    source_scratch: Vec<VertexId>,
-}
+pub type ShardedEngine = StreamingFlow<Sharded>;
 
-impl ShardedEngine {
+impl StreamingFlow<Sharded> {
     /// Creates a sharded engine over `host` with `num_shards` workers.
     ///
     /// Shard ownership is fixed at construction: contiguous vertex ranges
@@ -485,15 +498,14 @@ impl ShardedEngine {
         config: EngineConfig,
         num_shards: usize,
     ) -> Self {
-        let n = host.num_vertices();
-        let identity = alg.identity();
-        Self::build(alg, host, config, num_shards, vec![identity; n], vec![None; n])
+        Self::mount(alg, host, config, None, |csr| {
+            Sharded::new(&csr.out, config.num_bins, num_shards)
+        })
     }
 
-    /// Warm-starts a sharded engine from previously converged state — the
-    /// sharded counterpart of
-    /// [`StreamingEngine::from_checkpoint`](crate::StreamingEngine::from_checkpoint),
-    /// accepting exactly the same snapshot format.
+    /// Warm-starts a sharded engine from previously converged state,
+    /// accepting exactly the snapshot format of
+    /// [`StreamingEngine::from_checkpoint`](crate::StreamingEngine::from_checkpoint).
     ///
     /// # Errors
     ///
@@ -511,128 +523,28 @@ impl ShardedEngine {
         config: EngineConfig,
         num_shards: usize,
     ) -> Result<Self, CheckpointError> {
-        check_checkpoint_state(&host, &values, &dependency)?;
-        Ok(Self::build(alg, host, config, num_shards, values, dependency))
-    }
-
-    fn build(
-        alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
-        config: EngineConfig,
-        num_shards: usize,
-        values: Vec<Value>,
-        dependency: Vec<Option<VertexId>>,
-    ) -> Self {
-        assert!(num_shards > 0, "need at least one shard");
-        let csr = host.snapshot_pair();
-        let part = Partition::contiguous_balanced(&csr.out, num_shards as u32); // cast-ok: shard counts are small (bounded by worker threads), far below 2^32
-        let ranges = part.contiguous_ranges().unwrap_or_default();
-        assert_eq!(ranges.len(), num_shards, "contiguous partition must yield one range per shard");
-        let mut bounds = Vec::with_capacity(num_shards + 1);
-        bounds.push(0);
-        let shards = ranges
-            .iter()
-            .map(|r| {
-                bounds.push(r.end);
-                Shard::new(r.start, r.len(), config.num_bins)
-            })
-            .collect();
-        ShardedEngine {
-            alg,
-            host,
-            csr,
-            values,
-            dependency,
-            impacted: Vec::new(),
-            shards,
-            bounds,
-            pending: vec![Vec::new(); num_shards],
-            seq: 0,
-            coalesce_deletes: true,
-            config,
-            stats: RunStats::default(),
-            coalesced_before: 0,
-            yield_plan: Vec::new(),
-            mode: ExecutionMode::default(),
-            chunk_plan: Vec::new(),
-            model: ParallelModel::default(),
-            race_log: sync::RaceLog::default(),
-            touched_scratch: Vec::new(),
-            old_edge_scratch: Vec::new(),
-            old_edge_bounds: Vec::new(),
-            state_scratch: Vec::new(),
-            edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
-        }
+        Self::mount_checkpoint(alg, host, values, dependency, config, |csr| {
+            Sharded::new(&csr.out, config.num_bins, num_shards)
+        })
     }
 
     /// Number of shards (worker threads).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The algorithm being evaluated.
-    pub fn algorithm(&self) -> &dyn Algorithm {
-        self.alg.as_ref()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Current converged (or in-progress) vertex values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// The host-side evolving graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.host
-    }
-
-    /// The active CSR snapshot.
-    pub fn csr(&self) -> &CsrPair {
-        &self.csr
-    }
-
-    /// Vertices reset during the most recent streaming batch, in the same
-    /// (shard-major) order the sequential engine records them.
-    pub fn last_impacted(&self) -> &[VertexId] {
-        &self.impacted
-    }
-
-    /// The recorded dependency (`Leads-To`) source of each vertex under DAP.
-    pub fn dependencies(&self) -> &[Option<VertexId>] {
-        &self.dependency
-    }
-
-    /// Cumulative queue statistics rolled up over all shards (including
-    /// overflow traffic that bypasses the per-shard queues).
-    pub fn queue_stats(&self) -> QueueStats {
-        let mut total = QueueStats::default();
-        for sh in &self.shards {
-            total += sh.queue.stats();
-            total += sh.extra;
-        }
-        total
+        self.exec.shards.len()
     }
 
     /// The cumulative [`ParallelModel`] — deterministic total and
     /// critical-path work since construction, from which
     /// [`ParallelModel::modeled_speedup`] derives host-independent scaling.
     pub fn parallel_model(&self) -> ParallelModel {
-        self.model
+        self.exec.model
     }
 
     /// Test hook: make each worker yield its time slice every `every`
     /// processed events, perturbing the thread schedule. Results must not
     /// change (the determinism regression test asserts they don't).
     pub fn set_yield_interval(&mut self, every: Option<usize>) {
-        self.yield_plan = match every {
-            Some(e) => vec![e],
-            None => Vec::new(),
-        };
+        self.exec.yield_plan = every.into_iter().collect();
     }
 
     /// Test hook: give every worker its *own* yield interval — worker `i`
@@ -644,7 +556,7 @@ impl ShardedEngine {
     /// bit-identical to the sequential engine under every one. An empty
     /// plan disables yielding.
     pub fn set_yield_plan(&mut self, plan: &[usize]) {
-        self.yield_plan = plan.to_vec();
+        self.exec.yield_plan = plan.to_vec();
     }
 
     /// Test hook: install a [`sync::RaceLog`] trace sink. While enabled,
@@ -653,19 +565,19 @@ impl ShardedEngine {
     /// (`jetstream_testkit::race`, DESIGN.md §14.3). Install
     /// `RaceLog::default()` to turn recording back off.
     pub fn set_race_log(&mut self, log: sync::RaceLog) {
-        self.race_log = log;
+        self.exec.race_log = log;
     }
 
-    /// Selects how [`run_queue`](Self::run_queue) drives its workers. May
-    /// be switched between batches (queues are empty at every switch
-    /// point); see [`ExecutionMode`] for the semantics of each mode.
+    /// Selects how drains drive their workers. May be switched between
+    /// batches (queues are empty at every switch point); see
+    /// [`ExecutionMode`] for the semantics of each mode.
     pub fn set_execution_mode(&mut self, mode: ExecutionMode) {
-        self.mode = mode;
+        self.exec.mode = mode;
     }
 
     /// The currently selected [`ExecutionMode`].
     pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
+        self.exec.mode
     }
 
     /// Test hook (async mode only): give each worker a run-length cap —
@@ -675,163 +587,73 @@ impl ShardedEngine {
     /// asserts value-equivalence under every one. An empty plan restores
     /// whole-queue passes.
     pub fn set_async_chunk_plan(&mut self, plan: &[usize]) {
-        self.chunk_plan = plan.to_vec();
+        self.exec.chunk_plan = plan.to_vec();
+    }
+}
+
+impl Drain for Sharded {
+    fn set_coalesce_deletes(&mut self, on: bool) {
+        self.coalesce_deletes = on;
     }
 
-    /// Runs the static (cold) evaluation from scratch on the current graph
-    /// version. Mirrors
-    /// [`StreamingEngine::initial_compute`](crate::StreamingEngine::initial_compute).
-    pub fn initial_compute(&mut self) -> RunStats {
-        self.begin_run();
-        let identity = self.alg.identity();
-        self.values.fill(identity);
-        self.dependency.fill(None);
-        for (v, val) in self.alg.initial_events(&self.csr.out) {
-            self.seed_emit(Event::regular(v, val));
+    /// Queues a setup-phase event from the coordinator, exactly in program
+    /// order: the monotone `seq` counter makes coordinator seeds sort (and,
+    /// for non-coalescible deletes, drain) in emission order.
+    fn seed(&mut self, _alg: &dyn Algorithm, stats: &mut RunStats, ev: Event) {
+        stats.events_generated += 1;
+        let key = if ev.is_delete && !self.coalesce_deletes {
+            OVERFLOW_CLASS | ((self.seq as u128) << IDX_BITS)
+        } else {
+            (self.seq as u128) << IDX_BITS
+        };
+        self.seq += 1;
+        let dest = route(&self.bounds, ev.target);
+        self.pending[dest].push(Keyed { key, ev });
+    }
+
+    /// Drains the pending seed inboxes to convergence with one worker
+    /// thread per shard, in the selected [`ExecutionMode`], then hands the
+    /// workers' impacted records and counters back to the flow.
+    fn drain(&mut self, cx: &KernelCtx<'_>, mut run: RunState<'_>) {
+        if self.pending.iter().all(Vec::is_empty) {
+            return;
         }
-        self.run_queue();
-        let mut total = self.rollup();
-        // `StreamingEngine::initial_compute` reports the queue's cumulative
-        // coalesce counter here (not a delta); mirror it exactly.
-        total.events_coalesced = self.queue_stats().coalesced;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-compute invariant violated");
+        match self.mode {
+            ExecutionMode::Deterministic => self.drain_supersteps(cx, &mut run),
+            ExecutionMode::Async => self.drain_async(cx, &mut run),
+        }
+        let mut records: Vec<(u64, u128, VertexId)> = Vec::new();
+        for sh in &mut self.shards {
+            records.append(&mut sh.impacted);
+            *run.stats += std::mem::take(&mut sh.stats);
+        }
+        match self.mode {
+            // Workers tagged each reset with (round, emission key base);
+            // sorting by that pair is exactly the order the sequential
+            // executor resets vertices (round-major, slot events in
+            // ascending vertex order before overflow FIFO).
+            ExecutionMode::Deterministic => records.sort_unstable(),
+            // Async pass tags are per-worker and carry no global order;
+            // present the set in ascending vertex id. The set itself is
+            // schedule-dependent under VAP/DAP (DESIGN.md §16.3); the
+            // contract is completeness, not equality with the oracle.
+            ExecutionMode::Async => records.sort_unstable_by_key(|&(_, _, v)| v),
+        }
+        run.impacted.extend(records.into_iter().map(|(_, _, v)| v));
+    }
+
+    /// Rolled up over all shards, including overflow traffic that bypasses
+    /// the per-shard queues.
+    fn queue_stats(&self) -> QueueStats {
+        let mut total = QueueStats::default();
+        for sh in &self.shards {
+            total += sh.queue.stats();
+            total += sh.extra;
+        }
         total
     }
 
-    /// Applies a streaming update batch and incrementally reevaluates the
-    /// query. Mirrors
-    /// [`StreamingEngine::apply_update_batch`](crate::StreamingEngine::apply_update_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// current graph version (the graph and query state are unchanged).
-    pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.begin_run();
-        match self.alg.kind() {
-            UpdateKind::Selective => self.stream_selective(batch)?,
-            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
-        }
-        let mut total = self.rollup();
-        total.events_coalesced = self.queue_stats().coalesced - self.coalesced_before;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-batch invariant violated");
-        Ok(total)
-    }
-
-    /// Applies the batch and recomputes from scratch (cold-start baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid.
-    pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-        Ok(self.initial_compute())
-    }
-
-    /// Classifies a single insertion against the converged state — the
-    /// sharded counterpart of
-    /// [`StreamingEngine::classify_insert`](crate::StreamingEngine::classify_insert).
-    pub fn classify_insert(&self) -> UpdateSafety {
-        match self.alg.kind() {
-            UpdateKind::Selective => UpdateSafety::Safe,
-            UpdateKind::Accumulative => UpdateSafety::Unsafe,
-        }
-    }
-
-    /// Classifies a single deletion against the converged state — the
-    /// sharded counterpart of
-    /// [`StreamingEngine::classify_delete`](crate::StreamingEngine::classify_delete):
-    /// under DAP a non-tree-edge delete is provably a no-op for the query
-    /// state, readable in O(1) from the recorded dependence tree.
-    pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
-        if !self.dap_active() {
-            return UpdateSafety::Unsafe;
-        }
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let Some(&value) = self.values.get(target as usize) else {
-            return UpdateSafety::Unsafe;
-        };
-        if value == self.alg.identity() {
-            return UpdateSafety::Safe;
-        }
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if self.dependency[target as usize] == Some(source) {
-            UpdateSafety::Unsafe
-        } else {
-            UpdateSafety::Safe
-        }
-    }
-
-    /// Tallies the per-update safety classification over a whole batch
-    /// against the *pre-batch* converged state — the sharded counterpart
-    /// of [`StreamingEngine::classify_batch`](crate::StreamingEngine::classify_batch).
-    pub fn classify_batch(&self, batch: &UpdateBatch) -> BatchClassification {
-        let mut class = BatchClassification::default();
-        match self.classify_insert() {
-            UpdateSafety::Safe => class.safe_inserts = batch.insertions().len(),
-            UpdateSafety::Unsafe => class.unsafe_inserts = batch.insertions().len(),
-        }
-        for &(u, v) in batch.deletions() {
-            match self.classify_delete(u, v) {
-                UpdateSafety::Safe => class.safe_deletes += 1,
-                UpdateSafety::Unsafe => class.unsafe_deletes += 1,
-            }
-        }
-        class
-    }
-
-    /// Applies a streaming batch through the admission pre-check — the
-    /// sharded counterpart of
-    /// [`StreamingEngine::apply_admitted_batch`](crate::StreamingEngine::apply_admitted_batch):
-    /// when every deletion is provably safe under DAP, the delete phases
-    /// are skipped and only the insert flow runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// current graph version (the graph and query state are unchanged).
-    pub fn apply_admitted_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(RunStats, BatchClassification), GraphError> {
-        let class = self.classify_batch(batch);
-        if !(self.dap_active() && class.all_deletes_safe() && !batch.deletions().is_empty()) {
-            return self.apply_update_batch(batch).map(|stats| (stats, class));
-        }
-        self.begin_run();
-        self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-        self.impacted.clear();
-        // Phase 4 of the selective flow: inserted edges become regular
-        // events on the new graph; the delete phases are skipped because
-        // classification proved them no-ops.
-        self.stream_inserts(batch.insertions());
-        self.run_queue();
-        let mut total = self.rollup();
-        total.events_coalesced = self.queue_stats().coalesced - self.coalesced_before;
-        #[cfg(feature = "strict-invariants")]
-        debug_assert_eq!(self.validate_converged(), Ok(()), "post-batch invariant violated");
-        Ok((total, class))
-    }
-
-    /// Checks the engine's cross-structure invariants after a completed
-    /// computation — the sharded counterpart of
-    /// [`StreamingEngine::validate_converged`](crate::StreamingEngine::validate_converged),
-    /// extended with per-shard queue checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violation found.
-    pub fn validate_converged(&self) -> Result<(), String> {
+    fn validate_drained(&self) -> Result<(), String> {
         let queued: usize = self
             .shards
             .iter()
@@ -844,82 +666,11 @@ impl ShardedEngine {
         for (s, sh) in self.shards.iter().enumerate() {
             sh.queue.validate().map_err(|e| format!("shard {s} queue: {e}"))?;
         }
-        self.csr.validate().map_err(|e| format!("csr: {e}"))?;
-        kernel::validate_converged_values(
-            self.alg.as_ref(),
-            &self.csr,
-            &self.values,
-            &self.dependency,
-            self.config.delete_strategy,
-        )
+        Ok(())
     }
+}
 
-    // ------------------------------------------------------------------
-    // Run accounting
-    // ------------------------------------------------------------------
-
-    fn begin_run(&mut self) {
-        self.stats = RunStats::default();
-        for sh in &mut self.shards {
-            sh.stats = RunStats::default();
-        }
-        self.coalesced_before = self.queue_stats().coalesced;
-    }
-
-    /// Total counters for the current run: the coordinator's share plus
-    /// every worker's share.
-    fn rollup(&self) -> RunStats {
-        let mut total = self.stats;
-        for sh in &self.shards {
-            total += sh.stats;
-        }
-        total
-    }
-
-    /// Emits a setup-phase event from the coordinator, exactly in program
-    /// order: the monotone `seq` counter makes coordinator seeds sort (and,
-    /// for non-coalescible deletes, drain) in emission order.
-    fn seed_emit(&mut self, ev: Event) {
-        self.stats.events_generated += 1;
-        let key = if ev.is_delete && !self.coalesce_deletes {
-            OVERFLOW_CLASS | ((self.seq as u128) << IDX_BITS)
-        } else {
-            (self.seq as u128) << IDX_BITS
-        };
-        self.seq += 1;
-        let dest = route(&self.bounds, ev.target);
-        self.pending[dest].push(Keyed { key, ev });
-    }
-
-    fn weight_sum(&self, u: VertexId) -> Value {
-        if self.alg.needs_weight_sum() {
-            self.csr.out.neighbors(u).map(|e| e.weight).sum()
-        } else {
-            0.0
-        }
-    }
-
-    fn dap_active(&self) -> bool {
-        self.config.delete_strategy == DeleteStrategy::Dap
-            && self.alg.kind() == UpdateKind::Selective
-    }
-
-    // ------------------------------------------------------------------
-    // The parallel superstep loop
-    // ------------------------------------------------------------------
-
-    /// Drains the pending seed inboxes to convergence with one worker
-    /// thread per shard, in the selected [`ExecutionMode`].
-    fn run_queue(&mut self) {
-        if self.pending.iter().all(Vec::is_empty) {
-            return;
-        }
-        match self.mode {
-            ExecutionMode::Deterministic => self.run_queue_superstep(),
-            ExecutionMode::Async => self.run_queue_async(),
-        }
-    }
-
+impl Sharded {
     /// Per-worker yield intervals derived from the installed plan.
     fn yield_intervals(&self) -> Vec<Option<usize>> {
         (0..self.shards.len())
@@ -935,7 +686,7 @@ impl ShardedEngine {
     /// to [`crate::async_mode`], then folds the workers' pass costs into
     /// the scaling model (critical path = the slowest worker's total, the
     /// bound an ideally overlapped async schedule could reach).
-    fn run_queue_async(&mut self) {
+    fn drain_async(&mut self, cx: &KernelCtx<'_>, run: &mut RunState<'_>) {
         let yields = self.yield_intervals();
         let chunks: Vec<usize> = (0..self.shards.len())
             .map(|i| match self.chunk_plan.as_slice() {
@@ -943,38 +694,24 @@ impl ShardedEngine {
                 plan => plan[i % plan.len()],
             })
             .collect();
-        let delete_strategy = self.config.delete_strategy;
-        let coalesce_deletes = self.coalesce_deletes;
-        let ShardedEngine {
-            alg,
-            csr,
-            values,
-            dependency,
-            shards,
-            bounds,
-            pending,
-            stats,
-            model,
-            race_log,
-            ..
-        } = self;
+        let Sharded { shards, bounds, pending, coalesce_deletes, model, race_log, .. } = self;
         let seeds: Vec<Vec<Event>> =
             pending.iter_mut().map(|p| p.drain(..).map(|k| k.ev).collect()).collect();
         let params = crate::async_mode::AsyncParams {
-            alg: alg.as_ref(),
-            csr,
-            delete_strategy,
-            coalesce_deletes,
+            alg: cx.alg,
+            csr: cx.csr,
+            delete_strategy: cx.delete_strategy,
+            coalesce_deletes: *coalesce_deletes,
             bounds,
             yields: &yields,
             chunks: &chunks,
             race_log,
         };
         let rounds_before: Vec<u64> = shards.iter().map(|sh| sh.rounds).collect();
-        crate::async_mode::run_to_quiescence(&params, shards, values, dependency, seeds);
+        crate::async_mode::run_to_quiescence(&params, shards, run.values, run.dependency, seeds);
         // RunStats::rounds in async mode: the deepest worker's pass count
         // (the async analogue of superstep depth; not oracle-comparable).
-        stats.rounds += shards
+        run.stats.rounds += shards
             .iter()
             .zip(&rounds_before)
             .map(|(sh, &before)| sh.rounds - before)
@@ -992,34 +729,19 @@ impl ShardedEngine {
 
     /// The deterministic superstep driver: exchange emissions at a barrier
     /// between rounds, merged in canonical key order.
-    fn run_queue_superstep(&mut self) {
+    fn drain_supersteps(&mut self, cx: &KernelCtx<'_>, run: &mut RunState<'_>) {
         let coalesce_deletes = self.coalesce_deletes;
         let yields = self.yield_intervals();
-        let delete_strategy = self.config.delete_strategy;
-        let ShardedEngine {
-            alg,
-            csr,
-            values,
-            dependency,
-            shards,
-            bounds,
-            pending,
-            stats,
-            seq,
-            model,
-            race_log,
-            ..
-        } = self;
-        let alg: &dyn Algorithm = alg.as_ref();
-        let csr: &CsrPair = csr;
+        let Sharded { shards, bounds, pending, seq, model, race_log, .. } = self;
+        let (alg, csr, delete_strategy) = (cx.alg, cx.csr, cx.delete_strategy);
         let num_shards = shards.len();
         let mut inboxes: Vec<Vec<Keyed>> = pending.iter_mut().map(std::mem::take).collect();
 
         std::thread::scope(|scope| {
             let mut to_workers = Vec::with_capacity(num_shards);
             let mut from_workers = Vec::with_capacity(num_shards);
-            let mut rest_v: &mut [Value] = values;
-            let mut rest_d: &mut [Option<VertexId>] = dependency;
+            let mut rest_v: &mut [Value] = run.values;
+            let mut rest_d: &mut [Option<VertexId>] = run.dependency;
             for (worker, (shard, w)) in shards.iter_mut().zip(bounds.windows(2)).enumerate() {
                 let yield_every = yields[worker];
                 let width = w[1] - w[0];
@@ -1103,7 +825,7 @@ impl ShardedEngine {
                     race_log.access(0, sync::Resource::Inbox(s), sync::AccessKind::Write);
                     let _ = tx.send(Some((std::mem::take(inbox), std::mem::take(spare))));
                 }
-                stats.rounds += 1;
+                run.stats.rounds += 1;
                 outs.clear();
                 spent.clear();
                 let mut alive = true;
@@ -1169,268 +891,6 @@ impl ShardedEngine {
         for sh in shards.iter_mut() {
             sh.round_costs.clear();
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Streaming flows — coordinator-side mirrors of the sequential phases
-    // ------------------------------------------------------------------
-
-    fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Capture deleted-edge weights before mutating, then validate and
-        // apply the batch. Delete propagation runs on the old CSR.
-        let deleted: Vec<(VertexId, VertexId, Value)> = batch
-            .deletions()
-            .iter()
-            .map(|&(u, v)| {
-                self.host
-                    .edge_weight(u, v)
-                    .map(|w| (u, v, w))
-                    .ok_or(GraphError::MissingEdge { source: u, target: v })
-            })
-            .collect::<Result<_, _>>()?;
-        self.host.apply_batch(batch)?;
-        self.impacted.clear();
-        for sh in &mut self.shards {
-            sh.impacted.clear();
-        }
-
-        // DAP keeps per-source delete events distinct (§5.2).
-        self.coalesce_deletes = self.config.delete_strategy != DeleteStrategy::Dap;
-
-        // Phase 1 — stream deleted edges into delete events.
-        for (u, v, w) in deleted {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1; // source state read
-            let event = match self.config.delete_strategy {
-                DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
-                DeleteStrategy::Vap => {
-                    let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                    let deg = self.csr.out.degree(u);
-                    let wsum = self.weight_sum(u);
-                    let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                    self.alg
-                        .propagate(state, state, &ctx)
-                        .map(|payload| Event::delete(u, v, payload))
-                }
-                DeleteStrategy::Dap => Some(Event::delete(u, v, self.alg.identity())),
-            };
-            if let Some(ev) = event {
-                self.seed_emit(ev);
-            }
-        }
-
-        // Phase 2 — delete propagation on the *old* graph.
-        self.run_queue();
-        self.coalesce_deletes = true;
-
-        // Graph switches to the new version: the mirror is maintained in
-        // place in O(batch · degree) instead of rebuilt.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-
-        // Phase 3 — request events along each impacted vertex's incoming
-        // edges. Workers tagged each reset with (round, emission key base);
-        // sorting by that pair is exactly the order the sequential engine
-        // resets vertices (round-major, slot events in ascending vertex
-        // order before overflow FIFO).
-        let mut records: Vec<(u64, u128, VertexId)> = Vec::new();
-        for sh in &mut self.shards {
-            records.append(&mut sh.impacted);
-        }
-        match self.mode {
-            ExecutionMode::Deterministic => records.sort_unstable(),
-            // Async pass tags are per-worker and carry no global order;
-            // present the set in ascending vertex id. The set itself is
-            // schedule-dependent under VAP/DAP (DESIGN.md §16.3); the
-            // contract is completeness, not equality with the oracle.
-            ExecutionMode::Async => records.sort_unstable_by_key(|&(_, _, v)| v),
-        }
-        let impacted: Vec<VertexId> = records.into_iter().map(|(_, _, v)| v).collect();
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let identity = self.alg.identity();
-        for &x in &impacted {
-            let in_deg = self.csr.inc.degree(x);
-            self.stats.edge_reads += in_deg as u64;
-            sources.clear();
-            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
-            for &u in &sources {
-                self.stats.request_events += 1;
-                self.seed_emit(Event::request(u, identity));
-            }
-            // Replay the initializer's contribution for reset seed vertices.
-            if let Some(seed) = self.alg.initial_event(x) {
-                self.seed_emit(Event::regular(x, seed));
-            }
-        }
-        self.impacted = impacted;
-        sources.clear();
-        self.source_scratch = sources;
-
-        // Phase 4 — stream inserted edges into regular events.
-        self.stream_inserts(batch.insertions());
-
-        // Phase 5 — incremental reevaluation on the new graph.
-        self.run_queue();
-        Ok(())
-    }
-
-    fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
-        for &(u, v, w) in insertions {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1;
-            let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            let deg = self.csr.out.degree(u);
-            let wsum = self.weight_sum(u);
-            let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-            if let Some(d) = self.alg.propagate(state, state, &ctx) {
-                let event = if self.dap_active() {
-                    Event::regular_from(u, v, d)
-                } else {
-                    Event::regular(v, d)
-                };
-                self.seed_emit(event);
-            }
-        }
-    }
-
-    fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Per-batch scratch swapped out of `self` so the body can borrow
-        // it alongside `&mut self` (same pattern as the sequential
-        // engine); it goes back at the end, so steady-state streaming
-        // allocates nothing.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        let mut old_edges = std::mem::take(&mut self.old_edge_scratch);
-        let mut bounds = std::mem::take(&mut self.old_edge_bounds);
-        let mut snapshot = std::mem::take(&mut self.state_scratch);
-        let result = self.stream_accumulative_with(
-            batch,
-            &mut touched,
-            &mut old_edges,
-            &mut bounds,
-            &mut snapshot,
-        );
-        touched.clear();
-        old_edges.clear();
-        bounds.clear();
-        snapshot.clear();
-        self.touched_scratch = touched;
-        self.old_edge_scratch = old_edges;
-        self.old_edge_bounds = bounds;
-        self.state_scratch = snapshot;
-        result
-    }
-
-    fn stream_accumulative_with(
-        &mut self,
-        batch: &UpdateBatch,
-        touched: &mut Vec<VertexId>,
-        old_edges: &mut Vec<(VertexId, Value)>,
-        bounds: &mut Vec<usize>,
-        snapshot: &mut Vec<Value>,
-    ) -> Result<(), GraphError> {
-        touched.extend(batch.deletions().iter().map(|&(u, _)| u));
-        touched.extend(batch.insertions().iter().map(|&(u, _, _)| u));
-        touched.sort_unstable();
-        touched.dedup();
-        // Capture only the touched vertices' old out-edge lists
-        // (flattened; row `i` lives at `old_edges[bounds[i]..bounds[i+1]]`)
-        // — the rest of the graph is unchanged by the batch (see the
-        // sequential engine's `stream_accumulative`).
-        bounds.push(0);
-        for &u in touched.iter() {
-            old_edges.extend(self.host.neighbors(u));
-            bounds.push(old_edges.len());
-        }
-        self.host.apply_batch(batch)?;
-        self.impacted.clear();
-        for sh in &mut self.shards {
-            sh.impacted.clear();
-        }
-        // The CSR mirror advances to the new version in O(batch · degree);
-        // phases that need the *old* adjacency use the captured slices.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
-
-        // Phase 1 — negative events for every old out-edge of a touched
-        // vertex, using the old degree/weight-sum.
-        snapshot.extend(touched.iter().map(|&u| self.values[u as usize])); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        for (i, &state) in snapshot.iter().enumerate() {
-            let row = &old_edges[bounds[i]..bounds[i + 1]];
-            let deg = row.len();
-            let wsum: Value =
-                if self.alg.needs_weight_sum() { row.iter().map(|&(_, w)| w).sum() } else { 0.0 };
-            self.stats.vertex_reads += 1;
-            for &(v, w) in row {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.seed_emit(Event::regular(v, -c));
-                    }
-                }
-            }
-        }
-
-        if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
-            // Converge on the intermediate sink-transformed graph first.
-            // Untouched vertices' out-edges are identical before and after
-            // the batch, so filtering the new host by `touched` yields
-            // exactly the old graph's non-touched edges. The maintained
-            // mirror is parked while the intermediate computation runs and
-            // restored for Phase 2.
-            let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
-                .host
-                .iter_edges()
-                .filter(|(u, _, _)| touched.binary_search(u).is_err())
-                .collect();
-            let maintained = std::mem::replace(
-                &mut self.csr,
-                CsrPair::new(jetstream_graph::Csr::from_edges(
-                    self.host.num_vertices(),
-                    &intermediate_edges,
-                )),
-            );
-            self.run_queue();
-            self.csr = maintained;
-        }
-
-        // Phase 2 — re-insertion events over the new out-edges.
-        let mut edges = std::mem::take(&mut self.edge_scratch);
-        for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
-            let deg = self.csr.out.degree(u);
-            let wsum: Value = if self.alg.needs_weight_sum() {
-                self.csr.out.neighbors(u).map(|e| e.weight).sum()
-            } else {
-                0.0
-            };
-            let state = match self.config.accumulative_recovery {
-                AccumulativeRecovery::TwoPhase => self.values[u as usize], // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                AccumulativeRecovery::Coalesced => old_state,
-            };
-            self.stats.vertex_reads += 1;
-            edges.clear();
-            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
-            for &(v, w) in &edges {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.seed_emit(Event::regular(v, c));
-                    }
-                }
-            }
-        }
-        edges.clear();
-        self.edge_scratch = edges;
-
-        // Phase 3 — recompute on the new graph version (the mirror already
-        // points at it).
-        self.run_queue();
-        Ok(())
     }
 }
 
@@ -1707,8 +1167,9 @@ pub mod sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamingEngine;
+    use crate::{DeleteStrategy, StreamingEngine};
     use jetstream_algorithms::{PageRank, Sssp};
+    use jetstream_graph::UpdateBatch;
 
     fn chain() -> AdjacencyGraph {
         let mut g = AdjacencyGraph::new(4);
@@ -1883,8 +1344,12 @@ mod tests {
         batch.insert(0, 3, 1.0);
         seq.apply_update_batch(&batch).unwrap();
         sh.apply_update_batch(&batch).unwrap();
+        // The async contract's accumulative bound (DESIGN.md §16.3); a
+        // hand-picked 1e-4 here failed ~1 run in 10.
+        let tol =
+            jetstream_algorithms::oracle::accumulative_tolerance(PageRank::default().epsilon());
         for (a, b) in seq.values().iter().zip(sh.values()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
+            assert!((a - b).abs() <= tol * a.abs().max(1.0), "{a} vs {b}");
         }
         assert_eq!(sh.validate_converged(), Ok(()));
     }

@@ -7,7 +7,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
-use jetstream_core::{DeleteStrategy, EngineConfig, StreamingEngine};
+use jetstream_core::{
+    DeleteStrategy, EngineConfig, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
+    UpdateSafety,
+};
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch, VertexId};
 
 /// Comparison tolerance: selective values are exact; accumulative values
@@ -415,48 +418,89 @@ fn coalesced_recovery_does_less_work_than_two_phase() {
     assert!(coalesced * 2 < two_phase, "coalesced {coalesced} vs two-phase {two_phase} events");
 }
 
+/// Failure injection: every class of invalid batch must error out of
+/// `engine` — through the full flow and through the admission pre-check —
+/// without perturbing it. `twin` never sees the rejected batches, and the
+/// two must stay indistinguishable: graph, CSR mirror, query state, queue
+/// statistics, and (because the per-batch scratch must come back empty)
+/// the exact stats of the next valid batch.
+fn assert_rejections_leave_no_trace<X: Executor>(
+    w: Workload,
+    g: &AdjacencyGraph,
+    mut engine: StreamingFlow<X>,
+    mut twin: StreamingFlow<X>,
+) {
+    engine.initial_compute();
+    twin.initial_compute();
+    let (u, v, _) = g.iter_edges().next().unwrap();
+    // A deletion the converged state proves safe (when it can prove any),
+    // so a rejected batch also reaches the admitted fast path's apply.
+    let safe = g
+        .iter_edges()
+        .find(|&(a, b, _)| (a, b) != (u, v) && engine.classify_delete(a, b) == UpdateSafety::Safe);
+    let mut rejected: Vec<(&str, UpdateBatch)> = Vec::new();
+    let mut batch = UpdateBatch::new();
+    batch.delete(0, 99); // not an edge
+    rejected.push(("missing delete", batch));
+    let mut batch = UpdateBatch::new();
+    batch.insert(u, v, 1.0); // already present
+    if let Some((a, b, _)) = safe {
+        batch.delete(a, b);
+    }
+    rejected.push(("duplicate insert", batch));
+    let mut batch = UpdateBatch::new();
+    batch.insert(0, 10_000, 1.0);
+    rejected.push(("out-of-range target", batch));
+    let mut batch = UpdateBatch::new();
+    batch.insert(10_000, 0, 1.0);
+    rejected.push(("out-of-range source", batch));
+    let mut batch = UpdateBatch::new();
+    batch.insert(5, 5, 1.0);
+    rejected.push(("self loop", batch));
+    for (what, batch) in &rejected {
+        assert!(engine.apply_update_batch(batch).is_err(), "{}: {what}", w.name());
+        assert!(engine.apply_admitted_batch(batch).is_err(), "{}: {what} (admitted)", w.name());
+    }
+
+    let assert_twins = |engine: &StreamingFlow<X>, twin: &StreamingFlow<X>, when: &str| {
+        let tag = format!("{} {when}", w.name());
+        assert_eq!(engine.values(), twin.values(), "{tag}: values");
+        assert_eq!(engine.dependencies(), twin.dependencies(), "{tag}: dependencies");
+        assert_eq!(engine.last_impacted(), twin.last_impacted(), "{tag}: impacted");
+        assert_eq!(engine.graph(), twin.graph(), "{tag}: host graph");
+        assert_eq!(engine.csr(), twin.csr(), "{tag}: CSR mirror");
+        assert_eq!(engine.queue_stats(), twin.queue_stats(), "{tag}: queue stats");
+        assert_eq!(engine.validate_converged(), Ok(()), "{tag}");
+    };
+    assert_twins(&engine, &twin, "after rejections");
+
+    // And the engine still works afterwards, exactly as if nothing happened.
+    let batch = gen::batch_with_ratio(engine.graph(), 10, 0.5, 72);
+    assert_eq!(
+        engine.apply_update_batch(&batch).unwrap(),
+        twin.apply_update_batch(&batch).unwrap(),
+        "{}: next batch stats",
+        w.name()
+    );
+    assert_twins(&engine, &twin, "after the next batch");
+    let mut reference = g.clone();
+    reference.apply_batch(&batch).unwrap();
+    let expected = oracle_values(w, &reference.snapshot(), 0);
+    assert!(
+        oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
+        "{} diverged after recovering from errors",
+        w.name()
+    );
+}
+
 #[test]
 fn invalid_batches_leave_engine_untouched() {
-    // Failure injection: every class of invalid batch must error out
-    // without perturbing the graph version or the query state.
     let g = gen::rmat(100, 600, gen::RmatParams::default(), 71);
     for w in Workload::ALL {
-        let mut engine = engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
-        engine.initial_compute();
-        let values_before = engine.values().to_vec();
-        let edges_before = engine.graph().num_edges();
-
-        let mut missing_delete = UpdateBatch::new();
-        missing_delete.delete(0, 99); // not an edge
-        assert!(engine.apply_update_batch(&missing_delete).is_err());
-
-        let mut dup_insert = UpdateBatch::new();
-        let (u, v, _) = g.iter_edges().next().unwrap();
-        dup_insert.insert(u, v, 1.0); // already present
-        assert!(engine.apply_update_batch(&dup_insert).is_err());
-
-        let mut out_of_range = UpdateBatch::new();
-        out_of_range.insert(0, 10_000, 1.0);
-        assert!(engine.apply_update_batch(&out_of_range).is_err());
-
-        let mut self_loop = UpdateBatch::new();
-        self_loop.insert(5, 5, 1.0);
-        assert!(engine.apply_update_batch(&self_loop).is_err());
-
-        assert_eq!(engine.values(), &values_before[..], "{}", w.name());
-        assert_eq!(engine.graph().num_edges(), edges_before, "{}", w.name());
-
-        // And the engine still works afterwards.
-        let batch = gen::batch_with_ratio(engine.graph(), 10, 0.5, 72);
-        engine.apply_update_batch(&batch).unwrap();
-        let mut reference = g.clone();
-        reference.apply_batch(&batch).unwrap();
-        let expected = oracle_values(w, &reference.snapshot(), 0);
-        assert!(
-            oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
-            "{} diverged after recovering from errors",
-            w.name()
-        );
+        let seq = || engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
+        assert_rejections_leave_no_trace(w, &g, seq(), seq());
+        let sharded = || ShardedEngine::new(w.instantiate(0), g.clone(), seq().config(), 3);
+        assert_rejections_leave_no_trace(w, &g, sharded(), sharded());
     }
 }
 

@@ -7,10 +7,10 @@
 //!
 //! Queries read a [`QueryState`] — a borrowed view of the converged
 //! values, dependency tree, and impacted set — so the same answer logic
-//! serves every backend: the sequential [`StreamingEngine`] and the
-//! [`ShardedEngine`] (superstep or async) convert into it for free.
+//! serves every backend: any [`StreamingFlow`] — sequential, superstep or
+//! async — converts into it for free.
 
-use jetstream_core::{ShardedEngine, StreamingEngine};
+use jetstream_core::{Executor, StreamingFlow};
 use jetstream_graph::VertexId;
 
 /// Borrowed converged state, the common query surface of every engine.
@@ -24,18 +24,8 @@ pub struct QueryState<'a> {
     pub impacted: &'a [VertexId],
 }
 
-impl<'a> From<&'a StreamingEngine> for QueryState<'a> {
-    fn from(engine: &'a StreamingEngine) -> Self {
-        QueryState {
-            values: engine.values(),
-            dependencies: engine.dependencies(),
-            impacted: engine.last_impacted(),
-        }
-    }
-}
-
-impl<'a> From<&'a ShardedEngine> for QueryState<'a> {
-    fn from(engine: &'a ShardedEngine) -> Self {
+impl<'a, X: Executor> From<&'a StreamingFlow<X>> for QueryState<'a> {
+    fn from(engine: &'a StreamingFlow<X>) -> Self {
         QueryState {
             values: engine.values(),
             dependencies: engine.dependencies(),

@@ -6,8 +6,8 @@
 //! match across the two servers.
 //!
 //! The comparison follows the async equivalence contract (DESIGN.md
-//! §16.3): SSSP values are bit-exact, PageRank values land within the
-//! compounded-residual tolerance, and the schedule-dependent observables
+//! §16.3): SSSP values are bit-exact, PageRank values land within
+//! `oracle::accumulative_tolerance`, and the schedule-dependent observables
 //! (impacted sets, dependence paths) are checked for well-formedness on
 //! the async side rather than equality — the engine-level differential
 //! suite covers their contracts directly.
@@ -15,7 +15,7 @@
 // Test code: aborting on setup failure is the right behavior here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use jetstream_algorithms::Workload;
+use jetstream_algorithms::{oracle, Workload};
 use jetstream_core::{EngineConfig, ExecutionMode, ShardedEngine, StreamingEngine};
 use jetstream_graph::AdjacencyGraph;
 use jetstream_serve::backend::Backend;
@@ -28,11 +28,6 @@ const REGION: u32 = 32;
 const ROUNDS: u64 = 6;
 const SHARDS: usize = 4;
 const EPSILON: f64 = 1e-5;
-/// Residual tolerance for PageRank answers: two residual-below-epsilon
-/// fixpoints differ by up to `EPSILON / (1 - d)` per damped cascade and
-/// the session's batches compound from approximate states (see the
-/// derivation in `tests/differential_sharded.rs`); 5e-3 leaves headroom.
-const ACCUMULATIVE_TOL: f64 = 5e-3;
 
 /// 1 global root + one 32-vertex line per client, all hanging off the
 /// root — the same shape as `differential.rs`, so client updates stay in
@@ -179,8 +174,11 @@ fn compare(workload: Workload, tag: &str, observed: &[f64], reference: &[f64]) {
                 e.to_bits(),
                 "{tag}: answer {i} diverged: async {a} vs sequential {e}"
             ),
+            // The async contract's accumulative bound (derived on
+            // `async_sharded_matches_sequential_fixpoints` in
+            // `tests/differential_sharded.rs`).
             _ => assert!(
-                (a - e).abs() <= ACCUMULATIVE_TOL * e.abs().max(1.0),
+                (a - e).abs() <= oracle::accumulative_tolerance(EPSILON) * e.abs().max(1.0),
                 "{tag}: answer {i} outside tolerance: async {a} vs sequential {e}"
             ),
         }

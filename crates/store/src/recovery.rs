@@ -27,7 +27,9 @@
 use std::path::Path;
 
 use jetstream_algorithms::Algorithm;
-use jetstream_core::{EngineConfig, RunStats, ShardedEngine, StreamingEngine};
+use jetstream_core::{
+    EngineConfig, Executor, RunStats, ShardedEngine, StreamingEngine, StreamingFlow,
+};
 use jetstream_graph::{AdjacencyGraph, GraphError, UpdateBatch};
 
 use crate::error::StoreError;
@@ -40,10 +42,10 @@ use crate::wal;
 /// The on-disk formats know nothing about execution strategy: a snapshot is
 /// a graph plus per-vertex state, a WAL record is an update batch. Any
 /// engine that can mount that state and replay batches deterministically
-/// can sit behind the store — the sequential [`StreamingEngine`] and the
-/// parallel [`ShardedEngine`] both do, and because the two are
-/// bit-identical per batch, a store written by one recovers exactly under
-/// the other.
+/// can sit behind the store — every [`StreamingFlow`] does, whatever its
+/// executor, and because the sequential [`StreamingEngine`] and the
+/// parallel [`ShardedEngine`] are bit-identical per batch, a store written
+/// by one recovers exactly under the other.
 pub trait ReplayEngine {
     /// Applies one batch — both during WAL replay and in normal durable
     /// operation.
@@ -65,25 +67,7 @@ pub trait ReplayEngine {
     fn validate(&self) -> Result<(), String>;
 }
 
-impl ReplayEngine for StreamingEngine {
-    fn replay_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.apply_update_batch(batch)
-    }
-
-    fn checkpoint_graph(&self) -> &AdjacencyGraph {
-        self.graph()
-    }
-
-    fn checkpoint_state(&self) -> SnapshotState {
-        SnapshotState { values: self.values().to_vec(), dependency: self.dependencies().to_vec() }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.validate_converged()
-    }
-}
-
-impl ReplayEngine for ShardedEngine {
+impl<X: Executor> ReplayEngine for StreamingFlow<X> {
     fn replay_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
         self.apply_update_batch(batch)
     }
@@ -108,7 +92,7 @@ pub struct RecoveryOptions {
     /// intact record (on by default). When off, a torn tail is a loud error
     /// — useful for read-only inspection of a damaged store.
     pub repair_torn_tail: bool,
-    /// Run [`StreamingEngine::validate_converged`] on the recovered engine
+    /// Run [`StreamingFlow::validate_converged`] on the recovered engine
     /// and fail recovery if it does not hold. Off by default: it is an
     /// O(edges) scan, and the recovered state is already guaranteed to be a
     /// replayed prefix of real history.

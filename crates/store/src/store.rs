@@ -5,7 +5,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use jetstream_algorithms::Algorithm;
-use jetstream_core::{BatchClassification, EngineConfig, RunStats, ShardedEngine, StreamingEngine};
+use jetstream_core::{
+    BatchClassification, EngineConfig, Executor, RunStats, ShardedEngine, StreamingEngine,
+    StreamingFlow,
+};
 use jetstream_graph::{AdjacencyGraph, UpdateBatch};
 
 use crate::error::StoreError;
@@ -249,9 +252,9 @@ impl DurableEngine {
     }
 }
 
-impl DurableEngine<StreamingEngine> {
+impl<X: Executor> DurableEngine<StreamingFlow<X>> {
     /// Applies `batch` through the engine's admission pre-check
-    /// ([`StreamingEngine::apply_admitted_batch`]) and logs it, returning
+    /// ([`StreamingFlow::apply_admitted_batch`]) and logs it, returning
     /// the run statistics together with the safe/unsafe classification.
     ///
     /// The WAL records the batch itself, not the path taken: replay always
@@ -263,14 +266,9 @@ impl DurableEngine<StreamingEngine> {
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<(RunStats, BatchClassification), StoreError> {
-        let (stats, class) = self.engine.apply_admitted_batch(batch)?;
-        self.store.append(batch)?;
-        self.batches_since_checkpoint += 1;
-        let interval = self.store.options().checkpoint_interval;
-        if interval > 0 && self.batches_since_checkpoint >= interval {
-            self.checkpoint()?;
-        }
-        Ok((stats, class))
+        let applied = self.engine.apply_admitted_batch(batch)?;
+        self.log_applied(batch)?;
+        Ok(applied)
     }
 }
 
@@ -356,13 +354,20 @@ impl<E: ReplayEngine> DurableEngine<E> {
     /// prefix.
     pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, StoreError> {
         let stats = self.engine.replay_batch(batch)?;
+        self.log_applied(batch)?;
+        Ok(stats)
+    }
+
+    /// The durable tail of every apply: WAL-append the batch the engine
+    /// just accepted, then checkpoint when the interval is due.
+    fn log_applied(&mut self, batch: &UpdateBatch) -> Result<(), StoreError> {
         self.store.append(batch)?;
         self.batches_since_checkpoint += 1;
         let interval = self.store.options().checkpoint_interval;
         if interval > 0 && self.batches_since_checkpoint >= interval {
             self.checkpoint()?;
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Forces a checkpoint of the engine's current state now; returns its

@@ -12,8 +12,6 @@
 //! root when invoked there), or name an individual artifact:
 //! `experiments table3`, `experiments fig12`, …
 //!
-//! Plain timing harnesses (`cargo bench`) exercise each experiment's hot
-//! path on small instances for performance tracking; see [`timing`].
 //! The `microbench` binary ([`micro`]) times the engine's hot paths with
 //! warmup + median-of-K sampling and maintains `BENCH.json` at the repo
 //! root (schema in DESIGN.md §12).

@@ -1,13 +1,12 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the hot paths the data-layout work targets — queue insert, queue
-//! drain (bitmap vs a retained naive-scan reference), kernel apply via
-//! `initial_compute`, batch streaming, and sharded supersteps — with
-//! warmup + median-of-K sampling, and serializes the results to the
-//! `BENCH.json` schema documented in DESIGN.md §12. Everything here is
-//! std-only (the workspace builds offline); the JSON writer and the
-//! line-oriented reader used by `--check` live here too so the regression
-//! gate needs no external parser.
+//! drain, kernel apply via `initial_compute`, batch streaming, and sharded
+//! supersteps — with warmup + median-of-K sampling, and serializes the
+//! results to the `BENCH.json` schema documented in DESIGN.md §12.
+//! Everything here is std-only (the workspace builds offline); the JSON
+//! writer and the line-oriented reader used by `--check` live here too so
+//! the regression gate needs no external parser.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -111,46 +110,6 @@ impl Rng {
     }
 }
 
-/// The pre-overhaul queue layout, retained as the drain baseline: one
-/// `Option<Event>` per vertex, so every drain scans all `V` slots
-/// regardless of occupancy. Insert coalesces with the same reduce so the
-/// two queues hold identical events; only the drain cost model differs.
-pub struct ScanQueue {
-    slots: Vec<Option<Event>>,
-    len: usize,
-}
-
-impl ScanQueue {
-    /// Creates a scan-reference queue over `num_vertices` slots.
-    pub fn new(num_vertices: usize) -> Self {
-        ScanQueue { slots: vec![None; num_vertices], len: 0 }
-    }
-
-    /// Inserts a regular event, coalescing via the algorithm's reduce.
-    pub fn insert(&mut self, event: Event, alg: &dyn Algorithm) {
-        let slot = &mut self.slots[event.target as usize];
-        match slot {
-            Some(resident) => resident.payload = alg.reduce(resident.payload, event.payload),
-            None => {
-                *slot = Some(event);
-                self.len += 1;
-            }
-        }
-    }
-
-    /// Drains every resident event in ascending vertex order into `out`.
-    pub fn take_all_into(&mut self, out: &mut Vec<Event>) -> usize {
-        let drained = self.len;
-        for slot in &mut self.slots {
-            if let Some(ev) = slot.take() {
-                out.push(ev);
-            }
-        }
-        self.len = 0;
-        drained
-    }
-}
-
 /// Deterministic regular events touching `count` distinct vertices out of
 /// `num_vertices` (targets deduplicated so occupancy is exact).
 fn occupancy_events(num_vertices: usize, count: usize, seed: u64) -> Vec<Event> {
@@ -198,29 +157,6 @@ fn bench_drain_bitmap(cfg: &MicroConfig, name: &'static str, occupancy: usize) -
         cfg.samples,
         || {
             let mut queue = CoalescingQueue::new(cfg.queue_vertices, 16);
-            for &ev in &events {
-                queue.insert(ev, alg.as_ref());
-            }
-            queue
-        },
-        |queue| {
-            scratch.clear();
-            let drained = queue.take_all_into(&mut scratch);
-            crate::timing::consume(drained);
-        },
-    )
-}
-
-fn bench_drain_scan(cfg: &MicroConfig, name: &'static str, occupancy: usize) -> BenchResult {
-    let alg = pagerank_alg();
-    let events = occupancy_events(cfg.queue_vertices, occupancy, 0x5eed);
-    let mut scratch: Vec<Event> = Vec::with_capacity(occupancy);
-    measure(
-        name,
-        cfg.warmup,
-        cfg.samples,
-        || {
-            let mut queue = ScanQueue::new(cfg.queue_vertices);
             for &ev in &events {
                 queue.insert(ev, alg.as_ref());
             }
@@ -450,9 +386,7 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let mut results = Vec::new();
     report(&mut results, bench_queue_insert(cfg));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
-    report(&mut results, bench_drain_scan(cfg, "queue_drain_scan_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
-    report(&mut results, bench_drain_scan(cfg, "queue_drain_scan_1pct", percent));
     report(&mut results, bench_initial_compute(cfg)?);
     report(&mut results, bench_stream_batches(cfg)?);
     report(&mut results, bench_snapshot_rebuild_full(cfg)?);
@@ -809,27 +743,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_reference_drains_the_same_events_as_the_bitmap_queue() {
-        let alg = pagerank_alg();
-        let events = occupancy_events(512, 128, 42);
-        let mut bitmap = CoalescingQueue::new(512, 8);
-        let mut scan = ScanQueue::new(512);
-        for &ev in &events {
-            bitmap.insert(ev, alg.as_ref());
-            scan.insert(ev, alg.as_ref());
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert_eq!(bitmap.take_all_into(&mut a), scan.take_all_into(&mut b));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn quick_rig_produces_every_benchmark() {
         let cfg = MicroConfig { warmup: 0, samples: 1, scale: 100_000, queue_vertices: 1 << 10 };
         let results = run_all(&cfg).expect("quick rig runs");
-        assert_eq!(results.len(), 11);
+        assert_eq!(results.len(), 9);
         let names: std::collections::BTreeSet<_> = results.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 11, "duplicate benchmark names");
+        assert_eq!(names.len(), 9, "duplicate benchmark names");
     }
 
     #[test]

@@ -1,62 +1,14 @@
-//! Minimal timing loop shared by the `benches/` harnesses.
-//!
-//! The workspace builds offline, so instead of an external benchmark
-//! framework the bench binaries (`harness = false`) run each case through
-//! [`bench`]: one warm-up call, then a fixed number of timed iterations,
-//! reporting the mean per-iteration wall-clock time. This deliberately
-//! trades statistical machinery for zero dependencies — these numbers
-//! track regressions, they are not the paper's reported results (those
-//! come from the cycle-level simulator via `experiments`).
-
-use std::time::Instant;
-
-/// Runs `f` once to warm up, then `iters` timed iterations, and prints the
-/// mean per-iteration time in milliseconds.
-pub fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
-    assert!(iters > 0, "need at least one iteration");
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mean_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    println!("{name}: {mean_ms:.3} ms/iter (n={iters})");
-}
-
-/// Unwraps a harness result, exiting with a readable error instead of a
-/// panic if a bench scenario fails to run.
-pub fn check<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(e) => {
-            eprintln!("bench scenario failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
+//! The optimizer barrier shared by the `microbench` rig.
 
 /// Opaque consumer that stops the optimizer from deleting a computed
-/// value (a `black_box` stand-in: reads the value through `ptr::read_volatile`).
+/// value.
 pub fn consume<T>(value: T) -> T {
-    // std::hint::black_box is stable since 1.66; use it directly.
     std::hint::black_box(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_runs_requested_iterations() {
-        let count = std::cell::Cell::new(0u32);
-        bench("noop", 5, || count.set(count.get() + 1));
-        assert_eq!(count.get(), 6); // 5 timed + 1 warm-up
-    }
-
-    #[test]
-    fn check_passes_through_ok() {
-        assert_eq!(check::<_, String>(Ok(3)), 3);
-    }
 
     #[test]
     fn consume_returns_value() {

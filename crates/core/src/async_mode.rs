@@ -65,11 +65,11 @@
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
 use jetstream_algorithms::{Algorithm, Value};
-use jetstream_graph::{CsrPair, VertexId};
+use jetstream_graph::{ix, vid, CsrPair, VertexId};
 
 use crate::engine::DeleteStrategy;
 use crate::event::Event;
-use crate::kernel::{self, ExecState, KernelCtx};
+use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
 use crate::sharded::sync::{
     self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender, TraceEvent,
@@ -138,11 +138,9 @@ enum FromWorker {
 /// straight back into the shard's queue, cross-shard emissions fold into
 /// the per-destination outbox queues.
 struct AsyncState<'a> {
-    lo: VertexId,
+    verts: VertexState<'a>,
     /// Shard width (`hi - lo`), for the single-compare ownership test.
     width: VertexId,
-    values: &'a mut [Value],
-    dependency: &'a mut [Option<VertexId>],
     stats: &'a mut RunStats,
     impacted: &'a mut Vec<(u64, u128, VertexId)>,
     queue: &'a mut CoalescingQueue,
@@ -153,25 +151,9 @@ struct AsyncState<'a> {
     pass: u64,
 }
 
-impl ExecState for AsyncState<'_> {
-    fn value(&self, v: VertexId) -> Value {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.values[(v - self.lo) as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_value(&mut self, v: VertexId, x: Value) {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.values[(v - self.lo) as usize] = x; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn dependency(&self, v: VertexId) -> Option<VertexId> {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.dependency[(v - self.lo) as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_dependency(&mut self, v: VertexId, d: Option<VertexId>) {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.dependency[(v - self.lo) as usize] = d; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+impl<'a> ExecState<'a> for AsyncState<'a> {
+    fn verts(&mut self) -> &mut VertexState<'a> {
+        &mut self.verts
     }
 
     fn stats(&mut self) -> &mut RunStats {
@@ -189,7 +171,7 @@ impl ExecState for AsyncState<'_> {
         // difference IS the localized id, so the subtraction is reused
         // rather than re-done; remote targets wrap to >= width. This is
         // the hottest line in async mode (one call per emitted edge).
-        let local = ev.target.wrapping_sub(self.lo);
+        let local = ev.target.wrapping_sub(self.verts.lo);
         if local < self.width {
             let mut e = ev;
             e.target = local;
@@ -319,10 +301,12 @@ impl WorkerLoop<'_> {
         // mutation-ok: processed only paces maybe_yield; its starting point shifts yield timing, never results
         let mut processed = 0usize;
         let mut st = AsyncState {
-            lo: self.lo,
+            verts: VertexState {
+                lo: self.lo,
+                values: &mut *self.values,
+                dependency: &mut *self.dependency,
+            },
             width: self.hi - self.lo,
-            values: &mut *self.values,
-            dependency: &mut *self.dependency,
             stats: &mut self.shard.stats,
             impacted: &mut self.shard.impacted,
             queue: &mut self.shard.queue,
@@ -390,10 +374,10 @@ impl AsyncState<'_> {
     #[inline(never)]
     fn emit_remote(&mut self, alg: &dyn Algorithm, mut ev: Event) {
         // panic-ok: the route table has one entry per vertex
-        let dest = self.route_table[ev.target as usize] as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let dest = usize::from(self.route_table[ix(ev.target)]);
 
         // panic-ok: table entries are shard indices < bounds.len() - 1
-        ev.target -= self.bounds[dest] as VertexId; // cast-ok: bounds hold vertex ids < u32::MAX, enforced at graph construction
+        ev.target -= vid(self.bounds[dest]);
 
         // panic-ok: dest is a shard index and outfolds has one queue per shard
         self.outfolds[dest].insert(ev, alg);
@@ -560,7 +544,7 @@ pub(crate) fn run_to_quiescence(
             continue;
         }
         // panic-ok: bounds has s_count + 1 entries, w < s_count
-        let base = p.bounds[w] as VertexId; // cast-ok: bounds hold vertex ids < u32::MAX, enforced at graph construction
+        let base = vid(p.bounds[w]);
         for ev in &mut run {
             ev.target -= base;
         }
@@ -596,8 +580,8 @@ pub(crate) fn run_to_quiescence(
             let w = WorkerLoop {
                 worker,
                 thread,
-                lo: lo as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-                hi: hi as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+                lo: vid(lo),
+                hi: vid(hi),
                 cx: KernelCtx { alg: p.alg, csr: p.csr, delete_strategy: p.delete_strategy },
                 coalesce_deletes: p.coalesce_deletes,
                 yield_every: p.yields.get(worker).copied().flatten(),

@@ -3,12 +3,12 @@
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
 use jetstream_algorithms::{Algorithm, Value};
-use jetstream_graph::{AdjacencyGraph, CsrPair, VertexId};
+use jetstream_graph::{ix, vid, AdjacencyGraph, CsrPair, VertexId};
 
 use crate::event::Event;
 use crate::flow::sealed::Drain;
 use crate::flow::{Executor, RunState, StreamingFlow};
-use crate::kernel::{self, ExecState, KernelCtx};
+use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::{CoalescingQueue, QueueStats};
 use crate::stats::RunStats;
 use crate::trace::{Trace, TraceBuilder, TraceOp};
@@ -221,12 +221,8 @@ pub(crate) fn check_checkpoint_state(
     }
     for (v, dep) in dependency.iter().enumerate() {
         if let Some(u) = dep {
-            // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            if !host.has_edge(*u, v as VertexId) {
-                return Err(CheckpointError::DanglingDependency {
-                    vertex: v as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-                    leads_to: *u,
-                });
+            if !host.has_edge(*u, vid(v)) {
+                return Err(CheckpointError::DanglingDependency { vertex: vid(v), leads_to: *u });
             }
         }
     }
@@ -363,8 +359,7 @@ fn emit(
 ) {
     stats.events_generated += 1;
     if let Some(cap) = queue_capacity {
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if cap > 0 && (ev.target as usize) / cap != active_slice {
+        if cap > 0 && ix(ev.target) / cap != active_slice {
             stats.spilled_events += 1;
         }
     }
@@ -405,8 +400,7 @@ impl Drain for Sequential {
         // the allocation survives across rounds and calls.
         let mut events = std::mem::take(&mut self.round_scratch);
         let mut st = SeqState {
-            values: run.values,
-            dependency: run.dependency,
+            verts: VertexState { lo: 0, values: run.values, dependency: run.dependency },
             queue: &mut self.queue,
             stats: run.stats,
             tracer: run.tracer,
@@ -425,7 +419,7 @@ impl Drain for Sequential {
             }
             for &ev in &events {
                 if let Some(cap) = slice_cap {
-                    st.active_slice = ev.target as usize / cap; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                    st.active_slice = ix(ev.target) / cap;
                 }
                 kernel::process_event(cx, &mut st, ev);
             }
@@ -452,8 +446,7 @@ impl Drain for Sequential {
 /// [`ExecState`] backed by the flow's global vectors and tracer and the
 /// sequential executor's queue, for the length of one drain.
 struct SeqState<'a> {
-    values: &'a mut [Value],
-    dependency: &'a mut [Option<VertexId>],
+    verts: VertexState<'a>,
     queue: &'a mut CoalescingQueue,
     stats: &'a mut RunStats,
     tracer: &'a mut TraceBuilder,
@@ -462,25 +455,9 @@ struct SeqState<'a> {
     active_slice: usize,
 }
 
-impl ExecState for SeqState<'_> {
-    fn value(&self, v: VertexId) -> Value {
-        // panic-ok: values/dependency are sized num_vertices and every VertexId the engine sees is range-checked at queue insert
-        self.values[v as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_value(&mut self, v: VertexId, x: Value) {
-        // panic-ok: values/dependency are sized num_vertices and every VertexId the engine sees is range-checked at queue insert
-        self.values[v as usize] = x; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn dependency(&self, v: VertexId) -> Option<VertexId> {
-        // panic-ok: values/dependency are sized num_vertices and every VertexId the engine sees is range-checked at queue insert
-        self.dependency[v as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_dependency(&mut self, v: VertexId, d: Option<VertexId>) {
-        // panic-ok: values/dependency are sized num_vertices and every VertexId the engine sees is range-checked at queue insert
-        self.dependency[v as usize] = d; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+impl<'a> ExecState<'a> for SeqState<'a> {
+    fn verts(&mut self) -> &mut VertexState<'a> {
+        &mut self.verts
     }
 
     fn stats(&mut self) -> &mut RunStats {

@@ -20,7 +20,7 @@
 //! executor, as [`kernel::process_event`] already is per `ExecState`).
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{ix, AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
 
 use crate::engine::{
     check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
@@ -313,8 +313,7 @@ impl<X: Executor> StreamingFlow<X> {
         if !self.cx().dap_active() {
             return UpdateSafety::Unsafe;
         }
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let Some(&value) = self.values.get(target as usize) else {
+        let Some(&value) = self.values.get(ix(target)) else {
             return UpdateSafety::Unsafe;
         };
         if value == self.alg.identity() {
@@ -322,8 +321,7 @@ impl<X: Executor> StreamingFlow<X> {
             // its dependency says.
             return UpdateSafety::Safe;
         }
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if self.dependency[target as usize] == Some(source) {
+        if self.dependency[ix(target)] == Some(source) {
             UpdateSafety::Unsafe
         } else {
             UpdateSafety::Safe
@@ -526,7 +524,7 @@ impl<X: Executor> StreamingFlow<X> {
                     // Payload carries the contribution that flowed over the
                     // deleted edge; if the source never propagated there is
                     // nothing to revert.
-                    let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                    let state = self.values[ix(u)];
                     let deg = self.csr.out.degree(u);
                     let wsum = self.cx().weight_sum(u);
                     let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
@@ -599,7 +597,7 @@ impl<X: Executor> StreamingFlow<X> {
         for &(u, v, w) in insertions {
             self.stats.stream_reads += 1;
             self.stats.vertex_reads += 1;
-            let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            let state = self.values[ix(u)];
             let deg = self.csr.out.degree(u);
             let wsum = self.cx().weight_sum(u);
             let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
@@ -683,7 +681,7 @@ impl<X: Executor> StreamingFlow<X> {
         // Phase 1 — negative events for every old out-edge of a touched
         // vertex, using the old degree/weight-sum (Algorithm 3).
         self.tracer.begin_phase(Phase::DeleteSetup);
-        snapshot.extend(touched.iter().map(|&u| self.values[u as usize])); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        snapshot.extend(touched.iter().map(|&u| self.values[ix(u)]));
         for (i, (&u, &state)) in touched.iter().zip(snapshot.iter()).enumerate() {
             let row = &old_edges[bounds[i]..bounds[i + 1]];
             let deg = row.len();
@@ -743,7 +741,7 @@ impl<X: Executor> StreamingFlow<X> {
             // convergence left; coalesced recovery replays the same
             // snapshot the rollback used.
             let state = match self.config.accumulative_recovery {
-                AccumulativeRecovery::TwoPhase => self.values[u as usize], // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                AccumulativeRecovery::TwoPhase => self.values[ix(u)],
                 AccumulativeRecovery::Coalesced => old_state,
             };
             self.stats.vertex_reads += 1;

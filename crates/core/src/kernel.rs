@@ -5,13 +5,14 @@
 //! results (the differential-test harness asserts it), so the semantics of
 //! applying one event — reduce, state update, dependency recording, reset
 //! guards, and propagation — live here exactly once. The executors differ
-//! only in where state lives and where emitted events go, which is what
-//! [`ExecState`] abstracts: the sequential executor backs it with the
-//! flow's global vectors and its coalescing queue, a sharded worker backs
-//! it with its owned vertex range and an emission outbox.
+//! only in which vertex range they own and where emitted events go.
+//! [`ExecState`] abstracts the second; the first is data, not code: every
+//! executor lends the kernel a [`VertexState`] — the flow's whole vectors
+//! for the sequential executor, the owned range for a sharded worker —
+//! and its four accessors are the only place per-vertex state is indexed.
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{CsrPair, VertexId};
+use jetstream_graph::{ix, vid, CsrPair, VertexId};
 
 use crate::engine::DeleteStrategy;
 use crate::event::Event;
@@ -48,21 +49,53 @@ impl KernelCtx<'_> {
     }
 }
 
-/// Where the kernel reads/writes per-vertex state and emits events.
+/// The per-vertex state an executor lends the kernel for one drain: the
+/// `values` and `dependency` entries of the contiguous vertex range
+/// starting at `lo` (the sequential executor lends the whole arrays with
+/// `lo = 0`, a sharded worker its owned range).
 ///
-/// Vertex accessors are only ever called for the vertex an event targets
-/// (or, during propagation, the vertex being propagated from — which is
-/// the same vertex). A sharded worker therefore only needs access to the
-/// vertices it owns.
-pub(crate) trait ExecState {
+/// The kernel only touches the vertex an event targets, and every
+/// executor routes an event to the owner of its target (range-checked at
+/// queue insert), so `v - lo` always indexes the lent slices.
+pub(crate) struct VertexState<'a> {
+    /// First vertex of the lent range.
+    pub lo: VertexId,
+    /// Values of vertices `lo..lo + values.len()`.
+    pub values: &'a mut [Value],
+    /// Leads-To dependencies (DAP, §5.2) of the same range.
+    pub dependency: &'a mut [Option<VertexId>],
+}
+
+impl VertexState<'_> {
     /// Current value of `v`.
-    fn value(&self, v: VertexId) -> Value;
+    #[inline]
+    pub fn value(&self, v: VertexId) -> Value {
+        self.values[ix(v - self.lo)] // panic-ok: v is in the lent range (type doc)
+    }
+
     /// Overwrites the value of `v`.
-    fn set_value(&mut self, v: VertexId, x: Value);
-    /// Recorded Leads-To dependency of `v` (DAP, §5.2).
-    fn dependency(&self, v: VertexId) -> Option<VertexId>;
+    #[inline]
+    pub fn set_value(&mut self, v: VertexId, x: Value) {
+        self.values[ix(v - self.lo)] = x; // panic-ok: v is in the lent range (type doc)
+    }
+
+    /// Recorded Leads-To dependency of `v`.
+    #[inline]
+    pub fn dependency(&self, v: VertexId) -> Option<VertexId> {
+        self.dependency[ix(v - self.lo)] // panic-ok: v is in the lent range (type doc)
+    }
+
     /// Overwrites the dependency of `v`.
-    fn set_dependency(&mut self, v: VertexId, d: Option<VertexId>);
+    #[inline]
+    pub fn set_dependency(&mut self, v: VertexId, d: Option<VertexId>) {
+        self.dependency[ix(v - self.lo)] = d; // panic-ok: v is in the lent range (type doc)
+    }
+}
+
+/// Where the kernel finds per-vertex state and sends emitted events.
+pub(crate) trait ExecState<'a> {
+    /// The vertex state lent for this drain.
+    fn verts(&mut self) -> &mut VertexState<'a>;
     /// Operation counters for the current run.
     fn stats(&mut self) -> &mut RunStats;
     /// Records `v` as reset (impacted) during delete propagation.
@@ -83,24 +116,24 @@ pub(crate) trait ExecState {
 
 /// Applies one event (Algorithm 1 step, extended with the delete path of
 /// Algorithm 4).
-pub(crate) fn process_event(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Event) {
+pub(crate) fn process_event<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event) {
     if ev.is_delete {
         process_delete(cx, st, ev);
         return;
     }
     st.stats().events_processed += 1;
     st.stats().vertex_reads += 1;
-    let old = st.value(ev.target);
+    let old = st.verts().value(ev.target);
     let new = cx.alg.reduce(old, ev.payload);
     let changed = match cx.alg.kind() {
         UpdateKind::Selective => new != old,
         UpdateKind::Accumulative => cx.alg.changes_state(old, ev.payload),
     };
     if changed {
-        st.set_value(ev.target, new);
+        st.verts().set_value(ev.target, new);
         st.stats().vertex_writes += 1;
         if cx.dap_active() {
-            st.set_dependency(ev.target, ev.source);
+            st.verts().set_dependency(ev.target, ev.source);
         }
     }
     let must_propagate = changed || ev.request;
@@ -119,13 +152,13 @@ pub(crate) fn process_event(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Eve
 
 /// Propagates from `u` over the active graph's out-edges, generating
 /// regular events. Returns `(events_generated, edges_read)`.
-fn propagate_regular(
+fn propagate_regular<'a>(
     cx: &KernelCtx<'_>,
-    st: &mut impl ExecState,
+    st: &mut impl ExecState<'a>,
     u: VertexId,
     applied_delta: Value,
 ) -> (u32, u32) {
-    let state = st.value(u);
+    let state = st.verts().value(u);
     let deg = cx.csr.out.degree(u);
     st.stats().edge_reads += deg as u64;
     let dap = cx.dap_active();
@@ -165,11 +198,11 @@ fn propagate_regular(
 
 /// Handles one delete event during recovery (Algorithm 4, lines 8–17,
 /// refined by VAP/DAP).
-fn process_delete(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Event) {
+fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event) {
     st.stats().events_processed += 1;
     st.stats().delete_events += 1;
     st.stats().vertex_reads += 1;
-    let current = st.value(ev.target);
+    let current = st.verts().value(ev.target);
     let identity = cx.alg.identity();
     let targets_start = st.trace_targets_start();
 
@@ -179,13 +212,13 @@ fn process_delete(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Event) {
         && match cx.delete_strategy {
             DeleteStrategy::Tag => true,
             DeleteStrategy::Vap => !cx.alg.more_progressed(current, ev.payload),
-            DeleteStrategy::Dap => st.dependency(ev.target) == ev.source,
+            DeleteStrategy::Dap => st.verts().dependency(ev.target) == ev.source,
         };
 
     let (generated, edges_read) = if should_reset {
         let previous = current;
-        st.set_value(ev.target, identity);
-        st.set_dependency(ev.target, None);
+        st.verts().set_value(ev.target, identity);
+        st.verts().set_dependency(ev.target, None);
         st.stats().vertex_writes += 1;
         st.stats().resets += 1;
         st.impacted(ev.target);
@@ -205,9 +238,9 @@ fn process_delete(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Event) {
 
 /// Propagates delete events downstream from a freshly reset vertex,
 /// carrying the contribution computed from its *previous* state (§5.1).
-fn propagate_deletes(
+fn propagate_deletes<'a>(
     cx: &KernelCtx<'_>,
-    st: &mut impl ExecState,
+    st: &mut impl ExecState<'a>,
     u: VertexId,
     previous: Value,
 ) -> (u32, u32) {
@@ -252,8 +285,7 @@ pub(crate) fn validate_converged_values(
     if cx.dap_active() {
         for (v, dep) in dependency.iter().enumerate() {
             if let Some(u) = dep {
-                // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-                if !csr.out.has_edge(*u, v as VertexId) {
+                if !csr.out.has_edge(*u, vid(v)) {
                     return Err(format!(
                         "dangling dependency: vertex {v} leads-to {u}, but edge \
                          {u} -> {v} is not in the active graph"
@@ -265,12 +297,12 @@ pub(crate) fn validate_converged_values(
     match alg.kind() {
         UpdateKind::Selective => {
             for (u, v, w) in csr.out.iter_edges() {
-                let state = values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                let state = values[ix(u)];
                 let deg = csr.out.degree(u);
                 let wsum = cx.weight_sum(u);
                 let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
                 if let Some(delta) = alg.propagate(state, state, &ctx) {
-                    let target = values[v as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                    let target = values[ix(v)];
                     if alg.reduce(target, delta) != target {
                         return Err(format!(
                             "not a fixed point: edge {u} -> {v} still improves \

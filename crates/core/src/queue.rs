@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, Value};
-use jetstream_graph::VertexId;
+use jetstream_graph::{ix, vid, VertexId};
 
 use crate::event::Event;
 
@@ -134,7 +134,7 @@ impl CoalescingQueue {
                     continue;
                 }
                 self.occupancy[wi] &= !(1u64 << bit);
-                let bin = self.bin_for(v as VertexId); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+                let bin = self.bin_for(vid(v));
                 self.bin_len[bin] -= 1;
                 self.len -= 1;
                 self.stats.overflowed += 1;
@@ -175,7 +175,7 @@ impl CoalescingQueue {
     /// clamp into the last bin, so every representable `VertexId` maps to
     /// a valid bin.
     pub fn bin_for(&self, v: VertexId) -> usize {
-        (v as usize / self.bin_size).min(self.num_bins - 1) // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        (ix(v) / self.bin_size).min(self.num_bins - 1)
     }
 
     /// Reconstructs the resident event for occupied vertex `v` from the
@@ -183,7 +183,7 @@ impl CoalescingQueue {
     fn event_at(&self, v: usize) -> Event {
         let flags = self.flags[v]; // panic-ok: v is an occupied slot index < num_vertices, the arrays' length
         Event {
-            target: v as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            target: vid(v),
             payload: self.payload[v], // panic-ok: v is an occupied slot index < num_vertices, the arrays' length
             is_delete: flags & FLAG_DELETE != 0,
             request: flags & FLAG_REQUEST != 0,
@@ -207,18 +207,14 @@ impl CoalescingQueue {
     /// Panics if the target vertex is out of range.
     // hot-path
     pub fn insert(&mut self, event: Event, alg: &dyn Algorithm) {
-        assert!(
-            (event.target as usize) < self.num_vertices, // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            "event target {} out of range",
-            event.target
-        );
+        assert!(ix(event.target) < self.num_vertices, "event target {} out of range", event.target);
         self.stats.inserts += 1;
         if event.is_delete && !self.coalesce_deletes {
             self.stats.overflowed += 1;
             self.overflow.push_back(event);
             return;
         }
-        let idx = event.target as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let idx = ix(event.target);
         let (word, mask) = (idx / 64, 1u64 << (idx % 64));
         // panic-ok: word = idx/64 and occupancy holds ceil(num_vertices/64) words; idx < num_vertices asserted on entry
         if self.occupancy[word] & mask == 0 {
@@ -350,8 +346,8 @@ impl CoalescingQueue {
         }
         // Walk bin by bin so per-bin lengths stay exact.
         let mut total = 0;
-        let first_bin = self.bin_for(lo as VertexId); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-        let last_bin = self.bin_for((hi - 1) as VertexId); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let first_bin = self.bin_for(vid(lo));
+        let last_bin = self.bin_for(vid(hi - 1));
         for bin in first_bin..=last_bin {
             // panic-ok: bin_for clamps into 0..num_bins, bin_len's length
             if self.bin_len[bin] == 0 {

@@ -52,13 +52,13 @@
 
 use jetstream_algorithms::{Algorithm, Value};
 use jetstream_graph::partition::Partition;
-use jetstream_graph::{AdjacencyGraph, Csr, VertexId};
+use jetstream_graph::{ix, vid, AdjacencyGraph, Csr, VertexId};
 
 use crate::engine::{CheckpointError, EngineConfig};
 use crate::event::Event;
 use crate::flow::sealed::Drain;
 use crate::flow::{Executor, RunState, StreamingFlow};
-use crate::kernel::{self, ExecState, KernelCtx};
+use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::{CoalescingQueue, QueueStats};
 use crate::stats::RunStats;
 
@@ -114,7 +114,7 @@ pub(crate) struct Shard {
 impl Shard {
     fn new(lo: usize, width: usize, num_bins: usize) -> Self {
         Shard {
-            lo: lo as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            lo: vid(lo),
             queue: CoalescingQueue::new(width, num_bins),
             extra: QueueStats::default(),
             stats: RunStats::default(),
@@ -158,9 +158,7 @@ impl ParallelModel {
 /// [`ExecState`] backed by one worker's owned slice of the global state.
 /// Emissions go to the outbox with the next key in the canonical order.
 struct WorkerState<'a> {
-    lo: VertexId,
-    values: &'a mut [Value],
-    dependency: &'a mut [Option<VertexId>],
+    verts: VertexState<'a>,
     stats: &'a mut RunStats,
     impacted: &'a mut Vec<(u64, u128, VertexId)>,
     out: &'a mut Vec<Keyed>,
@@ -169,25 +167,9 @@ struct WorkerState<'a> {
     key_idx: u32,
 }
 
-impl ExecState for WorkerState<'_> {
-    fn value(&self, v: VertexId) -> Value {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.values[(v - self.lo) as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_value(&mut self, v: VertexId, x: Value) {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.values[(v - self.lo) as usize] = x; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn dependency(&self, v: VertexId) -> Option<VertexId> {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.dependency[(v - self.lo) as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-    }
-
-    fn set_dependency(&mut self, v: VertexId, d: Option<VertexId>) {
-        // panic-ok: v is owned by this shard, so v - lo indexes the hi - lo sized slice
-        self.dependency[(v - self.lo) as usize] = d; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+impl<'a> ExecState<'a> for WorkerState<'a> {
+    fn verts(&mut self) -> &mut VertexState<'a> {
+        &mut self.verts
     }
 
     fn stats(&mut self) -> &mut RunStats {
@@ -233,7 +215,7 @@ pub enum ExecutionMode {
 /// Routes a global vertex id to the shard owning it. `bounds` holds the
 /// `S + 1` range boundaries (`bounds[s]..bounds[s + 1]` is shard `s`).
 pub(crate) fn route(bounds: &[usize], target: VertexId) -> usize {
-    bounds.partition_point(|&b| b <= target as usize) - 1 // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+    bounds.partition_point(|&b| b <= ix(target)) - 1
 }
 
 /// Runs one superstep on one shard: queue the inbox (in canonical order),
@@ -296,9 +278,7 @@ fn worker_round(
     // the canonical round order.
     for &ev in &events {
         let mut st = WorkerState {
-            lo,
-            values: &mut *values,
-            dependency: &mut *dependency,
+            verts: VertexState { lo, values: &mut *values, dependency: &mut *dependency },
             stats: &mut shard.stats,
             impacted: &mut shard.impacted,
             out: &mut *out,
@@ -311,9 +291,7 @@ fn worker_round(
     }
     for &(counter, ev) in &overflow {
         let mut st = WorkerState {
-            lo,
-            values: &mut *values,
-            dependency: &mut *dependency,
+            verts: VertexState { lo, values: &mut *values, dependency: &mut *dependency },
             stats: &mut shard.stats,
             impacted: &mut shard.impacted,
             out: &mut *out,

@@ -1,4 +1,4 @@
-use crate::{VertexId, Weight};
+use crate::{ix, vid, VertexId, Weight};
 
 /// A single edge as seen when iterating a CSR row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +51,7 @@ impl PartialEq for Csr {
             return false;
         }
         (0..self.num_vertices()).all(|v| {
-            // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            let v = v as VertexId;
+            let v = vid(v);
             self.row_targets(v) == other.row_targets(v)
                 && self.row_weights(v) == other.row_weights(v)
         })
@@ -73,9 +72,9 @@ impl Csr {
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, Weight)]) -> Self {
         let mut degree = vec![0usize; num_vertices];
         for &(u, v, _) in edges {
-            assert!((u as usize) < num_vertices, "source {u} out of range"); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            assert!((v as usize) < num_vertices, "target {v} out of range"); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            degree[u as usize] += 1; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            assert!(ix(u) < num_vertices, "source {u} out of range");
+            assert!(ix(v) < num_vertices, "target {v} out of range");
+            degree[ix(u)] += 1;
         }
         let mut starts = Vec::with_capacity(num_vertices);
         let mut total = 0usize;
@@ -88,10 +87,10 @@ impl Csr {
         let mut weights = vec![0.0 as Weight; num_edges];
         let mut cursor = starts.clone();
         for &(u, v, w) in edges {
-            let at = cursor[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            let at = cursor[ix(u)];
             targets[at] = v;
             weights[at] = w;
-            cursor[u as usize] += 1; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            cursor[ix(u)] += 1;
         }
         let caps = degree.clone();
         let mut csr = Csr { starts, lens: degree, caps, targets, weights, live: num_edges };
@@ -145,13 +144,13 @@ impl Csr {
     }
 
     pub(crate) fn row_targets(&self, v: VertexId) -> &[VertexId] {
-        let v = v as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let v = ix(v);
         let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
         &self.targets[lo..lo + self.lens[v]]
     }
 
     pub(crate) fn row_weights(&self, v: VertexId) -> &[Weight] {
-        let v = v as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let v = ix(v);
         let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
         &self.weights[lo..lo + self.lens[v]]
     }
@@ -163,7 +162,7 @@ impl Csr {
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: VertexId) -> usize {
         // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        self.lens[v as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        self.lens[ix(v)]
     }
 
     /// The targets of `v`'s edges in ascending order, without weights —
@@ -190,7 +189,7 @@ impl Csr {
 
     /// Returns the weight of edge `u -> v`, or `None` if absent.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let ui = u as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ui = ix(u);
         if ui >= self.starts.len() {
             return None;
         }
@@ -206,10 +205,8 @@ impl Csr {
 
     /// Iterates all edges as `(source, target, weight)` triples.
     pub fn iter_edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-        (0..self.num_vertices()).flat_map(move |u| {
-            // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            self.neighbors(u as VertexId).map(move |e| (u as VertexId, e.other, e.weight))
-        })
+        (0..self.num_vertices())
+            .flat_map(move |u| self.neighbors(vid(u)).map(move |e| (vid(u), e.other, e.weight)))
     }
 
     /// Checks the CSR's structural invariants, returning a description of
@@ -280,8 +277,7 @@ impl Csr {
         }
         let nv = n as u64;
         for v in 0..n {
-            // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            let row = self.row_targets(v as VertexId);
+            let row = self.row_targets(vid(v));
             if let Some(i) = row.iter().position(|&t| t as u64 >= nv) {
                 return Err(format!("target {} in row {v} out of range (n = {nv})", row[i]));
             }

@@ -24,7 +24,7 @@
 //! engines only apply batches the host graph has already validated, so
 //! they never hit this path.
 
-use crate::{Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
+use crate::{ix, Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Smallest slot count a relocated row receives: rows that grow once tend
 /// to grow again, so even degree-1 rows get room for a few more edges.
@@ -48,7 +48,7 @@ impl Csr {
     pub fn insert_sorted(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        let ui = u as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ui = ix(u);
         let start = self.starts[ui];
         let len = self.lens[ui];
         match self.targets[start..start + len].binary_search(&v) {
@@ -80,7 +80,7 @@ impl Csr {
     pub fn remove_sorted(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        let ui = u as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ui = ix(u);
         let start = self.starts[ui];
         let len = self.lens[ui];
         match self.targets[start..start + len].binary_search(&v) {
@@ -97,8 +97,7 @@ impl Csr {
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if (v as usize) < self.starts.len() {
+        if ix(v) < self.starts.len() {
             Ok(())
         } else {
             Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: self.starts.len() })

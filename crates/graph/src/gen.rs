@@ -18,7 +18,7 @@
 //! match the paper's.
 
 use crate::rng::DetRng;
-use crate::{AdjacencyGraph, UpdateBatch, VertexId, Weight};
+use crate::{vid, AdjacencyGraph, UpdateBatch, VertexId, Weight};
 
 /// Default scale divisor applied to the paper's dataset sizes.
 pub const DEFAULT_SCALE: u32 = 1000;
@@ -101,7 +101,7 @@ pub fn rmat(
             continue;
         }
         let w = random_weight(&mut rng);
-        let _ = g.insert_edge(u as VertexId, v as VertexId, w); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let _ = g.insert_edge(vid(u), vid(v), w);
     }
     g
 }
@@ -119,8 +119,8 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
     // Backbone: connect each layer to the next so long paths exist.
     for l in 0..layers - 1 {
         for i in 0..width {
-            let u = (l * width + i) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            let v = ((l + 1) * width + rng.gen_index(width)) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            let u = vid(l * width + i);
+            let v = vid((l + 1) * width + rng.gen_index(width));
             if u != v {
                 let w = random_weight(&mut rng);
                 let _ = g.insert_edge(u, v, w);
@@ -142,14 +142,16 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
         } else {
             -(rng.gen_range_inclusive(1, 2) as i64)
         };
-        let l2 = l as i64 + hop;
-        if l2 < 0 || l2 >= layers as i64 {
+        let Ok(l2) = usize::try_from(l as i64 + hop) else {
+            continue;
+        };
+        if l2 >= layers {
             continue;
         }
-        let u = (l * width + rng.gen_index(width)) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let u = vid(l * width + rng.gen_index(width));
         let skew = rng.gen_f64();
         let target_idx = ((skew * skew) * width as f64) as usize; // cast-ok: skew^2 is in [0, 1), so the product is < width
-        let v = (l2 as usize * width + target_idx.min(width - 1)) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let v = vid(l2 * width + target_idx.min(width - 1));
         if u == v {
             continue;
         }
@@ -188,7 +190,7 @@ pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> A
                 continue;
             }
             let w = random_weight(&mut rng);
-            let _ = g.insert_edge(u as VertexId, v as VertexId, w); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            let _ = g.insert_edge(vid(u), vid(v), w);
         }
     }
     g
@@ -202,8 +204,8 @@ pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Adjacenc
     let max_attempts = num_edges * 20;
     while g.num_edges() < num_edges && attempts < max_attempts {
         attempts += 1;
-        let u = rng.gen_index(num_vertices) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-        let v = rng.gen_index(num_vertices) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let u = vid(rng.gen_index(num_vertices));
+        let v = vid(rng.gen_index(num_vertices));
         if u == v {
             continue;
         }
@@ -487,8 +489,8 @@ pub fn random_batch(
     let max_attempts = insertions * 100 + 1000;
     while added < insertions && attempts < max_attempts {
         attempts += 1;
-        let u = rng.gen_index(n) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-        let v = rng.gen_index(n) as VertexId; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let u = vid(rng.gen_index(n));
+        let v = vid(rng.gen_index(n));
         if u == v || g.has_edge(u, v) || !pending.insert((u, v)) {
             continue;
         }

@@ -67,5 +67,49 @@ pub use update::{EdgeUpdate, UpdateBatch, UpdateRejection};
 /// Identifier of a vertex. Graphs are addressed `0..num_vertices`.
 pub type VertexId = u32;
 
+/// The array index of vertex `v` — the one place an id is widened.
+///
+/// Everything the paper addresses by vertex (the coalescing-queue slot of
+/// §4.3, the vertex-property scratchpad and the CSR row of §4.7) is
+/// `array[ix(v)]`. The same widening serves the other `u32` quantities
+/// that live in the id space: slice numbers (never more slices than
+/// vertices) and offsets into id-indexed side arrays.
+#[inline]
+#[must_use]
+pub fn ix(v: VertexId) -> usize {
+    v as usize // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+}
+
+/// The vertex id of array index `i` — the one place an index is narrowed.
+///
+/// Callers pass positions inside a per-vertex array (or counts bounded by
+/// one), so `i` fits; debug builds check it.
+#[inline]
+#[must_use]
+pub fn vid(i: usize) -> VertexId {
+    debug_assert!(u32::try_from(i).is_ok(), "index {i} is outside the vertex-id space");
+    i as VertexId // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+}
+
 /// Edge weight / vertex value scalar used throughout the system.
 pub type Weight = f64;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ix_and_vid_round_trip_at_both_ends_of_the_id_space() {
+        for v in [0, 1, u32::MAX - 1, u32::MAX] {
+            assert_eq!(vid(ix(v)), v);
+        }
+        assert_eq!(ix(u32::MAX), 4_294_967_295usize);
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, target_pointer_width = "64"))]
+    #[should_panic(expected = "outside the vertex-id space")]
+    fn vid_rejects_an_index_past_the_id_space_in_debug_builds() {
+        let _ = vid(ix(u32::MAX) + 1);
+    }
+}

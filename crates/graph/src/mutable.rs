@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use crate::{Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
+use crate::{ix, vid, Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Host-side mutable, versioned graph.
 ///
@@ -75,8 +75,7 @@ impl AdjacencyGraph {
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        if (v as usize) < self.rows.len() {
+        if ix(v) < self.rows.len() {
             Ok(())
         } else {
             Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: self.rows.len() })
@@ -101,7 +100,7 @@ impl AdjacencyGraph {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
         }
-        let row = &mut self.rows[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let row = &mut self.rows[ix(u)];
         if row.contains_key(&v) {
             return Err(GraphError::DuplicateEdge { source: u, target: v });
         }
@@ -120,8 +119,7 @@ impl AdjacencyGraph {
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        match self.rows[u as usize].remove(&v) {
+        match self.rows[ix(u)].remove(&v) {
             Some(w) => {
                 self.num_edges -= 1;
                 self.version += 1;
@@ -133,7 +131,7 @@ impl AdjacencyGraph {
 
     /// Weight of edge `u -> v`, if present.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.rows.get(u as usize).and_then(|r| r.get(&v).copied()) // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        self.rows.get(ix(u)).and_then(|r| r.get(&v).copied())
     }
 
     /// True if edge `u -> v` exists.
@@ -148,7 +146,7 @@ impl AdjacencyGraph {
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: VertexId) -> usize {
         // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        self.rows[v as usize].len() // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        self.rows[ix(v)].len()
     }
 
     /// Iterates `v`'s out-edges in ascending target order.
@@ -158,7 +156,7 @@ impl AdjacencyGraph {
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        self.rows[v as usize].iter().map(|(&t, &w)| (t, w)) // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        self.rows[ix(v)].iter().map(|(&t, &w)| (t, w))
     }
 
     /// Applies a whole update batch atomically: validates every update first,
@@ -230,12 +228,12 @@ impl AdjacencyGraph {
         // Commit.
         for &(u, v) in batch.deletions() {
             // panic-ok: u passed check_vertex during the validation pass above
-            self.rows[u as usize].remove(&v); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            self.rows[ix(u)].remove(&v);
             self.num_edges -= 1;
         }
         for &(u, v, w) in batch.insertions() {
             // panic-ok: u passed check_vertex during the validation pass above
-            self.rows[u as usize].insert(v, w); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            self.rows[ix(u)].insert(v, w);
             self.num_edges += 1;
         }
         self.version += 1;
@@ -248,7 +246,7 @@ impl AdjacencyGraph {
             .rows
             .iter()
             .enumerate()
-            .flat_map(|(u, row)| row.iter().map(move |(&v, &w)| (u as VertexId, v, w))) // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            .flat_map(|(u, row)| row.iter().map(move |(&v, &w)| (vid(u), v, w)))
             .collect();
         Csr::from_edges(self.num_vertices(), &edges)
     }
@@ -263,8 +261,7 @@ impl AdjacencyGraph {
         self.rows
             .iter()
             .enumerate()
-            // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
-            .flat_map(|(u, row)| row.iter().map(move |(&v, &w)| (u as VertexId, v, w)))
+            .flat_map(|(u, row)| row.iter().map(move |(&v, &w)| (vid(u), v, w)))
     }
 }
 

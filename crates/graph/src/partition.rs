@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use crate::{Csr, VertexId};
+use crate::{ix, vid, Csr, VertexId};
 
 /// A slicing of a graph into `num_slices` vertex-disjoint slices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl Partition {
     /// Panics if `num_slices` is zero.
     pub fn contiguous(num_vertices: usize, num_slices: u32) -> Self {
         assert!(num_slices > 0, "need at least one slice");
-        let width = num_vertices.div_ceil(num_slices as usize).max(1); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let width = num_vertices.div_ceil(ix(num_slices)).max(1);
         let slice_of =
             (0..num_vertices).map(|v| ((v / width) as u32).min(num_slices - 1)).collect(); // cast-ok: v / width < num_slices, which is a u32
         Partition { slice_of, num_slices }
@@ -72,8 +72,8 @@ impl Partition {
     pub fn contiguous_balanced(graph: &Csr, num_slices: u32) -> Self {
         assert!(num_slices > 0, "need at least one slice");
         let n = graph.num_vertices();
-        let s = num_slices as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let total: u64 = (0..n).map(|v| graph.degree(v as VertexId) as u64 + 1).sum(); // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+        let s = ix(num_slices);
+        let total: u64 = (0..n).map(|v| graph.degree(vid(v)) as u64 + 1).sum();
         let mut slice_of = Vec::with_capacity(n);
         let mut acc = 0u64;
         for v in 0..n {
@@ -81,7 +81,7 @@ impl Partition {
             // the cumulative weight its midpoint falls into.
             let slice = ((acc * s as u64) / total.max(1)).min(num_slices as u64 - 1) as u32; // cast-ok: clamped to num_slices - 1, which is a u32
             slice_of.push(slice);
-            acc += graph.degree(v as VertexId) as u64 + 1; // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+            acc += graph.degree(vid(v)) as u64 + 1;
         }
         Partition { slice_of, num_slices }
     }
@@ -120,7 +120,7 @@ impl Partition {
             // structures from `num_slices()` must not see it collapse to 1.
             return Partition { slice_of: Vec::new(), num_slices };
         }
-        let capacity = n.div_ceil(num_slices as usize); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let capacity = n.div_ceil(ix(num_slices));
         let mut slice_of = vec![u32::MAX; n];
         let mut current = 0u32;
         let mut filled = 0usize;
@@ -129,16 +129,16 @@ impl Partition {
         let mut assigned = 0usize;
         while assigned < n {
             let v = match queue.pop_front() {
-                Some(v) if slice_of[v as usize] == u32::MAX => v, // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+                Some(v) if slice_of[ix(v)] == u32::MAX => v,
                 Some(_) => continue,
                 None => {
                     while next_seed < n && slice_of[next_seed] != u32::MAX {
                         next_seed += 1;
                     }
-                    next_seed as VertexId // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
+                    vid(next_seed)
                 }
             };
-            slice_of[v as usize] = current; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+            slice_of[ix(v)] = current;
             assigned += 1;
             filled += 1;
             if filled >= capacity && current + 1 < num_slices {
@@ -147,8 +147,7 @@ impl Partition {
                 queue.clear();
             } else {
                 for e in graph.neighbors(v) {
-                    // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                    if slice_of[e.other as usize] == u32::MAX {
+                    if slice_of[ix(e.other)] == u32::MAX {
                         queue.push_back(e.other);
                     }
                 }
@@ -163,7 +162,7 @@ impl Partition {
     ///
     /// Panics if `v` is out of range.
     pub fn slice_of(&self, v: VertexId) -> u32 {
-        self.slice_of[v as usize] // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        self.slice_of[ix(v)]
     }
 
     /// Number of slices.
@@ -183,7 +182,7 @@ impl Partition {
     /// (e.g. most [`bfs_grow`](Partition::bfs_grow) results).
     pub fn contiguous_ranges(&self) -> Option<Vec<Range<usize>>> {
         let n = self.slice_of.len();
-        let mut ranges = Vec::with_capacity(self.num_slices as usize); // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let mut ranges = Vec::with_capacity(ix(self.num_slices));
         let mut start = 0usize;
         let mut current = 0u32;
         for (v, &s) in self.slice_of.iter().enumerate() {

@@ -1,4 +1,4 @@
-use crate::{GraphError, VertexId, Weight};
+use crate::{ix, GraphError, VertexId, Weight};
 
 /// A single streaming graph mutation.
 ///
@@ -60,8 +60,7 @@ impl EdgeUpdate {
     /// Returns the first violated constraint as a [`GraphError`].
     pub fn check_bounds(&self, num_vertices: usize) -> Result<(), GraphError> {
         let check_vertex = |v: VertexId| {
-            // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            if (v as usize) < num_vertices {
+            if ix(v) < num_vertices {
                 Ok(())
             } else {
                 Err(GraphError::VertexOutOfRange { vertex: v, num_vertices })

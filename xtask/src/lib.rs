@@ -41,7 +41,10 @@
 //!   `// nondeterminism-ok: <reason>`.
 //! * **cast-truncation** — every narrowing `as` cast (`as u8/u16/u32/i8/
 //!   i16/i32/usize/isize/VertexId`) in `crates/core`/`crates/graph` must
-//!   carry `// cast-ok: <invariant>` stating why the value fits.
+//!   carry `// cast-ok: <invariant>` stating why the value fits. Vertex
+//!   ids do not cast inline at all: they convert through
+//!   `jetstream_graph::{ix, vid}`, which hold the one copy of that
+//!   invariant (DESIGN.md §9).
 //! * **concurrency-discipline** — `Mutex`/`RwLock`/`Condvar`/`mpsc`/
 //!   `spawn` are allowed only in the approved concurrency modules (the
 //!   engine side is `crates/core/src/sharded.rs` plus its async driver
@@ -73,14 +76,13 @@
 //! lints (with the `crates/graph` unwrap exception above): tests *should*
 //! unwrap. `pragma-justified` and `paper-ref` apply everywhere.
 //!
-//! The PR 1 line-based walker this engine replaced is retained verbatim
-//! in [`baseline`] so `cargo xtask bench` can compare full-workspace
-//! runtimes (EXPERIMENTS.md records the ratio).
+//! This is the only lint engine in the tree. The PR 1 line-based walker
+//! and the token-only mode it was timed against are deleted;
+//! EXPERIMENTS.md keeps the ratios measured while they existed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lex;
 pub mod mutate;
 pub mod parse;
@@ -384,21 +386,6 @@ const CONCURRENCY_IDENTS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "mpsc"];
 ///
 /// Returns any I/O error raised while walking the tree or reading files.
 pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
-    run_check_opts(root, true)
-}
-
-/// Runs only the token-level lints, skipping the parser, call graph, and
-/// interprocedural checks. Kept for `cargo xtask bench`, which compares
-/// the v3 analysis wall-clock against the PR 5 token engine.
-///
-/// # Errors
-///
-/// Returns any I/O error raised while walking the tree or reading files.
-pub fn run_check_token_only(root: &Path) -> io::Result<Vec<Finding>> {
-    run_check_opts(root, false)
-}
-
-fn run_check_opts(root: &Path, interprocedural: bool) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rust_files(root, root, &mut files)?;
     files.sort();
@@ -411,7 +398,7 @@ fn run_check_opts(root: &Path, interprocedural: bool) -> io::Result<Vec<Finding>
         let raw = fs::read_to_string(root.join(rel))?;
         let file = SourceFile::new(rel, &raw);
         check_file(&file, &sections, &mut findings, &mut waivers);
-        if interprocedural && !is_test_path(rel) {
+        if !is_test_path(rel) {
             waivers.collect_present(&file);
             if in_scope(rel, &mutate::MUTATION_SCOPE) {
                 mutate::sites::mark_mutation_waivers(&file, &mut waivers);
@@ -419,11 +406,9 @@ fn run_check_opts(root: &Path, interprocedural: bool) -> io::Result<Vec<Finding>
             parsed.push(parse::parse_file(&file));
         }
     }
-    if interprocedural {
-        let visibility = parse::workspace_visibility(root);
-        parse::check_interprocedural(&parsed, &visibility, &mut findings, &mut waivers);
-        waivers.report_dead(&mut findings);
-    }
+    let visibility = parse::workspace_visibility(root);
+    parse::check_interprocedural(&parsed, &visibility, &mut findings, &mut waivers);
+    waivers.report_dead(&mut findings);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     // Several panic sites on one line produce byte-identical findings;
     // keep one.

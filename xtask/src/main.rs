@@ -9,7 +9,7 @@
 //! cargo xtask explain <LINT>     # what a lint means and how to satisfy it
 //!                                # (also the MUTATION-WAIVER topic)
 //! cargo xtask self-test          # same as `check --self-test`
-//! cargo xtask bench [--iters N]  # v3 analysis vs token engine vs line walker
+//! cargo xtask bench [--iters N]  # time the lint engine and jetmut site discovery
 //! cargo xtask mutate --list      # discover jetmut mutation sites
 //! cargo xtask mutate [--check] [--all] [--shard i/N] [--out FILE]
 //!                                # run the kill suite over the pinned
@@ -23,10 +23,9 @@ use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use xtask::baseline::run_check_baseline;
 use xtask::mutate::runner::{run_mutate, MutateOpts};
 use xtask::mutate::sites::discover_workspace;
-use xtask::{findings_to_json, run_check, run_check_token_only, run_self_test, Lint};
+use xtask::{findings_to_json, run_check, run_self_test, Lint};
 
 fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR is xtask/; the workspace root is its parent.
@@ -283,10 +282,8 @@ fn sanitize() -> ExitCode {
     }
 }
 
-/// Times the v3 analysis (token lints + parser + call graph) against the
-/// PR 5 token-only engine and the preserved PR 1 line-based walker over
-/// the real workspace (median of `iters` runs after one warmup each) and
-/// prints the ratios recorded in EXPERIMENTS.md.
+/// Times the lint engine and jetmut site discovery over the real
+/// workspace (median of `iters` runs after one warmup each).
 fn bench(iters: usize) -> ExitCode {
     let root = workspace_root();
     let time = |f: &dyn Fn() -> bool| -> Option<f64> {
@@ -304,9 +301,7 @@ fn bench(iters: usize) -> ExitCode {
         samples.sort_by(|a, b| a.total_cmp(b));
         Some(samples[samples.len() / 2])
     };
-    let full = time(&|| run_check(&root).is_ok());
-    let jetlint = time(&|| run_check_token_only(&root).is_ok());
-    let walker = time(&|| run_check_baseline(&root).is_ok());
+    let jetlint = time(&|| run_check(&root).is_ok());
     let site_count = std::cell::Cell::new(0usize);
     let jetmut = time(&|| match discover_workspace(&root) {
         Ok(sites) => {
@@ -315,21 +310,11 @@ fn bench(iters: usize) -> ExitCode {
         }
         Err(_) => false,
     });
-    match (full, jetlint, walker, jetmut) {
-        (Some(full_ms), Some(new_ms), Some(old_ms), Some(mut_ms)) => {
+    match (jetlint, jetmut) {
+        (Some(lint_ms), Some(mut_ms)) => {
             println!("xtask bench ({iters} iters, median, full workspace):");
-            println!("  jetlint v3 (tokens + call graph, 11 lints): {full_ms:.1} ms");
-            println!("  jetlint (token engine, 9 lints):            {new_ms:.1} ms");
-            println!("  baseline (line walker, 5 lints):            {old_ms:.1} ms");
-            println!(
-                "  jetmut site discovery ({} sites):          {mut_ms:.1} ms",
-                site_count.get()
-            );
-            println!(
-                "  v3/token ratio: {:.2}x   token/walker ratio: {:.2}x",
-                full_ms / new_ms.max(1e-9),
-                new_ms / old_ms.max(1e-9)
-            );
+            println!("  jetlint (tokens + call graph, 11 lints): {lint_ms:.1} ms");
+            println!("  jetmut site discovery ({} sites):       {mut_ms:.1} ms", site_count.get());
             ExitCode::SUCCESS
         }
         _ => {

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::os::unix::process::CommandExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -349,10 +350,14 @@ fn suite_cmd(root: &Path, suite: &Suite) -> Command {
 }
 
 /// Runs `cmd` with stdio discarded; `Ok(Some(success))` on exit,
-/// `Ok(None)` on timeout (the child is killed).
+/// `Ok(None)` on timeout.
+///
+/// The command runs in its own process group, and a timeout kills the
+/// whole group: the process stuck in a mutant's infinite loop is the test
+/// binary `cargo test` spawned, not `cargo` itself.
 fn run_cmd(mut cmd: Command, timeout_ms: u64) -> Result<Option<bool>, String> {
     let program = cmd.get_program().to_string_lossy().into_owned();
-    cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::null());
+    cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::null()).process_group(0);
     let mut child = cmd.spawn().map_err(|e| format!("spawning {program}: {e}"))?;
     let t0 = Instant::now();
     loop {
@@ -362,6 +367,9 @@ fn run_cmd(mut cmd: Command, timeout_ms: u64) -> Result<Option<bool>, String> {
             Err(e) => return Err(format!("waiting on {program}: {e}")),
         }
         if t0.elapsed() >= Duration::from_millis(timeout_ms) {
+            // The child leads its group, so its pid is the group id.
+            let group = format!("-{}", child.id());
+            let _ = Command::new("kill").args(["-KILL", "--", &group]).status();
             let _ = child.kill();
             let _ = child.wait();
             return Ok(None);
@@ -477,4 +485,38 @@ fn check_gates(results: &[MutantResult]) -> Result<bool, String> {
     }
     println!("mutate --check: {}", if ok { "all gates passed" } else { "FAILED" });
     Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_timeout_kills_the_whole_process_group() {
+        // The shell records its pid (= the group id, as group leader),
+        // then parks behind a grandchild the way `cargo test` parks behind
+        // a spinning test binary.
+        let pid_file = std::env::temp_dir().join(format!("jetmut-pgid-{}", std::process::id()));
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!("echo $$ > {}; sleep 30 & wait", pid_file.display()));
+        assert_eq!(run_cmd(cmd, 200), Ok(None));
+        let pgid = fs::read_to_string(&pid_file).expect("the shell wrote its pid");
+        let _ = fs::remove_file(&pid_file);
+        // SIGKILL is delivered at once, but the orphaned grandchild stays a
+        // (signalable) zombie until init reaps it: poll for that briefly.
+        let group = format!("-{}", pgid.trim());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let gone = loop {
+            let probe = Command::new("kill")
+                .args(["-0", "--", &group])
+                .stderr(Stdio::null())
+                .status()
+                .expect("kill runs");
+            if !probe.success() || Instant::now() >= deadline {
+                break !probe.success();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(gone, "process group {group} outlived the timeout");
+    }
 }

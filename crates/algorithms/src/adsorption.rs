@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 
 /// Default *relative* convergence threshold on Adsorption deltas (see
 /// [`PAGERANK_EPSILON`](crate::pagerank::PAGERANK_EPSILON) for why relative
@@ -79,8 +79,8 @@ impl Algorithm for Adsorption {
         0.0
     }
 
-    fn reduce(&self, state: Value, delta: Value) -> Value {
-        state + delta
+    fn reduce_op(&self) -> Reduce {
+        Reduce::Sum
     }
 
     fn propagate(&self, state: Value, applied_delta: Value, ctx: &EdgeCtx) -> Option<Value> {

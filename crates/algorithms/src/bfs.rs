@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 
 /// Breadth-first search hop distance (selective / monotonic).
 ///
@@ -39,8 +39,8 @@ impl Algorithm for Bfs {
         Value::INFINITY
     }
 
-    fn reduce(&self, state: Value, delta: Value) -> Value {
-        state.min(delta)
+    fn reduce_op(&self) -> Reduce {
+        Reduce::Min
     }
 
     fn propagate(&self, state: Value, _applied_delta: Value, _ctx: &EdgeCtx) -> Option<Value> {

@@ -23,11 +23,12 @@
 //! # Example
 //!
 //! ```
-//! use jetstream_algorithms::{Algorithm, Sssp, EdgeCtx};
+//! use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, Sssp};
 //!
 //! let sssp = Sssp::new(0);
 //! let identity = sssp.identity();
-//! assert_eq!(sssp.reduce(3.0, identity), 3.0); // identity never dominates
+//! assert_eq!(sssp.reduce_op(), Reduce::Min); // an algorithm names its operator...
+//! assert_eq!(sssp.reduce(3.0, identity), 3.0); // ...and `reduce` applies it
 //! let ctx = EdgeCtx { weight: 2.0, out_degree: 4, weight_sum: 10.0 };
 //! assert_eq!(sssp.propagate(3.0, 3.0, &ctx), Some(5.0)); // path extension
 //! ```
@@ -65,6 +66,36 @@ pub enum UpdateKind {
     Accumulative,
 }
 
+/// The fixed-function reduction an algorithm folds deltas with — the
+/// operator of the coalescer's `Reduce` ALU (§4.3).
+///
+/// Every supported algorithm reduces with one of three operators, so an
+/// engine resolves [`Algorithm::reduce_op`] once per drain and folds each
+/// event with a plain `match` instead of a virtual call per edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reduce {
+    /// `min` selection: SSSP, BFS, Connected Components.
+    Min,
+    /// `max` selection: SSWP.
+    Max,
+    /// `+` accumulation: PageRank, Adsorption.
+    Sum,
+}
+
+impl Reduce {
+    /// Combines an incoming delta with the current state. `Min`/`Max` are
+    /// [`f64::min`]/[`f64::max`], so a NaN operand is ignored rather than
+    /// propagated.
+    #[inline]
+    pub fn apply(self, state: Value, delta: Value) -> Value {
+        match self {
+            Reduce::Min => state.min(delta),
+            Reduce::Max => state.max(delta),
+            Reduce::Sum => state + delta,
+        }
+    }
+}
+
 /// Per-edge context handed to [`Algorithm::propagate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeCtx {
@@ -81,8 +112,10 @@ pub struct EdgeCtx {
 ///
 /// Implementations must guarantee:
 ///
-/// * `reduce(x, identity()) == x` for all `x` (the identity is non-dominant);
-/// * `reduce` is commutative and associative (*Reordering property*);
+/// * `reduce(x, identity()) == x` for all `x` (the identity is non-dominant
+///   under [`reduce_op`](Algorithm::reduce_op));
+/// * the reduction is commutative and associative (*Reordering property*,
+///   which all three [`Reduce`] operators have);
 /// * a vertex whose state is unchanged by a delta need not propagate
 ///   (*Simplification property*).
 pub trait Algorithm: std::fmt::Debug + Send + Sync {
@@ -95,8 +128,16 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
     /// The initial vertex value; the non-dominant element of `reduce`.
     fn identity(&self) -> Value;
 
-    /// Combines an incoming delta with the current vertex state.
-    fn reduce(&self, state: Value, delta: Value) -> Value;
+    /// The operator that combines an incoming delta with the current
+    /// vertex state.
+    fn reduce_op(&self) -> Reduce;
+
+    /// Combines an incoming delta with the current vertex state:
+    /// [`reduce_op`](Algorithm::reduce_op) applied once. Hot loops resolve
+    /// the operator up front and call [`Reduce::apply`] directly.
+    fn reduce(&self, state: Value, delta: Value) -> Value {
+        self.reduce_op().apply(state, delta)
+    }
 
     /// Computes the delta sent over one outgoing edge, or `None` when the
     /// contribution is not worth propagating (e.g. below the accumulative
@@ -291,10 +332,39 @@ mod tests {
         for w in Workload::ALL {
             let a = w.instantiate(0);
             let id = a.identity();
-            for x in [0.5, 1.0, 7.0, 42.0] {
+            for x in [-0.0, 0.0, 0.5, 1.0, 7.0, 42.0, Value::INFINITY] {
                 assert_eq!(a.reduce(x, id), x, "{} identity dominates {x}", w.name());
             }
         }
+    }
+
+    #[test]
+    fn reduce_op_applies_the_operator_each_algorithm_used_to_hand_write() {
+        // Before `Reduce`, every algorithm carried its own `reduce` body:
+        // `state.min(delta)`, `state.max(delta)` or `state + delta`. The
+        // operator must reproduce them bit for bit — including which zero
+        // survives and `f64::min`/`max` ignoring a NaN operand where `+`
+        // propagates it.
+        let edge = [-0.0, 0.0, 1.5, -2.25, 1e300, Value::INFINITY, Value::NEG_INFINITY, Value::NAN];
+        for w in Workload::ALL {
+            let (op, body): (Reduce, fn(Value, Value) -> Value) = match w {
+                Workload::Sssp | Workload::Bfs | Workload::Cc => (Reduce::Min, Value::min),
+                Workload::Sswp => (Reduce::Max, Value::max),
+                Workload::PageRank | Workload::Adsorption => (Reduce::Sum, |a, b| a + b),
+            };
+            let a = w.instantiate(0);
+            assert_eq!(a.reduce_op(), op, "{}", w.name());
+            for x in edge {
+                for y in edge {
+                    let want = body(x, y).to_bits();
+                    assert_eq!(op.apply(x, y).to_bits(), want, "{} apply({x}, {y})", w.name());
+                    assert_eq!(a.reduce(x, y).to_bits(), want, "{} reduce({x}, {y})", w.name());
+                }
+            }
+        }
+        assert_eq!(Reduce::Min.apply(Value::NAN, 3.0), 3.0);
+        assert_eq!(Reduce::Max.apply(3.0, Value::NAN), 3.0);
+        assert!(Reduce::Sum.apply(Value::NAN, 3.0).is_nan());
     }
 
     #[test]

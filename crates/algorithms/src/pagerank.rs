@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 
 /// Default *relative* convergence threshold: a delta smaller than
 /// `epsilon x` the receiver-side magnitude of the vertex state is not
@@ -82,8 +82,8 @@ impl Algorithm for PageRank {
         0.0
     }
 
-    fn reduce(&self, state: Value, delta: Value) -> Value {
-        state + delta
+    fn reduce_op(&self) -> Reduce {
+        Reduce::Sum
     }
 
     fn propagate(&self, state: Value, applied_delta: Value, ctx: &EdgeCtx) -> Option<Value> {

@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 
 /// Single-source shortest path (selective / monotonic).
 ///
@@ -37,8 +37,8 @@ impl Algorithm for Sssp {
         Value::INFINITY
     }
 
-    fn reduce(&self, state: Value, delta: Value) -> Value {
-        state.min(delta)
+    fn reduce_op(&self) -> Reduce {
+        Reduce::Min
     }
 
     fn propagate(&self, state: Value, _applied_delta: Value, ctx: &EdgeCtx) -> Option<Value> {

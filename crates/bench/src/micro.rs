@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use jetstream_algorithms::{Algorithm, Workload};
+use jetstream_algorithms::{Algorithm, Reduce, Workload};
 use jetstream_core::{
     CoalescingQueue, EngineConfig, Event, ExecutionMode, ShardedEngine, StreamingEngine,
 };
@@ -143,6 +143,63 @@ fn bench_queue_insert(cfg: &MicroConfig) -> BenchResult {
             for &ev in &events {
                 queue.insert(ev, alg.as_ref());
             }
+        },
+    )
+}
+
+/// Out-degree of the replayed rows: the 17 generated events per processed
+/// event `pr_lj_seq` measures under `--trace 1`.
+const ROW_LEN: usize = 17;
+/// Replays of the row set. The first claims the slots, the rest coalesce:
+/// 15/16 = 0.94, the ledger's `core.coalesce_ratio`.
+const ROW_PASSES: usize = 16;
+
+/// Ascending rows of [`ROW_LEN`] distinct targets, together covering about
+/// one slot per vertex — the shape of the kernel's emissions in a
+/// PageRank recompute phase.
+fn coalescing_rows(num_vertices: usize) -> Vec<Vec<VertexId>> {
+    let mut rng = Rng(0x5eed);
+    (0..num_vertices / ROW_LEN)
+        .map(|_| {
+            let mut row: Vec<VertexId> = Vec::with_capacity(ROW_LEN);
+            while row.len() < ROW_LEN {
+                let v = (rng.next() % num_vertices as u64) as VertexId;
+                if !row.contains(&v) {
+                    row.push(v);
+                }
+            }
+            row.sort_unstable();
+            row
+        })
+        .collect()
+}
+
+/// The measured traffic, not the empty-slot corner `queue_insert_25pct`
+/// times: sum-reduced rows replayed until 94 % of the inserts coalesce,
+/// either a row at a time through `insert_row` or an event at a time
+/// through `insert`. [`CROSS_CHECKS`] holds the first below the second.
+fn bench_insert_coalescing(cfg: &MicroConfig, by_row: bool) -> BenchResult {
+    let alg = pagerank_alg();
+    let rows = coalescing_rows(cfg.queue_vertices);
+    let delta = 0.125;
+    measure(
+        if by_row { "queue_insert_row_coalescing" } else { "queue_insert_event_coalescing" },
+        cfg.warmup,
+        cfg.samples,
+        || CoalescingQueue::new(cfg.queue_vertices, 16),
+        |queue| {
+            for _ in 0..ROW_PASSES {
+                for row in &rows {
+                    if by_row {
+                        queue.insert_row(0, row, delta, None, Reduce::Sum);
+                    } else {
+                        for &v in row {
+                            queue.insert(Event::regular(v, delta), alg.as_ref());
+                        }
+                    }
+                }
+            }
+            crate::timing::consume(queue.len());
         },
     )
 }
@@ -385,6 +442,8 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let percent = cfg.queue_vertices / 100;
     let mut results = Vec::new();
     report(&mut results, bench_queue_insert(cfg));
+    report(&mut results, bench_insert_coalescing(cfg, true));
+    report(&mut results, bench_insert_coalescing(cfg, false));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
     report(&mut results, bench_initial_compute(cfg)?);
@@ -532,8 +591,11 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// `min(factor, ratchet)` × its committed baseline, so re-running with a
 /// loose global factor can never silently give the win back. The streamed
 /// batch path is ratcheted because incremental snapshot maintenance
-/// (DESIGN.md §17) is the single biggest lever on it.
-pub const RATCHETS: &[(&str, f64)] = &[("stream_batches_pagerank_lj", 1.3)];
+/// (DESIGN.md §17) is the single biggest lever on it, cold evaluation
+/// because it is 19 queue inserts per processed event and so the purest
+/// reading of row emission (DESIGN.md §12).
+pub const RATCHETS: &[(&str, f64)] =
+    &[("stream_batches_pagerank_lj", 1.3), ("kernel_initial_compute_pagerank", 1.3)];
 
 /// Compares fresh results against a committed baseline: any benchmark
 /// whose median exceeds `factor` × its baseline median is a regression
@@ -591,6 +653,9 @@ pub const CROSS_CHECKS: &[(&str, &str)] = &[
     // Incremental snapshot maintenance must beat the full O(E) rebuild on
     // the identical batch, or DESIGN.md §17 has regressed to pointlessness.
     ("snapshot_maintain_incremental", "snapshot_rebuild_full"),
+    // The same coalescing traffic a row at a time must beat an event at a
+    // time, or the kernel's row emission has stopped paying for itself.
+    ("queue_insert_row_coalescing", "queue_insert_event_coalescing"),
 ];
 
 /// Evaluates [`CROSS_CHECKS`] against one run's results; returns one
@@ -657,8 +722,29 @@ mod tests {
                 max_ns: 50,
                 samples: 1,
             },
+            BenchResult {
+                name: "queue_insert_row_coalescing",
+                median_ns: 3,
+                min_ns: 3,
+                max_ns: 3,
+                samples: 1,
+            },
+            BenchResult {
+                name: "queue_insert_event_coalescing",
+                median_ns: 7,
+                min_ns: 7,
+                max_ns: 7,
+                samples: 1,
+            },
         ];
         assert!(cross_regressions(&ok).is_empty());
+
+        // The row path losing to the per-event path trips its gate.
+        let mut slow_rows = ok.clone();
+        slow_rows[4].min_ns = 7;
+        let problems = cross_regressions(&slow_rows);
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("queue_insert_row_coalescing"));
 
         let mut flipped = ok.clone();
         flipped[0].min_ns = 30;
@@ -674,7 +760,7 @@ mod tests {
         assert!(problems[0].contains("snapshot_maintain_incremental"));
 
         let missing = vec![ok[0].clone()];
-        assert_eq!(cross_regressions(&missing).len(), 2);
+        assert_eq!(cross_regressions(&missing).len(), CROSS_CHECKS.len());
     }
 
     #[test]
@@ -746,9 +832,31 @@ mod tests {
     fn quick_rig_produces_every_benchmark() {
         let cfg = MicroConfig { warmup: 0, samples: 1, scale: 100_000, queue_vertices: 1 << 10 };
         let results = run_all(&cfg).expect("quick rig runs");
-        assert_eq!(results.len(), 9);
+        assert_eq!(results.len(), 11);
         let names: std::collections::BTreeSet<_> = results.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 9, "duplicate benchmark names");
+        assert_eq!(names.len(), 11, "duplicate benchmark names");
+    }
+
+    #[test]
+    fn the_coalescing_rows_coalesce_as_often_as_the_measured_traffic() {
+        // pr_lj_seq's ledger reads core.coalesce_ratio 0.94; the two
+        // coalescing rows must time that regime, not the empty-slot one.
+        let cfg = MicroConfig::quick();
+        let mut queue = CoalescingQueue::new(cfg.queue_vertices, 16);
+        let rows = coalescing_rows(cfg.queue_vertices);
+        assert!(rows.iter().all(|r| r.len() == ROW_LEN && r.windows(2).all(|w| w[0] < w[1])));
+        for _ in 0..ROW_PASSES {
+            for row in &rows {
+                queue.insert_row(0, row, 0.125, None, Reduce::Sum);
+            }
+        }
+        let stats = queue.stats();
+        assert!(
+            stats.coalesced as f64 >= 0.9 * stats.inserts as f64,
+            "{} of {} inserts coalesced",
+            stats.coalesced,
+            stats.inserts
+        );
     }
 
     #[test]

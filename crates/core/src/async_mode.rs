@@ -64,10 +64,9 @@
 //! [`ExecutionMode::Async`]: crate::ExecutionMode::Async
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
-use jetstream_algorithms::{Algorithm, Value};
-use jetstream_graph::{ix, vid, CsrPair, VertexId};
+use jetstream_algorithms::{Reduce, Value};
+use jetstream_graph::{ix, vid, VertexId};
 
-use crate::engine::DeleteStrategy;
 use crate::event::Event;
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
@@ -79,12 +78,8 @@ use crate::stats::RunStats;
 
 /// Read-only configuration shared by one async drain.
 pub(crate) struct AsyncParams<'a> {
-    /// The algorithm being evaluated.
-    pub alg: &'a dyn Algorithm,
-    /// The active CSR snapshot.
-    pub csr: &'a CsrPair,
-    /// Delete-propagation strategy.
-    pub delete_strategy: DeleteStrategy,
+    /// The phase's kernel context; every worker gets a copy.
+    pub cx: KernelCtx<'a>,
     /// Whether delete events may coalesce this phase (off during DAP
     /// delete propagation; the workers' queues take care of spilling).
     pub coalesce_deletes: bool,
@@ -147,6 +142,7 @@ struct AsyncState<'a> {
     outfolds: &'a mut [CoalescingQueue],
     bounds: &'a [usize],
     route_table: &'a [u8],
+    reduce: Reduce,
     /// The worker's pass counter, tagging impacted records.
     pass: u64,
 }
@@ -165,19 +161,40 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
         self.impacted.push((self.pass, 0, v));
     }
 
-    fn emit(&mut self, alg: &dyn Algorithm, ev: Event) {
+    fn emit(&mut self, ev: Event) {
         self.stats.events_generated += 1;
         // Single-compare ownership test: for local targets the wrapped
         // difference IS the localized id, so the subtraction is reused
-        // rather than re-done; remote targets wrap to >= width. This is
-        // the hottest line in async mode (one call per emitted edge).
+        // rather than re-done; remote targets wrap to >= width.
         let local = ev.target.wrapping_sub(self.verts.lo);
         if local < self.width {
-            let mut e = ev;
-            e.target = local;
-            self.queue.insert(e, alg);
+            self.queue.insert_with(Event { target: local, ..ev }, self.reduce);
         } else {
-            self.emit_remote(alg, ev);
+            self.emit_remote(ev);
+        }
+    }
+
+    /// Splits the row into maximal runs owned by one shard — a CSR row is
+    /// ascending and shards are contiguous ranges, so at most one run per
+    /// shard — and folds each run whole: the local one straight back into
+    /// this shard's queue, the others into their destination's outbox.
+    // hot-path
+    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
+        self.stats.events_generated += targets.len() as u64;
+        let (lo, width) = (self.verts.lo, self.width);
+        let mut rest = targets;
+        while let Some(&first) = rest.first() {
+            let local = first.wrapping_sub(lo) < width;
+            let run = rest.iter().take_while(|&&v| (v.wrapping_sub(lo) < width) == local).count();
+            let (head, tail) = rest.split_at(run);
+            if local {
+                self.queue.insert_row(lo, head, delta, source, self.reduce);
+            } else {
+                for &v in head {
+                    self.emit_remote(Event { source, ..Event::regular(v, delta) });
+                }
+            }
+            rest = tail;
         }
     }
 }
@@ -262,7 +279,7 @@ impl WorkerLoop<'_> {
             ToWorker::Run(events) => {
                 self.recvd += events.len() as u64;
                 self.log.access(self.thread, Resource::ShardState(self.worker), AccessKind::Write);
-                self.shard.queue.insert_run(&events, self.cx.alg);
+                self.shard.queue.insert_run(&events, self.cx.reduce);
             }
             ToWorker::Probe(id) => self.pending_probe = Some(id),
             ToWorker::Stop => self.stopped = true,
@@ -313,6 +330,7 @@ impl WorkerLoop<'_> {
             outfolds: &mut self.outfolds,
             bounds: self.bounds,
             route_table: self.route_table,
+            reduce: self.cx.reduce,
             pass,
         };
         for &ev in events.iter() {
@@ -372,7 +390,7 @@ impl AsyncState<'_> {
     /// outbox queue, so the flushed run carries only one event per
     /// remote vertex.
     #[inline(never)]
-    fn emit_remote(&mut self, alg: &dyn Algorithm, mut ev: Event) {
+    fn emit_remote(&mut self, mut ev: Event) {
         // panic-ok: the route table has one entry per vertex
         let dest = usize::from(self.route_table[ix(ev.target)]);
 
@@ -380,7 +398,7 @@ impl AsyncState<'_> {
         ev.target -= vid(self.bounds[dest]);
 
         // panic-ok: dest is a shard index and outfolds has one queue per shard
-        self.outfolds[dest].insert(ev, alg);
+        self.outfolds[dest].insert_with(ev, self.reduce);
     }
 }
 
@@ -582,7 +600,7 @@ pub(crate) fn run_to_quiescence(
                 thread,
                 lo: vid(lo),
                 hi: vid(hi),
-                cx: KernelCtx { alg: p.alg, csr: p.csr, delete_strategy: p.delete_strategy },
+                cx: p.cx,
                 coalesce_deletes: p.coalesce_deletes,
                 yield_every: p.yields.get(worker).copied().flatten(),
                 chunk: p.chunks.get(worker).copied().unwrap_or(0),
@@ -645,9 +663,10 @@ pub(crate) fn run_to_quiescence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DeleteStrategy;
     use crate::queue::QueueStats;
     use jetstream_algorithms::Sssp;
-    use jetstream_graph::Csr;
+    use jetstream_graph::{Csr, CsrPair};
 
     // kills jm-3a60197c (async_mode.rs logic-swap in Detector::run:
     // `a == b && sent == recvd` -> `||`): balanced sums alone must not
@@ -724,7 +743,7 @@ mod tests {
             thread: 1,
             lo: 0,
             hi: 1,
-            cx: KernelCtx { alg: &alg, csr: &csr, delete_strategy: DeleteStrategy::Tag },
+            cx: KernelCtx::new(&alg, &csr, DeleteStrategy::Tag),
             coalesce_deletes: true,
             yield_every: None,
             chunk: 0,

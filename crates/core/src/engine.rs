@@ -2,7 +2,7 @@
 //! checkpoint errors) and the sequential executor behind
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
-use jetstream_algorithms::{Algorithm, Value};
+use jetstream_algorithms::{Algorithm, Reduce, Value};
 use jetstream_graph::{ix, vid, AdjacencyGraph, CsrPair, VertexId};
 
 use crate::event::Event;
@@ -240,6 +240,9 @@ pub struct Sequential {
     queue: CoalescingQueue,
     /// On-chip queue capacity in vertices ([`EngineConfig::queue_capacity`]).
     queue_capacity: Option<usize>,
+    /// The slice width (`queue_capacity`) when the graph spans more than
+    /// one slice, so that emissions can spill (§4.7); `None` otherwise.
+    slice_cap: Option<usize>,
     /// Reusable round buffer for [`drain`](Drain::drain): grows to the
     /// high-water event count once, then steady-state drains allocate
     /// nothing.
@@ -248,11 +251,15 @@ pub struct Sequential {
 
 impl Sequential {
     fn new(csr: &CsrPair, config: &EngineConfig) -> Self {
-        Sequential {
-            queue: CoalescingQueue::new(csr.out.num_vertices(), config.num_bins),
+        let num_vertices = csr.out.num_vertices();
+        let mut exec = Sequential {
+            queue: CoalescingQueue::new(num_vertices, config.num_bins),
             queue_capacity: config.queue_capacity,
+            slice_cap: None,
             round_scratch: Vec::new(),
-        }
+        };
+        exec.slice_cap = exec.queue_capacity.filter(|_| exec.num_slices(num_vertices) > 1);
+        exec
     }
 
     fn num_slices(&self, num_vertices: usize) -> usize {
@@ -346,24 +353,15 @@ impl StreamingFlow<Sequential> {
     }
 }
 
-/// Counts an emission, accounts a spill when it leaves the active slice
-/// (§4.7), and inserts it into the coalescing queue — shared by the setup
-/// phases' seeds (`active_slice` 0) and the kernel's emissions.
-fn emit(
-    queue: &mut CoalescingQueue,
-    stats: &mut RunStats,
-    queue_capacity: Option<usize>,
-    active_slice: usize,
-    alg: &dyn Algorithm,
-    ev: Event,
-) {
-    stats.events_generated += 1;
-    if let Some(cap) = queue_capacity {
-        if cap > 0 && ix(ev.target) / cap != active_slice {
-            stats.spilled_events += 1;
-        }
+/// How many of `targets` lie outside the active slice — events the
+/// hardware would write to off-chip memory and read back (§4.7). `cap` is
+/// the slice width; `None` when the graph fits the queue, and then nothing
+/// spills.
+fn spills(cap: Option<usize>, active_slice: usize, targets: &[VertexId]) -> u64 {
+    match cap {
+        Some(cap) => targets.iter().filter(|&&v| ix(v) / cap != active_slice).count() as u64,
+        None => 0,
     }
-    queue.insert(ev, alg);
 }
 
 impl Drain for Sequential {
@@ -371,8 +369,10 @@ impl Drain for Sequential {
         self.queue.set_coalesce_deletes(on);
     }
 
-    fn seed(&mut self, alg: &dyn Algorithm, stats: &mut RunStats, ev: Event) {
-        emit(&mut self.queue, stats, self.queue_capacity, 0, alg, ev);
+    fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
+        stats.events_generated += 1;
+        stats.spilled_events += spills(self.slice_cap, 0, &[ev.target]);
+        self.queue.insert_with(ev, reduce);
     }
 
     /// Drains the queue in canonical supersteps until empty.
@@ -393,8 +393,7 @@ impl Drain for Sequential {
         // Slicing (§4.7) only affects spill accounting under this schedule:
         // while processing an event, the slice of its target is on-chip and
         // emissions leaving that slice count as spills.
-        let slice_cap =
-            if self.num_slices(run.values.len()) > 1 { self.queue_capacity } else { None };
+        let slice_cap = self.slice_cap;
         // Swap the round buffer out of `self` so draining into it can
         // coexist with the queue borrow below; it goes back at the end, so
         // the allocation survives across rounds and calls.
@@ -405,7 +404,8 @@ impl Drain for Sequential {
             stats: run.stats,
             tracer: run.tracer,
             impacted: run.impacted,
-            queue_capacity: self.queue_capacity,
+            reduce: cx.reduce,
+            slice_cap,
             active_slice: 0,
         };
         while !st.queue.is_empty() {
@@ -451,7 +451,9 @@ struct SeqState<'a> {
     stats: &'a mut RunStats,
     tracer: &'a mut TraceBuilder,
     impacted: &'a mut Vec<VertexId>,
-    queue_capacity: Option<usize>,
+    reduce: Reduce,
+    /// Slice width when the graph spans several slices (§4.7).
+    slice_cap: Option<usize>,
     active_slice: usize,
 }
 
@@ -468,16 +470,23 @@ impl<'a> ExecState<'a> for SeqState<'a> {
         self.impacted.push(v);
     }
 
-    fn emit(&mut self, alg: &dyn Algorithm, ev: Event) {
-        emit(self.queue, self.stats, self.queue_capacity, self.active_slice, alg, ev);
+    fn emit(&mut self, ev: Event) {
+        self.stats.events_generated += 1;
+        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, &[ev.target]);
+        self.queue.insert_with(ev, self.reduce);
+        self.tracer.push_targets(&[ev.target]);
+    }
+
+    // hot-path
+    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
+        self.stats.events_generated += targets.len() as u64;
+        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
+        self.queue.insert_row(0, targets, delta, source, self.reduce);
+        self.tracer.push_targets(targets);
     }
 
     fn trace_targets_start(&mut self) -> u32 {
         self.tracer.targets_start()
-    }
-
-    fn trace_push_target(&mut self, v: VertexId) {
-        self.tracer.push_target(v);
     }
 
     fn trace_push_op(&mut self, op: TraceOp) {
@@ -511,7 +520,7 @@ mod tests {
         assert_eq!(labels, vec!["Base", "+VAP", "+DAP"]);
     }
 
-    // Kills mutant jm-c20f8248 (`cap > 0` -> `cap >= 0` in `num_slices`):
+    // Kills mutant jm-c20f82fb (`cap > 0` -> `cap >= 0` in `num_slices`):
     // a zero capacity must fall back to a single slice, never reach the
     // `div_ceil(0)` division.
     #[test]

@@ -19,7 +19,7 @@
 //! barrier-free. Dispatch is static (the flow is monomorphised per
 //! executor, as [`kernel::process_event`] already is per `ExecState`).
 
-use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
+use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 use jetstream_graph::{ix, AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
 
 use crate::engine::{
@@ -47,7 +47,7 @@ pub struct RunState<'a> {
 }
 
 pub(crate) mod sealed {
-    use super::{Algorithm, Event, KernelCtx, QueueStats, RunState, RunStats};
+    use super::{Event, KernelCtx, QueueStats, Reduce, RunState, RunStats};
 
     /// The seams [`StreamingFlow`](super::StreamingFlow) needs around an
     /// event queue. Crate-private by construction: the module is not
@@ -57,8 +57,9 @@ pub(crate) mod sealed {
         /// Whether delete events may coalesce in the phase being seeded
         /// (off during DAP delete propagation, §5.2).
         fn set_coalesce_deletes(&mut self, on: bool);
-        /// Queues one setup-phase event, counting it in `stats`.
-        fn seed(&mut self, alg: &dyn Algorithm, stats: &mut RunStats, ev: Event);
+        /// Queues one setup-phase event, counting it in `stats`; `reduce`
+        /// is the algorithm's operator, should it coalesce.
+        fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
         /// Drains everything seeded (and everything that emits) to
         /// quiescence through [`kernel::process_event`](crate::kernel).
         fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>);
@@ -95,6 +96,8 @@ pub trait Executor: sealed::Drain {}
 #[derive(Debug)]
 pub struct StreamingFlow<X: Executor> {
     alg: Box<dyn Algorithm>,
+    /// `alg`'s operator, resolved once: every seed needs it.
+    reduce: Reduce,
     host: AdjacencyGraph,
     csr: CsrPair,
     values: Vec<Value>,
@@ -138,6 +141,7 @@ impl<X: Executor> StreamingFlow<X> {
             state.unwrap_or_else(|| (vec![alg.identity(); n], vec![None; n]));
         StreamingFlow {
             exec: exec(&csr),
+            reduce: alg.reduce_op(),
             alg,
             host,
             csr,
@@ -310,7 +314,7 @@ impl<X: Executor> StreamingFlow<X> {
     /// strategy, an accumulative algorithm, an out-of-range id (left for
     /// the apply path to reject with a typed error) — is `Unsafe`.
     pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
-        if !self.cx().dap_active() {
+        if !self.cx().dap_active {
             return UpdateSafety::Unsafe;
         }
         let Some(&value) = self.values.get(ix(target)) else {
@@ -378,7 +382,7 @@ impl<X: Executor> StreamingFlow<X> {
         batch: &UpdateBatch,
     ) -> Result<(RunStats, BatchClassification), GraphError> {
         let class = self.classify_batch(batch);
-        if !(self.cx().dap_active() && class.all_deletes_safe() && !batch.deletions().is_empty()) {
+        if !(self.cx().dap_active && class.all_deletes_safe() && !batch.deletions().is_empty()) {
             // Nothing to skip (or nothing provably skippable): run the
             // full flow. Insert-only selective batches already take the
             // cheap path inside `stream_selective` (no delete events, no
@@ -419,18 +423,14 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn cx(&self) -> KernelCtx<'_> {
-        KernelCtx {
-            alg: self.alg.as_ref(),
-            csr: &self.csr,
-            delete_strategy: self.config.delete_strategy,
-        }
+        KernelCtx::new(self.alg.as_ref(), &self.csr, self.config.delete_strategy)
     }
 
     /// Emits a setup-phase event, exactly in program order, as a target
     /// of the op being traced.
     fn seed(&mut self, event: Event) {
-        self.exec.seed(self.alg.as_ref(), &mut self.stats, event);
-        self.tracer.push_target(event.target);
+        self.exec.seed(self.reduce, &mut self.stats, event);
+        self.tracer.push_targets(&[event.target]);
     }
 
     /// Records one setup-phase op that read `edges_read` edges and seeded
@@ -457,7 +457,7 @@ impl<X: Executor> StreamingFlow<X> {
     fn drain(&mut self) {
         let StreamingFlow { alg, csr, config, values, dependency, impacted, stats, tracer, .. } =
             self;
-        let cx = KernelCtx { alg: alg.as_ref(), csr, delete_strategy: config.delete_strategy };
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
         self.exec.drain(&cx, RunState { values, dependency, impacted, stats, tracer });
     }
 
@@ -593,7 +593,7 @@ impl<X: Executor> StreamingFlow<X> {
 
     fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
         self.tracer.begin_phase(Phase::InsertSetup);
-        let dap = self.cx().dap_active();
+        let dap = self.cx().dap_active;
         for &(u, v, w) in insertions {
             self.stats.stream_reads += 1;
             self.stats.vertex_reads += 1;

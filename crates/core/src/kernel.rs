@@ -10,8 +10,21 @@
 //! executor lends the kernel a [`VertexState`] — the flow's whole vectors
 //! for the sequential executor, the owned range for a sharded worker —
 //! and its four accessors are the only place per-vertex state is indexed.
+//!
+//! # Row emission
+//!
+//! A processing engine of the paper computes a vertex's outgoing delta
+//! once and its generation streams walk the CSR row (§4.4). Where
+//! propagation is edge-invariant (PageRank, BFS, CC) the kernel does the
+//! same: one `propagate` call, then the whole row of target ids goes to
+//! the executor in one [`ExecState::emit_row`]. Only weight-dependent
+//! propagation (SSSP, SSWP, Adsorption) and delete waves, whose payload
+//! differs per edge, emit event by event. Everything the kernel needs to
+//! know about the algorithm besides `propagate` — its [`Reduce`] operator
+//! (the coalescer's ALU, §4.3), update family, identity — is resolved
+//! once, when the [`KernelCtx`] is built.
 
-use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
+use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 use jetstream_graph::{ix, vid, CsrPair, VertexId};
 
 use crate::engine::DeleteStrategy;
@@ -23,6 +36,7 @@ use crate::trace::{OpKind, TraceOp};
 ///
 /// Nominally `pub` only because the sealed executor seam
 /// ([`crate::flow::sealed::Drain`]) names it; the module is private.
+#[derive(Clone, Copy)]
 pub struct KernelCtx<'a> {
     /// The algorithm being evaluated.
     pub alg: &'a dyn Algorithm,
@@ -30,18 +44,40 @@ pub struct KernelCtx<'a> {
     pub csr: &'a CsrPair,
     /// Delete-propagation strategy (drives the reset guard, §5).
     pub delete_strategy: DeleteStrategy,
+    /// The algorithm's reduction operator.
+    pub reduce: Reduce,
+    /// The algorithm's update family.
+    pub kind: UpdateKind,
+    /// The algorithm's identity value.
+    pub identity: Value,
+    /// Dependency-aware propagation is in force: the strategy is DAP and
+    /// the algorithm selective (§5.2 defines it for those only).
+    pub dap_active: bool,
+    edge_invariant: bool,
+    needs_weight_sum: bool,
 }
 
-impl KernelCtx<'_> {
-    /// Dependency-aware propagation is only defined for selective
-    /// algorithms (§5.2).
-    pub fn dap_active(&self) -> bool {
-        self.delete_strategy == DeleteStrategy::Dap && self.alg.kind() == UpdateKind::Selective
+impl<'a> KernelCtx<'a> {
+    /// Resolves every per-algorithm constant once, so the per-event path
+    /// dispatches through `alg` only to propagate.
+    pub fn new(alg: &'a dyn Algorithm, csr: &'a CsrPair, delete_strategy: DeleteStrategy) -> Self {
+        let kind = alg.kind();
+        KernelCtx {
+            alg,
+            csr,
+            delete_strategy,
+            reduce: alg.reduce_op(),
+            kind,
+            identity: alg.identity(),
+            dap_active: delete_strategy == DeleteStrategy::Dap && kind == UpdateKind::Selective,
+            edge_invariant: alg.propagation_is_edge_invariant(),
+            needs_weight_sum: alg.needs_weight_sum(),
+        }
     }
 
     /// Sum of outgoing edge weights of `u`, when the algorithm needs it.
     pub fn weight_sum(&self, u: VertexId) -> Value {
-        if self.alg.needs_weight_sum() {
+        if self.needs_weight_sum {
             self.csr.out.neighbors(u).map(|e| e.weight).sum()
         } else {
             0.0
@@ -101,15 +137,18 @@ pub(crate) trait ExecState<'a> {
     /// Records `v` as reset (impacted) during delete propagation.
     fn impacted(&mut self, v: VertexId);
     /// Hands an emitted event to the owner (queue insert or outbox push).
-    /// The implementation must count it in `events_generated`.
-    fn emit(&mut self, alg: &dyn Algorithm, ev: Event);
+    /// The implementation must count it in `events_generated` and, when it
+    /// traces, record its target.
+    fn emit(&mut self, ev: Event);
+    /// Hands over one regular event per entry of `targets` (a CSR row, in
+    /// row order), all carrying `delta` and `source` — exactly as if each
+    /// had gone through [`emit`](ExecState::emit) in that order.
+    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value);
     /// Tracing hooks; no-ops for sharded workers (tracing is a
     /// sequential-engine feature).
     fn trace_targets_start(&mut self) -> u32 {
         0
     }
-    /// Records one emitted target for the op being traced.
-    fn trace_push_target(&mut self, _v: VertexId) {}
     /// Records a completed traced operation.
     fn trace_push_op(&mut self, _op: TraceOp) {}
 }
@@ -124,15 +163,15 @@ pub(crate) fn process_event<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>,
     st.stats().events_processed += 1;
     st.stats().vertex_reads += 1;
     let old = st.verts().value(ev.target);
-    let new = cx.alg.reduce(old, ev.payload);
-    let changed = match cx.alg.kind() {
+    let new = cx.reduce.apply(old, ev.payload);
+    let changed = match cx.kind {
         UpdateKind::Selective => new != old,
         UpdateKind::Accumulative => cx.alg.changes_state(old, ev.payload),
     };
     if changed {
         st.verts().set_value(ev.target, new);
         st.stats().vertex_writes += 1;
-        if cx.dap_active() {
+        if cx.dap_active {
             st.verts().set_dependency(ev.target, ev.source);
         }
     }
@@ -161,35 +200,27 @@ fn propagate_regular<'a>(
     let state = st.verts().value(u);
     let deg = cx.csr.out.degree(u);
     st.stats().edge_reads += deg as u64;
-    let dap = cx.dap_active();
-    let mut generated = 0u32;
-    if cx.alg.propagation_is_edge_invariant() {
+    let source = cx.dap_active.then_some(u);
+    if cx.edge_invariant {
         // Every out-edge carries the same delta: one propagation-function
-        // dispatch per event, then a plain walk of the target ids. The
-        // per-edge fields are unread, so zeros produce the identical delta.
+        // dispatch per event, then the row of target ids goes out whole.
+        // The per-edge fields are unread, so zeros produce the identical
+        // delta.
         let ctx = EdgeCtx { weight: 0.0, out_degree: deg, weight_sum: 0.0 };
+        let mut generated = 0;
         if let Some(delta) = cx.alg.propagate(state, applied_delta, &ctx) {
-            for &v in cx.csr.out.neighbor_targets(u) {
-                let event =
-                    if dap { Event::regular_from(u, v, delta) } else { Event::regular(v, delta) };
-                st.emit(cx.alg, event);
-                st.trace_push_target(v);
-                generated += 1;
-            }
+            let targets = cx.csr.out.neighbor_targets(u);
+            st.emit_row(source, targets, delta);
+            generated = targets.len();
         }
-        return (generated, deg as u32); // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+        return (generated as u32, deg as u32); // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
     }
     let wsum = cx.weight_sum(u);
+    let mut generated = 0u32;
     for e in cx.csr.out.neighbors(u) {
         let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
         if let Some(delta) = cx.alg.propagate(state, applied_delta, &ctx) {
-            let event = if dap {
-                Event::regular_from(u, e.other, delta)
-            } else {
-                Event::regular(e.other, delta)
-            };
-            st.emit(cx.alg, event);
-            st.trace_push_target(e.other);
+            st.emit(Event { source, ..Event::regular(e.other, delta) });
             generated += 1;
         }
     }
@@ -203,7 +234,7 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
     st.stats().delete_events += 1;
     st.stats().vertex_reads += 1;
     let current = st.verts().value(ev.target);
-    let identity = cx.alg.identity();
+    let identity = cx.identity;
     let targets_start = st.trace_targets_start();
 
     // A delete cycling back to an already tagged vertex never propagates
@@ -250,18 +281,17 @@ fn propagate_deletes<'a>(
     let mut generated = 0u32;
     for e in cx.csr.out.neighbors(u) {
         let event = match cx.delete_strategy {
-            DeleteStrategy::Tag => Some(Event::delete(u, e.other, cx.alg.identity())),
+            DeleteStrategy::Tag => Some(Event::delete(u, e.other, cx.identity)),
             DeleteStrategy::Vap => {
                 let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
                 cx.alg
                     .propagate(previous, previous, &ctx)
                     .map(|payload| Event::delete(u, e.other, payload))
             }
-            DeleteStrategy::Dap => Some(Event::delete(u, e.other, cx.alg.identity())),
+            DeleteStrategy::Dap => Some(Event::delete(u, e.other, cx.identity)),
         };
         if let Some(ev) = event {
-            st.emit(cx.alg, ev);
-            st.trace_push_target(e.other);
+            st.emit(ev);
             generated += 1;
         }
     }
@@ -282,7 +312,7 @@ pub(crate) fn validate_converged_values(
     dependency: &[Option<VertexId>],
 ) -> Result<(), String> {
     let (alg, csr) = (cx.alg, cx.csr);
-    if cx.dap_active() {
+    if cx.dap_active {
         for (v, dep) in dependency.iter().enumerate() {
             if let Some(u) = dep {
                 if !csr.out.has_edge(*u, vid(v)) {
@@ -294,7 +324,7 @@ pub(crate) fn validate_converged_values(
             }
         }
     }
-    match alg.kind() {
+    match cx.kind {
         UpdateKind::Selective => {
             for (u, v, w) in csr.out.iter_edges() {
                 let state = values[ix(u)];
@@ -303,7 +333,7 @@ pub(crate) fn validate_converged_values(
                 let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
                 if let Some(delta) = alg.propagate(state, state, &ctx) {
                     let target = values[ix(v)];
-                    if alg.reduce(target, delta) != target {
+                    if cx.reduce.apply(target, delta) != target {
                         return Err(format!(
                             "not a fixed point: edge {u} -> {v} still improves \
                              {target} with contribution {delta}"
@@ -336,7 +366,7 @@ mod tests {
         let sssp = Sssp::new(0);
         let pr = PageRank::default();
         let active = |alg: &dyn Algorithm, delete_strategy| {
-            KernelCtx { alg, csr: &csr, delete_strategy }.dap_active()
+            KernelCtx::new(alg, &csr, delete_strategy).dap_active
         };
         assert!(active(&sssp, DeleteStrategy::Dap));
         assert!(!active(&sssp, DeleteStrategy::Tag));

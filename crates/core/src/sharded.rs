@@ -50,7 +50,7 @@
 //!
 //! [`StreamingEngine`]: crate::StreamingEngine
 
-use jetstream_algorithms::{Algorithm, Value};
+use jetstream_algorithms::{Algorithm, Reduce, Value};
 use jetstream_graph::partition::Partition;
 use jetstream_graph::{ix, vid, AdjacencyGraph, Csr, VertexId};
 
@@ -180,10 +180,21 @@ impl<'a> ExecState<'a> for WorkerState<'a> {
         self.impacted.push((self.round, self.key_base, v));
     }
 
-    fn emit(&mut self, _alg: &dyn Algorithm, ev: Event) {
+    fn emit(&mut self, ev: Event) {
         self.stats.events_generated += 1;
         self.out.push(Keyed { key: self.key_base | self.key_idx as u128, ev });
         self.key_idx += 1;
+    }
+
+    // hot-path
+    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
+        self.stats.events_generated += targets.len() as u64;
+        self.out.reserve(targets.len());
+        for &v in targets {
+            let ev = Event { source, ..Event::regular(v, delta) };
+            self.out.push(Keyed { key: self.key_base | self.key_idx as u128, ev });
+            self.key_idx += 1;
+        }
     }
 }
 
@@ -253,7 +264,7 @@ fn worker_round(
         }
         let mut local = k.ev;
         local.target -= lo;
-        shard.queue.insert(local, cx.alg);
+        shard.queue.insert_with(local, cx.reduce);
     }
     // Every run drains events of one kind (delete recovery and regular
     // recompute are separate phases), so slot conflicts between a delete
@@ -577,7 +588,7 @@ impl Drain for Sharded {
     /// Queues a setup-phase event from the coordinator, exactly in program
     /// order: the monotone `seq` counter makes coordinator seeds sort (and,
     /// for non-coalescible deletes, drain) in emission order.
-    fn seed(&mut self, _alg: &dyn Algorithm, stats: &mut RunStats, ev: Event) {
+    fn seed(&mut self, _reduce: Reduce, stats: &mut RunStats, ev: Event) {
         stats.events_generated += 1;
         let key = if ev.is_delete && !self.coalesce_deletes {
             OVERFLOW_CLASS | ((self.seq as u128) << IDX_BITS)
@@ -676,9 +687,7 @@ impl Sharded {
         let seeds: Vec<Vec<Event>> =
             pending.iter_mut().map(|p| p.drain(..).map(|k| k.ev).collect()).collect();
         let params = crate::async_mode::AsyncParams {
-            alg: cx.alg,
-            csr: cx.csr,
-            delete_strategy: cx.delete_strategy,
+            cx: *cx,
             coalesce_deletes: *coalesce_deletes,
             bounds,
             yields: &yields,
@@ -711,7 +720,7 @@ impl Sharded {
         let coalesce_deletes = self.coalesce_deletes;
         let yields = self.yield_intervals();
         let Sharded { shards, bounds, pending, seq, model, race_log, .. } = self;
-        let (alg, csr, delete_strategy) = (cx.alg, cx.csr, cx.delete_strategy);
+        let cx = *cx;
         let num_shards = shards.len();
         let mut inboxes: Vec<Vec<Keyed>> = pending.iter_mut().map(std::mem::take).collect();
 
@@ -745,7 +754,6 @@ impl Sharded {
                 );
                 let wlog = race_log.clone();
                 scope.spawn(move || {
-                    let cx = KernelCtx { alg, csr, delete_strategy };
                     // Each message carries (inbox, recycled out-buffer); the
                     // reply returns (outbox, spent inbox) so both
                     // allocations round-trip instead of being dropped.

@@ -691,3 +691,234 @@ fn sliced_execution_matches_unsliced() {
         }
     }
 }
+
+/// 12 vertices with the row shapes the kernel's emission has to get right:
+/// a hub (0, out-degree 11), a sink (11, empty row) and a two-cycle
+/// (3 <-> 4) whose rows feed each other — the nearest thing to a self-loop,
+/// which `AdjacencyGraph` rejects (`GraphError::SelfLoop`).
+fn hub_loop_sink_graph() -> AdjacencyGraph {
+    let mut g = AdjacencyGraph::new(12);
+    for v in 1..12 {
+        g.insert_edge(0, v, 1.0).unwrap();
+    }
+    for &(u, v) in &[
+        (4u32, 3u32),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 1),
+        (6, 7),
+        (7, 8),
+        (8, 0),
+        (9, 10),
+        (10, 11),
+        (2, 9),
+        (5, 6),
+    ] {
+        g.insert_edge(u, v, 1.0).unwrap();
+    }
+    g
+}
+
+fn hub_loop_sink_batch() -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    batch.delete(0, 5);
+    batch.delete(2, 3);
+    batch.delete(7, 8);
+    batch.insert(4, 0, 1.0);
+    batch.insert(8, 11, 1.0);
+    batch.insert(10, 6, 1.0);
+    batch
+}
+
+/// FNV-1a over everything a [`Trace`](jetstream_core::trace::Trace)
+/// records: phase labels, round boundaries, every op field, and the flat
+/// target array.
+fn trace_digest(trace: &jetstream_core::trace::Trace) -> u64 {
+    use jetstream_core::trace::OpKind;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for phase in &trace.phases {
+        phase.phase.label().bytes().for_each(|b| eat(u64::from(b)));
+        for round in &phase.rounds {
+            eat(u64::MAX); // round boundary
+            for op in &round.ops {
+                let kind = match op.kind {
+                    OpKind::Apply => 0,
+                    OpKind::Delete => 1,
+                    OpKind::StreamRead => 2,
+                    OpKind::RequestSetup => 3,
+                    _ => 4,
+                };
+                for x in [
+                    u64::from(op.vertex),
+                    kind,
+                    u64::from(op.changed),
+                    u64::from(op.edges_read),
+                    u64::from(op.targets_start),
+                    u64::from(op.targets_len),
+                ] {
+                    eat(x);
+                }
+            }
+        }
+    }
+    trace.targets.iter().for_each(|&t| eat(u64::from(t)));
+    h
+}
+
+/// What one traced run (cold evaluation, then the batch) must reproduce.
+struct Golden {
+    initial: jetstream_core::RunStats,
+    batch: jetstream_core::RunStats,
+    ops: usize,
+    targets: usize,
+    digest: u64,
+    impacted: &'static [VertexId],
+    /// `spilled_events` of the same two runs under `queue_capacity = n / 3`.
+    spilled: (u64, u64),
+}
+
+fn check_golden(workload: Workload, strategy: DeleteStrategy, want: &Golden) {
+    let label = format!("{} ({strategy:?})", workload.name());
+    let mut engine = engine_for(workload, hub_loop_sink_graph(), strategy, 0);
+    engine.set_tracing(true);
+    let initial = engine.initial_compute();
+    let batch = engine.apply_update_batch(&hub_loop_sink_batch()).unwrap();
+    let trace = engine.take_trace();
+    assert_eq!(initial, want.initial, "{label}: initial RunStats");
+    assert_eq!(batch, want.batch, "{label}: batch RunStats");
+    assert_eq!(trace.num_ops(), want.ops, "{label}: traced ops");
+    assert_eq!(trace.targets.len(), want.targets, "{label}: traced targets");
+    assert_eq!(trace_digest(&trace), want.digest, "{label}: trace digest");
+    assert_eq!(engine.last_impacted(), want.impacted, "{label}: impacted order");
+
+    let config = EngineConfig {
+        delete_strategy: strategy,
+        num_bins: 4,
+        queue_capacity: Some(4), // 12 vertices -> 3 slices
+        ..EngineConfig::default()
+    };
+    let mut sliced = StreamingEngine::new(workload.instantiate(0), hub_loop_sink_graph(), config);
+    assert_eq!(sliced.num_slices(), 3);
+    let spilled = (
+        sliced.initial_compute().spilled_events,
+        sliced.apply_update_batch(&hub_loop_sink_batch()).unwrap().spilled_events,
+    );
+    assert_eq!(spilled, want.spilled, "{label}: spilled events over 3 slices");
+    assert_eq!(sliced.values(), engine.values(), "{label}: slicing changed values");
+}
+
+// Values captured at d73234a, where the kernel emitted one event per edge
+// through `ExecState::emit`: row emission must not move a single op,
+// target, counter or spill.
+#[test]
+fn row_emission_reproduces_the_per_edge_trace_and_stats() {
+    use jetstream_core::RunStats;
+    check_golden(
+        Workload::PageRank,
+        DeleteStrategy::Dap,
+        &Golden {
+            initial: RunStats {
+                events_processed: 509,
+                events_generated: 1001,
+                vertex_reads: 509,
+                vertex_writes: 509,
+                edge_reads: 1015,
+                rounds: 43,
+                events_coalesced: 492,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 247,
+                events_generated: 495,
+                vertex_reads: 259,
+                vertex_writes: 247,
+                edge_reads: 496,
+                stream_reads: 36,
+                rounds: 21,
+                events_coalesced: 248,
+                ..RunStats::default()
+            },
+            ops: 780,
+            targets: 1496,
+            digest: 0xf19e_d9ab_1887_7590,
+            impacted: &[],
+            spilled: (585, 291),
+        },
+    );
+    check_golden(
+        Workload::Bfs,
+        DeleteStrategy::Dap,
+        &Golden {
+            initial: RunStats {
+                events_processed: 24,
+                events_generated: 25,
+                vertex_reads: 24,
+                vertex_writes: 12,
+                edge_reads: 24,
+                rounds: 3,
+                events_coalesced: 1,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 14,
+                events_generated: 14,
+                vertex_reads: 20,
+                vertex_writes: 2,
+                edge_reads: 8,
+                resets: 1,
+                delete_events: 5,
+                request_events: 1,
+                stream_reads: 6,
+                rounds: 5,
+                ..RunStats::default()
+            },
+            ops: 46,
+            targets: 39,
+            digest: 0xa557_dc20_9c7b_5076,
+            impacted: &[5],
+            spilled: (14, 9),
+        },
+    );
+    check_golden(
+        Workload::Cc,
+        DeleteStrategy::Tag,
+        &Golden {
+            initial: RunStats {
+                events_processed: 36,
+                events_generated: 49,
+                vertex_reads: 36,
+                vertex_writes: 23,
+                edge_reads: 37,
+                rounds: 3,
+                events_coalesced: 13,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 60,
+                events_generated: 103,
+                vertex_reads: 66,
+                vertex_writes: 36,
+                edge_reads: 88,
+                resets: 12,
+                delete_events: 23,
+                request_events: 24,
+                stream_reads: 6,
+                rounds: 8,
+                events_coalesced: 43,
+                ..RunStats::default()
+            },
+            ops: 126,
+            targets: 152,
+            digest: 0x6450_9f73_4dc3_e37c,
+            impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
+            spilled: (28, 57),
+        },
+    );
+}

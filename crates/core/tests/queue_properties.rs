@@ -3,11 +3,13 @@
 //! preserve the structural invariants checked by `validate()` and the
 //! `QueueStats` conservation law (`inserts == coalesced + drained +
 //! len()`, where `len()` counts slot residents and overflow together).
-//! The run-exchange properties at the bottom pin the contract the async
+//! The row property pins [`CoalescingQueue::insert_row`] — the kernel's
+//! whole-row emission — to the event-at-a-time reference, and the
+//! run-exchange properties at the bottom pin the contract the async
 //! engine's cross-shard exchange (DESIGN.md §16.2) builds on
 //! [`CoalescingQueue::insert_run`].
 
-use jetstream_algorithms::Sssp;
+use jetstream_algorithms::{Algorithm, Reduce, Sssp};
 use jetstream_core::{CoalescingQueue, Event};
 use jetstream_testkit::{run_cases, DetRng};
 
@@ -200,7 +202,7 @@ impl NaiveQueue {
         }
     }
 
-    fn insert(&mut self, event: Event, alg: &dyn jetstream_algorithms::Algorithm) {
+    fn insert(&mut self, event: Event, reduce: Reduce) {
         self.stats.inserts += 1;
         if event.is_delete && !self.coalesce_deletes {
             self.stats.overflowed += 1;
@@ -215,7 +217,7 @@ impl NaiveQueue {
                     self.overflow.push_back(event);
                     return;
                 }
-                let reduced = alg.reduce(resident.payload, event.payload);
+                let reduced = reduce.apply(resident.payload, event.payload);
                 if reduced != resident.payload {
                     resident.source = event.source;
                 }
@@ -270,7 +272,7 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
                 0..=6 => {
                     let ev = arb_event(rng, num_vertices);
                     real.insert(ev, &alg());
-                    naive.insert(ev, &alg());
+                    naive.insert(ev, alg().reduce_op());
                 }
                 7 => {
                     let bin = rng.gen_index(real.num_bins());
@@ -316,6 +318,94 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
         assert!(real.is_empty());
         assert_eq!(real.stats(), naive.stats, "final stats");
     });
+}
+
+#[test]
+fn a_row_insert_is_its_events_inserted_one_by_one() {
+    // `insert_row` is the kernel's emission path wherever the delta is
+    // shared by a whole CSR row. Contract: indistinguishable from feeding
+    // the row's events, in row order, to the naive reference — same slots
+    // (so the same bin lengths), same overflow order, same four
+    // `QueueStats` — for every operator, sourced and sourceless rows,
+    // duplicate targets, a shard-local `base`, and whatever is already
+    // resident: plain, request-flagged and sourced regular events, deletes
+    // (which the row's events must spill beside, never fold into), with
+    // delete coalescing on or off. A sourceless row exercises the
+    // two-array shortcut while nothing tagged is resident and the flag
+    // path ("a dominant sourceless payload clears the source") otherwise.
+    run_cases("queue: insert_row == event-at-a-time", 256, |rng| {
+        let num_vertices = 1 + rng.gen_index(96);
+        let num_bins = 1 + rng.gen_index(8);
+        let base = rng.gen_index(1000) as u32;
+        let mut real = CoalescingQueue::new(num_vertices, num_bins);
+        let mut naive = NaiveQueue::new(num_vertices, num_bins);
+        let payload = |rng: &mut DetRng| (rng.gen_index(7) as f64 - 3.0) * 0.5; // ties are common
+        for step in 0..rng.gen_index(12) {
+            // Residents first: half the cases start from plain residents
+            // only, so the shortcut is what the row runs through.
+            let tagged_allowed = rng.gen_bool(0.5);
+            for _ in 0..rng.gen_index(40) {
+                let target = rng.gen_index(num_vertices) as u32;
+                let ev = match rng.gen_index(if tagged_allowed { 4 } else { 2 }) {
+                    0 => Event::regular(target, payload(rng)),
+                    1 => Event::request(target, payload(rng)),
+                    2 => Event::regular_from(rng.gen_index(50) as u32, target, payload(rng)),
+                    _ => Event::delete(rng.gen_index(50) as u32, target, payload(rng)),
+                };
+                let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
+                real.insert_with(ev, reduce);
+                naive.insert(ev, reduce);
+            }
+            if rng.gen_bool(0.3) {
+                let coalesce = rng.gen_bool(0.5);
+                real.set_coalesce_deletes(coalesce);
+                naive.set_coalesce_deletes(coalesce);
+            }
+
+            let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
+            let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
+            let delta = payload(rng);
+            let row: Vec<u32> =
+                (0..rng.gen_index(65)).map(|_| base + rng.gen_index(num_vertices) as u32).collect();
+            real.insert_row(base, &row, delta, source, reduce);
+            for &v in &row {
+                naive.insert(Event { source, ..Event::regular(v - base, delta) }, reduce);
+            }
+            assert_eq!(
+                real.stats(),
+                naive.stats,
+                "stats after row {step} ({reduce:?}, {source:?})"
+            );
+            real.validate().unwrap_or_else(|why| panic!("after row {step}: {why}"));
+
+            if rng.gen_bool(0.3) {
+                // Drain a bin mid-sequence: the tagged-resident count has
+                // to follow drains as well as folds.
+                let bin = rng.gen_index(real.num_bins());
+                assert_eq!(real.take_bin(bin), naive.take_bin(bin), "bin {bin} after row {step}");
+                real.validate().unwrap_or_else(|why| panic!("after draining bin {bin}: {why}"));
+            }
+        }
+        for bin in 0..real.num_bins() {
+            assert_eq!(real.take_bin(bin), naive.take_bin(bin), "final contents of bin {bin}");
+        }
+        loop {
+            let (a, b) = (real.pop_overflow(), naive.pop_overflow());
+            assert_eq!(a, b, "overflow order");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(real.stats(), naive.stats, "final stats");
+        real.validate().unwrap_or_else(|why| panic!("{why}"));
+    });
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn a_row_target_below_the_base_is_out_of_range() {
+    let mut queue = CoalescingQueue::new(8, 2);
+    queue.insert_row(100, &[101, 99], 1.0, None, Reduce::Sum);
 }
 
 /// Builds `num_shards` contiguous vertex ranges covering `num_vertices`
@@ -437,7 +527,7 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
         let mut one_at_a_time = CoalescingQueue::new(num_vertices, receiver_bins);
         let deliver =
             |run: &[Event], batched: &mut CoalescingQueue, single: &mut CoalescingQueue| {
-                batched.insert_run(run, &alg());
+                batched.insert_run(run, alg().reduce_op());
                 for &ev in run {
                     single.insert(ev, &alg());
                 }
@@ -529,12 +619,12 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
                 let sender = rng.gen_index(num_senders);
                 let bin = rng.gen_index(outboxes[sender].num_bins());
                 let run = outboxes[sender].take_bin(bin);
-                through_outboxes.insert_run(&run, &alg());
+                through_outboxes.insert_run(&run, alg().reduce_op());
             }
         }
         for outbox in &mut outboxes {
             let run = outbox.take_all();
-            through_outboxes.insert_run(&run, &alg());
+            through_outboxes.insert_run(&run, alg().reduce_op());
             assert_eq!(outbox.overflow_len(), 0, "same-kind streams never overflow an outbox");
         }
 

@@ -149,12 +149,14 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
     /// (Maiter-style delta forwarding).
     fn propagate(&self, state: Value, applied_delta: Value, ctx: &EdgeCtx) -> Option<Value>;
 
-    /// True when [`propagate`](Algorithm::propagate) ignores the per-edge
-    /// fields of [`EdgeCtx`] (`weight` and `weight_sum`), so every
-    /// out-edge of a vertex carries the *same* delta. Engines then
-    /// evaluate the propagation function once per processed event instead
-    /// of once per edge — a pure dispatch saving; the emitted events are
-    /// bit-identical either way.
+    /// True when [`propagate`](Algorithm::propagate) *and*
+    /// [`cumulative_edge_contribution`](Algorithm::cumulative_edge_contribution)
+    /// ignore the per-edge fields of [`EdgeCtx`] (`weight` and
+    /// `weight_sum`), so every out-edge of a vertex carries the *same*
+    /// delta and the same rollback/replay contribution. Engines then
+    /// evaluate either function once per vertex instead of once per edge
+    /// and hand the row of targets on whole — a pure dispatch saving; the
+    /// emitted events are bit-identical either way.
     fn propagation_is_edge_invariant(&self) -> bool {
         false
     }
@@ -375,5 +377,44 @@ mod tests {
                 assert_eq!(a.reduce(x, y), a.reduce(y, x), "{}", w.name());
             }
         }
+    }
+
+    // The contract engines lean on when they evaluate once per row: an
+    // algorithm that calls itself edge-invariant answers the same, bit for
+    // bit, whatever `weight` and `weight_sum` say — for the delta it
+    // forwards and for the contribution it rolls back.
+    #[test]
+    fn edge_invariant_algorithms_ignore_the_per_edge_fields() {
+        let mut invariant = Vec::new();
+        for w in Workload::ALL {
+            let a = w.instantiate(0);
+            if !a.propagation_is_edge_invariant() {
+                continue;
+            }
+            invariant.push(w);
+            for out_degree in [0, 1, 3, 17] {
+                let zeroed = EdgeCtx { weight: 0.0, out_degree, weight_sum: 0.0 };
+                let others = [(1.0, 1.0), (0.25, 7.5), (-3.0, Value::INFINITY), (Value::NAN, -0.0)]
+                    .map(|(weight, weight_sum)| EdgeCtx { weight, out_degree, weight_sum });
+                for (state, delta) in [(0.0, 0.15), (2.5, 2.5), (1.0, -0.3), (7.0, 1e-9)] {
+                    let bits = |x: Option<Value>| x.map(Value::to_bits);
+                    for ctx in &others {
+                        assert_eq!(
+                            bits(a.propagate(state, delta, ctx)),
+                            bits(a.propagate(state, delta, &zeroed)),
+                            "{} propagate({state}, {delta}, {ctx:?})",
+                            w.name()
+                        );
+                        assert_eq!(
+                            bits(a.cumulative_edge_contribution(state, ctx)),
+                            bits(a.cumulative_edge_contribution(state, &zeroed)),
+                            "{} cumulative_edge_contribution({state}, {ctx:?})",
+                            w.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(invariant, [Workload::Bfs, Workload::Cc, Workload::PageRank]);
     }
 }

@@ -375,6 +375,19 @@ impl Drain for Sequential {
         self.queue.insert_with(ev, reduce);
     }
 
+    // hot-path
+    fn seed_row(
+        &mut self,
+        reduce: Reduce,
+        stats: &mut RunStats,
+        targets: &[VertexId],
+        delta: Value,
+    ) {
+        stats.events_generated += targets.len() as u64;
+        stats.spilled_events += spills(self.slice_cap, 0, targets);
+        self.queue.insert_row(0, targets, delta, None, reduce);
+    }
+
     /// Drains the queue in canonical supersteps until empty.
     ///
     /// A round is the snapshot of everything queued at round start: every
@@ -530,6 +543,36 @@ mod tests {
         assert_eq!(e.num_slices(), 1);
         e.initial_compute();
         assert_eq!(e.values(), &[0.0, 1.0, 3.0, 6.0]);
+    }
+
+    // A row through `seed_row` is that row through `seed`, event by event:
+    // same resident events, same queue and run counters, same spills over
+    // three slices (targets 4.. lie outside slice 0, where seeds are
+    // issued from).
+    #[test]
+    fn seed_row_is_seed_event_by_event() {
+        let csr = CsrPair::new(jetstream_graph::Csr::empty(12));
+        let config = EngineConfig { num_bins: 4, queue_capacity: Some(4), ..Default::default() };
+        let rows: [(&[VertexId], Value); 5] =
+            [(&[1, 2, 5, 11], 0.5), (&[0, 5, 6], -0.25), (&[], 1.0), (&[5], -0.25), (&[3, 4], 2.0)];
+        let (mut by_row, mut by_event) =
+            (Sequential::new(&csr, &config), Sequential::new(&csr, &config));
+        let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
+        for (targets, delta) in rows {
+            by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta);
+            for &v in targets {
+                by_event.seed(Reduce::Sum, &mut event_stats, Event::regular(v, delta));
+            }
+        }
+        let want = RunStats { events_generated: 10, spilled_events: 6, ..RunStats::default() };
+        assert_eq!(row_stats, want);
+        assert_eq!(event_stats, want);
+        assert_eq!(by_row.queue_stats(), by_event.queue_stats());
+        assert_eq!(by_row.queue_stats().coalesced, 2, "vertex 5 is hit three times");
+        let drained = by_row.queue.take_all();
+        assert_eq!(drained, by_event.queue.take_all());
+        assert_eq!(drained.len(), 8);
+        assert_eq!(drained[5], Event::regular(5, 0.5 - 0.25 - 0.25));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct RunState<'a> {
 }
 
 pub(crate) mod sealed {
-    use super::{Event, KernelCtx, QueueStats, Reduce, RunState, RunStats};
+    use super::{Event, KernelCtx, QueueStats, Reduce, RunState, RunStats, Value, VertexId};
 
     /// The seams [`StreamingFlow`](super::StreamingFlow) needs around an
     /// event queue. Crate-private by construction: the module is not
@@ -60,6 +60,17 @@ pub(crate) mod sealed {
         /// Queues one setup-phase event, counting it in `stats`; `reduce`
         /// is the algorithm's operator, should it coalesce.
         fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
+        /// Queues one regular setup-phase event per entry of `targets` (a
+        /// CSR row, ascending), all carrying `delta` — exactly as if each
+        /// had gone through [`seed`](Drain::seed) in row order, with
+        /// `stats` booked once for the row.
+        fn seed_row(
+            &mut self,
+            reduce: Reduce,
+            stats: &mut RunStats,
+            targets: &[VertexId],
+            delta: Value,
+        );
         /// Drains everything seeded (and everything that emits) to
         /// quiescence through [`kernel::process_event`](crate::kernel).
         fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>);
@@ -109,19 +120,15 @@ pub struct StreamingFlow<X: Executor> {
     stats: RunStats,
     pub(crate) tracer: TraceBuilder,
     pub(crate) exec: X,
-    /// Reusable per-batch scratch, the flow's alone (executors keep their
-    /// own drain buffers): touched vertices of an accumulative batch, their
-    /// captured old out-edges (flattened, with prefix bounds), their value
-    /// snapshot, a neighbor buffer for phases that seed while reading the
-    /// CSR, and the request-phase source list. Each grows to its high-water
-    /// mark once and is empty between batches, so steady-state streaming
-    /// allocates nothing.
+    /// The one reusable per-batch buffer, the flow's alone (executors keep
+    /// their own drain buffers): the sorted, deduplicated sources an
+    /// accumulative batch touches, which both of its set-up phases walk. It
+    /// grows to its high-water mark once and is empty between batches, so
+    /// steady-state streaming allocates nothing. Every other row a set-up
+    /// phase needs is read in place from the CSR mirror — at the pre-batch
+    /// version before [`advance_mirror`](Self::advance_mirror), at the new
+    /// one after — so nothing else is copied.
     touched_scratch: Vec<VertexId>,
-    old_edge_scratch: Vec<(VertexId, Value)>,
-    old_edge_bounds: Vec<usize>,
-    state_scratch: Vec<Value>,
-    edge_scratch: Vec<(VertexId, Value)>,
-    source_scratch: Vec<VertexId>,
 }
 
 impl<X: Executor> StreamingFlow<X> {
@@ -152,11 +159,6 @@ impl<X: Executor> StreamingFlow<X> {
             stats: RunStats::default(),
             tracer: TraceBuilder::default(),
             touched_scratch: Vec::new(),
-            old_edge_scratch: Vec::new(),
-            old_edge_bounds: Vec::new(),
-            state_scratch: Vec::new(),
-            edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
         }
     }
 
@@ -231,7 +233,7 @@ impl<X: Executor> StreamingFlow<X> {
         for (v, val) in self.alg.initial_events(&self.csr.out) {
             let targets_start = self.tracer.targets_start();
             self.seed(Event::regular(v, val));
-            self.trace_setup_op(OpKind::StreamRead, v, 0, targets_start, 1);
+            self.tracer.push_op(setup_op(OpKind::StreamRead, v, 0, targets_start, 1));
         }
         self.tracer.end_round();
         self.drain();
@@ -433,26 +435,6 @@ impl<X: Executor> StreamingFlow<X> {
         self.tracer.push_targets(&[event.target]);
     }
 
-    /// Records one setup-phase op that read `edges_read` edges and seeded
-    /// `generated` events since `targets_start`.
-    fn trace_setup_op(
-        &mut self,
-        kind: OpKind,
-        vertex: VertexId,
-        edges_read: usize,
-        targets_start: u32,
-        generated: u32,
-    ) {
-        self.tracer.push_op(TraceOp {
-            vertex,
-            kind,
-            changed: generated > 0,
-            edges_read: edges_read as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            targets_start,
-            targets_len: generated,
-        });
-    }
-
     /// Drains the seeded events to quiescence on the active CSR.
     fn drain(&mut self) {
         let StreamingFlow { alg, csr, config, values, dependency, impacted, stats, tracer, .. } =
@@ -490,19 +472,10 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Capture deleted-edge weights before mutating, then validate and
-        // apply the batch to the host graph. The delete phase still runs on
-        // the old CSR (the mirror only advances after recovery).
-        let deleted: Vec<(VertexId, VertexId, Value)> = batch
-            .deletions()
-            .iter()
-            .map(|&(u, v)| {
-                self.host
-                    .edge_weight(u, v)
-                    .map(|w| (u, v, w))
-                    .ok_or(GraphError::MissingEdge { source: u, target: v })
-            })
-            .collect::<Result<_, _>>()?;
+        // The host validates the whole batch and applies it; nothing is
+        // seeded for a rejected one. The delete phase still runs on the old
+        // CSR (the mirror only advances after recovery), which is also
+        // where VAP reads a deleted edge's weight.
         self.host.apply_batch(batch)?;
         self.impacted.clear();
 
@@ -514,31 +487,34 @@ impl<X: Executor> StreamingFlow<X> {
         // Phase 1 — stream deleted edges into delete events (Algorithm 4,
         // ProcessDeletesSelective; §4.6.2 "Delete Setup and Preparation").
         self.tracer.begin_phase(Phase::DeleteSetup);
-        for (u, v, w) in deleted {
+        for &(u, v) in batch.deletions() {
             self.stats.stream_reads += 1;
             self.stats.vertex_reads += 1; // source state read
             let targets_start = self.tracer.targets_start();
             let event = match self.config.delete_strategy {
                 DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
-                DeleteStrategy::Vap => {
-                    // Payload carries the contribution that flowed over the
-                    // deleted edge; if the source never propagated there is
-                    // nothing to revert.
-                    let state = self.values[ix(u)];
-                    let deg = self.csr.out.degree(u);
-                    let wsum = self.cx().weight_sum(u);
-                    let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                    self.alg
-                        .propagate(state, state, &ctx)
-                        .map(|payload| Event::delete(u, v, payload))
-                }
+                // Payload carries the contribution that flowed over the
+                // deleted edge; if the source never propagated there is
+                // nothing to revert.
+                DeleteStrategy::Vap => self
+                    .csr
+                    .out
+                    .edge_weight(u, v)
+                    .and_then(|weight| {
+                        let state = self.values[ix(u)];
+                        let out_degree = self.csr.out.degree(u);
+                        let ctx =
+                            EdgeCtx { weight, out_degree, weight_sum: self.cx().weight_sum(u) };
+                        self.alg.propagate(state, state, &ctx)
+                    })
+                    .map(|payload| Event::delete(u, v, payload)),
                 DeleteStrategy::Dap => Some(Event::delete(u, v, self.alg.identity())),
             };
-            let emitted = u32::from(event.is_some());
             if let Some(ev) = event {
                 self.seed(ev);
             }
-            self.trace_setup_op(OpKind::StreamRead, u, 0, targets_start, emitted);
+            let emitted = usize::from(event.is_some());
+            self.tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
         self.tracer.end_round();
 
@@ -551,35 +527,32 @@ impl<X: Executor> StreamingFlow<X> {
         self.advance_mirror(batch);
 
         // Phase 3 — request events along each impacted vertex's incoming
-        // edges (Algorithm 4, Reapproximate).
+        // edges (Algorithm 4, Reapproximate), seeded straight from the
+        // borrowed in-edge row.
         self.tracer.begin_phase(Phase::RequestSetup);
-        let impacted = std::mem::take(&mut self.impacted);
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let identity = self.alg.identity();
-        for &x in &impacted {
-            let in_deg = self.csr.inc.degree(x);
-            self.stats.edge_reads += in_deg as u64;
-            let targets_start = self.tracer.targets_start();
-            sources.clear();
-            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
-            let mut count = sources.len() as u32; // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            for &u in &sources {
-                self.stats.request_events += 1;
-                self.seed(Event::request(u, identity));
+        let StreamingFlow { alg, reduce, csr, impacted, stats, tracer, exec, .. } = self;
+        let identity = alg.identity();
+        for &x in impacted.iter() {
+            let sources = csr.inc.neighbor_targets(x);
+            stats.edge_reads += sources.len() as u64;
+            stats.request_events += sources.len() as u64;
+            let targets_start = tracer.targets_start();
+            for &u in sources {
+                exec.seed(*reduce, stats, Event::request(u, identity));
             }
+            tracer.push_targets(sources);
+            let mut count = sources.len();
             // Replay the initializer's contribution for the reset vertex:
             // values seeded by InitialEvents() (the query root, CC
             // self-labels) do not arrive over any edge, so neighbor
             // requests alone cannot restore them.
-            if let Some(seed) = self.alg.initial_event(x) {
-                self.seed(Event::regular(x, seed));
+            if let Some(seed) = alg.initial_event(x) {
+                exec.seed(*reduce, stats, Event::regular(x, seed));
+                tracer.push_targets(&[x]);
                 count += 1;
             }
-            self.trace_setup_op(OpKind::RequestSetup, x, in_deg, targets_start, count);
+            tracer.push_op(setup_op(OpKind::RequestSetup, x, sources.len(), targets_start, count));
         }
-        self.impacted = impacted;
-        sources.clear();
-        self.source_scratch = sources;
         self.tracer.end_round();
 
         // Phase 4 — stream inserted edges into regular events
@@ -607,8 +580,8 @@ impl<X: Executor> StreamingFlow<X> {
                 let event = if dap { Event::regular_from(u, v, d) } else { Event::regular(v, d) };
                 self.seed(event);
             }
-            let emitted = u32::from(delta.is_some());
-            self.trace_setup_op(OpKind::StreamRead, u, 0, targets_start, emitted);
+            let emitted = usize::from(delta.is_some());
+            self.tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
         self.tracer.end_round();
     }
@@ -618,91 +591,29 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Per-batch scratch (sorted touched ids, flattened old out-edges
-        // with prefix bounds, value snapshot) is swapped out of `self` so
-        // the body can borrow it alongside `&mut self`; it goes back at
-        // the end, so steady-state streaming allocates nothing.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        let mut old_edges = std::mem::take(&mut self.old_edge_scratch);
-        let mut bounds = std::mem::take(&mut self.old_edge_bounds);
-        let mut snapshot = std::mem::take(&mut self.state_scratch);
-        let result = self.stream_accumulative_with(
-            batch,
-            &mut touched,
-            &mut old_edges,
-            &mut bounds,
-            &mut snapshot,
-        );
-        touched.clear();
-        old_edges.clear();
-        bounds.clear();
-        snapshot.clear();
-        self.touched_scratch = touched;
-        self.old_edge_scratch = old_edges;
-        self.old_edge_bounds = bounds;
-        self.state_scratch = snapshot;
-        result
-    }
-
-    fn stream_accumulative_with(
-        &mut self,
-        batch: &UpdateBatch,
-        touched: &mut Vec<VertexId>,
-        old_edges: &mut Vec<(VertexId, Value)>,
-        bounds: &mut Vec<usize>,
-        snapshot: &mut Vec<Value>,
-    ) -> Result<(), GraphError> {
+        // The host validates the whole batch and applies it; nothing is
+        // seeded for a rejected one. The CSR mirror stays at the pre-batch
+        // version until Phase 1 has read it.
+        self.host.apply_batch(batch)?;
+        self.impacted.clear();
         // `touched` vertices have an out-edge added or deleted: their
         // per-edge contribution factor (1/deg or w/wsum) changes, so the
         // sink transform of Fig. 5 removes *all* their out-edges first.
+        // The buffer is swapped out of `self` for the batch and goes back
+        // empty, so steady-state streaming allocates nothing.
+        let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.extend(batch.deletions().iter().map(|&(u, _)| u));
         touched.extend(batch.insertions().iter().map(|&(u, _, _)| u));
         touched.sort_unstable();
         touched.dedup();
-        // Only the touched vertices' out-edge lists change when the batch
-        // applies, so capturing those slices (flattened; row `i` lives at
-        // `old_edges[bounds[i]..bounds[i+1]]`) replaces the former full
-        // `self.host.clone()` (O(batch) instead of O(V + E) per batch).
-        bounds.push(0);
-        for &u in touched.iter() {
-            // An out-of-range source has no row to capture; `apply_batch`
-            // below rejects the batch with the typed error.
-            if usize::try_from(u).is_ok_and(|row| row < self.host.num_vertices()) {
-                old_edges.extend(self.host.neighbors(u));
-            }
-            bounds.push(old_edges.len());
-        }
-        self.host.apply_batch(batch)?;
-        self.impacted.clear();
-        // The CSR mirror advances to the new version right away; phases
-        // that need the *old* adjacency use the captured slices.
-        self.advance_mirror(batch);
 
         // Phase 1 — negative events for every old out-edge of a touched
-        // vertex, using the old degree/weight-sum (Algorithm 3).
-        self.tracer.begin_phase(Phase::DeleteSetup);
-        snapshot.extend(touched.iter().map(|&u| self.values[ix(u)]));
-        for (i, (&u, &state)) in touched.iter().zip(snapshot.iter()).enumerate() {
-            let row = &old_edges[bounds[i]..bounds[i + 1]];
-            let deg = row.len();
-            let wsum: Value =
-                if self.alg.needs_weight_sum() { row.iter().map(|&(_, w)| w).sum() } else { 0.0 };
-            self.stats.vertex_reads += 1;
-            let targets_start = self.tracer.targets_start();
-            let mut generated = 0u32;
-            for &(v, w) in row {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.seed(Event::regular(v, -c));
-                        generated += 1;
-                    }
-                }
-            }
-            self.trace_setup_op(OpKind::StreamRead, u, deg, targets_start, generated);
-        }
-        self.tracer.end_round();
+        // vertex, using the old degree/weight-sum (Algorithm 3): the
+        // mirror's rows are still the old ones.
+        self.seed_contributions(Phase::DeleteSetup, &touched, true);
+
+        // Graph switches to the new version (§3.5).
+        self.advance_mirror(batch);
 
         if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
             // Compute on the intermediate graph: the old graph with all
@@ -730,44 +641,78 @@ impl<X: Executor> StreamingFlow<X> {
 
         // Phase 2 — re-insertion events for every *new* out-edge of a
         // touched vertex, using the new degree/weight-sum (Fig. 5c). Under
-        // coalesced recovery these merge in the queue with the pending
-        // negative events, cancelling the rollback of kept edges.
-        self.tracer.begin_phase(Phase::InsertSetup);
-        let mut edges = std::mem::take(&mut self.edge_scratch);
-        for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
-            let deg = self.csr.out.degree(u);
-            let wsum = self.cx().weight_sum(u);
-            // Two-phase recovery replays whatever state the intermediate
-            // convergence left; coalesced recovery replays the same
-            // snapshot the rollback used.
-            let state = match self.config.accumulative_recovery {
-                AccumulativeRecovery::TwoPhase => self.values[ix(u)],
-                AccumulativeRecovery::Coalesced => old_state,
-            };
-            self.stats.vertex_reads += 1;
-            let targets_start = self.tracer.targets_start();
-            let mut generated = 0u32;
-            edges.clear();
-            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
-            for &(v, w) in &edges {
-                self.stats.stream_reads += 1;
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(c) = self.alg.cumulative_edge_contribution(state, &ctx) {
-                    if self.alg.changes_state(0.0, c) {
-                        self.seed(Event::regular(v, c));
-                        generated += 1;
-                    }
-                }
-            }
-            self.trace_setup_op(OpKind::StreamRead, u, deg, targets_start, generated);
-        }
-        edges.clear();
-        self.edge_scratch = edges;
-        self.tracer.end_round();
+        // coalesced recovery nothing has drained since Phase 1, so these
+        // replay the very state the rollback used and merge in the queue
+        // with the pending negative events, cancelling the rollback of
+        // kept edges; two-phase recovery replays whatever state the
+        // intermediate convergence left.
+        self.seed_contributions(Phase::InsertSetup, &touched, false);
+        touched.clear();
+        self.touched_scratch = touched;
 
         // Phase 3 — recompute on the new graph version (the mirror already
         // points at it).
         self.drain_phase(Phase::Recompute);
         Ok(())
     }
+
+    /// One accumulative set-up phase (§4.6.2 "Delete Setup and
+    /// Preparation"): streams each touched vertex's out-edge row from the
+    /// CSR mirror, as it stands, into one event per edge carrying the
+    /// vertex's cumulative contribution over that edge — negated when
+    /// `rollback`. Where the contribution is the same for every edge of a
+    /// row ([`Algorithm::propagation_is_edge_invariant`]) it is evaluated
+    /// once and the row goes to the executor whole.
+    fn seed_contributions(&mut self, phase: Phase, touched: &[VertexId], rollback: bool) {
+        self.tracer.begin_phase(phase);
+        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
+        for &u in touched {
+            let state = values[ix(u)];
+            let out_degree = csr.out.degree(u);
+            stats.vertex_reads += 1;
+            stats.stream_reads += out_degree as u64;
+            let targets_start = tracer.targets_start();
+            let contribution = |weight: Value, weight_sum: Value| {
+                let ctx = EdgeCtx { weight, out_degree, weight_sum };
+                let c = alg.cumulative_edge_contribution(state, &ctx)?;
+                alg.changes_state(0.0, c).then_some(if rollback { -c } else { c })
+            };
+            let mut generated = 0;
+            if cx.edge_invariant {
+                // The per-edge fields are unread, so zeros produce the
+                // identical contribution.
+                if let Some(c) = contribution(0.0, 0.0) {
+                    let targets = csr.out.neighbor_targets(u);
+                    exec.seed_row(*reduce, stats, targets, c);
+                    tracer.push_targets(targets);
+                    generated = targets.len();
+                }
+            } else {
+                let weight_sum = cx.weight_sum(u);
+                for e in csr.out.neighbors(u) {
+                    if let Some(c) = contribution(e.weight, weight_sum) {
+                        exec.seed(*reduce, stats, Event::regular(e.other, c));
+                        tracer.push_targets(&[e.other]);
+                        generated += 1;
+                    }
+                }
+            }
+            tracer.push_op(setup_op(OpKind::StreamRead, u, out_degree, targets_start, generated));
+        }
+        self.tracer.end_round();
+    }
+}
+
+/// The traced form of one setup-phase op that read `edges_read` edges and
+/// seeded `generated` events since `targets_start`.
+fn setup_op(
+    kind: OpKind,
+    vertex: VertexId,
+    edges_read: usize,
+    targets_start: u32,
+    generated: usize,
+) -> TraceOp {
+    let [edges_read, targets_len] = [edges_read, generated].map(|n| n as u32); // cast-ok: counts bounded by num_edges < 2^32, checked at graph construction
+    TraceOp { vertex, kind, changed: generated > 0, edges_read, targets_start, targets_len }
 }

@@ -53,7 +53,9 @@ pub struct KernelCtx<'a> {
     /// Dependency-aware propagation is in force: the strategy is DAP and
     /// the algorithm selective (§5.2 defines it for those only).
     pub dap_active: bool,
-    edge_invariant: bool,
+    /// Every out-edge of a vertex carries the same delta
+    /// ([`Algorithm::propagation_is_edge_invariant`]): rows go out whole.
+    pub edge_invariant: bool,
     needs_weight_sum: bool,
 }
 

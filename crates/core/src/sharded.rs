@@ -600,6 +600,32 @@ impl Drain for Sharded {
         self.pending[dest].push(Keyed { key, ev });
     }
 
+    /// A row ascends, so each shard's share of it is one contiguous run:
+    /// the row is split at the shard bounds, and every run is reserved for
+    /// once and appended under consecutive `seq` keys — the keys
+    /// [`seed`](Drain::seed) would have handed out event by event.
+    // hot-path
+    fn seed_row(
+        &mut self,
+        _reduce: Reduce,
+        stats: &mut RunStats,
+        targets: &[VertexId],
+        delta: Value,
+    ) {
+        stats.events_generated += targets.len() as u64;
+        let mut rest = targets;
+        for (inbox, &end) in self.pending.iter_mut().zip(self.bounds.iter().skip(1)) {
+            let (run, tail) = rest.split_at(rest.partition_point(|&v| ix(v) < end));
+            inbox.reserve(run.len());
+            for &v in run {
+                let key = (self.seq as u128) << IDX_BITS;
+                self.seq += 1;
+                inbox.push(Keyed { key, ev: Event::regular(v, delta) });
+            }
+            rest = tail;
+        }
+    }
+
     /// Drains the pending seed inboxes to convergence with one worker
     /// thread per shard, in the selected [`ExecutionMode`], then hands the
     /// workers' impacted records and counters back to the flow.
@@ -1179,6 +1205,52 @@ mod tests {
             assert_eq!(stats.events_processed, 4);
             assert_eq!(stats.vertex_writes, 4);
             assert_eq!(e.validate_converged(), Ok(()));
+        }
+    }
+
+    // A row through `seed_row` lands in the inboxes exactly as through
+    // `seed`, event by event: same shard, same order, same consecutive
+    // keys (continuing across a keyed delete in between), same counters.
+    // With 12 isolated vertices the bounds are multiples of 12 / shards, so
+    // the rows hold targets on a bound (3, 6, 9), just below one (2, 5, 8)
+    // and runs that skip a shard.
+    #[test]
+    fn seed_row_is_seed_event_by_event() {
+        let out = Csr::empty(12);
+        let rows: [(&[VertexId], Value); 5] = [
+            (&[0, 2, 3, 5, 6, 8, 9, 11], 0.5),
+            (&[1, 10], -0.25),
+            (&[], 1.0),
+            (&[6], 2.0),
+            (&[3, 4, 5], -1.0),
+        ];
+        for shards in [1, 2, 4] {
+            let (mut by_row, mut by_event) =
+                (Sharded::new(&out, 4, shards), Sharded::new(&out, 4, shards));
+            assert_eq!(by_row.bounds, (0..=shards).map(|s| s * 12 / shards).collect::<Vec<_>>());
+            let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
+            for (targets, delta) in rows {
+                by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta);
+                for &v in targets {
+                    by_event.seed(Reduce::Sum, &mut event_stats, Event::regular(v, delta));
+                }
+                for exec in [&mut by_row, &mut by_event] {
+                    exec.set_coalesce_deletes(false);
+                    exec.seed(Reduce::Sum, &mut RunStats::default(), Event::delete(0, 7, 0.0));
+                }
+            }
+            assert_eq!(row_stats, RunStats { events_generated: 14, ..RunStats::default() });
+            assert_eq!(row_stats, event_stats, "shards={shards}");
+            assert_eq!(by_row.seq, 19, "shards={shards}");
+            assert_eq!(by_row.seq, by_event.seq, "shards={shards}");
+            let inboxes = |exec: &Sharded| -> Vec<Vec<(u128, Event)>> {
+                exec.pending.iter().map(|p| p.iter().map(|k| (k.key, k.ev)).collect()).collect()
+            };
+            assert_eq!(inboxes(&by_row), inboxes(&by_event), "shards={shards}");
+            for (s, inbox) in by_row.pending.iter().enumerate() {
+                let owned = by_row.bounds[s]..by_row.bounds[s + 1];
+                assert!(inbox.iter().all(|k| owned.contains(&ix(k.ev.target))), "shards={shards}");
+            }
         }
     }
 

@@ -8,8 +8,8 @@
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{
-    DeleteStrategy, EngineConfig, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
-    UpdateSafety,
+    AccumulativeRecovery, DeleteStrategy, EngineConfig, Executor, ShardedEngine, StreamingEngine,
+    StreamingFlow, UpdateSafety,
 };
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch, VertexId};
 
@@ -376,7 +376,6 @@ fn weight_change_via_delete_and_insert() {
 fn two_phase_accumulative_recovery_matches_oracle() {
     // The paper's literal Algorithm 6 (intermediate-graph flow) must agree
     // with both the oracle and the default coalesced recovery.
-    use jetstream_core::AccumulativeRecovery;
     let g = gen::rmat(200, 1200, gen::RmatParams::default(), 61);
     let batch = gen::batch_with_ratio(&g, 60, 0.7, 62);
     for w in [Workload::PageRank, Workload::Adsorption] {
@@ -404,7 +403,6 @@ fn two_phase_accumulative_recovery_matches_oracle() {
 
 #[test]
 fn coalesced_recovery_does_less_work_than_two_phase() {
-    use jetstream_core::AccumulativeRecovery;
     let g = gen::rmat(2048, 16384, gen::RmatParams::default(), 63);
     let batch = gen::batch_with_ratio(&g, 16, 0.7, 64);
     let work = |recovery| {
@@ -457,6 +455,19 @@ fn assert_rejections_leave_no_trace<X: Executor>(
     let mut batch = UpdateBatch::new();
     batch.insert(5, 5, 1.0);
     rejected.push(("self loop", batch));
+    // Valid updates first, the offender last: nothing of a batch may be
+    // seeded, and the mirror may not move, before all of it is accepted.
+    let fresh = (0..100).find(|&t| t != u && !g.has_edge(u, t)).unwrap();
+    let mut batch = UpdateBatch::new();
+    batch.delete(u, v);
+    batch.insert(u, fresh, 1.0);
+    batch.delete(0, 99);
+    rejected.push(("valid updates, then a missing delete", batch));
+    let mut batch = UpdateBatch::new();
+    batch.delete(u, v);
+    batch.insert(u, fresh, 1.0);
+    batch.insert(10_000, 0, 1.0);
+    rejected.push(("valid updates, then an out-of-range source", batch));
     for (what, batch) in &rejected {
         assert!(engine.apply_update_batch(batch).is_err(), "{}: {what}", w.name());
         assert!(engine.apply_admitted_batch(batch).is_err(), "{}: {what} (admitted)", w.name());
@@ -732,17 +743,20 @@ fn hub_loop_sink_batch() -> UpdateBatch {
     batch
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte of `x`, little end first.
+fn fnv1a(h: u64, x: u64) -> u64 {
+    x.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// FNV-1a over everything a [`Trace`](jetstream_core::trace::Trace)
 /// records: phase labels, round boundaries, every op field, and the flat
 /// target array.
 fn trace_digest(trace: &jetstream_core::trace::Trace) -> u64 {
     use jetstream_core::trace::OpKind;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |x: u64| h = fnv1a(h, x);
     for phase in &trace.phases {
         phase.phase.label().bytes().for_each(|b| eat(u64::from(b)));
         for round in &phase.rounds {
@@ -782,11 +796,29 @@ struct Golden {
     impacted: &'static [VertexId],
     /// `spilled_events` of the same two runs under `queue_capacity = n / 3`.
     spilled: (u64, u64),
+    /// FNV-1a over the `to_bits` of every final value (captured at
+    /// 56abb9f for every row).
+    values: u64,
 }
 
-fn check_golden(workload: Workload, strategy: DeleteStrategy, want: &Golden) {
-    let label = format!("{} ({strategy:?})", workload.name());
-    let mut engine = engine_for(workload, hub_loop_sink_graph(), strategy, 0);
+fn values_digest(values: &[f64]) -> u64 {
+    values.iter().fold(FNV_OFFSET, |h, v| fnv1a(h, v.to_bits()))
+}
+
+fn check_golden(
+    workload: Workload,
+    strategy: DeleteStrategy,
+    recovery: AccumulativeRecovery,
+    want: &Golden,
+) {
+    let label = format!("{} ({strategy:?}, {recovery:?})", workload.name());
+    let config = EngineConfig {
+        delete_strategy: strategy,
+        accumulative_recovery: recovery,
+        num_bins: 4,
+        ..EngineConfig::default()
+    };
+    let mut engine = StreamingEngine::new(workload.instantiate(0), hub_loop_sink_graph(), config);
     engine.set_tracing(true);
     let initial = engine.initial_compute();
     let batch = engine.apply_update_batch(&hub_loop_sink_batch()).unwrap();
@@ -797,13 +829,9 @@ fn check_golden(workload: Workload, strategy: DeleteStrategy, want: &Golden) {
     assert_eq!(trace.targets.len(), want.targets, "{label}: traced targets");
     assert_eq!(trace_digest(&trace), want.digest, "{label}: trace digest");
     assert_eq!(engine.last_impacted(), want.impacted, "{label}: impacted order");
+    assert_eq!(values_digest(engine.values()), want.values, "{label}: values digest");
 
-    let config = EngineConfig {
-        delete_strategy: strategy,
-        num_bins: 4,
-        queue_capacity: Some(4), // 12 vertices -> 3 slices
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { queue_capacity: Some(4), ..config }; // 12 vertices -> 3 slices
     let mut sliced = StreamingEngine::new(workload.instantiate(0), hub_loop_sink_graph(), config);
     assert_eq!(sliced.num_slices(), 3);
     let spilled = (
@@ -823,6 +851,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
     check_golden(
         Workload::PageRank,
         DeleteStrategy::Dap,
+        AccumulativeRecovery::Coalesced,
         &Golden {
             initial: RunStats {
                 events_processed: 509,
@@ -850,11 +879,13 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             digest: 0xf19e_d9ab_1887_7590,
             impacted: &[],
             spilled: (585, 291),
+            values: 0xfe08_319d_27a6_2ed6,
         },
     );
     check_golden(
         Workload::Bfs,
         DeleteStrategy::Dap,
+        AccumulativeRecovery::Coalesced,
         &Golden {
             initial: RunStats {
                 events_processed: 24,
@@ -884,11 +915,13 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             digest: 0xa557_dc20_9c7b_5076,
             impacted: &[5],
             spilled: (14, 9),
+            values: 0xf9f5_2798_ea57_2ac5,
         },
     );
     check_golden(
         Workload::Cc,
         DeleteStrategy::Tag,
+        AccumulativeRecovery::Coalesced,
         &Golden {
             initial: RunStats {
                 events_processed: 36,
@@ -919,6 +952,79 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             digest: 0x6450_9f73_4dc3_e37c,
             impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
             spilled: (28, 57),
+            values: 0x0243_cfa8_4518_5aa5,
+        },
+    ); // The accumulative set-up's other two shapes, captured at 56abb9f,
+       // where it copied old rows out of the host graph and seeded event by
+       // event: the per-edge loop (Adsorption's contribution is weighted) and
+       // the literal two-phase flow, whose replay reads post-intermediate
+       // values.
+    check_golden(
+        Workload::Adsorption,
+        DeleteStrategy::Dap,
+        AccumulativeRecovery::Coalesced,
+        &Golden {
+            initial: RunStats {
+                events_processed: 515,
+                events_generated: 1013,
+                vertex_reads: 515,
+                vertex_writes: 515,
+                edge_reads: 1021,
+                rounds: 43,
+                events_coalesced: 498,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 251,
+                events_generated: 499,
+                vertex_reads: 263,
+                vertex_writes: 251,
+                edge_reads: 501,
+                stream_reads: 36,
+                rounds: 22,
+                events_coalesced: 248,
+                ..RunStats::default()
+            },
+            ops: 790,
+            targets: 1512,
+            digest: 0x8ecd_36c5_0a8f_872d,
+            impacted: &[],
+            spilled: (593, 293),
+            values: 0xb85c_4495_acf2_7ea8,
+        },
+    );
+    check_golden(
+        Workload::PageRank,
+        DeleteStrategy::Dap,
+        AccumulativeRecovery::TwoPhase,
+        &Golden {
+            initial: RunStats {
+                events_processed: 509,
+                events_generated: 1001,
+                vertex_reads: 509,
+                vertex_writes: 509,
+                edge_reads: 1015,
+                rounds: 43,
+                events_coalesced: 492,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 243,
+                events_generated: 455,
+                vertex_reads: 255,
+                vertex_writes: 243,
+                edge_reads: 456,
+                stream_reads: 36,
+                rounds: 22,
+                events_coalesced: 212,
+                ..RunStats::default()
+            },
+            ops: 776,
+            targets: 1456,
+            digest: 0x2943_349e_0f6a_daf9,
+            impacted: &[],
+            spilled: (585, 265),
+            values: 0x553a_a10d_16d3_6e27,
         },
     );
 }

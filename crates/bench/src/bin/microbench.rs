@@ -13,9 +13,8 @@
 //! the fresh medians against the committed `BENCH.json` (or `--baseline
 //! FILE`) and exits 1 when any benchmark errors, is missing, or regresses
 //! more than `--factor` (default 2.5) times its baseline median; it also
-//! enforces the same-run ordering gates in `micro::CROSS_CHECKS` (the
-//! async sharded driver must beat the superstep driver). With `--check`,
-//! nothing is written unless `--out` is also given.
+//! enforces the same-run ordering gates in `micro::CROSS_CHECKS`. With
+//! `--check`, nothing is written unless `--out` is also given.
 
 use jetstream_bench::micro::{self, MicroConfig};
 
@@ -100,9 +99,9 @@ fn main() {
             std::process::exit(1);
         }
         let mut problems = micro::regressions(&results, &baseline, factor);
-        // Same-run ordering gates (e.g. async sharding must beat the
-        // barriered superstep driver) are immune to machine-speed drift:
-        // both medians come from this very run.
+        // Same-run ordering gates (e.g. incremental snapshot maintenance
+        // must beat the full rebuild) are immune to machine-speed drift:
+        // both sides come from this very run.
         problems.extend(micro::cross_regressions(&results));
         if !problems.is_empty() {
             for p in &problems {

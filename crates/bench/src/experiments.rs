@@ -5,7 +5,7 @@
 //! the paper's reference numbers. `experiments all` (the binary in this
 //! crate) strings them together into `EXPERIMENTS.md`.
 
-use jetstream_algorithms::{UpdateKind, Workload};
+use jetstream_algorithms::{oracle, UpdateKind, Workload};
 use jetstream_core::{
     AccumulativeRecovery, DeleteStrategy, EngineConfig, ShardedEngine, StreamingEngine,
 };
@@ -559,15 +559,16 @@ pub fn persistence(
 /// --shards S`).
 ///
 /// Sweeps shard counts 1, 2, 4, … up to `max_shards` and reports, per
-/// count, host wall-clock plus the engine's deterministic
+/// count, host wall-clock plus the engine's
 /// [`ParallelModel`](jetstream_core::ParallelModel): total work units
-/// (events processed + edges read) against the critical path (each
-/// superstep charged its slowest shard). The modelled speedup is the
+/// (events processed + edges read) against the critical path (each drain
+/// charged its slowest shard). The modelled speedup is the
 /// machine-independent scaling number — host wall-clock only shows real
 /// parallel speedup when the host has cores to spare, and a single-core
-/// container never does. Every sharded run is also checked bit-identical
-/// to the sequential reference, so the sweep doubles as a differential
-/// test at bench scale.
+/// container never does — though it moves a little from run to run with
+/// the schedule. Every sharded run is also checked against the sequential
+/// reference within `oracle::accumulative_tolerance`, so the sweep doubles
+/// as a differential test at bench scale.
 pub fn scaling(scale: u32, max_shards: usize) -> Result<String, HarnessError> {
     use std::time::Instant;
 
@@ -593,7 +594,7 @@ pub fn scaling(scale: u32, max_shards: usize) -> Result<String, HarnessError> {
     out.push_str(&format!(
         "{} on {} (scale 1/{scale}), initial compute + {} streamed batches \
          of {} updates. Modelled speedup = total work / critical path \
-         (work = events processed + edges read; each superstep costs its \
+         (work = events processed + edges read; each drain costs its \
          slowest shard), a host-independent number; wall-clock is this \
          host ({} core{}). Sequential reference: {seq_ms:.1} ms.\n\n",
         workload.name(),
@@ -625,7 +626,14 @@ pub fn scaling(scale: u32, max_shards: usize) -> Result<String, HarnessError> {
             engine.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(engine.values(), seq.values(), "sharded diverged from sequential");
+        assert!(
+            oracle::values_match_tol(
+                engine.values(),
+                seq.values(),
+                oracle::accumulative_tolerance(ACCUMULATIVE_EPSILON)
+            ),
+            "sharded diverged from sequential"
+        );
         let model = engine.parallel_model();
         out.push_str(&format!(
             "| {shards} | {wall_ms:.1} | {} | {} | {:.2}× |\n",

@@ -1,8 +1,8 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the hot paths the data-layout work targets — queue insert, queue
-//! drain, kernel apply via `initial_compute`, batch streaming, and sharded
-//! supersteps — with warmup + median-of-K sampling, and serializes the
+//! drain, kernel apply via `initial_compute`, batch streaming, and the
+//! sharded drain — with warmup + median-of-K sampling, and serializes the
 //! results to the `BENCH.json` schema documented in DESIGN.md §12.
 //! Everything here is std-only (the workspace builds offline); the JSON
 //! writer and the line-oriented reader used by `--check` live here too so
@@ -12,9 +12,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use jetstream_algorithms::{Algorithm, Reduce, Workload};
-use jetstream_core::{
-    CoalescingQueue, EngineConfig, Event, ExecutionMode, ShardedEngine, StreamingEngine,
-};
+use jetstream_core::{CoalescingQueue, EngineConfig, Event, ShardedEngine, StreamingEngine};
 use jetstream_graph::gen::DatasetProfile;
 use jetstream_graph::VertexId;
 
@@ -348,7 +346,7 @@ fn fresh_engine(scenario: &Scenario, base: &jetstream_graph::AdjacencyGraph) -> 
 }
 
 #[allow(clippy::expect_used)] // invariant: every batch was applied once by the probe engine
-fn bench_sharded_supersteps(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
+fn bench_sharded_async(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
     let scenario = pagerank_scenario(cfg);
     let (base, batches) = harness::base_and_batches(&scenario);
     if batches.is_empty() {
@@ -360,42 +358,11 @@ fn bench_sharded_supersteps(cfg: &MicroConfig) -> Result<BenchResult, HarnessErr
         probe.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
     }
     Ok(measure(
-        "sharded_supersteps_pagerank_4",
-        cfg.warmup,
-        cfg.samples,
-        || {
-            let mut engine = fresh_sharded(&scenario, &base);
-            engine.initial_compute();
-            engine
-        },
-        |engine| {
-            for batch in &batches {
-                let stats =
-                    engine.apply_update_batch(batch).expect("invariant: probed batches apply");
-                crate::timing::consume(stats.events_processed);
-            }
-        },
-    ))
-}
-
-#[allow(clippy::expect_used)] // invariant: every batch was applied once by the probe engine
-fn bench_sharded_async(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = pagerank_scenario(cfg);
-    let (base, batches) = harness::base_and_batches(&scenario);
-    if batches.is_empty() {
-        return Err(scenario.no_batches());
-    }
-    let mut probe = fresh_sharded_async(&scenario, &base);
-    probe.initial_compute();
-    for batch in &batches {
-        probe.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
-    }
-    Ok(measure(
         "sharded_async_pagerank_4",
         cfg.warmup,
         cfg.samples,
         || {
-            let mut engine = fresh_sharded_async(&scenario, &base);
+            let mut engine = fresh_sharded(&scenario, &base);
             engine.initial_compute();
             engine
         },
@@ -417,15 +384,6 @@ fn fresh_sharded(scenario: &Scenario, base: &jetstream_graph::AdjacencyGraph) ->
         engine_config(),
         4,
     )
-}
-
-fn fresh_sharded_async(
-    scenario: &Scenario,
-    base: &jetstream_graph::AdjacencyGraph,
-) -> ShardedEngine {
-    let mut engine = fresh_sharded(scenario, base);
-    engine.set_execution_mode(ExecutionMode::Async);
-    engine
 }
 
 fn report(results: &mut Vec<BenchResult>, r: BenchResult) {
@@ -450,7 +408,6 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_stream_batches(cfg)?);
     report(&mut results, bench_snapshot_rebuild_full(cfg)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
-    report(&mut results, bench_sharded_supersteps(cfg)?);
     report(&mut results, bench_sharded_async(cfg)?);
     Ok(results)
 }
@@ -642,14 +599,10 @@ pub fn regressions(
 /// `slower`'s in the same run. Both medians come from one process on one
 /// machine, so machine-speed noise is correlated and largely cancels —
 /// unlike the baseline-file comparison, these gates survive hardware
-/// changes. The async sharded driver earns its keep by beating the
-/// barriered superstep driver on the identical workload; if that ever
-/// flips, barrier-free scheduling has regressed. (On a single-core host
-/// the sequential engine still beats both sharded drivers — see
-/// DESIGN.md §16.5 — so async-vs-sequential is tracked in BENCH.json but
-/// not gated.)
+/// changes. (On a single-core host the sequential engine still beats the
+/// sharded one — see DESIGN.md §16.5 — so `sharded_async_pagerank_4` is
+/// tracked in BENCH.json but not gated against it.)
 pub const CROSS_CHECKS: &[(&str, &str)] = &[
-    ("sharded_async_pagerank_4", "sharded_supersteps_pagerank_4"),
     // Incremental snapshot maintenance must beat the full O(E) rebuild on
     // the identical batch, or DESIGN.md §17 has regressed to pointlessness.
     ("snapshot_maintain_incremental", "snapshot_rebuild_full"),
@@ -665,8 +618,8 @@ pub const CROSS_CHECKS: &[(&str, &str)] = &[
 /// contended single-core runner a preemption spike can inflate any
 /// individual sample, and with quick-mode's 3 samples that flips median
 /// ordering even when both sides ran in the same process. The minima
-/// compare the two drivers' uncontended capability within the run, which
-/// is exactly what the ordering gate is about.
+/// compare the two sides' uncontended capability within the run, which is
+/// exactly what the ordering gate is about.
 pub fn cross_regressions(current: &[BenchResult]) -> Vec<String> {
     let mut problems = Vec::new();
     for &(faster, slower) in CROSS_CHECKS {
@@ -694,20 +647,6 @@ mod tests {
     #[test]
     fn cross_checks_gate_same_run_ordering() {
         let ok = vec![
-            BenchResult {
-                name: "sharded_async_pagerank_4",
-                median_ns: 10,
-                min_ns: 10,
-                max_ns: 10,
-                samples: 1,
-            },
-            BenchResult {
-                name: "sharded_supersteps_pagerank_4",
-                median_ns: 20,
-                min_ns: 20,
-                max_ns: 20,
-                samples: 1,
-            },
             BenchResult {
                 name: "snapshot_maintain_incremental",
                 median_ns: 5,
@@ -741,23 +680,18 @@ mod tests {
 
         // The row path losing to the per-event path trips its gate.
         let mut slow_rows = ok.clone();
-        slow_rows[4].min_ns = 7;
+        slow_rows[2].min_ns = 7;
         let problems = cross_regressions(&slow_rows);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("queue_insert_row_coalescing"));
 
-        let mut flipped = ok.clone();
-        flipped[0].min_ns = 30;
-        let problems = cross_regressions(&flipped);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("not faster"));
-
         // Incremental maintenance losing to the rebuild trips its gate too.
         let mut slow_maint = ok.clone();
-        slow_maint[2].min_ns = 60;
+        slow_maint[0].min_ns = 60;
         let problems = cross_regressions(&slow_maint);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("snapshot_maintain_incremental"));
+        assert!(problems[0].contains("not faster"));
 
         let missing = vec![ok[0].clone()];
         assert_eq!(cross_regressions(&missing).len(), CROSS_CHECKS.len());
@@ -832,9 +766,9 @@ mod tests {
     fn quick_rig_produces_every_benchmark() {
         let cfg = MicroConfig { warmup: 0, samples: 1, scale: 100_000, queue_vertices: 1 << 10 };
         let results = run_all(&cfg).expect("quick rig runs");
-        assert_eq!(results.len(), 11);
+        assert_eq!(results.len(), 10);
         let names: std::collections::BTreeSet<_> = results.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 11, "duplicate benchmark names");
+        assert_eq!(names.len(), 10, "duplicate benchmark names");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Barrier-free asynchronous execution for [`ShardedEngine`] (DESIGN.md §16).
+//! The barrier-free drain of [`ShardedEngine`] (DESIGN.md §16).
 //!
-//! [`ExecutionMode::Async`] replaces the deterministic superstep loop of
-//! one drain — the phase structure around it (delete propagation, request
-//! seeding, insert streaming, recompute) is unchanged. Inside the call:
+//! This is one drain of the [`Sharded`](crate::Sharded) executor — the
+//! phase structure around it (delete propagation, request seeding, insert
+//! streaming, recompute) is the flow's. Inside the call:
 //!
 //! * every worker drains its own [`CoalescingQueue`] continuously in
 //!   *passes*, processing events through the shared kernel; emissions to
@@ -13,9 +13,8 @@
 //!   (small [`CoalescingQueue`]s over the destination's vertex range, so
 //!   repeat emissions to one remote vertex coalesce before they ever
 //!   travel) and are flushed after each pass as whole *runs* (one
-//!   `Vec<Event>` of destination-local events per destination),
-//!   amortizing what the deterministic path pays per event in its k-way
-//!   merge — the receiver folds the run straight into its queue. The
+//!   `Vec<Event>` of destination-local events per destination) — the
+//!   receiver folds the run straight into its queue. The
 //!   outbox queues cost `S` slot grids per worker (each sized to one
 //!   shard's width, i.e. about one extra grid of the whole vertex set
 //!   per worker), the price of shipping pre-coalesced runs;
@@ -61,7 +60,6 @@
 //! reads are happens-before ordered in the trace.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
-//! [`ExecutionMode::Async`]: crate::ExecutionMode::Async
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
 use jetstream_algorithms::{Reduce, Value};
@@ -70,9 +68,7 @@ use jetstream_graph::{ix, vid, VertexId};
 use crate::event::Event;
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
-use crate::sharded::sync::{
-    self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender, TraceEvent,
-};
+use crate::sharded::sync::{self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender};
 use crate::sharded::{maybe_yield, Shard};
 use crate::stats::RunStats;
 
@@ -85,12 +81,20 @@ pub(crate) struct AsyncParams<'a> {
     pub coalesce_deletes: bool,
     /// `S + 1` shard range boundaries.
     pub bounds: &'a [usize],
-    /// Per-worker yield intervals (schedule perturbation hook).
-    pub yields: &'a [Option<usize>],
-    /// Per-worker pass run-length caps in queue bins (0 = whole queue).
+    /// Yield plan (schedule perturbation hook): worker `i` yields every
+    /// `yields[i % len]` processed events (0 = never). Empty = no yielding.
+    pub yields: &'a [usize],
+    /// Run-length plan: worker `i` drains `chunks[i % len]` queue bins per
+    /// pass (0 = the whole queue). Empty = whole-queue passes.
     pub chunks: &'a [usize],
     /// Race-sanitizer trace sink.
     pub race_log: &'a RaceLog,
+}
+
+/// Worker `i`'s entry of a perturbation plan, which repeats with its
+/// length; `None` for the empty plan.
+fn plan_entry(plan: &[usize], i: usize) -> Option<usize> {
+    plan.iter().cycle().nth(i).copied()
 }
 
 /// Coordinator → worker messages.
@@ -137,14 +141,12 @@ struct AsyncState<'a> {
     /// Shard width (`hi - lo`), for the single-compare ownership test.
     width: VertexId,
     stats: &'a mut RunStats,
-    impacted: &'a mut Vec<(u64, u128, VertexId)>,
+    impacted: &'a mut Vec<VertexId>,
     queue: &'a mut CoalescingQueue,
     outfolds: &'a mut [CoalescingQueue],
     bounds: &'a [usize],
     route_table: &'a [u8],
     reduce: Reduce,
-    /// The worker's pass counter, tagging impacted records.
-    pass: u64,
 }
 
 impl<'a> ExecState<'a> for AsyncState<'a> {
@@ -157,8 +159,7 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
     }
 
     fn impacted(&mut self, v: VertexId) {
-        // mutation-ok: the middle element is a constant sort key, uniform across every async record — any constant orders them identically
-        self.impacted.push((self.pass, 0, v));
+        self.impacted.push(v);
     }
 
     fn emit(&mut self, ev: Event) {
@@ -231,9 +232,7 @@ struct WorkerLoop<'a> {
 impl WorkerLoop<'_> {
     fn run(mut self) {
         // Route deletes through the queue's own overflow spill while
-        // coalescing is off (DAP delete propagation); restored below so
-        // the deterministic path's bypass invariant holds after a mode
-        // switch.
+        // coalescing is off (DAP delete propagation).
         self.shard.queue.set_coalesce_deletes(self.coalesce_deletes);
         for fold in &mut self.outfolds {
             fold.set_coalesce_deletes(self.coalesce_deletes);
@@ -263,7 +262,6 @@ impl WorkerLoop<'_> {
                 Err(_) => break,
             }
         }
-        self.shard.queue.set_coalesce_deletes(true);
         let _ = self.status.send(FromWorker::Done { worker: self.worker });
     }
 
@@ -291,7 +289,6 @@ impl WorkerLoop<'_> {
     /// the drained bins), then spilled delete events FIFO.
     fn process_pass(&mut self) {
         self.shard.rounds += 1;
-        let pass = self.shard.rounds;
         self.log.access(self.thread, Resource::ShardState(self.worker), AccessKind::Write);
 
         let mut events = std::mem::take(&mut self.shard.drain_scratch);
@@ -314,7 +311,6 @@ impl WorkerLoop<'_> {
             ev.target += self.lo;
         }
 
-        let work_before = self.shard.stats.events_processed + self.shard.stats.edge_reads;
         // mutation-ok: processed only paces maybe_yield; its starting point shifts yield timing, never results
         let mut processed = 0usize;
         let mut st = AsyncState {
@@ -331,7 +327,6 @@ impl WorkerLoop<'_> {
             bounds: self.bounds,
             route_table: self.route_table,
             reduce: self.cx.reduce,
-            pass,
         };
         for &ev in events.iter() {
             kernel::process_event(&self.cx, &mut st, ev);
@@ -343,9 +338,6 @@ impl WorkerLoop<'_> {
             kernel::process_event(&self.cx, &mut st, ev);
             maybe_yield(&mut processed, self.yield_every);
         }
-        self.shard
-            .round_costs
-            .push(self.shard.stats.events_processed + self.shard.stats.edge_reads - work_before);
         self.shard.drain_scratch = events;
     }
 
@@ -509,15 +501,16 @@ impl Detector {
     }
 }
 
-/// Drives one async drain to quiescence: spawns one worker per
-/// shard, seeds their queues, detects termination, and orders the final
-/// state reads behind each worker's `Done` ack.
+/// Drives one drain to quiescence: spawns one worker per shard, seeds
+/// their queues with `seeds` (one inbox per shard, left empty), detects
+/// termination, and orders the final state reads behind each worker's
+/// `Done` ack.
 pub(crate) fn run_to_quiescence(
     p: &AsyncParams<'_>,
     shards: &mut [Shard],
     values: &mut [Value],
     dependency: &mut [Option<VertexId>],
-    seeds: Vec<Vec<Event>>,
+    seeds: &mut [Vec<Event>],
 ) {
     let s_count = shards.len();
     // Thread ids: coordinator 0, worker s is s + 1. Logical channel from
@@ -534,13 +527,13 @@ pub(crate) fn run_to_quiescence(
     let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(p.race_log, 0);
 
     // Per-vertex shard lookup (one byte per vertex): replaces a binary
-    // search over `bounds` on every remote emission, the hottest branch in
-    // async mode after the kernel itself.
+    // search over `bounds` on every remote emission, the hottest branch
+    // after the kernel itself.
     let n = p.bounds[s_count];
     let mut route_table = vec![0u8; n];
     for w in 0..s_count {
-        // cast-ok: shard counts are far below u8::MAX in practice; clamp defensively
-        let tag = w.min(u8::MAX as usize) as u8;
+        #[allow(clippy::expect_used)] // invariant: `Sharded::new` asserts the `MAX_SHARDS` bound
+        let tag = u8::try_from(w).expect("invariant: shard ids fit a byte (MAX_SHARDS = 256)");
         for slot in &mut route_table[p.bounds[w]..p.bounds[w + 1]] {
             *slot = tag;
         }
@@ -557,10 +550,11 @@ pub(crate) fn run_to_quiescence(
 
     // Seed the worker queues before the workers exist; the mailboxes
     // buffer the runs. Runs travel in destination-local coordinates.
-    for (w, mut run) in seeds.into_iter().enumerate() {
-        if run.is_empty() {
+    for (w, inbox) in seeds.iter_mut().enumerate() {
+        if inbox.is_empty() {
             continue;
         }
+        let mut run = std::mem::take(inbox);
         // panic-ok: bounds has s_count + 1 entries, w < s_count
         let base = vid(p.bounds[w]);
         for ev in &mut run {
@@ -602,8 +596,8 @@ pub(crate) fn run_to_quiescence(
                 hi: vid(hi),
                 cx: p.cx,
                 coalesce_deletes: p.coalesce_deletes,
-                yield_every: p.yields.get(worker).copied().flatten(),
-                chunk: p.chunks.get(worker).copied().unwrap_or(0),
+                yield_every: plan_entry(p.yields, worker),
+                chunk: plan_entry(p.chunks, worker).unwrap_or(0),
                 bounds: p.bounds,
                 shard: &mut sh[0], // panic-ok: split_at_mut(1) yields a one-element head
                 values: v,
@@ -655,16 +649,12 @@ pub(crate) fn run_to_quiescence(
             }
         }
     });
-    // Keep the unused import warning-free: TraceEvent is part of this
-    // module's documented protocol surface.
-    let _ = std::mem::size_of::<TraceEvent>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::DeleteStrategy;
-    use crate::queue::QueueStats;
     use jetstream_algorithms::Sssp;
     use jetstream_graph::{Csr, CsrPair};
 
@@ -712,7 +702,7 @@ mod tests {
         assert_eq!(probes, 4, "changed-but-balanced counters must force a second double-probe");
     }
 
-    // kills jm-908d18ec (async_mode.rs const-01 in report_idle): the
+    // kills jm-908d1a85 (async_mode.rs const-01 in report_idle): the
     // unsolicited-idle probe id must be 0 — any nonzero value could
     // collide with a live probe id and satisfy a round the worker never
     // actually answered at.
@@ -726,14 +716,10 @@ mod tests {
         let bounds = [0usize, 1];
         let route_table = [0u8];
         let mut shard = Shard {
-            lo: 0,
             queue: CoalescingQueue::new(1, 1),
-            extra: QueueStats::default(),
             stats: RunStats::default(),
             rounds: 0,
             impacted: Vec::new(),
-            overflow: Vec::new(),
-            round_costs: Vec::new(),
             drain_scratch: Vec::new(),
         };
         let mut values = [0.0];

@@ -388,7 +388,7 @@ impl Drain for Sequential {
         self.queue.insert_row(0, targets, delta, None, reduce);
     }
 
-    /// Drains the queue in canonical supersteps until empty.
+    /// Drains the queue in canonical rounds until empty.
     ///
     /// A round is the snapshot of everything queued at round start: every
     /// slot event in ascending vertex order, then the overflow events in
@@ -396,12 +396,6 @@ impl Drain for Sequential {
     /// to overflow) always belong to the *next* round — the double-buffered
     /// schedule of the paper's §4.3 scheduler, where a round completes when
     /// every bin has drained once and all processing lanes idle.
-    ///
-    /// This schedule is what [`Sharded`](crate::Sharded) reproduces with
-    /// parallel workers in its deterministic mode: because a round's event
-    /// set and the order events coalesce into the next round's queue are
-    /// both fixed here, a sharded run is bit-identical to this loop for any
-    /// shard count.
     fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
         // Slicing (§4.7) only affects spill accounting under this schedule:
         // while processing an event, the slice of its target is on-chip and

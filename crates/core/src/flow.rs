@@ -15,9 +15,9 @@
 //! drained to quiescence*. That is the [`Executor`]:
 //! [`Sequential`](crate::Sequential) drains one coalescing queue in
 //! canonical rounds and is the reference; [`Sharded`](crate::Sharded)
-//! drains one queue per worker thread, in barriered supersteps or
-//! barrier-free. Dispatch is static (the flow is monomorphised per
-//! executor, as [`kernel::process_event`] already is per `ExecState`).
+//! drains one queue per worker thread, barrier-free. Dispatch is static
+//! (the flow is monomorphised per executor, as [`kernel::process_event`]
+//! already is per `ExecState`).
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
 use jetstream_graph::{ix, AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
@@ -204,7 +204,7 @@ impl<X: Executor> StreamingFlow<X> {
 
     /// Vertices reset during the most recent streaming batch (Fig. 10), in
     /// the order the sequential executor resets them (ascending vertex id
-    /// under [`ExecutionMode::Async`](crate::ExecutionMode::Async)).
+    /// under [`Sharded`](crate::Sharded)).
     pub fn last_impacted(&self) -> &[VertexId] {
         &self.impacted
     }

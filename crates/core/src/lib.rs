@@ -64,5 +64,5 @@ pub use event::Event;
 pub use flow::{Executor, StreamingFlow};
 pub use queue::{CoalescingQueue, QueueStats};
 pub use sharded::sync;
-pub use sharded::{ExecutionMode, ParallelModel, Sharded, ShardedEngine};
+pub use sharded::{ExecutionMode, ParallelModel, Sharded, ShardedEngine, MAX_SHARDS};
 pub use stats::{Phase, RunStats};

@@ -533,7 +533,7 @@ impl CoalescingQueue {
 
     /// Drains every queued slot event into `out` (appended in ascending
     /// vertex order), returning how many were drained — the canonical round
-    /// snapshot the engines' superstep drain loop is built on. Overflow
+    /// snapshot the sequential drain loop is built on. Overflow
     /// events are not touched; the engine snapshots those separately with
     /// [`pop_overflow`]. Bins are contiguous ascending vertex ranges, so one
     /// full bitmap sweep is identical to draining bin 0, bin 1, … in order.

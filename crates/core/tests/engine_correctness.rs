@@ -418,18 +418,31 @@ fn coalesced_recovery_does_less_work_than_two_phase() {
 
 /// Failure injection: every class of invalid batch must error out of
 /// `engine` — through the full flow and through the admission pre-check —
-/// without perturbing it. `twin` never sees the rejected batches, and the
-/// two must stay indistinguishable: graph, CSR mirror, query state, queue
-/// statistics, and (because the per-batch scratch must come back empty)
-/// the exact stats of the next valid batch.
+/// without perturbing it: its query state and queue statistics are what
+/// they were before the rejections. `twin` never sees the rejected
+/// batches, and the two must stay indistinguishable in graph and CSR
+/// mirror — and, where two runs of the executor are `reproducible` (the
+/// sequential one; sharded runs differ by schedule), in query state,
+/// queue statistics, and (because the per-batch scratch must come back
+/// empty) the exact stats of the next valid batch.
 fn assert_rejections_leave_no_trace<X: Executor>(
     w: Workload,
     g: &AdjacencyGraph,
     mut engine: StreamingFlow<X>,
     mut twin: StreamingFlow<X>,
+    reproducible: bool,
 ) {
     engine.initial_compute();
     twin.initial_compute();
+    let observe = |e: &StreamingFlow<X>| {
+        (
+            e.values().to_vec(),
+            e.dependencies().to_vec(),
+            e.last_impacted().to_vec(),
+            e.queue_stats(),
+        )
+    };
+    let before = observe(&engine);
     let (u, v, _) = g.iter_edges().next().unwrap();
     // A deletion the converged state proves safe (when it can prove any),
     // so a rejected batch also reaches the admitted fast path's apply.
@@ -475,24 +488,23 @@ fn assert_rejections_leave_no_trace<X: Executor>(
 
     let assert_twins = |engine: &StreamingFlow<X>, twin: &StreamingFlow<X>, when: &str| {
         let tag = format!("{} {when}", w.name());
-        assert_eq!(engine.values(), twin.values(), "{tag}: values");
-        assert_eq!(engine.dependencies(), twin.dependencies(), "{tag}: dependencies");
-        assert_eq!(engine.last_impacted(), twin.last_impacted(), "{tag}: impacted");
+        if reproducible {
+            assert_eq!(observe(engine), observe(twin), "{tag}: query state and queue stats");
+        }
         assert_eq!(engine.graph(), twin.graph(), "{tag}: host graph");
         assert_eq!(engine.csr(), twin.csr(), "{tag}: CSR mirror");
-        assert_eq!(engine.queue_stats(), twin.queue_stats(), "{tag}: queue stats");
         assert_eq!(engine.validate_converged(), Ok(()), "{tag}");
     };
+    assert_eq!(observe(&engine), before, "{}: query state and queue stats", w.name());
     assert_twins(&engine, &twin, "after rejections");
 
     // And the engine still works afterwards, exactly as if nothing happened.
     let batch = gen::batch_with_ratio(engine.graph(), 10, 0.5, 72);
-    assert_eq!(
-        engine.apply_update_batch(&batch).unwrap(),
-        twin.apply_update_batch(&batch).unwrap(),
-        "{}: next batch stats",
-        w.name()
-    );
+    let (stats, twin_stats) =
+        (engine.apply_update_batch(&batch).unwrap(), twin.apply_update_batch(&batch).unwrap());
+    if reproducible {
+        assert_eq!(stats, twin_stats, "{}: next batch stats", w.name());
+    }
     assert_twins(&engine, &twin, "after the next batch");
     let mut reference = g.clone();
     reference.apply_batch(&batch).unwrap();
@@ -509,9 +521,9 @@ fn invalid_batches_leave_engine_untouched() {
     let g = gen::rmat(100, 600, gen::RmatParams::default(), 71);
     for w in Workload::ALL {
         let seq = || engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
-        assert_rejections_leave_no_trace(w, &g, seq(), seq());
+        assert_rejections_leave_no_trace(w, &g, seq(), seq(), true);
         let sharded = || ShardedEngine::new(w.instantiate(0), g.clone(), seq().config(), 3);
-        assert_rejections_leave_no_trace(w, &g, sharded(), sharded());
+        assert_rejections_leave_no_trace(w, &g, sharded(), sharded(), false);
     }
 }
 

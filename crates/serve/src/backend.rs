@@ -1,6 +1,6 @@
 //! The engine the server fronts: volatile (in-memory only), durable
 //! (checkpoints + WAL via `jetstream-store`), or sharded (in-memory,
-//! multi-worker — superstep or barrier-free async, DESIGN.md §16).
+//! multi-worker, barrier-free — DESIGN.md §16).
 
 use jetstream_algorithms::Algorithm;
 use jetstream_core::{BatchClassification, EngineConfig, RunStats, ShardedEngine, StreamingEngine};
@@ -19,9 +19,8 @@ pub enum Backend {
     /// An engine wrapped in the durable store: every applied batch is
     /// WAL-appended, with interval checkpoints (DESIGN.md §10).
     Durable(Box<DurableEngine<StreamingEngine>>),
-    /// A multi-worker in-memory engine (`--shards`); whether it runs the
-    /// superstep or the barrier-free async protocol is the engine's own
-    /// `ExecutionMode`. State dies with the process.
+    /// A multi-worker in-memory engine (`--shards`). State dies with the
+    /// process.
     Sharded(Box<ShardedEngine>),
 }
 

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 
 use jetstream_algorithms::Workload;
 use jetstream_bench::micro::{self, BenchResult};
-use jetstream_core::{EngineConfig, ExecutionMode, ShardedEngine, StreamingEngine};
+use jetstream_core::{EngineConfig, ShardedEngine, StreamingEngine, MAX_SHARDS};
 use jetstream_graph::gen::DatasetProfile;
 use jetstream_serve::admission::FlushPolicy;
 use jetstream_serve::backend::Backend;
@@ -145,7 +145,23 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
     if opts.listen.is_none() && opts.unix.is_none() {
         opts.listen = Some(String::from("127.0.0.1:7477"));
     }
+    if let Err(msg) = check_shards(opts.shards, opts.durable.is_some()) {
+        fail(&msg);
+    }
     opts
+}
+
+/// What `--shards N` cannot be asked for.
+fn check_shards(shards: usize, durable: bool) -> Result<(), String> {
+    if shards > MAX_SHARDS {
+        return Err(format!("--shards {shards} exceeds the engine's maximum of {MAX_SHARDS}"));
+    }
+    if shards > 1 && durable {
+        return Err(String::from(
+            "--shards is in-memory only; it cannot be combined with --durable",
+        ));
+    }
+    Ok(())
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> T {
@@ -159,19 +175,15 @@ fn build_backend(opts: &ServeOpts) -> Backend {
     let alg = || opts.workload.instantiate(opts.root);
     let config = EngineConfig::default();
     if opts.shards > 1 {
-        if opts.durable.is_some() {
-            fail("--shards is in-memory only; it cannot be combined with --durable");
-        }
         eprintln!(
             "[serve] generating {} (scale {}) and computing the initial state \
-             ({} async shards)...",
+             ({} shards)...",
             opts.profile.name(),
             opts.scale,
             opts.shards
         );
         let graph = opts.profile.generate(opts.scale);
         let mut engine = ShardedEngine::new(alg(), graph, config, opts.shards);
-        engine.set_execution_mode(ExecutionMode::Async);
         engine.initial_compute();
         return Backend::Sharded(Box::new(engine));
     }
@@ -448,5 +460,19 @@ fn cmd_bench(args: &[String]) {
             std::process::exit(1);
         }
         eprintln!("[bench] check ok: within {factor}x of {baseline_file} and above 1M updates/s");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_counts_past_the_engine_maximum_are_refused() {
+        assert_eq!(check_shards(0, true), Ok(()));
+        assert_eq!(check_shards(MAX_SHARDS, false), Ok(()));
+        let err = check_shards(MAX_SHARDS + 1, false).unwrap_err();
+        assert!(err.contains("--shards 257") && err.contains("256"), "{err}");
+        assert!(check_shards(2, true).unwrap_err().contains("--durable"));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! Queries read a [`QueryState`] — a borrowed view of the converged
 //! values, dependency tree, and impacted set — so the same answer logic
-//! serves every backend: any [`StreamingFlow`] — sequential, superstep or
-//! async — converts into it for free.
+//! serves every backend: any [`StreamingFlow`] — sequential or sharded —
+//! converts into it for free.
 
 use jetstream_core::{Executor, StreamingFlow};
 use jetstream_graph::VertexId;

@@ -16,7 +16,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jetstream_algorithms::{oracle, Workload};
-use jetstream_core::{EngineConfig, ExecutionMode, ShardedEngine, StreamingEngine};
+use jetstream_core::{EngineConfig, ShardedEngine, StreamingEngine};
 use jetstream_graph::AdjacencyGraph;
 use jetstream_serve::backend::Backend;
 use jetstream_serve::client::Client;
@@ -62,7 +62,6 @@ fn sharded_async_backend(workload: Workload) -> Backend {
         EngineConfig::default(),
         SHARDS,
     );
-    engine.set_execution_mode(ExecutionMode::Async);
     engine.initial_compute();
     Backend::Sharded(Box::new(engine))
 }

@@ -20,9 +20,11 @@
 //!
 //! Recovery is engine-generic: [`recover_with`] mounts any [`ReplayEngine`]
 //! on the snapshot and replays through it; [`recover`] (sequential) and
-//! [`recover_sharded`] (parallel) are thin wrappers. Because the sharded
-//! engine is bit-identical to the sequential one per batch, a store written
-//! under either execution mode recovers exactly under the other.
+//! [`recover_sharded`] (parallel) are thin wrappers. The sharded engine
+//! converges to the sequential one's fixed point on every batch (bit-exact
+//! for selective algorithms, within the convergence tolerance for
+//! accumulative ones — DESIGN.md §16.3), so a store written by either
+//! engine recovers under the other to a state that contract admits.
 
 use std::path::Path;
 
@@ -41,11 +43,11 @@ use crate::wal;
 ///
 /// The on-disk formats know nothing about execution strategy: a snapshot is
 /// a graph plus per-vertex state, a WAL record is an update batch. Any
-/// engine that can mount that state and replay batches deterministically
-/// can sit behind the store — every [`StreamingFlow`] does, whatever its
-/// executor, and because the sequential [`StreamingEngine`] and the
-/// parallel [`ShardedEngine`] are bit-identical per batch, a store written
-/// by one recovers exactly under the other.
+/// engine that can mount that state and replay batches to the same fixed
+/// point can sit behind the store — every [`StreamingFlow`] does, whatever
+/// its executor: the sequential [`StreamingEngine`] replays bit-identically,
+/// the parallel [`ShardedEngine`] value-equivalently (DESIGN.md §16.3), so
+/// a store written by one recovers under the other.
 pub trait ReplayEngine {
     /// Applies one batch — both during WAL replay and in normal durable
     /// operation.
@@ -187,6 +189,11 @@ pub fn recover(
 /// # Errors
 ///
 /// Same failure modes as [`recover`].
+///
+/// # Panics
+///
+/// Panics if `num_shards` is zero or exceeds
+/// [`MAX_SHARDS`](jetstream_core::MAX_SHARDS).
 pub fn recover_sharded(
     dir: &Path,
     alg: Box<dyn Algorithm>,

@@ -224,9 +224,8 @@ impl DurableStore {
 /// Generic over the execution strategy: the default `E` is the sequential
 /// [`StreamingEngine`]; [`DurableEngine::recover_sharded`] (and
 /// [`DurableEngine::create`] with a [`ShardedEngine`]) run the same durable
-/// protocol behind the parallel engine. The on-disk state is identical
-/// either way, so a store may freely alternate execution modes across
-/// restarts.
+/// protocol behind the parallel engine. The on-disk formats are identical
+/// either way, so a store may freely alternate engines across restarts.
 #[derive(Debug)]
 pub struct DurableEngine<E: ReplayEngine = StreamingEngine> {
     engine: E,
@@ -276,6 +275,11 @@ impl DurableEngine<ShardedEngine> {
     /// Warm-starts a [`ShardedEngine`] with `num_shards` workers from the
     /// store in `dir` — the parallel counterpart of
     /// [`DurableEngine::recover`], over the same on-disk state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_shards` is zero or exceeds
+    /// [`MAX_SHARDS`](jetstream_core::MAX_SHARDS).
     pub fn recover_sharded(
         dir: &Path,
         alg: Box<dyn Algorithm>,

@@ -1,20 +1,15 @@
 //! CI entry point for the dynamic sanitizers (DESIGN.md §13.3 + §14.3).
 //!
-//! Four phases, exiting non-zero on the first failure:
+//! Two phases, exiting non-zero on the first failure:
 //!
-//! 1. the default [`ScheduleFuzzer`] sweep — 36 schedules over SSSP/BFS ×
-//!    Tag/Dap — differentially against the sequential oracle, with every
-//!    run's sync trace replayed through the vector-clock race checker;
-//! 2. the async-mode sweep ([`ScheduleFuzzer::async_default`]): the same
-//!    matrix machinery drives the barrier-free engine under seeded
-//!    per-worker chunk plans, judged by the async equivalence contract
-//!    (DESIGN.md §16.3), traces race-checked the same way;
-//! 3. the race checker's self-tests: the deliberately seeded ordering
-//!    bugs in [`race::seeded_ordering_bug_trace`] (superstep topology)
-//!    and [`race::seeded_async_ordering_bug_trace`] (async topology)
-//!    **must** be detected (a sanitizer that cannot find a planted race
-//!    proves nothing);
-//! 4. printing the clean-sweep summaries consumed by CI logs.
+//! 1. the default [`ScheduleFuzzer`] sweep — 24 schedules (seeded
+//!    per-worker yield and chunk plans) over SSSP/BFS/PageRank × Tag/Dap —
+//!    differentially against the sequential oracle under the sharded
+//!    equivalence contract (DESIGN.md §16.3), with every run's sync trace
+//!    replayed through the vector-clock race checker;
+//! 2. the race checker's self-test: the deliberately seeded ordering bug
+//!    in [`race::seeded_ordering_bug_trace`] **must** be detected (a
+//!    sanitizer that cannot find a planted race proves nothing).
 //!
 //! Invoked by `cargo xtask check --sanitize`.
 
@@ -22,12 +17,11 @@ use jetstream_testkit::race::{self, TraceError};
 use jetstream_testkit::schedule::ScheduleFuzzer;
 
 fn main() {
-    let fuzzer = ScheduleFuzzer::default();
-    match fuzzer.run() {
+    match ScheduleFuzzer::default().run() {
         Ok(report) => {
             println!(
                 "schedule sanitizer: {} schedules, {} differential runs, {} step comparisons \
-                 — all bit-identical to the sequential oracle",
+                 — all within the equivalence contract of the sequential oracle",
                 report.schedules, report.runs, report.comparisons
             );
             println!(
@@ -42,47 +36,21 @@ fn main() {
         }
     }
 
-    match ScheduleFuzzer::async_default().run() {
-        Ok(report) => {
-            println!(
-                "async schedule sanitizer: {} chunk-plan schedules, {} barrier-free runs, \
-                 {} step comparisons — all within the async equivalence contract",
-                report.schedules, report.runs, report.comparisons
-            );
-            println!(
-                "async race sanitizer: {} trace events across all runs — zero unordered \
-                 conflicting accesses",
-                report.trace_events
-            );
+    // Detection self-test: the checker must flag the planted race.
+    match race::check_trace(&race::seeded_ordering_bug_trace()) {
+        Err(TraceError::Race(found)) => {
+            println!("race sanitizer self-test: seeded ordering bug detected ({found})");
         }
-        Err(failure) => {
-            eprintln!("async schedule sanitizer FAILED: {failure}");
+        Err(other) => {
+            eprintln!("race sanitizer self-test FAILED: seeded trace reported {other}, not a race");
             std::process::exit(1);
         }
-    }
-
-    // Detection self-tests: the checker must flag both planted races.
-    let seeded = [
-        ("seeded ordering bug", race::seeded_ordering_bug_trace()),
-        ("seeded async ordering bug", race::seeded_async_ordering_bug_trace()),
-    ];
-    for (name, trace) in seeded {
-        match race::check_trace(&trace) {
-            Err(TraceError::Race(found)) => {
-                println!("race sanitizer self-test: {name} detected ({found})");
-            }
-            Err(other) => {
-                eprintln!(
-                    "race sanitizer self-test FAILED: {name} trace reported {other}, not a race"
-                );
-                std::process::exit(1);
-            }
-            Ok(_) => {
-                eprintln!(
-                    "race sanitizer self-test FAILED: the {name} was NOT detected —                      the checker proves nothing"
-                );
-                std::process::exit(1);
-            }
+        Ok(_) => {
+            eprintln!(
+                "race sanitizer self-test FAILED: the seeded ordering bug was NOT detected — \
+                 the checker proves nothing"
+            );
+            std::process::exit(1);
         }
     }
 }

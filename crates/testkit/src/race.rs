@@ -235,50 +235,16 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<TraceStats, TraceError> {
     Ok(stats)
 }
 
-/// A hand-written trace of a 2-shard superstep with a deliberately seeded
-/// ordering bug: worker 2 writes shard 0's outbox without any channel
-/// edge ordering it against worker 1's write. [`check_trace`] **must**
-/// report a race on this trace — a sanitizer that cannot find a planted
-/// race proves nothing (the `schedule-sanitizer` binary asserts this on
-/// every run).
+/// A hand-written trace of a 2-worker drain (DESIGN.md §16.4 topology:
+/// coordinator 0, worker `s` at thread `s + 1`, channel `f * T + t` from
+/// thread `f` to thread `t`) with a deliberately seeded ordering bug:
+/// worker 2 folds a cross-shard contribution **in place** into shard 0's
+/// queue (a `ShardState(0)` write) instead of shipping it as a
+/// `ToWorker::Run` over the peer channel, so nothing orders the write
+/// against worker 1's own pass writes. [`check_trace`] **must** report a
+/// race on this trace — a sanitizer that cannot find a planted race proves
+/// nothing (the `schedule-sanitizer` binary asserts this on every run).
 pub fn seeded_ordering_bug_trace() -> Vec<TraceEvent> {
-    use AccessKind::{Read, Write};
-    use TraceEvent::{Access, Recv, Send};
-    vec![
-        Access { thread: 0, resource: Resource::Inbox(0), kind: Write },
-        Send { thread: 0, channel: 0 },
-        Access { thread: 0, resource: Resource::Inbox(1), kind: Write },
-        Send { thread: 0, channel: 2 },
-        Recv { thread: 1, channel: 0 },
-        Access { thread: 1, resource: Resource::Inbox(0), kind: Read },
-        Access { thread: 1, resource: Resource::ShardState(0), kind: Write },
-        Access { thread: 1, resource: Resource::Outbox(0), kind: Write },
-        Send { thread: 1, channel: 1 },
-        Recv { thread: 2, channel: 2 },
-        Access { thread: 2, resource: Resource::Inbox(1), kind: Read },
-        Access { thread: 2, resource: Resource::ShardState(1), kind: Write },
-        // The bug: no happens-before edge orders this against worker 1's
-        // write of the same outbox above.
-        Access { thread: 2, resource: Resource::Outbox(0), kind: Write },
-        Send { thread: 2, channel: 3 },
-        Recv { thread: 0, channel: 1 },
-        Access { thread: 0, resource: Resource::Outbox(0), kind: Read },
-        Recv { thread: 0, channel: 3 },
-        Access { thread: 0, resource: Resource::Outbox(1), kind: Read },
-    ]
-}
-
-/// A hand-written trace of a 2-worker **async** run (DESIGN.md §16.4
-/// topology: coordinator 0, worker `s` at thread `s + 1`, channel
-/// `f * T + t` from thread `f` to thread `t`) with a deliberately seeded
-/// ordering bug: worker 2 folds a cross-shard contribution **in place**
-/// into shard 0's queue (a `ShardState(0)` write) instead of shipping it
-/// as a `ToWorker::Run` over the peer channel, so nothing orders the
-/// write against worker 1's own pass writes. [`check_trace`] **must**
-/// report a race here; the `schedule-sanitizer` binary asserts this on
-/// every run, alongside the superstep-topology
-/// [`seeded_ordering_bug_trace`].
-pub fn seeded_async_ordering_bug_trace() -> Vec<TraceEvent> {
     use AccessKind::{Read, Write};
     use TraceEvent::{Access, Recv, Send};
     // s_count = 2, t_count = 3. Coordinator seeds: channel w + 1 to
@@ -321,55 +287,40 @@ mod tests {
     }
 
     #[test]
-    fn a_correct_superstep_trace_is_clean() {
+    fn a_correct_trace_is_clean() {
         use AccessKind::{Read, Write};
         use TraceEvent::{Recv, Send};
-        // Same shape as the seeded trace, with worker 2 writing its own
-        // outbox instead of shard 0's.
+        // Same shape as the seeded trace, with worker 2 shipping its
+        // cross-shard contribution as a run on the peer channel
+        // (2 * 3 + 1 + 1 = 8) for worker 1 to fold into its own queue.
         let trace = vec![
-            acc(0, Resource::Inbox(0), Write),
-            Send { thread: 0, channel: 0 },
-            acc(0, Resource::Inbox(1), Write),
+            Send { thread: 0, channel: 1 },
             Send { thread: 0, channel: 2 },
-            Recv { thread: 1, channel: 0 },
-            acc(1, Resource::Inbox(0), Read),
+            Recv { thread: 1, channel: 1 },
             acc(1, Resource::ShardState(0), Write),
-            acc(1, Resource::Outbox(0), Write),
-            Send { thread: 1, channel: 1 },
+            acc(1, Resource::ShardState(0), Write),
             Recv { thread: 2, channel: 2 },
-            acc(2, Resource::Inbox(1), Read),
             acc(2, Resource::ShardState(1), Write),
-            acc(2, Resource::Outbox(1), Write),
-            Send { thread: 2, channel: 3 },
-            Recv { thread: 0, channel: 1 },
-            acc(0, Resource::Outbox(0), Read),
+            acc(2, Resource::ShardState(1), Write),
+            Send { thread: 2, channel: 8 },
+            Recv { thread: 1, channel: 8 },
+            acc(1, Resource::ShardState(0), Write),
+            Send { thread: 1, channel: 3 },
+            Send { thread: 2, channel: 6 },
             Recv { thread: 0, channel: 3 },
-            acc(0, Resource::Outbox(1), Read),
+            Recv { thread: 0, channel: 6 },
+            acc(0, Resource::ShardState(0), Read),
+            acc(0, Resource::ShardState(1), Read),
         ];
         let stats = check_trace(&trace).expect("clean trace flagged");
         assert_eq!(stats.threads, 3);
-        assert_eq!(stats.accesses, 10);
+        assert_eq!(stats.accesses, 7);
     }
 
     #[test]
     fn the_seeded_ordering_bug_is_detected() {
         let err =
             check_trace(&seeded_ordering_bug_trace()).expect_err("the planted race must be found");
-        match err {
-            TraceError::Race(race) => {
-                assert_eq!(race.resource, Resource::Outbox(0));
-                assert_eq!(race.first.thread, 1);
-                assert_eq!(race.second.thread, 2);
-                assert!(race.common_locks.is_empty());
-            }
-            other => panic!("expected a race, got {other}"),
-        }
-    }
-
-    #[test]
-    fn the_seeded_async_ordering_bug_is_detected() {
-        let err = check_trace(&seeded_async_ordering_bug_trace())
-            .expect_err("the planted async race must be found");
         match err {
             TraceError::Race(race) => {
                 assert_eq!(race.resource, Resource::ShardState(0));
@@ -408,10 +359,10 @@ mod tests {
         use TraceEvent::{Acquire, Release};
         let trace = vec![
             Acquire { thread: 1, lock: 7 },
-            acc(1, Resource::Outbox(0), Write),
+            acc(1, Resource::ShardState(0), Write),
             Release { thread: 1, lock: 7 },
             Acquire { thread: 2, lock: 8 },
-            acc(2, Resource::Outbox(0), Write),
+            acc(2, Resource::ShardState(0), Write),
             Release { thread: 2, lock: 8 },
         ];
         match check_trace(&trace) {

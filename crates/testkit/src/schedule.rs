@@ -1,40 +1,32 @@
-//! Determinism sanitizer: a schedule fuzzer for the sharded engine.
+//! Schedule sanitizer: a schedule fuzzer for the sharded engine.
 //!
 //! The static `determinism` lint proves the absence of nondeterminism
-//! *sources*; this module hunts nondeterminism *behaviour* in the one
+//! *sources*; this module hunts schedule-dependent *results* in the one
 //! place concurrency is allowed (`ShardedEngine`). A [`ScheduleFuzzer`]
 //! sweeps a matrix of worker schedules — shard counts × base yield
-//! intervals × [`DetRng`]-seeded per-worker yield perturbations — and
-//! runs every schedule differentially against the sequential
-//! [`StreamingEngine`] oracle, comparing the full observable state after
-//! every batch: vertex values (bit-exact, compared on the raw `f64`
-//! bits), dependency arrays, impacted-vertex lists, and [`RunStats`].
-//! The sweep fails on the first divergent bit and reports the schedule
-//! tuple so the failure replays deterministically.
+//! intervals × [`DetRng`]-seeded per-worker yield and run-length (chunk)
+//! perturbations — and runs every schedule differentially against the
+//! sequential [`StreamingEngine`] oracle, comparing the vertex values
+//! after every batch under the sharded engine's equivalence contract
+//! (DESIGN.md §16.3): selective workloads bit-exact (compared on the raw
+//! `f64` bits), accumulative workloads within [`ACCUMULATIVE_TOL`] of the
+//! oracle fixpoint. The schedule-dependent observables (`RunStats`,
+//! dependency trees, impacted sets) are out of contract. The sweep fails
+//! on the first divergence and reports the schedule tuple so the failure
+//! replays.
 //!
-//! Yielding at different points per worker reshuffles the arrival order
-//! of cross-shard exchange messages, which is exactly the freedom a data
-//! race or order-sensitive reduction would need to surface. See
-//! DESIGN.md §13.3.
-//!
-//! With [`ScheduleFuzzer::async_mode`] the same matrix drives the
-//! barrier-free async engine (`ExecutionMode::Async`, DESIGN.md §16):
-//! schedules additionally carry a seeded per-worker run-length (chunk)
-//! plan, and the comparison switches to the async equivalence contract —
-//! selective workloads stay bit-exact on values, accumulative workloads
-//! must land within [`ASYNC_ACCUMULATIVE_TOL`] of the oracle fixpoint,
-//! and the schedule-dependent observables (`RunStats`, dependency trees,
-//! impacted sets — see DESIGN.md §16.3) are out of contract. Recorded
-//! sync traces still replay through the vector-clock race checker.
+//! Yielding and flushing at different points per worker reshuffles the
+//! arrival order of cross-shard runs, which is exactly the freedom a data
+//! race or order-sensitive reduction would need to surface; every run's
+//! recorded sync trace also replays through the vector-clock race checker.
+//! See DESIGN.md §13.3.
 //!
 //! This is library code on the sanitizer's hot path in CI, so it is
 //! panic-free: every failure mode is a value of [`FuzzFailure`].
 
-use jetstream_algorithms::{UpdateKind, Workload};
+use jetstream_algorithms::{oracle, UpdateKind, Workload};
 use jetstream_core::sync::RaceLog;
-use jetstream_core::{
-    DeleteStrategy, EngineConfig, ExecutionMode, RunStats, ShardedEngine, StreamingEngine,
-};
+use jetstream_core::{DeleteStrategy, EngineConfig, ShardedEngine, StreamingEngine};
 use jetstream_graph::rng::DetRng;
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch};
 
@@ -49,7 +41,7 @@ const ROOT: u32 = 0;
 /// differential suite so the sweep exercises the same propagation depth.
 const EPSILON: f64 = 1e-4;
 
-/// Relative tolerance for accumulative values under async schedules.
+/// Relative tolerance for accumulative values under sharded schedules.
 /// Residual-below-epsilon states differ by `EPSILON / (1 - d)` per damped
 /// cascade (~6.7e-4 for d = 0.85), and under delete strategies each batch
 /// restarts cascades from the previous approximate state, compounding
@@ -57,10 +49,10 @@ const EPSILON: f64 = 1e-4;
 /// default history is ~6e-3, so 2e-2 gives ~3x headroom while still
 /// catching genuinely wrong folds (which diverge by whole contributions,
 /// not epsilon tails).
-pub const ASYNC_ACCUMULATIVE_TOL: f64 = 2e-2;
+pub const ACCUMULATIVE_TOL: f64 = 2e-2;
 
 /// One concrete worker schedule: a point in the fuzzer's sweep matrix
-/// plus the per-worker yield plan derived from it.
+/// plus the per-worker yield and chunk plans derived from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Number of worker shards.
@@ -74,39 +66,31 @@ pub struct Schedule {
     /// processed events (0 = never). Installed via
     /// `ShardedEngine::set_yield_plan`.
     pub plan: Vec<usize>,
-    /// Per-worker async run-length perturbation: worker `i` drains
-    /// `chunks[i]` queue bins per pass (0 = the whole queue). Empty for
-    /// deterministic-mode schedules; installed via
-    /// `ShardedEngine::set_async_chunk_plan` otherwise.
+    /// Per-worker run-length perturbation: worker `i` drains `chunks[i]`
+    /// queue bins per pass (0 = the whole queue). Installed via
+    /// `ShardedEngine::set_async_chunk_plan`.
     pub chunks: Vec<usize>,
 }
 
 impl Schedule {
-    /// Derives the per-worker plan for one matrix point. Each worker's
-    /// interval is drawn independently from `base_yield + [0, 3)`, so
-    /// workers in the same run yield at different cadences and a `base`
-    /// of 0 mixes free-running workers with yielding ones.
+    /// Derives the per-worker plans for one matrix point. Each worker's
+    /// yield interval is drawn independently from `base_yield + [0, 3)`,
+    /// so workers in the same run yield at different cadences and a `base`
+    /// of 0 mixes free-running workers with yielding ones; its run length
+    /// is drawn from {0 = whole queue, 1, 2, 4, 8} bins per pass, so
+    /// workers flush and exchange cross-shard runs at deliberately
+    /// staggered cadences.
     pub fn derive(shards: usize, base_yield: usize, seed: u64) -> Schedule {
+        const CHUNKS: [usize; 5] = [0, 1, 2, 4, 8];
         let mut rng = DetRng::seed_from_u64(
             seed ^ (shards as u64).rotate_left(32) ^ (base_yield as u64).rotate_left(48),
         );
         let plan = (0..shards).map(|_| base_yield + rng.gen_index(3)).collect();
-        Schedule { shards, base_yield, seed, plan, chunks: Vec::new() }
-    }
-
-    /// Derives an async-mode matrix point: the yield plan of [`derive`]
-    /// plus a per-worker run-length (chunk) plan drawn from
-    /// {0 = whole queue, 1, 2, 4, 8} bins per pass, so workers in the
-    /// same run flush and exchange cross-shard runs at deliberately
-    /// staggered cadences.
-    pub fn derive_async(shards: usize, base_yield: usize, seed: u64) -> Schedule {
-        const CHUNKS: [usize; 5] = [0, 1, 2, 4, 8];
-        let mut schedule = Schedule::derive(shards, base_yield, seed);
         let mut rng = DetRng::seed_from_u64(
             seed.rotate_left(16) ^ (shards as u64).rotate_left(8) ^ (base_yield as u64),
         );
-        schedule.chunks = (0..shards).map(|_| CHUNKS[rng.gen_index(CHUNKS.len())]).collect();
-        schedule
+        let chunks = (0..shards).map(|_| CHUNKS[rng.gen_index(CHUNKS.len())]).collect();
+        Schedule { shards, base_yield, seed, plan, chunks }
     }
 }
 
@@ -114,54 +98,23 @@ impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shards={} base_yield={} seed={} plan={:?}",
-            self.shards, self.base_yield, self.seed, self.plan
-        )?;
-        if !self.chunks.is_empty() {
-            write!(f, " chunks={:?}", self.chunks)?;
-        }
-        Ok(())
+            "shards={} base_yield={} seed={} plan={:?} chunks={:?}",
+            self.shards, self.base_yield, self.seed, self.plan, self.chunks
+        )
     }
 }
 
-/// Which observable diverged first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivergedField {
-    /// Per-batch [`RunStats`] differed.
-    Stats,
-    /// A vertex value differed (raw `f64` bit comparison).
-    Values,
-    /// A dependency-tree entry differed.
-    Dependencies,
-    /// The impacted-vertex list differed.
-    Impacted,
-}
-
-impl fmt::Display for DivergedField {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            DivergedField::Stats => "run stats",
-            DivergedField::Values => "values",
-            DivergedField::Dependencies => "dependencies",
-            DivergedField::Impacted => "impacted set",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A reproducible divergence between the sharded engine under one
-/// schedule and the sequential oracle.
+/// A reproducible divergence between the sharded engine's values under
+/// one schedule and the sequential oracle's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Workload whose run diverged.
     pub workload: &'static str,
     /// Delete strategy label of the diverging run.
     pub strategy: &'static str,
-    /// Batch step at which the first divergent bit appeared
+    /// Batch step at which the values first left the contract
     /// (0 = initial compute).
     pub step: usize,
-    /// First observable that differed.
-    pub field: DivergedField,
     /// The schedule that exposed it.
     pub schedule: Schedule,
 }
@@ -170,8 +123,8 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{} diverged from the sequential oracle in {} at step {} under schedule [{}]",
-            self.workload, self.strategy, self.field, self.step, self.schedule
+            "{}/{} values diverged from the sequential oracle at step {} under schedule [{}]",
+            self.workload, self.strategy, self.step, self.schedule
         )
     }
 }
@@ -236,43 +189,26 @@ pub struct SweepReport {
     pub trace_events: usize,
 }
 
-/// Sequential oracle trajectory: per-step stats, values, dependencies,
-/// and impacted sets.
-struct Reference {
-    stats: Vec<RunStats>,
-    values: Vec<Vec<u64>>,
-    dependencies: Vec<Vec<Option<u32>>>,
-    impacted: Vec<Vec<u32>>,
-}
-
-/// Raw bits of a value slice; the sweep compares `f64`s bit-exactly, so
-/// `-0.0` vs `0.0` or differing NaN payloads count as divergence.
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// The per-kind value clause of whichever contract applies. Deterministic
-/// schedules are always bit-exact; async schedules keep bit-exactness for
-/// selective workloads (the min/max fixpoint is order-independent) and
-/// allow [`ASYNC_ACCUMULATIVE_TOL`] for accumulative ones (fold order and
-/// the epsilon threshold make exact bits schedule-dependent).
-fn values_match(is_async: bool, workload: Workload, actual: &[f64], expected_bits: &[u64]) -> bool {
-    if actual.len() != expected_bits.len() {
-        return false;
+/// The per-kind value clause of the sharded contract: bit-exact for
+/// selective workloads (the min/max fixpoint is order-independent; raw
+/// `f64` bits, so `-0.0` vs `0.0` or differing NaN payloads count as
+/// divergence), within [`ACCUMULATIVE_TOL`] for accumulative ones (fold
+/// order and the epsilon threshold make exact bits schedule-dependent).
+fn values_match(workload: Workload, actual: &[f64], expected: &[f64]) -> bool {
+    match workload.kind() {
+        UpdateKind::Selective => {
+            actual.len() == expected.len()
+                && actual.iter().zip(expected).all(|(a, e)| a.to_bits() == e.to_bits())
+        }
+        UpdateKind::Accumulative => oracle::values_match_tol(actual, expected, ACCUMULATIVE_TOL),
     }
-    if !is_async || workload.kind() == UpdateKind::Selective {
-        return actual.iter().zip(expected_bits).all(|(a, &e)| a.to_bits() == e);
-    }
-    actual.iter().zip(expected_bits).all(|(a, &e)| {
-        let e = f64::from_bits(e);
-        (a - e).abs() <= ASYNC_ACCUMULATIVE_TOL * e.abs().max(1.0)
-    })
 }
 
 /// The schedule-sweep matrix and workload selection. The default matrix
-/// is the one CI runs (DESIGN.md §13.3): shards ∈ {1, 2, 4} × 4 seeds ×
-/// 3 base yield intervals = 36 schedules, over SSSP and BFS × the Tag
-/// and Dap delete strategies.
+/// is the one CI runs (DESIGN.md §13.3): shards ∈ {2, 4} (a single worker
+/// has no cross-shard traffic to perturb) × 4 seeds × 3 base yield
+/// intervals = 24 schedules, over SSSP, BFS and PageRank — both clauses of
+/// the value contract — × the Tag and Dap delete strategies.
 #[derive(Debug, Clone)]
 pub struct ScheduleFuzzer {
     /// Shard counts to sweep.
@@ -292,51 +228,32 @@ pub struct ScheduleFuzzer {
     /// Record every run's sync trace and feed it through the
     /// vector-clock race checker ([`crate::race`], DESIGN.md §14.3).
     pub race_check: bool,
-    /// Drive the barrier-free async engine instead of the superstep
-    /// engine: schedules are derived with [`Schedule::derive_async`] and
-    /// runs are judged by the async equivalence contract.
-    pub async_mode: bool,
 }
 
 impl Default for ScheduleFuzzer {
     fn default() -> Self {
         ScheduleFuzzer {
-            shard_counts: vec![1, 2, 4],
+            shard_counts: vec![2, 4],
             seeds: vec![0xA1, 0xB2, 0xC3, 0xD4],
             base_yields: vec![0, 1, 3],
-            workloads: vec![Workload::Sssp, Workload::Bfs],
+            workloads: vec![Workload::Sssp, Workload::Bfs, Workload::PageRank],
             strategies: vec![DeleteStrategy::Tag, DeleteStrategy::Dap],
             batches: 3,
             batch_size: 20,
             race_check: true,
-            async_mode: false,
         }
     }
 }
 
 impl ScheduleFuzzer {
-    /// The async-mode matrix CI runs alongside the deterministic one:
-    /// shards ∈ {2, 4} (a single worker has no cross-shard traffic to
-    /// perturb), the default seeds and yields, and one workload of each
-    /// update kind so both clauses of the async contract are exercised.
-    pub fn async_default() -> Self {
-        ScheduleFuzzer {
-            shard_counts: vec![2, 4],
-            workloads: vec![Workload::Sssp, Workload::Bfs, Workload::PageRank],
-            async_mode: true,
-            ..ScheduleFuzzer::default()
-        }
-    }
-
     /// Materializes the sweep matrix in deterministic order.
     pub fn schedules(&self) -> Vec<Schedule> {
-        let derive = if self.async_mode { Schedule::derive_async } else { Schedule::derive };
         let mut out =
             Vec::with_capacity(self.shard_counts.len() * self.seeds.len() * self.base_yields.len());
         for &shards in &self.shard_counts {
             for &base in &self.base_yields {
                 for &seed in &self.seeds {
-                    out.push(derive(shards, base, seed));
+                    out.push(Schedule::derive(shards, base, seed));
                 }
             }
         }
@@ -358,34 +275,29 @@ impl ScheduleFuzzer {
         Ok((base, batches))
     }
 
+    /// The sequential oracle's values after the initial compute and after
+    /// every batch.
     fn reference(
         &self,
         workload: Workload,
         strategy: DeleteStrategy,
         base: &AdjacencyGraph,
         batches: &[UpdateBatch],
-    ) -> Result<Reference, FuzzFailure> {
+    ) -> Result<Vec<Vec<f64>>, FuzzFailure> {
         let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
         let config = EngineConfig { delete_strategy: strategy, ..EngineConfig::default() };
         let mut engine = StreamingEngine::new(alg, base.clone(), config);
-        let mut reference = Reference {
-            stats: vec![engine.initial_compute()],
-            values: vec![bits(engine.values())],
-            dependencies: vec![engine.dependencies().to_vec()],
-            impacted: vec![Vec::new()],
-        };
+        engine.initial_compute();
+        let mut reference = vec![engine.values().to_vec()];
         for (i, batch) in batches.iter().enumerate() {
-            let stats = engine.apply_update_batch(batch).map_err(|e| {
+            engine.apply_update_batch(batch).map_err(|e| {
                 FuzzFailure::Setup(format!(
                     "sequential oracle {}/{} failed at batch {i}: {e}",
                     workload.name(),
                     strategy.label()
                 ))
             })?;
-            reference.stats.push(stats);
-            reference.values.push(bits(engine.values()));
-            reference.dependencies.push(engine.dependencies().to_vec());
-            reference.impacted.push(engine.last_impacted().to_vec());
+            reference.push(engine.values().to_vec());
         }
         Ok(reference)
     }
@@ -425,62 +337,40 @@ impl ScheduleFuzzer {
         schedule: &Schedule,
         base: &AdjacencyGraph,
         batches: &[UpdateBatch],
-        reference: &Reference,
+        reference: &[Vec<f64>],
     ) -> Result<(usize, usize), FuzzFailure> {
-        let diverged = |step: usize, field: DivergedField| {
+        let diverged = |step: usize| {
             FuzzFailure::Divergence(Box::new(Divergence {
                 workload: workload.name(),
                 strategy: strategy.label(),
                 step,
-                field,
                 schedule: schedule.clone(),
             }))
         };
-        // Non-empty chunk plans only come from `derive_async`, so the
-        // schedule itself says which engine (and which contract) to use.
-        let is_async = !schedule.chunks.is_empty();
         let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
         let config = EngineConfig { delete_strategy: strategy, ..EngineConfig::default() };
         let mut engine = ShardedEngine::new(alg, base.clone(), config, schedule.shards);
         engine.set_yield_plan(&schedule.plan);
-        if is_async {
-            engine.set_execution_mode(ExecutionMode::Async);
-            engine.set_async_chunk_plan(&schedule.chunks);
-        }
+        engine.set_async_chunk_plan(&schedule.chunks);
         let race_log = if self.race_check { RaceLog::enabled() } else { RaceLog::default() };
         engine.set_race_log(race_log.clone());
 
-        let stats = engine.initial_compute();
-        if !is_async && stats != reference.stats[0] {
-            return Err(diverged(0, DivergedField::Stats));
-        }
-        if !values_match(is_async, workload, engine.values(), &reference.values[0]) {
-            return Err(diverged(0, DivergedField::Values));
-        }
-        if !is_async && engine.dependencies() != &reference.dependencies[0][..] {
-            return Err(diverged(0, DivergedField::Dependencies));
+        engine.initial_compute();
+        if !values_match(workload, engine.values(), &reference[0]) {
+            return Err(diverged(0));
         }
         let mut comparisons = 1usize;
         for (i, batch) in batches.iter().enumerate() {
             let step = i + 1;
-            let stats = engine.apply_update_batch(batch).map_err(|e| {
+            engine.apply_update_batch(batch).map_err(|e| {
                 FuzzFailure::Setup(format!(
                     "sharded {}/{} failed at batch {i} under [{schedule}]: {e}",
                     workload.name(),
                     strategy.label()
                 ))
             })?;
-            if !is_async && stats != reference.stats[step] {
-                return Err(diverged(step, DivergedField::Stats));
-            }
-            if !values_match(is_async, workload, engine.values(), &reference.values[step]) {
-                return Err(diverged(step, DivergedField::Values));
-            }
-            if !is_async && engine.dependencies() != &reference.dependencies[step][..] {
-                return Err(diverged(step, DivergedField::Dependencies));
-            }
-            if !is_async && engine.last_impacted() != &reference.impacted[step][..] {
-                return Err(diverged(step, DivergedField::Impacted));
+            if !values_match(workload, engine.values(), &reference[step]) {
+                return Err(diverged(step));
             }
             comparisons += 1;
         }
@@ -510,87 +400,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matrix_has_36_distinct_schedules() {
+    fn default_matrix_has_24_distinct_schedules() {
         let fuzzer = ScheduleFuzzer::default();
         let schedules = fuzzer.schedules();
-        assert_eq!(schedules.len(), 36);
+        assert_eq!(schedules.len(), 24);
         for (i, a) in schedules.iter().enumerate() {
             for b in &schedules[..i] {
                 assert_ne!(a, b, "duplicate schedule in matrix");
             }
         }
+        assert!(
+            schedules
+                .iter()
+                .flat_map(|s| &s.chunks)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+                > 1,
+            "the matrix must actually vary run lengths"
+        );
     }
 
     #[test]
     fn derived_plans_are_deterministic_and_per_worker() {
         let a = Schedule::derive(4, 1, 7);
         let b = Schedule::derive(4, 1, 7);
-        assert_eq!(a, b, "same matrix point must derive the same plan");
+        assert_eq!(a, b, "same matrix point must derive the same plans");
         assert_eq!(a.plan.len(), 4);
         assert!(a.plan.iter().all(|&y| (1..4).contains(&y)));
+        assert_eq!(a.chunks.len(), 4);
+        assert!(a.chunks.iter().all(|c| [0, 1, 2, 4, 8].contains(c)));
+        assert!(a.to_string().contains("chunks="), "Display must name the chunk plan");
         let c = Schedule::derive(4, 1, 8);
         assert_ne!(a.seed, c.seed);
     }
 
     #[test]
-    fn async_schedules_carry_seeded_chunk_plans() {
-        let a = Schedule::derive_async(4, 1, 7);
-        let b = Schedule::derive_async(4, 1, 7);
-        assert_eq!(a, b, "same matrix point must derive the same chunk plan");
-        assert_eq!(a.chunks.len(), 4);
-        assert!(a.chunks.iter().all(|c| [0, 1, 2, 4, 8].contains(c)));
-        // The yield plan is shared with the deterministic derivation.
-        assert_eq!(a.plan, Schedule::derive(4, 1, 7).plan);
-        assert!(a.to_string().contains("chunks="), "Display must name the chunk plan");
-        let matrix = ScheduleFuzzer::async_default().schedules();
-        assert!(matrix.iter().all(|s| !s.chunks.is_empty()));
-        assert!(
-            matrix.iter().flat_map(|s| &s.chunks).collect::<std::collections::HashSet<_>>().len()
-                > 1,
-            "the async matrix must actually vary run lengths"
-        );
-    }
-
-    #[test]
     fn a_small_sweep_is_clean() {
-        // The full 36-schedule matrix runs in CI via
-        // `cargo xtask check --sanitize`; keep the in-tree unit test to a
-        // slice so `cargo test` stays fast.
-        let fuzzer = ScheduleFuzzer {
-            shard_counts: vec![2],
-            seeds: vec![0xA1],
-            base_yields: vec![1],
-            workloads: vec![Workload::Sssp],
-            strategies: vec![DeleteStrategy::Dap],
-            batches: 2,
-            batch_size: 12,
-            race_check: true,
-            async_mode: false,
-        };
-        let report = fuzzer.run().expect("slice of the default sweep must be clean");
-        assert_eq!(report.schedules, 1);
-        assert_eq!(report.runs, 1);
-        assert_eq!(report.comparisons, 3);
-        assert!(report.trace_events > 0, "race check saw no trace events");
-    }
-
-    #[test]
-    fn a_small_async_sweep_is_clean() {
-        // One selective and one accumulative workload through the async
-        // engine under two seeded chunk plans; the full async matrix runs
-        // in CI via `cargo xtask check --sanitize`.
+        // One selective and one accumulative workload under two seeded
+        // schedules; the full matrix runs in CI via `cargo xtask check
+        // --sanitize`, so `cargo test` stays fast.
         let fuzzer = ScheduleFuzzer {
             shard_counts: vec![2],
             seeds: vec![0xA1, 0xB2],
-            base_yields: vec![0],
+            base_yields: vec![1],
             workloads: vec![Workload::Sssp, Workload::PageRank],
             strategies: vec![DeleteStrategy::Dap],
             batches: 2,
             batch_size: 12,
             race_check: true,
-            async_mode: true,
         };
-        let report = fuzzer.run().expect("slice of the async sweep must be clean");
+        let report = fuzzer.run().expect("slice of the default sweep must be clean");
         assert_eq!(report.schedules, 2);
         assert_eq!(report.runs, 4);
         assert_eq!(report.comparisons, 12);

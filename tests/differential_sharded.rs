@@ -1,35 +1,29 @@
-//! Differential conformance suite: the sharded parallel engine must be
-//! **bit-identical** to the sequential engine — not approximately equal,
-//! `==` on every `f64` — for every workload, every delete strategy, and
-//! every shard count, across whole batched streaming histories.
+//! Differential conformance suite: the sharded parallel engine against
+//! the sequential engine as the oracle, for every workload, every delete
+//! strategy, and every shard count, across whole batched streaming
+//! histories — through `apply_update_batch`, through the admission
+//! pre-check, through `cold_restart`, and across checkpoints mounted in
+//! both directions.
 //!
-//! This is the contract that makes parallel execution safe to substitute
-//! anywhere the sequential engine is used (including WAL replay in the
-//! durable store, where a single ULP of divergence would silently fork
-//! recovered state from recorded history).
-//!
-//! The barrier-free async mode (`ExecutionMode::Async`, DESIGN.md §16)
-//! has a deliberately weaker — but still differential — contract, spelled
-//! out on [`async_sharded_matches_sequential_fixpoints`]: selective
-//! workloads must still be bit-identical on values and impacted sets,
-//! accumulative workloads must land within the convergence tolerance.
+//! The sharded drain is barrier-free (DESIGN.md §16), so the contract is
+//! value equivalence, spelled out on
+//! [`async_sharded_matches_sequential_fixpoints`]: selective workloads are
+//! bit-identical on values, accumulative workloads land within the
+//! convergence tolerance.
 
 // Test harness: a panic is exactly the failure signal we want here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jetstream::algorithms::{oracle, UpdateKind, Workload};
 use jetstream::engine::{
-    BatchClassification, DeleteStrategy, EngineConfig, ExecutionMode, RunStats, ShardedEngine,
-    StreamingEngine, UpdateSafety,
+    BatchClassification, DeleteStrategy, EngineConfig, Executor, RunStats, ShardedEngine,
+    StreamingEngine, StreamingFlow, UpdateSafety,
 };
 use jetstream::graph::{gen, AdjacencyGraph, UpdateBatch};
 
 const ROOT: u32 = 0;
 const EPSILON: f64 = 1e-4;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Shard counts that additionally replay the history through
-/// `apply_admitted_batch` and `cold_restart`.
-const ADMITTED_SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCHES: usize = 4;
 
 /// The two graph shapes of the suite: hub-skewed (R-MAT) and
@@ -57,10 +51,9 @@ fn config(strategy: DeleteStrategy) -> EngineConfig {
     EngineConfig { delete_strategy: strategy, ..EngineConfig::default() }
 }
 
-/// One sequential reference trajectory: per-step stats, values,
-/// dependencies, and impacted sets.
+/// One sequential reference trajectory: per-step values, dependencies,
+/// and impacted sets.
 struct Reference {
-    stats: Vec<RunStats>,
     values: Vec<Vec<f64>>,
     dependencies: Vec<Vec<Option<u32>>>,
     impacted: Vec<Vec<u32>>,
@@ -70,16 +63,16 @@ struct Reference {
     /// What a second sequential engine returned from
     /// `apply_admitted_batch` for each of `batches`.
     admitted: Vec<(RunStats, BatchClassification)>,
-    /// A fresh `initial_compute` on the graph after `batches[0]`: stats,
-    /// values, dependencies.
-    cold: (RunStats, Vec<f64>, Vec<Option<u32>>),
+    /// The values of a fresh `initial_compute` on the graph after
+    /// `batches[0]`.
+    cold: Vec<f64>,
 }
 
 /// A batch every deletion of which `engine`'s converged state classifies
 /// safe, plus a few fresh insertions. Under DAP on a selective workload
 /// that is the admitted fast path; everywhere else nothing is provably
 /// safe, the batch is insert-only, and the admitted path falls through.
-fn safe_tail(engine: &StreamingEngine) -> UpdateBatch {
+fn safe_tail<X: Executor>(engine: &StreamingFlow<X>) -> UpdateBatch {
     let mut batch = gen::batch_with_ratio(engine.graph(), 4, 1.0, 99);
     let safe = engine
         .graph()
@@ -97,26 +90,18 @@ fn sequential_reference(
     strategy: DeleteStrategy,
     base: &AdjacencyGraph,
     batches: &[UpdateBatch],
-) -> Reference {
-    sequential_reference_with_epsilon(workload, strategy, base, batches, EPSILON)
-}
-
-fn sequential_reference_with_epsilon(
-    workload: Workload,
-    strategy: DeleteStrategy,
-    base: &AdjacencyGraph,
-    batches: &[UpdateBatch],
     epsilon: f64,
 ) -> Reference {
     let alg = || workload.instantiate_with_epsilon(ROOT, epsilon);
     let mut after_first = base.clone();
     after_first.apply_batch(&batches[0]).unwrap();
     let mut cold = StreamingEngine::new(alg(), after_first, config(strategy));
-    let cold = (cold.initial_compute(), cold.values().to_vec(), cold.dependencies().to_vec());
+    cold.initial_compute();
+    let cold = cold.values().to_vec();
 
     let mut engine = StreamingEngine::new(alg(), base.clone(), config(strategy));
+    engine.initial_compute();
     let mut reference = Reference {
-        stats: vec![engine.initial_compute()],
         values: vec![engine.values().to_vec()],
         dependencies: vec![engine.dependencies().to_vec()],
         impacted: vec![Vec::new()],
@@ -125,7 +110,7 @@ fn sequential_reference_with_epsilon(
         cold,
     };
     let mut record = |engine: &mut StreamingEngine, batch: &UpdateBatch| {
-        reference.stats.push(engine.apply_update_batch(batch).unwrap());
+        engine.apply_update_batch(batch).unwrap();
         reference.values.push(engine.values().to_vec());
         reference.dependencies.push(engine.dependencies().to_vec());
         reference.impacted.push(engine.last_impacted().to_vec());
@@ -169,174 +154,23 @@ fn sequential_reference_with_epsilon(
     reference
 }
 
-/// Asserts `engine`'s observable state equals the oracle's after `step`.
-fn assert_state_matches(engine: &ShardedEngine, reference: &Reference, step: usize, tag: &str) {
-    assert_eq!(engine.values(), &reference.values[step][..], "{tag}: values at step {step}");
-    assert_eq!(
-        engine.dependencies(),
-        &reference.dependencies[step][..],
-        "{tag}: dependence tree at step {step}"
-    );
-    assert_eq!(
-        engine.last_impacted(),
-        &reference.impacted[step][..],
-        "{tag}: impacted set at step {step}"
-    );
-}
-
-#[test]
-fn sharded_is_bit_identical_to_sequential_everywhere() {
-    for (shape, base) in graphs() {
-        let batches = history(&base, 1000);
-        for workload in Workload::ALL {
-            for strategy in DeleteStrategy::ALL {
-                let reference = sequential_reference(workload, strategy, &base, &batches);
-                for shards in SHARD_COUNTS {
-                    let tag = format!("{shape}/{}/{:?}/shards={shards}", workload.name(), strategy);
-                    let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
-                    let mut engine =
-                        ShardedEngine::new(alg, base.clone(), config(strategy), shards);
-                    assert_eq!(
-                        engine.initial_compute(),
-                        reference.stats[0],
-                        "{tag}: initial stats"
-                    );
-                    assert_eq!(engine.values(), &reference.values[0][..], "{tag}: initial values");
-                    // The same history through the admission pre-check, on
-                    // a second engine: the classification, the fast path
-                    // and the fall-through are the flow's, so they must not
-                    // notice the executor either.
-                    let mut admitted = ADMITTED_SHARD_COUNTS.contains(&shards).then(|| {
-                        let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
-                        let mut e = ShardedEngine::new(alg, base.clone(), config(strategy), shards);
-                        e.initial_compute();
-                        e
-                    });
-                    for (i, batch) in reference.batches.iter().enumerate() {
-                        let stats = engine.apply_update_batch(batch).unwrap();
-                        let step = i + 1;
-                        assert_eq!(stats, reference.stats[step], "{tag}: stats at step {step}");
-                        assert_state_matches(&engine, &reference, step, &tag);
-                        if let Some(admitted) = &mut admitted {
-                            let tag = format!("{tag}/admitted");
-                            let class = admitted.classify_batch(batch);
-                            let applied = admitted.apply_admitted_batch(batch).unwrap();
-                            assert_eq!(applied.1, class, "{tag}: classify_batch at step {step}");
-                            assert_eq!(applied, reference.admitted[i], "{tag}: step {step}");
-                            assert_state_matches(admitted, &reference, step, &tag);
-                        }
-                    }
-                    engine.validate_converged().unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    if let Some(admitted) = admitted {
-                        admitted.validate_converged().unwrap_or_else(|e| panic!("{tag}: {e}"));
-                        // `cold_restart` is apply + a fresh `initial_compute`.
-                        let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
-                        let mut cold =
-                            ShardedEngine::new(alg, base.clone(), config(strategy), shards);
-                        let stats = cold.cold_restart(&batches[0]).unwrap();
-                        assert_eq!(
-                            (stats, cold.values(), cold.dependencies()),
-                            (reference.cold.0, &reference.cold.1[..], &reference.cold.2[..]),
-                            "{tag}: cold restart"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_checkpoint_roundtrips_through_sequential_format() {
-    // A sharded engine mounted on a sequential engine's converged state
-    // (and vice versa) continues the stream bit-identically: the snapshot
-    // format carries no execution-strategy residue.
-    let base = gen::rmat(120, 500, gen::RmatParams::default(), 5);
-    let batches = history(&base, 2000);
-    for workload in [Workload::Sssp, Workload::PageRank] {
-        let mut seq = StreamingEngine::new(
-            workload.instantiate_with_epsilon(ROOT, EPSILON),
-            base.clone(),
-            EngineConfig::default(),
-        );
-        seq.initial_compute();
-        let mut sharded = ShardedEngine::from_checkpoint(
-            workload.instantiate_with_epsilon(ROOT, EPSILON),
-            base.clone(),
-            seq.values().to_vec(),
-            seq.dependencies().to_vec(),
-            EngineConfig::default(),
-            4,
-        )
-        .unwrap();
-        for batch in &batches {
-            assert_eq!(
-                seq.apply_update_batch(batch).unwrap(),
-                sharded.apply_update_batch(batch).unwrap(),
-                "{}",
-                workload.name()
-            );
-        }
-        assert_eq!(seq.values(), sharded.values(), "{}", workload.name());
-
-        // And back: mount a sequential engine on the sharded state.
-        let resumed = StreamingEngine::from_checkpoint(
-            workload.instantiate_with_epsilon(ROOT, EPSILON),
-            sharded.graph().clone(),
-            sharded.values().to_vec(),
-            sharded.dependencies().to_vec(),
-            EngineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(resumed.values(), seq.values(), "{}", workload.name());
-        resumed.validate_converged().unwrap();
-    }
-}
-
-/// Per-step stats plus final values and dependencies of one scheduled run.
-type ScheduleRun = (Vec<RunStats>, Vec<f64>, Vec<Option<u32>>);
-
-#[test]
-fn worker_schedule_perturbation_does_not_change_results() {
-    // Determinism regression: the same sharded computation under three
-    // deliberately different worker schedules — free-running, yielding
-    // after every event, yielding every third event — produces identical
-    // RunStats (event counts included) and identical final state. Bit-level
-    // results must come from the superstep protocol, never from timing.
-    let base = gen::small_world(140, 3, 0.2, 9);
-    let batches = history(&base, 3000);
-    for workload in [Workload::Sssp, Workload::Cc, Workload::PageRank] {
-        let mut runs: Vec<ScheduleRun> = Vec::new();
-        for yield_every in [None, Some(1), Some(3)] {
-            let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
-            let mut engine = ShardedEngine::new(alg, base.clone(), EngineConfig::default(), 4);
-            engine.set_yield_interval(yield_every);
-            let mut stats = vec![engine.initial_compute()];
-            for batch in &batches {
-                stats.push(engine.apply_update_batch(batch).unwrap());
-            }
-            runs.push((stats, engine.values().to_vec(), engine.dependencies().to_vec()));
-        }
-        let (ref stats0, ref values0, ref deps0) = runs[0];
-        for (stats, values, deps) in &runs[1..] {
-            assert_eq!(stats, stats0, "{}: stats changed under yield", workload.name());
-            assert_eq!(values, values0, "{}: values changed under yield", workload.name());
-            assert_eq!(deps, deps0, "{}: dependencies changed under yield", workload.name());
-        }
-    }
-}
-
-/// The async-mode equivalence contract, exercised over the full matrix of
-/// 6 workloads x 3 delete strategies x shard counts {2, 4, 8} on both
-/// graph shapes, against the sequential engine as the oracle:
+/// The sharded equivalence contract, exercised over the full matrix of
+/// 6 workloads x 3 delete strategies x shard counts {1, 2, 4, 8} on both
+/// graph shapes, against the sequential engine as the oracle. Every cell
+/// runs the history (plus the oracle's safe tail) four ways — through
+/// `apply_update_batch`, through `classify_batch`/`apply_admitted_batch`,
+/// on a sharded engine mounted on the oracle's initial checkpoint, and the
+/// first batch through `cold_restart` — then mounts a sequential engine on
+/// the sharded state and streams one more batch through both. Every engine
+/// must pass its own `validate_converged` check.
 ///
 /// * **Selective workloads** (SSSP, SSWP, BFS, CC): the fixpoint of a
-///   min/max selection is unique regardless of event order, so async
+///   min/max selection is unique regardless of event order, so sharded
 ///   values must be **bit-identical** (`f64::to_bits`) to sequential at
 ///   every step. The impacted set (vertices *reset* during delete
 ///   propagation) is **not** compared against the sequential set: under
 ///   VAP/DAP the reset cascade consults values and dependency parents,
-///   and async dependency trees legitimately break equal-cost ties
+///   and sharded dependency trees legitimately break equal-cost ties
 ///   differently, so the reset set itself is schedule-dependent. What
 ///   every schedule must satisfy is the change-notification completeness
 ///   property asserted here: a selective value can only *worsen* (become
@@ -345,7 +179,7 @@ fn worker_schedule_perturbation_does_not_change_results() {
 /// * **Accumulative workloads** (PageRank, Adsorption): contributions are
 ///   folded in schedule-dependent order and convergence is thresholded at
 ///   `epsilon`, so exact bits are out of contract. Both engines run at a
-///   tightened `epsilon = 1e-5` and async values must land within
+///   tightened `epsilon = 1e-5` and sharded values must land within
 ///   `oracle::accumulative_tolerance(epsilon)` (= `500 * epsilon` = 5e-3
 ///   relative) of the sequential fixpoint — the bound every other
 ///   accumulative comparison in the repo uses. `epsilon / (1 - d)` is
@@ -357,15 +191,21 @@ fn worker_schedule_perturbation_does_not_change_results() {
 ///   restarts from the previous approximate state. The hubs of the R-MAT
 ///   shape sit at the top of that budget: measured over 12 runs the worst
 ///   relative gap was 1.02e-3 (vertex 0, 8 shards), and never below
-///   4.6e-4. Both engines must also pass their own `validate_converged`
-///   check. Impacted sets are not compared: the epsilon threshold makes
+///   4.6e-4. Impacted sets are not compared: the epsilon threshold makes
 ///   membership of marginal vertices legitimately schedule-dependent.
-/// * **Not in contract for async**: `RunStats` (pass structure differs by
-///   design — there are no supersteps) and dependency trees (equal-cost
-///   parent ties break by arrival order).
+/// * **Classification** is a function of the converged state. Two engines
+///   on the *same* state — the sharded one and the sequential one mounted
+///   on its checkpoint — must classify every batch identically, and what
+///   `apply_admitted_batch` reports must be what `classify_batch` said.
+///   Against the oracle's *own* trajectory only what no dependency tree
+///   decides is compared: everything outside DAP on a selective workload
+///   (where nothing is provably safe), and there the insert tallies and
+///   the number of deletions.
+/// * **Not in contract**: `RunStats` (pass structure differs by design —
+///   there are no rounds) and dependency trees (equal-cost parent ties
+///   break by arrival order).
 #[test]
 fn async_sharded_matches_sequential_fixpoints() {
-    const ASYNC_SHARDS: [usize; 3] = [2, 4, 8];
     for (shape, base) in graphs() {
         let batches = history(&base, 4000);
         for workload in Workload::ALL {
@@ -373,38 +213,54 @@ fn async_sharded_matches_sequential_fixpoints() {
                 UpdateKind::Selective => EPSILON,
                 UpdateKind::Accumulative => 1e-5,
             };
+            let alg = || workload.instantiate_with_epsilon(ROOT, epsilon);
             for strategy in DeleteStrategy::ALL {
-                let reference =
-                    sequential_reference_with_epsilon(workload, strategy, &base, &batches, epsilon);
-                for shards in ASYNC_SHARDS {
-                    let tag =
-                        format!("async {shape}/{}/{:?}/shards={shards}", workload.name(), strategy);
-                    let alg = workload.instantiate_with_epsilon(ROOT, epsilon);
-                    let mut engine =
-                        ShardedEngine::new(alg, base.clone(), config(strategy), shards);
-                    engine.set_execution_mode(ExecutionMode::Async);
-                    engine.initial_compute();
-                    let check = |actual: &[f64], step: usize| {
-                        assert_values_match(
-                            workload,
-                            epsilon,
-                            actual,
-                            &reference.values[step],
-                            &tag,
-                            step,
-                        );
+                let reference = sequential_reference(workload, strategy, &base, &batches, epsilon);
+                let skippable =
+                    strategy == DeleteStrategy::Dap && workload.kind() == UpdateKind::Selective;
+                for shards in SHARD_COUNTS {
+                    let tag = format!("{shape}/{}/{:?}/shards={shards}", workload.name(), strategy);
+                    let check = |actual: &[f64], expected: &[f64], what: &str| {
+                        assert_values_match(workload, epsilon, actual, expected, &tag, what);
                     };
-                    check(engine.values(), 0);
-                    for (i, batch) in batches.iter().enumerate() {
+                    let converged = |engine: &ShardedEngine, what: &str| {
+                        engine.validate_converged().unwrap_or_else(|e| panic!("{tag}/{what}: {e}"));
+                    };
+                    let fresh = || {
+                        let mut e =
+                            ShardedEngine::new(alg(), base.clone(), config(strategy), shards);
+                        e.initial_compute();
+                        e
+                    };
+
+                    let mut engine = fresh();
+                    check(engine.values(), &reference.values[0], "step 0");
+                    // The same history through the admission pre-check, and
+                    // on an engine mounted on the oracle's initial state: the
+                    // classification, the fast path, the fall-through and the
+                    // snapshot format are the flow's, so none of them may
+                    // notice the executor.
+                    let mut admitted = fresh();
+                    let mut mounted = ShardedEngine::from_checkpoint(
+                        alg(),
+                        base.clone(),
+                        reference.values[0].clone(),
+                        reference.dependencies[0].clone(),
+                        config(strategy),
+                        shards,
+                    )
+                    .unwrap();
+                    for (i, batch) in reference.batches.iter().enumerate() {
                         let step = i + 1;
+                        let expected = &reference.values[step];
                         engine.apply_update_batch(batch).unwrap();
-                        check(engine.values(), step);
+                        check(engine.values(), expected, &format!("step {step}"));
                         if workload.kind() == UpdateKind::Selective {
-                            let probe = workload.instantiate_with_epsilon(ROOT, epsilon);
+                            let probe = alg();
                             let reported = sorted_set(engine.last_impacted());
                             let missed: Vec<u32> = reference.values[step - 1]
                                 .iter()
-                                .zip(&reference.values[step])
+                                .zip(expected)
                                 .enumerate()
                                 .filter(|&(_, (&old, &new))| probe.more_progressed(old, new))
                                 .map(|(v, _)| v as u32)
@@ -416,32 +272,93 @@ fn async_sharded_matches_sequential_fixpoints() {
                                  impacted (reported {reported:?})"
                             );
                         }
+
+                        let class = admitted.classify_batch(batch);
+                        let applied = admitted.apply_admitted_batch(batch).unwrap();
+                        assert_eq!(applied.1, class, "{tag}: classify_batch at step {step}");
+                        let oracle_class = reference.admitted[i].1;
+                        if skippable {
+                            let tallies = |c: BatchClassification| {
+                                (
+                                    c.safe_inserts,
+                                    c.unsafe_inserts,
+                                    c.safe_deletes + c.unsafe_deletes,
+                                )
+                            };
+                            assert_eq!(
+                                tallies(class),
+                                tallies(oracle_class),
+                                "{tag}: tree-independent tallies at step {step}"
+                            );
+                        } else {
+                            assert_eq!(class, oracle_class, "{tag}: classification at step {step}");
+                        }
+                        check(admitted.values(), expected, &format!("admitted step {step}"));
+
+                        mounted.apply_update_batch(batch).unwrap();
+                        check(mounted.values(), expected, &format!("mounted step {step}"));
                     }
-                    engine.validate_converged().unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    converged(&engine, "full path");
+                    converged(&admitted, "admitted");
+                    converged(&mounted, "mounted");
+
+                    // `cold_restart` is apply + a fresh `initial_compute`.
+                    let mut cold =
+                        ShardedEngine::new(alg(), base.clone(), config(strategy), shards);
+                    cold.cold_restart(&batches[0]).unwrap();
+                    check(cold.values(), &reference.cold, "cold restart");
+                    converged(&cold, "cold restart");
+
+                    // And back: a sequential engine mounted on the sharded
+                    // state is converged, classifies like the engine it was
+                    // taken from, and continues the stream with it — through
+                    // the fast path where the state can prove deletions safe.
+                    let mut resumed = StreamingEngine::from_checkpoint(
+                        alg(),
+                        admitted.graph().clone(),
+                        admitted.values().to_vec(),
+                        admitted.dependencies().to_vec(),
+                        config(strategy),
+                    )
+                    .unwrap();
+                    resumed.validate_converged().unwrap_or_else(|e| panic!("{tag}/resumed: {e}"));
+                    let tail = safe_tail(&admitted);
+                    let class = admitted.classify_batch(&tail);
+                    assert_eq!(
+                        resumed.classify_batch(&tail),
+                        class,
+                        "{tag}: same state, same class"
+                    );
+                    assert_eq!(skippable, class.safe_deletes > 0, "{tag}: own safe tail");
+                    let applied = admitted.apply_admitted_batch(&tail).unwrap();
+                    assert_eq!(applied.1, class, "{tag}: own safe tail");
+                    if skippable {
+                        assert_eq!(applied.0.delete_events, 0, "{tag}: fast path skips deletes");
+                    }
+                    assert_eq!(resumed.apply_admitted_batch(&tail).unwrap().1, class);
+                    check(admitted.values(), resumed.values(), "own safe tail");
+                    converged(&admitted, "own safe tail");
+                    resumed.validate_converged().unwrap_or_else(|e| panic!("{tag}/resumed: {e}"));
                 }
             }
         }
     }
 }
 
-/// Applies the per-kind value clause of the async contract at one step.
+/// Applies the per-kind value clause of the contract to one comparison.
 fn assert_values_match(
     workload: Workload,
     epsilon: f64,
     actual: &[f64],
     expected: &[f64],
     tag: &str,
-    step: usize,
+    what: &str,
 ) {
-    assert_eq!(actual.len(), expected.len(), "{tag}: value count at step {step}");
+    assert_eq!(actual.len(), expected.len(), "{tag}: value count at {what}");
     match workload.kind() {
         UpdateKind::Selective => {
             for (v, (a, e)) in actual.iter().zip(expected).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    e.to_bits(),
-                    "{tag}: vertex {v} at step {step}: {a} != {e}"
-                );
+                assert_eq!(a.to_bits(), e.to_bits(), "{tag}: vertex {v} at {what}: {a} != {e}");
             }
         }
         UpdateKind::Accumulative => {
@@ -449,7 +366,7 @@ fn assert_values_match(
             for (v, (a, e)) in actual.iter().zip(expected).enumerate() {
                 assert!(
                     (a - e).abs() <= tol * e.abs().max(1.0),
-                    "{tag}: vertex {v} at step {step}: {a} vs {e}"
+                    "{tag}: vertex {v} at {what}: {a} vs {e}"
                 );
             }
         }

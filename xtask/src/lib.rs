@@ -36,8 +36,8 @@
 //!   (`thread_rng`, `from_entropy`, `RandomState`) sources, and no
 //!   `HashMap`/`HashSet`, in the bit-determinism-critical code:
 //!   `crates/core`, `crates/algorithms`, `crates/graph`, and the store
-//!   replay path. Two runs of the same batch stream must produce
-//!   identical state (DESIGN.md §11/§13); a justified exception takes
+//!   replay path. Two sequential runs of the same batch stream must
+//!   produce identical state (DESIGN.md §13); a justified exception takes
 //!   `// nondeterminism-ok: <reason>`.
 //! * **cast-truncation** — every narrowing `as` cast (`as u8/u16/u32/i8/
 //!   i16/i32/usize/isize/VertexId`) in `crates/core`/`crates/graph` must
@@ -226,8 +226,8 @@ impl Lint {
                 "determinism: no wall-clock (`Instant`, `SystemTime`), entropy \
                  (`thread_rng`, `from_entropy`, `RandomState`), or unordered collections in \
                  `crates/core`, `crates/algorithms`, `crates/graph`, or the store replay \
-                 path.\n\nTwo runs of the same batch stream must produce bit-identical \
-                 state (DESIGN.md §11/§13): recovery replays the log and diffs against the \
+                 path.\n\nTwo sequential runs of the same batch stream must produce bit-identical \
+                 state (DESIGN.md §13): recovery replays the log and diffs against the \
                  live engine, and the sharded engine is diffed against the sequential one. \
                  A justified exception takes `// nondeterminism-ok: <reason>`."
             }
@@ -244,7 +244,7 @@ impl Lint {
                  allowed only in approved modules (in the engine: \
                  `crates/core/src/sharded.rs` and `crates/core/src/async_mode.rs`).\n\n\
                  Concurrency enters the engine only through reviewed modules whose \
-                 interleavings are argued deterministic (DESIGN.md §11) or \
+                 interleavings are argued deterministic (DESIGN.md §15.4) or \
                  value-equivalent under quiescence (DESIGN.md §16) and are covered by \
                  the schedule fuzzer and the race sanitizer (`cargo xtask check \
                  --sanitize`). Adding a module to the approved list is a reviewed decision."
@@ -347,13 +347,13 @@ const CONCURRENCY_SCOPE: [&str; 6] = [
 
 /// Modules allowed to use concurrency primitives. Adding a file here is a
 /// reviewed decision: it means its interleavings have been argued
-/// deterministic (see DESIGN.md §11 for `sharded.rs`, §15.4 for the
-/// serve threading model: per-connection reader/writer threads feed one
-/// engine thread over channels; the engine applies batches serially, so
-/// engine state never sees concurrent mutation) or value-equivalent
-/// under quiescence (DESIGN.md §16 for `async_mode.rs`: barrier-free
+/// deterministic (see DESIGN.md §15.4 for the serve threading model:
+/// per-connection reader/writer threads feed one engine thread over
+/// channels; the engine applies batches serially, so engine state never
+/// sees concurrent mutation) or value-equivalent under quiescence
+/// (DESIGN.md §16 for `sharded.rs` and `async_mode.rs`: barrier-free
 /// workers over disjoint shard state, fenced by the differential matrix,
-/// the async schedule fuzzer, and the race sanitizer).
+/// the schedule fuzzer, and the race sanitizer).
 const CONCURRENCY_APPROVED: [&str; 5] = [
     "crates/core/src/sharded.rs",
     "crates/core/src/async_mode.rs",
@@ -1120,7 +1120,7 @@ fn check_concurrency(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
             format!(
                 "`{name}` outside the approved concurrency modules ({}) — concurrency enters \
                  the engine only through reviewed modules whose interleavings are argued \
-                 deterministic (DESIGN.md §11)",
+                 deterministic or value-equivalent (DESIGN.md §15.4, §16)",
                 CONCURRENCY_APPROVED.join(", ")
             ),
         );

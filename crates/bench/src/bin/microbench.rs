@@ -1,4 +1,4 @@
-//! Hot-path microbenchmark rig (see DESIGN.md §12).
+//! Component microbenchmark rig (see DESIGN.md §12).
 //!
 //! Usage:
 //!
@@ -61,13 +61,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let fresh = micro::to_json(&results, &cfg, mode);
-    // Entries owned by other rigs (the serving loadgen) are carried over
-    // from the committed file so this rewrite does not drop them.
-    let json = match std::fs::read_to_string("BENCH.json") {
-        Ok(previous) => micro::carry_foreign(&fresh, &previous),
-        Err(_) => fresh,
-    };
+    let json = micro::to_json(&results, &cfg, mode);
 
     let destination = match (&out_file, check) {
         (Some(path), _) => Some(path.clone()),
@@ -92,8 +86,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let mut baseline = micro::parse_medians(&committed);
-        baseline.retain(|(name, _)| !micro::is_foreign(name));
+        let baseline = micro::parse_medians(&committed);
         if baseline.is_empty() {
             eprintln!("microbench: baseline {baseline_file} contains no benchmarks");
             std::process::exit(1);

@@ -5,10 +5,8 @@
 //! the paper's reference numbers. `experiments all` (the binary in this
 //! crate) strings them together into `EXPERIMENTS.md`.
 
-use jetstream_algorithms::{oracle, UpdateKind, Workload};
-use jetstream_core::{
-    AccumulativeRecovery, DeleteStrategy, EngineConfig, ShardedEngine, StreamingEngine,
-};
+use jetstream_algorithms::{UpdateKind, Workload};
+use jetstream_core::{AccumulativeRecovery, DeleteStrategy, EngineConfig, StreamingEngine};
 use jetstream_graph::gen::DatasetProfile;
 use jetstream_hwmodel::{estimate, HwConfig};
 use jetstream_sim::SimConfig;
@@ -448,201 +446,6 @@ pub fn ablation_slicing(scale: u32) -> String {
         ));
     }
     out
-}
-
-/// Persistence: warm restart from a durable store versus a cold restart.
-///
-/// Streams SSSP update batches over the scaled LiveJournal graph through a
-/// [`jetstream_store::DurableEngine`] rooted at `dir`, then measures how
-/// long it takes to (a) warm-start — load the latest snapshot and replay
-/// the WAL tail (§3.4's recoverable approximation resumes from disk) — and
-/// (b) cold-restart the recovered engine from scratch. With `recover_only`
-/// the build phase is skipped and `dir` must hold a store from a previous
-/// run, which is how the flow is exercised across *separate processes*
-/// (`experiments persistence --persist-dir D` then `... --recover`).
-pub fn persistence(
-    scale: u32,
-    dir: &std::path::Path,
-    recover_only: bool,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use std::time::Instant;
-
-    use crate::harness::{base_and_batches, root_for, ACCUMULATIVE_EPSILON};
-    use jetstream_store::{DurableEngine, RecoveryOptions, StoreOptions};
-
-    // PageRank: an iterative accumulative workload whose cold recompute is
-    // expensive, which is exactly what a snapshot + WAL-tail replay avoids.
-    // Eight batches with a checkpoint every three leaves a two-batch WAL
-    // tail, so the warm path exercises both snapshot load and replay.
-    let workload = Workload::PageRank;
-    let profile = DatasetProfile::LiveJournal;
-    let scenario = Scenario { rounds: 8, ..Scenario::paper_default(workload, profile, scale) };
-    let options =
-        StoreOptions { checkpoint_interval: 3, retain_snapshots: 2, sync_every_batch: true };
-
-    let mut build_ms = None;
-    if !recover_only {
-        // The persist dir is bench scratch space: a store left by a prior
-        // run is replaced so the measurement starts from a clean slate.
-        if dir.exists() {
-            std::fs::remove_dir_all(dir)?;
-        }
-        eprintln!("[persistence] building store in {} ...", dir.display());
-        let (base, batches) = base_and_batches(&scenario);
-        let root = root_for(&base);
-        let mut engine = StreamingEngine::new(
-            workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
-            base,
-            EngineConfig::default(),
-        );
-        engine.initial_compute();
-        let start = Instant::now();
-        let mut durable = DurableEngine::create(dir, engine, options)?;
-        for batch in &batches {
-            durable.apply_update_batch(batch)?;
-        }
-        build_ms = Some(start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    // The root is a property of the dataset, so the recover-only path can
-    // re-derive the algorithm the persisted state was computed with.
-    let root = root_for(dataset(profile, scale));
-    eprintln!("[persistence] warm restart from {} ...", dir.display());
-    let warm_start = Instant::now();
-    let (recovered, report) = DurableEngine::recover(
-        dir,
-        workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
-        EngineConfig::default(),
-        options,
-        RecoveryOptions::default(),
-    )?;
-    let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
-
-    let usage = recovered.store().disk_usage()?;
-    let mut engine = recovered.into_engine();
-    eprintln!("[persistence] cold restart for comparison ...");
-    let cold_start = Instant::now();
-    engine.cold_restart(&jetstream_graph::UpdateBatch::new())?;
-    let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
-
-    let mut out = String::from("## Persistence — warm vs cold restart\n\n");
-    out.push_str(&format!(
-        "{} on {} (scale 1/{scale}), {} streamed batches, checkpoint every \
-         {} batches. Warm restart loads the latest snapshot and replays the \
-         WAL tail; cold restart recomputes the query from scratch on the \
-         same graph.\n\n",
-        workload.name(),
-        profile.tag(),
-        scenario.rounds,
-        options.checkpoint_interval,
-    ));
-    out.push_str(
-        "| Metric | Value |\n\
-         |---|---|\n",
-    );
-    if let Some(ms) = build_ms {
-        out.push_str(&format!("| Build (stream + persist) ms | {ms:.2} |\n"));
-    }
-    out.push_str(&format!("| Recovered sequence | {} |\n", report.recovered_sequence));
-    out.push_str(&format!("| Snapshot sequence | {} |\n", report.snapshot_sequence));
-    out.push_str(&format!("| WAL batches replayed | {} |\n", report.replayed_batches));
-    out.push_str(&format!("| Snapshot bytes | {} |\n", usage.snapshot_bytes));
-    out.push_str(&format!("| WAL bytes | {} |\n", usage.wal_bytes));
-    out.push_str(&format!("| Warm restart ms | {warm_ms:.2} |\n"));
-    out.push_str(&format!("| Cold restart ms | {cold_ms:.2} |\n"));
-    out.push_str(&format!("| Cold / warm | {:.2}× |\n", cold_ms / warm_ms.max(1e-9)));
-    Ok(out)
-}
-
-/// Scaling: the sharded parallel engine versus the sequential engine on
-/// the PageRank/LiveJournal streaming workload (`experiments scaling
-/// --shards S`).
-///
-/// Sweeps shard counts 1, 2, 4, … up to `max_shards` and reports, per
-/// count, host wall-clock plus the engine's
-/// [`ParallelModel`](jetstream_core::ParallelModel): total work units
-/// (events processed + edges read) against the critical path (each drain
-/// charged its slowest shard). The modelled speedup is the
-/// machine-independent scaling number — host wall-clock only shows real
-/// parallel speedup when the host has cores to spare, and a single-core
-/// container never does — though it moves a little from run to run with
-/// the schedule. Every sharded run is also checked against the sequential
-/// reference within `oracle::accumulative_tolerance`, so the sweep doubles
-/// as a differential test at bench scale.
-pub fn scaling(scale: u32, max_shards: usize) -> Result<String, HarnessError> {
-    use std::time::Instant;
-
-    use crate::harness::{base_and_batches, root_for, ACCUMULATIVE_EPSILON};
-
-    let workload = Workload::PageRank;
-    let profile = DatasetProfile::LiveJournal;
-    let scenario = Scenario { rounds: 4, ..Scenario::paper_default(workload, profile, scale) };
-    let (base, batches) = base_and_batches(&scenario);
-    let root = root_for(&base);
-    let alg = || workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON);
-
-    eprintln!("[scaling] sequential reference ...");
-    let seq_start = Instant::now();
-    let mut seq = StreamingEngine::new(alg(), base.clone(), EngineConfig::default());
-    seq.initial_compute();
-    for batch in &batches {
-        seq.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
-    }
-    let seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
-
-    let mut out = String::from("## Scaling — sharded engine vs sequential\n\n");
-    out.push_str(&format!(
-        "{} on {} (scale 1/{scale}), initial compute + {} streamed batches \
-         of {} updates. Modelled speedup = total work / critical path \
-         (work = events processed + edges read; each drain costs its \
-         slowest shard), a host-independent number; wall-clock is this \
-         host ({} core{}). Sequential reference: {seq_ms:.1} ms.\n\n",
-        workload.name(),
-        profile.tag(),
-        scenario.rounds,
-        scenario.batch,
-        std::thread::available_parallelism().map_or(1, usize::from),
-        if std::thread::available_parallelism().map_or(1, usize::from) == 1 { "" } else { "s" },
-    ));
-    out.push_str(
-        "| Shards | Wall ms | Total work | Critical path | Modelled speedup |\n\
-         |---|---|---|---|---|\n",
-    );
-
-    let mut counts = Vec::new();
-    let mut s = 1;
-    while s < max_shards {
-        counts.push(s);
-        s *= 2;
-    }
-    counts.push(max_shards.max(1));
-
-    for &shards in &counts {
-        eprintln!("[scaling] {shards} shard(s) ...");
-        let start = Instant::now();
-        let mut engine = ShardedEngine::new(alg(), base.clone(), EngineConfig::default(), shards);
-        engine.initial_compute();
-        for batch in &batches {
-            engine.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
-        }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            oracle::values_match_tol(
-                engine.values(),
-                seq.values(),
-                oracle::accumulative_tolerance(ACCUMULATIVE_EPSILON)
-            ),
-            "sharded diverged from sequential"
-        );
-        let model = engine.parallel_model();
-        out.push_str(&format!(
-            "| {shards} | {wall_ms:.1} | {} | {} | {:.2}× |\n",
-            model.total_work,
-            model.critical_path,
-            model.modeled_speedup(),
-        ));
-    }
-    Ok(out)
 }
 
 /// Table 4: power and area of the accelerator components.

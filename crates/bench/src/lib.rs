@@ -12,15 +12,13 @@
 //! root when invoked there), or name an individual artifact:
 //! `experiments table3`, `experiments fig12`, …
 //!
-//! The `microbench` binary ([`micro`]) times the engine's hot paths with
-//! warmup + median-of-K sampling and maintains `BENCH.json` at the repo
-//! root (schema in DESIGN.md §12).
+//! The `microbench` binary ([`micro`]) times the engine's components
+//! (queue, kernel, CSR snapshot) with warmup + median-of-K sampling and
+//! owns `BENCH.json` at the repo root (schema in DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;
-pub mod latency;
 pub mod micro;
-pub mod timing;

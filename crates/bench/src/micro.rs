@@ -1,9 +1,10 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
-//! Times the hot paths the data-layout work targets — queue insert, queue
-//! drain, kernel apply via `initial_compute`, batch streaming, and the
-//! sharded drain — with warmup + median-of-K sampling, and serializes the
-//! results to the `BENCH.json` schema documented in DESIGN.md §12.
+//! Times the engine's components — queue insert, queue drain, kernel apply
+//! via `initial_compute`, and CSR snapshot maintenance — with warmup +
+//! median-of-K sampling, and serializes the results to the `BENCH.json`
+//! schema documented in DESIGN.md §12. Whole engines and the server are
+//! measured by `benchmark/` (`BENCHMARK.json`), not here.
 //! Everything here is std-only (the workspace builds offline); the JSON
 //! writer and the line-oriented reader used by `--check` live here too so
 //! the regression gate needs no external parser.
@@ -12,7 +13,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use jetstream_algorithms::{Algorithm, Reduce, Workload};
-use jetstream_core::{CoalescingQueue, EngineConfig, Event, ShardedEngine, StreamingEngine};
+use jetstream_core::{CoalescingQueue, EngineConfig, Event, StreamingEngine};
 use jetstream_graph::gen::DatasetProfile;
 use jetstream_graph::VertexId;
 
@@ -197,7 +198,7 @@ fn bench_insert_coalescing(cfg: &MicroConfig, by_row: bool) -> BenchResult {
                     }
                 }
             }
-            crate::timing::consume(queue.len());
+            std::hint::black_box(queue.len());
         },
     )
 }
@@ -220,7 +221,7 @@ fn bench_drain_bitmap(cfg: &MicroConfig, name: &'static str, occupancy: usize) -
         |queue| {
             scratch.clear();
             let drained = queue.take_all_into(&mut scratch);
-            crate::timing::consume(drained);
+            std::hint::black_box(drained);
         },
     )
 }
@@ -249,41 +250,7 @@ fn bench_initial_compute(cfg: &MicroConfig) -> Result<BenchResult, HarnessError>
             )
         },
         |engine| {
-            crate::timing::consume(engine.initial_compute());
-        },
-    ))
-}
-
-#[allow(clippy::expect_used)] // invariant: every batch was applied once by the probe engine
-fn bench_stream_batches(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = pagerank_scenario(cfg);
-    let (base, batches) = harness::base_and_batches(&scenario);
-    if batches.is_empty() {
-        return Err(scenario.no_batches());
-    }
-    // Batch application errors surface during warmup (the routine panics
-    // would otherwise be silent); generation is deterministic, so probe
-    // once up front and report a harness error instead.
-    let mut probe = fresh_engine(&scenario, &base);
-    probe.initial_compute();
-    for batch in &batches {
-        probe.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
-    }
-    Ok(measure(
-        "stream_batches_pagerank_lj",
-        cfg.warmup,
-        cfg.samples,
-        || {
-            let mut engine = fresh_engine(&scenario, &base);
-            engine.initial_compute();
-            engine
-        },
-        |engine| {
-            for batch in &batches {
-                let stats =
-                    engine.apply_update_batch(batch).expect("invariant: probed batches apply");
-                crate::timing::consume(stats.events_processed);
-            }
+            std::hint::black_box(engine.initial_compute());
         },
     ))
 }
@@ -305,7 +272,7 @@ fn bench_snapshot_rebuild_full(cfg: &MicroConfig) -> Result<BenchResult, Harness
         cfg.samples,
         || (),
         |()| {
-            crate::timing::consume(host.snapshot_pair().num_edges());
+            std::hint::black_box(host.snapshot_pair().num_edges());
         },
     ))
 }
@@ -331,59 +298,9 @@ fn bench_snapshot_maintain_incremental(cfg: &MicroConfig) -> Result<BenchResult,
         || pair.clone(),
         |p| {
             p.apply_batch(&batch).expect("invariant: probed batch applies to the mirror");
-            crate::timing::consume(p.num_edges());
+            std::hint::black_box(p.num_edges());
         },
     ))
-}
-
-fn fresh_engine(scenario: &Scenario, base: &jetstream_graph::AdjacencyGraph) -> StreamingEngine {
-    let root = harness::root_for(base);
-    StreamingEngine::new(
-        scenario.workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
-        base.clone(),
-        engine_config(),
-    )
-}
-
-#[allow(clippy::expect_used)] // invariant: every batch was applied once by the probe engine
-fn bench_sharded_async(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = pagerank_scenario(cfg);
-    let (base, batches) = harness::base_and_batches(&scenario);
-    if batches.is_empty() {
-        return Err(scenario.no_batches());
-    }
-    let mut probe = fresh_sharded(&scenario, &base);
-    probe.initial_compute();
-    for batch in &batches {
-        probe.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
-    }
-    Ok(measure(
-        "sharded_async_pagerank_4",
-        cfg.warmup,
-        cfg.samples,
-        || {
-            let mut engine = fresh_sharded(&scenario, &base);
-            engine.initial_compute();
-            engine
-        },
-        |engine| {
-            for batch in &batches {
-                let stats =
-                    engine.apply_update_batch(batch).expect("invariant: probed batches apply");
-                crate::timing::consume(stats.events_processed);
-            }
-        },
-    ))
-}
-
-fn fresh_sharded(scenario: &Scenario, base: &jetstream_graph::AdjacencyGraph) -> ShardedEngine {
-    let root = harness::root_for(base);
-    ShardedEngine::new(
-        scenario.workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
-        base.clone(),
-        engine_config(),
-        4,
-    )
 }
 
 fn report(results: &mut Vec<BenchResult>, r: BenchResult) {
@@ -405,10 +322,8 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
     report(&mut results, bench_initial_compute(cfg)?);
-    report(&mut results, bench_stream_batches(cfg)?);
     report(&mut results, bench_snapshot_rebuild_full(cfg)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
-    report(&mut results, bench_sharded_async(cfg)?);
     Ok(results)
 }
 
@@ -435,86 +350,6 @@ pub fn to_json(results: &[BenchResult], cfg: &MicroConfig, mode: &str) -> String
     }
     out.push_str("}\n");
     out
-}
-
-/// Benchmark-name prefixes owned by other rigs (currently the serving
-/// loadgen, `jetstream-serve bench`). The microbench writer carries their
-/// lines over unchanged when rewriting `BENCH.json`, and the microbench
-/// `--check` gate ignores them — each rig regenerates and gates only its
-/// own namespace.
-pub const FOREIGN_PREFIXES: [&str; 1] = ["serve_"];
-
-/// True when `name` belongs to another rig's `BENCH.json` namespace.
-pub fn is_foreign(name: &str) -> bool {
-    FOREIGN_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// Splits a `BENCH.json` produced by [`to_json`] into `(name, record)`
-/// pairs, `_meta` excluded. The record is the `{...}` body with no
-/// trailing comma. Lines that do not look like entries are skipped, same
-/// contract as [`parse_medians`].
-pub fn entry_lines(json: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((name, rest)) = rest.split_once('"') else { continue };
-        if name == "_meta" {
-            continue;
-        }
-        let Some(brace) = rest.find('{') else { continue };
-        let record = rest[brace..].trim_end_matches(',').trim().to_string();
-        if record.ends_with('}') {
-            out.push((name.to_string(), record));
-        }
-    }
-    out
-}
-
-/// The `_meta` record of a `BENCH.json` produced by [`to_json`] (the
-/// `{...}` body), when present.
-pub fn meta_record(json: &str) -> Option<String> {
-    for line in json.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix("\"_meta\"") else { continue };
-        let brace = rest.find('{')?;
-        return Some(rest[brace..].trim_end_matches(',').trim().to_string());
-    }
-    None
-}
-
-/// Assembles a `BENCH.json` from a `_meta` record and `(name, record)`
-/// entries, in the one-entry-per-line shape [`parse_medians`] and
-/// [`entry_lines`] read back.
-pub fn assemble(meta: Option<&str>, entries: &[(String, String)]) -> String {
-    let mut out = String::from("{\n");
-    let mut lines: Vec<String> = Vec::new();
-    if let Some(meta) = meta {
-        lines.push(format!("  \"_meta\": {meta}"));
-    }
-    for (name, record) in entries {
-        lines.push(format!("  \"{name}\": {record}"));
-    }
-    for (i, line) in lines.iter().enumerate() {
-        let comma = if i + 1 == lines.len() { "" } else { "," };
-        let _ = writeln!(out, "{line}{comma}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Rewrites `fresh` (a `BENCH.json` built by [`to_json`]) so foreign
-/// entries from `previous` are carried over: this rig's rewrite must not
-/// drop the serving loadgen's numbers.
-pub fn carry_foreign(fresh: &str, previous: &str) -> String {
-    let mut entries = entry_lines(fresh);
-    entries.retain(|(name, _)| !is_foreign(name));
-    for (name, record) in entry_lines(previous) {
-        if is_foreign(&name) {
-            entries.push((name, record));
-        }
-    }
-    assemble(meta_record(fresh).as_deref(), &entries)
 }
 
 /// Reads `name -> median_ns` pairs back out of a `BENCH.json` produced by
@@ -546,13 +381,10 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// Per-benchmark ratchets: hard-won speedups whose gate is tighter than
 /// the global `--factor`. A benchmark listed here is compared against
 /// `min(factor, ratchet)` × its committed baseline, so re-running with a
-/// loose global factor can never silently give the win back. The streamed
-/// batch path is ratcheted because incremental snapshot maintenance
-/// (DESIGN.md §17) is the single biggest lever on it, cold evaluation
-/// because it is 19 queue inserts per processed event and so the purest
-/// reading of row emission (DESIGN.md §12).
-pub const RATCHETS: &[(&str, f64)] =
-    &[("stream_batches_pagerank_lj", 1.3), ("kernel_initial_compute_pagerank", 1.3)];
+/// loose global factor can never silently give the win back. Cold
+/// evaluation is ratcheted because it is 19 queue inserts per processed
+/// event and so the purest reading of row emission (DESIGN.md §12).
+pub const RATCHETS: &[(&str, f64)] = &[("kernel_initial_compute_pagerank", 1.3)];
 
 /// Compares fresh results against a committed baseline: any benchmark
 /// whose median exceeds `factor` × its baseline median is a regression
@@ -599,9 +431,7 @@ pub fn regressions(
 /// `slower`'s in the same run. Both medians come from one process on one
 /// machine, so machine-speed noise is correlated and largely cancels —
 /// unlike the baseline-file comparison, these gates survive hardware
-/// changes. (On a single-core host the sequential engine still beats the
-/// sharded one — see DESIGN.md §16.5 — so `sharded_async_pagerank_4` is
-/// tracked in BENCH.json but not gated against it.)
+/// changes.
 pub const CROSS_CHECKS: &[(&str, &str)] = &[
     // Incremental snapshot maintenance must beat the full O(E) rebuild on
     // the identical batch, or DESIGN.md §17 has regressed to pointlessness.
@@ -720,37 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn foreign_entries_survive_a_rewrite_and_stay_out_of_the_gate() {
-        let cfg = MicroConfig::quick();
-        let old_results =
-            vec![BenchResult { name: "a", median_ns: 10, min_ns: 9, max_ns: 12, samples: 3 }];
-        let mut previous = to_json(&old_results, &cfg, "full");
-        // Splice in a foreign (serving-rig) entry the way the loadgen does.
-        let mut entries = entry_lines(&previous);
-        entries.push((
-            "serve_p50_ingest_to_converged_ns".to_string(),
-            "{\"median_ns\": 777, \"min_ns\": 700, \"max_ns\": 800, \"samples\": 5}".to_string(),
-        ));
-        previous = assemble(meta_record(&previous).as_deref(), &entries);
-        assert!(is_foreign("serve_p50_ingest_to_converged_ns"));
-        assert!(!is_foreign("queue_insert_25pct"));
-        // A fresh microbench rewrite keeps the foreign line verbatim.
-        let fresh_results =
-            vec![BenchResult { name: "a", median_ns: 11, min_ns: 10, max_ns: 13, samples: 3 }];
-        let fresh = to_json(&fresh_results, &cfg, "full");
-        let merged = carry_foreign(&fresh, &previous);
-        let medians = parse_medians(&merged);
-        assert_eq!(
-            medians,
-            vec![("a".to_string(), 11), ("serve_p50_ingest_to_converged_ns".to_string(), 777)]
-        );
-        assert!(merged.contains("\"_meta\""));
-        // The microbench gate sees only its own namespace once filtered.
-        let own: Vec<_> = medians.into_iter().filter(|(n, _)| !is_foreign(n)).collect();
-        assert!(regressions(&fresh_results, &own, 2.5).is_empty());
-    }
-
-    #[test]
     fn regression_gate_fires_and_passes() {
         let current =
             vec![BenchResult { name: "a", median_ns: 30, min_ns: 29, max_ns: 31, samples: 3 }];
@@ -766,9 +565,20 @@ mod tests {
     fn quick_rig_produces_every_benchmark() {
         let cfg = MicroConfig { warmup: 0, samples: 1, scale: 100_000, queue_vertices: 1 << 10 };
         let results = run_all(&cfg).expect("quick rig runs");
-        assert_eq!(results.len(), 10);
-        let names: std::collections::BTreeSet<_> = results.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 10, "duplicate benchmark names");
+        let names: Vec<_> = results.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            [
+                "queue_insert_25pct",
+                "queue_insert_row_coalescing",
+                "queue_insert_event_coalescing",
+                "queue_drain_bitmap_25pct",
+                "queue_drain_bitmap_1pct",
+                "kernel_initial_compute_pagerank",
+                "snapshot_rebuild_full",
+                "snapshot_maintain_incremental",
+            ]
+        );
     }
 
     #[test]
@@ -798,13 +608,13 @@ mod tests {
         // 35 ns against a 20 ns baseline: inside the global 2.5x window,
         // outside the 1.3x ratchet.
         let current = vec![BenchResult {
-            name: "stream_batches_pagerank_lj",
+            name: "kernel_initial_compute_pagerank",
             median_ns: 35,
             min_ns: 34,
             max_ns: 36,
             samples: 3,
         }];
-        let baseline = vec![("stream_batches_pagerank_lj".to_string(), 20)];
+        let baseline = vec![("kernel_initial_compute_pagerank".to_string(), 20)];
         let problems = regressions(&current, &baseline, 2.5);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("1.3x"), "{problems:?}");

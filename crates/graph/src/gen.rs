@@ -297,6 +297,27 @@ impl DatasetProfile {
         matches!(self, DatasetProfile::Wikipedia | DatasetProfile::Uk2002)
     }
 
+    /// Why [`generate`](Self::generate) cannot build this profile at
+    /// `scale`: zero, or large enough to leave fewer than 16 vertices. The
+    /// binaries call this on a `--scale` argument before generating.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the bound `scale` is outside of.
+    pub fn check_scale(self, scale: u32) -> Result<(), String> {
+        if scale == 0 {
+            return Err(String::from("scale must be positive"));
+        }
+        let largest = self.paper_nodes() / 16;
+        if u64::from(scale) > largest {
+            return Err(format!(
+                "scale {scale} leaves too few vertices ({} allows at most {largest})",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Generates the scaled synthetic stand-in for this dataset.
     ///
     /// `scale` divides the paper's node and edge counts (use
@@ -305,13 +326,12 @@ impl DatasetProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is zero or large enough to leave fewer than
-    /// 16 vertices.
+    /// Panics on a `scale` that [`check_scale`](Self::check_scale) refuses.
     pub fn generate(self, scale: u32) -> AdjacencyGraph {
-        assert!(scale > 0, "scale must be positive");
+        let checked = self.check_scale(scale);
+        assert!(checked.is_ok(), "{checked:?}");
         let nodes = (self.paper_nodes() / scale as u64) as usize; // cast-ok: paper-scale counts divided down by `scale` fit usize on our targets
         let edges = (self.paper_edges() / scale as u64) as usize; // cast-ok: paper-scale counts divided down by `scale` fit usize on our targets
-        assert!(nodes >= 16, "scale {scale} leaves too few vertices");
         let seed = 0x4a45_5453 + self as u64; // deterministic per profile
         if self.is_narrow() {
             // Layered structure with a fixed depth of ~32: web crawls and
@@ -586,6 +606,11 @@ mod tests {
         assert_eq!(p.scaled_batch(10, 1000), 1);
         let g = p.generate(4000);
         assert!(g.num_vertices() > 500);
+        // 3.56 M nodes / 222 500 = 16, the smallest count `generate` takes.
+        assert_eq!(p.check_scale(222_500), Ok(()));
+        assert!(p.generate(222_500).num_vertices() >= 16);
+        assert!(matches!(p.check_scale(222_501), Err(why) if why.contains("too few")));
+        assert!(matches!(p.check_scale(0), Err(why) if why.contains("positive")));
     }
 
     #[test]

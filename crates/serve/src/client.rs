@@ -1,5 +1,5 @@
-//! A blocking protocol client, used by the loadgen, the integration
-//! tests, and the CLI.
+//! A blocking protocol client, used by the integration tests and the
+//! benchmark's live probe.
 //!
 //! The server interleaves asynchronous per-batch `Converged` notices with
 //! direct replies on the same stream; the client stashes notices aside so

@@ -1,5 +1,4 @@
-//! Time source for the admission flush timer and the loadgen latency
-//! probes.
+//! Time source for the admission flush timer.
 //!
 //! Everything time-dependent in the server flows through the [`Clock`]
 //! trait so tests can drive the admission deadline logic deterministically

@@ -13,11 +13,6 @@
 //! so monotone-safe deletions skip the full re-evaluation pipeline.
 //! See DESIGN.md §15 for the wire format, the admission state machine,
 //! the safe/unsafe rule, and the backpressure contract.
-//!
-//! The crate also ships a deterministic loadgen ([`loadgen`]) replaying
-//! synthetic social-network traffic from concurrent client connections,
-//! recording throughput and p50/p99 ingest-to-converged latency into the
-//! repo's `BENCH.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +22,6 @@ pub mod backend;
 pub mod client;
 pub mod clock;
 pub mod framing;
-pub mod loadgen;
 pub mod protocol;
 pub mod queries;
 pub mod server;

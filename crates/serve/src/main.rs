@@ -1,21 +1,16 @@
-//! `jetstream-serve`: the streaming ingestion server and its loadgen.
+//! `jetstream-serve`: the streaming ingestion server.
 //!
 //! ```text
 //! jetstream-serve serve [--listen ADDR] [--unix PATH] [--algorithm NAME]
 //!                       [--root N] [--profile NAME] [--scale N]
 //!                       [--flush-updates N] [--flush-ms MS]
 //!                       [--durable DIR] [--checkpoint-interval N]
-//!                       [--inflight N]
-//! jetstream-serve bench [--quick] [--out FILE]
-//!                       [--check [--baseline FILE] [--factor F]]
+//!                       [--inflight N] [--shards N]
 //! ```
 //!
 //! `serve` runs until stdin reaches EOF (press Ctrl-D), then shuts down
 //! gracefully — sealing the open batch and, for durable backends, writing
-//! a final checkpoint. `bench` drives the deterministic loadgen against
-//! an in-process server and maintains the `serve_*` entries of
-//! `BENCH.json` (see DESIGN.md §15); `--check` gates against the
-//! committed numbers plus the absolute ≥ 1M updates/s floor.
+//! a final checkpoint (see DESIGN.md §15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,12 +19,11 @@ use std::io::BufRead;
 use std::path::PathBuf;
 
 use jetstream_algorithms::Workload;
-use jetstream_bench::micro::{self, BenchResult};
 use jetstream_core::{EngineConfig, ShardedEngine, StreamingEngine, MAX_SHARDS};
 use jetstream_graph::gen::DatasetProfile;
+use jetstream_graph::AdjacencyGraph;
 use jetstream_serve::admission::FlushPolicy;
 use jetstream_serve::backend::Backend;
-use jetstream_serve::loadgen::{self, LoadgenConfig};
 use jetstream_serve::server::{self, Endpoint, ServerConfig};
 use jetstream_store::{DurableEngine, RecoveryOptions, StoreOptions};
 
@@ -37,9 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: jetstream-serve serve [--listen ADDR] [--unix PATH] [--algorithm NAME] \
          [--root N] [--profile NAME] [--scale N] [--flush-updates N] [--flush-ms MS] \
-         [--durable DIR] [--checkpoint-interval N] [--inflight N] [--shards N]\n\
-         \x20      jetstream-serve bench [--quick] [--out FILE] [--check [--baseline FILE] \
-         [--factor F]]"
+         [--durable DIR] [--checkpoint-interval N] [--inflight N] [--shards N]"
     );
     std::process::exit(2);
 }
@@ -76,7 +68,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         _ => usage(),
     }
 }
@@ -145,7 +136,12 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
     if opts.listen.is_none() && opts.unix.is_none() {
         opts.listen = Some(String::from("127.0.0.1:7477"));
     }
-    if let Err(msg) = check_shards(opts.shards, opts.durable.is_some()) {
+    let checked = check_shards(opts.shards, opts.durable.is_some())
+        .and_then(|()| check_inflight(opts.inflight))
+        .and_then(|()| {
+            opts.profile.check_scale(opts.scale).map_err(|why| format!("invalid --scale: {why}"))
+        });
+    if let Err(msg) = checked {
         fail(&msg);
     }
     opts
@@ -164,6 +160,23 @@ fn check_shards(shards: usize, durable: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// `--inflight 0` would answer `Busy` to every update message.
+fn check_inflight(inflight: u32) -> Result<(), String> {
+    if inflight == 0 {
+        return Err(String::from("--inflight must be at least 1"));
+    }
+    Ok(())
+}
+
+/// `--root N` must name a vertex of the graph the engine is mounted on.
+fn check_root(root: u32, graph: &AdjacencyGraph) -> Result<(), String> {
+    let num_vertices = graph.num_vertices();
+    if root as usize >= num_vertices {
+        return Err(format!("--root {root} is outside the graph's {num_vertices} vertices"));
+    }
+    Ok(())
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str) -> T {
     match s.parse() {
         Ok(v) => v,
@@ -174,6 +187,13 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> T {
 fn build_backend(opts: &ServeOpts) -> Backend {
     let alg = || opts.workload.instantiate(opts.root);
     let config = EngineConfig::default();
+    let generate = || {
+        let graph = opts.profile.generate(opts.scale);
+        if let Err(msg) = check_root(opts.root, &graph) {
+            fail(&msg);
+        }
+        graph
+    };
     if opts.shards > 1 {
         eprintln!(
             "[serve] generating {} (scale {}) and computing the initial state \
@@ -182,7 +202,7 @@ fn build_backend(opts: &ServeOpts) -> Backend {
             opts.scale,
             opts.shards
         );
-        let graph = opts.profile.generate(opts.scale);
+        let graph = generate();
         let mut engine = ShardedEngine::new(alg(), graph, config, opts.shards);
         engine.initial_compute();
         return Backend::Sharded(Box::new(engine));
@@ -193,7 +213,7 @@ fn build_backend(opts: &ServeOpts) -> Backend {
             opts.profile.name(),
             opts.scale
         );
-        let graph = opts.profile.generate(opts.scale);
+        let graph = generate();
         let mut engine = StreamingEngine::new(alg(), graph, config);
         engine.initial_compute();
         return Backend::Volatile(Box::new(engine));
@@ -204,6 +224,9 @@ fn build_backend(opts: &ServeOpts) -> Backend {
         eprintln!("[serve] recovering store at {}", dir.display());
         match DurableEngine::recover(dir, alg(), config, options, RecoveryOptions::default()) {
             Ok((engine, report)) => {
+                if let Err(msg) = check_root(opts.root, engine.engine().graph()) {
+                    fail(&msg);
+                }
                 eprintln!(
                     "[serve] recovered to sequence {} ({} batches replayed)",
                     report.recovered_sequence, report.replayed_batches
@@ -219,7 +242,7 @@ fn build_backend(opts: &ServeOpts) -> Backend {
             opts.profile.name(),
             opts.scale
         );
-        let graph = opts.profile.generate(opts.scale);
+        let graph = generate();
         let mut engine = StreamingEngine::new(alg(), graph, config);
         engine.initial_compute();
         match DurableEngine::create(dir, engine, options) {
@@ -288,191 +311,29 @@ fn cmd_serve(args: &[String]) {
     }
 }
 
-/// Absolute throughput floor for `bench --check`: 1000 ns per update is
-/// 1M updates/s aggregate.
-const NS_PER_UPDATE_FLOOR: u64 = 1000;
-
-fn cmd_bench(args: &[String]) {
-    let mut quick = false;
-    let mut check = false;
-    let mut out_file: Option<String> = None;
-    let mut baseline_file = String::from("BENCH.json");
-    let mut factor = 2.5_f64;
-    let mut overrides: Vec<(&str, String)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--out" => out_file = Some(take_value(args, &mut i).to_string()),
-            "--baseline" => baseline_file = take_value(args, &mut i).to_string(),
-            "--factor" => factor = parse_num(take_value(args, &mut i)),
-            "--algorithm" => overrides.push(("algorithm", take_value(args, &mut i).to_string())),
-            "--clients" => overrides.push(("clients", take_value(args, &mut i).to_string())),
-            "--messages" => overrides.push(("messages", take_value(args, &mut i).to_string())),
-            "--size" => overrides.push(("size", take_value(args, &mut i).to_string())),
-            "--vertices" => overrides.push(("vertices", take_value(args, &mut i).to_string())),
-            "--degree" => overrides.push(("degree", take_value(args, &mut i).to_string())),
-            "--insert-fraction" => {
-                overrides.push(("insert-fraction", take_value(args, &mut i).to_string()));
-            }
-            "--flush-updates" => {
-                overrides.push(("flush-updates", take_value(args, &mut i).to_string()));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let mut cfg = if quick { LoadgenConfig::quick() } else { LoadgenConfig::full() };
-    for (key, value) in &overrides {
-        match *key {
-            "algorithm" => cfg.workload = parse_workload(value),
-            "clients" => cfg.clients = parse_num(value),
-            "messages" => cfg.messages_per_client = parse_num(value),
-            "size" => cfg.updates_per_message = parse_num(value),
-            "vertices" => cfg.vertices_per_client = parse_num(value),
-            "degree" => cfg.edges_per_vertex = parse_num(value),
-            "insert-fraction" => cfg.insert_fraction = parse_num(value),
-            "flush-updates" => cfg.flush_updates = parse_num(value),
-            _ => unreachable!(),
-        }
-    }
-    eprintln!(
-        "[bench] {} clients x {} messages x {} updates...",
-        cfg.clients, cfg.messages_per_client, cfg.updates_per_message
-    );
-    let run_once = |cfg: &LoadgenConfig| {
-        let report = match loadgen::run(cfg) {
-            Ok(report) => report,
-            Err(e) => fail(&format!("loadgen failed: {e}")),
-        };
-        let updates_per_sec = report.total_updates.saturating_mul(1_000_000_000) / report.wall_ns;
-        eprintln!(
-            "[bench] {} updates in {:.1} ms: {} updates/s ({} ns/update), \
-             latency p50 {} us / p99 {} us, {} batches ({} fast-path), {} busy",
-            report.total_updates,
-            report.wall_ns as f64 / 1e6,
-            updates_per_sec,
-            report.ns_per_update,
-            report.p50_ns / 1000,
-            report.p99_ns / 1000,
-            report.batches_applied,
-            report.fast_path_batches,
-            report.busy_replies
-        );
-        report
-    };
-    let mut report = run_once(&cfg);
-    // Gate runs on a machine we don't control; a single run can lose 20%
-    // to scheduler noise. Retry a floor miss (best of three) before
-    // calling it a regression — the floor bounds the machine's best, not
-    // its worst.
-    let mut attempt = 1;
-    while check && report.ns_per_update > NS_PER_UPDATE_FLOOR && attempt < 3 {
-        eprintln!(
-            "[bench] attempt {attempt} missed the {NS_PER_UPDATE_FLOOR} ns/update floor; \
-             retrying to rule out scheduler noise"
-        );
-        let retry = run_once(&cfg);
-        if retry.ns_per_update < report.ns_per_update {
-            report = retry;
-        }
-        attempt += 1;
-    }
-    let results = vec![
-        BenchResult {
-            name: "serve_p50_ingest_to_converged_ns",
-            median_ns: report.p50_ns,
-            min_ns: report.latency_min_ns,
-            max_ns: report.latency_max_ns,
-            samples: report.latency_samples,
-        },
-        BenchResult {
-            name: "serve_p99_ingest_to_converged_ns",
-            median_ns: report.p99_ns,
-            min_ns: report.latency_min_ns,
-            max_ns: report.latency_max_ns,
-            samples: report.latency_samples,
-        },
-        BenchResult {
-            name: "serve_ns_per_update",
-            median_ns: report.ns_per_update,
-            min_ns: report.ns_per_update,
-            max_ns: report.ns_per_update,
-            samples: report.latency_samples,
-        },
-    ];
-
-    let destination = match (&out_file, check) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some(String::from("BENCH.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = destination {
-        // Upsert our namespace, preserving the microbench entries and meta.
-        let previous = std::fs::read_to_string(&path).unwrap_or_default();
-        let mut entries = micro::entry_lines(&previous);
-        entries.retain(|(name, _)| !micro::is_foreign(name));
-        for r in &results {
-            entries.push((
-                r.name.to_string(),
-                format!(
-                    "{{\"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}}}",
-                    r.median_ns, r.min_ns, r.max_ns, r.samples
-                ),
-            ));
-        }
-        let json = micro::assemble(micro::meta_record(&previous).as_deref(), &entries);
-        if let Err(e) = std::fs::write(&path, &json) {
-            fail(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("[bench] serve_* entries written to {path}");
-    }
-
-    if check {
-        let mut problems = Vec::new();
-        if report.ns_per_update > NS_PER_UPDATE_FLOOR {
-            problems.push(format!(
-                "throughput floor missed: {} ns/update > {NS_PER_UPDATE_FLOOR} \
-                 (aggregate under 1M updates/s)",
-                report.ns_per_update
-            ));
-        }
-        match std::fs::read_to_string(&baseline_file) {
-            Err(e) => problems.push(format!("cannot read baseline {baseline_file}: {e}")),
-            Ok(committed) => {
-                let mut baseline = micro::parse_medians(&committed);
-                baseline.retain(|(name, _)| micro::is_foreign(name));
-                if baseline.is_empty() {
-                    problems.push(format!(
-                        "baseline {baseline_file} has no serve_* entries (run bench once \
-                         without --check to seed them)"
-                    ));
-                } else {
-                    problems.extend(micro::regressions(&results, &baseline, factor));
-                }
-            }
-        }
-        if !problems.is_empty() {
-            for p in &problems {
-                eprintln!("bench: {p}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("[bench] check ok: within {factor}x of {baseline_file} and above 1M updates/s");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn shard_counts_past_the_engine_maximum_are_refused() {
+    fn option_values_the_engine_cannot_serve_are_refused() {
         assert_eq!(check_shards(0, true), Ok(()));
         assert_eq!(check_shards(MAX_SHARDS, false), Ok(()));
         let err = check_shards(MAX_SHARDS + 1, false).unwrap_err();
         assert!(err.contains("--shards 257") && err.contains("256"), "{err}");
         assert!(check_shards(2, true).unwrap_err().contains("--durable"));
+
+        assert_eq!(check_inflight(1), Ok(()));
+        assert!(check_inflight(0).unwrap_err().contains("--inflight"));
+
+        let graph = AdjacencyGraph::new(513);
+        assert_eq!(check_root(512, &graph), Ok(()));
+        let err = check_root(513, &graph).unwrap_err();
+        assert!(err.contains("--root 513") && err.contains("513 vertices"), "{err}");
+
+        let fb = parse_profile("fb");
+        assert_eq!(fb.check_scale(1000), Ok(()));
+        assert!(fb.check_scale(0).unwrap_err().contains("positive"));
+        assert!(fb.check_scale(u32::MAX).unwrap_err().contains("too few vertices"));
     }
 }

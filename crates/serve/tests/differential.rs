@@ -15,7 +15,8 @@
 
 use jetstream_algorithms::Workload;
 use jetstream_core::{EngineConfig, StreamingEngine};
-use jetstream_graph::AdjacencyGraph;
+use jetstream_graph::{AdjacencyGraph, EdgeUpdate, UpdateBatch};
+use jetstream_serve::admission::FlushPolicy;
 use jetstream_serve::backend::Backend;
 use jetstream_serve::client::Client;
 use jetstream_serve::protocol::Response;
@@ -222,6 +223,65 @@ fn applied_batches_cover_exactly_the_admitted_updates() {
     assert_eq!(report.stats.batches_applied, report.applied.len() as u64);
     let _ = report.stats.connections;
     assert_eq!(report.stats.connections, CLIENTS as u64);
+}
+
+/// The per-client in-flight budget (DESIGN.md §15.4): with a limit of two
+/// and nothing sealing the open batch, the third unconverged message is
+/// bounced with `Busy` and never reaches the engine; once a flush has
+/// converged the first two, the resend is admitted. Pins the boundary of
+/// the reader's budget comparison (`jm-9fec2537` in `xtask/mutation_corpus.txt`).
+#[test]
+fn the_message_past_the_inflight_limit_is_busy_and_its_resend_applies_once() {
+    let config = ServerConfig {
+        inflight_limit: 2,
+        flush: FlushPolicy { max_updates: usize::MAX, max_delay_ns: 60_000_000_000 },
+        ..ServerConfig::default()
+    };
+    let handle = start(
+        Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
+        config,
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).unwrap();
+    client.hello("busy").unwrap();
+
+    // Three shortcuts from the root into client 0's line, one per message.
+    let edges = [(0, 8, 1.5), (0, 16, 1.5), (0, 24, 1.5)];
+    let message = |k: usize| {
+        let (source, target, weight) = edges[k];
+        [EdgeUpdate::Insert { source, target, weight }]
+    };
+    assert_admitted(&client.send_update(1, &message(0)).unwrap());
+    assert_admitted(&client.send_update(2, &message(1)).unwrap());
+    assert_eq!(client.send_update(3, &message(2)).unwrap(), Response::Busy { token: 3 });
+    client.flush().unwrap();
+    assert_admitted(&client.send_update(3, &message(2)).unwrap());
+    client.flush().unwrap();
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.busy_rejections, 1);
+    let served: Vec<u64> = (0..1 + CLIENTS as u32 * REGION)
+        .map(|v| client.query_value(v).unwrap().to_bits())
+        .collect();
+    client.goodbye().unwrap();
+    let report = handle.shutdown();
+    assert!(report.fatal.is_none(), "server fatal: {:?}", report.fatal);
+
+    // Every update applied exactly once, the bounced one after the flush.
+    let applied: Vec<_> =
+        report.applied.iter().flat_map(|a| a.batch.insertions().iter().copied()).collect();
+    assert_eq!(applied, edges);
+    assert_eq!(report.stats.updates_applied, 3);
+
+    let mut oracle = fresh_engine(Workload::Sssp);
+    for (source, target, weight) in edges {
+        let mut batch = UpdateBatch::new();
+        batch.insert(source, target, weight);
+        oracle.apply_update_batch(&batch).unwrap();
+    }
+    let oracle_bits: Vec<u64> = oracle.values().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(served, oracle_bits, "served state diverged from the offline replay");
 }
 
 /// A `ServeError` display smoke check so wire failures in this suite

@@ -184,6 +184,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         Some(s) => s.parse().map_err(|_| "invalid --scale")?,
         None => 1000,
     };
+    profile.check_scale(scale).map_err(|why| format!("invalid --scale: {why}"))?;
     let out = args.options.get("out").ok_or("missing --out")?;
     let graph = profile.generate(scale);
     let file = std::fs::File::create(out).map_err(|e| e.to_string())?;

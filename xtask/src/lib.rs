@@ -354,12 +354,11 @@ const CONCURRENCY_SCOPE: [&str; 6] = [
 /// (DESIGN.md §16 for `sharded.rs` and `async_mode.rs`: barrier-free
 /// workers over disjoint shard state, fenced by the differential matrix,
 /// the schedule fuzzer, and the race sanitizer).
-const CONCURRENCY_APPROVED: [&str; 5] = [
+const CONCURRENCY_APPROVED: [&str; 4] = [
     "crates/core/src/sharded.rs",
     "crates/core/src/async_mode.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/session.rs",
-    "crates/serve/src/loadgen.rs",
 ];
 
 /// Paths where `.unwrap()` is banned even inside `#[cfg(test)]` code.

@@ -18,9 +18,6 @@
 //!   generators.
 //! * [`partition`] — minimum-edge-cut graph slicing (the paper uses PuLP).
 //! * [`io`] — edge-list and update-stream file formats.
-//! * [`versioned`] — multi-version CSR storage with O(1) pointer swap, the
-//!   host-side graph versioning framework §4.7 assumes (GraphOne/Version
-//!   Traveler stand-in).
 //!
 //! # Example
 //!
@@ -57,7 +54,6 @@ pub mod gen;
 pub mod io;
 pub mod partition;
 pub mod rng;
-pub mod versioned;
 
 pub use csr::{Csr, CsrPair, EdgeRef};
 pub use error::GraphError;

@@ -14,14 +14,16 @@
 //!   into the *same* open batch. [`UpdateBatch`] applies deletions before
 //!   insertions, so the pair cannot legally share a batch; sealing first
 //!   preserves the client-observed order;
-//! * **explicit flush** — a client asked for a read-your-writes barrier.
+//! * **explicit flush** — a client asked for a read-your-writes barrier,
+//!   or the server loop found its inbox dry: with no message left to wait
+//!   for, waiting out the deadline would only add latency.
 //!
 //! Validation is exact, not just bounds checking: presence is evaluated
 //! against the host graph *overlaid with the open batch*, so duplicate
 //! inserts and deletes of absent edges are bounced here with a typed
 //! [`UpdateRejection`] and an engine-side apply error is unreachable.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use jetstream_graph::{AdjacencyGraph, EdgeUpdate, UpdateBatch, UpdateRejection, VertexId};
 
@@ -30,7 +32,9 @@ use jetstream_graph::{AdjacencyGraph, EdgeUpdate, UpdateBatch, UpdateRejection, 
 pub struct FlushPolicy {
     /// Seal as soon as the open batch holds this many updates.
     pub max_updates: usize,
-    /// Seal once the oldest update in the batch is this old.
+    /// Seal once the oldest update in the batch is this old. The server
+    /// seals as soon as its inbox runs dry, so this bounds only a batch
+    /// held open by an inbox that never does.
     pub max_delay_ns: u64,
 }
 
@@ -71,11 +75,13 @@ pub struct Admission {
     open: UpdateBatch,
     tokens: Vec<(u64, u64)>,
     /// Edge presence as of the open batch, where it differs from the host
-    /// graph (`true` = present). Cleared at seal: once the batch applies,
+    /// graph (`true` = present, i.e. inserted by the open batch — the
+    /// conflict-seal trigger). Cleared at seal: once the batch applies,
     /// the host graph absorbs the delta.
     overlay: BTreeMap<(VertexId, VertexId), bool>,
-    /// Pairs inserted by the open batch — the conflict-seal trigger set.
-    batch_inserted: BTreeSet<(VertexId, VertexId)>,
+    /// Scratch for [`Admission::validate`]: presence as of the message
+    /// being validated, where it differs from `overlay`. Cleared on entry.
+    spec: BTreeMap<(VertexId, VertexId), bool>,
     /// `now_ns` when the open batch received its first update.
     opened_at_ns: Option<u64>,
     next_batch_id: u64,
@@ -89,7 +95,7 @@ impl Admission {
             open: UpdateBatch::new(),
             tokens: Vec::new(),
             overlay: BTreeMap::new(),
-            batch_inserted: BTreeSet::new(),
+            spec: BTreeMap::new(),
             opened_at_ns: None,
             next_batch_id: 1,
         }
@@ -105,53 +111,38 @@ impl Admission {
         self.open.len()
     }
 
-    /// Is edge `u -> v` present, as of the graph plus the open batch?
-    fn present(&self, graph: &AdjacencyGraph, u: VertexId, v: VertexId) -> bool {
-        match self.overlay.get(&(u, v)) {
-            Some(&p) => p,
-            None => graph.has_edge(u, v),
-        }
-    }
-
-    /// Validates a whole message against the current state without
-    /// mutating anything. Returns the first failure, typed.
+    /// Validates a whole message against the graph plus the open batch
+    /// without admitting anything. Returns the first failure, typed.
     fn validate(
-        &self,
+        &mut self,
         graph: &AdjacencyGraph,
         updates: &[EdgeUpdate],
     ) -> Result<(), UpdateRejection> {
-        // Speculative presence overlay for intra-message sequencing. Seal
-        // points don't change presence — a sealed batch applies before the
-        // rest of the message is admitted — so one overlay suffices.
-        let mut spec: BTreeMap<(VertexId, VertexId), bool> = BTreeMap::new();
+        // `spec` sequences the message against itself. Seal points don't
+        // change presence — a sealed batch applies before the rest of the
+        // message is admitted — so one speculative overlay suffices.
+        self.spec.clear();
         let num_vertices = graph.num_vertices();
         for (index, update) in updates.iter().enumerate() {
             let reject = |error| UpdateRejection { index, update: *update, error };
             update.check_bounds(num_vertices).map_err(reject)?;
-            let key = (update.source(), update.target());
-            let present = match spec.get(&key) {
-                Some(&p) => p,
-                None => self.present(graph, key.0, key.1),
+            let (source, target) = (update.source(), update.target());
+            let insert = update.is_insert();
+            // The message's own last word on the edge, recorded in the same
+            // walk that reads it; else the open batch's; else the graph's.
+            let present = match self.spec.insert((source, target), insert) {
+                Some(p) => p,
+                None => match self.overlay.get(&(source, target)) {
+                    Some(&p) => p,
+                    None => graph.has_edge(source, target),
+                },
             };
-            match *update {
-                EdgeUpdate::Insert { source, target, .. } => {
-                    if present {
-                        return Err(reject(jetstream_graph::GraphError::DuplicateEdge {
-                            source,
-                            target,
-                        }));
-                    }
-                    spec.insert(key, true);
-                }
-                EdgeUpdate::Delete { source, target } => {
-                    if !present {
-                        return Err(reject(jetstream_graph::GraphError::MissingEdge {
-                            source,
-                            target,
-                        }));
-                    }
-                    spec.insert(key, false);
-                }
+            if present == insert {
+                return Err(reject(if insert {
+                    jetstream_graph::GraphError::DuplicateEdge { source, target }
+                } else {
+                    jetstream_graph::GraphError::MissingEdge { source, target }
+                }));
             }
         }
         Ok(())
@@ -162,7 +153,6 @@ impl Admission {
         let batch_id = self.next_batch_id;
         self.next_batch_id += 1;
         self.overlay.clear();
-        self.batch_inserted.clear();
         self.opened_at_ns = None;
         SealedBatch {
             batch_id,
@@ -203,20 +193,12 @@ impl Admission {
             let key = (update.source(), update.target());
             // Conflict rule: a delete of an edge this open batch inserts
             // cannot share the batch (deletions apply first).
-            if !update.is_insert() && self.batch_inserted.contains(&key) {
+            if !update.is_insert() && self.overlay.get(&key) == Some(&true) {
                 sealed.push(self.seal());
             }
             self.open.extend(std::iter::once(*update));
             self.opened_at_ns.get_or_insert(now_ns);
-            match *update {
-                EdgeUpdate::Insert { .. } => {
-                    self.overlay.insert(key, true);
-                    self.batch_inserted.insert(key);
-                }
-                EdgeUpdate::Delete { .. } => {
-                    self.overlay.insert(key, false);
-                }
-            }
+            self.overlay.insert(key, update.is_insert());
             if self.open.len() >= self.policy.max_updates {
                 sealed.push(self.seal());
             }

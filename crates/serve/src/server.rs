@@ -268,10 +268,22 @@ impl EngineLoop {
                     // Drain a bounded burst so a busy wire does not pay
                     // the timeout path per message; bounded so deadline
                     // flushes still run.
-                    for _ in 0..1024 {
+                    let (mut burst, mut dry) = (0, false);
+                    while burst < 1024 && !dry {
                         match rx.try_recv() {
-                            Ok(event) => self.handle(event),
-                            Err(_) => break,
+                            Ok(event) => {
+                                self.handle(event);
+                                burst += 1;
+                            }
+                            Err(_) => dry = true,
+                        }
+                    }
+                    // Work-conserving seal: once the inbox runs dry the
+                    // open batch has no one left to wait for. Under load
+                    // it never runs dry and batches fill as before.
+                    if dry {
+                        if let Some(sealed) = self.admission.force_flush() {
+                            self.apply_sealed(sealed);
                         }
                     }
                 }

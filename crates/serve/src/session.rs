@@ -122,3 +122,64 @@ pub(crate) fn writer_loop(mut conn: Conn, outbox_rx: Receiver<Response>) {
     }
     conn.shutdown_both();
 }
+
+#[cfg(test)]
+mod tests {
+    // Test code: aborting on setup failure is the right behavior here.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use crate::protocol::encode_request;
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// The per-client in-flight budget (DESIGN.md §15.4) at its boundary.
+    /// The test holds the engine end of the channel, so nothing converges
+    /// and nothing decrements: with a limit of two, messages one and two
+    /// are forwarded, the third is answered `Busy` by the reader itself and
+    /// reaches the engine only as an accounting event, and once one message
+    /// has converged the resend goes through. Pins the reader's budget
+    /// comparison (`jm-9fec2537` in `xtask/mutation_corpus.txt`).
+    #[test]
+    fn the_message_past_the_inflight_limit_is_busy_and_never_reaches_the_engine() {
+        let (client, server) = UnixStream::pair().unwrap();
+        server.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+        let mut client = Conn::Unix(client);
+        let (engine_tx, engine_rx) = mpsc::sync_channel(8);
+        let (outbox_tx, outbox_rx) = mpsc::sync_channel(8);
+        let flags = Arc::new(SessionFlags::default());
+        let reader = {
+            let flags = Arc::clone(&flags);
+            let shutdown = Arc::new(AtomicBool::new(false));
+            std::thread::spawn(move || {
+                reader_loop(Conn::Unix(server), 7, engine_tx, outbox_tx, flags, 2, shutdown);
+            })
+        };
+        let mut send = |token: u64| {
+            let request = Request::Update { token, updates: Vec::new() };
+            write_frame(&mut client, &encode_request(&request)).unwrap();
+        };
+        let forwarded = |event: SessionEvent| match event {
+            SessionEvent::Request { client: 7, request: Request::Update { token, .. } } => token,
+            other => panic!("expected a forwarded update, got {other:?}"),
+        };
+
+        (1..=3).for_each(&mut send);
+        assert_eq!(forwarded(engine_rx.recv().unwrap()), 1);
+        assert_eq!(forwarded(engine_rx.recv().unwrap()), 2);
+        assert!(matches!(engine_rx.recv().unwrap(), SessionEvent::BusyDropped { client: 7 }));
+        assert_eq!(outbox_rx.recv().unwrap(), Response::Busy { token: 3 });
+        assert_eq!(flags.inflight.load(Ordering::SeqCst), 2, "the bounced message holds no slot");
+
+        // The engine converges message one; the resend fits the budget.
+        flags.inflight.fetch_sub(1, Ordering::SeqCst);
+        send(3);
+        assert_eq!(forwarded(engine_rx.recv().unwrap()), 3);
+        assert!(outbox_rx.try_recv().is_err(), "no second Busy");
+
+        client.shutdown_both();
+        assert!(matches!(engine_rx.recv().unwrap(), SessionEvent::Disconnected { client: 7 }));
+        reader.join().unwrap();
+    }
+}

@@ -13,13 +13,19 @@
 // Test code: aborting on setup failure is the right behavior here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::net::TcpStream;
+use std::time::Duration;
+
 use jetstream_algorithms::Workload;
 use jetstream_core::{EngineConfig, StreamingEngine};
-use jetstream_graph::{AdjacencyGraph, EdgeUpdate, UpdateBatch};
+use jetstream_graph::{AdjacencyGraph, EdgeUpdate};
 use jetstream_serve::admission::FlushPolicy;
 use jetstream_serve::backend::Backend;
 use jetstream_serve::client::Client;
-use jetstream_serve::protocol::Response;
+use jetstream_serve::framing::{read_frame, write_frame, Conn};
+use jetstream_serve::protocol::{
+    decode_response, encode_request, Request, Response, PROTOCOL_VERSION,
+};
 use jetstream_serve::server::{start, Endpoint, ServerConfig, ServerReport};
 use jetstream_serve::{queries, ServeError};
 
@@ -88,8 +94,8 @@ fn run_session(workload: Workload) -> (ServerReport, Vec<Recorded>, Vec<u64>) {
     let mut recorded = Vec::new();
     let mut final_values: Vec<u64> = Vec::new();
     for round in 0..ROUNDS {
-        // Interleaved updates: every client contributes to the same open
-        // admission batch before any flush barrier seals it.
+        // Interleaved updates: each client's message is sealed on arrival
+        // when the inbox is dry, or shares a batch with its neighbours'.
         for (k, client) in clients.iter_mut().enumerate() {
             let lo = 1 + k as u32 * REGION;
             let hi = lo + REGION - 1;
@@ -225,42 +231,92 @@ fn applied_batches_cover_exactly_the_admitted_updates() {
     assert_eq!(report.stats.connections, CLIENTS as u64);
 }
 
-/// The per-client in-flight budget (DESIGN.md §15.4): with a limit of two
-/// and nothing sealing the open batch, the third unconverged message is
-/// bounced with `Busy` and never reaches the engine; once a flush has
-/// converged the first two, the resend is admitted. Pins the boundary of
-/// the reader's budget comparison (`jm-9fec2537` in `xtask/mutation_corpus.txt`).
-#[test]
-fn the_message_past_the_inflight_limit_is_busy_and_its_resend_applies_once() {
-    let config = ServerConfig {
-        inflight_limit: 2,
+/// A server whose size and deadline seals can never fire within a test.
+fn config_without_timers(inflight_limit: u32) -> ServerConfig {
+    ServerConfig {
+        inflight_limit,
         flush: FlushPolicy { max_updates: usize::MAX, max_delay_ns: 60_000_000_000 },
         ..ServerConfig::default()
-    };
+    }
+}
+
+/// The fifth seal condition (DESIGN.md §15.2): a lone update has no one to
+/// wait for, so it is sealed and applied as soon as the inbox runs dry —
+/// here with the size threshold out of reach and the flush deadline a
+/// minute away, well past the socket timeout.
+#[test]
+fn a_lone_update_converges_without_waiting_for_the_flush_deadline() {
     let handle = start(
         Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
-        config,
+        config_without_timers(64),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let mut conn = Conn::Tcp(TcpStream::connect(handle.tcp_addr().unwrap()).unwrap());
+    conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut call = |request: &Request| {
+        write_frame(&mut conn, &encode_request(request)).unwrap();
+    };
+    call(&Request::Hello { version: PROTOCOL_VERSION, client_name: "lone".into() });
+    let update = EdgeUpdate::Insert { source: 0, target: 8, weight: 1.5 };
+    call(&Request::Update { token: 1, updates: vec![update] });
+    let mut next = || {
+        let payload = read_frame(&mut conn, &mut || false).unwrap();
+        decode_response(&payload.expect("no reply within the socket timeout")).unwrap()
+    };
+    assert!(matches!(next(), Response::HelloAck { .. }));
+    assert_admitted(&next());
+    match next() {
+        Response::Converged { tokens, .. } => assert_eq!(tokens, vec![1]),
+        other => panic!("expected the update's Converged, got {other:?}"),
+    }
+    let report = handle.shutdown();
+    assert_eq!(report.applied.len(), 1);
+    assert_eq!(report.applied[0].batch.insertions(), &[(0, 8, 1.5)]);
+}
+
+/// A message bounced with `Busy` and resent is applied exactly once. Bursts
+/// of pipelined messages against an in-flight limit of one draw `Busy` for
+/// whichever the reader sees before the engine has converged their
+/// predecessor; every bounced message is resent after a flush barrier until
+/// none is left. (Where the budget boundary sits is pinned by the reader's
+/// own unit test in `session.rs`.)
+#[test]
+fn a_message_resent_after_busy_is_applied_exactly_once() {
+    let handle = start(
+        Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
+        config_without_timers(1),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
     let mut client = Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).unwrap();
     client.hello("busy").unwrap();
 
-    // Three shortcuts from the root into client 0's line, one per message.
-    let edges = [(0, 8, 1.5), (0, 16, 1.5), (0, 24, 1.5)];
-    let message = |k: usize| {
-        let (source, target, weight) = edges[k];
-        [EdgeUpdate::Insert { source, target, weight }]
-    };
-    assert_admitted(&client.send_update(1, &message(0)).unwrap());
-    assert_admitted(&client.send_update(2, &message(1)).unwrap());
-    assert_eq!(client.send_update(3, &message(2)).unwrap(), Response::Busy { token: 3 });
-    client.flush().unwrap();
-    assert_admitted(&client.send_update(3, &message(2)).unwrap());
-    client.flush().unwrap();
+    // Shortcuts from the root into client 0's line, one per message; the
+    // token is the index.
+    let edges: Vec<(u32, u32, f64)> = (0..8).map(|k| (0, 4 + 3 * k, 1.5)).collect();
+    let mut to_send: Vec<u64> = (0..edges.len() as u64).collect();
+    let mut busy_seen = 0;
+    while !to_send.is_empty() {
+        for &token in &to_send {
+            let (source, target, weight) = edges[token as usize];
+            let updates = vec![EdgeUpdate::Insert { source, target, weight }];
+            client.send(&Request::Update { token, updates }).unwrap();
+        }
+        let mut bounced = Vec::new();
+        for _ in 0..to_send.len() {
+            match client.recv_reply().unwrap() {
+                Response::Admitted { .. } => {}
+                Response::Busy { token } => bounced.push(token),
+                other => panic!("expected Admitted or Busy, got {other:?}"),
+            }
+        }
+        busy_seen += bounced.len() as u64;
+        client.flush().unwrap();
+        to_send = bounced;
+    }
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.busy_rejections, 1);
+    assert_eq!(client.stats().unwrap().busy_rejections, busy_seen);
     let served: Vec<u64> = (0..1 + CLIENTS as u32 * REGION)
         .map(|v| client.query_value(v).unwrap().to_bits())
         .collect();
@@ -268,17 +324,15 @@ fn the_message_past_the_inflight_limit_is_busy_and_its_resend_applies_once() {
     let report = handle.shutdown();
     assert!(report.fatal.is_none(), "server fatal: {:?}", report.fatal);
 
-    // Every update applied exactly once, the bounced one after the flush.
-    let applied: Vec<_> =
+    let mut applied: Vec<_> =
         report.applied.iter().flat_map(|a| a.batch.insertions().iter().copied()).collect();
-    assert_eq!(applied, edges);
-    assert_eq!(report.stats.updates_applied, 3);
+    applied.sort_by_key(|&(_, target, _)| target);
+    assert_eq!(applied, edges, "every update applied exactly once");
+    assert_eq!(report.stats.updates_applied, edges.len() as u64);
 
     let mut oracle = fresh_engine(Workload::Sssp);
-    for (source, target, weight) in edges {
-        let mut batch = UpdateBatch::new();
-        batch.insert(source, target, weight);
-        oracle.apply_update_batch(&batch).unwrap();
+    for applied in &report.applied {
+        oracle.apply_admitted_batch(&applied.batch).unwrap();
     }
     let oracle_bits: Vec<u64> = oracle.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(served, oracle_bits, "served state diverged from the offline replay");

@@ -21,7 +21,10 @@ use jetstream_store::{DurableEngine, RecoveryOptions, StoreOptions};
 
 const NUM_VERTICES: u32 = 64;
 const ROUNDS: u64 = 6;
-const CHECKPOINT_INTERVAL: u64 = 4;
+/// Small enough that checkpoints fall due faster than the background
+/// writer publishes them: some are deferred, and the kill lands while the
+/// last one captured is still in flight.
+const CHECKPOINT_INTERVAL: u64 = 2;
 
 fn tmpdir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -77,7 +80,7 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
     let dir = tmpdir("kill");
     let durable = DurableEngine::create(&dir, fresh_engine(), store_options()).unwrap();
 
-    // --- First life: stream six applied batches, then die abruptly. ---
+    // --- First life: stream seven applied batches, then die abruptly. ---
     let handle = start(
         Backend::Durable(Box::new(durable)),
         ServerConfig::default(),
@@ -92,16 +95,21 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
         assert!(matches!(resp, Response::Admitted { .. }), "got {resp:?}");
         client.flush().unwrap(); // barrier: the batch is applied + WAL-appended
     }
-    // Admit one more message but kill before its batch seals: an
-    // admitted-unapplied update is mid-stream state the crash may lose.
+    // One more message, no barrier, and the kill right behind its
+    // `Admitted`: the dry inbox seals it, so the engine is applying it (or
+    // capturing the checkpoint it made due) as the kill lands.
     let resp = client.send_update(99, &round_updates(ROUNDS)).unwrap();
     assert!(matches!(resp, Response::Admitted { .. }));
     let report = handle.kill();
     assert!(report.fatal.is_none(), "first life failed: {:?}", report.fatal);
-    assert_eq!(report.applied.len() as u64, ROUNDS, "one applied batch per barrier");
-    // The kill path skips the shutdown checkpoint, so the WAL holds a
-    // tail past the last interval checkpoint.
-    assert_eq!(report.stats.checkpoints, ROUNDS / CHECKPOINT_INTERVAL);
+    let applied = ROUNDS + 1;
+    assert_eq!(report.applied.len() as u64, applied, "one applied batch per message");
+    // The kill path skips the shutdown checkpoint; how many interval
+    // checkpoints were captured depends on how many were deferred behind a
+    // publication in flight. Joining the engine thread dropped the store,
+    // which waited for the writer: the directory is quiet from here on.
+    let checkpoints = report.stats.checkpoints;
+    assert!((1..=applied / CHECKPOINT_INTERVAL).contains(&checkpoints), "{checkpoints}");
 
     // --- Oracle: offline replay of exactly what the server applied. ---
     let mut oracle = fresh_engine();
@@ -118,15 +126,14 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
         RecoveryOptions::default(),
     )
     .unwrap();
-    assert_eq!(recovery.recovered_sequence, ROUNDS, "every applied batch is durable");
-    assert_eq!(
-        recovery.snapshot_sequence,
-        (ROUNDS / CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL,
-        "recovery starts from the last interval checkpoint"
+    assert_eq!(recovery.recovered_sequence, applied, "every applied batch is durable");
+    assert!(
+        recovery.snapshot_sequence >= CHECKPOINT_INTERVAL,
+        "recovery starts from an interval checkpoint, not the base snapshot"
     );
     assert_eq!(
         recovery.replayed_batches as u64,
-        ROUNDS - recovery.snapshot_sequence,
+        applied - recovery.snapshot_sequence,
         "the WAL tail past the checkpoint is replayed"
     );
 
@@ -150,7 +157,7 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
 
     // The recovered server keeps serving: stream one more round and
     // check it against the oracle advanced by the same batch.
-    let resp = client.send_update(1, &round_updates(ROUNDS)).unwrap();
+    let resp = client.send_update(1, &round_updates(ROUNDS + 1)).unwrap();
     assert!(matches!(resp, Response::Admitted { .. }));
     client.flush().unwrap();
     let report2 = handle.shutdown();
@@ -168,7 +175,7 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
         RecoveryOptions::default(),
     )
     .unwrap();
-    assert_eq!(recovery.recovered_sequence, ROUNDS + 1);
+    assert_eq!(recovery.recovered_sequence, applied + 1);
     assert_eq!(recovery.replayed_batches, 0, "graceful shutdown checkpointed everything");
     let final_bits: Vec<u64> = recovered.engine().values().iter().map(|v| v.to_bits()).collect();
     let oracle_bits: Vec<u64> = oracle.values().iter().map(|v| v.to_bits()).collect();

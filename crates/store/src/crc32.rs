@@ -9,8 +9,12 @@
 /// The reflected IEEE 802.3 generator polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// classic byte-at-a-time table; `TABLES[k][b]` is the checksum state after
+/// byte `b` followed by `k` zero bytes, so eight input bytes fold into the
+/// state with eight independent lookups instead of eight dependent ones.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -19,14 +23,29 @@ const fn build_table() -> [u32; 256] {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Byte-at-a-time lookup table, built at compile time.
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// One byte-at-a-time step: the tail of [`Crc32::update`] (and the whole of
+/// the test oracle).
+fn step(state: u32, byte: u8) -> u32 {
+    TABLES[0][((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8)
+}
 
 /// Streaming CRC-32 hasher.
 ///
@@ -56,11 +75,24 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds `data` into the checksum.
+    /// Feeds `data` into the checksum, eight bytes per step (slice-by-8).
     pub fn update(&mut self, data: &[u8]) {
         let mut s = self.state;
-        for &b in data {
-            s = TABLE[((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ s;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            s = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            s = step(s, b);
         }
         self.state = s;
     }
@@ -81,6 +113,29 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jetstream_testkit::run_cases;
+
+    /// The byte-at-a-time reference the sliced loop must equal.
+    fn bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(0xFFFF_FFFF, |s, &b| step(s, b))
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_reference() {
+        run_cases("crc32 slice-by-8 vs bytewise", 256, |rng| {
+            let buf: Vec<u8> = (0..rng.gen_index(300)).map(|_| rng.next_u64() as u8).collect();
+            // Every alignment of the 8-byte blocks against the buffer, and
+            // a split point that leaves the hasher mid-stream.
+            let from = rng.gen_index(buf.len() + 1);
+            let data = &buf[from..];
+            assert_eq!(crc32(data), bytewise(data), "len {} from {from}", data.len());
+            let cut = rng.gen_index(data.len() + 1);
+            let mut h = Crc32::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finish(), bytewise(data), "split at {cut}");
+        });
+    }
 
     #[test]
     fn standard_check_value() {

@@ -85,4 +85,4 @@ pub use recovery::{
     recover, recover_sharded, recover_with, Recovered, RecoveredBase, RecoveryOptions,
     RecoveryReport, ReplayEngine,
 };
-pub use store::{DurableEngine, DurableStore, StoreOptions};
+pub use store::{CapturedCheckpoint, DurableEngine, DurableStore, PublishStep, StoreOptions};

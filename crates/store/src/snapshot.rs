@@ -93,8 +93,23 @@ pub fn write(
     graph: &AdjacencyGraph,
     state: Option<&SnapshotState>,
 ) -> Result<PathBuf, StoreError> {
+    let mut buf = encode(sequence, graph, state)?;
+    seal(&mut buf);
+    let path = dir.join(file_name(sequence));
+    fsutil::write_atomic(&path, &buf)?;
+    Ok(path)
+}
+
+/// Serializes a snapshot body: every byte of the file but the trailing
+/// CRC, which [`seal`] appends. The split lets a checkpoint copy the state
+/// out on the thread that owns it and checksum the copy elsewhere.
+pub(crate) fn encode(
+    sequence: u64,
+    graph: &AdjacencyGraph,
+    state: Option<&SnapshotState>,
+) -> Result<Vec<u8>, StoreError> {
+    let n = graph.num_vertices();
     if let Some(s) = state {
-        let n = graph.num_vertices();
         if s.values.len() != n || s.dependency.len() != n {
             return Err(StoreError::Checkpoint(format!(
                 "state length mismatch: {} values / {} dependencies for {n} vertices",
@@ -104,10 +119,11 @@ pub fn write(
         }
     }
 
-    let mut buf = Vec::with_capacity(64 + graph.num_edges() * 16);
+    let state_len = if state.is_some() { n * 12 } else { 0 };
+    let mut buf = Vec::with_capacity(64 + graph.num_edges() * 16 + state_len);
     buf.extend_from_slice(MAGIC);
     put_u64(&mut buf, sequence);
-    put_u64(&mut buf, graph.num_vertices() as u64);
+    put_u64(&mut buf, n as u64);
     put_u64(&mut buf, graph.num_edges() as u64);
     for (src, dst, w) in graph.iter_edges() {
         put_u32(&mut buf, src);
@@ -126,12 +142,13 @@ pub fn write(
             }
         }
     }
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
+    Ok(buf)
+}
 
-    let path = dir.join(file_name(sequence));
-    fsutil::write_atomic(&path, &buf)?;
-    Ok(path)
+/// Appends the trailing CRC to an [`encode`]d body, completing the file.
+pub(crate) fn seal(body: &mut Vec<u8>) {
+    let crc = crc32(body);
+    put_u32(body, crc);
 }
 
 /// Reads and fully validates the snapshot at `path`.

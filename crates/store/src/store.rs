@@ -1,8 +1,18 @@
 //! Store orchestration: WAL appends per batch, periodic checkpoints,
 //! compaction, and the warm-restart entry point.
+//!
+//! A checkpoint is two steps (DESIGN.md §10). *Capture* runs on the thread
+//! that owns the engine: it copies the state into a buffer, rotates the WAL
+//! to `wal-S` and points the manifest at it as `{snapshot: P, wal_base: S}`
+//! (`P` = the newest published snapshot), so recovery replays `wal-P` then
+//! `wal-S`. *Publish* needs only that buffer and the directory — checksum,
+//! `snap-S` via tmp + fsync + rename, manifest `{S, S}`, compaction — and
+//! for an automatic checkpoint runs on a short-lived `store-checkpoint`
+//! thread, at most one at a time.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 use jetstream_algorithms::Algorithm;
 use jetstream_core::{
@@ -61,6 +71,55 @@ pub struct DurableStore {
     dir: PathBuf,
     options: StoreOptions,
     writer: wal::Writer,
+    /// The one background publication in flight, if any.
+    publishing: Option<JoinHandle<Result<u64, StoreError>>>,
+}
+
+/// A checkpoint [`DurableStore::capture`] took and nothing has published
+/// yet: the encoded state at the sequence it was captured at, detached from
+/// the engine and the store so any thread may publish it.
+#[derive(Debug)]
+pub struct CapturedCheckpoint {
+    dir: PathBuf,
+    sequence: u64,
+    /// The snapshot file minus its trailing CRC.
+    body: Vec<u8>,
+    retain_snapshots: usize,
+}
+
+/// The points inside [`CapturedCheckpoint::publish`] a crash can fall
+/// between; the step named has just completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PublishStep {
+    /// `snap-S.tmp` is written and fsynced; `snap-S` does not exist yet.
+    TmpWritten,
+    /// `snap-S` is in place; the manifest still says `{P, S}`.
+    SnapshotRenamed,
+    /// The manifest says `{S, S}`; older files are not compacted yet.
+    ManifestCommitted,
+}
+
+impl CapturedCheckpoint {
+    /// Publishes the checkpoint: checksum → `snap-S` → manifest `{S, S}` →
+    /// compaction, in that order, so a crash between any two steps leaves a
+    /// recoverable store. `observe` is told each [`PublishStep`] as it
+    /// completes (the crash-matrix tests copy the directory there).
+    ///
+    /// Must finish before the store captures again: a later capture's
+    /// manifest would be overwritten by this one's.
+    pub fn publish(self, observe: &mut dyn FnMut(PublishStep)) -> Result<u64, StoreError> {
+        let CapturedCheckpoint { dir, sequence, mut body, retain_snapshots } = self;
+        snapshot::seal(&mut body);
+        let path = dir.join(snapshot::file_name(sequence));
+        let tmp = fsutil::write_tmp(&path, &body)?;
+        observe(PublishStep::TmpWritten);
+        fsutil::commit_tmp(&tmp, &path)?;
+        observe(PublishStep::SnapshotRenamed);
+        manifest::write(&dir, Manifest { snapshot_sequence: sequence, wal_base: sequence })?;
+        observe(PublishStep::ManifestCommitted);
+        compact(&dir, retain_snapshots, sequence)?;
+        Ok(sequence)
+    }
 }
 
 impl DurableStore {
@@ -88,25 +147,27 @@ impl DurableStore {
         snapshot::write(dir, sequence, graph, state)?;
         let writer = wal::Writer::create(dir, sequence)?;
         manifest::write(dir, Manifest { snapshot_sequence: sequence, wal_base: sequence })?;
-        Ok(DurableStore { dir: dir.to_path_buf(), options: Self::sane(options), writer })
+        Ok(Self::over(dir, options, writer))
     }
 
     /// Reattaches to a store that [`recovery::recover`] just validated,
     /// resuming appends on the active segment right after the last
-    /// recovered record.
+    /// recovered record. Also deletes the `*.tmp` files a publication
+    /// interrupted by the crash left behind.
     pub fn open_after_recovery(
         dir: &Path,
         options: StoreOptions,
         report: &RecoveryReport,
     ) -> Result<DurableStore, StoreError> {
+        fsutil::remove_stale_tmp(dir)?;
         let active = dir.join(wal::file_name(report.active_wal_base));
         let writer = wal::Writer::open_at_end(&active, report.recovered_sequence + 1)?;
-        Ok(DurableStore { dir: dir.to_path_buf(), options: Self::sane(options), writer })
+        Ok(Self::over(dir, options, writer))
     }
 
-    fn sane(mut options: StoreOptions) -> StoreOptions {
+    fn over(dir: &Path, mut options: StoreOptions, writer: wal::Writer) -> DurableStore {
         options.retain_snapshots = options.retain_snapshots.max(1);
-        options
+        DurableStore { dir: dir.to_path_buf(), options, writer, publishing: None }
     }
 
     /// The store directory.
@@ -140,9 +201,84 @@ impl DurableStore {
         self.writer.sync()
     }
 
-    /// Publishes a checkpoint of the given state at the current sequence:
-    /// snapshot → WAL rotation → manifest → compaction, in that order, so a
-    /// crash between any two steps leaves a recoverable store.
+    /// First half of a checkpoint, on the calling thread: encodes the given
+    /// state at the current sequence, syncs the WAL and — when batches were
+    /// appended since the last rotation — rotates it to `wal-S` and rewrites
+    /// the manifest as `{snapshot: P, wal_base: S}`. The manifest names the
+    /// new segment before anything is appended to it, so every acknowledged
+    /// batch stays reachable from the root pointer whether or not the
+    /// returned checkpoint is ever published.
+    ///
+    /// Waits out a background publication first: its manifest `{S, S}` must
+    /// land before this capture's.
+    pub fn capture(
+        &mut self,
+        graph: &AdjacencyGraph,
+        state: Option<&SnapshotState>,
+    ) -> Result<CapturedCheckpoint, StoreError> {
+        self.quiesce()?;
+        let sequence = self.sequence();
+        let body = snapshot::encode(sequence, graph, state)?;
+        self.writer.sync()?;
+        if sequence > self.writer.base_sequence() {
+            let published = manifest::read(&self.dir)?.snapshot_sequence;
+            self.writer = wal::Writer::create(&self.dir, sequence)?;
+            manifest::write(
+                &self.dir,
+                Manifest { snapshot_sequence: published, wal_base: sequence },
+            )?;
+        }
+        Ok(CapturedCheckpoint {
+            dir: self.dir.clone(),
+            sequence,
+            body,
+            retain_snapshots: self.options.retain_snapshots,
+        })
+    }
+
+    /// Second half of a checkpoint, off the calling thread: publishes
+    /// `captured` on a `store-checkpoint` thread that [`quiesce`] (and
+    /// everything built on it: [`capture`], [`checkpoint`], `Drop`) joins.
+    ///
+    /// [`quiesce`]: DurableStore::quiesce
+    /// [`capture`]: DurableStore::capture
+    /// [`checkpoint`]: DurableStore::checkpoint
+    pub fn publish_in_background(
+        &mut self,
+        captured: CapturedCheckpoint,
+        mut observe: impl FnMut(PublishStep) + Send + 'static,
+    ) -> Result<(), StoreError> {
+        self.quiesce()?;
+        let handle = std::thread::Builder::new()
+            .name(String::from("store-checkpoint"))
+            .spawn(move || captured.publish(&mut observe))
+            .map_err(|e| StoreError::io_at(&self.dir, e))?;
+        self.publishing = Some(handle);
+        Ok(())
+    }
+
+    /// True while a background publication is still running. A finished one
+    /// is reaped here, so its error surfaces from this call.
+    pub fn is_publishing(&mut self) -> Result<bool, StoreError> {
+        if self.publishing.as_ref().is_some_and(|handle| !handle.is_finished()) {
+            return Ok(true);
+        }
+        self.quiesce().map(|()| false)
+    }
+
+    /// Waits for the background publication, if any, and returns its error.
+    /// Afterwards nothing but the caller touches the directory.
+    pub fn quiesce(&mut self) -> Result<(), StoreError> {
+        match self.publishing.take().map(JoinHandle::join) {
+            None | Some(Ok(Ok(_))) => Ok(()),
+            Some(Ok(Err(e))) => Err(e),
+            Some(Err(_)) => Err(StoreError::Checkpoint(String::from("checkpoint writer panicked"))),
+        }
+    }
+
+    /// Checkpoints the given state at the current sequence, synchronously:
+    /// [`capture`](DurableStore::capture) then
+    /// [`publish`](CapturedCheckpoint::publish) on this thread.
     ///
     /// Idempotent at an unchanged sequence: when no batch has been appended
     /// since the last rotation, the active (empty) segment is kept and only
@@ -154,52 +290,11 @@ impl DurableStore {
         graph: &AdjacencyGraph,
         state: Option<&SnapshotState>,
     ) -> Result<u64, StoreError> {
-        self.writer.sync()?;
-        let seq = self.sequence();
-        snapshot::write(&self.dir, seq, graph, state)?;
-        if seq != self.writer.base_sequence() {
-            self.writer = wal::Writer::create(&self.dir, seq)?;
-        }
-        manifest::write(&self.dir, Manifest { snapshot_sequence: seq, wal_base: seq })?;
-        self.compact(seq)?;
-        Ok(seq)
+        self.capture(graph, state)?.publish(&mut |_| {})
     }
 
-    /// Deletes snapshots beyond the retention count and WAL segments that
-    /// end at or before the oldest retained snapshot (those can never be
-    /// needed again, even when recovery falls back to the oldest snapshot).
-    fn compact(&self, newest: u64) -> Result<(), StoreError> {
-        let snapshots = snapshot::list(&self.dir)?;
-        let committed: Vec<&(u64, PathBuf)> =
-            snapshots.iter().filter(|(seq, _)| *seq <= newest).collect();
-        let keep_from = committed.len().saturating_sub(self.options.retain_snapshots);
-        let Some(entry) = committed.get(keep_from) else {
-            return Ok(());
-        };
-        let oldest_kept = entry.0;
-        let mut removed = false;
-        for (_, path) in committed[..keep_from].iter().copied() {
-            fs::remove_file(path).map_err(|e| StoreError::io_at(path, e))?;
-            removed = true;
-        }
-        // A segment's records end where the next segment begins; the active
-        // (last) segment is always kept.
-        let segments = wal::list(&self.dir)?;
-        for pair in segments.windows(2) {
-            let (_, ref path) = pair[0];
-            let (next_base, _) = pair[1];
-            if next_base <= oldest_kept {
-                fs::remove_file(path).map_err(|e| StoreError::io_at(path, e))?;
-                removed = true;
-            }
-        }
-        if removed {
-            fsutil::sync_dir(&self.dir)?;
-        }
-        Ok(())
-    }
-
-    /// Bytes currently on disk, by file kind.
+    /// Bytes currently on disk, by file kind. [`quiesce`](DurableStore::quiesce)
+    /// first: a publication in flight adds and deletes files underneath.
     pub fn disk_usage(&self) -> Result<DiskUsage, StoreError> {
         let mut usage = DiskUsage::default();
         for (_, path) in snapshot::list(&self.dir)? {
@@ -213,12 +308,57 @@ impl DurableStore {
     }
 }
 
+impl Drop for DurableStore {
+    fn drop(&mut self) {
+        // A publication error has nowhere to go here; the directory is
+        // recoverable with or without the snapshot it was writing.
+        let _ = self.quiesce();
+    }
+}
+
+/// Deletes snapshots beyond the retention count, WAL segments that end at
+/// or before the oldest retained snapshot (those can never be needed again,
+/// even when recovery falls back to the oldest snapshot), and `*.tmp` files
+/// orphaned by an interrupted publication.
+fn compact(dir: &Path, retain_snapshots: usize, newest: u64) -> Result<(), StoreError> {
+    fsutil::remove_stale_tmp(dir)?;
+    let snapshots = snapshot::list(dir)?;
+    let committed: Vec<&(u64, PathBuf)> =
+        snapshots.iter().filter(|(seq, _)| *seq <= newest).collect();
+    let keep_from = committed.len().saturating_sub(retain_snapshots);
+    let Some(entry) = committed.get(keep_from) else {
+        return Ok(());
+    };
+    let oldest_kept = entry.0;
+    let mut removed = false;
+    for (_, path) in committed[..keep_from].iter().copied() {
+        fs::remove_file(path).map_err(|e| StoreError::io_at(path, e))?;
+        removed = true;
+    }
+    // A segment's records end where the next segment begins; the active
+    // (last) segment is always kept.
+    let segments = wal::list(dir)?;
+    for pair in segments.windows(2) {
+        let (_, ref path) = pair[0];
+        let (next_base, _) = pair[1];
+        if next_base <= oldest_kept {
+            fs::remove_file(path).map_err(|e| StoreError::io_at(path, e))?;
+            removed = true;
+        }
+    }
+    if removed {
+        fsutil::sync_dir(dir)?;
+    }
+    Ok(())
+}
+
 /// An engine whose state survives crashes.
 ///
 /// Every applied batch is WAL-logged after the engine accepts it (a rejected
 /// batch never reaches the log, so replay always applies cleanly), and the
 /// engine's converged state is snapshotted every
-/// [`StoreOptions::checkpoint_interval`] batches. [`DurableEngine::recover`]
+/// [`StoreOptions::checkpoint_interval`] batches — captured on the applying
+/// thread, published off it. [`DurableEngine::recover`]
 /// warm-starts from the directory after a crash.
 ///
 /// Generic over the execution strategy: the default `E` is the sequential
@@ -342,9 +482,10 @@ impl<E: ReplayEngine> DurableEngine<E> {
         self.store.sequence()
     }
 
-    /// Batches applied since the last checkpoint (never reaches
-    /// [`StoreOptions::checkpoint_interval`] while automatic checkpoints
-    /// are enabled). A serving layer uses this to report checkpoint lag.
+    /// Batches applied since the last checkpoint was captured (`0` right
+    /// after one; passes [`StoreOptions::checkpoint_interval`] only while a
+    /// due checkpoint is deferred behind a publication still in flight). A
+    /// serving layer uses this to report checkpoint lag.
     pub fn batches_since_checkpoint(&self) -> u64 {
         self.batches_since_checkpoint
     }
@@ -363,27 +504,56 @@ impl<E: ReplayEngine> DurableEngine<E> {
     }
 
     /// The durable tail of every apply: WAL-append the batch the engine
-    /// just accepted, then checkpoint when the interval is due.
+    /// just accepted, then — when the interval is due — capture a checkpoint
+    /// and hand it to the background writer. A checkpoint that falls due
+    /// while the previous one is still being published is deferred to the
+    /// first later batch that finds the writer idle: never queued, never
+    /// waited for. A failed publication fails the apply that reaps it.
     fn log_applied(&mut self, batch: &UpdateBatch) -> Result<(), StoreError> {
         self.store.append(batch)?;
         self.batches_since_checkpoint += 1;
+        let publishing = self.store.is_publishing()?;
         let interval = self.store.options().checkpoint_interval;
-        if interval > 0 && self.batches_since_checkpoint >= interval {
-            self.checkpoint()?;
+        if interval > 0 && self.batches_since_checkpoint >= interval && !publishing {
+            self.checkpoint_in_background(|_| {})?;
         }
         Ok(())
     }
 
-    /// Forces a checkpoint of the engine's current state now; returns its
-    /// sequence number.
-    pub fn checkpoint(&mut self) -> Result<u64, StoreError> {
+    fn capture(&mut self) -> Result<CapturedCheckpoint, StoreError> {
         let state = self.engine.checkpoint_state();
-        let seq = self.store.checkpoint(self.engine.checkpoint_graph(), Some(&state))?;
+        let captured = self.store.capture(self.engine.checkpoint_graph(), Some(&state))?;
         self.batches_since_checkpoint = 0;
-        Ok(seq)
+        Ok(captured)
     }
 
-    /// Unwraps the engine, abandoning durability tracking.
+    /// Captures a checkpoint of the engine's current state now and returns
+    /// while a background thread publishes it (what an interval checkpoint
+    /// does); `observe` runs on that thread, see
+    /// [`CapturedCheckpoint::publish`].
+    pub fn checkpoint_in_background(
+        &mut self,
+        observe: impl FnMut(PublishStep) + Send + 'static,
+    ) -> Result<(), StoreError> {
+        let captured = self.capture()?;
+        self.store.publish_in_background(captured, observe)
+    }
+
+    /// Forces a checkpoint of the engine's current state now, waiting for
+    /// it (and for any background publication before it) to reach disk;
+    /// returns its sequence number.
+    pub fn checkpoint(&mut self) -> Result<u64, StoreError> {
+        self.capture()?.publish(&mut |_| {})
+    }
+
+    /// Waits for the background checkpoint writer, if one is running, and
+    /// returns its error ([`DurableStore::quiesce`]).
+    pub fn quiesce(&mut self) -> Result<(), StoreError> {
+        self.store.quiesce()
+    }
+
+    /// Unwraps the engine, abandoning durability tracking (the store is
+    /// dropped, which waits for a background publication).
     pub fn into_engine(self) -> E {
         self.engine
     }

@@ -12,11 +12,15 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{EngineConfig, StreamingEngine};
 use jetstream_graph::{gen, AdjacencyGraph};
-use jetstream_store::{wal, DurableEngine, RecoveryOptions, StoreError, StoreOptions};
+use jetstream_store::{
+    snapshot, wal, DurableEngine, DurableStore, PublishStep, RecoveryOptions, ReplayEngine,
+    StoreError, StoreOptions,
+};
 
 const EPSILON: f64 = 1e-5;
 const ROOT: u32 = 0;
@@ -51,7 +55,9 @@ fn copy_dir(from: &Path, to: &Path) {
 
 /// Checkpoint every 3 batches, retain 2 snapshots: after 7 batches the
 /// store holds snapshots {3, 6} and segments {wal-3, wal-6} (wal-0 and
-/// snap-0 compacted away), with batch 7 alone in the active segment.
+/// snap-0 compacted away), with batch 7 alone in the active segment —
+/// provided no checkpoint was deferred behind the one before it, which
+/// `build_store` arranges by quiescing the writer after every batch.
 fn options() -> StoreOptions {
     StoreOptions { checkpoint_interval: 3, retain_snapshots: 2, sync_every_batch: true }
 }
@@ -64,23 +70,44 @@ struct History {
     graphs: Vec<AdjacencyGraph>,
 }
 
-fn build_store(workload: Workload, dir: &Path) -> History {
+fn converged_engine(workload: Workload) -> (StreamingEngine, History) {
     let base = gen::rmat(200, 1000, gen::RmatParams::default(), 42);
     let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
     let mut engine = StreamingEngine::new(alg, base, EngineConfig::default());
     engine.initial_compute();
-
-    let mut history =
+    let history =
         History { values: vec![engine.values().to_vec()], graphs: vec![engine.graph().clone()] };
+    (engine, history)
+}
+
+/// Applies the stream's next batch (numbered by the history so far).
+fn apply_next(durable: &mut DurableEngine, history: &mut History) -> Result<(), StoreError> {
+    let seed = 99 + history.values.len() as u64;
+    let batch = gen::batch_with_ratio(durable.engine().graph(), 30, 0.6, seed);
+    let outcome = durable.apply_update_batch(&batch).map(|_| ());
+    history.values.push(durable.engine().values().to_vec());
+    history.graphs.push(durable.engine().graph().clone());
+    outcome
+}
+
+fn build_store(workload: Workload, dir: &Path) -> History {
+    let (engine, mut history) = converged_engine(workload);
     let mut durable = DurableEngine::create(dir, engine, options()).unwrap();
-    for i in 0..BATCHES {
-        let batch = gen::batch_with_ratio(durable.engine().graph(), 30, 0.6, 100 + i);
-        durable.apply_update_batch(&batch).unwrap();
-        history.values.push(durable.engine().values().to_vec());
-        history.graphs.push(durable.engine().graph().clone());
+    for _ in 0..BATCHES {
+        apply_next(&mut durable, &mut history).unwrap();
+        durable.quiesce().unwrap();
     }
     assert_eq!(durable.sequence(), BATCHES);
     history
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// Shard count of the differential recovery every case also runs.
@@ -205,16 +232,11 @@ fn clean_recovery_matches_oracle_on_all_workloads() {
 }
 
 #[test]
-fn compaction_leaves_exactly_the_retained_files() {
+fn checkpoint_compaction_leaves_exactly_the_retained_files() {
     let dir = tmpdir("compaction");
     build_store(Workload::Sssp, &dir);
-    let mut names: Vec<String> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
     assert_eq!(
-        names,
+        file_names(&dir),
         vec![
             "MANIFEST".to_string(),
             "snap-00000000000000000003.jss".to_string(),
@@ -505,5 +527,226 @@ fn creating_over_an_existing_store_is_refused() {
     engine.initial_compute();
     let err = DurableEngine::create(&dir, engine, options()).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "{err}");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The crash matrix of one checkpoint, driven on this thread: the store's
+/// directory is copied at every point a crash can fall on — captured (WAL
+/// rotated, manifest `{P, S}`), two more batches acknowledged into `wal-S`,
+/// `snap-S.tmp` whole and torn, `snap-S` renamed, manifest `{S, S}`,
+/// compacted — and every copy must recover every acknowledged batch,
+/// bit-identically to the live engine.
+#[test]
+fn recovery_is_bit_identical_at_every_point_of_a_checkpoint() {
+    const P: u64 = 3;
+    const S: u64 = 6;
+    for workload in [Workload::Sssp, Workload::PageRank] {
+        let dir = tmpdir("matrix");
+        let (mut engine, mut history) = converged_engine(workload);
+        // Engine and store driven by hand, the way `DurableEngine` drives
+        // them, so the test owns the gap between capture and publish.
+        let manual = StoreOptions { checkpoint_interval: 0, ..options() };
+        let state = engine.checkpoint_state();
+        let mut store =
+            DurableStore::create(&dir, manual, 0, engine.graph(), Some(&state)).unwrap();
+        fn apply(engine: &mut StreamingEngine, store: &mut DurableStore, history: &mut History) {
+            let seed = 99 + history.values.len() as u64;
+            let batch = gen::batch_with_ratio(engine.graph(), 30, 0.6, seed);
+            engine.apply_update_batch(&batch).unwrap();
+            store.append(&batch).unwrap();
+            history.values.push(engine.values().to_vec());
+            history.graphs.push(engine.graph().clone());
+        }
+        for _ in 0..P {
+            apply(&mut engine, &mut store, &mut history);
+        }
+        let state = engine.checkpoint_state();
+        assert_eq!(store.checkpoint(engine.graph(), Some(&state)).unwrap(), P);
+        for _ in P..S {
+            apply(&mut engine, &mut store, &mut history);
+        }
+
+        // (label, copy, acknowledged sequence, snapshot recovery starts from)
+        let mut points: Vec<(String, PathBuf, u64, u64)> = Vec::new();
+        let mut crash = |label: &str, sequence: u64, snapshot: u64| {
+            let copy = tmpdir("matrix-point");
+            copy_dir(&dir, &copy);
+            points.push((label.to_string(), copy.clone(), sequence, snapshot));
+            copy
+        };
+        let state = engine.checkpoint_state();
+        let captured = store.capture(engine.graph(), Some(&state)).unwrap();
+        crash("captured", S, P);
+        apply(&mut engine, &mut store, &mut history);
+        apply(&mut engine, &mut store, &mut history);
+        crash("captured, two batches on", S + 2, P);
+        captured
+            .publish(&mut |step| match step {
+                PublishStep::TmpWritten => {
+                    crash("tmp written", S + 2, P);
+                    let torn = crash("tmp torn", S + 2, P).join(snapshot::file_name(S));
+                    let torn = torn.with_extension("tmp");
+                    let len = fs::metadata(&torn).unwrap().len();
+                    fs::OpenOptions::new()
+                        .write(true)
+                        .open(&torn)
+                        .unwrap()
+                        .set_len(len / 2)
+                        .unwrap();
+                }
+                PublishStep::SnapshotRenamed => {
+                    crash("snapshot renamed", S + 2, P);
+                }
+                PublishStep::ManifestCommitted => {
+                    crash("manifest committed", S + 2, S);
+                }
+            })
+            .unwrap();
+        crash("compacted", S + 2, S);
+        drop(store);
+
+        assert_eq!(points.len(), 7);
+        for (label, copy, sequence, snapshot) in points {
+            let what = format!("{} at '{label}'", workload.name());
+            let (recovered, report) = try_recover(workload, &copy).unwrap();
+            assert_eq!(report.recovered_sequence, sequence, "{what}");
+            assert_eq!(report.snapshot_sequence, snapshot, "{what}");
+            assert_eq!(report.snapshots_skipped, 0, "{what}");
+            assert!(!report.wal_truncated, "{what}");
+            assert_recovered_state(workload, &recovered, sequence, &history);
+            // Reattaching swept the interrupted publication's leftovers.
+            assert!(file_names(&copy).iter().all(|n| !n.ends_with(".tmp")), "{what}");
+            drop(recovered);
+            fs::remove_dir_all(&copy).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A checkpoint that falls due while the previous publication is still in
+/// flight is neither queued nor waited for: applies carry on, and the first
+/// batch that finds the writer idle captures.
+#[test]
+fn a_due_checkpoint_is_deferred_while_a_publication_is_in_flight() {
+    let workload = Workload::Sssp;
+    let dir = tmpdir("defer");
+    let (engine, mut history) = converged_engine(workload);
+    let mut durable = DurableEngine::create(&dir, engine, options()).unwrap();
+    apply_next(&mut durable, &mut history).unwrap();
+
+    // Park the publication of snap-1 between its tmp file and its rename.
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    durable
+        .checkpoint_in_background(move |step| {
+            if step == PublishStep::TmpWritten {
+                parked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            }
+        })
+        .unwrap();
+    parked_rx.recv().unwrap();
+
+    // Due at 3 batches; five go through (a wait here would never return).
+    for since in 1..=5 {
+        apply_next(&mut durable, &mut history).unwrap();
+        assert_eq!(durable.batches_since_checkpoint(), since);
+    }
+    assert_eq!(snapshot::list(&dir).unwrap().len(), 1, "snap-1 is still parked");
+
+    release_tx.send(()).unwrap();
+    durable.quiesce().unwrap();
+    apply_next(&mut durable, &mut history).unwrap();
+    assert_eq!(durable.batches_since_checkpoint(), 0, "the deferred checkpoint was captured");
+    durable.quiesce().unwrap();
+    let snapshots: Vec<u64> = snapshot::list(&dir).unwrap().into_iter().map(|(s, _)| s).collect();
+    assert_eq!(snapshots, vec![1, 7]);
+    drop(durable);
+
+    let (recovered, report) = try_recover(workload, &dir).unwrap();
+    assert_eq!((report.snapshot_sequence, report.replayed_batches), (7, 0));
+    assert_recovered_state(workload, &recovered, 7, &history);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A publication that fails in the background fails the apply that reaps
+/// it, and costs nothing but the snapshot: every batch the engine applied
+/// — that one included — is in the WAL the manifest already names.
+#[test]
+fn a_failed_checkpoint_publication_fails_a_later_apply_and_the_directory_still_recovers() {
+    let workload = Workload::Sssp;
+    let dir = tmpdir("pubfail");
+    let (engine, mut history) = converged_engine(workload);
+    let mut durable = DurableEngine::create(&dir, engine, options()).unwrap();
+    // The writer of snap-3 finds a directory where its tmp file goes.
+    let obstacle = dir.join(snapshot::file_name(3)).with_extension("tmp");
+    fs::create_dir(&obstacle).unwrap();
+
+    // Batch 3 captures and returns; the failure arrives with whichever
+    // later batch first finds the writer finished.
+    let mut failure = None;
+    while failure.is_none() && durable.sequence() < 40 {
+        failure = apply_next(&mut durable, &mut history).err();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let failure = failure.expect("the failed publication never surfaced");
+    assert!(failure.to_string().contains("snap-00000000000000000003.tmp"), "{failure}");
+    let applied = durable.sequence();
+    assert!(applied > 3, "the capturing apply itself succeeded");
+    assert_eq!(snapshot::list(&dir).unwrap().len(), 1, "snap-3 was never published");
+    // With the fault gone the store keeps working, and checkpoints again
+    // at the next interval.
+    fs::remove_dir(&obstacle).unwrap();
+    for _ in 0..3 {
+        apply_next(&mut durable, &mut history).unwrap();
+        durable.quiesce().unwrap();
+    }
+    assert_eq!(snapshot::list(&dir).unwrap().len(), 2);
+    drop(durable);
+
+    let (recovered, report) = try_recover(workload, &dir).unwrap();
+    assert_eq!(report.recovered_sequence, applied + 3);
+    assert_recovered_state(workload, &recovered, applied + 3, &history);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `write_atomic`'s tmp file outlives a process killed mid-publication;
+/// the next compaction (and, in the crash matrix above, the next reattach)
+/// deletes it.
+#[test]
+fn checkpoint_compaction_sweeps_orphaned_tmp_files() {
+    let dir = tmpdir("orphan");
+    let mut history = build_store(Workload::Sssp, &dir);
+    let (mut durable, _) = try_recover(Workload::Sssp, &dir).unwrap();
+    let orphan = dir.join(snapshot::file_name(5)).with_extension("tmp");
+    fs::write(&orphan, b"half a snapshot").unwrap();
+    apply_next(&mut durable, &mut history).unwrap();
+    assert!(orphan.exists(), "no checkpoint yet, nothing swept");
+    durable.checkpoint().unwrap();
+    assert!(!orphan.exists());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint at an unchanged sequence keeps the active (empty) segment —
+/// the capture rotates, and rewrites the manifest, only past the segment's
+/// base — and republishes the same snapshot.
+#[test]
+fn a_checkpoint_at_an_unchanged_sequence_does_not_rotate_the_wal() {
+    let workload = Workload::Sssp;
+    let dir = tmpdir("idempotent");
+    let (engine, mut history) = converged_engine(workload);
+    let manual = StoreOptions { checkpoint_interval: 0, ..options() };
+    let mut durable = DurableEngine::create(&dir, engine, manual).unwrap();
+    assert_eq!(durable.checkpoint().unwrap(), 0, "nothing appended since the base snapshot");
+    apply_next(&mut durable, &mut history).unwrap();
+    assert_eq!(durable.checkpoint().unwrap(), 1);
+    let before = file_names(&dir);
+    assert_eq!(durable.checkpoint().unwrap(), 1);
+    assert_eq!(file_names(&dir), before);
+    drop(durable);
+
+    let (recovered, report) = try_recover(workload, &dir).unwrap();
+    assert_eq!((report.snapshot_sequence, report.replayed_batches), (1, 0));
+    assert_recovered_state(workload, &recovered, 1, &history);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -60,46 +60,3 @@ fn update_stream_file_roundtrip_replays_identically() {
     }
     assert!(oracle::values_match(direct.values(), from_file.values()));
 }
-
-#[test]
-fn versioned_store_replays_a_file_stream() {
-    use jetstream::graph::versioned::VersionedGraph;
-
-    let full = gen::erdos_renyi(120, 600, 94);
-    let mut stream = EdgeStream::new(&full, 0.1, 95);
-    let base = stream.graph().clone();
-    let batches: Vec<_> = (0..5).map(|_| stream.next_batch(15, 0.5)).collect();
-
-    let mut store = VersionedGraph::new(base.clone(), 2);
-    let mut shadow = base;
-    for batch in &batches {
-        store.commit(batch).unwrap();
-        shadow.apply_batch(batch).unwrap();
-    }
-    assert_eq!(store.head(), &shadow);
-    assert_eq!(store.version(), 5);
-    // The last two snapshots are materialized; the active one matches the
-    // head exactly.
-    assert_eq!(store.active().num_edges(), shadow.num_edges());
-    // Reconstruction of a mid-stream version equals replaying manually.
-    let mut manual = stream_base_version(&full, &batches, 3);
-    manual_normalize(&mut manual);
-    if let Some(reconstructed) = store.reconstruct(3) {
-        assert_eq!(reconstructed, manual);
-    }
-}
-
-fn stream_base_version(
-    full: &jetstream::graph::AdjacencyGraph,
-    batches: &[jetstream::graph::UpdateBatch],
-    upto: usize,
-) -> jetstream::graph::AdjacencyGraph {
-    let stream = EdgeStream::new(full, 0.1, 95);
-    let mut g = stream.graph().clone();
-    for batch in &batches[..upto] {
-        g.apply_batch(batch).unwrap();
-    }
-    g
-}
-
-fn manual_normalize(_g: &mut jetstream::graph::AdjacencyGraph) {}

@@ -353,12 +353,16 @@ const CONCURRENCY_SCOPE: [&str; 6] = [
 /// sees concurrent mutation) or value-equivalent under quiescence
 /// (DESIGN.md §16 for `sharded.rs` and `async_mode.rs`: barrier-free
 /// workers over disjoint shard state, fenced by the differential matrix,
-/// the schedule fuzzer, and the race sanitizer).
-const CONCURRENCY_APPROVED: [&str; 4] = [
+/// the schedule fuzzer, and the race sanitizer; DESIGN.md §10 for
+/// `store.rs`: one checkpoint writer that shares nothing with the apply
+/// thread but the directory, joined before either touches the manifest
+/// again, fenced by the single-thread crash matrix).
+const CONCURRENCY_APPROVED: [&str; 5] = [
     "crates/core/src/sharded.rs",
     "crates/core/src/async_mode.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/session.rs",
+    "crates/store/src/store.rs",
 ];
 
 /// Paths where `.unwrap()` is banned even inside `#[cfg(test)]` code.

@@ -131,6 +131,7 @@ fn crate_of(r: &MutantResult) -> &str {
         Some("core") => "crates/core",
         Some("graph") => "crates/graph",
         Some("serve") => "crates/serve",
+        Some("store") => "crates/store",
         _ => "other",
     }
 }

@@ -90,6 +90,6 @@ mod tests {
     #[test]
     fn level_zero_at_root() {
         let a = Bfs::new(4);
-        assert_eq!(a.initial_events(&Csr::empty(8)), vec![(4, 0.0)]);
+        assert_eq!(a.initial_events(&Csr::new(8)), vec![(4, 0.0)]);
     }
 }

@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn every_vertex_seeds_itself() {
         let a = ConnectedComponents::new();
-        let g = Csr::empty(3);
+        let g = Csr::new(3);
         assert_eq!(a.initial_events(&g), vec![(0, 0.0), (1, 1.0), (2, 2.0)]);
     }
 

@@ -353,6 +353,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "root out of range")]
     fn sssp_bad_root_panics() {
-        let _ = sssp(&Csr::empty(2), 9);
+        let _ = sssp(&Csr::new(2), 9);
     }
 }

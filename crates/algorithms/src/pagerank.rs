@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn every_vertex_gets_teleport_seed() {
         let pr = PageRank::default();
-        let g = Csr::empty(4);
+        let g = Csr::new(4);
         let events = pr.initial_events(&g);
         assert_eq!(events.len(), 4);
         for (_, v) in events {

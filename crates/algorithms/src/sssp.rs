@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn initial_event_is_root_zero() {
         let a = Sssp::new(7);
-        let g = Csr::empty(10);
+        let g = Csr::new(10);
         assert_eq!(a.initial_events(&g), vec![(7, 0.0)]);
     }
 

@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn root_starts_unbounded() {
         let a = Sswp::new(2);
-        let g = Csr::empty(5);
+        let g = Csr::new(5);
         assert_eq!(a.initial_events(&g), vec![(2, Value::INFINITY)]);
     }
 

@@ -1,7 +1,7 @@
 use std::collections::BTreeSet;
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{AdjacencyGraph, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{Csr, CsrPair, EdgeRef, GraphError, UpdateBatch, VertexId};
 
 use crate::parallel::{baseline_threads, par_map};
 use crate::SoftwareStats;
@@ -36,10 +36,10 @@ const MAX_ITERATIONS: usize = 10_000;
 /// ```
 /// use jetstream_baselines::GraphBolt;
 /// use jetstream_algorithms::PageRank;
-/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+/// use jetstream_graph::{Csr, UpdateBatch};
 ///
 /// # fn main() -> Result<(), jetstream_graph::GraphError> {
-/// let mut g = AdjacencyGraph::new(2);
+/// let mut g = Csr::new(2);
 /// g.insert_edge(0, 1, 1.0)?;
 /// let mut gb = GraphBolt::new(Box::new(PageRank::default()), g);
 /// gb.initial_compute();
@@ -55,9 +55,9 @@ const MAX_ITERATIONS: usize = 10_000;
 #[derive(Debug)]
 pub struct GraphBolt {
     alg: Box<dyn Algorithm>,
-    host: AdjacencyGraph,
-    /// Reverse adjacency, maintained incrementally (pulls read in-edges).
-    reverse: AdjacencyGraph,
+    /// The graph and its transpose, maintained together (pulls read
+    /// in-edges).
+    pair: CsrPair,
     /// Cached out-degrees and out-weight-sums (contribution normalizers).
     degree: Vec<usize>,
     weight_sum: Vec<Value>,
@@ -68,28 +68,24 @@ pub struct GraphBolt {
 
 impl GraphBolt {
     /// Creates a GraphBolt instance for an accumulative algorithm over
-    /// `host`.
+    /// `graph`.
     ///
     /// # Panics
     ///
     /// Panics if `alg` is selective.
-    pub fn new(alg: Box<dyn Algorithm>, host: AdjacencyGraph) -> Self {
+    pub fn new(alg: Box<dyn Algorithm>, graph: Csr) -> Self {
         assert_eq!(
             alg.kind(),
             UpdateKind::Accumulative,
             "GraphBolt handles accumulative algorithms; use KickStarter for selective ones"
         );
-        let n = host.num_vertices();
-        let reversed: Vec<(VertexId, VertexId, Value)> =
-            host.iter_edges().map(|(u, v, w)| (v, u, w)).collect();
-        let reverse = AdjacencyGraph::from_edges(n, &reversed);
-        let degree = (0..n as VertexId).map(|v| host.degree(v)).collect();
+        let n = graph.num_vertices();
+        let degree = (0..n as VertexId).map(|v| graph.degree(v)).collect();
         let weight_sum =
-            (0..n as VertexId).map(|v| host.neighbors(v).map(|(_, w)| w).sum()).collect();
+            (0..n as VertexId).map(|v| graph.neighbors(v).map(|e| e.weight).sum()).collect();
         GraphBolt {
             alg,
-            host,
-            reverse,
+            pair: CsrPair::new(graph),
             degree,
             weight_sum,
             history: Vec::new(),
@@ -102,9 +98,9 @@ impl GraphBolt {
         self.history.last().map_or(&[], |v| v.as_slice())
     }
 
-    /// The host-side evolving graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.host
+    /// The evolving graph.
+    pub fn graph(&self) -> &Csr {
+        &self.pair.out
     }
 
     /// Number of stored iterations (dependency depth).
@@ -113,7 +109,7 @@ impl GraphBolt {
     }
 
     fn seed_vector(&self) -> Vec<Value> {
-        (0..self.host.num_vertices() as VertexId)
+        (0..self.pair.num_vertices() as VertexId)
             .map(|v| self.alg.initial_event(v).unwrap_or(0.0))
             .collect()
     }
@@ -132,7 +128,7 @@ impl GraphBolt {
     /// Recomputes `x⁽ⁱ⁾_v` by pulling over all in-edges from iteration
     /// `i - 1`.
     fn pull(&mut self, v: VertexId, prev: &[Value], seed: &[Value]) -> Value {
-        let in_degree = self.reverse.degree(v);
+        let in_degree = self.pair.inc.degree(v);
         self.stats.edge_reads += in_degree as u64;
         self.stats.vertex_reads += in_degree as u64;
         self.pull_pure(v, prev, seed)
@@ -142,7 +138,7 @@ impl GraphBolt {
     /// are aggregated by the caller).
     fn pull_pure(&self, v: VertexId, prev: &[Value], seed: &[Value]) -> Value {
         let mut acc = seed[v as usize];
-        for (u, weight) in self.reverse.neighbors(v) {
+        for EdgeRef { other: u, weight } in self.pair.inc.neighbors(v) {
             acc += self.contribution(u, weight, prev[u as usize]);
         }
         acc
@@ -152,7 +148,7 @@ impl GraphBolt {
     /// every iteration (also the software cold-restart baseline).
     pub fn initial_compute(&mut self) -> SoftwareStats {
         self.stats = SoftwareStats::default();
-        let n = self.host.num_vertices();
+        let n = self.pair.num_vertices();
         let seed = self.seed_vector();
         self.history = vec![seed.clone()];
         let threads = baseline_threads();
@@ -170,7 +166,7 @@ impl GraphBolt {
                 max_rel_delta = max_rel_delta.max((next[v] - prev[v]).abs() / scale);
             }
             self.stats.vertex_writes += n as u64;
-            let edges = self.host.num_edges() as u64;
+            let edges = self.pair.num_edges() as u64;
             self.stats.edge_reads += edges;
             self.stats.vertex_reads += edges;
             self.history.push(next.clone());
@@ -188,22 +184,10 @@ impl GraphBolt {
     ///
     /// Returns a [`GraphError`] when the batch is invalid against the
     /// current graph version.
-    #[allow(clippy::expect_used)] // invariant: the reversed batch mirrors the host graph
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<SoftwareStats, GraphError> {
         self.stats = SoftwareStats::default();
         assert!(!self.history.is_empty(), "initial_compute must run before streaming batches");
-        self.host.apply_batch(batch)?;
-        let mut reversed = UpdateBatch::new();
-        for &(u, v, w) in batch.insertions() {
-            reversed.insert(v, u, w);
-        }
-        for &(u, v) in batch.deletions() {
-            reversed.delete(v, u);
-        }
-        self.reverse
-            .apply_batch(&reversed)
-            .expect("invariant: the reversed batch mirrors the host graph");
-        let n = self.host.num_vertices();
+        self.pair.apply_batch(batch)?;
         let seed = self.seed_vector();
 
         // Vertices whose iteration-1 aggregation is invalidated: targets of
@@ -218,17 +202,15 @@ impl GraphBolt {
             .collect();
         // Refresh the cached normalizers of touched vertices.
         for &u in &touched {
-            self.degree[u as usize] = self.host.degree(u);
-            self.weight_sum[u as usize] = self.host.neighbors(u).map(|(_, w)| w).sum();
+            self.degree[u as usize] = self.pair.out.degree(u);
+            self.weight_sum[u as usize] = self.pair.out.neighbors(u).map(|e| e.weight).sum();
         }
         let mut frontier: BTreeSet<VertexId> = BTreeSet::new();
         for &(_, v) in batch.deletions() {
             frontier.insert(v);
         }
         for &u in &touched {
-            for (v, _) in self.host.neighbors(u) {
-                frontier.insert(v);
-            }
+            frontier.extend(self.pair.out.neighbor_targets(u));
         }
         self.stats.resets = frontier.len() as u64;
 
@@ -253,10 +235,7 @@ impl GraphBolt {
                 if (x - old).abs() > REFINE_EPSILON * old.abs().max(SCALE_FLOOR) {
                     self.history[i][v as usize] = x;
                     self.stats.vertex_writes += 1;
-                    let outs: Vec<VertexId> = self.host.neighbors(v).map(|(t, _)| t).collect();
-                    for t in outs {
-                        next_frontier.insert(t);
-                    }
+                    next_frontier.extend(self.pair.out.neighbor_targets(v));
                     // The vertex's own aggregation at i+1 also reads x⁽ⁱ⁾ of
                     // its in-neighbors, which did not change — but its value
                     // at i+1 must absorb today's change at i.
@@ -265,7 +244,6 @@ impl GraphBolt {
             }
             frontier = next_frontier;
             i += 1;
-            let _ = n;
         }
         Ok(self.stats)
     }
@@ -279,7 +257,7 @@ mod tests {
 
     const TOL: Value = 5e-3;
 
-    fn check(workload: Workload, g: &AdjacencyGraph, batch: &UpdateBatch) {
+    fn check(workload: Workload, g: &Csr, batch: &UpdateBatch) {
         let mut gb = GraphBolt::new(workload.instantiate(0), g.clone());
         gb.initial_compute();
         gb.apply_batch(batch).unwrap();
@@ -363,14 +341,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "accumulative")]
     fn rejects_selective_algorithms() {
-        let g = AdjacencyGraph::new(2);
+        let g = Csr::new(2);
         let _ = GraphBolt::new(Workload::Sssp.instantiate(0), g);
     }
 
     #[test]
     #[should_panic(expected = "initial_compute")]
     fn streaming_before_initial_compute_panics() {
-        let mut g = AdjacencyGraph::new(2);
+        let mut g = Csr::new(2);
         g.insert_edge(0, 1, 1.0).unwrap();
         let mut gb = GraphBolt::new(Workload::PageRank.instantiate(0), g);
         let _ = gb.apply_batch(&UpdateBatch::new());

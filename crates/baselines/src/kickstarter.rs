@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{AdjacencyGraph, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{Csr, CsrPair, EdgeRef, GraphError, UpdateBatch, VertexId};
 
 use crate::parallel::{baseline_threads, par_map};
 use crate::SoftwareStats;
@@ -29,10 +29,10 @@ use crate::SoftwareStats;
 /// ```
 /// use jetstream_baselines::KickStarter;
 /// use jetstream_algorithms::Sssp;
-/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+/// use jetstream_graph::{Csr, UpdateBatch};
 ///
 /// # fn main() -> Result<(), jetstream_graph::GraphError> {
-/// let mut g = AdjacencyGraph::new(3);
+/// let mut g = Csr::new(3);
 /// g.insert_edge(0, 1, 4.0)?;
 /// g.insert_edge(1, 2, 1.0)?;
 /// let mut ks = KickStarter::new(Box::new(Sssp::new(0)), g);
@@ -52,10 +52,9 @@ use crate::SoftwareStats;
 #[derive(Debug)]
 pub struct KickStarter {
     alg: Box<dyn Algorithm>,
-    host: AdjacencyGraph,
-    /// Reverse adjacency, maintained incrementally (trimming reads
+    /// The graph and its transpose, maintained together (trimming reads
     /// in-neighbors; rebuilding a CSR per batch would dominate the cost).
-    reverse: AdjacencyGraph,
+    pair: CsrPair,
     values: Vec<Value>,
     dependency: Vec<Option<VertexId>>,
     level: Vec<u32>,
@@ -63,29 +62,25 @@ pub struct KickStarter {
 }
 
 impl KickStarter {
-    /// Creates a KickStarter instance for a selective algorithm over `host`.
+    /// Creates a KickStarter instance for a selective algorithm over `graph`.
     ///
     /// # Panics
     ///
     /// Panics if `alg` is accumulative.
-    pub fn new(alg: Box<dyn Algorithm>, host: AdjacencyGraph) -> Self {
+    pub fn new(alg: Box<dyn Algorithm>, graph: Csr) -> Self {
         assert_eq!(
             alg.kind(),
             UpdateKind::Selective,
             "KickStarter handles selective algorithms; use GraphBolt for accumulative ones"
         );
-        let n = host.num_vertices();
+        let n = graph.num_vertices();
         let identity = alg.identity();
-        let reversed: Vec<(VertexId, VertexId, Value)> =
-            host.iter_edges().map(|(u, v, w)| (v, u, w)).collect();
-        let reverse = AdjacencyGraph::from_edges(n, &reversed);
         KickStarter {
             values: vec![identity; n],
             dependency: vec![None; n],
             level: vec![0; n],
             alg,
-            host,
-            reverse,
+            pair: CsrPair::new(graph),
             stats: SoftwareStats::default(),
         }
     }
@@ -95,9 +90,9 @@ impl KickStarter {
         &self.values
     }
 
-    /// The host-side evolving graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.host
+    /// The evolving graph.
+    pub fn graph(&self) -> &Csr {
+        &self.pair.out
     }
 
     /// Full recomputation of the current graph version (also the software
@@ -109,8 +104,7 @@ impl KickStarter {
         self.dependency.fill(None);
         self.level.fill(0);
         let mut frontier: Vec<VertexId> = Vec::new();
-        let snapshot = self.host.snapshot();
-        for (v, val) in self.alg.initial_events(&snapshot) {
+        for (v, val) in self.alg.initial_events(&self.pair.out) {
             let vi = v as usize;
             let new = self.alg.reduce(self.values[vi], val);
             if new != self.values[vi] {
@@ -128,20 +122,9 @@ impl KickStarter {
     ///
     /// Returns a [`GraphError`] when the batch is invalid against the
     /// current graph version.
-    #[allow(clippy::expect_used)] // invariant: the reversed batch mirrors the host graph
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<SoftwareStats, GraphError> {
         self.stats = SoftwareStats::default();
-        self.host.apply_batch(batch)?;
-        let mut reversed = UpdateBatch::new();
-        for &(u, v, w) in batch.insertions() {
-            reversed.insert(v, u, w);
-        }
-        for &(u, v) in batch.deletions() {
-            reversed.delete(v, u);
-        }
-        self.reverse
-            .apply_batch(&reversed)
-            .expect("invariant: the reversed batch mirrors the host graph");
+        self.pair.apply_batch(batch)?;
 
         // --- Tagging: direct targets whose dependency is the deleted
         // source, closed transitively over dependency-tree children.
@@ -168,8 +151,8 @@ impl KickStarter {
         let trims = par_map(&order, threads, |&v| self.trim_pure(v, &is_tagged));
         let mut frontier: Vec<VertexId> = Vec::new();
         for (&v, trim) in order.iter().zip(trims) {
-            self.stats.edge_reads += self.reverse.degree(v) as u64;
-            self.stats.vertex_reads += self.reverse.degree(v) as u64;
+            self.stats.edge_reads += self.pair.inc.degree(v) as u64;
+            self.stats.vertex_reads += self.pair.inc.degree(v) as u64;
             if let Some((best, dep, lvl)) = trim {
                 self.values[v as usize] = best;
                 self.dependency[v as usize] = dep;
@@ -203,9 +186,9 @@ impl KickStarter {
     }
 
     fn edge_ctx(&self, u: VertexId, weight: Value) -> EdgeCtx {
-        let out_degree = self.host.degree(u);
+        let out_degree = self.pair.out.degree(u);
         let weight_sum = if self.alg.needs_weight_sum() {
-            self.host.neighbors(u).map(|(_, w)| w).sum()
+            self.pair.out.neighbors(u).map(|e| e.weight).sum()
         } else {
             0.0
         };
@@ -258,7 +241,7 @@ impl KickStarter {
         if let Some(seed) = self.alg.initial_event(v) {
             best = self.alg.reduce(best, seed);
         }
-        for (u, weight) in self.reverse.neighbors(v) {
+        for EdgeRef { other: u, weight } in self.pair.inc.neighbors(v) {
             if is_tagged[u as usize] {
                 continue;
             }
@@ -301,9 +284,9 @@ impl KickStarter {
             let mut next: Vec<VertexId> = Vec::new();
             for &u in &frontier {
                 let state = self.values[u as usize];
-                let edges: Vec<(VertexId, Value)> = self.host.neighbors(u).collect();
+                let edges: Vec<EdgeRef> = self.pair.out.neighbors(u).collect();
                 self.stats.edge_reads += edges.len() as u64;
-                for (v, weight) in edges {
+                for EdgeRef { other: v, weight } in edges {
                     let ctx = self.edge_ctx(u, weight);
                     if let Some(delta) = self.alg.propagate(state, state, &ctx) {
                         if self.adopt(v, delta, Some(u)) {
@@ -323,7 +306,7 @@ mod tests {
     use jetstream_algorithms::{oracle, oracle_values, Workload};
     use jetstream_graph::gen;
 
-    fn check(workload: Workload, g: &AdjacencyGraph, batch: &UpdateBatch) {
+    fn check(workload: Workload, g: &Csr, batch: &UpdateBatch) {
         let mut ks = KickStarter::new(workload.instantiate(0), g.clone());
         ks.initial_compute();
         ks.apply_batch(batch).unwrap();
@@ -389,7 +372,7 @@ mod tests {
 
     #[test]
     fn resets_are_counted() {
-        let mut g = AdjacencyGraph::new(4);
+        let mut g = Csr::new(4);
         g.insert_edge(0, 1, 1.0).unwrap();
         g.insert_edge(1, 2, 1.0).unwrap();
         g.insert_edge(2, 3, 1.0).unwrap();
@@ -405,13 +388,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "selective")]
     fn rejects_accumulative_algorithms() {
-        let g = AdjacencyGraph::new(2);
+        let g = Csr::new(2);
         let _ = KickStarter::new(Workload::PageRank.instantiate(0), g);
     }
 
     #[test]
     fn invalid_batch_is_an_error() {
-        let g = AdjacencyGraph::new(2);
+        let g = Csr::new(2);
         let mut ks = KickStarter::new(Workload::Bfs.instantiate(0), g);
         ks.initial_compute();
         let mut batch = UpdateBatch::new();

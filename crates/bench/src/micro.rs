@@ -15,7 +15,7 @@ use std::time::Instant;
 use jetstream_algorithms::{Algorithm, Reduce, Workload};
 use jetstream_core::{CoalescingQueue, EngineConfig, Event, StreamingEngine};
 use jetstream_graph::gen::DatasetProfile;
-use jetstream_graph::VertexId;
+use jetstream_graph::{CsrPair, VertexId};
 
 use crate::harness::{self, HarnessError, Scenario, ACCUMULATIVE_EPSILON};
 
@@ -255,49 +255,24 @@ fn bench_initial_compute(cfg: &MicroConfig) -> Result<BenchResult, HarnessError>
     ))
 }
 
-/// The pre-maintenance snapshot path: a full `O(E)` CSR-pair rebuild from
-/// the post-batch host graph, which is what every engine paid per batch
-/// before DESIGN.md §17.
-fn bench_snapshot_rebuild_full(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = pagerank_scenario(cfg);
-    let (base, batches) = harness::base_and_batches(&scenario);
-    if batches.is_empty() {
-        return Err(scenario.no_batches());
-    }
-    let mut host = base;
-    host.apply_batch(&batches[0]).map_err(|e| scenario.graph_error(e))?;
-    Ok(measure(
-        "snapshot_rebuild_full",
-        cfg.warmup,
-        cfg.samples,
-        || (),
-        |()| {
-            std::hint::black_box(host.snapshot_pair().num_edges());
-        },
-    ))
-}
-
-/// The maintained snapshot path: `CsrPair::apply_batch` edits the same
-/// pre-batch pair in place in `O(batch · degree)`. Gated strictly below
-/// [`bench_snapshot_rebuild_full`] via [`CROSS_CHECKS`].
-#[allow(clippy::expect_used)] // invariant: the batch was applied once by the probe host
+/// One batch through `CsrPair::apply_batch`: validated once, then both
+/// views edited in place in `O(batch · degree)`.
+#[allow(clippy::expect_used)] // invariant: `check_batch` accepted the batch for `base`
 fn bench_snapshot_maintain_incremental(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
     let scenario = pagerank_scenario(cfg);
     let (base, batches) = harness::base_and_batches(&scenario);
-    if batches.is_empty() {
+    let Some(batch) = batches.first() else {
         return Err(scenario.no_batches());
-    }
-    let batch = batches[0].clone();
-    let mut probe = base.clone();
-    probe.apply_batch(&batch).map_err(|e| scenario.graph_error(e))?;
-    let pair = base.snapshot_pair();
+    };
+    base.check_batch(batch).map_err(|e| scenario.graph_error(e))?;
+    let pair = CsrPair::new(base);
     Ok(measure(
         "snapshot_maintain_incremental",
         cfg.warmup,
         cfg.samples,
         || pair.clone(),
         |p| {
-            p.apply_batch(&batch).expect("invariant: probed batch applies to the mirror");
+            p.apply_batch(batch).expect("invariant: a checked batch applies");
             std::hint::black_box(p.num_edges());
         },
     ))
@@ -322,7 +297,6 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
     report(&mut results, bench_initial_compute(cfg)?);
-    report(&mut results, bench_snapshot_rebuild_full(cfg)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     Ok(results)
 }
@@ -433,9 +407,6 @@ pub fn regressions(
 /// unlike the baseline-file comparison, these gates survive hardware
 /// changes.
 pub const CROSS_CHECKS: &[(&str, &str)] = &[
-    // Incremental snapshot maintenance must beat the full O(E) rebuild on
-    // the identical batch, or DESIGN.md §17 has regressed to pointlessness.
-    ("snapshot_maintain_incremental", "snapshot_rebuild_full"),
     // The same coalescing traffic a row at a time must beat an event at a
     // time, or the kernel's row emission has stopped paying for itself.
     ("queue_insert_row_coalescing", "queue_insert_event_coalescing"),
@@ -478,20 +449,6 @@ mod tests {
     fn cross_checks_gate_same_run_ordering() {
         let ok = vec![
             BenchResult {
-                name: "snapshot_maintain_incremental",
-                median_ns: 5,
-                min_ns: 5,
-                max_ns: 5,
-                samples: 1,
-            },
-            BenchResult {
-                name: "snapshot_rebuild_full",
-                median_ns: 50,
-                min_ns: 50,
-                max_ns: 50,
-                samples: 1,
-            },
-            BenchResult {
                 name: "queue_insert_row_coalescing",
                 median_ns: 3,
                 min_ns: 3,
@@ -510,17 +467,10 @@ mod tests {
 
         // The row path losing to the per-event path trips its gate.
         let mut slow_rows = ok.clone();
-        slow_rows[2].min_ns = 7;
+        slow_rows[0].min_ns = 7;
         let problems = cross_regressions(&slow_rows);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("queue_insert_row_coalescing"));
-
-        // Incremental maintenance losing to the rebuild trips its gate too.
-        let mut slow_maint = ok.clone();
-        slow_maint[0].min_ns = 60;
-        let problems = cross_regressions(&slow_maint);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("snapshot_maintain_incremental"));
         assert!(problems[0].contains("not faster"));
 
         let missing = vec![ok[0].clone()];
@@ -575,7 +525,6 @@ mod tests {
                 "queue_drain_bitmap_25pct",
                 "queue_drain_bitmap_1pct",
                 "kernel_initial_compute_pagerank",
-                "snapshot_rebuild_full",
                 "snapshot_maintain_incremental",
             ]
         );

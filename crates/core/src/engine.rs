@@ -3,7 +3,7 @@
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
 use jetstream_algorithms::{Algorithm, Reduce, Value};
-use jetstream_graph::{ix, vid, AdjacencyGraph, CsrPair, VertexId};
+use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId};
 
 use crate::event::Event;
 use crate::flow::sealed::Drain;
@@ -195,16 +195,16 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Checks that restored checkpoint state can belong to `host`: vector
+/// Checks that restored checkpoint state can belong to `graph`: vector
 /// lengths match the vertex count and every recorded Leads-To dependence is
 /// an edge of the graph. Run once per mount, by
 /// [`StreamingFlow::mount_checkpoint`].
 pub(crate) fn check_checkpoint_state(
-    host: &AdjacencyGraph,
+    graph: &Csr,
     values: &[Value],
     dependency: &[Option<VertexId>],
 ) -> Result<(), CheckpointError> {
-    let n = host.num_vertices();
+    let n = graph.num_vertices();
     if values.len() != n {
         return Err(CheckpointError::LengthMismatch {
             what: "values",
@@ -221,7 +221,7 @@ pub(crate) fn check_checkpoint_state(
     }
     for (v, dep) in dependency.iter().enumerate() {
         if let Some(u) = dep {
-            if !host.has_edge(*u, vid(v)) {
+            if !graph.has_edge(*u, vid(v)) {
                 return Err(CheckpointError::DanglingDependency { vertex: vid(v), leads_to: *u });
             }
         }
@@ -280,10 +280,10 @@ impl Executor for Sequential {}
 /// ```
 /// use jetstream_core::{StreamingEngine, EngineConfig};
 /// use jetstream_algorithms::Sssp;
-/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+/// use jetstream_graph::{Csr, UpdateBatch};
 ///
 /// # fn main() -> Result<(), jetstream_graph::GraphError> {
-/// let mut g = AdjacencyGraph::new(3);
+/// let mut g = Csr::new(3);
 /// g.insert_edge(0, 1, 4.0)?;
 /// g.insert_edge(1, 2, 1.0)?;
 ///
@@ -301,16 +301,16 @@ impl Executor for Sequential {}
 pub type StreamingEngine = StreamingFlow<Sequential>;
 
 impl StreamingFlow<Sequential> {
-    /// Creates an engine over `host` (the evolving graph) for `alg`.
-    pub fn new(alg: Box<dyn Algorithm>, host: AdjacencyGraph, config: EngineConfig) -> Self {
-        Self::mount(alg, host, config, None, |csr| Sequential::new(csr, &config))
+    /// Creates an engine over `graph` (the evolving graph) for `alg`.
+    pub fn new(alg: Box<dyn Algorithm>, graph: Csr, config: EngineConfig) -> Self {
+        Self::mount(alg, graph, config, None, |csr| Sequential::new(csr, &config))
     }
 
     /// Warm-starts an engine from previously converged state — the durable
     /// counterpart of the recoverable approximation of §3.4.
     ///
     /// `values` and `dependency` must be the `values()` / `dependencies()`
-    /// of an engine (under any executor) that had converged over `host`
+    /// of an engine (under any executor) that had converged over `graph`
     /// with the same algorithm. No recomputation happens: the event queue
     /// starts empty and the next `apply_update_batch` proceeds
     /// incrementally from the restored state, exactly as it would have on
@@ -319,19 +319,19 @@ impl StreamingFlow<Sequential> {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] when the restored state cannot belong to
-    /// `host`: mismatched lengths, or a dependence edge that does not exist
+    /// `graph`: mismatched lengths, or a dependence edge that does not exist
     /// in the graph. Value-level convergence is *not* re-derived here (that
     /// would be a cold start); callers wanting the full check can run
     /// [`validate_converged`](StreamingFlow::validate_converged) on the
     /// returned engine.
     pub fn from_checkpoint(
         alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
+        graph: Csr,
         values: Vec<Value>,
         dependency: Vec<Option<VertexId>>,
         config: EngineConfig,
     ) -> Result<Self, CheckpointError> {
-        Self::mount_checkpoint(alg, host, values, dependency, config, |csr| {
+        Self::mount_checkpoint(alg, graph, values, dependency, config, |csr| {
             Sequential::new(csr, &config)
         })
     }
@@ -505,8 +505,8 @@ mod tests {
     use super::*;
     use jetstream_algorithms::Sssp;
 
-    fn chain() -> AdjacencyGraph {
-        let mut g = AdjacencyGraph::new(4);
+    fn chain() -> Csr {
+        let mut g = Csr::new(4);
         g.insert_edge(0, 1, 1.0).unwrap();
         g.insert_edge(1, 2, 2.0).unwrap();
         g.insert_edge(2, 3, 3.0).unwrap();
@@ -545,7 +545,7 @@ mod tests {
     // issued from).
     #[test]
     fn seed_row_is_seed_event_by_event() {
-        let csr = CsrPair::new(jetstream_graph::Csr::empty(12));
+        let csr = CsrPair::new(jetstream_graph::Csr::new(12));
         let config = EngineConfig { num_bins: 4, queue_capacity: Some(4), ..Default::default() };
         let rows: [(&[VertexId], Value); 5] =
             [(&[1, 2, 5, 11], 0.5), (&[0, 5, 6], -0.25), (&[], 1.0), (&[5], -0.25), (&[3, 4], 2.0)];

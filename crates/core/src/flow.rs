@@ -4,7 +4,7 @@
 //! drain: static evaluation (§4.6.1), and per update batch delete setup →
 //! delete propagation → request setup → insert setup → recompute (§4.6.2,
 //! Algorithms 2–6). [`StreamingFlow`] owns everything that flow is a
-//! function of — the host graph and its CSR mirror, vertex values, the
+//! function of — the graph (out- and in-edge CSR), vertex values, the
 //! dependence tree, the impacted list, the coordinator's [`RunStats`], the
 //! tracer, and the per-batch scratch — and is the only place phases are
 //! sequenced, checkpoints are mounted, updates are classified
@@ -20,7 +20,7 @@
 //! already is per `ExecState`).
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
-use jetstream_graph::{ix, AdjacencyGraph, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{ix, Csr, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
 
 use crate::engine::{
     check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
@@ -109,7 +109,6 @@ pub struct StreamingFlow<X: Executor> {
     alg: Box<dyn Algorithm>,
     /// `alg`'s operator, resolved once: every seed needs it.
     reduce: Reduce,
-    host: AdjacencyGraph,
     csr: CsrPair,
     values: Vec<Value>,
     dependency: Vec<Option<VertexId>>,
@@ -125,32 +124,31 @@ pub struct StreamingFlow<X: Executor> {
     /// accumulative batch touches, which both of its set-up phases walk. It
     /// grows to its high-water mark once and is empty between batches, so
     /// steady-state streaming allocates nothing. Every other row a set-up
-    /// phase needs is read in place from the CSR mirror — at the pre-batch
-    /// version before [`advance_mirror`](Self::advance_mirror), at the new
-    /// one after — so nothing else is copied.
+    /// phase needs is read in place from the CSR — at the pre-batch
+    /// version before [`commit`](Self::commit), at the new one after — so
+    /// nothing else is copied.
     touched_scratch: Vec<VertexId>,
 }
 
 impl<X: Executor> StreamingFlow<X> {
-    /// Mounts a flow on `host`: from `state` (`values`, `dependency`) when
+    /// Mounts a flow on `graph`: from `state` (`values`, `dependency`) when
     /// given, cold (identity values, no dependences) otherwise. `exec`
-    /// builds the executor from the freshly snapshotted CSR mirror.
+    /// builds the executor from the graph and its transpose.
     pub(crate) fn mount(
         alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
+        graph: Csr,
         config: EngineConfig,
         state: Option<(Vec<Value>, Vec<Option<VertexId>>)>,
         exec: impl FnOnce(&CsrPair) -> X,
     ) -> Self {
-        let csr = host.snapshot_pair();
-        let n = host.num_vertices();
+        let csr = CsrPair::new(graph);
+        let n = csr.num_vertices();
         let (values, dependency) =
             state.unwrap_or_else(|| (vec![alg.identity(); n], vec![None; n]));
         StreamingFlow {
             exec: exec(&csr),
             reduce: alg.reduce_op(),
             alg,
-            host,
             csr,
             values,
             dependency,
@@ -163,18 +161,18 @@ impl<X: Executor> StreamingFlow<X> {
     }
 
     /// Warm-starts a flow from previously converged state, after checking
-    /// (once) that the state can belong to `host`. The public contract is
+    /// (once) that the state can belong to `graph`. The public contract is
     /// on the `from_checkpoint` wrappers.
     pub(crate) fn mount_checkpoint(
         alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
+        graph: Csr,
         values: Vec<Value>,
         dependency: Vec<Option<VertexId>>,
         config: EngineConfig,
         exec: impl FnOnce(&CsrPair) -> X,
     ) -> Result<Self, CheckpointError> {
-        check_checkpoint_state(&host, &values, &dependency)?;
-        Ok(Self::mount(alg, host, config, Some((values, dependency)), exec))
+        check_checkpoint_state(&graph, &values, &dependency)?;
+        Ok(Self::mount(alg, graph, config, Some((values, dependency)), exec))
     }
 
     /// The algorithm being evaluated.
@@ -192,12 +190,12 @@ impl<X: Executor> StreamingFlow<X> {
         &self.values
     }
 
-    /// The host-side evolving graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.host
+    /// The evolving graph: the out-edge half of [`csr`](Self::csr).
+    pub fn graph(&self) -> &Csr {
+        &self.csr.out
     }
 
-    /// The active CSR snapshot.
+    /// The graph and its transpose, at the current version.
     pub fn csr(&self) -> &CsrPair {
         &self.csr
     }
@@ -397,8 +395,7 @@ impl<X: Executor> StreamingFlow<X> {
         // duplicate insertions, out-of-range ids) before mutating, so a
         // rejected batch leaves the engine untouched, exactly like the
         // full path.
-        self.host.apply_batch(batch)?;
-        self.advance_mirror(batch);
+        self.csr.apply_batch(batch)?;
         self.impacted.clear();
         // Phase 4 of the selective flow: inserted edges become regular
         // events on the new graph; the delete phases are skipped because
@@ -415,8 +412,7 @@ impl<X: Executor> StreamingFlow<X> {
     ///
     /// Returns a [`GraphError`] when the batch is invalid.
     pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.host.apply_batch(batch)?;
-        self.advance_mirror(batch);
+        self.csr.apply_batch(batch)?;
         Ok(self.initial_compute())
     }
 
@@ -458,13 +454,12 @@ impl<X: Executor> StreamingFlow<X> {
         self.stats
     }
 
-    /// Advances the CSR mirror to the graph version `host` already holds,
-    /// in place in O(batch · degree) instead of an O(E) rebuild.
-    fn advance_mirror(&mut self, batch: &UpdateBatch) {
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch before applying it
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
+    /// Switches the graph to the new version (§3.5), in place in
+    /// O(batch · degree). The streaming paths run `check_batch` before they
+    /// seed anything, and the graph has not changed since.
+    fn commit(&mut self, batch: &UpdateBatch) {
+        #[allow(clippy::expect_used)] // invariant: `check_batch` accepted this batch
+        self.csr.apply_batch(batch).expect("invariant: a checked batch applies");
     }
 
     // ------------------------------------------------------------------
@@ -472,11 +467,11 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // The host validates the whole batch and applies it; nothing is
-        // seeded for a rejected one. The delete phase still runs on the old
-        // CSR (the mirror only advances after recovery), which is also
-        // where VAP reads a deleted edge's weight.
-        self.host.apply_batch(batch)?;
+        // The whole batch is validated first; nothing is seeded for a
+        // rejected one. The delete phase runs on the old graph (the batch
+        // is committed only after recovery), which is also where VAP reads
+        // a deleted edge's weight.
+        self.csr.out.check_batch(batch)?;
         self.impacted.clear();
 
         // DAP must keep per-source delete events distinct from the very
@@ -523,8 +518,7 @@ impl<X: Executor> StreamingFlow<X> {
         self.drain_phase(Phase::DeletePropagation);
         self.exec.set_coalesce_deletes(true);
 
-        // Graph switches to the new version (§3.5).
-        self.advance_mirror(batch);
+        self.commit(batch);
 
         // Phase 3 — request events along each impacted vertex's incoming
         // edges (Algorithm 4, Reapproximate), seeded straight from the
@@ -591,10 +585,10 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // The host validates the whole batch and applies it; nothing is
-        // seeded for a rejected one. The CSR mirror stays at the pre-batch
-        // version until Phase 1 has read it.
-        self.host.apply_batch(batch)?;
+        // The whole batch is validated first; nothing is seeded for a
+        // rejected one. The graph stays at the pre-batch version until
+        // Phase 1 has read it.
+        self.csr.out.check_batch(batch)?;
         self.impacted.clear();
         // `touched` vertices have an out-edge added or deleted: their
         // per-edge contribution factor (1/deg or w/wsum) changes, so the
@@ -608,33 +602,29 @@ impl<X: Executor> StreamingFlow<X> {
         touched.dedup();
 
         // Phase 1 — negative events for every old out-edge of a touched
-        // vertex, using the old degree/weight-sum (Algorithm 3): the
-        // mirror's rows are still the old ones.
+        // vertex, using the old degree/weight-sum (Algorithm 3): the rows
+        // are still the old ones.
         self.seed_contributions(Phase::DeleteSetup, &touched, true);
 
-        // Graph switches to the new version (§3.5).
-        self.advance_mirror(batch);
+        self.commit(batch);
 
         if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
             // Compute on the intermediate graph: the old graph with all
             // touched vertices turned into sinks, breaking every cyclic
             // path through them (Fig. 5b). Untouched vertices' out-edges
-            // are identical before and after the batch, so the new host
+            // are identical before and after the batch, so the new graph
             // filtered by `touched` yields exactly the old graph's
-            // non-touched edges. The maintained mirror is parked while the
+            // non-touched edges. The maintained pair is parked while the
             // intermediate computation runs and restored for Phase 2.
             let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
-                .host
+                .csr
+                .out
                 .iter_edges()
                 .filter(|(u, _, _)| touched.binary_search(u).is_err())
                 .collect();
-            let maintained = std::mem::replace(
-                &mut self.csr,
-                CsrPair::new(jetstream_graph::Csr::from_edges(
-                    self.host.num_vertices(),
-                    &intermediate_edges,
-                )),
-            );
+            let intermediate =
+                CsrPair::new(Csr::from_edges(self.csr.num_vertices(), &intermediate_edges));
+            let maintained = std::mem::replace(&mut self.csr, intermediate);
             self.drain_phase(Phase::IntermediateCompute);
             self.csr = maintained;
         }
@@ -650,15 +640,14 @@ impl<X: Executor> StreamingFlow<X> {
         touched.clear();
         self.touched_scratch = touched;
 
-        // Phase 3 — recompute on the new graph version (the mirror already
-        // points at it).
+        // Phase 3 — recompute on the new graph version.
         self.drain_phase(Phase::Recompute);
         Ok(())
     }
 
     /// One accumulative set-up phase (§4.6.2 "Delete Setup and
     /// Preparation"): streams each touched vertex's out-edge row from the
-    /// CSR mirror, as it stands, into one event per edge carrying the
+    /// CSR, as it stands, into one event per edge carrying the
     /// vertex's cumulative contribution over that edge — negated when
     /// `rollback`. Where the contribution is the same for every edge of a
     /// row ([`Algorithm::propagation_is_edge_invariant`]) it is evaluated

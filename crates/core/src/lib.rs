@@ -19,10 +19,10 @@
 //! ```
 //! use jetstream_core::{StreamingEngine, EngineConfig};
 //! use jetstream_algorithms::Bfs;
-//! use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+//! use jetstream_graph::{Csr, UpdateBatch};
 //!
 //! # fn main() -> Result<(), jetstream_graph::GraphError> {
-//! let mut g = AdjacencyGraph::new(4);
+//! let mut g = Csr::new(4);
 //! g.insert_edge(0, 1, 1.0)?;
 //! g.insert_edge(1, 2, 1.0)?;
 //! g.insert_edge(2, 3, 1.0)?;

@@ -32,7 +32,7 @@
 
 use jetstream_algorithms::{Algorithm, Reduce, Value};
 use jetstream_graph::partition::Partition;
-use jetstream_graph::{ix, AdjacencyGraph, Csr, VertexId};
+use jetstream_graph::{ix, Csr, VertexId};
 
 use crate::engine::{CheckpointError, EngineConfig};
 use crate::event::Event;
@@ -206,10 +206,10 @@ impl Executor for Sharded {}
 /// ```
 /// use jetstream_core::{ShardedEngine, EngineConfig};
 /// use jetstream_algorithms::Bfs;
-/// use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+/// use jetstream_graph::{Csr, UpdateBatch};
 ///
 /// # fn main() -> Result<(), jetstream_graph::GraphError> {
-/// let mut g = AdjacencyGraph::new(4);
+/// let mut g = Csr::new(4);
 /// g.insert_edge(0, 1, 1.0)?;
 /// g.insert_edge(1, 2, 1.0)?;
 /// g.insert_edge(2, 3, 1.0)?;
@@ -229,7 +229,7 @@ impl Executor for Sharded {}
 pub type ShardedEngine = StreamingFlow<Sharded>;
 
 impl StreamingFlow<Sharded> {
-    /// Creates a sharded engine over `host` with `num_shards` workers.
+    /// Creates a sharded engine over `graph` with `num_shards` workers.
     ///
     /// Shard ownership is fixed at construction: contiguous vertex ranges
     /// balanced by `degree + 1` of the graph at this moment (the ranges do
@@ -241,11 +241,11 @@ impl StreamingFlow<Sharded> {
     /// Panics if `num_shards` is zero or exceeds [`MAX_SHARDS`].
     pub fn new(
         alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
+        graph: Csr,
         config: EngineConfig,
         num_shards: usize,
     ) -> Self {
-        Self::mount(alg, host, config, None, |csr| {
+        Self::mount(alg, graph, config, None, |csr| {
             Sharded::new(&csr.out, config.num_bins, num_shards)
         })
     }
@@ -257,20 +257,20 @@ impl StreamingFlow<Sharded> {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] when the restored state cannot belong to
-    /// `host` (mismatched lengths or a dangling Leads-To dependence).
+    /// `graph` (mismatched lengths or a dangling Leads-To dependence).
     ///
     /// # Panics
     ///
     /// Panics if `num_shards` is zero or exceeds [`MAX_SHARDS`].
     pub fn from_checkpoint(
         alg: Box<dyn Algorithm>,
-        host: AdjacencyGraph,
+        graph: Csr,
         values: Vec<Value>,
         dependency: Vec<Option<VertexId>>,
         config: EngineConfig,
         num_shards: usize,
     ) -> Result<Self, CheckpointError> {
-        Self::mount_checkpoint(alg, host, values, dependency, config, |csr| {
+        Self::mount_checkpoint(alg, graph, values, dependency, config, |csr| {
             Sharded::new(&csr.out, config.num_bins, num_shards)
         })
     }
@@ -645,8 +645,8 @@ mod tests {
     use jetstream_algorithms::{oracle, PageRank, Sssp};
     use jetstream_graph::UpdateBatch;
 
-    fn chain() -> AdjacencyGraph {
-        let mut g = AdjacencyGraph::new(4);
+    fn chain() -> Csr {
+        let mut g = Csr::new(4);
         g.insert_edge(0, 1, 1.0).unwrap();
         g.insert_edge(1, 2, 2.0).unwrap();
         g.insert_edge(2, 3, 3.0).unwrap();
@@ -677,7 +677,7 @@ mod tests {
     // bound (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard.
     #[test]
     fn seed_row_is_seed_event_by_event() {
-        let out = Csr::empty(12);
+        let out = Csr::new(12);
         let rows: [(&[VertexId], Value); 5] = [
             (&[0, 2, 3, 5, 6, 8, 9, 11], 0.5),
             (&[1, 10], -0.25),
@@ -730,8 +730,8 @@ mod tests {
 
     /// A path `0 -> 1 -> ... -> n - 1` with unit weights: every shard
     /// boundary is crossed, the last shard's vertices included.
-    fn path(n: u32) -> AdjacencyGraph {
-        let mut g = AdjacencyGraph::new(n as usize);
+    fn path(n: u32) -> Csr {
+        let mut g = Csr::new(n as usize);
         for v in 1..n {
             g.insert_edge(v - 1, v, 1.0).unwrap();
         }
@@ -822,7 +822,7 @@ mod tests {
 
     #[test]
     fn accumulative_converges_near_sequential() {
-        let mut g = AdjacencyGraph::new(6);
+        let mut g = Csr::new(6);
         for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 2)] {
             g.insert_edge(u, v, 1.0).unwrap();
         }

@@ -12,6 +12,7 @@ use jetstream_core::{
     StreamingFlow, UpdateSafety,
 };
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch, VertexId};
+use jetstream_testkit::EdgeModel;
 
 /// Comparison tolerance: selective values are exact; accumulative values
 /// converge within the algorithms' propagation epsilon (1e-5 by default).
@@ -420,8 +421,8 @@ fn coalesced_recovery_does_less_work_than_two_phase() {
 /// `engine` — through the full flow and through the admission pre-check —
 /// without perturbing it: its query state and queue statistics are what
 /// they were before the rejections. `twin` never sees the rejected
-/// batches, and the two must stay indistinguishable in graph and CSR
-/// mirror — and, where two runs of the executor are `reproducible` (the
+/// batches, and the two must stay indistinguishable in graph —
+/// and, where two runs of the executor are `reproducible` (the
 /// sequential one; sharded runs differ by schedule), in query state,
 /// queue statistics, and (because the per-batch scratch must come back
 /// empty) the exact stats of the next valid batch.
@@ -468,9 +469,17 @@ fn assert_rejections_leave_no_trace<X: Executor>(
     let mut batch = UpdateBatch::new();
     batch.insert(5, 5, 1.0);
     rejected.push(("self loop", batch));
-    // Valid updates first, the offender last: nothing of a batch may be
-    // seeded, and the mirror may not move, before all of it is accepted.
     let fresh = (0..100).find(|&t| t != u && !g.has_edge(u, t)).unwrap();
+    let mut batch = UpdateBatch::new();
+    batch.delete(u, v);
+    batch.delete(u, v);
+    rejected.push(("double delete", batch));
+    let mut batch = UpdateBatch::new();
+    batch.insert(u, fresh, 1.0);
+    batch.insert(u, fresh, 2.0);
+    rejected.push(("double insert", batch));
+    // Valid updates first, the offender last: nothing of a batch may be
+    // seeded, and the graph may not move, before all of it is accepted.
     let mut batch = UpdateBatch::new();
     batch.delete(u, v);
     batch.insert(u, fresh, 1.0);
@@ -491,8 +500,7 @@ fn assert_rejections_leave_no_trace<X: Executor>(
         if reproducible {
             assert_eq!(observe(engine), observe(twin), "{tag}: query state and queue stats");
         }
-        assert_eq!(engine.graph(), twin.graph(), "{tag}: host graph");
-        assert_eq!(engine.csr(), twin.csr(), "{tag}: CSR mirror");
+        assert_eq!(engine.csr(), twin.csr(), "{tag}: graph");
         assert_eq!(engine.validate_converged(), Ok(()), "{tag}");
     };
     assert_eq!(observe(&engine), before, "{}: query state and queue stats", w.name());
@@ -524,6 +532,31 @@ fn invalid_batches_leave_engine_untouched() {
         assert_rejections_leave_no_trace(w, &g, seq(), seq(), true);
         let sharded = || ShardedEngine::new(w.instantiate(0), g.clone(), seq().config(), 3);
         assert_rejections_leave_no_trace(w, &g, sharded(), sharded(), false);
+    }
+}
+
+/// One graph: what `graph()` returns *is* the out-edge half of `csr()`, and
+/// after a churn stream it is the graph an independent model says it is.
+fn assert_one_graph_tracks_the_model<X: Executor>(mut engine: StreamingFlow<X>, what: &str) {
+    let mut model = EdgeModel::of(engine.graph());
+    engine.initial_compute();
+    for i in 0..12 {
+        let batch = gen::batch_with_ratio(engine.graph(), 40, 0.5, 900 + i);
+        engine.apply_update_batch(&batch).unwrap();
+        model.apply(&batch);
+        assert!(std::ptr::eq(engine.graph(), &engine.csr().out), "{what}: a second graph");
+        model.assert_matches(engine.csr(), &format!("{what} batch {i}"));
+    }
+}
+
+#[test]
+fn the_engine_graph_is_the_csr_and_tracks_the_model() {
+    let g = gen::rmat(200, 1600, gen::RmatParams::default(), 75);
+    for w in [Workload::Sssp, Workload::PageRank] {
+        let seq = engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
+        let sharded = ShardedEngine::new(w.instantiate(0), g.clone(), seq.config(), 3);
+        assert_one_graph_tracks_the_model(seq, &format!("{} sequential", w.name()));
+        assert_one_graph_tracks_the_model(sharded, &format!("{} sharded", w.name()));
     }
 }
 

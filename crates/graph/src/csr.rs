@@ -10,12 +10,13 @@ pub struct EdgeRef {
     pub weight: Weight,
 }
 
-/// Compressed Sparse Row adjacency structure with per-row slack.
+/// The graph: a Compressed Sparse Row adjacency structure with per-row
+/// slack, updated and traversed in place.
 ///
-/// This is the on-device graph representation of GraphPulse and JetStream
-/// (§4.7), laid out as a *gapped* (slotted) CSR so the host can maintain it
-/// in place between batches instead of rebuilding it from scratch
-/// (DESIGN.md §17):
+/// The paper's host keeps the evolving edge list and hands the accelerator
+/// a fresh CSR after each batch (§4.7). Here they are one structure — a
+/// *gapped* (slotted) CSR that takes the batch in place, so there is
+/// nothing to hand over (DESIGN.md §17):
 ///
 /// * `starts[v]` / `lens[v]` / `caps[v]` describe vertex `v`'s row: the
 ///   live entries occupy `targets[starts[v] .. starts[v] + lens[v]]`
@@ -28,9 +29,11 @@ pub struct EdgeRef {
 /// Readers never observe any of this: `degree`, `neighbors`, `edge_weight`,
 /// and `iter_edges` present exactly the dense-CSR contract — ascending
 /// neighbor order per row, deterministic iteration — that the kernel's
-/// traversal and the differential test matrix rely on. The in-place
-/// maintenance entry points live in the [`dcsr`](crate::dcsr) module.
-#[derive(Debug, Clone)]
+/// traversal and the differential test matrix rely on. The graph is
+/// *simple*: no self-loops, no parallel edges. The validated mutation API
+/// (`insert_edge`, `delete_edge`, `check_batch`, `apply_batch`) lives in
+/// the `dcsr` module.
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     pub(crate) starts: Vec<usize>,
     pub(crate) lens: Vec<usize>,
@@ -38,6 +41,11 @@ pub struct Csr {
     pub(crate) targets: Vec<VertexId>,
     pub(crate) weights: Vec<Weight>,
     pub(crate) live: usize,
+    // Reusable validation scratch for `apply_batch`: sorted probe slices
+    // instead of two per-batch set allocations. Always empty between
+    // calls; excluded from equality.
+    pub(crate) scratch_deleted: Vec<(VertexId, VertexId)>,
+    pub(crate) scratch_pending: Vec<(VertexId, VertexId)>,
 }
 
 /// Two CSRs are equal when they describe the same graph: identical vertex
@@ -52,78 +60,61 @@ impl PartialEq for Csr {
         }
         (0..self.num_vertices()).all(|v| {
             let v = vid(v);
-            self.row_targets(v) == other.row_targets(v)
+            self.neighbor_targets(v) == other.neighbor_targets(v)
                 && self.row_weights(v) == other.row_weights(v)
         })
     }
 }
 
 impl Csr {
-    /// Builds a CSR from an unsorted edge list (dense: every row starts
-    /// with zero slack).
-    ///
-    /// Duplicate `(source, target)` pairs are kept as parallel edges; use
-    /// [`AdjacencyGraph`](crate::AdjacencyGraph) if you need simple-graph
-    /// enforcement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is `>= num_vertices`.
-    pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, Weight)]) -> Self {
-        let mut degree = vec![0usize; num_vertices];
-        for &(u, v, _) in edges {
-            assert!(ix(u) < num_vertices, "source {u} out of range");
-            assert!(ix(v) < num_vertices, "target {v} out of range");
-            degree[ix(u)] += 1;
-        }
-        let mut starts = Vec::with_capacity(num_vertices);
-        let mut total = 0usize;
-        for d in &degree {
-            starts.push(total);
-            total += d;
-        }
-        let num_edges = edges.len();
-        let mut targets = vec![0 as VertexId; num_edges]; // cast-ok: the literal 0 fits every vertex-id width
-        let mut weights = vec![0.0 as Weight; num_edges];
-        let mut cursor = starts.clone();
-        for &(u, v, w) in edges {
-            let at = cursor[ix(u)];
-            targets[at] = v;
-            weights[at] = w;
-            cursor[ix(u)] += 1;
-        }
-        let caps = degree.clone();
-        let mut csr = Csr { starts, lens: degree, caps, targets, weights, live: num_edges };
-        csr.sort_rows();
-        csr
+    /// Creates a graph with `num_vertices` vertices and no edges.
+    pub fn new(num_vertices: usize) -> Self {
+        Csr::dense(vec![0; num_vertices], Vec::new(), Vec::new())
     }
 
-    /// Builds an empty graph with `num_vertices` vertices and no edges.
-    pub fn empty(num_vertices: usize) -> Self {
+    /// The dense layout: rows of `lens` entries back to back in the arena,
+    /// no slack.
+    fn dense(lens: Vec<usize>, targets: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+        let mut starts = Vec::with_capacity(lens.len());
+        let mut end = 0;
+        for len in &lens {
+            starts.push(end);
+            end += len;
+        }
         Csr {
-            starts: vec![0; num_vertices],
-            lens: vec![0; num_vertices],
-            caps: vec![0; num_vertices],
-            targets: Vec::new(),
-            weights: Vec::new(),
-            live: 0,
+            starts,
+            caps: lens.clone(),
+            lens,
+            live: targets.len(),
+            targets,
+            weights,
+            ..Csr::default()
         }
     }
 
-    fn sort_rows(&mut self) {
-        for v in 0..self.num_vertices() {
-            let (lo, hi) = (self.starts[v], self.starts[v] + self.lens[v]);
-            let mut row: Vec<(VertexId, Weight)> = self.targets[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.weights[lo..hi].iter().copied())
-                .collect();
-            row.sort_by_key(|&(t, _)| t);
-            for (i, (t, w)) in row.into_iter().enumerate() {
-                self.targets[lo + i] = t;
-                self.weights[lo + i] = w;
-            }
+    /// Builds a dense graph (every row starts with zero slack) from an
+    /// unsorted edge list. Raw synthetic edge streams are noisy, so the
+    /// list is reduced to a simple graph: of several edges with the same
+    /// `(source, target)` the first wins, and self-loops and edges with an
+    /// endpoint `>= num_vertices` are skipped.
+    pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, Weight)]) -> Self {
+        let mut kept: Vec<(VertexId, VertexId, Weight)> = edges
+            .iter()
+            .copied()
+            .filter(|&(u, v, _)| u != v && ix(u) < num_vertices && ix(v) < num_vertices)
+            .collect();
+        // Stable, so the first occurrence of a pair is the one `dedup` keeps.
+        kept.sort_by_key(|&(u, v, _)| (u, v));
+        kept.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let mut lens = vec![0usize; num_vertices];
+        for &(u, _, _) in &kept {
+            lens[ix(u)] += 1;
         }
+        Csr::dense(
+            lens,
+            kept.iter().map(|&(_, v, _)| v).collect(),
+            kept.iter().map(|&(_, _, w)| w).collect(),
+        )
     }
 
     /// Number of vertices.
@@ -141,12 +132,6 @@ impl Csr {
     /// §17).
     pub fn arena_slots(&self) -> usize {
         self.targets.len()
-    }
-
-    pub(crate) fn row_targets(&self, v: VertexId) -> &[VertexId] {
-        let v = ix(v);
-        let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        &self.targets[lo..lo + self.lens[v]]
     }
 
     pub(crate) fn row_weights(&self, v: VertexId) -> &[Weight] {
@@ -172,7 +157,9 @@ impl Csr {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbor_targets(&self, v: VertexId) -> &[VertexId] {
-        self.row_targets(v)
+        let v = ix(v);
+        let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
+        &self.targets[lo..lo + self.lens[v]]
     }
 
     /// Iterates over the edges of vertex `v` in ascending target order.
@@ -181,7 +168,7 @@ impl Csr {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.row_targets(v)
+        self.neighbor_targets(v)
             .iter()
             .zip(self.row_weights(v).iter())
             .map(|(&other, &weight)| EdgeRef { other, weight })
@@ -193,7 +180,7 @@ impl Csr {
         if ui >= self.starts.len() {
             return None;
         }
-        let row = self.row_targets(u);
+        let row = self.neighbor_targets(u);
         // panic-ok: i is a binary_search hit in row_targets, and row_weights spans the same extent
         row.binary_search(&v).ok().map(|i| self.row_weights(u)[i])
     }
@@ -277,7 +264,7 @@ impl Csr {
         }
         let nv = n as u64;
         for v in 0..n {
-            let row = self.row_targets(vid(v));
+            let row = self.neighbor_targets(vid(v));
             if let Some(i) = row.iter().position(|&t| t as u64 >= nv) {
                 return Err(format!("target {} in row {v} out of range (n = {nv})", row[i]));
             }
@@ -288,24 +275,49 @@ impl Csr {
         Ok(())
     }
 
-    /// Builds the transposed graph: an in-edge CSR where `neighbors(v)`
-    /// yields the *sources* of edges pointing at `v`.
+    /// Builds the transposed graph, dense: an in-edge CSR where
+    /// `neighbors(v)` yields the *sources* of edges pointing at `v`.
+    ///
+    /// A counting sort on the target: sources are visited in ascending
+    /// order, so every in-row comes out sorted without a comparison.
     pub fn transpose(&self) -> Csr {
-        let flipped: Vec<(VertexId, VertexId, Weight)> =
-            self.iter_edges().map(|(u, v, w)| (v, u, w)).collect();
-        Csr::from_edges(self.num_vertices(), &flipped)
+        let mut lens = vec![0usize; self.num_vertices()];
+        for (_, v, _) in self.iter_edges() {
+            lens[ix(v)] += 1;
+        }
+        let mut t = Csr::dense(lens, vec![0; self.live], vec![0.0; self.live]);
+        let mut cursor = t.starts.clone();
+        for (u, v, w) in self.iter_edges() {
+            let at = cursor[ix(v)];
+            t.targets[at] = u;
+            t.weights[at] = w;
+            cursor[ix(v)] += 1;
+        }
+        t
+    }
+
+    /// A dense copy of the graph: the same rows with no slack and no holes.
+    pub fn snapshot(&self) -> Csr {
+        let mut copy = self.clone();
+        copy.compact();
+        copy
+    }
+
+    /// Dense copies of the graph and its transpose.
+    pub fn snapshot_pair(&self) -> CsrPair {
+        CsrPair::new(self.snapshot())
     }
 }
 
-/// Out-edge and in-edge CSR snapshots of the same graph version.
+/// The graph and its transpose, kept at the same version.
 ///
 /// JetStream reads outgoing edges during propagation and incoming edges when
-/// issuing *request* events in the re-approximation phase (§3.4), so the host
-/// maintains both structures (§4.7). Both views are delta-maintainable in
-/// place via [`CsrPair::apply_batch`](crate::CsrPair::apply_batch).
+/// issuing *request* events in the re-approximation phase (§3.4), so both
+/// directions are kept (§4.7); [`CsrPair::apply_batch`] updates them
+/// together, in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrPair {
-    /// Outgoing-edge CSR.
+    /// Outgoing-edge CSR: the graph itself.
     pub out: Csr,
     /// Incoming-edge CSR (the transpose of `out`).
     pub inc: Csr,
@@ -415,7 +427,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = Csr::empty(5);
+        let g = Csr::new(5);
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.neighbors(4).count(), 0);
@@ -437,10 +449,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_edges_are_kept() {
-        let g = Csr::from_edges(2, &[(0, 1, 1.0), (0, 1, 2.0)]);
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(0), 2);
+    fn from_edges_builds_a_simple_graph() {
+        // The first of several edges on a pair wins, wherever the rest sit;
+        // self-loops and out-of-range endpoints are skipped.
+        let g = Csr::from_edges(
+            3,
+            &[(0, 2, 5.0), (0, 1, 1.0), (2, 2, 3.0), (0, 1, 2.0), (0, 5, 1.0), (7, 1, 1.0)],
+        );
+        assert_eq!(g.iter_edges().collect::<Vec<_>>(), vec![(0, 1, 1.0), (0, 2, 5.0)]);
+        assert_eq!(g.arena_slots(), 2, "from_edges lays rows out dense");
+        assert_eq!(g.validate(), Ok(()));
+    }
+
+    #[test]
+    fn snapshot_is_a_dense_equal_copy() {
+        let mut g = Csr::new(4);
+        for (u, v, w) in [(0, 3, 3.0), (0, 1, 1.0), (2, 3, 4.0), (0, 2, 2.0)] {
+            g.insert_edge(u, v, w).expect("insert of a fresh in-range edge succeeds");
+        }
+        assert!(g.arena_slots() > g.num_edges(), "grown edge by edge, the arena has slack");
+        let dense = g.snapshot();
+        assert_eq!(dense, g);
+        assert_eq!(dense.arena_slots(), 4);
+        assert_eq!(dense.validate(), Ok(()));
+        assert_eq!(g.snapshot_pair(), CsrPair::new(g));
     }
 
     #[test]
@@ -459,7 +491,7 @@ mod tests {
         let dense = diamond();
         let mut padded = dense.clone();
         // Relocate row 0 to the tail with slack, leaving a tombstoned hole.
-        let row0: Vec<_> = padded.row_targets(0).to_vec();
+        let row0: Vec<_> = padded.neighbor_targets(0).to_vec();
         let w0: Vec<_> = padded.row_weights(0).to_vec();
         let new_start = padded.targets.len();
         padded.targets.extend_from_slice(&row0);
@@ -479,11 +511,5 @@ mod tests {
         g.caps[0] = 2; // row 0's extent now covers row 1's slot
         let err = g.validate().expect_err("overlapping extents must be rejected");
         assert!(err.contains("overlap"));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_panics() {
-        let _ = Csr::from_edges(2, &[(0, 5, 1.0)]);
     }
 }

@@ -1,28 +1,23 @@
-//! Delta maintenance for the gapped CSR (DESIGN.md §17).
+//! The mutation API of the gapped CSR (DESIGN.md §17).
 //!
 //! The paper's host loop (§4.7) conceptually writes a *fresh* CSR after
 //! every batch; rebuilding is `O(E)` even when the batch touches a handful
-//! of rows. This module makes the [`Csr`] of `csr.rs` *delta-maintainable*
-//! instead: [`CsrPair::apply_batch`] edits both the out- and in-edge views
-//! in place in `O(Σ degree(touched) · log degree)` — binary-search each
-//! touched row, shift within the row's slack, and only relocate a row to
-//! the arena tail when it outgrows its slots (PMA-style amortized growth).
-//! Deletes shift within the row and leave the freed slot as reusable
-//! slack; relocation abandons the old extent as a tombstoned hole. When
-//! dead + slack space exceeds the live edge count (plus a fixed slop so
-//! tiny graphs never thrash), the arena is compacted back to dense in
-//! `O(V + E)` — amortized over the ≥ `E` maintenance operations it took
-//! to create that much garbage, so the per-update cost stays `O(degree)`.
+//! of rows. The [`Csr`] of `csr.rs` takes the batch in place instead:
+//! [`CsrPair::apply_batch`] validates it once, then edits both the out-
+//! and in-edge views in `O(Σ degree(touched) · log degree)` — binary-search
+//! each touched row, shift within the row's slack, and only relocate a row
+//! to the arena tail when it outgrows its slots (PMA-style amortized
+//! growth). Deletes shift within the row and leave the freed slot as
+//! reusable slack; relocation abandons the old extent as a tombstoned
+//! hole. When dead + slack space exceeds the live edge count (plus a fixed
+//! slop so tiny graphs never thrash), a batch ends by compacting the arena
+//! back to dense in `O(V + E)` — amortized over the ≥ `E` maintenance
+//! operations it took to create that much garbage, so the per-update cost
+//! stays `O(degree)`.
 //!
-//! # Contract
-//!
-//! Maintenance assumes a *simple* graph (no parallel edges), which is what
-//! [`AdjacencyGraph`](crate::AdjacencyGraph) enforces before any engine
-//! calls in here; rows with parallel edges (possible via
-//! [`Csr::from_edges`]) remain readable but must not be maintained. On
-//! `Err` the pair may be partially updated and must be discarded — the
-//! engines only apply batches the host graph has already validated, so
-//! they never hit this path.
+//! Every entry point validates before it writes, so a rejected edge or
+//! batch leaves the graph — and, for a [`CsrPair`], both views — exactly
+//! as it was.
 
 use crate::{ix, Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
@@ -39,15 +34,22 @@ impl Csr {
     /// Inserts `u -> v` with weight `w`, keeping row `u` sorted.
     ///
     /// `O(degree(u))`: binary search plus an in-row shift; amortized the
-    /// same when the row relocates for growth.
+    /// same when the row relocates for growth. Never compacts — a
+    /// generator filling an empty graph edge by edge would re-densify it
+    /// over and over — so a long run of single inserts should end with
+    /// [`compact`](Csr::compact).
     ///
     /// # Errors
     ///
-    /// [`GraphError::DuplicateEdge`] if the edge exists,
-    /// [`GraphError::VertexOutOfRange`] for bad endpoints.
-    pub fn insert_sorted(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), GraphError> {
+    /// [`GraphError::VertexOutOfRange`] for bad endpoints,
+    /// [`GraphError::SelfLoop`] if `u == v`,
+    /// [`GraphError::DuplicateEdge`] if the edge exists.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
+        if u == v {
+            return Err(GraphError::SelfLoop { vertex: u });
+        }
         let ui = ix(u);
         let start = self.starts[ui];
         let len = self.lens[ui];
@@ -77,7 +79,7 @@ impl Csr {
     ///
     /// [`GraphError::MissingEdge`] if absent,
     /// [`GraphError::VertexOutOfRange`] for bad endpoints.
-    pub fn remove_sorted(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
+    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
         let ui = ix(u);
@@ -138,7 +140,9 @@ impl Csr {
         }
     }
 
-    fn compact(&mut self) {
+    /// Compacts the arena to dense layout now, whatever the garbage bound
+    /// says: the tail of a generator that grew the graph edge by edge.
+    pub fn compact(&mut self) {
         let mut targets = Vec::with_capacity(self.live);
         let mut weights = Vec::with_capacity(self.live);
         for ui in 0..self.starts.len() {
@@ -152,39 +156,136 @@ impl Csr {
         self.targets = targets;
         self.weights = weights;
     }
-}
 
-impl CsrPair {
-    /// Applies an update batch to both views in place: deletions first,
-    /// then insertions, mirroring
-    /// [`AdjacencyGraph::apply_batch`](crate::AdjacencyGraph::apply_batch)
-    /// so the maintained pair stays bit-identical to a from-scratch
-    /// rebuild of the mutated host graph — rows, iteration order, weights,
-    /// and out/in duality.
+    /// Validates a whole update batch against the graph without changing
+    /// it: `Ok` exactly when [`apply_batch`](Csr::apply_batch) would
+    /// commit it.
     ///
-    /// Cost: `O(Σ degree(touched) · log degree)` plus an amortized
-    /// compaction; compare `O(E)` for `snapshot_pair()`.
+    /// Deletions are validated against the pre-batch graph and insertions
+    /// must not duplicate surviving edges. A batch may delete an edge and
+    /// re-insert it (a weight change), but may delete each edge at most
+    /// once.
     ///
     /// # Errors
     ///
-    /// Returns the first [`GraphError`] hit (missing deletion, duplicate
-    /// insertion, out-of-range endpoint). **On error the pair may be
-    /// partially updated and must be discarded** — validate batches
-    /// against the host graph first, as the engines do.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        for &(u, v) in batch.deletions() {
-            self.out.remove_sorted(u, v)?;
-            self.inc.remove_sorted(v, u)?;
+    /// Returns the first validation error found.
+    pub fn check_batch(&self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        self.check_batch_with(batch, &mut Vec::new(), &mut Vec::new())
+    }
+
+    // hot-path
+    fn check_batch_with(
+        &self,
+        batch: &UpdateBatch,
+        deleted: &mut Vec<(VertexId, VertexId)>,
+        pending: &mut Vec<(VertexId, VertexId)>,
+    ) -> Result<(), GraphError> {
+        // Validate deletions against the pre-batch graph. A batch may
+        // delete each edge at most once; a repeat is deleting an edge the
+        // batch already removed.
+        deleted.extend_from_slice(batch.deletions());
+        deleted.sort_unstable();
+        for (a, b) in deleted.iter().zip(deleted.iter().skip(1)) {
+            if a == b {
+                return Err(GraphError::MissingEdge { source: a.0, target: a.1 });
+            }
         }
-        for &(u, v, w) in batch.insertions() {
+        for &(u, v) in batch.deletions() {
+            self.check_vertex(u)?;
+            self.check_vertex(v)?;
+            if !self.has_edge(u, v) {
+                return Err(GraphError::MissingEdge { source: u, target: v });
+            }
+        }
+        // Validate insertions against the graph state after deletions,
+        // probing the sorted scratch slices instead of allocating sets.
+        pending.extend(batch.insertions().iter().map(|&(u, v, _)| (u, v)));
+        pending.sort_unstable();
+        for (a, b) in pending.iter().zip(pending.iter().skip(1)) {
+            if a == b {
+                return Err(GraphError::DuplicateEdge { source: a.0, target: a.1 });
+            }
+        }
+        for &(u, v, _) in batch.insertions() {
+            self.check_vertex(u)?;
+            self.check_vertex(v)?;
             if u == v {
                 return Err(GraphError::SelfLoop { vertex: u });
             }
-            self.out.insert_sorted(u, v, w)?;
-            self.inc.insert_sorted(v, u, w)?;
+            if self.has_edge(u, v) && deleted.binary_search(&(u, v)).is_err() {
+                return Err(GraphError::DuplicateEdge { source: u, target: v });
+            }
         }
-        self.out.maybe_compact();
-        self.inc.maybe_compact();
+        Ok(())
+    }
+
+    /// [`check_batch`](Csr::check_batch) on the graph's own sort scratch,
+    /// which steady-state streaming therefore allocates once.
+    // hot-path
+    fn check_batch_reusing_scratch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        let mut deleted = std::mem::take(&mut self.scratch_deleted);
+        let mut pending = std::mem::take(&mut self.scratch_pending);
+        let result = self.check_batch_with(batch, &mut deleted, &mut pending);
+        deleted.clear();
+        pending.clear();
+        self.scratch_deleted = deleted;
+        self.scratch_pending = pending;
+        result
+    }
+
+    /// Applies a whole update batch atomically — deletions first, then
+    /// insertions — after validating it as
+    /// [`check_batch`](Csr::check_batch) does; may end with a compaction.
+    ///
+    /// Cost: `O(Σ degree(touched) · log degree)` plus the amortized
+    /// compaction.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first validation error found; the graph is left untouched.
+    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        self.check_batch_reusing_scratch(batch)?;
+        self.commit(batch.deletions().iter().copied(), batch.insertions().iter().copied());
+        Ok(())
+    }
+
+    /// Writes an already validated batch.
+    fn commit(
+        &mut self,
+        deletions: impl Iterator<Item = (VertexId, VertexId)>,
+        insertions: impl Iterator<Item = (VertexId, VertexId, Weight)>,
+    ) {
+        for (u, v) in deletions {
+            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch_with`
+            self.delete_edge(u, v).expect("invariant: a validated deletion finds its edge");
+        }
+        for (u, v, w) in insertions {
+            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch_with`
+            self.insert_edge(u, v, w).expect("invariant: a validated insertion finds a free slot");
+        }
+        self.maybe_compact();
+    }
+}
+
+impl CsrPair {
+    /// Applies an update batch to both views atomically and in place:
+    /// validated once on `out`, then written to `out` and, endpoints
+    /// swapped, to `inc` — the transpose of a graph the batch is valid
+    /// for accepts the swapped batch. The pair stays bit-identical to a
+    /// from-scratch rebuild of the mutated edge list: rows, iteration
+    /// order, weights, and out/in duality.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`GraphError`] found (missing deletion, duplicate
+    /// insertion, self-loop, out-of-range endpoint); both views are left
+    /// untouched.
+    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        self.out.apply_batch(batch)?;
+        self.inc.commit(
+            batch.deletions().iter().map(|&(u, v)| (v, u)),
+            batch.insertions().iter().map(|&(u, v, w)| (v, u, w)),
+        );
         Ok(())
     }
 }
@@ -202,10 +303,10 @@ mod tests {
         let mut g = Csr::from_edges(4, &[(0, 1, 1.0)]);
         // Dense build: row 0 has no slack, first insert relocates.
         assert_eq!(g.caps[0], 1);
-        g.insert_sorted(0, 3, 3.0).expect("insert of a new edge succeeds");
+        g.insert_edge(0, 3, 3.0).expect("insert of a new edge succeeds");
         assert!(g.caps[0] >= MIN_ROW_CAP);
         // Second insert lands in the fresh slack, sorted into place.
-        g.insert_sorted(0, 2, 2.0).expect("insert of a new edge succeeds");
+        g.insert_edge(0, 2, 2.0).expect("insert of a new edge succeeds");
         let ns: Vec<_> = g.neighbors(0).map(|e| e.other).collect();
         assert_eq!(ns, vec![1, 2, 3]);
         assert_eq!(g.num_edges(), 3);
@@ -215,27 +316,46 @@ mod tests {
     #[test]
     fn remove_leaves_reusable_slack() {
         let mut g = Csr::from_edges(3, &[(0, 1, 1.0), (0, 2, 2.0)]);
-        assert_eq!(g.remove_sorted(0, 1).expect("edge exists"), 1.0);
+        assert_eq!(g.delete_edge(0, 1).expect("edge exists"), 1.0);
         let before = g.arena_slots();
         // Re-inserting reuses the freed slot: no arena growth.
-        g.insert_sorted(0, 1, 9.0).expect("insert of a new edge succeeds");
+        g.insert_edge(0, 1, 9.0).expect("insert of a new edge succeeds");
         assert_eq!(g.arena_slots(), before);
         assert_eq!(g.edge_weight(0, 1), Some(9.0));
         assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
-    fn duplicate_and_missing_are_typed_errors() {
+    fn insert_and_delete_roundtrip() {
+        let mut g = Csr::new(3);
+        g.insert_edge(0, 1, 5.0).expect("insert of a new edge succeeds");
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edge_weight(0, 1), Some(5.0));
+        assert_eq!(g.delete_edge(0, 1).expect("edge exists"), 5.0);
+        assert_eq!(g.num_edges(), 0);
+        assert_eq!(g, Csr::new(3));
+    }
+
+    #[test]
+    fn invalid_single_edges_are_typed_errors() {
         let mut g = Csr::from_edges(3, &[(0, 1, 1.0)]);
+        let before = g.clone();
         assert_eq!(
-            g.insert_sorted(0, 1, 2.0),
+            g.insert_edge(0, 1, 2.0),
             Err(GraphError::DuplicateEdge { source: 0, target: 1 })
         );
-        assert_eq!(g.remove_sorted(1, 0), Err(GraphError::MissingEdge { source: 1, target: 0 }));
+        assert_eq!(g.insert_edge(1, 1, 1.0), Err(GraphError::SelfLoop { vertex: 1 }));
+        assert_eq!(g.delete_edge(1, 0), Err(GraphError::MissingEdge { source: 1, target: 0 }));
         assert!(matches!(
-            g.insert_sorted(0, 9, 1.0),
+            g.insert_edge(0, 9, 1.0),
             Err(GraphError::VertexOutOfRange { vertex: 9, .. })
         ));
+        // The range check comes first: an out-of-range self-loop is out of range.
+        assert!(matches!(
+            g.insert_edge(9, 9, 1.0),
+            Err(GraphError::VertexOutOfRange { vertex: 9, .. })
+        ));
+        assert_eq!(g, before);
     }
 
     #[test]
@@ -253,25 +373,24 @@ mod tests {
 
     #[test]
     fn compaction_restores_dense_arena() {
-        let mut g = Csr::empty(8);
+        let mut g = Csr::new(8);
         // Grow rows enough to force relocations, then delete everything:
         // the arena is now mostly garbage and must compact.
         for u in 0..8u32 {
             for v in 0..8u32 {
                 if u != v {
-                    g.insert_sorted(u, v, 1.0).expect("insert of a new edge succeeds");
+                    g.insert_edge(u, v, 1.0).expect("insert of a new edge succeeds");
                 }
             }
         }
         for u in 0..8u32 {
             for v in 0..8u32 {
                 if u != v && v % 2 == 0 {
-                    g.remove_sorted(u, v).expect("edge exists");
+                    g.delete_edge(u, v).expect("edge exists");
                 }
             }
         }
         assert_eq!(g.validate(), Ok(()));
-        let live = g.num_edges();
         while !g.maybe_compact() {
             // Keep shrinking until the policy fires (small graphs sit
             // under the slop; force it by dropping the slop's worth).
@@ -279,7 +398,7 @@ mod tests {
             'outer: for u in 0..8u32 {
                 for v in 0..8u32 {
                     if g.has_edge(u, v) {
-                        g.remove_sorted(u, v).expect("edge exists");
+                        g.delete_edge(u, v).expect("edge exists");
                         break 'outer;
                     }
                 }
@@ -288,7 +407,6 @@ mod tests {
                 break;
             }
         }
-        let _ = live;
         assert_eq!(g.validate(), Ok(()));
         // After a compaction (or a fully-drained graph) the arena is tight.
         if g.num_edges() == 0 {
@@ -297,12 +415,65 @@ mod tests {
         assert!(g.arena_slots() <= g.num_edges() * 2 + 64);
     }
 
-    #[test]
-    fn pair_rejects_self_loop_insertion() {
-        let mut pair = pair_of(&[(0, 1, 1.0)], 3);
+    /// A batch from `(deletions, insertions)`.
+    fn batch_of(
+        dels: &[(VertexId, VertexId)],
+        ins: &[(VertexId, VertexId, Weight)],
+    ) -> UpdateBatch {
         let mut batch = UpdateBatch::new();
-        batch.insert(2, 2, 1.0);
-        assert_eq!(pair.apply_batch(&batch), Err(GraphError::SelfLoop { vertex: 2 }));
+        for &(u, v) in dels {
+            batch.delete(u, v);
+        }
+        for &(u, v, w) in ins {
+            batch.insert(u, v, w);
+        }
+        batch
+    }
+
+    // Every batch shape the validation rejects, with the error it reports
+    // — the first in the order *all deletions, then all insertions; within
+    // each, the repeated-pair scan before the per-update checks* — and
+    // proof that a rejected batch writes nothing, to a graph or to either
+    // view of a pair. Kills the `check_batch_with` mutants of
+    // xtask/mutation_corpus.txt (the adjacent-duplicate scans, the
+    // delete-then-reinsert `binary_search` exemption).
+    #[test]
+    fn invalid_batches_are_typed_errors_and_write_nothing() {
+        use GraphError::{DuplicateEdge, MissingEdge, SelfLoop, VertexOutOfRange};
+        let base = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (0, 3, 4.0)];
+        let range = |vertex| VertexOutOfRange { vertex, num_vertices: 4 };
+        #[rustfmt::skip]
+        let cases: [(&str, UpdateBatch, GraphError); 12] = [
+            ("missing delete", batch_of(&[(1, 0)], &[]), MissingEdge { source: 1, target: 0 }),
+            ("double delete", batch_of(&[(0, 1), (1, 2), (0, 1)], &[]), MissingEdge { source: 0, target: 1 }),
+            ("double delete, not first in sort order", batch_of(&[(2, 0), (0, 1), (2, 0)], &[]), MissingEdge { source: 2, target: 0 }),
+            ("delete source out of range", batch_of(&[(4, 0)], &[]), range(4)),
+            ("delete target out of range", batch_of(&[(0, 7)], &[]), range(7)),
+            ("duplicate insert of a surviving edge", batch_of(&[(1, 2)], &[(0, 1, 9.0)]), DuplicateEdge { source: 0, target: 1 }),
+            ("double insert", batch_of(&[], &[(3, 1, 1.0), (1, 0, 1.0), (3, 1, 2.0)]), DuplicateEdge { source: 3, target: 1 }),
+            ("double re-insert of a deleted edge", batch_of(&[(0, 1)], &[(0, 1, 5.0), (0, 1, 6.0)]), DuplicateEdge { source: 0, target: 1 }),
+            ("self-loop", batch_of(&[], &[(2, 2, 1.0)]), SelfLoop { vertex: 2 }),
+            ("insert source out of range", batch_of(&[], &[(9, 0, 1.0)]), range(9)),
+            ("insert target out of range", batch_of(&[], &[(0, 4, 1.0)]), range(4)),
+            ("deletions are judged before insertions", batch_of(&[(3, 0)], &[(2, 2, 1.0)]), MissingEdge { source: 3, target: 0 }),
+        ];
+        let graph = Csr::from_edges(4, &base);
+        let pair = pair_of(&base, 4);
+        for (what, batch, want) in cases {
+            let want = Err(want);
+            assert_eq!(graph.check_batch(&batch), want, "{what}: check_batch");
+            let mut g = graph.clone();
+            assert_eq!(g.apply_batch(&batch), want, "{what}: Csr::apply_batch");
+            assert_eq!(g, graph, "{what}: a rejected batch must leave the graph untouched");
+            assert!(g.scratch_deleted.is_empty() && g.scratch_pending.is_empty(), "{what}");
+            let mut p = pair.clone();
+            assert_eq!(p.apply_batch(&batch), want, "{what}: CsrPair::apply_batch");
+            assert_eq!(p, pair, "{what}: a rejected batch must leave both views untouched");
+        }
+        // Accepted: delete-then-reinsert is a weight change, also when the
+        // deleted pair is not the first in sort order.
+        let reweigh = batch_of(&[(0, 1), (2, 0)], &[(2, 0, 7.5), (3, 2, 1.0)]);
+        assert_eq!(graph.check_batch(&reweigh), Ok(()));
     }
 
     // kills jm-0fa5ac00 (dcsr.rs len-off-by-one in check_vertex): the
@@ -311,11 +482,11 @@ mod tests {
     fn out_of_range_error_reports_the_exact_vertex_count() {
         let mut g = Csr::from_edges(3, &[(0, 1, 1.0)]);
         assert_eq!(
-            g.insert_sorted(0, 9, 1.0),
+            g.insert_edge(0, 9, 1.0),
             Err(GraphError::VertexOutOfRange { vertex: 9, num_vertices: 3 })
         );
         assert_eq!(
-            g.remove_sorted(7, 0),
+            g.delete_edge(7, 0),
             Err(GraphError::VertexOutOfRange { vertex: 7, num_vertices: 3 })
         );
     }
@@ -327,11 +498,11 @@ mod tests {
     fn vertex_equal_to_the_count_is_the_first_rejected_id() {
         let mut g = Csr::from_edges(3, &[(0, 1, 1.0)]);
         assert_eq!(
-            g.insert_sorted(0, 3, 1.0),
+            g.insert_edge(0, 3, 1.0),
             Err(GraphError::VertexOutOfRange { vertex: 3, num_vertices: 3 })
         );
         assert_eq!(
-            g.remove_sorted(3, 0),
+            g.delete_edge(3, 0),
             Err(GraphError::VertexOutOfRange { vertex: 3, num_vertices: 3 })
         );
     }
@@ -346,7 +517,7 @@ mod tests {
         assert_eq!(g.arena_slots(), 76, "from_edges lays rows out dense");
         let mut compactions = 0;
         for v in 1..=71u32 {
-            g.remove_sorted(0, v).expect("edge (0, v) was inserted above");
+            g.delete_edge(0, v).expect("edge (0, v) was inserted above");
             let over_bound = g.arena_slots() > 2 * g.num_edges() + COMPACT_SLOP;
             assert_eq!(g.maybe_compact(), over_bound, "after removing target {v}");
             if over_bound {
@@ -364,7 +535,7 @@ mod tests {
     fn relocation_appends_exactly_at_the_arena_tail() {
         let mut g = Csr::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0)]);
         // Dense build: row 0 (start 0, len 1, cap 1) relocates on insert.
-        g.insert_sorted(0, 3, 3.0).expect("insert of a new edge succeeds");
+        g.insert_edge(0, 3, 3.0).expect("insert of a new edge succeeds");
         assert_eq!(g.starts[0], 2, "relocated row must start at the old arena tail");
         assert_eq!(g.caps[0], MIN_ROW_CAP);
         assert_eq!(g.targets.len(), 2 + MIN_ROW_CAP, "no hole between old tail and new row");

@@ -18,7 +18,7 @@
 //! match the paper's.
 
 use crate::rng::DetRng;
-use crate::{vid, AdjacencyGraph, UpdateBatch, VertexId, Weight};
+use crate::{vid, Csr, UpdateBatch, VertexId, Weight};
 
 /// Default scale divisor applied to the paper's dataset sizes.
 pub const DEFAULT_SCALE: u32 = 1000;
@@ -54,18 +54,13 @@ impl Default for RmatParams {
 /// # Panics
 ///
 /// Panics if the quadrant probabilities do not sum to ~1.
-pub fn rmat(
-    num_vertices: usize,
-    num_edges: usize,
-    params: RmatParams,
-    seed: u64,
-) -> AdjacencyGraph {
+pub fn rmat(num_vertices: usize, num_edges: usize, params: RmatParams, seed: u64) -> Csr {
     let sum = params.a + params.b + params.c + params.d;
     assert!((sum - 1.0).abs() < 1e-9, "rmat probabilities must sum to 1, got {sum}");
     let mut rng = DetRng::seed_from_u64(seed);
     let scale = (num_vertices as f64).log2().ceil() as u32; // cast-ok: log2 of a usize vertex count is < 64
     let side = 1usize << scale;
-    let mut g = AdjacencyGraph::new(num_vertices);
+    let mut g = Csr::new(num_vertices);
     let mut attempts = 0usize;
     let max_attempts = num_edges * 20;
     while g.num_edges() < num_edges && attempts < max_attempts {
@@ -103,6 +98,7 @@ pub fn rmat(
         let w = random_weight(&mut rng);
         let _ = g.insert_edge(vid(u), vid(v), w);
     }
+    g.compact();
     g
 }
 
@@ -110,12 +106,12 @@ pub fn rmat(
 /// `width` vertices with mostly-forward edges and a few skip edges,
 /// mimicking the long-diameter structure of web crawls (UK-2002) and
 /// page-link graphs (Wikipedia).
-pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) -> AdjacencyGraph {
+pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) -> Csr {
     assert!(layers >= 2, "need at least two layers");
     assert!(width >= 1, "need at least one vertex per layer");
     let n = layers * width;
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = AdjacencyGraph::new(n);
+    let mut g = Csr::new(n);
     // Backbone: connect each layer to the next so long paths exist.
     for l in 0..layers - 1 {
         for i in 0..width {
@@ -158,6 +154,7 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
         let w = random_weight(&mut rng);
         let _ = g.insert_edge(u, v, w);
     }
+    g.compact();
     g
 }
 
@@ -172,9 +169,9 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
 ///
 /// Duplicate edges and self-loops produced by rewiring are skipped, so the
 /// result can have slightly fewer than `num_vertices * k` edges.
-pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> AdjacencyGraph {
+pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> Csr {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = AdjacencyGraph::new(num_vertices);
+    let mut g = Csr::new(num_vertices);
     if num_vertices < 2 {
         return g;
     }
@@ -193,13 +190,14 @@ pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> A
             let _ = g.insert_edge(vid(u), vid(v), w);
         }
     }
+    g.compact();
     g
 }
 
 /// Generates a uniform Erdős–Rényi style random directed graph.
-pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> AdjacencyGraph {
+pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Csr {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = AdjacencyGraph::new(num_vertices);
+    let mut g = Csr::new(num_vertices);
     let mut attempts = 0usize;
     let max_attempts = num_edges * 20;
     while g.num_edges() < num_edges && attempts < max_attempts {
@@ -212,6 +210,7 @@ pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Adjacenc
         let w = random_weight(&mut rng);
         let _ = g.insert_edge(u, v, w);
     }
+    g.compact();
     g
 }
 
@@ -327,7 +326,7 @@ impl DatasetProfile {
     /// # Panics
     ///
     /// Panics on a `scale` that [`check_scale`](Self::check_scale) refuses.
-    pub fn generate(self, scale: u32) -> AdjacencyGraph {
+    pub fn generate(self, scale: u32) -> Csr {
         let checked = self.check_scale(scale);
         assert!(checked.is_ok(), "{checked:?}");
         let nodes = (self.paper_nodes() / scale as u64) as usize; // cast-ok: paper-scale counts divided down by `scale` fit usize on our targets
@@ -379,7 +378,7 @@ impl DatasetProfile {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeStream {
-    graph: AdjacencyGraph,
+    graph: Csr,
     pool: Vec<(VertexId, VertexId, Weight)>,
     rng: DetRng,
 }
@@ -391,7 +390,7 @@ impl EdgeStream {
     /// # Panics
     ///
     /// Panics unless `0 < holdout_fraction < 1`.
-    pub fn new(full: &AdjacencyGraph, holdout_fraction: f64, seed: u64) -> Self {
+    pub fn new(full: &Csr, holdout_fraction: f64, seed: u64) -> Self {
         assert!(
             holdout_fraction > 0.0 && holdout_fraction < 1.0,
             "holdout fraction must be in (0, 1)"
@@ -407,11 +406,11 @@ impl EdgeStream {
         }
         let pool: Vec<_> = edges[..holdout.min(n)].to_vec();
         let base: Vec<_> = edges[holdout.min(n)..].to_vec();
-        EdgeStream { graph: AdjacencyGraph::from_edges(full.num_vertices(), &base), pool, rng }
+        EdgeStream { graph: Csr::from_edges(full.num_vertices(), &base), pool, rng }
     }
 
     /// The current base graph (already reflects every produced batch).
-    pub fn graph(&self) -> &AdjacencyGraph {
+    pub fn graph(&self) -> &Csr {
         &self.graph
     }
 
@@ -480,12 +479,7 @@ impl EdgeStream {
 /// self-loops, not duplicated within the batch) are sampled uniformly. The
 /// paper's default composition is 70 % insertions / 30 % deletions at batch
 /// size 100 K (§6.2); see [`batch_with_ratio`] for that form.
-pub fn random_batch(
-    g: &AdjacencyGraph,
-    insertions: usize,
-    deletions: usize,
-    seed: u64,
-) -> UpdateBatch {
+pub fn random_batch(g: &Csr, insertions: usize, deletions: usize, seed: u64) -> UpdateBatch {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut batch = UpdateBatch::new();
 
@@ -523,12 +517,7 @@ pub fn random_batch(
 
 /// Generates a batch of `size` updates with the given insertion fraction
 /// (`0.0 ..= 1.0`); the paper's default is `0.7`.
-pub fn batch_with_ratio(
-    g: &AdjacencyGraph,
-    size: usize,
-    insertion_fraction: f64,
-    seed: u64,
-) -> UpdateBatch {
+pub fn batch_with_ratio(g: &Csr, size: usize, insertion_fraction: f64, seed: u64) -> UpdateBatch {
     assert!((0.0..=1.0).contains(&insertion_fraction), "insertion fraction must be within [0, 1]");
     let ins = (size as f64 * insertion_fraction).round() as usize; // cast-ok: insertion_fraction is in [0, 1], so the product is <= size
     let del = size - ins;
@@ -572,7 +561,6 @@ mod tests {
         let g = layered_narrow(50, 4, 600, 11);
         assert_eq!(g.num_vertices(), 200);
         // BFS from layer 0 should reach depth close to the layer count.
-        let csr = g.snapshot();
         let mut dist = vec![usize::MAX; 200];
         let mut queue = std::collections::VecDeque::new();
         for i in 0..4u32 {
@@ -581,7 +569,7 @@ mod tests {
         }
         let mut max_d = 0;
         while let Some(u) = queue.pop_front() {
-            for e in csr.neighbors(u) {
+            for e in g.neighbors(u) {
                 if dist[e.other as usize] == usize::MAX {
                     dist[e.other as usize] = dist[u as usize] + 1;
                     max_d = max_d.max(dist[e.other as usize]);

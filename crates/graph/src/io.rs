@@ -16,7 +16,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
-use crate::{AdjacencyGraph, GraphError, UpdateBatch, VertexId, Weight};
+use crate::{Csr, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Errors produced while parsing graph or update files.
 #[derive(Debug)]
@@ -137,10 +137,7 @@ fn parse_weight(tok: &str, at: Loc) -> Result<Weight, ParseError> {
 /// # Errors
 ///
 /// Returns [`ParseError`] on I/O failure or malformed lines.
-pub fn read_edge_list<R: BufRead>(
-    reader: R,
-    min_vertices: usize,
-) -> Result<AdjacencyGraph, ParseError> {
+pub fn read_edge_list<R: BufRead>(reader: R, min_vertices: usize) -> Result<Csr, ParseError> {
     let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
     let mut max_id: u64 = 0;
     for_each_line(reader, |line, at| {
@@ -173,7 +170,7 @@ pub fn read_edge_list<R: BufRead>(
     } else {
         0
     });
-    Ok(AdjacencyGraph::from_edges(n, &edges))
+    Ok(Csr::from_edges(n, &edges))
 }
 
 /// Loads an edge-list file from `path`.
@@ -181,7 +178,7 @@ pub fn read_edge_list<R: BufRead>(
 /// # Errors
 ///
 /// Returns [`ParseError`] on I/O failure or malformed lines.
-pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<AdjacencyGraph, ParseError> {
+pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<Csr, ParseError> {
     let file = std::fs::File::open(path)?;
     read_edge_list(BufReader::new(file), 0)
 }
@@ -191,7 +188,7 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<AdjacencyGraph, ParseError>
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn write_edge_list<W: Write>(graph: &AdjacencyGraph, mut writer: W) -> std::io::Result<()> {
+pub fn write_edge_list<W: Write>(graph: &Csr, mut writer: W) -> std::io::Result<()> {
     writeln!(writer, "# {} vertices, {} edges", graph.num_vertices(), graph.num_edges())?;
     for (u, v, w) in graph.iter_edges() {
         writeln!(writer, "{u} {v} {w}")?;

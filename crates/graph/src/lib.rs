@@ -3,14 +3,13 @@
 //! This crate provides everything the engine, simulator, and baselines need to
 //! represent and evolve graphs:
 //!
-//! * [`Csr`] — compressed sparse row adjacency, the storage format the
-//!   accelerator reads from its device memory (§4.7 of the paper).
-//! * [`CsrPair`] — out-edge and in-edge CSR for the same graph; JetStream
+//! * [`Csr`] — the graph: compressed sparse row adjacency, the storage
+//!   format the accelerator reads from its device memory (§4.7 of the
+//!   paper), with per-row slack so it is also the structure that takes the
+//!   updates. The paper's host keeps the evolving edge list apart and
+//!   writes a fresh CSR after each batch; here one structure is both.
+//! * [`CsrPair`] — the graph and its transpose, updated together; JetStream
 //!   needs incoming edges to issue *request* events during recovery.
-//! * [`AdjacencyGraph`] — the host-side mutable, versioned graph. The paper
-//!   assumes the host maintains the evolving edge list and writes fresh CSR
-//!   snapshots into accelerator memory after each batch; `AdjacencyGraph`
-//!   plays that role.
 //! * [`UpdateBatch`] / [`EdgeUpdate`] — batched edge insertions and deletions
 //!   (graph *mutations* in the paper's terminology).
 //! * [`gen`] — deterministic synthetic dataset generators standing in for the
@@ -22,21 +21,19 @@
 //! # Example
 //!
 //! ```
-//! use jetstream_graph::{AdjacencyGraph, UpdateBatch};
+//! use jetstream_graph::{Csr, UpdateBatch};
 //!
 //! # fn main() -> Result<(), jetstream_graph::GraphError> {
-//! let mut g = AdjacencyGraph::new(4);
+//! let mut g = Csr::new(4);
 //! g.insert_edge(0, 1, 2.0)?;
 //! g.insert_edge(1, 2, 3.0)?;
-//!
-//! let csr = g.snapshot();
-//! assert_eq!(csr.num_edges(), 2);
 //!
 //! let mut batch = UpdateBatch::new();
 //! batch.insert(2, 3, 1.0);
 //! batch.delete(0, 1);
 //! g.apply_batch(&batch)?;
-//! assert_eq!(g.num_edges(), 2);
+//! let targets: Vec<_> = g.iter_edges().map(|(_, v, _)| v).collect();
+//! assert_eq!(targets, [2, 3]);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,7 +44,6 @@
 mod csr;
 mod dcsr;
 mod error;
-mod mutable;
 mod update;
 
 pub mod gen;
@@ -57,8 +53,11 @@ pub mod rng;
 
 pub use csr::{Csr, CsrPair, EdgeRef};
 pub use error::GraphError;
-pub use mutable::AdjacencyGraph;
 pub use update::{EdgeUpdate, UpdateBatch, UpdateRejection};
+
+/// The graph under the name it had while the host kept a second copy of
+/// the edges: `benchmark/` imports it.
+pub type AdjacencyGraph = Csr;
 
 /// Identifier of a vertex. Graphs are addressed `0..num_vertices`.
 pub type VertexId = u32;

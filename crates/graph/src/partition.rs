@@ -310,7 +310,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slice")]
     fn zero_slices_panics() {
-        let g = Csr::empty(4);
+        let g = Csr::new(4);
         let _ = Partition::bfs_grow(&g, 0);
     }
 
@@ -318,7 +318,7 @@ mod tests {
     /// BFS can never reach them, so every one must come from reseeding.
     #[test]
     fn bfs_grow_assigns_isolated_vertices() {
-        let g = Csr::empty(9);
+        let g = Csr::new(9);
         for slices in [1u32, 3, 9, 12] {
             let p = Partition::bfs_grow(&g, slices);
             assert_eq!(p.validate(), Ok(()), "num_slices = {slices}");
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn bfs_grow_empty_graph_keeps_requested_slices() {
-        let g = Csr::empty(0);
+        let g = Csr::new(0);
         let p = Partition::bfs_grow(&g, 4);
         assert_eq!(p.num_slices(), 4);
         assert_eq!(p.validate(), Ok(()));

@@ -1,34 +1,32 @@
-//! Differential fuzz suite for the delta-maintained CSR (DESIGN.md §17).
+//! Differential fuzz suite for the in-place gapped CSR (DESIGN.md §17).
 //!
 //! The contract of `CsrPair::apply_batch` is that incremental maintenance
-//! is *bit-identical* to a from-scratch `Csr::from_edges` rebuild of the
-//! mutated host graph: same rows, same ascending neighbor order, same
+//! is *bit-identical* to a from-scratch `Csr::from_edges` build of the
+//! mutated edge list: same rows, same ascending neighbor order, same
 //! weights, and exact out/in duality. Every test here drives a maintained
-//! pair and an `AdjacencyGraph` oracle through the same batch sequence and
-//! compares full traversals after every batch — through slack growth, row
-//! relocations, tombstoned deletes, and compaction.
+//! pair and an [`EdgeModel`] — an ordered edge map that shares no code
+//! with the arena — through the same batch sequence and compares full
+//! traversals after every batch — through slack growth, row relocations,
+//! tombstoned deletes, and compaction.
 
 // Demo/test code: aborting on setup failure is the right behavior here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jetstream_graph::rng::DetRng;
-use jetstream_graph::{gen, AdjacencyGraph, CsrPair, UpdateBatch, VertexId};
+use jetstream_graph::{gen, Csr, CsrPair, UpdateBatch, VertexId};
+use jetstream_testkit::EdgeModel;
 
-/// Compares the maintained pair against a from-scratch rebuild of `host`:
-/// structural equality, exact traversal sequences, and internal validity.
-fn assert_identical(maintained: &CsrPair, host: &AdjacencyGraph, ctx: &str) {
-    assert_eq!(maintained.validate(), Ok(()), "{ctx}: maintained pair must validate");
-    let rebuilt = host.snapshot_pair();
-    assert_eq!(maintained.out, rebuilt.out, "{ctx}: out view differs from rebuild");
-    assert_eq!(maintained.inc, rebuilt.inc, "{ctx}: in view differs from rebuild");
-    // Traversal is the contract: the exact edge sequence the kernel would
-    // dereference, not just set equality.
-    let a: Vec<_> = maintained.out.iter_edges().collect();
-    let b: Vec<_> = rebuilt.out.iter_edges().collect();
-    assert_eq!(a, b, "{ctx}: out traversal sequence");
-    let a: Vec<_> = maintained.inc.iter_edges().collect();
-    let b: Vec<_> = rebuilt.inc.iter_edges().collect();
-    assert_eq!(a, b, "{ctx}: in traversal sequence");
+/// A maintained pair beside the model of the same graph.
+fn pair_and_model(graph: Csr) -> (CsrPair, EdgeModel) {
+    let model = EdgeModel::of(&graph);
+    (CsrPair::new(graph), model)
+}
+
+/// Applies `batch` to both and compares them.
+fn step(maintained: &mut CsrPair, model: &mut EdgeModel, batch: &UpdateBatch, ctx: &str) {
+    maintained.apply_batch(batch).expect("batches here are valid by construction");
+    model.apply(batch);
+    model.assert_matches(maintained, ctx);
 }
 
 fn vid(rng: &mut DetRng, n: usize) -> VertexId {
@@ -37,10 +35,9 @@ fn vid(rng: &mut DetRng, n: usize) -> VertexId {
 
 /// A churn batch: deletes a random subset of existing edges, re-inserts
 /// some of them with fresh weights in the *same* batch (weight changes),
-/// and inserts fresh edges — the full shape `AdjacencyGraph::apply_batch`
-/// accepts.
+/// and inserts fresh edges — the full shape `apply_batch` accepts.
 fn churn_batch(
-    host: &AdjacencyGraph,
+    host: &Csr,
     rng: &mut DetRng,
     max_inserts: usize,
     max_deletes: usize,
@@ -89,20 +86,19 @@ fn churn_batch(
 }
 
 /// Drives `batches` churn batches over an R-MAT-ish start graph, checking
-/// the maintained pair against the oracle after every batch. Returns how
+/// the maintained pair against the model after every batch. Returns how
 /// many times the arena visibly shrank (compactions observed).
 fn run_differential(seed: u64, num_vertices: usize, start_edges: usize, batches: usize) -> usize {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut host = gen::erdos_renyi(num_vertices, start_edges, seed ^ 0x9e37);
-    let mut maintained = host.snapshot_pair();
+    let (mut maintained, mut model) =
+        pair_and_model(gen::erdos_renyi(num_vertices, start_edges, seed ^ 0x9e37));
     let mut compactions = 0;
-    for step in 0..batches {
+    for i in 0..batches {
         let inserts = rng.gen_range(1, 9);
         let deletes = rng.gen_range(0, 7);
-        let batch = churn_batch(&host, &mut rng, inserts, deletes);
+        let batch = churn_batch(&maintained.out, &mut rng, inserts, deletes);
         let before = maintained.out.arena_slots() + maintained.inc.arena_slots();
-        host.apply_batch(&batch).expect("churn batches are valid by construction");
-        maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
+        step(&mut maintained, &mut model, &batch, &format!("seed {seed} step {i}"));
         if maintained.out.arena_slots() + maintained.inc.arena_slots() < before {
             compactions += 1;
         }
@@ -110,13 +106,12 @@ fn run_differential(seed: u64, num_vertices: usize, start_edges: usize, batches:
         // view's arena is at most twice the live edges plus the slop.
         assert!(
             maintained.out.arena_slots() <= 2 * maintained.out.num_edges() + 64,
-            "seed {seed} step {step}: out arena exceeds the compaction bound"
+            "seed {seed} step {i}: out arena exceeds the compaction bound"
         );
         assert!(
             maintained.inc.arena_slots() <= 2 * maintained.inc.num_edges() + 64,
-            "seed {seed} step {step}: in arena exceeds the compaction bound"
+            "seed {seed} step {i}: in arena exceeds the compaction bound"
         );
-        assert_identical(&maintained, &host, &format!("seed {seed} step {step}"));
     }
     compactions
 }
@@ -139,13 +134,10 @@ fn dense_graph_heavy_delete_churn() {
     // Small dense graph, deletion-heavy batches: rows shrink to empty and
     // grow back, keeping lots of slack and tombstoned extents in play.
     let mut rng = DetRng::seed_from_u64(7);
-    let mut host = gen::erdos_renyi(16, 120, 3);
-    let mut maintained = host.snapshot_pair();
-    for step in 0..200 {
-        let batch = churn_batch(&host, &mut rng, 3, 8);
-        host.apply_batch(&batch).expect("churn batches are valid by construction");
-        maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-        assert_identical(&maintained, &host, &format!("dense step {step}"));
+    let (mut maintained, mut model) = pair_and_model(gen::erdos_renyi(16, 120, 3));
+    for i in 0..200 {
+        let batch = churn_batch(&maintained.out, &mut rng, 3, 8);
+        step(&mut maintained, &mut model, &batch, &format!("dense step {i}"));
     }
 }
 
@@ -153,30 +145,26 @@ fn dense_graph_heavy_delete_churn() {
 fn empty_rows_stay_empty_and_reusable() {
     // Vertices 8..16 start isolated (empty rows in both views); edges are
     // later attached to them and removed again.
-    let mut host = AdjacencyGraph::new(16);
+    let mut start = Csr::new(16);
     for v in 1..8u32 {
-        host.insert_edge(0, v, v as f64).expect("insert of an in-range edge should succeed");
+        start.insert_edge(0, v, v as f64).expect("insert of an in-range edge should succeed");
     }
-    let mut maintained = host.snapshot_pair();
-    assert_identical(&maintained, &host, "isolated start");
+    let (mut maintained, mut model) = pair_and_model(start);
+    model.assert_matches(&maintained, "isolated start");
 
     let mut batch = UpdateBatch::new();
     for v in 8..16u32 {
         batch.insert(v, 0, 1.0);
         batch.insert(0, v, 2.0);
     }
-    host.apply_batch(&batch).expect("batch touches only in-range vertices");
-    maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-    assert_identical(&maintained, &host, "attach isolated");
+    step(&mut maintained, &mut model, &batch, "attach isolated");
 
     let mut batch = UpdateBatch::new();
     for v in 8..16u32 {
         batch.delete(v, 0);
         batch.delete(0, v);
     }
-    host.apply_batch(&batch).expect("batch touches only in-range vertices");
-    maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-    assert_identical(&maintained, &host, "detach isolated");
+    step(&mut maintained, &mut model, &batch, "detach isolated");
     for v in 8..16u32 {
         assert_eq!(maintained.out.degree(v), 0);
         assert_eq!(maintained.inc.degree(v), 0);
@@ -189,47 +177,37 @@ fn max_degree_hub_grows_and_shrinks() {
     // relocates repeatedly as it grows one edge at a time, then shrinks
     // back through single deletes.
     let n = 256usize;
-    let mut host = AdjacencyGraph::new(n);
-    let mut maintained = host.snapshot_pair();
+    let (mut maintained, mut model) = pair_and_model(Csr::new(n));
     for v in 1..n as u32 {
         let mut batch = UpdateBatch::new();
         batch.insert(0, v, f64::from(v));
-        host.apply_batch(&batch).expect("batch touches only in-range vertices");
-        maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
+        step(&mut maintained, &mut model, &batch, "hub growing");
     }
     assert_eq!(maintained.out.degree(0), n - 1);
-    assert_identical(&maintained, &host, "hub fully grown");
     // Delete every other spoke, then reinsert them with new weights.
     let mut batch = UpdateBatch::new();
     for v in (1..n as u32).step_by(2) {
         batch.delete(0, v);
     }
-    host.apply_batch(&batch).expect("batch touches only in-range vertices");
-    maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-    assert_identical(&maintained, &host, "hub half drained");
+    step(&mut maintained, &mut model, &batch, "hub half drained");
     let mut batch = UpdateBatch::new();
     for v in (1..n as u32).step_by(2) {
         batch.insert(0, v, 0.25);
     }
-    host.apply_batch(&batch).expect("batch touches only in-range vertices");
-    maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-    assert_identical(&maintained, &host, "hub refilled");
+    step(&mut maintained, &mut model, &batch, "hub refilled");
 }
 
 #[test]
 fn delete_then_reinsert_same_batch_matches_oracle() {
-    let mut host = gen::erdos_renyi(20, 60, 13);
-    let mut maintained = host.snapshot_pair();
-    let edges: Vec<_> = host.iter_edges().collect();
+    let (mut maintained, mut model) = pair_and_model(gen::erdos_renyi(20, 60, 13));
+    let edges = model.edges();
     let mut batch = UpdateBatch::new();
     // Reweight the first five edges in a single batch.
     for &(u, v, w) in edges.iter().take(5) {
         batch.delete(u, v);
         batch.insert(u, v, w + 10.0);
     }
-    host.apply_batch(&batch).expect("batch touches only in-range vertices");
-    maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-    assert_identical(&maintained, &host, "same-batch reweight");
+    step(&mut maintained, &mut model, &batch, "same-batch reweight");
     for &(u, v, w) in edges.iter().take(5) {
         assert_eq!(maintained.out.edge_weight(u, v), Some(w + 10.0));
         assert_eq!(maintained.inc.edge_weight(v, u), Some(w + 10.0));
@@ -240,12 +218,25 @@ fn delete_then_reinsert_same_batch_matches_oracle() {
 fn generator_batches_also_round_trip() {
     // `gen::random_batch` is what the engines and benches feed through the
     // maintenance path; make sure its shape is covered too.
-    let mut host = gen::erdos_renyi(64, 400, 29);
-    let mut maintained = host.snapshot_pair();
+    let (mut maintained, mut model) = pair_and_model(gen::erdos_renyi(64, 400, 29));
     for i in 0..100u64 {
-        let batch = gen::random_batch(&host, 6, 3, 1000 + i);
-        host.apply_batch(&batch).expect("generated batches are valid against the graph");
-        maintained.apply_batch(&batch).expect("host-validated batch applies to the mirror");
-        assert_identical(&maintained, &host, &format!("generator step {i}"));
+        let batch = gen::random_batch(&maintained.out, 6, 3, 1000 + i);
+        step(&mut maintained, &mut model, &batch, &format!("generator step {i}"));
+    }
+}
+
+#[test]
+fn transpose_by_counting_round_trips_every_generator_profile() {
+    for profile in gen::DatasetProfile::ALL {
+        let g = profile.generate(20_000);
+        let t = g.transpose();
+        assert_eq!(
+            t.validate(),
+            Ok(()),
+            "{profile:?}: validate() checks that every in-row ascends"
+        );
+        assert_eq!(t.num_edges(), g.num_edges(), "{profile:?}");
+        assert_eq!(t.transpose(), g, "{profile:?}: transposing twice is the identity");
+        EdgeModel::of(&g).assert_matches(&CsrPair::new(g), &format!("{profile:?}"));
     }
 }

@@ -19,7 +19,7 @@
 //!   for, waiting out the deadline would only add latency.
 //!
 //! Validation is exact, not just bounds checking: presence is evaluated
-//! against the host graph *overlaid with the open batch*, so duplicate
+//! against the graph *overlaid with the open batch*, so duplicate
 //! inserts and deletes of absent edges are bounced here with a typed
 //! [`UpdateRejection`] and an engine-side apply error is unreachable.
 
@@ -77,7 +77,7 @@ pub struct Admission {
     /// Edge presence as of the open batch, where it differs from the host
     /// graph (`true` = present, i.e. inserted by the open batch — the
     /// conflict-seal trigger). Cleared at seal: once the batch applies,
-    /// the host graph absorbs the delta.
+    /// the graph absorbs the delta.
     overlay: BTreeMap<(VertexId, VertexId), bool>,
     /// Scratch for [`Admission::validate`]: presence as of the message
     /// being validated, where it differs from `overlay`. Cleared on entry.

@@ -6,8 +6,8 @@
 //! process restart is a GraphPulse-style cold start. This crate makes the
 //! state durable and a restart warm:
 //!
-//! * [`snapshot`] — a versioned, checksummed binary snapshot of the host
-//!   graph (from which the accelerator's [`CsrPair`](jetstream_graph::CsrPair)
+//! * [`snapshot`] — a versioned, checksummed binary snapshot of the
+//!   graph (from which the engine's [`CsrPair`](jetstream_graph::CsrPair)
 //!   is rebuilt) plus the engine's converged vertex values and DAP
 //!   dependence tree.
 //! * [`wal`] — a segmented write-ahead log of

@@ -57,7 +57,7 @@ pub trait ReplayEngine {
     /// Returns a [`GraphError`] when the batch is invalid against the
     /// engine's current graph version.
     fn replay_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError>;
-    /// The host graph a checkpoint persists.
+    /// The graph a checkpoint persists.
     fn checkpoint_graph(&self) -> &AdjacencyGraph;
     /// The converged per-vertex state a checkpoint persists.
     fn checkpoint_state(&self) -> SnapshotState;
@@ -137,7 +137,7 @@ pub struct Recovered {
 /// intact snapshot's graph and (optional) per-vertex state.
 #[derive(Debug)]
 pub struct RecoveredBase {
-    /// The snapshotted host graph.
+    /// The snapshotted graph.
     pub graph: AdjacencyGraph,
     /// The snapshotted converged state; `None` for a graph-only snapshot
     /// (the mount function should fall back to a cold compute).

@@ -199,6 +199,8 @@ pub fn read(path: &Path) -> Result<Snapshot, StoreError> {
             StoreError::corrupt(path, at, format!("edge {i} ({src}->{dst}) invalid: {e}"))
         })?;
     }
+    // Grown edge by edge, the arena is mostly abandoned extents.
+    graph.compact();
 
     let has_state = r.u8(path, "state flag")?;
     let state = match has_state {

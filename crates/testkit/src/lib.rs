@@ -30,8 +30,11 @@
 
 pub use jetstream_graph::rng::DetRng;
 
+mod model;
 pub mod race;
 pub mod schedule;
+
+pub use model::EdgeModel;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 

@@ -6,28 +6,32 @@
 
 use jetstream::algorithms::{oracle, oracle_values, Sssp, UpdateKind, Workload};
 use jetstream::engine::{CoalescingQueue, DeleteStrategy, EngineConfig, Event, StreamingEngine};
-use jetstream::graph::{AdjacencyGraph, Csr, UpdateBatch};
-use jetstream_testkit::{run_cases, DetRng};
+use jetstream::graph::{Csr, UpdateBatch};
+use jetstream_testkit::{run_cases, DetRng, EdgeModel};
 
 const N: usize = 24;
 
-/// A random simple directed graph on `N` vertices as an edge set.
-fn arb_graph(rng: &mut DetRng) -> AdjacencyGraph {
+/// A random raw edge list on `N` vertices: repeats and self-loops included.
+fn arb_edges(rng: &mut DetRng) -> Vec<(u32, u32, f64)> {
     let num_edges = rng.gen_range(0, 80);
-    let edges: Vec<(u32, u32, f64)> = (0..num_edges)
+    (0..num_edges)
         .map(|_| {
             let u = rng.gen_range(0, N) as u32;
             let v = rng.gen_range(0, N) as u32;
             let w = rng.gen_range_inclusive(1, 16) as f64;
             (u, v, w)
         })
-        .collect();
-    AdjacencyGraph::from_edges(N, &edges)
+        .collect()
+}
+
+/// A random simple directed graph on `N` vertices.
+fn arb_graph(rng: &mut DetRng) -> Csr {
+    Csr::from_edges(N, &arb_edges(rng))
 }
 
 /// A random valid batch against `g`: deletions drawn from existing edges,
 /// insertions from absent pairs.
-fn arb_batch(g: &AdjacencyGraph, rng: &mut DetRng) -> UpdateBatch {
+fn arb_batch(g: &Csr, rng: &mut DetRng) -> UpdateBatch {
     let mut batch = UpdateBatch::new();
     let edges: Vec<(u32, u32)> = g.iter_edges().map(|(u, v, _)| (u, v)).collect();
     let mut deleted = std::collections::BTreeSet::new();
@@ -76,9 +80,12 @@ fn streaming_equals_from_scratch() {
                 engine.apply_update_batch(&batch).unwrap();
                 assert_eq!(engine.validate_converged(), Ok(()), "{} ({strategy:?})", w.name());
 
-                let mut mutated = g.clone();
-                mutated.apply_batch(&batch).unwrap();
-                let expected = oracle_values(w, &mutated.snapshot(), 0);
+                // The expected graph comes from the model, not from a
+                // second run of the code under test.
+                let mut model = EdgeModel::of(&g);
+                model.apply(&batch);
+                model.assert_matches(engine.csr(), w.name());
+                let expected = oracle_values(w, &Csr::from_edges(N, &model.edges()), 0);
                 assert!(
                     oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
                     "{} ({:?}) diverged: got {:?} want {:?}",
@@ -101,13 +108,14 @@ fn two_batches_stay_recoverable() {
             let mut engine =
                 StreamingEngine::new(w.instantiate(0), g.clone(), EngineConfig::default());
             engine.initial_compute();
-            let mut reference = g.clone();
+            let mut model = EdgeModel::of(&g);
             for _ in 0..2 {
-                let batch = arb_batch(&reference, rng);
+                let batch = arb_batch(engine.graph(), rng);
                 engine.apply_update_batch(&batch).unwrap();
-                reference.apply_batch(&batch).unwrap();
+                model.apply(&batch);
             }
-            let expected = oracle_values(w, &reference.snapshot(), 0);
+            model.assert_matches(engine.csr(), w.name());
+            let expected = oracle_values(w, &Csr::from_edges(N, &model.edges()), 0);
             assert!(
                 oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
                 "{} diverged after two batches",
@@ -117,22 +125,28 @@ fn two_batches_stay_recoverable() {
     });
 }
 
-/// CSR construction round-trips any edge list and stays structurally valid.
+/// CSR construction reduces any edge list to the simple graph an ordered
+/// map reduces it to (the first weight of a pair wins, self-loops go),
+/// round-trips it, and stays structurally valid.
 #[test]
 fn csr_roundtrips() {
     run_cases("csr_roundtrips", 64, |rng| {
-        let g = arb_graph(rng);
-        let csr = g.snapshot();
+        let raw = arb_edges(rng);
+        let mut simple = std::collections::BTreeMap::new();
+        for &(u, v, w) in raw.iter().filter(|(u, v, _)| u != v) {
+            simple.entry((u, v)).or_insert(w);
+        }
+        let orig: Vec<_> = simple.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        let csr = Csr::from_edges(N, &raw);
         assert_eq!(csr.validate(), Ok(()));
-        assert_eq!(csr.num_edges(), g.num_edges());
-        for (u, v, w) in g.iter_edges() {
+        assert_eq!(csr.num_edges(), orig.len());
+        for &(u, v, w) in &orig {
             assert_eq!(csr.edge_weight(u, v), Some(w));
         }
         let back: Vec<_> = csr.iter_edges().collect();
-        let orig: Vec<_> = g.iter_edges().collect();
         assert_eq!(back, orig);
         assert_eq!(csr.transpose().transpose(), csr);
-        assert_eq!(g.snapshot_pair().validate(), Ok(()));
+        assert_eq!(csr.snapshot_pair().validate(), Ok(()));
     });
 }
 
@@ -228,7 +242,7 @@ fn algorithm_laws() {
 /// Deterministic regression: a dense cyclic graph with full teardown.
 #[test]
 fn cycle_teardown_regression() {
-    let mut g = AdjacencyGraph::new(4);
+    let mut g = Csr::new(4);
     for (u, v) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)] {
         g.insert_edge(u, v, 1.0).unwrap();
     }
@@ -245,7 +259,7 @@ fn cycle_teardown_regression() {
         engine.initial_compute();
         engine.apply_update_batch(&batch).unwrap();
         // Everything disconnected: every vertex is its own component.
-        let expected = oracle_values(Workload::Cc, &Csr::empty(4), 0);
+        let expected = oracle_values(Workload::Cc, &Csr::new(4), 0);
         assert!(oracle::values_match(engine.values(), &expected), "{strategy:?}");
     }
 }

@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 
 /// Breadth-first search hop distance (selective / monotonic).
 ///
@@ -51,9 +51,9 @@ impl Algorithm for Bfs {
         }
     }
 
-    fn propagation_is_edge_invariant(&self) -> bool {
+    fn edge_op(&self) -> EdgeOp {
         // Hop counts ignore edge weights entirely.
-        true
+        EdgeOp::Uniform
     }
 
     fn initial_events(&self, _graph: &Csr) -> Vec<(VertexId, Value)> {

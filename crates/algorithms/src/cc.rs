@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 
 /// Connected components via minimum-label propagation (selective).
 ///
@@ -44,9 +44,9 @@ impl Algorithm for ConnectedComponents {
         }
     }
 
-    fn propagation_is_edge_invariant(&self) -> bool {
+    fn edge_op(&self) -> EdgeOp {
         // Label floods ignore edge weights entirely.
-        true
+        EdgeOp::Uniform
     }
 
     fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)> {

@@ -96,6 +96,59 @@ impl Reduce {
     }
 }
 
+/// How the delta an algorithm sends over an out-edge depends on that edge
+/// — what an engine resolves once, as it resolves [`Reduce`], to decide
+/// how a vertex's row of out-edges goes out (§4.4: the delta is computed
+/// once per vertex and the generation streams walk the row).
+///
+/// For every variant but [`PerEdge`](EdgeOp::PerEdge), whether
+/// [`propagate`](Algorithm::propagate) returns `Some` never depends on the
+/// per-edge fields of [`EdgeCtx`] (`weight`, `weight_sum`): one call, at
+/// [`neutral_weight`](EdgeOp::neutral_weight), is the gate for the whole
+/// row, and its result is the row's *base*. Every edge then carries
+/// [`apply`](EdgeOp::apply)`(base, weight)`, bit for bit what a per-edge
+/// `propagate` would have returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EdgeOp {
+    /// Every edge carries the base unchanged (PageRank, BFS, CC); the
+    /// contract covers [`cumulative_edge_contribution`] too.
+    ///
+    /// [`cumulative_edge_contribution`]: Algorithm::cumulative_edge_contribution
+    Uniform,
+    /// Every edge carries `base + weight` (SSSP).
+    AddWeight,
+    /// Every edge carries `base.min(weight)` (SSWP).
+    MinWeight,
+    /// No shared form: `propagate` runs edge by edge (Adsorption, whose
+    /// weight-normalized delta and accumulative set-up filter per edge).
+    PerEdge,
+}
+
+impl EdgeOp {
+    /// The weight the operator leaves every value unchanged by
+    /// (`x + -0.0 == x`, `x.min(+∞) == x`, each bit for bit on the values
+    /// the gate lets through), so `propagate` called with it yields the
+    /// row's base. Unread by `Uniform`, meaningless for `PerEdge`.
+    pub fn neutral_weight(self) -> Weight {
+        match self {
+            EdgeOp::AddWeight => -0.0,
+            EdgeOp::MinWeight => Weight::INFINITY,
+            EdgeOp::Uniform | EdgeOp::PerEdge => 0.0,
+        }
+    }
+
+    /// The delta one edge of weight `weight` carries, given the row's
+    /// `base`. `PerEdge` has no shared form and returns `base`.
+    #[inline]
+    pub fn apply(self, base: Value, weight: Weight) -> Value {
+        match self {
+            EdgeOp::AddWeight => base + weight,
+            EdgeOp::MinWeight => base.min(weight),
+            EdgeOp::Uniform | EdgeOp::PerEdge => base,
+        }
+    }
+}
+
 /// Per-edge context handed to [`Algorithm::propagate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeCtx {
@@ -149,16 +202,14 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
     /// (Maiter-style delta forwarding).
     fn propagate(&self, state: Value, applied_delta: Value, ctx: &EdgeCtx) -> Option<Value>;
 
-    /// True when [`propagate`](Algorithm::propagate) *and*
-    /// [`cumulative_edge_contribution`](Algorithm::cumulative_edge_contribution)
-    /// ignore the per-edge fields of [`EdgeCtx`] (`weight` and
-    /// `weight_sum`), so every out-edge of a vertex carries the *same*
-    /// delta and the same rollback/replay contribution. Engines then
-    /// evaluate either function once per vertex instead of once per edge
-    /// and hand the row of targets on whole — a pure dispatch saving; the
-    /// emitted events are bit-identical either way.
-    fn propagation_is_edge_invariant(&self) -> bool {
-        false
+    /// How [`propagate`](Algorithm::propagate)'s delta depends on the
+    /// edge it is sent over (see [`EdgeOp`] for the contract). Engines
+    /// then evaluate it once per vertex instead of once per edge and hand
+    /// the row of targets on whole — a pure dispatch saving; the emitted
+    /// events are bit-identical either way. The default, `PerEdge`,
+    /// promises nothing.
+    fn edge_op(&self) -> EdgeOp {
+        EdgeOp::PerEdge
     }
 
     /// The initial event set placed in the queue before static evaluation
@@ -379,42 +430,79 @@ mod tests {
         }
     }
 
-    // The contract engines lean on when they evaluate once per row: an
-    // algorithm that calls itself edge-invariant answers the same, bit for
-    // bit, whatever `weight` and `weight_sum` say — for the delta it
-    // forwards and for the contribution it rolls back.
+    // The contract engines lean on when they evaluate once per row. A
+    // `Uniform` algorithm answers the same, bit for bit, whatever `weight`
+    // and `weight_sum` say — for the delta it forwards and for the
+    // contribution it rolls back. An `AddWeight`/`MinWeight` one answers
+    // what its gate (one call at the neutral weight) and then its operator
+    // give, bit for bit, over signed zeros, infinities, NaN and negative
+    // weights.
     #[test]
     fn edge_invariant_algorithms_ignore_the_per_edge_fields() {
-        let mut invariant = Vec::new();
+        let bits = |x: Option<Value>| x.map(Value::to_bits);
+        let edge =
+            [-0.0, 0.0, 0.25, 1.5, -3.0, 1e300, Value::INFINITY, Value::NEG_INFINITY, Value::NAN];
+        let mut ops = Vec::new();
         for w in Workload::ALL {
             let a = w.instantiate(0);
-            if !a.propagation_is_edge_invariant() {
-                continue;
-            }
-            invariant.push(w);
+            let op = a.edge_op();
+            ops.push((w, op));
             for out_degree in [0, 1, 3, 17] {
-                let zeroed = EdgeCtx { weight: 0.0, out_degree, weight_sum: 0.0 };
-                let others = [(1.0, 1.0), (0.25, 7.5), (-3.0, Value::INFINITY), (Value::NAN, -0.0)]
-                    .map(|(weight, weight_sum)| EdgeCtx { weight, out_degree, weight_sum });
-                for (state, delta) in [(0.0, 0.15), (2.5, 2.5), (1.0, -0.3), (7.0, 1e-9)] {
-                    let bits = |x: Option<Value>| x.map(Value::to_bits);
-                    for ctx in &others {
-                        assert_eq!(
-                            bits(a.propagate(state, delta, ctx)),
-                            bits(a.propagate(state, delta, &zeroed)),
-                            "{} propagate({state}, {delta}, {ctx:?})",
-                            w.name()
-                        );
-                        assert_eq!(
-                            bits(a.cumulative_edge_contribution(state, ctx)),
-                            bits(a.cumulative_edge_contribution(state, &zeroed)),
-                            "{} cumulative_edge_contribution({state}, {ctx:?})",
-                            w.name()
-                        );
+                let gate = EdgeCtx { weight: op.neutral_weight(), out_degree, weight_sum: 0.0 };
+                match op {
+                    EdgeOp::Uniform => {
+                        let others =
+                            [(1.0, 1.0), (0.25, 7.5), (-3.0, Value::INFINITY), (Value::NAN, -0.0)]
+                                .map(|(weight, weight_sum)| EdgeCtx {
+                                    weight,
+                                    out_degree,
+                                    weight_sum,
+                                });
+                        for (state, delta) in [(0.0, 0.15), (2.5, 2.5), (1.0, -0.3), (7.0, 1e-9)] {
+                            for ctx in &others {
+                                assert_eq!(
+                                    bits(a.propagate(state, delta, ctx)),
+                                    bits(a.propagate(state, delta, &gate)),
+                                    "{} propagate({state}, {delta}, {ctx:?})",
+                                    w.name()
+                                );
+                                assert_eq!(
+                                    bits(a.cumulative_edge_contribution(state, ctx)),
+                                    bits(a.cumulative_edge_contribution(state, &gate)),
+                                    "{} cumulative_edge_contribution({state}, {ctx:?})",
+                                    w.name()
+                                );
+                            }
+                        }
                     }
+                    EdgeOp::AddWeight | EdgeOp::MinWeight => {
+                        for (state, weight, weight_sum) in
+                            edge.iter().flat_map(|&s| edge.iter().map(move |&x| (s, x, x)))
+                        {
+                            let ctx = EdgeCtx { weight, out_degree, weight_sum };
+                            let gated = a.propagate(state, state, &gate);
+                            assert_eq!(
+                                bits(a.propagate(state, state, &ctx)),
+                                bits(gated.map(|base| op.apply(base, weight))),
+                                "{} propagate({state}, {ctx:?}) vs gate, then {op:?}",
+                                w.name()
+                            );
+                        }
+                    }
+                    EdgeOp::PerEdge => {}
                 }
             }
         }
-        assert_eq!(invariant, [Workload::Bfs, Workload::Cc, Workload::PageRank]);
+        assert_eq!(
+            ops,
+            [
+                (Workload::Sswp, EdgeOp::MinWeight),
+                (Workload::Sssp, EdgeOp::AddWeight),
+                (Workload::Bfs, EdgeOp::Uniform),
+                (Workload::Cc, EdgeOp::Uniform),
+                (Workload::PageRank, EdgeOp::Uniform),
+                (Workload::Adsorption, EdgeOp::PerEdge),
+            ]
+        );
     }
 }

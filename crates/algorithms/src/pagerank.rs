@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 
 /// Default *relative* convergence threshold: a delta smaller than
 /// `epsilon x` the receiver-side magnitude of the vertex state is not
@@ -99,10 +99,10 @@ impl Algorithm for PageRank {
         Some(applied_delta * self.damping / ctx.out_degree as Value)
     }
 
-    fn propagation_is_edge_invariant(&self) -> bool {
+    fn edge_op(&self) -> EdgeOp {
         // `propagate` reads only `out_degree`; the delta is shared by
         // every out-edge of the vertex.
-        true
+        EdgeOp::Uniform
     }
 
     fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)> {

@@ -1,6 +1,6 @@
 use jetstream_graph::{Csr, VertexId};
 
-use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 
 /// Single-source shortest path (selective / monotonic).
 ///
@@ -47,6 +47,12 @@ impl Algorithm for Sssp {
         } else {
             None
         }
+    }
+
+    fn edge_op(&self) -> EdgeOp {
+        // The gate reads only `state`; each edge extends the path by its
+        // weight.
+        EdgeOp::AddWeight
     }
 
     fn initial_events(&self, _graph: &Csr) -> Vec<(VertexId, Value)> {

@@ -234,17 +234,22 @@ fn engine_config() -> EngineConfig {
     EngineConfig { num_bins: 16, ..EngineConfig::default() }
 }
 
-fn bench_initial_compute(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = pagerank_scenario(cfg);
-    let (base, _) = harness::base_and_batches(&scenario);
+/// Cold evaluation of `workload` on the PageRank scenario's base graph:
+/// PageRank times uniform rows, SSSP weighted rows.
+fn bench_initial_compute(
+    cfg: &MicroConfig,
+    name: &'static str,
+    workload: Workload,
+) -> Result<BenchResult, HarnessError> {
+    let (base, _) = harness::base_and_batches(&pagerank_scenario(cfg));
+    let root = harness::root_for(&base);
     Ok(measure(
-        "kernel_initial_compute_pagerank",
+        name,
         cfg.warmup,
         cfg.samples,
         || {
-            let root = harness::root_for(&base);
             StreamingEngine::new(
-                scenario.workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
+                workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
                 base.clone(),
                 engine_config(),
             )
@@ -296,7 +301,12 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_insert_coalescing(cfg, false));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
-    report(&mut results, bench_initial_compute(cfg)?);
+    for (name, workload) in [
+        ("kernel_initial_compute_pagerank", Workload::PageRank),
+        ("kernel_initial_compute_sssp", Workload::Sssp),
+    ] {
+        report(&mut results, bench_initial_compute(cfg, name, workload)?);
+    }
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     Ok(results)
 }
@@ -356,9 +366,11 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// the global `--factor`. A benchmark listed here is compared against
 /// `min(factor, ratchet)` × its committed baseline, so re-running with a
 /// loose global factor can never silently give the win back. Cold
-/// evaluation is ratcheted because it is 19 queue inserts per processed
-/// event and so the purest reading of row emission (DESIGN.md §12).
-pub const RATCHETS: &[(&str, f64)] = &[("kernel_initial_compute_pagerank", 1.3)];
+/// evaluation is ratcheted because it is the purest reading of row
+/// emission (DESIGN.md §12): PageRank's 19 queue inserts per processed
+/// event go out as uniform rows, SSSP's as weighted rows.
+pub const RATCHETS: &[(&str, f64)] =
+    &[("kernel_initial_compute_pagerank", 1.3), ("kernel_initial_compute_sssp", 1.3)];
 
 /// Compares fresh results against a committed baseline: any benchmark
 /// whose median exceeds `factor` × its baseline median is a regression
@@ -525,6 +537,7 @@ mod tests {
                 "queue_drain_bitmap_25pct",
                 "queue_drain_bitmap_1pct",
                 "kernel_initial_compute_pagerank",
+                "kernel_initial_compute_sssp",
                 "snapshot_maintain_incremental",
             ]
         );

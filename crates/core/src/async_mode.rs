@@ -62,8 +62,8 @@
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
-use jetstream_algorithms::{Reduce, Value};
-use jetstream_graph::{ix, vid, VertexId};
+use jetstream_algorithms::{EdgeOp, Reduce, Value};
+use jetstream_graph::{ix, vid, VertexId, Weight};
 
 use crate::event::Event;
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
@@ -175,29 +175,87 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
         }
     }
 
-    /// Splits the row into maximal runs owned by one shard — a CSR row is
-    /// ascending and shards are contiguous ranges, so at most one run per
-    /// shard — and folds each run whole: the local one straight back into
-    /// this shard's queue, the others into their destination's outbox.
+    /// Folds the row's local run whole straight back into this shard's
+    /// queue and the rest, event by event, into their destinations'
+    /// outboxes (see [`owner_runs`]).
     // hot-path
     fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
         self.stats.events_generated += targets.len() as u64;
-        let (lo, width) = (self.verts.lo, self.width);
-        let mut rest = targets;
-        while let Some(&first) = rest.first() {
-            let local = first.wrapping_sub(lo) < width;
-            let run = rest.iter().take_while(|&&v| (v.wrapping_sub(lo) < width) == local).count();
-            let (head, tail) = rest.split_at(run);
+        let lo = self.verts.lo;
+        for (run, local) in owner_runs(targets, lo, self.width) {
             if local {
-                self.queue.insert_row(lo, head, delta, source, self.reduce);
+                self.queue.insert_row(lo, run, delta, source, self.reduce);
             } else {
-                for &v in head {
+                for &v in run {
                     self.emit_remote(Event { source, ..Event::regular(v, delta) });
                 }
             }
-            rest = tail;
         }
     }
+
+    /// [`emit_row`](ExecState::emit_row)'s split, each run taking its
+    /// share of the row's weights.
+    // hot-path
+    fn emit_weighted_row(
+        &mut self,
+        source: Option<VertexId>,
+        targets: &[VertexId],
+        weights: &[Weight],
+        base: Value,
+        op: EdgeOp,
+    ) {
+        self.stats.events_generated += targets.len() as u64;
+        let lo = self.verts.lo;
+        let payload = |w| op.apply(base, w);
+        let mut rest = weights;
+        for (run, local) in owner_runs(targets, lo, self.width) {
+            let (run_weights, tail) = rest.split_at(run.len());
+            rest = tail;
+            if local {
+                self.queue.insert_weighted_row(lo, run, run_weights, payload, source, self.reduce);
+            } else {
+                for (&v, &w) in run.iter().zip(run_weights) {
+                    self.emit_remote(Event { source, ..Event::regular(v, payload(w)) });
+                }
+            }
+        }
+    }
+
+    /// [`emit_row`](ExecState::emit_row)'s split, for a delete wave.
+    // hot-path
+    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value) {
+        self.stats.events_generated += targets.len() as u64;
+        let lo = self.verts.lo;
+        for (run, local) in owner_runs(targets, lo, self.width) {
+            if local {
+                self.queue.insert_delete_row(lo, run, payload, source, self.reduce);
+            } else {
+                for &v in run {
+                    self.emit_remote(Event::delete(source, v, payload));
+                }
+            }
+        }
+    }
+}
+
+/// Splits an ascending row into its maximal runs of targets local to the
+/// shard `lo..lo + width`, or not, in row order: `(run, local)`. A CSR
+/// row is ascending and shards are contiguous ranges, so there is at most
+/// one local run.
+fn owner_runs(
+    targets: &[VertexId],
+    lo: VertexId,
+    width: VertexId,
+) -> impl Iterator<Item = (&[VertexId], bool)> {
+    let mut rest = targets;
+    std::iter::from_fn(move || {
+        let &first = rest.first()?;
+        let local = first.wrapping_sub(lo) < width;
+        let n = rest.iter().take_while(|&&v| (v.wrapping_sub(lo) < width) == local).count();
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        Some((run, local))
+    })
 }
 
 /// One worker's whole async lifetime for one drain.

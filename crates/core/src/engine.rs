@@ -2,8 +2,8 @@
 //! checkpoint errors) and the sequential executor behind
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
-use jetstream_algorithms::{Algorithm, Reduce, Value};
-use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId};
+use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Value};
+use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId, Weight};
 
 use crate::event::Event;
 use crate::flow::sealed::Drain;
@@ -382,10 +382,15 @@ impl Drain for Sequential {
         stats: &mut RunStats,
         targets: &[VertexId],
         delta: Value,
+        request: bool,
     ) {
         stats.events_generated += targets.len() as u64;
         stats.spilled_events += spills(self.slice_cap, 0, targets);
-        self.queue.insert_row(0, targets, delta, None, reduce);
+        if request {
+            self.queue.insert_request_row(0, targets, delta, reduce);
+        } else {
+            self.queue.insert_row(0, targets, delta, None, reduce);
+        }
     }
 
     /// Drains the queue in canonical rounds until empty.
@@ -464,6 +469,17 @@ struct SeqState<'a> {
     active_slice: usize,
 }
 
+impl SeqState<'_> {
+    /// Books emissions to `targets` once: generated events, spills out of
+    /// the active slice, and the traced targets.
+    #[inline]
+    fn book_row(&mut self, targets: &[VertexId]) {
+        self.stats.events_generated += targets.len() as u64;
+        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
+        self.tracer.push_targets(targets);
+    }
+}
+
 impl<'a> ExecState<'a> for SeqState<'a> {
     fn verts(&mut self) -> &mut VertexState<'a> {
         &mut self.verts
@@ -478,18 +494,34 @@ impl<'a> ExecState<'a> for SeqState<'a> {
     }
 
     fn emit(&mut self, ev: Event) {
-        self.stats.events_generated += 1;
-        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, &[ev.target]);
+        self.book_row(&[ev.target]);
         self.queue.insert_with(ev, self.reduce);
-        self.tracer.push_targets(&[ev.target]);
     }
 
     // hot-path
     fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
-        self.stats.events_generated += targets.len() as u64;
-        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
+        self.book_row(targets);
         self.queue.insert_row(0, targets, delta, source, self.reduce);
-        self.tracer.push_targets(targets);
+    }
+
+    // hot-path
+    fn emit_weighted_row(
+        &mut self,
+        source: Option<VertexId>,
+        targets: &[VertexId],
+        weights: &[Weight],
+        base: Value,
+        op: EdgeOp,
+    ) {
+        self.book_row(targets);
+        let payload = |w| op.apply(base, w);
+        self.queue.insert_weighted_row(0, targets, weights, payload, source, self.reduce);
+    }
+
+    // hot-path
+    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value) {
+        self.book_row(targets);
+        self.queue.insert_delete_row(0, targets, payload, source, self.reduce);
     }
 
     fn trace_targets_start(&mut self) -> u32 {
@@ -542,31 +574,40 @@ mod tests {
     // A row through `seed_row` is that row through `seed`, event by event:
     // same resident events, same queue and run counters, same spills over
     // three slices (targets 4.. lie outside slice 0, where seeds are
-    // issued from).
+    // issued from) — for regular rows and request rows alike.
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let csr = CsrPair::new(jetstream_graph::Csr::new(12));
         let config = EngineConfig { num_bins: 4, queue_capacity: Some(4), ..Default::default() };
-        let rows: [(&[VertexId], Value); 5] =
-            [(&[1, 2, 5, 11], 0.5), (&[0, 5, 6], -0.25), (&[], 1.0), (&[5], -0.25), (&[3, 4], 2.0)];
+        let rows: [(&[VertexId], Value, bool); 6] = [
+            (&[1, 2, 5, 11], 0.5, false),
+            (&[0, 5, 6], -0.25, false),
+            (&[], 1.0, true),
+            (&[5], -0.25, false),
+            (&[3, 4], 2.0, false),
+            (&[2, 7, 9], 0.0, true),
+        ];
         let (mut by_row, mut by_event) =
             (Sequential::new(&csr, &config), Sequential::new(&csr, &config));
         let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
-        for (targets, delta) in rows {
-            by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta);
+        for (targets, delta, request) in rows {
+            by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta, request);
             for &v in targets {
-                by_event.seed(Reduce::Sum, &mut event_stats, Event::regular(v, delta));
+                let ev = if request { Event::request(v, delta) } else { Event::regular(v, delta) };
+                by_event.seed(Reduce::Sum, &mut event_stats, ev);
             }
         }
-        let want = RunStats { events_generated: 10, spilled_events: 6, ..RunStats::default() };
+        let want = RunStats { events_generated: 13, spilled_events: 8, ..RunStats::default() };
         assert_eq!(row_stats, want);
         assert_eq!(event_stats, want);
         assert_eq!(by_row.queue_stats(), by_event.queue_stats());
-        assert_eq!(by_row.queue_stats().coalesced, 2, "vertex 5 is hit three times");
+        assert_eq!(by_row.queue_stats().coalesced, 3, "vertex 5 is hit three times, 2 twice");
         let drained = by_row.queue.take_all();
         assert_eq!(drained, by_event.queue.take_all());
-        assert_eq!(drained.len(), 8);
+        assert_eq!(drained.len(), 10);
+        assert_eq!(drained[2], Event::request(2, 0.5), "a request arrival flags the resident");
         assert_eq!(drained[5], Event::regular(5, 0.5 - 0.25 - 0.25));
+        assert_eq!(drained[7], Event::request(7, 0.0));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! (the flow is monomorphised per executor, as [`kernel::process_event`]
 //! already is per `ExecState`).
 
-use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 use jetstream_graph::{ix, Csr, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
 
 use crate::engine::{
@@ -60,16 +60,18 @@ pub(crate) mod sealed {
         /// Queues one setup-phase event, counting it in `stats`; `reduce`
         /// is the algorithm's operator, should it coalesce.
         fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
-        /// Queues one regular setup-phase event per entry of `targets` (a
-        /// CSR row, ascending), all carrying `delta` — exactly as if each
-        /// had gone through [`seed`](Drain::seed) in row order, with
-        /// `stats` booked once for the row.
+        /// Queues one sourceless setup-phase event per entry of `targets`
+        /// (a CSR row, ascending), all carrying `delta`, each a request
+        /// when `request` and regular otherwise — exactly as if each had
+        /// gone through [`seed`](Drain::seed) in row order, with `stats`
+        /// booked once for the row.
         fn seed_row(
             &mut self,
             reduce: Reduce,
             stats: &mut RunStats,
             targets: &[VertexId],
             delta: Value,
+            request: bool,
         );
         /// Drains everything seeded (and everything that emits) to
         /// quiescence through [`kernel::process_event`](crate::kernel).
@@ -230,7 +232,8 @@ impl<X: Executor> StreamingFlow<X> {
         self.tracer.begin_phase(Phase::Initial);
         for (v, val) in self.alg.initial_events(&self.csr.out) {
             let targets_start = self.tracer.targets_start();
-            self.seed(Event::regular(v, val));
+            self.exec.seed(self.reduce, &mut self.stats, Event::regular(v, val));
+            self.tracer.push_targets(&[v]);
             self.tracer.push_op(setup_op(OpKind::StreamRead, v, 0, targets_start, 1));
         }
         self.tracer.end_round();
@@ -424,13 +427,6 @@ impl<X: Executor> StreamingFlow<X> {
         KernelCtx::new(self.alg.as_ref(), &self.csr, self.config.delete_strategy)
     }
 
-    /// Emits a setup-phase event, exactly in program order, as a target
-    /// of the op being traced.
-    fn seed(&mut self, event: Event) {
-        self.exec.seed(self.reduce, &mut self.stats, event);
-        self.tracer.push_targets(&[event.target]);
-    }
-
     /// Drains the seeded events to quiescence on the active CSR.
     fn drain(&mut self) {
         let StreamingFlow { alg, csr, config, values, dependency, impacted, stats, tracer, .. } =
@@ -482,34 +478,30 @@ impl<X: Executor> StreamingFlow<X> {
         // Phase 1 — stream deleted edges into delete events (Algorithm 4,
         // ProcessDeletesSelective; §4.6.2 "Delete Setup and Preparation").
         self.tracer.begin_phase(Phase::DeleteSetup);
+        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
         for &(u, v) in batch.deletions() {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1; // source state read
-            let targets_start = self.tracer.targets_start();
-            let event = match self.config.delete_strategy {
-                DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
+            stats.stream_reads += 1;
+            stats.vertex_reads += 1; // source state read
+            let targets_start = tracer.targets_start();
+            let payload = match cx.delete_strategy {
+                DeleteStrategy::Tag | DeleteStrategy::Dap => Some(cx.identity),
                 // Payload carries the contribution that flowed over the
                 // deleted edge; if the source never propagated there is
                 // nothing to revert.
-                DeleteStrategy::Vap => self
-                    .csr
-                    .out
-                    .edge_weight(u, v)
-                    .and_then(|weight| {
-                        let state = self.values[ix(u)];
-                        let out_degree = self.csr.out.degree(u);
-                        let ctx =
-                            EdgeCtx { weight, out_degree, weight_sum: self.cx().weight_sum(u) };
-                        self.alg.propagate(state, state, &ctx)
-                    })
-                    .map(|payload| Event::delete(u, v, payload)),
-                DeleteStrategy::Dap => Some(Event::delete(u, v, self.alg.identity())),
+                DeleteStrategy::Vap => csr.out.edge_weight(u, v).and_then(|weight| {
+                    let state = values[ix(u)];
+                    let out_degree = csr.out.degree(u);
+                    let ctx = EdgeCtx { weight, out_degree, weight_sum: cx.weight_sum(u) };
+                    alg.propagate(state, state, &ctx)
+                }),
             };
-            if let Some(ev) = event {
-                self.seed(ev);
+            if let Some(payload) = payload {
+                exec.seed(*reduce, stats, Event::delete(u, v, payload));
+                tracer.push_targets(&[v]);
             }
-            let emitted = usize::from(event.is_some());
-            self.tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
+            let emitted = usize::from(payload.is_some());
+            tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
         self.tracer.end_round();
 
@@ -521,8 +513,8 @@ impl<X: Executor> StreamingFlow<X> {
         self.commit(batch);
 
         // Phase 3 — request events along each impacted vertex's incoming
-        // edges (Algorithm 4, Reapproximate), seeded straight from the
-        // borrowed in-edge row.
+        // edges (Algorithm 4, Reapproximate), the borrowed in-edge row
+        // seeded whole.
         self.tracer.begin_phase(Phase::RequestSetup);
         let StreamingFlow { alg, reduce, csr, impacted, stats, tracer, exec, .. } = self;
         let identity = alg.identity();
@@ -531,9 +523,7 @@ impl<X: Executor> StreamingFlow<X> {
             stats.edge_reads += sources.len() as u64;
             stats.request_events += sources.len() as u64;
             let targets_start = tracer.targets_start();
-            for &u in sources {
-                exec.seed(*reduce, stats, Event::request(u, identity));
-            }
+            exec.seed_row(*reduce, stats, sources, identity, true);
             tracer.push_targets(sources);
             let mut count = sources.len();
             // Replay the initializer's contribution for the reset vertex:
@@ -560,22 +550,23 @@ impl<X: Executor> StreamingFlow<X> {
 
     fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
         self.tracer.begin_phase(Phase::InsertSetup);
-        let dap = self.cx().dap_active;
+        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
         for &(u, v, w) in insertions {
-            self.stats.stream_reads += 1;
-            self.stats.vertex_reads += 1;
-            let state = self.values[ix(u)];
-            let deg = self.csr.out.degree(u);
-            let wsum = self.cx().weight_sum(u);
-            let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-            let targets_start = self.tracer.targets_start();
-            let delta = self.alg.propagate(state, state, &ctx);
+            stats.stream_reads += 1;
+            stats.vertex_reads += 1;
+            let state = values[ix(u)];
+            let out_degree = csr.out.degree(u);
+            let ctx = EdgeCtx { weight: w, out_degree, weight_sum: cx.weight_sum(u) };
+            let targets_start = tracer.targets_start();
+            let delta = alg.propagate(state, state, &ctx);
             if let Some(d) = delta {
-                let event = if dap { Event::regular_from(u, v, d) } else { Event::regular(v, d) };
-                self.seed(event);
+                let source = cx.dap_active.then_some(u);
+                exec.seed(*reduce, stats, Event { source, ..Event::regular(v, d) });
+                tracer.push_targets(&[v]);
             }
             let emitted = usize::from(delta.is_some());
-            self.tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
+            tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
         self.tracer.end_round();
     }
@@ -650,8 +641,8 @@ impl<X: Executor> StreamingFlow<X> {
     /// CSR, as it stands, into one event per edge carrying the
     /// vertex's cumulative contribution over that edge — negated when
     /// `rollback`. Where the contribution is the same for every edge of a
-    /// row ([`Algorithm::propagation_is_edge_invariant`]) it is evaluated
-    /// once and the row goes to the executor whole.
+    /// row ([`EdgeOp::Uniform`]) it is evaluated once and the row goes to
+    /// the executor whole.
     fn seed_contributions(&mut self, phase: Phase, touched: &[VertexId], rollback: bool) {
         self.tracer.begin_phase(phase);
         let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
@@ -668,12 +659,12 @@ impl<X: Executor> StreamingFlow<X> {
                 alg.changes_state(0.0, c).then_some(if rollback { -c } else { c })
             };
             let mut generated = 0;
-            if cx.edge_invariant {
+            if cx.edge_op == EdgeOp::Uniform {
                 // The per-edge fields are unread, so zeros produce the
                 // identical contribution.
                 if let Some(c) = contribution(0.0, 0.0) {
                     let targets = csr.out.neighbor_targets(u);
-                    exec.seed_row(*reduce, stats, targets, c);
+                    exec.seed_row(*reduce, stats, targets, c, false);
                     tracer.push_targets(targets);
                     generated = targets.len();
                 }

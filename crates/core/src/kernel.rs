@@ -14,18 +14,23 @@
 //! # Row emission
 //!
 //! A processing engine of the paper computes a vertex's outgoing delta
-//! once and its generation streams walk the CSR row (§4.4). Where
-//! propagation is edge-invariant (PageRank, BFS, CC) the kernel does the
-//! same: one `propagate` call, then the whole row of target ids goes to
-//! the executor in one [`ExecState::emit_row`]. Only weight-dependent
-//! propagation (SSSP, SSWP, Adsorption) and delete waves, whose payload
-//! differs per edge, emit event by event. Everything the kernel needs to
-//! know about the algorithm besides `propagate` — its [`Reduce`] operator
-//! (the coalescer's ALU, §4.3), update family, identity — is resolved
-//! once, when the [`KernelCtx`] is built.
+//! once and its generation streams walk the CSR row (§4.4). The kernel
+//! does the same wherever the algorithm's [`EdgeOp`] allows: one
+//! `propagate` call — the row gate, which never depends on the edge —
+//! then the whole row goes to the executor in one call.
+//! [`ExecState::emit_row`] carries one delta for every target (PageRank,
+//! BFS, CC); [`ExecState::emit_weighted_row`] carries the row's weights
+//! and the operator that turns the gate's base into each edge's delta
+//! (SSSP `base + w`, SSWP `base.min(w)`). Tag and DAP delete waves send
+//! the identity from one source over the whole row, so they leave through
+//! [`ExecState::emit_delete_row`]. Only Adsorption's weight-normalized
+//! propagation and VAP's delete payloads go event by event. Everything
+//! the kernel needs to know about the algorithm besides `propagate` — its
+//! [`Reduce`] operator (the coalescer's ALU, §4.3), [`EdgeOp`], update
+//! family, identity — is resolved once, when the [`KernelCtx`] is built.
 
-use jetstream_algorithms::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
-use jetstream_graph::{ix, vid, CsrPair, VertexId};
+use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use jetstream_graph::{ix, vid, CsrPair, VertexId, Weight};
 
 use crate::engine::DeleteStrategy;
 use crate::event::Event;
@@ -53,9 +58,10 @@ pub struct KernelCtx<'a> {
     /// Dependency-aware propagation is in force: the strategy is DAP and
     /// the algorithm selective (§5.2 defines it for those only).
     pub dap_active: bool,
-    /// Every out-edge of a vertex carries the same delta
-    /// ([`Algorithm::propagation_is_edge_invariant`]): rows go out whole.
-    pub edge_invariant: bool,
+    /// How a vertex's delta depends on the out-edge it leaves by
+    /// ([`Algorithm::edge_op`]): every variant but `PerEdge` sends rows
+    /// out whole.
+    pub edge_op: EdgeOp,
     needs_weight_sum: bool,
 }
 
@@ -72,7 +78,7 @@ impl<'a> KernelCtx<'a> {
             kind,
             identity: alg.identity(),
             dap_active: delete_strategy == DeleteStrategy::Dap && kind == UpdateKind::Selective,
-            edge_invariant: alg.propagation_is_edge_invariant(),
+            edge_op: alg.edge_op(),
             needs_weight_sum: alg.needs_weight_sum(),
         }
     }
@@ -146,6 +152,20 @@ pub(crate) trait ExecState<'a> {
     /// row order), all carrying `delta` and `source` — exactly as if each
     /// had gone through [`emit`](ExecState::emit) in that order.
     fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value);
+    /// [`emit_row`](ExecState::emit_row) for weight-dependent propagation:
+    /// the event to `targets[i]` carries `op.apply(base, weights[i])`.
+    fn emit_weighted_row(
+        &mut self,
+        source: Option<VertexId>,
+        targets: &[VertexId],
+        weights: &[Weight],
+        base: Value,
+        op: EdgeOp,
+    );
+    /// Hands over one delete event from `source` per entry of `targets`
+    /// (a CSR row, in row order), all carrying `payload` — exactly as if
+    /// each had gone through [`emit`](ExecState::emit) in that order.
+    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value);
     /// Tracing hooks; no-ops for sharded workers (tracing is a
     /// sequential-engine feature).
     fn trace_targets_start(&mut self) -> u32 {
@@ -203,30 +223,34 @@ fn propagate_regular<'a>(
     let deg = cx.csr.out.degree(u);
     st.stats().edge_reads += deg as u64;
     let source = cx.dap_active.then_some(u);
-    if cx.edge_invariant {
-        // Every out-edge carries the same delta: one propagation-function
-        // dispatch per event, then the row of target ids goes out whole.
-        // The per-edge fields are unread, so zeros produce the identical
-        // delta.
-        let ctx = EdgeCtx { weight: 0.0, out_degree: deg, weight_sum: 0.0 };
-        let mut generated = 0;
-        if let Some(delta) = cx.alg.propagate(state, applied_delta, &ctx) {
-            let targets = cx.csr.out.neighbor_targets(u);
-            st.emit_row(source, targets, delta);
-            generated = targets.len();
+    let op = cx.edge_op;
+    if op == EdgeOp::PerEdge {
+        let wsum = cx.weight_sum(u);
+        let mut generated = 0u32;
+        for e in cx.csr.out.neighbors(u) {
+            let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
+            if let Some(delta) = cx.alg.propagate(state, applied_delta, &ctx) {
+                st.emit(Event { source, ..Event::regular(e.other, delta) });
+                generated += 1;
+            }
         }
-        return (generated as u32, deg as u32); // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+        return (generated, deg as u32); // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
     }
-    let wsum = cx.weight_sum(u);
-    let mut generated = 0u32;
-    for e in cx.csr.out.neighbors(u) {
-        let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
-        if let Some(delta) = cx.alg.propagate(state, applied_delta, &ctx) {
-            st.emit(Event { source, ..Event::regular(e.other, delta) });
-            generated += 1;
+    // One propagation-function dispatch per event: the row gate, which
+    // reads no per-edge field, at the operator's neutral weight (so its
+    // delta is the row's base); then the row goes out whole.
+    let ctx = EdgeCtx { weight: op.neutral_weight(), out_degree: deg, weight_sum: 0.0 };
+    let mut generated = 0;
+    if let Some(base) = cx.alg.propagate(state, applied_delta, &ctx) {
+        let targets = cx.csr.out.neighbor_targets(u);
+        if op == EdgeOp::Uniform {
+            st.emit_row(source, targets, base);
+        } else {
+            st.emit_weighted_row(source, targets, cx.csr.out.row_weights(u), base, op);
         }
+        generated = targets.len();
     }
-    (generated, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+    (generated as u32, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
 }
 
 /// Handles one delete event during recovery (Algorithm 4, lines 8–17,
@@ -279,25 +303,27 @@ fn propagate_deletes<'a>(
 ) -> (u32, u32) {
     let deg = cx.csr.out.degree(u);
     st.stats().edge_reads += deg as u64;
-    let wsum = cx.weight_sum(u);
-    let mut generated = 0u32;
-    for e in cx.csr.out.neighbors(u) {
-        let event = match cx.delete_strategy {
-            DeleteStrategy::Tag => Some(Event::delete(u, e.other, cx.identity)),
-            DeleteStrategy::Vap => {
-                let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
-                cx.alg
-                    .propagate(previous, previous, &ctx)
-                    .map(|payload| Event::delete(u, e.other, payload))
-            }
-            DeleteStrategy::Dap => Some(Event::delete(u, e.other, cx.identity)),
-        };
-        if let Some(ev) = event {
-            st.emit(ev);
-            generated += 1;
+    let generated = match cx.delete_strategy {
+        // The identity from `u` over every out-edge: the row goes out whole.
+        DeleteStrategy::Tag | DeleteStrategy::Dap => {
+            st.emit_delete_row(u, cx.csr.out.neighbor_targets(u), cx.identity);
+            deg
         }
-    }
-    (generated, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+        // The contribution `previous` sent over each edge, edge by edge.
+        DeleteStrategy::Vap => {
+            let wsum = cx.weight_sum(u);
+            let mut generated = 0;
+            for e in cx.csr.out.neighbors(u) {
+                let ctx = EdgeCtx { weight: e.weight, out_degree: deg, weight_sum: wsum };
+                if let Some(payload) = cx.alg.propagate(previous, previous, &ctx) {
+                    st.emit(Event::delete(u, e.other, payload));
+                    generated += 1;
+                }
+            }
+            generated
+        }
+    };
+    (generated as u32, deg as u32) // cast-ok: counts bounded by num_edges < 2^32, checked at graph construction
 }
 
 /// Value-level convergence checks behind

@@ -345,12 +345,13 @@ impl Drain for Sharded {
         stats: &mut RunStats,
         targets: &[VertexId],
         delta: Value,
+        request: bool,
     ) {
         stats.events_generated += targets.len() as u64;
         let mut rest = targets;
         for (inbox, &end) in self.pending.iter_mut().zip(self.bounds.iter().skip(1)) {
             let (run, tail) = rest.split_at(rest.partition_point(|&v| ix(v) < end));
-            inbox.extend(run.iter().map(|&v| Event::regular(v, delta)));
+            inbox.extend(run.iter().map(|&v| Event { request, ..Event::regular(v, delta) }));
             rest = tail;
         }
     }
@@ -674,34 +675,40 @@ mod tests {
     // `seed`, event by event: same shard, same order (continuing across a
     // delete in between), same counters. With 12 isolated vertices the
     // bounds are multiples of 12 / shards, so the rows hold targets on a
-    // bound (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard.
+    // bound (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard,
+    // as regular rows and as request rows.
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let out = Csr::new(12);
-        let rows: [(&[VertexId], Value); 5] = [
-            (&[0, 2, 3, 5, 6, 8, 9, 11], 0.5),
-            (&[1, 10], -0.25),
-            (&[], 1.0),
-            (&[6], 2.0),
-            (&[3, 4, 5], -1.0),
+        let rows: [(&[VertexId], Value, bool); 6] = [
+            (&[0, 2, 3, 5, 6, 8, 9, 11], 0.5, false),
+            (&[1, 10], -0.25, false),
+            (&[], 1.0, true),
+            (&[6], 2.0, false),
+            (&[3, 4, 5], -1.0, false),
+            (&[1, 2, 3, 8, 9], 0.0, true),
         ];
         for shards in [1, 2, 4] {
             let (mut by_row, mut by_event) =
                 (Sharded::new(&out, 4, shards), Sharded::new(&out, 4, shards));
             assert_eq!(by_row.bounds, (0..=shards).map(|s| s * 12 / shards).collect::<Vec<_>>());
             let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
-            for (targets, delta) in rows {
-                by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta);
+            for (targets, delta, request) in rows {
+                by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta, request);
                 for &v in targets {
-                    by_event.seed(Reduce::Sum, &mut event_stats, Event::regular(v, delta));
+                    let ev =
+                        if request { Event::request(v, delta) } else { Event::regular(v, delta) };
+                    by_event.seed(Reduce::Sum, &mut event_stats, ev);
                 }
                 for exec in [&mut by_row, &mut by_event] {
                     exec.seed(Reduce::Sum, &mut RunStats::default(), Event::delete(0, 7, 0.0));
                 }
             }
-            assert_eq!(row_stats, RunStats { events_generated: 14, ..RunStats::default() });
+            assert_eq!(row_stats, RunStats { events_generated: 19, ..RunStats::default() });
             assert_eq!(row_stats, event_stats, "shards={shards}");
-            assert_eq!(by_row.pending.iter().map(Vec::len).sum::<usize>(), 19, "shards={shards}");
+            assert_eq!(by_row.pending.iter().map(Vec::len).sum::<usize>(), 25, "shards={shards}");
+            let requests = by_row.pending.iter().flatten().filter(|ev| ev.request).count();
+            assert_eq!(requests, 5, "shards={shards}");
             assert_eq!(by_row.pending, by_event.pending, "shards={shards}");
             for (s, inbox) in by_row.pending.iter().enumerate() {
                 let owned = by_row.bounds[s]..by_row.bounds[s + 1];

@@ -777,6 +777,17 @@ fn hub_loop_sink_graph() -> AdjacencyGraph {
     g
 }
 
+/// [`hub_loop_sink_graph`] with the weights SSSP and SSWP read: five
+/// values, zero among them, spread over the rows so each row carries
+/// several.
+fn weighted_hub_loop_sink_graph() -> AdjacencyGraph {
+    let edges: Vec<_> = hub_loop_sink_graph()
+        .iter_edges()
+        .map(|(u, v, _)| (u, v, [0.5, 1.0, 2.0, 0.0, 3.0][((3 * u + v) % 5) as usize]))
+        .collect();
+    AdjacencyGraph::from_edges(12, &edges)
+}
+
 fn hub_loop_sink_batch() -> UpdateBatch {
     let mut batch = UpdateBatch::new();
     batch.delete(0, 5);
@@ -854,6 +865,7 @@ fn check_golden(
     workload: Workload,
     strategy: DeleteStrategy,
     recovery: AccumulativeRecovery,
+    graph: fn() -> AdjacencyGraph,
     want: &Golden,
 ) {
     let label = format!("{} ({strategy:?}, {recovery:?})", workload.name());
@@ -863,7 +875,7 @@ fn check_golden(
         num_bins: 4,
         ..EngineConfig::default()
     };
-    let mut engine = StreamingEngine::new(workload.instantiate(0), hub_loop_sink_graph(), config);
+    let mut engine = StreamingEngine::new(workload.instantiate(0), graph(), config);
     engine.set_tracing(true);
     let initial = engine.initial_compute();
     let batch = engine.apply_update_batch(&hub_loop_sink_batch()).unwrap();
@@ -877,7 +889,7 @@ fn check_golden(
     assert_eq!(values_digest(engine.values()), want.values, "{label}: values digest");
 
     let config = EngineConfig { queue_capacity: Some(4), ..config }; // 12 vertices -> 3 slices
-    let mut sliced = StreamingEngine::new(workload.instantiate(0), hub_loop_sink_graph(), config);
+    let mut sliced = StreamingEngine::new(workload.instantiate(0), graph(), config);
     assert_eq!(sliced.num_slices(), 3);
     let spilled = (
         sliced.initial_compute().spilled_events,
@@ -897,6 +909,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
         Workload::PageRank,
         DeleteStrategy::Dap,
         AccumulativeRecovery::Coalesced,
+        hub_loop_sink_graph,
         &Golden {
             initial: RunStats {
                 events_processed: 509,
@@ -931,6 +944,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
         Workload::Bfs,
         DeleteStrategy::Dap,
         AccumulativeRecovery::Coalesced,
+        hub_loop_sink_graph,
         &Golden {
             initial: RunStats {
                 events_processed: 24,
@@ -967,6 +981,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
         Workload::Cc,
         DeleteStrategy::Tag,
         AccumulativeRecovery::Coalesced,
+        hub_loop_sink_graph,
         &Golden {
             initial: RunStats {
                 events_processed: 36,
@@ -1008,6 +1023,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
         Workload::Adsorption,
         DeleteStrategy::Dap,
         AccumulativeRecovery::Coalesced,
+        hub_loop_sink_graph,
         &Golden {
             initial: RunStats {
                 events_processed: 515,
@@ -1042,6 +1058,7 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
         Workload::PageRank,
         DeleteStrategy::Dap,
         AccumulativeRecovery::TwoPhase,
+        hub_loop_sink_graph,
         &Golden {
             initial: RunStats {
                 events_processed: 509,
@@ -1070,6 +1087,162 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             impacted: &[],
             spilled: (585, 265),
             values: 0x553a_a10d_16d3_6e27,
+        },
+    );
+    // The weighted rows and the delete rows, captured at 032f700, where
+    // SSSP and SSWP called `propagate` and built an `Event` per out-edge
+    // and every delete wave went out event by event: SSSP's `+` under DAP
+    // (sourced rows, deletes straight to overflow), SSWP's `min` under
+    // Tag (coalescing delete rows), SSSP under VAP (plain weighted rows,
+    // per-edge deletes) and BFS under Tag (a uniform row's delete wave).
+    check_golden(
+        Workload::Sssp,
+        DeleteStrategy::Dap,
+        AccumulativeRecovery::Coalesced,
+        weighted_hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 30,
+                events_generated: 32,
+                vertex_reads: 30,
+                vertex_writes: 17,
+                edge_reads: 31,
+                rounds: 5,
+                events_coalesced: 2,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 14,
+                events_generated: 14,
+                vertex_reads: 20,
+                vertex_writes: 2,
+                edge_reads: 8,
+                resets: 1,
+                delete_events: 5,
+                request_events: 1,
+                stream_reads: 6,
+                rounds: 5,
+                ..RunStats::default()
+            },
+            ops: 52,
+            targets: 46,
+            digest: 0x17bc_edac_d6a4_4ad1,
+            impacted: &[5],
+            spilled: (17, 9),
+            values: 0x2916_0406_f336_7455,
+        },
+    );
+    check_golden(
+        Workload::Sswp,
+        DeleteStrategy::Tag,
+        AccumulativeRecovery::Coalesced,
+        weighted_hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 27,
+                events_generated: 28,
+                vertex_reads: 27,
+                vertex_writes: 14,
+                edge_reads: 27,
+                rounds: 4,
+                events_coalesced: 1,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 56,
+                events_generated: 76,
+                vertex_reads: 62,
+                vertex_writes: 24,
+                edge_reads: 86,
+                resets: 12,
+                delete_events: 23,
+                request_events: 24,
+                stream_reads: 6,
+                rounds: 8,
+                events_coalesced: 20,
+                ..RunStats::default()
+            },
+            ops: 102,
+            targets: 104,
+            digest: 0xabd6_2317_8117_9679,
+            impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
+            spilled: (15, 41),
+            values: 0x61bd_04d9_c85e_70d8,
+        },
+    );
+    check_golden(
+        Workload::Sssp,
+        DeleteStrategy::Vap,
+        AccumulativeRecovery::Coalesced,
+        weighted_hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 30,
+                events_generated: 32,
+                vertex_reads: 30,
+                vertex_writes: 17,
+                edge_reads: 31,
+                rounds: 5,
+                events_coalesced: 2,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 14,
+                events_generated: 14,
+                vertex_reads: 20,
+                vertex_writes: 2,
+                edge_reads: 8,
+                resets: 1,
+                delete_events: 5,
+                request_events: 1,
+                stream_reads: 6,
+                rounds: 5,
+                ..RunStats::default()
+            },
+            ops: 52,
+            targets: 46,
+            digest: 0xc470_ea6b_5030_1157,
+            impacted: &[5],
+            spilled: (17, 9),
+            values: 0x2916_0406_f336_7455,
+        },
+    );
+    check_golden(
+        Workload::Bfs,
+        DeleteStrategy::Tag,
+        AccumulativeRecovery::Coalesced,
+        weighted_hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 24,
+                events_generated: 25,
+                vertex_reads: 24,
+                vertex_writes: 12,
+                edge_reads: 24,
+                rounds: 3,
+                events_coalesced: 1,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 55,
+                events_generated: 76,
+                vertex_reads: 61,
+                vertex_writes: 24,
+                edge_reads: 86,
+                resets: 12,
+                delete_events: 23,
+                request_events: 24,
+                stream_reads: 6,
+                rounds: 8,
+                events_coalesced: 21,
+                ..RunStats::default()
+            },
+            ops: 98,
+            targets: 101,
+            digest: 0x323d_4350_2434_f1df,
+            impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
+            spilled: (14, 41),
+            values: 0xf9f5_2798_ea57_2ac5,
         },
     );
 }

@@ -3,13 +3,14 @@
 //! preserve the structural invariants checked by `validate()` and the
 //! `QueueStats` conservation law (`inserts == coalesced + drained +
 //! len()`, where `len()` counts slot residents and overflow together).
-//! The row property pins [`CoalescingQueue::insert_row`] — the kernel's
-//! whole-row emission — to the event-at-a-time reference, and the
+//! The row properties pin the row entry points — the kernel's whole-row
+//! emission and the set-up phases' rows — to the event-at-a-time
+//! reference, and the
 //! run-exchange properties at the bottom pin the contract the async
 //! engine's cross-shard exchange (DESIGN.md §16.2) builds on
 //! [`CoalescingQueue::insert_run`].
 
-use jetstream_algorithms::{Algorithm, Reduce, Sssp};
+use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Sssp};
 use jetstream_core::{CoalescingQueue, Event};
 use jetstream_testkit::{run_cases, DetRng};
 
@@ -320,26 +321,41 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
     });
 }
 
-#[test]
-fn a_row_insert_is_its_events_inserted_one_by_one() {
-    // `insert_row` is the kernel's emission path wherever the delta is
-    // shared by a whole CSR row. Contract: indistinguishable from feeding
-    // the row's events, in row order, to the naive reference — same slots
-    // (so the same bin lengths), same overflow order, same four
-    // `QueueStats` — for every operator, sourced and sourceless rows,
-    // duplicate targets, a shard-local `base`, and whatever is already
-    // resident: plain, request-flagged and sourced regular events, deletes
-    // (which the row's events must spill beside, never fold into), with
-    // delete coalescing on or off. A sourceless row exercises the
-    // two-array shortcut while nothing tagged is resident and the flag
-    // path ("a dominant sourceless payload clears the source") otherwise.
-    run_cases("queue: insert_row == event-at-a-time", 256, |rng| {
+/// A random payload from a small set, so ties are common.
+fn tied_payload(rng: &mut DetRng) -> f64 {
+    (rng.gen_index(7) as f64 - 3.0) * 0.5
+}
+
+/// One row as a row entry point takes it: ascending or not, with
+/// duplicates, every target in `base..base + num_vertices`.
+fn arb_row(rng: &mut DetRng, base: u32, num_vertices: usize) -> Vec<u32> {
+    (0..rng.gen_index(65)).map(|_| base + rng.gen_index(num_vertices) as u32).collect()
+}
+
+/// Drained events compared bit for bit: a sum of opposite infinities is
+/// a NaN, which `==` would never match.
+fn bits(events: &[Event]) -> Vec<(u32, u64, bool, bool, Option<u32>)> {
+    events.iter().map(fingerprint).collect()
+}
+
+/// The harness every row entry point is held to: `insert` puts one random
+/// row into the real queue through the entry point under test and the
+/// same events, one by one in row order, into the naive reference —
+/// `(rng, real, naive, base, num_vertices, reduce)`, returning a label.
+/// The two must agree on the four `QueueStats` after every row, on every
+/// bin drained mid-sequence, and on the final slots and overflow order,
+/// whatever is already resident: plain, request-flagged and sourced
+/// regular events, deletes, with delete coalescing on or off.
+fn rows_match_their_events(
+    name: &str,
+    insert: impl Fn(&mut DetRng, &mut CoalescingQueue, &mut NaiveQueue, u32, usize, Reduce) -> String,
+) {
+    run_cases(name, 256, |rng| {
         let num_vertices = 1 + rng.gen_index(96);
         let num_bins = 1 + rng.gen_index(8);
         let base = rng.gen_index(1000) as u32;
         let mut real = CoalescingQueue::new(num_vertices, num_bins);
         let mut naive = NaiveQueue::new(num_vertices, num_bins);
-        let payload = |rng: &mut DetRng| (rng.gen_index(7) as f64 - 3.0) * 0.5; // ties are common
         for step in 0..rng.gen_index(12) {
             // Residents first: half the cases start from plain residents
             // only, so the shortcut is what the row runs through.
@@ -347,10 +363,10 @@ fn a_row_insert_is_its_events_inserted_one_by_one() {
             for _ in 0..rng.gen_index(40) {
                 let target = rng.gen_index(num_vertices) as u32;
                 let ev = match rng.gen_index(if tagged_allowed { 4 } else { 2 }) {
-                    0 => Event::regular(target, payload(rng)),
-                    1 => Event::request(target, payload(rng)),
-                    2 => Event::regular_from(rng.gen_index(50) as u32, target, payload(rng)),
-                    _ => Event::delete(rng.gen_index(50) as u32, target, payload(rng)),
+                    0 => Event::regular(target, tied_payload(rng)),
+                    1 => Event::request(target, tied_payload(rng)),
+                    2 => Event::regular_from(rng.gen_index(50) as u32, target, tied_payload(rng)),
+                    _ => Event::delete(rng.gen_index(50) as u32, target, tied_payload(rng)),
                 };
                 let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
                 real.insert_with(ev, reduce);
@@ -363,35 +379,26 @@ fn a_row_insert_is_its_events_inserted_one_by_one() {
             }
 
             let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
-            let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
-            let delta = payload(rng);
-            let row: Vec<u32> =
-                (0..rng.gen_index(65)).map(|_| base + rng.gen_index(num_vertices) as u32).collect();
-            real.insert_row(base, &row, delta, source, reduce);
-            for &v in &row {
-                naive.insert(Event { source, ..Event::regular(v - base, delta) }, reduce);
-            }
-            assert_eq!(
-                real.stats(),
-                naive.stats,
-                "stats after row {step} ({reduce:?}, {source:?})"
-            );
+            let label = insert(rng, &mut real, &mut naive, base, num_vertices, reduce);
+            assert_eq!(real.stats(), naive.stats, "stats after row {step} ({reduce:?}, {label})");
             real.validate().unwrap_or_else(|why| panic!("after row {step}: {why}"));
 
             if rng.gen_bool(0.3) {
                 // Drain a bin mid-sequence: the tagged-resident count has
                 // to follow drains as well as folds.
                 let bin = rng.gen_index(real.num_bins());
-                assert_eq!(real.take_bin(bin), naive.take_bin(bin), "bin {bin} after row {step}");
+                let (a, b) = (bits(&real.take_bin(bin)), bits(&naive.take_bin(bin)));
+                assert_eq!(a, b, "bin {bin} after row {step}");
                 real.validate().unwrap_or_else(|why| panic!("after draining bin {bin}: {why}"));
             }
         }
         for bin in 0..real.num_bins() {
-            assert_eq!(real.take_bin(bin), naive.take_bin(bin), "final contents of bin {bin}");
+            let (a, b) = (bits(&real.take_bin(bin)), bits(&naive.take_bin(bin)));
+            assert_eq!(a, b, "final contents of bin {bin}");
         }
         loop {
             let (a, b) = (real.pop_overflow(), naive.pop_overflow());
-            assert_eq!(a, b, "overflow order");
+            assert_eq!(a.as_ref().map(fingerprint), b.as_ref().map(fingerprint), "overflow order");
             if a.is_none() {
                 break;
             }
@@ -399,6 +406,93 @@ fn a_row_insert_is_its_events_inserted_one_by_one() {
         assert_eq!(real.stats(), naive.stats, "final stats");
         real.validate().unwrap_or_else(|why| panic!("{why}"));
     });
+}
+
+#[test]
+fn a_row_insert_is_its_events_inserted_one_by_one() {
+    // `insert_row` is the kernel's emission path wherever the delta is
+    // shared by a whole CSR row, and a set-up phase's for its rows of
+    // seeds; `insert_request_row` request set-up's. Sourced and sourceless
+    // rows, regular and request rows, for
+    // every operator: a plain row (sourceless, regular) exercises the
+    // two-array shortcut while nothing tagged is resident and the flag
+    // path ("a dominant sourceless payload clears the source") otherwise;
+    // a row's events spill beside resident deletes, never fold into them.
+    rows_match_their_events(
+        "queue: insert_row == event-at-a-time",
+        |rng, real, naive, base, n, reduce| {
+            // Request rows (request set-up's) are sourceless.
+            let request = rng.gen_bool(0.3);
+            let source = (!request && rng.gen_bool(0.5)).then(|| rng.gen_index(50) as u32);
+            let delta = tied_payload(rng);
+            let row = arb_row(rng, base, n);
+            if request {
+                real.insert_request_row(base, &row, delta, reduce);
+            } else {
+                real.insert_row(base, &row, delta, source, reduce);
+            }
+            for &v in &row {
+                naive.insert(Event { source, request, ..Event::regular(v - base, delta) }, reduce);
+            }
+            format!("{source:?}, request {request}")
+        },
+    );
+}
+
+#[test]
+fn a_weighted_row_insert_is_its_events_inserted_one_by_one() {
+    // `insert_weighted_row` is SSSP's and SSWP's emission path: each
+    // target's payload comes from its own weight through the algorithm's
+    // edge operator, applied to the gate's base. Weights include signed
+    // zeros, negatives and infinities.
+    rows_match_their_events(
+        "queue: insert_weighted_row == event-at-a-time",
+        |rng, real, naive, base, n, reduce| {
+            let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
+            let op = [EdgeOp::AddWeight, EdgeOp::MinWeight][rng.gen_index(2)];
+            let delta = tied_payload(rng);
+            let row = arb_row(rng, base, n);
+            let weights: Vec<f64> = row
+                .iter()
+                .map(|_| match rng.gen_index(6) {
+                    0 => -0.0,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    _ => tied_payload(rng),
+                })
+                .collect();
+            real.insert_weighted_row(base, &row, &weights, |w| op.apply(delta, w), source, reduce);
+            for (&v, &w) in row.iter().zip(&weights) {
+                let ev = Event { source, ..Event::regular(v - base, op.apply(delta, w)) };
+                naive.insert(ev, reduce);
+            }
+            format!("{source:?}, {op:?}")
+        },
+    );
+}
+
+#[test]
+fn a_delete_row_insert_is_its_events_inserted_one_by_one() {
+    // `insert_delete_row` is a Tag or DAP delete wave leaving a reset
+    // vertex. With delete coalescing on, its events fold into resident
+    // deletes and spill beside regular residents; with it off (DAP
+    // delete propagation) the whole row goes to overflow in row order.
+    rows_match_their_events(
+        "queue: insert_delete_row == event-at-a-time",
+        |rng, real, naive, base, n, reduce| {
+            let coalesce = rng.gen_bool(0.5);
+            real.set_coalesce_deletes(coalesce);
+            naive.set_coalesce_deletes(coalesce);
+            let source = rng.gen_index(50) as u32;
+            let payload = tied_payload(rng);
+            let row = arb_row(rng, base, n);
+            real.insert_delete_row(base, &row, payload, source, reduce);
+            for &v in &row {
+                naive.insert(Event::delete(source, v - base, payload), reduce);
+            }
+            format!("coalescing deletes {coalesce}")
+        },
+    );
 }
 
 #[test]

@@ -134,7 +134,14 @@ impl Csr {
         self.targets.len()
     }
 
-    pub(crate) fn row_weights(&self, v: VertexId) -> &[Weight] {
+    /// The weights of `v`'s edges, in the order of
+    /// [`neighbor_targets`](Csr::neighbor_targets) — the other half of the
+    /// row for weight-dependent propagation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn row_weights(&self, v: VertexId) -> &[Weight] {
         let v = ix(v);
         let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
         &self.weights[lo..lo + self.lens[v]]

@@ -30,8 +30,14 @@ pub mod report;
 pub mod runner;
 pub mod sites;
 
-/// Source trees mutated by jetmut: the engine, the graph structures, the
-/// serving layer, and the durable store. Test paths and `#[cfg(test)]` spans inside these
+/// Source trees mutated by jetmut: the engine, the algorithms' edge
+/// operators it folds rows with, the graph structures, the serving layer,
+/// and the durable store. Test paths and `#[cfg(test)]` spans inside these
 /// trees are never mutated (mutating a test mutates the oracle).
-pub const MUTATION_SCOPE: [&str; 4] =
-    ["crates/core/src", "crates/graph/src", "crates/serve/src", "crates/store/src"];
+pub const MUTATION_SCOPE: [&str; 5] = [
+    "crates/core/src",
+    "crates/algorithms/src",
+    "crates/graph/src",
+    "crates/serve/src",
+    "crates/store/src",
+];

@@ -13,9 +13,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use jetstream_algorithms::{Algorithm, Reduce, Workload};
-use jetstream_core::{CoalescingQueue, EngineConfig, Event, StreamingEngine};
+use jetstream_core::{
+    CoalescingQueue, EngineConfig, Event, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
+};
 use jetstream_graph::gen::DatasetProfile;
-use jetstream_graph::{CsrPair, VertexId};
+use jetstream_graph::{Csr, CsrPair, VertexId};
 
 use crate::harness::{self, HarnessError, Scenario, ACCUMULATIVE_EPSILON};
 
@@ -234,12 +236,14 @@ fn engine_config() -> EngineConfig {
     EngineConfig { num_bins: 16, ..EngineConfig::default() }
 }
 
-/// Cold evaluation of `workload` on the PageRank scenario's base graph:
-/// PageRank times uniform rows, SSSP weighted rows.
-fn bench_initial_compute(
+/// Cold evaluation of `workload` on the PageRank scenario's base graph by
+/// the engine `mount` builds: PageRank times uniform rows, SSSP weighted
+/// rows, and the 2-shard engine its row splitting and run exchange.
+fn bench_initial_compute<X: Executor>(
     cfg: &MicroConfig,
     name: &'static str,
     workload: Workload,
+    mount: impl Fn(Box<dyn Algorithm>, Csr) -> StreamingFlow<X>,
 ) -> Result<BenchResult, HarnessError> {
     let (base, _) = harness::base_and_batches(&pagerank_scenario(cfg));
     let root = harness::root_for(&base);
@@ -247,13 +251,7 @@ fn bench_initial_compute(
         name,
         cfg.warmup,
         cfg.samples,
-        || {
-            StreamingEngine::new(
-                workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON),
-                base.clone(),
-                engine_config(),
-            )
-        },
+        || mount(workload.instantiate_with_epsilon(root, ACCUMULATIVE_EPSILON), base.clone()),
         |engine| {
             std::hint::black_box(engine.initial_compute());
         },
@@ -305,8 +303,12 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
         ("kernel_initial_compute_pagerank", Workload::PageRank),
         ("kernel_initial_compute_sssp", Workload::Sssp),
     ] {
-        report(&mut results, bench_initial_compute(cfg, name, workload)?);
+        let sequential = |alg, g| StreamingEngine::new(alg, g, engine_config());
+        report(&mut results, bench_initial_compute(cfg, name, workload, sequential)?);
     }
+    let sharded2 = |alg, g| ShardedEngine::new(alg, g, engine_config(), 2);
+    let name = "kernel_initial_compute_pagerank_sharded2";
+    report(&mut results, bench_initial_compute(cfg, name, Workload::PageRank, sharded2)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     Ok(results)
 }
@@ -368,9 +370,13 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// loose global factor can never silently give the win back. Cold
 /// evaluation is ratcheted because it is the purest reading of row
 /// emission (DESIGN.md §12): PageRank's 19 queue inserts per processed
-/// event go out as uniform rows, SSSP's as weighted rows.
-pub const RATCHETS: &[(&str, f64)] =
-    &[("kernel_initial_compute_pagerank", 1.3), ("kernel_initial_compute_sssp", 1.3)];
+/// event go out as uniform rows, SSSP's as weighted rows, and on two
+/// shards PageRank's rows are cut at the shard bound and exchanged as runs.
+pub const RATCHETS: &[(&str, f64)] = &[
+    ("kernel_initial_compute_pagerank", 1.3),
+    ("kernel_initial_compute_sssp", 1.3),
+    ("kernel_initial_compute_pagerank_sharded2", 1.3),
+];
 
 /// Compares fresh results against a committed baseline: any benchmark
 /// whose median exceeds `factor` × its baseline median is a regression
@@ -538,6 +544,7 @@ mod tests {
                 "queue_drain_bitmap_1pct",
                 "kernel_initial_compute_pagerank",
                 "kernel_initial_compute_sssp",
+                "kernel_initial_compute_pagerank_sharded2",
                 "snapshot_maintain_incremental",
             ]
         );

@@ -2,22 +2,25 @@
 //!
 //! This is one drain of the [`Sharded`](crate::Sharded) executor — the
 //! phase structure around it (delete propagation, request seeding, insert
-//! streaming, recompute) is the flow's. Inside the call:
+//! streaming, recompute) is the flow's, and the coordinator has already
+//! seeded each shard's queue in place. Inside the call:
 //!
 //! * every worker drains its own [`CoalescingQueue`] continuously in
 //!   *passes*, processing events through the shared kernel; emissions to
 //!   its own shard re-enter its queue immediately (Gauss–Seidel style,
 //!   which is where the async work saving comes from: residuals arriving
 //!   between passes coalesce instead of being processed round by round);
-//! * cross-shard emissions fold into per-destination *outbox queues*
-//!   (small [`CoalescingQueue`]s over the destination's vertex range, so
-//!   repeat emissions to one remote vertex coalesce before they ever
-//!   travel) and are flushed after each pass as whole *runs* (one
-//!   `Vec<Event>` of destination-local events per destination) — the
-//!   receiver folds the run straight into its queue. The
-//!   outbox queues cost `S` slot grids per worker (each sized to one
-//!   shard's width, i.e. about one extra grid of the whole vertex set
-//!   per worker), the price of shipping pre-coalesced runs;
+//! * a row leaves whole: [`Routes::split`] cuts it at the shard bounds and
+//!   each destination's run folds through the queue's row entry points;
+//! * cross-shard emissions fold into the shard's per-destination *outbox
+//!   queues* (single-bin [`CoalescingQueue`]s over the destination's
+//!   vertex range, so repeat emissions to one remote vertex coalesce
+//!   before they ever travel) and are flushed after each pass as whole
+//!   *runs* (one `Vec<Event>` of destination-local events per
+//!   destination) — the receiver folds the run straight into its queue.
+//!   The outboxes live as long as the engine and cover every shard but
+//!   their own: about one extra slot grid of the vertex set per worker,
+//!   the price of shipping pre-coalesced runs;
 //! * there is no barrier and no global round: termination is decided by a
 //!   probe-based quiescence detector (below).
 //!
@@ -25,13 +28,13 @@
 //!
 //! Classic four-counter (double-probe) termination detection à la Mattern.
 //! Each worker keeps cumulative counters `sent` / `recvd` of events it has
-//! pushed to, and folded in from, other shards (coordinator seed runs
-//! count into `recvd`; the coordinator tracks its own `sent` total).
-//! Workers are *silent while busy*; whenever one is about to block on an
-//! empty queue it reports `Idle { probe, sent, recvd }`, answering the
-//! outstanding probe id, if any. The coordinator blocks on the status
-//! channel (no polling), and when every worker's latest report satisfies
-//! `Σ sent + coordinator seeds == Σ recvd` it runs **two** probe rounds:
+//! pushed to, and folded in from, other shards; seeds are already in the
+//! queues, local work like any other. Workers are *silent while busy*;
+//! whenever one is about to block on an empty queue it reports
+//! `Idle { probe, sent, recvd }`, answering the outstanding probe id, if
+//! any. The coordinator blocks on the status channel (no polling), and
+//! when every worker's latest report satisfies `Σ sent == Σ recvd` it runs
+//! **two** probe rounds:
 //! quiescence is confirmed only if both rounds observe identical
 //! per-worker counters and the sums still match.
 //!
@@ -54,33 +57,35 @@
 //! channel from thread `f` to thread `t` is `f * T + t` — one producer per
 //! logical channel, preserving the per-channel FIFO assumption of the
 //! vector-clock checker even though the transport is a shared mpsc queue.
-//! Worker `s` records a `ShardState(s)` write per queue fold and per
-//! processing pass; the coordinator records its `ShardState(s)` read only
-//! after receiving that worker's final `Done` ack, so the post-join state
-//! reads are happens-before ordered in the trace.
+//! The coordinator records a `ShardState(s)` write per seed it folds in
+//! place, and logs each spawn as the start hand-off: a `Send` on its
+//! channel to the worker, which the worker's first act receives. Worker
+//! `s` records a `ShardState(s)` write per run fold and per processing
+//! pass; the coordinator records its `ShardState(s)` read only after
+//! receiving that worker's final `Done` ack. Seeds, drains and reads are
+//! therefore happens-before ordered across drains in the trace.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
 use jetstream_algorithms::{EdgeOp, Reduce, Value};
-use jetstream_graph::{ix, vid, VertexId, Weight};
+use jetstream_graph::{ix, VertexId, Weight};
 
 use crate::event::Event;
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
-use crate::sharded::sync::{self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender};
-use crate::sharded::{maybe_yield, Shard};
+use crate::sharded::sync::{
+    self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender, TraceEvent,
+};
+use crate::sharded::{maybe_yield, Routes, Shard};
 use crate::stats::RunStats;
 
 /// Read-only configuration shared by one async drain.
 pub(crate) struct AsyncParams<'a> {
     /// The phase's kernel context; every worker gets a copy.
     pub cx: KernelCtx<'a>,
-    /// Whether delete events may coalesce this phase (off during DAP
-    /// delete propagation; the workers' queues take care of spilling).
-    pub coalesce_deletes: bool,
-    /// `S + 1` shard range boundaries.
-    pub bounds: &'a [usize],
+    /// Shard ownership.
+    pub routes: &'a Routes,
     /// Yield plan (schedule perturbation hook): worker `i` yields every
     /// `yields[i % len]` processed events (0 = never). Empty = no yielding.
     pub yields: &'a [usize],
@@ -142,10 +147,11 @@ struct AsyncState<'a> {
     width: VertexId,
     stats: &'a mut RunStats,
     impacted: &'a mut Vec<VertexId>,
+    /// This shard's index.
+    me: usize,
     queue: &'a mut CoalescingQueue,
-    outfolds: &'a mut [CoalescingQueue],
-    bounds: &'a [usize],
-    route_table: &'a [u8],
+    outboxes: &'a mut [CoalescingQueue],
+    routes: &'a Routes,
     reduce: Reduce,
 }
 
@@ -175,22 +181,15 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
         }
     }
 
-    /// Folds the row's local run whole straight back into this shard's
-    /// queue and the rest, event by event, into their destinations'
-    /// outboxes (see [`owner_runs`]).
+    /// Folds each shard's run of the row whole, into this shard's queue
+    /// or the destination's outbox (see [`Routes::split`]).
     // hot-path
     fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
         self.stats.events_generated += targets.len() as u64;
-        let lo = self.verts.lo;
-        for (run, local) in owner_runs(targets, lo, self.width) {
-            if local {
-                self.queue.insert_row(lo, run, delta, source, self.reduce);
-            } else {
-                for &v in run {
-                    self.emit_remote(Event { source, ..Event::regular(v, delta) });
-                }
-            }
-        }
+        let (routes, reduce) = (self.routes, self.reduce);
+        routes.split(targets, |dest, lo, run| {
+            self.queue_for(dest).insert_row(lo, run, delta, source, reduce);
+        });
     }
 
     /// [`emit_row`](ExecState::emit_row)'s split, each run taking its
@@ -205,57 +204,25 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
         op: EdgeOp,
     ) {
         self.stats.events_generated += targets.len() as u64;
-        let lo = self.verts.lo;
+        let (routes, reduce) = (self.routes, self.reduce);
         let payload = |w| op.apply(base, w);
         let mut rest = weights;
-        for (run, local) in owner_runs(targets, lo, self.width) {
+        routes.split(targets, |dest, lo, run| {
             let (run_weights, tail) = rest.split_at(run.len());
             rest = tail;
-            if local {
-                self.queue.insert_weighted_row(lo, run, run_weights, payload, source, self.reduce);
-            } else {
-                for (&v, &w) in run.iter().zip(run_weights) {
-                    self.emit_remote(Event { source, ..Event::regular(v, payload(w)) });
-                }
-            }
-        }
+            self.queue_for(dest).insert_weighted_row(lo, run, run_weights, payload, source, reduce);
+        });
     }
 
     /// [`emit_row`](ExecState::emit_row)'s split, for a delete wave.
     // hot-path
     fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value) {
         self.stats.events_generated += targets.len() as u64;
-        let lo = self.verts.lo;
-        for (run, local) in owner_runs(targets, lo, self.width) {
-            if local {
-                self.queue.insert_delete_row(lo, run, payload, source, self.reduce);
-            } else {
-                for &v in run {
-                    self.emit_remote(Event::delete(source, v, payload));
-                }
-            }
-        }
+        let (routes, reduce) = (self.routes, self.reduce);
+        routes.split(targets, |dest, lo, run| {
+            self.queue_for(dest).insert_delete_row(lo, run, payload, source, reduce);
+        });
     }
-}
-
-/// Splits an ascending row into its maximal runs of targets local to the
-/// shard `lo..lo + width`, or not, in row order: `(run, local)`. A CSR
-/// row is ascending and shards are contiguous ranges, so there is at most
-/// one local run.
-fn owner_runs(
-    targets: &[VertexId],
-    lo: VertexId,
-    width: VertexId,
-) -> impl Iterator<Item = (&[VertexId], bool)> {
-    let mut rest = targets;
-    std::iter::from_fn(move || {
-        let &first = rest.first()?;
-        let local = first.wrapping_sub(lo) < width;
-        let n = rest.iter().take_while(|&&v| (v.wrapping_sub(lo) < width) == local).count();
-        let (run, tail) = rest.split_at(n);
-        rest = tail;
-        Some((run, local))
-    })
 }
 
 /// One worker's whole async lifetime for one drain.
@@ -265,18 +232,16 @@ struct WorkerLoop<'a> {
     lo: VertexId,
     hi: VertexId,
     cx: KernelCtx<'a>,
-    coalesce_deletes: bool,
     yield_every: Option<usize>,
     /// Queue bins drained per pass; 0 = the whole queue.
     chunk: usize,
-    bounds: &'a [usize],
+    routes: &'a Routes,
     shard: &'a mut Shard,
     values: &'a mut [Value],
     dependency: &'a mut [Option<VertexId>],
     rx: HubReceiver<ToWorker>,
     peers: Vec<Option<RoutedSender<ToWorker>>>,
     status: RoutedSender<FromWorker>,
-    outfolds: Vec<CoalescingQueue>,
     sent: u64,
     recvd: u64,
     pending_probe: Option<u64>,
@@ -284,17 +249,14 @@ struct WorkerLoop<'a> {
     /// Rotating start bin for chunked passes.
     bin_cursor: usize,
     log: RaceLog,
-    route_table: &'a [u8],
 }
 
 impl WorkerLoop<'_> {
     fn run(mut self) {
-        // Route deletes through the queue's own overflow spill while
-        // coalescing is off (DAP delete propagation).
-        self.shard.queue.set_coalesce_deletes(self.coalesce_deletes);
-        for fold in &mut self.outfolds {
-            fold.set_coalesce_deletes(self.coalesce_deletes);
-        }
+        // The spawn is the start hand-off: the coordinator logged it as a
+        // `Send` on its channel to this worker, so its seeds and its reads
+        // after the previous drain happen before anything this worker does.
+        self.log.record(TraceEvent::Recv { thread: self.thread, channel: self.thread });
         loop {
             self.drain_mailbox();
             while !self.stopped && !self.shard.queue.is_empty() {
@@ -380,10 +342,10 @@ impl WorkerLoop<'_> {
             width: self.hi - self.lo,
             stats: &mut self.shard.stats,
             impacted: &mut self.shard.impacted,
+            me: self.worker,
             queue: &mut self.shard.queue,
-            outfolds: &mut self.outfolds,
-            bounds: self.bounds,
-            route_table: self.route_table,
+            outboxes: &mut self.shard.outboxes,
+            routes: self.routes,
             reduce: self.cx.reduce,
         };
         for &ev in events.iter() {
@@ -403,7 +365,7 @@ impl WorkerLoop<'_> {
     /// events in ascending destination-local order, then any spilled
     /// delete events FIFO) to its destination shard.
     fn flush_outboxes(&mut self) {
-        for (dest, fold) in self.outfolds.iter_mut().enumerate() {
+        for (dest, fold) in self.shard.outboxes.iter_mut().enumerate() {
             if fold.is_empty() {
                 continue;
             }
@@ -433,6 +395,18 @@ impl WorkerLoop<'_> {
 }
 
 impl AsyncState<'_> {
+    /// The queue shard `dest`'s events fold into: this shard's own, or
+    /// `dest`'s outbox.
+    #[inline]
+    fn queue_for(&mut self, dest: usize) -> &mut CoalescingQueue {
+        if dest == self.me {
+            self.queue
+        } else {
+            // panic-ok: route owners are shard indices, with an outbox each
+            &mut self.outboxes[dest]
+        }
+    }
+
     /// Out-of-line outbox fold: keeps the per-edge `emit` body small
     /// enough to inline into the kernel loop (measured ~25% per-event
     /// win on the PageRank microbench). Localizes the event to the
@@ -440,15 +414,10 @@ impl AsyncState<'_> {
     /// outbox queue, so the flushed run carries only one event per
     /// remote vertex.
     #[inline(never)]
-    fn emit_remote(&mut self, mut ev: Event) {
-        // panic-ok: the route table has one entry per vertex
-        let dest = usize::from(self.route_table[ix(ev.target)]);
-
-        // panic-ok: table entries are shard indices < bounds.len() - 1
-        ev.target -= vid(self.bounds[dest]);
-
-        // panic-ok: dest is a shard index and outfolds has one queue per shard
-        self.outfolds[dest].insert_with(ev, self.reduce);
+    fn emit_remote(&mut self, ev: Event) {
+        let (dest, lo, _) = self.routes.owner(ev.target);
+        let reduce = self.reduce;
+        self.queue_for(dest).insert_with(Event { target: ev.target - lo, ..ev }, reduce);
     }
 }
 
@@ -458,8 +427,6 @@ struct Detector {
     rx: HubReceiver<FromWorker>,
     /// Latest `(sent, recvd)` reported by each worker.
     latest: Vec<Option<(u64, u64)>>,
-    /// Events the coordinator seeded into worker queues.
-    coord_sent: u64,
     probe_id: u64,
     /// Set when a worker died or a channel closed: stop coordinating and
     /// let the scope join surface the panic.
@@ -482,7 +449,7 @@ impl Detector {
 
     /// Every worker has reported and the cumulative sums balance.
     fn sums_balance(&self) -> bool {
-        let mut sent = self.coord_sent;
+        let mut sent = 0u64;
         let mut recvd = 0u64;
         for slot in &self.latest {
             let Some((s, r)) = slot else { return false };
@@ -531,7 +498,7 @@ impl Detector {
             if self.sums_balance() {
                 let Some(a) = self.probe_round() else { break };
                 let Some(b) = self.probe_round() else { break };
-                let mut sent = self.coord_sent;
+                let mut sent = 0u64;
                 let mut recvd = 0u64;
                 for &(s, r) in &b {
                     sent += s;
@@ -559,16 +526,14 @@ impl Detector {
     }
 }
 
-/// Drives one drain to quiescence: spawns one worker per shard, seeds
-/// their queues with `seeds` (one inbox per shard, left empty), detects
-/// termination, and orders the final state reads behind each worker's
-/// `Done` ack.
+/// Drives one drain to quiescence: spawns one worker per shard over the
+/// queues the coordinator seeded, detects termination, and orders the
+/// final state reads behind each worker's `Done` ack.
 pub(crate) fn run_to_quiescence(
     p: &AsyncParams<'_>,
     shards: &mut [Shard],
     values: &mut [Value],
     dependency: &mut [Option<VertexId>],
-    seeds: &mut [Vec<Event>],
 ) {
     let s_count = shards.len();
     // Thread ids: coordinator 0, worker s is s + 1. Logical channel from
@@ -584,60 +549,24 @@ pub(crate) fn run_to_quiescence(
     }
     let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(p.race_log, 0);
 
-    // Per-vertex shard lookup (one byte per vertex): replaces a binary
-    // search over `bounds` on every remote emission, the hottest branch
-    // after the kernel itself.
-    let n = p.bounds[s_count];
-    let mut route_table = vec![0u8; n];
-    for w in 0..s_count {
-        #[allow(clippy::expect_used)] // invariant: `Sharded::new` asserts the `MAX_SHARDS` bound
-        let tag = u8::try_from(w).expect("invariant: shard ids fit a byte (MAX_SHARDS = 256)");
-        for slot in &mut route_table[p.bounds[w]..p.bounds[w + 1]] {
-            *slot = tag;
-        }
-    }
-
     let mut detector = Detector {
         txs: factories.iter().enumerate().map(|(w, f)| f.route(w + 1, 0)).collect(),
         rx: status_rx,
         latest: vec![None; s_count],
-        coord_sent: 0,
         probe_id: 0,
         aborted: false,
     };
 
-    // Seed the worker queues before the workers exist; the mailboxes
-    // buffer the runs. Runs travel in destination-local coordinates.
-    for (w, inbox) in seeds.iter_mut().enumerate() {
-        if inbox.is_empty() {
-            continue;
-        }
-        let mut run = std::mem::take(inbox);
-        // panic-ok: bounds has s_count + 1 entries, w < s_count
-        let base = vid(p.bounds[w]);
-        for ev in &mut run {
-            ev.target -= base;
-        }
-        detector.coord_sent += run.len() as u64;
-        // panic-ok: seeds has one entry per shard, as do detector.txs
-        let _ = detector.txs[w].send(ToWorker::Run(run));
-    }
-
     std::thread::scope(|scope| {
         let mut rest_v: &mut [Value] = values;
         let mut rest_d: &mut [Option<VertexId>] = dependency;
-        let mut rest_s: &mut [Shard] = shards;
-        for (worker, rx) in mailboxes.into_iter().enumerate() {
+        let workers = mailboxes.into_iter().zip(shards.iter_mut()).zip(p.routes.ranges());
+        for (worker, ((rx, shard), &(lo, hi))) in workers.enumerate() {
             let thread = worker + 1;
-            // panic-ok: bounds has s_count + 1 entries, worker < s_count
-            let (lo, hi) = (p.bounds[worker], p.bounds[worker + 1]);
-            let width = hi - lo;
-            let (v, tail_v) = rest_v.split_at_mut(width);
+            let (v, tail_v) = rest_v.split_at_mut(ix(hi - lo));
             rest_v = tail_v;
-            let (d, tail_d) = rest_d.split_at_mut(width);
+            let (d, tail_d) = rest_d.split_at_mut(ix(hi - lo));
             rest_d = tail_d;
-            let (sh, tail_s) = rest_s.split_at_mut(1);
-            rest_s = tail_s;
             let peers: Vec<Option<RoutedSender<ToWorker>>> = factories
                 .iter()
                 .enumerate()
@@ -650,33 +579,26 @@ pub(crate) fn run_to_quiescence(
             let w = WorkerLoop {
                 worker,
                 thread,
-                lo: vid(lo),
-                hi: vid(hi),
+                lo,
+                hi,
                 cx: p.cx,
-                coalesce_deletes: p.coalesce_deletes,
                 yield_every: plan_entry(p.yields, worker),
                 chunk: plan_entry(p.chunks, worker).unwrap_or(0),
-                bounds: p.bounds,
-                shard: &mut sh[0], // panic-ok: split_at_mut(1) yields a one-element head
+                routes: p.routes,
+                shard,
                 values: v,
                 dependency: d,
                 rx,
                 peers,
                 status,
-                outfolds: (0..s_count)
-                    .map(|d| {
-                        // panic-ok: bounds has s_count + 1 entries, d < s_count
-                        CoalescingQueue::new(p.bounds[d + 1] - p.bounds[d], 1)
-                    })
-                    .collect(),
                 sent: 0,
                 recvd: 0,
                 pending_probe: None,
                 stopped: false,
                 bin_cursor: 0,
                 log: p.race_log.clone(),
-                route_table: &route_table,
             };
+            p.race_log.record(TraceEvent::Send { thread: 0, channel: thread });
             scope.spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run()));
                 if let Err(payload) = result {
@@ -713,6 +635,7 @@ pub(crate) fn run_to_quiescence(
 mod tests {
     use super::*;
     use crate::engine::DeleteStrategy;
+    use crate::queue::QueueStats;
     use jetstream_algorithms::Sssp;
     use jetstream_graph::{Csr, CsrPair};
 
@@ -729,7 +652,6 @@ mod tests {
             txs: vec![worker_factory.route(1, 0)],
             rx: status_rx,
             latest: vec![Some((0, 0))],
-            coord_sent: 0,
             probe_id: 0,
             aborted: false,
         };
@@ -760,6 +682,105 @@ mod tests {
         assert_eq!(probes, 4, "changed-but-balanced counters must force a second double-probe");
     }
 
+    /// A drained queue, bit for bit: slot events in vertex order, then
+    /// the overflow FIFO, then its counters.
+    type Contents = (Vec<(VertexId, u64, bool, bool, Option<VertexId>)>, QueueStats);
+
+    fn contents(q: &mut CoalescingQueue) -> Contents {
+        let mut events = q.take_all();
+        events.extend(std::iter::from_fn(|| q.pop_overflow()));
+        let bits = events
+            .iter()
+            .map(|e| (e.target, e.payload.to_bits(), e.is_delete, e.request, e.source));
+        (bits.collect(), q.stats())
+    }
+
+    /// Shard 1 of four over 16 vertices emits the same traffic a row at a
+    /// time or an event at a time; returns its counters, then its own
+    /// queue and every outbox drained.
+    fn emit_from_shard_one(by_row: bool, coalesce_deletes: bool) -> (RunStats, Vec<Contents>) {
+        // Targets on every shard bound (4, 8, 12), just below one (3, 7,
+        // 11), and at both ends of the vertex range.
+        const ROW: [VertexId; 9] = [0, 3, 4, 5, 7, 8, 11, 12, 15];
+        let weights: Vec<Weight> = ROW.iter().map(|&v| 1.0 + f64::from(v) / 4.0).collect();
+        let routes = Routes::new(&[0..4, 4..8, 8..12, 12..16]);
+        let mut shard = Shard::new(1, &routes, 2);
+        shard.queue.set_coalesce_deletes(coalesce_deletes);
+        for outbox in &mut shard.outboxes {
+            outbox.set_coalesce_deletes(coalesce_deletes);
+        }
+        let (mut values, mut dependency) = ([0.0; 4], [None; 4]);
+        let (mut stats, mut impacted) = (RunStats::default(), Vec::new());
+        let mut st = AsyncState {
+            verts: VertexState { lo: 4, values: &mut values, dependency: &mut dependency },
+            width: 4,
+            stats: &mut stats,
+            impacted: &mut impacted,
+            me: 1,
+            queue: &mut shard.queue,
+            outboxes: &mut shard.outboxes,
+            routes: &routes,
+            reduce: Reduce::Min,
+        };
+        // The delete waves meet each other (coalesced, or spilled with
+        // coalescing off), the regular rows meet their residents (spilled)
+        // and each other: sourced rows coalesce, and a sourceless one
+        // clears the sources it dominates.
+        let regular: [(Option<VertexId>, &[VertexId], Value); 2] =
+            [(Some(2), &ROW, 3.0), (None, &ROW[2..], 2.0)];
+        let deletes: [(VertexId, &[VertexId], Value); 2] = [(6, &ROW, 0.5), (13, &ROW[..5], 0.25)];
+        let op = EdgeOp::AddWeight;
+        if by_row {
+            for (source, targets, payload) in deletes {
+                st.emit_delete_row(source, targets, payload);
+            }
+            st.emit_row(regular[0].0, regular[0].1, regular[0].2);
+            st.emit_weighted_row(Some(9), &ROW, &weights, 1.0, op);
+            st.emit_row(regular[1].0, regular[1].1, regular[1].2);
+        } else {
+            let mut events = Vec::new();
+            for (source, targets, payload) in deletes {
+                events.extend(targets.iter().map(|&v| Event::delete(source, v, payload)));
+            }
+            for (i, (source, targets, delta)) in regular.into_iter().enumerate() {
+                events
+                    .extend(targets.iter().map(|&v| Event { source, ..Event::regular(v, delta) }));
+                if i == 0 {
+                    events.extend(ROW.iter().zip(&weights).map(|(&v, &w)| Event {
+                        source: Some(9),
+                        ..Event::regular(v, op.apply(1.0, w))
+                    }));
+                }
+            }
+            for ev in events {
+                st.emit(ev);
+            }
+        }
+        let queues = std::iter::once(&mut shard.queue).chain(&mut shard.outboxes);
+        (stats, queues.map(contents).collect())
+    }
+
+    // One row spanning four shards leaves the own queue and every outbox
+    // exactly as its events emitted one by one would, for uniform,
+    // weighted and delete rows, with delete coalescing on and off. Kills
+    // the splitter's bound predicate `v < hi` -> `<=` and a negated
+    // own-shard test: either sends a run to a queue that does not cover
+    // it.
+    #[test]
+    fn row_emission_splits_into_the_queues_per_event_emission_fills() {
+        for coalesce_deletes in [true, false] {
+            let (row_stats, by_row) = emit_from_shard_one(true, coalesce_deletes);
+            let (event_stats, by_event) = emit_from_shard_one(false, coalesce_deletes);
+            assert_eq!(row_stats, RunStats { events_generated: 39, ..RunStats::default() });
+            assert_eq!(row_stats, event_stats);
+            assert_eq!(by_row, by_event, "coalesce_deletes={coalesce_deletes}");
+            let residents: Vec<usize> = by_row.iter().map(|(events, _)| events.len()).collect();
+            // Own queue, then outboxes 0..4 (shard 1's covers nothing).
+            let want = if coalesce_deletes { [12, 6, 0, 8, 8] } else { [9, 6, 0, 4, 4] };
+            assert_eq!(residents, want, "coalesce_deletes={coalesce_deletes}");
+        }
+    }
+
     // kills jm-908d1a85 (async_mode.rs const-01 in report_idle): the
     // unsolicited-idle probe id must be 0 — any nonzero value could
     // collide with a live probe id and satisfy a round the worker never
@@ -771,15 +792,8 @@ mod tests {
         let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(&log, 0);
         let alg = Sssp::new(0);
         let csr = CsrPair::new(Csr::from_edges(1, &[]));
-        let bounds = [0usize, 1];
-        let route_table = [0u8];
-        let mut shard = Shard {
-            queue: CoalescingQueue::new(1, 1),
-            stats: RunStats::default(),
-            rounds: 0,
-            impacted: Vec::new(),
-            drain_scratch: Vec::new(),
-        };
+        let routes = Routes::new(std::slice::from_ref(&(0..1)));
+        let mut shard = Shard::new(0, &routes, 1);
         let mut values = [0.0];
         let mut dependency = [None];
         let mut w = WorkerLoop {
@@ -788,24 +802,21 @@ mod tests {
             lo: 0,
             hi: 1,
             cx: KernelCtx::new(&alg, &csr, DeleteStrategy::Tag),
-            coalesce_deletes: true,
             yield_every: None,
             chunk: 0,
-            bounds: &bounds,
+            routes: &routes,
             shard: &mut shard,
             values: &mut values,
             dependency: &mut dependency,
             rx,
             peers: vec![None],
             status: status_factory.route(2, 1),
-            outfolds: vec![CoalescingQueue::new(1, 1)],
             sent: 3,
             recvd: 5,
             pending_probe: Some(7),
             stopped: false,
             bin_cursor: 0,
             log: log.clone(),
-            route_table: &route_table,
         };
         w.report_idle(); // answers the outstanding probe and clears it
         w.report_idle(); // nothing pending: unsolicited

@@ -32,7 +32,7 @@
 
 use jetstream_algorithms::{Algorithm, Reduce, Value};
 use jetstream_graph::partition::Partition;
-use jetstream_graph::{ix, Csr, VertexId};
+use jetstream_graph::{ix, vid, Csr, VertexId};
 
 use crate::engine::{CheckpointError, EngineConfig};
 use crate::event::Event;
@@ -52,6 +52,11 @@ pub(crate) struct Shard {
     /// Local coalescing queue; indexed by `target - lo`, `lo` being the
     /// first vertex id the shard owns.
     pub(crate) queue: CoalescingQueue,
+    /// Per-destination outbox queues, in each destination's local
+    /// coordinates: cross-shard emissions coalesce here and leave as one
+    /// run per destination per pass. The shard's own entry covers no
+    /// vertices.
+    pub(crate) outboxes: Vec<CoalescingQueue>,
     /// This worker's share of the current drain's counters.
     pub(crate) stats: RunStats,
     /// This worker's processing passes in the current drain; passes are
@@ -66,13 +71,76 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(width: usize, num_bins: usize) -> Self {
+    /// Shard `me` of `routes`, its queue spread over `num_bins` bins.
+    pub(crate) fn new(me: usize, routes: &Routes, num_bins: usize) -> Self {
+        let width = |&(lo, hi): &(VertexId, VertexId)| ix(hi - lo);
+        let outbox = |(d, r)| CoalescingQueue::new(if d == me { 0 } else { width(r) }, 1);
         Shard {
-            queue: CoalescingQueue::new(width, num_bins),
+            queue: CoalescingQueue::new(routes.ranges.get(me).map_or(0, width), num_bins),
+            outboxes: routes.ranges.iter().enumerate().map(outbox).collect(),
             stats: RunStats::default(),
             rounds: 0,
             impacted: Vec::new(),
             drain_scratch: Vec::new(),
+        }
+    }
+}
+
+/// Which shard owns each vertex: the contiguous shard ranges and a
+/// one-byte-per-vertex lookup table, built once per engine.
+#[derive(Debug)]
+pub(crate) struct Routes {
+    /// `ranges[s]` is shard `s`'s vertex range `lo..hi`.
+    ranges: Vec<(VertexId, VertexId)>,
+    /// The owning shard of every vertex: one load in place of a binary
+    /// search over the ranges on every cross-shard emission.
+    table: Vec<u8>,
+}
+
+impl Routes {
+    /// Routes for contiguous `ranges` that cover `0..n` in order.
+    pub(crate) fn new(ranges: &[std::ops::Range<usize>]) -> Self {
+        let mut table = Vec::with_capacity(ranges.last().map_or(0, |r| r.end));
+        // Shard ids fit a byte: `Sharded::new` asserts the `MAX_SHARDS`
+        // bound.
+        for (tag, r) in (0..=u8::MAX).zip(ranges) {
+            table.resize(r.end, tag);
+        }
+        Routes { ranges: ranges.iter().map(|r| (vid(r.start), vid(r.end))).collect(), table }
+    }
+
+    /// The shard owning `v`, with that shard's range `lo..hi`.
+    #[inline]
+    pub(crate) fn owner(&self, v: VertexId) -> (usize, VertexId, VertexId) {
+        // panic-ok: the table has one entry per vertex
+        let dest = usize::from(self.table[ix(v)]);
+        // panic-ok: table entries are shard indices, one range each
+        let (lo, hi) = self.ranges[dest];
+        (dest, lo, hi)
+    }
+
+    /// Every shard's range `lo..hi`, in shard order.
+    pub(crate) fn ranges(&self) -> &[(VertexId, VertexId)] {
+        &self.ranges
+    }
+
+    /// Cuts an ascending row at the shard bounds and hands each shard's
+    /// share to `fold(shard, lo, run)`, whole and in row order, `lo` being
+    /// the shard's first vertex: the owner of a run's first target, then a
+    /// binary search to that owner's end.
+    // hot-path
+    #[inline]
+    pub(crate) fn split<'r>(
+        &self,
+        row: &'r [VertexId],
+        mut fold: impl FnMut(usize, VertexId, &'r [VertexId]),
+    ) {
+        let mut rest = row;
+        while let Some(&first) = rest.first() {
+            let (dest, lo, hi) = self.owner(first);
+            let (run, tail) = rest.split_at(rest.partition_point(|&v| v < hi));
+            fold(dest, lo, run);
+            rest = tail;
         }
     }
 }
@@ -115,12 +183,6 @@ pub enum ExecutionMode {
     Async,
 }
 
-/// Routes a global vertex id to the shard owning it. `bounds` holds the
-/// `S + 1` range boundaries (`bounds[s]..bounds[s + 1]` is shard `s`).
-fn route(bounds: &[usize], target: VertexId) -> usize {
-    bounds.partition_point(|&b| b <= ix(target)) - 1
-}
-
 /// Test hook: perturb the thread schedule without affecting results.
 pub(crate) fn maybe_yield(processed: &mut usize, yield_every: Option<usize>) {
     if let Some(every) = yield_every {
@@ -139,13 +201,8 @@ pub(crate) fn maybe_yield(processed: &mut usize, yield_every: Option<usize>) {
 #[derive(Debug)]
 pub struct Sharded {
     shards: Vec<Shard>,
-    /// `S + 1` contiguous range boundaries; shard `s` owns
-    /// `bounds[s]..bounds[s + 1]`.
-    bounds: Vec<usize>,
-    /// Per-shard seed inboxes for the next [`drain`](Drain::drain), filled
-    /// by the flow's setup phases.
-    pending: Vec<Vec<Event>>,
-    coalesce_deletes: bool,
+    /// Shard ownership, fixed at construction.
+    routes: Routes,
     /// Per-worker yield intervals (worker `i` uses `plan[i % len]`; an
     /// interval of 0 means that worker never yields). Empty = no yielding.
     yield_plan: Vec<usize>,
@@ -168,26 +225,28 @@ impl Sharded {
         let part = Partition::contiguous_balanced(out, num_shards as u32); // cast-ok: num_shards <= MAX_SHARDS, asserted above
         let ranges = part.contiguous_ranges().unwrap_or_default();
         assert_eq!(ranges.len(), num_shards, "contiguous partition must yield one range per shard");
-        let mut bounds = Vec::with_capacity(num_shards + 1);
-        bounds.push(0);
-        let shards = ranges
-            .iter()
-            .map(|r| {
-                bounds.push(r.end);
-                Shard::new(r.len(), num_bins)
-            })
-            .collect();
+        let routes = Routes::new(&ranges);
         Sharded {
-            shards,
-            bounds,
-            pending: vec![Vec::new(); num_shards],
-            coalesce_deletes: true,
+            shards: (0..num_shards).map(|me| Shard::new(me, &routes, num_bins)).collect(),
+            routes,
             yield_plan: Vec::new(),
             chunk_plan: Vec::new(),
             model: ParallelModel::default(),
             race_log: sync::RaceLog::default(),
         }
     }
+}
+
+/// Shard `dest`'s queue, idle between drains, as the coordinator seeds
+/// into it; the write is logged for the race checker.
+fn seed_queue<'s>(
+    shards: &'s mut [Shard],
+    race_log: &sync::RaceLog,
+    dest: usize,
+) -> &'s mut CoalescingQueue {
+    race_log.access(0, sync::Resource::ShardState(dest), sync::AccessKind::Write);
+    // panic-ok: route owners are shard indices
+    &mut shards[dest].queue
 }
 
 impl Executor for Sharded {}
@@ -325,55 +384,63 @@ impl StreamingFlow<Sharded> {
 
 impl Drain for Sharded {
     fn set_coalesce_deletes(&mut self, on: bool) {
-        self.coalesce_deletes = on;
+        for sh in &mut self.shards {
+            sh.queue.set_coalesce_deletes(on);
+            for outbox in &mut sh.outboxes {
+                outbox.set_coalesce_deletes(on);
+            }
+        }
     }
 
-    /// Queues a setup-phase event from the coordinator in its owner's
-    /// inbox.
-    fn seed(&mut self, _reduce: Reduce, stats: &mut RunStats, ev: Event) {
+    /// Folds a setup-phase event from the coordinator straight into its
+    /// owner's queue, in the owner's local coordinates.
+    fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
         stats.events_generated += 1;
-        let dest = route(&self.bounds, ev.target);
-        self.pending[dest].push(ev);
+        let (dest, lo, _) = self.routes.owner(ev.target);
+        let queue = seed_queue(&mut self.shards, &self.race_log, dest);
+        queue.insert_with(Event { target: ev.target - lo, ..ev }, reduce);
     }
 
-    /// A row ascends, so each shard's share of it is one contiguous run:
-    /// the row is split at the shard bounds and every run appended whole.
+    /// A row ascends, so each shard's share of it is one contiguous run,
+    /// folded whole into the owner's queue.
     // hot-path
     fn seed_row(
         &mut self,
-        _reduce: Reduce,
+        reduce: Reduce,
         stats: &mut RunStats,
         targets: &[VertexId],
         delta: Value,
         request: bool,
     ) {
         stats.events_generated += targets.len() as u64;
-        let mut rest = targets;
-        for (inbox, &end) in self.pending.iter_mut().zip(self.bounds.iter().skip(1)) {
-            let (run, tail) = rest.split_at(rest.partition_point(|&v| ix(v) < end));
-            inbox.extend(run.iter().map(|&v| Event { request, ..Event::regular(v, delta) }));
-            rest = tail;
-        }
+        let Sharded { shards, routes, race_log, .. } = self;
+        routes.split(targets, |dest, lo, run| {
+            let queue = seed_queue(shards, race_log, dest);
+            if request {
+                queue.insert_request_row(lo, run, delta, reduce);
+            } else {
+                queue.insert_row(lo, run, delta, None, reduce);
+            }
+        });
     }
 
-    /// Drains the pending seed inboxes to quiescence with one worker
-    /// thread per shard (DESIGN.md §16), then hands the workers' impacted
-    /// records and counters back to the flow and folds their work into the
-    /// scaling model.
+    /// Drains the seeded shard queues to quiescence with one worker thread
+    /// per shard (DESIGN.md §16), then hands the workers' impacted records
+    /// and counters back to the flow and folds their work into the scaling
+    /// model.
     fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
-        if self.pending.iter().all(Vec::is_empty) {
+        if self.shards.iter().all(|sh| sh.queue.is_empty()) {
             return;
         }
-        let Sharded { shards, bounds, pending, model, .. } = self;
+        let Sharded { shards, routes, model, .. } = self;
         let params = crate::async_mode::AsyncParams {
             cx: *cx,
-            coalesce_deletes: self.coalesce_deletes,
-            bounds,
+            routes,
             yields: &self.yield_plan,
             chunks: &self.chunk_plan,
             race_log: &self.race_log,
         };
-        crate::async_mode::run_to_quiescence(&params, shards, run.values, run.dependency, pending);
+        crate::async_mode::run_to_quiescence(&params, shards, run.values, run.dependency);
         // Workers record resets in pass order, which carries no global
         // order; present the set in ascending vertex id. The set itself is
         // schedule-dependent under VAP/DAP (DESIGN.md §16.3); the contract
@@ -410,8 +477,8 @@ impl Drain for Sharded {
         let queued: usize = self
             .shards
             .iter()
-            .map(|sh| sh.queue.len())
-            .chain(self.pending.iter().map(Vec::len))
+            .flat_map(|sh| std::iter::once(&sh.queue).chain(&sh.outboxes))
+            .map(CoalescingQueue::len)
             .sum();
         if queued != 0 {
             return Err(format!("shard queues still hold {queued} events"));
@@ -671,12 +738,21 @@ mod tests {
         }
     }
 
-    // A row through `seed_row` lands in the inboxes exactly as through
-    // `seed`, event by event: same shard, same order (continuing across a
-    // delete in between), same counters. With 12 isolated vertices the
+    /// Drains a queue: slot events in vertex order, then the overflow FIFO.
+    fn drained(q: &mut CoalescingQueue) -> Vec<Event> {
+        let mut events = q.take_all();
+        events.extend(std::iter::from_fn(|| q.pop_overflow()));
+        events
+    }
+
+    // A row through `seed_row` lands in the owner's queue exactly as
+    // through `seed`, event by event: same residents in the owner's local
+    // coordinates, same spills, same queue and run counters, and the same
+    // global contents at every shard count. With 12 isolated vertices the
     // bounds are multiples of 12 / shards, so the rows hold targets on a
     // bound (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard,
-    // as regular rows and as request rows.
+    // as regular rows and as request rows; the delete seeded after each
+    // row sits in slot 6, which the regular arrivals there spill past.
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let out = Csr::new(12);
@@ -688,10 +764,13 @@ mod tests {
             (&[3, 4, 5], -1.0, false),
             (&[1, 2, 3, 8, 9], 0.0, true),
         ];
+        let mut unsharded = Vec::new();
         for shards in [1, 2, 4] {
             let (mut by_row, mut by_event) =
                 (Sharded::new(&out, 4, shards), Sharded::new(&out, 4, shards));
-            assert_eq!(by_row.bounds, (0..=shards).map(|s| s * 12 / shards).collect::<Vec<_>>());
+            let bound = |s| vid(s * 12 / shards);
+            let ranges: Vec<_> = (0..shards).map(|s| (bound(s), bound(s + 1))).collect();
+            assert_eq!(by_row.routes.ranges(), ranges);
             let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
             for (targets, delta, request) in rows {
                 by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta, request);
@@ -701,18 +780,30 @@ mod tests {
                     by_event.seed(Reduce::Sum, &mut event_stats, ev);
                 }
                 for exec in [&mut by_row, &mut by_event] {
-                    exec.seed(Reduce::Sum, &mut RunStats::default(), Event::delete(0, 7, 0.0));
+                    exec.seed(Reduce::Sum, &mut RunStats::default(), Event::delete(0, 6, 0.0));
                 }
             }
             assert_eq!(row_stats, RunStats { events_generated: 19, ..RunStats::default() });
             assert_eq!(row_stats, event_stats, "shards={shards}");
-            assert_eq!(by_row.pending.iter().map(Vec::len).sum::<usize>(), 25, "shards={shards}");
-            let requests = by_row.pending.iter().flatten().filter(|ev| ev.request).count();
-            assert_eq!(requests, 5, "shards={shards}");
-            assert_eq!(by_row.pending, by_event.pending, "shards={shards}");
-            for (s, inbox) in by_row.pending.iter().enumerate() {
-                let owned = by_row.bounds[s]..by_row.bounds[s + 1];
-                assert!(inbox.iter().all(|ev| owned.contains(&ix(ev.target))), "shards={shards}");
+            assert_eq!(by_row.queue_stats(), by_event.queue_stats(), "shards={shards}");
+            assert_eq!(by_row.queue_stats().inserts, 25, "shards={shards}");
+            let mut global = Vec::new();
+            for ((row_shard, event_shard), &(lo, hi)) in
+                by_row.shards.iter_mut().zip(&mut by_event.shards).zip(&ranges)
+            {
+                assert_eq!(row_shard.queue.stats(), event_shard.queue.stats(), "shards={shards}");
+                let events = drained(&mut row_shard.queue);
+                assert_eq!(events, drained(&mut event_shard.queue), "shards={shards}");
+                assert!(events.iter().all(|ev| ev.target < hi - lo), "shards={shards}");
+                global.extend(events.iter().map(|&ev| Event { target: ev.target + lo, ..ev }));
+            }
+            global.sort_by_key(|ev| (ev.target, ev.is_delete));
+            if shards == 1 {
+                assert_eq!(global.len(), 17);
+                assert_eq!(global.iter().filter(|ev| ev.request).count(), 5);
+                unsharded = global;
+            } else {
+                assert_eq!(global, unsharded, "shards={shards}");
             }
         }
     }

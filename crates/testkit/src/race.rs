@@ -247,15 +247,18 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<TraceStats, TraceError> {
 pub fn seeded_ordering_bug_trace() -> Vec<TraceEvent> {
     use AccessKind::{Read, Write};
     use TraceEvent::{Access, Recv, Send};
-    // s_count = 2, t_count = 3. Coordinator seeds: channel w + 1 to
-    // worker w. Status: thread * t_count (3 for worker 1, 6 for worker
-    // 2). Peer runs would use thread * t_count + peer + 1 — the bug is
-    // exactly that no such send happens.
+    // s_count = 2, t_count = 3. Start hand-off: channel w + 1 to worker
+    // w. Status: thread * t_count (3 for worker 1, 6 for worker 2). Peer
+    // runs would use thread * t_count + peer + 1 — the bug is exactly that
+    // no such send happens.
     vec![
-        // Coordinator seeds both workers' queues through their mailboxes.
+        // The coordinator seeds both shards' queues in place, then spawns
+        // each worker behind a start hand-off.
+        Access { thread: 0, resource: Resource::ShardState(0), kind: Write },
+        Access { thread: 0, resource: Resource::ShardState(1), kind: Write },
         Send { thread: 0, channel: 1 },
         Send { thread: 0, channel: 2 },
-        // Worker 1 drains its mailbox (queue fold) and runs a pass.
+        // Worker 1 takes the hand-off and runs two passes.
         Recv { thread: 1, channel: 1 },
         Access { thread: 1, resource: Resource::ShardState(0), kind: Write },
         Access { thread: 1, resource: Resource::ShardState(0), kind: Write },
@@ -294,6 +297,8 @@ mod tests {
         // cross-shard contribution as a run on the peer channel
         // (2 * 3 + 1 + 1 = 8) for worker 1 to fold into its own queue.
         let trace = vec![
+            acc(0, Resource::ShardState(0), Write),
+            acc(0, Resource::ShardState(1), Write),
             Send { thread: 0, channel: 1 },
             Send { thread: 0, channel: 2 },
             Recv { thread: 1, channel: 1 },
@@ -314,7 +319,7 @@ mod tests {
         ];
         let stats = check_trace(&trace).expect("clean trace flagged");
         assert_eq!(stats.threads, 3);
-        assert_eq!(stats.accesses, 7);
+        assert_eq!(stats.accesses, 9);
     }
 
     #[test]

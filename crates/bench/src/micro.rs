@@ -1,7 +1,8 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the engine's components — queue insert, queue drain, kernel apply
-//! via `initial_compute`, and CSR snapshot maintenance — with warmup +
+//! via `initial_compute`, CSR snapshot maintenance, and the serving
+//! layer's update admission — with warmup +
 //! median-of-K sampling, and serializes the results to the `BENCH.json`
 //! schema documented in DESIGN.md §12. Whole engines and the server are
 //! measured by `benchmark/` (`BENCHMARK.json`), not here.
@@ -17,9 +18,18 @@ use jetstream_core::{
     CoalescingQueue, EngineConfig, Event, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
 };
 use jetstream_graph::gen::DatasetProfile;
-use jetstream_graph::{Csr, CsrPair, VertexId};
+use jetstream_graph::{Csr, CsrPair, EdgeUpdate, VertexId};
 
 use crate::harness::{self, HarnessError, Scenario, ACCUMULATIVE_EPSILON};
+
+// The serving crate's admission front-end, compiled from its own source:
+// `jetstream-serve` depends on this crate, so the rig cannot depend back
+// on it, and the module needs nothing but `jetstream-graph`.
+#[allow(dead_code)] // the rig drives `fresh` and `admit` only
+#[path = "../../serve/src/admission.rs"]
+mod admission;
+
+use admission::{Admission, FlushPolicy};
 
 /// One measured benchmark: the median and spread of K timed samples.
 #[derive(Debug, Clone)]
@@ -258,25 +268,92 @@ fn bench_initial_compute<X: Executor>(
     ))
 }
 
-/// One batch through `CsrPair::apply_batch`: validated once, then both
-/// views edited in place in `O(batch · degree)`.
-#[allow(clippy::expect_used)] // invariant: `check_batch` accepted the batch for `base`
+/// One batch through `CsrPair::apply_batch` on a pair as a compaction
+/// leaves it: checked once, then both views edited in place in
+/// `O(batch · degree)`. Not on a clone: cloning trims the arenas' room to
+/// grow, so the clone's first relocation would copy the whole arena.
+#[allow(clippy::expect_used)] // invariant: the batch applied to the same pair before timing
 fn bench_snapshot_maintain_incremental(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
     let scenario = pagerank_scenario(cfg);
     let (base, batches) = harness::base_and_batches(&scenario);
     let Some(batch) = batches.first() else {
         return Err(scenario.no_batches());
     };
-    base.check_batch(batch).map_err(|e| scenario.graph_error(e))?;
-    let pair = CsrPair::new(base);
+    CsrPair::new(base.snapshot()).apply_batch(batch).map_err(|e| scenario.graph_error(e))?;
     Ok(measure(
         "snapshot_maintain_incremental",
         cfg.warmup,
         cfg.samples,
-        || pair.clone(),
+        || CsrPair::new(base.snapshot()),
         |p| {
-            p.apply_batch(batch).expect("invariant: a checked batch applies");
+            p.apply_batch(batch)
+                .expect("invariant: the batch applied to the same pair before timing");
             std::hint::black_box(p.num_edges());
+        },
+    ))
+}
+
+/// Updates per message: the served workload's message size.
+const MESSAGE_UPDATES: usize = 256;
+
+/// The flush policy the admission bench seals under: the default's 4096
+/// updates a batch at full size, a quarter of that in a quick run.
+fn admission_policy(cfg: &MicroConfig) -> FlushPolicy {
+    FlushPolicy { max_updates: cfg.queue_vertices / 16, ..FlushPolicy::default() }
+}
+
+/// Update messages valid against `graph` that together fill one batch of
+/// `batch` updates: 70 % inserts of absent edges, 30 % deletes of present
+/// ones, no edge named twice (so no conflict seal). A graph too small to
+/// name that many edges gets as many as a bounded draw finds.
+fn admission_messages(graph: &Csr, batch: usize) -> Vec<Vec<EdgeUpdate>> {
+    let mut rng = Rng(0x5eed);
+    let edges: Vec<(VertexId, VertexId)> = graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
+    let n = graph.num_vertices() as u64;
+    let mut named = std::collections::BTreeSet::new();
+    let mut updates = Vec::new();
+    for _ in 0..16 * batch {
+        if updates.len() == batch || edges.is_empty() {
+            break;
+        }
+        let update = if rng.next() % 10 < 7 {
+            let (source, target) = ((rng.next() % n) as VertexId, (rng.next() % n) as VertexId);
+            if source == target || graph.has_edge(source, target) {
+                continue;
+            }
+            EdgeUpdate::Insert { source, target, weight: 1.0 }
+        } else {
+            let (source, target) = edges[(rng.next() % edges.len() as u64) as usize];
+            EdgeUpdate::Delete { source, target }
+        };
+        if named.insert((update.source(), update.target())) {
+            updates.push(update);
+        }
+    }
+    updates.chunks(MESSAGE_UPDATES).map(<[EdgeUpdate]>::to_vec).collect()
+}
+
+/// 256-update messages admitted into one open batch until it seals, on
+/// the PageRank scenario's base graph: validation against the graph
+/// overlaid with the open batch, then the append.
+fn bench_admission_admit_message(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
+    let scenario = pagerank_scenario(cfg);
+    let (base, _) = harness::base_and_batches(&scenario);
+    let policy = admission_policy(cfg);
+    let messages = admission_messages(&base, policy.max_updates);
+    let mut admission = Admission::fresh(policy);
+    for message in &messages {
+        admission.admit(1, 0, message, &base, 0).map_err(|r| scenario.graph_error(r.error))?;
+    }
+    Ok(measure(
+        "admission_admit_message",
+        cfg.warmup,
+        cfg.samples,
+        || Admission::fresh(policy),
+        |admission| {
+            for (token, message) in messages.iter().enumerate() {
+                std::hint::black_box(admission.admit(1, token as u64, message, &base, 0)).ok();
+            }
         },
     ))
 }
@@ -310,6 +387,7 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let name = "kernel_initial_compute_pagerank_sharded2";
     report(&mut results, bench_initial_compute(cfg, name, Workload::PageRank, sharded2)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
+    report(&mut results, bench_admission_admit_message(cfg)?);
     Ok(results)
 }
 
@@ -372,10 +450,13 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// emission (DESIGN.md §12): PageRank's 19 queue inserts per processed
 /// event go out as uniform rows, SSSP's as weighted rows, and on two
 /// shards PageRank's rows are cut at the shard bound and exchanged as runs.
+/// Admission is ratcheted because its hashed overlay is what the served
+/// loop's engine thread saves per update (DESIGN.md §15.2).
 pub const RATCHETS: &[(&str, f64)] = &[
     ("kernel_initial_compute_pagerank", 1.3),
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
+    ("admission_admit_message", 1.3),
 ];
 
 /// Compares fresh results against a committed baseline: any benchmark
@@ -546,8 +627,26 @@ mod tests {
                 "kernel_initial_compute_sssp",
                 "kernel_initial_compute_pagerank_sharded2",
                 "snapshot_maintain_incremental",
+                "admission_admit_message",
             ]
         );
+    }
+
+    #[test]
+    fn the_admission_messages_fill_exactly_one_batch() {
+        assert_eq!(admission_policy(&MicroConfig::full()), FlushPolicy::default());
+        let cfg = MicroConfig::quick();
+        let (base, _) = harness::base_and_batches(&pagerank_scenario(&cfg));
+        let policy = admission_policy(&cfg);
+        let messages = admission_messages(&base, policy.max_updates);
+        assert_eq!(messages.len(), policy.max_updates / MESSAGE_UPDATES);
+        let mut admission = Admission::fresh(policy);
+        let mut sealed = Vec::new();
+        for message in &messages {
+            sealed.extend(admission.admit(1, 0, message, &base, 0).expect("valid message").sealed);
+        }
+        assert_eq!(sealed.len(), 1, "only the last message seals, on size");
+        assert_eq!(sealed[0].batch.len(), policy.max_updates);
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub struct StreamingFlow<X: Executor> {
     /// grows to its high-water mark once and is empty between batches, so
     /// steady-state streaming allocates nothing. Every other row a set-up
     /// phase needs is read in place from the CSR — at the pre-batch
-    /// version before [`commit`](Self::commit), at the new one after — so
+    /// version before [`CsrPair::commit`], at the new one after — so
     /// nothing else is copied.
     touched_scratch: Vec<VertexId>,
 }
@@ -450,24 +450,16 @@ impl<X: Executor> StreamingFlow<X> {
         self.stats
     }
 
-    /// Switches the graph to the new version (§3.5), in place in
-    /// O(batch · degree). The streaming paths run `check_batch` before they
-    /// seed anything, and the graph has not changed since.
-    fn commit(&mut self, batch: &UpdateBatch) {
-        #[allow(clippy::expect_used)] // invariant: `check_batch` accepted this batch
-        self.csr.apply_batch(batch).expect("invariant: a checked batch applies");
-    }
-
     // ------------------------------------------------------------------
     // Selective (monotonic) streaming flow — Algorithms 4 & 5
     // ------------------------------------------------------------------
 
     fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // The whole batch is validated first; nothing is seeded for a
+        // The whole batch is validated first, once; nothing is seeded for a
         // rejected one. The delete phase runs on the old graph (the batch
         // is committed only after recovery), which is also where VAP reads
         // a deleted edge's weight.
-        self.csr.out.check_batch(batch)?;
+        let checked = self.csr.out.check_batch(batch)?;
         self.impacted.clear();
 
         // DAP must keep per-source delete events distinct from the very
@@ -510,7 +502,8 @@ impl<X: Executor> StreamingFlow<X> {
         self.drain_phase(Phase::DeletePropagation);
         self.exec.set_coalesce_deletes(true);
 
-        self.commit(batch);
+        // The §3.5 version switch, in place in O(batch · degree).
+        self.csr.commit(checked);
 
         // Phase 3 — request events along each impacted vertex's incoming
         // edges (Algorithm 4, Reapproximate), the borrowed in-edge row
@@ -576,10 +569,10 @@ impl<X: Executor> StreamingFlow<X> {
     // ------------------------------------------------------------------
 
     fn stream_accumulative(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // The whole batch is validated first; nothing is seeded for a
-        // rejected one. The graph stays at the pre-batch version until
+        // The whole batch is validated first, once; nothing is seeded for
+        // a rejected one. The graph stays at the pre-batch version until
         // Phase 1 has read it.
-        self.csr.out.check_batch(batch)?;
+        let checked = self.csr.out.check_batch(batch)?;
         self.impacted.clear();
         // `touched` vertices have an out-edge added or deleted: their
         // per-edge contribution factor (1/deg or w/wsum) changes, so the
@@ -597,7 +590,8 @@ impl<X: Executor> StreamingFlow<X> {
         // are still the old ones.
         self.seed_contributions(Phase::DeleteSetup, &touched, true);
 
-        self.commit(batch);
+        // The §3.5 version switch.
+        self.csr.commit(checked);
 
         if self.config.accumulative_recovery == AccumulativeRecovery::TwoPhase {
             // Compute on the intermediate graph: the old graph with all

@@ -1,3 +1,4 @@
+use crate::dcsr::arena_bound;
 use crate::{ix, vid, VertexId, Weight};
 
 /// A single edge as seen when iterating a CSR row.
@@ -31,8 +32,8 @@ pub struct EdgeRef {
 /// neighbor order per row, deterministic iteration — that the kernel's
 /// traversal and the differential test matrix rely on. The graph is
 /// *simple*: no self-loops, no parallel edges. The validated mutation API
-/// (`insert_edge`, `delete_edge`, `check_batch`, `apply_batch`) lives in
-/// the `dcsr` module.
+/// (`insert_edge`, `delete_edge`, `check_batch`/`commit`, `apply_batch`)
+/// lives in the `dcsr` module.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
     pub(crate) starts: Vec<usize>,
@@ -41,7 +42,11 @@ pub struct Csr {
     pub(crate) targets: Vec<VertexId>,
     pub(crate) weights: Vec<Weight>,
     pub(crate) live: usize,
-    // Reusable validation scratch for `apply_batch`: sorted probe slices
+    // Edge writes ever made: the stamp a `CheckedBatch` carries, so a
+    // commit can tell the graph has not changed since its check. Excluded
+    // from equality.
+    pub(crate) version: u64,
+    // Reusable validation scratch for `check_batch`: sorted probe slices
     // instead of two per-batch set allocations. Always empty between
     // calls; excluded from equality.
     pub(crate) scratch_deleted: Vec<(VertexId, VertexId)>,
@@ -69,32 +74,54 @@ impl PartialEq for Csr {
 impl Csr {
     /// Creates a graph with `num_vertices` vertices and no edges.
     pub fn new(num_vertices: usize) -> Self {
-        Csr::dense(vec![0; num_vertices], Vec::new(), Vec::new())
+        Csr::with_rows(vec![0; num_vertices])
     }
 
-    /// The dense layout: rows of `lens` entries back to back in the arena,
-    /// no slack.
-    fn dense(lens: Vec<usize>, targets: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+    /// The one row layout every rebuilt arena has (DESIGN.md §17.1): rows
+    /// back to back in vertex order, row `v` holding `row_cap(lens[v])`
+    /// slots — its live entries first, its slack zero-filled. Every slot
+    /// starts zeroed; callers write each row's `lens[v]` live entries.
+    /// The arenas are allocated to the compaction trigger, so no relocation
+    /// between compactions reallocates (and copies) a whole arena.
+    pub(crate) fn with_rows(lens: Vec<usize>) -> Self {
         let mut starts = Vec::with_capacity(lens.len());
+        let mut caps = Vec::with_capacity(lens.len());
         let mut end = 0;
-        for len in &lens {
+        for &len in &lens {
             starts.push(end);
-            end += len;
+            caps.push(row_cap(len));
+            end += row_cap(len);
         }
-        Csr {
-            starts,
-            caps: lens.clone(),
-            lens,
-            live: targets.len(),
-            targets,
-            weights,
-            ..Csr::default()
-        }
+        let live = lens.iter().sum();
+        let room = arena_bound(live);
+        let (mut targets, mut weights) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        targets.resize(end, 0);
+        weights.resize(end, 0.0);
+        Csr { starts, caps, live, lens, targets, weights, ..Csr::default() }
     }
 
-    /// Builds a dense graph (every row starts with zero slack) from an
-    /// unsorted edge list. Raw synthetic edge streams are noisy, so the
-    /// list is reduced to a simple graph: of several edges with the same
+    /// A graph whose row `r` holds the `(other, weight)` of every
+    /// `(r, other, weight)` in `entries`, in arrival order; `lens[r]`
+    /// counts them. Rows may interleave, but each row's entries must
+    /// arrive in ascending `other` order.
+    fn scattered(
+        lens: Vec<usize>,
+        entries: impl Iterator<Item = (VertexId, VertexId, Weight)>,
+    ) -> Self {
+        let mut g = Csr::with_rows(lens);
+        let mut cursor = g.starts.clone();
+        for (r, other, weight) in entries {
+            let at = cursor[ix(r)];
+            g.targets[at] = other;
+            g.weights[at] = weight;
+            cursor[ix(r)] += 1;
+        }
+        g
+    }
+
+    /// Builds a graph from an unsorted edge list, in the layout compaction
+    /// leaves. Raw synthetic edge streams are noisy, so the list is
+    /// reduced to a simple graph: of several edges with the same
     /// `(source, target)` the first wins, and self-loops and edges with an
     /// endpoint `>= num_vertices` are skipped.
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, Weight)]) -> Self {
@@ -110,11 +137,7 @@ impl Csr {
         for &(u, _, _) in &kept {
             lens[ix(u)] += 1;
         }
-        Csr::dense(
-            lens,
-            kept.iter().map(|&(_, v, _)| v).collect(),
-            kept.iter().map(|&(_, _, w)| w).collect(),
-        )
+        Csr::scattered(lens, kept.into_iter())
     }
 
     /// Number of vertices.
@@ -282,8 +305,8 @@ impl Csr {
         Ok(())
     }
 
-    /// Builds the transposed graph, dense: an in-edge CSR where
-    /// `neighbors(v)` yields the *sources* of edges pointing at `v`.
+    /// Builds the transposed graph: an in-edge CSR where `neighbors(v)`
+    /// yields the *sources* of edges pointing at `v`.
     ///
     /// A counting sort on the target: sources are visited in ascending
     /// order, so every in-row comes out sorted without a comparison.
@@ -292,28 +315,28 @@ impl Csr {
         for (_, v, _) in self.iter_edges() {
             lens[ix(v)] += 1;
         }
-        let mut t = Csr::dense(lens, vec![0; self.live], vec![0.0; self.live]);
-        let mut cursor = t.starts.clone();
-        for (u, v, w) in self.iter_edges() {
-            let at = cursor[ix(v)];
-            t.targets[at] = u;
-            t.weights[at] = w;
-            cursor[ix(v)] += 1;
-        }
-        t
+        Csr::scattered(lens, self.iter_edges().map(|(u, v, w)| (v, u, w)))
     }
 
-    /// A dense copy of the graph: the same rows with no slack and no holes.
+    /// A copy of the graph in the layout compaction leaves: the same rows,
+    /// no holes.
     pub fn snapshot(&self) -> Csr {
         let mut copy = self.clone();
         copy.compact();
         copy
     }
 
-    /// Dense copies of the graph and its transpose.
+    /// Compacted copies of the graph and its transpose.
     pub fn snapshot_pair(&self) -> CsrPair {
         CsrPair::new(self.snapshot())
     }
+}
+
+/// Slots a rebuilt arena gives a row of `len` live edges: a quarter again
+/// as slack, so rows that grow after a compaction mostly grow in place
+/// (GPMA's proportional gaps) while the arena stays within `1.25 · live`.
+pub(crate) fn row_cap(len: usize) -> usize {
+    len + len / 4
 }
 
 /// The graph and its transpose, kept at the same version.
@@ -464,21 +487,25 @@ mod tests {
             &[(0, 2, 5.0), (0, 1, 1.0), (2, 2, 3.0), (0, 1, 2.0), (0, 5, 1.0), (7, 1, 1.0)],
         );
         assert_eq!(g.iter_edges().collect::<Vec<_>>(), vec![(0, 1, 1.0), (0, 2, 5.0)]);
-        assert_eq!(g.arena_slots(), 2, "from_edges lays rows out dense");
+        assert_eq!(g.arena_slots(), 2, "a row under four edges gets no slack");
         assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
-    fn snapshot_is_a_dense_equal_copy() {
-        let mut g = Csr::new(4);
-        for (u, v, w) in [(0, 3, 3.0), (0, 1, 1.0), (2, 3, 4.0), (0, 2, 2.0)] {
-            g.insert_edge(u, v, w).expect("insert of a fresh in-range edge succeeds");
+    fn snapshot_is_a_compacted_equal_copy() {
+        let mut g = Csr::new(10);
+        for v in (1..10).rev() {
+            g.insert_edge(0, v, f64::from(v)).expect("insert of a fresh in-range edge succeeds");
         }
-        assert!(g.arena_slots() > g.num_edges(), "grown edge by edge, the arena has slack");
-        let dense = g.snapshot();
-        assert_eq!(dense, g);
-        assert_eq!(dense.arena_slots(), 4);
-        assert_eq!(dense.validate(), Ok(()));
+        g.insert_edge(2, 3, 4.0).expect("insert of a fresh in-range edge succeeds");
+        assert!(g.arena_slots() > 12, "grown edge by edge, the arena has holes");
+        let copy = g.snapshot();
+        assert_eq!(copy, g);
+        // Row 0 (9 edges) gets 9 / 4 = 2 slots of slack, row 2 (1 edge) none.
+        assert_eq!((copy.starts[0], copy.caps[0]), (0, 11));
+        assert_eq!((copy.starts[2], copy.caps[2]), (11, 1));
+        assert_eq!(copy.arena_slots(), 12);
+        assert_eq!(copy.validate(), Ok(()));
         assert_eq!(g.snapshot_pair(), CsrPair::new(g));
     }
 

@@ -2,18 +2,21 @@
 //!
 //! The paper's host loop (§4.7) conceptually writes a *fresh* CSR after
 //! every batch; rebuilding is `O(E)` even when the batch touches a handful
-//! of rows. The [`Csr`] of `csr.rs` takes the batch in place instead:
-//! [`CsrPair::apply_batch`] validates it once, then edits both the out-
-//! and in-edge views in `O(Σ degree(touched) · log degree)` — binary-search
-//! each touched row, shift within the row's slack, and only relocate a row
-//! to the arena tail when it outgrows its slots (PMA-style amortized
-//! growth). Deletes shift within the row and leave the freed slot as
-//! reusable slack; relocation abandons the old extent as a tombstoned
-//! hole. When dead + slack space exceeds the live edge count (plus a fixed
-//! slop so tiny graphs never thrash), a batch ends by compacting the arena
-//! back to dense in `O(V + E)` — amortized over the ≥ `E` maintenance
-//! operations it took to create that much garbage, so the per-update cost
-//! stays `O(degree)`.
+//! of rows. The [`Csr`] of `csr.rs` takes the batch in place instead, in
+//! two typed steps: [`Csr::check_batch`] validates it once and mints a
+//! [`CheckedBatch`], and [`CsrPair::commit`] spends that token to edit both
+//! the out- and in-edge views without checking again, in
+//! `O(Σ degree(touched) · log degree)` — binary-search each touched row,
+//! shift within the row's slack, and only relocate a row to the arena tail
+//! when it outgrows its slots (PMA-style amortized growth). Deletes shift
+//! within the row and leave the freed slot as reusable slack; relocation
+//! abandons the old extent as a tombstoned hole. When dead + slack space
+//! exceeds the live edge count (plus a fixed slop so tiny graphs never
+//! thrash), a batch ends by compacting the arena in `O(V + E)` to the
+//! layout every rebuilt arena has: each row a quarter again its length, so
+//! the rows that grow next mostly grow in place. That is amortized over the
+//! ≥ `0.75 · E` maintenance operations it takes to create that much
+//! garbage, so the per-update cost stays `O(degree)`.
 //!
 //! Every entry point validates before it writes, so a rejected edge or
 //! batch leaves the graph — and, for a [`CsrPair`], both views — exactly
@@ -29,6 +32,27 @@ const MIN_ROW_CAP: usize = 4;
 /// compaction, so small graphs keep their slack instead of re-densifying
 /// after every batch.
 const COMPACT_SLOP: usize = 64;
+
+/// The most arena slots `live` edges may hold before a batch ends by
+/// compacting: twice the live edges, plus the slop.
+pub(crate) fn arena_bound(live: usize) -> usize {
+    live * 2 + COMPACT_SLOP
+}
+
+/// An update batch [`Csr::check_batch`] accepted, stamped with the version
+/// of the graph it was checked against. Only `check_batch` mints one, and
+/// [`CsrPair::commit`] spends it, writing the batch without checking it
+/// again.
+///
+/// The token borrows the batch, not the graph, so a flow can hold it while
+/// it still reads the pre-batch graph (DESIGN.md §17.3). A commit against a
+/// graph written since the check panics: the stamp no longer matches.
+#[derive(Debug)]
+#[must_use = "a checked batch changes nothing until it is committed"]
+pub struct CheckedBatch<'b> {
+    batch: &'b UpdateBatch,
+    stamp: u64,
+}
 
 impl Csr {
     /// Inserts `u -> v` with weight `w`, keeping row `u` sorted.
@@ -50,23 +74,10 @@ impl Csr {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
         }
-        let ui = ix(u);
-        let start = self.starts[ui];
-        let len = self.lens[ui];
-        match self.targets[start..start + len].binary_search(&v) {
+        match self.search(u, v) {
             Ok(_) => Err(GraphError::DuplicateEdge { source: u, target: v }),
             Err(pos) => {
-                if len < self.caps[ui] {
-                    // Room in the row's slack: shift the tail one slot right.
-                    self.targets.copy_within(start + pos..start + len, start + pos + 1);
-                    self.weights.copy_within(start + pos..start + len, start + pos + 1);
-                    self.targets[start + pos] = v;
-                    self.weights[start + pos] = w;
-                } else {
-                    self.relocate_insert(ui, pos, v, w);
-                }
-                self.lens[ui] += 1;
-                self.live += 1;
+                self.insert_at(ix(u), pos, v, w);
                 Ok(())
             }
         }
@@ -82,16 +93,10 @@ impl Csr {
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        let ui = ix(u);
-        let start = self.starts[ui];
-        let len = self.lens[ui];
-        match self.targets[start..start + len].binary_search(&v) {
+        match self.search(u, v) {
             Ok(pos) => {
-                let w = self.weights[start + pos];
-                self.targets.copy_within(start + pos + 1..start + len, start + pos);
-                self.weights.copy_within(start + pos + 1..start + len, start + pos);
-                self.lens[ui] -= 1;
-                self.live -= 1;
+                let w = self.row_weights(u)[pos];
+                self.remove_at(ix(u), pos);
                 Ok(w)
             }
             Err(_) => Err(GraphError::MissingEdge { source: u, target: v }),
@@ -106,33 +111,71 @@ impl Csr {
         }
     }
 
-    /// Moves row `ui` to the arena tail with fresh slack (1.5x growth, at
-    /// least [`MIN_ROW_CAP`] slots), inserting `(v, w)` at `pos` on the
-    /// way. The old extent is abandoned as a tombstoned hole for the next
-    /// compaction.
-    fn relocate_insert(&mut self, ui: usize, pos: usize, v: VertexId, w: Weight) {
-        let old_start = self.starts[ui];
-        let len = self.lens[ui];
-        let new_cap = (len + len / 2 + 1).max(MIN_ROW_CAP);
-        let new_start = self.targets.len();
-        self.targets.resize(new_start + new_cap, 0);
-        self.weights.resize(new_start + new_cap, 0.0);
-        self.targets.copy_within(old_start..old_start + pos, new_start);
-        self.weights.copy_within(old_start..old_start + pos, new_start);
-        self.targets[new_start + pos] = v;
-        self.weights[new_start + pos] = w;
-        self.targets.copy_within(old_start + pos..old_start + len, new_start + pos + 1);
-        self.weights.copy_within(old_start + pos..old_start + len, new_start + pos + 1);
-        self.starts[ui] = new_start;
-        self.caps[ui] = new_cap;
+    /// Where `v` sits, or would go, in row `u`'s sorted live prefix.
+    fn search(&self, u: VertexId, v: VertexId) -> Result<usize, usize> {
+        self.neighbor_targets(u).binary_search(&v)
     }
 
-    /// Compacts the arena back to dense layout (zero slack, no holes) when
-    /// dead + slack space exceeds the live edge count plus a fixed slop.
-    /// `O(V + E)`, amortized over the maintenance that produced the
-    /// garbage.
+    /// Row `ui`'s `(start, len, cap)`.
+    fn row(&self, ui: usize) -> (usize, usize, usize) {
+        // panic-ok: row writers take ui from `check_vertex`ed ids or a checked batch
+        (self.starts[ui], self.lens[ui], self.caps[ui])
+    }
+
+    /// Sets row `ui`'s `(start, len, cap)`.
+    fn set_row(&mut self, ui: usize, (start, len, cap): (usize, usize, usize)) {
+        // panic-ok: ui was just read through `row`, which would have panicked first
+        (self.starts[ui], self.lens[ui], self.caps[ui]) = (start, len, cap);
+    }
+
+    /// Writes `(v, w)` at position `pos` of row `ui`: shifted into the
+    /// row's slack when it has some, else by relocating the row to the
+    /// arena tail with fresh slack (1.5x growth, at least [`MIN_ROW_CAP`]
+    /// slots), opening the gap at `pos` on the way. A relocated row's old
+    /// extent is abandoned as a tombstoned hole for the next compaction.
+    // hot-path
+    fn insert_at(&mut self, ui: usize, pos: usize, v: VertexId, w: Weight) {
+        let (mut start, len, mut cap) = self.row(ui);
+        if len < cap {
+            // Room in the row's slack: shift the tail one slot right.
+            self.targets.copy_within(start + pos..start + len, start + pos + 1);
+            self.weights.copy_within(start + pos..start + len, start + pos + 1);
+        } else {
+            let old = start;
+            start = self.targets.len();
+            cap = (len + len / 2 + 1).max(MIN_ROW_CAP);
+            self.targets.resize(start + cap, 0);
+            self.weights.resize(start + cap, 0.0);
+            self.targets.copy_within(old..old + pos, start);
+            self.weights.copy_within(old..old + pos, start);
+            self.targets.copy_within(old + pos..old + len, start + pos + 1);
+            self.weights.copy_within(old + pos..old + len, start + pos + 1);
+        }
+        // panic-ok: start + pos < start + len + 1 <= start + cap, inside the row's extent
+        (self.targets[start + pos], self.weights[start + pos]) = (v, w);
+        self.set_row(ui, (start, len + 1, cap));
+        self.live += 1;
+        self.version += 1;
+    }
+
+    /// Removes position `pos` of row `ui`; the freed slot becomes slack.
+    // hot-path
+    fn remove_at(&mut self, ui: usize, pos: usize) {
+        let (start, len, cap) = self.row(ui);
+        self.targets.copy_within(start + pos + 1..start + len, start + pos);
+        self.weights.copy_within(start + pos + 1..start + len, start + pos);
+        self.set_row(ui, (start, len - 1, cap));
+        self.live -= 1;
+        self.version += 1;
+    }
+
+    /// Compacts the arena when dead + slack space exceeds the live edge
+    /// count plus a fixed slop. `O(V + E)`, amortized over the maintenance
+    /// that produced the garbage. A compacted arena holds at most
+    /// `1.25 · live` slots, so the next compaction is at least
+    /// `0.75 · live` writes away.
     pub fn maybe_compact(&mut self) -> bool {
-        if self.targets.len() > self.live * 2 + COMPACT_SLOP {
+        if self.targets.len() > arena_bound(self.live) {
             self.compact();
             true
         } else {
@@ -140,26 +183,28 @@ impl Csr {
         }
     }
 
-    /// Compacts the arena to dense layout now, whatever the garbage bound
-    /// says: the tail of a generator that grew the graph edge by edge.
+    /// Compacts the arena now, whatever the garbage bound says: the tail of
+    /// a generator that grew the graph edge by edge. Rows are laid out as
+    /// every rebuilt arena is — in vertex order, each with a quarter again
+    /// its length as slack, no holes.
     pub fn compact(&mut self) {
-        let mut targets = Vec::with_capacity(self.live);
-        let mut weights = Vec::with_capacity(self.live);
-        for ui in 0..self.starts.len() {
-            let start = self.starts[ui];
-            let len = self.lens[ui];
-            self.starts[ui] = targets.len();
-            self.caps[ui] = len;
-            targets.extend_from_slice(&self.targets[start..start + len]);
-            weights.extend_from_slice(&self.weights[start..start + len]);
+        let fresh = Csr::with_rows(std::mem::take(&mut self.lens));
+        let (mut targets, mut weights) = (fresh.targets, fresh.weights);
+        for (ui, &len) in fresh.lens.iter().enumerate() {
+            let (from, to) = (self.starts[ui], fresh.starts[ui]);
+            targets[to..to + len].copy_from_slice(&self.targets[from..from + len]);
+            weights[to..to + len].copy_from_slice(&self.weights[from..from + len]);
         }
+        self.starts = fresh.starts;
+        self.lens = fresh.lens;
+        self.caps = fresh.caps;
         self.targets = targets;
         self.weights = weights;
     }
 
     /// Validates a whole update batch against the graph without changing
-    /// it: `Ok` exactly when [`apply_batch`](Csr::apply_batch) would
-    /// commit it.
+    /// it, and mints the [`CheckedBatch`] that [`CsrPair::commit`] needs. Runs on the graph's own sort scratch, which steady-state
+    /// streaming therefore allocates once.
     ///
     /// Deletions are validated against the pre-batch graph and insertions
     /// must not duplicate surviving edges. A batch may delete an edge and
@@ -169,8 +214,19 @@ impl Csr {
     /// # Errors
     ///
     /// Returns the first validation error found.
-    pub fn check_batch(&self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        self.check_batch_with(batch, &mut Vec::new(), &mut Vec::new())
+    // hot-path
+    pub fn check_batch<'b>(
+        &mut self,
+        batch: &'b UpdateBatch,
+    ) -> Result<CheckedBatch<'b>, GraphError> {
+        let mut deleted = std::mem::take(&mut self.scratch_deleted);
+        let mut pending = std::mem::take(&mut self.scratch_pending);
+        let result = self.check_batch_with(batch, &mut deleted, &mut pending);
+        deleted.clear();
+        pending.clear();
+        self.scratch_deleted = deleted;
+        self.scratch_pending = pending;
+        result.map(|()| CheckedBatch { batch, stamp: self.version })
     }
 
     // hot-path
@@ -219,61 +275,83 @@ impl Csr {
         Ok(())
     }
 
-    /// [`check_batch`](Csr::check_batch) on the graph's own sort scratch,
-    /// which steady-state streaming therefore allocates once.
-    // hot-path
-    fn check_batch_reusing_scratch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        let mut deleted = std::mem::take(&mut self.scratch_deleted);
-        let mut pending = std::mem::take(&mut self.scratch_pending);
-        let result = self.check_batch_with(batch, &mut deleted, &mut pending);
-        deleted.clear();
-        pending.clear();
-        self.scratch_deleted = deleted;
-        self.scratch_pending = pending;
-        result
+    /// Writes a checked batch — deletions first, then insertions — without
+    /// checking it again; may end with a compaction.
+    ///
+    /// # Panics
+    ///
+    /// If the graph was written since `checked` was minted: the check no
+    /// longer vouches for the batch.
+    pub(crate) fn commit(&mut self, checked: CheckedBatch<'_>) {
+        assert!(
+            checked.stamp == self.version,
+            "a CheckedBatch was committed to a graph written since its check"
+        );
+        let batch = checked.batch;
+        self.write(batch.deletions().iter().copied(), batch.insertions().iter().copied());
+        self.maybe_compact();
     }
 
-    /// Applies a whole update batch atomically — deletions first, then
-    /// insertions — after validating it as
-    /// [`check_batch`](Csr::check_batch) does; may end with a compaction.
+    /// Applies a whole update batch atomically: [`check_batch`], then the
+    /// commit, deletions first.
     ///
     /// Cost: `O(Σ degree(touched) · log degree)` plus the amortized
     /// compaction.
+    ///
+    /// [`check_batch`]: Csr::check_batch
     ///
     /// # Errors
     ///
     /// Returns the first validation error found; the graph is left untouched.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        self.check_batch_reusing_scratch(batch)?;
-        self.commit(batch.deletions().iter().copied(), batch.insertions().iter().copied());
+        let checked = self.check_batch(batch)?;
+        self.commit(checked);
         Ok(())
     }
 
-    /// Writes an already validated batch.
-    fn commit(
+    /// Writes edges a check has vouched for.
+    // hot-path
+    fn write(
         &mut self,
         deletions: impl Iterator<Item = (VertexId, VertexId)>,
         insertions: impl Iterator<Item = (VertexId, VertexId, Weight)>,
     ) {
         for (u, v) in deletions {
-            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch_with`
-            self.delete_edge(u, v).expect("invariant: a validated deletion finds its edge");
+            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
+            let pos = self.search(u, v).expect("invariant: a checked deletion finds its edge");
+            self.remove_at(ix(u), pos);
         }
         for (u, v, w) in insertions {
-            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch_with`
-            self.insert_edge(u, v, w).expect("invariant: a validated insertion finds a free slot");
+            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
+            let pos = self.search(u, v).expect_err("invariant: a checked insertion is absent");
+            self.insert_at(ix(u), pos, v, w);
         }
-        self.maybe_compact();
     }
 }
 
 impl CsrPair {
+    /// Writes a batch [`Csr::check_batch`] accepted on `out` to both views,
+    /// without checking it again: to `out` and, endpoints swapped, to `inc`
+    /// — the transpose of a graph the batch is valid for accepts the
+    /// swapped batch. The pair stays bit-identical to a from-scratch
+    /// rebuild of the mutated edge list: rows, iteration order, weights,
+    /// and out/in duality.
+    ///
+    /// # Panics
+    ///
+    /// If `out` was written since `checked` was minted.
+    pub fn commit(&mut self, checked: CheckedBatch<'_>) {
+        let batch = checked.batch;
+        self.out.commit(checked);
+        self.inc.write(
+            batch.deletions().iter().map(|&(u, v)| (v, u)),
+            batch.insertions().iter().map(|&(u, v, w)| (v, u, w)),
+        );
+        self.inc.maybe_compact();
+    }
+
     /// Applies an update batch to both views atomically and in place:
-    /// validated once on `out`, then written to `out` and, endpoints
-    /// swapped, to `inc` — the transpose of a graph the batch is valid
-    /// for accepts the swapped batch. The pair stays bit-identical to a
-    /// from-scratch rebuild of the mutated edge list: rows, iteration
-    /// order, weights, and out/in duality.
+    /// checked once on `out`, then [`commit`](CsrPair::commit)ted.
     ///
     /// # Errors
     ///
@@ -281,11 +359,8 @@ impl CsrPair {
     /// insertion, self-loop, out-of-range endpoint); both views are left
     /// untouched.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        self.out.apply_batch(batch)?;
-        self.inc.commit(
-            batch.deletions().iter().map(|&(u, v)| (v, u)),
-            batch.insertions().iter().map(|&(u, v, w)| (v, u, w)),
-        );
+        let checked = self.out.check_batch(batch)?;
+        self.commit(checked);
         Ok(())
     }
 }
@@ -293,6 +368,7 @@ impl CsrPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vid;
 
     fn pair_of(edges: &[(VertexId, VertexId, Weight)], n: usize) -> CsrPair {
         CsrPair::new(Csr::from_edges(n, edges))
@@ -461,8 +537,8 @@ mod tests {
         let pair = pair_of(&base, 4);
         for (what, batch, want) in cases {
             let want = Err(want);
-            assert_eq!(graph.check_batch(&batch), want, "{what}: check_batch");
             let mut g = graph.clone();
+            assert_eq!(g.check_batch(&batch).map(|_| ()), want, "{what}: check_batch");
             assert_eq!(g.apply_batch(&batch), want, "{what}: Csr::apply_batch");
             assert_eq!(g, graph, "{what}: a rejected batch must leave the graph untouched");
             assert!(g.scratch_deleted.is_empty() && g.scratch_pending.is_empty(), "{what}");
@@ -473,7 +549,8 @@ mod tests {
         // Accepted: delete-then-reinsert is a weight change, also when the
         // deleted pair is not the first in sort order.
         let reweigh = batch_of(&[(0, 1), (2, 0)], &[(2, 0, 7.5), (3, 2, 1.0)]);
-        assert_eq!(graph.check_batch(&reweigh), Ok(()));
+        let mut g = graph.clone();
+        assert!(g.check_batch(&reweigh).is_ok());
     }
 
     // kills jm-0fa5ac00 (dcsr.rs len-off-by-one in check_vertex): the
@@ -491,7 +568,7 @@ mod tests {
         );
     }
 
-    // Kills jm-713f6271 (`<` -> `<=` in check_vertex) and jm-0fa5accf
+    // Kills jm-713f6dc6 (`<` -> `<=` in check_vertex) and jm-0fa5accf
     // (len-off-by-one on the same bound): id == num_vertices is the first
     // out-of-range id — it must be rejected, not index one past the rows.
     #[test]
@@ -512,18 +589,22 @@ mod tests {
     // is left alone; one more dead slot compacts.
     #[test]
     fn compaction_triggers_strictly_above_the_garbage_bound() {
-        let edges: Vec<(VertexId, VertexId, Weight)> = (1..=76u32).map(|v| (0, v, 1.0)).collect();
-        let mut g = Csr::from_edges(77, &edges);
-        assert_eq!(g.arena_slots(), 76, "from_edges lays rows out dense");
-        let mut compactions = 0;
-        for v in 1..=71u32 {
+        // 72 edges in 90 slots: deleting down to 13 live edges lands the
+        // arena exactly on the bound (90 = 2 * 13 + 64).
+        let edges: Vec<(VertexId, VertexId, Weight)> = (1..=72u32).map(|v| (0, v, 1.0)).collect();
+        let mut g = Csr::from_edges(73, &edges);
+        assert_eq!(g.arena_slots(), 72 + 72 / 4, "from_edges leaves a quarter of slack");
+        let (mut compactions, mut on_the_bound) = (0, false);
+        for v in 1..=67u32 {
             g.delete_edge(0, v).expect("edge (0, v) was inserted above");
+            on_the_bound |= g.arena_slots() == 2 * g.num_edges() + COMPACT_SLOP;
             let over_bound = g.arena_slots() > 2 * g.num_edges() + COMPACT_SLOP;
             assert_eq!(g.maybe_compact(), over_bound, "after removing target {v}");
             if over_bound {
                 compactions += 1;
             }
         }
+        assert!(on_the_bound, "no removal left the arena exactly on the bound");
         assert_eq!(compactions, 1, "exactly one removal crosses the bound");
     }
 
@@ -546,6 +627,137 @@ mod tests {
             "slack slots must be zero-filled"
         );
         assert_eq!(g.validate(), Ok(()));
+    }
+
+    /// Every non-empty row has the compacted layout's slack, and the arena
+    /// sits at most a quarter above the live edges.
+    fn assert_compacted_layout(g: &Csr) {
+        for v in 0..g.num_vertices() {
+            let (len, cap) = (g.lens[v], g.caps[v]);
+            assert!(cap >= len + len / 4, "row {v}: {len} live edges in {cap} slots");
+        }
+        assert!(g.arena_slots() * 4 <= g.num_edges() * 5 + 4 * COMPACT_SLOP);
+        assert_eq!(g.validate(), Ok(()));
+    }
+
+    // Kills the slack-term mutants of xtask/mutation_corpus.txt: a
+    // compaction that re-densifies (`len / 4` -> 0) or over-pads
+    // (`/` -> `*`) breaks one of the two bounds.
+    #[test]
+    fn compaction_leaves_proportional_slack_under_the_trigger() {
+        // Row u holds u edges (degrees 0..=40), laid out as compaction
+        // lays them.
+        let n = 41u32;
+        let edges: Vec<_> =
+            (1..n).flat_map(|u| (1..=u).map(move |d| (u, (u + d) % n, 1.0))).collect();
+        let mut g = Csr::from_edges(ix(n), &edges);
+        assert_compacted_layout(&g);
+        // Every row doubles (relocating), then loses what it gained and
+        // a little more: mostly garbage, so the trigger fires.
+        for u in 1..n {
+            for d in u + 1..=(2 * u).min(n - 1) {
+                g.insert_edge(u, (u + d) % n, 1.0).expect("fresh edge");
+            }
+        }
+        for u in 1..n {
+            for d in u / 2..=(2 * u).min(n - 1) {
+                let _ = g.delete_edge(u, (u + d) % n);
+            }
+        }
+        assert!(g.maybe_compact(), "the churn left the arena under the trigger");
+        assert_compacted_layout(&g);
+        assert!(!g.maybe_compact(), "the trigger fired twice in a row");
+    }
+
+    // Degree-1 rows get no slack from a compaction, so every insert into
+    // one relocates it: the garbage that buys the next compaction. A star
+    // (one hub row whose degree drifts) plus a path (many degree-1 rows)
+    // churned for 10^4 batches compacts a bounded number of times, never in
+    // two batches running. Re-densifying the hub as well (`len / 4` -> 0)
+    // relocates it on its first growth after every compaction and breaks
+    // the bound.
+    #[test]
+    fn degree_one_churn_compacts_a_bounded_number_of_times() {
+        const LEAVES: u32 = 600;
+        const PATH: u32 = 400;
+        let n = 1 + LEAVES + PATH;
+        let mut edges: Vec<_> = (1..=LEAVES).map(|v| (0, v, 1.0)).collect();
+        edges.extend((LEAVES + 1..n - 1).map(|v| (v, v + 1, 1.0)));
+        let mut pair = pair_of(&edges, ix(n));
+        let mut rng = crate::rng::DetRng::seed_from_u64(0x5eed);
+        let mut pick = |below: u32| vid(rng.gen_index(ix(below)));
+        let (mut compactions, mut last) = (0usize, None);
+        for b in 0..10_000usize {
+            let mut batch = UpdateBatch::new();
+            // The hub gains a vertex it does not reach yet, or drops a leaf.
+            if pick(2) == 0 {
+                let fresh = loop {
+                    let t = 1 + pick(n - 1);
+                    if !pair.out.has_edge(0, t) {
+                        break t;
+                    }
+                };
+                batch.insert(0, fresh, 1.0);
+            } else {
+                let row = pair.out.neighbor_targets(0);
+                batch.delete(0, row[ix(pick(vid(row.len())))]);
+            }
+            // A path vertex gains a second out-edge, or drops it again.
+            let u = LEAVES + 1 + pick(PATH - 1);
+            match *pair.out.neighbor_targets(u) {
+                [_] => batch.insert(u, (u + 2 + pick(50)) % n, 1.0),
+                [a, b] => batch.delete(u, if a == u + 1 { b } else { a }),
+                ref row => panic!("path vertex {u} has out-edges {row:?}"),
+            };
+            let before = pair.out.arena_slots() + pair.inc.arena_slots();
+            pair.apply_batch(&batch).expect("the churn keeps every batch valid");
+            if pair.out.arena_slots() + pair.inc.arena_slots() < before {
+                assert_ne!(
+                    last,
+                    Some(b.wrapping_sub(1)),
+                    "compactions in batches {b} and the last"
+                );
+                compactions += 1;
+                last = Some(b);
+            }
+        }
+        assert_eq!(pair.validate(), Ok(()));
+        // 17 with the slack, 51 without it on the hub.
+        assert!((1..=25).contains(&compactions), "{compactions} compactions in 10^4 batches");
+    }
+
+    // Kills the stamp mutants of xtask/mutation_corpus.txt (`version += 1`
+    // -> `+= 0` on either writer): a commit after any write since the
+    // check — an insert or a delete, to a graph or to a pair's `out` —
+    // must panic instead of writing a batch nobody checked.
+    #[test]
+    fn committing_a_stale_checked_batch_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let base = [(0, 1, 1.0), (1, 2, 2.0)];
+        let mut batch = UpdateBatch::new();
+        batch.insert(2, 0, 3.0);
+        let write = |what, g: &mut Csr| match what {
+            "insert" => g.insert_edge(0, 2, 1.0).expect("fresh edge"),
+            _ => drop(g.delete_edge(1, 2).expect("edge exists")),
+        };
+        for what in ["insert", "delete"] {
+            let mut g = Csr::from_edges(3, &base);
+            let checked = g.check_batch(&batch).expect("valid batch");
+            write(what, &mut g);
+            let stale = catch_unwind(AssertUnwindSafe(|| g.commit(checked)));
+            assert!(stale.is_err(), "{what} since the check: the graph commit must panic");
+
+            let mut pair = pair_of(&base, 3);
+            let checked = pair.out.check_batch(&batch).expect("valid batch");
+            write(what, &mut pair.out);
+            let stale = catch_unwind(AssertUnwindSafe(|| pair.commit(checked)));
+            assert!(stale.is_err(), "{what} since the check: the pair commit must panic");
+        }
+        // A fresh token commits.
+        let mut pair = pair_of(&base, 3);
+        let checked = pair.out.check_batch(&batch).expect("valid batch");
+        pair.commit(checked);
+        assert_eq!(pair.inc.edge_weight(0, 2), Some(3.0));
     }
 
     #[test]

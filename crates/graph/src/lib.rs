@@ -52,6 +52,7 @@ pub mod partition;
 pub mod rng;
 
 pub use csr::{Csr, CsrPair, EdgeRef};
+pub use dcsr::CheckedBatch;
 pub use error::GraphError;
 pub use update::{EdgeUpdate, UpdateBatch, UpdateRejection};
 

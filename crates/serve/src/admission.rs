@@ -23,9 +23,20 @@
 //! inserts and deletes of absent edges are bounced here with a typed
 //! [`UpdateRejection`] and an engine-side apply error is unreachable.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap; // nondeterminism-ok: keyed lookups only, never iterated (Presence)
 
 use jetstream_graph::{AdjacencyGraph, EdgeUpdate, UpdateBatch, UpdateRejection, VertexId};
+
+/// Edge presence by `(source, target)`, as one layer over the graph last
+/// recorded it. A hash map keyed per process (std's `RandomState`), so a
+/// client cannot pick keys that collide; only ever probed by key, never
+/// iterated, so hash order cannot reach a batch or a reply.
+type Presence = HashMap<(VertexId, VertexId), bool>; // nondeterminism-ok: never iterated, see above
+
+/// The most updates the presence maps are sized for up front. A larger
+/// (or unbounded, `usize::MAX`) `max_updates` grows them on demand, once,
+/// to their high-water mark; clearing keeps the capacity.
+const PRESIZE_LIMIT: usize = 1 << 16;
 
 /// When the open batch is handed to the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +89,10 @@ pub struct Admission {
     /// graph (`true` = present, i.e. inserted by the open batch — the
     /// conflict-seal trigger). Cleared at seal: once the batch applies,
     /// the graph absorbs the delta.
-    overlay: BTreeMap<(VertexId, VertexId), bool>,
+    overlay: Presence,
     /// Scratch for [`Admission::validate`]: presence as of the message
     /// being validated, where it differs from `overlay`. Cleared on entry.
-    spec: BTreeMap<(VertexId, VertexId), bool>,
+    spec: Presence,
     /// `now_ns` when the open batch received its first update.
     opened_at_ns: Option<u64>,
     next_batch_id: u64,
@@ -90,12 +101,13 @@ pub struct Admission {
 impl Admission {
     /// A fresh front-end with nothing pending.
     pub fn fresh(policy: FlushPolicy) -> Self {
+        let presize = policy.max_updates.min(PRESIZE_LIMIT);
         Admission {
             policy,
             open: UpdateBatch::new(),
             tokens: Vec::new(),
-            overlay: BTreeMap::new(),
-            spec: BTreeMap::new(),
+            overlay: Presence::with_capacity(presize),
+            spec: Presence::with_capacity(presize),
             opened_at_ns: None,
             next_batch_id: 1,
         }
@@ -113,6 +125,7 @@ impl Admission {
 
     /// Validates a whole message against the graph plus the open batch
     /// without admitting anything. Returns the first failure, typed.
+    // hot-path
     fn validate(
         &mut self,
         graph: &AdjacencyGraph,
@@ -129,14 +142,14 @@ impl Admission {
             let (source, target) = (update.source(), update.target());
             let insert = update.is_insert();
             // The message's own last word on the edge, recorded in the same
-            // walk that reads it; else the open batch's; else the graph's.
-            let present = match self.spec.insert((source, target), insert) {
-                Some(p) => p,
-                None => match self.overlay.get(&(source, target)) {
-                    Some(&p) => p,
-                    None => graph.has_edge(source, target),
-                },
+            // probe that reads it; else the open batch's. Present when one
+            // of them says so, or neither says anything and the graph has
+            // the edge.
+            let said = match self.spec.insert((source, target), insert) {
+                None => self.overlay.get(&(source, target)).copied(),
+                recorded => recorded,
             };
+            let present = said == Some(true) || (said.is_none() && graph.has_edge(source, target));
             if present == insert {
                 return Err(reject(if insert {
                     jetstream_graph::GraphError::DuplicateEdge { source, target }
@@ -189,20 +202,7 @@ impl Admission {
     ) -> Result<AdmitOk, UpdateRejection> {
         self.validate(graph, updates)?;
         let mut sealed = Vec::new();
-        for update in updates {
-            let key = (update.source(), update.target());
-            // Conflict rule: a delete of an edge this open batch inserts
-            // cannot share the batch (deletions apply first).
-            if !update.is_insert() && self.overlay.get(&key) == Some(&true) {
-                sealed.push(self.seal());
-            }
-            self.open.extend(std::iter::once(*update));
-            self.opened_at_ns.get_or_insert(now_ns);
-            self.overlay.insert(key, update.is_insert());
-            if self.open.len() >= self.policy.max_updates {
-                sealed.push(self.seal());
-            }
-        }
+        self.append(updates, now_ns, &mut sealed);
         // Bind the token to the batch holding the message's last update.
         // The open batch is empty here only when that last update just
         // sealed one (conflict seals happen *before* an append), so the
@@ -219,6 +219,26 @@ impl Admission {
             }
         };
         Ok(AdmitOk { batch_id, sealed })
+    }
+
+    /// Appends a validated message to the open batch, sealing into
+    /// `sealed` wherever the size or conflict rule fires.
+    // hot-path
+    fn append(&mut self, updates: &[EdgeUpdate], now_ns: u64, sealed: &mut Vec<SealedBatch>) {
+        for update in updates {
+            let key = (update.source(), update.target());
+            // Conflict rule: a delete of an edge this open batch inserts
+            // cannot share the batch (deletions apply first).
+            if !update.is_insert() && self.overlay.get(&key) == Some(&true) {
+                sealed.push(self.seal());
+            }
+            self.open.extend(std::iter::once(*update));
+            self.opened_at_ns.get_or_insert(now_ns);
+            self.overlay.insert(key, update.is_insert());
+            if self.open.len() >= self.policy.max_updates {
+                sealed.push(self.seal());
+            }
+        }
     }
 
     /// Nanosecond deadline by which the open batch must seal, if one is

@@ -30,8 +30,9 @@
 //! * **paper-ref** — every `§x.y` section reference in source text must
 //!   exist in PAPER.md or DESIGN.md, so paper citations cannot rot.
 //! * **hot-path-alloc** — no `Vec::new()`, `vec![..]`, or `.clone()` in
-//!   the body of a `crates/core` function marked `// hot-path`
-//!   (DESIGN.md §12's steady-state zero-allocation contract).
+//!   the body of a `crates/core`, `crates/graph` or `crates/serve`
+//!   function marked `// hot-path` (DESIGN.md §12's steady-state
+//!   zero-allocation contract).
 //! * **determinism** — no wall-clock (`Instant`, `SystemTime`) or entropy
 //!   (`thread_rng`, `from_entropy`, `RandomState`) sources, and no
 //!   `HashMap`/`HashSet`, in the bit-determinism-critical code:
@@ -109,7 +110,7 @@ pub enum Lint {
     /// A `§x.y` reference that is in neither PAPER.md nor DESIGN.md.
     PaperRef,
     /// An allocation (`Vec::new()` / `vec![..]` / `.clone()`) inside a
-    /// `// hot-path`-marked function in `crates/core` or `crates/graph`.
+    /// `// hot-path`-marked function in `crates/{core,graph,serve}`.
     HotPathAlloc,
     /// A nondeterminism source (clock, entropy, unordered collection) in
     /// the bit-determinism-critical crates.
@@ -215,7 +216,8 @@ impl Lint {
             }
             Lint::HotPathAlloc => {
                 "hot-path-alloc: no `Vec::new()`, `vec![..]`, or `.clone()` inside a \
-                 `// hot-path`-marked function in `crates/core` or `crates/graph`, nor in \
+                 `// hot-path`-marked function in `crates/core`, `crates/graph` or \
+                 `crates/serve`, nor in \
                  any function such a \
                  function transitively calls (the call-graph upgrade, DESIGN.md §14).\n\n\
                  DESIGN.md §12 commits the steady state to zero allocations: scratch \
@@ -330,6 +332,11 @@ const DETERMINISM_SCOPE: [&str; 5] = [
     "crates/store/src/recovery",
     "crates/serve/src",
 ];
+
+/// Paths whose `// hot-path` functions `hot-path-alloc` reads token by
+/// token: the engine, the graph it maintains, and the admission path in
+/// front of both.
+const HOT_PATH_SCOPE: [&str; 3] = ["crates/core/src", "crates/graph/src", "crates/serve/src"];
 
 /// Paths covered by `cast-truncation`.
 const CAST_SCOPE: [&str; 2] = ["crates/core/src", "crates/graph/src"];
@@ -842,7 +849,7 @@ fn check_file(
     if in_scope(file.rel, &CONCURRENCY_SCOPE) && !in_scope(file.rel, &CONCURRENCY_APPROVED) {
         check_concurrency(file, findings);
     }
-    if in_scope(file.rel, &["crates/core/src", "crates/graph/src"]) {
+    if in_scope(file.rel, &HOT_PATH_SCOPE) {
         check_hot_path_allocs(file, findings);
     }
 }
@@ -1488,6 +1495,9 @@ pub fn f() {}
         let findings = check_str("crates/core/src/x.rs", src);
         assert_eq!(lints_of(&findings), vec![Lint::HotPathAlloc; 2]);
         assert_eq!(findings[0].line, 2);
+        // The admission path in front of the engine is held to it too.
+        assert_eq!(lints_of(&check_str("crates/serve/src/x.rs", src)), vec![Lint::HotPathAlloc; 2]);
+        assert!(check_str("crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]

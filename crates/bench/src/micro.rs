@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use jetstream_algorithms::{Algorithm, Reduce, Workload};
+use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Workload};
 use jetstream_core::{
     CoalescingQueue, EngineConfig, Event, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
 };
@@ -215,6 +215,59 @@ fn bench_insert_coalescing(cfg: &MicroConfig, by_row: bool) -> BenchResult {
     )
 }
 
+/// SSSP's emission shape on the same rows: each row carries a source and
+/// a weight per target, folded with `Min` through `AddWeight`, and every
+/// pass sends a smaller base so its arrivals dominate — the sourced fold,
+/// where a coalesce also rewrites the slot's source.
+fn bench_insert_weighted_row_sourced(cfg: &MicroConfig) -> BenchResult {
+    let rows = coalescing_rows(cfg.queue_vertices);
+    let mut rng = Rng(0x5eed);
+    let weights: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|row| row.iter().map(|_| 1.0 + (rng.next() % 1000) as f64 / 1000.0).collect())
+        .collect();
+    measure(
+        "queue_insert_weighted_row_sourced",
+        cfg.warmup,
+        cfg.samples,
+        || CoalescingQueue::new(cfg.queue_vertices, 16),
+        |queue| {
+            let (op, reduce) = (EdgeOp::AddWeight, Reduce::Min);
+            for pass in 0..ROW_PASSES {
+                let delta = (ROW_PASSES - pass) as f64;
+                for (source, (row, w)) in rows.iter().zip(&weights).enumerate() {
+                    let source = Some(source as VertexId);
+                    queue.insert_weighted_row(0, row, w, delta, op, source, reduce);
+                }
+            }
+            std::hint::black_box(queue.len());
+        },
+    )
+}
+
+/// The receiving side of the 2-shard exchange: the coalescing rows as
+/// ascending runs of sum-reduced events, folded with `insert_run`.
+fn bench_insert_run(cfg: &MicroConfig) -> BenchResult {
+    let runs: Vec<Vec<Event>> = coalescing_rows(cfg.queue_vertices)
+        .iter()
+        .map(|row| row.iter().map(|&v| Event::regular(v, 0.125)).collect())
+        .collect();
+    measure(
+        "queue_insert_run",
+        cfg.warmup,
+        cfg.samples,
+        || CoalescingQueue::new(cfg.queue_vertices, 16),
+        |queue| {
+            for _ in 0..ROW_PASSES {
+                for run in &runs {
+                    queue.insert_run(run, Reduce::Sum);
+                }
+            }
+            std::hint::black_box(queue.len());
+        },
+    )
+}
+
 fn bench_drain_bitmap(cfg: &MicroConfig, name: &'static str, occupancy: usize) -> BenchResult {
     let alg = pagerank_alg();
     let events = occupancy_events(cfg.queue_vertices, occupancy, 0x5eed);
@@ -374,6 +427,8 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_queue_insert(cfg));
     report(&mut results, bench_insert_coalescing(cfg, true));
     report(&mut results, bench_insert_coalescing(cfg, false));
+    report(&mut results, bench_insert_weighted_row_sourced(cfg));
+    report(&mut results, bench_insert_run(cfg));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
     for (name, workload) in [
@@ -451,8 +506,13 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// event go out as uniform rows, SSSP's as weighted rows, and on two
 /// shards PageRank's rows are cut at the shard bound and exchanged as runs.
 /// Admission is ratcheted because its hashed overlay is what the served
-/// loop's engine thread saves per update (DESIGN.md §15.2).
+/// loop's engine thread saves per update (DESIGN.md §15.2). The sourced
+/// weighted row and the run are ratcheted because they time the fold
+/// compiled for `Min`/`AddWeight` and for a run, which no other entry
+/// reads.
 pub const RATCHETS: &[(&str, f64)] = &[
+    ("queue_insert_weighted_row_sourced", 1.3),
+    ("queue_insert_run", 1.3),
     ("kernel_initial_compute_pagerank", 1.3),
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
@@ -621,6 +681,8 @@ mod tests {
                 "queue_insert_25pct",
                 "queue_insert_row_coalescing",
                 "queue_insert_event_coalescing",
+                "queue_insert_weighted_row_sourced",
+                "queue_insert_run",
                 "queue_drain_bitmap_25pct",
                 "queue_drain_bitmap_1pct",
                 "kernel_initial_compute_pagerank",

@@ -205,12 +205,12 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
     ) {
         self.stats.events_generated += targets.len() as u64;
         let (routes, reduce) = (self.routes, self.reduce);
-        let payload = |w| op.apply(base, w);
         let mut rest = weights;
         routes.split(targets, |dest, lo, run| {
             let (run_weights, tail) = rest.split_at(run.len());
             rest = tail;
-            self.queue_for(dest).insert_weighted_row(lo, run, run_weights, payload, source, reduce);
+            let queue = self.queue_for(dest);
+            queue.insert_weighted_row(lo, run, run_weights, base, op, source, reduce);
         });
     }
 

@@ -514,8 +514,7 @@ impl<'a> ExecState<'a> for SeqState<'a> {
         op: EdgeOp,
     ) {
         self.book_row(targets);
-        let payload = |w| op.apply(base, w);
-        self.queue.insert_weighted_row(0, targets, weights, payload, source, self.reduce);
+        self.queue.insert_weighted_row(0, targets, weights, base, op, source, self.reduce);
     }
 
     // hot-path

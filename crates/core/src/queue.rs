@@ -10,10 +10,15 @@
 //! one private slot fold, the only insert-side code that indexes the slot
 //! arrays. The entry points differ only in how the arriving fields are
 //! laid out; the row entry points account their `QueueStats` once per row.
+//!
+//! The fold is compiled per operator, as the hardware's `Reduce` ALU is
+//! configured once per application (§4.3): a row or a run matches its
+//! [`Reduce`] (and a weighted row its [`EdgeOp`]) once, then folds every
+//! arrival through a loop monomorphized for that operator.
 
 use std::collections::VecDeque;
 
-use jetstream_algorithms::{Algorithm, Reduce, Value};
+use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Value};
 use jetstream_graph::{ix, vid, VertexId, Weight};
 
 use crate::event::Event;
@@ -52,6 +57,30 @@ const FLAG_SOURCE: u8 = 1 << 2;
 /// flag byte — a delete never shares a slot with a regular event, and a
 /// dominant sourceless payload must clear the resident's source.
 const FLAG_TAGGED: u8 = FLAG_DELETE | FLAG_SOURCE;
+
+/// Evaluates `$body` with `$op` bound to `$reduce` compiled: a closure
+/// that is exactly [`Reduce::apply`] for that operator, NaN rule included.
+/// The one dispatch on [`Reduce`] behind the row and run entry points —
+/// each arm monomorphizes `$body`'s fold loop, so no arrival tests the
+/// operator.
+macro_rules! with_compiled {
+    ($reduce:expr, |$op:ident| $body:expr) => {
+        match $reduce {
+            Reduce::Min => {
+                let $op = |state: Value, delta: Value| state.min(delta);
+                $body
+            }
+            Reduce::Max => {
+                let $op = |state: Value, delta: Value| state.max(delta);
+                $body
+            }
+            Reduce::Sum => {
+                let $op = |state: Value, delta: Value| state + delta;
+                $body
+            }
+        }
+    };
+}
 
 /// The delete/request bits of `event`'s flag byte.
 fn kind_of(event: &Event) -> u8 {
@@ -96,7 +125,6 @@ pub struct CoalescingQueue {
     num_vertices: usize,
     bin_size: usize,
     num_bins: usize,
-    bin_len: Vec<usize>,
     len: usize,
     /// Occupied slots whose flag byte has a [`FLAG_TAGGED`] bit.
     tagged: usize,
@@ -118,8 +146,6 @@ struct Slots<'a> {
     payload: &'a mut [Value],
     source: &'a mut Vec<VertexId>,
     flags: &'a mut Vec<u8>,
-    bin_len: &'a mut Vec<usize>,
-    bin_size: &'a usize,
     len: &'a mut usize,
     tagged: &'a mut usize,
     /// Where the caller puts an arrival the fold refuses.
@@ -136,6 +162,7 @@ impl Slots<'_> {
     /// Folds one arrival into slot `idx`; `kind` holds its delete/request
     /// flag bits and `plain` says that it is a regular, sourceless,
     /// non-request event arriving while [`none_tagged`](Self::none_tagged).
+    /// `reduce` is the compiled operator (see [`with_compiled`]).
     ///
     /// The only insert-side code that indexes the slot arrays: `idx` is
     /// checked here, once, against `payload`'s length, and
@@ -150,7 +177,7 @@ impl Slots<'_> {
         source: Option<VertexId>,
         kind: u8,
         plain: bool,
-        reduce: Reduce,
+        reduce: impl Fn(Value, Value) -> Value,
     ) -> Fold {
         assert!(idx < self.payload.len(), "event target {idx} out of range");
         let mask = 1u64 << (idx % 64);
@@ -165,22 +192,20 @@ impl Slots<'_> {
                 self.source[idx] = s; // panic-ok: idx < payload.len(), as above
             }
             *self.tagged += usize::from(flags & FLAG_TAGGED != 0);
-            let bin = (idx / *self.bin_size).min(self.bin_len.len() - 1);
-            self.bin_len[bin] += 1; // panic-ok: clamped into 0..num_bins, bin_len's length
             *self.len += 1;
             return Fold::Claimed;
         }
         if plain {
             // A plain arrival among plain residents: nothing but the
             // payload can change, and no other array is read.
-            *slot = reduce.apply(*slot, payload);
+            *slot = reduce(*slot, payload);
             return Fold::Coalesced;
         }
         let flags = &mut self.flags[idx]; // panic-ok: idx < payload.len(), as above
         if (*flags ^ kind) & FLAG_DELETE != 0 {
             return Fold::Refused;
         }
-        let reduced = reduce.apply(*slot, payload);
+        let reduced = reduce(*slot, payload);
         if reduced != *slot {
             // The arrival's payload dominates: the slot takes its source.
             let was_tagged = *flags & FLAG_TAGGED != 0;
@@ -241,7 +266,6 @@ impl CoalescingQueue {
             num_vertices,
             bin_size,
             num_bins,
-            bin_len: vec![0; num_bins],
             len: 0,
             tagged: 0,
             overflow: VecDeque::new(),
@@ -275,8 +299,6 @@ impl CoalescingQueue {
                     continue;
                 }
                 self.occupancy[wi] &= !(1u64 << bit);
-                let bin = self.bin_for(vid(v));
-                self.bin_len[bin] -= 1;
                 self.len -= 1;
                 self.tagged -= 1;
                 self.stats.overflowed += 1;
@@ -358,6 +380,13 @@ impl CoalescingQueue {
     // hot-path
     #[inline]
     pub fn insert_with(&mut self, event: Event, reduce: Reduce) {
+        self.insert_compiled(event, |state, delta| reduce.apply(state, delta));
+    }
+
+    /// [`insert_with`](CoalescingQueue::insert_with) folding with the
+    /// compiled operator `reduce`.
+    #[inline(always)]
+    fn insert_compiled(&mut self, event: Event, reduce: impl Fn(Value, Value) -> Value) {
         self.stats.inserts += 1;
         // A delete while delete coalescing is off goes straight to overflow.
         let outcome = if self.coalesce_deletes || !event.is_delete {
@@ -380,16 +409,19 @@ impl CoalescingQueue {
 
     /// Inserts a whole run of events (async mode's cross-shard runs,
     /// already in this queue's local coordinates), folding each into its
-    /// slot exactly like [`insert`](CoalescingQueue::insert).
+    /// slot exactly like [`insert`](CoalescingQueue::insert). The operator
+    /// is resolved once for the run.
     ///
     /// # Panics
     ///
     /// Panics if any target is out of range.
     // hot-path
     pub fn insert_run(&mut self, events: &[Event], reduce: Reduce) {
-        for &ev in events {
-            self.insert_with(ev, reduce);
-        }
+        with_compiled!(reduce, |op| {
+            for &ev in events {
+                self.insert_compiled(ev, op);
+            }
+        });
     }
 
     /// Inserts one regular event per entry of `targets`, all carrying the
@@ -436,29 +468,45 @@ impl CoalescingQueue {
     }
 
     /// Inserts one regular event per entry of `targets`, carrying
-    /// `payload(w)` for the entry's weight `w` in `weights` and a shared
-    /// `source` — a CSR row of weight-dependent propagation (SSSP, SSWP)
-    /// as the kernel emits it, `payload` applying the row's base with the
-    /// algorithm's edge operator. Otherwise exactly
-    /// [`insert_row`](CoalescingQueue::insert_row).
+    /// `op.apply(delta, w)` for the entry's weight `w` in `weights` and a
+    /// shared `source` — a CSR row of weight-dependent propagation (SSSP,
+    /// SSWP) as the kernel emits it, `delta` the row's base and `op` the
+    /// algorithm's edge operator, resolved here once for the row.
+    /// Otherwise exactly [`insert_row`](CoalescingQueue::insert_row).
     ///
     /// # Panics
     ///
     /// Panics if `weights` is not as long as `targets`, or if any target
     /// lies outside `base..base + num_vertices`.
     // hot-path
+    // insert_row's fields, plus the row's weights and edge operator.
+    #[allow(clippy::too_many_arguments)]
     pub fn insert_weighted_row(
         &mut self,
         base: VertexId,
         targets: &[VertexId],
         weights: &[Weight],
-        payload: impl Fn(Weight) -> Value,
+        delta: Value,
+        op: EdgeOp,
         source: Option<VertexId>,
         reduce: Reduce,
     ) {
         assert_eq!(targets.len(), weights.len(), "a row has one weight per target");
-        let row = targets.iter().zip(weights).map(|(&v, &w)| (v, payload(w)));
-        self.fold_row(base, row, targets.len(), source, 0, reduce);
+        let arrivals = targets.len();
+        match op {
+            EdgeOp::AddWeight => {
+                let row = targets.iter().zip(weights).map(|(&v, &w)| (v, delta + w));
+                self.fold_row(base, row, arrivals, source, 0, reduce);
+            }
+            EdgeOp::MinWeight => {
+                let row = targets.iter().zip(weights).map(|(&v, &w)| (v, delta.min(w)));
+                self.fold_row(base, row, arrivals, source, 0, reduce);
+            }
+            // What `EdgeOp::apply` gives every weight for these: the base.
+            EdgeOp::Uniform | EdgeOp::PerEdge => {
+                self.insert_row(base, targets, delta, source, reduce)
+            }
+        }
     }
 
     /// Inserts one delete event from `source` per entry of `targets`, all
@@ -498,7 +546,9 @@ impl CoalescingQueue {
     /// slots, spills the refused ones, and books the row's `QueueStats`
     /// once. The one body behind every row entry point; each passes its
     /// `kind` as a literal, so every inlined copy is specialized (a runtime
-    /// `kind` left the plain PageRank row ~10 % slower).
+    /// `kind` left the plain PageRank row ~10 % slower). `reduce` is
+    /// matched here, once for the row, into a loop compiled for its
+    /// operator (EXPERIMENTS.md, "Fold with a compiled operator").
     #[inline(always)]
     fn fold_row(
         &mut self,
@@ -508,6 +558,21 @@ impl CoalescingQueue {
         source: Option<VertexId>,
         kind: u8,
         reduce: Reduce,
+    ) {
+        with_compiled!(reduce, |op| self.fold_row_compiled(base, row, arrivals, source, kind, op));
+    }
+
+    /// [`fold_row`](CoalescingQueue::fold_row) with its operator compiled.
+    // hot-path
+    #[inline(always)]
+    fn fold_row_compiled(
+        &mut self,
+        base: VertexId,
+        row: impl Iterator<Item = (VertexId, Value)>,
+        arrivals: usize,
+        source: Option<VertexId>,
+        kind: u8,
+        reduce: impl Fn(Value, Value) -> Value + Copy,
     ) {
         let resident = self.len;
         let mut slots = self.slots();
@@ -554,8 +619,6 @@ impl CoalescingQueue {
             payload: &mut self.payload,
             source: &mut self.source,
             flags: &mut self.flags,
-            bin_len: &mut self.bin_len,
-            bin_size: &self.bin_size,
             len: &mut self.len,
             tagged: &mut self.tagged,
             overflow: &mut self.overflow,
@@ -564,7 +627,7 @@ impl CoalescingQueue {
 
     /// Clears every occupancy bit in `lo..hi`, appending the reconstructed
     /// events to `out` in ascending vertex order. Returns the number of
-    /// events drained. Bin lengths, `len`, and stats are the caller's job.
+    /// events drained. `len` and stats are the caller's job.
     // hot-path
     fn drain_bits(&mut self, lo: usize, hi: usize, out: &mut Vec<Event>) -> usize {
         if lo >= hi {
@@ -609,18 +672,9 @@ impl CoalescingQueue {
     // hot-path
     pub fn take_bin_into(&mut self, bin: usize, out: &mut Vec<Event>) -> usize {
         assert!(bin < self.num_bins, "bin {bin} out of range");
-        // panic-ok: bin < num_bins asserted on entry, bin_len's length
-        if self.bin_len[bin] == 0 {
-            return 0;
-        }
         let lo = bin * self.bin_size;
         let hi = ((bin + 1) * self.bin_size).min(self.num_vertices);
-        let drained = self.drain_bits(lo, hi, out);
-        debug_assert_eq!(drained, self.bin_len[bin]); // panic-ok: bin < num_bins asserted on entry, bin_len's length
-        self.len -= drained;
-        self.bin_len[bin] = 0; // panic-ok: bin < num_bins asserted on entry, bin_len's length
-        self.stats.drained += drained as u64;
-        drained
+        self.take_range_into(lo, hi, out)
     }
 
     /// Drains all queued events whose target lies in `lo..hi` into `out`
@@ -634,27 +688,10 @@ impl CoalescingQueue {
     // hot-path
     pub fn take_range_into(&mut self, lo: usize, hi: usize, out: &mut Vec<Event>) -> usize {
         assert!(lo <= hi && hi <= self.num_vertices, "range {lo}..{hi} out of bounds");
-        if lo == hi {
-            return 0;
-        }
-        // Walk bin by bin so per-bin lengths stay exact.
-        let mut total = 0;
-        let first_bin = self.bin_for(vid(lo));
-        let last_bin = self.bin_for(vid(hi - 1));
-        for bin in first_bin..=last_bin {
-            // panic-ok: bin_for clamps into 0..num_bins, bin_len's length
-            if self.bin_len[bin] == 0 {
-                continue;
-            }
-            let bin_lo = (bin * self.bin_size).max(lo);
-            let bin_hi = ((bin + 1) * self.bin_size).min(self.num_vertices).min(hi);
-            let drained = self.drain_bits(bin_lo, bin_hi, out);
-            self.bin_len[bin] -= drained; // panic-ok: bin_for clamps into 0..num_bins, bin_len's length
-            total += drained;
-        }
-        self.len -= total;
-        self.stats.drained += total as u64;
-        total
+        let drained = self.drain_bits(lo, hi, out);
+        self.len -= drained;
+        self.stats.drained += drained as u64;
+        drained
     }
 
     /// Drains every queued slot event into `out` (appended in ascending
@@ -674,7 +711,6 @@ impl CoalescingQueue {
         let drained = self.drain_bits(0, self.num_vertices, out);
         debug_assert_eq!(drained, self.len);
         self.len = 0;
-        self.bin_len.fill(0);
         self.stats.drained += drained as u64;
         drained
     }
@@ -731,7 +767,6 @@ impl CoalescingQueue {
     /// * the occupied-bit count equals the resident length;
     /// * the tagged-resident count (deletes and sourced events) matches a
     ///   recount — the plain-coalesce shortcut trusts it to be zero;
-    /// * per-bin lengths match a recount and sum to the resident length;
     /// * while delete coalescing is off, no delete event occupies a slot
     ///   (DAP recovery keeps per-source deletes in the overflow buffer,
     ///   §5.2);
@@ -754,22 +789,6 @@ impl CoalescingQueue {
         let occupied: usize = self.occupancy.iter().map(|w| w.count_ones() as usize).sum(); // cast-ok: count_ones of a u64 word is <= 64
         if occupied != self.len {
             return Err(format!("{occupied} occupied slots but len = {}", self.len));
-        }
-        let mut bin_total = 0;
-        for bin in 0..self.num_bins {
-            let lo = bin * self.bin_size;
-            let hi = ((bin + 1) * self.bin_size).min(self.num_vertices);
-            let count = (lo..hi).filter(|&v| self.is_occupied(v)).count();
-            if count != self.bin_len[bin] {
-                return Err(format!(
-                    "bin {bin} holds {count} events but bin_len says {}",
-                    self.bin_len[bin]
-                ));
-            }
-            bin_total += count;
-        }
-        if bin_total != self.len {
-            return Err(format!("bin lengths sum to {bin_total} but len = {}", self.len));
         }
         let tagged = (0..self.num_vertices)
             .filter(|&v| self.is_occupied(v) && self.flags[v] & FLAG_TAGGED != 0)
@@ -846,8 +865,7 @@ mod tests {
         assert_eq!(q.bin_for(3), 1);
         assert_eq!(q.bin_for(8), 2);
         assert_eq!(q.bin_for(9), q.num_bins() - 1, "num_vertices-1 must land in the last bin");
-        // Out-of-population ids clamp into the last bin rather than
-        // indexing past `bin_len`.
+        // Out-of-population ids clamp into the last bin.
         assert_eq!(q.bin_for(u32::MAX), q.num_bins() - 1);
     }
 
@@ -1131,7 +1149,8 @@ mod tests {
 
     // kills jm-85c15fe9 (queue.rs cmp-boundary `bin < num_bins` -> `<=`):
     // the first out-of-range bin is exactly num_bins, and the mutant lets
-    // it through to a raw index-out-of-bounds on `bin_len`.
+    // it through to drain the empty range past the last vertex instead of
+    // the documented panic.
     #[test]
     #[should_panic(expected = "bin 2 out of range")]
     fn bin_equal_to_bin_count_is_out_of_range() {

@@ -326,6 +326,18 @@ fn tied_payload(rng: &mut DetRng) -> f64 {
     (rng.gen_index(7) as f64 - 3.0) * 0.5
 }
 
+/// [`tied_payload`], or now and then a NaN or an infinity: the compiled
+/// fold arms must treat them exactly as `Reduce::apply` and
+/// `EdgeOp::apply` do (`min`/`max` ignore a NaN operand, `+` keeps it).
+fn edge_payload(rng: &mut DetRng) -> f64 {
+    match rng.gen_index(8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => tied_payload(rng),
+    }
+}
+
 /// One row as a row entry point takes it: ascending or not, with
 /// duplicates, every target in `base..base + num_vertices`.
 fn arb_row(rng: &mut DetRng, base: u32, num_vertices: usize) -> Vec<u32> {
@@ -443,25 +455,23 @@ fn a_row_insert_is_its_events_inserted_one_by_one() {
 fn a_weighted_row_insert_is_its_events_inserted_one_by_one() {
     // `insert_weighted_row` is SSSP's and SSWP's emission path: each
     // target's payload comes from its own weight through the algorithm's
-    // edge operator, applied to the gate's base. Weights include signed
-    // zeros, negatives and infinities.
+    // edge operator, applied to the gate's base — an operator the queue
+    // resolves once per row, held here to `EdgeOp::apply` for every
+    // variant. Bases and weights include signed zeros, negatives,
+    // infinities and NaN.
     rows_match_their_events(
         "queue: insert_weighted_row == event-at-a-time",
         |rng, real, naive, base, n, reduce| {
             let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
-            let op = [EdgeOp::AddWeight, EdgeOp::MinWeight][rng.gen_index(2)];
-            let delta = tied_payload(rng);
+            let op = [EdgeOp::AddWeight, EdgeOp::MinWeight, EdgeOp::Uniform, EdgeOp::PerEdge]
+                [rng.gen_index(4)];
+            let delta = edge_payload(rng);
             let row = arb_row(rng, base, n);
             let weights: Vec<f64> = row
                 .iter()
-                .map(|_| match rng.gen_index(6) {
-                    0 => -0.0,
-                    1 => f64::INFINITY,
-                    2 => f64::NEG_INFINITY,
-                    _ => tied_payload(rng),
-                })
+                .map(|_| if rng.gen_bool(0.2) { -0.0 } else { edge_payload(rng) })
                 .collect();
-            real.insert_weighted_row(base, &row, &weights, |w| op.apply(delta, w), source, reduce);
+            real.insert_weighted_row(base, &row, &weights, delta, op, source, reduce);
             for (&v, &w) in row.iter().zip(&weights) {
                 let ev = Event { source, ..Event::regular(v - base, op.apply(delta, w)) };
                 naive.insert(ev, reduce);
@@ -491,6 +501,36 @@ fn a_delete_row_insert_is_its_events_inserted_one_by_one() {
                 naive.insert(Event::delete(source, v - base, payload), reduce);
             }
             format!("coalescing deletes {coalesce}")
+        },
+    );
+}
+
+#[test]
+fn a_run_insert_is_its_events_inserted_one_by_one() {
+    // `insert_run` is how a receiving shard folds a pre-coalesced run,
+    // with its operator resolved once for the run: held to the naive
+    // reference under all three operators, over runs mixing plain,
+    // request, sourced and delete events whose payloads include NaN.
+    rows_match_their_events(
+        "queue: insert_run == event-at-a-time",
+        |rng, real, naive, _base, n, reduce| {
+            let run: Vec<Event> = (0..rng.gen_index(65))
+                .map(|_| {
+                    let target = rng.gen_index(n) as u32;
+                    let payload = edge_payload(rng);
+                    match rng.gen_index(4) {
+                        0 => Event::regular(target, payload),
+                        1 => Event::request(target, payload),
+                        2 => Event::regular_from(rng.gen_index(50) as u32, target, payload),
+                        _ => Event::delete(rng.gen_index(50) as u32, target, payload),
+                    }
+                })
+                .collect();
+            real.insert_run(&run, reduce);
+            for &ev in &run {
+                naive.insert(ev, reduce);
+            }
+            format!("run of {}", run.len())
         },
     );
 }

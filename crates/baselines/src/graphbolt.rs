@@ -103,11 +103,6 @@ impl GraphBolt {
         &self.pair.out
     }
 
-    /// Number of stored iterations (dependency depth).
-    pub fn num_iterations(&self) -> usize {
-        self.history.len().saturating_sub(1)
-    }
-
     fn seed_vector(&self) -> Vec<Value> {
         (0..self.pair.num_vertices() as VertexId)
             .map(|v| self.alg.initial_event(v).unwrap_or(0.0))

@@ -581,11 +581,6 @@ pub mod sync {
             RaceLog(Some(Arc::new(Mutex::new(Vec::new()))))
         }
 
-        /// Whether events are being recorded.
-        pub fn is_enabled(&self) -> bool {
-            self.0.is_some()
-        }
-
         /// Appends one event (no-op when disabled).
         pub fn record(&self, ev: TraceEvent) {
             if let Some(buf) = &self.0 {

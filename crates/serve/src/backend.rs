@@ -1,9 +1,7 @@
-//! The engine the server fronts: volatile (in-memory only), durable
-//! (checkpoints + WAL via `jetstream-store`), or sharded (in-memory,
-//! multi-worker, barrier-free — DESIGN.md §16).
+//! The engine the server fronts: a [`StreamingEngine`], volatile
+//! (in-memory only) or durable (checkpoints + WAL via `jetstream-store`).
 
-use jetstream_algorithms::Algorithm;
-use jetstream_core::{BatchClassification, EngineConfig, RunStats, ShardedEngine, StreamingEngine};
+use jetstream_core::{BatchClassification, RunStats, StreamingEngine};
 use jetstream_graph::{AdjacencyGraph, UpdateBatch};
 use jetstream_store::{DurableEngine, StoreError};
 
@@ -18,47 +16,26 @@ pub enum Backend {
     Volatile(Box<StreamingEngine>),
     /// An engine wrapped in the durable store: every applied batch is
     /// WAL-appended, with interval checkpoints (DESIGN.md §10).
-    Durable(Box<DurableEngine<StreamingEngine>>),
-    /// A multi-worker in-memory engine (`--shards`). State dies with the
-    /// process.
-    Sharded(Box<ShardedEngine>),
+    Durable(Box<DurableEngine>),
 }
 
 impl Backend {
+    /// The served engine, whichever way it is kept.
+    pub fn engine(&self) -> &StreamingEngine {
+        match self {
+            Backend::Volatile(e) => e,
+            Backend::Durable(d) => d.engine(),
+        }
+    }
+
     /// Borrowed converged state for answering point queries.
     pub fn query_state(&self) -> QueryState<'_> {
-        match self {
-            Backend::Volatile(e) => QueryState::from(&**e),
-            Backend::Durable(d) => QueryState::from(d.engine()),
-            Backend::Sharded(e) => QueryState::from(&**e),
-        }
+        QueryState::from(self.engine())
     }
 
-    /// The graph the wrapped engine is mounted on.
+    /// The graph the engine is mounted on.
     pub fn graph(&self) -> &AdjacencyGraph {
-        match self {
-            Backend::Volatile(e) => e.graph(),
-            Backend::Durable(d) => d.engine().graph(),
-            Backend::Sharded(e) => e.graph(),
-        }
-    }
-
-    /// The wrapped engine's algorithm.
-    pub fn algorithm(&self) -> &dyn Algorithm {
-        match self {
-            Backend::Volatile(e) => e.algorithm(),
-            Backend::Durable(d) => d.engine().algorithm(),
-            Backend::Sharded(e) => e.algorithm(),
-        }
-    }
-
-    /// The wrapped engine's configuration.
-    pub fn config(&self) -> EngineConfig {
-        match self {
-            Backend::Volatile(e) => e.config(),
-            Backend::Durable(d) => d.engine().config(),
-            Backend::Sharded(e) => e.config(),
-        }
+        self.engine().graph()
     }
 
     /// Applies a batch through the admission-classified path
@@ -76,27 +53,26 @@ impl Backend {
         match self {
             Backend::Volatile(e) => e.apply_admitted_batch(batch).map_err(ServeError::Graph),
             Backend::Durable(d) => d.apply_admitted_batch(batch).map_err(ServeError::Store),
-            Backend::Sharded(e) => e.apply_admitted_batch(batch).map_err(ServeError::Graph),
         }
     }
 
     /// The store's durable sequence number (batches persisted so far);
-    /// `0` for volatile backends.
+    /// `0` for a volatile backend.
     pub fn sequence(&self) -> u64 {
         match self {
-            Backend::Volatile(_) | Backend::Sharded(_) => 0,
+            Backend::Volatile(_) => 0,
             Backend::Durable(d) => d.sequence(),
         }
     }
 
-    /// Forces a durable checkpoint (no-op for volatile backends).
+    /// Forces a durable checkpoint (no-op for a volatile backend).
     ///
     /// # Errors
     ///
     /// Store I/O failures.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         match self {
-            Backend::Volatile(_) | Backend::Sharded(_) => Ok(()),
+            Backend::Volatile(_) => Ok(()),
             Backend::Durable(d) => d.checkpoint().map(|_| ()),
         }
     }

@@ -5,7 +5,7 @@
 //!                       [--root N] [--profile NAME] [--scale N]
 //!                       [--flush-updates N] [--flush-ms MS]
 //!                       [--durable DIR] [--checkpoint-interval N]
-//!                       [--inflight N] [--shards N]
+//!                       [--inflight N]
 //! ```
 //!
 //! `serve` runs until stdin reaches EOF (press Ctrl-D), then shuts down
@@ -19,7 +19,7 @@ use std::io::BufRead;
 use std::path::PathBuf;
 
 use jetstream_algorithms::Workload;
-use jetstream_core::{EngineConfig, ShardedEngine, StreamingEngine, MAX_SHARDS};
+use jetstream_core::{EngineConfig, StreamingEngine};
 use jetstream_graph::gen::DatasetProfile;
 use jetstream_graph::AdjacencyGraph;
 use jetstream_serve::admission::FlushPolicy;
@@ -31,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: jetstream-serve serve [--listen ADDR] [--unix PATH] [--algorithm NAME] \
          [--root N] [--profile NAME] [--scale N] [--flush-updates N] [--flush-ms MS] \
-         [--durable DIR] [--checkpoint-interval N] [--inflight N] [--shards N]"
+         [--durable DIR] [--checkpoint-interval N] [--inflight N]"
     );
     std::process::exit(2);
 }
@@ -84,7 +84,6 @@ struct ServeOpts {
     durable: Option<PathBuf>,
     checkpoint_interval: u64,
     inflight: u32,
-    shards: usize,
 }
 
 fn take_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
@@ -108,7 +107,6 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
         durable: None,
         checkpoint_interval: StoreOptions::default().checkpoint_interval,
         inflight: ServerConfig::default().inflight_limit,
-        shards: 0,
     };
     let mut i = 0;
     while i < args.len() {
@@ -122,9 +120,6 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
             "--flush-updates" => opts.flush_updates = parse_num(take_value(args, &mut i)),
             "--flush-ms" => opts.flush_ms = parse_num(take_value(args, &mut i)),
             "--durable" => opts.durable = Some(PathBuf::from(take_value(args, &mut i))),
-            "--shards" => {
-                opts.shards = take_value(args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
             "--checkpoint-interval" => {
                 opts.checkpoint_interval = parse_num(take_value(args, &mut i));
             }
@@ -136,28 +131,13 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
     if opts.listen.is_none() && opts.unix.is_none() {
         opts.listen = Some(String::from("127.0.0.1:7477"));
     }
-    let checked = check_shards(opts.shards, opts.durable.is_some())
-        .and_then(|()| check_inflight(opts.inflight))
-        .and_then(|()| {
-            opts.profile.check_scale(opts.scale).map_err(|why| format!("invalid --scale: {why}"))
-        });
+    let checked = check_inflight(opts.inflight).and_then(|()| {
+        opts.profile.check_scale(opts.scale).map_err(|why| format!("invalid --scale: {why}"))
+    });
     if let Err(msg) = checked {
         fail(&msg);
     }
     opts
-}
-
-/// What `--shards N` cannot be asked for.
-fn check_shards(shards: usize, durable: bool) -> Result<(), String> {
-    if shards > MAX_SHARDS {
-        return Err(format!("--shards {shards} exceeds the engine's maximum of {MAX_SHARDS}"));
-    }
-    if shards > 1 && durable {
-        return Err(String::from(
-            "--shards is in-memory only; it cannot be combined with --durable",
-        ));
-    }
-    Ok(())
 }
 
 /// `--inflight 0` would answer `Busy` to every update message.
@@ -194,19 +174,6 @@ fn build_backend(opts: &ServeOpts) -> Backend {
         }
         graph
     };
-    if opts.shards > 1 {
-        eprintln!(
-            "[serve] generating {} (scale {}) and computing the initial state \
-             ({} shards)...",
-            opts.profile.name(),
-            opts.scale,
-            opts.shards
-        );
-        let graph = generate();
-        let mut engine = ShardedEngine::new(alg(), graph, config, opts.shards);
-        engine.initial_compute();
-        return Backend::Sharded(Box::new(engine));
-    }
     let Some(dir) = &opts.durable else {
         eprintln!(
             "[serve] generating {} (scale {}) and computing the initial state...",
@@ -255,7 +222,7 @@ fn build_backend(opts: &ServeOpts) -> Backend {
 fn cmd_serve(args: &[String]) {
     let opts = parse_serve_opts(args);
     let backend = build_backend(&opts);
-    let algorithm = backend.algorithm().name().to_string();
+    let algorithm = backend.engine().algorithm().name().to_string();
     let num_vertices = backend.graph().num_vertices();
     let config = ServerConfig {
         flush: FlushPolicy {
@@ -317,12 +284,6 @@ mod tests {
 
     #[test]
     fn option_values_the_engine_cannot_serve_are_refused() {
-        assert_eq!(check_shards(0, true), Ok(()));
-        assert_eq!(check_shards(MAX_SHARDS, false), Ok(()));
-        let err = check_shards(MAX_SHARDS + 1, false).unwrap_err();
-        assert!(err.contains("--shards 257") && err.contains("256"), "{err}");
-        assert!(check_shards(2, true).unwrap_err().contains("--durable"));
-
         assert_eq!(check_inflight(1), Ok(()));
         assert!(check_inflight(0).unwrap_err().contains("--inflight"));
 

@@ -7,13 +7,13 @@
 //!
 //! Queries read a [`QueryState`] — a borrowed view of the converged
 //! values, dependency tree, and impacted set — so the same answer logic
-//! serves every backend: any [`StreamingFlow`] — sequential or sharded —
+//! serves both backends: a [`StreamingEngine`], volatile or durable,
 //! converts into it for free.
 
-use jetstream_core::{Executor, StreamingFlow};
+use jetstream_core::StreamingEngine;
 use jetstream_graph::VertexId;
 
-/// Borrowed converged state, the common query surface of every engine.
+/// Borrowed converged state, the query surface of the served engine.
 #[derive(Clone, Copy)]
 pub struct QueryState<'a> {
     /// Converged per-vertex values.
@@ -24,8 +24,8 @@ pub struct QueryState<'a> {
     pub impacted: &'a [VertexId],
 }
 
-impl<'a, X: Executor> From<&'a StreamingFlow<X>> for QueryState<'a> {
-    fn from(engine: &'a StreamingFlow<X>) -> Self {
+impl<'a> From<&'a StreamingEngine> for QueryState<'a> {
+    fn from(engine: &'a StreamingEngine) -> Self {
         QueryState {
             values: engine.values(),
             dependencies: engine.dependencies(),
@@ -89,7 +89,7 @@ mod tests {
 
     use super::*;
     use jetstream_algorithms::Workload;
-    use jetstream_core::{EngineConfig, StreamingEngine};
+    use jetstream_core::EngineConfig;
     use jetstream_graph::AdjacencyGraph;
 
     fn line_engine() -> StreamingEngine {

@@ -9,7 +9,10 @@
 //! outboxes with `try_send`, and a full outbox evicts its client.
 
 use std::collections::BTreeMap;
+use std::fs;
+use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,10 +174,16 @@ pub fn start(
                 tcp_listeners.push(l);
             }
             Endpoint::Unix(path) => {
-                // A stale socket file from a killed process would fail the
-                // bind; remove it first (it is ours by configuration).
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
+                // A stale socket from a killed server would fail the bind, so
+                // it is removed first. Anything else at the path is not ours
+                // to delete: the bind refuses it.
+                let at_path = |e: io::Error| {
+                    ServeError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+                };
+                if fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+                    fs::remove_file(path).map_err(at_path)?;
+                }
+                let l = UnixListener::bind(path).map_err(at_path)?;
                 l.set_nonblocking(true)?;
                 unix_paths.push(path.clone());
                 unix_listeners.push(l);
@@ -305,7 +314,7 @@ impl EngineLoop {
             let _ = handle.join();
         }
         for path in &self.unix_paths {
-            let _ = std::fs::remove_file(path);
+            let _ = fs::remove_file(path);
         }
     }
 
@@ -431,8 +440,8 @@ impl EngineLoop {
         s.updates_applied += batch.len() as u64;
         s.safe_updates += class.safe() as u64;
         s.unsafe_updates += class.unsafe_total() as u64;
-        let dap_selective = self.backend.config().delete_strategy == DeleteStrategy::Dap
-            && self.backend.algorithm().kind() == UpdateKind::Selective;
+        let dap_selective = self.backend.engine().config().delete_strategy == DeleteStrategy::Dap
+            && self.backend.engine().algorithm().kind() == UpdateKind::Selective;
         if dap_selective && class.all_deletes_safe() && !batch.deletions().is_empty() {
             s.fast_path_batches += 1;
         }
@@ -476,7 +485,7 @@ impl EngineLoop {
             let ack = Response::HelloAck {
                 version: PROTOCOL_VERSION,
                 num_vertices: self.backend.graph().num_vertices() as u64,
-                algorithm: self.backend.algorithm().name().to_string(),
+                algorithm: self.backend.engine().algorithm().name().to_string(),
             };
             self.send_to(client, ack);
             return;

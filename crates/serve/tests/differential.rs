@@ -14,6 +14,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::net::TcpStream;
+use std::os::unix::net::UnixListener;
+use std::path::PathBuf;
 use std::time::Duration;
 
 use jetstream_algorithms::Workload;
@@ -336,6 +338,60 @@ fn a_message_resent_after_busy_is_applied_exactly_once() {
     }
     let oracle_bits: Vec<u64> = oracle.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(served, oracle_bits, "served state diverged from the offline replay");
+}
+
+fn unix_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("jss-unix-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `--unix PATH` pointed at a file that is not a socket (a mistyped
+/// `store/MANIFEST`, say) must not delete it: the bind fails, naming the
+/// path, and the file is left as it was.
+#[test]
+fn a_unix_endpoint_refuses_a_path_holding_a_regular_file() {
+    let dir = unix_dir("file");
+    let path = dir.join("MANIFEST");
+    std::fs::write(&path, b"not a socket").unwrap();
+    let err = start(
+        Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
+        ServerConfig::default(),
+        &[Endpoint::Unix(path.clone())],
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a socket");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The socket a killed server leaves behind is replaced, and the new one
+/// serves a whole session.
+#[test]
+fn a_unix_endpoint_replaces_a_stale_socket_and_serves() {
+    let dir = unix_dir("stale");
+    let path = dir.join("sock");
+    drop(UnixListener::bind(&path).unwrap());
+    assert!(path.exists(), "dropping a listener leaves its socket file");
+    let handle = start(
+        Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
+        ServerConfig::default(),
+        &[Endpoint::Unix(path.clone())],
+    )
+    .unwrap();
+    let mut client = Client::connect_unix(&path).unwrap();
+    client.hello("unix").unwrap();
+    // A shortcut from the root to vertex 8, 8.0 away along its line.
+    let update = EdgeUpdate::Insert { source: 0, target: 8, weight: 1.5 };
+    assert_admitted(&client.send_update(1, &[update]).unwrap());
+    client.flush().unwrap();
+    assert_eq!(client.query_value(8).unwrap(), 1.5);
+    client.goodbye().unwrap();
+    let report = handle.shutdown();
+    assert!(report.fatal.is_none(), "server fatal: {:?}", report.fatal);
+    assert!(!path.exists(), "the server removes its socket at exit");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A `ServeError` display smoke check so wire failures in this suite

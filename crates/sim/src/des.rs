@@ -169,15 +169,6 @@ impl<M> Simulation<M> {
     pub fn component(&self, id: ComponentId) -> &dyn Component<M> {
         self.components[id.0].as_ref()
     }
-
-    /// Mutable access to a component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unregistered.
-    pub fn component_mut(&mut self, id: ComponentId) -> &mut (dyn Component<M> + '_) {
-        &mut *self.components[id.0]
-    }
 }
 
 #[cfg(test)]

@@ -81,8 +81,5 @@ pub mod snapshot;
 pub mod wal;
 
 pub use error::StoreError;
-pub use recovery::{
-    recover, recover_sharded, recover_with, Recovered, RecoveredBase, RecoveryOptions,
-    RecoveryReport, ReplayEngine,
-};
+pub use recovery::{RecoveryOptions, RecoveryReport};
 pub use store::{CapturedCheckpoint, DurableEngine, DurableStore, PublishStep, StoreOptions};

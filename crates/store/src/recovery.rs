@@ -1,6 +1,7 @@
 //! Crash recovery: snapshot load + WAL replay.
 //!
-//! [`recover`] rebuilds a [`StreamingEngine`] from a store directory:
+//! [`DurableEngine::recover`](crate::DurableEngine::recover) rebuilds a
+//! [`StreamingEngine`] from a store directory:
 //!
 //! 1. Read the manifest (the committed root pointer). A missing or damaged
 //!    manifest is a loud error — nothing else can be trusted without it.
@@ -17,84 +18,25 @@
 //! The recovered engine is therefore always a state the engine actually
 //! passed through: either the full pre-crash state, or (after a torn tail)
 //! the longest durable prefix of it. It is never a silently diverged hybrid.
-//!
-//! Recovery is engine-generic: [`recover_with`] mounts any [`ReplayEngine`]
-//! on the snapshot and replays through it; [`recover`] (sequential) and
-//! [`recover_sharded`] (parallel) are thin wrappers. The sharded engine
-//! converges to the sequential one's fixed point on every batch (bit-exact
-//! for selective algorithms, within the convergence tolerance for
-//! accumulative ones — DESIGN.md §16.3), so a store written by either
-//! engine recovers under the other to a state that contract admits.
 
 use std::path::Path;
 
 use jetstream_algorithms::Algorithm;
-use jetstream_core::{
-    EngineConfig, Executor, RunStats, ShardedEngine, StreamingEngine, StreamingFlow,
-};
-use jetstream_graph::{AdjacencyGraph, GraphError, UpdateBatch};
+use jetstream_core::{EngineConfig, StreamingEngine};
 
 use crate::error::StoreError;
 use crate::manifest;
-use crate::snapshot::{self, SnapshotState};
+use crate::snapshot;
 use crate::wal;
 
-/// An engine the store can recover and keep durable.
-///
-/// The on-disk formats know nothing about execution strategy: a snapshot is
-/// a graph plus per-vertex state, a WAL record is an update batch. Any
-/// engine that can mount that state and replay batches to the same fixed
-/// point can sit behind the store — every [`StreamingFlow`] does, whatever
-/// its executor: the sequential [`StreamingEngine`] replays bit-identically,
-/// the parallel [`ShardedEngine`] value-equivalently (DESIGN.md §16.3), so
-/// a store written by one recovers under the other.
-pub trait ReplayEngine {
-    /// Applies one batch — both during WAL replay and in normal durable
-    /// operation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// engine's current graph version.
-    fn replay_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError>;
-    /// The graph a checkpoint persists.
-    fn checkpoint_graph(&self) -> &AdjacencyGraph;
-    /// The converged per-vertex state a checkpoint persists.
-    fn checkpoint_state(&self) -> SnapshotState;
-    /// Post-recovery convergence check ([`RecoveryOptions::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    fn validate(&self) -> Result<(), String>;
-}
-
-impl<X: Executor> ReplayEngine for StreamingFlow<X> {
-    fn replay_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.apply_update_batch(batch)
-    }
-
-    fn checkpoint_graph(&self) -> &AdjacencyGraph {
-        self.graph()
-    }
-
-    fn checkpoint_state(&self) -> SnapshotState {
-        SnapshotState { values: self.values().to_vec(), dependency: self.dependencies().to_vec() }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.validate_converged()
-    }
-}
-
-/// Knobs for [`recover`].
+/// Knobs for [`DurableEngine::recover`](crate::DurableEngine::recover).
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryOptions {
     /// Truncate a torn tail on the active WAL segment back to the last
     /// intact record (on by default). When off, a torn tail is a loud error
     /// — useful for read-only inspection of a damaged store.
     pub repair_torn_tail: bool,
-    /// Run [`StreamingFlow::validate_converged`] on the recovered engine
+    /// Run [`StreamingEngine::validate_converged`] on the recovered engine
     /// and fail recovery if it does not hold. Off by default: it is an
     /// O(edges) scan, and the recovered state is already guaranteed to be a
     /// replayed prefix of real history.
@@ -107,7 +49,7 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// What [`recover`] did, for logging and for the warm-restart benchmark.
+/// What recovery did, for logging and for the warm-restart benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Sequence of the snapshot the engine was rebuilt from.
@@ -124,117 +66,22 @@ pub struct RecoveryReport {
     pub wal_truncated: bool,
 }
 
-/// A successfully recovered engine plus the report describing how.
-#[derive(Debug)]
-pub struct Recovered {
-    /// The warm-started engine.
-    pub engine: StreamingEngine,
-    /// What recovery did.
-    pub report: RecoveryReport,
-}
-
-/// The durable base state recovery hands to a mount function: the newest
-/// intact snapshot's graph and (optional) per-vertex state.
-#[derive(Debug)]
-pub struct RecoveredBase {
-    /// The snapshotted graph.
-    pub graph: AdjacencyGraph,
-    /// The snapshotted converged state; `None` for a graph-only snapshot
-    /// (the mount function should fall back to a cold compute).
-    pub state: Option<SnapshotState>,
-    /// Sequence number the snapshot was taken at.
-    pub sequence: u64,
-}
-
-/// Recovers a [`StreamingEngine`] from the store directory `dir`.
+/// Recovers a [`StreamingEngine`] from the store directory `dir`: mounts
+/// the newest intact snapshot and replays the surviving WAL suffix.
 ///
 /// `alg` must be the same algorithm (same source vertex, same parameters)
 /// the persisted state was computed with; the store records sequence
 /// numbers and graph state but not algorithm identity.
 ///
-/// # Errors
-///
 /// Every failure is a [`StoreError`] naming the damaged file and byte
 /// offset where applicable. Recovery never returns an engine whose state
 /// could silently diverge from replayed history.
-pub fn recover(
+pub(crate) fn recover(
     dir: &Path,
     alg: Box<dyn Algorithm>,
     config: EngineConfig,
     options: RecoveryOptions,
-) -> Result<Recovered, StoreError> {
-    let (engine, report) = recover_with(dir, options, |base| match base.state {
-        Some(state) => StreamingEngine::from_checkpoint(
-            alg,
-            base.graph,
-            state.values,
-            state.dependency,
-            config,
-        )
-        .map_err(|e| StoreError::Checkpoint(e.to_string())),
-        None => {
-            // Graph-only snapshot: no converged state was persisted, so the
-            // warm start degrades to a cold compute at the snapshot point.
-            let mut e = StreamingEngine::new(alg, base.graph, config);
-            e.initial_compute();
-            Ok(e)
-        }
-    })?;
-    Ok(Recovered { engine, report })
-}
-
-/// Recovers a [`ShardedEngine`] with `num_shards` workers from the store
-/// directory `dir` — same protocol as [`recover`], any engine flavour.
-///
-/// # Errors
-///
-/// Same failure modes as [`recover`].
-///
-/// # Panics
-///
-/// Panics if `num_shards` is zero or exceeds
-/// [`MAX_SHARDS`](jetstream_core::MAX_SHARDS).
-pub fn recover_sharded(
-    dir: &Path,
-    alg: Box<dyn Algorithm>,
-    config: EngineConfig,
-    num_shards: usize,
-    options: RecoveryOptions,
-) -> Result<(ShardedEngine, RecoveryReport), StoreError> {
-    recover_with(dir, options, |base| match base.state {
-        Some(state) => ShardedEngine::from_checkpoint(
-            alg,
-            base.graph,
-            state.values,
-            state.dependency,
-            config,
-            num_shards,
-        )
-        .map_err(|e| StoreError::Checkpoint(e.to_string())),
-        None => {
-            let mut e = ShardedEngine::new(alg, base.graph, config, num_shards);
-            e.initial_compute();
-            Ok(e)
-        }
-    })
-}
-
-/// Engine-generic recovery: loads the newest intact snapshot, mounts an
-/// engine on it via `mount`, and replays the surviving WAL suffix through
-/// [`ReplayEngine::replay_batch`].
-///
-/// [`recover`] and [`recover_sharded`] are thin wrappers; use this directly
-/// to recover a custom [`ReplayEngine`].
-///
-/// # Errors
-///
-/// Every failure is a [`StoreError`] naming the damaged file and byte
-/// offset where applicable.
-pub fn recover_with<E: ReplayEngine>(
-    dir: &Path,
-    options: RecoveryOptions,
-    mount: impl FnOnce(RecoveredBase) -> Result<E, StoreError>,
-) -> Result<(E, RecoveryReport), StoreError> {
+) -> Result<(StreamingEngine, RecoveryReport), StoreError> {
     let root = manifest::read(dir)?;
 
     // Newest intact snapshot at or below the committed sequence. Snapshots
@@ -257,9 +104,23 @@ pub fn recover_with<E: ReplayEngine>(
     let snap = loaded.ok_or_else(|| StoreError::NoSnapshot { dir: dir.to_path_buf() })?;
     let snap_sequence = snap.sequence;
 
-    // Mount the engine on the snapshot.
-    let mut engine =
-        mount(RecoveredBase { graph: snap.graph, state: snap.state, sequence: snap_sequence })?;
+    let mut engine = match snap.state {
+        Some(state) => StreamingEngine::from_checkpoint(
+            alg,
+            snap.graph,
+            state.values,
+            state.dependency,
+            config,
+        )
+        .map_err(|e| StoreError::Checkpoint(e.to_string()))?,
+        None => {
+            // Graph-only snapshot: no converged state was persisted, so the
+            // warm start degrades to a cold compute at the snapshot point.
+            let mut e = StreamingEngine::new(alg, snap.graph, config);
+            e.initial_compute();
+            e
+        }
+    };
 
     // Walk the WAL segments covering (snapshot, manifest.wal_base]. Every
     // checkpoint rotates the log, so the chosen snapshot's sequence is
@@ -303,14 +164,14 @@ pub fn recover_with<E: ReplayEngine>(
                     found: record.sequence,
                 });
             }
-            engine.replay_batch(&record.batch)?;
+            engine.apply_update_batch(&record.batch)?;
             recovered_sequence = record.sequence;
             replayed += 1;
         }
     }
 
     if options.validate {
-        engine.validate().map_err(StoreError::Checkpoint)?;
+        engine.validate_converged().map_err(StoreError::Checkpoint)?;
     }
 
     Ok((

@@ -15,16 +15,13 @@ use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 
 use jetstream_algorithms::Algorithm;
-use jetstream_core::{
-    BatchClassification, EngineConfig, Executor, RunStats, ShardedEngine, StreamingEngine,
-    StreamingFlow,
-};
+use jetstream_core::{BatchClassification, EngineConfig, RunStats, StreamingEngine};
 use jetstream_graph::{AdjacencyGraph, UpdateBatch};
 
 use crate::error::StoreError;
 use crate::fsutil;
 use crate::manifest::{self, Manifest};
-use crate::recovery::{self, RecoveryOptions, RecoveryReport, ReplayEngine};
+use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 use crate::snapshot::{self, SnapshotState};
 use crate::wal;
 
@@ -150,11 +147,11 @@ impl DurableStore {
         Ok(Self::over(dir, options, writer))
     }
 
-    /// Reattaches to a store that [`recovery::recover`] just validated,
+    /// Reattaches to a store that recovery just validated,
     /// resuming appends on the active segment right after the last
     /// recovered record. Also deletes the `*.tmp` files a publication
     /// interrupted by the crash left behind.
-    pub fn open_after_recovery(
+    pub(crate) fn open_after_recovery(
         dir: &Path,
         options: StoreOptions,
         report: &RecoveryReport,
@@ -360,81 +357,14 @@ fn compact(dir: &Path, retain_snapshots: usize, newest: u64) -> Result<(), Store
 /// [`StoreOptions::checkpoint_interval`] batches — captured on the applying
 /// thread, published off it. [`DurableEngine::recover`]
 /// warm-starts from the directory after a crash.
-///
-/// Generic over the execution strategy: the default `E` is the sequential
-/// [`StreamingEngine`]; [`DurableEngine::recover_sharded`] (and
-/// [`DurableEngine::create`] with a [`ShardedEngine`]) run the same durable
-/// protocol behind the parallel engine. The on-disk formats are identical
-/// either way, so a store may freely alternate engines across restarts.
 #[derive(Debug)]
-pub struct DurableEngine<E: ReplayEngine = StreamingEngine> {
-    engine: E,
+pub struct DurableEngine {
+    engine: StreamingEngine,
     store: DurableStore,
     batches_since_checkpoint: u64,
 }
 
 impl DurableEngine {
-    /// Warm-starts a sequential engine from the store in `dir`.
-    ///
-    /// `alg` must be the algorithm (including parameters such as the source
-    /// vertex) the persisted state was computed with. Returns the durable
-    /// engine, ready for further updates, plus the recovery report.
-    pub fn recover(
-        dir: &Path,
-        alg: Box<dyn Algorithm>,
-        config: EngineConfig,
-        options: StoreOptions,
-        recovery_options: RecoveryOptions,
-    ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
-        let recovered = recovery::recover(dir, alg, config, recovery_options)?;
-        Self::reattach(dir, recovered.engine, options, recovered.report)
-    }
-}
-
-impl<X: Executor> DurableEngine<StreamingFlow<X>> {
-    /// Applies `batch` through the engine's admission pre-check
-    /// ([`StreamingFlow::apply_admitted_batch`]) and logs it, returning
-    /// the run statistics together with the safe/unsafe classification.
-    ///
-    /// The WAL records the batch itself, not the path taken: replay always
-    /// re-classifies against its own reconstructed state and — since the
-    /// fast path is bit-identical to the full flow — converges to the same
-    /// state either way. The durable protocol (apply-then-append, interval
-    /// checkpoints) is exactly [`DurableEngine::apply_update_batch`].
-    pub fn apply_admitted_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(RunStats, BatchClassification), StoreError> {
-        let applied = self.engine.apply_admitted_batch(batch)?;
-        self.log_applied(batch)?;
-        Ok(applied)
-    }
-}
-
-impl DurableEngine<ShardedEngine> {
-    /// Warm-starts a [`ShardedEngine`] with `num_shards` workers from the
-    /// store in `dir` — the parallel counterpart of
-    /// [`DurableEngine::recover`], over the same on-disk state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` is zero or exceeds
-    /// [`MAX_SHARDS`](jetstream_core::MAX_SHARDS).
-    pub fn recover_sharded(
-        dir: &Path,
-        alg: Box<dyn Algorithm>,
-        config: EngineConfig,
-        num_shards: usize,
-        options: StoreOptions,
-        recovery_options: RecoveryOptions,
-    ) -> Result<(DurableEngine<ShardedEngine>, RecoveryReport), StoreError> {
-        let (engine, report) =
-            recovery::recover_sharded(dir, alg, config, num_shards, recovery_options)?;
-        Self::reattach(dir, engine, options, report)
-    }
-}
-
-impl<E: ReplayEngine> DurableEngine<E> {
     /// Makes `engine` durable in `dir`, writing its current state (graph,
     /// values, dependence tree) as the base snapshot at sequence 0.
     ///
@@ -443,22 +373,33 @@ impl<E: ReplayEngine> DurableEngine<E> {
     /// recovery resumes from (§3.4).
     pub fn create(
         dir: &Path,
-        engine: E,
+        engine: StreamingEngine,
         options: StoreOptions,
-    ) -> Result<DurableEngine<E>, StoreError> {
-        let state = engine.checkpoint_state();
-        let store = DurableStore::create(dir, options, 0, engine.checkpoint_graph(), Some(&state))?;
+    ) -> Result<DurableEngine, StoreError> {
+        let state = checkpoint_state(&engine);
+        let store = DurableStore::create(dir, options, 0, engine.graph(), Some(&state))?;
         Ok(DurableEngine { engine, store, batches_since_checkpoint: 0 })
     }
 
-    /// Pairs an engine that [`recovery`] just rebuilt with its store
-    /// directory, resuming appends where replay stopped.
-    fn reattach(
+    /// Warm-starts an engine from the store in `dir`, resuming appends
+    /// where WAL replay stopped.
+    ///
+    /// `alg` must be the algorithm (including parameters such as the source
+    /// vertex) the persisted state was computed with. Returns the durable
+    /// engine, ready for further updates, plus the recovery report.
+    ///
+    /// # Errors
+    ///
+    /// Every failure is a [`StoreError`] naming the damaged file and byte
+    /// offset where applicable (see [`recovery`]).
+    pub fn recover(
         dir: &Path,
-        engine: E,
+        alg: Box<dyn Algorithm>,
+        config: EngineConfig,
         options: StoreOptions,
-        report: RecoveryReport,
-    ) -> Result<(DurableEngine<E>, RecoveryReport), StoreError> {
+        recovery_options: RecoveryOptions,
+    ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
+        let (engine, report) = recovery::recover(dir, alg, config, recovery_options)?;
         let store = DurableStore::open_after_recovery(dir, options, &report)?;
         let batches_since_checkpoint = report.recovered_sequence - report.snapshot_sequence;
         Ok((DurableEngine { engine, store, batches_since_checkpoint }, report))
@@ -468,7 +409,7 @@ impl<E: ReplayEngine> DurableEngine<E> {
     ///
     /// Only shared access is exposed: mutating the engine behind the store's
     /// back would desynchronize the WAL from the in-memory state.
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &StreamingEngine {
         &self.engine
     }
 
@@ -498,9 +439,27 @@ impl<E: ReplayEngine> DurableEngine<E> {
     /// unacknowledged batch — the durable state is still a consistent
     /// prefix.
     pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, StoreError> {
-        let stats = self.engine.replay_batch(batch)?;
+        let stats = self.engine.apply_update_batch(batch)?;
         self.log_applied(batch)?;
         Ok(stats)
+    }
+
+    /// Applies `batch` through the engine's admission pre-check
+    /// ([`StreamingEngine::apply_admitted_batch`]) and logs it, returning
+    /// the run statistics together with the safe/unsafe classification.
+    ///
+    /// The WAL records the batch itself, not the path taken: replay always
+    /// re-classifies against its own reconstructed state and — since the
+    /// fast path is bit-identical to the full flow — converges to the same
+    /// state either way. The durable protocol (apply-then-append, interval
+    /// checkpoints) is exactly [`DurableEngine::apply_update_batch`].
+    pub fn apply_admitted_batch(
+        &mut self,
+        batch: &UpdateBatch,
+    ) -> Result<(RunStats, BatchClassification), StoreError> {
+        let applied = self.engine.apply_admitted_batch(batch)?;
+        self.log_applied(batch)?;
+        Ok(applied)
     }
 
     /// The durable tail of every apply: WAL-append the batch the engine
@@ -521,8 +480,8 @@ impl<E: ReplayEngine> DurableEngine<E> {
     }
 
     fn capture(&mut self) -> Result<CapturedCheckpoint, StoreError> {
-        let state = self.engine.checkpoint_state();
-        let captured = self.store.capture(self.engine.checkpoint_graph(), Some(&state))?;
+        let state = checkpoint_state(&self.engine);
+        let captured = self.store.capture(self.engine.graph(), Some(&state))?;
         self.batches_since_checkpoint = 0;
         Ok(captured)
     }
@@ -554,7 +513,12 @@ impl<E: ReplayEngine> DurableEngine<E> {
 
     /// Unwraps the engine, abandoning durability tracking (the store is
     /// dropped, which waits for a background publication).
-    pub fn into_engine(self) -> E {
+    pub fn into_engine(self) -> StreamingEngine {
         self.engine
     }
+}
+
+/// The converged per-vertex state a checkpoint persists.
+fn checkpoint_state(engine: &StreamingEngine) -> SnapshotState {
+    SnapshotState { values: engine.values().to_vec(), dependency: engine.dependencies().to_vec() }
 }

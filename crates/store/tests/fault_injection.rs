@@ -18,7 +18,7 @@ use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{EngineConfig, StreamingEngine};
 use jetstream_graph::{gen, AdjacencyGraph};
 use jetstream_store::{
-    snapshot, wal, DurableEngine, DurableStore, PublishStep, RecoveryOptions, ReplayEngine,
+    snapshot, wal, DurableEngine, DurableStore, PublishStep, RecoveryOptions, RecoveryReport,
     StoreError, StoreOptions,
 };
 
@@ -101,6 +101,14 @@ fn build_store(workload: Workload, dir: &Path) -> History {
     history
 }
 
+/// The state a checkpoint of `engine` persists.
+fn state_of(engine: &StreamingEngine) -> snapshot::SnapshotState {
+    snapshot::SnapshotState {
+        values: engine.values().to_vec(),
+        dependency: engine.dependencies().to_vec(),
+    }
+}
+
 fn file_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(dir)
         .unwrap()
@@ -110,76 +118,17 @@ fn file_names(dir: &Path) -> Vec<String> {
     names
 }
 
-/// Shard count of the differential recovery every case also runs.
-const DIFFERENTIAL_SHARDS: usize = 2;
-
-/// The per-kind value clause of the sharded contract (DESIGN.md §16.3):
-/// selective values bit-exact, accumulative ones within the tolerance.
-fn assert_sharded_values(workload: Workload, sharded: &[f64], sequential: &[f64], what: &str) {
-    match workload.kind() {
-        UpdateKind::Selective => assert_eq!(sharded, sequential, "{}: {what}", workload.name()),
-        UpdateKind::Accumulative => assert!(
-            oracle::values_match_tol(sharded, sequential, tolerance(workload)),
-            "{}: {what}",
-            workload.name()
-        ),
-    }
-}
-
-/// Sequential recovery of `dir`. Every call also recovers a pristine copy
-/// of the damaged directory through `DurableEngine::recover_sharded`, which
-/// must agree with it: the same report, the same graph, a converged state
-/// with equivalent values — or failure in both.
 fn try_recover(
     workload: Workload,
     dir: &Path,
-) -> Result<(DurableEngine, jetstream_store::RecoveryReport), StoreError> {
-    // Copy before the sequential recovery: torn-tail repair mutates the
-    // directory, and both engines must see the same damage.
-    let copy = tmpdir("sharded-diff");
-    copy_dir(dir, &copy);
-    let sequential = DurableEngine::recover(
+) -> Result<(DurableEngine, RecoveryReport), StoreError> {
+    DurableEngine::recover(
         dir,
         workload.instantiate_with_epsilon(ROOT, EPSILON),
         EngineConfig::default(),
         options(),
         RecoveryOptions::default(),
-    );
-    let sharded = DurableEngine::recover_sharded(
-        &copy,
-        workload.instantiate_with_epsilon(ROOT, EPSILON),
-        EngineConfig::default(),
-        DIFFERENTIAL_SHARDS,
-        options(),
-        RecoveryOptions::default(),
-    );
-    match (&sequential, &sharded) {
-        (Ok((seq_engine, seq_report)), Ok((sh_engine, sh_report))) => {
-            assert_eq!(
-                seq_report,
-                sh_report,
-                "{}: sharded recovery report diverged",
-                workload.name()
-            );
-            assert_sharded_values(
-                workload,
-                sh_engine.engine().values(),
-                seq_engine.engine().values(),
-                "sharded recovery values diverged",
-            );
-            assert_eq!(seq_engine.engine().graph(), sh_engine.engine().graph());
-            sh_engine.engine().validate_converged().unwrap();
-        }
-        (Err(_), Err(_)) => {} // both fail loudly: agreement
-        (Ok(_), Err(e)) => {
-            panic!("{}: only sharded recovery failed: {e}", workload.name())
-        }
-        (Err(e), Ok(_)) => {
-            panic!("{}: only sequential recovery failed: {e}", workload.name())
-        }
-    }
-    fs::remove_dir_all(&copy).unwrap();
-    sequential
+    )
 }
 
 /// The core assertion: the recovered state is bit-identical to the state
@@ -455,69 +404,6 @@ fn recovered_store_keeps_working_and_recovers_again() {
 }
 
 #[test]
-fn sharded_recovery_matches_live_history() {
-    // A store written by the sequential engine recovers under the sharded
-    // engine to an equivalent state — snapshot mount and WAL replay are
-    // execution-strategy agnostic.
-    for workload in Workload::ALL {
-        let dir = tmpdir("shrec");
-        let history = build_store(workload, &dir);
-        let (sharded, report) = DurableEngine::recover_sharded(
-            &dir,
-            workload.instantiate_with_epsilon(ROOT, EPSILON),
-            EngineConfig::default(),
-            2,
-            options(),
-            RecoveryOptions { validate: true, ..RecoveryOptions::default() },
-        )
-        .unwrap();
-        assert_eq!(report.recovered_sequence, BATCHES, "{}", workload.name());
-        let engine = sharded.engine();
-        assert_sharded_values(
-            workload,
-            engine.values(),
-            &history.values[BATCHES as usize],
-            "sharded recovery diverged from live history",
-        );
-        assert_eq!(engine.graph(), &history.graphs[BATCHES as usize]);
-        engine.validate_converged().unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
-fn store_written_by_sharded_engine_recovers_sequentially() {
-    // Alternate engines across restarts: recover sharded, stream
-    // two more batches (crossing a checkpoint) in parallel, then recover
-    // the result with the sequential engine against recorded history.
-    let workload = Workload::Sssp;
-    let dir = tmpdir("shcont");
-    let mut history = build_store(workload, &dir);
-    let (mut durable, _) = DurableEngine::recover_sharded(
-        &dir,
-        workload.instantiate_with_epsilon(ROOT, EPSILON),
-        EngineConfig::default(),
-        4,
-        options(),
-        RecoveryOptions::default(),
-    )
-    .unwrap();
-    for i in 0..2u64 {
-        let batch = gen::batch_with_ratio(durable.engine().graph(), 30, 0.6, 300 + i);
-        durable.apply_update_batch(&batch).unwrap();
-        history.values.push(durable.engine().values().to_vec());
-        history.graphs.push(durable.engine().graph().clone());
-    }
-    assert_eq!(durable.sequence(), BATCHES + 2);
-    drop(durable);
-
-    let (recovered, report) = try_recover(workload, &dir).unwrap();
-    assert_eq!(report.recovered_sequence, BATCHES + 2);
-    assert_recovered_state(workload, &recovered, BATCHES + 2, &history);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn creating_over_an_existing_store_is_refused() {
     let dir = tmpdir("nocreate");
     build_store(Workload::Sssp, &dir);
@@ -546,7 +432,7 @@ fn recovery_is_bit_identical_at_every_point_of_a_checkpoint() {
         // Engine and store driven by hand, the way `DurableEngine` drives
         // them, so the test owns the gap between capture and publish.
         let manual = StoreOptions { checkpoint_interval: 0, ..options() };
-        let state = engine.checkpoint_state();
+        let state = state_of(&engine);
         let mut store =
             DurableStore::create(&dir, manual, 0, engine.graph(), Some(&state)).unwrap();
         fn apply(engine: &mut StreamingEngine, store: &mut DurableStore, history: &mut History) {
@@ -560,7 +446,7 @@ fn recovery_is_bit_identical_at_every_point_of_a_checkpoint() {
         for _ in 0..P {
             apply(&mut engine, &mut store, &mut history);
         }
-        let state = engine.checkpoint_state();
+        let state = state_of(&engine);
         assert_eq!(store.checkpoint(engine.graph(), Some(&state)).unwrap(), P);
         for _ in P..S {
             apply(&mut engine, &mut store, &mut history);
@@ -574,7 +460,7 @@ fn recovery_is_bit_identical_at_every_point_of_a_checkpoint() {
             points.push((label.to_string(), copy.clone(), sequence, snapshot));
             copy
         };
-        let state = engine.checkpoint_state();
+        let state = state_of(&engine);
         let captured = store.capture(engine.graph(), Some(&state)).unwrap();
         crash("captured", S, P);
         apply(&mut engine, &mut store, &mut history);

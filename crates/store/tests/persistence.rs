@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use jetstream_algorithms::Workload;
 use jetstream_core::{EngineConfig, StreamingEngine};
 use jetstream_graph::{gen, UpdateBatch};
-use jetstream_store::{snapshot, wal, DurableEngine, RecoveryOptions, StoreOptions};
+use jetstream_store::{snapshot, wal, DurableEngine, DurableStore, RecoveryOptions, StoreOptions};
 use jetstream_testkit::{run_cases, DetRng};
 
 const EPSILON: f64 = 1e-5;
@@ -148,6 +148,42 @@ fn durable_engine_round_trip_property() {
         assert_eq!(recovered.engine().graph(), &live_graph, "{}", workload.name());
         fs::remove_dir_all(&dir).unwrap();
     });
+}
+
+/// A base snapshot that carries no converged state (graph only) recovers by
+/// a cold compute at the snapshot point followed by WAL replay, landing
+/// bit-identically on a live engine fed the same batches.
+#[test]
+fn a_graph_only_snapshot_recovers_by_cold_compute_and_replay() {
+    for workload in Workload::ALL {
+        let dir = tmpdir("graph-only");
+        let base = gen::erdos_renyi(60, 240, 11);
+        let alg = workload.instantiate_with_epsilon(0, EPSILON);
+        let mut live = StreamingEngine::new(alg, base.clone(), EngineConfig::default());
+        live.initial_compute();
+        let options = StoreOptions { checkpoint_interval: 0, ..StoreOptions::default() };
+        let mut store = DurableStore::create(&dir, options, 0, &base, None).unwrap();
+        for seed in 0..4 {
+            let batch = gen::batch_with_ratio(live.graph(), 12, 0.5, seed);
+            live.apply_update_batch(&batch).unwrap();
+            store.append(&batch).unwrap();
+        }
+        drop(store);
+
+        let (recovered, report) = DurableEngine::recover(
+            &dir,
+            workload.instantiate_with_epsilon(0, EPSILON),
+            EngineConfig::default(),
+            options,
+            RecoveryOptions { validate: true, ..RecoveryOptions::default() },
+        )
+        .unwrap();
+        let name = workload.name();
+        assert_eq!((report.snapshot_sequence, report.replayed_batches), (0, 4), "{name}");
+        assert_eq!(recovered.engine().values(), live.values(), "{name}");
+        assert_eq!(recovered.engine().graph(), live.graph(), "{name}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

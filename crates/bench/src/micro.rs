@@ -1,11 +1,11 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the engine's components — queue insert, queue drain, kernel apply
-//! via `initial_compute`, CSR snapshot maintenance, and the serving
-//! layer's update admission — with warmup +
-//! median-of-K sampling, and serializes the results to the `BENCH.json`
-//! schema documented in DESIGN.md §12. Whole engines and the server are
-//! measured by `benchmark/` (`BENCHMARK.json`), not here.
+//! via `initial_compute`, CSR snapshot maintenance, graph generation and
+//! bulk construction, and the serving layer's update admission — with
+//! warmup + median-of-K sampling, and serializes the results to the
+//! `BENCH.json` schema documented in DESIGN.md §12. Whole engines and the
+//! server are measured by `benchmark/` (`BENCHMARK.json`), not here.
 //! Everything here is std-only (the workspace builds offline); the JSON
 //! writer and the line-oriented reader used by `--check` live here too so
 //! the regression gate needs no external parser.
@@ -17,7 +17,7 @@ use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Workload};
 use jetstream_core::{
     CoalescingQueue, EngineConfig, Event, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
 };
-use jetstream_graph::gen::DatasetProfile;
+use jetstream_graph::gen::{DatasetProfile, DEFAULT_SCALE};
 use jetstream_graph::{Csr, CsrPair, EdgeUpdate, VertexId};
 
 use crate::harness::{self, HarnessError, Scenario, ACCUMULATIVE_EPSILON};
@@ -346,6 +346,50 @@ fn bench_snapshot_maintain_incremental(cfg: &MicroConfig) -> Result<BenchResult,
     ))
 }
 
+/// Scale of the graph-building benchmarks in either mode: the full
+/// configuration's, so a quick run times the very instance the committed
+/// baseline recorded and `--quick --check` holds the bulk builders to
+/// their ratchet.
+const GRAPH_SCALE: u32 = DEFAULT_SCALE;
+
+/// The LiveJournal stand-in generated from its seed: the R-MAT draws,
+/// the distinct-pair count after each chunk of attempts, and the bulk
+/// build of every candidate.
+fn bench_graph_generate(cfg: &MicroConfig) -> BenchResult {
+    measure(
+        "graph_generate_livejournal",
+        cfg.warmup,
+        cfg.samples,
+        || (),
+        |()| {
+            std::hint::black_box(DatasetProfile::LiveJournal.generate(GRAPH_SCALE));
+        },
+    )
+}
+
+/// `Csr::from_edges` on the kind of list loaders and generators hand it:
+/// the LiveJournal stand-in's edges shuffled, every fourth listed again
+/// under another weight.
+fn bench_csr_from_edges(cfg: &MicroConfig) -> BenchResult {
+    let graph = DatasetProfile::LiveJournal.generate(GRAPH_SCALE);
+    let mut edges: Vec<_> = graph.iter_edges().collect();
+    let repeats: Vec<_> = edges.iter().step_by(4).map(|&(u, v, w)| (u, v, w + 1.0)).collect();
+    edges.extend(repeats);
+    let mut rng = Rng(0x5eed);
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+    }
+    measure(
+        "csr_from_edges",
+        cfg.warmup,
+        cfg.samples,
+        || (),
+        |()| {
+            std::hint::black_box(Csr::from_edges(graph.num_vertices(), &edges));
+        },
+    )
+}
+
 /// Updates per message: the served workload's message size.
 const MESSAGE_UPDATES: usize = 256;
 
@@ -442,6 +486,8 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let name = "kernel_initial_compute_pagerank_sharded2";
     report(&mut results, bench_initial_compute(cfg, name, Workload::PageRank, sharded2)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
+    report(&mut results, bench_graph_generate(cfg));
+    report(&mut results, bench_csr_from_edges(cfg));
     report(&mut results, bench_admission_admit_message(cfg)?);
     Ok(results)
 }
@@ -509,7 +555,9 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// loop's engine thread saves per update (DESIGN.md §15.2). The sourced
 /// weighted row and the run are ratcheted because they time the fold
 /// compiled for `Min`/`AddWeight` and for a run, which no other entry
-/// reads.
+/// reads. Generation and `from_edges` are ratcheted because every set-up
+/// and every store recovery builds its graph through them: a return to
+/// edge-by-edge insertion or a global sort shows here first.
 pub const RATCHETS: &[(&str, f64)] = &[
     ("queue_insert_weighted_row_sourced", 1.3),
     ("queue_insert_run", 1.3),
@@ -517,6 +565,8 @@ pub const RATCHETS: &[(&str, f64)] = &[
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
     ("admission_admit_message", 1.3),
+    ("graph_generate_livejournal", 1.3),
+    ("csr_from_edges", 1.3),
 ];
 
 /// Compares fresh results against a committed baseline: any benchmark
@@ -689,6 +739,8 @@ mod tests {
                 "kernel_initial_compute_sssp",
                 "kernel_initial_compute_pagerank_sharded2",
                 "snapshot_maintain_incremental",
+                "graph_generate_livejournal",
+                "csr_from_edges",
                 "admission_admit_message",
             ]
         );

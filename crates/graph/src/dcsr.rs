@@ -58,10 +58,11 @@ impl Csr {
     /// Inserts `u -> v` with weight `w`, keeping row `u` sorted.
     ///
     /// `O(degree(u))`: binary search plus an in-row shift; amortized the
-    /// same when the row relocates for growth. Never compacts — a
-    /// generator filling an empty graph edge by edge would re-densify it
-    /// over and over — so a long run of single inserts should end with
-    /// [`compact`](Csr::compact).
+    /// same when the row relocates for growth. Never compacts — a caller
+    /// filling an empty graph edge by edge would re-densify it over and
+    /// over — so a long run of single inserts should end with
+    /// [`compact`](Csr::compact); a whole list builds faster with
+    /// [`from_edges`](Csr::from_edges).
     ///
     /// # Errors
     ///
@@ -184,7 +185,7 @@ impl Csr {
     }
 
     /// Compacts the arena now, whatever the garbage bound says: the tail of
-    /// a generator that grew the graph edge by edge. Rows are laid out as
+    /// a run of single inserts. Rows are laid out as
     /// every rebuilt arena is — in vertex order, each with a quarter again
     /// its length as slack, no holes.
     pub fn compact(&mut self) {

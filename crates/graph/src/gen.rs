@@ -49,7 +49,8 @@ impl Default for RmatParams {
 /// Generates a simple directed graph with R-MAT structure.
 ///
 /// Duplicate edges and self-loops produced by the recursive process are
-/// skipped, so the result can have slightly fewer than `num_edges` edges.
+/// skipped and redrawn, so the result has fewer than `num_edges` edges
+/// only when the `num_edges * 20` attempts run out first.
 ///
 /// # Panics
 ///
@@ -59,47 +60,20 @@ pub fn rmat(num_vertices: usize, num_edges: usize, params: RmatParams, seed: u64
     assert!((sum - 1.0).abs() < 1e-9, "rmat probabilities must sum to 1, got {sum}");
     let mut rng = DetRng::seed_from_u64(seed);
     let scale = (num_vertices as f64).log2().ceil() as u32; // cast-ok: log2 of a usize vertex count is < 64
-    let side = 1usize << scale;
-    let mut g = Csr::new(num_vertices);
-    let mut attempts = 0usize;
-    let max_attempts = num_edges * 20;
-    while g.num_edges() < num_edges && attempts < max_attempts {
-        attempts += 1;
-        let (mut x0, mut x1) = (0usize, side);
-        let (mut y0, mut y1) = (0usize, side);
-        while x1 - x0 > 1 {
+    let (ab, abc) = (params.a + params.b, params.a + params.b + params.c);
+    let edges = candidates(num_edges, &mut rng, Vec::new(), |rng| {
+        // One draw per level picks the quadrant q = 2·row bit + column
+        // bit: a, b, c and d split [0, 1) in that order.
+        let (mut u, mut v) = (0usize, 0usize);
+        for _ in 0..scale {
             let r = rng.gen_f64();
-            let (dx, dy) = if r < params.a {
-                (0, 0)
-            } else if r < params.a + params.b {
-                (0, 1)
-            } else if r < params.a + params.b + params.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            let mx = (x0 + x1) / 2;
-            let my = (y0 + y1) / 2;
-            if dx == 0 {
-                x1 = mx;
-            } else {
-                x0 = mx;
-            }
-            if dy == 0 {
-                y1 = my;
-            } else {
-                y0 = my;
-            }
+            let q = usize::from(r >= params.a) + usize::from(r >= ab) + usize::from(r >= abc);
+            u = u << 1 | q >> 1;
+            v = v << 1 | q & 1;
         }
-        let (u, v) = (x0, y0);
-        if u >= num_vertices || v >= num_vertices || u == v {
-            continue;
-        }
-        let w = random_weight(&mut rng);
-        let _ = g.insert_edge(vid(u), vid(v), w);
-    }
-    g.compact();
-    g
+        (u < num_vertices && v < num_vertices && u != v).then(|| (vid(u), vid(v)))
+    });
+    Csr::from_edges(num_vertices, &edges)
 }
 
 /// Generates a "narrow graph with long paths": `layers` layers of
@@ -111,15 +85,14 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
     assert!(width >= 1, "need at least one vertex per layer");
     let n = layers * width;
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = Csr::new(n);
     // Backbone: connect each layer to the next so long paths exist.
+    let mut backbone = Vec::with_capacity(n);
     for l in 0..layers - 1 {
         for i in 0..width {
             let u = vid(l * width + i);
             let v = vid((l + 1) * width + rng.gen_index(width));
             if u != v {
-                let w = random_weight(&mut rng);
-                let _ = g.insert_edge(u, v, w);
+                backbone.push((u, v, random_weight(&mut rng)));
             }
         }
     }
@@ -128,34 +101,21 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
     // indices: like real page-link graphs, a few pages absorb most links
     // while many keep an in-degree of one or two (which also gives the
     // deletion-recovery dependency trees realistic depth).
-    let mut attempts = 0usize;
-    let max_attempts = num_edges * 20;
-    while g.num_edges() < num_edges && attempts < max_attempts {
-        attempts += 1;
+    let edges = candidates(num_edges, &mut rng, backbone, |rng| {
         let l = rng.gen_index(layers);
         let hop: i64 = if rng.gen_bool(0.9) {
             rng.gen_range_inclusive(1, 3) as i64
         } else {
             -(rng.gen_range_inclusive(1, 2) as i64)
         };
-        let Ok(l2) = usize::try_from(l as i64 + hop) else {
-            continue;
-        };
-        if l2 >= layers {
-            continue;
-        }
+        let l2 = usize::try_from(l as i64 + hop).ok().filter(|&l2| l2 < layers)?;
         let u = vid(l * width + rng.gen_index(width));
         let skew = rng.gen_f64();
         let target_idx = ((skew * skew) * width as f64) as usize; // cast-ok: skew^2 is in [0, 1), so the product is < width
         let v = vid(l2 * width + target_idx.min(width - 1));
-        if u == v {
-            continue;
-        }
-        let w = random_weight(&mut rng);
-        let _ = g.insert_edge(u, v, w);
-    }
-    g.compact();
-    g
+        (u != v).then_some((u, v))
+    });
+    Csr::from_edges(n, &edges)
 }
 
 /// Generates a Watts–Strogatz style small-world directed graph: a ring
@@ -171,10 +131,10 @@ pub fn layered_narrow(layers: usize, width: usize, num_edges: usize, seed: u64) 
 /// result can have slightly fewer than `num_vertices * k` edges.
 pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> Csr {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = Csr::new(num_vertices);
     if num_vertices < 2 {
-        return g;
+        return Csr::new(num_vertices);
     }
+    let mut edges = Vec::with_capacity(num_vertices * k);
     for u in 0..num_vertices {
         for step in 1..=k {
             let mut v = (u + step) % num_vertices;
@@ -183,35 +143,78 @@ pub fn small_world(num_vertices: usize, k: usize, rewire_p: f64, seed: u64) -> C
             if roll < rewire_p {
                 v = rng.gen_index(num_vertices);
             }
-            if v == u {
-                continue;
+            if v != u {
+                edges.push((vid(u), vid(v), random_weight(&mut rng)));
             }
-            let w = random_weight(&mut rng);
-            let _ = g.insert_edge(vid(u), vid(v), w);
         }
     }
-    g.compact();
-    g
+    Csr::from_edges(num_vertices, &edges)
 }
 
 /// Generates a uniform Erdős–Rényi style random directed graph.
 pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Csr {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut g = Csr::new(num_vertices);
-    let mut attempts = 0usize;
-    let max_attempts = num_edges * 20;
-    while g.num_edges() < num_edges && attempts < max_attempts {
-        attempts += 1;
+    let edges = candidates(num_edges, &mut rng, Vec::new(), |rng| {
         let u = vid(rng.gen_index(num_vertices));
         let v = vid(rng.gen_index(num_vertices));
-        if u == v {
-            continue;
+        (u != v).then_some((u, v))
+    });
+    Csr::from_edges(num_vertices, &edges)
+}
+
+/// The generators' attempts loop, drawn in bulk: until `num_edges`
+/// distinct pairs are among `edges` or `num_edges * 20` attempts are
+/// spent, an attempt `draw`s a candidate — `None` for one it rejects — and
+/// gives it a random weight. Returns every candidate, for
+/// [`Csr::from_edges`] to build the graph that inserting them one by one
+/// would leave.
+///
+/// No attempt adds more than one distinct pair, so a chunk of
+/// `num_edges - distinct` attempts can never overshoot, and drawing a
+/// whole chunk before counting makes exactly the draws the edge-at-a-time
+/// loop makes. Each chunk's pairs are sorted and merged into the sorted
+/// pairs accepted so far, which counts the new ones.
+fn candidates(
+    num_edges: usize,
+    rng: &mut DetRng,
+    mut edges: Vec<(VertexId, VertexId, Weight)>,
+    mut draw: impl FnMut(&mut DetRng) -> Option<(VertexId, VertexId)>,
+) -> Vec<(VertexId, VertexId, Weight)> {
+    let pair = |&(u, v, _): &(VertexId, VertexId, Weight)| u64::from(u) << 32 | u64::from(v);
+    let mut seen: Vec<u64> = edges.iter().map(pair).collect();
+    seen.sort_unstable();
+    seen.dedup();
+    let max_attempts = num_edges * 20;
+    let mut attempts = 0;
+    let (mut fresh, mut merged) = (Vec::new(), Vec::new());
+    while seen.len() < num_edges && attempts < max_attempts {
+        let chunk = (num_edges - seen.len()).min(max_attempts - attempts);
+        attempts += chunk;
+        let drawn = edges.len();
+        edges.reserve_exact(chunk);
+        for _ in 0..chunk {
+            if let Some((u, v)) = draw(rng) {
+                edges.push((u, v, random_weight(rng)));
+            }
         }
-        let w = random_weight(&mut rng);
-        let _ = g.insert_edge(u, v, w);
+        fresh.clear();
+        fresh.extend(edges[drawn..].iter().map(pair));
+        fresh.sort_unstable();
+        fresh.dedup();
+        merged.clear();
+        let mut old = seen.iter().copied().peekable();
+        for &p in &fresh {
+            while let Some(q) = old.next_if(|&q| q < p) {
+                merged.push(q);
+            }
+            if old.peek() != Some(&p) {
+                merged.push(p);
+            }
+        }
+        merged.extend(old);
+        std::mem::swap(&mut seen, &mut merged);
     }
-    g.compact();
-    g
+    edges
 }
 
 fn random_weight(rng: &mut DetRng) -> Weight {

@@ -189,18 +189,19 @@ pub fn read(path: &Path) -> Result<Snapshot, StoreError> {
     let num_vertices = r.u64(path, "num_vertices")? as usize;
     let num_edges = r.count(16, path, "edge")?;
 
-    let mut graph = AdjacencyGraph::new(num_vertices);
-    for i in 0..num_edges {
-        let at = r.offset();
+    let edges_at = r.offset();
+    let mut edges = Vec::with_capacity(num_edges);
+    for _ in 0..num_edges {
         let src = r.u32(path, "edge source")?;
         let dst = r.u32(path, "edge target")?;
-        let w = r.f64(path, "edge weight")?;
-        graph.insert_edge(src, dst, w).map_err(|e| {
-            StoreError::corrupt(path, at, format!("edge {i} ({src}->{dst}) invalid: {e}"))
-        })?;
+        edges.push((src, dst, r.f64(path, "edge weight")?));
     }
-    // Grown edge by edge, the arena is mostly abandoned extents.
-    graph.compact();
+    // Built in bulk, the graph drops whatever edge-by-edge insertion
+    // would refuse; only then is the list replayed to name the first.
+    let graph = AdjacencyGraph::from_edges(num_vertices, &edges);
+    if graph.num_edges() != num_edges {
+        return Err(first_refused_edge(path, edges_at, num_vertices, &edges));
+    }
 
     let has_state = r.u8(path, "state flag")?;
     let state = match has_state {
@@ -239,6 +240,29 @@ pub fn read(path: &Path) -> Result<Snapshot, StoreError> {
     r.expect_end(path, "snapshot body")?;
 
     Ok(Snapshot { sequence, graph, state })
+}
+
+/// The error for the first of `edges` that inserting them one by one into
+/// an empty graph of `num_vertices` refuses — a duplicate, a self-loop or
+/// an endpoint out of range — located at its byte offset in the file.
+fn first_refused_edge(
+    path: &Path,
+    edges_at: u64,
+    num_vertices: usize,
+    edges: &[(VertexId, VertexId, Weight)],
+) -> StoreError {
+    let mut graph = AdjacencyGraph::new(num_vertices);
+    let refused = edges.iter().enumerate().find_map(|(i, &(src, dst, w))| {
+        graph.insert_edge(src, dst, w).err().map(|e| (i, src, dst, e))
+    });
+    match refused {
+        Some((i, src, dst, e)) => StoreError::corrupt(
+            path,
+            edges_at + 16 * i as u64,
+            format!("edge {i} ({src}->{dst}) invalid: {e}"),
+        ),
+        None => StoreError::corrupt(path, edges_at, "edge list does not form a simple graph"),
+    }
 }
 
 /// Lists the snapshots in `dir`, ascending by sequence number.
@@ -349,6 +373,100 @@ mod tests {
             fs::write(&path, &original[..len]).unwrap();
             assert!(read(&path).is_err(), "truncation to {len} bytes went undetected");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A CRC-valid graph-only snapshot of `n` vertices holding `edges` as
+    /// listed, faults included: what a buggy writer, not a torn disk,
+    /// would leave.
+    fn resealed(dir: &Path, n: u64, edges: &[(u32, u32, f64)]) -> PathBuf {
+        let mut body = MAGIC.to_vec();
+        put_u64(&mut body, 0);
+        put_u64(&mut body, n);
+        put_u64(&mut body, edges.len() as u64);
+        for &(src, dst, w) in edges {
+            put_u32(&mut body, src);
+            put_u32(&mut body, dst);
+            put_f64(&mut body, w);
+        }
+        put_u8(&mut body, 0);
+        seal(&mut body);
+        let path = dir.join(file_name(0));
+        fs::write(&path, &body).unwrap();
+        path
+    }
+
+    #[test]
+    fn the_first_edge_insertion_would_refuse_is_named() {
+        use jetstream_graph::GraphError;
+        let dir = tmpdir("bad-edges");
+        type Case = (&'static str, &'static [(u32, u32, f64)], usize, GraphError);
+        let cases: [Case; 8] = [
+            (
+                "duplicate",
+                &[(0, 1, 1.0), (1, 2, 1.0), (0, 1, 3.0)],
+                2,
+                GraphError::DuplicateEdge { source: 0, target: 1 },
+            ),
+            (
+                "self-loop",
+                &[(0, 1, 1.0), (3, 3, 1.0), (1, 2, 1.0)],
+                1,
+                GraphError::SelfLoop { vertex: 3 },
+            ),
+            (
+                "target out of range",
+                &[(0, 1, 1.0), (1, 7, 1.0)],
+                1,
+                GraphError::VertexOutOfRange { vertex: 7, num_vertices: 5 },
+            ),
+            (
+                "both endpoints out of range",
+                &[(9, 8, 1.0)],
+                0,
+                GraphError::VertexOutOfRange { vertex: 9, num_vertices: 5 },
+            ),
+            // A bulk decoder finds per-edge faults in one pass and
+            // duplicates only after grouping; the earlier fault still wins.
+            (
+                "duplicate before a self-loop",
+                &[(0, 1, 1.0), (2, 3, 1.0), (0, 1, 2.0), (4, 4, 1.0)],
+                2,
+                GraphError::DuplicateEdge { source: 0, target: 1 },
+            ),
+            (
+                "duplicate before an out-of-range endpoint",
+                &[(4, 0, 1.0), (4, 0, 1.0), (5, 0, 1.0)],
+                1,
+                GraphError::DuplicateEdge { source: 4, target: 0 },
+            ),
+            (
+                "self-loop before a duplicate",
+                &[(0, 1, 1.0), (2, 2, 1.0), (0, 1, 1.0)],
+                1,
+                GraphError::SelfLoop { vertex: 2 },
+            ),
+            (
+                "a refused edge repeated",
+                &[(0, 1, 1.0), (0, 6, 1.0), (0, 6, 1.0)],
+                1,
+                GraphError::VertexOutOfRange { vertex: 6, num_vertices: 5 },
+            ),
+        ];
+        for (name, edges, index, error) in cases {
+            let path = resealed(&dir, 5, edges);
+            let (src, dst, _) = edges[index];
+            match read(&path).unwrap_err() {
+                StoreError::Corrupt { offset, detail, .. } => {
+                    assert_eq!(offset, 32 + 16 * index as u64, "{name}");
+                    assert_eq!(detail, format!("edge {index} ({src}->{dst}) invalid: {error}"));
+                }
+                other => panic!("{name}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The same list without its faults decodes.
+        let path = resealed(&dir, 5, &[(0, 1, 1.0), (4, 0, 1.0), (2, 3, 1.0)]);
+        assert_eq!(read(&path).unwrap().graph.num_edges(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 

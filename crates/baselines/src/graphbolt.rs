@@ -1,10 +1,10 @@
 use std::collections::BTreeSet;
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{Csr, CsrPair, EdgeRef, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{Csr, EdgeRef, GraphError, UpdateBatch, VertexId};
 
 use crate::parallel::{baseline_threads, par_map};
-use crate::SoftwareStats;
+use crate::{SoftwareStats, WeightedPair};
 
 /// Per-vertex *relative* refinement threshold: an aggregation change below
 /// this fraction of the vertex's magnitude does not propagate to the next
@@ -55,9 +55,9 @@ const MAX_ITERATIONS: usize = 10_000;
 #[derive(Debug)]
 pub struct GraphBolt {
     alg: Box<dyn Algorithm>,
-    /// The graph and its transpose, maintained together (pulls read
+    /// The graph and its weighted transpose, maintained together (pulls read
     /// in-edges).
-    pair: CsrPair,
+    pair: WeightedPair,
     /// Cached out-degrees and out-weight-sums (contribution normalizers).
     degree: Vec<usize>,
     weight_sum: Vec<Value>,
@@ -85,7 +85,7 @@ impl GraphBolt {
             (0..n as VertexId).map(|v| graph.neighbors(v).map(|e| e.weight).sum()).collect();
         GraphBolt {
             alg,
-            pair: CsrPair::new(graph),
+            pair: WeightedPair::new(graph),
             degree,
             weight_sum,
             history: Vec::new(),

@@ -1,10 +1,10 @@
 use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{Csr, CsrPair, EdgeRef, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{Csr, EdgeRef, GraphError, UpdateBatch, VertexId};
 
 use crate::parallel::{baseline_threads, par_map};
-use crate::SoftwareStats;
+use crate::{SoftwareStats, WeightedPair};
 
 /// KickStarter-style streaming framework for selective (monotonic)
 /// algorithms.
@@ -52,9 +52,9 @@ use crate::SoftwareStats;
 #[derive(Debug)]
 pub struct KickStarter {
     alg: Box<dyn Algorithm>,
-    /// The graph and its transpose, maintained together (trimming reads
+    /// The graph and its weighted transpose, maintained together (trimming reads
     /// in-neighbors; rebuilding a CSR per batch would dominate the cost).
-    pair: CsrPair,
+    pair: WeightedPair,
     values: Vec<Value>,
     dependency: Vec<Option<VertexId>>,
     level: Vec<u32>,
@@ -80,7 +80,7 @@ impl KickStarter {
             dependency: vec![None; n],
             level: vec![0; n],
             alg,
-            pair: CsrPair::new(graph),
+            pair: WeightedPair::new(graph),
             stats: SoftwareStats::default(),
         }
     }

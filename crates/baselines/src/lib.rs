@@ -33,3 +33,44 @@ pub mod parallel;
 pub use graphbolt::GraphBolt;
 pub use kickstarter::KickStarter;
 pub use stats::SoftwareStats;
+
+use jetstream_graph::{Csr, GraphError, UpdateBatch};
+
+/// A graph and its weighted transpose, updated together. Both baselines
+/// pull in-edges *with* their weights (KickStarter's trimming, GraphBolt's
+/// aggregation), which the engine's weightless in-edge view does not keep.
+#[derive(Debug)]
+struct WeightedPair {
+    out: Csr,
+    inc: Csr,
+}
+
+impl WeightedPair {
+    fn new(out: Csr) -> Self {
+        let inc = out.transpose();
+        WeightedPair { out, inc }
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.out.num_vertices()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.out.num_edges()
+    }
+
+    /// Applies `batch` to `out` and, endpoints swapped, to `inc`. A batch
+    /// valid for a graph is valid swapped for its transpose, so `inc`
+    /// never rejects what `out` accepted.
+    fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+        self.out.apply_batch(batch)?;
+        let mut swapped = UpdateBatch::new();
+        for &(u, v) in batch.deletions() {
+            swapped.delete(v, u);
+        }
+        for &(u, v, w) in batch.insertions() {
+            swapped.insert(v, u, w);
+        }
+        self.inc.apply_batch(&swapped)
+    }
+}

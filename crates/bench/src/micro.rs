@@ -557,13 +557,16 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// compiled for `Min`/`AddWeight` and for a run, which no other entry
 /// reads. Generation and `from_edges` are ratcheted because every set-up
 /// and every store recovery builds its graph through them: a return to
-/// edge-by-edge insertion or a global sort shows here first.
+/// edge-by-edge insertion or a global sort shows here first. Incremental
+/// maintenance is ratcheted because the in-edge view shifts 4 bytes a
+/// slot, not 12: a weight column back in it fails a full-mode check.
 pub const RATCHETS: &[(&str, f64)] = &[
     ("queue_insert_weighted_row_sourced", 1.3),
     ("queue_insert_run", 1.3),
     ("kernel_initial_compute_pagerank", 1.3),
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
+    ("snapshot_maintain_incremental", 1.3),
     ("admission_admit_message", 1.3),
     ("graph_generate_livejournal", 1.3),
     ("csr_from_edges", 1.3),

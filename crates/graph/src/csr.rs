@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::dcsr::arena_bound;
 use crate::{ix, vid, VertexId, Weight};
 
@@ -11,6 +13,62 @@ pub struct EdgeRef {
     pub weight: Weight,
 }
 
+/// One row's header: where the row's extent starts in the arena, how many
+/// of its slots hold live entries (its sorted prefix), and how many slots
+/// it owns. 16 bytes, one per vertex per view.
+///
+/// A span is minted only by the layout code (`with_rows`, and relocation
+/// and the in-row shifts in `dcsr`) and read back only by row lookup
+/// ([`Csr::span`]), so the extent it names always lies inside its own
+/// arena: `validate` checks exactly that. The two counts are narrowed to
+/// `u32`, checked, when a span is minted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowSpan {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl RowSpan {
+    /// The span of `cap` slots at `start`, `len` of them live.
+    #[allow(clippy::expect_used)] // invariant: see the message
+    pub(crate) fn new(start: usize, len: usize, cap: usize) -> Self {
+        let narrow =
+            |n: usize| u32::try_from(n).expect("invariant: a row owns fewer than 2^32 slots");
+        RowSpan { start, len: narrow(len), cap: narrow(cap) }
+    }
+
+    /// First arena slot of the row's extent.
+    pub(crate) fn start(self) -> usize {
+        self.start
+    }
+
+    /// Live entries: the row's degree.
+    pub(crate) fn len(self) -> usize {
+        ix(self.len)
+    }
+
+    /// Slots the row owns, live or slack.
+    pub(crate) fn cap(self) -> usize {
+        ix(self.cap)
+    }
+
+    /// The arena slots of the live entries.
+    pub(crate) fn live(self) -> Range<usize> {
+        self.start..self.start + self.len()
+    }
+
+    /// The same extent holding `len` live entries.
+    pub(crate) fn with_len(self, len: usize) -> Self {
+        RowSpan::new(self.start, len, self.cap())
+    }
+}
+
+/// The slots of `col` a span's live entries occupy.
+pub(crate) fn slots<T>(col: &[T], row: RowSpan) -> &[T] {
+    &col[row.live()] // panic-ok: a span lies inside the arena it was read from
+}
+
 /// The graph: a Compressed Sparse Row adjacency structure with per-row
 /// slack, updated and traversed in place.
 ///
@@ -19,13 +77,19 @@ pub struct EdgeRef {
 /// *gapped* (slotted) CSR that takes the batch in place, so there is
 /// nothing to hand over (DESIGN.md §17):
 ///
-/// * `starts[v]` / `lens[v]` / `caps[v]` describe vertex `v`'s row: the
-///   live entries occupy `targets[starts[v] .. starts[v] + lens[v]]`
-///   (sorted by target id), and `caps[v] - lens[v]` spare slots follow so
-///   a small insertion shifts `O(degree(v))` entries instead of `O(E)`.
+/// * one `RowSpan` header per vertex describes its row: the live
+///   entries occupy `targets[start .. start + len]` (sorted by target id),
+///   and `cap - len` spare slots follow so a small insertion shifts
+///   `O(degree(v))` entries instead of `O(E)`.
 /// * A row that outgrows its slots is relocated to the arena tail with
 ///   fresh PMA-style slack; the abandoned extent becomes a tombstoned hole
 ///   reclaimed by the next compaction (see `dcsr`).
+///
+/// `W` is what each slot stores beside its target. The graph itself is a
+/// `Csr` (`W = Weight`); the in-edge view of a [`CsrPair`] is an
+/// [`InEdges`] (`W = ()`), whose weight column is zero-sized: it owns no
+/// weight storage at all, and its shifts move 4 bytes a slot, not 12.
+/// Both share one row layout and one copy of the row mechanics.
 ///
 /// Readers never observe any of this: `degree`, `neighbors`, `edge_weight`,
 /// and `iter_edges` present exactly the dense-CSR contract — ascending
@@ -35,12 +99,10 @@ pub struct EdgeRef {
 /// (`insert_edge`, `delete_edge`, `check_batch`/`commit`, `apply_batch`)
 /// lives in the `dcsr` module.
 #[derive(Debug, Clone, Default)]
-pub struct Csr {
-    pub(crate) starts: Vec<usize>,
-    pub(crate) lens: Vec<usize>,
-    pub(crate) caps: Vec<usize>,
+pub struct Csr<W = Weight> {
+    pub(crate) rows: Vec<RowSpan>,
     pub(crate) targets: Vec<VertexId>,
-    pub(crate) weights: Vec<Weight>,
+    pub(crate) weights: Vec<W>,
     pub(crate) live: usize,
     // Edge writes ever made: the stamp a `CheckedBatch` carries, so a
     // commit can tell the graph has not changed since its check. Excluded
@@ -53,30 +115,29 @@ pub struct Csr {
     pub(crate) scratch_pending: Vec<(VertexId, VertexId)>,
 }
 
+/// The in-edge view of a [`CsrPair`]: row `v` lists the sources of the
+/// edges into `v`, and nothing else. Request events carry the identity,
+/// not an edge weight (§3.4), so the view stores no weights.
+pub type InEdges = Csr<()>;
+
 /// Two CSRs are equal when they describe the same graph: identical vertex
-/// counts and identical per-row live edges. The physical layout (slack
+/// counts and identical per-row live entries. The physical layout (slack
 /// distribution, tombstoned holes, arena order) is maintenance state and
 /// does not affect equality — an incrementally maintained CSR equals its
 /// from-scratch rebuild.
-impl PartialEq for Csr {
+impl<W: PartialEq> PartialEq for Csr<W> {
     fn eq(&self, other: &Self) -> bool {
-        if self.num_vertices() != other.num_vertices() || self.live != other.live {
+        if self.rows.len() != other.rows.len() || self.live != other.live {
             return false;
         }
-        (0..self.num_vertices()).all(|v| {
-            let v = vid(v);
-            self.neighbor_targets(v) == other.neighbor_targets(v)
-                && self.row_weights(v) == other.row_weights(v)
+        self.rows.iter().zip(&other.rows).all(|(&a, &b)| {
+            slots(&self.targets, a) == slots(&other.targets, b)
+                && slots(&self.weights, a) == slots(&other.weights, b)
         })
     }
 }
 
-impl Csr {
-    /// Creates a graph with `num_vertices` vertices and no edges.
-    pub fn new(num_vertices: usize) -> Self {
-        Csr::with_rows(vec![0; num_vertices])
-    }
-
+impl<W: Copy + Default> Csr<W> {
     /// The one row layout every rebuilt arena has (DESIGN.md §17.1): rows
     /// back to back in vertex order, row `v` holding `row_cap(lens[v])`
     /// slots — its live entries first, its slack zero-filled. Every slot
@@ -84,20 +145,143 @@ impl Csr {
     /// The arenas are allocated to the compaction trigger, so no relocation
     /// between compactions reallocates (and copies) a whole arena.
     pub(crate) fn with_rows(lens: Vec<usize>) -> Self {
-        let mut starts = Vec::with_capacity(lens.len());
-        let mut caps = Vec::with_capacity(lens.len());
+        let mut rows = Vec::with_capacity(lens.len());
         let mut end = 0;
         for &len in &lens {
-            starts.push(end);
-            caps.push(row_cap(len));
+            rows.push(RowSpan::new(end, len, row_cap(len)));
             end += row_cap(len);
         }
         let live = lens.iter().sum();
         let room = arena_bound(live);
         let (mut targets, mut weights) = (Vec::with_capacity(room), Vec::with_capacity(room));
         targets.resize(end, 0);
-        weights.resize(end, 0.0);
-        Csr { starts, caps, live, lens, targets, weights, ..Csr::default() }
+        weights.resize(end, W::default());
+        Csr { rows, live, targets, weights, ..Csr::default() }
+    }
+
+    /// Row `v`'s header — the one place a row is looked up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub(crate) fn span(&self, v: VertexId) -> RowSpan {
+        self.rows[ix(v)] // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
+    }
+
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of live directed edges (tombstoned slots excluded).
+    pub fn num_edges(&self) -> usize {
+        self.live
+    }
+
+    /// Physical arena slots, live or not — `arena_slots() - num_edges()`
+    /// is the dead + slack space the compaction policy bounds (DESIGN.md
+    /// §17).
+    pub fn arena_slots(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The number of entries in row `v`: its out-degree in a `Csr`, its
+    /// in-degree in an [`InEdges`] view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.span(v).len()
+    }
+
+    /// Row `v`'s entries in ascending order: the targets of `v`'s edges in
+    /// a `Csr`, the sources of the edges into `v` in an [`InEdges`] view.
+    /// The cheap traversal for weight-oblivious propagation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn neighbor_targets(&self, v: VertexId) -> &[VertexId] {
+        slots(&self.targets, self.span(v))
+    }
+
+    /// Checks the CSR's structural invariants, returning a description of
+    /// the first violation found:
+    ///
+    /// * the weight column has one entry per target slot (trivially, for
+    ///   a zero-sized column);
+    /// * every row's live length fits its capacity and its extent fits the
+    ///   arena;
+    /// * row extents do not overlap (relocation must abandon, never alias);
+    /// * the live-edge count equals the sum of row lengths;
+    /// * every live target id is in range;
+    /// * every row is sorted by target id (the deterministic-iteration
+    ///   guarantee lookups and the simulator's address streams rely on).
+    ///
+    /// Always compiled; callers wire it into debug assertions under the
+    /// `strict-invariants` feature.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.targets.len() != self.weights.len() {
+            return Err(format!(
+                "{} targets but {} weights",
+                self.targets.len(),
+                self.weights.len()
+            ));
+        }
+        let mut entries = 0usize;
+        for (v, row) in self.rows.iter().enumerate() {
+            if row.len() > row.cap() {
+                return Err(format!(
+                    "row {v} holds {} live entries in {} slots",
+                    row.len(),
+                    row.cap()
+                ));
+            }
+            if row.start() + row.cap() > self.targets.len() {
+                return Err(format!(
+                    "row {v} extent [{}, {}) exceeds the arena ({} slots)",
+                    row.start(),
+                    row.start() + row.cap(),
+                    self.targets.len()
+                ));
+            }
+            entries += row.len();
+        }
+        if entries != self.live {
+            return Err(format!("live counter {} but rows sum to {entries}", self.live));
+        }
+        // Occupied extents must be pairwise disjoint: sort them by start
+        // and check adjacent pairs.
+        let mut extents: Vec<(usize, usize)> =
+            self.rows.iter().filter(|r| r.cap() > 0).map(|r| (r.start(), r.cap())).collect();
+        extents.sort_unstable();
+        if let Some(w) = extents.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
+            return Err(format!(
+                "row extents overlap: [{}, {}) and [{}, ..)",
+                w[0].0,
+                w[0].0 + w[0].1,
+                w[1].0
+            ));
+        }
+        let nv = self.rows.len() as u64;
+        for (v, &span) in self.rows.iter().enumerate() {
+            let row = slots(&self.targets, span);
+            if let Some(i) = row.iter().position(|&t| t as u64 >= nv) {
+                return Err(format!("target {} in row {v} out of range (n = {nv})", row[i]));
+            }
+            if !row.is_sorted() {
+                return Err(format!("row of vertex {v} is not sorted by target"));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Csr {
+    /// Creates a graph with `num_vertices` vertices and no edges.
+    pub fn new(num_vertices: usize) -> Self {
+        Csr::with_rows(vec![0; num_vertices])
     }
 
     /// Builds a graph from an unsorted edge list, in the layout compaction
@@ -149,9 +333,10 @@ impl Csr {
         }
         let mut g = Csr::with_rows(lens);
         let mut rest = buckets.as_slice();
-        for (&len, &at) in entries.iter().zip(&g.starts) {
-            let (row, tail) = rest.split_at(len);
-            let firsts = row.chunk_by(same_target).filter_map(<[_]>::first);
+        for (&len, row) in entries.iter().zip(&g.rows) {
+            let (bucket, tail) = rest.split_at(len);
+            let firsts = bucket.chunk_by(same_target).filter_map(<[_]>::first);
+            let at = row.start();
             let slots = g.targets[at..].iter_mut().zip(&mut g.weights[at..]);
             for ((t, w), &(v, weight)) in slots.zip(firsts) {
                 (*t, *w) = (v, weight);
@@ -159,23 +344,6 @@ impl Csr {
             rest = tail;
         }
         g
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Number of live directed edges (tombstoned slots excluded).
-    pub fn num_edges(&self) -> usize {
-        self.live
-    }
-
-    /// Physical arena slots, live or not — `arena_slots() - num_edges()`
-    /// is the dead + slack space the compaction policy bounds (DESIGN.md
-    /// §17).
-    pub fn arena_slots(&self) -> usize {
-        self.targets.len()
     }
 
     /// The weights of `v`'s edges, in the order of
@@ -186,31 +354,7 @@ impl Csr {
     ///
     /// Panics if `v` is out of range.
     pub fn row_weights(&self, v: VertexId) -> &[Weight] {
-        let v = ix(v);
-        let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        &self.weights[lo..lo + self.lens[v]]
-    }
-
-    /// Out-degree of `v` (or in-degree, if this is an in-edge CSR).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn degree(&self, v: VertexId) -> usize {
-        // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        self.lens[ix(v)]
-    }
-
-    /// The targets of `v`'s edges in ascending order, without weights —
-    /// the cheap traversal for weight-oblivious propagation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn neighbor_targets(&self, v: VertexId) -> &[VertexId] {
-        let v = ix(v);
-        let lo = self.starts[v]; // panic-ok: documented contract: panics if v is out of range; engines only pass construction-checked ids
-        &self.targets[lo..lo + self.lens[v]]
+        slots(&self.weights, self.span(v))
     }
 
     /// Iterates over the edges of vertex `v` in ascending target order.
@@ -219,21 +363,18 @@ impl Csr {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.neighbor_targets(v)
+        let row = self.span(v);
+        slots(&self.targets, row)
             .iter()
-            .zip(self.row_weights(v).iter())
+            .zip(slots(&self.weights, row))
             .map(|(&other, &weight)| EdgeRef { other, weight })
     }
 
     /// Returns the weight of edge `u -> v`, or `None` if absent.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let ui = ix(u);
-        if ui >= self.starts.len() {
-            return None;
-        }
-        let row = self.neighbor_targets(u);
-        // panic-ok: i is a binary_search hit in row_targets, and row_weights spans the same extent
-        row.binary_search(&v).ok().map(|i| self.row_weights(u)[i])
+        let row = *self.rows.get(ix(u))?;
+        let i = slots(&self.targets, row).binary_search(&v).ok()?;
+        slots(&self.weights, row).get(i).copied()
     }
 
     /// True if the edge `u -> v` exists.
@@ -247,105 +388,30 @@ impl Csr {
             .flat_map(move |u| self.neighbors(vid(u)).map(move |e| (vid(u), e.other, e.weight)))
     }
 
-    /// Checks the CSR's structural invariants, returning a description of
-    /// the first violation found:
-    ///
-    /// * descriptor arrays (`starts`/`lens`/`caps`) agree on the vertex
-    ///   count, and target and weight arenas have the same length;
-    /// * every row's live length fits its capacity and its extent fits the
-    ///   arena;
-    /// * row extents do not overlap (relocation must abandon, never alias);
-    /// * the live-edge count equals the sum of row lengths;
-    /// * every live target id is in range;
-    /// * every row is sorted by target id (the deterministic-iteration
-    ///   guarantee lookups and the simulator's address streams rely on).
-    ///
-    /// Always compiled; callers wire it into debug assertions under the
-    /// `strict-invariants` feature.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.starts.len();
-        if self.lens.len() != n || self.caps.len() != n {
-            return Err(format!(
-                "descriptor lengths disagree: {} starts, {} lens, {} caps",
-                n,
-                self.lens.len(),
-                self.caps.len()
-            ));
-        }
-        if self.targets.len() != self.weights.len() {
-            return Err(format!(
-                "{} targets but {} weights",
-                self.targets.len(),
-                self.weights.len()
-            ));
-        }
-        let mut live = 0usize;
-        for v in 0..n {
-            if self.lens[v] > self.caps[v] {
-                return Err(format!(
-                    "row {v} holds {} live entries in {} slots",
-                    self.lens[v], self.caps[v]
-                ));
-            }
-            if self.starts[v] + self.caps[v] > self.targets.len() {
-                return Err(format!(
-                    "row {v} extent [{}, {}) exceeds the arena ({} slots)",
-                    self.starts[v],
-                    self.starts[v] + self.caps[v],
-                    self.targets.len()
-                ));
-            }
-            live += self.lens[v];
-        }
-        if live != self.live {
-            return Err(format!("live counter {} but rows sum to {live}", self.live));
-        }
-        // Occupied extents must be pairwise disjoint: sort them by start
-        // and check adjacent pairs.
-        let mut extents: Vec<(usize, usize)> =
-            (0..n).filter(|&v| self.caps[v] > 0).map(|v| (self.starts[v], self.caps[v])).collect();
-        extents.sort_unstable();
-        if let Some(w) = extents.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
-            return Err(format!(
-                "row extents overlap: [{}, {}) and [{}, ..)",
-                w[0].0,
-                w[0].0 + w[0].1,
-                w[1].0
-            ));
-        }
-        let nv = n as u64;
-        for v in 0..n {
-            let row = self.neighbor_targets(vid(v));
-            if let Some(i) = row.iter().position(|&t| t as u64 >= nv) {
-                return Err(format!("target {} in row {v} out of range (n = {nv})", row[i]));
-            }
-            if !row.is_sorted() {
-                return Err(format!("row of vertex {v} is not sorted by target"));
-            }
-        }
-        Ok(())
+    /// Builds the transposed graph: a weighted CSR where `neighbors(v)`
+    /// yields the *sources* of edges pointing at `v`, each with its edge's
+    /// weight — for the readers that pull weighted in-edges (the software
+    /// baselines, the oracles). A [`CsrPair`] keeps the weightless
+    /// [`InEdges`] instead.
+    pub fn transpose(&self) -> Csr {
+        self.transposed(|w| w)
     }
 
-    /// Builds the transposed graph: an in-edge CSR where `neighbors(v)`
-    /// yields the *sources* of edges pointing at `v`.
-    ///
-    /// A counting sort on the target, straight from the rows: sources are
-    /// visited in ascending order, so every in-row comes out sorted
-    /// without a comparison.
-    pub fn transpose(&self) -> Csr {
+    /// The transpose with `keep(w)` stored beside each in-entry. A counting
+    /// sort on the target, straight from the rows: sources are visited in
+    /// ascending order, so every in-row comes out sorted without a
+    /// comparison.
+    fn transposed<V: Copy + Default>(&self, keep: impl Fn(Weight) -> V) -> Csr<V> {
         let mut lens = vec![0usize; self.num_vertices()];
-        for u in 0..self.num_vertices() {
-            for &v in self.neighbor_targets(vid(u)) {
-                lens[ix(v)] += 1;
-            }
+        for &v in self.rows.iter().flat_map(|&row| slots(&self.targets, row)) {
+            lens[ix(v)] += 1;
         }
         let mut t = Csr::with_rows(lens);
-        let mut cursor = t.starts.clone();
-        for u in 0..self.num_vertices() {
-            let u = vid(u);
-            for (&v, &w) in self.neighbor_targets(u).iter().zip(self.row_weights(u)) {
+        let mut cursor: Vec<usize> = t.rows.iter().map(|r| r.start()).collect();
+        for (u, &row) in self.rows.iter().enumerate() {
+            for (&v, &w) in slots(&self.targets, row).iter().zip(slots(&self.weights, row)) {
                 let at = &mut cursor[ix(v)];
-                (t.targets[*at], t.weights[*at]) = (u, w);
+                (t.targets[*at], t.weights[*at]) = (vid(u), keep(w));
                 *at += 1;
             }
         }
@@ -373,24 +439,28 @@ pub(crate) fn row_cap(len: usize) -> usize {
     len + len / 4
 }
 
-/// The graph and its transpose, kept at the same version.
+/// The graph and its in-edges, kept at the same version.
 ///
-/// JetStream reads outgoing edges during propagation and incoming edges when
-/// issuing *request* events in the re-approximation phase (§3.4), so both
-/// directions are kept (§4.7); [`CsrPair::apply_batch`] updates them
-/// together, in place.
+/// JetStream reads outgoing edges during propagation and incoming edges
+/// only when issuing *request* events in the re-approximation phase
+/// (§3.4), so both directions are kept (§4.7) — the in-edges as a
+/// weightless [`InEdges`] view, since a request carries the identity, not
+/// an edge weight. [`CsrPair::apply_batch`] updates both together, in
+/// place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrPair {
     /// Outgoing-edge CSR: the graph itself.
     pub out: Csr,
-    /// Incoming-edge CSR (the transpose of `out`).
-    pub inc: Csr,
+    /// Incoming-edge view: row `v` holds the sources of `out`'s edges
+    /// into `v`.
+    pub inc: InEdges,
 }
 
 impl CsrPair {
-    /// Builds both directions from an out-edge CSR.
+    /// Builds both directions from an out-edge CSR; the in-edge view is
+    /// transposed straight from its rows, with no weight column.
     pub fn new(out: Csr) -> Self {
-        let inc = out.transpose();
+        let inc = out.transposed(|_| ());
         CsrPair { out, inc }
     }
 
@@ -404,9 +474,10 @@ impl CsrPair {
         self.out.num_edges()
     }
 
-    /// Checks both directions with [`Csr::validate`] and verifies they
-    /// describe the same edge multiset: every `u -> v` out-edge must appear
-    /// as a `v <- u` in-edge with the same weight, and vice versa.
+    /// Checks both views with [`Csr::validate`] (for `out`, that includes
+    /// a weight for every target slot), that no live `out` weight is NaN,
+    /// and that the views describe the same edge set: every `u -> v`
+    /// out-edge must appear as `u` in in-row `v`, and vice versa.
     pub fn validate(&self) -> Result<(), String> {
         self.out.validate().map_err(|e| format!("out-CSR: {e}"))?;
         self.inc.validate().map_err(|e| format!("in-CSR: {e}"))?;
@@ -417,13 +488,17 @@ impl CsrPair {
                 self.inc.num_vertices()
             ));
         }
-        let key = |a: &(VertexId, VertexId, Weight), b: &(VertexId, VertexId, Weight)| {
-            (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2))
-        };
-        let mut forward: Vec<_> = self.out.iter_edges().collect();
-        let mut backward: Vec<_> = self.inc.iter_edges().map(|(v, u, w)| (u, v, w)).collect();
-        forward.sort_by(key);
-        backward.sort_by(key);
+        if let Some((u, v, _)) = self.out.iter_edges().find(|e| e.2.is_nan()) {
+            return Err(format!("out-CSR: the weight of {u} -> {v} is NaN"));
+        }
+        fn pairs<W: Copy + Default>(g: &Csr<W>) -> Vec<(VertexId, VertexId)> {
+            (0..g.num_vertices())
+                .flat_map(|a| g.neighbor_targets(vid(a)).iter().map(move |&b| (vid(a), b)))
+                .collect()
+        }
+        let forward = pairs(&self.out);
+        let mut backward: Vec<_> = pairs(&self.inc).into_iter().map(|(v, u)| (u, v)).collect();
+        backward.sort_unstable();
         if forward != backward {
             let mismatch = forward
                 .iter()
@@ -536,8 +611,8 @@ mod tests {
         let copy = g.snapshot();
         assert_eq!(copy, g);
         // Row 0 (9 edges) gets 9 / 4 = 2 slots of slack, row 2 (1 edge) none.
-        assert_eq!((copy.starts[0], copy.caps[0]), (0, 11));
-        assert_eq!((copy.starts[2], copy.caps[2]), (11, 1));
+        assert_eq!((copy.rows[0].start(), copy.rows[0].cap()), (0, 11));
+        assert_eq!((copy.rows[2].start(), copy.rows[2].cap()), (11, 1));
         assert_eq!(copy.arena_slots(), 12);
         assert_eq!(copy.validate(), Ok(()));
         assert_eq!(g.snapshot_pair(), CsrPair::new(g));
@@ -548,9 +623,14 @@ mod tests {
         let pair = CsrPair::new(diamond());
         assert_eq!(pair.num_vertices(), 4);
         assert_eq!(pair.num_edges(), 4);
-        for (u, v, w) in pair.out.iter_edges() {
-            assert_eq!(pair.inc.edge_weight(v, u), Some(w));
+        for (u, v, _) in pair.out.iter_edges() {
+            assert!(
+                pair.inc.neighbor_targets(v).contains(&u),
+                "{u} -> {v} missing from in-row {v}"
+            );
         }
+        assert_eq!(pair.inc.neighbor_targets(3), [1, 2]);
+        assert_eq!(pair.validate(), Ok(()));
     }
 
     #[test]
@@ -566,8 +646,7 @@ mod tests {
         padded.weights.extend_from_slice(&w0);
         padded.targets.extend_from_slice(&[0, 0]); // slack slots
         padded.weights.extend_from_slice(&[0.0, 0.0]);
-        padded.starts[0] = new_start;
-        padded.caps[0] = row0.len() + 2;
+        padded.rows[0] = RowSpan::new(new_start, row0.len(), row0.len() + 2);
         assert_eq!(padded.validate(), Ok(()));
         assert_eq!(padded, dense);
         assert_ne!(padded.arena_slots(), dense.arena_slots());
@@ -576,8 +655,43 @@ mod tests {
     #[test]
     fn validate_rejects_overlapping_extents() {
         let mut g = Csr::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        g.caps[0] = 2; // row 0's extent now covers row 1's slot
+        // Row 0's extent now covers row 1's slot.
+        g.rows[0] = RowSpan::new(g.rows[0].start(), g.rows[0].len(), 2);
         let err = g.validate().expect_err("overlapping extents must be rejected");
         assert!(err.contains("overlap"));
+    }
+
+    // The in-edge view must never carry a weight column again: it holds
+    // one `VertexId` per arena slot and nothing beside it, also after
+    // relocations and a compaction, and each row header fits 16 bytes.
+    #[test]
+    fn the_in_view_holds_one_vertex_id_per_slot() {
+        fn slot_bytes<W>(g: &Csr<W>) -> usize {
+            std::mem::size_of_val(g.targets.as_slice())
+                + std::mem::size_of_val(g.weights.as_slice())
+        }
+        assert!(std::mem::size_of::<RowSpan>() <= 16);
+        let mut pair = CsrPair::new(crate::gen::erdos_renyi(200, 1200, 7));
+        let check = |pair: &CsrPair| {
+            let (inc, out) = (&pair.inc, &pair.out);
+            assert_eq!(slot_bytes(inc), inc.arena_slots() * std::mem::size_of::<VertexId>());
+            assert_eq!(inc.weights.capacity() * std::mem::size_of_val(&inc.weights[..]), 0);
+            let slot = std::mem::size_of::<VertexId>() + std::mem::size_of::<Weight>();
+            assert_eq!(slot_bytes(out), out.arena_slots() * slot);
+            assert_eq!(inc.rows.len(), pair.num_vertices());
+        };
+        check(&pair);
+        // Grow rows past their slack, then delete every other edge.
+        let mut batch = crate::UpdateBatch::new();
+        for (u, v) in (0..50).map(|u| (u, 199 - u)).filter(|&(u, v)| !pair.out.has_edge(u, v)) {
+            batch.insert(u, v, 1.0);
+        }
+        for (u, v, _) in pair.out.iter_edges().step_by(2) {
+            batch.delete(u, v);
+        }
+        let before = pair.inc.arena_slots();
+        pair.apply_batch(&batch).expect("fresh inserts and live deletes apply");
+        assert_ne!(pair.inc.arena_slots(), before, "the batch moved the in-view arena");
+        check(&pair);
     }
 }

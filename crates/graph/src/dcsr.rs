@@ -22,6 +22,7 @@
 //! batch leaves the graph — and, for a [`CsrPair`], both views — exactly
 //! as it was.
 
+use crate::csr::{slots, RowSpan};
 use crate::{ix, Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Smallest slot count a relocated row receives: rows that grow once tend
@@ -78,7 +79,7 @@ impl Csr {
         match self.search(u, v) {
             Ok(_) => Err(GraphError::DuplicateEdge { source: u, target: v }),
             Err(pos) => {
-                self.insert_at(ix(u), pos, v, w);
+                self.insert_at(u, pos, v, w);
                 Ok(())
             }
         }
@@ -97,7 +98,7 @@ impl Csr {
         match self.search(u, v) {
             Ok(pos) => {
                 let w = self.row_weights(u)[pos];
-                self.remove_at(ix(u), pos);
+                self.remove_at(u, pos);
                 Ok(w)
             }
             Err(_) => Err(GraphError::MissingEdge { source: u, target: v }),
@@ -105,102 +106,11 @@ impl Csr {
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
-        if ix(v) < self.starts.len() {
+        if ix(v) < self.rows.len() {
             Ok(())
         } else {
-            Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: self.starts.len() })
+            Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: self.rows.len() })
         }
-    }
-
-    /// Where `v` sits, or would go, in row `u`'s sorted live prefix.
-    fn search(&self, u: VertexId, v: VertexId) -> Result<usize, usize> {
-        self.neighbor_targets(u).binary_search(&v)
-    }
-
-    /// Row `ui`'s `(start, len, cap)`.
-    fn row(&self, ui: usize) -> (usize, usize, usize) {
-        // panic-ok: row writers take ui from `check_vertex`ed ids or a checked batch
-        (self.starts[ui], self.lens[ui], self.caps[ui])
-    }
-
-    /// Sets row `ui`'s `(start, len, cap)`.
-    fn set_row(&mut self, ui: usize, (start, len, cap): (usize, usize, usize)) {
-        // panic-ok: ui was just read through `row`, which would have panicked first
-        (self.starts[ui], self.lens[ui], self.caps[ui]) = (start, len, cap);
-    }
-
-    /// Writes `(v, w)` at position `pos` of row `ui`: shifted into the
-    /// row's slack when it has some, else by relocating the row to the
-    /// arena tail with fresh slack (1.5x growth, at least [`MIN_ROW_CAP`]
-    /// slots), opening the gap at `pos` on the way. A relocated row's old
-    /// extent is abandoned as a tombstoned hole for the next compaction.
-    // hot-path
-    fn insert_at(&mut self, ui: usize, pos: usize, v: VertexId, w: Weight) {
-        let (mut start, len, mut cap) = self.row(ui);
-        if len < cap {
-            // Room in the row's slack: shift the tail one slot right.
-            self.targets.copy_within(start + pos..start + len, start + pos + 1);
-            self.weights.copy_within(start + pos..start + len, start + pos + 1);
-        } else {
-            let old = start;
-            start = self.targets.len();
-            cap = (len + len / 2 + 1).max(MIN_ROW_CAP);
-            self.targets.resize(start + cap, 0);
-            self.weights.resize(start + cap, 0.0);
-            self.targets.copy_within(old..old + pos, start);
-            self.weights.copy_within(old..old + pos, start);
-            self.targets.copy_within(old + pos..old + len, start + pos + 1);
-            self.weights.copy_within(old + pos..old + len, start + pos + 1);
-        }
-        // panic-ok: start + pos < start + len + 1 <= start + cap, inside the row's extent
-        (self.targets[start + pos], self.weights[start + pos]) = (v, w);
-        self.set_row(ui, (start, len + 1, cap));
-        self.live += 1;
-        self.version += 1;
-    }
-
-    /// Removes position `pos` of row `ui`; the freed slot becomes slack.
-    // hot-path
-    fn remove_at(&mut self, ui: usize, pos: usize) {
-        let (start, len, cap) = self.row(ui);
-        self.targets.copy_within(start + pos + 1..start + len, start + pos);
-        self.weights.copy_within(start + pos + 1..start + len, start + pos);
-        self.set_row(ui, (start, len - 1, cap));
-        self.live -= 1;
-        self.version += 1;
-    }
-
-    /// Compacts the arena when dead + slack space exceeds the live edge
-    /// count plus a fixed slop. `O(V + E)`, amortized over the maintenance
-    /// that produced the garbage. A compacted arena holds at most
-    /// `1.25 · live` slots, so the next compaction is at least
-    /// `0.75 · live` writes away.
-    pub fn maybe_compact(&mut self) -> bool {
-        if self.targets.len() > arena_bound(self.live) {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Compacts the arena now, whatever the garbage bound says: the tail of
-    /// a run of single inserts. Rows are laid out as
-    /// every rebuilt arena is — in vertex order, each with a quarter again
-    /// its length as slack, no holes.
-    pub fn compact(&mut self) {
-        let fresh = Csr::with_rows(std::mem::take(&mut self.lens));
-        let (mut targets, mut weights) = (fresh.targets, fresh.weights);
-        for (ui, &len) in fresh.lens.iter().enumerate() {
-            let (from, to) = (self.starts[ui], fresh.starts[ui]);
-            targets[to..to + len].copy_from_slice(&self.targets[from..from + len]);
-            weights[to..to + len].copy_from_slice(&self.weights[from..from + len]);
-        }
-        self.starts = fresh.starts;
-        self.lens = fresh.lens;
-        self.caps = fresh.caps;
-        self.targets = targets;
-        self.weights = weights;
     }
 
     /// Validates a whole update batch against the graph without changing
@@ -309,23 +219,102 @@ impl Csr {
         self.commit(checked);
         Ok(())
     }
+}
+
+impl<W: Copy + Default> Csr<W> {
+    /// Where `v` sits, or would go, in row `u`'s sorted live prefix.
+    fn search(&self, u: VertexId, v: VertexId) -> Result<usize, usize> {
+        self.neighbor_targets(u).binary_search(&v)
+    }
+
+    /// Writes `(v, w)` at position `pos` of row `u`: shifted into the
+    /// row's slack when it has some, else by relocating the row to the
+    /// arena tail with fresh slack (1.5x growth, at least [`MIN_ROW_CAP`]
+    /// slots), opening the gap at `pos` on the way. A relocated row's old
+    /// extent is abandoned as a tombstoned hole for the next compaction.
+    // hot-path
+    fn insert_at(&mut self, u: VertexId, pos: usize, v: VertexId, w: W) {
+        let row = self.span(u);
+        let (start, len) = (row.start(), row.len());
+        let row = if len < row.cap() {
+            // Room in the row's slack: shift the tail one slot right.
+            self.targets.copy_within(start + pos..start + len, start + pos + 1);
+            self.weights.copy_within(start + pos..start + len, start + pos + 1);
+            row.with_len(len + 1)
+        } else {
+            let to = self.targets.len();
+            let cap = (len + len / 2 + 1).max(MIN_ROW_CAP);
+            self.targets.resize(to + cap, 0);
+            self.weights.resize(to + cap, W::default());
+            self.targets.copy_within(start..start + pos, to);
+            self.weights.copy_within(start..start + pos, to);
+            self.targets.copy_within(start + pos..start + len, to + pos + 1);
+            self.weights.copy_within(start + pos..start + len, to + pos + 1);
+            RowSpan::new(to, len + 1, cap)
+        };
+        let at = row.start() + pos;
+        // panic-ok: u was just looked up by `span`; at < start + len + 1 <= start + cap, inside the row
+        (self.rows[ix(u)], self.targets[at], self.weights[at]) = (row, v, w);
+        self.live += 1;
+        self.version += 1;
+    }
+
+    /// Removes position `pos` of row `u`; the freed slot becomes slack.
+    // hot-path
+    fn remove_at(&mut self, u: VertexId, pos: usize) {
+        let row = self.span(u);
+        let (start, len) = (row.start(), row.len());
+        self.targets.copy_within(start + pos + 1..start + len, start + pos);
+        self.weights.copy_within(start + pos + 1..start + len, start + pos);
+        self.rows[ix(u)] = row.with_len(len - 1); // panic-ok: u was just looked up by `span`
+        self.live -= 1;
+        self.version += 1;
+    }
+
+    /// Compacts the arena when dead + slack space exceeds the live edge
+    /// count plus a fixed slop. `O(V + E)`, amortized over the maintenance
+    /// that produced the garbage. A compacted arena holds at most
+    /// `1.25 · live` slots, so the next compaction is at least
+    /// `0.75 · live` writes away.
+    pub fn maybe_compact(&mut self) -> bool {
+        if self.targets.len() > arena_bound(self.live) {
+            self.compact();
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Compacts the arena now, whatever the garbage bound says: the tail of
+    /// a run of single inserts. Rows are laid out as
+    /// every rebuilt arena is — in vertex order, each with a quarter again
+    /// its length as slack, no holes.
+    pub fn compact(&mut self) {
+        let fresh = Csr::<W>::with_rows(self.rows.iter().map(|r| r.len()).collect());
+        let (mut targets, mut weights) = (fresh.targets, fresh.weights);
+        for (&from, &to) in self.rows.iter().zip(&fresh.rows) {
+            targets[to.live()].copy_from_slice(slots(&self.targets, from));
+            weights[to.live()].copy_from_slice(slots(&self.weights, from));
+        }
+        (self.rows, self.targets, self.weights) = (fresh.rows, targets, weights);
+    }
 
     /// Writes edges a check has vouched for.
     // hot-path
     fn write(
         &mut self,
         deletions: impl Iterator<Item = (VertexId, VertexId)>,
-        insertions: impl Iterator<Item = (VertexId, VertexId, Weight)>,
+        insertions: impl Iterator<Item = (VertexId, VertexId, W)>,
     ) {
         for (u, v) in deletions {
             #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
             let pos = self.search(u, v).expect("invariant: a checked deletion finds its edge");
-            self.remove_at(ix(u), pos);
+            self.remove_at(u, pos);
         }
         for (u, v, w) in insertions {
             #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
             let pos = self.search(u, v).expect_err("invariant: a checked insertion is absent");
-            self.insert_at(ix(u), pos, v, w);
+            self.insert_at(u, pos, v, w);
         }
     }
 }
@@ -346,7 +335,7 @@ impl CsrPair {
         self.out.commit(checked);
         self.inc.write(
             batch.deletions().iter().map(|&(u, v)| (v, u)),
-            batch.insertions().iter().map(|&(u, v, w)| (v, u, w)),
+            batch.insertions().iter().map(|&(u, v, _)| (v, u, ())),
         );
         self.inc.maybe_compact();
     }
@@ -379,9 +368,9 @@ mod tests {
     fn insert_into_slack_and_relocation() {
         let mut g = Csr::from_edges(4, &[(0, 1, 1.0)]);
         // Dense build: row 0 has no slack, first insert relocates.
-        assert_eq!(g.caps[0], 1);
+        assert_eq!(g.rows[0].cap(), 1);
         g.insert_edge(0, 3, 3.0).expect("insert of a new edge succeeds");
-        assert!(g.caps[0] >= MIN_ROW_CAP);
+        assert!(g.rows[0].cap() >= MIN_ROW_CAP);
         // Second insert lands in the fresh slack, sorted into place.
         g.insert_edge(0, 2, 2.0).expect("insert of a new edge succeeds");
         let ns: Vec<_> = g.neighbors(0).map(|e| e.other).collect();
@@ -585,7 +574,7 @@ mod tests {
         );
     }
 
-    // Kills jm-ac86c58b (`>` -> `>=` in maybe_compact): the compaction
+    // Kills jm-ac86c4dc (`>` -> `>=` in maybe_compact): the compaction
     // trigger is strict — at exactly `2*live + slop` arena slots the arena
     // is left alone; one more dead slot compacts.
     #[test]
@@ -609,7 +598,7 @@ mod tests {
         assert_eq!(compactions, 1, "exactly one removal crosses the bound");
     }
 
-    // kills jm-0fa5ad55 (dcsr.rs len-off-by-one: relocation start past the
+    // kills jm-0fa592e6 (dcsr.rs len-off-by-one: relocation start past the
     // tail would leak a permanent one-slot hole per relocation) and
     // jm-93cee4d3 (dcsr.rs const-01: slack must be zero-filled, the value
     // compaction and debug dumps rely on).
@@ -618,10 +607,11 @@ mod tests {
         let mut g = Csr::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0)]);
         // Dense build: row 0 (start 0, len 1, cap 1) relocates on insert.
         g.insert_edge(0, 3, 3.0).expect("insert of a new edge succeeds");
-        assert_eq!(g.starts[0], 2, "relocated row must start at the old arena tail");
-        assert_eq!(g.caps[0], MIN_ROW_CAP);
+        let row = g.rows[0];
+        assert_eq!(row.start(), 2, "relocated row must start at the old arena tail");
+        assert_eq!(row.cap(), MIN_ROW_CAP);
         assert_eq!(g.targets.len(), 2 + MIN_ROW_CAP, "no hole between old tail and new row");
-        let (start, len, cap) = (g.starts[0], g.lens[0], g.caps[0]);
+        let (start, len, cap) = (row.start(), row.len(), row.cap());
         assert_eq!(&g.targets[start..start + len], &[1, 3]);
         assert!(
             g.targets[start + len..start + cap].iter().all(|&t| t == 0),
@@ -634,7 +624,7 @@ mod tests {
     /// sits at most a quarter above the live edges.
     fn assert_compacted_layout(g: &Csr) {
         for v in 0..g.num_vertices() {
-            let (len, cap) = (g.lens[v], g.caps[v]);
+            let (len, cap) = (g.rows[v].len(), g.rows[v].cap());
             assert!(cap >= len + len / 4, "row {v}: {len} live edges in {cap} slots");
         }
         assert!(g.arena_slots() * 4 <= g.num_edges() * 5 + 4 * COMPACT_SLOP);
@@ -758,7 +748,8 @@ mod tests {
         let mut pair = pair_of(&base, 3);
         let checked = pair.out.check_batch(&batch).expect("valid batch");
         pair.commit(checked);
-        assert_eq!(pair.inc.edge_weight(0, 2), Some(3.0));
+        assert_eq!(pair.out.edge_weight(2, 0), Some(3.0));
+        assert_eq!(pair.inc.neighbor_targets(0), [2]);
     }
 
     #[test]
@@ -769,7 +760,7 @@ mod tests {
         batch.insert(0, 1, 7.5);
         pair.apply_batch(&batch).expect("valid batch applies");
         assert_eq!(pair.out.edge_weight(0, 1), Some(7.5));
-        assert_eq!(pair.inc.edge_weight(1, 0), Some(7.5));
+        assert_eq!(pair.inc.neighbor_targets(1), [0]);
         assert_eq!(pair.num_edges(), 2);
     }
 }

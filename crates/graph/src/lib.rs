@@ -8,8 +8,10 @@
 //!   paper), with per-row slack so it is also the structure that takes the
 //!   updates. The paper's host keeps the evolving edge list apart and
 //!   writes a fresh CSR after each batch; here one structure is both.
-//! * [`CsrPair`] — the graph and its transpose, updated together; JetStream
-//!   needs incoming edges to issue *request* events during recovery.
+//! * [`CsrPair`] — the graph and its in-edges, updated together; JetStream
+//!   needs incoming edges only to issue *request* events during recovery,
+//!   and a request carries no edge weight, so the in-edge view is an
+//!   [`InEdges`]: row headers and source ids, no weight column.
 //! * [`UpdateBatch`] / [`EdgeUpdate`] — batched edge insertions and deletions
 //!   (graph *mutations* in the paper's terminology).
 //! * [`gen`] — deterministic synthetic dataset generators standing in for the
@@ -51,7 +53,7 @@ pub mod io;
 pub mod partition;
 pub mod rng;
 
-pub use csr::{Csr, CsrPair, EdgeRef};
+pub use csr::{Csr, CsrPair, EdgeRef, InEdges};
 pub use dcsr::CheckedBatch;
 pub use error::GraphError;
 pub use update::{EdgeUpdate, UpdateBatch, UpdateRejection};

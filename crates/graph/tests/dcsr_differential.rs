@@ -210,7 +210,7 @@ fn delete_then_reinsert_same_batch_matches_oracle() {
     step(&mut maintained, &mut model, &batch, "same-batch reweight");
     for &(u, v, w) in edges.iter().take(5) {
         assert_eq!(maintained.out.edge_weight(u, v), Some(w + 10.0));
-        assert_eq!(maintained.inc.edge_weight(v, u), Some(w + 10.0));
+        assert!(maintained.inc.neighbor_targets(v).contains(&u), "{u} -> {v} left in-row {v}");
     }
 }
 

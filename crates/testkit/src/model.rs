@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use jetstream_graph::{ix, Csr, CsrPair, UpdateBatch, VertexId, Weight};
+use jetstream_graph::{ix, vid, Csr, CsrPair, UpdateBatch, VertexId, Weight};
 
 /// A simple directed graph as an ordered edge map.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,8 @@ impl EdgeModel {
         self.edges.iter().map(|(&(u, v), &w)| (u, v, w)).collect()
     }
 
-    /// Asserts that `pair` is the model's graph: both traversal sequences,
+    /// Asserts that `pair` is the model's graph: both traversal sequences
+    /// (the out view's `(u, v, w)` triples, the in view's `(v, u)` pairs),
     /// equality with a from-scratch build of the model's edge list, and
     /// the pair's own structural validity.
     ///
@@ -63,9 +64,16 @@ impl EdgeModel {
         // Traversal is the contract: the exact edge sequence the kernel
         // would dereference, not just set equality.
         assert_eq!(pair.out.iter_edges().collect::<Vec<_>>(), forward, "{ctx}: out traversal");
-        let mut backward: Vec<_> = forward.iter().map(|&(u, v, w)| (v, u, w)).collect();
-        backward.sort_by_key(|&(v, u, _)| (v, u));
-        assert_eq!(pair.inc.iter_edges().collect::<Vec<_>>(), backward, "{ctx}: in traversal");
+        // The in-edge view holds no weights: row `v` lists the sources
+        // `u` of the edges into `v`, so it traverses as `(v, u)` pairs.
+        let mut backward: Vec<_> = forward.iter().map(|&(u, v, _)| (v, u)).collect();
+        backward.sort_unstable();
+        let inc = &pair.inc;
+        let in_pairs: Vec<_> = (0..self.num_vertices)
+            .map(vid)
+            .flat_map(|v| inc.neighbor_targets(v).iter().map(move |&u| (v, u)))
+            .collect();
+        assert_eq!(in_pairs, backward, "{ctx}: in traversal");
         let rebuilt = CsrPair::new(Csr::from_edges(self.num_vertices, &forward));
         assert_eq!(*pair, rebuilt, "{ctx}: maintained pair differs from the rebuild");
     }

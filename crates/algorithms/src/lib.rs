@@ -309,6 +309,13 @@ impl Workload {
         }
     }
 
+    /// Parses a workload from its [`name`](Workload::name) or the alias
+    /// `pr`, case-insensitively: the one table behind every command line.
+    pub fn from_name(name: &str) -> Option<Workload> {
+        let is = |s: &str| s.eq_ignore_ascii_case(name);
+        Workload::ALL.into_iter().find(|w| is(w.name())).or(is("pr").then_some(Workload::PageRank))
+    }
+
     /// Instantiates the algorithm. `root` seeds the single-source workloads
     /// and is ignored by CC, PageRank, and Adsorption.
     pub fn instantiate(self, root: VertexId) -> Box<dyn Algorithm> {
@@ -370,6 +377,18 @@ mod tests {
     fn workload_names_unique() {
         let names: std::collections::HashSet<_> = Workload::ALL.iter().map(|w| w.name()).collect();
         assert_eq!(names.len(), 6);
+    }
+
+    // Every workload by its printed name and by the lower-case spelling
+    // both binaries accepted before their parsers were merged, plus `pr`.
+    #[test]
+    fn workloads_parse_from_their_names_and_aliases() {
+        for w in Workload::ALL {
+            assert_eq!(Workload::from_name(w.name()), Some(w));
+            assert_eq!(Workload::from_name(&w.name().to_ascii_lowercase()), Some(w));
+        }
+        assert_eq!(Workload::from_name("pr"), Some(Workload::PageRank));
+        assert_eq!(Workload::from_name("ppr"), None);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use std::time::Instant;
 
 use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Workload};
 use jetstream_core::{
-    CoalescingQueue, EngineConfig, Event, Executor, ShardedEngine, StreamingEngine, StreamingFlow,
+    Carry, CoalescingQueue, EngineConfig, Event, Executor, Row, ShardedEngine, StreamingEngine,
+    StreamingFlow,
 };
 use jetstream_graph::gen::{DatasetProfile, DEFAULT_SCALE};
 use jetstream_graph::{Csr, CsrPair, EdgeUpdate, VertexId};
@@ -202,7 +203,8 @@ fn bench_insert_coalescing(cfg: &MicroConfig, by_row: bool) -> BenchResult {
             for _ in 0..ROW_PASSES {
                 for row in &rows {
                     if by_row {
-                        queue.insert_row(0, row, delta, None, Reduce::Sum);
+                        let carry = Carry::Regular { delta, source: None };
+                        queue.insert_row(0, Row { targets: row, carry }, Reduce::Sum);
                     } else {
                         for &v in row {
                             queue.insert(Event::regular(v, delta), alg.as_ref());
@@ -219,7 +221,7 @@ fn bench_insert_coalescing(cfg: &MicroConfig, by_row: bool) -> BenchResult {
 /// a weight per target, folded with `Min` through `AddWeight`, and every
 /// pass sends a smaller base so its arrivals dominate — the sourced fold,
 /// where a coalesce also rewrites the slot's source.
-fn bench_insert_weighted_row_sourced(cfg: &MicroConfig) -> BenchResult {
+fn bench_weighted_row_sourced(cfg: &MicroConfig) -> BenchResult {
     let rows = coalescing_rows(cfg.queue_vertices);
     let mut rng = Rng(0x5eed);
     let weights: Vec<Vec<f64>> = rows
@@ -237,7 +239,8 @@ fn bench_insert_weighted_row_sourced(cfg: &MicroConfig) -> BenchResult {
                 let delta = (ROW_PASSES - pass) as f64;
                 for (source, (row, w)) in rows.iter().zip(&weights).enumerate() {
                     let source = Some(source as VertexId);
-                    queue.insert_weighted_row(0, row, w, delta, op, source, reduce);
+                    let carry = Carry::Weighted { weights: w, base: delta, op, source };
+                    queue.insert_row(0, Row { targets: row, carry }, reduce);
                 }
             }
             std::hint::black_box(queue.len());
@@ -471,7 +474,7 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_queue_insert(cfg));
     report(&mut results, bench_insert_coalescing(cfg, true));
     report(&mut results, bench_insert_coalescing(cfg, false));
-    report(&mut results, bench_insert_weighted_row_sourced(cfg));
+    report(&mut results, bench_weighted_row_sourced(cfg));
     report(&mut results, bench_insert_run(cfg));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_25pct", quarter));
     report(&mut results, bench_drain_bitmap(cfg, "queue_drain_bitmap_1pct", percent));
@@ -776,7 +779,8 @@ mod tests {
         assert!(rows.iter().all(|r| r.len() == ROW_LEN && r.windows(2).all(|w| w[0] < w[1])));
         for _ in 0..ROW_PASSES {
             for row in &rows {
-                queue.insert_row(0, row, 0.125, None, Reduce::Sum);
+                let carry = Carry::Regular { delta: 0.125, source: None };
+                queue.insert_row(0, Row { targets: row, carry }, Reduce::Sum);
             }
         }
         let stats = queue.stats();

@@ -11,7 +11,7 @@
 //!   which is where the async work saving comes from: residuals arriving
 //!   between passes coalesce instead of being processed round by round);
 //! * a row leaves whole: [`Routes::split`] cuts it at the shard bounds and
-//!   each destination's run folds through the queue's row entry points;
+//!   each destination's run folds through the queue's row entry point;
 //! * cross-shard emissions fold into the shard's per-destination *outbox
 //!   queues* (single-bin [`CoalescingQueue`]s over the destination's
 //!   vertex range, so repeat emissions to one remote vertex coalesce
@@ -68,10 +68,10 @@
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`CoalescingQueue`]: crate::CoalescingQueue
 
-use jetstream_algorithms::{EdgeOp, Reduce, Value};
-use jetstream_graph::{ix, VertexId, Weight};
+use jetstream_algorithms::{Reduce, Value};
+use jetstream_graph::{ix, VertexId};
 
-use crate::event::Event;
+use crate::event::{Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
 use crate::sharded::sync::{
@@ -184,44 +184,10 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
     /// Folds each shard's run of the row whole, into this shard's queue
     /// or the destination's outbox (see [`Routes::split`]).
     // hot-path
-    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
-        self.stats.events_generated += targets.len() as u64;
+    fn emit_row(&mut self, row: Row<'_>) {
+        self.stats.events_generated += row.targets.len() as u64;
         let (routes, reduce) = (self.routes, self.reduce);
-        routes.split(targets, |dest, lo, run| {
-            self.queue_for(dest).insert_row(lo, run, delta, source, reduce);
-        });
-    }
-
-    /// [`emit_row`](ExecState::emit_row)'s split, each run taking its
-    /// share of the row's weights.
-    // hot-path
-    fn emit_weighted_row(
-        &mut self,
-        source: Option<VertexId>,
-        targets: &[VertexId],
-        weights: &[Weight],
-        base: Value,
-        op: EdgeOp,
-    ) {
-        self.stats.events_generated += targets.len() as u64;
-        let (routes, reduce) = (self.routes, self.reduce);
-        let mut rest = weights;
-        routes.split(targets, |dest, lo, run| {
-            let (run_weights, tail) = rest.split_at(run.len());
-            rest = tail;
-            let queue = self.queue_for(dest);
-            queue.insert_weighted_row(lo, run, run_weights, base, op, source, reduce);
-        });
-    }
-
-    /// [`emit_row`](ExecState::emit_row)'s split, for a delete wave.
-    // hot-path
-    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value) {
-        self.stats.events_generated += targets.len() as u64;
-        let (routes, reduce) = (self.routes, self.reduce);
-        routes.split(targets, |dest, lo, run| {
-            self.queue_for(dest).insert_delete_row(lo, run, payload, source, reduce);
-        });
+        routes.split(row, |dest, lo, run| self.queue_for(dest).insert_row(lo, run, reduce));
     }
 }
 
@@ -635,8 +601,9 @@ pub(crate) fn run_to_quiescence(
 mod tests {
     use super::*;
     use crate::engine::DeleteStrategy;
+    use crate::event::Carry;
     use crate::queue::QueueStats;
-    use jetstream_algorithms::Sssp;
+    use jetstream_algorithms::{EdgeOp, Sssp};
     use jetstream_graph::{Csr, CsrPair};
 
     // kills jm-3a60197c (async_mode.rs logic-swap in Detector::run:
@@ -687,7 +654,8 @@ mod tests {
     type Contents = (Vec<(VertexId, u64, bool, bool, Option<VertexId>)>, QueueStats);
 
     fn contents(q: &mut CoalescingQueue) -> Contents {
-        let mut events = q.take_all();
+        let mut events = Vec::new();
+        q.take_all_into(&mut events);
         events.extend(std::iter::from_fn(|| q.pop_overflow()));
         let bits = events
             .iter()
@@ -702,7 +670,7 @@ mod tests {
         // Targets on every shard bound (4, 8, 12), just below one (3, 7,
         // 11), and at both ends of the vertex range.
         const ROW: [VertexId; 9] = [0, 3, 4, 5, 7, 8, 11, 12, 15];
-        let weights: Vec<Weight> = ROW.iter().map(|&v| 1.0 + f64::from(v) / 4.0).collect();
+        let weights = &ROW.map(|v| 1.0 + f64::from(v) / 4.0);
         let routes = Routes::new(&[0..4, 4..8, 8..12, 12..16]);
         let mut shard = Shard::new(1, &routes, 2);
         shard.queue.set_coalesce_deletes(coalesce_deletes);
@@ -726,34 +694,24 @@ mod tests {
         // coalescing off), the regular rows meet their residents (spilled)
         // and each other: sourced rows coalesce, and a sourceless one
         // clears the sources it dominates.
-        let regular: [(Option<VertexId>, &[VertexId], Value); 2] =
-            [(Some(2), &ROW, 3.0), (None, &ROW[2..], 2.0)];
-        let deletes: [(VertexId, &[VertexId], Value); 2] = [(6, &ROW, 0.5), (13, &ROW[..5], 0.25)];
+        let regular = |source, delta| Carry::Regular { delta, source };
+        let delete = |source, payload| Carry::Delete { payload, source };
         let op = EdgeOp::AddWeight;
-        if by_row {
-            for (source, targets, payload) in deletes {
-                st.emit_delete_row(source, targets, payload);
-            }
-            st.emit_row(regular[0].0, regular[0].1, regular[0].2);
-            st.emit_weighted_row(Some(9), &ROW, &weights, 1.0, op);
-            st.emit_row(regular[1].0, regular[1].1, regular[1].2);
-        } else {
-            let mut events = Vec::new();
-            for (source, targets, payload) in deletes {
-                events.extend(targets.iter().map(|&v| Event::delete(source, v, payload)));
-            }
-            for (i, (source, targets, delta)) in regular.into_iter().enumerate() {
-                events
-                    .extend(targets.iter().map(|&v| Event { source, ..Event::regular(v, delta) }));
-                if i == 0 {
-                    events.extend(ROW.iter().zip(&weights).map(|(&v, &w)| Event {
-                        source: Some(9),
-                        ..Event::regular(v, op.apply(1.0, w))
-                    }));
-                }
-            }
-            for ev in events {
-                st.emit(ev);
+        let rows = [
+            Row { targets: &ROW, carry: delete(6, 0.5) },
+            Row { targets: &ROW[..5], carry: delete(13, 0.25) },
+            Row { targets: &ROW, carry: regular(Some(2), 3.0) },
+            Row {
+                targets: &ROW,
+                carry: Carry::Weighted { weights, base: 1.0, op, source: Some(9) },
+            },
+            Row { targets: &ROW[2..], carry: regular(None, 2.0) },
+        ];
+        for row in rows {
+            if by_row {
+                st.emit_row(row);
+            } else {
+                row.events().for_each(|ev| st.emit(ev));
             }
         }
         let queues = std::iter::once(&mut shard.queue).chain(&mut shard.outboxes);

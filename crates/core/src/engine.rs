@@ -2,10 +2,10 @@
 //! checkpoint errors) and the sequential executor behind
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
-use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Value};
-use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId, Weight};
+use jetstream_algorithms::{Algorithm, Reduce, Value};
+use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId};
 
-use crate::event::Event;
+use crate::event::{Event, Row};
 use crate::flow::sealed::Drain;
 use crate::flow::{Executor, RunState, StreamingFlow};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
@@ -376,21 +376,10 @@ impl Drain for Sequential {
     }
 
     // hot-path
-    fn seed_row(
-        &mut self,
-        reduce: Reduce,
-        stats: &mut RunStats,
-        targets: &[VertexId],
-        delta: Value,
-        request: bool,
-    ) {
-        stats.events_generated += targets.len() as u64;
-        stats.spilled_events += spills(self.slice_cap, 0, targets);
-        if request {
-            self.queue.insert_request_row(0, targets, delta, reduce);
-        } else {
-            self.queue.insert_row(0, targets, delta, None, reduce);
-        }
+    fn seed_row(&mut self, reduce: Reduce, stats: &mut RunStats, row: Row<'_>) {
+        stats.events_generated += row.targets.len() as u64;
+        stats.spilled_events += spills(self.slice_cap, 0, row.targets);
+        self.queue.insert_row(0, row, reduce);
     }
 
     /// Drains the queue in canonical rounds until empty.
@@ -499,28 +488,9 @@ impl<'a> ExecState<'a> for SeqState<'a> {
     }
 
     // hot-path
-    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value) {
-        self.book_row(targets);
-        self.queue.insert_row(0, targets, delta, source, self.reduce);
-    }
-
-    // hot-path
-    fn emit_weighted_row(
-        &mut self,
-        source: Option<VertexId>,
-        targets: &[VertexId],
-        weights: &[Weight],
-        base: Value,
-        op: EdgeOp,
-    ) {
-        self.book_row(targets);
-        self.queue.insert_weighted_row(0, targets, weights, base, op, source, self.reduce);
-    }
-
-    // hot-path
-    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value) {
-        self.book_row(targets);
-        self.queue.insert_delete_row(0, targets, payload, source, self.reduce);
+    fn emit_row(&mut self, row: Row<'_>) {
+        self.book_row(row.targets);
+        self.queue.insert_row(0, row, self.reduce);
     }
 
     fn trace_targets_start(&mut self) -> u32 {
@@ -534,6 +504,7 @@ impl<'a> ExecState<'a> for SeqState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Carry;
     use jetstream_algorithms::Sssp;
 
     fn chain() -> Csr {
@@ -578,21 +549,22 @@ mod tests {
     fn seed_row_is_seed_event_by_event() {
         let csr = CsrPair::new(jetstream_graph::Csr::new(12));
         let config = EngineConfig { num_bins: 4, queue_capacity: Some(4), ..Default::default() };
-        let rows: [(&[VertexId], Value, bool); 6] = [
-            (&[1, 2, 5, 11], 0.5, false),
-            (&[0, 5, 6], -0.25, false),
-            (&[], 1.0, true),
-            (&[5], -0.25, false),
-            (&[3, 4], 2.0, false),
-            (&[2, 7, 9], 0.0, true),
+        let (regular, request) =
+            (|delta| Carry::Regular { delta, source: None }, |payload| Carry::Request { payload });
+        let rows = [
+            Row { targets: &[1, 2, 5, 11], carry: regular(0.5) },
+            Row { targets: &[0, 5, 6], carry: regular(-0.25) },
+            Row { targets: &[], carry: request(1.0) },
+            Row { targets: &[5], carry: regular(-0.25) },
+            Row { targets: &[3, 4], carry: regular(2.0) },
+            Row { targets: &[2, 7, 9], carry: request(0.0) },
         ];
         let (mut by_row, mut by_event) =
             (Sequential::new(&csr, &config), Sequential::new(&csr, &config));
         let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
-        for (targets, delta, request) in rows {
-            by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta, request);
-            for &v in targets {
-                let ev = if request { Event::request(v, delta) } else { Event::regular(v, delta) };
+        for row in rows {
+            by_row.seed_row(Reduce::Sum, &mut row_stats, row);
+            for ev in row.events() {
                 by_event.seed(Reduce::Sum, &mut event_stats, ev);
             }
         }
@@ -601,8 +573,10 @@ mod tests {
         assert_eq!(event_stats, want);
         assert_eq!(by_row.queue_stats(), by_event.queue_stats());
         assert_eq!(by_row.queue_stats().coalesced, 3, "vertex 5 is hit three times, 2 twice");
-        let drained = by_row.queue.take_all();
-        assert_eq!(drained, by_event.queue.take_all());
+        let (mut drained, mut by_events) = (Vec::new(), Vec::new());
+        by_row.queue.take_all_into(&mut drained);
+        by_event.queue.take_all_into(&mut by_events);
+        assert_eq!(drained, by_events);
         assert_eq!(drained.len(), 10);
         assert_eq!(drained[2], Event::request(2, 0.5), "a request arrival flags the resident");
         assert_eq!(drained[5], Event::regular(5, 0.5 - 0.25 - 0.25));

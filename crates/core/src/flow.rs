@@ -26,7 +26,7 @@ use crate::engine::{
     check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
     DeleteStrategy, EngineConfig, UpdateSafety,
 };
-use crate::event::Event;
+use crate::event::{Carry, Event, Row};
 use crate::kernel::{self, KernelCtx};
 use crate::queue::QueueStats;
 use crate::stats::{Phase, RunStats};
@@ -47,7 +47,7 @@ pub struct RunState<'a> {
 }
 
 pub(crate) mod sealed {
-    use super::{Event, KernelCtx, QueueStats, Reduce, RunState, RunStats, Value, VertexId};
+    use super::{Event, KernelCtx, QueueStats, Reduce, Row, RunState, RunStats};
 
     /// The seams [`StreamingFlow`](super::StreamingFlow) needs around an
     /// event queue. Crate-private by construction: the module is not
@@ -60,19 +60,10 @@ pub(crate) mod sealed {
         /// Queues one setup-phase event, counting it in `stats`; `reduce`
         /// is the algorithm's operator, should it coalesce.
         fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
-        /// Queues one sourceless setup-phase event per entry of `targets`
-        /// (a CSR row, ascending), all carrying `delta`, each a request
-        /// when `request` and regular otherwise — exactly as if each had
-        /// gone through [`seed`](Drain::seed) in row order, with `stats`
-        /// booked once for the row.
-        fn seed_row(
-            &mut self,
-            reduce: Reduce,
-            stats: &mut RunStats,
-            targets: &[VertexId],
-            delta: Value,
-            request: bool,
-        );
+        /// Queues a setup-phase row — exactly as if each of
+        /// [`Row::events`] had gone through [`seed`](Drain::seed) in row
+        /// order, with `stats` booked once for the row.
+        fn seed_row(&mut self, reduce: Reduce, stats: &mut RunStats, row: Row<'_>);
         /// Drains everything seeded (and everything that emits) to
         /// quiescence through [`kernel::process_event`](crate::kernel).
         fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>);
@@ -516,7 +507,8 @@ impl<X: Executor> StreamingFlow<X> {
             stats.edge_reads += sources.len() as u64;
             stats.request_events += sources.len() as u64;
             let targets_start = tracer.targets_start();
-            exec.seed_row(*reduce, stats, sources, identity, true);
+            let carry = Carry::Request { payload: identity };
+            exec.seed_row(*reduce, stats, Row { targets: sources, carry });
             tracer.push_targets(sources);
             let mut count = sources.len();
             // Replay the initializer's contribution for the reset vertex:
@@ -658,7 +650,8 @@ impl<X: Executor> StreamingFlow<X> {
                 // identical contribution.
                 if let Some(c) = contribution(0.0, 0.0) {
                     let targets = csr.out.neighbor_targets(u);
-                    exec.seed_row(*reduce, stats, targets, c, false);
+                    let carry = Carry::Regular { delta: c, source: None };
+                    exec.seed_row(*reduce, stats, Row { targets, carry });
                     tracer.push_targets(targets);
                     generated = targets.len();
                 }

@@ -5,11 +5,13 @@
 //! results (the differential-test harness asserts it), so the semantics of
 //! applying one event — reduce, state update, dependency recording, reset
 //! guards, and propagation — live here exactly once. The executors differ
-//! only in which vertex range they own and where emitted events go.
-//! [`ExecState`] abstracts the second; the first is data, not code: every
-//! executor lends the kernel a [`VertexState`] — the flow's whole vectors
-//! for the sequential executor, the owned range for a sharded worker —
-//! and its four accessors are the only place per-vertex state is indexed.
+//! only in which vertex range they own and where emissions go.
+//! [`ExecState`] abstracts the second with two methods, one per emission
+//! unit — [`ExecState::emit`] an event, [`ExecState::emit_row`] a [`Row`].
+//! The first is data, not code: every executor lends the kernel a
+//! [`VertexState`] — the flow's whole vectors for the sequential
+//! executor, the owned range for a sharded worker — and its four
+//! accessors are the only place per-vertex state is indexed.
 //!
 //! # Row emission
 //!
@@ -17,23 +19,24 @@
 //! once and its generation streams walk the CSR row (§4.4). The kernel
 //! does the same wherever the algorithm's [`EdgeOp`] allows: one
 //! `propagate` call — the row gate, which never depends on the edge —
-//! then the whole row goes to the executor in one call.
-//! [`ExecState::emit_row`] carries one delta for every target (PageRank,
-//! BFS, CC); [`ExecState::emit_weighted_row`] carries the row's weights
-//! and the operator that turns the gate's base into each edge's delta
-//! (SSSP `base + w`, SSWP `base.min(w)`). Tag and DAP delete waves send
-//! the identity from one source over the whole row, so they leave through
-//! [`ExecState::emit_delete_row`]. Only Adsorption's weight-normalized
-//! propagation and VAP's delete payloads go event by event. Everything
-//! the kernel needs to know about the algorithm besides `propagate` — its
-//! [`Reduce`] operator (the coalescer's ALU, §4.3), [`EdgeOp`], update
-//! family, identity — is resolved once, when the [`KernelCtx`] is built.
+//! then the whole row goes to the executor as one [`Row`] through
+//! [`ExecState::emit_row`]. Its [`Carry`] is one delta for every target
+//! (PageRank, BFS, CC), the row's weights and the operator that turns the
+//! gate's base into each edge's delta (SSSP `base + w`, SSWP
+//! `base.min(w)`), or — for Tag and DAP delete waves — the identity from
+//! one source. Executors route a row without looking at its carry; only
+//! the queue folding it does. Adsorption's weight-normalized propagation
+//! and VAP's delete payloads go event by event through
+//! [`ExecState::emit`]. Everything the kernel needs to know about the
+//! algorithm besides `propagate` — its [`Reduce`] operator (the
+//! coalescer's ALU, §4.3), [`EdgeOp`], update family, identity — is
+//! resolved once, when the [`KernelCtx`] is built.
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
-use jetstream_graph::{ix, vid, CsrPair, VertexId, Weight};
+use jetstream_graph::{ix, vid, CsrPair, VertexId};
 
 use crate::engine::DeleteStrategy;
-use crate::event::Event;
+use crate::event::{Carry, Event, Row};
 use crate::stats::RunStats;
 use crate::trace::{OpKind, TraceOp};
 
@@ -148,24 +151,10 @@ pub(crate) trait ExecState<'a> {
     /// The implementation must count it in `events_generated` and, when it
     /// traces, record its target.
     fn emit(&mut self, ev: Event);
-    /// Hands over one regular event per entry of `targets` (a CSR row, in
-    /// row order), all carrying `delta` and `source` — exactly as if each
-    /// had gone through [`emit`](ExecState::emit) in that order.
-    fn emit_row(&mut self, source: Option<VertexId>, targets: &[VertexId], delta: Value);
-    /// [`emit_row`](ExecState::emit_row) for weight-dependent propagation:
-    /// the event to `targets[i]` carries `op.apply(base, weights[i])`.
-    fn emit_weighted_row(
-        &mut self,
-        source: Option<VertexId>,
-        targets: &[VertexId],
-        weights: &[Weight],
-        base: Value,
-        op: EdgeOp,
-    );
-    /// Hands over one delete event from `source` per entry of `targets`
-    /// (a CSR row, in row order), all carrying `payload` — exactly as if
-    /// each had gone through [`emit`](ExecState::emit) in that order.
-    fn emit_delete_row(&mut self, source: VertexId, targets: &[VertexId], payload: Value);
+    /// Hands over a row's events — exactly as if each of
+    /// [`Row::events`] had gone through [`emit`](ExecState::emit) in row
+    /// order.
+    fn emit_row(&mut self, row: Row<'_>);
     /// Tracing hooks; no-ops for sharded workers (tracing is a
     /// sequential-engine feature).
     fn trace_targets_start(&mut self) -> u32 {
@@ -243,11 +232,12 @@ fn propagate_regular<'a>(
     let mut generated = 0;
     if let Some(base) = cx.alg.propagate(state, applied_delta, &ctx) {
         let targets = cx.csr.out.neighbor_targets(u);
-        if op == EdgeOp::Uniform {
-            st.emit_row(source, targets, base);
+        let carry = if op == EdgeOp::Uniform {
+            Carry::Regular { delta: base, source }
         } else {
-            st.emit_weighted_row(source, targets, cx.csr.out.row_weights(u), base, op);
-        }
+            Carry::Weighted { weights: cx.csr.out.row_weights(u), base, op, source }
+        };
+        st.emit_row(Row { targets, carry });
         generated = targets.len();
     }
     (generated as u32, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
@@ -306,7 +296,8 @@ fn propagate_deletes<'a>(
     let generated = match cx.delete_strategy {
         // The identity from `u` over every out-edge: the row goes out whole.
         DeleteStrategy::Tag | DeleteStrategy::Dap => {
-            st.emit_delete_row(u, cx.csr.out.neighbor_targets(u), cx.identity);
+            let carry = Carry::Delete { payload: cx.identity, source: u };
+            st.emit_row(Row { targets: cx.csr.out.neighbor_targets(u), carry });
             deg
         }
         // The contribution `previous` sent over each edge, edge by edge.

@@ -60,7 +60,7 @@ pub use engine::{
     AccumulativeRecovery, BatchClassification, CheckpointError, DeleteStrategy, EngineConfig,
     Sequential, StreamingEngine, UpdateSafety,
 };
-pub use event::Event;
+pub use event::{Carry, Event, Row};
 pub use flow::{Executor, StreamingFlow};
 pub use queue::{CoalescingQueue, QueueStats};
 pub use sharded::sync;

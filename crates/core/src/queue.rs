@@ -1,27 +1,26 @@
 //! The coalescing event queue (§4.2–4.3): one slot per vertex, an
 //! occupancy bitmap, and the fixed-function [`Reduce`] fold.
 //!
-//! Every arrival — a single event ([`CoalescingQueue::insert`]), a
-//! cross-shard run ([`CoalescingQueue::insert_run`]) or a whole CSR row
-//! ([`CoalescingQueue::insert_row`] sharing one delta,
-//! [`CoalescingQueue::insert_request_row`] its request twin,
-//! [`CoalescingQueue::insert_weighted_row`] a delta per weight,
-//! [`CoalescingQueue::insert_delete_row`] a delete wave) — goes through
-//! one private slot fold, the only insert-side code that indexes the slot
-//! arrays. The entry points differ only in how the arriving fields are
-//! laid out; the row entry points account their `QueueStats` once per row.
+//! Arrivals come three ways: one event ([`CoalescingQueue::insert_with`]),
+//! a cross-shard run of events ([`CoalescingQueue::insert_run`]), or a
+//! CSR [`Row`] ([`CoalescingQueue::insert_row`]), whose [`Carry`] says
+//! what every arrival holds — a shared delta, a delta per weight, a
+//! request, a delete wave. All three go through one private slot fold,
+//! the only insert-side code that indexes the slot arrays; a row books
+//! its `QueueStats` once.
 //!
 //! The fold is compiled per operator, as the hardware's `Reduce` ALU is
 //! configured once per application (§4.3): a row or a run matches its
-//! [`Reduce`] (and a weighted row its [`EdgeOp`]) once, then folds every
-//! arrival through a loop monomorphized for that operator.
+//! [`Reduce`] (and a row its carry, a weighted one its [`EdgeOp`]) once,
+//! then folds every arrival through a loop monomorphized for that
+//! operator and that carry's flag bits.
 
 use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Value};
 use jetstream_graph::{ix, vid, VertexId, Weight};
 
-use crate::event::Event;
+use crate::event::{Carry, Event, Row};
 
 /// Statistics collected by the queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,8 +32,10 @@ pub struct QueueStats {
     pub coalesced: u64,
     /// Events spilled to the overflow buffer (DAP recovery, §5.2).
     pub overflowed: u64,
-    /// Events handed back to the engine by [`CoalescingQueue::take_bin`],
-    /// [`CoalescingQueue::take_range`], [`CoalescingQueue::take_all`], or
+    /// Events handed back to the engine by
+    /// [`CoalescingQueue::take_bin_into`],
+    /// [`CoalescingQueue::take_range_into`],
+    /// [`CoalescingQueue::take_all_into`], or
     /// [`CoalescingQueue::pop_overflow`].
     pub drained: u64,
 }
@@ -424,131 +425,99 @@ impl CoalescingQueue {
         });
     }
 
-    /// Inserts one regular event per entry of `targets`, all carrying the
-    /// same `delta` and `source` — a CSR row as the kernel emits it when
-    /// propagation is edge-invariant (§4.4), or a set-up phase's row of
-    /// seeds. `base` is the global id of this queue's slot 0 (0 for a
+    /// Inserts a [`Row`]: exactly its [`events`](Row::events) inserted one
+    /// by one in row order, with the statistics booked once for the row.
+    /// `base` is the global id of this queue's slot 0 (0 for a
     /// whole-graph queue, the shard's first vertex for a shard-local one).
-    /// Equivalent to inserting the events one by one in slice order, with
-    /// the statistics booked once.
+    /// The carry is matched here, once for the row (a weighted row's
+    /// [`EdgeOp`] with it); with delete coalescing off a delete row goes
+    /// to overflow in one go, as its events would one by one. The match
+    /// inlines into the caller, where an executor cutting one row into
+    /// runs can hoist it, and each shape folds out of line with its
+    /// fields in registers: one out-of-line body taking the row through
+    /// memory made the 2-shard PageRank cold evaluation ~7 % slower.
     ///
     /// # Panics
     ///
-    /// Panics if any target lies outside `base..base + num_vertices`.
+    /// Panics if a weighted row's `weights` is not as long as its
+    /// `targets`, or if a target lies outside `base..base + num_vertices`
+    /// (unless the row goes to overflow).
     // hot-path
-    pub fn insert_row(
-        &mut self,
-        base: VertexId,
-        targets: &[VertexId],
-        delta: Value,
-        source: Option<VertexId>,
-        reduce: Reduce,
-    ) {
-        let row = targets.iter().map(|&v| (v, delta));
-        self.fold_row(base, row, targets.len(), source, 0, reduce);
+    #[inline]
+    pub fn insert_row(&mut self, base: VertexId, row: Row<'_>, reduce: Reduce) {
+        let (Row { targets, carry }, spill_deletes) = (row, !self.coalesce_deletes);
+        match carry {
+            Carry::Regular { delta, source } => {
+                self.insert_shared::<0>(base, targets, delta, source, reduce)
+            }
+            Carry::Weighted { weights, base: delta, op, source } => match op {
+                EdgeOp::AddWeight => {
+                    self.insert_weighted(base, targets, weights, source, reduce, |w| delta + w)
+                }
+                EdgeOp::MinWeight => {
+                    self.insert_weighted(base, targets, weights, source, reduce, |w| delta.min(w))
+                }
+                // What `EdgeOp::apply` gives every weight for these: the base.
+                EdgeOp::Uniform | EdgeOp::PerEdge => {
+                    self.insert_shared::<0>(base, targets, delta, source, reduce)
+                }
+            },
+            Carry::Request { payload } => {
+                self.insert_shared::<FLAG_REQUEST>(base, targets, payload, None, reduce)
+            }
+            Carry::Delete { payload, source } if spill_deletes => {
+                let local = |&v: &VertexId| Event::delete(source, v.wrapping_sub(base), payload);
+                self.overflow.extend(targets.iter().map(local));
+                self.stats.inserts += targets.len() as u64;
+                self.stats.overflowed += targets.len() as u64;
+            }
+            Carry::Delete { payload, source } => {
+                self.insert_shared::<FLAG_DELETE>(base, targets, payload, Some(source), reduce)
+            }
+        }
     }
 
-    /// Inserts one request event per entry of `targets`, all carrying
-    /// `payload` (the identity) — an impacted vertex's in-row as request
-    /// set-up seeds it (§3.4). Otherwise exactly
-    /// [`insert_row`](CoalescingQueue::insert_row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target lies outside `base..base + num_vertices`.
-    pub fn insert_request_row(
+    /// A row whose arrivals all carry `payload`, with the flag bits
+    /// `KIND`: a constant, so each shape folds through its own loop.
+    #[inline(never)]
+    fn insert_shared<const KIND: u8>(
         &mut self,
         base: VertexId,
         targets: &[VertexId],
         payload: Value,
+        source: Option<VertexId>,
         reduce: Reduce,
     ) {
         let row = targets.iter().map(|&v| (v, payload));
-        self.fold_row(base, row, targets.len(), None, FLAG_REQUEST, reduce);
+        self.fold_row(base, row, targets.len(), source, KIND, reduce);
     }
 
-    /// Inserts one regular event per entry of `targets`, carrying
-    /// `op.apply(delta, w)` for the entry's weight `w` in `weights` and a
-    /// shared `source` — a CSR row of weight-dependent propagation (SSSP,
-    /// SSWP) as the kernel emits it, `delta` the row's base and `op` the
-    /// algorithm's edge operator, resolved here once for the row.
-    /// Otherwise exactly [`insert_row`](CoalescingQueue::insert_row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is not as long as `targets`, or if any target
-    /// lies outside `base..base + num_vertices`.
-    // hot-path
-    // insert_row's fields, plus the row's weights and edge operator.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_weighted_row(
+    /// A weighted row: each arrival carries `apply` of its weight, the
+    /// row's [`EdgeOp`] compiled.
+    #[inline(never)]
+    fn insert_weighted(
         &mut self,
         base: VertexId,
         targets: &[VertexId],
         weights: &[Weight],
-        delta: Value,
-        op: EdgeOp,
         source: Option<VertexId>,
         reduce: Reduce,
+        apply: impl Fn(Weight) -> Value,
     ) {
         assert_eq!(targets.len(), weights.len(), "a row has one weight per target");
-        let arrivals = targets.len();
-        match op {
-            EdgeOp::AddWeight => {
-                let row = targets.iter().zip(weights).map(|(&v, &w)| (v, delta + w));
-                self.fold_row(base, row, arrivals, source, 0, reduce);
-            }
-            EdgeOp::MinWeight => {
-                let row = targets.iter().zip(weights).map(|(&v, &w)| (v, delta.min(w)));
-                self.fold_row(base, row, arrivals, source, 0, reduce);
-            }
-            // What `EdgeOp::apply` gives every weight for these: the base.
-            EdgeOp::Uniform | EdgeOp::PerEdge => {
-                self.insert_row(base, targets, delta, source, reduce)
-            }
-        }
-    }
-
-    /// Inserts one delete event from `source` per entry of `targets`, all
-    /// carrying `payload` — a delete wave leaving a reset vertex whole
-    /// (Tag and DAP send the identity over every out-edge). With delete
-    /// coalescing off the row goes to overflow in one go, as its events
-    /// would one by one; otherwise exactly
-    /// [`insert_row`](CoalescingQueue::insert_row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if delete coalescing is on and a target lies outside
-    /// `base..base + num_vertices`.
-    // hot-path
-    pub fn insert_delete_row(
-        &mut self,
-        base: VertexId,
-        targets: &[VertexId],
-        payload: Value,
-        source: VertexId,
-        reduce: Reduce,
-    ) {
-        if self.coalesce_deletes {
-            let row = targets.iter().map(|&v| (v, payload));
-            self.fold_row(base, row, targets.len(), Some(source), FLAG_DELETE, reduce);
-            return;
-        }
-        let n = targets.len() as u64;
-        let events = targets.iter().map(|&v| Event::delete(source, v.wrapping_sub(base), payload));
-        self.overflow.extend(events);
-        self.stats.inserts += n;
-        self.stats.overflowed += n;
+        let row = targets.iter().zip(weights).map(|(&v, &w)| (v, apply(w)));
+        self.fold_row(base, row, targets.len(), source, 0, reduce);
     }
 
     /// Folds a row's `arrivals` arrivals — `(global target, payload)` in
     /// row order, sharing `source` and the flag bits `kind` — into their
     /// slots, spills the refused ones, and books the row's `QueueStats`
-    /// once. The one body behind every row entry point; each passes its
-    /// `kind` as a literal, so every inlined copy is specialized (a runtime
-    /// `kind` left the plain PageRank row ~10 % slower). `reduce` is
-    /// matched here, once for the row, into a loop compiled for its
-    /// operator (EXPERIMENTS.md, "Fold with a compiled operator").
+    /// once. The one body behind [`insert_row`](CoalescingQueue::insert_row):
+    /// each shape passes its `kind` as a constant, so every inlined copy
+    /// is specialized (a runtime `kind` left the plain PageRank row ~10 %
+    /// slower). `reduce` is matched here, once for the row, into a loop
+    /// compiled for its operator (EXPERIMENTS.md, "Fold with a compiled
+    /// operator").
     #[inline(always)]
     fn fold_row(
         &mut self,
@@ -715,41 +684,6 @@ impl CoalescingQueue {
         drained
     }
 
-    /// Removes and returns all events in `bin`, in ascending vertex order.
-    /// Allocating convenience wrapper over
-    /// [`take_bin_into`](CoalescingQueue::take_bin_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= num_bins()`.
-    pub fn take_bin(&mut self, bin: usize) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.take_bin_into(bin, &mut out);
-        out
-    }
-
-    /// Removes and returns all queued events whose target lies in `lo..hi`,
-    /// in ascending vertex order. Allocating convenience wrapper over
-    /// [`take_range_into`](CoalescingQueue::take_range_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the vertex count.
-    pub fn take_range(&mut self, lo: usize, hi: usize) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.take_range_into(lo, hi, &mut out);
-        out
-    }
-
-    /// Removes and returns every queued slot event in ascending vertex
-    /// order. Allocating convenience wrapper over
-    /// [`take_all_into`](CoalescingQueue::take_all_into).
-    pub fn take_all(&mut self) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.take_all_into(&mut out);
-        out
-    }
-
     /// Pops the oldest overflow event, if any.
     // hot-path
     pub fn pop_overflow(&mut self) -> Option<Event> {
@@ -839,6 +773,13 @@ mod tests {
         Sssp::new(0)
     }
 
+    /// What one `take_*_into` call drains, collected.
+    fn taken(take: impl FnOnce(&mut Vec<Event>) -> usize) -> Vec<Event> {
+        let mut out = Vec::new();
+        take(&mut out);
+        out
+    }
+
     #[test]
     fn insert_and_drain_in_vertex_order() {
         let mut q = CoalescingQueue::new(10, 2);
@@ -847,9 +788,9 @@ mod tests {
         q.insert(Event::regular(2, 2.0), &a);
         q.insert(Event::regular(4, 3.0), &a);
         assert_eq!(q.len(), 3);
-        let bin0 = q.take_bin(0);
+        let bin0 = taken(|out| q.take_bin_into(0, out));
         assert_eq!(bin0.iter().map(|e| e.target).collect::<Vec<_>>(), vec![2, 4]);
-        let bin1 = q.take_bin(1);
+        let bin1 = taken(|out| q.take_bin_into(1, out));
         assert_eq!(bin1[0].target, 7);
         assert!(q.is_empty());
     }
@@ -877,7 +818,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         let last = q.num_bins() - 1;
         assert_eq!(q.bin_for(9), last);
-        let evs = q.take_bin(last);
+        let evs = taken(|out| q.take_bin_into(last, out));
         assert_eq!(evs.iter().map(|e| e.target).collect::<Vec<_>>(), vec![9]);
         assert!(q.is_empty());
         q.validate().unwrap();
@@ -891,7 +832,7 @@ mod tests {
         q.insert(Event::regular(1, 3.0), &a);
         assert_eq!(q.len(), 1);
         assert_eq!(q.stats().coalesced, 1);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs[0].payload, 3.0); // min for SSSP
     }
 
@@ -901,7 +842,7 @@ mod tests {
         let pr = PageRank::default();
         q.insert(Event::regular(2, 0.25), &pr);
         q.insert(Event::regular(2, 0.5), &pr);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs[0].payload, 0.75);
     }
 
@@ -911,12 +852,12 @@ mod tests {
         let a = sssp();
         q.insert(Event::regular_from(9, 1, 5.0), &a);
         q.insert(Event::regular_from(8, 1, 3.0), &a);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs[0].source, Some(8)); // 3.0 dominates for min
                                             // Now the losing order.
         q.insert(Event::regular_from(8, 1, 3.0), &a);
         q.insert(Event::regular_from(9, 1, 5.0), &a);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs[0].source, Some(8));
     }
 
@@ -929,7 +870,7 @@ mod tests {
         let a = sssp();
         q.insert(Event::regular_from(9, 1, 5.0), &a);
         q.insert(Event::regular(1, 3.0), &a);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs[0].source, None);
     }
 
@@ -939,7 +880,7 @@ mod tests {
         let a = sssp();
         q.insert(Event::request(1, a.identity()), &a);
         q.insert(Event::regular(1, 3.0), &a);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert!(evs[0].request);
         assert_eq!(evs[0].payload, 3.0);
     }
@@ -951,7 +892,7 @@ mod tests {
         q.insert(Event::delete(0, 1, 5.0), &a);
         q.insert(Event::delete(2, 1, 3.0), &a);
         assert_eq!(q.len(), 1);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert!(evs[0].is_delete);
         assert_eq!(evs[0].payload, 3.0);
         assert_eq!(evs[0].source, Some(2));
@@ -978,7 +919,7 @@ mod tests {
         q.insert(Event::regular(1, 3.0), &a);
         q.insert(Event::delete(0, 1, 5.0), &a);
         assert_eq!(q.len(), 2);
-        let evs = q.take_bin(0);
+        let evs = taken(|out| q.take_bin_into(0, out));
         assert_eq!(evs.len(), 1);
         assert!(!evs[0].is_delete);
         assert!(q.pop_overflow().unwrap().is_delete);
@@ -991,15 +932,15 @@ mod tests {
         for v in [1u32, 4, 7, 9] {
             q.insert(Event::regular(v, 1.0), &a);
         }
-        let first = q.take_range(0, 5);
+        let first = taken(|out| q.take_range_into(0, 5, out));
         assert_eq!(first.iter().map(|e| e.target).collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(q.len(), 2);
-        let second = q.take_range(5, 10);
+        let second = taken(|out| q.take_range_into(5, 10, out));
         assert_eq!(second.iter().map(|e| e.target).collect::<Vec<_>>(), vec![7, 9]);
         assert!(q.is_empty());
         // Bins stay consistent after range draining.
         q.insert(Event::regular(2, 1.0), &a);
-        assert_eq!(q.take_bin(0).len(), 1);
+        assert_eq!(taken(|out| q.take_bin_into(0, out)).len(), 1);
     }
 
     #[test]
@@ -1009,10 +950,10 @@ mod tests {
         for v in [0u32, 63, 64, 65, 127, 128, 199] {
             q.insert(Event::regular(v, 1.0), &a);
         }
-        let mid = q.take_range(63, 129);
+        let mid = taken(|out| q.take_range_into(63, 129, out));
         assert_eq!(mid.iter().map(|e| e.target).collect::<Vec<_>>(), vec![63, 64, 65, 127, 128]);
         assert_eq!(q.validate(), Ok(()));
-        let rest = q.take_all();
+        let rest = taken(|out| q.take_all_into(out));
         assert_eq!(rest.iter().map(|e| e.target).collect::<Vec<_>>(), vec![0, 199]);
         assert!(q.is_empty());
     }
@@ -1024,13 +965,13 @@ mod tests {
         for v in [9u32, 0, 5, 3, 7] {
             q.insert(Event::regular(v, v as f64), &a);
         }
-        let evs = q.take_all();
+        let evs = taken(|out| q.take_all_into(out));
         assert_eq!(evs.iter().map(|e| e.target).collect::<Vec<_>>(), vec![0, 3, 5, 7, 9]);
         assert!(q.is_empty());
         assert_eq!(q.validate(), Ok(()));
         // Bins stay consistent: a fresh insert drains normally.
         q.insert(Event::regular(4, 1.0), &a);
-        assert_eq!(q.take_all().len(), 1);
+        assert_eq!(taken(|out| q.take_all_into(out)).len(), 1);
     }
 
     #[test]
@@ -1040,7 +981,7 @@ mod tests {
         q.set_coalesce_deletes(false);
         q.insert(Event::delete(0, 1, 5.0), &a);
         q.insert(Event::regular(2, 1.0), &a);
-        let evs = q.take_all();
+        let evs = taken(|out| q.take_all_into(out));
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].target, 2);
         assert_eq!(q.overflow_len(), 1);
@@ -1096,7 +1037,7 @@ mod tests {
     #[test]
     fn empty_bins_drain_empty() {
         let mut q = CoalescingQueue::new(8, 4);
-        assert!(q.take_bin(3).is_empty());
+        assert!(taken(|out| q.take_bin_into(3, out)).is_empty());
         assert!(q.is_empty());
     }
 

@@ -35,7 +35,7 @@ use jetstream_graph::partition::Partition;
 use jetstream_graph::{ix, vid, Csr, VertexId};
 
 use crate::engine::{CheckpointError, EngineConfig};
-use crate::event::Event;
+use crate::event::{Event, Row};
 use crate::flow::sealed::Drain;
 use crate::flow::{Executor, RunState, StreamingFlow};
 use crate::kernel::KernelCtx;
@@ -124,23 +124,22 @@ impl Routes {
         &self.ranges
     }
 
-    /// Cuts an ascending row at the shard bounds and hands each shard's
-    /// share to `fold(shard, lo, run)`, whole and in row order, `lo` being
-    /// the shard's first vertex: the owner of a run's first target, then a
-    /// binary search to that owner's end.
+    /// Cuts an ascending row at the shard bounds, weights included, and
+    /// hands each shard's share to `fold(shard, lo, run)`, whole and in
+    /// row order, `lo` being the shard's first vertex: the owner of a
+    /// run's first target, then a binary search to that owner's end. Only
+    /// the targets are cut as it goes; each run is built from the row
+    /// once, by its offset (rebuilding the remainder at every cut made the
+    /// 2-shard PageRank cold evaluation ~10 % slower).
     // hot-path
     #[inline]
-    pub(crate) fn split<'r>(
-        &self,
-        row: &'r [VertexId],
-        mut fold: impl FnMut(usize, VertexId, &'r [VertexId]),
-    ) {
-        let mut rest = row;
+    pub(crate) fn split<'r>(&self, row: Row<'r>, mut fold: impl FnMut(usize, VertexId, Row<'r>)) {
+        let (mut rest, mut start) = (row.targets, 0);
         while let Some(&first) = rest.first() {
             let (dest, lo, hi) = self.owner(first);
             let (run, tail) = rest.split_at(rest.partition_point(|&v| v < hi));
-            fold(dest, lo, run);
-            rest = tail;
+            fold(dest, lo, row.part(start, run));
+            (rest, start) = (tail, start + run.len());
         }
     }
 }
@@ -404,23 +403,11 @@ impl Drain for Sharded {
     /// A row ascends, so each shard's share of it is one contiguous run,
     /// folded whole into the owner's queue.
     // hot-path
-    fn seed_row(
-        &mut self,
-        reduce: Reduce,
-        stats: &mut RunStats,
-        targets: &[VertexId],
-        delta: Value,
-        request: bool,
-    ) {
-        stats.events_generated += targets.len() as u64;
+    fn seed_row(&mut self, reduce: Reduce, stats: &mut RunStats, row: Row<'_>) {
+        stats.events_generated += row.targets.len() as u64;
         let Sharded { shards, routes, race_log, .. } = self;
-        routes.split(targets, |dest, lo, run| {
-            let queue = seed_queue(shards, race_log, dest);
-            if request {
-                queue.insert_request_row(lo, run, delta, reduce);
-            } else {
-                queue.insert_row(lo, run, delta, None, reduce);
-            }
+        routes.split(row, |dest, lo, run| {
+            seed_queue(shards, race_log, dest).insert_row(lo, run, reduce);
         });
     }
 
@@ -704,8 +691,9 @@ pub mod sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Carry;
     use crate::StreamingEngine;
-    use jetstream_algorithms::{oracle, PageRank, Sssp};
+    use jetstream_algorithms::{oracle, EdgeOp, PageRank, Sssp};
     use jetstream_graph::UpdateBatch;
 
     fn chain() -> Csr {
@@ -714,6 +702,44 @@ mod tests {
         g.insert_edge(1, 2, 2.0).unwrap();
         g.insert_edge(2, 3, 3.0).unwrap();
         g
+    }
+
+    // Every carry, cut at every point of the row by a shard bound: the
+    // runs go to the shards owning them, and their events, in order, are
+    // the row's events — each what its carry describes, a weighted row's
+    // weights still on their targets.
+    #[test]
+    fn a_row_split_at_a_shard_bound_is_its_events_cut_in_two() {
+        const TARGETS: [VertexId; 5] = [1, 4, 6, 7, 9];
+        let weights = TARGETS.map(|v| f64::from(v) / 2.0);
+        let op = EdgeOp::AddWeight;
+        type Case<'a> = (Carry<'a>, fn(VertexId) -> Event);
+        let cases: [Case; 4] = [
+            (Carry::Regular { delta: 0.5, source: Some(3) }, |v| Event::regular_from(3, v, 0.5)),
+            (Carry::Weighted { weights: &weights, base: 1.0, op, source: None }, |v| {
+                Event::regular(v, 1.0 + f64::from(v) / 2.0)
+            }),
+            (Carry::Request { payload: f64::INFINITY }, |v| Event::request(v, f64::INFINITY)),
+            (Carry::Delete { payload: 2.0, source: 8 }, |v| Event::delete(8, v, 2.0)),
+        ];
+        for (carry, event) in cases {
+            let row = Row { targets: &TARGETS, carry };
+            let events: Vec<Event> = row.events().collect();
+            assert_eq!(events, TARGETS.map(event), "{carry:?}");
+            for mid in 0..=TARGETS.len() {
+                let bound = mid.checked_sub(1).map_or(0, |i| ix(TARGETS[i]) + 1);
+                let routes = Routes::new(&[0..bound, bound..10]);
+                let (mut runs, mut cut) = (Vec::new(), Vec::new());
+                routes.split(row, |dest, lo, run| {
+                    runs.push((dest, lo, run.targets));
+                    cut.extend(run.events());
+                });
+                let halves = [(0, 0, &TARGETS[..mid]), (1, vid(bound), &TARGETS[mid..])];
+                let want: Vec<_> = halves.into_iter().filter(|h| !h.2.is_empty()).collect();
+                assert_eq!(runs, want, "{carry:?} cut at {mid}");
+                assert_eq!(cut, events, "{carry:?} cut at {mid}");
+            }
+        }
     }
 
     #[test]
@@ -735,7 +761,8 @@ mod tests {
 
     /// Drains a queue: slot events in vertex order, then the overflow FIFO.
     fn drained(q: &mut CoalescingQueue) -> Vec<Event> {
-        let mut events = q.take_all();
+        let mut events = Vec::new();
+        q.take_all_into(&mut events);
         events.extend(std::iter::from_fn(|| q.pop_overflow()));
         events
     }
@@ -751,13 +778,15 @@ mod tests {
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let out = Csr::new(12);
-        let rows: [(&[VertexId], Value, bool); 6] = [
-            (&[0, 2, 3, 5, 6, 8, 9, 11], 0.5, false),
-            (&[1, 10], -0.25, false),
-            (&[], 1.0, true),
-            (&[6], 2.0, false),
-            (&[3, 4, 5], -1.0, false),
-            (&[1, 2, 3, 8, 9], 0.0, true),
+        let (regular, request) =
+            (|delta| Carry::Regular { delta, source: None }, |payload| Carry::Request { payload });
+        let rows = [
+            Row { targets: &[0, 2, 3, 5, 6, 8, 9, 11], carry: regular(0.5) },
+            Row { targets: &[1, 10], carry: regular(-0.25) },
+            Row { targets: &[], carry: request(1.0) },
+            Row { targets: &[6], carry: regular(2.0) },
+            Row { targets: &[3, 4, 5], carry: regular(-1.0) },
+            Row { targets: &[1, 2, 3, 8, 9], carry: request(0.0) },
         ];
         let mut unsharded = Vec::new();
         for shards in [1, 2, 4] {
@@ -767,11 +796,9 @@ mod tests {
             let ranges: Vec<_> = (0..shards).map(|s| (bound(s), bound(s + 1))).collect();
             assert_eq!(by_row.routes.ranges(), ranges);
             let (mut row_stats, mut event_stats) = (RunStats::default(), RunStats::default());
-            for (targets, delta, request) in rows {
-                by_row.seed_row(Reduce::Sum, &mut row_stats, targets, delta, request);
-                for &v in targets {
-                    let ev =
-                        if request { Event::request(v, delta) } else { Event::regular(v, delta) };
+            for row in rows {
+                by_row.seed_row(Reduce::Sum, &mut row_stats, row);
+                for ev in row.events() {
                     by_event.seed(Reduce::Sum, &mut event_stats, ev);
                 }
                 for exec in [&mut by_row, &mut by_event] {

@@ -11,11 +11,18 @@
 //! [`CoalescingQueue::insert_run`].
 
 use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Sssp};
-use jetstream_core::{CoalescingQueue, Event};
+use jetstream_core::{Carry, CoalescingQueue, Event, Row};
 use jetstream_testkit::{run_cases, DetRng};
 
 fn alg() -> Sssp {
     Sssp::new(0)
+}
+
+/// What one `take_*_into` call drains, collected.
+fn taken(take: impl FnOnce(&mut Vec<Event>) -> usize) -> Vec<Event> {
+    let mut out = Vec::new();
+    take(&mut out);
+    out
 }
 
 /// A random event targeting one of `num_vertices` vertices; ~25% are
@@ -41,11 +48,11 @@ fn arb_op(rng: &mut DetRng, queue: &mut CoalescingQueue, num_vertices: usize) ->
             queue.insert(arb_event(rng, num_vertices), &alg());
             0
         }
-        6 => queue.take_bin(rng.gen_index(queue.num_bins())).len(),
+        6 => queue.take_bin_into(rng.gen_index(queue.num_bins()), &mut Vec::new()),
         7 => {
             let lo = rng.gen_index(num_vertices + 1);
             let hi = lo + rng.gen_index(num_vertices + 1 - lo);
-            queue.take_range(lo, hi).len()
+            queue.take_range_into(lo, hi, &mut Vec::new())
         }
         8 => usize::from(queue.pop_overflow().is_some()),
         _ => {
@@ -84,11 +91,11 @@ fn stats_account_for_every_event() {
                 inserted += 1;
             } else {
                 received += match rng.gen_index(4) {
-                    0 => queue.take_bin(rng.gen_index(queue.num_bins())).len(),
+                    0 => queue.take_bin_into(rng.gen_index(queue.num_bins()), &mut Vec::new()),
                     1 => {
                         let lo = rng.gen_index(num_vertices + 1);
                         let hi = lo + rng.gen_index(num_vertices + 1 - lo);
-                        queue.take_range(lo, hi).len()
+                        queue.take_range_into(lo, hi, &mut Vec::new())
                     }
                     2 => usize::from(queue.pop_overflow().is_some()),
                     _ => {
@@ -147,7 +154,7 @@ fn full_drain_empties_the_queue_exactly_once() {
         let resident = queue.len();
         let mut drained = 0;
         for bin in 0..queue.num_bins() {
-            let events = queue.take_bin(bin);
+            let events = taken(|out| queue.take_bin_into(bin, out));
             // Bin drains come out in ascending vertex order (§4.2).
             assert!(events.windows(2).all(|w| w[0].target < w[1].target));
             drained += events.len();
@@ -399,13 +406,15 @@ fn rows_match_their_events(
                 // Drain a bin mid-sequence: the tagged-resident count has
                 // to follow drains as well as folds.
                 let bin = rng.gen_index(real.num_bins());
-                let (a, b) = (bits(&real.take_bin(bin)), bits(&naive.take_bin(bin)));
+                let (a, b) =
+                    (bits(&taken(|out| real.take_bin_into(bin, out))), bits(&naive.take_bin(bin)));
                 assert_eq!(a, b, "bin {bin} after row {step}");
                 real.validate().unwrap_or_else(|why| panic!("after draining bin {bin}: {why}"));
             }
         }
         for bin in 0..real.num_bins() {
-            let (a, b) = (bits(&real.take_bin(bin)), bits(&naive.take_bin(bin)));
+            let (a, b) =
+                (bits(&taken(|out| real.take_bin_into(bin, out))), bits(&naive.take_bin(bin)));
             assert_eq!(a, b, "final contents of bin {bin}");
         }
         loop {
@@ -422,85 +431,49 @@ fn rows_match_their_events(
 
 #[test]
 fn a_row_insert_is_its_events_inserted_one_by_one() {
-    // `insert_row` is the kernel's emission path wherever the delta is
-    // shared by a whole CSR row, and a set-up phase's for its rows of
-    // seeds; `insert_request_row` request set-up's. Sourced and sourceless
-    // rows, regular and request rows, for
-    // every operator: a plain row (sourceless, regular) exercises the
-    // two-array shortcut while nothing tagged is resident and the flag
-    // path ("a dominant sourceless payload clears the source") otherwise;
-    // a row's events spill beside resident deletes, never fold into them.
+    // `insert_row` is every row's way into a queue: the kernel's whole-row
+    // emission and the set-up phases' rows of seeds and requests. It
+    // matches the carry once per row, so every carry is held to its
+    // events inserted one by one, under every operator: sourced and
+    // sourceless regular rows (a plain row takes the two-array shortcut
+    // while nothing tagged is resident, the flag path otherwise — "a
+    // dominant sourceless payload clears the source"); weighted rows
+    // under every `EdgeOp`, bases and weights including signed zeros,
+    // negatives, infinities and NaN; request rows; and delete waves,
+    // which fold into resident deletes with delete coalescing on and go
+    // to overflow in row order with it off. A regular row's events spill
+    // beside resident deletes, never fold into them.
     rows_match_their_events(
         "queue: insert_row == event-at-a-time",
         |rng, real, naive, base, n, reduce| {
-            // Request rows (request set-up's) are sourceless.
-            let request = rng.gen_bool(0.3);
-            let source = (!request && rng.gen_bool(0.5)).then(|| rng.gen_index(50) as u32);
-            let delta = tied_payload(rng);
-            let row = arb_row(rng, base, n);
-            if request {
-                real.insert_request_row(base, &row, delta, reduce);
-            } else {
-                real.insert_row(base, &row, delta, source, reduce);
-            }
-            for &v in &row {
-                naive.insert(Event { source, request, ..Event::regular(v - base, delta) }, reduce);
-            }
-            format!("{source:?}, request {request}")
-        },
-    );
-}
-
-#[test]
-fn a_weighted_row_insert_is_its_events_inserted_one_by_one() {
-    // `insert_weighted_row` is SSSP's and SSWP's emission path: each
-    // target's payload comes from its own weight through the algorithm's
-    // edge operator, applied to the gate's base — an operator the queue
-    // resolves once per row, held here to `EdgeOp::apply` for every
-    // variant. Bases and weights include signed zeros, negatives,
-    // infinities and NaN.
-    rows_match_their_events(
-        "queue: insert_weighted_row == event-at-a-time",
-        |rng, real, naive, base, n, reduce| {
             let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
-            let op = [EdgeOp::AddWeight, EdgeOp::MinWeight, EdgeOp::Uniform, EdgeOp::PerEdge]
-                [rng.gen_index(4)];
-            let delta = edge_payload(rng);
-            let row = arb_row(rng, base, n);
-            let weights: Vec<f64> = row
+            let targets = arb_row(rng, base, n);
+            let weights: Vec<f64> = targets
                 .iter()
                 .map(|_| if rng.gen_bool(0.2) { -0.0 } else { edge_payload(rng) })
                 .collect();
-            real.insert_weighted_row(base, &row, &weights, delta, op, source, reduce);
-            for (&v, &w) in row.iter().zip(&weights) {
-                let ev = Event { source, ..Event::regular(v - base, op.apply(delta, w)) };
-                naive.insert(ev, reduce);
+            let carry = match rng.gen_index(4) {
+                0 => Carry::Regular { delta: tied_payload(rng), source },
+                1 => {
+                    let op =
+                        [EdgeOp::AddWeight, EdgeOp::MinWeight, EdgeOp::Uniform, EdgeOp::PerEdge]
+                            [rng.gen_index(4)];
+                    Carry::Weighted { weights: &weights, base: edge_payload(rng), op, source }
+                }
+                2 => Carry::Request { payload: tied_payload(rng) },
+                _ => {
+                    let coalesce = rng.gen_bool(0.5);
+                    real.set_coalesce_deletes(coalesce);
+                    naive.set_coalesce_deletes(coalesce);
+                    Carry::Delete { payload: tied_payload(rng), source: rng.gen_index(50) as u32 }
+                }
+            };
+            let row = Row { targets: &targets, carry };
+            real.insert_row(base, row, reduce);
+            for ev in row.events() {
+                naive.insert(Event { target: ev.target - base, ..ev }, reduce);
             }
-            format!("{source:?}, {op:?}")
-        },
-    );
-}
-
-#[test]
-fn a_delete_row_insert_is_its_events_inserted_one_by_one() {
-    // `insert_delete_row` is a Tag or DAP delete wave leaving a reset
-    // vertex. With delete coalescing on, its events fold into resident
-    // deletes and spill beside regular residents; with it off (DAP
-    // delete propagation) the whole row goes to overflow in row order.
-    rows_match_their_events(
-        "queue: insert_delete_row == event-at-a-time",
-        |rng, real, naive, base, n, reduce| {
-            let coalesce = rng.gen_bool(0.5);
-            real.set_coalesce_deletes(coalesce);
-            naive.set_coalesce_deletes(coalesce);
-            let source = rng.gen_index(50) as u32;
-            let payload = tied_payload(rng);
-            let row = arb_row(rng, base, n);
-            real.insert_delete_row(base, &row, payload, source, reduce);
-            for &v in &row {
-                naive.insert(Event::delete(source, v - base, payload), reduce);
-            }
-            format!("coalescing deletes {coalesce}")
+            format!("{carry:?}")
         },
     );
 }
@@ -539,7 +512,8 @@ fn a_run_insert_is_its_events_inserted_one_by_one() {
 #[should_panic(expected = "out of range")]
 fn a_row_target_below_the_base_is_out_of_range() {
     let mut queue = CoalescingQueue::new(8, 2);
-    queue.insert_row(100, &[101, 99], 1.0, None, Reduce::Sum);
+    let row = Row { targets: &[101, 99], carry: Carry::Regular { delta: 1.0, source: None } };
+    queue.insert_row(100, row, Reduce::Sum);
 }
 
 /// Builds `num_shards` contiguous vertex ranges covering `num_vertices`
@@ -608,8 +582,7 @@ fn sharded_queues_coalesce_to_the_same_multiset_as_one_queue() {
 
         let drain =
             |queue: &mut CoalescingQueue, lo: u32| -> Vec<(u32, u64, bool, bool, Option<u32>)> {
-                let mut out: Vec<_> = queue
-                    .take_all()
+                let mut out: Vec<_> = taken(|out| queue.take_all_into(out))
                     .into_iter()
                     .map(|mut ev| {
                         ev.target += lo;
@@ -679,7 +652,7 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
                     // async engine ships under a non-zero chunk plan.
                     let sender = rng.gen_index(num_senders);
                     let bin = rng.gen_index(outboxes[sender].num_bins());
-                    let run = outboxes[sender].take_bin(bin);
+                    let run = taken(|out| outboxes[sender].take_bin_into(bin, out));
                     deliver(&run, &mut batched, &mut one_at_a_time);
                 }
                 _ => {
@@ -694,7 +667,7 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
         }
         // Final flush: every sender drains completely (chunk plan 0).
         for outbox in &mut outboxes {
-            let run = outbox.take_all();
+            let run = taken(|out| outbox.take_all_into(out));
             deliver(&run, &mut batched, &mut one_at_a_time);
             while let Some(ev) = outbox.pop_overflow() {
                 deliver(&[ev], &mut batched, &mut one_at_a_time);
@@ -704,7 +677,8 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
 
         assert_eq!(batched.stats(), one_at_a_time.stats(), "stats diverged");
         let drain = |queue: &mut CoalescingQueue| -> Vec<_> {
-            let mut out: Vec<_> = queue.take_all().iter().map(fingerprint).collect();
+            let mut out: Vec<_> =
+                taken(|out| queue.take_all_into(out)).iter().map(fingerprint).collect();
             while let Some(ev) = queue.pop_overflow() {
                 out.push(fingerprint(&ev));
             }
@@ -752,18 +726,19 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
             } else {
                 let sender = rng.gen_index(num_senders);
                 let bin = rng.gen_index(outboxes[sender].num_bins());
-                let run = outboxes[sender].take_bin(bin);
+                let run = taken(|out| outboxes[sender].take_bin_into(bin, out));
                 through_outboxes.insert_run(&run, alg().reduce_op());
             }
         }
         for outbox in &mut outboxes {
-            let run = outbox.take_all();
+            let run = taken(|out| outbox.take_all_into(out));
             through_outboxes.insert_run(&run, alg().reduce_op());
             assert_eq!(outbox.overflow_len(), 0, "same-kind streams never overflow an outbox");
         }
 
         let drain = |queue: &mut CoalescingQueue| -> Vec<_> {
-            let mut out: Vec<_> = queue.take_all().iter().map(fingerprint).collect();
+            let mut out: Vec<_> =
+                taken(|out| queue.take_all_into(out)).iter().map(fingerprint).collect();
             assert!(queue.pop_overflow().is_none(), "same-kind streams never overflow");
             out.sort_unstable();
             out

@@ -261,6 +261,16 @@ impl DatasetProfile {
         }
     }
 
+    /// Parses a profile from its [`tag`](DatasetProfile::tag) or its
+    /// [`name`](DatasetProfile::name), with or without the name's hyphen,
+    /// case-insensitively: the one table behind every command line.
+    pub fn from_name(name: &str) -> Option<DatasetProfile> {
+        let is = |s: &str| s.eq_ignore_ascii_case(name);
+        DatasetProfile::ALL
+            .into_iter()
+            .find(|p| is(p.tag()) || is(p.name()) || is(&p.name().replace('-', "")))
+    }
+
     /// Full dataset name.
     pub fn name(self) -> &'static str {
         match self {
@@ -530,6 +540,21 @@ pub fn batch_with_ratio(g: &Csr, size: usize, insertion_fraction: f64, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Every profile by its tag and its name as printed and in the lower
+    // case both binaries accepted before their parsers were merged, plus
+    // `uk2002`.
+    #[test]
+    fn profiles_parse_from_their_tags_names_and_aliases() {
+        for p in DatasetProfile::ALL {
+            for name in [p.tag(), p.name()] {
+                assert_eq!(DatasetProfile::from_name(name), Some(p));
+                assert_eq!(DatasetProfile::from_name(&name.to_ascii_lowercase()), Some(p));
+            }
+        }
+        assert_eq!(DatasetProfile::from_name("uk2002"), Some(DatasetProfile::Uk2002));
+        assert_eq!(DatasetProfile::from_name("uk_2002"), None);
+    }
 
     #[test]
     fn rmat_is_deterministic() {

@@ -42,26 +42,13 @@ fn fail(msg: &str) -> ! {
 }
 
 fn parse_workload(name: &str) -> Workload {
-    match name.to_ascii_lowercase().as_str() {
-        "sssp" => Workload::Sssp,
-        "sswp" => Workload::Sswp,
-        "bfs" => Workload::Bfs,
-        "cc" => Workload::Cc,
-        "pagerank" | "pr" => Workload::PageRank,
-        "adsorption" => Workload::Adsorption,
-        other => fail(&format!("unknown algorithm {other}")),
-    }
+    let unknown = || fail(&format!("unknown algorithm {}", name.to_ascii_lowercase()));
+    Workload::from_name(name).unwrap_or_else(unknown)
 }
 
 fn parse_profile(name: &str) -> DatasetProfile {
-    match name.to_ascii_lowercase().as_str() {
-        "wikipedia" | "wk" => DatasetProfile::Wikipedia,
-        "facebook" | "fb" => DatasetProfile::Facebook,
-        "livejournal" | "lj" => DatasetProfile::LiveJournal,
-        "uk2002" | "uk" => DatasetProfile::Uk2002,
-        "twitter" | "tw" => DatasetProfile::Twitter,
-        other => fail(&format!("unknown dataset profile {other}")),
-    }
+    let unknown = || fail(&format!("unknown dataset profile {}", name.to_ascii_lowercase()));
+    DatasetProfile::from_name(name).unwrap_or_else(unknown)
 }
 
 fn main() {

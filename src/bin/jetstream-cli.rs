@@ -66,34 +66,11 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_workload(name: &str) -> Option<Workload> {
-    match name.to_ascii_lowercase().as_str() {
-        "sssp" => Some(Workload::Sssp),
-        "sswp" => Some(Workload::Sswp),
-        "bfs" => Some(Workload::Bfs),
-        "cc" => Some(Workload::Cc),
-        "pagerank" | "pr" => Some(Workload::PageRank),
-        "adsorption" => Some(Workload::Adsorption),
-        _ => None,
-    }
-}
-
 fn parse_strategy(name: &str) -> Option<DeleteStrategy> {
     match name.to_ascii_lowercase().as_str() {
         "tag" | "base" => Some(DeleteStrategy::Tag),
         "vap" => Some(DeleteStrategy::Vap),
         "dap" => Some(DeleteStrategy::Dap),
-        _ => None,
-    }
-}
-
-fn parse_profile(name: &str) -> Option<DatasetProfile> {
-    match name.to_ascii_lowercase().as_str() {
-        "wk" | "wikipedia" => Some(DatasetProfile::Wikipedia),
-        "fb" | "facebook" => Some(DatasetProfile::Facebook),
-        "lj" | "livejournal" => Some(DatasetProfile::LiveJournal),
-        "uk" | "uk2002" | "uk-2002" => Some(DatasetProfile::Uk2002),
-        "tw" | "twitter" => Some(DatasetProfile::Twitter),
         _ => None,
     }
 }
@@ -104,7 +81,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .options
         .get("algorithm")
         .ok_or("missing --algorithm")
-        .and_then(|a| parse_workload(a).ok_or("unknown algorithm"))?;
+        .and_then(|a| Workload::from_name(a).ok_or("unknown algorithm"))?;
     let graph = io::load_graph(graph_path).map_err(|e| e.to_string())?;
     eprintln!(
         "loaded {}: {} vertices, {} edges",
@@ -179,7 +156,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         .options
         .get("profile")
         .ok_or("missing --profile")
-        .and_then(|p| parse_profile(p).ok_or("unknown profile"))?;
+        .and_then(|p| DatasetProfile::from_name(p).ok_or("unknown profile"))?;
     let scale: u32 = match args.options.get("scale") {
         Some(s) => s.parse().map_err(|_| "invalid --scale")?,
         None => 1000,

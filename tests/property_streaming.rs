@@ -167,10 +167,8 @@ fn queue_coalescing_is_order_insensitive() {
                 q.insert(Event::regular(v, f64::from(p)), &alg);
             }
             q.validate().unwrap();
-            let mut out = Vec::new();
-            for bin in 0..q.num_bins() {
-                out.extend(q.take_bin(bin).into_iter().map(|e| (e.target, e.payload)));
-            }
+            let mut out: Vec<_> =
+                drain_bins(&mut q).iter().map(|e| (e.target, e.payload)).collect();
             out.sort_by_key(|&(target, _)| target);
             out
         };
@@ -178,6 +176,15 @@ fn queue_coalescing_is_order_insensitive() {
         rotated.rotate_left(rotation);
         assert_eq!(drain(&payloads), drain(&rotated));
     });
+}
+
+/// Every queued slot event, drained bin by bin through `take_bin_into`.
+fn drain_bins(q: &mut CoalescingQueue) -> Vec<Event> {
+    let mut out = Vec::new();
+    for bin in 0..q.num_bins() {
+        q.take_bin_into(bin, &mut out);
+    }
+    out
 }
 
 /// Coalesced queue drains carry the reduce over all inserted payloads.
@@ -192,12 +199,7 @@ fn queue_preserves_reduction() {
             q.insert(Event::regular(2, f64::from(p)), &alg);
         }
         let min = f64::from(*payloads.iter().min().unwrap());
-        let mut found = None;
-        for bin in 0..q.num_bins() {
-            for e in q.take_bin(bin) {
-                found = Some(e.payload);
-            }
-        }
+        let found = drain_bins(&mut q).last().map(|e| e.payload);
         assert_eq!(found, Some(min));
     });
 }

@@ -217,7 +217,6 @@ fn cmd_serve(args: &[String]) {
             max_delay_ns: opts.flush_ms.saturating_mul(1_000_000),
         },
         inflight_limit: opts.inflight,
-        ..ServerConfig::default()
     };
     let mut endpoints = Vec::new();
     if let Some(addr) = &opts.listen {

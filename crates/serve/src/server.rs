@@ -41,34 +41,30 @@ pub struct ServerConfig {
     /// Admitted-but-unconverged update messages a client may have before
     /// the reader answers `Busy`.
     pub inflight_limit: u32,
-    /// Bounded responses queued per client before it is evicted as a
-    /// slow consumer.
-    pub outbox_capacity: usize,
-    /// Bounded requests queued into the engine thread (aggregate).
-    pub inbound_capacity: usize,
-    /// Reader-side socket timeout; bounds how long shutdown waits on an
-    /// idle connection.
-    pub read_timeout: Duration,
-    /// Engine-loop tick for accepting connections when no deadline is
-    /// nearer.
-    pub poll_interval: Duration,
-    /// Write a final durable checkpoint during graceful shutdown.
-    pub checkpoint_on_shutdown: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            flush: FlushPolicy::default(),
-            inflight_limit: 64,
-            outbox_capacity: 1024,
-            inbound_capacity: 4096,
-            read_timeout: Duration::from_millis(25),
-            poll_interval: Duration::from_millis(2),
-            checkpoint_on_shutdown: true,
-        }
+        ServerConfig { flush: FlushPolicy::default(), inflight_limit: 64 }
     }
 }
+
+/// Bounded responses queued per client before it is evicted as a slow
+/// consumer.
+const OUTBOX_CAPACITY: usize = 1024;
+
+/// Bounded requests queued into the engine thread (aggregate).
+const INBOUND_CAPACITY: usize = 4096;
+
+/// Reader-side socket timeout; bounds how long shutdown waits on an idle
+/// connection.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Engine-loop tick for accepting connections when no deadline is nearer.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Write a final durable checkpoint during graceful shutdown.
+const CHECKPOINT_ON_SHUTDOWN: bool = true;
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -121,7 +117,7 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: seal and apply the open batch, write a final
-    /// checkpoint (when configured), close every session, and return the
+    /// checkpoint (durable backend), close every session, and return the
     /// report.
     pub fn shutdown(self) -> ServerReport {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -244,7 +240,7 @@ struct EngineLoop {
 
 impl EngineLoop {
     fn run(mut self) -> ServerReport {
-        let (tx, rx) = mpsc::sync_channel(self.config.inbound_capacity);
+        let (tx, rx) = mpsc::sync_channel(INBOUND_CAPACITY);
         loop {
             if self.kill.load(Ordering::SeqCst) {
                 break;
@@ -253,7 +249,7 @@ impl EngineLoop {
                 if let Some(sealed) = self.admission.force_flush() {
                     self.apply_sealed(sealed);
                 }
-                if self.config.checkpoint_on_shutdown
+                if CHECKPOINT_ON_SHUTDOWN
                     && self.backend.checkpoint().is_ok()
                     && matches!(self.backend, Backend::Durable(_))
                 {
@@ -267,9 +263,10 @@ impl EngineLoop {
                 self.apply_sealed(sealed);
             }
             let timeout = match self.admission.deadline_ns() {
-                Some(deadline) => Duration::from_nanos(deadline.saturating_sub(now))
-                    .min(self.config.poll_interval),
-                None => self.config.poll_interval,
+                Some(deadline) => {
+                    Duration::from_nanos(deadline.saturating_sub(now)).min(POLL_INTERVAL)
+                }
+                None => POLL_INTERVAL,
             };
             match rx.recv_timeout(timeout) {
                 Ok(event) => {
@@ -339,12 +336,12 @@ impl EngineLoop {
     ) -> Result<(), ServeError> {
         conn.set_blocking()?;
         conn.set_nodelay()?;
-        conn.set_read_timeout(Some(self.config.read_timeout))?;
+        conn.set_read_timeout(Some(READ_TIMEOUT))?;
         let ctl = conn.try_clone()?;
         let writer_conn = conn.try_clone()?;
         let client = self.next_client;
         self.next_client += 1;
-        let (outbox_tx, outbox_rx) = mpsc::sync_channel(self.config.outbox_capacity);
+        let (outbox_tx, outbox_rx) = mpsc::sync_channel(OUTBOX_CAPACITY);
         let flags = Arc::new(SessionFlags::default());
         let reader = {
             let engine_tx = tx.clone();

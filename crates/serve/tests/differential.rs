@@ -238,7 +238,6 @@ fn config_without_timers(inflight_limit: u32) -> ServerConfig {
     ServerConfig {
         inflight_limit,
         flush: FlushPolicy { max_updates: usize::MAX, max_delay_ns: 60_000_000_000 },
-        ..ServerConfig::default()
     }
 }
 

@@ -1,85 +1,38 @@
 //! `jetlint` — repo-native static analysis for the JetStream workspace.
 //!
-//! `cargo xtask check` lexes every Rust source file in the repository with
-//! the hand-rolled lexer in [`lex`] (no external crates; the build is
-//! offline) and runs two layers of analysis. The first is nine
-//! token-stream lints that enforce policies `rustc`/`clippy` cannot
-//! express for us; because lints pattern-match lexer tokens rather than
-//! raw lines, they can never misfire inside a string literal or a
-//! comment, and they can see things a line walker cannot (identifier
-//! boundaries, call shapes, `as` casts). The second layer ([`parse`])
-//! recovers fn items, impl blocks, and call sites into a workspace call
-//! graph and runs three interprocedural lints on top of it:
-//! `panic-reachability`, the interprocedural upgrade of `hot-path-alloc`,
-//! and `dead-waiver` (DESIGN.md §14).
+//! `cargo xtask check` lexes every Rust file in the tree with the
+//! hand-rolled lexer in [`lex`] (std only; the build is offline) and runs
+//! ten lints, each with one detector. Because detectors match lexer
+//! tokens rather than raw lines, a pattern inside a string literal or a
+//! comment never fires.
 //!
-//! The token-level lints:
+//! Seven lints read one file's token stream:
 //!
-//! * **no-panic** — no `.unwrap()`, `.expect(..)`, or `panic!(..)` in
-//!   non-test library code. `.expect("invariant: ...")` is permitted: it
-//!   documents a structural invariant whose violation must crash loudly.
-//!   In `crates/graph` the `.unwrap()` ban extends into `#[cfg(test)]`
-//!   code too (graph tests are the replay oracle for the durable store;
-//!   their failures must explain themselves) — use `.expect("<context>")`.
+//! * **no-panic** — no `.unwrap()`, non-invariant `.expect(..)` or
+//!   `panic!(..)` in library code (`.expect("invariant: <text>")` is the
+//!   sanctioned loud crash). In `crates/graph` the `.unwrap()` ban reaches
+//!   `#[cfg(test)]` code too: graph tests are the replay oracle.
 //! * **crate-root-pragmas** — every crate root carries
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
-//! * **unordered-collections** — no `HashMap`/`HashSet` in the simulator
-//!   core (`crates/sim`, `crates/core`): iteration order feeds simulated
-//!   event order. Waive a provably-never-iterated use with
-//!   `// lint: allow-unordered — <reason>`.
-//! * **paper-ref** — every `§x.y` section reference in source text must
-//!   exist in PAPER.md or DESIGN.md, so paper citations cannot rot.
-//! * **hot-path-alloc** — no `Vec::new()`, `vec![..]`, or `.clone()` in
-//!   the body of a `crates/core`, `crates/graph` or `crates/serve`
-//!   function marked `// hot-path` (DESIGN.md §12's steady-state
-//!   zero-allocation contract).
-//! * **determinism** — no wall-clock (`Instant`, `SystemTime`) or entropy
-//!   (`thread_rng`, `from_entropy`, `RandomState`) sources, and no
-//!   `HashMap`/`HashSet`, in the bit-determinism-critical code:
-//!   `crates/core`, `crates/algorithms`, `crates/graph`, and the store
-//!   replay path. Two sequential runs of the same batch stream must
-//!   produce identical state (DESIGN.md §13); a justified exception takes
-//!   `// nondeterminism-ok: <reason>`.
-//! * **cast-truncation** — every narrowing `as` cast (`as u8/u16/u32/i8/
-//!   i16/i32/usize/isize/VertexId`) in `crates/core`/`crates/graph` must
-//!   carry `// cast-ok: <invariant>` stating why the value fits. Vertex
-//!   ids do not cast inline at all: they convert through
-//!   `jetstream_graph::{ix, vid}`, which hold the one copy of that
-//!   invariant (DESIGN.md §9).
-//! * **concurrency-discipline** — `Mutex`/`RwLock`/`Condvar`/`mpsc`/
-//!   `spawn` are allowed only in the approved concurrency modules (the
-//!   engine side is `crates/core/src/sharded.rs` plus its async driver
-//!   `crates/core/src/async_mode.rs`), so threading cannot leak into
-//!   the engine unreviewed.
-//! * **pragma-justified** — every `#[allow(..)]` attribute and every lint
-//!   waiver pragma must carry a written reason.
+//! * **paper-ref** — every `§x.y` reference exists in PAPER.md or DESIGN.md.
+//! * **determinism** — no clock, entropy source or hash collection in the
+//!   code whose two runs must be bit-identical (DESIGN.md §13).
+//! * **cast-truncation** — a narrowing `as` cast in `crates/core` or
+//!   `crates/graph` states why it fits (DESIGN.md §9).
+//! * **concurrency-discipline** — threads, locks and channels only in the
+//!   approved modules.
+//! * **pragma-justified** — every `#[allow(..)]` and waiver pragma gives
+//!   a reason.
 //!
-//! The interprocedural lints (see [`parse`] for the parser's scope and
-//! known soundness gaps):
+//! Three run on the workspace call graph built by [`parse`] (DESIGN.md
+//! §14): **panic-reachability** (no panic-capable operation reachable from
+//! a `// hot-path` function or a kernel entry), **hot-path-alloc** (no
+//! allocation in a `// hot-path` function or anything it calls) and
+//! **dead-waiver** (a waiver that suppresses nothing is an error).
 //!
-//! * **panic-reachability** — panic-capable operations (`.unwrap()`,
-//!   non-invariant `.expect(..)`, the `panic!` macro family, and slice
-//!   indexing `x[i]`) are propagated transitively over the call graph:
-//!   anything reachable from a `// hot-path` function or from the kernel
-//!   entry point must be panic-free through the whole chain, or carry a
-//!   `// panic-ok: <why it cannot fire>` waiver at the site.
-//! * **hot-path-alloc** (interprocedural) — a `// hot-path` function that
-//!   *calls* an allocating helper is flagged, not just direct
-//!   `Vec::new()` in the marked body.
-//! * **dead-waiver** — a `// cast-ok:` / `// nondeterminism-ok:` /
-//!   `// panic-ok:` / `// lint: allow-unordered` pragma that no longer
-//!   suppresses any diagnostic, or an `#[allow(dead_code)]` on a function
-//!   the call graph sees called from non-test code, is itself an error:
-//!   stale waivers are wrong documentation.
-//!
-//! Test code (`#[cfg(test)]` items and files under `tests/`, `benches/`,
-//! or `examples/`) is exempt from the panic/collection/cast/concurrency
-//! lints (with the `crates/graph` unwrap exception above): tests *should*
-//! unwrap. `pragma-justified` and `paper-ref` apply everywhere.
-//!
-//! This is the only lint engine in the tree. The PR 1 line-based walker
-//! and the token-only mode it was timed against are deleted;
-//! EXPERIMENTS.md keeps the ratios measured while they existed.
+//! Test code (`#[cfg(test)]` items and files under `tests/`, `benches/`
+//! or `examples/`) is exempt from the code lints, except the graph unwrap
+//! rule; `pragma-justified` and `paper-ref` apply everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,15 +58,13 @@ pub enum Lint {
     /// A crate root missing `#![forbid(unsafe_code)]` or
     /// `#![warn(missing_docs)]`.
     CrateRootPragmas,
-    /// `HashMap`/`HashSet` in the determinism-critical simulator crates.
-    UnorderedCollections,
     /// A `§x.y` reference that is in neither PAPER.md nor DESIGN.md.
     PaperRef,
-    /// An allocation (`Vec::new()` / `vec![..]` / `.clone()`) inside a
-    /// `// hot-path`-marked function in `crates/{core,graph,serve}`.
+    /// An allocation (`Vec::new()` / `vec![..]` / `.clone()`) in a
+    /// `// hot-path`-marked function or in anything it calls.
     HotPathAlloc,
-    /// A nondeterminism source (clock, entropy, unordered collection) in
-    /// the bit-determinism-critical crates.
+    /// A nondeterminism source (clock, entropy, hash collection) in the
+    /// bit-determinism-critical crates.
     Determinism,
     /// A narrowing `as` cast without a `// cast-ok:` invariant.
     CastTruncation,
@@ -135,7 +86,6 @@ impl Lint {
         match self {
             Lint::NoPanic => "no-panic",
             Lint::CrateRootPragmas => "crate-root-pragmas",
-            Lint::UnorderedCollections => "unordered-collections",
             Lint::PaperRef => "paper-ref",
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::Determinism => "determinism",
@@ -149,27 +99,13 @@ impl Lint {
 
     /// Parses a lint id (as spelled in a fixture's `expect.txt`).
     pub fn from_id(id: &str) -> Option<Lint> {
-        match id {
-            "no-panic" => Some(Lint::NoPanic),
-            "crate-root-pragmas" => Some(Lint::CrateRootPragmas),
-            "unordered-collections" => Some(Lint::UnorderedCollections),
-            "paper-ref" => Some(Lint::PaperRef),
-            "hot-path-alloc" => Some(Lint::HotPathAlloc),
-            "determinism" => Some(Lint::Determinism),
-            "cast-truncation" => Some(Lint::CastTruncation),
-            "concurrency-discipline" => Some(Lint::ConcurrencyDiscipline),
-            "pragma-justified" => Some(Lint::PragmaJustified),
-            "panic-reachability" => Some(Lint::PanicReachability),
-            "dead-waiver" => Some(Lint::DeadWaiver),
-            _ => None,
-        }
+        Lint::ALL.into_iter().find(|lint| lint.id() == id)
     }
 
     /// Every lint, in report order.
-    pub const ALL: [Lint; 11] = [
+    pub const ALL: [Lint; 10] = [
         Lint::NoPanic,
         Lint::CrateRootPragmas,
-        Lint::UnorderedCollections,
         Lint::PaperRef,
         Lint::HotPathAlloc,
         Lint::Determinism,
@@ -201,13 +137,6 @@ impl Lint {
                  mapping (PAPER.md → code) stays navigable. The check is token-level: the \
                  pragma text inside a string or comment does not count."
             }
-            Lint::UnorderedCollections => {
-                "unordered-collections: no `HashMap`/`HashSet` in `crates/sim` or \
-                 `crates/core`.\n\nHash iteration order is randomized per process; in the \
-                 simulator core it feeds simulated event order, so two identical runs would \
-                 diverge. Use `BTreeMap`/`BTreeSet`, or waive a provably-never-iterated use \
-                 with `// lint: allow-unordered — <reason>`."
-            }
             Lint::PaperRef => {
                 "paper-ref: every `§x.y` section reference in source text must exist in \
                  PAPER.md or DESIGN.md.\n\nPaper citations rot silently when sections are \
@@ -216,22 +145,23 @@ impl Lint {
             }
             Lint::HotPathAlloc => {
                 "hot-path-alloc: no `Vec::new()`, `vec![..]`, or `.clone()` inside a \
-                 `// hot-path`-marked function in `crates/core`, `crates/graph` or \
-                 `crates/serve`, nor in \
-                 any function such a \
-                 function transitively calls (the call-graph upgrade, DESIGN.md §14).\n\n\
+                 `// hot-path`-marked function, nor in any function it transitively calls \
+                 (read off the workspace call graph, DESIGN.md §14).\n\n\
                  DESIGN.md §12 commits the steady state to zero allocations: scratch \
                  buffers are preallocated and reused across rounds. Move the allocation to \
                  setup, or thread a scratch buffer in."
             }
             Lint::Determinism => {
                 "determinism: no wall-clock (`Instant`, `SystemTime`), entropy \
-                 (`thread_rng`, `from_entropy`, `RandomState`), or unordered collections in \
-                 `crates/core`, `crates/algorithms`, `crates/graph`, or the store replay \
-                 path.\n\nTwo sequential runs of the same batch stream must produce bit-identical \
+                 (`thread_rng`, `from_entropy`, `RandomState`), or hash collections \
+                 (`HashMap`, `HashSet`) in `crates/core`, `crates/algorithms`, \
+                 `crates/graph`, `crates/sim`, `crates/serve`, or the store replay path.\n\n\
+                 Two sequential runs of the same batch stream must produce bit-identical \
                  state (DESIGN.md §13): recovery replays the log and diffs against the \
-                 live engine, and the sharded engine is diffed against the sequential one. \
-                 A justified exception takes `// nondeterminism-ok: <reason>`."
+                 live engine, the sharded engine is diffed against the sequential one, and \
+                 hash iteration order is randomized per process. Use `BTreeMap`/`BTreeSet`; \
+                 a justified exception (say, a map that is never iterated) takes \
+                 `// nondeterminism-ok: <reason>`."
             }
             Lint::CastTruncation => {
                 "cast-truncation: every narrowing `as` cast (`as u8/u16/u32/i8/i16/i32/\
@@ -253,9 +183,9 @@ impl Lint {
             }
             Lint::PragmaJustified => {
                 "pragma-justified: every `#[allow(..)]` attribute and every waiver pragma \
-                 (`// cast-ok:`, `// nondeterminism-ok:`, `// panic-ok:`, `// mutation-ok:`, \
-                 `// lint: allow-unordered`) must carry a written reason.\n\nA waiver is a claim \
-                 about an invariant; an unexplained claim cannot be reviewed or retired. \
+                 (`// cast-ok:`, `// nondeterminism-ok:`, `// panic-ok:`, `// mutation-ok:`) \
+                 must carry a written reason.\n\nA waiver is a claim about an invariant; \
+                 an unexplained claim cannot be reviewed or retired. \
                  Append the reason on the same line (or the line above for attributes)."
             }
             Lint::PanicReachability => {
@@ -275,9 +205,9 @@ impl Lint {
             }
             Lint::DeadWaiver => {
                 "dead-waiver: a waiver pragma (`// cast-ok:`, `// nondeterminism-ok:`, \
-                 `// panic-ok:`, `// mutation-ok:`, `// lint: allow-unordered`) that no \
-                 longer suppresses any diagnostic, or an `#[allow(dead_code)]` on a function \
-                 the call graph sees called from non-test code, is itself an error.\n\nA \
+                 `// panic-ok:`, `// mutation-ok:`) that no longer suppresses any \
+                 diagnostic, or an `#[allow(dead_code)]` on a function the call graph sees \
+                 called from non-test code, is itself an error.\n\nA \
                  stale waiver is wrong documentation: it asserts an invariant about code \
                  that has moved or been fixed, and it will silently excuse the *next* \
                  violation that lands on its line. Delete it, or move it next to the \
@@ -314,29 +244,21 @@ pub(crate) const SKIP_DIRS: [&str; 4] = ["target", "fixtures", ".git", ".github"
 /// Path components marking test-like code exempt from the code lints.
 pub(crate) const TEST_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
-/// Paths covered by `unordered-collections` (hash iteration order feeds
-/// simulated event order there).
-const UNORDERED_SCOPE: [&str; 2] = ["crates/sim/src", "crates/core/src"];
-
 /// Paths covered by `determinism`: the engine, the algorithms it runs, the
-/// graph structures both read, the store's replay path, and the serving
-/// layer (whose applied-batch log must replay bit-identically) —
-/// everything whose two executions must be bit-identical. The serve
-/// crate's flush timer is clock-driven by design; its single `Instant`
-/// reader carries a justified `// nondeterminism-ok:` waiver
-/// (`crates/serve/src/clock.rs`).
-const DETERMINISM_SCOPE: [&str; 5] = [
+/// graph structures both read, the simulator (whose event order feeds its
+/// cycle counts), the store's replay path, and the serving layer (whose
+/// applied-batch log must replay bit-identically) — everything whose two
+/// executions must be bit-identical. The serve crate's flush timer is
+/// clock-driven by design; its single `Instant` reader carries a justified
+/// `// nondeterminism-ok:` waiver (`crates/serve/src/clock.rs`).
+const DETERMINISM_SCOPE: [&str; 6] = [
     "crates/core/src",
     "crates/algorithms/src",
     "crates/graph/src",
+    "crates/sim/src",
     "crates/store/src/recovery",
     "crates/serve/src",
 ];
-
-/// Paths whose `// hot-path` functions `hot-path-alloc` reads token by
-/// token: the engine, the graph it maintains, and the admission path in
-/// front of both.
-const HOT_PATH_SCOPE: [&str; 3] = ["crates/core/src", "crates/graph/src", "crates/serve/src"];
 
 /// Paths covered by `cast-truncation`.
 const CAST_SCOPE: [&str; 2] = ["crates/core/src", "crates/graph/src"];
@@ -381,9 +303,11 @@ const STRICT_TEST_UNWRAP_SCOPE: [&str; 1] = ["crates/graph/src"];
 const NARROWING_TARGETS: [&str; 9] =
     ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize", "VertexId"];
 
-/// Identifiers banned by `determinism` everywhere in its scope.
-const NONDETERMINISM_IDENTS: [&str; 5] =
-    ["Instant", "SystemTime", "thread_rng", "from_entropy", "RandomState"];
+/// Identifiers banned by `determinism` everywhere in its scope: clocks,
+/// entropy sources, and the collections whose iteration order is seeded
+/// per process.
+const NONDETERMINISM_IDENTS: [&str; 7] =
+    ["Instant", "SystemTime", "thread_rng", "from_entropy", "RandomState", "HashMap", "HashSet"];
 
 /// Identifiers banned by `concurrency-discipline` outside approved modules.
 const CONCURRENCY_IDENTS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "mpsc"];
@@ -399,15 +323,29 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rust_files(root, root, &mut files)?;
     files.sort();
+    let sources = files.into_iter().map(|rel| {
+        let text = fs::read_to_string(root.join(&rel))?;
+        Ok((rel, text))
+    });
+    check_sources(sources, &known_sections(root)?, &parse::workspace_visibility(root))
+}
 
-    let sections = known_sections(root)?;
+/// Both layers over `(path, text)` sources, each read as it is reached:
+/// the token lints per file, then the call-graph lints over every non-test
+/// file, then the waivers nothing consulted.
+fn check_sources(
+    sources: impl IntoIterator<Item = io::Result<(PathBuf, String)>>,
+    sections: &[String],
+    visibility: &parse::Visibility,
+) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut waivers = WaiverLog::default();
     let mut parsed: Vec<parse::ParsedFile> = Vec::new();
-    for rel in &files {
-        let raw = fs::read_to_string(root.join(rel))?;
+    for source in sources {
+        let (rel, raw) = source?;
+        let rel = rel.as_path();
         let file = SourceFile::new(rel, &raw);
-        check_file(&file, &sections, &mut findings, &mut waivers);
+        check_file(&file, sections, &mut findings, &mut waivers);
         if !is_test_path(rel) {
             waivers.collect_present(&file);
             if in_scope(rel, &mutate::MUTATION_SCOPE) {
@@ -416,8 +354,7 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
             parsed.push(parse::parse_file(&file));
         }
     }
-    let visibility = parse::workspace_visibility(root);
-    parse::check_interprocedural(&parsed, &visibility, &mut findings, &mut waivers);
+    parse::check_interprocedural(&parsed, visibility, &mut findings, &mut waivers);
     waivers.report_dead(&mut findings);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     // Several panic sites on one line produce byte-identical findings;
@@ -470,13 +407,6 @@ impl WaiverLog {
                     }
                 }
             }
-            if let Some(rest) = text.strip_prefix("lint:") {
-                if let Some(reason) = rest.trim_start().strip_prefix("allow-unordered") {
-                    if !pragma_reason(reason).is_empty() {
-                        self.present.push((file.rel.to_path_buf(), line, "allow-unordered"));
-                    }
-                }
-            }
         }
     }
 
@@ -486,13 +416,12 @@ impl WaiverLog {
             if self.used.contains(&(file.clone(), line, key)) {
                 continue;
             }
-            let spelled = if key == "allow-unordered" { "lint: allow-unordered" } else { key };
             findings.push(Finding {
                 lint: Lint::DeadWaiver,
                 file: file.clone(),
                 line,
                 message: format!(
-                    "`// {spelled}` waiver no longer suppresses any diagnostic — the \
+                    "`// {key}` waiver no longer suppresses any diagnostic — the \
                      operation it excused has moved or been fixed; delete the pragma (or \
                      move it back next to the operation it covers)"
                 ),
@@ -692,6 +621,34 @@ impl<'a> SourceFile<'a> {
         i < self.code.len() && self.ct(i).kind == TokenKind::Ident && self.ctext(i) == name
     }
 
+    /// The panic-capable call code token `i` starts, if any: the one
+    /// matcher behind both `no-panic` and `panic-reachability`. An
+    /// `.expect(..)` whose message is `"invariant: "` followed by some text
+    /// documents a structural invariant and is not a panic site.
+    pub(crate) fn panic_op(&self, i: usize) -> Option<PanicOp> {
+        if self.ct(i).kind != TokenKind::Ident {
+            return None;
+        }
+        let method = || i > 0 && self.is_punct(i - 1, ".") && self.is_punct(i + 1, "(");
+        match self.ctext(i) {
+            "unwrap" if method() && self.is_punct(i + 2, ")") => Some(PanicOp::Unwrap),
+            "expect" if method() => {
+                let invariant = i + 2 < self.code.len()
+                    && self.ct(i + 2).kind == TokenKind::Str
+                    && self
+                        .ctext(i + 2)
+                        .strip_prefix("\"invariant: ")
+                        .is_some_and(|rest| !rest.trim_end_matches('"').trim().is_empty());
+                (!invariant).then_some(PanicOp::Expect)
+            }
+            "panic" if self.is_punct(i + 1, "!") => Some(PanicOp::Panic),
+            "unreachable" | "todo" | "unimplemented" if self.is_punct(i + 1, "!") => {
+                Some(PanicOp::OtherMacro)
+            }
+            _ => None,
+        }
+    }
+
     pub(crate) fn in_test(&self, byte: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| byte >= s && byte < e)
     }
@@ -724,6 +681,31 @@ impl<'a> SourceFile<'a> {
     }
 }
 
+/// A panic-capable call, as [`SourceFile::panic_op`] classifies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PanicOp {
+    /// `.unwrap()`.
+    Unwrap,
+    /// `.expect(..)` without an `"invariant: <text>"` message.
+    Expect,
+    /// `panic!`.
+    Panic,
+    /// `unreachable!`, `todo!` or `unimplemented!` (`panic-reachability`
+    /// only; `no-panic` bans the `panic!` spelling).
+    OtherMacro,
+}
+
+impl PanicOp {
+    /// How a `panic-reachability` finding names the site.
+    pub(crate) fn what(self) -> &'static str {
+        match self {
+            PanicOp::Unwrap => "`.unwrap()`",
+            PanicOp::Expect => "`.expect(..)`",
+            PanicOp::Panic | PanicOp::OtherMacro => "panic-family macro",
+        }
+    }
+}
+
 /// Strips `//` and rejects doc comments (`///`, `//!`): pragmas and
 /// justification comments must be plain comments, so a doc sentence can
 /// never accidentally waive a lint.
@@ -736,7 +718,7 @@ pub(crate) fn plain_comment_text(raw: &str) -> Option<&str> {
 }
 
 /// Trims the separator between a pragma key and its reason
-/// (`// cast-ok: reason`, `// lint: allow-unordered — reason`).
+/// (`// cast-ok: reason`, `// panic-ok — reason`).
 fn pragma_reason(rest: &str) -> &str {
     rest.trim_matches(|c: char| c == ':' || c == '-' || c == '—' || c.is_whitespace())
 }
@@ -837,9 +819,6 @@ fn check_file(
     }
 
     check_panics(file, findings);
-    if in_scope(file.rel, &UNORDERED_SCOPE) {
-        check_unordered(file, findings, waivers);
-    }
     if in_scope(file.rel, &DETERMINISM_SCOPE) {
         check_determinism(file, findings, waivers);
     }
@@ -848,9 +827,6 @@ fn check_file(
     }
     if in_scope(file.rel, &CONCURRENCY_SCOPE) && !in_scope(file.rel, &CONCURRENCY_APPROVED) {
         check_concurrency(file, findings);
-    }
-    if in_scope(file.rel, &HOT_PATH_SCOPE) {
-        check_hot_path_allocs(file, findings);
     }
 }
 
@@ -920,120 +896,39 @@ fn check_paper_refs(file: &SourceFile<'_>, sections: &[String], findings: &mut V
 fn check_panics(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
     let strict_test_unwraps = in_scope(file.rel, &STRICT_TEST_UNWRAP_SCOPE);
     for i in 0..file.code.len() {
-        let tok = file.ct(i);
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let in_test = file.in_test(tok.start);
-        match file.ctext(i) {
-            "unwrap"
-                if i > 0
-                    && file.is_punct(i - 1, ".")
-                    && file.is_punct(i + 1, "(")
-                    && file.is_punct(i + 2, ")") =>
-            {
-                if in_test {
-                    if strict_test_unwraps {
-                        push(
-                            findings,
-                            Lint::NoPanic,
-                            file,
-                            tok.line,
-                            "`.unwrap()` in crates/graph test code — use `.expect(\"<context>\")` \
-                             so oracle failures explain themselves"
-                                .into(),
-                        );
-                    }
-                } else {
-                    push(
-                        findings,
-                        Lint::NoPanic,
-                        file,
-                        tok.line,
-                        "`.unwrap()` in library code — propagate the error or use \
-                         `.expect(\"invariant: ...\")`"
-                            .into(),
-                    );
-                }
+        let Some(op) = file.panic_op(i) else { continue };
+        let message = match (op, file.in_test(file.ct(i).start)) {
+            (PanicOp::Unwrap, true) if strict_test_unwraps => {
+                "`.unwrap()` in crates/graph test code — use `.expect(\"<context>\")` so oracle \
+                 failures explain themselves"
             }
-            "expect"
-                if !in_test && i > 0 && file.is_punct(i - 1, ".") && file.is_punct(i + 1, "(") =>
-            {
-                let ok = i + 2 < file.code.len()
-                    && file.ct(i + 2).kind == TokenKind::Str
-                    && file
-                        .ctext(i + 2)
-                        .strip_prefix("\"invariant: ")
-                        .is_some_and(|rest| !rest.trim_end_matches('"').trim().is_empty());
-                if !ok {
-                    push(
-                        findings,
-                        Lint::NoPanic,
-                        file,
-                        tok.line,
-                        "`.expect(..)` in library code — propagate the error, or document a \
-                         structural invariant with an `\"invariant: ...\"` message"
-                            .into(),
-                    );
-                }
+            (_, true) => continue,
+            (PanicOp::Unwrap, false) => {
+                "`.unwrap()` in library code — propagate the error or use \
+                 `.expect(\"invariant: ...\")`"
             }
-            "panic" if !in_test && file.is_punct(i + 1, "!") => {
-                push(
-                    findings,
-                    Lint::NoPanic,
-                    file,
-                    tok.line,
-                    "`panic!(..)` in library code — return an error or use an `assert!` with a \
-                     message"
-                        .into(),
-                );
+            (PanicOp::Expect, false) => {
+                "`.expect(..)` in library code — propagate the error, or document a structural \
+                 invariant with an `\"invariant: ...\"` message"
             }
-            _ => {}
-        }
-    }
-}
-
-fn check_unordered(file: &SourceFile<'_>, findings: &mut Vec<Finding>, waivers: &mut WaiverLog) {
-    for i in 0..file.code.len() {
-        let tok = file.ct(i);
-        if tok.kind != TokenKind::Ident || file.in_test(tok.start) {
-            continue;
-        }
-        let name = file.ctext(i);
-        if name != "HashMap" && name != "HashSet" {
-            continue;
-        }
-        if let Some((wline, _)) = file.waiver_at(tok.line, "lint: allow-unordered") {
-            waivers.mark_used(file.rel, wline, "allow-unordered");
-            continue;
-        }
-        push(
-            findings,
-            Lint::UnorderedCollections,
-            file,
-            tok.line,
-            format!(
-                "`{name}` in a determinism-critical crate — use BTreeMap/BTreeSet or waive \
-                 with `// lint: allow-unordered — <reason>`"
-            ),
-        );
+            (PanicOp::Panic, false) => {
+                "`panic!(..)` in library code — return an error or use an `assert!` with a \
+                 message"
+            }
+            (PanicOp::OtherMacro, false) => continue,
+        };
+        push(findings, Lint::NoPanic, file, file.ct(i).line, message.into());
     }
 }
 
 fn check_determinism(file: &SourceFile<'_>, findings: &mut Vec<Finding>, waivers: &mut WaiverLog) {
-    // HashMap/HashSet are already policed by `unordered-collections` in
-    // its (narrower) scope; report them under `determinism` only where
-    // that lint does not reach, so one use never yields two findings.
-    let report_unordered = !in_scope(file.rel, &UNORDERED_SCOPE);
     for i in 0..file.code.len() {
         let tok = file.ct(i);
         if tok.kind != TokenKind::Ident || file.in_test(tok.start) {
             continue;
         }
         let name = file.ctext(i);
-        let banned = NONDETERMINISM_IDENTS.contains(&name)
-            || (report_unordered && (name == "HashMap" || name == "HashSet"));
-        if !banned {
+        if !NONDETERMINISM_IDENTS.contains(&name) {
             continue;
         }
         if let Some((wline, _)) = file.waiver_at(tok.line, "nondeterminism-ok") {
@@ -1137,72 +1032,6 @@ fn check_concurrency(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-fn check_hot_path_allocs(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
-    for (ti, tok) in file.tokens.iter().enumerate() {
-        if tok.kind != TokenKind::LineComment {
-            continue;
-        }
-        if plain_comment_text(tok.text(file.text)) != Some("hot-path") {
-            continue;
-        }
-        // Bind the marker to the next `fn` item in the code stream.
-        let Some(fn_ci) =
-            (0..file.code.len()).find(|&ci| file.code[ci] > ti && file.is_ident(ci, "fn"))
-        else {
-            continue;
-        };
-        // The enforcement region runs to the matching `}` of the body.
-        let mut depth = 0usize;
-        let mut end_ci = file.code.len();
-        for ci in fn_ci..file.code.len() {
-            match file.ctext(ci) {
-                "{" => depth += 1,
-                "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        end_ci = ci + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        for ci in fn_ci..end_ci {
-            let pattern = if file.is_ident(ci, "Vec")
-                && file.is_punct(ci + 1, ":")
-                && file.is_punct(ci + 2, ":")
-                && file.is_ident(ci + 3, "new")
-                && file.is_punct(ci + 4, "(")
-                && file.is_punct(ci + 5, ")")
-            {
-                Some("Vec::new()")
-            } else if file.is_ident(ci, "vec") && file.is_punct(ci + 1, "!") {
-                Some("vec![")
-            } else if file.is_punct(ci, ".")
-                && file.is_ident(ci + 1, "clone")
-                && file.is_punct(ci + 2, "(")
-                && file.is_punct(ci + 3, ")")
-            {
-                Some(".clone()")
-            } else {
-                None
-            };
-            if let Some(pattern) = pattern {
-                push(
-                    findings,
-                    Lint::HotPathAlloc,
-                    file,
-                    file.ct(ci).line,
-                    format!(
-                        "`{pattern}` inside a `// hot-path` function — reuse a scratch buffer \
-                         (DESIGN.md §12) or move the allocation out of the marked function"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 fn check_pragma_justified(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
     // Waiver pragmas must carry a reason.
     for &(line, tok) in &file.comment_lines {
@@ -1218,28 +1047,6 @@ fn check_pragma_justified(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
                         format!("`// {key}:` pragma carries no justification — state why"),
                     );
                 }
-            }
-        }
-        if let Some(rest) = text.strip_prefix("lint:") {
-            let rest = rest.trim_start();
-            match rest.strip_prefix("allow-unordered") {
-                Some(reason) if pragma_reason(reason).is_empty() => push(
-                    findings,
-                    Lint::PragmaJustified,
-                    file,
-                    line,
-                    "`// lint: allow-unordered` without a reason — say why this use never \
-                     iterates"
-                        .into(),
-                ),
-                Some(_) => {}
-                None => push(
-                    findings,
-                    Lint::PragmaJustified,
-                    file,
-                    line,
-                    format!("unknown `// lint:` pragma `{rest}`"),
-                ),
             }
         }
     }
@@ -1347,13 +1154,10 @@ fn judge_fixture(expect: &str, findings: &[Finding]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Both layers over a one-file workspace.
     fn check_str(rel: &str, src: &str) -> Vec<Finding> {
-        let rel = Path::new(rel);
-        let file = SourceFile::new(rel, src);
-        let mut findings = Vec::new();
-        let mut waivers = WaiverLog::default();
-        check_file(&file, &[], &mut findings, &mut waivers);
-        findings
+        let source = Ok((PathBuf::from(rel), src.to_string()));
+        check_sources([source], &[], &parse::Visibility::new()).expect("in-memory source")
     }
 
     fn lints_of(findings: &[Finding]) -> Vec<Lint> {
@@ -1428,15 +1232,12 @@ pub fn f() {}
     }
 
     #[test]
-    fn determinism_and_unordered_do_not_double_report() {
+    fn hash_collections_are_determinism_findings() {
         let src = "use std::collections::HashMap;\npub fn f() {}\n";
-        // In crates/core both scopes apply; only unordered-collections fires.
-        assert_eq!(
-            lints_of(&check_str("crates/core/src/x.rs", src)),
-            vec![Lint::UnorderedCollections]
-        );
-        // In crates/graph only determinism applies.
-        assert_eq!(lints_of(&check_str("crates/graph/src/x.rs", src)), vec![Lint::Determinism]);
+        for rel in ["crates/core/src/x.rs", "crates/sim/src/x.rs", "crates/graph/src/x.rs"] {
+            assert_eq!(lints_of(&check_str(rel, src)), vec![Lint::Determinism], "{rel}");
+        }
+        assert!(check_str("crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -1481,7 +1282,7 @@ pub fn f() {}
         let src = "pub fn f(x: u64) -> u32 {\n    x as u32 // cast-ok:\n}\n";
         let findings = check_str("crates/core/src/x.rs", src);
         assert_eq!(lints_of(&findings), vec![Lint::PragmaJustified]);
-        let src = "// lint: allow-unordered\nuse std::collections::HashMap;\npub fn f() {}\n";
+        let src = "// nondeterminism-ok:\nuse std::collections::HashMap;\npub fn f() {}\n";
         let findings = check_str("crates/sim/src/x.rs", src);
         assert_eq!(lints_of(&findings), vec![Lint::PragmaJustified]);
     }
@@ -1495,9 +1296,19 @@ pub fn f() {}
         let findings = check_str("crates/core/src/x.rs", src);
         assert_eq!(lints_of(&findings), vec![Lint::HotPathAlloc; 2]);
         assert_eq!(findings[0].line, 2);
-        // The admission path in front of the engine is held to it too.
+        // The marker is the opt-in, wherever it sits: the admission path
+        // in front of the engine, and any other crate.
         assert_eq!(lints_of(&check_str("crates/serve/src/x.rs", src)), vec![Lint::HotPathAlloc; 2]);
-        assert!(check_str("crates/bench/src/x.rs", src).is_empty());
+        assert_eq!(lints_of(&check_str("crates/bench/src/x.rs", src)), vec![Lint::HotPathAlloc; 2]);
+    }
+
+    #[test]
+    fn a_bare_invariant_prefix_is_a_reachable_panic() {
+        let src =
+            "// hot-path\npub fn fast(x: Option<u8>) -> u8 {\n    x.expect(\"invariant: \")\n}\n";
+        let findings = check_str("crates/core/src/x.rs", src);
+        assert_eq!(lints_of(&findings), vec![Lint::NoPanic, Lint::PanicReachability]);
+        assert!(findings.iter().all(|f| f.line == 3), "{findings:?}");
     }
 
     #[test]
@@ -1522,16 +1333,5 @@ pub fn f() {}
         let refs = section_refs("see §4.6.1 and §5, not §x");
         let secs: Vec<&str> = refs.iter().map(|(_, s)| s.as_str()).collect();
         assert_eq!(secs, vec!["§4.6.1", "§5"]);
-    }
-
-    #[test]
-    fn unordered_waiver_with_reason_is_honoured() {
-        let src = "use std::collections::HashMap; // lint: allow-unordered — never iterated\n";
-        assert!(check_str("crates/sim/src/x.rs", src).is_empty());
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(
-            lints_of(&check_str("crates/sim/src/x.rs", src)),
-            vec![Lint::UnorderedCollections]
-        );
     }
 }

@@ -313,7 +313,7 @@ fn bench(iters: usize) -> ExitCode {
     match (jetlint, jetmut) {
         (Some(lint_ms), Some(mut_ms)) => {
             println!("xtask bench ({iters} iters, median, full workspace):");
-            println!("  jetlint (tokens + call graph, 11 lints): {lint_ms:.1} ms");
+            println!("  jetlint (tokens + call graph, {} lints): {lint_ms:.1} ms", Lint::ALL.len());
             println!("  jetmut site discovery ({} sites):       {mut_ms:.1} ms", site_count.get());
             ExitCode::SUCCESS
         }

@@ -1,14 +1,15 @@
-//! Item-level parser and workspace call graph for the interprocedural
-//! lints (DESIGN.md §14).
+//! Item-level parser and workspace call graph for the call-graph lints
+//! (DESIGN.md §14).
 //!
-//! Built directly on the token stream from [`crate::lex`]: a linear scan
-//! recovers `impl`/`trait` blocks (for method containers), `fn` items
-//! (name, receiver, `#[cfg(test)]` status, `// hot-path` marker, body
-//! span), and per-body facts — call sites, panic-capable operations, and
-//! allocation sites. Call sites are then resolved *by name and shape*
-//! (no type inference) into a workspace call graph, over which
-//! `panic-reachability` and the interprocedural half of `hot-path-alloc`
-//! run a reachability pass from the hot-path and kernel-entry roots.
+//! A linear scan over the token stream from [`crate::lex`] recovers
+//! `impl`/`trait` blocks (method containers) and `fn` items (name,
+//! receiver, test status, `// hot-path` marker, body span), and records
+//! each body's call sites, panic sites ([`crate::SourceFile::panic_op`]
+//! plus slice indexing) and allocation sites. Calls resolve *by name and
+//! shape* (no type inference) into a workspace call graph. From the
+//! `// hot-path` functions and the kernel entries, a reachability pass
+//! runs `panic-reachability`; from the `// hot-path` functions alone, it
+//! runs `hot-path-alloc`, the only detector of allocations.
 //!
 //! ## Scope and known soundness gaps
 //!
@@ -193,8 +194,8 @@ pub struct PanicSite {
     pub waiver_line: Option<usize>,
 }
 
-/// An allocation site inside a function body (same patterns as the
-/// token-level `hot-path-alloc` lint).
+/// An allocation site inside a function body (`hot-path-alloc`'s
+/// patterns).
 #[derive(Debug, Clone)]
 pub struct AllocSite {
     /// Which pattern matched (`Vec::new()`, `vec![..]`, `.clone()`).
@@ -259,8 +260,7 @@ pub(crate) fn parse_file(file: &SourceFile<'_>) -> ParsedFile {
         i += 1;
     }
 
-    // `// hot-path` markers bind to the next `fn` in the code stream,
-    // exactly like the token-level lint.
+    // A `// hot-path` marker binds to the next `fn` in the code stream.
     let mut hot_fn_cis: BTreeSet<usize> = BTreeSet::new();
     for (ti, t) in file.tokens.iter().enumerate() {
         if t.kind != TokenKind::LineComment
@@ -567,28 +567,9 @@ fn collect_facts(
             TokenKind::Ident => {
                 let name = file.ctext(ci);
                 let prev_dot = ci > from && file.is_punct(ci - 1, ".");
-                match name {
-                    "unwrap"
-                        if prev_dot && file.is_punct(ci + 1, "(") && file.is_punct(ci + 2, ")") =>
-                    {
-                        push_panic(file, item, "`.unwrap()`", tok.line);
-                    }
-                    "expect" if prev_dot && file.is_punct(ci + 1, "(") => {
-                        let invariant = ci + 2 < file.code.len()
-                            && file.ct(ci + 2).kind == TokenKind::Str
-                            && file.ctext(ci + 2).starts_with("\"invariant: ");
-                        if !invariant {
-                            push_panic(file, item, "`.expect(..)`", tok.line);
-                        }
-                    }
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                        if file.is_punct(ci + 1, "!") =>
-                    {
-                        push_panic(file, item, "panic-family macro", tok.line);
-                    }
-                    _ => {}
+                if let Some(op) = file.panic_op(ci) {
+                    push_panic(file, item, op.what(), tok.line);
                 }
-                // Allocation sites (mirrors the token-level lint).
                 if name == "Vec"
                     && file.is_punct(ci + 1, ":")
                     && file.is_punct(ci + 2, ":")
@@ -817,11 +798,11 @@ impl<'a> CallGraph<'a> {
     }
 }
 
-/// Runs the interprocedural lints over the parsed workspace:
-/// `panic-reachability`, the call-graph upgrade of `hot-path-alloc`, and
-/// the `#[allow(dead_code)]` half of `dead-waiver` (the pragma half is
-/// reported by [`WaiverLog::report_dead`] afterwards, once this pass has
-/// marked the `panic-ok` waivers it consulted).
+/// Runs the call-graph lints over the parsed workspace:
+/// `panic-reachability`, `hot-path-alloc`, and the `#[allow(dead_code)]`
+/// half of `dead-waiver` (the pragma half is reported by
+/// [`WaiverLog::report_dead`] afterwards, once this pass has marked the
+/// `panic-ok` waivers it consulted).
 pub(crate) fn check_interprocedural(
     files: &[ParsedFile],
     visibility: &Visibility,
@@ -879,26 +860,20 @@ pub(crate) fn check_interprocedural(
         }
     }
 
-    // Interprocedural hot-path-alloc: allocations in helpers reachable
-    // from a `// hot-path` root. Direct sites inside marked functions
-    // are already reported by the token-level lint; skip those here so
-    // one allocation never yields two findings.
+    // hot-path-alloc: allocations in a `// hot-path` function or in
+    // anything reachable from one.
     let (hot_reach, hot_parent) = graph.reach(&hot_roots);
     for &node in &hot_reach {
         let f = graph.item(node);
-        if f.hot_path {
-            continue;
-        }
         for site in &f.allocs {
             findings.push(Finding {
                 lint: Lint::HotPathAlloc,
                 file: graph.rel(node).to_path_buf(),
                 line: site.line,
                 message: format!(
-                    "`{what}` allocates inside `{name}`, which is reachable from a \
-                     `// hot-path` function: `{chain}` — hot paths must not allocate in \
-                     steady state (DESIGN.md §12); reuse a scratch buffer or move the \
-                     allocation out of the chain",
+                    "`{what}` allocates in `{name}`, on the `// hot-path` chain \
+                     `{chain}` — hot paths must not allocate in steady state (DESIGN.md \
+                     §12); reuse a scratch buffer or move the allocation out of the chain",
                     what = site.what,
                     name = graph.label(node),
                     chain = graph.chain(node, &hot_parent),

@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, Reduce, Value};
 
 /// Default *relative* convergence threshold on Adsorption deltas (see
 /// [`PAGERANK_EPSILON`](crate::pagerank::PAGERANK_EPSILON) for why relative
@@ -71,10 +71,6 @@ impl Algorithm for Adsorption {
         "Adsorption"
     }
 
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Accumulative
-    }
-
     fn identity(&self) -> Value {
         0.0
     }
@@ -95,16 +91,8 @@ impl Algorithm for Adsorption {
         Some(applied_delta * self.continuation * ctx.weight / ctx.weight_sum)
     }
 
-    fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)> {
-        (0..graph.num_vertices() as VertexId).map(|v| (v, Adsorption::injection(v))).collect()
-    }
-
     fn initial_event(&self, v: VertexId) -> Option<Value> {
         Some(Adsorption::injection(v))
-    }
-
-    fn changes_state(&self, _state: Value, delta: Value) -> bool {
-        delta != 0.0
     }
 
     fn cumulative_edge_contribution(&self, state: Value, ctx: &EdgeCtx) -> Option<Value> {
@@ -156,7 +144,6 @@ mod tests {
     #[test]
     fn requires_weight_sum() {
         assert!(Adsorption::default().needs_weight_sum());
-        assert!(Adsorption::default().degree_sensitive());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, Value};
 
 /// Breadth-first search hop distance (selective / monotonic).
 ///
@@ -19,20 +19,11 @@ impl Bfs {
     pub fn new(root: VertexId) -> Self {
         Bfs { root }
     }
-
-    /// The query root.
-    pub fn root(&self) -> VertexId {
-        self.root
-    }
 }
 
 impl Algorithm for Bfs {
     fn name(&self) -> &'static str {
         "BFS"
-    }
-
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Selective
     }
 
     fn identity(&self) -> Value {
@@ -56,16 +47,8 @@ impl Algorithm for Bfs {
         EdgeOp::Uniform
     }
 
-    fn initial_events(&self, _graph: &Csr) -> Vec<(VertexId, Value)> {
-        vec![(self.root, 0.0)]
-    }
-
     fn initial_event(&self, v: VertexId) -> Option<Value> {
         (v == self.root).then_some(0.0)
-    }
-
-    fn more_progressed(&self, a: Value, b: Value) -> bool {
-        a < b
     }
 }
 
@@ -90,6 +73,7 @@ mod tests {
     #[test]
     fn level_zero_at_root() {
         let a = Bfs::new(4);
-        assert_eq!(a.initial_events(&Csr::new(8)), vec![(4, 0.0)]);
+        assert_eq!(a.initial_event(4), Some(0.0));
+        assert_eq!(a.initial_event(0), None);
     }
 }

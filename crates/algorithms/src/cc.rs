@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, Value};
 
 /// Connected components via minimum-label propagation (selective).
 ///
@@ -24,10 +24,6 @@ impl Algorithm for ConnectedComponents {
         "CC"
     }
 
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Selective
-    }
-
     fn identity(&self) -> Value {
         Value::INFINITY
     }
@@ -49,16 +45,8 @@ impl Algorithm for ConnectedComponents {
         EdgeOp::Uniform
     }
 
-    fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)> {
-        (0..graph.num_vertices() as VertexId).map(|v| (v, Value::from(v))).collect()
-    }
-
     fn initial_event(&self, v: VertexId) -> Option<Value> {
         Some(Value::from(v))
-    }
-
-    fn more_progressed(&self, a: Value, b: Value) -> bool {
-        a < b
     }
 }
 
@@ -76,14 +64,7 @@ mod tests {
     #[test]
     fn every_vertex_seeds_itself() {
         let a = ConnectedComponents::new();
-        let g = Csr::new(3);
-        assert_eq!(a.initial_events(&g), vec![(0, 0.0), (1, 1.0), (2, 2.0)]);
-    }
-
-    #[test]
-    fn min_label_wins() {
-        let a = ConnectedComponents::new();
-        assert_eq!(a.reduce(5.0, 2.0), 2.0);
-        assert!(a.more_progressed(1.0, 4.0));
+        let seeds: Vec<_> = (0..3).map(|v| a.initial_event(v)).collect();
+        assert_eq!(seeds, [Some(0.0), Some(1.0), Some(2.0)]);
     }
 }

@@ -94,6 +94,15 @@ impl Reduce {
             Reduce::Sum => state + delta,
         }
     }
+
+    /// The update family the operator implies (§3.5): `min`/`max` select,
+    /// `+` accumulates.
+    pub fn kind(self) -> UpdateKind {
+        match self {
+            Reduce::Min | Reduce::Max => UpdateKind::Selective,
+            Reduce::Sum => UpdateKind::Accumulative,
+        }
+    }
 }
 
 /// How the delta an algorithm sends over an out-edge depends on that edge
@@ -163,6 +172,9 @@ pub struct EdgeCtx {
 
 /// A delta-accumulative graph algorithm runnable on the JetStream engine.
 ///
+/// The five required methods state the DAIC functions (Algorithm 1); the
+/// rest are provided, and the update family follows from the operator.
+///
 /// Implementations must guarantee:
 ///
 /// * `reduce(x, identity()) == x` for all `x` (the identity is non-dominant
@@ -175,15 +187,18 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
     /// Human-readable name ("SSSP", "PageRank", ...).
     fn name(&self) -> &'static str;
 
-    /// Selective or accumulative update family.
-    fn kind(&self) -> UpdateKind;
-
     /// The initial vertex value; the non-dominant element of `reduce`.
     fn identity(&self) -> Value;
 
     /// The operator that combines an incoming delta with the current
     /// vertex state.
     fn reduce_op(&self) -> Reduce;
+
+    /// Selective or accumulative update family: what
+    /// [`reduce_op`](Algorithm::reduce_op) implies ([`Reduce::kind`]).
+    fn kind(&self) -> UpdateKind {
+        self.reduce_op().kind()
+    }
 
     /// Combines an incoming delta with the current vertex state:
     /// [`reduce_op`](Algorithm::reduce_op) applied once. Hot loops resolve
@@ -212,30 +227,21 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
         EdgeOp::PerEdge
     }
 
-    /// The initial event set placed in the queue before static evaluation
-    /// (`InitialEvents()` in Algorithm 1).
-    fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)>;
-
     /// The initial contribution vertex `v` receives from the initializer,
-    /// if any. The engine replays this for vertices reset during deletion
-    /// recovery: an impacted vertex whose converged value partly came from
-    /// the initializer (the SSSP/SSWP/BFS root, every vertex's self-label in
-    /// CC) cannot be re-approximated from neighbor requests alone.
+    /// if any: `InitialEvents()` of Algorithm 1 is this over every vertex,
+    /// in ascending id order. The engine also replays it for vertices reset
+    /// during deletion recovery: an impacted vertex whose converged value
+    /// partly came from the initializer (the SSSP/SSWP/BFS root, every
+    /// vertex's self-label in CC) cannot be re-approximated from neighbor
+    /// requests alone.
     fn initial_event(&self, v: VertexId) -> Option<Value>;
 
     /// True if `a` is strictly *more progressed* (closer to convergence,
-    /// dominant under `reduce`) than `b`. Only meaningful for selective
-    /// algorithms; the default compares via `reduce`.
+    /// dominant under `reduce`) than `b`: `a < b` under `Min`, `a > b` under
+    /// `Max` (values are never NaN: weights are checked finite at ingest).
+    /// Only meaningful for selective algorithms.
     fn more_progressed(&self, a: Value, b: Value) -> bool {
         self.kind() == UpdateKind::Selective && self.reduce(a, b) == a && a != b
-    }
-
-    /// True when applying `delta` to `state` actually changes the state
-    /// (i.e. the vertex must propagate). The default compares
-    /// `reduce(state, delta)` with `state` exactly; accumulative algorithms
-    /// override this with a tolerance.
-    fn changes_state(&self, state: Value, delta: Value) -> bool {
-        self.reduce(state, delta) != state
     }
 
     /// Total historical contribution this vertex sent over *one* of its
@@ -252,14 +258,6 @@ pub trait Algorithm: std::fmt::Debug + Send + Sync {
     /// propagation, e.g. Adsorption).
     fn needs_weight_sum(&self) -> bool {
         false
-    }
-
-    /// True if propagation depends on the source's out-degree or weight sum,
-    /// so that inserting/deleting *any* edge at a vertex perturbs the deltas
-    /// over *all* of its out-edges (PageRank, Adsorption). Such algorithms
-    /// use the sink-transform batch preparation of Fig. 5.
-    fn degree_sensitive(&self) -> bool {
-        self.kind() == UpdateKind::Accumulative
     }
 }
 
@@ -345,12 +343,9 @@ impl Workload {
         }
     }
 
-    /// The update family of this workload.
+    /// The update family of this workload: its algorithm's.
     pub fn kind(self) -> UpdateKind {
-        match self {
-            Workload::Sssp | Workload::Sswp | Workload::Bfs | Workload::Cc => UpdateKind::Selective,
-            Workload::PageRank | Workload::Adsorption => UpdateKind::Accumulative,
-        }
+        self.instantiate(0).kind()
     }
 }
 
@@ -392,11 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn instantiation_matches_kind() {
-        for w in Workload::ALL {
-            let a = w.instantiate(0);
-            assert_eq!(a.kind(), w.kind(), "{}", w.name());
-        }
+    fn selective_workloads_are_exactly_the_selective_kind() {
+        let selective: Vec<_> =
+            Workload::ALL.into_iter().filter(|w| w.kind() == UpdateKind::Selective).collect();
+        assert_eq!(selective, Workload::SELECTIVE);
     }
 
     #[test]
@@ -439,12 +433,19 @@ mod tests {
         assert!(Reduce::Sum.apply(Value::NAN, 3.0).is_nan());
     }
 
+    // The comparison VAP prunes with is strict dominance under the
+    // operator, and nothing for an accumulative algorithm.
     #[test]
-    fn reduce_commutative_for_all() {
+    fn more_progressed_is_strict_dominance_under_the_operator() {
         for w in Workload::ALL {
             let a = w.instantiate(0);
-            for (x, y) in [(1.0, 2.0), (5.0, 3.0), (0.25, 0.125)] {
-                assert_eq!(a.reduce(x, y), a.reduce(y, x), "{}", w.name());
+            for (x, y) in [(2.0, 3.0), (3.0, 2.0), (2.0, 2.0), (2.0, Value::INFINITY)] {
+                let want = match a.reduce_op() {
+                    Reduce::Min => x < y,
+                    Reduce::Max => x > y,
+                    Reduce::Sum => false,
+                };
+                assert_eq!(a.more_progressed(x, y), want, "{} ({x}, {y})", w.name());
             }
         }
     }

@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, Value};
 
 /// Default *relative* convergence threshold: a delta smaller than
 /// `epsilon x` the receiver-side magnitude of the vertex state is not
@@ -23,8 +23,7 @@ pub const PAGERANK_EPSILON: Value = 1e-5;
 ///
 /// Because propagation divides by the out-degree, inserting or deleting one
 /// edge at a vertex changes the contribution over *all* of its out-edges;
-/// JetStream handles this with the sink-transform of Fig. 5
-/// ([`degree_sensitive`](Algorithm::degree_sensitive) is `true`).
+/// JetStream handles this with the sink-transform of Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRank {
     damping: Value,
@@ -74,10 +73,6 @@ impl Algorithm for PageRank {
         "PageRank"
     }
 
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Accumulative
-    }
-
     fn identity(&self) -> Value {
         0.0
     }
@@ -105,17 +100,8 @@ impl Algorithm for PageRank {
         EdgeOp::Uniform
     }
 
-    fn initial_events(&self, graph: &Csr) -> Vec<(VertexId, Value)> {
-        let teleport = 1.0 - self.damping;
-        (0..graph.num_vertices() as VertexId).map(|v| (v, teleport)).collect()
-    }
-
     fn initial_event(&self, _v: VertexId) -> Option<Value> {
         Some(1.0 - self.damping)
-    }
-
-    fn changes_state(&self, _state: Value, delta: Value) -> bool {
-        delta != 0.0
     }
 
     fn cumulative_edge_contribution(&self, state: Value, ctx: &EdgeCtx) -> Option<Value> {
@@ -133,13 +119,6 @@ mod tests {
 
     fn ctx(out_degree: usize) -> EdgeCtx {
         EdgeCtx { weight: 1.0, out_degree, weight_sum: out_degree as Value }
-    }
-
-    #[test]
-    fn reduce_is_sum() {
-        let pr = PageRank::default();
-        assert_eq!(pr.reduce(0.3, 0.2), 0.5);
-        assert_eq!(pr.reduce(0.3, 0.0), 0.3);
     }
 
     #[test]
@@ -166,11 +145,8 @@ mod tests {
     #[test]
     fn every_vertex_gets_teleport_seed() {
         let pr = PageRank::default();
-        let g = Csr::new(4);
-        let events = pr.initial_events(&g);
-        assert_eq!(events.len(), 4);
-        for (_, v) in events {
-            assert!((v - 0.15).abs() < 1e-12);
+        for v in 0..4 {
+            assert!((pr.initial_event(v).unwrap() - 0.15).abs() < 1e-12);
         }
     }
 

@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, Value};
 
 /// Single-source shortest path (selective / monotonic).
 ///
@@ -17,20 +17,11 @@ impl Sssp {
     pub fn new(root: VertexId) -> Self {
         Sssp { root }
     }
-
-    /// The query root.
-    pub fn root(&self) -> VertexId {
-        self.root
-    }
 }
 
 impl Algorithm for Sssp {
     fn name(&self) -> &'static str {
         "SSSP"
-    }
-
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Selective
     }
 
     fn identity(&self) -> Value {
@@ -55,16 +46,8 @@ impl Algorithm for Sssp {
         EdgeOp::AddWeight
     }
 
-    fn initial_events(&self, _graph: &Csr) -> Vec<(VertexId, Value)> {
-        vec![(self.root, 0.0)]
-    }
-
     fn initial_event(&self, v: VertexId) -> Option<Value> {
         (v == self.root).then_some(0.0)
-    }
-
-    fn more_progressed(&self, a: Value, b: Value) -> bool {
-        a < b
     }
 }
 
@@ -74,14 +57,6 @@ mod tests {
 
     fn ctx(weight: Value) -> EdgeCtx {
         EdgeCtx { weight, out_degree: 1, weight_sum: weight }
-    }
-
-    #[test]
-    fn reduce_is_min() {
-        let a = Sssp::new(0);
-        assert_eq!(a.reduce(3.0, 5.0), 3.0);
-        assert_eq!(a.reduce(5.0, 3.0), 3.0);
-        assert_eq!(a.reduce(Value::INFINITY, 4.0), 4.0);
     }
 
     #[test]
@@ -99,16 +74,7 @@ mod tests {
     #[test]
     fn initial_event_is_root_zero() {
         let a = Sssp::new(7);
-        let g = Csr::new(10);
-        assert_eq!(a.initial_events(&g), vec![(7, 0.0)]);
-    }
-
-    #[test]
-    fn smaller_distance_more_progressed() {
-        let a = Sssp::new(0);
-        assert!(a.more_progressed(2.0, 3.0));
-        assert!(!a.more_progressed(3.0, 2.0));
-        assert!(!a.more_progressed(2.0, 2.0));
-        assert!(a.more_progressed(2.0, Value::INFINITY));
+        assert_eq!(a.initial_event(7), Some(0.0));
+        assert_eq!(a.initial_event(6), None);
     }
 }

@@ -1,6 +1,6 @@
-use jetstream_graph::{Csr, VertexId};
+use jetstream_graph::VertexId;
 
-use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
+use crate::{Algorithm, EdgeCtx, EdgeOp, Reduce, Value};
 
 /// Single-source widest path (selective / monotonic).
 ///
@@ -17,20 +17,11 @@ impl Sswp {
     pub fn new(root: VertexId) -> Self {
         Sswp { root }
     }
-
-    /// The query root.
-    pub fn root(&self) -> VertexId {
-        self.root
-    }
 }
 
 impl Algorithm for Sswp {
     fn name(&self) -> &'static str {
         "SSWP"
-    }
-
-    fn kind(&self) -> UpdateKind {
-        UpdateKind::Selective
     }
 
     fn identity(&self) -> Value {
@@ -55,17 +46,9 @@ impl Algorithm for Sswp {
         EdgeOp::MinWeight
     }
 
-    fn initial_events(&self, _graph: &Csr) -> Vec<(VertexId, Value)> {
-        // The root's own width is unbounded.
-        vec![(self.root, Value::INFINITY)]
-    }
-
     fn initial_event(&self, v: VertexId) -> Option<Value> {
+        // The root's own width is unbounded.
         (v == self.root).then_some(Value::INFINITY)
-    }
-
-    fn more_progressed(&self, a: Value, b: Value) -> bool {
-        a > b
     }
 }
 
@@ -75,13 +58,6 @@ mod tests {
 
     fn ctx(weight: Value) -> EdgeCtx {
         EdgeCtx { weight, out_degree: 1, weight_sum: weight }
-    }
-
-    #[test]
-    fn reduce_is_max() {
-        let a = Sswp::new(0);
-        assert_eq!(a.reduce(3.0, 5.0), 5.0);
-        assert_eq!(a.reduce(0.0, 4.0), 4.0);
     }
 
     #[test]
@@ -100,15 +76,7 @@ mod tests {
     #[test]
     fn root_starts_unbounded() {
         let a = Sswp::new(2);
-        let g = Csr::new(5);
-        assert_eq!(a.initial_events(&g), vec![(2, Value::INFINITY)]);
-    }
-
-    #[test]
-    fn wider_is_more_progressed() {
-        let a = Sswp::new(0);
-        assert!(a.more_progressed(5.0, 3.0));
-        assert!(!a.more_progressed(3.0, 5.0));
-        assert!(!a.more_progressed(3.0, 3.0));
+        assert_eq!(a.initial_event(2), Some(Value::INFINITY));
+        assert_eq!(a.initial_event(0), None);
     }
 }

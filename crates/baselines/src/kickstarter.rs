@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, UpdateKind, Value};
-use jetstream_graph::{Csr, EdgeRef, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{vid, Csr, EdgeRef, GraphError, UpdateBatch, VertexId};
 
 use crate::parallel::{baseline_threads, par_map};
 use crate::{SoftwareStats, WeightedPair};
@@ -104,7 +104,8 @@ impl KickStarter {
         self.dependency.fill(None);
         self.level.fill(0);
         let mut frontier: Vec<VertexId> = Vec::new();
-        for (v, val) in self.alg.initial_events(&self.pair.out) {
+        for v in (0..self.pair.num_vertices()).map(vid) {
+            let Some(val) = self.alg.initial_event(v) else { continue };
             let vi = v as usize;
             let new = self.alg.reduce(self.values[vi], val);
             if new != self.values[vi] {

@@ -8,15 +8,9 @@
 
 use std::num::NonZeroUsize;
 
-/// Number of worker threads the baselines use (the machine's available
-/// parallelism, overridable with the `JETSTREAM_BASELINE_THREADS`
-/// environment variable).
+/// Number of worker threads the baselines use: the machine's available
+/// parallelism.
 pub fn baseline_threads() -> usize {
-    if let Ok(value) = std::env::var("JETSTREAM_BASELINE_THREADS") {
-        if let Ok(n) = value.parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 

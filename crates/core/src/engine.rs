@@ -3,7 +3,7 @@
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
 use jetstream_algorithms::{Algorithm, Reduce, Value};
-use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId};
+use jetstream_graph::{ix, Csr, CsrPair, VertexId};
 
 use crate::event::{Event, Row};
 use crate::flow::sealed::Drain;
@@ -115,10 +115,11 @@ impl BatchClassification {
         self.unsafe_inserts + self.unsafe_deletes
     }
 
-    /// True when every deletion in the batch is provably safe, so the
-    /// delete-propagation phases can be skipped wholesale.
-    pub fn all_deletes_safe(&self) -> bool {
-        self.unsafe_deletes == 0
+    /// True when the batch has deletions, all provably safe (so DAP is
+    /// active): [`StreamingFlow::apply_admitted_batch`] skips the delete
+    /// phases wholesale.
+    pub fn skips_delete_phases(&self) -> bool {
+        self.unsafe_deletes == 0 && self.safe_deletes > 0
     }
 }
 
@@ -219,14 +220,10 @@ pub(crate) fn check_checkpoint_state(
             num_vertices: n,
         });
     }
-    for (v, dep) in dependency.iter().enumerate() {
-        if let Some(u) = dep {
-            if !graph.has_edge(*u, vid(v)) {
-                return Err(CheckpointError::DanglingDependency { vertex: vid(v), leads_to: *u });
-            }
-        }
+    match kernel::dangling_dependency(graph, dependency) {
+        Some((vertex, leads_to)) => Err(CheckpointError::DanglingDependency { vertex, leads_to }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The sequential [`Executor`](crate::Executor): one [`CoalescingQueue`]
@@ -529,7 +526,7 @@ mod tests {
         assert_eq!(labels, vec!["Base", "+VAP", "+DAP"]);
     }
 
-    // Kills mutant jm-c20f82fb (`cap > 0` -> `cap >= 0` in `num_slices`):
+    // Kills mutant jm-c20f87ae (`cap > 0` -> `cap >= 0` in `num_slices`):
     // a zero capacity must fall back to a single slice, never reach the
     // `div_ceil(0)` division.
     #[test]

@@ -20,7 +20,7 @@
 //! already is per `ExecState`).
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
-use jetstream_graph::{ix, Csr, CsrPair, EdgeUpdate, GraphError, UpdateBatch, VertexId};
+use jetstream_graph::{ix, vid, CheckedBatch, Csr, CsrPair, GraphError, UpdateBatch, VertexId};
 
 use crate::engine::{
     check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
@@ -221,7 +221,9 @@ impl<X: Executor> StreamingFlow<X> {
         self.values.fill(identity);
         self.dependency.fill(None);
         self.tracer.begin_phase(Phase::Initial);
-        for (v, val) in self.alg.initial_events(&self.csr.out) {
+        // `InitialEvents()`: every vertex's seed, in ascending id order.
+        for v in (0..self.csr.num_vertices()).map(vid) {
+            let Some(val) = self.alg.initial_event(v) else { continue };
             let targets_start = self.tracer.targets_start();
             self.exec.seed(self.reduce, &mut self.stats, Event::regular(v, val));
             self.tracer.push_targets(&[v]);
@@ -242,13 +244,7 @@ impl<X: Executor> StreamingFlow<X> {
     /// Returns a [`GraphError`] when the batch is invalid against the
     /// current graph version (the graph and query state are unchanged).
     pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.stats = RunStats::default();
-        let coalesced_before = self.exec.queue_stats().coalesced;
-        match self.alg.kind() {
-            UpdateKind::Selective => self.stream_selective(batch)?,
-            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
-        }
-        Ok(self.finish_run(coalesced_before))
+        self.stream_batch(batch, false)
     }
 
     /// Checks the engine's cross-structure invariants after a completed
@@ -295,47 +291,29 @@ impl<X: Executor> StreamingFlow<X> {
 
     /// Classifies a single deletion against the converged state: the
     /// RisGraph safe/unsafe pre-check, realized on JetStream's dependence
-    /// tree (§5.2).
-    ///
-    /// Under DAP, a delete event for edge `u -> v` resets `v` only when
-    /// `v`'s recorded `Leads-To` dependency is exactly `u` and `v` holds a
-    /// non-identity value (see the kernel's reset guard). Both facts are
-    /// readable in O(1) *before* the batch is scheduled, so a deletion of a
-    /// non-tree edge is provably a no-op for the query state: every other
-    /// vertex's value is still supported by its intact dependence chain.
+    /// tree (§5.2). Under DAP, deleting `u -> v` is safe exactly when the
+    /// kernel's reset guard would not reset `v` on a delete event from `u`:
+    /// readable in O(1) *before* the batch is scheduled, and then provably a
+    /// no-op for the query state.
     ///
     /// Anything that cannot be proven safe — a tree-edge delete, a non-DAP
     /// strategy, an accumulative algorithm, an out-of-range id (left for
     /// the apply path to reject with a typed error) — is `Unsafe`.
     pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
-        if !self.cx().dap_active {
-            return UpdateSafety::Unsafe;
-        }
-        let Some(&value) = self.values.get(ix(target)) else {
-            return UpdateSafety::Unsafe;
-        };
-        if value == self.alg.identity() {
-            // The kernel never resets an identity-valued vertex, whatever
-            // its dependency says.
-            return UpdateSafety::Safe;
-        }
-        if self.dependency[ix(target)] == Some(source) {
-            UpdateSafety::Unsafe
-        } else {
-            UpdateSafety::Safe
+        let cx = self.cx();
+        match (self.values.get(ix(target)), self.dependency.get(ix(target))) {
+            (Some(&value), Some(&dependency))
+                if cx.dap_active && !kernel::dap_resets(&cx, value, dependency, Some(source)) =>
+            {
+                UpdateSafety::Safe
+            }
+            _ => UpdateSafety::Unsafe,
         }
     }
 
-    /// Classifies one wire update against the converged state.
-    pub fn classify_update(&self, update: &EdgeUpdate) -> UpdateSafety {
-        match *update {
-            EdgeUpdate::Insert { .. } => self.classify_insert(),
-            EdgeUpdate::Delete { source, target } => self.classify_delete(source, target),
-        }
-    }
-
-    /// Tallies [`classify_update`](Self::classify_update) over a whole
-    /// batch against the *pre-batch* converged state.
+    /// Tallies [`classify_insert`](Self::classify_insert) and
+    /// [`classify_delete`](Self::classify_delete) over a whole batch
+    /// against the *pre-batch* converged state.
     ///
     /// The tally stays valid for every deletion in the batch even though
     /// they apply together: a safe deletion resets nothing, so it cannot
@@ -356,7 +334,8 @@ impl<X: Executor> StreamingFlow<X> {
     }
 
     /// Applies a streaming batch through the admission pre-check: when
-    /// every deletion is provably safe (DAP, non-tree edges), the delete
+    /// every deletion is provably safe (DAP, non-tree edges;
+    /// [`BatchClassification::skips_delete_phases`]), the delete
     /// setup/propagation/re-approximation phases are skipped entirely and
     /// only the insert flow runs — the RisGraph-style fast path for
     /// monotone-safe updates. Otherwise this is exactly
@@ -376,27 +355,7 @@ impl<X: Executor> StreamingFlow<X> {
         batch: &UpdateBatch,
     ) -> Result<(RunStats, BatchClassification), GraphError> {
         let class = self.classify_batch(batch);
-        if !(self.cx().dap_active && class.all_deletes_safe() && !batch.deletions().is_empty()) {
-            // Nothing to skip (or nothing provably skippable): run the
-            // full flow. Insert-only selective batches already take the
-            // cheap path inside `stream_selective` (no delete events, no
-            // impacted vertices), so they need no special casing here.
-            return self.apply_update_batch(batch).map(|stats| (stats, class));
-        }
-        self.stats = RunStats::default();
-        let coalesced_before = self.exec.queue_stats().coalesced;
-        // `apply_batch` validates the whole batch (missing deletions,
-        // duplicate insertions, out-of-range ids) before mutating, so a
-        // rejected batch leaves the engine untouched, exactly like the
-        // full path.
-        self.csr.apply_batch(batch)?;
-        self.impacted.clear();
-        // Phase 4 of the selective flow: inserted edges become regular
-        // events on the new graph; the delete phases are skipped because
-        // classification proved them no-ops.
-        self.stream_inserts(batch.insertions());
-        self.drain_phase(Phase::Recompute);
-        Ok((self.finish_run(coalesced_before), class))
+        self.stream_batch(batch, class.skips_delete_phases()).map(|stats| (stats, class))
     }
 
     /// Applies the batch and recomputes from scratch — the GraphPulse
@@ -441,18 +400,76 @@ impl<X: Executor> StreamingFlow<X> {
         self.stats
     }
 
+    /// One streaming batch through the flow of the algorithm's family;
+    /// `skip_deletes` is the admitted fast path's proof that the selective
+    /// delete phases are no-ops.
+    fn stream_batch(
+        &mut self,
+        batch: &UpdateBatch,
+        skip_deletes: bool,
+    ) -> Result<RunStats, GraphError> {
+        self.stats = RunStats::default();
+        let coalesced_before = self.exec.queue_stats().coalesced;
+        match self.alg.kind() {
+            UpdateKind::Selective => self.stream_selective(batch, skip_deletes)?,
+            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
+        }
+        Ok(self.finish_run(coalesced_before))
+    }
+
     // ------------------------------------------------------------------
     // Selective (monotonic) streaming flow — Algorithms 4 & 5
     // ------------------------------------------------------------------
 
-    fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
+    fn stream_selective(
+        &mut self,
+        batch: &UpdateBatch,
+        skip_deletes: bool,
+    ) -> Result<(), GraphError> {
         // The whole batch is validated first, once; nothing is seeded for a
         // rejected one. The delete phase runs on the old graph (the batch
         // is committed only after recovery), which is also where VAP reads
         // a deleted edge's weight.
         let checked = self.csr.out.check_batch(batch)?;
         self.impacted.clear();
+        if skip_deletes {
+            // Classification proved phases 1–3 no-ops.
+            self.csr.commit(checked);
+        } else {
+            self.recover_deletes(batch, checked);
+        }
 
+        // Phase 4 — stream inserted edges into regular events
+        // (Algorithm 2); they coalesce with pending request events.
+        self.tracer.begin_phase(Phase::InsertSetup);
+        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
+        for &(u, v, w) in batch.insertions() {
+            stats.stream_reads += 1;
+            stats.vertex_reads += 1;
+            let state = values[ix(u)];
+            let out_degree = csr.out.degree(u);
+            let ctx = EdgeCtx { weight: w, out_degree, weight_sum: cx.weight_sum(u) };
+            let targets_start = tracer.targets_start();
+            let delta = alg.propagate(state, state, &ctx);
+            if let Some(d) = delta {
+                let source = cx.dap_active.then_some(u);
+                exec.seed(*reduce, stats, Event { source, ..Event::regular(v, d) });
+                tracer.push_targets(&[v]);
+            }
+            let emitted = usize::from(delta.is_some());
+            tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
+        }
+        self.tracer.end_round();
+
+        // Phase 5 — incremental reevaluation on the new graph.
+        self.drain_phase(Phase::Recompute);
+        Ok(())
+    }
+
+    /// Phases 1–3 of the selective flow (Algorithm 4), around the version
+    /// switch.
+    fn recover_deletes(&mut self, batch: &UpdateBatch, checked: CheckedBatch<'_>) {
         // DAP must keep per-source delete events distinct from the very
         // first event on: two deletions targeting the same vertex carry
         // different source ids and must both be examined (§5.2).
@@ -521,37 +538,6 @@ impl<X: Executor> StreamingFlow<X> {
                 count += 1;
             }
             tracer.push_op(setup_op(OpKind::RequestSetup, x, sources.len(), targets_start, count));
-        }
-        self.tracer.end_round();
-
-        // Phase 4 — stream inserted edges into regular events
-        // (Algorithm 2); they coalesce with pending request events.
-        self.stream_inserts(batch.insertions());
-
-        // Phase 5 — incremental reevaluation on the new graph.
-        self.drain_phase(Phase::Recompute);
-        Ok(())
-    }
-
-    fn stream_inserts(&mut self, insertions: &[(VertexId, VertexId, Value)]) {
-        self.tracer.begin_phase(Phase::InsertSetup);
-        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
-        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        for &(u, v, w) in insertions {
-            stats.stream_reads += 1;
-            stats.vertex_reads += 1;
-            let state = values[ix(u)];
-            let out_degree = csr.out.degree(u);
-            let ctx = EdgeCtx { weight: w, out_degree, weight_sum: cx.weight_sum(u) };
-            let targets_start = tracer.targets_start();
-            let delta = alg.propagate(state, state, &ctx);
-            if let Some(d) = delta {
-                let source = cx.dap_active.then_some(u);
-                exec.seed(*reduce, stats, Event { source, ..Event::regular(v, d) });
-                tracer.push_targets(&[v]);
-            }
-            let emitted = usize::from(delta.is_some());
-            tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
         self.tracer.end_round();
     }
@@ -642,7 +628,7 @@ impl<X: Executor> StreamingFlow<X> {
             let contribution = |weight: Value, weight_sum: Value| {
                 let ctx = EdgeCtx { weight, out_degree, weight_sum };
                 let c = alg.cumulative_edge_contribution(state, &ctx)?;
-                alg.changes_state(0.0, c).then_some(if rollback { -c } else { c })
+                (c != 0.0).then_some(if rollback { -c } else { c })
             };
             let mut generated = 0;
             if cx.edge_op == EdgeOp::Uniform {

@@ -33,7 +33,7 @@
 //! resolved once, when the [`KernelCtx`] is built.
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
-use jetstream_graph::{ix, vid, CsrPair, VertexId};
+use jetstream_graph::{ix, vid, Csr, CsrPair, VertexId};
 
 use crate::engine::DeleteStrategy;
 use crate::event::{Carry, Event, Row};
@@ -175,9 +175,11 @@ pub(crate) fn process_event<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>,
     st.stats().vertex_reads += 1;
     let old = st.verts().value(ev.target);
     let new = cx.reduce.apply(old, ev.payload);
+    // An accumulative vertex changes with any non-zero delta, even one the
+    // sum absorbs; its convergence threshold lives in `propagate`.
     let changed = match cx.kind {
         UpdateKind::Selective => new != old,
-        UpdateKind::Accumulative => cx.alg.changes_state(old, ev.payload),
+        UpdateKind::Accumulative => ev.payload != 0.0,
     };
     if changed {
         st.verts().set_value(ev.target, new);
@@ -253,14 +255,13 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
     let identity = cx.identity;
     let targets_start = st.trace_targets_start();
 
-    // A delete cycling back to an already tagged vertex never propagates
-    // again.
-    let should_reset = current != identity
-        && match cx.delete_strategy {
-            DeleteStrategy::Tag => true,
-            DeleteStrategy::Vap => !cx.alg.more_progressed(current, ev.payload),
-            DeleteStrategy::Dap => st.verts().dependency(ev.target) == ev.source,
-        };
+    // A delete cycling back to an already tagged (identity-valued) vertex
+    // never propagates again.
+    let should_reset = match cx.delete_strategy {
+        DeleteStrategy::Tag => current != identity,
+        DeleteStrategy::Vap => current != identity && !cx.alg.more_progressed(current, ev.payload),
+        DeleteStrategy::Dap => dap_resets(cx, current, st.verts().dependency(ev.target), ev.source),
+    };
 
     let (generated, edges_read) = if should_reset {
         let previous = current;
@@ -281,6 +282,20 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
         targets_start,
         targets_len: generated,
     });
+}
+
+/// The DAP reset guard (§5.2): a delete event from `source` resets a
+/// vertex holding `value` and depending on `dependency` exactly when the
+/// value is not the identity and the dependency is that source. The
+/// admission pre-check calls a deletion safe exactly when this is false.
+#[inline]
+pub(crate) fn dap_resets(
+    cx: &KernelCtx<'_>,
+    value: Value,
+    dependency: Option<VertexId>,
+    source: Option<VertexId>,
+) -> bool {
+    value != cx.identity && dependency == source
 }
 
 /// Propagates delete events downstream from a freshly reset vertex,
@@ -317,14 +332,10 @@ fn propagate_deletes<'a>(
     (generated as u32, deg as u32) // cast-ok: counts bounded by num_edges < 2^32, checked at graph construction
 }
 
-/// Value-level convergence checks behind
+/// The value-level checks of
 /// [`StreamingFlow::validate_converged`](crate::StreamingFlow::validate_converged):
-///
-/// * under DAP, every recorded `Leads-To` dependency is an edge of the
-///   active graph;
-/// * selective algorithms: the values are a fixed point over the active
-///   edges;
-/// * accumulative algorithms: every value is finite.
+/// Leads-To edges under DAP, then a selective fixed point or finite
+/// accumulative values.
 pub(crate) fn validate_converged_values(
     cx: &KernelCtx<'_>,
     values: &[Value],
@@ -332,15 +343,11 @@ pub(crate) fn validate_converged_values(
 ) -> Result<(), String> {
     let (alg, csr) = (cx.alg, cx.csr);
     if cx.dap_active {
-        for (v, dep) in dependency.iter().enumerate() {
-            if let Some(u) = dep {
-                if !csr.out.has_edge(*u, vid(v)) {
-                    return Err(format!(
-                        "dangling dependency: vertex {v} leads-to {u}, but edge \
-                         {u} -> {v} is not in the active graph"
-                    ));
-                }
-            }
+        if let Some((v, u)) = dangling_dependency(&csr.out, dependency) {
+            return Err(format!(
+                "dangling dependency: vertex {v} leads-to {u}, but edge \
+                 {u} -> {v} is not in the active graph"
+            ));
         }
     }
     match cx.kind {
@@ -370,11 +377,22 @@ pub(crate) fn validate_converged_values(
     Ok(())
 }
 
+/// The first vertex, in id order, whose recorded Leads-To dependency is
+/// not an edge of `graph`, with that dependency: `(vertex, leads_to)`.
+pub(crate) fn dangling_dependency(
+    graph: &Csr,
+    dependency: &[Option<VertexId>],
+) -> Option<(VertexId, VertexId)> {
+    dependency
+        .iter()
+        .enumerate()
+        .find_map(|(v, dep)| dep.filter(|&u| !graph.has_edge(u, vid(v))).map(|u| (vid(v), u)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use jetstream_algorithms::{PageRank, Sssp};
-    use jetstream_graph::Csr;
 
     // kills jm-6dbecaba (kernel.rs logic-swap in dap_active): DAP needs
     // *both* the Dap strategy and a selective algorithm — PageRank under

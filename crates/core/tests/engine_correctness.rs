@@ -614,7 +614,7 @@ fn admitted_fast_path_is_bit_identical_to_full_path() {
             assert!(kept > 0, "{} seed {seed}: no safe deletions to exercise", w.name());
 
             let class = fast.classify_batch(&batch);
-            assert!(class.all_deletes_safe());
+            assert!(class.skips_delete_phases());
             assert_eq!(class.safe_deletes, kept);
 
             let (fast_stats, _) = fast.apply_admitted_batch(&batch).unwrap();
@@ -669,10 +669,8 @@ fn admitted_batch_with_unsafe_deletes_falls_back_to_full_flow() {
         batch.delete(tree_edge.0, tree_edge.1);
 
         let class = engine.classify_batch(&batch);
-        let as_update =
-            jetstream_graph::EdgeUpdate::Delete { source: tree_edge.0, target: tree_edge.1 };
-        assert_eq!(engine.classify_update(&as_update), UpdateSafety::Unsafe);
-        assert!(!class.all_deletes_safe(), "{}", w.name());
+        assert_eq!(engine.classify_delete(tree_edge.0, tree_edge.1), UpdateSafety::Unsafe);
+        assert!(!class.skips_delete_phases(), "{}", w.name());
         assert_eq!(class.unsafe_total(), 1, "{}", w.name());
 
         engine.apply_admitted_batch(&batch).unwrap();
@@ -696,6 +694,10 @@ fn classification_is_cheap_and_honest() {
     let mut sssp = engine_for(Workload::Sssp, g.clone(), DeleteStrategy::Dap, 0);
     sssp.initial_compute();
     assert_eq!(sssp.classify_insert(), UpdateSafety::Safe);
+    // An insert-only batch has no delete phases to skip (kills jm-9d45978c).
+    let mut inserts = UpdateBatch::new();
+    inserts.insert(0, 1, 1.0);
+    assert!(!sssp.classify_batch(&inserts).skips_delete_phases());
     assert_eq!(sssp.classify_delete(0, 10_000), UpdateSafety::Unsafe);
     if let Some(unreachable) = (0..100).find(|&v| sssp.values()[v as usize].is_infinite()) {
         assert_eq!(sssp.classify_delete(0, unreachable), UpdateSafety::Safe);
@@ -1245,4 +1247,152 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             values: 0xf9f5_2798_ea57_2ac5,
         },
     );
+}
+
+// Value-aware propagation under the `more_progressed` default, captured at
+// 3bdb217, where SSWP (`Max`) and CC (labels) each hand-wrote it: VAP's
+// reset guard must keep every op, counter and value bit. SSWP prunes all
+// but two resets; every CC label is 0 here, so no delete is more
+// progressed than its target and VAP resets exactly what Tag does.
+#[test]
+fn vap_reset_guard_reproduces_the_hand_written_comparisons() {
+    use jetstream_core::RunStats;
+    check_golden(
+        Workload::Sswp,
+        DeleteStrategy::Vap,
+        AccumulativeRecovery::Coalesced,
+        weighted_hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 27,
+                events_generated: 28,
+                vertex_reads: 27,
+                vertex_writes: 14,
+                edge_reads: 27,
+                rounds: 4,
+                events_coalesced: 1,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 21,
+                events_generated: 24,
+                vertex_reads: 27,
+                vertex_writes: 3,
+                edge_reads: 19,
+                resets: 2,
+                delete_events: 5,
+                request_events: 3,
+                stream_reads: 6,
+                rounds: 5,
+                events_coalesced: 3,
+                ..RunStats::default()
+            },
+            ops: 57,
+            targets: 52,
+            digest: 0x4a2f_1830_220f_7339,
+            impacted: &[3, 8],
+            spilled: (15, 16),
+            values: 0x61bd_04d9_c85e_70d8,
+        },
+    );
+    check_golden(
+        Workload::Cc,
+        DeleteStrategy::Vap,
+        AccumulativeRecovery::Coalesced,
+        hub_loop_sink_graph,
+        &Golden {
+            initial: RunStats {
+                events_processed: 36,
+                events_generated: 49,
+                vertex_reads: 36,
+                vertex_writes: 23,
+                edge_reads: 37,
+                rounds: 3,
+                events_coalesced: 13,
+                ..RunStats::default()
+            },
+            batch: RunStats {
+                events_processed: 60,
+                events_generated: 103,
+                vertex_reads: 66,
+                vertex_writes: 36,
+                edge_reads: 88,
+                resets: 12,
+                delete_events: 23,
+                request_events: 24,
+                stream_reads: 6,
+                rounds: 8,
+                events_coalesced: 43,
+                ..RunStats::default()
+            },
+            ops: 126,
+            targets: 152,
+            digest: 0x6450_9f73_4dc3_e37c,
+            impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
+            spilled: (28, 57),
+            values: 0x0243_cfa8_4518_5aa5,
+        },
+    );
+}
+
+/// Deletions of edges neither SSSP's nor SSWP's dependence tree uses on
+/// [`weighted_hub_loop_sink_graph`], and insertions that improve each.
+fn safe_hub_loop_sink_batch() -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    batch.delete(5, 1).delete(4, 3).delete(5, 6);
+    batch.insert(3, 9, 0.5).insert(8, 7, 0.25).insert(4, 2, 1.0); // SSSP
+    batch.insert(4, 1, 3.0).insert(9, 6, 2.0).insert(2, 11, 2.0); // SSWP
+    batch
+}
+
+// The admission fast path on an all-safe DAP batch, captured at 3bdb217,
+// where it was a second flow body beside the selective flow: RunStats,
+// trace digest and value bits.
+#[test]
+fn admitted_fast_path_reproduces_its_stats_trace_and_values() {
+    use jetstream_core::RunStats;
+    for (workload, want, digest, values) in [
+        (
+            Workload::Sssp,
+            RunStats {
+                events_processed: 12,
+                events_generated: 12,
+                vertex_reads: 18,
+                vertex_writes: 3,
+                edge_reads: 6,
+                stream_reads: 6,
+                rounds: 2,
+                ..RunStats::default()
+            },
+            0x8ab6_bcf3_4745_7e44,
+            0xc534_0822_bada_d795,
+        ),
+        (
+            Workload::Sswp,
+            RunStats {
+                events_processed: 8,
+                events_generated: 8,
+                vertex_reads: 14,
+                vertex_writes: 3,
+                edge_reads: 2,
+                stream_reads: 6,
+                rounds: 2,
+                ..RunStats::default()
+            },
+            0x1aa4_7e9e_eb18_dfbc,
+            0xdd12_0878_888a_8470,
+        ),
+    ] {
+        let label = workload.name();
+        let mut engine =
+            engine_for(workload, weighted_hub_loop_sink_graph(), DeleteStrategy::Dap, 0);
+        engine.initial_compute();
+        engine.set_tracing(true);
+        let (stats, class) = engine.apply_admitted_batch(&safe_hub_loop_sink_batch()).unwrap();
+        assert_eq!((class.unsafe_deletes, class.safe_deletes), (0, 3), "{label}");
+        assert_eq!(stats, want, "{label}: batch RunStats");
+        assert_eq!(trace_digest(&engine.take_trace()), digest, "{label}: trace digest");
+        assert_eq!(values_digest(engine.values()), values, "{label}: values digest");
+        assert!(engine.last_impacted().is_empty(), "{label}: a safe batch resets nothing");
+    }
 }

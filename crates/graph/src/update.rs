@@ -80,8 +80,9 @@ impl EdgeUpdate {
     }
 }
 
-/// A single update rejected by [`UpdateBatch::extend_checked`], identifying
-/// which update failed and why.
+/// A single update of an offered message rejected at the ingest boundary
+/// (by [`EdgeUpdate::check_bounds`] or a presence check), identifying which
+/// update failed and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateRejection {
     /// Zero-based index of the rejected update within the offered slice.
@@ -153,50 +154,6 @@ impl UpdateBatch {
     pub fn is_empty(&self) -> bool {
         self.insertions.is_empty() && self.deletions.is_empty()
     }
-
-    /// Validates `updates` against `num_vertices` and appends the valid
-    /// prefix, stopping at (and not appending) the first invalid update.
-    ///
-    /// This is the checked counterpart of [`Extend`]: batches built from
-    /// wire updates go through here so an out-of-range vertex id, a
-    /// self-loop, or a non-finite weight surfaces as a typed
-    /// [`UpdateRejection`] naming the offending update, instead of failing
-    /// deep inside the engine after the whole batch was accepted. On error
-    /// the batch retains the updates preceding the rejected one; callers
-    /// wanting all-or-nothing semantics should stage into a fresh batch.
-    ///
-    /// Returns the number of updates appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`UpdateRejection`] carrying the index, the update, and
-    /// the violated constraint of the first invalid update.
-    pub fn extend_checked(
-        &mut self,
-        updates: &[EdgeUpdate],
-        num_vertices: usize,
-    ) -> Result<usize, UpdateRejection> {
-        for (index, update) in updates.iter().enumerate() {
-            update.check_bounds(num_vertices).map_err(|error| UpdateRejection {
-                index,
-                update: *update,
-                error,
-            })?;
-            self.extend(std::iter::once(*update));
-        }
-        Ok(updates.len())
-    }
-
-    /// Fraction of the batch that is deletions, in `[0, 1]`.
-    ///
-    /// Fig. 14 of the paper studies sensitivity to this composition.
-    pub fn deletion_ratio(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.deletions.len() as f64 / self.len() as f64
-        }
-    }
 }
 
 impl Extend<EdgeUpdate> for UpdateBatch {
@@ -234,21 +191,6 @@ mod tests {
         assert_eq!(b.insertions().len(), 2);
         assert_eq!(b.deletions().len(), 1);
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn deletion_ratio_of_empty_batch_is_zero() {
-        assert_eq!(UpdateBatch::new().deletion_ratio(), 0.0);
-    }
-
-    #[test]
-    fn deletion_ratio_mixed() {
-        let mut b = UpdateBatch::new();
-        b.insert(0, 1, 1.0);
-        b.delete(1, 2);
-        b.delete(2, 3);
-        b.delete(3, 4);
-        assert!((b.deletion_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -304,33 +246,6 @@ mod tests {
         }
         // Deletions carry no weight; only the endpoints are checked.
         assert_eq!(EdgeUpdate::Delete { source: 1, target: 2 }.check_bounds(10), Ok(()));
-    }
-
-    #[test]
-    fn extend_checked_appends_valid_updates_and_names_the_first_bad_one() {
-        let mut b = UpdateBatch::new();
-        let updates = [
-            EdgeUpdate::Insert { source: 0, target: 1, weight: 2.0 },
-            EdgeUpdate::Delete { source: 1, target: 2 },
-            EdgeUpdate::Insert { source: 0, target: 99, weight: 1.0 },
-            EdgeUpdate::Delete { source: 2, target: 3 },
-        ];
-        let err = b.extend_checked(&updates, 10).unwrap_err();
-        assert_eq!(err.index, 2);
-        assert_eq!(err.update, updates[2]);
-        assert_eq!(err.error, GraphError::VertexOutOfRange { vertex: 99, num_vertices: 10 });
-        // The valid prefix was appended; the rejected update (and its
-        // successors) were not.
-        assert_eq!(b.insertions(), &[(0, 1, 2.0)]);
-        assert_eq!(b.deletions(), &[(1, 2)]);
-        // A fully valid slice reports its length.
-        let mut ok = UpdateBatch::new();
-        assert_eq!(ok.extend_checked(&updates[..2], 10), Ok(2));
-        assert_eq!(ok.len(), 2);
-        // The rejection renders the index and the underlying error.
-        let msg = err.to_string();
-        assert!(msg.contains("update 2"), "{msg}");
-        assert!(msg.contains("out of range"), "{msg}");
     }
 
     #[test]

@@ -56,15 +56,6 @@ impl Backend {
         }
     }
 
-    /// The store's durable sequence number (batches persisted so far);
-    /// `0` for a volatile backend.
-    pub fn sequence(&self) -> u64 {
-        match self {
-            Backend::Volatile(_) => 0,
-            Backend::Durable(d) => d.sequence(),
-        }
-    }
-
     /// Forces a durable checkpoint (no-op for a volatile backend).
     ///
     /// # Errors

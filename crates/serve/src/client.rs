@@ -2,7 +2,7 @@
 //! benchmark's live probe.
 //!
 //! The server interleaves asynchronous per-batch `Converged` notices with
-//! direct replies on the same stream; the client stashes notices aside so
+//! direct replies on the same stream; the client skips notices so
 //! request/reply helpers always return the answer to *their* request
 //! (DESIGN.md §15.1). A `Converged` with an empty token list is never a
 //! notice — it is the acknowledgement of an explicit `Flush`.
@@ -19,14 +19,10 @@ use crate::protocol::{
 };
 use crate::ServeError;
 
-/// One converged notice: the batch id and this client's tokens it covers.
-pub type ConvergedNotice = (u64, Vec<u64>);
-
 /// A synchronous connection to a `jetstream-serve` server.
 #[derive(Debug)]
 pub struct Client {
     conn: Conn,
-    converged: Vec<ConvergedNotice>,
 }
 
 impl Client {
@@ -39,7 +35,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         let conn = Conn::Tcp(stream);
         conn.set_nodelay()?;
-        Ok(Client { conn, converged: Vec::new() })
+        Ok(Client { conn })
     }
 
     /// Connects over a Unix-domain socket.
@@ -49,7 +45,7 @@ impl Client {
     /// Connection failures.
     pub fn connect_unix(path: &Path) -> Result<Client, ServeError> {
         let stream = UnixStream::connect(path)?;
-        Ok(Client { conn: Conn::Unix(stream), converged: Vec::new() })
+        Ok(Client { conn: Conn::Unix(stream) })
     }
 
     /// Sends `Hello` and waits for the acknowledgement. Returns the
@@ -95,8 +91,8 @@ impl Client {
         }
     }
 
-    /// Receives the next *direct* reply, stashing any interleaved
-    /// converged notices for [`take_converged`](Client::take_converged).
+    /// Receives the next *direct* reply, skipping any interleaved
+    /// converged notices.
     ///
     /// # Errors
     ///
@@ -104,17 +100,10 @@ impl Client {
     pub fn recv_reply(&mut self) -> Result<Response, ServeError> {
         loop {
             match self.recv()? {
-                Response::Converged { batch_id, tokens, .. } if !tokens.is_empty() => {
-                    self.converged.push((batch_id, tokens));
-                }
+                Response::Converged { tokens, .. } if !tokens.is_empty() => {}
                 other => return Ok(other),
             }
         }
-    }
-
-    /// Drains the converged notices collected so far (batch id, tokens).
-    pub fn take_converged(&mut self) -> Vec<ConvergedNotice> {
-        std::mem::take(&mut self.converged)
     }
 
     /// Sends an update message and returns its direct reply (`Admitted`,
@@ -146,16 +135,9 @@ impl Client {
     /// Transport failures or an unexpected reply kind.
     pub fn flush(&mut self) -> Result<u64, ServeError> {
         self.send(&Request::Flush)?;
-        loop {
-            match self.recv()? {
-                Response::Converged { batch_id, tokens, .. } => {
-                    if tokens.is_empty() {
-                        return Ok(batch_id);
-                    }
-                    self.converged.push((batch_id, tokens));
-                }
-                other => return Err(unexpected(&other)),
-            }
+        match self.recv_reply()? {
+            Response::Converged { batch_id, .. } => Ok(batch_id),
+            other => Err(unexpected(&other)),
         }
     }
 

@@ -6,7 +6,7 @@
 //! hostile prefix cannot drive an unbounded allocation (DESIGN.md §15.1).
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
@@ -121,14 +121,6 @@ impl Conn {
             Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
             Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
         };
-    }
-
-    /// The peer address, for logs (`None` for Unix sockets).
-    pub fn peer_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Conn::Tcp(s) => s.peer_addr().ok(),
-            Conn::Unix(_) => None,
-        }
     }
 }
 

@@ -21,8 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use jetstream_algorithms::UpdateKind;
-use jetstream_core::{BatchClassification, DeleteStrategy, RunStats};
+use jetstream_core::{BatchClassification, RunStats};
 use jetstream_graph::UpdateBatch;
 
 use crate::admission::{Admission, FlushPolicy, SealedBatch};
@@ -62,9 +61,6 @@ const READ_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Engine-loop tick for accepting connections when no deadline is nearer.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// Write a final durable checkpoint during graceful shutdown.
-const CHECKPOINT_ON_SHUTDOWN: bool = true;
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -249,9 +245,8 @@ impl EngineLoop {
                 if let Some(sealed) = self.admission.force_flush() {
                     self.apply_sealed(sealed);
                 }
-                if CHECKPOINT_ON_SHUTDOWN
-                    && self.backend.checkpoint().is_ok()
-                    && matches!(self.backend, Backend::Durable(_))
+                // A graceful shutdown writes a final durable checkpoint.
+                if self.backend.checkpoint().is_ok() && matches!(self.backend, Backend::Durable(_))
                 {
                     self.report.stats.checkpoints += 1;
                 }
@@ -437,9 +432,7 @@ impl EngineLoop {
         s.updates_applied += batch.len() as u64;
         s.safe_updates += class.safe() as u64;
         s.unsafe_updates += class.unsafe_total() as u64;
-        let dap_selective = self.backend.engine().config().delete_strategy == DeleteStrategy::Dap
-            && self.backend.engine().algorithm().kind() == UpdateKind::Selective;
-        if dap_selective && class.all_deletes_safe() && !batch.deletions().is_empty() {
+        if class.skips_delete_phases() {
             s.fast_path_batches += 1;
         }
         if let Backend::Durable(d) = &self.backend {

@@ -30,23 +30,16 @@ use crate::snapshot;
 use crate::wal;
 
 /// Knobs for [`DurableEngine::recover`](crate::DurableEngine::recover).
-#[derive(Debug, Clone, Copy)]
+///
+/// A torn tail on the active WAL segment is always truncated back to the
+/// last intact record; damage anywhere else is always an error.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryOptions {
-    /// Truncate a torn tail on the active WAL segment back to the last
-    /// intact record (on by default). When off, a torn tail is a loud error
-    /// — useful for read-only inspection of a damaged store.
-    pub repair_torn_tail: bool,
     /// Run [`StreamingEngine::validate_converged`] on the recovered engine
     /// and fail recovery if it does not hold. Off by default: it is an
     /// O(edges) scan, and the recovered state is already guaranteed to be a
     /// replayed prefix of real history.
     pub validate: bool,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions { repair_torn_tail: true, validate: false }
-    }
 }
 
 /// What recovery did, for logging and for the warm-restart benchmark.
@@ -152,7 +145,7 @@ pub(crate) fn recover(
             });
         }
         let is_tail = *base == root.wal_base;
-        let segment = wal::read_segment(path, is_tail && options.repair_torn_tail)?;
+        let segment = wal::read_segment(path, is_tail)?;
         wal_truncated |= segment.truncated_to.is_some();
         for record in &segment.records {
             // read_segment enforced intra-segment contiguity; this guards

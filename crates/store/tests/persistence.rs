@@ -140,7 +140,7 @@ fn durable_engine_round_trip_property() {
             workload.instantiate_with_epsilon(0, EPSILON),
             EngineConfig::default(),
             options,
-            RecoveryOptions { validate: true, ..RecoveryOptions::default() },
+            RecoveryOptions { validate: true },
         )
         .unwrap();
         assert_eq!(report.recovered_sequence, sequence, "{}", workload.name());
@@ -175,7 +175,7 @@ fn a_graph_only_snapshot_recovers_by_cold_compute_and_replay() {
             workload.instantiate_with_epsilon(0, EPSILON),
             EngineConfig::default(),
             options,
-            RecoveryOptions { validate: true, ..RecoveryOptions::default() },
+            RecoveryOptions { validate: true },
         )
         .unwrap();
         let name = workload.name();

@@ -118,9 +118,9 @@ pub fn table3(scale: u32) -> Result<String, HarnessError> {
             let jet = run_jetstream(&s)?;
             let cold = run_graphpulse_cold(&s)?;
             let soft = run_software(&s)?;
-            jet_ms.push(jet.time_ms);
-            gp_speedup.push(cold.time_ms / jet.time_ms);
-            sw_speedup.push(soft.time_ms / jet.time_ms);
+            jet_ms.push(jet.sim.time_ms());
+            gp_speedup.push(cold.sim.time_ms() / jet.sim.time_ms());
+            sw_speedup.push(soft.time_ms / jet.sim.time_ms());
         }
         let (paper_gp, paper_sw) = paper_table3_gmeans(w);
         let sw_label = match w.kind() {
@@ -257,7 +257,7 @@ pub fn fig12(scale: u32) -> Result<String, HarnessError> {
                 let s = Scenario { strategy, ..Scenario::paper_default(w, p, scale) };
                 let jet = run_jetstream(&s)?;
                 let cold = run_graphpulse_cold(&s)?;
-                cells.push(format!("{:.1}×", cold.time_ms / jet.time_ms));
+                cells.push(format!("{:.1}×", cold.sim.time_ms() / jet.sim.time_ms()));
             }
             out.push_str(&format!("| {} | {} | {} |\n", p.tag(), w.name(), cells.join(" | ")));
         }
@@ -283,7 +283,7 @@ pub fn fig13(scale: u32) -> Result<String, HarnessError> {
     for w in [Workload::Sssp, Workload::PageRank] {
         let baseline = {
             let s = Scenario { batch: 100, ..Scenario::paper_default(w, p, scale) };
-            run_jetstream(&s)?.time_ms
+            run_jetstream(&s)?.sim.time_ms()
         };
         let mut jet_row = Vec::new();
         let mut sw_row = Vec::new();
@@ -291,7 +291,7 @@ pub fn fig13(scale: u32) -> Result<String, HarnessError> {
             let s = Scenario { batch: b, ..Scenario::paper_default(w, p, scale) };
             let jet = run_jetstream(&s)?;
             let soft = run_software(&s)?;
-            jet_row.push(format!("{:.2}×", baseline / jet.time_ms));
+            jet_row.push(format!("{:.2}×", baseline / jet.sim.time_ms()));
             sw_row.push(format!("{:.4}×", baseline / soft.time_ms));
         }
         let sw_label = match w.kind() {
@@ -323,7 +323,7 @@ pub fn fig14(scale: u32) -> Result<String, HarnessError> {
                 rounds: 8,
                 ..Scenario::paper_default(w, p, scale)
             };
-            run_jetstream(&s)?.time_ms
+            run_jetstream(&s)?.sim.time_ms()
         };
         let mut jet_row = Vec::new();
         let mut ks_row = Vec::new();
@@ -336,7 +336,7 @@ pub fn fig14(scale: u32) -> Result<String, HarnessError> {
             };
             let jet = run_jetstream(&s)?;
             let ks = run_kickstarter(&s)?;
-            jet_row.push(format!("{:.2}", jet.time_ms / norm));
+            jet_row.push(format!("{:.2}", jet.sim.time_ms() / norm));
             ks_row.push(format!("{:.2}", ks.time_ms / norm));
         }
         out.push_str(&format!("| {} | JetStream | {} |\n", w.name(), jet_row.join(" | ")));
@@ -388,7 +388,7 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
                 let trace = engine.take_trace();
                 let mut sim = AcceleratorSim::new(SimConfig::jetstream(DeleteStrategy::Dap));
                 let report = sim.replay(&trace, engine.csr());
-                cells.push((stats.events_processed, report.time_ms(sim.config())));
+                cells.push((stats.events_processed, report.time_ms()));
             }
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {:.4} | {:.4} |

@@ -124,8 +124,6 @@ pub struct AcceleratorRun {
     pub sim: SimReport,
     /// Functional operation counts.
     pub stats: RunStats,
-    /// Simulated milliseconds at 1 GHz.
-    pub time_ms: f64,
 }
 
 /// Result of a software baseline run.
@@ -214,8 +212,7 @@ pub fn run_jetstream(scenario: &Scenario) -> Result<AcceleratorRun, HarnessError
     let mut sim_report = report.ok_or_else(|| scenario.no_batches())?;
     sim_report.cycles /= n;
     divide_stats(&mut stats, n);
-    let time_ms = sim_report.time_ms(sim.config());
-    Ok(AcceleratorRun { sim: sim_report, stats, time_ms })
+    Ok(AcceleratorRun { sim: sim_report, stats })
 }
 
 fn merge_reports(mut acc: SimReport, r: SimReport) -> SimReport {
@@ -259,8 +256,7 @@ pub fn run_graphpulse_cold(scenario: &Scenario) -> Result<AcceleratorRun, Harnes
     let stats = engine.cold_restart(first).map_err(|e| scenario.graph_error(e))?;
     let trace = engine.take_trace();
     let sim_report = sim.replay(&trace, engine.csr());
-    let time_ms = sim_report.time_ms(sim.config());
-    Ok(AcceleratorRun { sim: sim_report, stats, time_ms })
+    Ok(AcceleratorRun { sim: sim_report, stats })
 }
 
 /// The GraphPulse *initial* (static) evaluation on the scenario's graph —
@@ -273,8 +269,7 @@ pub fn run_graphpulse_initial(scenario: &Scenario) -> Result<AcceleratorRun, Har
     let trace = engine.take_trace();
     let mut sim = AcceleratorSim::new(SimConfig::graphpulse());
     let sim_report = sim.replay(&trace, engine.csr());
-    let time_ms = sim_report.time_ms(sim.config());
-    Ok(AcceleratorRun { sim: sim_report, stats, time_ms })
+    Ok(AcceleratorRun { sim: sim_report, stats })
 }
 
 /// KickStarter software baseline (selective workloads): converge, then
@@ -371,7 +366,7 @@ mod tests {
         let s = tiny(Workload::Sssp);
         let jet = run_jetstream(&s).unwrap();
         let cold = run_graphpulse_cold(&s).unwrap();
-        assert!(jet.time_ms < cold.time_ms);
+        assert!(jet.sim.time_ms() < cold.sim.time_ms());
         assert!(jet.stats.vertex_accesses() < cold.stats.vertex_accesses());
     }
 

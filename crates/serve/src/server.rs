@@ -92,7 +92,7 @@ pub struct ServerReport {
     pub applied: Vec<AppliedBatch>,
     /// Lifetime counters.
     pub stats: ServerStats,
-    /// Set when the server fail-stopped on an engine error.
+    /// Set when the server fail-stopped on an engine or store error.
     pub fatal: Option<String>,
 }
 
@@ -245,10 +245,16 @@ impl EngineLoop {
                 if let Some(sealed) = self.admission.force_flush() {
                     self.apply_sealed(sealed);
                 }
-                // A graceful shutdown writes a final durable checkpoint.
-                if self.backend.checkpoint().is_ok() && matches!(self.backend, Backend::Durable(_))
-                {
-                    self.report.stats.checkpoints += 1;
+                // A graceful shutdown writes a final durable checkpoint; a
+                // failed one is fatal unless an earlier error already is.
+                match self.backend.checkpoint() {
+                    Ok(()) if matches!(self.backend, Backend::Durable(_)) => {
+                        self.report.stats.checkpoints += 1;
+                    }
+                    Err(e) if self.report.fatal.is_none() => {
+                        self.report.fatal = Some(format!("final checkpoint failed: {e}"));
+                    }
+                    _ => {}
                 }
                 break;
             }

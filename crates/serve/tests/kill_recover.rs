@@ -183,3 +183,22 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_failed_final_checkpoint_is_fatal() {
+    let dir = tmpdir("lost-store");
+    let durable = DurableEngine::create(&dir, fresh_engine(), store_options()).unwrap();
+    let handle = start(
+        Backend::Durable(Box::new(durable)),
+        ServerConfig::default(),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    // The store directory vanishes under the running server, so the
+    // shutdown checkpoint has nowhere to go.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let report = handle.shutdown();
+    let fatal = report.fatal.expect("a lost final checkpoint must be fatal");
+    assert!(fatal.starts_with("final checkpoint failed: "), "{fatal}");
+    assert_eq!(report.stats.checkpoints, 0);
+}

@@ -44,8 +44,6 @@ pub struct SimConfig {
     /// DAP adds the source id — §6.1 notes the larger event size shrinks
     /// the effective queue).
     pub event_bytes: u64,
-    /// Which engine this datapath serves (sets event/vertex record sizes).
-    pub strategy: Option<DeleteStrategy>,
 }
 
 impl SimConfig {
@@ -66,7 +64,6 @@ impl SimConfig {
             batch_size: 16,
             vertex_bytes: 8,
             event_bytes: 8,
-            strategy: None,
         }
     }
 
@@ -75,7 +72,6 @@ impl SimConfig {
     /// events (14 B) and the dependency field in vertex state (12 B).
     pub fn jetstream(strategy: DeleteStrategy) -> Self {
         let mut c = SimConfig::graphpulse();
-        c.strategy = Some(strategy);
         match strategy {
             DeleteStrategy::Tag | DeleteStrategy::Vap => {
                 c.event_bytes = 10;
@@ -96,11 +92,6 @@ impl SimConfig {
     /// Number of slices needed for a graph with `num_vertices` vertices.
     pub fn slices_for(&self, num_vertices: usize) -> usize {
         num_vertices.div_ceil(self.queue_capacity()).max(1)
-    }
-
-    /// Converts cycles to milliseconds at the configured clock.
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / CLOCK_HZ * 1e3
     }
 }
 
@@ -147,11 +138,5 @@ mod tests {
         let c = SimConfig::jetstream(DeleteStrategy::Dap);
         assert_eq!(c.slices_for(100), 1);
         assert_eq!(c.slices_for(0), 1);
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let c = SimConfig::graphpulse();
-        assert!((c.cycles_to_ms(1_000_000) - 1.0).abs() < 1e-12);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates JetStream on a cycle-accurate microarchitectural
 //! simulator built on the Structural Simulation Toolkit with DRAMSim2 for
-//! off-chip memory (§6). This crate is that substrate, built from scratch:
+//! off-chip memory (§6). This crate stands in for both with one timing
+//! model, a transaction-level replay of the functional engine's op trace:
 //!
 //! * [`SimConfig`] — the hardware configuration of Table 1 (8 processing
 //!   engines @ 1 GHz, 16-bin on-chip queue, 16×16 crossbar, 4 DRAM
@@ -10,13 +11,11 @@
 //! * [`dram::Dram`] — a transaction-level multi-channel DRAM model with
 //!   per-bank open-row state and bus bandwidth limits (the DRAMSim2
 //!   substitute).
-//! * [`des`] — a component-based discrete-event simulation kernel (the
-//!   SST substitute), with [`crossbar`] as a cycle-accurate NoC model built
-//!   on it that validates the contention accounting of the trace replayer.
 //! * [`AcceleratorSim`] — replays the operation traces recorded by the
 //!   functional engine (`jetstream_core::trace`) through the datapath of
-//!   Fig. 7, producing cycle counts, per-phase timing, and off-chip traffic
-//!   statistics (Table 3, Figs. 11–14).
+//!   Fig. 7, with per-port contention on the 16×16 crossbar, producing
+//!   cycle counts, per-phase timing, and off-chip traffic statistics
+//!   (Table 3, Figs. 11–14).
 //!
 //! Functional results never depend on this crate: the engine computes them;
 //! the simulator only assigns time and traffic to what the engine did.
@@ -25,8 +24,6 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod crossbar;
-pub mod des;
 pub mod dram;
 mod replay;
 

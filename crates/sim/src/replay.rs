@@ -17,7 +17,7 @@ use jetstream_core::Phase;
 use jetstream_graph::partition::Partition;
 use jetstream_graph::CsrPair;
 
-use crate::config::{SimConfig, LINE_BYTES};
+use crate::config::{SimConfig, CLOCK_HZ, LINE_BYTES};
 use crate::dram::{Dram, DramStats};
 
 /// Bytes per CSR edge record (u32 target + f32 weight).
@@ -48,9 +48,9 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Wall-clock milliseconds at the configured clock rate.
-    pub fn time_ms(&self, config: &SimConfig) -> f64 {
-        config.cycles_to_ms(self.cycles)
+    /// Simulated milliseconds at the accelerator's clock ([`CLOCK_HZ`]).
+    pub fn time_ms(&self) -> f64 {
+        self.cycles as f64 / CLOCK_HZ * 1e3
     }
 
     /// Ratio of bytes consumed by the engines to bytes moved from DRAM
@@ -68,12 +68,6 @@ impl SimReport {
 #[derive(Debug, Clone, Copy)]
 struct MemoryMap {
     vertex_base: u64,
-    /// Region reserved between vertex records and the edge array; the edge
-    /// pointer itself travels inside the prefetched vertex record (§4.4),
-    /// so no access targets this region directly.
-    // layout documentation: the span exists in the map but is never addressed
-    #[allow(dead_code)]
-    out_offsets_base: u64,
     out_edges_base: u64,
     in_offsets_base: u64,
     in_edges_base: u64,
@@ -87,6 +81,9 @@ impl MemoryMap {
         let n = num_vertices as u64;
         let m = num_edges as u64;
         let vertex_base = 0;
+        // Region reserved between vertex records and the edge array; the
+        // edge pointer itself travels inside the prefetched vertex record
+        // (§4.4), so no access targets this region directly.
         let out_offsets_base = align(vertex_base + n * vertex_bytes);
         let out_edges_base = align(out_offsets_base + (n + 1) * OFFSET_BYTES);
         let in_offsets_base = align(out_edges_base + m * EDGE_BYTES);
@@ -95,7 +92,6 @@ impl MemoryMap {
         let spill_base = align(stream_base + (1 << 20));
         MemoryMap {
             vertex_base,
-            out_offsets_base,
             out_edges_base,
             in_offsets_base,
             in_edges_base,
@@ -136,11 +132,6 @@ impl AcceleratorSim {
     /// Creates a simulator with the given hardware configuration.
     pub fn new(config: SimConfig) -> Self {
         AcceleratorSim { config }
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Replays `trace` against the memory layout of `graph`, returning the
@@ -367,8 +358,9 @@ struct ReplayState {
 mod tests {
     use super::*;
     use jetstream_algorithms::Workload;
+    use jetstream_core::trace::{PhaseTrace, RoundTrace};
     use jetstream_core::{DeleteStrategy, EngineConfig, StreamingEngine};
-    use jetstream_graph::gen;
+    use jetstream_graph::{gen, Csr};
 
     fn traced_initial(
         workload: Workload,
@@ -381,6 +373,46 @@ mod tests {
         engine.set_tracing(true);
         engine.initial_compute();
         (engine.take_trace(), engine.csr().clone())
+    }
+
+    /// Replays one op of vertex 0 that generates an event to each of
+    /// `targets`, alone in one round, on an edgeless 1,024-vertex graph.
+    fn replay_one_op(targets: Vec<u32>) -> SimReport {
+        let op = TraceOp {
+            vertex: 0,
+            kind: OpKind::Apply,
+            changed: false,
+            edges_read: 0,
+            targets_start: 0,
+            targets_len: targets.len() as u32,
+        };
+        let trace = Trace {
+            phases: vec![PhaseTrace {
+                phase: Phase::Initial,
+                rounds: vec![RoundTrace { ops: vec![op] }],
+            }],
+            targets,
+        };
+        let graph = CsrPair::new(Csr::new(1024));
+        AcceleratorSim::new(SimConfig::graphpulse()).replay(&trace, &graph)
+    }
+
+    #[test]
+    fn a_hot_output_port_serialises_the_crossbar() {
+        // 1,024 vertices over 16 bins: bin `b` holds vertices `64b..64b+64`.
+        let hot = replay_one_op((0..64).collect());
+        let spread = replay_one_op((0..64).map(|k| (k % 16) * 64 + k / 16).collect());
+        // Spread over the 16 output ports, the 4 generation streams issue
+        // one event each per cycle; sent to one port, the 64 events leave
+        // one per cycle.
+        let serialised = 64 - 64 / SimConfig::graphpulse().gen_streams_per_processor as u64;
+        assert_eq!(hot.cycles, spread.cycles + serialised);
+    }
+
+    #[test]
+    fn cycle_conversion() {
+        let report = SimReport { cycles: 1_000_000, ..replay_one_op(Vec::new()) };
+        assert!((report.time_ms() - 1.0).abs() < 1e-12);
     }
 
     #[test]

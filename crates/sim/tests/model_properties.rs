@@ -1,8 +1,6 @@
 //! Property-based tests on the timing substrate: conservation and
-//! monotonicity laws the DRAM model must satisfy for any access pattern,
-//! and determinism of the DES kernel under arbitrary seeding.
+//! monotonicity laws the DRAM model must satisfy for any access pattern.
 
-use jetstream_sim::crossbar::{run_crossbar, Flit};
 use jetstream_sim::dram::Dram;
 use jetstream_sim::{SimConfig, LINE_BYTES};
 use jetstream_testkit::{run_cases, DetRng};
@@ -72,39 +70,6 @@ fn dram_sequential_not_slower_than_random() {
         assert!(
             seq.stats().row_hits >= rnd.stats().row_hits || t_seq <= t_rnd,
             "sequential ({t_seq}) should exploit at least as much locality as random ({t_rnd})"
-        );
-    });
-}
-
-/// The crossbar delivers every flit exactly once, never finishes before
-/// the per-port lower bounds, and is deterministic.
-#[test]
-fn crossbar_delivers_everything_deterministically() {
-    run_cases("crossbar_delivers_everything_deterministically", 64, |rng| {
-        let n = rng.gen_range(1, 120);
-        let flits: Vec<(u64, Flit)> = (0..n)
-            .map(|_| {
-                let at = rng.gen_range(0, 20) as u64;
-                let input = rng.gen_range(0, 8);
-                let output = rng.gen_range(0, 8);
-                (at, Flit { input, output })
-            })
-            .collect();
-        let a = run_crossbar(8, &flits);
-        let b = run_crossbar(8, &flits);
-        assert_eq!(a, b);
-        assert_eq!(a.delivered, flits.len() as u64);
-        // Lower bound: the most loaded output port needs one cycle per
-        // flit after the earliest arrival.
-        let mut per_output = [0u64; 8];
-        for &(_, f) in &flits {
-            per_output[f.output] += 1;
-        }
-        let max_load = per_output.iter().copied().max().unwrap_or(0);
-        assert!(
-            a.finish_time + 1 >= max_load,
-            "finish {} cannot beat the output-port bound {max_load}",
-            a.finish_time
         );
     });
 }

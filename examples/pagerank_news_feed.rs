@@ -54,7 +54,7 @@ fn main() {
         engine.set_tracing(true);
         engine.apply_update_batch(&batch).expect("valid batch");
         let trace = engine.take_trace();
-        let jet_ms = jet_sim.replay(&trace, engine.csr()).time_ms(jet_sim.config());
+        let jet_ms = jet_sim.replay(&trace, engine.csr()).time_ms();
         jet_total_ms += jet_ms;
 
         // What a cold restart of the same graph version would cost.
@@ -66,7 +66,7 @@ fn main() {
         cold.set_tracing(true);
         cold.initial_compute();
         let cold_trace = cold.take_trace();
-        let cold_ms = gp_sim.replay(&cold_trace, cold.csr()).time_ms(gp_sim.config());
+        let cold_ms = gp_sim.replay(&cold_trace, cold.csr()).time_ms();
         cold_total_ms += cold_ms;
 
         println!(

@@ -110,7 +110,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let report = sim.replay(&trace, engine.csr());
         eprintln!(
             "  simulated: {:.4} ms @ 1 GHz, {:.1} KB off-chip traffic",
-            report.time_ms(sim.config()),
+            report.time_ms(),
             report.dram.bytes_transferred as f64 / 1024.0
         );
     }
@@ -134,7 +134,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             if simulate {
                 let trace = engine.take_trace();
                 let report = sim.replay(&trace, engine.csr());
-                eprint!(", {:.4} ms simulated", report.time_ms(sim.config()));
+                eprint!(", {:.4} ms simulated", report.time_ms());
             }
             eprintln!();
         }

@@ -98,7 +98,7 @@ pub(crate) fn slots<T>(col: &[T], row: RowSpan) -> &[T] {
 /// *simple*: no self-loops, no parallel edges. The validated mutation API
 /// (`insert_edge`, `delete_edge`, `check_batch`/`commit`, `apply_batch`)
 /// lives in the `dcsr` module.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Csr<W = Weight> {
     pub(crate) rows: Vec<RowSpan>,
     pub(crate) targets: Vec<VertexId>,
@@ -137,6 +137,32 @@ impl<W: PartialEq> PartialEq for Csr<W> {
     }
 }
 
+/// A column holding `col`, allocated up to the compaction trigger of
+/// `live` edges (or to `col`'s length, if that is more): the room every
+/// arena is built with, so the relocations between compactions grow it in
+/// place instead of reallocating (and copying) it (DESIGN.md §17.2).
+fn arena<T: Copy>(live: usize, col: &[T]) -> Vec<T> {
+    let mut arena = Vec::with_capacity(arena_bound(live).max(col.len()));
+    arena.extend_from_slice(col);
+    arena
+}
+
+/// A clone copies the live layout (holes and slack included) into an
+/// arena with the room `with_rows` gives a fresh one: an engine
+/// mounted on a clone relocates rows without reallocating its arena.
+impl<W: Copy + Default> Clone for Csr<W> {
+    fn clone(&self) -> Self {
+        Csr {
+            rows: self.rows.clone(),
+            targets: arena(self.live, &self.targets),
+            weights: arena(self.live, &self.weights),
+            live: self.live,
+            version: self.version,
+            ..Csr::default()
+        }
+    }
+}
+
 impl<W: Copy + Default> Csr<W> {
     /// The one row layout every rebuilt arena has (DESIGN.md §17.1): rows
     /// back to back in vertex order, row `v` holding `row_cap(lens[v])`
@@ -152,8 +178,7 @@ impl<W: Copy + Default> Csr<W> {
             end += row_cap(len);
         }
         let live = lens.iter().sum();
-        let room = arena_bound(live);
-        let (mut targets, mut weights) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        let (mut targets, mut weights) = (arena(live, &[]), arena(live, &[]));
         targets.resize(end, 0);
         weights.resize(end, W::default());
         Csr { rows, live, targets, weights, ..Csr::default() }
@@ -421,8 +446,8 @@ impl Csr {
     /// A copy of the graph in the layout compaction leaves: the same rows,
     /// no holes.
     pub fn snapshot(&self) -> Csr {
-        let mut copy = self.clone();
-        copy.compact();
+        let mut copy = self.compacted();
+        copy.version = self.version;
         copy
     }
 
@@ -616,6 +641,31 @@ mod tests {
         assert_eq!(copy.arena_slots(), 12);
         assert_eq!(copy.validate(), Ok(()));
         assert_eq!(g.snapshot_pair(), CsrPair::new(g));
+    }
+
+    // Both columns of a clone, of a `Csr` and of an `InEdges` alike, are
+    // allocated up to the compaction trigger, as a fresh arena is: an
+    // engine mounted on the clone relocates rows without reallocating.
+    // The clone copies the layout itself, holes and slack included.
+    #[test]
+    fn a_clone_keeps_the_arena_room() {
+        fn assert_room<W: Copy + Default>(g: &Csr<W>) {
+            let copy = g.clone();
+            let room = arena_bound(g.num_edges());
+            assert!(copy.targets.capacity() >= room, "{} target slots", copy.targets.capacity());
+            assert!(copy.weights.capacity() >= room, "{} weight slots", copy.weights.capacity());
+            assert_eq!((&copy.rows, &copy.targets), (&g.rows, &g.targets));
+        }
+        let mut pair = CsrPair::new(crate::gen::erdos_renyi(200, 1200, 7));
+        assert_room(&pair.out);
+        assert_room(&pair.inc);
+        let mut batch = crate::UpdateBatch::new();
+        for (u, v) in (0..50).map(|u| (u, 199 - u)).filter(|&(u, v)| !pair.out.has_edge(u, v)) {
+            batch.insert(u, v, 1.0);
+        }
+        pair.apply_batch(&batch).expect("fresh inserts apply");
+        assert_room(&pair.out);
+        assert_room(&pair.inc);
     }
 
     #[test]

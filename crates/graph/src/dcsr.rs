@@ -290,13 +290,20 @@ impl<W: Copy + Default> Csr<W> {
     /// every rebuilt arena is — in vertex order, each with a quarter again
     /// its length as slack, no holes.
     pub fn compact(&mut self) {
-        let fresh = Csr::<W>::with_rows(self.rows.iter().map(|r| r.len()).collect());
-        let (mut targets, mut weights) = (fresh.targets, fresh.weights);
+        let fresh = self.compacted();
+        (self.rows, self.targets, self.weights) = (fresh.rows, fresh.targets, fresh.weights);
+    }
+
+    /// The same rows in the compacted layout, built straight from the live
+    /// entries: the one body of [`compact`](Csr::compact) and
+    /// [`snapshot`](Csr::snapshot).
+    pub(crate) fn compacted(&self) -> Self {
+        let mut fresh = Csr::<W>::with_rows(self.rows.iter().map(|r| r.len()).collect());
         for (&from, &to) in self.rows.iter().zip(&fresh.rows) {
-            targets[to.live()].copy_from_slice(slots(&self.targets, from));
-            weights[to.live()].copy_from_slice(slots(&self.weights, from));
+            fresh.targets[to.live()].copy_from_slice(slots(&self.targets, from));
+            fresh.weights[to.live()].copy_from_slice(slots(&self.weights, from));
         }
-        (self.rows, self.targets, self.weights) = (fresh.rows, targets, weights);
+        fresh
     }
 
     /// Writes edges a check has vouched for.
@@ -618,6 +625,43 @@ mod tests {
             "slack slots must be zero-filled"
         );
         assert_eq!(g.validate(), Ok(()));
+    }
+
+    // Every multi-query user mounts an engine on a clone of the graph.
+    // Batches that relocate rows but stay under the compaction trigger
+    // grow both views in place: no buffer moves or changes capacity, so
+    // no arena is copied and no old copy is left behind.
+    #[test]
+    fn a_mounted_clone_relocates_rows_without_reallocating() {
+        let g = crate::gen::erdos_renyi(200, 1200, 7);
+        let mut pair = CsrPair::new(g.clone());
+        let buffers = |p: &CsrPair| {
+            let (out, inc) = (&p.out, &p.inc);
+            [
+                (out.targets.as_ptr() as usize, out.targets.capacity()),
+                (out.weights.as_ptr() as usize, out.weights.capacity()),
+                (inc.targets.as_ptr() as usize, inc.targets.capacity()),
+            ]
+        };
+        let before = buffers(&pair);
+        for round in 0..2u32 {
+            // Two fresh out-edges on each of 50 rows: rows with less than
+            // two slots of slack relocate.
+            let mut batch = UpdateBatch::new();
+            for u in (0..200u32).filter(|u| u % 4 == round) {
+                let fresh =
+                    (1..200u32).map(|d| (u + d) % 200).filter(|&v| !pair.out.has_edge(u, v));
+                for v in fresh.take(2) {
+                    batch.insert(u, v, 1.0);
+                }
+            }
+            let slots = pair.out.arena_slots();
+            pair.apply_batch(&batch).expect("fresh inserts apply");
+            assert!(pair.out.arena_slots() > slots, "round {round} relocated no row");
+            assert!(pair.out.arena_slots() <= arena_bound(pair.num_edges()), "round {round}");
+        }
+        assert_eq!(buffers(&pair), before, "a relocation reallocated an arena");
+        assert_eq!(pair.validate(), Ok(()));
     }
 
     /// Every non-empty row has the compacted layout's slack, and the arena

@@ -43,8 +43,6 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Events generated (crossbar traversals).
     pub events_generated: u64,
-    /// Graph slices the queue was partitioned into (§4.7).
-    pub slices: usize,
 }
 
 impl SimReport {
@@ -183,7 +181,6 @@ impl AcceleratorSim {
             bytes_used: state.bytes_used,
             events_processed: state.events_processed,
             events_generated: state.events_generated,
-            slices,
         }
     }
 

@@ -234,6 +234,7 @@ fn divide_stats(stats: &mut RunStats, n: u64) {
     stats.vertex_writes /= n;
     stats.edge_reads /= n;
     stats.resets /= n;
+    stats.restored /= n;
     stats.delete_events /= n;
     stats.request_events /= n;
     stats.stream_reads /= n;

@@ -1,14 +1,15 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the engine's components — queue insert, queue drain, kernel apply
-//! via `initial_compute`, CSR snapshot maintenance, graph generation and
-//! bulk construction, and the serving layer's update admission — with
-//! warmup + median-of-K sampling, and serializes the results to the
-//! `BENCH.json` schema documented in DESIGN.md §12. Whole engines and the
-//! server are measured by `benchmark/` (`BENCHMARK.json`), not here.
-//! Everything here is std-only (the workspace builds offline); the JSON
-//! writer and the line-oriented reader used by `--check` live here too so
-//! the regression gate needs no external parser.
+//! via `initial_compute`, an SSWP churn stream under DAP, CSR snapshot
+//! maintenance, graph generation and bulk construction, and the serving
+//! layer's update admission — with warmup + median-of-K sampling, and
+//! serializes the results to the `BENCH.json` schema documented in
+//! DESIGN.md §12. Whole engines and the server are measured by
+//! `benchmark/` (`BENCHMARK.json`), not here. Everything here is std-only
+//! (the workspace builds offline); the JSON writer and the line-oriented
+//! reader used by `--check` live here too so the regression gate needs no
+//! external parser.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -324,6 +325,59 @@ fn bench_initial_compute<X: Executor>(
     ))
 }
 
+/// The churn stream of [`bench_stream_sswp_churn`]: 16 batches of the
+/// paper-default shape (100 updates at [`DEFAULT_SCALE`], 70 % insertions)
+/// on the Wikipedia profile, seed 1. Its first batch is a tie storm —
+/// SSWP's delete wave resets 2403 of 3552 vertices and all but 44 keep
+/// their width — and its 16th resets 2169 of which only 37 keep theirs.
+fn sswp_churn_scenario() -> Scenario {
+    let profile = DatasetProfile::Wikipedia;
+    Scenario {
+        seed: 1,
+        rounds: 16,
+        ..Scenario::paper_default(Workload::Sswp, profile, DEFAULT_SCALE)
+    }
+}
+
+/// SSWP under DAP streaming [`sswp_churn_scenario`]'s batches from the
+/// converged base state (mounted from a checkpoint, untimed): the delete
+/// waves, the restore step and the recompute of both storms. The same
+/// instance in either mode, like the graph builders'.
+#[allow(clippy::expect_used)] // invariant: the state was read off an engine on the same graph
+fn bench_stream_sswp_churn(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
+    let scenario = sswp_churn_scenario();
+    let (base, batches) = harness::base_and_batches(&scenario);
+    let root = harness::root_for(&base);
+    let alg = || scenario.workload.instantiate(root);
+    let mut engine = StreamingEngine::new(alg(), base.clone(), engine_config());
+    engine.initial_compute();
+    let (values, dependency) = (engine.values().to_vec(), engine.dependencies().to_vec());
+    for batch in &batches {
+        engine.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
+    }
+    Ok(measure(
+        "kernel_stream_sswp_churn",
+        cfg.warmup,
+        cfg.samples,
+        || {
+            let (values, dependency) = (values.clone(), dependency.clone());
+            StreamingEngine::from_checkpoint(
+                alg(),
+                base.clone(),
+                values,
+                dependency,
+                engine_config(),
+            )
+            .expect("invariant: the state was read off an engine on the same graph")
+        },
+        |engine| {
+            for batch in &batches {
+                std::hint::black_box(engine.apply_update_batch(batch)).ok();
+            }
+        },
+    ))
+}
+
 /// One batch through `CsrPair::apply_batch` on a pair as a compaction
 /// leaves it: checked once, then both views edited in place in
 /// `O(batch · degree)`. Not on a clone: cloning trims the arenas' room to
@@ -488,6 +542,7 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let sharded2 = |alg, g| ShardedEngine::new(alg, g, engine_config(), 2);
     let name = "kernel_initial_compute_pagerank_sharded2";
     report(&mut results, bench_initial_compute(cfg, name, Workload::PageRank, sharded2)?);
+    report(&mut results, bench_stream_sswp_churn(cfg)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     report(&mut results, bench_graph_generate(cfg));
     report(&mut results, bench_csr_from_edges(cfg));
@@ -562,13 +617,16 @@ pub fn parse_medians(json: &str) -> Vec<(String, u64)> {
 /// and every store recovery builds its graph through them: a return to
 /// edge-by-edge insertion or a global sort shows here first. Incremental
 /// maintenance is ratcheted because the in-edge view shifts 4 bytes a
-/// slot, not 12: a weight column back in it fails a full-mode check.
+/// slot, not 12: a weight column back in it fails a full-mode check. The
+/// SSWP churn stream is ratcheted because the DAP restore step is what
+/// keeps its tie storm from re-deriving two thirds of the graph.
 pub const RATCHETS: &[(&str, f64)] = &[
     ("queue_insert_weighted_row_sourced", 1.3),
     ("queue_insert_run", 1.3),
     ("kernel_initial_compute_pagerank", 1.3),
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
+    ("kernel_stream_sswp_churn", 1.3),
     ("snapshot_maintain_incremental", 1.3),
     ("admission_admit_message", 1.3),
     ("graph_generate_livejournal", 1.3),
@@ -744,12 +802,30 @@ mod tests {
                 "kernel_initial_compute_pagerank",
                 "kernel_initial_compute_sssp",
                 "kernel_initial_compute_pagerank_sharded2",
+                "kernel_stream_sswp_churn",
                 "snapshot_maintain_incremental",
                 "graph_generate_livejournal",
                 "csr_from_edges",
                 "admission_admit_message",
             ]
         );
+    }
+
+    #[test]
+    fn the_sswp_churn_stream_holds_a_tie_storm_and_a_real_one() {
+        let scenario = sswp_churn_scenario();
+        let (base, batches) = harness::base_and_batches(&scenario);
+        let n = base.num_vertices() as u64;
+        let root = harness::root_for(&base);
+        let mut engine =
+            StreamingEngine::new(scenario.workload.instantiate(root), base, engine_config());
+        engine.initial_compute();
+        let stats: Vec<_> =
+            batches.iter().map(|b| engine.apply_update_batch(b).expect("valid batch")).collect();
+        let storms: Vec<_> = stats.iter().filter(|s| 2 * s.resets > n).collect();
+        assert_eq!(storms.len(), 2, "{stats:?}");
+        assert!(storms[0].restored * 10 > storms[0].resets * 9, "a tie storm: {:?}", storms[0]);
+        assert!(storms[1].restored * 10 < storms[1].resets, "a real storm: {:?}", storms[1]);
     }
 
     #[test]

@@ -146,7 +146,7 @@ struct AsyncState<'a> {
     /// Shard width (`hi - lo`), for the single-compare ownership test.
     width: VertexId,
     stats: &'a mut RunStats,
-    impacted: &'a mut Vec<VertexId>,
+    impacted: &'a mut Vec<(VertexId, Value)>,
     /// This shard's index.
     me: usize,
     queue: &'a mut CoalescingQueue,
@@ -164,8 +164,8 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
         self.stats
     }
 
-    fn impacted(&mut self, v: VertexId) {
-        self.impacted.push(v);
+    fn impacted(&mut self, v: VertexId, previous: Value) {
+        self.impacted.push((v, previous));
     }
 
     fn emit(&mut self, ev: Event) {

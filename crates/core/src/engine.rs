@@ -402,6 +402,7 @@ impl Drain for Sequential {
             stats: run.stats,
             tracer: run.tracer,
             impacted: run.impacted,
+            previous: run.previous,
             reduce: cx.reduce,
             slice_cap,
             active_slice: 0,
@@ -449,6 +450,7 @@ struct SeqState<'a> {
     stats: &'a mut RunStats,
     tracer: &'a mut TraceBuilder,
     impacted: &'a mut Vec<VertexId>,
+    previous: &'a mut Vec<Value>,
     reduce: Reduce,
     /// Slice width when the graph spans several slices (§4.7).
     slice_cap: Option<usize>,
@@ -475,8 +477,9 @@ impl<'a> ExecState<'a> for SeqState<'a> {
         self.stats
     }
 
-    fn impacted(&mut self, v: VertexId) {
+    fn impacted(&mut self, v: VertexId, previous: Value) {
         self.impacted.push(v);
+        self.previous.push(previous);
     }
 
     fn emit(&mut self, ev: Event) {

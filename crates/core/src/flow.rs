@@ -29,6 +29,7 @@ use crate::engine::{
 use crate::event::{Carry, Event, Row};
 use crate::kernel::{self, KernelCtx};
 use crate::queue::QueueStats;
+use crate::restore::Restore;
 use crate::stats::{Phase, RunStats};
 use crate::trace::{OpKind, TraceBuilder, TraceOp};
 
@@ -38,8 +39,9 @@ pub struct RunState<'a> {
     pub(crate) values: &'a mut [Value],
     pub(crate) dependency: &'a mut [Option<VertexId>],
     /// Vertices reset by this drain are appended in the executor's
-    /// canonical order.
+    /// canonical order, and the values they held to `previous` in step.
     pub(crate) impacted: &'a mut Vec<VertexId>,
+    pub(crate) previous: &'a mut Vec<Value>,
     /// The current run's counters; workers' shares are folded in before
     /// the drain returns.
     pub(crate) stats: &'a mut RunStats,
@@ -88,8 +90,9 @@ pub trait Executor: sealed::Drain {}
 /// GraphPulse (Algorithm 1) and supports streaming update batches with the
 /// JetStream recovery flows:
 ///
-/// * selective algorithms: delete tagging → impacted reset → request-based
-///   re-approximation → insertion events → recompute (Algorithms 4 & 5);
+/// * selective algorithms: delete tagging → impacted reset → (DAP) restore
+///   of exactly supplied values → request-based re-approximation →
+///   insertion events → recompute (Algorithms 4 & 5);
 /// * accumulative algorithms: sink transform → negative deltas on the
 ///   intermediate graph → re-insertion events → recompute (Algorithms 3 & 6,
 ///   Fig. 5).
@@ -112,7 +115,10 @@ pub struct StreamingFlow<X: Executor> {
     stats: RunStats,
     pub(crate) tracer: TraceBuilder,
     pub(crate) exec: X,
-    /// The one reusable per-batch buffer, the flow's alone (executors keep
+    /// The values the vertices in `impacted` held, and the DAP restore
+    /// step's scratch.
+    restore: Restore,
+    /// The accumulative flow's reusable per-batch buffer (executors keep
     /// their own drain buffers): the sorted, deduplicated sources an
     /// accumulative batch touches, which both of its set-up phases walk. It
     /// grows to its high-water mark once and is empty between batches, so
@@ -146,6 +152,7 @@ impl<X: Executor> StreamingFlow<X> {
             values,
             dependency,
             impacted: Vec::new(),
+            restore: Restore::default(),
             config,
             stats: RunStats::default(),
             tracer: TraceBuilder::default(),
@@ -255,7 +262,9 @@ impl<X: Executor> StreamingFlow<X> {
     /// * under DAP, every recorded `Leads-To` dependency (§5.2) is an edge
     ///   of the active graph — a dangling dependency means a deleted edge's
     ///   contribution survived recovery (the recoverable-approximation
-    ///   property of §3.4 would be broken);
+    ///   property of §3.4 would be broken) — that supplies its vertex's
+    ///   value exactly (`propagate` over the edge, bit for bit), and the
+    ///   dependencies form a forest, with no cycle;
     /// * selective algorithms: the values are a fixed point — no edge can
     ///   still improve its target, i.e. for every edge `u -> v` the
     ///   contribution `u` currently sends over it reduces into `v`'s value
@@ -379,10 +388,21 @@ impl<X: Executor> StreamingFlow<X> {
 
     /// Drains the seeded events to quiescence on the active CSR.
     fn drain(&mut self) {
-        let StreamingFlow { alg, csr, config, values, dependency, impacted, stats, tracer, .. } =
-            self;
+        let StreamingFlow {
+            alg,
+            csr,
+            config,
+            values,
+            dependency,
+            impacted,
+            restore,
+            stats,
+            tracer,
+            ..
+        } = self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        self.exec.drain(&cx, RunState { values, dependency, impacted, stats, tracer });
+        let previous = &mut restore.previous;
+        self.exec.drain(&cx, RunState { values, dependency, impacted, previous, stats, tracer });
     }
 
     fn drain_phase(&mut self, phase: Phase) {
@@ -432,6 +452,7 @@ impl<X: Executor> StreamingFlow<X> {
         // a deleted edge's weight.
         let checked = self.csr.out.check_batch(batch)?;
         self.impacted.clear();
+        self.restore.previous.clear();
         if skip_deletes {
             // Classification proved phases 1–3 no-ops.
             self.csr.commit(checked);
@@ -513,13 +534,15 @@ impl<X: Executor> StreamingFlow<X> {
         // The §3.5 version switch, in place in O(batch · degree).
         self.csr.commit(checked);
 
-        // Phase 3 — request events along each impacted vertex's incoming
-        // edges (Algorithm 4, Reapproximate), the borrowed in-edge row
-        // seeded whole.
         self.tracer.begin_phase(Phase::RequestSetup);
-        let StreamingFlow { alg, reduce, csr, impacted, stats, tracer, exec, .. } = self;
+        self.restore_supplied();
+
+        // Phase 3 — request events along each still-reset vertex's
+        // incoming edges (Algorithm 4, Reapproximate), the borrowed
+        // in-edge row seeded whole.
+        let StreamingFlow { alg, reduce, csr, values, impacted, stats, tracer, exec, .. } = self;
         let identity = alg.identity();
-        for &x in impacted.iter() {
+        for &x in impacted.iter().filter(|&&x| values[ix(x)] == identity) {
             let sources = csr.inc.neighbor_targets(x);
             stats.edge_reads += sources.len() as u64;
             stats.request_events += sources.len() as u64;
@@ -540,6 +563,29 @@ impl<X: Executor> StreamingFlow<X> {
             tracer.push_op(setup_op(OpKind::RequestSetup, x, sources.len(), targets_start, count));
         }
         self.tracer.end_round();
+    }
+
+    /// Under DAP, hands every reset vertex its previous value back where a
+    /// valid in-neighbour of the committed graph still supplies it exactly
+    /// (DESIGN.md §3.1): the rest of Algorithm 4 sees only the vertices
+    /// still at the identity. Tag and VAP keep the paper's literal flow.
+    fn restore_supplied(&mut self) {
+        let StreamingFlow {
+            alg,
+            csr,
+            config,
+            values,
+            dependency,
+            impacted,
+            restore,
+            stats,
+            tracer,
+            ..
+        } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
+        if cx.dap_active {
+            restore.run(&cx, impacted, values, dependency, stats, tracer);
+        }
     }
 
     // ------------------------------------------------------------------

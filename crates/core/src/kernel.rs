@@ -145,8 +145,9 @@ pub(crate) trait ExecState<'a> {
     fn verts(&mut self) -> &mut VertexState<'a>;
     /// Operation counters for the current run.
     fn stats(&mut self) -> &mut RunStats;
-    /// Records `v` as reset (impacted) during delete propagation.
-    fn impacted(&mut self, v: VertexId);
+    /// Records `v` as reset (impacted) during delete propagation, with the
+    /// value it held.
+    fn impacted(&mut self, v: VertexId, previous: Value);
     /// Hands an emitted event to the owner (queue insert or outbox push).
     /// The implementation must count it in `events_generated` and, when it
     /// traces, record its target.
@@ -265,11 +266,13 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
 
     let (generated, edges_read) = if should_reset {
         let previous = current;
+        // The Leads-To parent stays recorded: under DAP the restore step
+        // tries it first and clears it where the vertex stays reset
+        // (DESIGN.md §3.1); Tag and VAP record none.
         st.verts().set_value(ev.target, identity);
-        st.verts().set_dependency(ev.target, None);
         st.stats().vertex_writes += 1;
         st.stats().resets += 1;
-        st.impacted(ev.target);
+        st.impacted(ev.target, previous);
         propagate_deletes(cx, st, ev.target, previous)
     } else {
         (0, 0)
@@ -334,7 +337,8 @@ fn propagate_deletes<'a>(
 
 /// The value-level checks of
 /// [`StreamingFlow::validate_converged`](crate::StreamingFlow::validate_converged):
-/// Leads-To edges under DAP, then a selective fixed point or finite
+/// the Leads-To forest under DAP (edges of the active graph, exact
+/// supports, no cycle), then a selective fixed point or finite
 /// accumulative values.
 pub(crate) fn validate_converged_values(
     cx: &KernelCtx<'_>,
@@ -348,6 +352,20 @@ pub(crate) fn validate_converged_values(
                 "dangling dependency: vertex {v} leads-to {u}, but edge \
                  {u} -> {v} is not in the active graph"
             ));
+        }
+        for (v, u) in dependency.iter().enumerate().filter_map(|(v, d)| Some((vid(v), (*d)?))) {
+            let weight = csr.out.edge_weight(u, v);
+            let supply = weight.and_then(|w| supply(cx, values[ix(u)], u, w));
+            let value = values[ix(v)];
+            if supply.map(f64::to_bits) != Some(value.to_bits()) {
+                return Err(format!(
+                    "unsupported dependency: vertex {v} holds {value} but its \
+                     leads-to {u} supplies {supply:?}"
+                ));
+            }
+        }
+        if let Some(v) = leads_to_cycle(dependency) {
+            return Err(format!("leads-to cycle through vertex {v}"));
         }
     }
     match cx.kind {
@@ -377,6 +395,41 @@ pub(crate) fn validate_converged_values(
     Ok(())
 }
 
+/// What a selective `u`, holding `value`, sends over its out-edge of
+/// `weight` in the active graph (`None`: `propagate` sends nothing).
+pub(crate) fn supply(
+    cx: &KernelCtx<'_>,
+    value: Value,
+    u: VertexId,
+    weight: Value,
+) -> Option<Value> {
+    let ctx = EdgeCtx { weight, out_degree: cx.csr.out.degree(u), weight_sum: cx.weight_sum(u) };
+    cx.alg.propagate(value, value, &ctx)
+}
+
+/// A vertex on a cycle of the Leads-To forest, if it has one. One stamped
+/// walk up from every unvisited vertex: a walk that meets its own stamp
+/// closed a cycle, and one that meets an earlier walk's stamp joins a
+/// chain already known to end at a root, so the scan is O(V).
+fn leads_to_cycle(dependency: &[Option<VertexId>]) -> Option<VertexId> {
+    let mut stamp = vec![0u32; dependency.len()];
+    for start in 0..dependency.len() {
+        let walk = vid(start) + 1;
+        let mut v = vid(start);
+        while stamp[ix(v)] == 0 {
+            stamp[ix(v)] = walk;
+            match dependency[ix(v)] {
+                Some(u) => v = u,
+                None => break,
+            }
+        }
+        if stamp[ix(v)] == walk && dependency[ix(v)].is_some() {
+            return Some(v);
+        }
+    }
+    None
+}
+
 /// The first vertex, in id order, whose recorded Leads-To dependency is
 /// not an edge of `graph`, with that dependency: `(vertex, leads_to)`.
 pub(crate) fn dangling_dependency(
@@ -392,7 +445,7 @@ pub(crate) fn dangling_dependency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jetstream_algorithms::{PageRank, Sssp};
+    use jetstream_algorithms::{PageRank, Sssp, Sswp};
 
     // kills jm-6dbecaba (kernel.rs logic-swap in dap_active): DAP needs
     // *both* the Dap strategy and a selective algorithm — PageRank under
@@ -409,5 +462,37 @@ mod tests {
         assert!(!active(&sssp, DeleteStrategy::Tag));
         assert!(!active(&pr, DeleteStrategy::Dap));
         assert!(!active(&pr, DeleteStrategy::Tag));
+    }
+
+    // The Leads-To fence of `validate_converged`: under DAP every recorded
+    // dependency supplies its vertex's value exactly, and the forest has
+    // no cycle. SSWP on 0 -> 1, 0 -> 2 and 1 <-> 2: every width is 4.
+    #[test]
+    fn the_leads_to_fence_reports_unsupported_dependencies_and_cycles() {
+        let edges = [(0, 1, 4.0), (0, 2, 4.0), (1, 2, 4.0), (2, 1, 4.0), (2, 3, 6.0)];
+        let csr = CsrPair::new(Csr::from_edges(4, &edges));
+        let sswp = Sswp::new(0);
+        let cx = KernelCtx::new(&sswp, &csr, DeleteStrategy::Dap);
+        let check = |values: &[Value], dependency: &[Option<VertexId>]| {
+            validate_converged_values(&cx, values, dependency)
+        };
+        let values = [Value::INFINITY, 4.0, 4.0, 4.0];
+        assert_eq!(check(&values, &[None, Some(0), Some(1), Some(2)]), Ok(()));
+        // 1 and 2 each supply the other's width exactly, and lead to each
+        // other: a 2-cycle with no root.
+        let cycle = check(&values, &[None, Some(2), Some(1), Some(2)]).unwrap_err();
+        assert!(cycle.contains("cycle"), "{cycle}");
+        // 3 leads to 2 over weight 6, which supplies 4, not the 5 it holds
+        // (a width no edge into 3 supplies).
+        let values = [Value::INFINITY, 4.0, 4.0, 5.0];
+        let unsupported = check(&values, &[None, Some(0), Some(0), Some(2)]).unwrap_err();
+        assert!(unsupported.contains("unsupported dependency: vertex 3"), "{unsupported}");
+        // Tag records no forest, so nothing is fenced.
+        let tag = KernelCtx::new(&sswp, &csr, DeleteStrategy::Tag);
+        let values = [Value::INFINITY, 4.0, 4.0, 4.0];
+        assert_eq!(
+            validate_converged_values(&tag, &values, &[None, Some(2), Some(1), None]),
+            Ok(())
+        );
     }
 }

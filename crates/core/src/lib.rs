@@ -51,6 +51,7 @@ mod event;
 mod flow;
 mod kernel;
 mod queue;
+mod restore;
 mod sharded;
 mod stats;
 

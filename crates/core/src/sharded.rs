@@ -62,8 +62,9 @@ pub(crate) struct Shard {
     /// This worker's processing passes in the current drain; passes are
     /// not synchronized across shards.
     pub(crate) rounds: u64,
-    /// Vertices this worker reset during the current drain.
-    pub(crate) impacted: Vec<VertexId>,
+    /// Vertices this worker reset during the current drain, with the
+    /// values they held.
+    pub(crate) impacted: Vec<(VertexId, Value)>,
     /// Persistent drain buffer for a processing pass: grows to the shard's
     /// high-water event count once, then steady-state passes allocate
     /// nothing.
@@ -432,7 +433,7 @@ impl Drain for Sharded {
         // order; present the set in ascending vertex id. The set itself is
         // schedule-dependent under VAP/DAP (DESIGN.md §16.3); the contract
         // is completeness, not equality with the oracle.
-        let mut reset: Vec<VertexId> = Vec::new();
+        let mut reset: Vec<(VertexId, Value)> = Vec::new();
         let (mut deepest, mut slowest) = (0u64, 0u64);
         for sh in shards.iter_mut() {
             reset.append(&mut sh.impacted);
@@ -447,8 +448,9 @@ impl Drain for Sharded {
         // RunStats::rounds: the deepest worker's pass count (not
         // oracle-comparable).
         run.stats.rounds += deepest;
-        reset.sort_unstable();
-        run.impacted.append(&mut reset);
+        reset.sort_unstable_by_key(|&(v, _)| v);
+        run.impacted.extend(reset.iter().map(|&(v, _)| v));
+        run.previous.extend(reset.iter().map(|&(_, previous)| previous));
     }
 
     /// Rolled up over all shards.

@@ -52,6 +52,9 @@ pub struct RunStats {
     pub edge_reads: u64,
     /// Vertices reset to the identity by delete propagation (Fig. 10).
     pub resets: u64,
+    /// Of those, vertices the DAP restore step handed their previous value
+    /// back before request set-up.
+    pub restored: u64,
     /// Delete events processed during recovery.
     pub delete_events: u64,
     /// Request events generated during re-approximation.
@@ -88,6 +91,7 @@ impl AddAssign for RunStats {
         self.vertex_writes += rhs.vertex_writes;
         self.edge_reads += rhs.edge_reads;
         self.resets += rhs.resets;
+        self.restored += rhs.restored;
         self.delete_events += rhs.delete_events;
         self.request_events += rhs.request_events;
         self.stream_reads += rhs.stream_reads;

@@ -903,7 +903,10 @@ fn check_golden(
 
 // Values captured at d73234a, where the kernel emitted one event per edge
 // through `ExecState::emit`: row emission must not move a single op,
-// target, counter or spill.
+// target, counter or spill. The two DAP rows that reset a vertex (BFS and
+// SSSP, vertex 5) were re-pinned when the DAP restore step arrived: its one
+// failed attempt on vertex 5 reads two in-neighbours (vertex and edge reads
+// +2 each) and traces one op; values and spills did not move.
 #[test]
 fn row_emission_reproduces_the_per_edge_trace_and_stats() {
     use jetstream_core::RunStats;
@@ -961,9 +964,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             batch: RunStats {
                 events_processed: 14,
                 events_generated: 14,
-                vertex_reads: 20,
+                vertex_reads: 22,
                 vertex_writes: 2,
-                edge_reads: 8,
+                edge_reads: 10,
                 resets: 1,
                 delete_events: 5,
                 request_events: 1,
@@ -971,9 +974,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
                 rounds: 5,
                 ..RunStats::default()
             },
-            ops: 46,
+            ops: 47,
             targets: 39,
-            digest: 0xa557_dc20_9c7b_5076,
+            digest: 0x9e9b_2dfa_e8f1_60ed,
             impacted: &[5],
             spilled: (14, 9),
             values: 0xf9f5_2798_ea57_2ac5,
@@ -1116,9 +1119,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             batch: RunStats {
                 events_processed: 14,
                 events_generated: 14,
-                vertex_reads: 20,
+                vertex_reads: 22,
                 vertex_writes: 2,
-                edge_reads: 8,
+                edge_reads: 10,
                 resets: 1,
                 delete_events: 5,
                 request_events: 1,
@@ -1126,9 +1129,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
                 rounds: 5,
                 ..RunStats::default()
             },
-            ops: 52,
+            ops: 53,
             targets: 46,
-            digest: 0x17bc_edac_d6a4_4ad1,
+            digest: 0xf172_450d_c9a8_7851,
             impacted: &[5],
             spilled: (17, 9),
             values: 0x2916_0406_f336_7455,
@@ -1394,5 +1397,114 @@ fn admitted_fast_path_reproduces_its_stats_trace_and_values() {
         assert_eq!(trace_digest(&engine.take_trace()), digest, "{label}: trace digest");
         assert_eq!(values_digest(engine.values()), values, "{label}: values digest");
         assert!(engine.last_impacted().is_empty(), "{label}: a safe batch resets nothing");
+    }
+}
+
+/// SSWP widths tied at 5 under vertex 1, the subtree's entry: the
+/// Leads-To tree is 0 -> 1 -> {3 -> 4 -> 5, 6}, and 2's branch reaches 4
+/// a round after 3 does, so it only ties there. `5 -> 1` closes a loop
+/// too narrow to carry width 5 back to 1.
+fn sswp_tie_graph() -> AdjacencyGraph {
+    let edges = [
+        (0, 1, 5.0),
+        (0, 2, 5.0),
+        (1, 3, 9.0),
+        (3, 4, 9.0),
+        (4, 5, 9.0),
+        (1, 6, 9.0),
+        (2, 7, 9.0),
+        (7, 8, 9.0),
+        (8, 4, 9.0),
+        (5, 1, 3.0),
+    ];
+    AdjacencyGraph::from_edges(9, &edges)
+}
+
+// Deleting 0 -> 1 resets 1's whole subtree, but 4 and 5 keep width 5
+// through 2's branch: the restore step hands both their widths back
+// (4 from 8, then 5 from its old parent 4), and only 1, 3 and 6, whose
+// widths fall to 3, go on to request set-up. Kills the restore step's
+// `&&` -> `||` mutants: jm-b257a699 (the in-row scan takes any
+// in-neighbour but the old parent, untested: 1 keeps width 5),
+// jm-b257ab77 (the closure skips its identity guard: 5 is restored twice
+// and 1 from a supply of 3) and jm-b257ac80 (`supplies` skips the
+// bitwise `previous` comparison once the prefilter passes).
+#[test]
+fn dap_restores_the_unchanged_part_of_a_tied_subtree() {
+    let mut batch = UpdateBatch::new();
+    batch.delete(0, 1);
+    let mut after = sswp_tie_graph();
+    after.apply_batch(&batch).unwrap();
+    let expected = oracle_values(Workload::Sswp, &after, 0);
+    let fresh = || {
+        let mut e = engine_for(Workload::Sswp, sswp_tie_graph(), DeleteStrategy::Dap, 0);
+        e.initial_compute();
+        e
+    };
+    let mut seq = fresh();
+    assert_eq!(seq.dependencies()[4], Some(3), "3 reaches 4 a round before 8 does");
+    let stats = seq.apply_update_batch(&batch).unwrap();
+    assert_eq!(seq.values(), &expected[..]);
+    assert_eq!(seq.last_impacted(), &[1, 3, 6, 4, 5], "the wave's resets, restored or not");
+    assert_eq!((stats.resets, stats.restored), (5, 2));
+    // One in-edge each for 1, 3 and 6; Tag would also request 4's two and
+    // 5's one.
+    assert_eq!(stats.request_events, 3);
+    assert_eq!(&seq.dependencies()[4..6], &[Some(8), Some(4)]);
+    assert_eq!(seq.validate_converged(), Ok(()));
+
+    let mut sharded =
+        ShardedEngine::new(Workload::Sswp.instantiate(0), sswp_tie_graph(), seq.config(), 2);
+    sharded.initial_compute();
+    let stats = sharded.apply_update_batch(&batch).unwrap();
+    assert_eq!(sharded.values(), &expected[..]);
+    // Whether 4 hangs under 3 or 8 is the schedule's tie (DESIGN.md
+    // §16.3); either way exactly 1, 3 and 6 stay reset and are requested.
+    assert_eq!((stats.resets - stats.restored, stats.request_events), (3, 3));
+    assert_eq!(sharded.validate_converged(), Ok(()));
+}
+
+fn value_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+// The restore step must leave exactly the values the paper's literal flow
+// reaches: DAP (restoring) against Tag (re-deriving every reset value),
+// bit for bit, after each of 50 churn batches, on an R-MAT graph and a
+// Wikipedia-profile (layered, narrow) graph with integer weights — the
+// weights that make SSWP's widths and CC's labels tie.
+#[test]
+fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
+    let graphs = [
+        ("rmat", gen::rmat(300, 2400, gen::RmatParams::default(), 91)),
+        ("wikipedia", gen::DatasetProfile::Wikipedia.generate(10_000)),
+    ];
+    for (name, full) in graphs {
+        for w in Workload::SELECTIVE {
+            let label = format!("{} on {name}", w.name());
+            let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
+            let base = stream.graph().clone();
+            let mut tag = engine_for(w, base.clone(), DeleteStrategy::Tag, 0);
+            let mut dap = engine_for(w, base.clone(), DeleteStrategy::Dap, 0);
+            let mut sharded = ShardedEngine::new(w.instantiate(0), base, dap.config(), 3);
+            tag.initial_compute();
+            dap.initial_compute();
+            sharded.initial_compute();
+            let mut restored = 0;
+            for i in 0..50 {
+                let batch = stream.next_batch(30, 0.5);
+                tag.apply_update_batch(&batch).unwrap();
+                restored += dap.apply_update_batch(&batch).unwrap().restored;
+                sharded.apply_update_batch(&batch).unwrap();
+                let want = value_bits(tag.values());
+                assert_eq!(value_bits(dap.values()), want, "{label} batch {i}: sequential DAP");
+                assert_eq!(value_bits(sharded.values()), want, "{label} batch {i}: sharded DAP");
+                assert_eq!(dap.validate_converged(), Ok(()), "{label} batch {i}");
+                assert_eq!(sharded.validate_converged(), Ok(()), "{label} batch {i}");
+            }
+            if w == Workload::Sswp {
+                assert!(restored > 0, "{label}: no tie restored");
+            }
+        }
     }
 }

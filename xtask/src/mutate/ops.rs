@@ -128,6 +128,37 @@ fn type_like(f: &SourceFile<'_>, i: usize) -> bool {
         && f.ctext(i).starts_with(|c: char| c.is_ascii_uppercase())
 }
 
+/// True when code token `i` names a type or trait: an uppercase
+/// identifier that is one letter (`W`) or has a lowercase one after
+/// (`Default`) — where `type_like` also takes a SCREAMING_CASE constant.
+fn type_name(f: &SourceFile<'_>, i: usize) -> bool {
+    type_like(f, i) && (f.ctext(i).len() == 1 || f.ctext(i).bytes().any(|b| b.is_ascii_lowercase()))
+}
+
+/// True when the `..` at code token `ci` opens the base of a functional
+/// struct update (`S { a, ..base }`): it follows `{` or `,`, and the
+/// expression after it runs to a closing `}` with no `,` or `;` between.
+fn functional_update(f: &SourceFile<'_>, ci: usize) -> bool {
+    if ci == 0 || !(f.is_punct(ci - 1, ",") || f.is_punct(ci - 1, "{")) {
+        return false;
+    }
+    let mut depth = 0usize;
+    for i in ci + 2..f.code.len() {
+        if f.ct(i).kind != TokenKind::Punct {
+            continue;
+        }
+        match f.ctext(i) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth > 0 => depth -= 1,
+            "}" => return true,
+            ")" | "]" => return false,
+            "," | ";" if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Runs every operator matcher against code token `ci`, appending any
 /// candidate mutations. The caller filters `#[cfg(test)]` spans.
 pub(crate) fn match_at(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
@@ -208,6 +239,15 @@ fn match_punct(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
             if !prev_end {
                 return; // unary / deref / grammar position
             }
+            // `W: Copy + Default`: a `+` between two type names joins
+            // trait bounds (a type name followed by `::` starts a path
+            // operand, `a + Weight::MAX`).
+            let bound = prev.is_some_and(|p| type_name(f, p))
+                && type_name(f, ci + 1)
+                && !f.is_punct(ci + 2, ":");
+            if f.ctext(ci) == "+" && bound {
+                return;
+            }
             let compound = punct_adj(f, ci, ci + 1, "=");
             let rhs = if compound { ci + 2 } else { ci + 1 };
             if operand_start(f, rhs) {
@@ -225,9 +265,11 @@ fn match_punct(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
             if punct_adj(f, ci + 1, ci + 2, "=") {
                 // `..=` → `..`
                 out.push(cand(f, "range-flip", ci, tok.start, f.ct(ci + 2).end, ".."));
-            } else if operand_start(f, ci + 2) && !type_like(f, ci + 2) {
+            } else if operand_start(f, ci + 2) && !type_like(f, ci + 2) && !functional_update(f, ci)
+            {
                 // `..` → `..=` (an uppercase successor is `..Struct { }`
-                // functional update, not a range end).
+                // functional update, not a range end; so is a lowercase
+                // base running to the literal's `}`).
                 out.push(cand(f, "range-flip", ci, tok.start, f.ct(ci + 1).end, "..="));
             }
         }

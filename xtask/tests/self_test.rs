@@ -157,6 +157,34 @@ fn the_store_crate_is_covered_by_the_walker() {
     );
 }
 
+/// jetmut discovery passes over two shapes whose mutants can never
+/// compile — the `+` joining trait bounds and the `..` before a
+/// functional update's lowercase base — and keeps the arithmetic and the
+/// range on the same lines.
+#[test]
+fn mutation_discovery_skips_bound_plus_and_update_base() {
+    let root = std::env::temp_dir().join(format!("xtask-mutate-shapes-{}", std::process::id()));
+    let src = root.join("crates").join("core").join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub struct S { a: u32, b: u32 }\n\
+         pub fn bound<W: Copy + Default>(w: W) -> Box<dyn Fn() -> W + Send> { todo!() }\n\
+         pub fn sum(lo: u32, n: u32) -> u32 { (lo..n).map(|i| i + 1).sum() }\n\
+         pub fn update(s: &S) -> S { S { a: s.a + 1, ..s.base() } }\n\
+         pub fn path(n: f64) -> f64 { n + Weight::MAX }\n",
+    )
+    .unwrap();
+    let sites = xtask::mutate::sites::discover_workspace(&root).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+    let at = |line: usize, op: &str| sites.iter().filter(|s| s.line == line && s.op == op).count();
+    assert_eq!(at(2, "arith-swap"), 0, "trait bounds are not sums");
+    assert_eq!((at(3, "arith-swap"), at(3, "range-flip")), (1, 1), "i + 1 and lo..n");
+    assert_eq!(at(4, "arith-swap"), 1, "s.a + 1");
+    assert_eq!(at(4, "range-flip"), 0, "a functional update's base is not a range end");
+    assert_eq!(at(5, "arith-swap"), 1, "a path operand after `+` is still a sum");
+}
+
 /// Same proof for the serving layer: `crates/serve` is inside the
 /// walker's net, including the determinism scope (a bare `Instant` in
 /// serve library code must be flagged — only the waivered clock module

@@ -33,9 +33,6 @@
 //! assert_eq!(sssp.propagate(3.0, 3.0, &ctx), Some(5.0)); // path extension
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod adsorption;
 mod bfs;
 mod cc;

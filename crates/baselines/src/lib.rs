@@ -21,9 +21,6 @@
 //! on identical workloads. Results are validated against the sequential
 //! oracles in tests.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod graphbolt;
 mod kickstarter;
 mod stats;

@@ -8,8 +8,10 @@
 //! cannot move what it counts or computes. `tests/full_stack.rs` compares
 //! values only.
 
-// Test code: aborting on a setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use jetstream_algorithms::{Value, Workload};
 use jetstream_baselines::{GraphBolt, KickStarter, SoftwareStats};

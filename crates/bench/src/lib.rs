@@ -16,9 +16,6 @@
 //! (queue, kernel, CSR snapshot) with warmup + median-of-K sampling and
 //! owns `BENCH.json` at the repo root (schema in DESIGN.md §12).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod harness;
 pub mod micro;

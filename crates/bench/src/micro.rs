@@ -27,7 +27,7 @@ use crate::harness::{self, HarnessError, Scenario, ACCUMULATIVE_EPSILON};
 // The serving crate's admission front-end, compiled from its own source:
 // `jetstream-serve` depends on this crate, so the rig cannot depend back
 // on it, and the module needs nothing but `jetstream-graph`.
-#[allow(dead_code)] // the rig drives `fresh` and `admit` only
+#[expect(dead_code, reason = "the rig drives `fresh` and `admit` only")]
 #[path = "../../serve/src/admission.rs"]
 mod admission;
 
@@ -343,7 +343,10 @@ fn sswp_churn_scenario() -> Scenario {
 /// converged base state (mounted from a checkpoint, untimed): the delete
 /// waves, the restore step and the recompute of both storms. The same
 /// instance in either mode, like the graph builders'.
-#[allow(clippy::expect_used)] // invariant: the state was read off an engine on the same graph
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the state was read off an engine on the same graph"
+)]
 fn bench_stream_sswp_churn(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
     let scenario = sswp_churn_scenario();
     let (base, batches) = harness::base_and_batches(&scenario);
@@ -382,7 +385,10 @@ fn bench_stream_sswp_churn(cfg: &MicroConfig) -> Result<BenchResult, HarnessErro
 /// leaves it: checked once, then both views edited in place in
 /// `O(batch · degree)`. Not on a clone: cloning trims the arenas' room to
 /// grow, so the clone's first relocation would copy the whole arena.
-#[allow(clippy::expect_used)] // invariant: the batch applied to the same pair before timing
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the batch applied to the same pair before timing"
+)]
 fn bench_snapshot_maintain_incremental(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
     let scenario = pagerank_scenario(cfg);
     let (base, batches) = harness::base_and_batches(&scenario);

@@ -139,7 +139,7 @@ impl<'a> Row<'a> {
         targets.iter().map(move |&v| match carry {
             Carry::Regular { delta, source } => Event { source, ..Event::regular(v, delta) },
             Carry::Weighted { base, op, source, .. } => {
-                #[allow(clippy::expect_used)] // invariant: one weight per target
+                #[expect(clippy::expect_used, reason = "invariant: one weight per target")]
                 let w = weights.next().expect("invariant: a weighted row has a weight per target");
                 Event { source, ..Event::regular(v, op.apply(base, *w)) }
             }

@@ -468,11 +468,8 @@ impl<X: Executor> StreamingFlow<X> {
         for &(u, v, w) in batch.insertions() {
             stats.stream_reads += 1;
             stats.vertex_reads += 1;
-            let state = values[ix(u)];
-            let out_degree = csr.out.degree(u);
-            let ctx = EdgeCtx { weight: w, out_degree, weight_sum: cx.weight_sum(u) };
             let targets_start = tracer.targets_start();
-            let delta = alg.propagate(state, state, &ctx);
+            let delta = kernel::supply(&cx, values[ix(u)], u, w);
             if let Some(d) = delta {
                 let source = cx.dap_active.then_some(u);
                 exec.seed(*reduce, stats, Event { source, ..Event::regular(v, d) });
@@ -510,12 +507,10 @@ impl<X: Executor> StreamingFlow<X> {
                 // Payload carries the contribution that flowed over the
                 // deleted edge; if the source never propagated there is
                 // nothing to revert.
-                DeleteStrategy::Vap => csr.out.edge_weight(u, v).and_then(|weight| {
-                    let state = values[ix(u)];
-                    let out_degree = csr.out.degree(u);
-                    let ctx = EdgeCtx { weight, out_degree, weight_sum: cx.weight_sum(u) };
-                    alg.propagate(state, state, &ctx)
-                }),
+                DeleteStrategy::Vap => csr
+                    .out
+                    .edge_weight(u, v)
+                    .and_then(|weight| kernel::supply(&cx, values[ix(u)], u, weight)),
             };
             if let Some(payload) = payload {
                 exec.seed(*reduce, stats, Event::delete(u, v, payload));

@@ -42,9 +42,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod async_mode;
 mod engine;
 mod event;

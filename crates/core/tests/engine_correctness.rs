@@ -3,8 +3,11 @@
 //! state a from-scratch evaluation of the mutated graph reaches. This is the
 //! paper's core correctness claim (recoverable approximations, §3.2).
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test code: aborting on a failed setup or batch is the right behaviour here"
+)]
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{

@@ -10,6 +10,8 @@
 //! engine's cross-shard exchange (DESIGN.md §16.2) builds on
 //! [`CoalescingQueue::insert_run`].
 
+#![expect(clippy::panic, reason = "test code: a failed `validate()` is the failure signal")]
+
 use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Sssp};
 use jetstream_core::{Carry, CoalescingQueue, Event, Row};
 use jetstream_testkit::{run_cases, DetRng};

@@ -31,7 +31,7 @@ pub(crate) struct RowSpan {
 
 impl RowSpan {
     /// The span of `cap` slots at `start`, `len` of them live.
-    #[allow(clippy::expect_used)] // invariant: see the message
+    #[expect(clippy::expect_used, reason = "invariant: a row owns fewer than 2^32 slots")]
     pub(crate) fn new(start: usize, len: usize, cap: usize) -> Self {
         let narrow =
             |n: usize| u32::try_from(n).expect("invariant: a row owns fewer than 2^32 slots");

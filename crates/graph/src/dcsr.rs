@@ -314,12 +314,12 @@ impl<W: Copy + Default> Csr<W> {
         insertions: impl Iterator<Item = (VertexId, VertexId, W)>,
     ) {
         for (u, v) in deletions {
-            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
+            #[expect(clippy::expect_used, reason = "invariant: the batch passed `check_batch`")]
             let pos = self.search(u, v).expect("invariant: a checked deletion finds its edge");
             self.remove_at(u, pos);
         }
         for (u, v, w) in insertions {
-            #[allow(clippy::expect_used)] // invariant: the batch passed `check_batch`
+            #[expect(clippy::expect_used, reason = "invariant: the batch passed `check_batch`")]
             let pos = self.search(u, v).expect_err("invariant: a checked insertion is absent");
             self.insert_at(u, pos, v, w);
         }

@@ -436,7 +436,7 @@ impl EdgeStream {
     /// fraction, applies it to the internal base graph, and returns it.
     /// Deleted edges re-enter the pool. Requests are clamped to what the
     /// pool / current edge set can supply.
-    #[allow(clippy::expect_used)] // invariant: the batch is built against self.graph
+    #[expect(clippy::expect_used, reason = "invariant: the batch is built against self.graph")]
     pub fn next_batch(&mut self, size: usize, insertion_fraction: f64) -> UpdateBatch {
         assert!(
             (0.0..=1.0).contains(&insertion_fraction),

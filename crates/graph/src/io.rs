@@ -331,7 +331,8 @@ mod tests {
 
     #[test]
     fn bad_vertex_is_a_syntax_error_with_line_number() {
-        let err = read_edge_list(Cursor::new("0 1\nx 2\n"), 0).unwrap_err();
+        let err =
+            read_edge_list(Cursor::new("0 1\nx 2\n"), 0).expect_err("a bad vertex must not parse");
         match err {
             ParseError::Syntax { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
@@ -372,7 +373,8 @@ mod tests {
 
     #[test]
     fn unknown_op_rejected() {
-        let err = read_update_batches(Cursor::new("x 0 1\n")).unwrap_err();
+        let err =
+            read_update_batches(Cursor::new("x 0 1\n")).expect_err("an unknown op must not parse");
         assert!(matches!(err, ParseError::Syntax { line: 1, .. }));
     }
 
@@ -391,14 +393,15 @@ mod tests {
 
     #[test]
     fn load_graph_missing_file_is_io_error() {
-        let err = load_graph("/nonexistent/graph.txt").unwrap_err();
+        let err = load_graph("/nonexistent/graph.txt").expect_err("a missing file must not load");
         assert!(matches!(err, ParseError::Io(_)));
     }
 
     #[test]
     fn syntax_errors_carry_the_line_start_byte_offset() {
         // "# header\n" is 9 bytes, "0 1\n" is 4: the bad line starts at 13.
-        let err = read_edge_list(Cursor::new("# header\n0 1\nx 2\n"), 0).unwrap_err();
+        let err = read_edge_list(Cursor::new("# header\n0 1\nx 2\n"), 0)
+            .expect_err("a bad line must not parse");
         match err {
             ParseError::Syntax { line, byte, .. } => {
                 assert_eq!(line, 3);
@@ -407,7 +410,8 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         // Same for the update parser: "a 0 1\n" is 6 bytes, "\n" is 1.
-        let err = read_update_batches(Cursor::new("a 0 1\n\nz 1 2\n")).unwrap_err();
+        let err = read_update_batches(Cursor::new("a 0 1\n\nz 1 2\n"))
+            .expect_err("a bad op must not parse");
         match err {
             ParseError::Syntax { line, byte, message } => {
                 assert_eq!(line, 3);
@@ -417,7 +421,8 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         // The offset survives into the rendered message.
-        let err = read_edge_list(Cursor::new("0 1\nbad\n"), 0).unwrap_err();
+        let err =
+            read_edge_list(Cursor::new("0 1\nbad\n"), 0).expect_err("a bad line must not parse");
         assert!(err.to_string().contains("(byte 4)"), "{err}");
     }
 
@@ -444,7 +449,8 @@ mod tests {
     fn non_finite_insertion_weight_is_rejected_by_the_writer() {
         let mut b = UpdateBatch::new();
         b.insert(0, 1, f64::NAN);
-        let err = write_update_batches(&[b], Vec::new()).unwrap_err();
+        let err =
+            write_update_batches(&[b], Vec::new()).expect_err("a NaN weight must not be written");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 

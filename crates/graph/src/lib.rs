@@ -40,9 +40,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod csr;
 mod dcsr;
 mod error;

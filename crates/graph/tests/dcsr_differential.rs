@@ -9,8 +9,10 @@
 //! traversals after every batch — through slack growth, row relocations,
 //! tombstoned deletes, and compaction.
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use jetstream_graph::rng::DetRng;
 use jetstream_graph::{gen, Csr, CsrPair, UpdateBatch, VertexId};

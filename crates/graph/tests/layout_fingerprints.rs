@@ -12,8 +12,11 @@
 //! targets. The values were captured before the in-edge view lost its
 //! weight column.
 
-// Test code: aborting on a setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::collections::BTreeSet;
 

@@ -26,9 +26,6 @@
 //! assert!(area_overhead > 0.0 && area_overhead < 0.10); // "~3%" in Table 4
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Hardware structure description for the estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwConfig {

@@ -267,9 +267,6 @@ impl Admission {
 
 #[cfg(test)]
 mod tests {
-    // Test code: aborting on setup failure is the right behavior here.
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
     use jetstream_graph::GraphError;
 

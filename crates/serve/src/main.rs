@@ -12,9 +12,6 @@
 //! gracefully — sealing the open batch and, for durable backends, writing
 //! a final checkpoint (see DESIGN.md §15).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::io::BufRead;
 use std::path::PathBuf;
 

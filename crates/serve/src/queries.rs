@@ -84,9 +84,6 @@ pub fn dependence_path<'a>(state: impl Into<QueryState<'a>>, vertex: VertexId) -
 
 #[cfg(test)]
 mod tests {
-    // Test code: aborting on setup failure is the right behavior here.
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
     use jetstream_algorithms::Workload;
     use jetstream_core::EngineConfig;

@@ -125,9 +125,6 @@ pub(crate) fn writer_loop(mut conn: Conn, outbox_rx: Receiver<Response>) {
 
 #[cfg(test)]
 mod tests {
-    // Test code: aborting on setup failure is the right behavior here.
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
     use crate::protocol::encode_request;
     use std::os::unix::net::UnixStream;

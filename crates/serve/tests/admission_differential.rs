@@ -12,8 +12,7 @@
 //! model returns — sealed batches, token bindings, batch ids and typed
 //! rejections alike.
 
-// Test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::panic, reason = "test code: an unexpected rejection kind is the failure signal")]
 
 use std::cell::Cell;
 use std::collections::BTreeSet;

@@ -10,8 +10,11 @@
 //! Mid-session query answers are recorded with the flush barrier's
 //! batch id and checked against the oracle at the same replay point.
 
-// Test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::net::TcpStream;
 use std::os::unix::net::UnixListener;

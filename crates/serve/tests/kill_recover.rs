@@ -4,8 +4,10 @@
 //! sees state bit-identical to an offline oracle replay of the batches
 //! the first server reported applying (DESIGN.md §15.4, §10).
 
-// Test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,9 +7,6 @@
 //! statically by the `panic-reachability` lint rooted at
 //! `decode_request` / `decode_response`.
 
-// Test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use jetstream_graph::rng::DetRng;
 use jetstream_graph::EdgeUpdate;
 use jetstream_serve::framing::{read_frame_blocking, write_frame, FrameError};

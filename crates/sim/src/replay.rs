@@ -184,8 +184,10 @@ impl AcceleratorSim {
         }
     }
 
-    // Single call site; the round genuinely consumes this many inputs.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "single call site; the round genuinely consumes this many inputs"
+    )]
     fn replay_round(
         &self,
         ops: &[TraceOp],

@@ -66,9 +66,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod codec;
 mod error;
 mod fsutil;

@@ -6,8 +6,10 @@
 //! history AND a brute-force oracle recompute) or fails loudly with a
 //! descriptive error. It never silently diverges.
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};

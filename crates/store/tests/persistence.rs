@@ -2,8 +2,10 @@
 //! what is written is exactly what is read back, and a recovered engine is
 //! indistinguishable from the one that never went down.
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::fs;
 use std::path::PathBuf;

@@ -25,9 +25,6 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use jetstream_graph::rng::DetRng;
 
 mod model;

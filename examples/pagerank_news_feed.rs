@@ -10,8 +10,10 @@
 //!
 //! Run with: `cargo run --release --example pagerank_news_feed`
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use jetstream::algorithms::PageRank;
 use jetstream::engine::{DeleteStrategy, EngineConfig, StreamingEngine};

@@ -11,8 +11,11 @@
 //!
 //! Run with: `cargo run --release --example road_network_incidents`
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use jetstream::algorithms::{oracle, Sssp};
 use jetstream::engine::{DeleteStrategy, EngineConfig, StreamingEngine};

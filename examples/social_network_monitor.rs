@@ -14,8 +14,10 @@
 //!
 //! Run with: `cargo run --release --example social_network_monitor`
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use jetstream::algorithms::{oracle, ConnectedComponents};
 use jetstream::baselines::KickStarter;

@@ -13,9 +13,6 @@
 //! * [`store`] — durable state store (checkpoints, write-ahead log, crash
 //!   recovery) for the streaming engine.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use jetstream_algorithms as algorithms;
 pub use jetstream_baselines as baselines;
 pub use jetstream_core as engine;

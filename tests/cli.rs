@@ -2,8 +2,10 @@
 //! update stream from it, then stream the batches through the engine and
 //! time each on the accelerator model; plus the exit codes of misuse.
 
-// Test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: aborting on a setup failure is the right behaviour here"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -11,8 +11,10 @@
 //! bit-identical on values, accumulative workloads land within the
 //! convergence tolerance.
 
-// Test harness: a panic is exactly the failure signal we want here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: a panic is exactly the failure signal wanted here"
+)]
 
 use jetstream::algorithms::{oracle, UpdateKind, Workload};
 use jetstream::engine::{

@@ -2,9 +2,6 @@
 //! update stream written to disk and read back must drive the engine to
 //! exactly the same state as the in-memory originals.
 
-// Demo/test code: aborting on setup failure is the right behavior here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::Cursor;
 
 use jetstream::algorithms::{oracle, Workload};

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: narrowing casts carrying invariants, and a widening cast.
 
 /// Narrows a packed key to a vertex index; the invariant is written down.

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: an unannotated narrowing cast in the engine crate.
 
 /// Narrows a packed key to a vertex index without stating why that is safe.

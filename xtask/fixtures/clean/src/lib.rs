@@ -1,8 +1,5 @@
 //! Fixture: a compliant crate (see §1).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Doubles a number, with a documented invariant expect.
 pub fn double(x: Option<u32>) -> u32 {
     2 * x.expect("invariant: callers always pass Some")

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a thread spawned outside the approved concurrency modules.
 
 /// Runs a closure on a helper thread — banned here: concurrency may only

@@ -1,8 +1,5 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-//! Fixture: a waiver pragma whose operation has since been fixed, and an
-//! `#[allow(dead_code)]` on a function the call graph sees called from
-//! non-test code, are both stale claims and must be flagged.
+//! Fixture: a waiver pragma whose operation has since been fixed is a
+//! stale claim and must be flagged.
 
 /// The cast this waiver once excused was replaced by `u64::from`; the
 /// pragma is now stale documentation.
@@ -11,13 +8,3 @@ pub fn widen(x: u32) -> u64 {
     u64::from(x)
 }
 
-/// Calls `helper`, so the `#[allow(dead_code)]` below is a stale claim.
-pub fn run() -> u64 {
-    helper()
-}
-
-// retained while the v2 scheduler lands
-#[allow(dead_code)]
-fn helper() -> u64 {
-    7
-}

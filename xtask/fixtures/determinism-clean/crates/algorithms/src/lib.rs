@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: deterministic code, plus one justified wall-clock exception.
 
 use std::collections::BTreeMap;

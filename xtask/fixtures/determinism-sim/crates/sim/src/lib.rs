@@ -1,8 +1,5 @@
 //! Fixture: a hash map inside the simulator, whose event order must replay.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::collections::HashMap;
 
 /// Counts occurrences (in nondeterministic iteration order!).

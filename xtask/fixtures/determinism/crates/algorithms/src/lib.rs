@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a wall-clock read inside determinism-critical code.
 
 /// Times a propagation round with the wall clock — banned: replayed runs

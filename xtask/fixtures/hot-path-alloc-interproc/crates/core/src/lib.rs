@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a `// hot-path` function whose marked body never allocates
 //! still gets flagged when it calls an allocating helper in another
 //! module — the interprocedural upgrade of `hot-path-alloc`.

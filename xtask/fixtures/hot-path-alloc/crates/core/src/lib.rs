@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: an allocation inside a `// hot-path`-marked function fires the
 //! `hot-path-alloc` lint; the same allocation in an unmarked function is
 //! fine.

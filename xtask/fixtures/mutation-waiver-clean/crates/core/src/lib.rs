@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a justified `// mutation-ok:` waiver that covers a live
 //! jetmut mutation site counts as used and raises nothing.
 

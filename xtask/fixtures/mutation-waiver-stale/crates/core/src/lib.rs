@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a justified `// mutation-ok:` waiver that no longer covers
 //! any mutation site has rotted and must be reported dead.
 

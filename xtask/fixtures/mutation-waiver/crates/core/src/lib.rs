@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a `// mutation-ok:` waiver with no reason text is an
 //! unjustified pragma, even though it sits on a mutation site.
 

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: `panic-reachability` must not over-propagate. Waived
 //! indexing, invariant `expect`s, panic sites in functions no hot root
 //! reaches, and `#[cfg(test)]`-only callees that share a name with a

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: a `// hot-path` function reaches a panic-capable indexing
 //! operation through a cross-module call and then a method call; the
 //! whole chain must be flagged at the panic site.

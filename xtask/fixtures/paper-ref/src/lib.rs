@@ -1,8 +1,5 @@
 //! Fixture: a stale paper reference (§9.9 does not exist).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Implements the flux capacitor of §9.9.
 pub fn flux() -> u32 {
     88

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: every ported lint's trigger pattern, confined to string
 //! literals and comments, where the token-level engine must never match.
 //!

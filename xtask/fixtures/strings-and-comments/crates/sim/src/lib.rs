@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 //! Fixture: unordered-collection names in sim-crate strings and comments.
 
 // HashMap and HashSet in a comment must not fire in crates/sim.

@@ -2,18 +2,14 @@
 //!
 //! `cargo xtask check` lexes every Rust file in the tree with the
 //! hand-rolled lexer in [`lex`] (std only; the build is offline) and runs
-//! ten lints, each with one detector. Because detectors match lexer
+//! eight lints, each with one detector. Because detectors match lexer
 //! tokens rather than raw lines, a pattern inside a string literal or a
-//! comment never fires.
+//! comment never fires. Rules the compiler can state are not here: clippy
+//! and rustc own the panic, `unsafe`, docs and `#[expect]` policy
+//! (DESIGN.md §9).
 //!
-//! Seven lints read one file's token stream:
+//! Five lints read one file's token stream:
 //!
-//! * **no-panic** — no `.unwrap()`, non-invariant `.expect(..)` or
-//!   `panic!(..)` in library code (`.expect("invariant: <text>")` is the
-//!   sanctioned loud crash). In `crates/graph` the `.unwrap()` ban reaches
-//!   `#[cfg(test)]` code too: graph tests are the replay oracle.
-//! * **crate-root-pragmas** — every crate root carries
-//!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //! * **paper-ref** — every `§x.y` reference exists in PAPER.md or DESIGN.md.
 //! * **determinism** — no clock, entropy source or hash collection in the
 //!   code whose two runs must be bit-identical (DESIGN.md §13).
@@ -21,21 +17,17 @@
 //!   `crates/graph` states why it fits (DESIGN.md §9).
 //! * **concurrency-discipline** — threads, locks and channels only in the
 //!   approved modules.
-//! * **pragma-justified** — every `#[allow(..)]` and waiver pragma gives
-//!   a reason.
+//! * **pragma-justified** — every waiver pragma gives a reason.
 //!
 //! Three run on the workspace call graph built by [`parse`] (DESIGN.md
 //! §14): **panic-reachability** (no panic-capable operation reachable from
 //! a `// hot-path` function or a kernel entry), **hot-path-alloc** (no
 //! allocation in a `// hot-path` function or anything it calls) and
-//! **dead-waiver** (a waiver that suppresses nothing is an error).
+//! **dead-waiver** (a waiver pragma that suppresses nothing is an error).
 //!
 //! Test code (`#[cfg(test)]` items and files under `tests/`, `benches/`
-//! or `examples/`) is exempt from the code lints, except the graph unwrap
-//! rule; `pragma-justified` and `paper-ref` apply everywhere.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! or `examples/`) is exempt from the code lints; `pragma-justified` and
+//! `paper-ref` apply everywhere.
 
 pub mod lex;
 pub mod mutate;
@@ -52,12 +44,6 @@ use lex::{lex, Token, TokenKind};
 /// The individual policies `cargo xtask check` enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
-    /// `.unwrap()` / `.expect(..)` / `panic!(..)` in non-test library code
-    /// (plus `.unwrap()` anywhere in `crates/graph`).
-    NoPanic,
-    /// A crate root missing `#![forbid(unsafe_code)]` or
-    /// `#![warn(missing_docs)]`.
-    CrateRootPragmas,
     /// A `§x.y` reference that is in neither PAPER.md nor DESIGN.md.
     PaperRef,
     /// An allocation (`Vec::new()` / `vec![..]` / `.clone()`) in a
@@ -70,13 +56,12 @@ pub enum Lint {
     CastTruncation,
     /// A concurrency primitive outside the approved module list.
     ConcurrencyDiscipline,
-    /// An `#[allow(..)]` or waiver pragma without a written reason.
+    /// A waiver pragma without a written reason.
     PragmaJustified,
     /// A panic-capable operation reachable (through the call graph) from
     /// a `// hot-path` function or the kernel entry point.
     PanicReachability,
-    /// A waiver pragma or `#[allow(dead_code)]` that no longer suppresses
-    /// any diagnostic.
+    /// A waiver pragma that no longer suppresses any diagnostic.
     DeadWaiver,
 }
 
@@ -84,8 +69,6 @@ impl Lint {
     /// Stable identifier used in report lines and fixture expectations.
     pub fn id(self) -> &'static str {
         match self {
-            Lint::NoPanic => "no-panic",
-            Lint::CrateRootPragmas => "crate-root-pragmas",
             Lint::PaperRef => "paper-ref",
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::Determinism => "determinism",
@@ -103,9 +86,7 @@ impl Lint {
     }
 
     /// Every lint, in report order.
-    pub const ALL: [Lint; 10] = [
-        Lint::NoPanic,
-        Lint::CrateRootPragmas,
+    pub const ALL: [Lint; 8] = [
         Lint::PaperRef,
         Lint::HotPathAlloc,
         Lint::Determinism,
@@ -120,23 +101,6 @@ impl Lint {
     /// policy is, why it exists, and how to satisfy or waive it.
     pub fn explain(self) -> &'static str {
         match self {
-            Lint::NoPanic => {
-                "no-panic: library code must not call `.unwrap()`, `.expect(..)`, or \
-                 `panic!(..)`.\n\nThe engine is meant to run unattended over long batch \
-                 streams; a panic tears down the whole process and loses the in-memory \
-                 delta state. Propagate errors instead. `.expect(\"invariant: ...\")` is \
-                 permitted: it documents a structural invariant whose violation must crash \
-                 loudly. In `crates/graph`, `.unwrap()` is banned even in `#[cfg(test)]` \
-                 code (graph tests are the replay oracle; their failures must explain \
-                 themselves) — use `.expect(\"<context>\")` there."
-            }
-            Lint::CrateRootPragmas => {
-                "crate-root-pragmas: every crate root (src/lib.rs, src/main.rs) must carry \
-                 `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.\n\nThe workspace \
-                 is safe Rust by policy, and public items are documented so the paper \
-                 mapping (PAPER.md → code) stays navigable. The check is token-level: the \
-                 pragma text inside a string or comment does not count."
-            }
             Lint::PaperRef => {
                 "paper-ref: every `§x.y` section reference in source text must exist in \
                  PAPER.md or DESIGN.md.\n\nPaper citations rot silently when sections are \
@@ -182,11 +146,12 @@ impl Lint {
                  --sanitize`). Adding a module to the approved list is a reviewed decision."
             }
             Lint::PragmaJustified => {
-                "pragma-justified: every `#[allow(..)]` attribute and every waiver pragma \
-                 (`// cast-ok:`, `// nondeterminism-ok:`, `// panic-ok:`, `// mutation-ok:`) \
-                 must carry a written reason.\n\nA waiver is a claim about an invariant; \
-                 an unexplained claim cannot be reviewed or retired. \
-                 Append the reason on the same line (or the line above for attributes)."
+                "pragma-justified: every waiver pragma (`// cast-ok:`, \
+                 `// nondeterminism-ok:`, `// panic-ok:`, `// mutation-ok:`) must carry a \
+                 written reason.\n\nA waiver is a claim about an invariant; an unexplained \
+                 claim cannot be reviewed or retired. Append the reason after the key. \
+                 (Compiler lint waivers are `#[expect(<lint>, reason = \"..\")]`, which \
+                 clippy's `allow_attributes_without_reason` polices.)"
             }
             Lint::PanicReachability => {
                 "panic-reachability: no panic-capable operation — `.unwrap()`, \
@@ -194,10 +159,11 @@ impl Lint {
                  `unimplemented!` macros, or slice indexing `x[i]` — may be reachable \
                  through the call graph from a `// hot-path` function or from the kernel \
                  entry point (`process_event`).\n\nThe event kernel runs millions of times \
-                 per batch; a panic deep in a helper is a crash the token-level no-panic \
-                 lint cannot see (it has no notion of calls), and slice indexing is the \
-                 most common hidden panic. Prove a site in-bounds with `// panic-ok: <why \
-                 it cannot fire>` on its line or the line above, or restructure with \
+                 per batch; a panic deep in a helper is a crash no per-site lint can see \
+                 (clippy's `unwrap_used` has no notion of calls, nor of indexing), and \
+                 slice indexing is the most common hidden panic. Prove a site in-bounds \
+                 with `// panic-ok: <why it cannot fire>` on its line or the line above, \
+                 or restructure with \
                  `.get(..)`. `assert!` and `.expect(\"invariant: ...\")` are the \
                  sanctioned loud-crash mechanisms and are exempt. The call graph is \
                  name-resolved and over-approximates: see DESIGN.md §14 for the soundness \
@@ -206,10 +172,10 @@ impl Lint {
             Lint::DeadWaiver => {
                 "dead-waiver: a waiver pragma (`// cast-ok:`, `// nondeterminism-ok:`, \
                  `// panic-ok:`, `// mutation-ok:`) that no longer suppresses any \
-                 diagnostic, or an `#[allow(dead_code)]` on a function the call graph sees \
-                 called from non-test code, is itself an error.\n\nA \
-                 stale waiver is wrong documentation: it asserts an invariant about code \
-                 that has moved or been fixed, and it will silently excuse the *next* \
+                 diagnostic is itself an error (rustc's `unfulfilled_lint_expectations` \
+                 does the same for `#[expect]`).\n\nA stale waiver is wrong documentation: \
+                 it asserts an invariant about code that has moved or been fixed, and it \
+                 will silently excuse the *next* \
                  violation that lands on its line. Delete it, or move it next to the \
                  operation it is meant to cover. A `// mutation-ok:` waiver counts as used \
                  when it covers a jetmut mutation site (`cargo xtask explain \
@@ -293,9 +259,6 @@ const CONCURRENCY_APPROVED: [&str; 5] = [
     "crates/serve/src/session.rs",
     "crates/store/src/store.rs",
 ];
-
-/// Paths where `.unwrap()` is banned even inside `#[cfg(test)]` code.
-const STRICT_TEST_UNWRAP_SCOPE: [&str; 1] = ["crates/graph/src"];
 
 /// Cast target types the `cast-truncation` lint treats as narrowing.
 /// `VertexId` is `u32` (`crates/graph/src/lib.rs`), so it narrows too;
@@ -544,14 +507,6 @@ pub(crate) fn is_test_path(rel: &Path) -> bool {
     rel.components().any(|c| c.as_os_str().to_str().is_some_and(|s| TEST_DIRS.contains(&s)))
 }
 
-pub(crate) fn is_crate_root(rel: &Path) -> bool {
-    let Some(name) = rel.file_name().and_then(|n| n.to_str()) else {
-        return false;
-    };
-    let in_src = rel.parent().and_then(|p| p.file_name()).and_then(|n| n.to_str()) == Some("src");
-    in_src && (name == "lib.rs" || name == "main.rs")
-}
-
 pub(crate) fn in_scope(rel: &Path, scope: &[&str]) -> bool {
     let s = rel.to_string_lossy().replace('\\', "/");
     scope.iter().any(|p| s.starts_with(p))
@@ -571,8 +526,7 @@ pub(crate) struct SourceFile<'a> {
     /// Indices into `tokens` of every non-comment token, in order.
     pub(crate) code: Vec<usize>,
     /// Byte ranges (start inclusive, end exclusive) of `#[cfg(test)]`
-    /// items; code inside is invisible to the panic/collection/cast/
-    /// concurrency lints (except the strict-unwrap rule).
+    /// items; code inside is invisible to the code lints.
     test_spans: Vec<(usize, usize)>,
     /// `(line, token index)` of the last line comment on each line that
     /// has one; sorted by line.
@@ -621,17 +575,17 @@ impl<'a> SourceFile<'a> {
         i < self.code.len() && self.ct(i).kind == TokenKind::Ident && self.ctext(i) == name
     }
 
-    /// The panic-capable call code token `i` starts, if any: the one
-    /// matcher behind both `no-panic` and `panic-reachability`. An
-    /// `.expect(..)` whose message is `"invariant: "` followed by some text
-    /// documents a structural invariant and is not a panic site.
-    pub(crate) fn panic_op(&self, i: usize) -> Option<PanicOp> {
+    /// How `panic-reachability` names the panic-capable call code token
+    /// `i` starts, if it starts one. An `.expect(..)` whose message is
+    /// `"invariant: "` followed by some text documents a structural
+    /// invariant and is not a panic site.
+    pub(crate) fn panic_op(&self, i: usize) -> Option<&'static str> {
         if self.ct(i).kind != TokenKind::Ident {
             return None;
         }
         let method = || i > 0 && self.is_punct(i - 1, ".") && self.is_punct(i + 1, "(");
         match self.ctext(i) {
-            "unwrap" if method() && self.is_punct(i + 2, ")") => Some(PanicOp::Unwrap),
+            "unwrap" if method() && self.is_punct(i + 2, ")") => Some("`.unwrap()`"),
             "expect" if method() => {
                 let invariant = i + 2 < self.code.len()
                     && self.ct(i + 2).kind == TokenKind::Str
@@ -639,11 +593,10 @@ impl<'a> SourceFile<'a> {
                         .ctext(i + 2)
                         .strip_prefix("\"invariant: ")
                         .is_some_and(|rest| !rest.trim_end_matches('"').trim().is_empty());
-                (!invariant).then_some(PanicOp::Expect)
+                (!invariant).then_some("`.expect(..)`")
             }
-            "panic" if self.is_punct(i + 1, "!") => Some(PanicOp::Panic),
-            "unreachable" | "todo" | "unimplemented" if self.is_punct(i + 1, "!") => {
-                Some(PanicOp::OtherMacro)
+            "panic" | "unreachable" | "todo" | "unimplemented" if self.is_punct(i + 1, "!") => {
+                Some("panic-family macro")
             }
             _ => None,
         }
@@ -678,31 +631,6 @@ impl<'a> SourceFile<'a> {
             }
         }
         None
-    }
-}
-
-/// A panic-capable call, as [`SourceFile::panic_op`] classifies it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PanicOp {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(..)` without an `"invariant: <text>"` message.
-    Expect,
-    /// `panic!`.
-    Panic,
-    /// `unreachable!`, `todo!` or `unimplemented!` (`panic-reachability`
-    /// only; `no-panic` bans the `panic!` spelling).
-    OtherMacro,
-}
-
-impl PanicOp {
-    /// How a `panic-reachability` finding names the site.
-    pub(crate) fn what(self) -> &'static str {
-        match self {
-            PanicOp::Unwrap => "`.unwrap()`",
-            PanicOp::Expect => "`.expect(..)`",
-            PanicOp::Panic | PanicOp::OtherMacro => "panic-family macro",
-        }
     }
 }
 
@@ -810,7 +738,6 @@ fn check_file(
     findings: &mut Vec<Finding>,
     waivers: &mut WaiverLog,
 ) {
-    check_crate_root_pragmas(file, findings);
     check_paper_refs(file, sections, findings);
     check_pragma_justified(file, findings);
 
@@ -818,7 +745,6 @@ fn check_file(
         return;
     }
 
-    check_panics(file, findings);
     if in_scope(file.rel, &DETERMINISM_SCOPE) {
         check_determinism(file, findings, waivers);
     }
@@ -834,51 +760,6 @@ fn push(findings: &mut Vec<Finding>, lint: Lint, file: &SourceFile<'_>, line: us
     findings.push(Finding { lint, file: file.rel.to_path_buf(), line, message: msg });
 }
 
-fn check_crate_root_pragmas(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
-    if !is_crate_root(file.rel) {
-        return;
-    }
-    // Reconstruct each inner attribute `#![ ... ]` from code tokens.
-    let mut present: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i + 2 < file.code.len() {
-        if file.is_punct(i, "#") && file.is_punct(i + 1, "!") && file.is_punct(i + 2, "[") {
-            let mut body = String::new();
-            let mut depth = 1usize;
-            let mut j = i + 3;
-            while j < file.code.len() && depth > 0 {
-                match file.ctext(j) {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    t => body.push_str(t),
-                }
-                if depth > 0 && file.ctext(j) == "[" {
-                    body.push('[');
-                }
-                j += 1;
-            }
-            present.push(body);
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    for (pragma, body) in [
-        ("#![forbid(unsafe_code)]", "forbid(unsafe_code)"),
-        ("#![warn(missing_docs)]", "warn(missing_docs)"),
-    ] {
-        if !present.iter().any(|p| p == body) {
-            push(
-                findings,
-                Lint::CrateRootPragmas,
-                file,
-                1,
-                format!("crate root is missing `{pragma}`"),
-            );
-        }
-    }
-}
-
 fn check_paper_refs(file: &SourceFile<'_>, sections: &[String], findings: &mut Vec<Finding>) {
     for (lineno, sec) in section_refs(file.text) {
         if !sections.iter().any(|s| s == &sec) {
@@ -890,34 +771,6 @@ fn check_paper_refs(file: &SourceFile<'_>, sections: &[String], findings: &mut V
                 format!("{sec} is referenced here but defined in neither PAPER.md nor DESIGN.md"),
             );
         }
-    }
-}
-
-fn check_panics(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
-    let strict_test_unwraps = in_scope(file.rel, &STRICT_TEST_UNWRAP_SCOPE);
-    for i in 0..file.code.len() {
-        let Some(op) = file.panic_op(i) else { continue };
-        let message = match (op, file.in_test(file.ct(i).start)) {
-            (PanicOp::Unwrap, true) if strict_test_unwraps => {
-                "`.unwrap()` in crates/graph test code — use `.expect(\"<context>\")` so oracle \
-                 failures explain themselves"
-            }
-            (_, true) => continue,
-            (PanicOp::Unwrap, false) => {
-                "`.unwrap()` in library code — propagate the error or use \
-                 `.expect(\"invariant: ...\")`"
-            }
-            (PanicOp::Expect, false) => {
-                "`.expect(..)` in library code — propagate the error, or document a structural \
-                 invariant with an `\"invariant: ...\"` message"
-            }
-            (PanicOp::Panic, false) => {
-                "`panic!(..)` in library code — return an error or use an `assert!` with a \
-                 message"
-            }
-            (PanicOp::OtherMacro, false) => continue,
-        };
-        push(findings, Lint::NoPanic, file, file.ct(i).line, message.into());
     }
 }
 
@@ -1033,7 +886,6 @@ fn check_concurrency(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
 }
 
 fn check_pragma_justified(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
-    // Waiver pragmas must carry a reason.
     for &(line, tok) in &file.comment_lines {
         let Some(text) = plain_comment_text(file.tokens[tok].text(file.text)) else { continue };
         for key in WAIVER_KEYS {
@@ -1049,41 +901,6 @@ fn check_pragma_justified(file: &SourceFile<'_>, findings: &mut Vec<Finding>) {
                 }
             }
         }
-    }
-
-    // `#[allow(..)]` / `#![allow(..)]` attributes must carry a reason in a
-    // plain comment on the same line or the line directly above.
-    let mut i = 0;
-    while i + 1 < file.code.len() {
-        let is_outer = file.is_punct(i, "#") && file.is_punct(i + 1, "[");
-        let is_inner =
-            file.is_punct(i, "#") && file.is_punct(i + 1, "!") && file.is_punct(i + 2, "[");
-        if !is_outer && !is_inner {
-            i += 1;
-            continue;
-        }
-        let name_idx = if is_inner { i + 3 } else { i + 2 };
-        if !file.is_ident(name_idx, "allow") {
-            i = name_idx;
-            continue;
-        }
-        let line = file.ct(i).line;
-        let justified = [line, line.saturating_sub(1)]
-            .iter()
-            .filter(|&&l| l > 0)
-            .any(|&l| file.plain_comment_on(l).is_some_and(|t| !t.is_empty()));
-        if !justified {
-            push(
-                findings,
-                Lint::PragmaJustified,
-                file,
-                line,
-                "`#[allow(..)]` without a reason — append `// <why this is sound>` on the \
-                 same line"
-                    .into(),
-            );
-        }
-        i = name_idx + 1;
     }
 }
 
@@ -1166,13 +983,18 @@ mod tests {
 
     #[test]
     fn patterns_inside_strings_and_comments_never_fire() {
+        // Every trigger sits in a `// hot-path` body in the engine crate, so
+        // each code lint would fire if the lexer let one out.
         let src = r##"
 // .unwrap() panic!( HashMap Instant::now() Mutex vec![ as u32
-const A: &str = "x.unwrap() panic!(oh) HashMap Instant thread::spawn(x) as u32";
-const B: &str = r#"HashSet Mutex .clone() as usize SystemTime"#;
-/* multi
-   line .unwrap() as u32 Mutex */
-pub fn f() {}
+// hot-path
+pub fn f() -> usize {
+    let a = "x.unwrap() panic!(oh) HashMap Instant thread::spawn(x) as u32 vec![1]";
+    let b = r#"HashSet Mutex .clone() as usize SystemTime Vec::new()"#;
+    /* multi
+       line .unwrap() as u32 Mutex */
+    a.len() + b.len()
+}
 "##;
         let findings = check_str("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
@@ -1181,7 +1003,7 @@ pub fn f() {}
     #[test]
     fn cfg_test_modules_are_invisible_to_code_lints() {
         let src = "pub fn a() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { \
-                   let x: Option<u8> = Some(1); x.unwrap(); let y = 3usize as u32; }\n}\n";
+                   let m = HashMap::new(); let l = Mutex::new(m); let y = 3usize as u32; }\n}\n";
         let findings = check_str("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -1191,31 +1013,10 @@ pub fn f() {}
         // A `}` inside a test string would end the cfg(test) span early for
         // a line walker; the lexer keeps it inside the string token.
         let src = "#[cfg(test)]\nmod tests {\n    const S: &str = \"}\";\n    fn t() { \
-                   x.unwrap(); }\n}\npub fn lib() { y.unwrap(); }\n";
-        let findings = check_str("src/x.rs", src);
-        assert_eq!(lints_of(&findings), vec![Lint::NoPanic]);
-        assert_eq!(findings[0].line, 6, "only the library unwrap fires");
-    }
-
-    #[test]
-    fn graph_tests_must_not_unwrap() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); y.expect(\"context\"); }\n}\n";
-        let findings = check_str("crates/graph/src/x.rs", src);
-        assert_eq!(lints_of(&findings), vec![Lint::NoPanic]);
-        assert!(findings[0].message.contains("test code"));
-        // The same test code outside crates/graph is exempt.
-        assert!(check_str("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn invariant_expects_need_content() {
-        let ok = "pub fn f() { g().expect(\"invariant: always holds\"); }\n";
-        assert!(check_str("src/x.rs", ok).is_empty());
-        let bare = "pub fn f() { g().expect(\"invariant: \"); }\n";
-        assert_eq!(lints_of(&check_str("src/x.rs", bare)), vec![Lint::NoPanic]);
-        let wrong = "pub fn f() { g().expect(\"oops\"); }\n";
-        assert_eq!(lints_of(&check_str("src/x.rs", wrong)), vec![Lint::NoPanic]);
+                   HashMap::new(); }\n}\npub fn lib() { HashSet::new(); }\n";
+        let findings = check_str("crates/core/src/x.rs", src);
+        assert_eq!(lints_of(&findings), vec![Lint::Determinism]);
+        assert_eq!(findings[0].line, 6, "only the library hash set fires");
     }
 
     #[test]
@@ -1265,19 +1066,6 @@ pub fn f() {}
     }
 
     #[test]
-    fn allow_attributes_need_reasons() {
-        let bare = "#[allow(dead_code)]\nfn f() {}\n";
-        assert_eq!(lints_of(&check_str("src/x.rs", bare)), vec![Lint::PragmaJustified]);
-        let same_line = "#[allow(dead_code)] // kept for the v2 API\nfn f() {}\n";
-        assert!(check_str("src/x.rs", same_line).is_empty());
-        let line_above = "// scaffolding for the replay harness\n#[allow(dead_code)]\nfn f() {}\n";
-        assert!(check_str("src/x.rs", line_above).is_empty());
-        // A doc comment above is documentation, not a justification.
-        let doc_above = "/// Frobnicates.\n#[allow(dead_code)]\nfn f() {}\n";
-        assert_eq!(lints_of(&check_str("src/x.rs", doc_above)), vec![Lint::PragmaJustified]);
-    }
-
-    #[test]
     fn empty_pragmas_are_flagged() {
         let src = "pub fn f(x: u64) -> u32 {\n    x as u32 // cast-ok:\n}\n";
         let findings = check_str("crates/core/src/x.rs", src);
@@ -1307,7 +1095,7 @@ pub fn f() {}
         let src =
             "// hot-path\npub fn fast(x: Option<u8>) -> u8 {\n    x.expect(\"invariant: \")\n}\n";
         let findings = check_str("crates/core/src/x.rs", src);
-        assert_eq!(lints_of(&findings), vec![Lint::NoPanic, Lint::PanicReachability]);
+        assert_eq!(lints_of(&findings), vec![Lint::PanicReachability]);
         assert!(findings.iter().all(|f| f.line == 3), "{findings:?}");
     }
 
@@ -1316,16 +1104,6 @@ pub fn f() {}
         let src = "/// Functions marked `// hot-path` are special.\n\
                    pub fn slow() -> Vec<u8> { Vec::new() }\n";
         assert!(check_str("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn crate_root_pragmas_are_token_checked() {
-        let src = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub fn f() {}\n";
-        assert!(check_str("src/lib.rs", src).is_empty());
-        // The pragma text inside a string no longer satisfies the lint.
-        let fake = "const S: &str = \"#![forbid(unsafe_code)] #![warn(missing_docs)]\";\n";
-        let findings = check_str("src/lib.rs", fake);
-        assert_eq!(lints_of(&findings), vec![Lint::CrateRootPragmas; 2]);
     }
 
     #[test]

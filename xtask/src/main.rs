@@ -16,9 +16,6 @@
 //!                                # corpus (--check gates CI)
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Instant;

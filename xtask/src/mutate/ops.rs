@@ -12,6 +12,7 @@
 //! disambiguator; discovery only has to be cheap and deterministic.
 
 use crate::lex::TokenKind;
+use crate::parse::KEYWORDS;
 use crate::SourceFile;
 
 /// One operator family, for `MUTATION.json` and the DESIGN.md §18 table.
@@ -298,8 +299,13 @@ fn match_punct(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
         }
         "!" => {
             // `name!(..)` macro bangs, `#![..]` attrs, and `!=` are not
-            // negations.
-            if prev.is_some_and(|p| f.ct(p).kind == TokenKind::Ident || f.is_punct(p, "#")) {
+            // negations; a keyword before the bang (`if !c`, `return !x`)
+            // names no macro.
+            let macro_name = prev.is_some_and(|p| {
+                f.ct(p).kind == TokenKind::Ident && !KEYWORDS.contains(&f.ctext(p))
+            });
+            let delimited = ["(", "[", "{"].iter().any(|d| f.is_punct(ci + 1, d));
+            if (macro_name && delimited) || prev.is_some_and(|p| f.is_punct(p, "#")) {
                 return;
             }
             if punct_adj(f, ci, ci + 1, "=") {

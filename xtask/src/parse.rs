@@ -145,8 +145,9 @@ const KERNEL_ENTRIES: [(&str, &str); 3] = [
 ];
 
 /// Rust keywords, used to reject `if (..)` / `let [a, b]`-style token
-/// shapes that would otherwise look like calls or indexing.
-const KEYWORDS: [&str; 40] = [
+/// shapes that would otherwise look like calls or indexing, and by jetmut
+/// to tell `if !c` from a `name!(..)` macro bang.
+pub(crate) const KEYWORDS: [&str; 40] = [
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
     "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
@@ -218,8 +219,6 @@ pub struct FnItem {
     pub is_test: bool,
     /// Marked `// hot-path`.
     pub hot_path: bool,
-    /// Carries an `#[allow(dead_code)]` attribute.
-    pub has_allow_dead_code: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// Panic-capable operations in the body.
@@ -342,7 +341,6 @@ pub(crate) fn parse_file(file: &SourceFile<'_>) -> ParsedFile {
             is_method: rf.is_method,
             is_test: is_test_file || file.in_test(fn_tok.start),
             hot_path: hot_fn_cis.contains(&rf.fn_ci),
-            has_allow_dead_code: has_allow_dead_code(file, rf.fn_ci),
             calls: Vec::new(),
             panics: Vec::new(),
             allocs: Vec::new(),
@@ -489,64 +487,6 @@ fn first_param_is_self(file: &SourceFile<'_>, open: usize, close: usize) -> bool
     false
 }
 
-/// True when the fn at `fn_ci` carries `#[allow(dead_code)]`, walking
-/// back over visibility/qualifier tokens and any stack of attributes.
-fn has_allow_dead_code(file: &SourceFile<'_>, fn_ci: usize) -> bool {
-    let mut j = fn_ci;
-    loop {
-        // Step back over `pub`, `pub(crate)`, `unsafe`, `const`,
-        // `async`, `extern "C"`.
-        while j > 0 {
-            let p = j - 1;
-            let kind = file.ct(p).kind;
-            let txt = file.ctext(p);
-            let qualifier = (kind == TokenKind::Ident
-                && matches!(
-                    txt,
-                    "pub" | "crate" | "in" | "super" | "unsafe" | "const" | "async" | "extern"
-                ))
-                || (kind == TokenKind::Punct && (txt == "(" || txt == ")"))
-                || kind == TokenKind::Str;
-            if !qualifier {
-                break;
-            }
-            j = p;
-        }
-        // An attribute directly above?
-        if j < 2 || !file.is_punct(j - 1, "]") {
-            return false;
-        }
-        let mut depth = 1usize;
-        let mut k = j - 1;
-        while k > 0 && depth > 0 {
-            k -= 1;
-            match file.ctext(k) {
-                "]" => depth += 1,
-                "[" => depth -= 1,
-                _ => {}
-            }
-        }
-        if depth != 0 || k == 0 || !file.is_punct(k - 1, "#") {
-            return false;
-        }
-        let mut saw_allow = false;
-        let mut saw_dead_code = false;
-        for t in k..j - 1 {
-            if file.ct(t).kind == TokenKind::Ident {
-                match file.ctext(t) {
-                    "allow" => saw_allow = true,
-                    "dead_code" => saw_dead_code = true,
-                    _ => {}
-                }
-            }
-        }
-        if saw_allow && saw_dead_code {
-            return true;
-        }
-        j = k - 1; // the `#`; keep walking: attributes can stack.
-    }
-}
-
 /// Scans `[from, to)` (code-token indices), skipping nested fn extents,
 /// and records call, panic, and allocation sites into `item`.
 fn collect_facts(
@@ -567,8 +507,8 @@ fn collect_facts(
             TokenKind::Ident => {
                 let name = file.ctext(ci);
                 let prev_dot = ci > from && file.is_punct(ci - 1, ".");
-                if let Some(op) = file.panic_op(ci) {
-                    push_panic(file, item, op.what(), tok.line);
+                if let Some(what) = file.panic_op(ci) {
+                    push_panic(file, item, what, tok.line);
                 }
                 if name == "Vec"
                     && file.is_punct(ci + 1, ":")
@@ -791,18 +731,11 @@ impl<'a> CallGraph<'a> {
         labels.reverse();
         labels.join(" → ")
     }
-
-    /// Whether any non-test function calls into `node` (by resolution).
-    fn has_incoming(&self, node: Node) -> bool {
-        self.edges.iter().enumerate().any(|(src, outs)| src != node && outs.contains(&node))
-    }
 }
 
 /// Runs the call-graph lints over the parsed workspace:
-/// `panic-reachability`, `hot-path-alloc`, and the `#[allow(dead_code)]`
-/// half of `dead-waiver` (the pragma half is reported by
-/// [`WaiverLog::report_dead`] afterwards, once this pass has marked the
-/// `panic-ok` waivers it consulted).
+/// `panic-reachability` and `hot-path-alloc`. It marks the `panic-ok`
+/// waivers it consulted, so [`WaiverLog::report_dead`] runs after it.
 pub(crate) fn check_interprocedural(
     files: &[ParsedFile],
     visibility: &Visibility,
@@ -877,25 +810,6 @@ pub(crate) fn check_interprocedural(
                     what = site.what,
                     name = graph.label(node),
                     chain = graph.chain(node, &hot_parent),
-                ),
-            });
-        }
-    }
-
-    // dead-waiver, attribute half: `#[allow(dead_code)]` on a function
-    // the graph sees called from non-test code suppresses nothing
-    // (rustc sees the same call) — test-only callers keep it justified.
-    for node in 0..graph.nodes.len() {
-        let f = graph.item(node);
-        if f.has_allow_dead_code && graph.has_incoming(node) {
-            findings.push(Finding {
-                lint: Lint::DeadWaiver,
-                file: graph.rel(node).to_path_buf(),
-                line: f.line,
-                message: format!(
-                    "`#[allow(dead_code)]` on `{name}`, but the call graph sees it \
-                     called from non-test code — the allow suppresses nothing; delete it",
-                    name = graph.label(node),
                 ),
             });
         }

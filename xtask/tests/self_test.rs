@@ -15,8 +15,6 @@ fn every_fixture_behaves_as_expected() {
     assert!(!results.is_empty(), "no fixtures found");
     let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
     for lint in [
-        "no-panic",
-        "crate-root-pragmas",
         "paper-ref",
         "hot-path-alloc",
         "determinism",
@@ -140,9 +138,14 @@ fn the_store_crate_is_covered_by_the_walker() {
     let root = std::env::temp_dir().join(format!("xtask-store-coverage-{}", std::process::id()));
     let src = root.join("crates").join("store").join("src");
     std::fs::create_dir_all(&src).unwrap();
-    // No crate-root pragmas, and an unwrap in library code: both lints
-    // must fire on this file.
-    std::fs::write(src.join("lib.rs"), "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n").unwrap();
+    // An unwrap on a hot path, and a lock outside the approved modules:
+    // both lints must fire on this file.
+    std::fs::write(
+        src.join("lib.rs"),
+        "// hot-path\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+         pub fn lock() -> std::sync::Mutex<u8> { std::sync::Mutex::new(0) }\n",
+    )
+    .unwrap();
 
     let findings = run_check(&root).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
@@ -150,17 +153,20 @@ fn the_store_crate_is_covered_by_the_walker() {
     let in_store = |lint: Lint| {
         findings.iter().any(|f| f.lint == lint && f.file.to_string_lossy().contains("store"))
     };
-    assert!(in_store(Lint::NoPanic), "no-panic did not fire in crates/store: {findings:?}");
     assert!(
-        in_store(Lint::CrateRootPragmas),
-        "crate-root-pragmas did not fire in crates/store: {findings:?}"
+        in_store(Lint::PanicReachability),
+        "panic-reachability did not fire in crates/store: {findings:?}"
+    );
+    assert!(
+        in_store(Lint::ConcurrencyDiscipline),
+        "concurrency-discipline did not fire in crates/store: {findings:?}"
     );
 }
 
-/// jetmut discovery passes over two shapes whose mutants can never
-/// compile — the `+` joining trait bounds and the `..` before a
-/// functional update's lowercase base — and keeps the arithmetic and the
-/// range on the same lines.
+/// jetmut discovery passes over shapes whose mutants can never compile —
+/// the `+` joining trait bounds, the `..` before a functional update's
+/// lowercase base, macro bangs, `#![..]` and `!=` — and keeps the
+/// arithmetic, the range and every negation, a keyword before it or not.
 #[test]
 fn mutation_discovery_skips_bound_plus_and_update_base() {
     let root = std::env::temp_dir().join(format!("xtask-mutate-shapes-{}", std::process::id()));
@@ -172,7 +178,10 @@ fn mutation_discovery_skips_bound_plus_and_update_base() {
          pub fn bound<W: Copy + Default>(w: W) -> Box<dyn Fn() -> W + Send> { todo!() }\n\
          pub fn sum(lo: u32, n: u32) -> u32 { (lo..n).map(|i| i + 1).sum() }\n\
          pub fn update(s: &S) -> S { S { a: s.a + 1, ..s.base() } }\n\
-         pub fn path(n: f64) -> f64 { n + Weight::MAX }\n",
+         pub fn path(n: f64) -> f64 { n + Weight::MAX }\n\
+         #![doc = \"x\"]\n\
+         pub fn neg(c: bool) -> bool { if !c { return !c; } while !c {} !c }\n\
+         pub fn bang(x: u32) -> bool { assert!(x != 1); vec![x]; m! {} x != 2 }\n",
     )
     .unwrap();
     let sites = xtask::mutate::sites::discover_workspace(&root).unwrap();
@@ -183,6 +192,9 @@ fn mutation_discovery_skips_bound_plus_and_update_base() {
     assert_eq!(at(4, "arith-swap"), 1, "s.a + 1");
     assert_eq!(at(4, "range-flip"), 0, "a functional update's base is not a range end");
     assert_eq!(at(5, "arith-swap"), 1, "a path operand after `+` is still a sum");
+    assert_eq!(at(6, "negate-drop"), 0, "an inner attribute is not a negation");
+    assert_eq!(at(7, "negate-drop"), 4, "if !c, return !c, while !c and a bare !c");
+    assert_eq!(at(8, "negate-drop"), 0, "macro bangs and `!=` are not negations");
 }
 
 /// Same proof for the serving layer: `crates/serve` is inside the
@@ -196,7 +208,8 @@ fn the_serve_crate_is_covered_by_the_walker() {
     std::fs::create_dir_all(&src).unwrap();
     std::fs::write(
         src.join("lib.rs"),
-        "pub fn f(x: Option<u8>) -> u8 {\n    let _t = std::time::Instant::now();\n    x.unwrap()\n}\n",
+        "// hot-path\npub fn f(x: Option<u8>) -> u8 {\n    \
+         let _t = std::time::Instant::now();\n    x.unwrap()\n}\n",
     )
     .unwrap();
 
@@ -206,10 +219,9 @@ fn the_serve_crate_is_covered_by_the_walker() {
     let in_serve = |lint: Lint| {
         findings.iter().any(|f| f.lint == lint && f.file.to_string_lossy().contains("serve"))
     };
-    assert!(in_serve(Lint::NoPanic), "no-panic did not fire in crates/serve: {findings:?}");
     assert!(
-        in_serve(Lint::CrateRootPragmas),
-        "crate-root-pragmas did not fire in crates/serve: {findings:?}"
+        in_serve(Lint::PanicReachability),
+        "panic-reachability did not fire in crates/serve: {findings:?}"
     );
     assert!(
         in_serve(Lint::Determinism),

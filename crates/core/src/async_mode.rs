@@ -50,20 +50,17 @@
 //! with each worker blocking — and each block is preceded by a status
 //! send, so the coordinator always wakes after the last activity.
 //!
-//! # Race-log instrumentation
+//! # Ownership
 //!
-//! All transfers go through the [`sync`] shim's logged hubs. Thread ids:
-//! coordinator 0, worker `s` is `s + 1`. With `T` threads, the logical
-//! channel from thread `f` to thread `t` is `f * T + t` — one producer per
-//! logical channel, preserving the per-channel FIFO assumption of the
-//! vector-clock checker even though the transport is a shared mpsc queue.
-//! The coordinator records a `ShardState(s)` write per seed it folds in
-//! place, and logs each spawn as the start hand-off: a `Send` on its
-//! channel to the worker, which the worker's first act receives. Worker
-//! `s` records a `ShardState(s)` write per run fold and per processing
-//! pass; the coordinator records its `ShardState(s)` read only after
-//! receiving that worker's final `Done` ack. Seeds, drains and reads are
-//! therefore happens-before ordered across drains in the trace.
+//! Each worker holds its shard's queue, outboxes and slices of the value
+//! and dependency vectors through disjoint `&mut` borrows (`iter_mut` and
+//! `split_at_mut`) into a scoped thread, and the scope joins every worker
+//! before the coordinator reads a shard again. So the compiler, not a
+//! runtime checker, proves the drain free of data races (DESIGN.md §14.3).
+//! Every transfer goes through the [`sync`] shim's logged hubs, whose
+//! thread and channel ids (coordinator 0, worker `s` is `s + 1`; with `T`
+//! threads the channel from thread `f` to thread `t` is `f * T + t`) let
+//! a message log attribute each send.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`CoalescingQueue`]: crate::CoalescingQueue
@@ -74,9 +71,7 @@ use jetstream_graph::{ix, VertexId};
 use crate::event::{Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
-use crate::sharded::sync::{
-    self, AccessKind, HubReceiver, RaceLog, Resource, RoutedSender, TraceEvent,
-};
+use crate::sharded::sync::{self, HubReceiver, RaceLog, RoutedSender};
 use crate::sharded::{maybe_yield, Routes, Shard};
 use crate::stats::RunStats;
 
@@ -92,7 +87,7 @@ pub(crate) struct AsyncParams<'a> {
     /// Run-length plan: worker `i` drains `chunks[i % len]` queue bins per
     /// pass (0 = the whole queue). Empty = whole-queue passes.
     pub chunks: &'a [usize],
-    /// Race-sanitizer trace sink.
+    /// Cross-shard message log.
     pub race_log: &'a RaceLog,
 }
 
@@ -127,11 +122,6 @@ enum FromWorker {
         sent: u64,
         /// Cumulative events folded in from runs.
         recvd: u64,
-    },
-    /// Final ack after `Stop`: the worker's state writes are complete.
-    Done {
-        /// Acknowledging worker.
-        worker: usize,
     },
     /// A worker panicked; coordination must abort (the panic itself
     /// resurfaces when the thread scope joins, which identifies it).
@@ -194,7 +184,6 @@ impl<'a> ExecState<'a> for AsyncState<'a> {
 /// One worker's whole async lifetime for one drain.
 struct WorkerLoop<'a> {
     worker: usize,
-    thread: usize,
     lo: VertexId,
     hi: VertexId,
     cx: KernelCtx<'a>,
@@ -214,15 +203,10 @@ struct WorkerLoop<'a> {
     stopped: bool,
     /// Rotating start bin for chunked passes.
     bin_cursor: usize,
-    log: RaceLog,
 }
 
 impl WorkerLoop<'_> {
     fn run(mut self) {
-        // The spawn is the start hand-off: the coordinator logged it as a
-        // `Send` on its channel to this worker, so its seeds and its reads
-        // after the previous drain happen before anything this worker does.
-        self.log.record(TraceEvent::Recv { thread: self.thread, channel: self.thread });
         loop {
             self.drain_mailbox();
             while !self.stopped && !self.shard.queue.is_empty() {
@@ -248,7 +232,6 @@ impl WorkerLoop<'_> {
                 Err(_) => break,
             }
         }
-        let _ = self.status.send(FromWorker::Done { worker: self.worker });
     }
 
     /// Absorbs every message already queued, without blocking.
@@ -262,7 +245,6 @@ impl WorkerLoop<'_> {
         match msg {
             ToWorker::Run(events) => {
                 self.recvd += events.len() as u64;
-                self.log.access(self.thread, Resource::ShardState(self.worker), AccessKind::Write);
                 self.shard.queue.insert_run(&events, self.cx.reduce);
             }
             ToWorker::Probe(id) => self.pending_probe = Some(id),
@@ -275,7 +257,6 @@ impl WorkerLoop<'_> {
     /// the drained bins), then spilled delete events FIFO.
     fn process_pass(&mut self) {
         self.shard.rounds += 1;
-        self.log.access(self.thread, Resource::ShardState(self.worker), AccessKind::Write);
 
         let mut events = std::mem::take(&mut self.shard.drain_scratch);
         events.clear();
@@ -409,7 +390,6 @@ impl Detector {
                 }
             }
             FromWorker::Died => self.aborted = true,
-            FromWorker::Done { .. } => {}
         }
     }
 
@@ -493,8 +473,8 @@ impl Detector {
 }
 
 /// Drives one drain to quiescence: spawns one worker per shard over the
-/// queues the coordinator seeded, detects termination, and orders the
-/// final state reads behind each worker's `Done` ack.
+/// queues the coordinator seeded, detects termination, and stops the
+/// workers; the scope joins them all before it returns.
 pub(crate) fn run_to_quiescence(
     p: &AsyncParams<'_>,
     shards: &mut [Shard],
@@ -544,7 +524,6 @@ pub(crate) fn run_to_quiescence(
             let died = status.clone();
             let w = WorkerLoop {
                 worker,
-                thread,
                 lo,
                 hi,
                 cx: p.cx,
@@ -562,9 +541,7 @@ pub(crate) fn run_to_quiescence(
                 pending_probe: None,
                 stopped: false,
                 bin_cursor: 0,
-                log: p.race_log.clone(),
             };
-            p.race_log.record(TraceEvent::Send { thread: 0, channel: thread });
             scope.spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run()));
                 if let Err(payload) = result {
@@ -579,20 +556,6 @@ pub(crate) fn run_to_quiescence(
         detector.run();
         for tx in &detector.txs {
             let _ = tx.send(ToWorker::Stop);
-        }
-        // Await every worker's final ack; each one orders the
-        // coordinator's post-join reads of that shard's state.
-        let mut pending = s_count;
-        while pending > 0 && !detector.aborted {
-            match detector.rx.recv() {
-                Ok(FromWorker::Done { worker }) => {
-                    pending -= 1;
-                    p.race_log.access(0, Resource::ShardState(worker), AccessKind::Read);
-                }
-                Ok(FromWorker::Died) => detector.aborted = true,
-                Ok(FromWorker::Idle { .. }) => {}
-                Err(_) => detector.aborted = true,
-            }
         }
     });
 }
@@ -756,7 +719,6 @@ mod tests {
         let mut dependency = [None];
         let mut w = WorkerLoop {
             worker: 0,
-            thread: 1,
             lo: 0,
             hi: 1,
             cx: KernelCtx::new(&alg, &csr, DeleteStrategy::Tag),
@@ -774,7 +736,6 @@ mod tests {
             pending_probe: Some(7),
             stopped: false,
             bin_cursor: 0,
-            log: log.clone(),
         };
         w.report_idle(); // answers the outstanding probe and clears it
         w.report_idle(); // nothing pending: unsolicited

@@ -345,7 +345,7 @@ pub(crate) fn validate_converged_values(
     values: &[Value],
     dependency: &[Option<VertexId>],
 ) -> Result<(), String> {
-    let (alg, csr) = (cx.alg, cx.csr);
+    let csr = cx.csr;
     if cx.dap_active {
         if let Some((v, u)) = dangling_dependency(&csr.out, dependency) {
             return Err(format!(
@@ -371,11 +371,7 @@ pub(crate) fn validate_converged_values(
     match cx.kind {
         UpdateKind::Selective => {
             for (u, v, w) in csr.out.iter_edges() {
-                let state = values[ix(u)];
-                let deg = csr.out.degree(u);
-                let wsum = cx.weight_sum(u);
-                let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
-                if let Some(delta) = alg.propagate(state, state, &ctx) {
+                if let Some(delta) = supply(cx, values[ix(u)], u, w) {
                     let target = values[ix(v)];
                     if cx.reduce.apply(target, delta) != target {
                         return Err(format!(

@@ -212,7 +212,7 @@ pub struct Sharded {
     chunk_plan: Vec<usize>,
     /// Cumulative scaling model (see [`ParallelModel`]).
     model: ParallelModel,
-    /// Trace sink for the race sanitizer (disabled by default).
+    /// Cross-shard message log (disabled by default).
     race_log: sync::RaceLog,
 }
 
@@ -237,18 +237,6 @@ impl Sharded {
     }
 }
 
-/// Shard `dest`'s queue, idle between drains, as the coordinator seeds
-/// into it; the write is logged for the race checker.
-fn seed_queue<'s>(
-    shards: &'s mut [Shard],
-    race_log: &sync::RaceLog,
-    dest: usize,
-) -> &'s mut CoalescingQueue {
-    race_log.access(0, sync::Resource::ShardState(dest), sync::AccessKind::Write);
-    // panic-ok: route owners are shard indices
-    &mut shards[dest].queue
-}
-
 impl Executor for Sharded {}
 
 /// The JetStream engine on `S` worker threads: the §4.6
@@ -257,8 +245,8 @@ impl Executor for Sharded {}
 /// Supports the full streaming API for every algorithm and every
 /// [`DeleteStrategy`](crate::DeleteStrategy), and converges to the fixed
 /// point [`StreamingEngine`](crate::StreamingEngine) reaches, for any
-/// shard count and any thread schedule. See the [module docs](self) for
-/// what that does and does not cover.
+/// shard count and any thread schedule. DESIGN.md §16.3 says what that
+/// does and does not cover.
 ///
 /// # Example
 ///
@@ -358,11 +346,9 @@ impl StreamingFlow<Sharded> {
         self.exec.yield_plan = plan.to_vec();
     }
 
-    /// Test hook: install a [`sync::RaceLog`] trace sink. While enabled,
-    /// every channel transfer and every conceptual shard-state access of a
-    /// drain is recorded for the vector-clock race checker
-    /// (`jetstream_testkit::race`, DESIGN.md §14.3). Install
-    /// `RaceLog::default()` to turn recording back off.
+    /// Measurement hook: install a [`sync::RaceLog`] message log. While
+    /// enabled, every message a drain sends or receives is recorded.
+    /// Install `RaceLog::default()` to turn recording back off.
     pub fn set_race_log(&mut self, log: sync::RaceLog) {
         self.exec.race_log = log;
     }
@@ -397,8 +383,7 @@ impl Drain for Sharded {
     fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
         stats.events_generated += 1;
         let (dest, lo, _) = self.routes.owner(ev.target);
-        let queue = seed_queue(&mut self.shards, &self.race_log, dest);
-        queue.insert_with(Event { target: ev.target - lo, ..ev }, reduce);
+        self.shards[dest].queue.insert_with(Event { target: ev.target - lo, ..ev }, reduce);
     }
 
     /// A row ascends, so each shard's share of it is one contiguous run,
@@ -406,10 +391,9 @@ impl Drain for Sharded {
     // hot-path
     fn seed_row(&mut self, reduce: Reduce, stats: &mut RunStats, row: Row<'_>) {
         stats.events_generated += row.targets.len() as u64;
-        let Sharded { shards, routes, race_log, .. } = self;
-        routes.split(row, |dest, lo, run| {
-            seed_queue(shards, race_log, dest).insert_row(lo, run, reduce);
-        });
+        let Sharded { shards, routes, .. } = self;
+        // panic-ok: route owners are shard indices
+        routes.split(row, |dest, lo, run| shards[dest].queue.insert_row(lo, run, reduce));
     }
 
     /// Drains the seeded shard queues to quiescence with one worker thread
@@ -479,39 +463,23 @@ impl Drain for Sharded {
     }
 }
 
-/// Sync shim for the vector-clock race sanitizer (DESIGN.md §14.3).
+/// The cross-shard message log: every channel the drain uses, behind
+/// one shim.
 ///
-/// This module lives inside `sharded.rs` deliberately: `concurrency-
-/// discipline` permits primitives only in this file, so every channel the
-/// engine uses can be routed through the logged wrappers below and the
-/// instrumentation can never silently miss a primitive added elsewhere.
-/// When no [`RaceLog`] sink is installed the shim costs one branch per
-/// event.
+/// Every message the drain sends travels through a logged hub below, so an
+/// installed [`RaceLog`](sync::RaceLog) sees all of them; `benchmark/`
+/// counts the worker-to-worker sends. When no log is installed the shim
+/// costs one branch per message. Data-race freedom is not this module's
+/// business: each worker holds its shard through a disjoint `&mut`
+/// borrow, so the compiler proves it (DESIGN.md §14.3).
 pub mod sync {
     use std::sync::mpsc;
     use std::sync::{Arc, Mutex};
 
-    /// A conceptual resource of the sharded engine, as seen by the race
-    /// checker. Stable ids: shard `s` owns `ShardState(s)`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    pub enum Resource {
-        /// Shard `s`'s owned state: its value/dependency slices and queue.
-        ShardState(usize),
-    }
-
-    /// Whether an access observed or mutated the resource.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    pub enum AccessKind {
-        /// The resource was only observed.
-        Read,
-        /// The resource was mutated.
-        Write,
-    }
-
-    /// One recorded synchronization or access event. Thread ids are
-    /// stable: the coordinator is 0, worker `s` is `s + 1`. Channel ids
-    /// are stable: with `T` threads, `f * T + t` carries thread `f`'s
-    /// messages to thread `t`.
+    /// One recorded message transfer. Thread ids are stable: the
+    /// coordinator is 0, worker `s` is `s + 1`. Channel ids are stable:
+    /// with `T` threads, `f * T + t` carries thread `f`'s messages to
+    /// thread `t`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum TraceEvent {
         /// `thread` enqueued a message on `channel` (recorded just before
@@ -530,37 +498,13 @@ pub mod sync {
             /// Channel id.
             channel: usize,
         },
-        /// `thread` acquired lock `lock`.
-        Acquire {
-            /// Acquiring thread id.
-            thread: usize,
-            /// Lock id.
-            lock: usize,
-        },
-        /// `thread` released lock `lock`.
-        Release {
-            /// Releasing thread id.
-            thread: usize,
-            /// Lock id.
-            lock: usize,
-        },
-        /// `thread` touched `resource`.
-        Access {
-            /// Accessing thread id.
-            thread: usize,
-            /// The resource touched.
-            resource: Resource,
-            /// Read or write.
-            kind: AccessKind,
-        },
     }
 
-    /// A shared, cloneable trace sink. The default is disabled — every
+    /// A shared, cloneable message log. The default is disabled — every
     /// recording call is a single branch — so production runs pay nothing.
     /// Install an enabled log via
     /// [`ShardedEngine::set_race_log`](super::ShardedEngine::set_race_log),
-    /// run, then [`take`](Self::take) the trace and feed it to
-    /// `jetstream_testkit::race::check_trace`.
+    /// run, then [`take`](Self::take) the recorded messages.
     #[derive(Debug, Clone, Default)]
     pub struct RaceLog(Option<Arc<Mutex<Vec<TraceEvent>>>>);
 
@@ -571,17 +515,12 @@ pub mod sync {
         }
 
         /// Appends one event (no-op when disabled).
-        pub fn record(&self, ev: TraceEvent) {
+        fn record(&self, ev: TraceEvent) {
             if let Some(buf) = &self.0 {
                 // A poisoned mutex only means another recorder panicked;
                 // the buffer itself is still coherent, so keep tracing.
                 buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(ev);
             }
-        }
-
-        /// Records an [`TraceEvent::Access`].
-        pub fn access(&self, thread: usize, resource: Resource, kind: AccessKind) {
-            self.record(TraceEvent::Access { thread, resource, kind });
         }
 
         /// Drains and returns the recorded trace (empty when disabled).
@@ -598,13 +537,10 @@ pub mod sync {
     /// A logged *hub*: one receiver fed by any number of routed sender
     /// handles (the workers' mailboxes and the status channel).
     ///
-    /// std's mpsc only guarantees FIFO *per producer*, and the race
-    /// checker models every channel id as one FIFO — so each
-    /// (sender thread → receiver) pair gets its own logical channel id,
-    /// carried with every message, and the receiver attributes each `Recv`
-    /// to the logical channel the message actually travelled on. One
-    /// logical channel therefore has exactly one producing thread, and its
-    /// `Send` log order matches its queue order.
+    /// Each (sender thread → receiver) pair gets its own logical channel
+    /// id, carried with every message, and the receiver attributes each
+    /// `Recv` to the logical channel the message actually travelled on, so
+    /// the log tells who sent each message to whom.
     pub(crate) fn logged_hub<T>(
         log: &RaceLog,
         receiver_thread: usize,

@@ -58,11 +58,6 @@ impl HwConfig {
         }
     }
 
-    /// JetStream with base/VAP events (80-bit payloads with flags).
-    pub fn jetstream_vap() -> Self {
-        HwConfig { event_bits: 80, streaming_extensions: true, ..HwConfig::graphpulse() }
-    }
-
     /// JetStream with DAP events (112-bit payloads carrying source ids).
     pub fn jetstream_dap() -> Self {
         HwConfig { event_bits: 112, streaming_extensions: true, ..HwConfig::graphpulse() }
@@ -259,12 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn vap_between_graphpulse_and_dap() {
+    fn dap_costs_more_area_than_graphpulse() {
         let gp = estimate(&HwConfig::graphpulse());
-        let vap = estimate(&HwConfig::jetstream_vap());
         let dap = estimate(&HwConfig::jetstream_dap());
-        assert!(vap.total_area_mm2() > gp.total_area_mm2());
-        assert!(dap.total_area_mm2() > vap.total_area_mm2());
+        assert!(dap.total_area_mm2() > gp.total_area_mm2());
     }
 
     #[test]

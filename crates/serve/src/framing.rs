@@ -2,7 +2,7 @@
 //! the TCP/Unix-domain connection abstraction both ends share.
 //!
 //! A frame is `len: u32 LE` followed by `len` payload bytes; `len` is
-//! capped at [`MAX_PAYLOAD_LEN`](crate::protocol::MAX_PAYLOAD_LEN) so a
+//! capped at [`MAX_PAYLOAD_LEN`] so a
 //! hostile prefix cannot drive an unbounded allocation (DESIGN.md §15.1).
 
 use std::io::{self, Read, Write};

@@ -10,7 +10,7 @@
 //! walks it): it must reject truncated, oversized, and garbage payloads
 //! with a typed [`ProtocolError`] and is written without slice indexing,
 //! `unwrap`, or arithmetic that can overflow — every read goes through
-//! [`Cursor::grab_chunk`], which bounds-checks via `slice::get`.
+//! `Cursor::grab_chunk`, which bounds-checks via `slice::get`.
 
 use jetstream_graph::EdgeUpdate;
 

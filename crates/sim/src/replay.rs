@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use jetstream_core::trace::{OpKind, Trace, TraceOp};
-use jetstream_core::Phase;
 use jetstream_graph::partition::Partition;
 use jetstream_graph::CsrPair;
 
@@ -32,8 +31,6 @@ const STREAM_BYTES: u64 = 12;
 pub struct SimReport {
     /// Total cycles from trace start to completion.
     pub cycles: u64,
-    /// Cycles attributed to each phase, in execution order.
-    pub phase_cycles: Vec<(Phase, u64)>,
     /// DRAM subsystem statistics.
     pub dram: DramStats,
     /// Bytes of fetched data actually consumed by the compute engines
@@ -161,22 +158,14 @@ impl AcceleratorSim {
             spill_cursor: mem.spill_base,
         };
 
-        let mut phase_cycles = Vec::new();
-        for phase in &trace.phases {
-            let phase_start = state.cycle;
-            for round in &phase.rounds {
-                self.replay_round(
-                    &round.ops, trace, &mem, &mut dram, &mut state, &partition, &bin_of,
-                );
-            }
-            phase_cycles.push((phase.phase, state.cycle - phase_start));
+        for round in trace.phases.iter().flat_map(|phase| &phase.rounds) {
+            self.replay_round(&round.ops, trace, &mem, &mut dram, &mut state, &partition, &bin_of);
         }
         // Account for in-flight DRAM traffic at the end.
         state.cycle = state.cycle.max(dram.drain_cycle());
 
         SimReport {
             cycles: state.cycle,
-            phase_cycles,
             dram: dram.stats(),
             bytes_used: state.bytes_used,
             events_processed: state.events_processed,
@@ -358,7 +347,7 @@ mod tests {
     use super::*;
     use jetstream_algorithms::Workload;
     use jetstream_core::trace::{PhaseTrace, RoundTrace};
-    use jetstream_core::{DeleteStrategy, EngineConfig, StreamingEngine};
+    use jetstream_core::{DeleteStrategy, EngineConfig, Phase, StreamingEngine};
     use jetstream_graph::{gen, Csr};
 
     fn traced_initial(
@@ -454,16 +443,6 @@ mod tests {
             trace.phases.iter().flat_map(|p| p.rounds.iter()).map(|r| r.ops.len() as u64).sum();
         assert_eq!(report.events_processed, ops);
         assert_eq!(report.events_generated, trace.targets.len() as u64);
-    }
-
-    #[test]
-    fn phase_cycles_sum_below_total() {
-        let (trace, csr) = traced_initial(Workload::Sswp, 200, 1200, 5);
-        let mut sim = AcceleratorSim::new(SimConfig::jetstream(DeleteStrategy::Vap));
-        let report = sim.replay(&trace, &csr);
-        let sum: u64 = report.phase_cycles.iter().map(|&(_, c)| c).sum();
-        assert!(sum <= report.cycles);
-        assert!(!report.phase_cycles.is_empty());
     }
 
     #[test]

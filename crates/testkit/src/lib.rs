@@ -28,7 +28,6 @@
 pub use jetstream_graph::rng::DetRng;
 
 mod model;
-pub mod race;
 pub mod schedule;
 
 pub use model::EdgeModel;
@@ -96,15 +95,6 @@ pub fn run_cases(name: &str, cases: u64, property: impl Fn(&mut DetRng)) {
     }
 }
 
-/// Convenience: a random `Vec<u64>` with length in `[0, max_len]` and
-/// values below `bound` (or full-range when `bound == 0`).
-pub fn vec_u64(rng: &mut DetRng, max_len: usize, bound: u64) -> Vec<u64> {
-    let len = rng.gen_index(max_len + 1);
-    (0..len)
-        .map(|_| if bound == 0 { rng.next_u64() } else { rng.gen_range_inclusive(0, bound - 1) })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +114,6 @@ mod tests {
             run_cases("always fails", 3, |_| panic!("boom"));
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn vec_helper_respects_bounds() {
-        let mut rng = DetRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let v = vec_u64(&mut rng, 8, 50);
-            assert!(v.len() <= 8);
-            assert!(v.iter().all(|&x| x < 50));
-        }
     }
 
     #[test]

@@ -16,21 +16,19 @@
 //! replays.
 //!
 //! Yielding and flushing at different points per worker reshuffles the
-//! arrival order of cross-shard runs, which is exactly the freedom a data
-//! race or order-sensitive reduction would need to surface; every run's
-//! recorded sync trace also replays through the vector-clock race checker.
-//! See DESIGN.md §13.3.
+//! arrival order of cross-shard runs, which is exactly the freedom an
+//! order-sensitive reduction, a lost run or an early quiescence verdict
+//! would need to surface. Data races need no such hunt: each worker holds
+//! its shard through a disjoint `&mut` borrow, so the compiler rejects
+//! them on every build. See DESIGN.md §13.3.
 //!
 //! This is library code on the sanitizer's hot path in CI, so it is
 //! panic-free: every failure mode is a value of [`FuzzFailure`].
 
 use jetstream_algorithms::{oracle, UpdateKind, Workload};
-use jetstream_core::sync::RaceLog;
 use jetstream_core::{DeleteStrategy, EngineConfig, ShardedEngine, StreamingEngine};
 use jetstream_graph::rng::DetRng;
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch};
-
-use crate::race::{self, TraceError};
 
 use std::fmt;
 
@@ -129,29 +127,6 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// A race (or malformed trace) found in one run's recorded sync trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RaceReport {
-    /// Workload whose run raced.
-    pub workload: &'static str,
-    /// Delete strategy label of the racing run.
-    pub strategy: &'static str,
-    /// The schedule that exposed it.
-    pub schedule: Schedule,
-    /// What the vector-clock checker found.
-    pub error: TraceError,
-}
-
-impl fmt::Display for RaceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} race check failed under schedule [{}]: {}",
-            self.workload, self.strategy, self.schedule, self.error
-        )
-    }
-}
-
 /// Any way a sweep can fail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FuzzFailure {
@@ -160,9 +135,6 @@ pub enum FuzzFailure {
     Setup(String),
     /// The engines disagreed.
     Divergence(Box<Divergence>),
-    /// The vector-clock checker found unordered conflicting accesses in
-    /// a run's recorded sync trace (DESIGN.md §14.3).
-    Race(Box<RaceReport>),
 }
 
 impl fmt::Display for FuzzFailure {
@@ -170,7 +142,6 @@ impl fmt::Display for FuzzFailure {
         match self {
             FuzzFailure::Setup(msg) => write!(f, "sanitizer setup failed: {msg}"),
             FuzzFailure::Divergence(d) => d.fmt(f),
-            FuzzFailure::Race(r) => r.fmt(f),
         }
     }
 }
@@ -184,9 +155,6 @@ pub struct SweepReport {
     pub runs: usize,
     /// Per-step state comparisons performed across all runs.
     pub comparisons: usize,
-    /// Sync-trace events replayed through the race checker (0 when
-    /// `race_check` is off).
-    pub trace_events: usize,
 }
 
 /// The per-kind value clause of the sharded contract: bit-exact for
@@ -225,9 +193,6 @@ pub struct ScheduleFuzzer {
     pub batches: usize,
     /// Edge updates per batch (half inserts, half deletes).
     pub batch_size: usize,
-    /// Record every run's sync trace and feed it through the
-    /// vector-clock race checker ([`crate::race`], DESIGN.md §14.3).
-    pub race_check: bool,
 }
 
 impl Default for ScheduleFuzzer {
@@ -240,7 +205,6 @@ impl Default for ScheduleFuzzer {
             strategies: vec![DeleteStrategy::Tag, DeleteStrategy::Dap],
             batches: 3,
             batch_size: 20,
-            race_check: true,
         }
     }
 }
@@ -310,26 +274,22 @@ impl ScheduleFuzzer {
         let schedules = self.schedules();
         let mut runs = 0usize;
         let mut comparisons = 0usize;
-        let mut trace_events = 0usize;
         for &workload in &self.workloads {
             for &strategy in &self.strategies {
                 let reference = self.reference(workload, strategy, &base, &batches)?;
                 for schedule in &schedules {
                     runs += 1;
-                    let (compared, traced) =
+                    comparisons +=
                         self.run_one(workload, strategy, schedule, &base, &batches, &reference)?;
-                    comparisons += compared;
-                    trace_events += traced;
                 }
             }
         }
-        Ok(SweepReport { schedules: schedules.len(), runs, comparisons, trace_events })
+        Ok(SweepReport { schedules: schedules.len(), runs, comparisons })
     }
 
     /// One sharded run under one schedule, compared against the oracle
-    /// after the initial compute and after every batch, with the run's
-    /// sync trace fed through the race checker when `race_check` is on.
-    /// Returns `(step comparisons, trace events checked)`.
+    /// after the initial compute and after every batch. Returns the
+    /// number of step comparisons.
     fn run_one(
         &self,
         workload: Workload,
@@ -338,7 +298,7 @@ impl ScheduleFuzzer {
         base: &AdjacencyGraph,
         batches: &[UpdateBatch],
         reference: &[Vec<f64>],
-    ) -> Result<(usize, usize), FuzzFailure> {
+    ) -> Result<usize, FuzzFailure> {
         let diverged = |step: usize| {
             FuzzFailure::Divergence(Box::new(Divergence {
                 workload: workload.name(),
@@ -352,8 +312,6 @@ impl ScheduleFuzzer {
         let mut engine = ShardedEngine::new(alg, base.clone(), config, schedule.shards);
         engine.set_yield_plan(&schedule.plan);
         engine.set_async_chunk_plan(&schedule.chunks);
-        let race_log = if self.race_check { RaceLog::enabled() } else { RaceLog::default() };
-        engine.set_race_log(race_log.clone());
 
         engine.initial_compute();
         if !values_match(workload, engine.values(), &reference[0]) {
@@ -381,17 +339,7 @@ impl ScheduleFuzzer {
                 strategy.label()
             ))
         })?;
-        let trace = race_log.take();
-        let traced = trace.len();
-        race::check_trace(&trace).map_err(|error| {
-            FuzzFailure::Race(Box::new(RaceReport {
-                workload: workload.name(),
-                strategy: strategy.label(),
-                schedule: schedule.clone(),
-                error,
-            }))
-        })?;
-        Ok((comparisons, traced))
+        Ok(comparisons)
     }
 }
 
@@ -434,12 +382,11 @@ mod tests {
         assert_ne!(a.seed, c.seed);
     }
 
-    #[test]
-    fn a_small_sweep_is_clean() {
-        // One selective and one accumulative workload under two seeded
-        // schedules; the full matrix runs in CI via `cargo xtask check
-        // --sanitize`, so `cargo test` stays fast.
-        let fuzzer = ScheduleFuzzer {
+    /// One selective and one accumulative workload under two seeded
+    /// schedules; the full matrix runs in CI via `cargo xtask check
+    /// --sanitize`, so `cargo test` stays fast.
+    fn small_fuzzer() -> ScheduleFuzzer {
+        ScheduleFuzzer {
             shard_counts: vec![2],
             seeds: vec![0xA1, 0xB2],
             base_yields: vec![1],
@@ -447,12 +394,49 @@ mod tests {
             strategies: vec![DeleteStrategy::Dap],
             batches: 2,
             batch_size: 12,
-            race_check: true,
-        };
-        let report = fuzzer.run().expect("slice of the default sweep must be clean");
+        }
+    }
+
+    #[test]
+    fn a_small_sweep_is_clean() {
+        let report = small_fuzzer().run().expect("slice of the default sweep must be clean");
         assert_eq!(report.schedules, 2);
         assert_eq!(report.runs, 4);
         assert_eq!(report.comparisons, 12);
-        assert!(report.trace_events > 0, "race check saw no trace events");
+    }
+
+    // The fuzzer can fail: a reference off by the smallest step either
+    // value clause can see (one low bit of a selective value, twice the
+    // accumulative tolerance) must be reported as a divergence at exactly
+    // that step, not before it and not as a setup error.
+    #[test]
+    fn a_planted_divergence_is_reported_at_its_step() {
+        let fuzzer = small_fuzzer();
+        let (base, batches) = fuzzer.history().expect("history builds");
+        let schedule = &fuzzer.schedules()[0];
+        let strategy = DeleteStrategy::Dap;
+        for workload in [Workload::Sssp, Workload::PageRank] {
+            let clean = fuzzer.reference(workload, strategy, &base, &batches).expect("oracle runs");
+            for step in 0..=batches.len() {
+                let mut reference = clean.clone();
+                let values = &mut reference[step];
+                let v = values.iter().position(|x| x.is_finite()).expect("a finite value");
+                values[v] = match workload.kind() {
+                    UpdateKind::Selective => f64::from_bits(values[v].to_bits() ^ 1),
+                    UpdateKind::Accumulative => {
+                        values[v] + 2.0 * ACCUMULATIVE_TOL * values[v].abs().max(1.0)
+                    }
+                };
+                match fuzzer.run_one(workload, strategy, schedule, &base, &batches, &reference) {
+                    Err(FuzzFailure::Divergence(d)) => {
+                        assert_eq!((d.workload, d.step), (workload.name(), step));
+                    }
+                    other => panic!(
+                        "{} step {step}: planted divergence missed: {other:?}",
+                        workload.name()
+                    ),
+                }
+            }
+        }
     }
 }

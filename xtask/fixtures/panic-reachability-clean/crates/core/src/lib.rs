@@ -1,7 +1,7 @@
 //! Fixture: `panic-reachability` must not over-propagate. Waived
-//! indexing, invariant `expect`s, panic sites in functions no hot root
-//! reaches, and `#[cfg(test)]`-only callees that share a name with a
-//! panic-free helper are all fine.
+//! indexing, invariant `expect`s and `expect_err`s, panic sites in
+//! functions no hot root reaches, and `#[cfg(test)]`-only callees that
+//! share a name with a panic-free helper are all fine.
 
 /// Reads one slot on the hot path; the bound is the caller's invariant.
 // hot-path
@@ -13,6 +13,12 @@ pub fn hot_read(values: &[u64], idx: usize) -> u64 {
 // hot-path
 pub fn hot_seed(values: &[u64]) -> u64 {
     *values.first().expect("invariant: the engine seeds at least one slot")
+}
+
+/// Hot reader of a failure the caller guarantees — also sanctioned.
+// hot-path
+pub fn hot_failure(r: Result<u64, u8>) -> u8 {
+    r.expect_err("invariant: the caller passes only failed rounds")
 }
 
 /// Hot dispatcher: resolves to the panic-free `probe` below, not to the

@@ -1,10 +1,10 @@
 //! `jetlint` — repo-native static analysis for the JetStream workspace.
 //!
 //! `cargo xtask check` lexes every Rust file in the tree with the
-//! hand-rolled lexer in [`lex`] (std only; the build is offline) and runs
-//! eight lints, each with one detector. Because detectors match lexer
-//! tokens rather than raw lines, a pattern inside a string literal or a
-//! comment never fires. Rules the compiler can state are not here: clippy
+//! hand-rolled lexer in [`lex`](mod@lex) (std only; the build is offline)
+//! and runs eight lints, each with one detector. Because detectors match
+//! lexer tokens rather than raw lines, a pattern inside a string literal or
+//! a comment never fires. Rules the compiler can state are not here: clippy
 //! and rustc own the panic, `unsafe`, docs and `#[expect]` policy
 //! (DESIGN.md §9).
 //!
@@ -141,9 +141,12 @@ impl Lint {
                  `crates/core/src/sharded.rs` and `crates/core/src/async_mode.rs`).\n\n\
                  Concurrency enters the engine only through reviewed modules whose \
                  interleavings are argued deterministic (DESIGN.md §15.4) or \
-                 value-equivalent under quiescence (DESIGN.md §16) and are covered by \
-                 the schedule fuzzer and the race sanitizer (`cargo xtask check \
-                 --sanitize`). Adding a module to the approved list is a reviewed decision."
+                 value-equivalent under quiescence (DESIGN.md §16). Data races are the \
+                 compiler's to reject: shard state moves into threads as disjoint `&mut` \
+                 borrows and the workspace forbids `unsafe` (DESIGN.md §14.3). What the \
+                 compiler cannot see, a schedule-dependent value, the schedule fuzzer \
+                 hunts (`cargo xtask check --sanitize`). Adding a module to the approved \
+                 list is a reviewed decision."
             }
             Lint::PragmaJustified => {
                 "pragma-justified: every waiver pragma (`// cast-ok:`, \
@@ -247,8 +250,8 @@ const CONCURRENCY_SCOPE: [&str; 6] = [
 /// channels; the engine applies batches serially, so engine state never
 /// sees concurrent mutation) or value-equivalent under quiescence
 /// (DESIGN.md §16 for `sharded.rs` and `async_mode.rs`: barrier-free
-/// workers over disjoint shard state, fenced by the differential matrix,
-/// the schedule fuzzer, and the race sanitizer; DESIGN.md §10 for
+/// workers over disjoint shard state, fenced by the differential matrix
+/// and the schedule fuzzer; DESIGN.md §10 for
 /// `store.rs`: one checkpoint writer that shares nothing with the apply
 /// thread but the directory, joined before either touches the manifest
 /// again, fenced by the single-thread crash matrix).
@@ -576,25 +579,27 @@ impl<'a> SourceFile<'a> {
     }
 
     /// How `panic-reachability` names the panic-capable call code token
-    /// `i` starts, if it starts one. An `.expect(..)` whose message is
-    /// `"invariant: "` followed by some text documents a structural
-    /// invariant and is not a panic site.
+    /// `i` starts, if it starts one. An `.expect(..)` or `.expect_err(..)`
+    /// whose message is `"invariant: "` followed by some text documents a
+    /// structural invariant and is not a panic site.
     pub(crate) fn panic_op(&self, i: usize) -> Option<&'static str> {
         if self.ct(i).kind != TokenKind::Ident {
             return None;
         }
         let method = || i > 0 && self.is_punct(i - 1, ".") && self.is_punct(i + 1, "(");
+        let invariant = || {
+            i + 2 < self.code.len()
+                && self.ct(i + 2).kind == TokenKind::Str
+                && self
+                    .ctext(i + 2)
+                    .strip_prefix("\"invariant: ")
+                    .is_some_and(|rest| !rest.trim_end_matches('"').trim().is_empty())
+        };
         match self.ctext(i) {
             "unwrap" if method() && self.is_punct(i + 2, ")") => Some("`.unwrap()`"),
-            "expect" if method() => {
-                let invariant = i + 2 < self.code.len()
-                    && self.ct(i + 2).kind == TokenKind::Str
-                    && self
-                        .ctext(i + 2)
-                        .strip_prefix("\"invariant: ")
-                        .is_some_and(|rest| !rest.trim_end_matches('"').trim().is_empty());
-                (!invariant).then_some("`.expect(..)`")
-            }
+            "unwrap_err" if method() && self.is_punct(i + 2, ")") => Some("`.unwrap_err()`"),
+            "expect" if method() && !invariant() => Some("`.expect(..)`"),
+            "expect_err" if method() && !invariant() => Some("`.expect_err(..)`"),
             "panic" | "unreachable" | "todo" | "unimplemented" if self.is_punct(i + 1, "!") => {
                 Some("panic-family macro")
             }

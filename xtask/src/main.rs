@@ -4,7 +4,7 @@
 //! cargo xtask check              # jetlint the workspace, non-zero on findings
 //! cargo xtask check --root DIR   # lint another tree (used by fixtures)
 //! cargo xtask check --json       # machine-readable findings on stdout
-//! cargo xtask check --sanitize   # lints + schedule/race sanitizers
+//! cargo xtask check --sanitize   # lints + schedule sanitizer
 //! cargo xtask check --self-test  # verify each lint against its fixtures
 //! cargo xtask explain <LINT>     # what a lint means and how to satisfy it
 //!                                # (also the MUTATION-WAIVER topic)
@@ -255,13 +255,11 @@ fn self_test() -> ExitCode {
     }
 }
 
-/// Runs the dynamic sanitizers: the `ScheduleFuzzer` differential sweep
-/// plus the vector-clock race checker over the sharded engine's recorded
-/// sync traces, and the seeded-ordering-bug detection self-test
-/// (DESIGN.md §13/§14). All live in the `schedule-sanitizer` binary in
-/// `crates/testkit`.
+/// Runs the schedule sanitizer: the `ScheduleFuzzer` differential sweep
+/// of the sharded engine against the sequential one (DESIGN.md §13.3),
+/// the `schedule-sanitizer` binary in `crates/testkit`.
 fn sanitize() -> ExitCode {
-    println!("xtask check: running schedule + race sanitizers…");
+    println!("xtask check: running the schedule sanitizer…");
     let status = Command::new(env!("CARGO"))
         .args(["run", "--release", "-q", "-p", "jetstream-testkit", "--bin", "schedule-sanitizer"])
         .current_dir(workspace_root())

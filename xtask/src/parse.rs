@@ -1,10 +1,10 @@
 //! Item-level parser and workspace call graph for the call-graph lints
 //! (DESIGN.md §14).
 //!
-//! A linear scan over the token stream from [`crate::lex`] recovers
+//! A linear scan over the token stream from [`crate::lex()`] recovers
 //! `impl`/`trait` blocks (method containers) and `fn` items (name,
 //! receiver, test status, `// hot-path` marker, body span), and records
-//! each body's call sites, panic sites ([`crate::SourceFile::panic_op`]
+//! each body's call sites, panic sites (`SourceFile::panic_op`
 //! plus slice indexing) and allocation sites. Calls resolve *by name and
 //! shape* (no type inference) into a workspace call graph. From the
 //! `// hot-path` functions and the kernel entries, a reachability pass

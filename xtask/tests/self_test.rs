@@ -85,19 +85,28 @@ fn clean_fixtures_are_clean() {
 /// fixture's panic site is two hops (a cross-module free call, then a
 /// method call through an `impl` block) from the `// hot-path` root, and
 /// the finding must land on the site with the full chain in the message.
+/// The fixture's `.unwrap_err()` and `.expect_err(..)` are flagged too.
 #[test]
 fn panic_reachability_reports_the_deep_chain_at_the_site() {
     let findings = run_check(&xtask_dir().join("fixtures").join("panic-reachability")).unwrap();
     let f = findings
         .iter()
-        .find(|f| f.lint == Lint::PanicReachability)
-        .expect("fixture produced no panic-reachability finding");
-    assert!(f.file.to_string_lossy().ends_with("table.rs"), "wrong site: {findings:?}");
+        .find(|f| {
+            f.lint == Lint::PanicReachability && f.file.to_string_lossy().ends_with("table.rs")
+        })
+        .unwrap_or_else(|| panic!("no panic-reachability finding in table.rs: {findings:?}"));
     assert!(
         f.message.contains("drain_round → lookup_sum → Table::slot"),
         "chain missing from message: {}",
         f.message
     );
+    for what in ["`.unwrap_err()`", "`.expect_err(..)`"] {
+        assert!(
+            findings.iter().any(|f| f.message.starts_with(what)),
+            "{what} missed: {findings:?}"
+        );
+    }
+    assert_eq!(findings.len(), 3, "{findings:?}");
 }
 
 /// The strings-and-comments fixture is the regression suite for the PR 1

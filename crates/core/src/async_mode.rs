@@ -55,8 +55,8 @@
 //! Each worker holds its shard's queue, outboxes and slices of the value
 //! and dependency vectors through disjoint `&mut` borrows (`iter_mut` and
 //! `split_at_mut`) into a scoped thread, and the scope joins every worker
-//! before the coordinator reads a shard again. So the compiler, not a
-//! runtime checker, proves the drain free of data races (DESIGN.md §14.3).
+//! before the coordinator reads a shard again. So the compiler proves the
+//! drain free of data races (DESIGN.md §14.3).
 //! Every transfer goes through the [`sync`] shim's logged hubs, whose
 //! thread and channel ids (coordinator 0, worker `s` is `s + 1`; with `T`
 //! threads the channel from thread `f` to thread `t` is `f * T + t`) let

@@ -21,34 +21,23 @@
 //!   The outboxes live as long as the engine and cover every shard but
 //!   their own: about one extra slot grid of the vertex set per worker,
 //!   the price of shipping pre-coalesced runs;
-//! * there is no barrier and no global round: termination is decided by a
-//!   probe-based quiescence detector (below).
+//! * there is no barrier and no global round: a drain ends when one
+//!   shared count of outstanding work reaches zero (below).
 //!
-//! # Quiescence detection
+//! # Termination
 //!
-//! Classic four-counter (double-probe) termination detection à la Mattern.
-//! Each worker keeps cumulative counters `sent` / `recvd` of events it has
-//! pushed to, and folded in from, other shards; seeds are already in the
-//! queues, local work like any other. Workers are *silent while busy*;
-//! whenever one is about to block on an empty queue it reports
-//! `Idle { probe, sent, recvd }`, answering the outstanding probe id, if
-//! any. The coordinator blocks on the status channel (no polling), and
-//! when every worker's latest report satisfies `Σ sent == Σ recvd` it runs
-//! **two** probe rounds:
-//! quiescence is confirmed only if both rounds observe identical
-//! per-worker counters and the sums still match.
-//!
-//! *Soundness*: a worker answers a probe only at an idle point, and an
-//! idle worker can only be reactivated by an incoming run. Any event in
-//! flight at the second round makes the sums unequal (its send is counted,
-//! its receipt is not), and any activity between the two rounds changes a
-//! counter observed by the second — the single-round hazard (a worker
-//! acting *after* its answer, hiding an in-flight event behind matching
-//! totals) is exactly what the duplicate round closes. *Liveness*: the
-//! algorithms reach a fixed point (monotone selective algorithms, or
-//! epsilon-thresholded accumulative ones), so every burst of activity ends
-//! with each worker blocking — and each block is preceded by a status
-//! send, so the coordinator always wakes after the last activity.
+//! `pending` counts the active workers plus the runs sent and not yet
+//! folded. It starts at the shard count, since every seed is already in a
+//! queue. A worker adds one just before it sends a run and subtracts one
+//! once it has folded a run in; woken from a blocking receive, it adds one
+//! for itself before it folds the run that woke it; going idle, it
+//! subtracts one. So `pending` is 0 only when no worker is active and no
+//! run is unfolded, a state nothing can leave: the worker whose decrement
+//! takes it there sends every peer `Stop`. Every burst of work reaches a
+//! fixed point (monotone selective algorithms, epsilon-thresholded
+//! accumulative ones) and every worker then goes idle, so the count gets
+//! there (DESIGN.md §16.2). A panicking worker sends every peer `Stop`
+//! before it unwinds, so the scope join surfaces the panic.
 //!
 //! # Ownership
 //!
@@ -56,14 +45,15 @@
 //! and dependency vectors through disjoint `&mut` borrows (`iter_mut` and
 //! `split_at_mut`) into a scoped thread, and the scope joins every worker
 //! before the coordinator reads a shard again. So the compiler proves the
-//! drain free of data races (DESIGN.md §14.3).
-//! Every transfer goes through the [`sync`] shim's logged hubs, whose
-//! thread and channel ids (coordinator 0, worker `s` is `s + 1`; with `T`
-//! threads the channel from thread `f` to thread `t` is `f * T + t`) let
-//! a message log attribute each send.
+//! drain free of data races (DESIGN.md §14.3). An installed [`RaceLog`]
+//! records each run where it is sent and where it is folded (thread and
+//! channel ids in [`TraceEvent`]).
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`CoalescingQueue`]: crate::CoalescingQueue
+
+use std::sync::atomic::{AtomicUsize, Ordering::AcqRel};
+use std::sync::mpsc::{self, Receiver, Sender};
 
 use jetstream_algorithms::{Reduce, Value};
 use jetstream_graph::{ix, VertexId};
@@ -71,7 +61,7 @@ use jetstream_graph::{ix, VertexId};
 use crate::event::{Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::CoalescingQueue;
-use crate::sharded::sync::{self, HubReceiver, RaceLog, RoutedSender};
+use crate::sharded::sync::{RaceLog, TraceEvent};
 use crate::sharded::{maybe_yield, Routes, Shard};
 use crate::stats::RunStats;
 
@@ -97,35 +87,26 @@ fn plan_entry(plan: &[usize], i: usize) -> Option<usize> {
     plan.iter().cycle().nth(i).copied()
 }
 
-/// Coordinator → worker messages.
+/// Worker → worker messages.
 enum ToWorker {
-    /// A run of cross-shard events, already localized to the receiving
-    /// shard's vertex range, to fold into its queue.
-    Run(Vec<Event>),
-    /// Quiescence probe: answer with an `Idle` status carrying this id at
-    /// the next idle point.
-    Probe(u64),
-    /// Quiescence confirmed (or coordination aborted): exit.
+    /// A run of cross-shard events from worker `from`, already localized
+    /// to the receiving shard's vertex range, to fold into its queue.
+    Run {
+        /// Sending worker.
+        from: usize,
+        /// The run.
+        events: Vec<Event>,
+    },
+    /// The drain is over, or a peer panicked: exit.
     Stop,
 }
 
-/// Worker → coordinator statuses.
-enum FromWorker {
-    /// Sent every time the worker is about to block on an empty queue;
-    /// `probe` is the answered probe id (0 = unsolicited).
-    Idle {
-        /// Reporting worker.
-        worker: usize,
-        /// Probe id being answered, 0 when unsolicited.
-        probe: u64,
-        /// Cumulative events pushed to other shards.
-        sent: u64,
-        /// Cumulative events folded in from runs.
-        recvd: u64,
-    },
-    /// A worker panicked; coordination must abort (the panic itself
-    /// resurfaces when the thread scope joins, which identifies it).
-    Died,
+/// The message-log channel id of worker `from`'s runs to worker `to` among
+/// `shards` workers. Thread 0 is the coordinator and worker `w` is thread
+/// `w + 1`; with `T` threads the channel from thread `f` to thread `t` is
+/// `f * T + t`.
+fn channel(shards: usize, from: usize, to: usize) -> usize {
+    (from + 1) * (shards + 1) + to + 1
 }
 
 /// [`ExecState`] for one async processing pass: local emissions fold
@@ -194,61 +175,74 @@ struct WorkerLoop<'a> {
     shard: &'a mut Shard,
     values: &'a mut [Value],
     dependency: &'a mut [Option<VertexId>],
-    rx: HubReceiver<ToWorker>,
-    peers: Vec<Option<RoutedSender<ToWorker>>>,
-    status: RoutedSender<FromWorker>,
-    sent: u64,
-    recvd: u64,
-    pending_probe: Option<u64>,
-    stopped: bool,
+    rx: Receiver<ToWorker>,
+    /// Every peer's mailbox; `None` at this worker's own index.
+    peers: Vec<Option<Sender<ToWorker>>>,
+    /// Active workers plus runs sent and not yet folded.
+    pending: &'a AtomicUsize,
+    log: &'a RaceLog,
     /// Rotating start bin for chunked passes.
     bin_cursor: usize,
 }
 
 impl WorkerLoop<'_> {
-    fn run(mut self) {
-        loop {
-            self.drain_mailbox();
-            while !self.stopped && !self.shard.queue.is_empty() {
-                self.process_pass();
-                // Flush after every pass and yield: peers fold this
-                // pass's runs into their queues before their next pass,
-                // so contributions coalesce at the receiver the way a
-                // barriered round would batch them — without a barrier.
-                // Skipping the flush (batching runs per burst) measures
-                // strictly worse: the local cascade re-fires hot
-                // vertices on partial deltas, amplifying edge reads.
-                self.flush_outboxes();
-                std::thread::yield_now();
-                self.drain_mailbox();
+    /// Works until the queue and the mailbox are both empty, then goes
+    /// idle: the worker whose decrement takes `pending` to zero ends the
+    /// drain, every other one blocks until a run or `Stop` arrives.
+    fn run(&mut self) {
+        while self.work() {
+            if self.pending.fetch_sub(1, AcqRel) == 1 {
+                return self.stop_peers();
             }
-            if self.stopped {
-                break;
-            }
-            self.report_idle();
             match self.rx.recv() {
-                Ok(msg) => self.handle(msg),
-                // The coordinator (and every peer) is gone: bail out.
-                Err(_) => break,
+                Ok(ToWorker::Run { from, events }) => {
+                    // Active again before the run's own count is released.
+                    self.pending.fetch_add(1, AcqRel);
+                    self.fold(from, &events);
+                }
+                // The drain is over, or every peer is gone after a panic.
+                Ok(ToWorker::Stop) | Err(_) => return,
             }
         }
     }
 
-    /// Absorbs every message already queued, without blocking.
-    fn drain_mailbox(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.handle(msg);
+    /// Folds every queued run and drains the queue in passes until both
+    /// are empty; `false` if a `Stop` arrived first (a peer panicked).
+    fn work(&mut self) -> bool {
+        loop {
+            while let Ok(msg) = self.rx.try_recv() {
+                let ToWorker::Run { from, events } = msg else { return false };
+                self.fold(from, &events);
+            }
+            if self.shard.queue.is_empty() {
+                return true;
+            }
+            self.process_pass();
+            // Flush after every pass and yield: peers fold this pass's
+            // runs into their queues before their next pass, so
+            // contributions coalesce at the receiver the way a barriered
+            // round would batch them — without a barrier. Skipping the
+            // flush (batching runs per burst) measures strictly worse: the
+            // local cascade re-fires hot vertices on partial deltas,
+            // amplifying edge reads.
+            self.flush_outboxes();
+            std::thread::yield_now();
         }
     }
 
-    fn handle(&mut self, msg: ToWorker) {
-        match msg {
-            ToWorker::Run(events) => {
-                self.recvd += events.len() as u64;
-                self.shard.queue.insert_run(&events, self.cx.reduce);
-            }
-            ToWorker::Probe(id) => self.pending_probe = Some(id),
-            ToWorker::Stop => self.stopped = true,
+    /// Folds worker `from`'s run into the queue, then releases the run's
+    /// count; this worker is active.
+    fn fold(&mut self, from: usize, events: &[Event]) {
+        let (me, shards) = (self.worker, self.peers.len());
+        self.log.record(TraceEvent::Recv { thread: me + 1, channel: channel(shards, from, me) });
+        self.shard.queue.insert_run(events, self.cx.reduce);
+        self.pending.fetch_sub(1, AcqRel);
+    }
+
+    /// Sends every peer `Stop`.
+    fn stop_peers(&self) {
+        for tx in self.peers.iter().flatten() {
+            let _ = tx.send(ToWorker::Stop);
         }
     }
 
@@ -312,32 +306,26 @@ impl WorkerLoop<'_> {
     /// events in ascending destination-local order, then any spilled
     /// delete events FIFO) to its destination shard.
     fn flush_outboxes(&mut self) {
+        let (me, shards) = (self.worker, self.peers.len());
         for (dest, fold) in self.shard.outboxes.iter_mut().enumerate() {
             if fold.is_empty() {
                 continue;
             }
-            let mut run = Vec::with_capacity(fold.len());
-            fold.take_all_into(&mut run);
+            let mut events = Vec::with_capacity(fold.len());
+            fold.take_all_into(&mut events);
             while let Some(ev) = fold.pop_overflow() {
-                run.push(ev);
+                events.push(ev);
             }
-            self.sent += run.len() as u64;
             if let Some(tx) = &self.peers[dest] {
-                let _ = tx.send(ToWorker::Run(run));
+                self.log.record(TraceEvent::Send {
+                    thread: me + 1,
+                    channel: channel(shards, me, dest),
+                });
+                // Counted before it leaves, so `pending` covers it in flight.
+                self.pending.fetch_add(1, AcqRel);
+                let _ = tx.send(ToWorker::Run { from: me, events });
             }
         }
-    }
-
-    /// Reports counters (and answers any outstanding probe) right before
-    /// blocking — the coordinator's only wake-up signal.
-    fn report_idle(&mut self) {
-        let probe = self.pending_probe.take().unwrap_or(0);
-        let _ = self.status.send(FromWorker::Idle {
-            worker: self.worker,
-            probe,
-            sent: self.sent,
-            recvd: self.recvd,
-        });
     }
 }
 
@@ -368,194 +356,63 @@ impl AsyncState<'_> {
     }
 }
 
-/// Coordinator-side bookkeeping for the quiescence detector.
-struct Detector {
-    txs: Vec<RoutedSender<ToWorker>>,
-    rx: HubReceiver<FromWorker>,
-    /// Latest `(sent, recvd)` reported by each worker.
-    latest: Vec<Option<(u64, u64)>>,
-    probe_id: u64,
-    /// Set when a worker died or a channel closed: stop coordinating and
-    /// let the scope join surface the panic.
-    aborted: bool,
-}
-
-impl Detector {
-    /// Folds one status in; flips `aborted` on a death notice.
-    fn apply(&mut self, st: &FromWorker) {
-        match *st {
-            FromWorker::Idle { worker, sent, recvd, .. } => {
-                if let Some(slot) = self.latest.get_mut(worker) {
-                    *slot = Some((sent, recvd));
-                }
-            }
-            FromWorker::Died => self.aborted = true,
-        }
-    }
-
-    /// Every worker has reported and the cumulative sums balance.
-    fn sums_balance(&self) -> bool {
-        let mut sent = 0u64;
-        let mut recvd = 0u64;
-        for slot in &self.latest {
-            let Some((s, r)) = slot else { return false };
-            sent += s;
-            recvd += r;
-        }
-        sent == recvd
-    }
-
-    /// One probe round: returns every worker's counters as answered
-    /// against this round's probe id, or `None` on abort.
-    fn probe_round(&mut self) -> Option<Vec<(u64, u64)>> {
-        self.probe_id += 1;
-        let id = self.probe_id;
-        for tx in &self.txs {
-            if tx.send(ToWorker::Probe(id)).is_err() {
-                self.aborted = true;
-                return None;
-            }
-        }
-        let mut snapshot: Vec<Option<(u64, u64)>> = vec![None; self.txs.len()];
-        while snapshot.iter().any(Option::is_none) {
-            let Ok(st) = self.rx.recv() else {
-                self.aborted = true;
-                return None;
-            };
-            self.apply(&st);
-            if self.aborted {
-                return None;
-            }
-            if let FromWorker::Idle { worker, probe, sent, recvd } = st {
-                if probe == id {
-                    if let Some(slot) = snapshot.get_mut(worker) {
-                        *slot = Some((sent, recvd));
-                    }
-                }
-            }
-        }
-        snapshot.into_iter().collect()
-    }
-
-    /// Blocks until quiescence is confirmed by two identical probe
-    /// rounds (or coordination aborts).
-    fn run(&mut self) {
-        while !self.aborted {
-            if self.sums_balance() {
-                let Some(a) = self.probe_round() else { break };
-                let Some(b) = self.probe_round() else { break };
-                let mut sent = 0u64;
-                let mut recvd = 0u64;
-                for &(s, r) in &b {
-                    sent += s;
-                    recvd += r;
-                }
-                if a == b && sent == recvd {
-                    return;
-                }
-                // Fresh activity surfaced mid-probe; the answers updated
-                // `latest`, so re-evaluate immediately (no blocking recv:
-                // the final statuses may already be drained).
-                continue;
-            }
-            match self.rx.recv() {
-                Ok(st) => self.apply(&st),
-                Err(_) => self.aborted = true,
-            }
-            while let Ok(st) = self.rx.try_recv() {
-                self.apply(&st);
-                if self.aborted {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Drives one drain to quiescence: spawns one worker per shard over the
-/// queues the coordinator seeded, detects termination, and stops the
-/// workers; the scope joins them all before it returns.
+/// queues the coordinator seeded and joins them all; the last worker to go
+/// idle stops the others.
 pub(crate) fn run_to_quiescence(
     p: &AsyncParams<'_>,
     shards: &mut [Shard],
     values: &mut [Value],
     dependency: &mut [Option<VertexId>],
 ) {
-    let s_count = shards.len();
-    // Thread ids: coordinator 0, worker s is s + 1. Logical channel from
-    // thread f to thread t: f * t_count + t (one producer each).
-    let t_count = s_count + 1;
-
-    let mut factories = Vec::with_capacity(s_count);
-    let mut mailboxes = Vec::with_capacity(s_count);
-    for w in 0..s_count {
-        let (factory, rx) = sync::logged_hub::<ToWorker>(p.race_log, w + 1);
-        factories.push(factory);
-        mailboxes.push(rx);
+    // Every seed is already in a queue, so every worker starts active.
+    // Updates are `AcqRel` read-modify-writes: the count publishes no shard
+    // data (the channels and the scope join order that), only itself.
+    let pending = AtomicUsize::new(shards.len());
+    let (txs, rxs): (Vec<_>, Vec<_>) = shards.iter().map(|_| mpsc::channel()).unzip();
+    let mut workers = Vec::new();
+    let mut rest_v: &mut [Value] = values;
+    let mut rest_d: &mut [Option<VertexId>] = dependency;
+    let mailboxes = rxs.into_iter().zip(shards.iter_mut()).zip(p.routes.ranges());
+    for (worker, ((rx, shard), &(lo, hi))) in mailboxes.enumerate() {
+        let (v, tail_v) = rest_v.split_at_mut(ix(hi - lo));
+        rest_v = tail_v;
+        let (d, tail_d) = rest_d.split_at_mut(ix(hi - lo));
+        rest_d = tail_d;
+        let peers = txs.iter().enumerate();
+        workers.push(WorkerLoop {
+            worker,
+            lo,
+            hi,
+            cx: p.cx,
+            yield_every: plan_entry(p.yields, worker),
+            chunk: plan_entry(p.chunks, worker).unwrap_or(0),
+            routes: p.routes,
+            shard,
+            values: v,
+            dependency: d,
+            rx,
+            peers: peers.map(|(peer, tx)| (peer != worker).then(|| tx.clone())).collect(),
+            pending: &pending,
+            log: p.race_log,
+            bin_cursor: 0,
+        });
     }
-    let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(p.race_log, 0);
-
-    let mut detector = Detector {
-        txs: factories.iter().enumerate().map(|(w, f)| f.route(w + 1, 0)).collect(),
-        rx: status_rx,
-        latest: vec![None; s_count],
-        probe_id: 0,
-        aborted: false,
-    };
+    // Only workers hold senders, so a worker that exits closes its part
+    // of every peer's mailbox.
+    drop(txs);
 
     std::thread::scope(|scope| {
-        let mut rest_v: &mut [Value] = values;
-        let mut rest_d: &mut [Option<VertexId>] = dependency;
-        let workers = mailboxes.into_iter().zip(shards.iter_mut()).zip(p.routes.ranges());
-        for (worker, ((rx, shard), &(lo, hi))) in workers.enumerate() {
-            let thread = worker + 1;
-            let (v, tail_v) = rest_v.split_at_mut(ix(hi - lo));
-            rest_v = tail_v;
-            let (d, tail_d) = rest_d.split_at_mut(ix(hi - lo));
-            rest_d = tail_d;
-            let peers: Vec<Option<RoutedSender<ToWorker>>> = factories
-                .iter()
-                .enumerate()
-                .map(|(peer, f)| {
-                    (peer != worker).then(|| f.route(thread * t_count + peer + 1, thread))
-                })
-                .collect();
-            let status = status_factory.route(thread * t_count, thread);
-            let died = status.clone();
-            let w = WorkerLoop {
-                worker,
-                lo,
-                hi,
-                cx: p.cx,
-                yield_every: plan_entry(p.yields, worker),
-                chunk: plan_entry(p.chunks, worker).unwrap_or(0),
-                routes: p.routes,
-                shard,
-                values: v,
-                dependency: d,
-                rx,
-                peers,
-                status,
-                sent: 0,
-                recvd: 0,
-                pending_probe: None,
-                stopped: false,
-                bin_cursor: 0,
-            };
+        for mut w in workers {
             scope.spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run()));
                 if let Err(payload) = result {
-                    // Wake the coordinator out of its blocking recv so the
-                    // whole scope can unwind instead of deadlocking.
-                    let _ = died.send(FromWorker::Died);
+                    // Peers blocked on their mailboxes would wait forever:
+                    // stop them, so the scope join surfaces the panic.
+                    w.stop_peers();
                     std::panic::resume_unwind(payload);
                 }
             });
-        }
-
-        detector.run();
-        for tx in &detector.txs {
-            let _ = tx.send(ToWorker::Stop);
         }
     });
 }
@@ -563,54 +420,9 @@ pub(crate) fn run_to_quiescence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DeleteStrategy;
     use crate::event::Carry;
     use crate::queue::QueueStats;
-    use jetstream_algorithms::{EdgeOp, Sssp};
-    use jetstream_graph::{Csr, CsrPair};
-
-    // kills jm-3a60197c (async_mode.rs logic-swap in Detector::run:
-    // `a == b && sent == recvd` -> `||`): balanced sums alone must not
-    // confirm quiescence while consecutive probe rounds still observe
-    // different counters.
-    #[test]
-    fn quiescence_needs_two_identical_probe_rounds_not_just_balanced_sums() {
-        let log = RaceLog::default();
-        let (worker_factory, worker_rx) = sync::logged_hub::<ToWorker>(&log, 1);
-        let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(&log, 0);
-        let mut det = Detector {
-            txs: vec![worker_factory.route(1, 0)],
-            rx: status_rx,
-            latest: vec![Some((0, 0))],
-            probe_id: 0,
-            aborted: false,
-        };
-        let status = status_factory.route(2, 1);
-        let worker = std::thread::spawn(move || {
-            let mut probes = 0u64;
-            // Scripted counters: the first probe answers (1, 1), every
-            // later one (2, 2). Sums balance in every round, but rounds
-            // one and two observe different counters, so the detector
-            // must run a second double-probe before declaring quiescence.
-            while let Ok(ToWorker::Probe(id)) = worker_rx.recv() {
-                probes += 1;
-                let c = if probes == 1 { 1 } else { 2 };
-                let idle = FromWorker::Idle { worker: 0, probe: id, sent: c, recvd: c };
-                if status.send(idle).is_err() {
-                    break;
-                }
-            }
-            probes
-        });
-        det.run();
-        assert!(!det.aborted);
-        // Close the probe channel — both sender handles — so the
-        // scripted worker's recv errors out and it exits.
-        drop(det);
-        drop(worker_factory);
-        let probes = worker.join().expect("scripted worker exits cleanly");
-        assert_eq!(probes, 4, "changed-but-balanced counters must force a second double-probe");
-    }
+    use jetstream_algorithms::EdgeOp;
 
     /// A drained queue, bit for bit: slot events in vertex order, then
     /// the overflow FIFO, then its counters.
@@ -699,57 +511,6 @@ mod tests {
             // Own queue, then outboxes 0..4 (shard 1's covers nothing).
             let want = if coalesce_deletes { [12, 6, 0, 8, 8] } else { [9, 6, 0, 4, 4] };
             assert_eq!(residents, want, "coalesce_deletes={coalesce_deletes}");
-        }
-    }
-
-    // kills jm-908d1a85 (async_mode.rs const-01 in report_idle): the
-    // unsolicited-idle probe id must be 0 — any nonzero value could
-    // collide with a live probe id and satisfy a round the worker never
-    // actually answered at.
-    #[test]
-    fn unsolicited_idle_reports_carry_probe_id_zero() {
-        let log = RaceLog::default();
-        let (_to_factory, rx) = sync::logged_hub::<ToWorker>(&log, 1);
-        let (status_factory, status_rx) = sync::logged_hub::<FromWorker>(&log, 0);
-        let alg = Sssp::new(0);
-        let csr = CsrPair::new(Csr::from_edges(1, &[]));
-        let routes = Routes::new(std::slice::from_ref(&(0..1)));
-        let mut shard = Shard::new(0, &routes, 1);
-        let mut values = [0.0];
-        let mut dependency = [None];
-        let mut w = WorkerLoop {
-            worker: 0,
-            lo: 0,
-            hi: 1,
-            cx: KernelCtx::new(&alg, &csr, DeleteStrategy::Tag),
-            yield_every: None,
-            chunk: 0,
-            routes: &routes,
-            shard: &mut shard,
-            values: &mut values,
-            dependency: &mut dependency,
-            rx,
-            peers: vec![None],
-            status: status_factory.route(2, 1),
-            sent: 3,
-            recvd: 5,
-            pending_probe: Some(7),
-            stopped: false,
-            bin_cursor: 0,
-        };
-        w.report_idle(); // answers the outstanding probe and clears it
-        w.report_idle(); // nothing pending: unsolicited
-        match status_rx.recv().expect("first report") {
-            FromWorker::Idle { worker, probe, sent, recvd } => {
-                assert_eq!((worker, probe, sent, recvd), (0, 7, 3, 5));
-            }
-            _ => panic!("expected an idle status"),
-        }
-        match status_rx.recv().expect("second report") {
-            FromWorker::Idle { probe, .. } => {
-                assert_eq!(probe, 0, "unsolicited reports must carry probe id 0");
-            }
-            _ => panic!("expected an idle status"),
         }
     }
 }

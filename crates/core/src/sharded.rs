@@ -10,9 +10,9 @@
 //! [`StreamingFlow`]'s, shared with the sequential executor.
 //!
 //! A drain is barrier-free (DESIGN.md §16): workers drain continuously,
-//! cross-shard events travel as pre-coalesced runs, and a double-probe
-//! detector decides quiescence — the worker loop and the detector live in
-//! [`crate::async_mode`]. Independent events are never ordered against
+//! cross-shard events travel as pre-coalesced runs, and the drain ends
+//! when one shared count of outstanding work reaches zero — the worker
+//! loop and the count live in [`crate::async_mode`]. Independent events are never ordered against
 //! each other, as in the paper's accelerator, so the engine converges to
 //! the sequential engine's fixed point, not to its schedule: values are
 //! bit-exact for selective algorithms and within a bounded residual for
@@ -152,9 +152,11 @@ impl Routes {
 /// — and `critical_path` charges each drain its slowest worker's work, the
 /// bound an ideally overlapped schedule reaches with a core per shard. How
 /// much coalesces before a pass depends on arrival order, so both numbers
-/// are schedule-dependent and not bit-reproducible. The `experiments
-/// scaling` sweep reports them next to host wall-clock, which on a
-/// single-core machine cannot show parallel speedup at all.
+/// are schedule-dependent and not bit-reproducible. Their one reader is
+/// the `benchmark/` package, whose `pr_lj_async2 --trace 1` run reports
+/// them as `core.sharded.{modeled_speedup, critical_path_share}`; host
+/// wall-clock on a single-core machine cannot show parallel speedup at
+/// all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelModel {
     /// Total work units across all shards.
@@ -347,7 +349,7 @@ impl StreamingFlow<Sharded> {
     }
 
     /// Measurement hook: install a [`sync::RaceLog`] message log. While
-    /// enabled, every message a drain sends or receives is recorded.
+    /// enabled, every run a drain sends, and its fold, is recorded.
     /// Install `RaceLog::default()` to turn recording back off.
     pub fn set_race_log(&mut self, log: sync::RaceLog) {
         self.exec.race_log = log;
@@ -463,17 +465,15 @@ impl Drain for Sharded {
     }
 }
 
-/// The cross-shard message log: every channel the drain uses, behind
-/// one shim.
+/// The cross-shard message log.
 ///
-/// Every message the drain sends travels through a logged hub below, so an
-/// installed [`RaceLog`](sync::RaceLog) sees all of them; `benchmark/`
-/// counts the worker-to-worker sends. When no log is installed the shim
-/// costs one branch per message. Data-race freedom is not this module's
-/// business: each worker holds its shard through a disjoint `&mut`
-/// borrow, so the compiler proves it (DESIGN.md §14.3).
+/// A drain records each run twice, where a worker sends it and where its
+/// receiver folds it, so an installed [`RaceLog`](sync::RaceLog) sees
+/// every cross-shard message; `benchmark/` counts the sends. When no log
+/// is installed a record costs one branch. Data-race freedom is not this
+/// module's business: each worker holds its shard through a disjoint
+/// `&mut` borrow, so the compiler proves it (DESIGN.md §14.3).
 pub mod sync {
-    use std::sync::mpsc;
     use std::sync::{Arc, Mutex};
 
     /// One recorded message transfer. Thread ids are stable: the
@@ -482,16 +482,15 @@ pub mod sync {
     /// thread `t`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum TraceEvent {
-        /// `thread` enqueued a message on `channel` (recorded just before
-        /// the transfer, so it precedes the matching `Recv` in the log).
+        /// `thread` sent a message on `channel` (recorded just before the
+        /// transfer, so it precedes the matching `Recv` in the log).
         Send {
             /// Sending thread id.
             thread: usize,
             /// Channel id.
             channel: usize,
         },
-        /// `thread` dequeued a message from `channel` (recorded just
-        /// after the transfer completed).
+        /// `thread` folded a message from `channel` in.
         Recv {
             /// Receiving thread id.
             thread: usize,
@@ -515,7 +514,7 @@ pub mod sync {
         }
 
         /// Appends one event (no-op when disabled).
-        fn record(&self, ev: TraceEvent) {
+        pub(crate) fn record(&self, ev: TraceEvent) {
             if let Some(buf) = &self.0 {
                 // A poisoned mutex only means another recorder panicked;
                 // the buffer itself is still coherent, so keep tracing.
@@ -533,97 +532,6 @@ pub mod sync {
             }
         }
     }
-
-    /// A logged *hub*: one receiver fed by any number of routed sender
-    /// handles (the workers' mailboxes and the status channel).
-    ///
-    /// Each (sender thread → receiver) pair gets its own logical channel
-    /// id, carried with every message, and the receiver attributes each
-    /// `Recv` to the logical channel the message actually travelled on, so
-    /// the log tells who sent each message to whom.
-    pub(crate) fn logged_hub<T>(
-        log: &RaceLog,
-        receiver_thread: usize,
-    ) -> (RouteFactory<T>, HubReceiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            RouteFactory { tx, log: log.clone() },
-            HubReceiver { rx, log: log.clone(), thread: receiver_thread },
-        )
-    }
-
-    /// Mints [`RoutedSender`]s for a [`logged_hub`]'s receiver.
-    pub(crate) struct RouteFactory<T> {
-        tx: mpsc::Sender<(usize, T)>,
-        log: RaceLog,
-    }
-
-    impl<T> RouteFactory<T> {
-        /// A sender handle owned by `sender_thread`, logging on logical
-        /// channel `channel`. Each (thread, receiver) pair must use a
-        /// distinct channel id (see the hub docs).
-        pub(crate) fn route(&self, channel: usize, sender_thread: usize) -> RoutedSender<T> {
-            RoutedSender {
-                tx: self.tx.clone(),
-                log: self.log.clone(),
-                channel,
-                thread: sender_thread,
-            }
-        }
-    }
-
-    /// One producing thread's handle onto a [`logged_hub`].
-    pub(crate) struct RoutedSender<T> {
-        tx: mpsc::Sender<(usize, T)>,
-        log: RaceLog,
-        channel: usize,
-        thread: usize,
-    }
-
-    impl<T> Clone for RoutedSender<T> {
-        fn clone(&self) -> Self {
-            RoutedSender {
-                tx: self.tx.clone(),
-                log: self.log.clone(),
-                channel: self.channel,
-                thread: self.thread,
-            }
-        }
-    }
-
-    impl<T> RoutedSender<T> {
-        /// Records `Send` on this route's logical channel, then transfers.
-        pub(crate) fn send(&self, value: T) -> Result<(), mpsc::SendError<T>> {
-            self.log.record(TraceEvent::Send { thread: self.thread, channel: self.channel });
-            self.tx
-                .send((self.channel, value))
-                .map_err(|mpsc::SendError((_, v))| mpsc::SendError(v))
-        }
-    }
-
-    /// Receiving half of a [`logged_hub`].
-    pub(crate) struct HubReceiver<T> {
-        rx: mpsc::Receiver<(usize, T)>,
-        log: RaceLog,
-        thread: usize,
-    }
-
-    impl<T> HubReceiver<T> {
-        /// Blocking receive; records `Recv` on the logical channel the
-        /// message travelled on.
-        pub(crate) fn recv(&self) -> Result<T, mpsc::RecvError> {
-            let (channel, value) = self.rx.recv()?;
-            self.log.record(TraceEvent::Recv { thread: self.thread, channel });
-            Ok(value)
-        }
-
-        /// Non-blocking receive; records `Recv` like [`recv`](Self::recv).
-        pub(crate) fn try_recv(&self) -> Result<T, mpsc::TryRecvError> {
-            let (channel, value) = self.rx.try_recv()?;
-            self.log.record(TraceEvent::Recv { thread: self.thread, channel });
-            Ok(value)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -631,7 +539,7 @@ mod tests {
     use super::*;
     use crate::event::Carry;
     use crate::StreamingEngine;
-    use jetstream_algorithms::{oracle, EdgeOp, PageRank, Sssp};
+    use jetstream_algorithms::{oracle, EdgeCtx, EdgeOp, PageRank, Sssp};
     use jetstream_graph::UpdateBatch;
 
     fn chain() -> Csr {
@@ -816,6 +724,102 @@ mod tests {
         assert_eq!(seq.values(), sh.values());
         assert_eq!(sh.values()[599], 301.0);
         assert_eq!(sh.validate_converged(), Ok(()));
+    }
+
+    /// BFS from vertex 0 whose propagation panics at depth 3.
+    #[derive(Debug)]
+    struct PanicsAtDepthThree;
+
+    impl Algorithm for PanicsAtDepthThree {
+        fn name(&self) -> &'static str {
+            "panics-at-depth-three"
+        }
+
+        fn identity(&self) -> Value {
+            Value::INFINITY
+        }
+
+        fn reduce_op(&self) -> Reduce {
+            Reduce::Min
+        }
+
+        fn propagate(&self, state: Value, _: Value, _: &EdgeCtx) -> Option<Value> {
+            assert!(state < 3.0, "propagation reached depth 3");
+            state.is_finite().then_some(state + 1.0)
+        }
+
+        fn initial_event(&self, v: VertexId) -> Option<Value> {
+            (v == 0).then_some(0.0)
+        }
+    }
+
+    // A worker that panics stops its peers, so the panic surfaces instead
+    // of hanging the drain. With four shards the idle peers still hold
+    // senders to each other's mailboxes, so only the panicking worker's
+    // `Stop` can wake them; with two, its dropped sender alone would.
+    #[test]
+    fn a_worker_panic_surfaces_and_does_not_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Not joined: a hang must fail the test, not block it.
+        std::thread::spawn(move || {
+            let mut e = ShardedEngine::new(
+                Box::new(PanicsAtDepthThree),
+                path(32),
+                EngineConfig::default(),
+                4,
+            );
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.initial_compute();
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(panicked, Ok(true), "the worker's panic must reach the caller within 20 s");
+    }
+
+    // The message log's ids are the ones `benchmark/` decodes: every send
+    // is worker to worker (thread `f >= 1` on channel `f * T + t`, `t` a
+    // peer's thread), and every run sent is folded on the same channel.
+    #[test]
+    fn the_message_log_records_each_run_worker_to_worker_on_one_channel() {
+        for shards in [2, 3] {
+            let mut e = ShardedEngine::new(
+                Box::new(Sssp::new(0)),
+                path(30),
+                EngineConfig::default(),
+                shards,
+            );
+            e.initial_compute();
+            let log = sync::RaceLog::enabled();
+            e.set_race_log(log.clone());
+            let mut batch = UpdateBatch::new();
+            batch.insert(0, 29, 1.0);
+            batch.insert(0, 15, 1.0);
+            batch.delete(9, 10);
+            batch.delete(19, 20);
+            e.apply_update_batch(&batch).unwrap();
+            let threads = shards + 1;
+            let mut per_channel = std::collections::BTreeMap::new();
+            for ev in log.take() {
+                let (channel, side) = match ev {
+                    sync::TraceEvent::Send { thread, channel } => {
+                        let to = channel % threads;
+                        assert!(thread >= 1 && channel / threads == thread, "{ev:?}");
+                        assert!(to != 0 && to != thread, "shards={shards}: {ev:?}");
+                        (channel, 0)
+                    }
+                    sync::TraceEvent::Recv { thread, channel } => {
+                        assert_eq!(channel % threads, thread, "shards={shards}: {ev:?}");
+                        (channel, 1)
+                    }
+                };
+                per_channel.entry(channel).or_insert([0, 0])[side] += 1;
+            }
+            assert!(!per_channel.is_empty(), "shards={shards}: no run was logged");
+            for (channel, [sent, folded]) in per_channel {
+                assert_eq!(sent, folded, "shards={shards}, channel {channel}");
+            }
+        }
     }
 
     #[test]

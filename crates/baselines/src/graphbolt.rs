@@ -61,7 +61,7 @@ pub struct GraphBolt {
     /// Cached out-degrees and out-weight-sums (contribution normalizers).
     degree: Vec<usize>,
     weight_sum: Vec<Value>,
-    /// history[i][v] = x⁽ⁱ⁾_v; history[0] is the seed vector.
+    /// `history[i][v]` = x⁽ⁱ⁾_v; `history[0]` is the seed vector.
     history: Vec<Vec<Value>>,
     stats: SoftwareStats,
 }

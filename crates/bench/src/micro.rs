@@ -1,7 +1,7 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the engine's components — queue insert, queue drain, kernel apply
-//! via `initial_compute`, an SSWP churn stream under DAP, CSR snapshot
+//! via `initial_compute`, SSWP and CC churn streams under DAP, CSR snapshot
 //! maintenance, graph generation and bulk construction, and the serving
 //! layer's update admission — with warmup + median-of-K sampling, and
 //! serializes the results to the `BENCH.json` schema documented in
@@ -325,7 +325,7 @@ fn bench_initial_compute<X: Executor>(
     ))
 }
 
-/// The churn stream of [`bench_stream_sswp_churn`]: 16 batches of the
+/// The churn stream of `kernel_stream_sswp_churn`: 16 batches of the
 /// paper-default shape (100 updates at [`DEFAULT_SCALE`], 70 % insertions)
 /// on the Wikipedia profile, seed 1. Its first batch is a tie storm —
 /// SSWP's delete wave resets 2403 of 3552 vertices and all but 44 keep
@@ -339,17 +339,30 @@ fn sswp_churn_scenario() -> Scenario {
     }
 }
 
-/// SSWP under DAP streaming [`sswp_churn_scenario`]'s batches from the
-/// converged base state (mounted from a checkpoint, untimed): the delete
-/// waves, the restore step and the recompute of both storms. The same
-/// instance in either mode, like the graph builders'.
+/// The churn stream of `kernel_stream_cc_churn`: 64 batches of
+/// [`sswp_churn_scenario`]'s shape for CC. Nearly every batch's delete
+/// wave resets a subtree of shared labels that the restore step then
+/// hands back, so the wave and the restore are most of its work.
+fn cc_churn_scenario() -> Scenario {
+    Scenario { workload: Workload::Cc, rounds: 64, ..sswp_churn_scenario() }
+}
+
+/// The DAP engine streaming `scenario`'s batches from the converged base
+/// state (mounted from a checkpoint, untimed): for SSWP
+/// ([`sswp_churn_scenario`]) the delete waves, the restore step and the
+/// recompute of both storms, for CC ([`cc_churn_scenario`]) many small
+/// waves and their restores. The same instance in either mode, like the
+/// graph builders'.
 #[expect(
     clippy::expect_used,
     reason = "invariant: the state was read off an engine on the same graph"
 )]
-fn bench_stream_sswp_churn(cfg: &MicroConfig) -> Result<BenchResult, HarnessError> {
-    let scenario = sswp_churn_scenario();
-    let (base, batches) = harness::base_and_batches(&scenario);
+fn bench_stream_churn(
+    cfg: &MicroConfig,
+    name: &'static str,
+    scenario: &Scenario,
+) -> Result<BenchResult, HarnessError> {
+    let (base, batches) = harness::base_and_batches(scenario);
     let root = harness::root_for(&base);
     let alg = || scenario.workload.instantiate(root);
     let mut engine = StreamingEngine::new(alg(), base.clone(), engine_config());
@@ -359,7 +372,7 @@ fn bench_stream_sswp_churn(cfg: &MicroConfig) -> Result<BenchResult, HarnessErro
         engine.apply_update_batch(batch).map_err(|e| scenario.graph_error(e))?;
     }
     Ok(measure(
-        "kernel_stream_sswp_churn",
+        name,
         cfg.warmup,
         cfg.samples,
         || {
@@ -548,7 +561,10 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     let sharded2 = |alg, g| ShardedEngine::new(alg, g, engine_config(), 2);
     let name = "kernel_initial_compute_pagerank_sharded2";
     report(&mut results, bench_initial_compute(cfg, name, Workload::PageRank, sharded2)?);
-    report(&mut results, bench_stream_sswp_churn(cfg)?);
+    let sswp = sswp_churn_scenario();
+    report(&mut results, bench_stream_churn(cfg, "kernel_stream_sswp_churn", &sswp)?);
+    let cc = cc_churn_scenario();
+    report(&mut results, bench_stream_churn(cfg, "kernel_stream_cc_churn", &cc)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     report(&mut results, bench_graph_generate(cfg));
     report(&mut results, bench_csr_from_edges(cfg));
@@ -633,6 +649,7 @@ pub const RATCHETS: &[(&str, f64)] = &[
     ("kernel_initial_compute_sssp", 1.3),
     ("kernel_initial_compute_pagerank_sharded2", 1.3),
     ("kernel_stream_sswp_churn", 1.3),
+    ("kernel_stream_cc_churn", 1.3),
     ("snapshot_maintain_incremental", 1.3),
     ("admission_admit_message", 1.3),
     ("graph_generate_livejournal", 1.3),
@@ -809,6 +826,7 @@ mod tests {
                 "kernel_initial_compute_sssp",
                 "kernel_initial_compute_pagerank_sharded2",
                 "kernel_stream_sswp_churn",
+                "kernel_stream_cc_churn",
                 "snapshot_maintain_incremental",
                 "graph_generate_livejournal",
                 "csr_from_edges",
@@ -832,6 +850,26 @@ mod tests {
         assert_eq!(storms.len(), 2, "{stats:?}");
         assert!(storms[0].restored * 10 > storms[0].resets * 9, "a tie storm: {:?}", storms[0]);
         assert!(storms[1].restored * 10 < storms[1].resets, "a real storm: {:?}", storms[1]);
+    }
+
+    #[test]
+    fn the_cc_churn_stream_is_delete_waves_the_restore_hands_back() {
+        let scenario = cc_churn_scenario();
+        let (base, batches) = harness::base_and_batches(&scenario);
+        let root = harness::root_for(&base);
+        let mut engine =
+            StreamingEngine::new(scenario.workload.instantiate(root), base, engine_config());
+        engine.initial_compute();
+        let mut total = jetstream_core::RunStats::default();
+        for batch in &batches {
+            let stats = engine.apply_update_batch(batch).expect("valid batch");
+            total.delete_events += stats.delete_events;
+            total.events_processed += stats.events_processed;
+            total.resets += stats.resets;
+            total.restored += stats.restored;
+        }
+        assert!(2 * total.delete_events > total.events_processed, "{total:?}");
+        assert!(total.restored * 10 > total.resets * 9, "{total:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use jetstream_algorithms::{Algorithm, Reduce, Value};
 use jetstream_graph::{ix, Csr, CsrPair, VertexId};
 
-use crate::event::{Event, Row};
+use crate::event::{Carry, Event, Row};
 use crate::flow::sealed::Drain;
 use crate::flow::{Executor, RunState, StreamingFlow};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
@@ -226,7 +226,7 @@ pub(crate) fn check_checkpoint_state(
     }
 }
 
-/// The sequential [`Executor`](crate::Executor): one [`CoalescingQueue`]
+/// The sequential [`Executor`]: one [`CoalescingQueue`]
 /// drained in canonical rounds on the calling thread.
 ///
 /// The reference the sharded executors are differentially tested against,
@@ -244,6 +244,16 @@ pub struct Sequential {
     /// high-water event count once, then steady-state drains allocate
     /// nothing.
     round_scratch: Vec<Event>,
+    /// Delete coalescing is off: the phase is a DAP delete wave (§5.2),
+    /// whose rows go to `delete_rows` instead of the queue.
+    rows_for_deletes: bool,
+    /// The DAP delete wave's frontier: the reset vertices whose out-rows
+    /// carry the next round's delete events, in emission order. A row is
+    /// read from the active CSR when its round processes it; the batch is
+    /// committed only after the wave. Reused like `round_scratch`, as is
+    /// `row_scratch`, the round being processed.
+    delete_rows: Vec<VertexId>,
+    row_scratch: Vec<VertexId>,
 }
 
 impl Sequential {
@@ -254,6 +264,9 @@ impl Sequential {
             queue_capacity: config.queue_capacity,
             slice_cap: None,
             round_scratch: Vec::new(),
+            rows_for_deletes: false,
+            delete_rows: Vec::new(),
+            row_scratch: Vec::new(),
         };
         exec.slice_cap = exec.queue_capacity.filter(|_| exec.num_slices(num_vertices) > 1);
         exec
@@ -364,6 +377,7 @@ fn spills(cap: Option<usize>, active_slice: usize, targets: &[VertexId]) -> u64 
 impl Drain for Sequential {
     fn set_coalesce_deletes(&mut self, on: bool) {
         self.queue.set_coalesce_deletes(on);
+        self.rows_for_deletes = !on;
     }
 
     fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
@@ -379,35 +393,41 @@ impl Drain for Sequential {
         self.queue.insert_row(0, row, reduce);
     }
 
-    /// Drains the queue in canonical rounds until empty.
+    /// Drains the queue and the delete-row frontier in canonical rounds
+    /// until both are empty.
     ///
     /// A round is the snapshot of everything queued at round start: every
     /// slot event in ascending vertex order, then the overflow events in
-    /// arrival order. Events emitted while processing (and deletes spilled
-    /// to overflow) always belong to the *next* round — the double-buffered
-    /// schedule of the paper's §4.3 scheduler, where a round completes when
-    /// every bin has drained once and all processing lanes idle.
+    /// arrival order, then the delete rows in emission order. Events and
+    /// rows emitted while processing (and deletes spilled to overflow)
+    /// always belong to the *next* round — the double-buffered schedule of
+    /// the paper's §4.3 scheduler, where a round completes when every bin
+    /// has drained once and all processing lanes idle. A DAP delete wave
+    /// queues only its seeded deletes, which go to overflow, and emits
+    /// only rows, so its first round holds events alone and every later
+    /// one rows alone: the order is the one its events would take through
+    /// the overflow.
     fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
-        // Slicing (§4.7) only affects spill accounting under this schedule:
-        // while processing an event, the slice of its target is on-chip and
-        // emissions leaving that slice count as spills.
-        let slice_cap = self.slice_cap;
-        // Swap the round buffer out of `self` so draining into it can
-        // coexist with the queue borrow below; it goes back at the end, so
-        // the allocation survives across rounds and calls.
+        // Swap the reusable buffers out of `self` so draining into them
+        // can coexist with the queue borrow below; they go back at the
+        // end, so the allocations survive across rounds and calls.
         let mut events = std::mem::take(&mut self.round_scratch);
+        let mut rows = std::mem::take(&mut self.row_scratch);
+        let mut delete_rows = std::mem::take(&mut self.delete_rows);
         let mut st = SeqState {
             verts: VertexState { lo: 0, values: run.values, dependency: run.dependency },
             queue: &mut self.queue,
+            rows_for_deletes: self.rows_for_deletes,
+            delete_rows: &mut delete_rows,
             stats: run.stats,
             tracer: run.tracer,
             impacted: run.impacted,
             previous: run.previous,
             reduce: cx.reduce,
-            slice_cap,
+            slice_cap: self.slice_cap,
             active_slice: 0,
         };
-        while !st.queue.is_empty() {
+        while !st.queue.is_empty() || !st.delete_rows.is_empty() {
             events.clear();
             st.queue.take_all_into(&mut events);
             let pending = st.queue.overflow_len();
@@ -416,18 +436,23 @@ impl Drain for Sequential {
                 let Some(ev) = st.queue.pop_overflow() else { break };
                 events.push(ev);
             }
+            std::mem::swap(&mut rows, st.delete_rows);
+            debug_assert!(events.is_empty() || rows.is_empty(), "a wave round mixes kinds");
             for &ev in &events {
-                if let Some(cap) = slice_cap {
-                    st.active_slice = ix(ev.target) / cap;
-                }
                 kernel::process_event(cx, &mut st, ev);
             }
+            for &source in &rows {
+                kernel::process_delete_row(cx, &mut st, source);
+            }
+            rows.clear();
             st.stats.rounds += 1;
             st.tracer.end_round();
             #[cfg(feature = "strict-invariants")]
             st.queue.debug_validate();
         }
         self.round_scratch = events;
+        self.row_scratch = rows;
+        self.delete_rows = delete_rows;
     }
 
     fn queue_stats(&self) -> QueueStats {
@@ -438,6 +463,9 @@ impl Drain for Sequential {
         if !self.queue.is_empty() {
             return Err(format!("queue still holds {} events", self.queue.len()));
         }
+        if !self.delete_rows.is_empty() {
+            return Err(format!("{} delete rows still pending", self.delete_rows.len()));
+        }
         self.queue.validate().map_err(|e| format!("queue: {e}"))
     }
 }
@@ -447,6 +475,10 @@ impl Drain for Sequential {
 struct SeqState<'a> {
     verts: VertexState<'a>,
     queue: &'a mut CoalescingQueue,
+    /// A DAP delete wave is draining: delete rows go to `delete_rows`.
+    rows_for_deletes: bool,
+    /// The next round's delete rows.
+    delete_rows: &'a mut Vec<VertexId>,
     stats: &'a mut RunStats,
     tracer: &'a mut TraceBuilder,
     impacted: &'a mut Vec<VertexId>,
@@ -490,7 +522,22 @@ impl<'a> ExecState<'a> for SeqState<'a> {
     // hot-path
     fn emit_row(&mut self, row: Row<'_>) {
         self.book_row(row.targets);
-        self.queue.insert_row(0, row, self.reduce);
+        match row.carry {
+            // An empty row queues nothing, so it must not make a round.
+            Carry::Delete { source, .. } if self.rows_for_deletes => {
+                if !row.targets.is_empty() {
+                    self.delete_rows.push(source);
+                }
+            }
+            _ => self.queue.insert_row(0, row, self.reduce),
+        }
+    }
+
+    #[inline(always)]
+    fn begin_event(&mut self, v: VertexId) {
+        if let Some(cap) = self.slice_cap {
+            self.active_slice = ix(v) / cap;
+        }
     }
 
     fn trace_targets_start(&mut self) -> u32 {

@@ -312,7 +312,8 @@ impl<X: Executor> StreamingFlow<X> {
         let cx = self.cx();
         match (self.values.get(ix(target)), self.dependency.get(ix(target))) {
             (Some(&value), Some(&dependency))
-                if cx.dap_active && !kernel::dap_resets(&cx, value, dependency, Some(source)) =>
+                if cx.dap_active
+                    && !kernel::dap_resets(&cx, dependency, Some(source), || value) =>
             {
                 UpdateSafety::Safe
             }

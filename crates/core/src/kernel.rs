@@ -25,9 +25,11 @@
 //! gate's base into each edge's delta (SSSP `base + w`, SSWP
 //! `base.min(w)`), or — for Tag and DAP delete waves — the identity from
 //! one source. Executors route a row without looking at its carry; only
-//! the queue folding it does. Adsorption's weight-normalized propagation
-//! and VAP's delete payloads go event by event through
-//! [`ExecState::emit`]. Everything the kernel needs to know about the
+//! the queue folding it does — except a DAP delete wave's on the
+//! sequential executor, which keeps such rows as a frontier and hands
+//! each back, a round later, to [`process_delete_row`]. Adsorption's
+//! weight-normalized propagation and VAP's delete payloads go event by
+//! event through [`ExecState::emit`]. Everything the kernel needs to know about the
 //! algorithm besides `propagate` — its [`Reduce`] operator (the
 //! coalescer's ALU, §4.3), [`EdgeOp`], update family, identity — is
 //! resolved once, when the [`KernelCtx`] is built.
@@ -156,6 +158,11 @@ pub(crate) trait ExecState<'a> {
     /// [`Row::events`] had gone through [`emit`](ExecState::emit) in row
     /// order.
     fn emit_row(&mut self, row: Row<'_>);
+    /// An event for `v` is about to be applied: a sliced executor brings
+    /// `v`'s slice on-chip, so that emissions leaving it count as spills
+    /// (§4.7). A no-op for sharded workers, which model no slices.
+    #[inline(always)]
+    fn begin_event(&mut self, _v: VertexId) {}
     /// Tracing hooks; no-ops for sharded workers (tracing is a
     /// sequential-engine feature).
     fn trace_targets_start(&mut self) -> u32 {
@@ -168,6 +175,7 @@ pub(crate) trait ExecState<'a> {
 /// Applies one event (Algorithm 1 step, extended with the delete path of
 /// Algorithm 4).
 pub(crate) fn process_event<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event) {
+    st.begin_event(ev.target);
     if ev.is_delete {
         process_delete(cx, st, ev);
         return;
@@ -253,34 +261,69 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
     st.stats().delete_events += 1;
     st.stats().vertex_reads += 1;
     let current = st.verts().value(ev.target);
-    let identity = cx.identity;
-    let targets_start = st.trace_targets_start();
-
     // A delete cycling back to an already tagged (identity-valued) vertex
     // never propagates again.
     let should_reset = match cx.delete_strategy {
-        DeleteStrategy::Tag => current != identity,
-        DeleteStrategy::Vap => current != identity && !cx.alg.more_progressed(current, ev.payload),
-        DeleteStrategy::Dap => dap_resets(cx, current, st.verts().dependency(ev.target), ev.source),
+        DeleteStrategy::Tag => current != cx.identity,
+        DeleteStrategy::Vap => {
+            current != cx.identity && !cx.alg.more_progressed(current, ev.payload)
+        }
+        DeleteStrategy::Dap => {
+            dap_resets(cx, st.verts().dependency(ev.target), ev.source, || current)
+        }
     };
+    apply_delete(cx, st, ev.target, should_reset);
+}
 
-    let (generated, edges_read) = if should_reset {
-        let previous = current;
+/// Handles a DAP delete row: one delete event from the reset vertex
+/// `source` to each target of its out-row in the active graph, in row
+/// order (§4.4's generation stream walking the row). Exactly
+/// [`process_event`] on each of those events — the same guard, resets,
+/// emissions and traced ops — with the event counters booked once for the
+/// row. The row carries no payload: DAP's guard reads only the source.
+// hot-path
+pub(crate) fn process_delete_row<'a>(
+    cx: &KernelCtx<'_>,
+    st: &mut impl ExecState<'a>,
+    source: VertexId,
+) {
+    debug_assert!(cx.dap_active, "a delete row is a DAP delete wave's");
+    let targets = cx.csr.out.neighbor_targets(source);
+    let arrivals = targets.len() as u64;
+    let stats = st.stats();
+    stats.events_processed += arrivals;
+    stats.delete_events += arrivals;
+    stats.vertex_reads += arrivals;
+    for &v in targets {
+        st.begin_event(v);
+        let verts = st.verts();
+        let resets = dap_resets(cx, verts.dependency(v), Some(source), || verts.value(v));
+        apply_delete(cx, st, v, resets);
+    }
+}
+
+/// The body of a delete event at `v` once its guard has decided `reset`:
+/// the reset and the delete wave it sends on, then the traced op.
+#[inline(always)]
+fn apply_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, v: VertexId, reset: bool) {
+    let targets_start = st.trace_targets_start();
+    let (generated, edges_read) = if reset {
+        let previous = st.verts().value(v);
         // The Leads-To parent stays recorded: under DAP the restore step
         // tries it first and clears it where the vertex stays reset
         // (DESIGN.md §3.1); Tag and VAP record none.
-        st.verts().set_value(ev.target, identity);
+        st.verts().set_value(v, cx.identity);
         st.stats().vertex_writes += 1;
         st.stats().resets += 1;
-        st.impacted(ev.target, previous);
-        propagate_deletes(cx, st, ev.target, previous)
+        st.impacted(v, previous);
+        propagate_deletes(cx, st, v, previous)
     } else {
         (0, 0)
     };
     st.trace_push_op(TraceOp {
-        vertex: ev.target,
+        vertex: v,
         kind: OpKind::Delete,
-        changed: should_reset,
+        changed: reset,
         edges_read,
         targets_start,
         targets_len: generated,
@@ -288,17 +331,19 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
 }
 
 /// The DAP reset guard (§5.2): a delete event from `source` resets a
-/// vertex holding `value` and depending on `dependency` exactly when the
-/// value is not the identity and the dependency is that source. The
+/// vertex depending on `dependency` and holding `value()` exactly when the
+/// dependency is that source and the value is not the identity. The
+/// value is read only when the dependency matches: most of a wave's
+/// delete events fail there, and then never touch the values array. The
 /// admission pre-check calls a deletion safe exactly when this is false.
-#[inline]
+#[inline(always)]
 pub(crate) fn dap_resets(
     cx: &KernelCtx<'_>,
-    value: Value,
     dependency: Option<VertexId>,
     source: Option<VertexId>,
+    value: impl FnOnce() -> Value,
 ) -> bool {
-    value != cx.identity && dependency == source
+    dependency == source && value() != cx.identity
 }
 
 /// Propagates delete events downstream from a freshly reset vertex,

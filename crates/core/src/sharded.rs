@@ -2,7 +2,7 @@
 //!
 //! [`Sharded`] is the [`Executor`] behind [`ShardedEngine`]: it partitions
 //! the vertex space into `S` contiguous shards (via
-//! [`jetstream_graph::Partition::contiguous_balanced`]) and runs one
+//! [`jetstream_graph::partition::Partition::contiguous_balanced`]) and runs one
 //! worker thread per shard. Each worker owns its shard's slice of the value
 //! and dependency vectors plus a private [`CoalescingQueue`], mirroring the
 //! paper's §4 queue/lane partitioning where every processing lane serves a
@@ -197,7 +197,7 @@ pub(crate) fn maybe_yield(processed: &mut usize, yield_every: Option<usize>) {
     }
 }
 
-/// The sharded [`Executor`](crate::Executor): one worker thread per
+/// The sharded [`Executor`]: one worker thread per
 /// contiguous vertex range, each with a private [`CoalescingQueue`],
 /// drained barrier-free to quiescence.
 #[derive(Debug)]

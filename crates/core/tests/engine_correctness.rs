@@ -1511,3 +1511,79 @@ fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
         }
     }
 }
+
+/// What [`a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets`]
+/// pins for one workload over its four batches: `(trace digest,
+/// spilled_events, resets, FNV-1a over every batch's last_impacted, values
+/// digest, rounds of the deepest delete propagation)`.
+type Wave = (u64, u64, u64, u64, u64, usize);
+
+/// [`Wave`]s per graph, for each of [`Workload::SELECTIVE`].
+const SLICED_DAP_WAVES: [[Wave; 4]; 2] = [
+    [
+        (0x3706_31d8_ab4e_9bf0, 884, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
+        (0x2dc8_a358_4f49_2d0e, 2020, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
+        (0x1197_e17a_5f16_822a, 995, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
+        (0x5a45_9ef9_ebde_a0a4, 112, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
+    ],
+    [
+        (0xbc22_90ae_4a85_7c94, 191, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
+        (0x92f0_af9e_0f41_4ec5, 2568, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
+        (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0xd01d_86bc_551c_c6df, 5),
+        (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0x2135_b6a0_21db_1a46, 5),
+    ],
+];
+
+// Every selective workload under DAP on an R-MAT graph and a
+// Wikipedia-profile graph, each cut into three slices (§4.7) and traced
+// over four churn batches: delete waves several rounds deep whose rows
+// cross slices. Captured at 1ba9b5d, where the wave's delete events went
+// one by one through the queue's overflow: the trace, the spills out of
+// the active slice, the resets and their order, and the values must not
+// move however the wave is scheduled.
+#[test]
+fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
+    use jetstream_core::Phase;
+    let graphs = [
+        ("rmat", gen::rmat(600, 4800, gen::RmatParams::default(), 91)),
+        ("wikipedia", gen::DatasetProfile::Wikipedia.generate(10_000)),
+    ];
+    for ((name, full), wants) in graphs.into_iter().zip(SLICED_DAP_WAVES) {
+        for (workload, want) in Workload::SELECTIVE.into_iter().zip(wants) {
+            let label = format!("{} on {name}", workload.name());
+            let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
+            let base = stream.graph().clone();
+            let config = EngineConfig {
+                delete_strategy: DeleteStrategy::Dap,
+                num_bins: 4,
+                queue_capacity: Some(base.num_vertices().div_ceil(3)),
+                ..EngineConfig::default()
+            };
+            let mut engine = StreamingEngine::new(workload.instantiate(0), base, config);
+            assert_eq!(engine.num_slices(), 3, "{label}");
+            engine.initial_compute();
+            engine.set_tracing(true);
+            let (mut spilled, mut resets, mut impacted) = (0, 0, FNV_OFFSET);
+            for _ in 0..4 {
+                let stats = engine.apply_update_batch(&stream.next_batch(30, 0.5)).unwrap();
+                spilled += stats.spilled_events;
+                resets += stats.resets;
+                impacted =
+                    engine.last_impacted().iter().fold(impacted, |h, &v| fnv1a(h, u64::from(v)));
+            }
+            let trace = engine.take_trace();
+            let deepest = trace
+                .phases
+                .iter()
+                .filter(|p| p.phase == Phase::DeletePropagation)
+                .map(|p| p.rounds.len())
+                .max()
+                .unwrap_or(0);
+            let values = values_digest(engine.values());
+            let got = (trace_digest(&trace), spilled, resets, impacted, values, deepest);
+            assert_eq!(got, want, "{label}");
+            assert!(deepest >= 3, "{label}: a delete wave several rounds deep");
+            assert_eq!(engine.validate_converged(), Ok(()), "{label}");
+        }
+    }
+}

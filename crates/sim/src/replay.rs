@@ -7,7 +7,7 @@
 //! the edge cache (sequential CSR line reads), the generation streams, the
 //! 16×16 crossbar between generators and queue bins, the bin coalescer
 //! pipelines, the Stream Reader, and the multi-channel DRAM of
-//! [`Dram`](crate::dram::Dram). For graphs larger than the on-chip queue it
+//! [`Dram`]. For graphs larger than the on-chip queue it
 //! adds the slice-partitioning spill traffic of §4.7.
 
 use std::collections::BTreeMap;

@@ -3,7 +3,7 @@
 //!
 //! Writers push into a `Vec<u8>`; readers go through [`Reader`], which tracks
 //! its byte offset so every decode failure can name the first bad byte (the
-//! offsets surface in [`StoreError::Corrupt`](crate::StoreError::Corrupt)).
+//! offsets surface in [`StoreError::Corrupt`]).
 
 use std::path::Path;
 

@@ -160,6 +160,34 @@ fn functional_update(f: &SourceFile<'_>, ci: usize) -> bool {
     false
 }
 
+/// True when the `|` at code token `ci` closes a closure's parameter
+/// list (`|dest, lo, run| body`): walking back at its nesting depth, the
+/// first `|` met opens the list — it follows no operand — before any `;`,
+/// brace or unmatched opening bracket ends the expression. A `|` that
+/// follows an operand is itself a closing pipe or a bit-or (`|x| a | b`),
+/// and a `||` opens a closure without parameters or is a logical or, so
+/// after either the one at `ci` is a bit-or.
+fn closes_closure_params(f: &SourceFile<'_>, ci: usize) -> bool {
+    let mut depth = 0usize;
+    for i in (0..ci).rev() {
+        if f.ct(i).kind != TokenKind::Punct {
+            continue;
+        }
+        match f.ctext(i) {
+            ")" | "]" => depth += 1,
+            "(" | "[" if depth > 0 => depth -= 1,
+            "(" | "[" | "{" | "}" | ";" => return false,
+            // A `||` takes no parameters, so nothing after it closes any.
+            "|" if depth == 0 && (prev_punct_adj(f, i, "|") || punct_adj(f, i, i + 1, "|")) => {
+                return false
+            }
+            "|" if depth == 0 => return i == 0 || !operand_end(f, i - 1),
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Runs every operator matcher against code token `ci`, appending any
 /// candidate mutations. The caller filters `#[cfg(test)]` spans.
 pub(crate) fn match_at(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
@@ -286,7 +314,7 @@ fn match_punct(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
                 }
                 return;
             }
-            if !prev_end {
+            if !prev_end || closes_closure_params(f, ci) {
                 return; // reference / closure-params / pattern position
             }
             let compound = punct_adj(f, ci, ci + 1, "=");

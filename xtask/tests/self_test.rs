@@ -174,8 +174,9 @@ fn the_store_crate_is_covered_by_the_walker() {
 
 /// jetmut discovery passes over shapes whose mutants can never compile —
 /// the `+` joining trait bounds, the `..` before a functional update's
-/// lowercase base, macro bangs, `#![..]` and `!=` — and keeps the
-/// arithmetic, the range and every negation, a keyword before it or not.
+/// lowercase base, macro bangs, `#![..]`, `!=` and the pipes closing a
+/// closure's parameter list — and keeps the arithmetic, the range, every
+/// negation (a keyword before it or not) and every real bit-or.
 #[test]
 fn mutation_discovery_skips_bound_plus_and_update_base() {
     let root = std::env::temp_dir().join(format!("xtask-mutate-shapes-{}", std::process::id()));
@@ -190,7 +191,9 @@ fn mutation_discovery_skips_bound_plus_and_update_base() {
          pub fn path(n: f64) -> f64 { n + Weight::MAX }\n\
          #![doc = \"x\"]\n\
          pub fn neg(c: bool) -> bool { if !c { return !c; } while !c {} !c }\n\
-         pub fn bang(x: u32) -> bool { assert!(x != 1); vec![x]; m! {} x != 2 }\n",
+         pub fn bang(x: u32) -> bool { assert!(x != 1); vec![x]; m! {} x != 2 }\n\
+         pub fn pipes(r: R, m: u8) { r.split(|d, lo, run| go(d, lo, run)); r.map(|x: u8| x | m) }\n\
+         pub fn ors(a: bool, m: u8) -> u8 { let g = move || m | 1; if a || m | 2 > 0 {} m | 4 }\n",
     )
     .unwrap();
     let sites = xtask::mutate::sites::discover_workspace(&root).unwrap();
@@ -204,6 +207,8 @@ fn mutation_discovery_skips_bound_plus_and_update_base() {
     assert_eq!(at(6, "negate-drop"), 0, "an inner attribute is not a negation");
     assert_eq!(at(7, "negate-drop"), 4, "if !c, return !c, while !c and a bare !c");
     assert_eq!(at(8, "negate-drop"), 0, "macro bangs and `!=` are not negations");
+    assert_eq!(at(9, "bitop-swap"), 1, "closure parameter pipes are not bit-ors; x | m is");
+    assert_eq!(at(10, "bitop-swap"), 3, "a bit-or after a `||` is still a bit-or");
 }
 
 /// Same proof for the serving layer: `crates/serve` is inside the

@@ -246,28 +246,24 @@ impl WorkerLoop<'_> {
         }
     }
 
-    /// Drains one run-length of the local queue and processes it through
-    /// the shared kernel. Slot events first (ascending vertex order within
-    /// the drained bins), then spilled delete events FIFO.
+    /// Drains one run-length of the local queue (ascending vertex order
+    /// within the drained bins) and processes it through the shared
+    /// kernel.
     fn process_pass(&mut self) {
         self.shard.rounds += 1;
 
         let mut events = std::mem::take(&mut self.shard.drain_scratch);
         events.clear();
         let nb = self.shard.queue.num_bins();
-        let max_overflow = if self.chunk == 0 {
+        if self.chunk == 0 {
             self.shard.queue.take_all_into(&mut events);
-            usize::MAX
         } else {
             // mutation-ok: any bound draining at least one bin is a valid pass size — results are chunking-independent under the async equivalence contract
             for i in 0..self.chunk.min(nb) {
                 self.shard.queue.take_bin_into((self.bin_cursor + i) % nb, &mut events);
             }
             self.bin_cursor = (self.bin_cursor + self.chunk) % nb;
-            // Chunked passes also cap the spill drain, so run boundaries
-            // in delete phases are perturbed too.
-            64 * self.chunk
-        };
+        }
         for ev in &mut events {
             ev.target += self.lo;
         }
@@ -293,18 +289,11 @@ impl WorkerLoop<'_> {
             kernel::process_event(&self.cx, &mut st, ev);
             maybe_yield(&mut processed, self.yield_every);
         }
-        for _ in 0..max_overflow {
-            let Some(mut ev) = st.queue.pop_overflow() else { break };
-            ev.target += self.lo;
-            kernel::process_event(&self.cx, &mut st, ev);
-            maybe_yield(&mut processed, self.yield_every);
-        }
         self.shard.drain_scratch = events;
     }
 
-    /// Ships every non-empty outbox queue as one pre-coalesced run (slot
-    /// events in ascending destination-local order, then any spilled
-    /// delete events FIFO) to its destination shard.
+    /// Ships every non-empty outbox queue as one pre-coalesced run (in
+    /// ascending destination-local order) to its destination shard.
     fn flush_outboxes(&mut self) {
         let (me, shards) = (self.worker, self.peers.len());
         for (dest, fold) in self.shard.outboxes.iter_mut().enumerate() {
@@ -313,9 +302,6 @@ impl WorkerLoop<'_> {
             }
             let mut events = Vec::with_capacity(fold.len());
             fold.take_all_into(&mut events);
-            while let Some(ev) = fold.pop_overflow() {
-                events.push(ev);
-            }
             if let Some(tx) = &self.peers[dest] {
                 self.log.record(TraceEvent::Send {
                     thread: me + 1,
@@ -424,34 +410,29 @@ mod tests {
     use crate::queue::QueueStats;
     use jetstream_algorithms::EdgeOp;
 
-    /// A drained queue, bit for bit: slot events in vertex order, then
-    /// the overflow FIFO, then its counters.
+    /// A drained queue, bit for bit: its events in vertex order, then its
+    /// counters.
     type Contents = (Vec<(VertexId, u64, bool, bool, Option<VertexId>)>, QueueStats);
 
     fn contents(q: &mut CoalescingQueue) -> Contents {
         let mut events = Vec::new();
         q.take_all_into(&mut events);
-        events.extend(std::iter::from_fn(|| q.pop_overflow()));
         let bits = events
             .iter()
             .map(|e| (e.target, e.payload.to_bits(), e.is_delete, e.request, e.source));
         (bits.collect(), q.stats())
     }
 
-    /// Shard 1 of four over 16 vertices emits the same traffic a row at a
-    /// time or an event at a time; returns its counters, then its own
-    /// queue and every outbox drained.
-    fn emit_from_shard_one(by_row: bool, coalesce_deletes: bool) -> (RunStats, Vec<Contents>) {
-        // Targets on every shard bound (4, 8, 12), just below one (3, 7,
-        // 11), and at both ends of the vertex range.
-        const ROW: [VertexId; 9] = [0, 3, 4, 5, 7, 8, 11, 12, 15];
-        let weights = &ROW.map(|v| 1.0 + f64::from(v) / 4.0);
+    /// Targets on every shard bound (4, 8, 12), just below one (3, 7, 11),
+    /// and at both ends of the vertex range.
+    const ROW: [VertexId; 9] = [0, 3, 4, 5, 7, 8, 11, 12, 15];
+
+    /// Shard 1 of four over 16 vertices emits `rows` a row at a time or an
+    /// event at a time; returns its counters, then its own queue and every
+    /// outbox drained.
+    fn emit_from_shard_one(by_row: bool, rows: &[Row<'_>]) -> (RunStats, Vec<Contents>) {
         let routes = Routes::new(&[0..4, 4..8, 8..12, 12..16]);
         let mut shard = Shard::new(1, &routes, 2);
-        shard.queue.set_coalesce_deletes(coalesce_deletes);
-        for outbox in &mut shard.outboxes {
-            outbox.set_coalesce_deletes(coalesce_deletes);
-        }
         let (mut values, mut dependency) = ([0.0; 4], [None; 4]);
         let (mut stats, mut impacted) = (RunStats::default(), Vec::new());
         let mut st = AsyncState {
@@ -465,24 +446,7 @@ mod tests {
             routes: &routes,
             reduce: Reduce::Min,
         };
-        // The delete waves meet each other (coalesced, or spilled with
-        // coalescing off), the regular rows meet their residents (spilled)
-        // and each other: sourced rows coalesce, and a sourceless one
-        // clears the sources it dominates.
-        let regular = |source, delta| Carry::Regular { delta, source };
-        let delete = |source, payload| Carry::Delete { payload, source };
-        let op = EdgeOp::AddWeight;
-        let rows = [
-            Row { targets: &ROW, carry: delete(6, 0.5) },
-            Row { targets: &ROW[..5], carry: delete(13, 0.25) },
-            Row { targets: &ROW, carry: regular(Some(2), 3.0) },
-            Row {
-                targets: &ROW,
-                carry: Carry::Weighted { weights, base: 1.0, op, source: Some(9) },
-            },
-            Row { targets: &ROW[2..], carry: regular(None, 2.0) },
-        ];
-        for row in rows {
+        for &row in rows {
             if by_row {
                 st.emit_row(row);
             } else {
@@ -495,22 +459,38 @@ mod tests {
 
     // One row spanning four shards leaves the own queue and every outbox
     // exactly as its events emitted one by one would, for uniform,
-    // weighted and delete rows, with delete coalescing on and off. Kills
-    // the splitter's bound predicate `v < hi` -> `<=` and a negated
-    // own-shard test: either sends a run to a queue that does not cover
-    // it.
+    // weighted and delete rows; each queue holds one kind, as phases are
+    // disjoint. The delete waves coalesce; the regular rows coalesce too,
+    // and a sourceless one clears the sources it dominates. Kills the
+    // splitter's bound predicate `v < hi` -> `<=` and a negated own-shard
+    // test: either sends a run to a queue that does not cover it.
     #[test]
     fn row_emission_splits_into_the_queues_per_event_emission_fills() {
-        for coalesce_deletes in [true, false] {
-            let (row_stats, by_row) = emit_from_shard_one(true, coalesce_deletes);
-            let (event_stats, by_event) = emit_from_shard_one(false, coalesce_deletes);
-            assert_eq!(row_stats, RunStats { events_generated: 39, ..RunStats::default() });
-            assert_eq!(row_stats, event_stats);
-            assert_eq!(by_row, by_event, "coalesce_deletes={coalesce_deletes}");
+        let weights = &ROW.map(|v| 1.0 + f64::from(v) / 4.0);
+        let regular = |source, delta| Carry::Regular { delta, source };
+        let delete = |source, payload| Carry::Delete { payload, source };
+        let op = EdgeOp::AddWeight;
+        let waves = [
+            Row { targets: &ROW, carry: delete(6, 0.5) },
+            Row { targets: &ROW[..5], carry: delete(13, 0.25) },
+        ];
+        let regulars = [
+            Row { targets: &ROW, carry: regular(Some(2), 3.0) },
+            Row {
+                targets: &ROW,
+                carry: Carry::Weighted { weights, base: 1.0, op, source: Some(9) },
+            },
+            Row { targets: &ROW[2..], carry: regular(None, 2.0) },
+        ];
+        for (rows, generated) in [(&waves[..], 14), (&regulars[..], 25)] {
+            let (row_stats, by_row) = emit_from_shard_one(true, rows);
+            let (event_stats, by_event) = emit_from_shard_one(false, rows);
+            let want = RunStats { events_generated: generated, ..RunStats::default() };
+            assert_eq!((row_stats, event_stats), (want, want));
+            assert_eq!(by_row, by_event, "{rows:?}");
             let residents: Vec<usize> = by_row.iter().map(|(events, _)| events.len()).collect();
             // Own queue, then outboxes 0..4 (shard 1's covers nothing).
-            let want = if coalesce_deletes { [12, 6, 0, 8, 8] } else { [9, 6, 0, 4, 4] };
-            assert_eq!(residents, want, "coalesce_deletes={coalesce_deletes}");
+            assert_eq!(residents, [3, 2, 0, 2, 2], "{rows:?}");
         }
     }
 }

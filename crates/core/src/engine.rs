@@ -3,15 +3,15 @@
 //! [`StreamingEngine`]. The streaming flow itself lives in [`crate::flow`].
 
 use jetstream_algorithms::{Algorithm, Reduce, Value};
-use jetstream_graph::{ix, Csr, CsrPair, VertexId};
+use jetstream_graph::{Csr, CsrPair, VertexId};
 
-use crate::event::{Carry, Event, Row};
+use crate::event::{Event, Row};
 use crate::flow::sealed::Drain;
-use crate::flow::{Executor, RunState, StreamingFlow};
-use crate::kernel::{self, ExecState, KernelCtx, VertexState};
+use crate::flow::{spills, Executor, FlowState, RunState, StreamingFlow};
+use crate::kernel::{self, KernelCtx};
 use crate::queue::{CoalescingQueue, QueueStats};
 use crate::stats::RunStats;
-use crate::trace::{Trace, TraceBuilder, TraceOp};
+use crate::trace::Trace;
 
 /// Delete-propagation strategy (§3.4 base algorithm and the §5 optimizations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -244,16 +244,6 @@ pub struct Sequential {
     /// high-water event count once, then steady-state drains allocate
     /// nothing.
     round_scratch: Vec<Event>,
-    /// Delete coalescing is off: the phase is a DAP delete wave (§5.2),
-    /// whose rows go to `delete_rows` instead of the queue.
-    rows_for_deletes: bool,
-    /// The DAP delete wave's frontier: the reset vertices whose out-rows
-    /// carry the next round's delete events, in emission order. A row is
-    /// read from the active CSR when its round processes it; the batch is
-    /// committed only after the wave. Reused like `round_scratch`, as is
-    /// `row_scratch`, the round being processed.
-    delete_rows: Vec<VertexId>,
-    row_scratch: Vec<VertexId>,
 }
 
 impl Sequential {
@@ -264,9 +254,6 @@ impl Sequential {
             queue_capacity: config.queue_capacity,
             slice_cap: None,
             round_scratch: Vec::new(),
-            rows_for_deletes: false,
-            delete_rows: Vec::new(),
-            row_scratch: Vec::new(),
         };
         exec.slice_cap = exec.queue_capacity.filter(|_| exec.num_slices(num_vertices) > 1);
         exec
@@ -363,21 +350,9 @@ impl StreamingFlow<Sequential> {
     }
 }
 
-/// How many of `targets` lie outside the active slice — events the
-/// hardware would write to off-chip memory and read back (§4.7). `cap` is
-/// the slice width; `None` when the graph fits the queue, and then nothing
-/// spills.
-fn spills(cap: Option<usize>, active_slice: usize, targets: &[VertexId]) -> u64 {
-    match cap {
-        Some(cap) => targets.iter().filter(|&&v| ix(v) / cap != active_slice).count() as u64,
-        None => 0,
-    }
-}
-
 impl Drain for Sequential {
-    fn set_coalesce_deletes(&mut self, on: bool) {
-        self.queue.set_coalesce_deletes(on);
-        self.rows_for_deletes = !on;
+    fn slice_cap(&self) -> Option<usize> {
+        self.slice_cap
     }
 
     fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
@@ -393,66 +368,30 @@ impl Drain for Sequential {
         self.queue.insert_row(0, row, reduce);
     }
 
-    /// Drains the queue and the delete-row frontier in canonical rounds
-    /// until both are empty.
+    /// Drains the queue in canonical rounds until it is empty.
     ///
-    /// A round is the snapshot of everything queued at round start: every
-    /// slot event in ascending vertex order, then the overflow events in
-    /// arrival order, then the delete rows in emission order. Events and
-    /// rows emitted while processing (and deletes spilled to overflow)
-    /// always belong to the *next* round — the double-buffered schedule of
-    /// the paper's §4.3 scheduler, where a round completes when every bin
-    /// has drained once and all processing lanes idle. A DAP delete wave
-    /// queues only its seeded deletes, which go to overflow, and emits
-    /// only rows, so its first round holds events alone and every later
-    /// one rows alone: the order is the one its events would take through
-    /// the overflow.
+    /// A round is the snapshot of every slot event queued at round start,
+    /// in ascending vertex order. Events emitted while processing always
+    /// belong to the *next* round — the double-buffered schedule of the
+    /// paper's §4.3 scheduler, where a round completes when every bin has
+    /// drained once and all processing lanes idle.
     fn drain(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
-        // Swap the reusable buffers out of `self` so draining into them
-        // can coexist with the queue borrow below; they go back at the
-        // end, so the allocations survive across rounds and calls.
+        // The reusable buffer is swapped out of `self` so draining into it
+        // can coexist with the queue borrow below; it goes back at the
+        // end, so the allocation survives across rounds and calls.
         let mut events = std::mem::take(&mut self.round_scratch);
-        let mut rows = std::mem::take(&mut self.row_scratch);
-        let mut delete_rows = std::mem::take(&mut self.delete_rows);
-        let mut st = SeqState {
-            verts: VertexState { lo: 0, values: run.values, dependency: run.dependency },
-            queue: &mut self.queue,
-            rows_for_deletes: self.rows_for_deletes,
-            delete_rows: &mut delete_rows,
-            stats: run.stats,
-            tracer: run.tracer,
-            impacted: run.impacted,
-            previous: run.previous,
-            reduce: cx.reduce,
-            slice_cap: self.slice_cap,
-            active_slice: 0,
-        };
-        while !st.queue.is_empty() || !st.delete_rows.is_empty() {
+        let mut st = FlowState::new(run, cx.reduce, self.slice_cap, &mut self.queue);
+        while !st.out.is_empty() {
             events.clear();
-            st.queue.take_all_into(&mut events);
-            let pending = st.queue.overflow_len();
-            events.reserve(pending);
-            for _ in 0..pending {
-                let Some(ev) = st.queue.pop_overflow() else { break };
-                events.push(ev);
-            }
-            std::mem::swap(&mut rows, st.delete_rows);
-            debug_assert!(events.is_empty() || rows.is_empty(), "a wave round mixes kinds");
+            st.out.take_all_into(&mut events);
             for &ev in &events {
                 kernel::process_event(cx, &mut st, ev);
             }
-            for &source in &rows {
-                kernel::process_delete_row(cx, &mut st, source);
-            }
-            rows.clear();
-            st.stats.rounds += 1;
-            st.tracer.end_round();
+            st.end_round();
             #[cfg(feature = "strict-invariants")]
-            st.queue.debug_validate();
+            st.out.debug_validate();
         }
         self.round_scratch = events;
-        self.row_scratch = rows;
-        self.delete_rows = delete_rows;
     }
 
     fn queue_stats(&self) -> QueueStats {
@@ -463,91 +402,10 @@ impl Drain for Sequential {
         if !self.queue.is_empty() {
             return Err(format!("queue still holds {} events", self.queue.len()));
         }
-        if !self.delete_rows.is_empty() {
-            return Err(format!("{} delete rows still pending", self.delete_rows.len()));
-        }
         self.queue.validate().map_err(|e| format!("queue: {e}"))
     }
 }
 
-/// [`ExecState`] backed by the flow's global vectors and tracer and the
-/// sequential executor's queue, for the length of one drain.
-struct SeqState<'a> {
-    verts: VertexState<'a>,
-    queue: &'a mut CoalescingQueue,
-    /// A DAP delete wave is draining: delete rows go to `delete_rows`.
-    rows_for_deletes: bool,
-    /// The next round's delete rows.
-    delete_rows: &'a mut Vec<VertexId>,
-    stats: &'a mut RunStats,
-    tracer: &'a mut TraceBuilder,
-    impacted: &'a mut Vec<VertexId>,
-    previous: &'a mut Vec<Value>,
-    reduce: Reduce,
-    /// Slice width when the graph spans several slices (§4.7).
-    slice_cap: Option<usize>,
-    active_slice: usize,
-}
-
-impl SeqState<'_> {
-    /// Books emissions to `targets` once: generated events, spills out of
-    /// the active slice, and the traced targets.
-    #[inline]
-    fn book_row(&mut self, targets: &[VertexId]) {
-        self.stats.events_generated += targets.len() as u64;
-        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
-        self.tracer.push_targets(targets);
-    }
-}
-
-impl<'a> ExecState<'a> for SeqState<'a> {
-    fn verts(&mut self) -> &mut VertexState<'a> {
-        &mut self.verts
-    }
-
-    fn stats(&mut self) -> &mut RunStats {
-        self.stats
-    }
-
-    fn impacted(&mut self, v: VertexId, previous: Value) {
-        self.impacted.push(v);
-        self.previous.push(previous);
-    }
-
-    fn emit(&mut self, ev: Event) {
-        self.book_row(&[ev.target]);
-        self.queue.insert_with(ev, self.reduce);
-    }
-
-    // hot-path
-    fn emit_row(&mut self, row: Row<'_>) {
-        self.book_row(row.targets);
-        match row.carry {
-            // An empty row queues nothing, so it must not make a round.
-            Carry::Delete { source, .. } if self.rows_for_deletes => {
-                if !row.targets.is_empty() {
-                    self.delete_rows.push(source);
-                }
-            }
-            _ => self.queue.insert_row(0, row, self.reduce),
-        }
-    }
-
-    #[inline(always)]
-    fn begin_event(&mut self, v: VertexId) {
-        if let Some(cap) = self.slice_cap {
-            self.active_slice = ix(v) / cap;
-        }
-    }
-
-    fn trace_targets_start(&mut self) -> u32 {
-        self.tracer.targets_start()
-    }
-
-    fn trace_push_op(&mut self, op: TraceOp) {
-        self.tracer.push_op(op);
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;

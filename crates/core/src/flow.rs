@@ -17,7 +17,9 @@
 //! canonical rounds and is the reference; [`Sharded`](crate::Sharded)
 //! drains one queue per worker thread, barrier-free. Dispatch is static
 //! (the flow is monomorphised per executor, as [`kernel::process_event`]
-//! already is per `ExecState`).
+//! already is per `ExecState`). The one phase no executor drains is a DAP
+//! delete wave (§5.2): its events must not coalesce, so the flow runs it
+//! itself, as a [`DeleteWave`] of rows, on the calling thread.
 
 use jetstream_algorithms::{Algorithm, EdgeCtx, EdgeOp, Reduce, UpdateKind, Value};
 use jetstream_graph::{ix, vid, CheckedBatch, Csr, CsrPair, GraphError, UpdateBatch, VertexId};
@@ -27,14 +29,15 @@ use crate::engine::{
     DeleteStrategy, EngineConfig, UpdateSafety,
 };
 use crate::event::{Carry, Event, Row};
-use crate::kernel::{self, KernelCtx};
-use crate::queue::QueueStats;
+use crate::kernel::{self, ExecState, KernelCtx, VertexState};
+use crate::queue::{CoalescingQueue, QueueStats};
 use crate::restore::Restore;
 use crate::stats::{Phase, RunStats};
 use crate::trace::{OpKind, TraceBuilder, TraceOp};
 
 /// The flow state one drain reads and writes, lent to the executor for the
-/// duration of [`Drain::drain`](sealed::Drain::drain).
+/// duration of [`Drain::drain`](sealed::Drain::drain), and to the DAP
+/// [`DeleteWave`].
 pub struct RunState<'a> {
     pub(crate) values: &'a mut [Value],
     pub(crate) dependency: &'a mut [Option<VertexId>],
@@ -56,9 +59,10 @@ pub(crate) mod sealed {
     /// exported, so [`Executor`](super::Executor) cannot be implemented
     /// (or these methods called) downstream.
     pub trait Drain: std::fmt::Debug {
-        /// Whether delete events may coalesce in the phase being seeded
-        /// (off during DAP delete propagation, §5.2).
-        fn set_coalesce_deletes(&mut self, on: bool);
+        /// The §4.7 slice width when the executor models slices and the
+        /// graph spans more than one, so that emissions can spill; `None`
+        /// otherwise.
+        fn slice_cap(&self) -> Option<usize>;
         /// Queues one setup-phase event, counting it in `stats`; `reduce`
         /// is the algorithm's operator, should it coalesce.
         fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
@@ -118,6 +122,8 @@ pub struct StreamingFlow<X: Executor> {
     /// The values the vertices in `impacted` held, and the DAP restore
     /// step's scratch.
     restore: Restore,
+    /// The DAP delete wave's levels, reused across batches.
+    wave: DeleteWave,
     /// The accumulative flow's reusable per-batch buffer (executors keep
     /// their own drain buffers): the sorted, deduplicated sources an
     /// accumulative batch touches, which both of its set-up phases walk. It
@@ -153,6 +159,7 @@ impl<X: Executor> StreamingFlow<X> {
             dependency,
             impacted: Vec::new(),
             restore: Restore::default(),
+            wave: DeleteWave::default(),
             config,
             stats: RunStats::default(),
             tracer: TraceBuilder::default(),
@@ -201,8 +208,9 @@ impl<X: Executor> StreamingFlow<X> {
     }
 
     /// Vertices reset during the most recent streaming batch (Fig. 10), in
-    /// the order the sequential executor resets them (ascending vertex id
-    /// under [`Sharded`](crate::Sharded)).
+    /// reset order. A DAP delete wave runs on the flow's thread, so both
+    /// executors report the sequential order; a Tag or VAP wave drained by
+    /// [`Sharded`](crate::Sharded) is reported in ascending vertex id.
     pub fn last_impacted(&self) -> &[VertexId] {
         &self.impacted
     }
@@ -387,8 +395,9 @@ impl<X: Executor> StreamingFlow<X> {
         KernelCtx::new(self.alg.as_ref(), &self.csr, self.config.delete_strategy)
     }
 
-    /// Drains the seeded events to quiescence on the active CSR.
-    fn drain(&mut self) {
+    /// The active CSR's kernel context and the flow state a drain or the
+    /// DAP delete wave runs on, with the executor and the wave.
+    fn lend(&mut self) -> (KernelCtx<'_>, RunState<'_>, &mut X, &mut DeleteWave) {
         let StreamingFlow {
             alg,
             csr,
@@ -399,16 +408,31 @@ impl<X: Executor> StreamingFlow<X> {
             restore,
             stats,
             tracer,
+            exec,
+            wave,
             ..
         } = self;
-        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
+        let cx = KernelCtx::new(&**alg, csr, config.delete_strategy);
         let previous = &mut restore.previous;
-        self.exec.drain(&cx, RunState { values, dependency, impacted, previous, stats, tracer });
+        (cx, RunState { values, dependency, impacted, previous, stats, tracer }, exec, wave)
+    }
+
+    /// Drains the seeded events to quiescence on the active CSR.
+    fn drain(&mut self) {
+        let (cx, run, exec, _) = self.lend();
+        exec.drain(&cx, run);
     }
 
     fn drain_phase(&mut self, phase: Phase) {
         self.tracer.begin_phase(phase);
         self.drain();
+    }
+
+    /// Runs the seeded DAP delete wave on the active CSR, over the whole
+    /// vectors, on this thread, whatever the executor.
+    fn run_delete_wave(&mut self) {
+        let (cx, run, exec, wave) = self.lend();
+        wave.run(&cx, run, exec.slice_cap());
     }
 
     /// Closes a run: reports the coalescing the queues did since
@@ -489,15 +513,15 @@ impl<X: Executor> StreamingFlow<X> {
     /// Phases 1–3 of the selective flow (Algorithm 4), around the version
     /// switch.
     fn recover_deletes(&mut self, batch: &UpdateBatch, checked: CheckedBatch<'_>) {
-        // DAP must keep per-source delete events distinct from the very
-        // first event on: two deletions targeting the same vertex carry
-        // different source ids and must both be examined (§5.2).
-        self.exec.set_coalesce_deletes(self.config.delete_strategy != DeleteStrategy::Dap);
-
         // Phase 1 — stream deleted edges into delete events (Algorithm 4,
         // ProcessDeletesSelective; §4.6.2 "Delete Setup and Preparation").
+        // DAP keeps per-source delete events distinct from the very first
+        // on — two deletions targeting the same vertex carry different
+        // sources and must both be examined (§5.2) — so they seed the
+        // wave, not a queue.
         self.tracer.begin_phase(Phase::DeleteSetup);
-        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, wave, .. } =
+            self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
         for &(u, v) in batch.deletions() {
             stats.stream_reads += 1;
@@ -514,18 +538,28 @@ impl<X: Executor> StreamingFlow<X> {
                     .and_then(|weight| kernel::supply(&cx, values[ix(u)], u, weight)),
             };
             if let Some(payload) = payload {
-                exec.seed(*reduce, stats, Event::delete(u, v, payload));
+                let ev = Event::delete(u, v, payload);
+                if cx.dap_active {
+                    wave.seed(stats, exec.slice_cap(), ev);
+                } else {
+                    exec.seed(*reduce, stats, ev);
+                }
                 tracer.push_targets(&[v]);
             }
             let emitted = usize::from(payload.is_some());
             tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
+        let dap = cx.dap_active;
         self.tracer.end_round();
 
         // Phase 2 — delete propagation on the *old* graph: tag and reset
         // every potentially impacted vertex (Algorithm 4, ResetImpacted).
-        self.drain_phase(Phase::DeletePropagation);
-        self.exec.set_coalesce_deletes(true);
+        if dap {
+            self.tracer.begin_phase(Phase::DeletePropagation);
+            self.run_delete_wave();
+        } else {
+            self.drain_phase(Phase::DeletePropagation);
+        }
 
         // The §3.5 version switch, in place in O(batch · degree).
         self.csr.commit(checked);
@@ -696,6 +730,199 @@ impl<X: Executor> StreamingFlow<X> {
             tracer.push_op(setup_op(OpKind::StreamRead, u, out_degree, targets_start, generated));
         }
         self.tracer.end_round();
+    }
+}
+
+/// The kernel's [`ExecState`] on the flow's thread: the flow's whole
+/// vectors, counters and tracer, and the §4.7 slice model, with `out`
+/// taking the emissions. The sequential executor drains its queue through
+/// it; the DAP [`DeleteWave`] runs its levels through it.
+pub(crate) struct FlowState<'a, O> {
+    verts: VertexState<'a>,
+    pub(crate) out: &'a mut O,
+    stats: &'a mut RunStats,
+    tracer: &'a mut TraceBuilder,
+    impacted: &'a mut Vec<VertexId>,
+    previous: &'a mut Vec<Value>,
+    reduce: Reduce,
+    /// Slice width when the graph spans several slices (§4.7).
+    slice_cap: Option<usize>,
+    active_slice: usize,
+}
+
+/// Where a [`FlowState`] sends an emission once it has booked it.
+pub(crate) trait Outlet {
+    /// Takes one event.
+    fn event(&mut self, ev: Event, reduce: Reduce);
+    /// Takes a row.
+    fn row(&mut self, row: Row<'_>, reduce: Reduce);
+}
+
+impl Outlet for CoalescingQueue {
+    #[inline]
+    fn event(&mut self, ev: Event, reduce: Reduce) {
+        self.insert_with(ev, reduce);
+    }
+
+    #[inline]
+    fn row(&mut self, row: Row<'_>, reduce: Reduce) {
+        self.insert_row(0, row, reduce);
+    }
+}
+
+impl<'a, O: Outlet> FlowState<'a, O> {
+    /// Lends `run` to the kernel, with emissions going to `out`.
+    pub(crate) fn new(
+        run: RunState<'a>,
+        reduce: Reduce,
+        slice_cap: Option<usize>,
+        out: &'a mut O,
+    ) -> Self {
+        let RunState { values, dependency, impacted, previous, stats, tracer } = run;
+        let verts = VertexState { lo: 0, values, dependency };
+        FlowState {
+            verts,
+            out,
+            stats,
+            tracer,
+            impacted,
+            previous,
+            reduce,
+            slice_cap,
+            active_slice: 0,
+        }
+    }
+
+    /// Closes a round: every processing lane has drained once (§4.3).
+    pub(crate) fn end_round(&mut self) {
+        self.stats.rounds += 1;
+        self.tracer.end_round();
+    }
+
+    /// Books emissions to `targets` once: generated events, spills out of
+    /// the active slice, and the traced targets.
+    #[inline]
+    fn book_row(&mut self, targets: &[VertexId]) {
+        self.stats.events_generated += targets.len() as u64;
+        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
+        self.tracer.push_targets(targets);
+    }
+}
+
+impl<'a, O: Outlet> ExecState<'a> for FlowState<'a, O> {
+    fn verts(&mut self) -> &mut VertexState<'a> {
+        &mut self.verts
+    }
+
+    fn stats(&mut self) -> &mut RunStats {
+        self.stats
+    }
+
+    fn impacted(&mut self, v: VertexId, previous: Value) {
+        self.impacted.push(v);
+        self.previous.push(previous);
+    }
+
+    fn emit(&mut self, ev: Event) {
+        self.book_row(&[ev.target]);
+        self.out.event(ev, self.reduce);
+    }
+
+    // hot-path
+    fn emit_row(&mut self, row: Row<'_>) {
+        self.book_row(row.targets);
+        self.out.row(row, self.reduce);
+    }
+
+    #[inline(always)]
+    fn begin_event(&mut self, v: VertexId) {
+        if let Some(cap) = self.slice_cap {
+            self.active_slice = ix(v) / cap;
+        }
+    }
+
+    fn trace_targets_start(&mut self) -> u32 {
+        self.tracer.targets_start()
+    }
+
+    fn trace_push_op(&mut self, op: TraceOp) {
+        self.tracer.push_op(op);
+    }
+}
+
+/// The DAP delete wave (§5.2) in levels, as the paper's generation streams
+/// walk a row (§4.4). Level 0 is the batch's seeded deletes, in batch
+/// order; each later level is the out-rows of the vertices the level
+/// before reset, in emission order, each read from the active CSR when
+/// its level comes (the batch is committed only after the wave). A level
+/// is a round. The buffers live as long as the flow and are empty between
+/// waves, so a wave allocates nothing in steady state.
+#[derive(Debug, Default)]
+pub(crate) struct DeleteWave {
+    /// Level 0.
+    seeds: Vec<Event>,
+    /// The next level: the sources of the delete rows emitted so far.
+    next: Vec<VertexId>,
+    /// The level being processed.
+    level: Vec<VertexId>,
+}
+
+/// A [`DeleteWave`]'s next level takes the source of each delete row; an
+/// empty row sends nothing, so it must not make a level.
+impl Outlet for Vec<VertexId> {
+    fn event(&mut self, _: Event, _: Reduce) {
+        debug_assert!(false, "a DAP delete wave emits whole rows");
+    }
+
+    // hot-path
+    fn row(&mut self, row: Row<'_>, _: Reduce) {
+        if let Carry::Delete { source, .. } = row.carry {
+            if !row.targets.is_empty() {
+                self.push(source);
+            }
+        }
+    }
+}
+
+impl DeleteWave {
+    /// Queues a seeded delete for level 0, booked as an executor books a
+    /// seed: one generated event, and a spill if it leaves slice 0.
+    fn seed(&mut self, stats: &mut RunStats, slice_cap: Option<usize>, ev: Event) {
+        stats.events_generated += 1;
+        stats.spilled_events += spills(slice_cap, 0, &[ev.target]);
+        self.seeds.push(ev);
+    }
+
+    /// Runs the seeded wave to its end through the kernel: level 0's
+    /// events through [`kernel::process_event`], every later level's rows
+    /// through [`kernel::process_delete_row`].
+    // hot-path
+    fn run(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>, slice_cap: Option<usize>) {
+        let DeleteWave { seeds, next, level } = self;
+        let mut st = FlowState::new(run, cx.reduce, slice_cap, next);
+        while !seeds.is_empty() || !st.out.is_empty() {
+            std::mem::swap(level, st.out);
+            for &ev in seeds.iter() {
+                kernel::process_event(cx, &mut st, ev);
+            }
+            for &source in level.iter() {
+                kernel::process_delete_row(cx, &mut st, source);
+            }
+            seeds.clear();
+            level.clear();
+            st.end_round();
+        }
+    }
+}
+
+/// How many of `targets` lie outside the active slice — events the
+/// hardware would write to off-chip memory and read back (§4.7). `cap` is
+/// the slice width; `None` when the graph fits the queue, and then nothing
+/// spills.
+pub(crate) fn spills(cap: Option<usize>, active_slice: usize, targets: &[VertexId]) -> u64 {
+    match cap {
+        Some(cap) => targets.iter().filter(|&&v| ix(v) / cap != active_slice).count() as u64,
+        None => 0,
     }
 }
 

@@ -10,7 +10,8 @@
 //! unit — [`ExecState::emit`] an event, [`ExecState::emit_row`] a [`Row`].
 //! The first is data, not code: every executor lends the kernel a
 //! [`VertexState`] — the flow's whole vectors for the sequential
-//! executor, the owned range for a sharded worker — and its four
+//! executor and the DAP delete wave, the owned range for a sharded
+//! worker — and its four
 //! accessors are the only place per-vertex state is indexed.
 //!
 //! # Row emission
@@ -25,9 +26,9 @@
 //! gate's base into each edge's delta (SSSP `base + w`, SSWP
 //! `base.min(w)`), or — for Tag and DAP delete waves — the identity from
 //! one source. Executors route a row without looking at its carry; only
-//! the queue folding it does — except a DAP delete wave's on the
-//! sequential executor, which keeps such rows as a frontier and hands
-//! each back, a round later, to [`process_delete_row`]. Adsorption's
+//! the queue folding it does. A DAP delete wave never reaches an executor:
+//! the flow keeps its rows as a frontier and hands each back, a round
+//! later, to [`process_delete_row`]. Adsorption's
 //! weight-normalized propagation and VAP's delete payloads go event by
 //! event through [`ExecState::emit`]. Everything the kernel needs to know about the
 //! algorithm besides `propagate` — its [`Reduce`] operator (the
@@ -100,8 +101,8 @@ impl<'a> KernelCtx<'a> {
 
 /// The per-vertex state an executor lends the kernel for one drain: the
 /// `values` and `dependency` entries of the contiguous vertex range
-/// starting at `lo` (the sequential executor lends the whole arrays with
-/// `lo = 0`, a sharded worker its owned range).
+/// starting at `lo` (the sequential executor and the DAP delete wave lend
+/// the whole arrays with `lo = 0`, a sharded worker its owned range).
 ///
 /// The kernel only touches the vertex an event targets, and every
 /// executor routes an event to the owner of its target (range-checked at

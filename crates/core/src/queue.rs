@@ -5,17 +5,16 @@
 //! a cross-shard run of events ([`CoalescingQueue::insert_run`]), or a
 //! CSR [`Row`] ([`CoalescingQueue::insert_row`]), whose [`Carry`] says
 //! what every arrival holds — a shared delta, a delta per weight, a
-//! request, a delete wave. All three go through one private slot fold,
-//! the only insert-side code that indexes the slot arrays; a row books
-//! its `QueueStats` once.
+//! request, a Tag or VAP delete wave. All three go through one private
+//! slot fold, the only insert-side code that indexes the slot arrays; a
+//! row books its `QueueStats` once. A DAP delete wave never enters a
+//! queue: the flow runs it as a frontier of rows (DESIGN.md §12).
 //!
 //! The fold is compiled per operator, as the hardware's `Reduce` ALU is
 //! configured once per application (§4.3): a row or a run matches its
 //! [`Reduce`] (and a row its carry, a weighted one its [`EdgeOp`]) once,
 //! then folds every arrival through a loop monomorphized for that
 //! operator and that carry's flag bits.
-
-use std::collections::VecDeque;
 
 use jetstream_algorithms::{Algorithm, EdgeOp, Reduce, Value};
 use jetstream_graph::{ix, vid, VertexId, Weight};
@@ -30,13 +29,10 @@ pub struct QueueStats {
     /// Insertions that merged into an existing slot instead of occupying a
     /// new one.
     pub coalesced: u64,
-    /// Events spilled to the overflow buffer (DAP recovery, §5.2).
-    pub overflowed: u64,
     /// Events handed back to the engine by
     /// [`CoalescingQueue::take_bin_into`],
-    /// [`CoalescingQueue::take_range_into`],
-    /// [`CoalescingQueue::take_all_into`], or
-    /// [`CoalescingQueue::pop_overflow`].
+    /// [`CoalescingQueue::take_range_into`] or
+    /// [`CoalescingQueue::take_all_into`].
     pub drained: u64,
 }
 
@@ -44,7 +40,6 @@ impl std::ops::AddAssign for QueueStats {
     fn add_assign(&mut self, rhs: QueueStats) {
         self.inserts += rhs.inserts;
         self.coalesced += rhs.coalesced;
-        self.overflowed += rhs.overflowed;
         self.drained += rhs.drained;
     }
 }
@@ -55,8 +50,9 @@ const FLAG_REQUEST: u8 = 1 << 1;
 const FLAG_SOURCE: u8 = 1 << 2;
 /// A resident with either bit set is *tagged*: folding even a plain
 /// (regular, sourceless, non-request) arrival into it has to look at the
-/// flag byte — a delete never shares a slot with a regular event, and a
-/// dominant sourceless payload must clear the resident's source.
+/// flag byte — a delete never shares a slot with a regular event (the
+/// fold asserts it), and a dominant sourceless payload must clear the
+/// resident's source.
 const FLAG_TAGGED: u8 = FLAG_DELETE | FLAG_SOURCE;
 
 /// Evaluates `$body` with `$op` bound to `$reduce` compiled: a closure
@@ -110,9 +106,8 @@ fn kind_of(event: &Event) -> u8 {
 /// caller-provided scratch buffers via the `take_*_into` methods so steady-
 /// state drains allocate nothing.
 ///
-/// Under DAP the recovery phase must *not* coalesce delete events (each
-/// carries a distinct source id); those spill to an overflow buffer,
-/// modelling the off-chip overflow area of §5.2.
+/// Phases are disjoint, so a delete never meets a regular event here; DAP
+/// delete events, which must not coalesce (§5.2), never enter a queue.
 #[derive(Debug)]
 pub struct CoalescingQueue {
     /// One bit per vertex: set iff the vertex has a resident event.
@@ -129,8 +124,6 @@ pub struct CoalescingQueue {
     len: usize,
     /// Occupied slots whose flag byte has a [`FLAG_TAGGED`] bit.
     tagged: usize,
-    overflow: VecDeque<Event>,
-    coalesce_deletes: bool,
     stats: QueueStats,
 }
 
@@ -149,8 +142,6 @@ struct Slots<'a> {
     flags: &'a mut Vec<u8>,
     len: &'a mut usize,
     tagged: &'a mut usize,
-    /// Where the caller puts an arrival the fold refuses.
-    overflow: &'a mut VecDeque<Event>,
 }
 
 impl Slots<'_> {
@@ -160,15 +151,22 @@ impl Slots<'_> {
         *self.tagged == 0
     }
 
-    /// Folds one arrival into slot `idx`; `kind` holds its delete/request
-    /// flag bits and `plain` says that it is a regular, sourceless,
-    /// non-request event arriving while [`none_tagged`](Self::none_tagged).
-    /// `reduce` is the compiled operator (see [`with_compiled`]).
+    /// Folds one arrival into slot `idx`, returning whether it coalesced
+    /// into a resident (rather than claiming the empty slot); `kind` holds
+    /// its delete/request flag bits and `plain` says that it is a regular,
+    /// sourceless, non-request event arriving while
+    /// [`none_tagged`](Self::none_tagged). `reduce` is the compiled
+    /// operator (see [`with_compiled`]).
     ///
     /// The only insert-side code that indexes the slot arrays: `idx` is
     /// checked here, once, against `payload`'s length, and
     /// [`CoalescingQueue::new`] sizes `source`/`flags` to the same length
     /// and `occupancy` to a bit for each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range, or if a delete meets a regular
+    /// resident or the reverse: phases are disjoint (DESIGN.md §12).
     // hot-path
     #[inline(always)]
     fn fold(
@@ -179,7 +177,7 @@ impl Slots<'_> {
         kind: u8,
         plain: bool,
         reduce: impl Fn(Value, Value) -> Value,
-    ) -> Fold {
+    ) -> bool {
         assert!(idx < self.payload.len(), "event target {idx} out of range");
         let mask = 1u64 << (idx % 64);
         // panic-ok: idx < payload.len() asserted above; array sizes in the doc comment
@@ -194,18 +192,19 @@ impl Slots<'_> {
             }
             *self.tagged += usize::from(flags & FLAG_TAGGED != 0);
             *self.len += 1;
-            return Fold::Claimed;
+            return false;
         }
         if plain {
             // A plain arrival among plain residents: nothing but the
             // payload can change, and no other array is read.
             *slot = reduce(*slot, payload);
-            return Fold::Coalesced;
+            return true;
         }
         let flags = &mut self.flags[idx]; // panic-ok: idx < payload.len(), as above
-        if (*flags ^ kind) & FLAG_DELETE != 0 {
-            return Fold::Refused;
-        }
+        assert!(
+            (*flags ^ kind) & FLAG_DELETE == 0,
+            "a delete and a regular event met in slot {idx}"
+        );
         let reduced = reduce(*slot, payload);
         if reduced != *slot {
             // The arrival's payload dominates: the slot takes its source.
@@ -224,28 +223,8 @@ impl Slots<'_> {
         if kind & FLAG_REQUEST != 0 {
             *flags |= FLAG_REQUEST;
         }
-        Fold::Coalesced
+        true
     }
-}
-
-/// Parks an arrival the fold refused — rare, and kept out of line so a
-/// row's fold loop holds its arrays in registers.
-#[cold]
-#[inline(never)]
-fn spill(overflow: &mut VecDeque<Event>, event: Event) {
-    overflow.push_back(event);
-}
-
-/// What [`Slots::fold`] did with an arrival.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Fold {
-    /// It took an empty slot.
-    Claimed,
-    /// It merged into the resident event.
-    Coalesced,
-    /// The slot holds an event of the other kind (delete vs. regular);
-    /// the caller spills the arrival to overflow.
-    Refused,
 }
 
 impl CoalescingQueue {
@@ -269,43 +248,7 @@ impl CoalescingQueue {
             num_bins,
             len: 0,
             tagged: 0,
-            overflow: VecDeque::new(),
-            coalesce_deletes: true,
             stats: QueueStats::default(),
-        }
-    }
-
-    /// Enables/disables delete-event coalescing. DAP recovery disables it so
-    /// that per-source delete events are preserved (§5.2).
-    ///
-    /// Disabling the mode evicts any resident delete events to the overflow
-    /// buffer: a coalesced delete sitting in a slot has already lost its
-    /// per-source identity for merging purposes, but keeping deletes out of
-    /// the direct-mapped grid while the mode is off is the invariant
-    /// [`validate`](CoalescingQueue::validate) checks and the engine's DAP
-    /// recovery relies on.
-    pub fn set_coalesce_deletes(&mut self, coalesce: bool) {
-        self.coalesce_deletes = coalesce;
-        if coalesce {
-            return;
-        }
-        // Evict resident deletes in ascending vertex order.
-        for wi in 0..self.occupancy.len() {
-            let mut word = self.occupancy[wi];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize; // cast-ok: trailing_zeros of a u64 word is <= 64
-                word &= word - 1;
-                let v = wi * 64 + bit;
-                if self.flags[v] & FLAG_DELETE == 0 {
-                    continue;
-                }
-                self.occupancy[wi] &= !(1u64 << bit);
-                self.len -= 1;
-                self.tagged -= 1;
-                self.stats.overflowed += 1;
-                let ev = self.event_at(v);
-                self.overflow.push_back(ev);
-            }
         }
     }
 
@@ -314,19 +257,14 @@ impl CoalescingQueue {
         self.num_bins
     }
 
-    /// Total queued events (slots + overflow).
+    /// Total queued events.
     pub fn len(&self) -> usize {
-        self.len + self.overflow.len()
+        self.len
     }
 
-    /// True if no events are queued anywhere.
+    /// True if no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of events currently in the overflow buffer.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.len == 0
     }
 
     /// Cumulative queue statistics.
@@ -363,14 +301,13 @@ impl CoalescingQueue {
     /// Coalescing rules:
     /// * two regular events: payloads reduced, request flags OR-ed, and the
     ///   source of the dominant payload retained (DAP, §5.2);
-    /// * two delete events: merged keeping the dominant payload when delete
-    ///   coalescing is enabled, spilled to overflow otherwise;
-    /// * a delete and a non-delete never share a slot (phases are disjoint);
-    ///   the newcomer spills to overflow.
+    /// * two delete events (Tag, VAP): merged keeping the dominant payload
+    ///   and its source.
     ///
     /// # Panics
     ///
-    /// Panics if the target vertex is out of range.
+    /// Panics if the target vertex is out of range, or if a delete meets a
+    /// regular resident or the reverse: phases are disjoint.
     #[inline]
     pub fn insert(&mut self, event: Event, alg: &dyn Algorithm) {
         self.insert_with(event, alg.reduce_op());
@@ -389,22 +326,11 @@ impl CoalescingQueue {
     #[inline(always)]
     fn insert_compiled(&mut self, event: Event, reduce: impl Fn(Value, Value) -> Value) {
         self.stats.inserts += 1;
-        // A delete while delete coalescing is off goes straight to overflow.
-        let outcome = if self.coalesce_deletes || !event.is_delete {
-            let mut slots = self.slots();
-            let kind = kind_of(&event);
-            let plain = event.source.is_none() && kind == 0 && slots.none_tagged();
-            slots.fold(ix(event.target), event.payload, event.source, kind, plain, reduce)
-        } else {
-            Fold::Refused
-        };
-        match outcome {
-            Fold::Claimed => {}
-            Fold::Coalesced => self.stats.coalesced += 1,
-            Fold::Refused => {
-                self.overflow.push_back(event);
-                self.stats.overflowed += 1;
-            }
+        let mut slots = self.slots();
+        let kind = kind_of(&event);
+        let plain = event.source.is_none() && kind == 0 && slots.none_tagged();
+        if slots.fold(ix(event.target), event.payload, event.source, kind, plain, reduce) {
+            self.stats.coalesced += 1;
         }
     }
 
@@ -430,8 +356,7 @@ impl CoalescingQueue {
     /// `base` is the global id of this queue's slot 0 (0 for a
     /// whole-graph queue, the shard's first vertex for a shard-local one).
     /// The carry is matched here, once for the row (a weighted row's
-    /// [`EdgeOp`] with it); with delete coalescing off a delete row goes
-    /// to overflow in one go, as its events would one by one. The match
+    /// [`EdgeOp`] with it). The match
     /// inlines into the caller, where an executor cutting one row into
     /// runs can hoist it, and each shape folds out of line with its
     /// fields in registers: one out-of-line body taking the row through
@@ -440,12 +365,12 @@ impl CoalescingQueue {
     /// # Panics
     ///
     /// Panics if a weighted row's `weights` is not as long as its
-    /// `targets`, or if a target lies outside `base..base + num_vertices`
-    /// (unless the row goes to overflow).
+    /// `targets`, if a target lies outside `base..base + num_vertices`, or
+    /// as [`insert`](CoalescingQueue::insert) does on a kind collision.
     // hot-path
     #[inline]
     pub fn insert_row(&mut self, base: VertexId, row: Row<'_>, reduce: Reduce) {
-        let (Row { targets, carry }, spill_deletes) = (row, !self.coalesce_deletes);
+        let Row { targets, carry } = row;
         match carry {
             Carry::Regular { delta, source } => {
                 self.insert_shared::<0>(base, targets, delta, source, reduce)
@@ -464,12 +389,6 @@ impl CoalescingQueue {
             },
             Carry::Request { payload } => {
                 self.insert_shared::<FLAG_REQUEST>(base, targets, payload, None, reduce)
-            }
-            Carry::Delete { payload, source } if spill_deletes => {
-                let local = |&v: &VertexId| Event::delete(source, v.wrapping_sub(base), payload);
-                self.overflow.extend(targets.iter().map(local));
-                self.stats.inserts += targets.len() as u64;
-                self.stats.overflowed += targets.len() as u64;
             }
             Carry::Delete { payload, source } => {
                 self.insert_shared::<FLAG_DELETE>(base, targets, payload, Some(source), reduce)
@@ -511,8 +430,7 @@ impl CoalescingQueue {
 
     /// Folds a row's `arrivals` arrivals — `(global target, payload)` in
     /// row order, sharing `source` and the flag bits `kind` — into their
-    /// slots, spills the refused ones, and books the row's `QueueStats`
-    /// once. The one body behind [`insert_row`](CoalescingQueue::insert_row):
+    /// slots, and books the row's `QueueStats` once. The one body behind [`insert_row`](CoalescingQueue::insert_row):
     /// each shape passes its `kind` as a constant, so every inlined copy
     /// is specialized (a runtime `kind` left the plain PageRank row ~10 %
     /// slower). `reduce` is matched here, once for the row, into a loop
@@ -545,39 +463,24 @@ impl CoalescingQueue {
     ) {
         let resident = self.len;
         let mut slots = self.slots();
-        let mut spilled = 0;
         // No arrival of a plain row tags a slot, so this holds row-long.
         // The loop is unswitched on it by hand: a plain arrival only claims
-        // or coalesces, so the plain loop carries neither the flag path nor
-        // the spill, and keeps PageRank's row (§4.4) in registers.
+        // or coalesces, so the plain loop carries no flag path, and keeps
+        // PageRank's row (§4.4) in registers.
         if source.is_none() && kind == 0 && slots.none_tagged() {
             for (v, payload) in row {
                 slots.fold(ix(v.wrapping_sub(base)), payload, None, 0, true, reduce);
             }
         } else {
             for (v, payload) in row {
-                let local = v.wrapping_sub(base);
-                if slots.fold(ix(local), payload, source, kind, false, reduce) == Fold::Refused {
-                    spill(
-                        slots.overflow,
-                        Event {
-                            target: local,
-                            payload,
-                            is_delete: kind & FLAG_DELETE != 0,
-                            request: kind & FLAG_REQUEST != 0,
-                            source,
-                        },
-                    );
-                    spilled += 1;
-                }
+                slots.fold(ix(v.wrapping_sub(base)), payload, source, kind, false, reduce);
             }
         }
-        // Every arrival claimed an empty slot (the growth of `len`),
-        // spilled, or coalesced: booked once for the row.
+        // Every arrival claimed an empty slot (the growth of `len`) or
+        // coalesced: booked once for the row.
         let claimed = self.len - resident;
         self.stats.inserts += arrivals as u64;
-        self.stats.overflowed += spilled;
-        self.stats.coalesced += arrivals as u64 - spilled - claimed as u64;
+        self.stats.coalesced += (arrivals - claimed) as u64;
     }
 
     /// Lends the slot state to one call's folds.
@@ -590,7 +493,6 @@ impl CoalescingQueue {
             flags: &mut self.flags,
             len: &mut self.len,
             tagged: &mut self.tagged,
-            overflow: &mut self.overflow,
         }
     }
 
@@ -665,12 +567,9 @@ impl CoalescingQueue {
 
     /// Drains every queued slot event into `out` (appended in ascending
     /// vertex order), returning how many were drained — the canonical round
-    /// snapshot the sequential drain loop is built on. Overflow
-    /// events are not touched; the engine snapshots those separately with
-    /// [`pop_overflow`]. Bins are contiguous ascending vertex ranges, so one
-    /// full bitmap sweep is identical to draining bin 0, bin 1, … in order.
-    ///
-    /// [`pop_overflow`]: CoalescingQueue::pop_overflow
+    /// snapshot the sequential drain loop is built on. Bins are contiguous
+    /// ascending vertex ranges, so one full bitmap sweep is identical to
+    /// draining bin 0, bin 1, … in order.
     // hot-path
     pub fn take_all_into(&mut self, out: &mut Vec<Event>) -> usize {
         if self.len == 0 {
@@ -684,16 +583,6 @@ impl CoalescingQueue {
         drained
     }
 
-    /// Pops the oldest overflow event, if any.
-    // hot-path
-    pub fn pop_overflow(&mut self) -> Option<Event> {
-        let ev = self.overflow.pop_front();
-        if ev.is_some() {
-            self.stats.drained += 1;
-        }
-        ev
-    }
-
     /// Checks the queue's structural invariants, returning a description of
     /// the first violation found:
     ///
@@ -701,15 +590,9 @@ impl CoalescingQueue {
     /// * the occupied-bit count equals the resident length;
     /// * the tagged-resident count (deletes and sourced events) matches a
     ///   recount — the plain-coalesce shortcut trusts it to be zero;
-    /// * while delete coalescing is off, no delete event occupies a slot
-    ///   (DAP recovery keeps per-source deletes in the overflow buffer,
-    ///   §5.2);
-    /// * event conservation: every insert is still resident (in a slot or
-    ///   the overflow buffer), was coalesced away, or has been drained
-    ///   (`inserts == coalesced + drained + len()`; [`len`] counts both
-    ///   slots and overflow).
-    ///
-    /// [`len`]: CoalescingQueue::len
+    /// * event conservation: every insert is still resident, was coalesced
+    ///   away, or has been drained (`inserts == coalesced + drained +
+    ///   len()`).
     ///
     /// Always compiled; the engine wires it into the drain loop as a debug
     /// assertion under the `strict-invariants` feature.
@@ -730,24 +613,12 @@ impl CoalescingQueue {
         if tagged != self.tagged {
             return Err(format!("{tagged} tagged residents but the count says {}", self.tagged));
         }
-        if !self.coalesce_deletes {
-            if let Some(v) = (0..self.num_vertices)
-                .find(|&v| self.is_occupied(v) && self.flags[v] & FLAG_DELETE != 0)
-            {
-                return Err(format!(
-                    "delete event resident in slot {v} while delete coalescing is off"
-                ));
-            }
-        }
-        let accounted = self.stats.coalesced + self.stats.drained + self.len() as u64;
+        let accounted = self.stats.coalesced + self.stats.drained + self.len as u64;
         if self.stats.inserts != accounted {
             return Err(format!(
                 "event conservation broken: {} inserts != {} coalesced + {} drained + \
-                 {} resident (slots + overflow)",
-                self.stats.inserts,
-                self.stats.coalesced,
-                self.stats.drained,
-                self.len()
+                 {} resident",
+                self.stats.inserts, self.stats.coalesced, self.stats.drained, self.len
             ));
         }
         Ok(())
@@ -898,31 +769,23 @@ mod tests {
         assert_eq!(evs[0].source, Some(2));
     }
 
+    // Phases are disjoint, so a delete meeting a regular resident is a
+    // broken flow: the fold fails loudly in either direction.
     #[test]
-    fn dap_mode_spills_deletes_to_overflow() {
+    #[should_panic(expected = "a delete and a regular event met in slot 1")]
+    fn a_delete_meeting_a_regular_resident_panics() {
         let mut q = CoalescingQueue::new(4, 1);
-        let a = sssp();
-        q.set_coalesce_deletes(false);
-        q.insert(Event::delete(0, 1, 5.0), &a);
-        q.insert(Event::delete(2, 1, 3.0), &a);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.overflow_len(), 2);
-        assert_eq!(q.pop_overflow().unwrap().source, Some(0));
-        assert_eq!(q.pop_overflow().unwrap().source, Some(2));
-        assert!(q.pop_overflow().is_none());
+        q.insert(Event::regular(1, 3.0), &sssp());
+        q.insert(Event::delete(0, 1, 5.0), &sssp());
     }
 
     #[test]
-    fn mixed_kinds_never_share_a_slot() {
+    #[should_panic(expected = "a delete and a regular event met in slot 2")]
+    fn a_regular_row_meeting_a_resident_delete_panics() {
         let mut q = CoalescingQueue::new(4, 1);
-        let a = sssp();
-        q.insert(Event::regular(1, 3.0), &a);
-        q.insert(Event::delete(0, 1, 5.0), &a);
-        assert_eq!(q.len(), 2);
-        let evs = taken(|out| q.take_bin_into(0, out));
-        assert_eq!(evs.len(), 1);
-        assert!(!evs[0].is_delete);
-        assert!(q.pop_overflow().unwrap().is_delete);
+        q.insert(Event::delete(0, 2, 5.0), &sssp());
+        let row = Row { targets: &[1, 2], carry: Carry::Regular { delta: 1.0, source: None } };
+        q.insert_row(0, row, Reduce::Min);
     }
 
     #[test]
@@ -975,20 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn take_all_leaves_overflow_untouched() {
-        let mut q = CoalescingQueue::new(4, 1);
-        let a = sssp();
-        q.set_coalesce_deletes(false);
-        q.insert(Event::delete(0, 1, 5.0), &a);
-        q.insert(Event::regular(2, 1.0), &a);
-        let evs = taken(|out| q.take_all_into(out));
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].target, 2);
-        assert_eq!(q.overflow_len(), 1);
-        assert_eq!(q.validate(), Ok(()));
-    }
-
-    #[test]
     fn scratch_drains_reuse_the_buffer_without_reallocating() {
         // Steady-state contract: once the scratch buffer has grown to the
         // high-water mark, repeated clear + take_all_into cycles never move
@@ -1028,10 +877,9 @@ mod tests {
 
     #[test]
     fn queue_stats_add_assign_sums_fields() {
-        let mut a = QueueStats { inserts: 1, coalesced: 2, overflowed: 3, drained: 4 };
-        let b = QueueStats { inserts: 10, coalesced: 20, overflowed: 30, drained: 40 };
-        a += b;
-        assert_eq!(a, QueueStats { inserts: 11, coalesced: 22, overflowed: 33, drained: 44 });
+        let mut a = QueueStats { inserts: 1, coalesced: 2, drained: 4 };
+        a += QueueStats { inserts: 10, coalesced: 20, drained: 40 };
+        assert_eq!(a, QueueStats { inserts: 11, coalesced: 22, drained: 44 });
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! each other, as in the paper's accelerator, so the engine converges to
 //! the sequential engine's fixed point, not to its schedule: values are
 //! bit-exact for selective algorithms and within a bounded residual for
-//! accumulative ones, `last_impacted` is reported in ascending vertex
-//! order, and [`RunStats`] and dependency trees reflect the schedule that
-//! actually ran (DESIGN.md §16.3). Per-event semantics live in
-//! [`crate::kernel`] and are the same code the sequential executor runs.
+//! accumulative ones, and [`RunStats`] and dependency trees reflect the
+//! schedule that actually ran (DESIGN.md §16.3). Per-event semantics live
+//! in [`crate::kernel`] and are the same code the sequential executor
+//! runs.
 //!
 //! # Divergences from [`StreamingEngine`]
 //!
@@ -27,6 +27,10 @@
 //!   `spilled_events` is always 0. Shards *are* the slicing.
 //! * Kernel operations are not traced (traces are consumed by the cycle
 //!   simulator, which models the sequential schedule).
+//! * A Tag or VAP delete wave drains on the workers, so `last_impacted`
+//!   reports it in ascending vertex order. A DAP wave is not drained here:
+//!   the flow runs it on the coordinator thread, the same code for both
+//!   executors, so its resets come in the sequential order.
 //!
 //! [`StreamingEngine`]: crate::StreamingEngine
 
@@ -47,7 +51,11 @@ use crate::stats::RunStats;
 pub const MAX_SHARDS: usize = 256;
 
 /// One shard: a contiguous vertex range with its own queue and counters.
+/// Each worker writes its shard's counters on every event, so no two
+/// shards share a cache line (sharing one cost the 2-shard PageRank cold
+/// evaluation ~15 %).
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct Shard {
     /// Local coalescing queue; indexed by `target - lo`, `lo` being the
     /// first vertex id the shard owns.
@@ -371,13 +379,9 @@ impl StreamingFlow<Sharded> {
 }
 
 impl Drain for Sharded {
-    fn set_coalesce_deletes(&mut self, on: bool) {
-        for sh in &mut self.shards {
-            sh.queue.set_coalesce_deletes(on);
-            for outbox in &mut sh.outboxes {
-                outbox.set_coalesce_deletes(on);
-            }
-        }
+    /// Shards model no slices.
+    fn slice_cap(&self) -> Option<usize> {
+        None
     }
 
     /// Folds a setup-phase event from the coordinator straight into its
@@ -416,9 +420,9 @@ impl Drain for Sharded {
         };
         crate::async_mode::run_to_quiescence(&params, shards, run.values, run.dependency);
         // Workers record resets in pass order, which carries no global
-        // order; present the set in ascending vertex id. The set itself is
-        // schedule-dependent under VAP/DAP (DESIGN.md §16.3); the contract
-        // is completeness, not equality with the oracle.
+        // order; present the set in ascending vertex id. Under VAP the set
+        // itself is schedule-dependent (DESIGN.md §16.3); the contract is
+        // completeness, not equality with the oracle.
         let mut reset: Vec<(VertexId, Value)> = Vec::new();
         let (mut deepest, mut slowest) = (0u64, 0u64);
         for sh in shards.iter_mut() {
@@ -605,22 +609,20 @@ mod tests {
         }
     }
 
-    /// Drains a queue: slot events in vertex order, then the overflow FIFO.
+    /// Drains a queue: its events in vertex order.
     fn drained(q: &mut CoalescingQueue) -> Vec<Event> {
         let mut events = Vec::new();
         q.take_all_into(&mut events);
-        events.extend(std::iter::from_fn(|| q.pop_overflow()));
         events
     }
 
     // A row through `seed_row` lands in the owner's queue exactly as
     // through `seed`, event by event: same residents in the owner's local
-    // coordinates, same spills, same queue and run counters, and the same
-    // global contents at every shard count. With 12 isolated vertices the
-    // bounds are multiples of 12 / shards, so the rows hold targets on a
-    // bound (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard,
-    // as regular rows and as request rows; the delete seeded after each
-    // row sits in slot 6, which the regular arrivals there spill past.
+    // coordinates, same queue and run counters, and the same global
+    // contents at every shard count. With 12 isolated vertices the bounds
+    // are multiples of 12 / shards, so the rows hold targets on a bound
+    // (3, 6, 9), just below one (2, 5, 8) and runs that skip a shard, as
+    // regular rows and as request rows.
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let out = Csr::new(12);
@@ -647,14 +649,11 @@ mod tests {
                 for ev in row.events() {
                     by_event.seed(Reduce::Sum, &mut event_stats, ev);
                 }
-                for exec in [&mut by_row, &mut by_event] {
-                    exec.seed(Reduce::Sum, &mut RunStats::default(), Event::delete(0, 6, 0.0));
-                }
             }
             assert_eq!(row_stats, RunStats { events_generated: 19, ..RunStats::default() });
             assert_eq!(row_stats, event_stats, "shards={shards}");
             assert_eq!(by_row.queue_stats(), by_event.queue_stats(), "shards={shards}");
-            assert_eq!(by_row.queue_stats().inserts, 25, "shards={shards}");
+            assert_eq!(by_row.queue_stats().inserts, 19, "shards={shards}");
             let mut global = Vec::new();
             for ((row_shard, event_shard), &(lo, hi)) in
                 by_row.shards.iter_mut().zip(&mut by_event.shards).zip(&ranges)
@@ -665,9 +664,9 @@ mod tests {
                 assert!(events.iter().all(|ev| ev.target < hi - lo), "shards={shards}");
                 global.extend(events.iter().map(|&ev| Event { target: ev.target + lo, ..ev }));
             }
-            global.sort_by_key(|ev| (ev.target, ev.is_delete));
+            global.sort_by_key(|ev| ev.target);
             if shards == 1 {
-                assert_eq!(global.len(), 17);
+                assert_eq!(global.len(), 11);
                 assert_eq!(global.iter().filter(|ev| ev.request).count(), 5);
                 unsharded = global;
             } else {
@@ -876,9 +875,7 @@ mod tests {
             sh.apply_update_batch(&batch).unwrap();
             assert_eq!(seq.values(), sh.values(), "shards={shards}");
             assert_eq!(sh.validate_converged(), Ok(()), "shards={shards}");
-            let mut imp_seq: Vec<VertexId> = seq.last_impacted().to_vec();
-            imp_seq.sort_unstable();
-            assert_eq!(imp_seq, sh.last_impacted(), "shards={shards}");
+            assert_eq!(seq.last_impacted(), sh.last_impacted(), "shards={shards}");
         }
     }
 

@@ -1587,3 +1587,56 @@ fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
         }
     }
 }
+
+// Under DAP the flow runs the delete wave on the calling thread for both
+// executors, so from one converged state a sharded engine resets exactly
+// the sequential engine's vertices, in its order, with its delete events,
+// and books no spills (shards model no slices). Each batch remounts the
+// sharded engine on the sequential state: ties in a sharded recompute
+// leave a different Leads-To forest, which the next wave would walk.
+#[test]
+fn a_dap_delete_wave_is_one_wave_on_both_executors() {
+    let full = gen::rmat(300, 2400, gen::RmatParams::default(), 91);
+    let config = EngineConfig {
+        delete_strategy: DeleteStrategy::Dap,
+        num_bins: 4,
+        queue_capacity: Some(100),
+        ..EngineConfig::default()
+    };
+    for w in Workload::SELECTIVE {
+        let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
+        let mut seq = StreamingEngine::new(w.instantiate(0), stream.graph().clone(), config);
+        seq.initial_compute();
+        let (mut unsorted, mut spilled) = (false, 0);
+        for i in 0..8 {
+            let batch = stream.next_batch(30, 0.5);
+            let state = (seq.graph().clone(), seq.values().to_vec(), seq.dependencies().to_vec());
+            let want = seq.apply_update_batch(&batch).unwrap();
+            for shards in [1, 2, 4] {
+                let label = format!("{} batch {i}, {shards} shards", w.name());
+                let (graph, values, dependency) = state.clone();
+                let mut sharded = ShardedEngine::from_checkpoint(
+                    w.instantiate(0),
+                    graph,
+                    values,
+                    dependency,
+                    config,
+                    shards,
+                )
+                .unwrap();
+                let got = sharded.apply_update_batch(&batch).unwrap();
+                assert_eq!(sharded.last_impacted(), seq.last_impacted(), "{label}");
+                assert_eq!(
+                    (got.resets, got.delete_events),
+                    (want.resets, want.delete_events),
+                    "{label}"
+                );
+                assert_eq!(got.spilled_events, 0, "{label}");
+                assert_eq!(value_bits(sharded.values()), value_bits(seq.values()), "{label}");
+            }
+            unsorted |= !seq.last_impacted().is_sorted();
+            spilled += want.spilled_events;
+        }
+        assert!(unsorted && spilled > 0, "{}: no wave out of id order, or no spill", w.name());
+    }
+}

@@ -1,8 +1,10 @@
 //! Property tests for [`CoalescingQueue`]: random insert/drain
-//! interleavings — with `coalesce_deletes` toggled mid-sequence — must
-//! preserve the structural invariants checked by `validate()` and the
-//! `QueueStats` conservation law (`inserts == coalesced + drained +
-//! len()`, where `len()` counts slot residents and overflow together).
+//! interleavings must preserve the structural invariants checked by
+//! `validate()` and the `QueueStats` conservation law (`inserts ==
+//! coalesced + drained + len()`). As in the engine, a sequence runs in
+//! disjoint phases: delete phases (a Tag or VAP wave, whose deletes
+//! coalesce) and regular phases, with the queue drained whole between
+//! them, since a delete meeting a regular resident panics.
 //! The row properties pin the row entry points — the kernel's whole-row
 //! emission and the set-up phases' rows — to the event-at-a-time
 //! reference, and the
@@ -27,12 +29,13 @@ fn taken(take: impl FnOnce(&mut Vec<Event>) -> usize) -> Vec<Event> {
     out
 }
 
-/// A random event targeting one of `num_vertices` vertices; ~25% are
-/// delete events (with a source id), ~15% carry the request flag.
-fn arb_event(rng: &mut DetRng, num_vertices: usize) -> Event {
+/// A random event of the phase's kind targeting one of `num_vertices`
+/// vertices: in a delete phase a delete with a source id, otherwise a
+/// regular event, ~15% of them request-flagged.
+fn arb_event(rng: &mut DetRng, num_vertices: usize, deletes: bool) -> Event {
     let target = rng.gen_index(num_vertices) as u32;
     let payload = rng.gen_f64() * 10.0;
-    if rng.gen_bool(0.25) {
+    if deletes {
         Event::delete(rng.gen_index(num_vertices) as u32, target, payload)
     } else if rng.gen_bool(0.15) {
         Event::request(target, payload)
@@ -41,27 +44,25 @@ fn arb_event(rng: &mut DetRng, num_vertices: usize) -> Event {
     }
 }
 
-/// Applies a random operation to `queue`, returning how many events the
-/// operation handed back to the caller (drains only).
-fn arb_op(rng: &mut DetRng, queue: &mut CoalescingQueue, num_vertices: usize) -> usize {
+/// Applies a random operation to `queue` in phase `deletes`, returning how
+/// many events the operation handed back to the caller (drains only). A
+/// phase switch drains the queue whole first.
+fn arb_op(rng: &mut DetRng, queue: &mut CoalescingQueue, n: usize, deletes: &mut bool) -> usize {
     match rng.gen_index(10) {
         // Inserting dominates so queues actually fill up.
         0..=5 => {
-            queue.insert(arb_event(rng, num_vertices), &alg());
+            queue.insert(arb_event(rng, n, *deletes), &alg());
             0
         }
         6 => queue.take_bin_into(rng.gen_index(queue.num_bins()), &mut Vec::new()),
-        7 => {
-            let lo = rng.gen_index(num_vertices + 1);
-            let hi = lo + rng.gen_index(num_vertices + 1 - lo);
+        7 | 8 => {
+            let lo = rng.gen_index(n + 1);
+            let hi = lo + rng.gen_index(n + 1 - lo);
             queue.take_range_into(lo, hi, &mut Vec::new())
         }
-        8 => usize::from(queue.pop_overflow().is_some()),
         _ => {
-            // Toggle delete coalescing mid-sequence (the engine does this
-            // when entering/leaving DAP recovery).
-            queue.set_coalesce_deletes(rng.gen_bool(0.5));
-            0
+            *deletes = !*deletes;
+            queue.take_all_into(&mut Vec::new())
         }
     }
 }
@@ -72,9 +73,9 @@ fn random_interleavings_preserve_invariants() {
         let num_vertices = 1 + rng.gen_index(64);
         let num_bins = 1 + rng.gen_index(8);
         let mut queue = CoalescingQueue::new(num_vertices, num_bins);
-        let ops = rng.gen_index(120);
-        for _ in 0..ops {
-            arb_op(rng, &mut queue, num_vertices);
+        let mut deletes = rng.gen_bool(0.5);
+        for _ in 0..rng.gen_index(120) {
+            arb_op(rng, &mut queue, num_vertices, &mut deletes);
             queue.validate().unwrap_or_else(|why| panic!("{why}"));
         }
     });
@@ -85,24 +86,22 @@ fn stats_account_for_every_event() {
     run_cases("queue: stats account for every event", 128, |rng| {
         let num_vertices = 1 + rng.gen_index(48);
         let mut queue = CoalescingQueue::new(num_vertices, 1 + rng.gen_index(6));
-        let mut inserted = 0u64;
-        let mut received = 0u64;
+        let (mut inserted, mut received, mut deletes) = (0u64, 0u64, rng.gen_bool(0.5));
         for _ in 0..rng.gen_index(150) {
             if rng.gen_bool(0.6) {
-                queue.insert(arb_event(rng, num_vertices), &alg());
+                queue.insert(arb_event(rng, num_vertices, deletes), &alg());
                 inserted += 1;
             } else {
-                received += match rng.gen_index(4) {
+                received += match rng.gen_index(3) {
                     0 => queue.take_bin_into(rng.gen_index(queue.num_bins()), &mut Vec::new()),
                     1 => {
                         let lo = rng.gen_index(num_vertices + 1);
                         let hi = lo + rng.gen_index(num_vertices + 1 - lo);
                         queue.take_range_into(lo, hi, &mut Vec::new())
                     }
-                    2 => usize::from(queue.pop_overflow().is_some()),
                     _ => {
-                        queue.set_coalesce_deletes(rng.gen_bool(0.5));
-                        0
+                        deletes = !deletes;
+                        queue.take_all_into(&mut Vec::new())
                     }
                 } as u64;
             }
@@ -110,38 +109,12 @@ fn stats_account_for_every_event() {
         let stats = queue.stats();
         assert_eq!(stats.inserts, inserted, "insert counter");
         assert_eq!(stats.drained, received, "drain counter");
-        // `len()` counts slot residents and overflow together.
         assert_eq!(
             stats.inserts,
             stats.coalesced + stats.drained + queue.len() as u64,
-            "conservation: {stats:?} with {} resident ({} in overflow)",
-            queue.len(),
-            queue.overflow_len()
+            "conservation: {stats:?} with {} resident",
+            queue.len()
         );
-    });
-}
-
-#[test]
-fn disabling_delete_coalescing_evicts_resident_deletes() {
-    run_cases("queue: disabling delete coalescing evicts deletes", 64, |rng| {
-        let num_vertices = 1 + rng.gen_index(32);
-        let mut queue = CoalescingQueue::new(num_vertices, 1 + rng.gen_index(4));
-        for _ in 0..rng.gen_index(60) {
-            queue.insert(arb_event(rng, num_vertices), &alg());
-        }
-        let before = queue.len();
-        let overflow_before = queue.overflow_len();
-        queue.set_coalesce_deletes(false);
-        queue.validate().unwrap_or_else(|why| panic!("{why}"));
-        // Eviction moves events from slots to the overflow buffer without
-        // losing any (`len()` counts both).
-        assert_eq!(queue.len(), before);
-        assert!(queue.overflow_len() >= overflow_before);
-        // A delete inserted now must bypass the slots entirely.
-        let overflow_before = queue.overflow_len();
-        queue.insert(Event::delete(0, 0, 1.0), &alg());
-        assert_eq!(queue.overflow_len(), overflow_before + 1);
-        queue.validate().unwrap_or_else(|why| panic!("{why}"));
     });
 }
 
@@ -150,8 +123,9 @@ fn full_drain_empties_the_queue_exactly_once() {
     run_cases("queue: full drain empties exactly once", 64, |rng| {
         let num_vertices = 1 + rng.gen_index(48);
         let mut queue = CoalescingQueue::new(num_vertices, 1 + rng.gen_index(6));
+        let deletes = rng.gen_bool(0.5);
         for _ in 0..rng.gen_index(100) {
-            queue.insert(arb_event(rng, num_vertices), &alg());
+            queue.insert(arb_event(rng, num_vertices, deletes), &alg());
         }
         let resident = queue.len();
         let mut drained = 0;
@@ -161,12 +135,8 @@ fn full_drain_empties_the_queue_exactly_once() {
             assert!(events.windows(2).all(|w| w[0].target < w[1].target));
             drained += events.len();
         }
-        while queue.pop_overflow().is_some() {
-            drained += 1;
-        }
         assert_eq!(drained, resident, "drained everything exactly once");
         assert!(queue.is_empty());
-        assert_eq!(queue.overflow_len(), 0);
         queue.validate().unwrap_or_else(|why| panic!("{why}"));
     });
 }
@@ -180,8 +150,6 @@ struct NaiveQueue {
     slots: Vec<Option<Event>>,
     bin_size: usize,
     num_bins: usize,
-    overflow: std::collections::VecDeque<Event>,
-    coalesce_deletes: bool,
     stats: jetstream_core::QueueStats,
 }
 
@@ -193,40 +161,16 @@ impl NaiveQueue {
             slots: vec![None; num_vertices],
             bin_size,
             num_bins,
-            overflow: std::collections::VecDeque::new(),
-            coalesce_deletes: true,
             stats: jetstream_core::QueueStats::default(),
-        }
-    }
-
-    fn set_coalesce_deletes(&mut self, coalesce: bool) {
-        self.coalesce_deletes = coalesce;
-        if coalesce {
-            return;
-        }
-        for idx in 0..self.slots.len() {
-            if let Some(ev) = self.slots[idx].take_if(|e| e.is_delete) {
-                self.stats.overflowed += 1;
-                self.overflow.push_back(ev);
-            }
         }
     }
 
     fn insert(&mut self, event: Event, reduce: Reduce) {
         self.stats.inserts += 1;
-        if event.is_delete && !self.coalesce_deletes {
-            self.stats.overflowed += 1;
-            self.overflow.push_back(event);
-            return;
-        }
         match &mut self.slots[event.target as usize] {
             slot @ None => *slot = Some(event),
             Some(resident) => {
-                if resident.is_delete != event.is_delete {
-                    self.stats.overflowed += 1;
-                    self.overflow.push_back(event);
-                    return;
-                }
+                assert_eq!(resident.is_delete, event.is_delete, "phases are disjoint");
                 let reduced = reduce.apply(resident.payload, event.payload);
                 if reduced != resident.payload {
                     resident.source = event.source;
@@ -253,23 +197,15 @@ impl NaiveQueue {
     fn take_all(&mut self) -> Vec<Event> {
         self.take_range(0, self.slots.len())
     }
-
-    fn pop_overflow(&mut self) -> Option<Event> {
-        let ev = self.overflow.pop_front();
-        if ev.is_some() {
-            self.stats.drained += 1;
-        }
-        ev
-    }
 }
 
 #[test]
 fn bitmap_queue_matches_the_naive_reference_exactly() {
     // Differential property: the production bitmap/SoA queue and the naive
     // slot-scan reference, fed the identical random op sequence (inserts,
-    // all three drain shapes, overflow pops, mid-stream coalesce-mode
-    // toggles), must hand back the identical events in the identical order
-    // and report identical `QueueStats` after every single operation.
+    // all three drain shapes, phase switches), must hand back the identical
+    // events in the identical order and report identical `QueueStats`
+    // after every single operation.
     run_cases("queue: bitmap == naive reference", 256, |rng| {
         let num_vertices = 1 + rng.gen_index(200);
         let num_bins = 1 + rng.gen_index(8);
@@ -277,10 +213,11 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
         let mut naive = NaiveQueue::new(num_vertices, num_bins);
         assert_eq!(real.num_bins(), naive.num_bins, "bin geometry diverged");
         let mut scratch: Vec<Event> = Vec::new();
+        let mut deletes = rng.gen_bool(0.5);
         for op in 0..rng.gen_index(300) {
             match rng.gen_index(12) {
                 0..=6 => {
-                    let ev = arb_event(rng, num_vertices);
+                    let ev = arb_event(rng, num_vertices, deletes);
                     real.insert(ev, &alg());
                     naive.insert(ev, alg().reduce_op());
                 }
@@ -297,18 +234,12 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
                     real.take_range_into(lo, hi, &mut scratch);
                     assert_eq!(scratch, naive.take_range(lo, hi), "take_range at op {op}");
                 }
-                9 => {
+                _ => {
+                    // Every phase switch drains whole; so do some drains.
+                    deletes ^= rng.gen_bool(0.7);
                     scratch.clear();
                     real.take_all_into(&mut scratch);
                     assert_eq!(scratch, naive.take_all(), "take_all at op {op}");
-                }
-                10 => {
-                    assert_eq!(real.pop_overflow(), naive.pop_overflow(), "overflow at op {op}");
-                }
-                _ => {
-                    let coalesce = rng.gen_bool(0.5);
-                    real.set_coalesce_deletes(coalesce);
-                    naive.set_coalesce_deletes(coalesce);
                 }
             }
             assert_eq!(real.stats(), naive.stats, "stats diverged at op {op}");
@@ -318,13 +249,6 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
         scratch.clear();
         real.take_all_into(&mut scratch);
         assert_eq!(scratch, naive.take_all(), "final take_all");
-        loop {
-            let (a, b) = (real.pop_overflow(), naive.pop_overflow());
-            assert_eq!(a, b, "final overflow drain");
-            if a.is_none() {
-                break;
-            }
-        }
         assert!(real.is_empty());
         assert_eq!(real.stats(), naive.stats, "final stats");
     });
@@ -359,17 +283,38 @@ fn bits(events: &[Event]) -> Vec<(u32, u64, bool, bool, Option<u32>)> {
     events.iter().map(fingerprint).collect()
 }
 
+/// One random event of the phase's kind for `target`: a delete in a
+/// delete phase; otherwise a plain regular event, a request, or — when
+/// `tagged` — a sourced one.
+fn phase_event(rng: &mut DetRng, target: u32, payload: f64, deletes: bool, tagged: bool) -> Event {
+    match (deletes, rng.gen_index(if tagged { 3 } else { 2 })) {
+        (true, _) => Event::delete(rng.gen_index(50) as u32, target, payload),
+        (false, 0) => Event::regular(target, payload),
+        (false, 1) => Event::request(target, payload),
+        _ => Event::regular_from(rng.gen_index(50) as u32, target, payload),
+    }
+}
+
 /// The harness every row entry point is held to: `insert` puts one random
-/// row into the real queue through the entry point under test and the
-/// same events, one by one in row order, into the naive reference —
-/// `(rng, real, naive, base, num_vertices, reduce)`, returning a label.
-/// The two must agree on the four `QueueStats` after every row, on every
-/// bin drained mid-sequence, and on the final slots and overflow order,
-/// whatever is already resident: plain, request-flagged and sourced
-/// regular events, deletes, with delete coalescing on or off.
+/// row of the phase's kind into the real queue through the entry point
+/// under test and the same events, one by one in row order, into the
+/// naive reference — `(rng, real, naive, base, num_vertices, reduce,
+/// deletes)`, returning a label. The two must agree on the `QueueStats`
+/// after every row, on every bin drained mid-sequence, and on the final
+/// slots, whatever is already resident: plain, request-flagged and sourced
+/// regular events in a regular phase, deletes in a delete phase. A phase
+/// switch drains both whole.
 fn rows_match_their_events(
     name: &str,
-    insert: impl Fn(&mut DetRng, &mut CoalescingQueue, &mut NaiveQueue, u32, usize, Reduce) -> String,
+    insert: impl Fn(
+        &mut DetRng,
+        &mut CoalescingQueue,
+        &mut NaiveQueue,
+        u32,
+        usize,
+        Reduce,
+        bool,
+    ) -> String,
 ) {
     run_cases(name, 256, |rng| {
         let num_vertices = 1 + rng.gen_index(96);
@@ -377,30 +322,26 @@ fn rows_match_their_events(
         let base = rng.gen_index(1000) as u32;
         let mut real = CoalescingQueue::new(num_vertices, num_bins);
         let mut naive = NaiveQueue::new(num_vertices, num_bins);
+        let mut deletes = rng.gen_bool(0.5);
         for step in 0..rng.gen_index(12) {
-            // Residents first: half the cases start from plain residents
-            // only, so the shortcut is what the row runs through.
-            let tagged_allowed = rng.gen_bool(0.5);
+            if rng.gen_bool(0.3) {
+                deletes = !deletes;
+                let (a, b) = (bits(&taken(|out| real.take_all_into(out))), bits(&naive.take_all()));
+                assert_eq!(a, b, "phase switch before row {step}");
+            }
+            // Residents first: half the regular phases start from plain
+            // residents only, so the shortcut is what the row runs through.
+            let tagged = rng.gen_bool(0.5);
             for _ in 0..rng.gen_index(40) {
-                let target = rng.gen_index(num_vertices) as u32;
-                let ev = match rng.gen_index(if tagged_allowed { 4 } else { 2 }) {
-                    0 => Event::regular(target, tied_payload(rng)),
-                    1 => Event::request(target, tied_payload(rng)),
-                    2 => Event::regular_from(rng.gen_index(50) as u32, target, tied_payload(rng)),
-                    _ => Event::delete(rng.gen_index(50) as u32, target, tied_payload(rng)),
-                };
+                let (target, payload) = (rng.gen_index(num_vertices) as u32, tied_payload(rng));
+                let ev = phase_event(rng, target, payload, deletes, tagged);
                 let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
                 real.insert_with(ev, reduce);
                 naive.insert(ev, reduce);
             }
-            if rng.gen_bool(0.3) {
-                let coalesce = rng.gen_bool(0.5);
-                real.set_coalesce_deletes(coalesce);
-                naive.set_coalesce_deletes(coalesce);
-            }
 
             let reduce = [Reduce::Min, Reduce::Max, Reduce::Sum][rng.gen_index(3)];
-            let label = insert(rng, &mut real, &mut naive, base, num_vertices, reduce);
+            let label = insert(rng, &mut real, &mut naive, base, num_vertices, reduce, deletes);
             assert_eq!(real.stats(), naive.stats, "stats after row {step} ({reduce:?}, {label})");
             real.validate().unwrap_or_else(|why| panic!("after row {step}: {why}"));
 
@@ -419,13 +360,6 @@ fn rows_match_their_events(
                 (bits(&taken(|out| real.take_bin_into(bin, out))), bits(&naive.take_bin(bin)));
             assert_eq!(a, b, "final contents of bin {bin}");
         }
-        loop {
-            let (a, b) = (real.pop_overflow(), naive.pop_overflow());
-            assert_eq!(a.as_ref().map(fingerprint), b.as_ref().map(fingerprint), "overflow order");
-            if a.is_none() {
-                break;
-            }
-        }
         assert_eq!(real.stats(), naive.stats, "final stats");
         real.validate().unwrap_or_else(|why| panic!("{why}"));
     });
@@ -441,34 +375,29 @@ fn a_row_insert_is_its_events_inserted_one_by_one() {
     // while nothing tagged is resident, the flag path otherwise — "a
     // dominant sourceless payload clears the source"); weighted rows
     // under every `EdgeOp`, bases and weights including signed zeros,
-    // negatives, infinities and NaN; request rows; and delete waves,
-    // which fold into resident deletes with delete coalescing on and go
-    // to overflow in row order with it off. A regular row's events spill
-    // beside resident deletes, never fold into them.
+    // negatives, infinities and NaN; request rows; and Tag's delete
+    // waves, which fold into resident deletes.
     rows_match_their_events(
         "queue: insert_row == event-at-a-time",
-        |rng, real, naive, base, n, reduce| {
+        |rng, real, naive, base, n, reduce, deletes| {
             let source = rng.gen_bool(0.5).then(|| rng.gen_index(50) as u32);
             let targets = arb_row(rng, base, n);
             let weights: Vec<f64> = targets
                 .iter()
                 .map(|_| if rng.gen_bool(0.2) { -0.0 } else { edge_payload(rng) })
                 .collect();
-            let carry = match rng.gen_index(4) {
-                0 => Carry::Regular { delta: tied_payload(rng), source },
-                1 => {
+            let carry = match (deletes, rng.gen_index(3)) {
+                (true, _) => {
+                    Carry::Delete { payload: tied_payload(rng), source: rng.gen_index(50) as u32 }
+                }
+                (false, 0) => Carry::Regular { delta: tied_payload(rng), source },
+                (false, 1) => {
                     let op =
                         [EdgeOp::AddWeight, EdgeOp::MinWeight, EdgeOp::Uniform, EdgeOp::PerEdge]
                             [rng.gen_index(4)];
                     Carry::Weighted { weights: &weights, base: edge_payload(rng), op, source }
                 }
-                2 => Carry::Request { payload: tied_payload(rng) },
-                _ => {
-                    let coalesce = rng.gen_bool(0.5);
-                    real.set_coalesce_deletes(coalesce);
-                    naive.set_coalesce_deletes(coalesce);
-                    Carry::Delete { payload: tied_payload(rng), source: rng.gen_index(50) as u32 }
-                }
+                _ => Carry::Request { payload: tied_payload(rng) },
             };
             let row = Row { targets: &targets, carry };
             real.insert_row(base, row, reduce);
@@ -485,20 +414,15 @@ fn a_run_insert_is_its_events_inserted_one_by_one() {
     // `insert_run` is how a receiving shard folds a pre-coalesced run,
     // with its operator resolved once for the run: held to the naive
     // reference under all three operators, over runs mixing plain,
-    // request, sourced and delete events whose payloads include NaN.
+    // request and sourced events, or runs of deletes, whose payloads
+    // include NaN.
     rows_match_their_events(
         "queue: insert_run == event-at-a-time",
-        |rng, real, naive, _base, n, reduce| {
+        |rng, real, naive, _base, n, reduce, deletes| {
             let run: Vec<Event> = (0..rng.gen_index(65))
                 .map(|_| {
-                    let target = rng.gen_index(n) as u32;
-                    let payload = edge_payload(rng);
-                    match rng.gen_index(4) {
-                        0 => Event::regular(target, payload),
-                        1 => Event::request(target, payload),
-                        2 => Event::regular_from(rng.gen_index(50) as u32, target, payload),
-                        _ => Event::delete(rng.gen_index(50) as u32, target, payload),
-                    }
+                    let (target, payload) = (rng.gen_index(n) as u32, edge_payload(rng));
+                    phase_event(rng, target, payload, deletes, true)
                 })
                 .collect();
             real.insert_run(&run, reduce);
@@ -538,15 +462,24 @@ fn fingerprint(ev: &Event) -> (u32, u64, bool, bool, Option<u32>) {
     (ev.target, ev.payload.to_bits(), ev.is_delete, ev.request, ev.source)
 }
 
+/// Drains `queue` whole, its events shifted by `lo` and fingerprinted.
+fn drained(queue: &mut CoalescingQueue, lo: u32) -> Vec<(u32, u64, bool, bool, Option<u32>)> {
+    let shift = |mut ev: Event| {
+        ev.target += lo;
+        fingerprint(&ev)
+    };
+    taken(|out| queue.take_all_into(out)).into_iter().map(shift).collect()
+}
+
 #[test]
 fn sharded_queues_coalesce_to_the_same_multiset_as_one_queue() {
     // The sharded engine's correctness rests on coalescing being a
     // per-vertex operation: splitting one queue into per-shard queues by
     // contiguous vertex ownership must not change what coalesces with
-    // what. Feed the same event stream (including mid-stream
-    // `coalesce_deletes` toggles) into one global queue and into S local
-    // queues, drain both sides fully, and demand the same event multiset
-    // and the same summed `QueueStats`.
+    // what. Feed the same event stream, in delete and regular phases, into
+    // one global queue and into S local queues, drain both sides whole at
+    // every phase switch and at the end, and demand the same event
+    // multiset and the same summed `QueueStats`.
     run_cases("queue: sharded split preserves coalescing multiset", 192, |rng| {
         let num_vertices = 8 + rng.gen_index(56);
         let num_shards = 1 + rng.gen_index(6);
@@ -557,24 +490,19 @@ fn sharded_queues_coalesce_to_the_same_multiset_as_one_queue() {
             .windows(2)
             .map(|w| CoalescingQueue::new((w[1] - w[0]).max(1), 1 + rng.gen_index(4)))
             .collect();
-        let coalesce_deletes = rng.gen_bool(0.5);
-        single.set_coalesce_deletes(coalesce_deletes);
-        for local in &mut locals {
-            local.set_coalesce_deletes(coalesce_deletes);
-        }
-
+        let (mut merged, mut sharded) = (Vec::new(), Vec::new());
+        let mut deletes = rng.gen_bool(0.5);
         for _ in 0..rng.gen_index(200) {
             if rng.gen_bool(0.05) {
-                // The engine flips this on all lanes at once when entering
-                // or leaving DAP recovery; mirror that here.
-                let coalesce = rng.gen_bool(0.5);
-                single.set_coalesce_deletes(coalesce);
-                for local in &mut locals {
-                    local.set_coalesce_deletes(coalesce);
+                // A phase switch: the engine drains every lane whole.
+                deletes = !deletes;
+                merged.extend(drained(&mut single, 0));
+                for (local, w) in locals.iter_mut().zip(bounds.windows(2)) {
+                    sharded.extend(drained(local, w[0] as u32));
                 }
                 continue;
             }
-            let ev = arb_event(rng, num_vertices);
+            let ev = arb_event(rng, num_vertices, deletes);
             let shard = bounds.partition_point(|&b| b <= ev.target as usize) - 1;
             let mut translated = ev;
             translated.target -= bounds[shard] as u32;
@@ -582,27 +510,10 @@ fn sharded_queues_coalesce_to_the_same_multiset_as_one_queue() {
             locals[shard].insert(translated, &alg());
         }
 
-        let drain =
-            |queue: &mut CoalescingQueue, lo: u32| -> Vec<(u32, u64, bool, bool, Option<u32>)> {
-                let mut out: Vec<_> = taken(|out| queue.take_all_into(out))
-                    .into_iter()
-                    .map(|mut ev| {
-                        ev.target += lo;
-                        fingerprint(&ev)
-                    })
-                    .collect();
-                while let Some(mut ev) = queue.pop_overflow() {
-                    ev.target += lo;
-                    out.push(fingerprint(&ev));
-                }
-                out
-            };
-
-        let mut merged = drain(&mut single, 0);
-        let mut sharded = Vec::new();
+        merged.extend(drained(&mut single, 0));
         let mut stats = jetstream_core::QueueStats::default();
         for (local, w) in locals.iter_mut().zip(bounds.windows(2)) {
-            sharded.extend(drain(local, w[0] as u32));
+            sharded.extend(drained(local, w[0] as u32));
             stats += local.stats();
             local.validate().unwrap_or_else(|why| panic!("{why}"));
         }
@@ -625,6 +536,8 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
     // a time in the same arrival order — same drained multiset, same
     // `QueueStats` — no matter how the k flush streams interleave, and
     // regardless of whether run boundaries line up with receiver bins.
+    // Events come in delete and regular phases; at a phase switch every
+    // sender flushes and both receivers drain whole, as a drain ends.
     run_cases("queue: run exchange == event-at-a-time", 192, |rng| {
         let num_vertices = 8 + rng.gen_index(56);
         let num_senders = 1 + rng.gen_index(5);
@@ -641,15 +554,17 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
                     single.insert(ev, &alg());
                 }
             };
+        let (mut from_runs, mut from_events) = (Vec::new(), Vec::new());
+        let mut deletes = rng.gen_bool(0.5);
 
-        for _ in 0..rng.gen_index(250) {
-            match rng.gen_index(10) {
+        for step in 0..=rng.gen_index(250) {
+            match rng.gen_index(12) {
                 // Producing dominates so outboxes hold real runs.
                 0..=6 => {
                     let sender = rng.gen_index(num_senders);
-                    outboxes[sender].insert(arb_event(rng, num_vertices), &alg());
+                    outboxes[sender].insert(arb_event(rng, num_vertices, deletes), &alg());
                 }
-                7..=8 => {
+                7..=9 => {
                     // Partial flush: one bin of one sender, the unit the
                     // async engine ships under a non-zero chunk plan.
                     let sender = rng.gen_index(num_senders);
@@ -658,37 +573,30 @@ fn run_exchange_delivers_the_event_at_a_time_multiset() {
                     deliver(&run, &mut batched, &mut one_at_a_time);
                 }
                 _ => {
-                    // Overflow shipments travel as single-event runs.
-                    let sender = rng.gen_index(num_senders);
-                    if let Some(ev) = outboxes[sender].pop_overflow() {
-                        deliver(&[ev], &mut batched, &mut one_at_a_time);
+                    // End of a phase: every sender drains completely
+                    // (chunk plan 0), then both receivers.
+                    for outbox in &mut outboxes {
+                        let run = taken(|out| outbox.take_all_into(out));
+                        deliver(&run, &mut batched, &mut one_at_a_time);
+                        assert!(outbox.is_empty(), "a sender retained events");
                     }
+                    from_runs.extend(drained(&mut batched, 0));
+                    from_events.extend(drained(&mut one_at_a_time, 0));
+                    deletes = !deletes;
                 }
             }
-            batched.validate().unwrap_or_else(|why| panic!("{why}"));
+            batched.validate().unwrap_or_else(|why| panic!("step {step}: {why}"));
         }
-        // Final flush: every sender drains completely (chunk plan 0).
         for outbox in &mut outboxes {
             let run = taken(|out| outbox.take_all_into(out));
             deliver(&run, &mut batched, &mut one_at_a_time);
-            while let Some(ev) = outbox.pop_overflow() {
-                deliver(&[ev], &mut batched, &mut one_at_a_time);
-            }
-            assert!(outbox.is_empty(), "a sender retained events");
         }
-
         assert_eq!(batched.stats(), one_at_a_time.stats(), "stats diverged");
-        let drain = |queue: &mut CoalescingQueue| -> Vec<_> {
-            let mut out: Vec<_> =
-                taken(|out| queue.take_all_into(out)).iter().map(fingerprint).collect();
-            while let Some(ev) = queue.pop_overflow() {
-                out.push(fingerprint(&ev));
-            }
-            out.sort_unstable();
-            out
-        };
-        assert_eq!(drain(&mut batched), drain(&mut one_at_a_time), "drained multisets diverged");
-        assert!(batched.is_empty());
+        from_runs.extend(drained(&mut batched, 0));
+        from_events.extend(drained(&mut one_at_a_time, 0));
+        from_runs.sort_unstable();
+        from_events.sort_unstable();
+        assert_eq!(from_runs, from_events, "drained multisets diverged");
     });
 }
 
@@ -701,10 +609,6 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
     // reach the same slots. Feed one stream of regular/request events
     // both directly into a receiver and through randomly-flushed
     // outboxes into another; the fully drained multisets must match.
-    // Delete events are excluded by construction: a delete meeting a
-    // regular resident parks in overflow instead of folding, so its
-    // placement is arrival-order-dependent by design — the engine-level
-    // async differential suite covers mixed-kind equivalence.
     run_cases("queue: outbox folding commutes with shipping", 192, |rng| {
         let num_vertices = 8 + rng.gen_index(56);
         let num_senders = 1 + rng.gen_index(5);
@@ -735,16 +639,10 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
         for outbox in &mut outboxes {
             let run = taken(|out| outbox.take_all_into(out));
             through_outboxes.insert_run(&run, alg().reduce_op());
-            assert_eq!(outbox.overflow_len(), 0, "same-kind streams never overflow an outbox");
         }
-
-        let drain = |queue: &mut CoalescingQueue| -> Vec<_> {
-            let mut out: Vec<_> =
-                taken(|out| queue.take_all_into(out)).iter().map(fingerprint).collect();
-            assert!(queue.pop_overflow().is_none(), "same-kind streams never overflow");
-            out.sort_unstable();
-            out
-        };
-        assert_eq!(drain(&mut through_outboxes), drain(&mut direct), "folded fixpoints diverged");
+        let (mut a, mut b) = (drained(&mut through_outboxes, 0), drained(&mut direct, 0));
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "folded fixpoints diverged");
     });
 }

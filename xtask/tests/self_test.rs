@@ -351,7 +351,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// a conversion helper or a checked accessor to a new annotation.
 #[test]
 fn inline_waivers_stay_under_their_ceiling() {
-    const CEILING: usize = 43;
+    const CEILING: usize = 42;
     const RETIRED: [&str; 2] = ["VertexId is u32 -> usize", "index < num_vertices <= u32::MAX"];
     let root = xtask_dir();
     let root: &Path = root.parent().unwrap();

@@ -1,15 +1,15 @@
 //! Hand-rolled microbenchmark rig behind the `microbench` binary.
 //!
 //! Times the engine's components — queue insert, queue drain, kernel apply
-//! via `initial_compute`, SSWP and CC churn streams under DAP, CSR snapshot
-//! maintenance, graph generation and bulk construction, and the serving
-//! layer's update admission — with warmup + median-of-K sampling, and
-//! serializes the results to the `BENCH.json` schema documented in
-//! DESIGN.md §12. Whole engines and the server are measured by
-//! `benchmark/` (`BENCHMARK.json`), not here. Everything here is std-only
-//! (the workspace builds offline); the JSON writer and the line-oriented
-//! reader used by `--check` live here too so the regression gate needs no
-//! external parser.
+//! via `initial_compute`, SSWP, CC and SSSP churn streams under DAP with
+//! restore, CSR snapshot maintenance, graph generation and bulk
+//! construction, and the serving layer's update admission — with warmup +
+//! median-of-K sampling, and serializes the results to the `BENCH.json`
+//! schema documented in DESIGN.md §12. Whole engines and the server are
+//! measured by `benchmark/` (`BENCHMARK.json`), not here. Everything here
+//! is std-only (the workspace builds offline); the JSON writer and the
+//! line-oriented reader used by `--check` live here too so the regression
+//! gate needs no external parser.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -347,6 +347,20 @@ fn cc_churn_scenario() -> Scenario {
     Scenario { workload: Workload::Cc, rounds: 64, ..sswp_churn_scenario() }
 }
 
+/// The churn stream of `kernel_stream_sssp_churn`: 16 paper-default
+/// batches (seed 1) of SSSP on the Facebook profile, the served
+/// workload's graph. Its few resets have many valid in-neighbours, whose
+/// request broadcasts are most of the paper's DAP's events; under DAP
+/// with restore each vertex left reset pulls instead.
+fn sssp_churn_scenario() -> Scenario {
+    let profile = DatasetProfile::Facebook;
+    Scenario {
+        seed: 1,
+        rounds: 16,
+        ..Scenario::paper_default(Workload::Sssp, profile, DEFAULT_SCALE)
+    }
+}
+
 /// The DAP engine streaming `scenario`'s batches from the converged base
 /// state (mounted from a checkpoint, untimed): for SSWP
 /// ([`sswp_churn_scenario`]) the delete waves, the restore step and the
@@ -565,6 +579,8 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_stream_churn(cfg, "kernel_stream_sswp_churn", &sswp)?);
     let cc = cc_churn_scenario();
     report(&mut results, bench_stream_churn(cfg, "kernel_stream_cc_churn", &cc)?);
+    let sssp = sssp_churn_scenario();
+    report(&mut results, bench_stream_churn(cfg, "kernel_stream_sssp_churn", &sssp)?);
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     report(&mut results, bench_graph_generate(cfg));
     report(&mut results, bench_csr_from_edges(cfg));
@@ -827,6 +843,7 @@ mod tests {
                 "kernel_initial_compute_pagerank_sharded2",
                 "kernel_stream_sswp_churn",
                 "kernel_stream_cc_churn",
+                "kernel_stream_sssp_churn",
                 "snapshot_maintain_incremental",
                 "graph_generate_livejournal",
                 "csr_from_edges",
@@ -870,6 +887,29 @@ mod tests {
         }
         assert!(2 * total.delete_events > total.events_processed, "{total:?}");
         assert!(total.restored * 10 > total.resets * 9, "{total:?}");
+    }
+
+    #[test]
+    fn the_sssp_churn_stream_is_mostly_request_broadcasts_unless_it_pulls() {
+        use jetstream_core::DeleteStrategy;
+        let scenario = sssp_churn_scenario();
+        let (base, batches) = harness::base_and_batches(&scenario);
+        let root = harness::root_for(&base);
+        let totals = [DeleteStrategy::Dap, DeleteStrategy::DapRestore].map(|delete_strategy| {
+            let config = EngineConfig { delete_strategy, ..engine_config() };
+            let mut engine =
+                StreamingEngine::new(scenario.workload.instantiate(root), base.clone(), config);
+            engine.initial_compute();
+            let mut total = jetstream_core::RunStats::default();
+            for batch in &batches {
+                total += engine.apply_update_batch(batch).expect("valid batch");
+            }
+            total
+        });
+        let [dap, restore] = totals;
+        assert!(dap.request_events > 0, "{dap:?}");
+        assert_eq!(restore.request_events, 0, "{restore:?}");
+        assert!(restore.events_generated * 4 < dap.events_generated, "{dap:?} {restore:?}");
     }
 
     #[test]

@@ -23,16 +23,25 @@ pub enum DeleteStrategy {
     /// (§5.1).
     Vap,
     /// Dependency-aware propagation: a delete only resets its target when
-    /// the target's recorded dependency matches the delete's source (§5.2).
-    /// This is JetStream's best configuration and the default.
-    #[default]
+    /// the target's recorded dependency matches the delete's source (§5.2),
+    /// and every vertex still reset is re-approximated with request events
+    /// (Algorithm 4) — the paper's DAP.
     Dap,
+    /// [`Dap`](DeleteStrategy::Dap) with the restore extension (DESIGN.md
+    /// §3.1), which the paper does not have: a reset vertex that a valid
+    /// in-neighbour still supplies with its old value gets it back, and a
+    /// vertex still reset pulls its best valid supply instead of sending
+    /// request events. Same values as the paper's flows, less work; the
+    /// default.
+    #[default]
+    DapRestore,
 }
 
 impl DeleteStrategy {
-    /// All strategies in the paper's Fig. 12 order (Base, +VAP, +DAP).
-    pub const ALL: [DeleteStrategy; 3] =
-        [DeleteStrategy::Tag, DeleteStrategy::Vap, DeleteStrategy::Dap];
+    /// All strategies in Fig. 12's order (Base, +VAP, +DAP), then the
+    /// restore extension.
+    pub const ALL: [DeleteStrategy; 4] =
+        [DeleteStrategy::Tag, DeleteStrategy::Vap, DeleteStrategy::Dap, DeleteStrategy::DapRestore];
 
     /// Label used in Fig. 12.
     pub fn label(self) -> &'static str {
@@ -40,7 +49,14 @@ impl DeleteStrategy {
             DeleteStrategy::Tag => "Base",
             DeleteStrategy::Vap => "+VAP",
             DeleteStrategy::Dap => "+DAP",
+            DeleteStrategy::DapRestore => "+restore",
         }
+    }
+
+    /// Whether deletes follow the Leads-To forest (§5.2): the paper's DAP
+    /// or its restore extension.
+    pub fn is_dap(self) -> bool {
+        matches!(self, DeleteStrategy::Dap | DeleteStrategy::DapRestore)
     }
 }
 
@@ -421,9 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_dap_coalesced_16_bins() {
+    fn default_config_is_dap_restore_coalesced_16_bins() {
         let c = EngineConfig::default();
-        assert_eq!(c.delete_strategy, DeleteStrategy::Dap);
+        assert_eq!(c.delete_strategy, DeleteStrategy::DapRestore);
         assert_eq!(c.accumulative_recovery, AccumulativeRecovery::Coalesced);
         assert_eq!(c.num_bins, 16);
     }
@@ -431,7 +447,7 @@ mod tests {
     #[test]
     fn strategy_labels_match_figure12() {
         let labels: Vec<_> = DeleteStrategy::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels, vec!["Base", "+VAP", "+DAP"]);
+        assert_eq!(labels, vec!["Base", "+VAP", "+DAP", "+restore"]);
     }
 
     // Kills mutant jm-c20f87ae (`cap > 0` -> `cap >= 0` in `num_slices`):

@@ -31,7 +31,7 @@ use crate::engine::{
 use crate::event::{Carry, Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::{CoalescingQueue, QueueStats};
-use crate::restore::Restore;
+use crate::restore::{self, Restore};
 use crate::stats::{Phase, RunStats};
 use crate::trace::{OpKind, TraceBuilder, TraceOp};
 
@@ -94,9 +94,10 @@ pub trait Executor: sealed::Drain {}
 /// GraphPulse (Algorithm 1) and supports streaming update batches with the
 /// JetStream recovery flows:
 ///
-/// * selective algorithms: delete tagging → impacted reset → (DAP) restore
-///   of exactly supplied values → request-based re-approximation →
-///   insertion events → recompute (Algorithms 4 & 5);
+/// * selective algorithms: delete tagging → impacted reset → request-based
+///   re-approximation → insertion events → recompute (Algorithms 4 & 5),
+///   where DAP with restore first hands back exactly supplied values and
+///   re-approximates by pull;
 /// * accumulative algorithms: sink transform → negative deltas on the
 ///   intermediate graph → re-insertion events → recompute (Algorithms 3 & 6,
 ///   Fig. 5).
@@ -528,7 +529,9 @@ impl<X: Executor> StreamingFlow<X> {
             stats.vertex_reads += 1; // source state read
             let targets_start = tracer.targets_start();
             let payload = match cx.delete_strategy {
-                DeleteStrategy::Tag | DeleteStrategy::Dap => Some(cx.identity),
+                DeleteStrategy::Tag | DeleteStrategy::Dap | DeleteStrategy::DapRestore => {
+                    Some(cx.identity)
+                }
                 // Payload carries the contribution that flowed over the
                 // deleted edge; if the source never propagated there is
                 // nothing to revert.
@@ -565,26 +568,54 @@ impl<X: Executor> StreamingFlow<X> {
         self.csr.commit(checked);
 
         self.tracer.begin_phase(Phase::RequestSetup);
-        self.restore_supplied();
+        let restoring = self.config.delete_strategy == DeleteStrategy::DapRestore;
+        if restoring {
+            self.restore_supplied();
+        }
 
-        // Phase 3 — request events along each still-reset vertex's
-        // incoming edges (Algorithm 4, Reapproximate), the borrowed
-        // in-edge row seeded whole.
-        let StreamingFlow { alg, reduce, csr, values, impacted, stats, tracer, exec, .. } = self;
-        let identity = alg.identity();
-        for &x in impacted.iter().filter(|&&x| values[ix(x)] == identity) {
+        // Phase 3 — re-approximate each still-reset vertex from its
+        // in-edges (Algorithm 4, Reapproximate): the paper's flows seed
+        // the borrowed in-edge row whole as request events, the restore
+        // extension pulls the row's best valid supply instead.
+        let StreamingFlow {
+            alg,
+            reduce,
+            csr,
+            config,
+            values,
+            dependency,
+            impacted,
+            stats,
+            tracer,
+            exec,
+            ..
+        } = self;
+        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
+        for &x in impacted.iter().filter(|&&x| values[ix(x)] == cx.identity) {
+            // The Leads-To parent the wave left is gone; recompute records
+            // the next one.
+            dependency[ix(x)] = None;
             let sources = csr.inc.neighbor_targets(x);
             stats.edge_reads += sources.len() as u64;
-            stats.request_events += sources.len() as u64;
             let targets_start = tracer.targets_start();
-            let carry = Carry::Request { payload: identity };
-            exec.seed_row(*reduce, stats, Row { targets: sources, carry });
-            tracer.push_targets(sources);
-            let mut count = sources.len();
+            let mut count = 0;
+            if restoring {
+                if let Some(ev) = restore::pull(&cx, values, x, stats) {
+                    exec.seed(*reduce, stats, ev);
+                    tracer.push_targets(&[x]);
+                    count += 1;
+                }
+            } else {
+                stats.request_events += sources.len() as u64;
+                let carry = Carry::Request { payload: cx.identity };
+                exec.seed_row(*reduce, stats, Row { targets: sources, carry });
+                tracer.push_targets(sources);
+                count += sources.len();
+            }
             // Replay the initializer's contribution for the reset vertex:
             // values seeded by InitialEvents() (the query root, CC
-            // self-labels) do not arrive over any edge, so neighbor
-            // requests alone cannot restore them.
+            // self-labels) do not arrive over any edge, so neither
+            // requests nor a pull can restore them.
             if let Some(seed) = alg.initial_event(x) {
                 exec.seed(*reduce, stats, Event::regular(x, seed));
                 tracer.push_targets(&[x]);
@@ -595,10 +626,11 @@ impl<X: Executor> StreamingFlow<X> {
         self.tracer.end_round();
     }
 
-    /// Under DAP, hands every reset vertex its previous value back where a
-    /// valid in-neighbour of the committed graph still supplies it exactly
-    /// (DESIGN.md §3.1): the rest of Algorithm 4 sees only the vertices
-    /// still at the identity. Tag and VAP keep the paper's literal flow.
+    /// Under DAP with restore, hands every reset vertex its previous value
+    /// back where a valid in-neighbour of the committed graph still
+    /// supplies it exactly (DESIGN.md §3.1): the rest of Algorithm 4 sees
+    /// only the vertices still at the identity. The paper's flows have no
+    /// such step.
     fn restore_supplied(&mut self) {
         let StreamingFlow {
             alg,
@@ -613,9 +645,7 @@ impl<X: Executor> StreamingFlow<X> {
             ..
         } = self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        if cx.dap_active {
-            restore.run(&cx, impacted, values, dependency, stats, tracer);
-        }
+        restore.run(&cx, impacted, values, dependency, stats, tracer);
     }
 
     // ------------------------------------------------------------------

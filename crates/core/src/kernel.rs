@@ -61,8 +61,9 @@ pub struct KernelCtx<'a> {
     pub kind: UpdateKind,
     /// The algorithm's identity value.
     pub identity: Value,
-    /// Dependency-aware propagation is in force: the strategy is DAP and
-    /// the algorithm selective (§5.2 defines it for those only).
+    /// Dependency-aware propagation is in force: the strategy is DAP, with
+    /// or without restore, and the algorithm selective (§5.2 defines it for
+    /// those only).
     pub dap_active: bool,
     /// How a vertex's delta depends on the out-edge it leaves by
     /// ([`Algorithm::edge_op`]): every variant but `PerEdge` sends rows
@@ -83,7 +84,7 @@ impl<'a> KernelCtx<'a> {
             reduce: alg.reduce_op(),
             kind,
             identity: alg.identity(),
-            dap_active: delete_strategy == DeleteStrategy::Dap && kind == UpdateKind::Selective,
+            dap_active: delete_strategy.is_dap() && kind == UpdateKind::Selective,
             edge_op: alg.edge_op(),
             needs_weight_sum: alg.needs_weight_sum(),
         }
@@ -269,7 +270,7 @@ fn process_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event
         DeleteStrategy::Vap => {
             current != cx.identity && !cx.alg.more_progressed(current, ev.payload)
         }
-        DeleteStrategy::Dap => {
+        DeleteStrategy::Dap | DeleteStrategy::DapRestore => {
             dap_resets(cx, st.verts().dependency(ev.target), ev.source, || current)
         }
     };
@@ -310,9 +311,9 @@ fn apply_delete<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, v: VertexId
     let targets_start = st.trace_targets_start();
     let (generated, edges_read) = if reset {
         let previous = st.verts().value(v);
-        // The Leads-To parent stays recorded: under DAP the restore step
-        // tries it first and clears it where the vertex stays reset
-        // (DESIGN.md §3.1); Tag and VAP record none.
+        // The Leads-To parent stays recorded: the restore step tries it
+        // first (DESIGN.md §3.1), and request set-up clears it where the
+        // vertex stays reset; Tag and VAP record none.
         st.verts().set_value(v, cx.identity);
         st.stats().vertex_writes += 1;
         st.stats().resets += 1;
@@ -359,7 +360,7 @@ fn propagate_deletes<'a>(
     st.stats().edge_reads += deg as u64;
     let generated = match cx.delete_strategy {
         // The identity from `u` over every out-edge: the row goes out whole.
-        DeleteStrategy::Tag | DeleteStrategy::Dap => {
+        DeleteStrategy::Tag | DeleteStrategy::Dap | DeleteStrategy::DapRestore => {
             let carry = Carry::Delete { payload: cx.identity, source: u };
             st.emit_row(Row { targets: cx.csr.out.neighbor_targets(u), carry });
             deg
@@ -501,6 +502,7 @@ mod tests {
             KernelCtx::new(alg, &csr, delete_strategy).dap_active
         };
         assert!(active(&sssp, DeleteStrategy::Dap));
+        assert!(active(&sssp, DeleteStrategy::DapRestore));
         assert!(!active(&sssp, DeleteStrategy::Tag));
         assert!(!active(&pr, DeleteStrategy::Dap));
         assert!(!active(&pr, DeleteStrategy::Tag));

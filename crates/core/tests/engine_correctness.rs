@@ -906,10 +906,9 @@ fn check_golden(
 
 // Values captured at d73234a, where the kernel emitted one event per edge
 // through `ExecState::emit`: row emission must not move a single op,
-// target, counter or spill. The two DAP rows that reset a vertex (BFS and
-// SSSP, vertex 5) were re-pinned when the DAP restore step arrived: its one
-// failed attempt on vertex 5 reads two in-neighbours (vertex and edge reads
-// +2 each) and traces one op; values and spills did not move.
+// target, counter or spill. `Dap` is the paper's DAP, with no restore
+// step: the two DAP rows that reset a vertex (BFS and SSSP, vertex 5)
+// trace exactly what they traced before the restore extension existed.
 #[test]
 fn row_emission_reproduces_the_per_edge_trace_and_stats() {
     use jetstream_core::RunStats;
@@ -967,9 +966,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             batch: RunStats {
                 events_processed: 14,
                 events_generated: 14,
-                vertex_reads: 22,
+                vertex_reads: 20,
                 vertex_writes: 2,
-                edge_reads: 10,
+                edge_reads: 8,
                 resets: 1,
                 delete_events: 5,
                 request_events: 1,
@@ -977,9 +976,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
                 rounds: 5,
                 ..RunStats::default()
             },
-            ops: 47,
+            ops: 46,
             targets: 39,
-            digest: 0x9e9b_2dfa_e8f1_60ed,
+            digest: 0xa557_dc20_9c7b_5076,
             impacted: &[5],
             spilled: (14, 9),
             values: 0xf9f5_2798_ea57_2ac5,
@@ -1122,9 +1121,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             batch: RunStats {
                 events_processed: 14,
                 events_generated: 14,
-                vertex_reads: 22,
+                vertex_reads: 20,
                 vertex_writes: 2,
-                edge_reads: 10,
+                edge_reads: 8,
                 resets: 1,
                 delete_events: 5,
                 request_events: 1,
@@ -1132,9 +1131,9 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
                 rounds: 5,
                 ..RunStats::default()
             },
-            ops: 53,
+            ops: 52,
             targets: 46,
-            digest: 0xf172_450d_c9a8_7851,
+            digest: 0x17bc_edac_d6a4_4ad1,
             impacted: &[5],
             spilled: (17, 9),
             values: 0x2916_0406_f336_7455,
@@ -1426,7 +1425,8 @@ fn sswp_tie_graph() -> AdjacencyGraph {
 // Deleting 0 -> 1 resets 1's whole subtree, but 4 and 5 keep width 5
 // through 2's branch: the restore step hands both their widths back
 // (4 from 8, then 5 from its old parent 4), and only 1, 3 and 6, whose
-// widths fall to 3, go on to request set-up. Kills the restore step's
+// widths fall to 3, go on to request set-up, where 1 pulls width 3 from 5
+// and no request event is sent. Kills the restore step's
 // `&&` -> `||` mutants: jm-b257a699 (the in-row scan takes any
 // in-neighbour but the old parent, untested: 1 keeps width 5),
 // jm-b257ab77 (the closure skips its identity guard: 5 is restored twice
@@ -1440,7 +1440,7 @@ fn dap_restores_the_unchanged_part_of_a_tied_subtree() {
     after.apply_batch(&batch).unwrap();
     let expected = oracle_values(Workload::Sswp, &after, 0);
     let fresh = || {
-        let mut e = engine_for(Workload::Sswp, sswp_tie_graph(), DeleteStrategy::Dap, 0);
+        let mut e = engine_for(Workload::Sswp, sswp_tie_graph(), DeleteStrategy::DapRestore, 0);
         e.initial_compute();
         e
     };
@@ -1450,10 +1450,13 @@ fn dap_restores_the_unchanged_part_of_a_tied_subtree() {
     assert_eq!(seq.values(), &expected[..]);
     assert_eq!(seq.last_impacted(), &[1, 3, 6, 4, 5], "the wave's resets, restored or not");
     assert_eq!((stats.resets, stats.restored), (5, 2));
-    // One in-edge each for 1, 3 and 6; Tag would also request 4's two and
-    // 5's one.
-    assert_eq!(stats.request_events, 3);
-    assert_eq!(&seq.dependencies()[4..6], &[Some(8), Some(4)]);
+    // 1, 3 and 6 read one in-edge each and send no request; 1 pulls from
+    // 5, the only valid one.
+    assert_eq!(stats.request_events, 0);
+    assert_eq!(
+        &seq.dependencies()[..7],
+        &[None, Some(5), Some(0), Some(1), Some(8), Some(4), Some(1)]
+    );
     assert_eq!(seq.validate_converged(), Ok(()));
 
     let mut sharded =
@@ -1462,8 +1465,8 @@ fn dap_restores_the_unchanged_part_of_a_tied_subtree() {
     let stats = sharded.apply_update_batch(&batch).unwrap();
     assert_eq!(sharded.values(), &expected[..]);
     // Whether 4 hangs under 3 or 8 is the schedule's tie (DESIGN.md
-    // §16.3); either way exactly 1, 3 and 6 stay reset and are requested.
-    assert_eq!((stats.resets - stats.restored, stats.request_events), (3, 3));
+    // §16.3); either way exactly 1, 3 and 6 stay reset, and none requests.
+    assert_eq!((stats.resets - stats.restored, stats.request_events), (3, 0));
     assert_eq!(sharded.validate_converged(), Ok(()));
 }
 
@@ -1471,11 +1474,12 @@ fn value_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-// The restore step must leave exactly the values the paper's literal flow
-// reaches: DAP (restoring) against Tag (re-deriving every reset value),
-// bit for bit, after each of 50 churn batches, on an R-MAT graph and a
-// Wikipedia-profile (layered, narrow) graph with integer weights — the
-// weights that make SSWP's widths and CC's labels tie.
+// The restore extension must leave exactly the values the paper's literal
+// flow reaches: DAP with restore (restoring, then pulling) against Tag
+// (re-deriving every reset value), bit for bit, after each of 50 churn
+// batches, on both executors, and so must the paper's DAP — on an R-MAT
+// graph and a Wikipedia-profile (layered, narrow) graph with integer
+// weights, the weights that make SSWP's widths and CC's labels tie.
 #[test]
 fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
     let graphs = [
@@ -1489,20 +1493,26 @@ fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
             let base = stream.graph().clone();
             let mut tag = engine_for(w, base.clone(), DeleteStrategy::Tag, 0);
             let mut dap = engine_for(w, base.clone(), DeleteStrategy::Dap, 0);
-            let mut sharded = ShardedEngine::new(w.instantiate(0), base, dap.config(), 3);
+            let mut restore = engine_for(w, base.clone(), DeleteStrategy::DapRestore, 0);
+            let mut sharded = ShardedEngine::new(w.instantiate(0), base, restore.config(), 3);
             tag.initial_compute();
             dap.initial_compute();
+            restore.initial_compute();
             sharded.initial_compute();
             let mut restored = 0;
             for i in 0..50 {
                 let batch = stream.next_batch(30, 0.5);
                 tag.apply_update_batch(&batch).unwrap();
-                restored += dap.apply_update_batch(&batch).unwrap().restored;
+                dap.apply_update_batch(&batch).unwrap();
+                restored += restore.apply_update_batch(&batch).unwrap().restored;
                 sharded.apply_update_batch(&batch).unwrap();
                 let want = value_bits(tag.values());
-                assert_eq!(value_bits(dap.values()), want, "{label} batch {i}: sequential DAP");
-                assert_eq!(value_bits(sharded.values()), want, "{label} batch {i}: sharded DAP");
-                assert_eq!(dap.validate_converged(), Ok(()), "{label} batch {i}");
+                assert_eq!(value_bits(dap.values()), want, "{label} batch {i}: the paper's DAP");
+                assert_eq!(value_bits(restore.values()), want, "{label} batch {i}: sequential");
+                assert_eq!(value_bits(sharded.values()), want, "{label} batch {i}: sharded");
+                for e in [&dap, &restore] {
+                    assert_eq!(e.validate_converged(), Ok(()), "{label} batch {i}");
+                }
                 assert_eq!(sharded.validate_converged(), Ok(()), "{label} batch {i}");
             }
             if w == Workload::Sswp {
@@ -1510,6 +1520,51 @@ fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
             }
         }
     }
+}
+
+// Under DAP with restore, request set-up sends no request event: each
+// vertex still reset after the restore step seeds at most its one pulled
+// supply and its initializer's replay, both to itself, on one traced op
+// that read its whole in-row. Churn on an R-MAT graph, every selective
+// workload.
+#[test]
+fn dap_with_restore_pulls_one_supply_per_still_reset_vertex() {
+    use jetstream_core::Phase;
+    let full = gen::rmat(300, 2400, gen::RmatParams::default(), 91);
+    let mut pulled = 0;
+    for w in Workload::SELECTIVE {
+        let alg = w.instantiate(0);
+        let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
+        let mut engine = engine_for(w, stream.graph().clone(), DeleteStrategy::DapRestore, 0);
+        engine.initial_compute();
+        let mut still_reset = 0;
+        for i in 0..20 {
+            let label = format!("{} batch {i}", w.name());
+            engine.set_tracing(true);
+            let stats = engine.apply_update_batch(&stream.next_batch(30, 0.5)).unwrap();
+            let trace = engine.take_trace();
+            assert_eq!(stats.request_events, 0, "{label}");
+            let setup = trace.phases.iter().filter(|p| p.phase == Phase::RequestSetup);
+            let mut seeded = 0;
+            for op in setup.flat_map(|p| &p.rounds).flat_map(|r| &r.ops) {
+                let targets = trace.targets_of(op);
+                assert!(targets.iter().all(|&t| t == op.vertex), "{label}: {op:?}");
+                let replay = usize::from(alg.initial_event(op.vertex).is_some());
+                assert!(targets.len() <= 1 + replay, "{label}: {op:?}");
+                if !targets.is_empty() {
+                    let in_row = engine.csr().inc.degree(op.vertex);
+                    assert_eq!(op.edges_read as usize, in_row, "{label}: {op:?}");
+                }
+                pulled += targets.len().saturating_sub(replay);
+                seeded += targets.len();
+            }
+            let resets_left = stats.resets - stats.restored;
+            assert!(seeded as u64 <= 2 * resets_left, "{label}: {seeded} seeds");
+            still_reset += resets_left;
+        }
+        assert!(still_reset > 0, "{}: every reset vertex restored", w.name());
+    }
+    assert!(pulled > 0, "nothing pulled");
 }
 
 /// What [`a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets`]
@@ -1521,26 +1576,28 @@ type Wave = (u64, u64, u64, u64, u64, usize);
 /// [`Wave`]s per graph, for each of [`Workload::SELECTIVE`].
 const SLICED_DAP_WAVES: [[Wave; 4]; 2] = [
     [
-        (0x3706_31d8_ab4e_9bf0, 884, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
-        (0x2dc8_a358_4f49_2d0e, 2020, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
-        (0x1197_e17a_5f16_822a, 995, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
+        (0x0d55_8c25_c0c5_3764, 133, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
+        (0x9573_491c_e31b_3af7, 326, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
+        (0x4d16_3bf5_2ac0_18aa, 213, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
         (0x5a45_9ef9_ebde_a0a4, 112, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
     ],
     [
-        (0xbc22_90ae_4a85_7c94, 191, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
-        (0x92f0_af9e_0f41_4ec5, 2568, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
+        (0x5e7f_cb5c_b2c6_f555, 121, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
+        (0x57da_97c9_bdb7_ea26, 588, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
         (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0xd01d_86bc_551c_c6df, 5),
         (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0x2135_b6a0_21db_1a46, 5),
     ],
 ];
 
-// Every selective workload under DAP on an R-MAT graph and a
+// Every selective workload under DAP with restore on an R-MAT graph and a
 // Wikipedia-profile graph, each cut into three slices (§4.7) and traced
 // over four churn batches: delete waves several rounds deep whose rows
 // cross slices. Captured at 1ba9b5d, where the wave's delete events went
 // one by one through the queue's overflow: the trace, the spills out of
 // the active slice, the resets and their order, and the values must not
-// move however the wave is scheduled.
+// move however the wave is scheduled. The traces and spills were re-pinned
+// when request set-up became a pull; resets, their order and the values
+// did not move.
 #[test]
 fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
     use jetstream_core::Phase;
@@ -1554,7 +1611,7 @@ fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
             let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
             let base = stream.graph().clone();
             let config = EngineConfig {
-                delete_strategy: DeleteStrategy::Dap,
+                delete_strategy: DeleteStrategy::DapRestore,
                 num_bins: 4,
                 queue_capacity: Some(base.num_vertices().div_ceil(3)),
                 ..EngineConfig::default()

@@ -68,15 +68,16 @@ impl SimConfig {
     }
 
     /// JetStream configuration for the given delete strategy: base/VAP
-    /// events carry flags (10 B); DAP additionally carries the source id in
-    /// events (14 B) and the dependency field in vertex state (12 B).
+    /// events carry flags (10 B); DAP, with or without restore,
+    /// additionally carries the source id in events (14 B) and the
+    /// dependency field in vertex state (12 B).
     pub fn jetstream(strategy: DeleteStrategy) -> Self {
         let mut c = SimConfig::graphpulse();
         match strategy {
             DeleteStrategy::Tag | DeleteStrategy::Vap => {
                 c.event_bytes = 10;
             }
-            DeleteStrategy::Dap => {
+            DeleteStrategy::Dap | DeleteStrategy::DapRestore => {
                 c.event_bytes = 14;
                 c.vertex_bytes = 12;
             }

@@ -1,10 +1,10 @@
 //! CI entry point for the schedule sanitizer (DESIGN.md §13.3).
 //!
 //! Runs the default [`ScheduleFuzzer`] sweep — 24 schedules (seeded
-//! per-worker yield and chunk plans) over SSSP/BFS/PageRank × Tag/Dap —
-//! differentially against the sequential oracle under the sharded
-//! equivalence contract (DESIGN.md §16.3), and exits non-zero on the
-//! first failure.
+//! per-worker yield and chunk plans) over SSSP/BFS/PageRank ×
+//! Tag/Dap/DapRestore — differentially against the sequential oracle
+//! under the sharded equivalence contract (DESIGN.md §16.3), and exits
+//! non-zero on the first failure.
 //!
 //! Invoked by `cargo xtask check --sanitize`.
 

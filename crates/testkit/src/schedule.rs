@@ -176,7 +176,7 @@ fn values_match(workload: Workload, actual: &[f64], expected: &[f64]) -> bool {
 /// is the one CI runs (DESIGN.md §13.3): shards ∈ {2, 4} (a single worker
 /// has no cross-shard traffic to perturb) × 4 seeds × 3 base yield
 /// intervals = 24 schedules, over SSSP, BFS and PageRank — both clauses of
-/// the value contract — × the Tag and Dap delete strategies.
+/// the value contract — × Tag, the paper's DAP and DAP with restore.
 #[derive(Debug, Clone)]
 pub struct ScheduleFuzzer {
     /// Shard counts to sweep.
@@ -202,7 +202,7 @@ impl Default for ScheduleFuzzer {
             seeds: vec![0xA1, 0xB2, 0xC3, 0xD4],
             base_yields: vec![0, 1, 3],
             workloads: vec![Workload::Sssp, Workload::Bfs, Workload::PageRank],
-            strategies: vec![DeleteStrategy::Tag, DeleteStrategy::Dap],
+            strategies: vec![DeleteStrategy::Tag, DeleteStrategy::Dap, DeleteStrategy::DapRestore],
             batches: 3,
             batch_size: 20,
         }
@@ -391,7 +391,7 @@ mod tests {
             seeds: vec![0xA1, 0xB2],
             base_yields: vec![1],
             workloads: vec![Workload::Sssp, Workload::PageRank],
-            strategies: vec![DeleteStrategy::Dap],
+            strategies: vec![DeleteStrategy::DapRestore],
             batches: 2,
             batch_size: 12,
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jetstream-cli run      --graph g.txt --algorithm sssp [--root N]
-//!                        [--updates u.txt] [--strategy tag|vap|dap]
+//!                        [--updates u.txt] [--strategy tag|vap|dap|restore]
 //!                        [--simulate] [--output values.txt]
 //! jetstream-cli generate --profile wk|fb|lj|uk|tw --scale N --out g.txt
 //! jetstream-cli stream   --graph g.txt --batches N --size M
@@ -58,7 +58,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  jetstream-cli run --graph FILE --algorithm \
          sssp|sswp|bfs|cc|pagerank|adsorption [--root N] [--updates FILE]\n\
-         \x20                 [--strategy tag|vap|dap] [--simulate] [--output FILE]\n  \
+         \x20                 [--strategy tag|vap|dap|restore] [--simulate] [--output FILE]\n  \
          jetstream-cli generate --profile wk|fb|lj|uk|tw [--scale N] --out FILE\n  \
          jetstream-cli stream --graph FILE [--batches N] [--size M]\n\
          \x20                 [--insert-fraction F] [--seed S] --out FILE [--base-out FILE]"
@@ -71,6 +71,7 @@ fn parse_strategy(name: &str) -> Option<DeleteStrategy> {
         "tag" | "base" => Some(DeleteStrategy::Tag),
         "vap" => Some(DeleteStrategy::Vap),
         "dap" => Some(DeleteStrategy::Dap),
+        "restore" => Some(DeleteStrategy::DapRestore),
         _ => None,
     }
 }
@@ -95,7 +96,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
     let strategy = match args.options.get("strategy") {
         Some(s) => parse_strategy(s).ok_or("unknown strategy")?,
-        None => DeleteStrategy::Dap,
+        None => DeleteStrategy::default(),
     };
     let simulate = args.flags.iter().any(|f| f == "simulate");
 

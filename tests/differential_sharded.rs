@@ -138,7 +138,7 @@ fn sequential_reference(
         assert_eq!(admitted.last_impacted(), &reference.impacted[i + 1][..]);
         reference.admitted.push(applied);
     }
-    let skippable = strategy == DeleteStrategy::Dap && workload.kind() == UpdateKind::Selective;
+    let skippable = strategy.is_dap() && workload.kind() == UpdateKind::Selective;
     let (tail_stats, tail_class) = reference.admitted[batches.len()];
     assert_eq!(
         skippable,
@@ -218,8 +218,7 @@ fn async_sharded_matches_sequential_fixpoints() {
             let alg = || workload.instantiate_with_epsilon(ROOT, epsilon);
             for strategy in DeleteStrategy::ALL {
                 let reference = sequential_reference(workload, strategy, &base, &batches, epsilon);
-                let skippable =
-                    strategy == DeleteStrategy::Dap && workload.kind() == UpdateKind::Selective;
+                let skippable = strategy.is_dap() && workload.kind() == UpdateKind::Selective;
                 for shards in SHARD_COUNTS {
                     let tag = format!("{shape}/{}/{:?}/shards={shards}", workload.name(), strategy);
                     let check = |actual: &[f64], expected: &[f64], what: &str| {

@@ -249,7 +249,9 @@ pub fn fig12(scale: u32) -> Result<String, HarnessError> {
     out.push_str(
         "Paper: Base tags too many vertices (≈ cold-start work); VAP helps \
          SSSP/SSWP; DAP helps all four. +restore is DAP with this repo's \
-         restore extension, not a paper configuration.\n\n\
+         restore extension, not a paper configuration, and an upper bound \
+         on its modelled gain: the timing model does not charge the source \
+         values its set-up scan reads, one random vertex read each.\n\n\
          | Graph | Workload | Base | +VAP | +DAP | +restore |\n|---|---|---|---|---|---|\n",
     );
     for p in profiles {

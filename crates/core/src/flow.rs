@@ -31,7 +31,7 @@ use crate::engine::{
 use crate::event::{Carry, Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
 use crate::queue::{CoalescingQueue, QueueStats};
-use crate::restore::{self, Restore};
+use crate::restore::Restore;
 use crate::stats::{Phase, RunStats};
 use crate::trace::{OpKind, TraceBuilder, TraceOp};
 
@@ -567,16 +567,13 @@ impl<X: Executor> StreamingFlow<X> {
         // The §3.5 version switch, in place in O(batch · degree).
         self.csr.commit(checked);
 
+        // Phase 3 — re-approximate each reset vertex from its in-edges
+        // (Algorithm 4, Reapproximate): the paper's flows seed the borrowed
+        // in-edge row whole as request events; DAP with restore scans the
+        // row once, hands back each previous value a valid in-neighbour
+        // still supplies exactly (DESIGN.md §3.1), and seeds the rest's
+        // best valid supply.
         self.tracer.begin_phase(Phase::RequestSetup);
-        let restoring = self.config.delete_strategy == DeleteStrategy::DapRestore;
-        if restoring {
-            self.restore_supplied();
-        }
-
-        // Phase 3 — re-approximate each still-reset vertex from its
-        // in-edges (Algorithm 4, Reapproximate): the paper's flows seed
-        // the borrowed in-edge row whole as request events, the restore
-        // extension pulls the row's best valid supply instead.
         let StreamingFlow {
             alg,
             reduce,
@@ -585,33 +582,44 @@ impl<X: Executor> StreamingFlow<X> {
             values,
             dependency,
             impacted,
+            restore,
             stats,
             tracer,
             exec,
             ..
         } = self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        for &x in impacted.iter().filter(|&&x| values[ix(x)] == cx.identity) {
+        let restoring = cx.delete_strategy == DeleteStrategy::DapRestore;
+        if restoring {
+            restore.run(&cx, impacted, values, dependency, stats, tracer);
+        }
+        for (i, &x) in impacted.iter().enumerate() {
+            if values[ix(x)] != cx.identity {
+                continue; // restored: its scan is traced already
+            }
             // The Leads-To parent the wave left is gone; recompute records
             // the next one.
             dependency[ix(x)] = None;
-            let sources = csr.inc.neighbor_targets(x);
-            stats.edge_reads += sources.len() as u64;
             let targets_start = tracer.targets_start();
             let mut count = 0;
-            if restoring {
-                if let Some(ev) = restore::pull(&cx, values, x, stats) {
+            let edges_read = if restoring {
+                let (read, pulled) = restore.pull(i, x);
+                if let Some(ev) = pulled {
                     exec.seed(*reduce, stats, ev);
                     tracer.push_targets(&[x]);
                     count += 1;
                 }
+                read
             } else {
+                let sources = csr.inc.neighbor_targets(x);
+                stats.edge_reads += sources.len() as u64;
                 stats.request_events += sources.len() as u64;
                 let carry = Carry::Request { payload: cx.identity };
                 exec.seed_row(*reduce, stats, Row { targets: sources, carry });
                 tracer.push_targets(sources);
                 count += sources.len();
-            }
+                sources.len()
+            };
             // Replay the initializer's contribution for the reset vertex:
             // values seeded by InitialEvents() (the query root, CC
             // self-labels) do not arrive over any edge, so neither
@@ -621,31 +629,13 @@ impl<X: Executor> StreamingFlow<X> {
                 tracer.push_targets(&[x]);
                 count += 1;
             }
-            tracer.push_op(setup_op(OpKind::RequestSetup, x, sources.len(), targets_start, count));
+            let mut op = setup_op(OpKind::RequestSetup, x, edges_read, targets_start, count);
+            // A scan that seeds nothing still read its row; requests seed
+            // at least the row they read.
+            op.changed |= edges_read > 0;
+            tracer.push_op(op);
         }
         self.tracer.end_round();
-    }
-
-    /// Under DAP with restore, hands every reset vertex its previous value
-    /// back where a valid in-neighbour of the committed graph still
-    /// supplies it exactly (DESIGN.md §3.1): the rest of Algorithm 4 sees
-    /// only the vertices still at the identity. The paper's flows have no
-    /// such step.
-    fn restore_supplied(&mut self) {
-        let StreamingFlow {
-            alg,
-            csr,
-            config,
-            values,
-            dependency,
-            impacted,
-            restore,
-            stats,
-            tracer,
-            ..
-        } = self;
-        let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        restore.run(&cx, impacted, values, dependency, stats, tracer);
     }
 
     // ------------------------------------------------------------------

@@ -1422,52 +1422,90 @@ fn sswp_tie_graph() -> AdjacencyGraph {
     AdjacencyGraph::from_edges(9, &edges)
 }
 
-// Deleting 0 -> 1 resets 1's whole subtree, but 4 and 5 keep width 5
-// through 2's branch: the restore step hands both their widths back
-// (4 from 8, then 5 from its old parent 4), and only 1, 3 and 6, whose
-// widths fall to 3, go on to request set-up, where 1 pulls width 3 from 5
-// and no request event is sent. Kills the restore step's
-// `&&` -> `||` mutants: jm-b257a699 (the in-row scan takes any
-// in-neighbour but the old parent, untested: 1 keeps width 5),
-// jm-b257ab77 (the closure skips its identity guard: 5 is restored twice
-// and 1 from a supply of 3) and jm-b257ac80 (`supplies` skips the
-// bitwise `previous` comparison once the prefilter passes).
+/// SSSP distances tied where reset order cannot see them: the Leads-To
+/// tree is 0 -> 1 -> {2, 3 -> 4, 8}, and 4, a grandchild of 1, also ties
+/// at 3 through 0 -> 6 -> 7 -> 5 -> 4, a round later. 4 supplies 2 its
+/// distance 6 exactly and 8 a 4 that beats 6's 4.5, but 8's 3 only
+/// through 1.
+fn sssp_late_supplier_graph() -> AdjacencyGraph {
+    let edges = [
+        (0, 1, 1.0),
+        (1, 2, 5.0),
+        (1, 3, 1.0),
+        (1, 8, 2.0),
+        (3, 4, 1.0),
+        (4, 2, 3.0),
+        (4, 8, 1.0),
+        (0, 6, 0.5),
+        (6, 7, 0.5),
+        (6, 8, 4.0),
+        (7, 5, 1.0),
+        (5, 4, 1.0),
+    ];
+    AdjacencyGraph::from_edges(9, &edges)
+}
+
+// Deleting 0 -> 1 resets 1's whole subtree, and the restore step hands
+// back what a valid in-neighbour still supplies exactly.
+//
+// SSWP: 4 and 5 keep width 5 through 2's branch: the scan hands both
+// their widths back (4 from 8, then 5 from its old parent 4), and only 1,
+// 3 and 6, whose widths fall to 3, stay reset; 1 pulls width 3 from 5,
+// which the closure offers it, and no request event is sent.
+//
+// SSSP: reset order scans 2 and 8 before 4, their late supplier, which
+// the scan restores from 5. The closure must then restore 2 (4 supplies
+// its 6 exactly) and raise 8's recorded best from 6's 4.5 to 4's 4: 4 is
+// restored silently and never re-sends its row, so a pull that missed it
+// would leave 8 at 4.5.
+//
+// Kills jm-b257ab77 (the closure skips its identity guard: 8 is restored
+// to 3, which nothing supplies).
 #[test]
 fn dap_restores_the_unchanged_part_of_a_tied_subtree() {
     let mut batch = UpdateBatch::new();
     batch.delete(0, 1);
-    let mut after = sswp_tie_graph();
-    after.apply_batch(&batch).unwrap();
-    let expected = oracle_values(Workload::Sswp, &after, 0);
-    let fresh = || {
-        let mut e = engine_for(Workload::Sswp, sswp_tie_graph(), DeleteStrategy::DapRestore, 0);
-        e.initial_compute();
-        e
-    };
-    let mut seq = fresh();
-    assert_eq!(seq.dependencies()[4], Some(3), "3 reaches 4 a round before 8 does");
-    let stats = seq.apply_update_batch(&batch).unwrap();
-    assert_eq!(seq.values(), &expected[..]);
-    assert_eq!(seq.last_impacted(), &[1, 3, 6, 4, 5], "the wave's resets, restored or not");
-    assert_eq!((stats.resets, stats.restored), (5, 2));
-    // 1, 3 and 6 read one in-edge each and send no request; 1 pulls from
-    // 5, the only valid one.
-    assert_eq!(stats.request_events, 0);
-    assert_eq!(
-        &seq.dependencies()[..7],
-        &[None, Some(5), Some(0), Some(1), Some(8), Some(4), Some(1)]
-    );
-    assert_eq!(seq.validate_converged(), Ok(()));
+    let cases = [
+        (
+            Workload::Sswp,
+            sswp_tie_graph(),
+            &[1, 3, 6, 4, 5][..],
+            &[None, Some(5), Some(0), Some(1), Some(8), Some(4), Some(1), Some(2), Some(7)][..],
+        ),
+        (
+            Workload::Sssp,
+            sssp_late_supplier_graph(),
+            &[1, 2, 3, 8, 4][..],
+            &[None, None, Some(4), None, Some(5), Some(7), Some(0), Some(6), Some(4)][..],
+        ),
+    ];
+    for (workload, graph, impacted, dependencies) in cases {
+        let label = workload.name();
+        let mut after = graph.clone();
+        after.apply_batch(&batch).unwrap();
+        let expected = oracle_values(workload, &after, 0);
+        let mut seq = engine_for(workload, graph.clone(), DeleteStrategy::DapRestore, 0);
+        seq.initial_compute();
+        assert_eq!(seq.dependencies()[4], Some(3), "{label}: 3 reaches 4 a round first");
+        let stats = seq.apply_update_batch(&batch).unwrap();
+        assert_eq!(seq.values(), &expected[..], "{label}");
+        assert_eq!(seq.last_impacted(), impacted, "{label}: the wave's resets, restored or not");
+        assert_eq!((stats.resets, stats.restored), (5, 2), "{label}");
+        // The three vertices left reset pull, and none sends a request.
+        assert_eq!(stats.request_events, 0, "{label}");
+        assert_eq!(seq.dependencies(), dependencies, "{label}");
+        assert_eq!(seq.validate_converged(), Ok(()), "{label}");
 
-    let mut sharded =
-        ShardedEngine::new(Workload::Sswp.instantiate(0), sswp_tie_graph(), seq.config(), 2);
-    sharded.initial_compute();
-    let stats = sharded.apply_update_batch(&batch).unwrap();
-    assert_eq!(sharded.values(), &expected[..]);
-    // Whether 4 hangs under 3 or 8 is the schedule's tie (DESIGN.md
-    // §16.3); either way exactly 1, 3 and 6 stay reset, and none requests.
-    assert_eq!((stats.resets - stats.restored, stats.request_events), (3, 0));
-    assert_eq!(sharded.validate_converged(), Ok(()));
+        let mut sharded = ShardedEngine::new(workload.instantiate(0), graph, seq.config(), 2);
+        sharded.initial_compute();
+        let stats = sharded.apply_update_batch(&batch).unwrap();
+        assert_eq!(sharded.values(), &expected[..], "{label}");
+        // Whether 4 hangs under 3 or under its late tie is the schedule's
+        // (DESIGN.md §16.3); either way exactly three vertices stay reset,
+        // and none requests.
+        assert_eq!((stats.resets - stats.restored, stats.request_events), (3, 0), "{label}");
+        assert_eq!(sharded.validate_converged(), Ok(()), "{label}");
+    }
 }
 
 fn value_bits(values: &[f64]) -> Vec<u64> {
@@ -1525,8 +1563,8 @@ fn dap_with_restore_matches_tag_bit_for_bit_over_churn() {
 // Under DAP with restore, request set-up sends no request event: each
 // vertex still reset after the restore step seeds at most its one pulled
 // supply and its initializer's replay, both to itself, on one traced op
-// that read its whole in-row. Churn on an R-MAT graph, every selective
-// workload.
+// that read its whole in-row, and its old parent too when the batch
+// deleted that edge. Churn on an R-MAT graph, every selective workload.
 #[test]
 fn dap_with_restore_pulls_one_supply_per_still_reset_vertex() {
     use jetstream_core::Phase;
@@ -1540,6 +1578,7 @@ fn dap_with_restore_pulls_one_supply_per_still_reset_vertex() {
         let mut still_reset = 0;
         for i in 0..20 {
             let label = format!("{} batch {i}", w.name());
+            let parents = engine.dependencies().to_vec();
             engine.set_tracing(true);
             let stats = engine.apply_update_batch(&stream.next_batch(30, 0.5)).unwrap();
             let trace = engine.take_trace();
@@ -1547,13 +1586,20 @@ fn dap_with_restore_pulls_one_supply_per_still_reset_vertex() {
             let setup = trace.phases.iter().filter(|p| p.phase == Phase::RequestSetup);
             let mut seeded = 0;
             for op in setup.flat_map(|p| &p.rounds).flat_map(|r| &r.ops) {
+                // Every scan, restored or seeding nothing alike, is charged
+                // its row and write-back by the replay.
+                assert!(op.changed || op.edges_read == 0, "{label}: {op:?}");
                 let targets = trace.targets_of(op);
                 assert!(targets.iter().all(|&t| t == op.vertex), "{label}: {op:?}");
                 let replay = usize::from(alg.initial_event(op.vertex).is_some());
                 assert!(targets.len() <= 1 + replay, "{label}: {op:?}");
                 if !targets.is_empty() {
-                    let in_row = engine.csr().inc.degree(op.vertex);
-                    assert_eq!(op.edges_read as usize, in_row, "{label}: {op:?}");
+                    // A vertex left to the pull was scanned whole: its
+                    // in-row, plus its old parent where that edge is gone.
+                    let in_row = engine.csr().inc.neighbor_targets(op.vertex);
+                    let parent = parents[op.vertex as usize];
+                    let gone = parent.is_some_and(|p| !in_row.contains(&p));
+                    assert_eq!(op.edges_read as usize, in_row.len() + usize::from(gone), "{label}");
                 }
                 pulled += targets.len().saturating_sub(replay);
                 seeded += targets.len();
@@ -1576,14 +1622,14 @@ type Wave = (u64, u64, u64, u64, u64, usize);
 /// [`Wave`]s per graph, for each of [`Workload::SELECTIVE`].
 const SLICED_DAP_WAVES: [[Wave; 4]; 2] = [
     [
-        (0x0d55_8c25_c0c5_3764, 133, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
-        (0x9573_491c_e31b_3af7, 326, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
-        (0x4d16_3bf5_2ac0_18aa, 213, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
-        (0x5a45_9ef9_ebde_a0a4, 112, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
+        (0x2e6c_2050_30b3_2f01, 133, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
+        (0xc587_640f_74e9_42f3, 326, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
+        (0x635f_226c_e9c2_f2a6, 213, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
+        (0xa141_f588_8074_f494, 112, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
     ],
     [
-        (0x5e7f_cb5c_b2c6_f555, 121, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
-        (0x57da_97c9_bdb7_ea26, 588, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
+        (0xca13_9aea_48b5_d2f4, 121, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
+        (0xe81f_8bc2_ea1e_e8f9, 588, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
         (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0xd01d_86bc_551c_c6df, 5),
         (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0x2135_b6a0_21db_1a46, 5),
     ],
@@ -1596,7 +1642,8 @@ const SLICED_DAP_WAVES: [[Wave; 4]; 2] = [
 // one by one through the queue's overflow: the trace, the spills out of
 // the active slice, the resets and their order, and the values must not
 // move however the wave is scheduled. The traces and spills were re-pinned
-// when request set-up became a pull; resets, their order and the values
+// when request set-up became a pull, and the traces again when the restore
+// step and the pull became one scan; resets, their order and the values
 // did not move.
 #[test]
 fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {

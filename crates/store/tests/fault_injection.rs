@@ -18,7 +18,7 @@ use std::sync::mpsc;
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{EngineConfig, StreamingEngine};
-use jetstream_graph::{gen, AdjacencyGraph};
+use jetstream_graph::{gen, AdjacencyGraph, VertexId};
 use jetstream_store::{
     snapshot, wal, DurableEngine, DurableStore, PublishStep, RecoveryOptions, RecoveryReport,
     StoreError, StoreOptions,
@@ -67,9 +67,20 @@ fn options() -> StoreOptions {
 /// Everything the engine passed through while the store was built: the
 /// values and graph after each sequence number. Recovery must land exactly
 /// on one of these states.
+#[derive(Default)]
 struct History {
     values: Vec<Vec<f64>>,
+    dependencies: Vec<Vec<Option<VertexId>>>,
     graphs: Vec<AdjacencyGraph>,
+}
+
+impl History {
+    /// Appends `engine`'s state as the next sequence's.
+    fn record(&mut self, engine: &StreamingEngine) {
+        self.values.push(engine.values().to_vec());
+        self.dependencies.push(engine.dependencies().to_vec());
+        self.graphs.push(engine.graph().clone());
+    }
 }
 
 fn converged_engine(workload: Workload) -> (StreamingEngine, History) {
@@ -77,8 +88,8 @@ fn converged_engine(workload: Workload) -> (StreamingEngine, History) {
     let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
     let mut engine = StreamingEngine::new(alg, base, EngineConfig::default());
     engine.initial_compute();
-    let history =
-        History { values: vec![engine.values().to_vec()], graphs: vec![engine.graph().clone()] };
+    let mut history = History::default();
+    history.record(&engine);
     (engine, history)
 }
 
@@ -87,8 +98,7 @@ fn apply_next(durable: &mut DurableEngine, history: &mut History) -> Result<(), 
     let seed = 99 + history.values.len() as u64;
     let batch = gen::batch_with_ratio(durable.engine().graph(), 30, 0.6, seed);
     let outcome = durable.apply_update_batch(&batch).map(|_| ());
-    history.values.push(durable.engine().values().to_vec());
-    history.graphs.push(durable.engine().graph().clone());
+    history.record(durable.engine());
     outcome
 }
 
@@ -155,6 +165,14 @@ fn assert_recovered_state(
         engine.graph(),
         &history.graphs[sequence as usize],
         "{}: recovered graph differs at sequence {sequence}",
+        workload.name()
+    );
+    // The Leads-To forest decides what a later delete resets, so a
+    // recovered engine must hold the live one's, not only its values.
+    assert_eq!(
+        engine.dependencies(),
+        &history.dependencies[sequence as usize][..],
+        "{}: recovered dependencies differ at sequence {sequence}",
         workload.name()
     );
     let oracle_vals = oracle_values(workload, &engine.graph().snapshot(), ROOT);
@@ -392,8 +410,7 @@ fn recovered_store_keeps_working_and_recovers_again() {
         for i in 0..2u64 {
             let batch = gen::batch_with_ratio(durable.engine().graph(), 30, 0.6, 200 + i);
             durable.apply_update_batch(&batch).unwrap();
-            history.values.push(durable.engine().values().to_vec());
-            history.graphs.push(durable.engine().graph().clone());
+            history.record(durable.engine());
         }
         assert_eq!(durable.sequence(), BATCHES + 2);
         drop(durable);
@@ -442,8 +459,7 @@ fn recovery_is_bit_identical_at_every_point_of_a_checkpoint() {
             let batch = gen::batch_with_ratio(engine.graph(), 30, 0.6, seed);
             engine.apply_update_batch(&batch).unwrap();
             store.append(&batch).unwrap();
-            history.values.push(engine.values().to_vec());
-            history.graphs.push(engine.graph().clone());
+            history.record(engine);
         }
         for _ in 0..P {
             apply(&mut engine, &mut store, &mut history);

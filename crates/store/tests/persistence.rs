@@ -109,7 +109,8 @@ fn wal_round_trip_property() {
 #[test]
 fn durable_engine_round_trip_property() {
     // Random workload, random checkpoint cadence, random stream length:
-    // recovery must always land bit-identically on the live engine's state.
+    // recovery must always land bit-identically on the live engine's
+    // state, its Leads-To forest included.
     run_cases("store: durable engine recovers exactly", 12, |rng| {
         let dir = tmpdir("engine-prop");
         let workload = Workload::ALL[rng.gen_index(Workload::ALL.len())];
@@ -133,6 +134,7 @@ fn durable_engine_round_trip_property() {
             durable.checkpoint().unwrap();
         }
         let live_values = durable.engine().values().to_vec();
+        let live_dependencies = durable.engine().dependencies().to_vec();
         let live_graph = durable.engine().graph().clone();
         let sequence = durable.sequence();
         drop(durable);
@@ -145,9 +147,11 @@ fn durable_engine_round_trip_property() {
             RecoveryOptions { validate: true },
         )
         .unwrap();
-        assert_eq!(report.recovered_sequence, sequence, "{}", workload.name());
-        assert_eq!(recovered.engine().values(), &live_values[..], "{}", workload.name());
-        assert_eq!(recovered.engine().graph(), &live_graph, "{}", workload.name());
+        let name = workload.name();
+        assert_eq!(report.recovered_sequence, sequence, "{name}");
+        assert_eq!(recovered.engine().values(), &live_values[..], "{name}");
+        assert_eq!(recovered.engine().graph(), &live_graph, "{name}");
+        assert_eq!(recovered.engine().dependencies(), &live_dependencies[..], "{name}");
         fs::remove_dir_all(&dir).unwrap();
     });
 }

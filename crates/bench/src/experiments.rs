@@ -355,19 +355,16 @@ pub fn fig14(scale: u32) -> Result<String, HarnessError> {
 /// batch.
 pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
     use crate::harness::{base_and_batches, root_for, ACCUMULATIVE_EPSILON};
-    use jetstream_sim::{AcceleratorSim, SimConfig};
+    use jetstream_sim::AcceleratorSim;
 
     let mut out = String::from(
-        "## Ablation — accumulative recovery flow
-
-",
-    );
-    out.push_str(
-        "Two-phase is Algorithm 6 verbatim (rollback converges on the          intermediate graph before replay); coalesced queues rollback and          replay together so kept-edge contributions cancel in the queue.          Both produce identical results (tested); coalesced is the default.
-
-         | Workload | Graph | Two-phase events | Coalesced events | Two-phase ms | Coalesced ms |
-         |---|---|---|---|---|---|
-",
+        "## Ablation — accumulative recovery flow\n\n\
+         Two-phase is Algorithm 6 verbatim (rollback converges on the \
+         intermediate graph before replay); coalesced queues rollback and \
+         replay together so kept-edge contributions cancel in the queue. \
+         Both produce identical results (tested); coalesced is the default.\n\n\
+         | Workload | Graph | Two-phase events | Coalesced events | Two-phase ms | Coalesced ms |\n\
+         |---|---|---|---|---|---|\n",
     );
     for w in [Workload::PageRank, Workload::Adsorption] {
         for p in [DatasetProfile::LiveJournal, DatasetProfile::Twitter] {
@@ -395,8 +392,7 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
                 cells.push((stats.events_processed, report.time_ms()));
             }
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.4} | {:.4} |
-",
+                "| {} | {} | {} | {} | {:.4} | {:.4} |\n",
                 w.name(),
                 p.tag(),
                 cells[0].0,
@@ -409,23 +405,22 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
     Ok(out)
 }
 
-/// Ablation: queue capacity and graph slicing (§4.7) — how partitioning a
-/// graph across slices affects spills and simulated time for a cold
-/// evaluation of the scaled Twitter graph.
+/// Ablation: queue capacity and graph slicing (§4.7) — one traced cold
+/// evaluation of the scaled Twitter graph, replayed by the cycle simulator
+/// at shrinking on-chip queue sizes: more slices, more spills.
 pub fn ablation_slicing(scale: u32) -> String {
     use crate::harness::{base_and_batches, root_for};
+    use jetstream_sim::AcceleratorSim;
 
     let mut out = String::from(
-        "## Ablation — queue capacity and slicing
-
-",
-    );
-    out.push_str(
-        "Cold SSSP evaluation of the scaled Twitter graph with the          functional engine's slice-by-slice draining (§4.7): smaller queues          mean more slices and more cross-slice event spills.
-
-         | Queue capacity (vertices) | Slices | Spilled events | Spill fraction | Simulated ms |
-         |---|---|---|---|---|
-",
+        "## Ablation — queue capacity and slicing\n\n\
+         One traced cold SSSP evaluation of the scaled Twitter graph, \
+         replayed by the cycle simulator at four on-chip queue sizes (§4.7): \
+         a graph larger than the queue is cut into edge-cut slices, and every \
+         generated event whose target lies in another slice than its source \
+         spills to off-chip memory.\n\n\
+         | Queue capacity (vertices) | Slices | Events generated | Spilled events | Spill fraction | Simulated ms |\n\
+         |---|---|---|---|---|---|\n",
     );
     let scenario = Scenario {
         rounds: 1,
@@ -434,19 +429,24 @@ pub fn ablation_slicing(scale: u32) -> String {
     let (base, _) = base_and_batches(&scenario);
     let root = root_for(&base);
     let n = base.num_vertices();
+    let config = EngineConfig::default();
+    let mut engine = StreamingEngine::new(Workload::Sssp.instantiate(root), base, config);
+    engine.set_tracing(true);
+    engine.initial_compute();
+    let trace = engine.take_trace();
+    let jetstream = SimConfig::jetstream(config.delete_strategy);
     for capacity in [None, Some(n.div_ceil(2)), Some(n.div_ceil(4)), Some(n.div_ceil(8))] {
-        let config = EngineConfig { queue_capacity: capacity, ..EngineConfig::default() };
-        let mut engine =
-            StreamingEngine::new(Workload::Sssp.instantiate(root), base.clone(), config);
-        let stats = engine.initial_compute();
+        let queue_bytes = capacity.map_or(u64::MAX, |c| c as u64 * jetstream.event_bytes);
+        let sim = SimConfig { queue_bytes, ..jetstream };
+        let report = AcceleratorSim::new(sim).replay(&trace, engine.csr());
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.3} |
-",
+            "| {} | {} | {} | {} | {:.3} | {:.3} |\n",
             capacity.map_or("unbounded".to_string(), |c| c.to_string()),
-            engine.num_slices(),
-            stats.events_processed,
-            stats.spilled_events,
-            stats.spilled_events as f64 / stats.events_generated.max(1) as f64,
+            sim.slices_for(n),
+            report.events_generated,
+            report.spilled_events,
+            report.spilled_events as f64 / report.events_generated.max(1) as f64,
+            report.time_ms(),
         ));
     }
     out
@@ -507,6 +507,28 @@ mod tests {
         let t4 = table4();
         assert!(t4.contains("Queue"));
         assert!(t4.contains("Total"));
+    }
+
+    // The ablation reports are markdown: prose wrapped without runs of
+    // spaces, no line indented (an indented table renders as code), and
+    // every table row with its header's cell count.
+    #[test]
+    fn ablation_reports_render_as_markdown_tables() {
+        let reports = [ablation_recovery(20_000).unwrap(), ablation_slicing(20_000)];
+        for report in &reports {
+            let mut header_cells = None;
+            for line in report.lines() {
+                assert!(!line.starts_with(char::is_whitespace), "indented: {line:?}");
+                assert!(!line.contains("   "), "a run of spaces: {line:?}");
+                if line.starts_with('|') {
+                    let cells = line.matches('|').count();
+                    assert_eq!(cells, *header_cells.get_or_insert(cells), "{line:?}");
+                } else {
+                    header_cells = None;
+                }
+            }
+            assert!(report.lines().filter(|l| l.starts_with('|')).count() > 3, "{report}");
+        }
     }
 
     #[test]

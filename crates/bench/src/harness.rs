@@ -224,6 +224,7 @@ fn merge_reports(mut acc: SimReport, r: SimReport) -> SimReport {
     acc.bytes_used += r.bytes_used;
     acc.events_processed += r.events_processed;
     acc.events_generated += r.events_generated;
+    acc.spilled_events += r.spilled_events;
     acc
 }
 
@@ -240,7 +241,6 @@ fn divide_stats(stats: &mut RunStats, n: u64) {
     stats.stream_reads /= n;
     stats.rounds /= n;
     stats.events_coalesced /= n;
-    stats.spilled_events /= n;
 }
 
 /// GraphPulse cold-start: apply the batch, then recompute the query from

@@ -7,7 +7,7 @@ use jetstream_graph::{Csr, CsrPair, VertexId};
 
 use crate::event::{Event, Row};
 use crate::flow::sealed::Drain;
-use crate::flow::{spills, Executor, FlowState, RunState, StreamingFlow};
+use crate::flow::{Executor, FlowState, RunState, StreamingFlow};
 use crate::kernel::{self, KernelCtx};
 use crate::queue::{CoalescingQueue, QueueStats};
 use crate::stats::RunStats;
@@ -148,11 +148,6 @@ pub struct EngineConfig {
     pub accumulative_recovery: AccumulativeRecovery,
     /// Number of queue bins (16 in the modelled hardware).
     pub num_bins: usize,
-    /// On-chip queue capacity in vertices. Graphs with more vertices are
-    /// processed in slices: the engine drains one slice's events at a
-    /// time, and events targeting an inactive slice are counted as spills
-    /// to off-chip memory (§4.7). `None` (the default) fits any graph.
-    pub queue_capacity: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -161,7 +156,6 @@ impl Default for EngineConfig {
             delete_strategy: DeleteStrategy::default(),
             accumulative_recovery: AccumulativeRecovery::default(),
             num_bins: 16,
-            queue_capacity: None,
         }
     }
 }
@@ -246,16 +240,10 @@ pub(crate) fn check_checkpoint_state(
 /// drained in canonical rounds on the calling thread.
 ///
 /// The reference the sharded executors are differentially tested against,
-/// and the only executor that records kernel operations into a [`Trace`]
-/// and models the §4.7 slice spills.
+/// and the only executor that records kernel operations into a [`Trace`].
 #[derive(Debug)]
 pub struct Sequential {
     queue: CoalescingQueue,
-    /// On-chip queue capacity in vertices ([`EngineConfig::queue_capacity`]).
-    queue_capacity: Option<usize>,
-    /// The slice width (`queue_capacity`) when the graph spans more than
-    /// one slice, so that emissions can spill (§4.7); `None` otherwise.
-    slice_cap: Option<usize>,
     /// Reusable round buffer for [`drain`](Drain::drain): grows to the
     /// high-water event count once, then steady-state drains allocate
     /// nothing.
@@ -264,21 +252,9 @@ pub struct Sequential {
 
 impl Sequential {
     fn new(csr: &CsrPair, config: &EngineConfig) -> Self {
-        let num_vertices = csr.out.num_vertices();
-        let mut exec = Sequential {
-            queue: CoalescingQueue::new(num_vertices, config.num_bins),
-            queue_capacity: config.queue_capacity,
-            slice_cap: None,
+        Sequential {
+            queue: CoalescingQueue::new(csr.out.num_vertices(), config.num_bins),
             round_scratch: Vec::new(),
-        };
-        exec.slice_cap = exec.queue_capacity.filter(|_| exec.num_slices(num_vertices) > 1);
-        exec
-    }
-
-    fn num_slices(&self, num_vertices: usize) -> usize {
-        match self.queue_capacity {
-            Some(cap) if cap > 0 => num_vertices.div_ceil(cap).max(1),
-            _ => 1,
         }
     }
 }
@@ -349,12 +325,6 @@ impl StreamingFlow<Sequential> {
         })
     }
 
-    /// Number of slices the graph is partitioned into (1 when it fits the
-    /// configured queue capacity).
-    pub fn num_slices(&self) -> usize {
-        self.exec.num_slices(self.values().len())
-    }
-
     /// Enables or disables operation tracing (for the cycle simulator).
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracer.set_enabled(enabled);
@@ -367,20 +337,14 @@ impl StreamingFlow<Sequential> {
 }
 
 impl Drain for Sequential {
-    fn slice_cap(&self) -> Option<usize> {
-        self.slice_cap
-    }
-
     fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {
         stats.events_generated += 1;
-        stats.spilled_events += spills(self.slice_cap, 0, &[ev.target]);
         self.queue.insert_with(ev, reduce);
     }
 
     // hot-path
     fn seed_row(&mut self, reduce: Reduce, stats: &mut RunStats, row: Row<'_>) {
         stats.events_generated += row.targets.len() as u64;
-        stats.spilled_events += spills(self.slice_cap, 0, row.targets);
         self.queue.insert_row(0, row, reduce);
     }
 
@@ -396,7 +360,7 @@ impl Drain for Sequential {
         // can coexist with the queue borrow below; it goes back at the
         // end, so the allocation survives across rounds and calls.
         let mut events = std::mem::take(&mut self.round_scratch);
-        let mut st = FlowState::new(run, cx.reduce, self.slice_cap, &mut self.queue);
+        let mut st = FlowState::new(run, cx.reduce, &mut self.queue);
         while !st.out.is_empty() {
             events.clear();
             st.out.take_all_into(&mut events);
@@ -450,26 +414,13 @@ mod tests {
         assert_eq!(labels, vec!["Base", "+VAP", "+DAP", "+restore"]);
     }
 
-    // Kills mutant jm-c20f87ae (`cap > 0` -> `cap >= 0` in `num_slices`):
-    // a zero capacity must fall back to a single slice, never reach the
-    // `div_ceil(0)` division.
-    #[test]
-    fn zero_queue_capacity_means_a_single_slice() {
-        let config = EngineConfig { queue_capacity: Some(0), ..EngineConfig::default() };
-        let mut e = StreamingEngine::new(Box::new(Sssp::new(0)), chain(), config);
-        assert_eq!(e.num_slices(), 1);
-        e.initial_compute();
-        assert_eq!(e.values(), &[0.0, 1.0, 3.0, 6.0]);
-    }
-
     // A row through `seed_row` is that row through `seed`, event by event:
-    // same resident events, same queue and run counters, same spills over
-    // three slices (targets 4.. lie outside slice 0, where seeds are
-    // issued from) — for regular rows and request rows alike.
+    // same resident events, same queue and run counters — for regular rows
+    // and request rows alike.
     #[test]
     fn seed_row_is_seed_event_by_event() {
         let csr = CsrPair::new(jetstream_graph::Csr::new(12));
-        let config = EngineConfig { num_bins: 4, queue_capacity: Some(4), ..Default::default() };
+        let config = EngineConfig { num_bins: 4, ..Default::default() };
         let (regular, request) =
             (|delta| Carry::Regular { delta, source: None }, |payload| Carry::Request { payload });
         let rows = [
@@ -489,7 +440,7 @@ mod tests {
                 by_event.seed(Reduce::Sum, &mut event_stats, ev);
             }
         }
-        let want = RunStats { events_generated: 13, spilled_events: 8, ..RunStats::default() };
+        let want = RunStats { events_generated: 13, ..RunStats::default() };
         assert_eq!(row_stats, want);
         assert_eq!(event_stats, want);
         assert_eq!(by_row.queue_stats(), by_event.queue_stats());

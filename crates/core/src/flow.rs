@@ -59,10 +59,6 @@ pub(crate) mod sealed {
     /// exported, so [`Executor`](super::Executor) cannot be implemented
     /// (or these methods called) downstream.
     pub trait Drain: std::fmt::Debug {
-        /// The §4.7 slice width when the executor models slices and the
-        /// graph spans more than one, so that emissions can spill; `None`
-        /// otherwise.
-        fn slice_cap(&self) -> Option<usize>;
         /// Queues one setup-phase event, counting it in `stats`; `reduce`
         /// is the algorithm's operator, should it coalesce.
         fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event);
@@ -432,8 +428,8 @@ impl<X: Executor> StreamingFlow<X> {
     /// Runs the seeded DAP delete wave on the active CSR, over the whole
     /// vectors, on this thread, whatever the executor.
     fn run_delete_wave(&mut self) {
-        let (cx, run, exec, wave) = self.lend();
-        wave.run(&cx, run, exec.slice_cap());
+        let (cx, run, _, wave) = self.lend();
+        wave.run(&cx, run);
     }
 
     /// Closes a run: reports the coalescing the queues did since
@@ -543,7 +539,7 @@ impl<X: Executor> StreamingFlow<X> {
             if let Some(payload) = payload {
                 let ev = Event::delete(u, v, payload);
                 if cx.dap_active {
-                    wave.seed(stats, exec.slice_cap(), ev);
+                    wave.seed(stats, ev);
                 } else {
                     exec.seed(*reduce, stats, ev);
                 }
@@ -589,51 +585,29 @@ impl<X: Executor> StreamingFlow<X> {
             ..
         } = self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        let restoring = cx.delete_strategy == DeleteStrategy::DapRestore;
-        if restoring {
+        if cx.delete_strategy == DeleteStrategy::DapRestore {
             restore.run(&cx, impacted, values, dependency, stats, tracer);
-        }
-        for (i, &x) in impacted.iter().enumerate() {
-            if values[ix(x)] != cx.identity {
-                continue; // restored: its scan is traced already
-            }
-            // The Leads-To parent the wave left is gone; recompute records
-            // the next one.
-            dependency[ix(x)] = None;
-            let targets_start = tracer.targets_start();
-            let mut count = 0;
-            let edges_read = if restoring {
-                let (read, pulled) = restore.pull(i, x);
-                if let Some(ev) = pulled {
-                    exec.seed(*reduce, stats, ev);
-                    tracer.push_targets(&[x]);
-                    count += 1;
-                }
-                read
-            } else {
+            restore.seed(&cx, impacted, values, dependency, tracer, |ev| {
+                exec.seed(*reduce, stats, ev)
+            });
+        } else {
+            for &x in impacted.iter() {
+                // The Leads-To parent the wave left is gone; recompute
+                // records the next one.
+                dependency[ix(x)] = None;
+                let targets_start = tracer.targets_start();
                 let sources = csr.inc.neighbor_targets(x);
                 stats.edge_reads += sources.len() as u64;
                 stats.request_events += sources.len() as u64;
                 let carry = Carry::Request { payload: cx.identity };
                 exec.seed_row(*reduce, stats, Row { targets: sources, carry });
                 tracer.push_targets(sources);
-                count += sources.len();
-                sources.len()
-            };
-            // Replay the initializer's contribution for the reset vertex:
-            // values seeded by InitialEvents() (the query root, CC
-            // self-labels) do not arrive over any edge, so neither
-            // requests nor a pull can restore them.
-            if let Some(seed) = alg.initial_event(x) {
-                exec.seed(*reduce, stats, Event::regular(x, seed));
-                tracer.push_targets(&[x]);
-                count += 1;
+                let replayed =
+                    replay_initializer(&cx, x, tracer, |ev| exec.seed(*reduce, stats, ev));
+                let generated = sources.len() + usize::from(replayed);
+                let op = setup_op(OpKind::RequestSetup, x, sources.len(), targets_start, generated);
+                tracer.push_op(op);
             }
-            let mut op = setup_op(OpKind::RequestSetup, x, edges_read, targets_start, count);
-            // A scan that seeds nothing still read its row; requests seed
-            // at least the row they read.
-            op.changed |= edges_read > 0;
-            tracer.push_op(op);
         }
         self.tracer.end_round();
     }
@@ -754,9 +728,9 @@ impl<X: Executor> StreamingFlow<X> {
 }
 
 /// The kernel's [`ExecState`] on the flow's thread: the flow's whole
-/// vectors, counters and tracer, and the §4.7 slice model, with `out`
-/// taking the emissions. The sequential executor drains its queue through
-/// it; the DAP [`DeleteWave`] runs its levels through it.
+/// vectors, counters and tracer, with `out` taking the emissions. The
+/// sequential executor drains its queue through it; the DAP [`DeleteWave`]
+/// runs its levels through it.
 pub(crate) struct FlowState<'a, O> {
     verts: VertexState<'a>,
     pub(crate) out: &'a mut O,
@@ -765,9 +739,6 @@ pub(crate) struct FlowState<'a, O> {
     impacted: &'a mut Vec<VertexId>,
     previous: &'a mut Vec<Value>,
     reduce: Reduce,
-    /// Slice width when the graph spans several slices (§4.7).
-    slice_cap: Option<usize>,
-    active_slice: usize,
 }
 
 /// Where a [`FlowState`] sends an emission once it has booked it.
@@ -792,25 +763,10 @@ impl Outlet for CoalescingQueue {
 
 impl<'a, O: Outlet> FlowState<'a, O> {
     /// Lends `run` to the kernel, with emissions going to `out`.
-    pub(crate) fn new(
-        run: RunState<'a>,
-        reduce: Reduce,
-        slice_cap: Option<usize>,
-        out: &'a mut O,
-    ) -> Self {
+    pub(crate) fn new(run: RunState<'a>, reduce: Reduce, out: &'a mut O) -> Self {
         let RunState { values, dependency, impacted, previous, stats, tracer } = run;
         let verts = VertexState { lo: 0, values, dependency };
-        FlowState {
-            verts,
-            out,
-            stats,
-            tracer,
-            impacted,
-            previous,
-            reduce,
-            slice_cap,
-            active_slice: 0,
-        }
+        FlowState { verts, out, stats, tracer, impacted, previous, reduce }
     }
 
     /// Closes a round: every processing lane has drained once (§4.3).
@@ -819,12 +775,11 @@ impl<'a, O: Outlet> FlowState<'a, O> {
         self.tracer.end_round();
     }
 
-    /// Books emissions to `targets` once: generated events, spills out of
-    /// the active slice, and the traced targets.
+    /// Books emissions to `targets` once: generated events and the traced
+    /// targets.
     #[inline]
     fn book_row(&mut self, targets: &[VertexId]) {
         self.stats.events_generated += targets.len() as u64;
-        self.stats.spilled_events += spills(self.slice_cap, self.active_slice, targets);
         self.tracer.push_targets(targets);
     }
 }
@@ -852,13 +807,6 @@ impl<'a, O: Outlet> ExecState<'a> for FlowState<'a, O> {
     fn emit_row(&mut self, row: Row<'_>) {
         self.book_row(row.targets);
         self.out.row(row, self.reduce);
-    }
-
-    #[inline(always)]
-    fn begin_event(&mut self, v: VertexId) {
-        if let Some(cap) = self.slice_cap {
-            self.active_slice = ix(v) / cap;
-        }
     }
 
     fn trace_targets_start(&mut self) -> u32 {
@@ -906,10 +854,9 @@ impl Outlet for Vec<VertexId> {
 
 impl DeleteWave {
     /// Queues a seeded delete for level 0, booked as an executor books a
-    /// seed: one generated event, and a spill if it leaves slice 0.
-    fn seed(&mut self, stats: &mut RunStats, slice_cap: Option<usize>, ev: Event) {
+    /// seed: one generated event.
+    fn seed(&mut self, stats: &mut RunStats, ev: Event) {
         stats.events_generated += 1;
-        stats.spilled_events += spills(slice_cap, 0, &[ev.target]);
         self.seeds.push(ev);
     }
 
@@ -917,9 +864,9 @@ impl DeleteWave {
     /// events through [`kernel::process_event`], every later level's rows
     /// through [`kernel::process_delete_row`].
     // hot-path
-    fn run(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>, slice_cap: Option<usize>) {
+    fn run(&mut self, cx: &KernelCtx<'_>, run: RunState<'_>) {
         let DeleteWave { seeds, next, level } = self;
-        let mut st = FlowState::new(run, cx.reduce, slice_cap, next);
+        let mut st = FlowState::new(run, cx.reduce, next);
         while !seeds.is_empty() || !st.out.is_empty() {
             std::mem::swap(level, st.out);
             for &ev in seeds.iter() {
@@ -935,15 +882,20 @@ impl DeleteWave {
     }
 }
 
-/// How many of `targets` lie outside the active slice — events the
-/// hardware would write to off-chip memory and read back (§4.7). `cap` is
-/// the slice width; `None` when the graph fits the queue, and then nothing
-/// spills.
-pub(crate) fn spills(cap: Option<usize>, active_slice: usize, targets: &[VertexId]) -> u64 {
-    match cap {
-        Some(cap) => targets.iter().filter(|&&v| ix(v) / cap != active_slice).count() as u64,
-        None => 0,
-    }
+/// Replays the initializer's contribution for the reset vertex `x`
+/// through `seed`, tracing its target: values seeded by `InitialEvents()`
+/// (the query root, CC self-labels) do not arrive over any edge, so
+/// neither requests nor a pull can restore them. True when it seeded.
+pub(crate) fn replay_initializer(
+    cx: &KernelCtx<'_>,
+    x: VertexId,
+    tracer: &mut TraceBuilder,
+    seed: impl FnOnce(Event),
+) -> bool {
+    let Some(value) = cx.alg.initial_event(x) else { return false };
+    seed(Event::regular(x, value));
+    tracer.push_targets(&[x]);
+    true
 }
 
 /// The traced form of one setup-phase op that read `edges_read` edges and

@@ -160,11 +160,6 @@ pub(crate) trait ExecState<'a> {
     /// [`Row::events`] had gone through [`emit`](ExecState::emit) in row
     /// order.
     fn emit_row(&mut self, row: Row<'_>);
-    /// An event for `v` is about to be applied: a sliced executor brings
-    /// `v`'s slice on-chip, so that emissions leaving it count as spills
-    /// (§4.7). A no-op for sharded workers, which model no slices.
-    #[inline(always)]
-    fn begin_event(&mut self, _v: VertexId) {}
     /// Tracing hooks; no-ops for sharded workers (tracing is a
     /// sequential-engine feature).
     fn trace_targets_start(&mut self) -> u32 {
@@ -177,7 +172,6 @@ pub(crate) trait ExecState<'a> {
 /// Applies one event (Algorithm 1 step, extended with the delete path of
 /// Algorithm 4).
 pub(crate) fn process_event<'a>(cx: &KernelCtx<'_>, st: &mut impl ExecState<'a>, ev: Event) {
-    st.begin_event(ev.target);
     if ev.is_delete {
         process_delete(cx, st, ev);
         return;
@@ -297,7 +291,6 @@ pub(crate) fn process_delete_row<'a>(
     stats.delete_events += arrivals;
     stats.vertex_reads += arrivals;
     for &v in targets {
-        st.begin_event(v);
         let verts = st.verts();
         let resets = dap_resets(cx, verts.dependency(v), Some(source), || verts.value(v));
         apply_delete(cx, st, v, resets);

@@ -550,8 +550,8 @@ impl CoalescingQueue {
 
     /// Drains all queued events whose target lies in `lo..hi` into `out`
     /// (appended in ascending vertex order), returning how many were
-    /// drained. Used for slice-by-slice draining when the graph exceeds the
-    /// queue capacity (§4.7).
+    /// drained: [`take_bin_into`](Self::take_bin_into) over any vertex
+    /// range.
     ///
     /// # Panics
     ///

@@ -12,8 +12,8 @@
 //! looked up at most once. The first valid source that supplies the
 //! vertex's previous value bit for bit hands that value back and becomes
 //! its Leads-To parent. Failing that, the scan records the best valid
-//! supply and its supplier, and request set-up seeds that one regular
-//! event ([`Restore::pull`]) instead of Algorithm 4's request events.
+//! supply and its supplier, and [`Restore::seed`] seeds that one regular
+//! event instead of Algorithm 4's request events.
 //! The closure covers what reset order misses, a supplier restored after
 //! its target was scanned: it walks the out-row of each restored vertex
 //! onto the vertices still at the identity, restoring those it supplies
@@ -30,6 +30,7 @@ use jetstream_algorithms::{EdgeOp, Value};
 use jetstream_graph::{ix, vid, VertexId};
 
 use crate::event::Event;
+use crate::flow::replay_initializer;
 use crate::kernel::{self, KernelCtx};
 use crate::stats::RunStats;
 use crate::trace::{OpKind, TraceBuilder, TraceOp};
@@ -75,8 +76,8 @@ impl Restore {
     /// each that a valid source still supplies with its previous value and
     /// recording the best valid supply of the rest, then runs the closure.
     /// Books the reads in `stats` and traces each closure walk and each
-    /// restored vertex's scan; the caller traces the other scans with
-    /// their seeds.
+    /// restored vertex's scan; [`seed`](Self::seed) traces the other scans
+    /// with their seeds.
     pub(crate) fn run(
         &mut self,
         cx: &KernelCtx<'_>,
@@ -143,35 +144,55 @@ impl Restore {
                 }
             }
             stats.edge_reads += u64::from(examined);
-            tracer.push_op(read_op(OpKind::Apply, u, examined, tracer.targets_start()));
+            tracer.push_op(scan_op(OpKind::Apply, u, examined, tracer.targets_start(), 0));
         }
         stats.restored += walk.len() as u64;
         for (&v, pull) in impacted.iter().zip(pulls.iter()) {
             slot[ix(v)] = NO_RECORD;
             if values[ix(v)] != cx.identity {
-                let op = read_op(OpKind::RequestSetup, v, pull.read, tracer.targets_start());
+                let op = scan_op(OpKind::RequestSetup, v, pull.read, tracer.targets_start(), 0);
                 tracer.push_op(op);
             }
         }
         walk.clear();
     }
 
-    /// Request set-up by pull for `x`, the `i`th vertex of the impacted
-    /// list and still at the identity after [`run`](Self::run): the sources
-    /// the scan read for it, and its best valid supply as one regular
-    /// event from the supplier — `None` when no valid source supplies
-    /// anything.
+    /// Request set-up by pull, after [`run`](Self::run): for each vertex of
+    /// `impacted` still at the identity, in reset order, clears the
+    /// Leads-To parent the wave left, seeds its best valid supply through
+    /// `seed` as one regular event from the supplier (nothing when no valid
+    /// source supplies anything), replays the initializer, and traces its
+    /// scan with those seeds.
     ///
     /// It replaces Algorithm 4's request events, which make every
     /// in-neighbour re-send its whole out-row: a valid in-neighbour's value
     /// is the one it held at the last fixed point, so of that row only the
     /// edge into a reset vertex can change anything, and the scan and the
     /// closure offered that edge (DESIGN.md §3.1).
-    pub(crate) fn pull(&self, i: usize, x: VertexId) -> (usize, Option<Event>) {
-        let Pull { best, from, read } = self.pulls[i];
-        let pulled = (from != NO_RECORD).then(|| Event::regular_from(from, x, best));
-        // A scan reads at most every other vertex: the count is in the id space.
-        (ix(read), pulled)
+    pub(crate) fn seed(
+        &self,
+        cx: &KernelCtx<'_>,
+        impacted: &[VertexId],
+        values: &[Value],
+        dependency: &mut [Option<VertexId>],
+        tracer: &mut TraceBuilder,
+        mut seed: impl FnMut(Event),
+    ) {
+        for (&x, &Pull { best, from, read }) in impacted.iter().zip(&self.pulls) {
+            if values[ix(x)] != cx.identity {
+                continue; // restored: `run` traced its scan
+            }
+            dependency[ix(x)] = None;
+            let targets_start = tracer.targets_start();
+            let pulled = from != NO_RECORD;
+            if pulled {
+                seed(Event::regular_from(from, x, best));
+                tracer.push_targets(&[x]);
+            }
+            let replayed = replay_initializer(cx, x, tracer, &mut seed);
+            let generated = u32::from(pulled) + u32::from(replayed);
+            tracer.push_op(scan_op(OpKind::RequestSetup, x, read, targets_start, generated));
+        }
     }
 }
 
@@ -202,11 +223,13 @@ fn offer(
     exact
 }
 
-/// The traced form of a closure walk or a restored vertex's scan, which
-/// read `edges_read` edges and emit nothing. It counts as changed when it
-/// read a row, so the replay charges the row's lines and the write-back.
-fn read_op(kind: OpKind, vertex: VertexId, edges_read: u32, targets_start: u32) -> TraceOp {
-    TraceOp { vertex, kind, changed: edges_read > 0, edges_read, targets_start, targets_len: 0 }
+/// The traced form of a closure walk or a scan, which read `edges_read`
+/// edges and seeded `seeded` events since `start`. It counts as changed
+/// when it read a row, so the replay charges the row's lines and the
+/// write-back, or seeded anything.
+fn scan_op(kind: OpKind, vertex: VertexId, edges_read: u32, start: u32, seeded: u32) -> TraceOp {
+    let changed = edges_read > 0 || seeded > 0;
+    TraceOp { vertex, kind, changed, edges_read, targets_start: start, targets_len: seeded }
 }
 
 #[cfg(test)]
@@ -218,15 +241,16 @@ mod tests {
 
     const INF: Value = Value::INFINITY;
 
-    /// Runs the step over `impacted` (with `previous`, in step) on the
-    /// SSSP graph of `edges`, and returns its counters.
+    /// Runs the step and its seeding over `impacted` (with `previous`, in
+    /// step) on the SSSP graph of `edges`, and returns its counters and the
+    /// events it seeded.
     fn run(
         edges: &[(VertexId, VertexId, Value)],
         impacted: &[VertexId],
         previous: &[Value],
         values: &mut [Value],
         dependency: &mut [Option<VertexId>],
-    ) -> (Restore, RunStats) {
+    ) -> (Restore, RunStats, Vec<Event>) {
         let csr = CsrPair::new(Csr::from_edges(values.len(), edges));
         let sssp = Sssp::new(0);
         let cx = KernelCtx::new(&sssp, &csr, DeleteStrategy::DapRestore);
@@ -234,7 +258,14 @@ mod tests {
         let mut stats = RunStats::default();
         let mut tracer = TraceBuilder::default();
         restore.run(&cx, impacted, values, dependency, &mut stats, &mut tracer);
-        (restore, stats)
+        let mut seeded = Vec::new();
+        restore.seed(&cx, impacted, values, dependency, &mut tracer, |ev| seeded.push(ev));
+        (restore, stats, seeded)
+    }
+
+    /// The sources the scan read for the `i`th impacted vertex.
+    fn read(restore: &Restore, i: usize) -> u32 {
+        restore.pulls[i].read
     }
 
     // Vertex 9 held 1.0, and its old parent 7's edge is the deleted one.
@@ -253,14 +284,17 @@ mod tests {
         let mut values = [0.0, INF, 1.0, 3.0, 1.0, 0.5, 0.5, 0.0, INF, INF];
         let mut dependency = [None; 10];
         dependency[9] = Some(7);
-        let (restore, stats) = run(&edges, &[9], &[1.0], &mut values, &mut dependency);
-        assert_eq!(restore.pull(0, 9), (7, Some(Event::regular_from(5, 9, 1.5))));
+        let (restore, stats, seeded) = run(&edges, &[9], &[1.0], &mut values, &mut dependency);
+        assert_eq!(seeded, [Event::regular_from(5, 9, 1.5)]);
+        assert_eq!(read(&restore, 0), 7);
         assert_eq!((stats.vertex_reads, stats.edge_reads, stats.restored), (7, 7, 0));
         assert_eq!(values[9], INF, "nothing is written to a vertex left to the pull");
+        assert_eq!(dependency[9], None, "the seeding clears the old parent");
         // A vertex whose sources are all reset pulls nothing.
         values[2..7].fill(INF);
-        let (restore, _) = run(&edges, &[9], &[1.0], &mut values, &mut dependency);
-        assert_eq!(restore.pull(0, 9), (7, None));
+        dependency[9] = Some(7);
+        let (restore, _, seeded) = run(&edges, &[9], &[1.0], &mut values, &mut dependency);
+        assert_eq!((read(&restore, 0), seeded), (7, Vec::new()));
     }
 
     // Reset order scans 1 (old parent 3) before 2, its only supplier, so
@@ -276,15 +310,14 @@ mod tests {
         let edges = [(0, 2, 1.0), (0, 3, 1.0), (2, 1, 1.0), (3, 4, 1.0)];
         let mut values = [0.0, INF, INF, INF, 2.0];
         let mut dependency = [None, Some(3), Some(0), Some(0), Some(3)];
-        let (restore, stats) =
+        let (restore, stats, seeded) =
             run(&edges, &[1, 2, 3], &[2.0, 1.0, 1.0], &mut values, &mut dependency);
         assert_eq!(values, [0.0, 2.0, 1.0, 1.0, 2.0]);
         assert_eq!(dependency, [None, Some(2), Some(0), Some(0), Some(3)]);
         // Scans of two sources, one and one, and one closure edge.
         let counters = (stats.vertex_reads, stats.edge_reads, stats.vertex_writes, stats.restored);
         assert_eq!(counters, (5, 5, 3, 3));
-        for (i, (v, read)) in [(1, 2), (2, 1), (3, 1)].into_iter().enumerate() {
-            assert_eq!(restore.pull(i, v), (read, None), "a restored vertex pulls nothing");
-        }
+        assert_eq!([0, 1, 2].map(|i| read(&restore, i)), [2, 1, 1]);
+        assert!(seeded.is_empty(), "a restored vertex pulls nothing");
     }
 }

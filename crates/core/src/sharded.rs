@@ -23,8 +23,6 @@
 //!
 //! # Divergences from [`StreamingEngine`]
 //!
-//! * `queue_capacity` slicing (§4.7 spill accounting) is not modelled:
-//!   `spilled_events` is always 0. Shards *are* the slicing.
 //! * Kernel operations are not traced (traces are consumed by the cycle
 //!   simulator, which models the sequential schedule).
 //! * A Tag or VAP delete wave drains on the workers, so `last_impacted`
@@ -379,11 +377,6 @@ impl StreamingFlow<Sharded> {
 }
 
 impl Drain for Sharded {
-    /// Shards model no slices.
-    fn slice_cap(&self) -> Option<usize> {
-        None
-    }
-
     /// Folds a setup-phase event from the coordinator straight into its
     /// owner's queue, in the owner's local coordinates.
     fn seed(&mut self, reduce: Reduce, stats: &mut RunStats, ev: Event) {

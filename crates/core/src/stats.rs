@@ -65,9 +65,10 @@ pub struct RunStats {
     pub rounds: u64,
     /// Events that coalesced into an existing queue slot.
     pub events_coalesced: u64,
-    /// Events generated for a vertex outside the active slice (written to
-    /// and read back from off-chip memory, §4.7). Zero when the graph fits
-    /// the queue.
+    /// Always 0: the engine models no §4.7 slices; the cycle simulator
+    /// counts cross-slice spills (`SimReport::spilled_events` in
+    /// `jetstream-sim`). Kept only because the benchmark's ledger reads it
+    /// as `core.spilled_events_per_batch`.
     pub spilled_events: u64,
 }
 
@@ -97,7 +98,6 @@ impl AddAssign for RunStats {
         self.stream_reads += rhs.stream_reads;
         self.rounds += rhs.rounds;
         self.events_coalesced += rhs.events_coalesced;
-        self.spilled_events += rhs.spilled_events;
     }
 }
 

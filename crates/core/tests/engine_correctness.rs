@@ -717,42 +717,6 @@ fn classification_is_cheap_and_honest() {
     assert_eq!(tag.classify_delete(0, 99), UpdateSafety::Unsafe);
 }
 
-#[test]
-fn sliced_execution_matches_unsliced() {
-    // §4.7: graphs larger than the queue process slice by slice; the
-    // converged result must be identical, with spills accounted.
-    let g = gen::rmat(400, 2400, gen::RmatParams::default(), 81);
-    let batch = gen::batch_with_ratio(&g, 60, 0.7, 82);
-    for w in Workload::ALL {
-        for strategy in DeleteStrategy::ALL {
-            let mut unsliced = engine_for(w, g.clone(), strategy, 0);
-            unsliced.initial_compute();
-            unsliced.apply_update_batch(&batch).unwrap();
-
-            let config = EngineConfig {
-                delete_strategy: strategy,
-                queue_capacity: Some(64), // 400 vertices -> 7 slices
-                ..EngineConfig::default()
-            };
-            let mut sliced = StreamingEngine::new(w.instantiate(0), g.clone(), config);
-            assert_eq!(sliced.num_slices(), 7);
-            let init = sliced.initial_compute();
-            assert!(
-                init.spilled_events > 0,
-                "{} ({strategy:?}): cross-slice events must spill",
-                w.name()
-            );
-            sliced.apply_update_batch(&batch).unwrap();
-
-            assert!(
-                oracle::values_match_tol(sliced.values(), unsliced.values(), tolerance(w)),
-                "{} ({strategy:?}): sliced execution diverged",
-                w.name()
-            );
-        }
-    }
-}
-
 /// 12 vertices with the row shapes the kernel's emission has to get right:
 /// a hub (0, out-degree 11), a sink (11, empty row) and a two-cycle
 /// (3 <-> 4) whose rows feed each other — the nearest thing to a self-loop,
@@ -855,8 +819,6 @@ struct Golden {
     targets: usize,
     digest: u64,
     impacted: &'static [VertexId],
-    /// `spilled_events` of the same two runs under `queue_capacity = n / 3`.
-    spilled: (u64, u64),
     /// FNV-1a over the `to_bits` of every final value (captured at
     /// 56abb9f for every row).
     values: u64,
@@ -874,12 +836,8 @@ fn check_golden(
     want: &Golden,
 ) {
     let label = format!("{} ({strategy:?}, {recovery:?})", workload.name());
-    let config = EngineConfig {
-        delete_strategy: strategy,
-        accumulative_recovery: recovery,
-        num_bins: 4,
-        ..EngineConfig::default()
-    };
+    let config =
+        EngineConfig { delete_strategy: strategy, accumulative_recovery: recovery, num_bins: 4 };
     let mut engine = StreamingEngine::new(workload.instantiate(0), graph(), config);
     engine.set_tracing(true);
     let initial = engine.initial_compute();
@@ -892,21 +850,11 @@ fn check_golden(
     assert_eq!(trace_digest(&trace), want.digest, "{label}: trace digest");
     assert_eq!(engine.last_impacted(), want.impacted, "{label}: impacted order");
     assert_eq!(values_digest(engine.values()), want.values, "{label}: values digest");
-
-    let config = EngineConfig { queue_capacity: Some(4), ..config }; // 12 vertices -> 3 slices
-    let mut sliced = StreamingEngine::new(workload.instantiate(0), graph(), config);
-    assert_eq!(sliced.num_slices(), 3);
-    let spilled = (
-        sliced.initial_compute().spilled_events,
-        sliced.apply_update_batch(&hub_loop_sink_batch()).unwrap().spilled_events,
-    );
-    assert_eq!(spilled, want.spilled, "{label}: spilled events over 3 slices");
-    assert_eq!(sliced.values(), engine.values(), "{label}: slicing changed values");
 }
 
 // Values captured at d73234a, where the kernel emitted one event per edge
 // through `ExecState::emit`: row emission must not move a single op,
-// target, counter or spill. `Dap` is the paper's DAP, with no restore
+// target or counter. `Dap` is the paper's DAP, with no restore
 // step: the two DAP rows that reset a vertex (BFS and SSSP, vertex 5)
 // trace exactly what they traced before the restore extension existed.
 #[test]
@@ -943,7 +891,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 1496,
             digest: 0xf19e_d9ab_1887_7590,
             impacted: &[],
-            spilled: (585, 291),
             values: 0xfe08_319d_27a6_2ed6,
         },
     );
@@ -980,7 +927,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 39,
             digest: 0xa557_dc20_9c7b_5076,
             impacted: &[5],
-            spilled: (14, 9),
             values: 0xf9f5_2798_ea57_2ac5,
         },
     );
@@ -1018,7 +964,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 152,
             digest: 0x6450_9f73_4dc3_e37c,
             impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
-            spilled: (28, 57),
             values: 0x0243_cfa8_4518_5aa5,
         },
     ); // The accumulative set-up's other two shapes, captured at 56abb9f,
@@ -1057,7 +1002,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 1512,
             digest: 0x8ecd_36c5_0a8f_872d,
             impacted: &[],
-            spilled: (593, 293),
             values: 0xb85c_4495_acf2_7ea8,
         },
     );
@@ -1092,7 +1036,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 1456,
             digest: 0x2943_349e_0f6a_daf9,
             impacted: &[],
-            spilled: (585, 265),
             values: 0x553a_a10d_16d3_6e27,
         },
     );
@@ -1135,7 +1078,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 46,
             digest: 0x17bc_edac_d6a4_4ad1,
             impacted: &[5],
-            spilled: (17, 9),
             values: 0x2916_0406_f336_7455,
         },
     );
@@ -1173,7 +1115,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 104,
             digest: 0xabd6_2317_8117_9679,
             impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
-            spilled: (15, 41),
             values: 0x61bd_04d9_c85e_70d8,
         },
     );
@@ -1210,7 +1151,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 46,
             digest: 0xc470_ea6b_5030_1157,
             impacted: &[5],
-            spilled: (17, 9),
             values: 0x2916_0406_f336_7455,
         },
     );
@@ -1248,7 +1188,6 @@ fn row_emission_reproduces_the_per_edge_trace_and_stats() {
             targets: 101,
             digest: 0x323d_4350_2434_f1df,
             impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
-            spilled: (14, 41),
             values: 0xf9f5_2798_ea57_2ac5,
         },
     );
@@ -1296,7 +1235,6 @@ fn vap_reset_guard_reproduces_the_hand_written_comparisons() {
             targets: 52,
             digest: 0x4a2f_1830_220f_7339,
             impacted: &[3, 8],
-            spilled: (15, 16),
             values: 0x61bd_04d9_c85e_70d8,
         },
     );
@@ -1334,7 +1272,6 @@ fn vap_reset_guard_reproduces_the_hand_written_comparisons() {
             targets: 152,
             digest: 0x6450_9f73_4dc3_e37c,
             impacted: &[3, 5, 8, 0, 1, 4, 6, 2, 7, 9, 10, 11],
-            spilled: (28, 57),
             values: 0x0243_cfa8_4518_5aa5,
         },
     );
@@ -1613,46 +1550,46 @@ fn dap_with_restore_pulls_one_supply_per_still_reset_vertex() {
     assert!(pulled > 0, "nothing pulled");
 }
 
-/// What [`a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets`]
-/// pins for one workload over its four batches: `(trace digest,
-/// spilled_events, resets, FNV-1a over every batch's last_impacted, values
-/// digest, rounds of the deepest delete propagation)`.
-type Wave = (u64, u64, u64, u64, u64, usize);
+/// What [`a_dap_delete_wave_keeps_its_trace_and_resets`] pins for one
+/// workload over its four batches: `(trace digest, resets, FNV-1a over
+/// every batch's last_impacted, values digest, rounds of the deepest
+/// delete propagation)`.
+type Wave = (u64, u64, u64, u64, usize);
 
 /// [`Wave`]s per graph, for each of [`Workload::SELECTIVE`].
-const SLICED_DAP_WAVES: [[Wave; 4]; 2] = [
+const DAP_WAVES: [[Wave; 4]; 2] = [
     [
-        (0x2e6c_2050_30b3_2f01, 133, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
-        (0xc587_640f_74e9_42f3, 326, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
-        (0x635f_226c_e9c2_f2a6, 213, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
-        (0xa141_f588_8074_f494, 112, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
+        (0x2e6c_2050_30b3_2f01, 8, 0x0312_8c32_5b6e_52d2, 0xdcee_2f76_1159_9224, 4),
+        (0xc587_640f_74e9_42f3, 17, 0xb69c_d6dd_834d_74df, 0xbd31_c1a5_dbfa_7fa4, 5),
+        (0x635f_226c_e9c2_f2a6, 10, 0x3730_2497_ee97_b3f3, 0x872b_3cdd_aede_d5d8, 3),
+        (0xa141_f588_8074_f494, 10, 0x3730_2497_ee97_b3f3, 0x47de_2f85_49a7_4913, 3),
     ],
     [
-        (0xca13_9aea_48b5_d2f4, 121, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
-        (0xe81f_8bc2_ea1e_e8f9, 588, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
-        (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0xd01d_86bc_551c_c6df, 5),
-        (0x6c1b_c82f_1f07_9e72, 102, 11, 0xcb92_f639_49b9_1c4b, 0x2135_b6a0_21db_1a46, 5),
+        (0xca13_9aea_48b5_d2f4, 12, 0x4bbf_ee86_895c_8050, 0x4923_bc45_3561_b1f7, 5),
+        (0xe81f_8bc2_ea1e_e8f9, 129, 0xc55a_3703_a101_c535, 0x9e48_5611_4401_e56e, 12),
+        (0x6c1b_c82f_1f07_9e72, 11, 0xcb92_f639_49b9_1c4b, 0xd01d_86bc_551c_c6df, 5),
+        (0x6c1b_c82f_1f07_9e72, 11, 0xcb92_f639_49b9_1c4b, 0x2135_b6a0_21db_1a46, 5),
     ],
 ];
 
 // Every selective workload under DAP with restore on an R-MAT graph and a
-// Wikipedia-profile graph, each cut into three slices (§4.7) and traced
-// over four churn batches: delete waves several rounds deep whose rows
-// cross slices. Captured at 1ba9b5d, where the wave's delete events went
-// one by one through the queue's overflow: the trace, the spills out of
-// the active slice, the resets and their order, and the values must not
-// move however the wave is scheduled. The traces and spills were re-pinned
-// when request set-up became a pull, and the traces again when the restore
-// step and the pull became one scan; resets, their order and the values
-// did not move.
+// Wikipedia-profile graph, traced over four churn batches: delete waves
+// several rounds deep. Captured at 1ba9b5d, where the wave's delete
+// events went one by one through the queue's overflow: the trace, the
+// resets and their order, and the values must not move however the wave
+// is scheduled. The traces were re-pinned when request set-up became a
+// pull, and again when the restore step and the pull became one scan;
+// resets, their order and the values did not move. The cycle simulator's
+// §4.7 spill count on the SSSP trace is pinned in `jetstream-sim`'s
+// `model_properties`.
 #[test]
-fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
+fn a_dap_delete_wave_keeps_its_trace_and_resets() {
     use jetstream_core::Phase;
     let graphs = [
         ("rmat", gen::rmat(600, 4800, gen::RmatParams::default(), 91)),
         ("wikipedia", gen::DatasetProfile::Wikipedia.generate(10_000)),
     ];
-    for ((name, full), wants) in graphs.into_iter().zip(SLICED_DAP_WAVES) {
+    for ((name, full), wants) in graphs.into_iter().zip(DAP_WAVES) {
         for (workload, want) in Workload::SELECTIVE.into_iter().zip(wants) {
             let label = format!("{} on {name}", workload.name());
             let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
@@ -1660,17 +1597,14 @@ fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
             let config = EngineConfig {
                 delete_strategy: DeleteStrategy::DapRestore,
                 num_bins: 4,
-                queue_capacity: Some(base.num_vertices().div_ceil(3)),
                 ..EngineConfig::default()
             };
             let mut engine = StreamingEngine::new(workload.instantiate(0), base, config);
-            assert_eq!(engine.num_slices(), 3, "{label}");
             engine.initial_compute();
             engine.set_tracing(true);
-            let (mut spilled, mut resets, mut impacted) = (0, 0, FNV_OFFSET);
+            let (mut resets, mut impacted) = (0, FNV_OFFSET);
             for _ in 0..4 {
                 let stats = engine.apply_update_batch(&stream.next_batch(30, 0.5)).unwrap();
-                spilled += stats.spilled_events;
                 resets += stats.resets;
                 impacted =
                     engine.last_impacted().iter().fold(impacted, |h, &v| fnv1a(h, u64::from(v)));
@@ -1684,7 +1618,7 @@ fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
                 .max()
                 .unwrap_or(0);
             let values = values_digest(engine.values());
-            let got = (trace_digest(&trace), spilled, resets, impacted, values, deepest);
+            let got = (trace_digest(&trace), resets, impacted, values, deepest);
             assert_eq!(got, want, "{label}");
             assert!(deepest >= 3, "{label}: a delete wave several rounds deep");
             assert_eq!(engine.validate_converged(), Ok(()), "{label}");
@@ -1694,24 +1628,23 @@ fn a_sliced_dap_delete_wave_keeps_its_trace_spills_and_resets() {
 
 // Under DAP the flow runs the delete wave on the calling thread for both
 // executors, so from one converged state a sharded engine resets exactly
-// the sequential engine's vertices, in its order, with its delete events,
-// and books no spills (shards model no slices). Each batch remounts the
-// sharded engine on the sequential state: ties in a sharded recompute
-// leave a different Leads-To forest, which the next wave would walk.
+// the sequential engine's vertices, in its order, with its delete events.
+// Each batch remounts the sharded engine on the sequential state: ties in
+// a sharded recompute leave a different Leads-To forest, which the next
+// wave would walk.
 #[test]
 fn a_dap_delete_wave_is_one_wave_on_both_executors() {
     let full = gen::rmat(300, 2400, gen::RmatParams::default(), 91);
     let config = EngineConfig {
         delete_strategy: DeleteStrategy::Dap,
         num_bins: 4,
-        queue_capacity: Some(100),
         ..EngineConfig::default()
     };
     for w in Workload::SELECTIVE {
         let mut stream = gen::EdgeStream::new(&full, 0.1, 17);
         let mut seq = StreamingEngine::new(w.instantiate(0), stream.graph().clone(), config);
         seq.initial_compute();
-        let (mut unsorted, mut spilled) = (false, 0);
+        let mut unsorted = false;
         for i in 0..8 {
             let batch = stream.next_batch(30, 0.5);
             let state = (seq.graph().clone(), seq.values().to_vec(), seq.dependencies().to_vec());
@@ -1735,12 +1668,10 @@ fn a_dap_delete_wave_is_one_wave_on_both_executors() {
                     (want.resets, want.delete_events),
                     "{label}"
                 );
-                assert_eq!(got.spilled_events, 0, "{label}");
                 assert_eq!(value_bits(sharded.values()), value_bits(seq.values()), "{label}");
             }
             unsorted |= !seq.last_impacted().is_sorted();
-            spilled += want.spilled_events;
         }
-        assert!(unsorted && spilled > 0, "{}: no wave out of id order, or no spill", w.name());
+        assert!(unsorted, "{}: no wave out of id order", w.name());
     }
 }

@@ -7,9 +7,9 @@
 //! with breadth-first neighborhoods, which keeps most edges internal for the
 //! community-structured graphs JetStream targets.
 //!
-//! The module also builds the contiguous-range partitions the sharded engine
-//! uses for vertex ownership ([`Partition::contiguous`] and the
-//! degree-balanced [`Partition::contiguous_balanced`]): contiguous ranges
+//! The module also builds the contiguous-range partition the sharded engine
+//! uses for vertex ownership ([`Partition::contiguous_balanced`], balanced
+//! by degree): contiguous ranges
 //! let per-vertex state be split into disjoint mutable slices, one per
 //! worker, and model the paper's §4 partitioning of event queues across
 //! processing lanes.
@@ -40,31 +40,17 @@ impl Partition {
         Partition { slice_of: vec![0; num_vertices], num_slices: 1 }
     }
 
-    /// Splits `0..num_vertices` into `num_slices` contiguous ranges of
-    /// near-equal width (vertex `v` lands in slice `v / ceil(n / S)`).
+    /// Splits `0..n` into `num_slices` contiguous ranges balanced by
+    /// *degree* rather than by vertex count: slice boundaries are placed so
+    /// each range carries roughly `1/num_slices` of the total `degree + 1`
+    /// weight. On power-law graphs (where low vertex ids concentrate the
+    /// hubs) this evens out per-shard event-processing work, which a split
+    /// by vertex count cannot.
     ///
     /// Contiguity is what the sharded engine needs for vertex ownership:
     /// [`contiguous_ranges`](Partition::contiguous_ranges) on the result is
     /// always `Some`. When `num_slices > num_vertices`, trailing slices are
     /// empty but still counted by [`num_slices`](Partition::num_slices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_slices` is zero.
-    pub fn contiguous(num_vertices: usize, num_slices: u32) -> Self {
-        assert!(num_slices > 0, "need at least one slice");
-        let width = num_vertices.div_ceil(ix(num_slices)).max(1);
-        let slice_of =
-            (0..num_vertices).map(|v| ((v / width) as u32).min(num_slices - 1)).collect(); // cast-ok: v / width < num_slices, which is a u32
-        Partition { slice_of, num_slices }
-    }
-
-    /// Splits `0..n` into `num_slices` contiguous ranges balanced by
-    /// *degree* rather than by vertex count: slice boundaries are placed so
-    /// each range carries roughly `1/num_slices` of the total `degree + 1`
-    /// weight. On power-law graphs (where low vertex ids concentrate the
-    /// hubs) this evens out per-shard event-processing work, which a plain
-    /// [`contiguous`](Partition::contiguous) split cannot.
     ///
     /// # Panics
     ///
@@ -363,9 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_covers_all_vertices_in_ranges() {
+    fn contiguous_balanced_covers_all_vertices_in_ranges() {
         for (n, s) in [(10usize, 3u32), (10, 1), (10, 10), (3, 8), (0, 2)] {
-            let p = Partition::contiguous(n, s);
+            let p = Partition::contiguous_balanced(&Csr::new(n), s);
             assert_eq!(p.validate(), Ok(()), "n = {n}, slices = {s}");
             assert_eq!(p.num_slices(), s);
             let ranges = p.contiguous_ranges().unwrap_or_default();

@@ -40,6 +40,10 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Events generated (crossbar traversals).
     pub events_generated: u64,
+    /// Generated events whose target lies in another slice than their
+    /// source (§4.7): each is written to off-chip memory and read back
+    /// when its slice activates. Zero when the graph fits one slice.
+    pub spilled_events: u64,
 }
 
 impl SimReport {
@@ -154,6 +158,7 @@ impl AcceleratorSim {
             bytes_used: 0,
             events_processed: 0,
             events_generated: 0,
+            spilled_events: 0,
             stream_cursor: mem.stream_base,
             spill_cursor: mem.spill_base,
         };
@@ -170,6 +175,7 @@ impl AcceleratorSim {
             bytes_used: state.bytes_used,
             events_processed: state.events_processed,
             events_generated: state.events_generated,
+            spilled_events: state.spilled_events,
         }
     }
 
@@ -323,6 +329,7 @@ impl AcceleratorSim {
                 dram.access(addr, round_end, false);
             }
             state.spill_cursor += spill_lines * LINE_BYTES;
+            state.spilled_events += round_spills;
         }
         state.cycle = round_end + cfg.round_barrier_cycles;
     }
@@ -338,6 +345,7 @@ struct ReplayState {
     bytes_used: u64,
     events_processed: u64,
     events_generated: u64,
+    spilled_events: u64,
     stream_cursor: u64,
     spill_cursor: u64,
 }

@@ -82,31 +82,13 @@ pub enum AccumulativeRecovery {
     Coalesced,
 }
 
-/// RisGraph-style admission classification of a single streaming update
-/// against the engine's converged state (see PAPERS.md: RisGraph classifies
-/// updates as *safe* — applicable without rescheduling a full incremental
-/// re-evaluation — vs *unsafe*).
-///
-/// The classification is a pre-check, not a semantic change: applying a
-/// safe update through the full [`StreamingFlow::apply_update_batch`]
-/// machinery produces bit-identical values — the delete wave provably
-/// resets nothing — so [`StreamingFlow::apply_admitted_batch`] may skip
-/// scheduling it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateSafety {
-    /// The update cannot invalidate any converged value: a monotone
-    /// insertion (it can only improve targets through the normal insert
-    /// flow), or a deletion of an edge the dependence tree does not use.
-    Safe,
-    /// The update may force resets and re-approximation: a deletion of a
-    /// `Leads-To` tree edge, or any update under a configuration where the
-    /// dependence tree is not maintained (non-DAP, accumulative).
-    Unsafe,
-}
-
-/// Per-batch tally of [`UpdateSafety`] classifications, computed by
+/// Per-batch RisGraph-style safe/unsafe tally (see PAPERS.md: RisGraph
+/// classifies updates as *safe*, applicable without rescheduling a full
+/// incremental re-evaluation, vs *unsafe*), computed by
 /// [`StreamingFlow::classify_batch`] against the pre-batch converged
-/// state.
+/// state. It is a report, not a path: every batch runs the one flow of
+/// [`StreamingFlow::apply_update_batch`], and on a safe update that flow
+/// resets nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchClassification {
     /// Insertions classified safe (selective algorithms: all of them).
@@ -131,10 +113,9 @@ impl BatchClassification {
         self.unsafe_inserts + self.unsafe_deletes
     }
 
-    /// True when the batch has deletions, all provably safe (so DAP is
-    /// active): [`StreamingFlow::apply_admitted_batch`] skips the delete
-    /// phases wholesale.
-    pub fn skips_delete_phases(&self) -> bool {
+    /// True when the batch has deletions and every one classified safe
+    /// (so DAP is active): its delete phases reset nothing.
+    pub fn has_only_safe_deletes(&self) -> bool {
         self.unsafe_deletes == 0 && self.safe_deletes > 0
     }
 }

@@ -26,7 +26,7 @@ use jetstream_graph::{ix, vid, CheckedBatch, Csr, CsrPair, GraphError, UpdateBat
 
 use crate::engine::{
     check_checkpoint_state, AccumulativeRecovery, BatchClassification, CheckpointError,
-    DeleteStrategy, EngineConfig, UpdateSafety,
+    DeleteStrategy, EngineConfig,
 };
 use crate::event::{Carry, Event, Row};
 use crate::kernel::{self, ExecState, KernelCtx, VertexState};
@@ -256,7 +256,13 @@ impl<X: Executor> StreamingFlow<X> {
     /// Returns a [`GraphError`] when the batch is invalid against the
     /// current graph version (the graph and query state are unchanged).
     pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
-        self.stream_batch(batch, false)
+        self.stats = RunStats::default();
+        let coalesced_before = self.exec.queue_stats().coalesced;
+        match self.alg.kind() {
+            UpdateKind::Selective => self.stream_selective(batch)?,
+            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
+        }
+        Ok(self.finish_run(coalesced_before))
     }
 
     /// Checks the engine's cross-structure invariants after a completed
@@ -289,88 +295,46 @@ impl<X: Executor> StreamingFlow<X> {
         kernel::validate_converged_values(&self.cx(), &self.values, &self.dependency)
     }
 
-    /// Classifies a single insertion against the converged state.
+    /// Tallies the batch's updates safe or unsafe against the *pre-batch*
+    /// converged state: the RisGraph safe/unsafe pre-check (PAPERS.md),
+    /// realized on JetStream's dependence tree (§5.2). A report only: the
+    /// batch still runs the one flow of
+    /// [`apply_update_batch`](Self::apply_update_batch).
     ///
     /// Selective (monotone) algorithms admit any insertion safely: the new
-    /// edge can only *improve* its target, which the ordinary insert flow
-    /// handles without delete recovery. Accumulative algorithms are always
+    /// edge can only *improve* its target. Accumulative insertions are
     /// unsafe: an out-edge changes the source's contribution factor
     /// (`1/deg` or `w/wsum`), forcing the rollback/replay waves of Fig. 5.
-    pub fn classify_insert(&self) -> UpdateSafety {
-        match self.alg.kind() {
-            UpdateKind::Selective => UpdateSafety::Safe,
-            UpdateKind::Accumulative => UpdateSafety::Unsafe,
-        }
-    }
-
-    /// Classifies a single deletion against the converged state: the
-    /// RisGraph safe/unsafe pre-check, realized on JetStream's dependence
-    /// tree (§5.2). Under DAP, deleting `u -> v` is safe exactly when the
-    /// kernel's reset guard would not reset `v` on a delete event from `u`:
-    /// readable in O(1) *before* the batch is scheduled, and then provably a
-    /// no-op for the query state.
-    ///
-    /// Anything that cannot be proven safe — a tree-edge delete, a non-DAP
-    /// strategy, an accumulative algorithm, an out-of-range id (left for
-    /// the apply path to reject with a typed error) — is `Unsafe`.
-    pub fn classify_delete(&self, source: VertexId, target: VertexId) -> UpdateSafety {
-        let cx = self.cx();
-        match (self.values.get(ix(target)), self.dependency.get(ix(target))) {
-            (Some(&value), Some(&dependency))
-                if cx.dap_active
-                    && !kernel::dap_resets(&cx, dependency, Some(source), || value) =>
-            {
-                UpdateSafety::Safe
-            }
-            _ => UpdateSafety::Unsafe,
-        }
-    }
-
-    /// Tallies [`classify_insert`](Self::classify_insert) and
-    /// [`classify_delete`](Self::classify_delete) over a whole batch
-    /// against the *pre-batch* converged state.
+    /// Deleting `u -> v` is safe exactly when DAP is active, both endpoints
+    /// are in range, and the kernel's reset guard would not reset `v` on a
+    /// delete event from `u`: read in O(1) per deletion.
     ///
     /// The tally stays valid for every deletion in the batch even though
     /// they apply together: a safe deletion resets nothing, so it cannot
     /// flip another deletion's classification mid-batch.
     pub fn classify_batch(&self, batch: &UpdateBatch) -> BatchClassification {
-        let mut class = BatchClassification::default();
-        match self.classify_insert() {
-            UpdateSafety::Safe => class.safe_inserts = batch.insertions().len(),
-            UpdateSafety::Unsafe => class.unsafe_inserts = batch.insertions().len(),
+        let cx = self.cx();
+        let in_range = |x: VertexId| ix(x) < self.values.len();
+        let safe_deletes = batch
+            .deletions()
+            .iter()
+            .filter(|&&(u, v)| {
+                cx.dap_active
+                    && in_range(u)
+                    && in_range(v)
+                    && !kernel::dap_resets(&cx, self.dependency[ix(v)], Some(u), || {
+                        self.values[ix(v)]
+                    })
+            })
+            .count();
+        let inserts = batch.insertions().len();
+        let selective = self.alg.kind() == UpdateKind::Selective;
+        BatchClassification {
+            safe_inserts: if selective { inserts } else { 0 },
+            unsafe_inserts: if selective { 0 } else { inserts },
+            safe_deletes,
+            unsafe_deletes: batch.deletions().len() - safe_deletes,
         }
-        for &(u, v) in batch.deletions() {
-            match self.classify_delete(u, v) {
-                UpdateSafety::Safe => class.safe_deletes += 1,
-                UpdateSafety::Unsafe => class.unsafe_deletes += 1,
-            }
-        }
-        class
-    }
-
-    /// Applies a streaming batch through the admission pre-check: when
-    /// every deletion is provably safe (DAP, non-tree edges;
-    /// [`BatchClassification::skips_delete_phases`]), the delete
-    /// setup/propagation/re-approximation phases are skipped entirely and
-    /// only the insert flow runs — the RisGraph-style fast path for
-    /// monotone-safe updates. Otherwise this is exactly
-    /// [`apply_update_batch`](Self::apply_update_batch).
-    ///
-    /// Values, dependencies, and the impacted set are bit-identical to the
-    /// full path either way (the skipped delete wave is a proven no-op on
-    /// all three); [`RunStats`] and queue statistics reflect the work
-    /// actually performed, so the fast path reports fewer events.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] when the batch is invalid against the
-    /// current graph version (the graph and query state are unchanged).
-    pub fn apply_admitted_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(RunStats, BatchClassification), GraphError> {
-        let class = self.classify_batch(batch);
-        self.stream_batch(batch, class.skips_delete_phases()).map(|stats| (stats, class))
     }
 
     /// Applies the batch and recomputes from scratch — the GraphPulse
@@ -442,32 +406,11 @@ impl<X: Executor> StreamingFlow<X> {
         self.stats
     }
 
-    /// One streaming batch through the flow of the algorithm's family;
-    /// `skip_deletes` is the admitted fast path's proof that the selective
-    /// delete phases are no-ops.
-    fn stream_batch(
-        &mut self,
-        batch: &UpdateBatch,
-        skip_deletes: bool,
-    ) -> Result<RunStats, GraphError> {
-        self.stats = RunStats::default();
-        let coalesced_before = self.exec.queue_stats().coalesced;
-        match self.alg.kind() {
-            UpdateKind::Selective => self.stream_selective(batch, skip_deletes)?,
-            UpdateKind::Accumulative => self.stream_accumulative(batch)?,
-        }
-        Ok(self.finish_run(coalesced_before))
-    }
-
     // ------------------------------------------------------------------
     // Selective (monotonic) streaming flow — Algorithms 4 & 5
     // ------------------------------------------------------------------
 
-    fn stream_selective(
-        &mut self,
-        batch: &UpdateBatch,
-        skip_deletes: bool,
-    ) -> Result<(), GraphError> {
+    fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
         // The whole batch is validated first, once; nothing is seeded for a
         // rejected one. The delete phase runs on the old graph (the batch
         // is committed only after recovery), which is also where VAP reads
@@ -475,12 +418,7 @@ impl<X: Executor> StreamingFlow<X> {
         let checked = self.csr.out.check_batch(batch)?;
         self.impacted.clear();
         self.restore.previous.clear();
-        if skip_deletes {
-            // Classification proved phases 1–3 no-ops.
-            self.csr.commit(checked);
-        } else {
-            self.recover_deletes(batch, checked);
-        }
+        self.recover_deletes(batch, checked);
 
         // Phase 4 — stream inserted edges into regular events
         // (Algorithm 2); they coalesce with pending request events.

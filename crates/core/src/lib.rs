@@ -56,7 +56,7 @@ pub mod trace;
 
 pub use engine::{
     AccumulativeRecovery, BatchClassification, CheckpointError, DeleteStrategy, EngineConfig,
-    Sequential, StreamingEngine, UpdateSafety,
+    Sequential, StreamingEngine,
 };
 pub use event::{Carry, Event, Row};
 pub use flow::{Executor, StreamingFlow};

@@ -12,7 +12,7 @@
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
 use jetstream_core::{
     AccumulativeRecovery, DeleteStrategy, EngineConfig, Executor, ShardedEngine, StreamingEngine,
-    StreamingFlow, UpdateSafety,
+    StreamingFlow,
 };
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch, VertexId};
 use jetstream_testkit::EdgeModel;
@@ -448,20 +448,12 @@ fn assert_rejections_leave_no_trace<X: Executor>(
     };
     let before = observe(&engine);
     let (u, v, _) = g.iter_edges().next().unwrap();
-    // A deletion the converged state proves safe (when it can prove any),
-    // so a rejected batch also reaches the admitted fast path's apply.
-    let safe = g
-        .iter_edges()
-        .find(|&(a, b, _)| (a, b) != (u, v) && engine.classify_delete(a, b) == UpdateSafety::Safe);
     let mut rejected: Vec<(&str, UpdateBatch)> = Vec::new();
     let mut batch = UpdateBatch::new();
     batch.delete(0, 99); // not an edge
     rejected.push(("missing delete", batch));
     let mut batch = UpdateBatch::new();
     batch.insert(u, v, 1.0); // already present
-    if let Some((a, b, _)) = safe {
-        batch.delete(a, b);
-    }
     rejected.push(("duplicate insert", batch));
     let mut batch = UpdateBatch::new();
     batch.insert(0, 10_000, 1.0);
@@ -495,7 +487,6 @@ fn assert_rejections_leave_no_trace<X: Executor>(
     rejected.push(("valid updates, then an out-of-range source", batch));
     for (what, batch) in &rejected {
         assert!(engine.apply_update_batch(batch).is_err(), "{}: {what}", w.name());
-        assert!(engine.apply_admitted_batch(batch).is_err(), "{}: {what} (admitted)", w.name());
     }
 
     let assert_twins = |engine: &StreamingFlow<X>, twin: &StreamingFlow<X>, when: &str| {
@@ -586,135 +577,98 @@ fn stats_are_internally_consistent() {
 }
 
 #[test]
-fn admitted_fast_path_is_bit_identical_to_full_path() {
-    // The serving layer's RisGraph-style pre-check: a batch whose deletions
-    // all classify safe may skip the delete wave entirely, and the resulting
-    // values / dependencies / impacted set must be *bit*-identical to the
-    // full flow — not merely within tolerance.
-    use jetstream_core::UpdateSafety;
+fn safe_deletions_reset_nothing_in_the_one_flow() {
+    // The RisGraph-style pre-check calls a deletion safe when the DAP reset
+    // guard cannot fire on it. Every batch runs the one flow, so a batch of
+    // such deletions (plus insertions) must reset nothing and still land on
+    // the oracle.
     for seed in [21u64, 22, 23] {
         let g = gen::rmat(300, 2000, gen::RmatParams::default(), seed);
+        let candidate = gen::batch_with_ratio(&g, 60, 0.5, seed + 100);
         for w in [Workload::Sssp, Workload::Bfs, Workload::Sswp, Workload::Cc] {
-            let mut fast = engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
-            fast.initial_compute();
-            let mut full = engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
-            full.initial_compute();
-
-            // Keep only deletions the converged engine classifies as safe,
-            // plus a handful of fresh insertions.
-            let candidate = gen::batch_with_ratio(&g, 60, 0.5, seed + 100);
-            let mut batch = UpdateBatch::new();
-            for &(u, v, wt) in candidate.insertions() {
-                batch.insert(u, v, wt);
-            }
-            let mut kept = 0;
-            for &(u, v) in candidate.deletions() {
-                if fast.classify_delete(u, v) == UpdateSafety::Safe {
-                    batch.delete(u, v);
-                    kept += 1;
+            for strategy in [DeleteStrategy::Dap, DeleteStrategy::DapRestore] {
+                let tag = format!("{} {strategy:?} seed {seed}", w.name());
+                let mut engine = engine_for(w, g.clone(), strategy, 0);
+                engine.initial_compute();
+                // Safe: the target holds the identity or does not depend on
+                // the deleted edge's source.
+                let identity = engine.algorithm().identity();
+                let safe = |&(u, v): &(VertexId, VertexId)| {
+                    engine.values()[v as usize] == identity
+                        || engine.dependencies()[v as usize] != Some(u)
+                };
+                let mut batch = UpdateBatch::new();
+                for &(u, v, wt) in candidate.insertions() {
+                    batch.insert(u, v, wt);
                 }
+                for &(u, v) in candidate.deletions().iter().filter(|e| safe(e)) {
+                    batch.delete(u, v);
+                }
+                let kept = batch.deletions().len();
+                assert!(kept > 0, "{tag}: no safe deletions to exercise");
+                assert!(kept < candidate.deletions().len(), "{tag}: no unsafe deletions");
+                assert_eq!(engine.classify_batch(&candidate).safe_deletes, kept, "{tag}");
+                let class = engine.classify_batch(&batch);
+                assert_eq!((class.safe_deletes, class.unsafe_deletes), (kept, 0), "{tag}");
+                assert!(class.has_only_safe_deletes(), "{tag}");
+
+                let stats = engine.apply_update_batch(&batch).unwrap();
+                assert_eq!(stats.resets, 0, "{tag}: a safe batch resets nothing");
+                assert!(engine.last_impacted().is_empty(), "{tag}: impacted");
+                let mut mutated = g.clone();
+                mutated.apply_batch(&batch).unwrap();
+                let expected = oracle_values(w, &mutated.snapshot(), 0);
+                assert!(
+                    oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
+                    "{tag}: values diverged from the oracle"
+                );
+                assert_eq!(engine.validate_converged(), Ok(()), "{tag}");
             }
-            assert!(kept > 0, "{} seed {seed}: no safe deletions to exercise", w.name());
-
-            let class = fast.classify_batch(&batch);
-            assert!(class.skips_delete_phases());
-            assert_eq!(class.safe_deletes, kept);
-
-            let (fast_stats, _) = fast.apply_admitted_batch(&batch).unwrap();
-            let full_stats = full.apply_update_batch(&batch).unwrap();
-
-            let fast_bits: Vec<u64> = fast.values().iter().map(|v| v.to_bits()).collect();
-            let full_bits: Vec<u64> = full.values().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fast_bits, full_bits, "{} seed {seed}: values diverged", w.name());
-            assert_eq!(fast.dependencies(), full.dependencies(), "{} seed {seed}", w.name());
-            let mut fast_imp = fast.last_impacted().to_vec();
-            let mut full_imp = full.last_impacted().to_vec();
-            fast_imp.sort_unstable();
-            full_imp.sort_unstable();
-            assert_eq!(fast_imp, full_imp, "{} seed {seed}: impacted diverged", w.name());
-            // The fast path must actually skip work, not just agree.
-            assert!(
-                fast_stats.stream_reads <= full_stats.stream_reads,
-                "{} seed {seed}: fast path read more of the stream",
-                w.name()
-            );
-            assert_eq!(fast.validate_converged(), Ok(()), "{} seed {seed}", w.name());
         }
     }
 }
 
 #[test]
-fn admitted_batch_with_unsafe_deletes_falls_back_to_full_flow() {
-    // A tree-edge delete classifies unsafe; the admitted path must then be
-    // exactly the ordinary flow and still match the oracle.
-    use jetstream_core::UpdateSafety;
-    let g = gen::rmat(200, 1200, gen::RmatParams::default(), 31);
-    for w in [Workload::Sssp, Workload::PageRank] {
-        let mut engine = engine_for(w, g.clone(), DeleteStrategy::Dap, 0);
-        engine.initial_compute();
-
-        // Find an unsafe edge to delete: for SSSP a dependence-tree edge
-        // (guaranteed unsafe under DAP); for PageRank any edge at all,
-        // since accumulative updates never classify safe.
-        let tree_edge = match w.kind() {
-            UpdateKind::Selective => engine
-                .dependencies()
-                .iter()
-                .enumerate()
-                .find_map(|(v, dep)| dep.map(|u| (u, v as u32)))
-                .expect("converged SSSP state has at least one dependence edge"),
-            UpdateKind::Accumulative => {
-                let (u, v, _) = g.iter_edges().next().unwrap();
-                (u, v)
-            }
-        };
-        let mut batch = UpdateBatch::new();
-        batch.delete(tree_edge.0, tree_edge.1);
-
-        let class = engine.classify_batch(&batch);
-        assert_eq!(engine.classify_delete(tree_edge.0, tree_edge.1), UpdateSafety::Unsafe);
-        assert!(!class.skips_delete_phases(), "{}", w.name());
-        assert_eq!(class.unsafe_total(), 1, "{}", w.name());
-
-        engine.apply_admitted_batch(&batch).unwrap();
-        let mut mutated = g.clone();
-        mutated.apply_batch(&batch).unwrap();
-        let expected = oracle_values(w, &mutated.snapshot(), 0);
-        assert!(
-            oracle::values_match_tol(engine.values(), &expected, tolerance(w)),
-            "{} fallback path diverged from oracle",
-            w.name()
-        );
-    }
-}
-
-#[test]
 fn classification_is_cheap_and_honest() {
-    // Inserts: safe iff selective. Out-of-range deletes: unsafe (the apply
-    // path owns the typed rejection). Identity-valued targets: always safe.
-    use jetstream_core::UpdateSafety;
+    // Inserts: safe iff selective. Deletes with an out-of-range endpoint:
+    // unsafe (the apply path owns the typed rejection). Identity-valued
+    // targets: always safe under DAP.
+    let deletes = |edges: &[(VertexId, VertexId)]| {
+        let mut batch = UpdateBatch::new();
+        for &(u, v) in edges {
+            batch.delete(u, v);
+        }
+        batch
+    };
     let g = gen::rmat(100, 600, gen::RmatParams::default(), 41);
     let mut sssp = engine_for(Workload::Sssp, g.clone(), DeleteStrategy::Dap, 0);
     sssp.initial_compute();
-    assert_eq!(sssp.classify_insert(), UpdateSafety::Safe);
-    // An insert-only batch has no delete phases to skip (kills jm-9d45978c).
     let mut inserts = UpdateBatch::new();
     inserts.insert(0, 1, 1.0);
-    assert!(!sssp.classify_batch(&inserts).skips_delete_phases());
-    assert_eq!(sssp.classify_delete(0, 10_000), UpdateSafety::Unsafe);
+    let class = sssp.classify_batch(&inserts);
+    assert_eq!((class.safe_inserts, class.unsafe_inserts), (1, 0));
+    // An insert-only batch has no deletions to call safe (kills jm-9d45978c).
+    assert!(!class.has_only_safe_deletes());
+    // The first id past the graph, as either endpoint (kills jm-5a174396).
+    let past = g.num_vertices() as VertexId;
+    assert_eq!(sssp.classify_batch(&deletes(&[(0, past)])).unsafe_deletes, 1);
+    assert_eq!(sssp.classify_batch(&deletes(&[(past, 1)])).unsafe_deletes, 1);
     if let Some(unreachable) = (0..100).find(|&v| sssp.values()[v as usize].is_infinite()) {
-        assert_eq!(sssp.classify_delete(0, unreachable), UpdateSafety::Safe);
+        let class = sssp.classify_batch(&deletes(&[(0, unreachable)]));
+        assert_eq!(class.safe_deletes, 1);
+        assert!(class.has_only_safe_deletes());
     }
 
     let mut pr = engine_for(Workload::PageRank, g.clone(), DeleteStrategy::Dap, 0);
     pr.initial_compute();
-    assert_eq!(pr.classify_insert(), UpdateSafety::Unsafe);
-    assert_eq!(pr.classify_delete(0, 1), UpdateSafety::Unsafe);
+    let class = pr.classify_batch(&inserts);
+    assert_eq!((class.safe_inserts, class.unsafe_inserts), (0, 1));
+    assert_eq!(pr.classify_batch(&deletes(&[(0, 1)])).unsafe_deletes, 1);
 
-    // Non-DAP strategies never prove a delete safe.
+    // Non-DAP strategies never prove a delete safe (kills jm-05e91d65).
     let mut tag = engine_for(Workload::Sssp, g, DeleteStrategy::Tag, 0);
     tag.initial_compute();
-    assert_eq!(tag.classify_delete(0, 99), UpdateSafety::Unsafe);
+    assert_eq!(tag.classify_batch(&deletes(&[(0, 99)])).unsafe_deletes, 1);
 }
 
 /// 12 vertices with the row shapes the kernel's emission has to get right:
@@ -1287,41 +1241,44 @@ fn safe_hub_loop_sink_batch() -> UpdateBatch {
     batch
 }
 
-// The admission fast path on an all-safe DAP batch, captured at 3bdb217,
-// where it was a second flow body beside the selective flow: RunStats,
-// trace digest and value bits.
+// An all-safe DAP batch through the one flow: its delete phases examine
+// the three deletions and reset nothing. The value bits are those the
+// admission fast path produced at 3bdb217, where it skipped those phases
+// as a second flow body beside the selective flow.
 #[test]
-fn admitted_fast_path_reproduces_its_stats_trace_and_values() {
+fn all_safe_batch_reproduces_its_stats_trace_and_values() {
     use jetstream_core::RunStats;
     for (workload, want, digest, values) in [
         (
             Workload::Sssp,
             RunStats {
-                events_processed: 12,
-                events_generated: 12,
-                vertex_reads: 18,
+                events_processed: 15,
+                events_generated: 15,
+                vertex_reads: 24,
                 vertex_writes: 3,
                 edge_reads: 6,
-                stream_reads: 6,
-                rounds: 2,
+                delete_events: 3,
+                stream_reads: 9,
+                rounds: 3,
                 ..RunStats::default()
             },
-            0x8ab6_bcf3_4745_7e44,
+            0x0fbf_072a_d216_b6cf,
             0xc534_0822_bada_d795,
         ),
         (
             Workload::Sswp,
             RunStats {
-                events_processed: 8,
-                events_generated: 8,
-                vertex_reads: 14,
+                events_processed: 11,
+                events_generated: 11,
+                vertex_reads: 20,
                 vertex_writes: 3,
                 edge_reads: 2,
-                stream_reads: 6,
-                rounds: 2,
+                delete_events: 3,
+                stream_reads: 9,
+                rounds: 3,
                 ..RunStats::default()
             },
-            0x1aa4_7e9e_eb18_dfbc,
+            0x4ce4_1430_7ea2_e4cf,
             0xdd12_0878_888a_8470,
         ),
     ] {
@@ -1330,7 +1287,9 @@ fn admitted_fast_path_reproduces_its_stats_trace_and_values() {
             engine_for(workload, weighted_hub_loop_sink_graph(), DeleteStrategy::Dap, 0);
         engine.initial_compute();
         engine.set_tracing(true);
-        let (stats, class) = engine.apply_admitted_batch(&safe_hub_loop_sink_batch()).unwrap();
+        let batch = safe_hub_loop_sink_batch();
+        let class = engine.classify_batch(&batch);
+        let stats = engine.apply_update_batch(&batch).unwrap();
         assert_eq!((class.unsafe_deletes, class.safe_deletes), (0, 3), "{label}");
         assert_eq!(stats, want, "{label}: batch RunStats");
         assert_eq!(trace_digest(&engine.take_trace()), digest, "{label}: trace digest");

@@ -38,9 +38,9 @@ impl Backend {
         self.engine().graph()
     }
 
-    /// Applies a batch through the admission-classified path
-    /// ([`StreamingEngine::apply_admitted_batch`]), persisting it first
-    /// when durable.
+    /// Classifies a batch against the pre-batch state
+    /// ([`StreamingEngine::classify_batch`]), then applies it through the
+    /// engine's one flow, persisting it first when durable.
     ///
     /// # Errors
     ///
@@ -50,10 +50,12 @@ impl Backend {
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<(RunStats, BatchClassification), ServeError> {
-        match self {
-            Backend::Volatile(e) => e.apply_admitted_batch(batch).map_err(ServeError::Graph),
-            Backend::Durable(d) => d.apply_admitted_batch(batch).map_err(ServeError::Store),
-        }
+        let class = self.engine().classify_batch(batch);
+        let stats = match self {
+            Backend::Volatile(e) => e.apply_update_batch(batch).map_err(ServeError::Graph),
+            Backend::Durable(d) => d.apply_update_batch(batch).map_err(ServeError::Store),
+        }?;
+        Ok((stats, class))
     }
 
     /// Forces a durable checkpoint (no-op for a volatile backend).

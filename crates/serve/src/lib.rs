@@ -9,8 +9,10 @@
 //! policy, applies backpressure through bounded per-client queues with an
 //! explicit `Busy` reply, and answers point queries (vertex value,
 //! impacted set, dependence path) from converged state between batches.
-//! RisGraph-style safe/unsafe classification runs as an engine pre-check
-//! so monotone-safe deletions skip the full re-evaluation pipeline.
+//! Every applied batch is classified RisGraph-style safe/unsafe against
+//! the pre-batch state and reported in its `Converged` reply; the
+//! classification picks no path, since every batch runs the engine's one
+//! flow.
 //! See DESIGN.md §15 for the wire format, the admission state machine,
 //! the safe/unsafe rule, and the backpressure contract.
 

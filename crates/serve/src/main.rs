@@ -244,7 +244,7 @@ fn cmd_serve(args: &[String]) {
     let report = handle.shutdown();
     let s = report.stats;
     eprintln!(
-        "[serve] applied {} batches / {} updates ({} safe, {} unsafe, {} fast-path), \
+        "[serve] applied {} batches / {} updates ({} safe, {} unsafe, {} all-safe-delete), \
          {} busy, {} rejected, {} checkpoints, {} connections",
         s.batches_applied,
         s.updates_applied,

@@ -72,9 +72,10 @@ pub struct ServerStats {
     pub updates_applied: u64,
     /// Updates classified safe by the admission pre-check.
     pub safe_updates: u64,
-    /// Updates classified unsafe (full re-evaluation path).
+    /// Updates classified unsafe by the admission pre-check.
     pub unsafe_updates: u64,
-    /// Batches that took the safe-delete fast path.
+    /// Batches whose deletions all classified safe (insert-only batches
+    /// do not count).
     pub fast_path_batches: u64,
     /// Update messages bounced with `Busy` (backpressure).
     pub busy_rejections: u64,

@@ -438,7 +438,7 @@ impl EngineLoop {
         s.updates_applied += batch.len() as u64;
         s.safe_updates += class.safe() as u64;
         s.unsafe_updates += class.unsafe_total() as u64;
-        if class.skips_delete_phases() {
+        if class.has_only_safe_deletes() {
             s.fast_path_batches += 1;
         }
         if let Backend::Durable(d) = &self.backend {

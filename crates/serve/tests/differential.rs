@@ -173,7 +173,8 @@ fn replay_and_compare(workload: Workload) {
     for applied in &report.applied {
         assert!(applied.batch_id > last_id, "batch ids must be strictly increasing");
         last_id = applied.batch_id;
-        let (stats, class) = oracle.apply_admitted_batch(&applied.batch).unwrap();
+        let class = oracle.classify_batch(&applied.batch);
+        let stats = oracle.apply_update_batch(&applied.batch).unwrap();
         // The offline engine must do the exact same work the server did.
         assert_eq!(stats, applied.stats, "RunStats diverged at batch {last_id}");
         assert_eq!(class, applied.classification, "classification diverged at batch {last_id}");
@@ -336,7 +337,7 @@ fn a_message_resent_after_busy_is_applied_exactly_once() {
 
     let mut oracle = fresh_engine(Workload::Sssp);
     for applied in &report.applied {
-        oracle.apply_admitted_batch(&applied.batch).unwrap();
+        oracle.apply_update_batch(&applied.batch).unwrap();
     }
     let oracle_bits: Vec<u64> = oracle.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(served, oracle_bits, "served state diverged from the offline replay");

@@ -18,7 +18,7 @@ use jetstream_graph::{AdjacencyGraph, EdgeUpdate};
 use jetstream_serve::backend::Backend;
 use jetstream_serve::client::Client;
 use jetstream_serve::protocol::Response;
-use jetstream_serve::server::{start, Endpoint, ServerConfig};
+use jetstream_serve::server::{start, AppliedBatch, Endpoint, ServerConfig};
 use jetstream_store::{DurableEngine, RecoveryOptions, StoreOptions};
 
 const NUM_VERTICES: u32 = 64;
@@ -53,6 +53,14 @@ fn fresh_engine() -> StreamingEngine {
         StreamingEngine::new(Workload::Sssp.instantiate(0), line_graph(), EngineConfig::default());
     engine.initial_compute();
     engine
+}
+
+/// Advances the offline oracle by a batch the server applied: the same
+/// classification and the same work, batch for batch.
+fn replay(oracle: &mut StreamingEngine, applied: &AppliedBatch) {
+    let id = applied.batch_id;
+    assert_eq!(oracle.classify_batch(&applied.batch), applied.classification, "batch {id}");
+    assert_eq!(oracle.apply_update_batch(&applied.batch).unwrap(), applied.stats, "batch {id}");
 }
 
 fn store_options() -> StoreOptions {
@@ -116,7 +124,7 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
     // --- Oracle: offline replay of exactly what the server applied. ---
     let mut oracle = fresh_engine();
     for applied in &report.applied {
-        oracle.apply_admitted_batch(&applied.batch).unwrap();
+        replay(&mut oracle, applied);
     }
 
     // --- Second life: recover, restart, reconnect, compare. ---
@@ -165,7 +173,7 @@ fn killed_server_recovers_from_manifest_and_wal_tail() {
     let report2 = handle.shutdown();
     assert!(report2.fatal.is_none(), "second life failed: {:?}", report2.fatal);
     assert_eq!(report2.applied.len(), 1);
-    oracle.apply_admitted_batch(&report2.applied[0].batch).unwrap();
+    replay(&mut oracle, &report2.applied[0]);
 
     // Third life: a graceful shutdown checkpointed, so recovery replays
     // nothing and still lands on the oracle state.

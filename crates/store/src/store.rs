@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 
 use jetstream_algorithms::Algorithm;
-use jetstream_core::{BatchClassification, EngineConfig, RunStats, StreamingEngine};
+use jetstream_core::{EngineConfig, RunStats, StreamingEngine};
 use jetstream_graph::{AdjacencyGraph, UpdateBatch};
 
 use crate::error::StoreError;
@@ -431,44 +431,20 @@ impl DurableEngine {
         self.batches_since_checkpoint
     }
 
-    /// Applies `batch` to the engine and logs it.
+    /// Applies `batch` to the engine and logs it: WAL-append the batch the
+    /// engine just accepted, then — when the interval is due — capture a
+    /// checkpoint and hand it to the background writer.
     ///
     /// Ordering is apply-then-append: a batch the engine rejects (e.g. a
     /// duplicate insertion) never enters the WAL, so replay is always clean.
     /// A crash between the apply and the append loses only that single
     /// unacknowledged batch — the durable state is still a consistent
-    /// prefix.
+    /// prefix. A checkpoint that falls due while the previous one is still
+    /// being published is deferred to the first later batch that finds the
+    /// writer idle: never queued, never waited for. A failed publication
+    /// fails the apply that reaps it.
     pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> Result<RunStats, StoreError> {
         let stats = self.engine.apply_update_batch(batch)?;
-        self.log_applied(batch)?;
-        Ok(stats)
-    }
-
-    /// Applies `batch` through the engine's admission pre-check
-    /// ([`StreamingEngine::apply_admitted_batch`]) and logs it, returning
-    /// the run statistics together with the safe/unsafe classification.
-    ///
-    /// The WAL records the batch itself, not the path taken: replay always
-    /// re-classifies against its own reconstructed state and — since the
-    /// fast path is bit-identical to the full flow — converges to the same
-    /// state either way. The durable protocol (apply-then-append, interval
-    /// checkpoints) is exactly [`DurableEngine::apply_update_batch`].
-    pub fn apply_admitted_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(RunStats, BatchClassification), StoreError> {
-        let applied = self.engine.apply_admitted_batch(batch)?;
-        self.log_applied(batch)?;
-        Ok(applied)
-    }
-
-    /// The durable tail of every apply: WAL-append the batch the engine
-    /// just accepted, then — when the interval is due — capture a checkpoint
-    /// and hand it to the background writer. A checkpoint that falls due
-    /// while the previous one is still being published is deferred to the
-    /// first later batch that finds the writer idle: never queued, never
-    /// waited for. A failed publication fails the apply that reaps it.
-    fn log_applied(&mut self, batch: &UpdateBatch) -> Result<(), StoreError> {
         self.store.append(batch)?;
         self.batches_since_checkpoint += 1;
         let publishing = self.store.is_publishing()?;
@@ -476,7 +452,7 @@ impl DurableEngine {
         if interval > 0 && self.batches_since_checkpoint >= interval && !publishing {
             self.checkpoint_in_background(|_| {})?;
         }
-        Ok(())
+        Ok(stats)
     }
 
     fn capture(&mut self) -> Result<CapturedCheckpoint, StoreError> {

@@ -189,7 +189,11 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         None => 100,
     };
     let fraction: f64 = match args.options.get("insert-fraction") {
-        Some(f) => f.parse().map_err(|_| "invalid --insert-fraction")?,
+        Some(f) => f
+            .parse()
+            .ok()
+            .filter(|f| (0.0..=1.0).contains(f))
+            .ok_or("invalid --insert-fraction: not a number within [0, 1]")?,
         None => 0.7,
     };
     let seed: u64 = match args.options.get("seed") {

@@ -53,5 +53,13 @@ fn misuse_exits_nonzero() {
     let bare = cli(&dir, "");
     assert_eq!(bare.status.code(), Some(2));
     assert!(stderr(&bare).starts_with("usage:"), "{}", stderr(&bare));
+    let generate = cli(&dir, "generate --profile lj --scale 2000 --out lj.txt");
+    assert!(generate.status.success(), "{}", stderr(&generate));
+    for fraction in ["1.5", "nan"] {
+        let args = format!("stream --graph lj.txt --out u.txt --insert-fraction {fraction}");
+        let bad = cli(&dir, &args);
+        assert_eq!(bad.status.code(), Some(1), "{fraction}: {}", stderr(&bad));
+        assert!(stderr(&bad).starts_with("error: invalid --insert-fraction"), "{}", stderr(&bad));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,9 @@
 //! Differential conformance suite: the sharded parallel engine against
 //! the sequential engine as the oracle, for every workload, every delete
 //! strategy, and every shard count, across whole batched streaming
-//! histories — through `apply_update_batch`, through the admission
-//! pre-check, through `cold_restart`, and across checkpoints mounted in
-//! both directions.
+//! histories — through `apply_update_batch`, classified batch by batch,
+//! through `cold_restart`, and across checkpoints mounted in both
+//! directions.
 //!
 //! The sharded drain is barrier-free (DESIGN.md §16), so the contract is
 //! value equivalence, spelled out on
@@ -18,8 +18,8 @@
 
 use jetstream::algorithms::{oracle, UpdateKind, Workload};
 use jetstream::engine::{
-    BatchClassification, DeleteStrategy, EngineConfig, Executor, RunStats, ShardedEngine,
-    StreamingEngine, StreamingFlow, UpdateSafety,
+    BatchClassification, DeleteStrategy, EngineConfig, Executor, ShardedEngine, StreamingEngine,
+    StreamingFlow,
 };
 use jetstream::graph::{gen, AdjacencyGraph, UpdateBatch};
 
@@ -54,17 +54,17 @@ fn config(strategy: DeleteStrategy) -> EngineConfig {
 }
 
 /// One sequential reference trajectory: per-step values, dependencies,
-/// and impacted sets.
+/// impacted sets and classifications.
 struct Reference {
     values: Vec<Vec<f64>>,
     dependencies: Vec<Vec<Option<u32>>>,
     impacted: Vec<Vec<u32>>,
     /// The history, then [`safe_tail`] of the state the history converged
-    /// to: the one step where the admitted path may skip the delete phases.
+    /// to: the one step whose deletions all classify safe where DAP runs.
     batches: Vec<UpdateBatch>,
-    /// What a second sequential engine returned from
-    /// `apply_admitted_batch` for each of `batches`.
-    admitted: Vec<(RunStats, BatchClassification)>,
+    /// What `classify_batch` said of each of `batches` on the state
+    /// before it.
+    classes: Vec<BatchClassification>,
     /// The values of a fresh `initial_compute` on the graph after
     /// `batches[0]`.
     cold: Vec<f64>,
@@ -72,14 +72,18 @@ struct Reference {
 
 /// A batch every deletion of which `engine`'s converged state classifies
 /// safe, plus a few fresh insertions. Under DAP on a selective workload
-/// that is the admitted fast path; everywhere else nothing is provably
-/// safe, the batch is insert-only, and the admitted path falls through.
+/// its delete phases reset nothing; everywhere else nothing is provably
+/// safe and the batch is insert-only.
 fn safe_tail<X: Executor>(engine: &StreamingFlow<X>) -> UpdateBatch {
     let mut batch = gen::batch_with_ratio(engine.graph(), 4, 1.0, 99);
     let safe = engine
         .graph()
         .iter_edges()
-        .filter(|&(u, v, _)| engine.classify_delete(u, v) == UpdateSafety::Safe)
+        .filter(|&(u, v, _)| {
+            let mut single = UpdateBatch::new();
+            single.delete(u, v);
+            engine.classify_batch(&single).safe_deletes == 1
+        })
         .take(6);
     for (u, v, _) in safe {
         batch.delete(u, v);
@@ -108,10 +112,11 @@ fn sequential_reference(
         dependencies: vec![engine.dependencies().to_vec()],
         impacted: vec![Vec::new()],
         batches: batches.to_vec(),
-        admitted: Vec::new(),
+        classes: Vec::new(),
         cold,
     };
     let mut record = |engine: &mut StreamingEngine, batch: &UpdateBatch| {
+        reference.classes.push(engine.classify_batch(batch));
         engine.apply_update_batch(batch).unwrap();
         reference.values.push(engine.values().to_vec());
         reference.dependencies.push(engine.dependencies().to_vec());
@@ -125,46 +130,28 @@ fn sequential_reference(
     reference.batches.push(tail);
     engine.validate_converged().unwrap();
 
-    // The admitted path on the oracle itself: bit-identical state to the
-    // full path at every step, on the fast path and the fall-through.
-    let mut admitted = StreamingEngine::new(alg(), base.clone(), config(strategy));
-    admitted.initial_compute();
-    for (i, batch) in reference.batches.iter().enumerate() {
-        let class = admitted.classify_batch(batch);
-        let applied = admitted.apply_admitted_batch(batch).unwrap();
-        assert_eq!(applied.1, class, "classification must not depend on who asks");
-        assert_eq!(admitted.values(), &reference.values[i + 1][..]);
-        assert_eq!(admitted.dependencies(), &reference.dependencies[i + 1][..]);
-        assert_eq!(admitted.last_impacted(), &reference.impacted[i + 1][..]);
-        reference.admitted.push(applied);
-    }
     let skippable = strategy.is_dap() && workload.kind() == UpdateKind::Selective;
-    let (tail_stats, tail_class) = reference.admitted[batches.len()];
     assert_eq!(
         skippable,
-        tail_class.safe_deletes > 0,
+        reference.classes[batches.len()].has_only_safe_deletes(),
         "the tail carries safe deletions exactly where the state can prove them"
     );
     if skippable {
-        assert_eq!(tail_stats.delete_events, 0, "fast path must skip the delete phases");
-        assert!(
-            reference.admitted[..batches.len()].iter().any(|(s, _)| s.delete_events > 0),
-            "the history must also exercise the fall-through"
-        );
+        assert_eq!(reference.impacted[batches.len() + 1], [], "a safe tail resets nothing");
     }
 
     reference
 }
 
 /// The sharded equivalence contract, exercised over the full matrix of
-/// 6 workloads x 3 delete strategies x shard counts {1, 2, 4, 8} on both
+/// 6 workloads x 4 delete strategies x shard counts {1, 2, 4, 8} on both
 /// graph shapes, against the sequential engine as the oracle. Every cell
-/// runs the history (plus the oracle's safe tail) four ways — through
-/// `apply_update_batch`, through `classify_batch`/`apply_admitted_batch`,
-/// on a sharded engine mounted on the oracle's initial checkpoint, and the
-/// first batch through `cold_restart` — then mounts a sequential engine on
-/// the sharded state and streams one more batch through both. Every engine
-/// must pass its own `validate_converged` check.
+/// runs the history (plus the oracle's safe tail) three ways — through
+/// `apply_update_batch`, classifying each batch first, on a sharded engine
+/// mounted on the oracle's initial checkpoint, and the first batch
+/// through `cold_restart` — then mounts a sequential engine on the sharded
+/// state and streams one more batch, its own safe tail, through both.
+/// Every engine must pass its own `validate_converged` check.
 ///
 /// * **Selective workloads** (SSSP, SSWP, BFS, CC): the fixpoint of a
 ///   min/max selection is unique regardless of event order, so sharded
@@ -197,8 +184,8 @@ fn sequential_reference(
 ///   membership of marginal vertices legitimately schedule-dependent.
 /// * **Classification** is a function of the converged state. Two engines
 ///   on the *same* state — the sharded one and the sequential one mounted
-///   on its checkpoint — must classify every batch identically, and what
-///   `apply_admitted_batch` reports must be what `classify_batch` said.
+///   on its checkpoint — must classify the tail identically, and under
+///   DAP on a selective workload neither may reset anything on it.
 ///   Against the oracle's *own* trajectory only what no dependency tree
 ///   decides is compared: everything outside DAP on a selective workload
 ///   (where nothing is provably safe), and there the insert tallies and
@@ -236,12 +223,10 @@ fn async_sharded_matches_sequential_fixpoints() {
 
                     let mut engine = fresh();
                     check(engine.values(), &reference.values[0], "step 0");
-                    // The same history through the admission pre-check, and
-                    // on an engine mounted on the oracle's initial state: the
-                    // classification, the fast path, the fall-through and the
-                    // snapshot format are the flow's, so none of them may
-                    // notice the executor.
-                    let mut admitted = fresh();
+                    // The same history on an engine mounted on the oracle's
+                    // initial state: the classification and the snapshot
+                    // format are the flow's, so neither may notice the
+                    // executor.
                     let mut mounted = ShardedEngine::from_checkpoint(
                         alg(),
                         base.clone(),
@@ -254,6 +239,7 @@ fn async_sharded_matches_sequential_fixpoints() {
                     for (i, batch) in reference.batches.iter().enumerate() {
                         let step = i + 1;
                         let expected = &reference.values[step];
+                        let class = engine.classify_batch(batch);
                         engine.apply_update_batch(batch).unwrap();
                         check(engine.values(), expected, &format!("step {step}"));
                         if workload.kind() == UpdateKind::Selective {
@@ -274,10 +260,7 @@ fn async_sharded_matches_sequential_fixpoints() {
                             );
                         }
 
-                        let class = admitted.classify_batch(batch);
-                        let applied = admitted.apply_admitted_batch(batch).unwrap();
-                        assert_eq!(applied.1, class, "{tag}: classify_batch at step {step}");
-                        let oracle_class = reference.admitted[i].1;
+                        let oracle_class = reference.classes[i];
                         if skippable {
                             let tallies = |c: BatchClassification| {
                                 (
@@ -294,13 +277,11 @@ fn async_sharded_matches_sequential_fixpoints() {
                         } else {
                             assert_eq!(class, oracle_class, "{tag}: classification at step {step}");
                         }
-                        check(admitted.values(), expected, &format!("admitted step {step}"));
 
                         mounted.apply_update_batch(batch).unwrap();
                         check(mounted.values(), expected, &format!("mounted step {step}"));
                     }
-                    converged(&engine, "full path");
-                    converged(&admitted, "admitted");
+                    converged(&engine, "history");
                     converged(&mounted, "mounted");
 
                     // `cold_restart` is apply + a fresh `initial_compute`.
@@ -312,33 +293,33 @@ fn async_sharded_matches_sequential_fixpoints() {
 
                     // And back: a sequential engine mounted on the sharded
                     // state is converged, classifies like the engine it was
-                    // taken from, and continues the stream with it — through
-                    // the fast path where the state can prove deletions safe.
+                    // taken from, and continues the stream with it: on a
+                    // tail the state proves safe, neither resets anything.
                     let mut resumed = StreamingEngine::from_checkpoint(
                         alg(),
-                        admitted.graph().clone(),
-                        admitted.values().to_vec(),
-                        admitted.dependencies().to_vec(),
+                        engine.graph().clone(),
+                        engine.values().to_vec(),
+                        engine.dependencies().to_vec(),
                         config(strategy),
                     )
                     .unwrap();
                     resumed.validate_converged().unwrap_or_else(|e| panic!("{tag}/resumed: {e}"));
-                    let tail = safe_tail(&admitted);
-                    let class = admitted.classify_batch(&tail);
+                    let tail = safe_tail(&engine);
+                    let class = engine.classify_batch(&tail);
                     assert_eq!(
                         resumed.classify_batch(&tail),
                         class,
                         "{tag}: same state, same class"
                     );
-                    assert_eq!(skippable, class.safe_deletes > 0, "{tag}: own safe tail");
-                    let applied = admitted.apply_admitted_batch(&tail).unwrap();
-                    assert_eq!(applied.1, class, "{tag}: own safe tail");
+                    assert_eq!(skippable, class.has_only_safe_deletes(), "{tag}: own safe tail");
+                    engine.apply_update_batch(&tail).unwrap();
+                    resumed.apply_update_batch(&tail).unwrap();
                     if skippable {
-                        assert_eq!(applied.0.delete_events, 0, "{tag}: fast path skips deletes");
+                        assert_eq!(engine.last_impacted(), [], "{tag}: sharded safe tail");
+                        assert_eq!(resumed.last_impacted(), [], "{tag}: resumed safe tail");
                     }
-                    assert_eq!(resumed.apply_admitted_batch(&tail).unwrap().1, class);
-                    check(admitted.values(), resumed.values(), "own safe tail");
-                    converged(&admitted, "own safe tail");
+                    check(engine.values(), resumed.values(), "own safe tail");
+                    converged(&engine, "own safe tail");
                     resumed.validate_converged().unwrap_or_else(|e| panic!("{tag}/resumed: {e}"));
                 }
             }

@@ -131,7 +131,7 @@ fn whole_stack_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// The three delete strategies agree on results while differing in work.
+/// The four delete strategies agree on results while differing in work.
 #[test]
 fn strategies_agree_on_results() {
     let full = gen::rmat(400, 3000, gen::RmatParams::default(), 13);

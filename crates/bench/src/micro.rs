@@ -408,6 +408,56 @@ fn bench_stream_churn(
     ))
 }
 
+/// Batches the one-update rows time, each timed alone.
+const ONE_UPDATE_BATCHES: usize = 2000;
+
+/// SSSP under the default config on the LiveJournal profile at `scale`,
+/// converged, then fed [`ONE_UPDATE_BATCHES`] one-insertion batches (after
+/// 50 untimed ones): the median of one batch. Such a batch moves a few
+/// events, so what grows with the vertex count is the engine's per-batch
+/// floor, not its work (ROADMAP item 16). Not ratcheted: at scale 10 the
+/// graph is 484 k vertices, and the row is there to be read. A rig of one
+/// sample and no warmup (the rig's own unit test) times one batch.
+fn bench_one_update_batches(cfg: &MicroConfig, scale: u32) -> Result<BenchResult, HarnessError> {
+    let (warmup, samples) =
+        if cfg.samples > 1 { (50, ONE_UPDATE_BATCHES) } else { (cfg.warmup, cfg.samples) };
+    let name = match scale {
+        100 => "stream_one_update_sssp_lj100",
+        _ => "stream_one_update_sssp_lj10",
+    };
+    let scenario = Scenario {
+        batch: 1,
+        insertion_fraction: 1.0,
+        seed: 1,
+        rounds: warmup + samples,
+        ..Scenario::paper_default(Workload::Sssp, DatasetProfile::LiveJournal, scale)
+    };
+    let (base, batches) = harness::base_and_batches(&scenario);
+    let root = harness::root_for(&base);
+    let mut engine =
+        StreamingEngine::new(scenario.workload.instantiate(root), base, EngineConfig::default());
+    engine.initial_compute();
+    let mut batches = batches.iter();
+    let mut failed = None;
+    let result = measure(
+        name,
+        warmup,
+        samples,
+        || batches.next(),
+        |batch| {
+            if let Some(batch) = batch {
+                if let Err(e) = engine.apply_update_batch(batch) {
+                    failed = Some(e);
+                }
+            }
+        },
+    );
+    match failed {
+        Some(e) => Err(scenario.graph_error(e)),
+        None => Ok(result),
+    }
+}
+
 /// One batch through `CsrPair::apply_batch` on a pair as a compaction
 /// leaves it: checked once, then both views edited in place in
 /// `O(batch · degree)`. Not on a clone: cloning trims the arenas' room to
@@ -581,6 +631,11 @@ pub fn run_all(cfg: &MicroConfig) -> Result<Vec<BenchResult>, HarnessError> {
     report(&mut results, bench_stream_churn(cfg, "kernel_stream_cc_churn", &cc)?);
     let sssp = sssp_churn_scenario();
     report(&mut results, bench_stream_churn(cfg, "kernel_stream_sssp_churn", &sssp)?);
+    // Scale 10 (484 k vertices) only beside the full run's large instances.
+    let full = cfg.scale <= MicroConfig::full().scale;
+    for scale in if full { &[100, 10][..] } else { &[100][..] } {
+        report(&mut results, bench_one_update_batches(cfg, *scale)?);
+    }
     report(&mut results, bench_snapshot_maintain_incremental(cfg)?);
     report(&mut results, bench_graph_generate(cfg));
     report(&mut results, bench_csr_from_edges(cfg));
@@ -844,6 +899,7 @@ mod tests {
                 "kernel_stream_sswp_churn",
                 "kernel_stream_cc_churn",
                 "kernel_stream_sssp_churn",
+                "stream_one_update_sssp_lj100",
                 "snapshot_maintain_incremental",
                 "graph_generate_livejournal",
                 "csr_from_edges",

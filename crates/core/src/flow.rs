@@ -130,6 +130,9 @@ pub struct StreamingFlow<X: Executor> {
     /// version before [`CsrPair::commit`], at the new one after — so
     /// nothing else is copied.
     touched_scratch: Vec<VertexId>,
+    /// The selective insert set-up's supplies, one per insertion, computed
+    /// before the first is seeded; empty between batches.
+    supply_scratch: Vec<Option<Value>>,
 }
 
 impl<X: Executor> StreamingFlow<X> {
@@ -161,6 +164,7 @@ impl<X: Executor> StreamingFlow<X> {
             stats: RunStats::default(),
             tracer: TraceBuilder::default(),
             touched_scratch: Vec::new(),
+            supply_scratch: Vec::new(),
         }
     }
 
@@ -415,7 +419,7 @@ impl<X: Executor> StreamingFlow<X> {
         // rejected one. The delete phase runs on the old graph (the batch
         // is committed only after recovery), which is also where VAP reads
         // a deleted edge's weight.
-        let checked = self.csr.out.check_batch(batch)?;
+        let checked = self.csr.check_batch(batch)?;
         self.impacted.clear();
         self.restore.previous.clear();
         self.recover_deletes(batch, checked);
@@ -423,13 +427,29 @@ impl<X: Executor> StreamingFlow<X> {
         // Phase 4 — stream inserted edges into regular events
         // (Algorithm 2); they coalesce with pending request events.
         self.tracer.begin_phase(Phase::InsertSetup);
-        let StreamingFlow { alg, reduce, csr, config, values, stats, tracer, exec, .. } = self;
+        let StreamingFlow {
+            alg,
+            reduce,
+            csr,
+            config,
+            values,
+            stats,
+            tracer,
+            exec,
+            supply_scratch,
+            ..
+        } = self;
         let cx = KernelCtx::new(alg.as_ref(), csr, config.delete_strategy);
-        for &(u, v, w) in batch.insertions() {
+        // Every supply first: no insertion's loads (its source's value and
+        // row) wait on another's seed, so a cold batch's misses overlap.
+        let mut supplies = std::mem::take(supply_scratch);
+        let supply =
+            |&(u, _, w): &(VertexId, VertexId, Value)| kernel::supply(&cx, values[ix(u)], u, w);
+        supplies.extend(batch.insertions().iter().map(supply));
+        for (&(u, v, _), &delta) in batch.insertions().iter().zip(&supplies) {
             stats.stream_reads += 1;
             stats.vertex_reads += 1;
             let targets_start = tracer.targets_start();
-            let delta = kernel::supply(&cx, values[ix(u)], u, w);
             if let Some(d) = delta {
                 let source = cx.dap_active.then_some(u);
                 exec.seed(*reduce, stats, Event { source, ..Event::regular(v, d) });
@@ -438,6 +458,8 @@ impl<X: Executor> StreamingFlow<X> {
             let emitted = usize::from(delta.is_some());
             tracer.push_op(setup_op(OpKind::StreamRead, u, 0, targets_start, emitted));
         }
+        supplies.clear();
+        *supply_scratch = supplies;
         self.tracer.end_round();
 
         // Phase 5 — incremental reevaluation on the new graph.
@@ -558,7 +580,7 @@ impl<X: Executor> StreamingFlow<X> {
         // The whole batch is validated first, once; nothing is seeded for
         // a rejected one. The graph stays at the pre-batch version until
         // Phase 1 has read it.
-        let checked = self.csr.out.check_batch(batch)?;
+        let checked = self.csr.check_batch(batch)?;
         self.impacted.clear();
         // `touched` vertices have an out-edge added or deleted: their
         // per-edge contribution factor (1/deg or w/wsum) changes, so the

@@ -79,6 +79,34 @@ macro_rules! with_compiled {
     };
 }
 
+/// The bits of the 64-bit word whose bit 0 stands for `base` that stand
+/// for `lo..hi`, where that range overlaps `base..base + 64`.
+#[inline(always)]
+fn window(base: usize, lo: usize, hi: usize) -> u64 {
+    let (from, to) = (lo.saturating_sub(base), (hi - base).min(64));
+    (!0u64 << from) & (!0u64 >> (64 - to))
+}
+
+/// The position of `word`'s lowest set bit (64 for none).
+#[inline(always)]
+fn lowest_bit(word: u64) -> usize {
+    word.trailing_zeros() as usize // cast-ok: trailing_zeros of a u64 word is <= 64
+}
+
+/// Marks occupancy word `wi` in the summary, for a plain arrival that finds
+/// its word empty. Out of line and cold, so PageRank's row loop keeps its
+/// shape: inlined there, the mark cost `pr_lj_seq` ~4 % of
+/// `batch_p50_ms`, while out of line for every claim it cost
+/// `sel4_wk_churn`, whose sourced claims mostly find their word empty, more
+/// than half its gain.
+#[cold]
+#[inline(never)]
+fn mark_word(summary: &mut [u64], wi: usize) {
+    if let Some(marks) = summary.get_mut(wi / 64) {
+        *marks |= 1u64 << (wi % 64);
+    }
+}
+
 /// The delete/request bits of `event`'s flag byte.
 fn kind_of(event: &Event) -> u8 {
     u8::from(event.is_delete) | if event.request { FLAG_REQUEST } else { 0 }
@@ -100,9 +128,12 @@ fn kind_of(event: &Event) -> u8 {
 /// event carrying a source) is resident, coalescing a plain arrival reads
 /// and writes the bitmap word and the payload and nothing else — the case
 /// of every regular phase of an accumulative run (PageRank on the
-/// LiveJournal profile: 94 % of arrivals coalesce). Drains walk the bitmap word by word with
-/// `trailing_zeros`, so their cost is proportional to `V/64` words plus the
-/// number of resident events — not to `bin_size` — and the engines reuse
+/// LiveJournal profile: 94 % of arrivals coalesce). A summary bitmap holds
+/// one bit per occupancy word, set iff that word holds an event, so drains
+/// visit only occupied words, with `trailing_zeros` at both levels: their
+/// cost is `V/4096` summary words plus the occupied words and the
+/// resident events, not `V/64` words — a one-update batch's round drains
+/// a few events, not the whole bitmap (DESIGN.md §12). The engines reuse
 /// caller-provided scratch buffers via the `take_*_into` methods so steady-
 /// state drains allocate nothing.
 ///
@@ -112,6 +143,8 @@ fn kind_of(event: &Event) -> u8 {
 pub struct CoalescingQueue {
     /// One bit per vertex: set iff the vertex has a resident event.
     occupancy: Vec<u64>,
+    /// One bit per `occupancy` word: set iff the word is non-zero.
+    summary: Vec<u64>,
     /// Resident payload per vertex (valid only when the occupancy bit is set).
     payload: Vec<Value>,
     /// Resident source per vertex (valid only when `FLAG_SOURCE` is set).
@@ -137,6 +170,7 @@ pub struct CoalescingQueue {
 /// would otherwise pay for five `Vec` headers it mostly never reads).
 struct Slots<'a> {
     occupancy: &'a mut [u64],
+    summary: &'a mut [u64],
     payload: &'a mut [Value],
     source: &'a mut Vec<VertexId>,
     flags: &'a mut Vec<u8>,
@@ -160,8 +194,9 @@ impl Slots<'_> {
     ///
     /// The only insert-side code that indexes the slot arrays: `idx` is
     /// checked here, once, against `payload`'s length, and
-    /// [`CoalescingQueue::new`] sizes `source`/`flags` to the same length
-    /// and `occupancy` to a bit for each.
+    /// [`CoalescingQueue::new`] sizes `source`/`flags` to the same length,
+    /// `occupancy` to a bit for each and `summary` to a bit per
+    /// `occupancy` word.
     ///
     /// # Panics
     ///
@@ -183,6 +218,16 @@ impl Slots<'_> {
         // panic-ok: idx < payload.len() asserted above; array sizes in the doc comment
         let (occupancy, slot) = (&mut self.occupancy[idx / 64], &mut self.payload[idx]);
         if *occupancy & mask == 0 {
+            if *occupancy == 0 {
+                // A plain arrival is an accumulative run's regular event,
+                // whose dense rounds seldom find a word empty: its mark
+                // stays out of line, every other one inline.
+                if plain {
+                    mark_word(self.summary, idx / 64);
+                } else if let Some(marks) = self.summary.get_mut(idx / 4096) {
+                    *marks |= 1u64 << (idx / 64 % 64);
+                }
+            }
             *occupancy |= mask;
             *slot = payload;
             let flags = kind | if source.is_some() { FLAG_SOURCE } else { 0 };
@@ -240,6 +285,7 @@ impl CoalescingQueue {
         let num_bins = if num_vertices == 0 { 1 } else { num_vertices.div_ceil(bin_size) };
         CoalescingQueue {
             occupancy: vec![0; num_vertices.div_ceil(64)],
+            summary: vec![0; num_vertices.div_ceil(4096)],
             payload: vec![0.0; num_vertices],
             source: vec![0; num_vertices],
             flags: vec![0; num_vertices],
@@ -488,6 +534,7 @@ impl CoalescingQueue {
     fn slots(&mut self) -> Slots<'_> {
         Slots {
             occupancy: &mut self.occupancy,
+            summary: &mut self.summary,
             payload: &mut self.payload,
             source: &mut self.source,
             flags: &mut self.flags,
@@ -499,6 +546,9 @@ impl CoalescingQueue {
     /// Clears every occupancy bit in `lo..hi`, appending the reconstructed
     /// events to `out` in ascending vertex order. Returns the number of
     /// events drained. `len` and stats are the caller's job.
+    ///
+    /// Visits only the occupancy words the summary marks: `(hi - lo) / 4096`
+    /// summary words plus the occupied words in the range.
     // hot-path
     fn drain_bits(&mut self, lo: usize, hi: usize, out: &mut Vec<Event>) -> usize {
         if lo >= hi {
@@ -506,28 +556,27 @@ impl CoalescingQueue {
         }
         let mut drained = 0;
         let (first_word, last_word) = (lo / 64, (hi - 1) / 64);
-        for wi in first_word..=last_word {
-            let mut word = self.occupancy[wi]; // panic-ok: wi <= (hi-1)/64 and every caller bounds hi <= num_vertices
-            if wi == first_word {
-                word &= !0u64 << (lo % 64);
-            }
-            if wi == last_word {
-                let top = hi - wi * 64; // 1..=64 live bits in this word
-                if top < 64 {
-                    word &= (1u64 << top) - 1;
+        for si in first_word / 64..=last_word / 64 {
+            let marks = self.summary.get(si).copied().unwrap_or(0);
+            let mut words = marks & window(si * 64, first_word, last_word + 1);
+            while words != 0 {
+                let wi = si * 64 + lowest_bit(words);
+                words &= words - 1;
+                let occupancy = &mut self.occupancy[wi]; // panic-ok: the summary marks only words of the bitmap
+                let mut word = *occupancy & window(wi * 64, lo, hi);
+                *occupancy &= !word;
+                if *occupancy == 0 {
+                    if let Some(marks) = self.summary.get_mut(si) {
+                        *marks &= !(1u64 << (wi % 64));
+                    }
                 }
-            }
-            if word == 0 {
-                continue;
-            }
-            self.occupancy[wi] &= !word; // panic-ok: wi <= (hi-1)/64 and every caller bounds hi <= num_vertices
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize; // cast-ok: trailing_zeros of a u64 word is <= 64
-                word &= word - 1;
-                let ev = self.event_at(wi * 64 + bit);
-                self.tagged -= usize::from(ev.is_delete || ev.source.is_some());
-                out.push(ev);
-                drained += 1;
+                while word != 0 {
+                    let ev = self.event_at(wi * 64 + lowest_bit(word));
+                    word &= word - 1;
+                    self.tagged -= usize::from(ev.is_delete || ev.source.is_some());
+                    out.push(ev);
+                    drained += 1;
+                }
             }
         }
         drained
@@ -587,6 +636,8 @@ impl CoalescingQueue {
     /// the first violation found:
     ///
     /// * no occupancy bit is set beyond the vertex count;
+    /// * the summary marks exactly the non-zero occupancy words — a drain
+    ///   skips every word it does not mark;
     /// * the occupied-bit count equals the resident length;
     /// * the tagged-resident count (deletes and sourced events) matches a
     ///   recount — the plain-coalesce shortcut trusts it to be zero;
@@ -601,6 +652,15 @@ impl CoalescingQueue {
             let live = self.num_vertices - (self.occupancy.len() - 1) * 64;
             if live < 64 && *last & !((1u64 << live) - 1) != 0 {
                 return Err("occupancy bit set beyond the vertex count".into());
+            }
+        }
+        for (si, &marks) in self.summary.iter().enumerate() {
+            let words = self.occupancy.iter().skip(si * 64).take(64);
+            let occupied = words.enumerate().fold(0u64, |m, (j, &w)| m | u64::from(w != 0) << j);
+            if marks != occupied {
+                return Err(format!(
+                    "summary word {si} is {marks:#x} but its occupancy words say {occupied:#x}"
+                ));
             }
         }
         let occupied: usize = self.occupancy.iter().map(|w| w.count_ones() as usize).sum(); // cast-ok: count_ones of a u64 word is <= 64
@@ -936,7 +996,7 @@ mod tests {
         assert_eq!(q.len(), 1, "an empty range must not touch queued events");
     }
 
-    // kills jm-85c15fe9 (queue.rs cmp-boundary `bin < num_bins` -> `<=`):
+    // kills jm-85c15aa4 (queue.rs cmp-boundary `bin < num_bins` -> `<=`):
     // the first out-of-range bin is exactly num_bins, and the mutant lets
     // it through to drain the empty range past the last vertex instead of
     // the documented panic.

@@ -1634,3 +1634,28 @@ fn a_dap_delete_wave_is_one_wave_on_both_executors() {
         assert!(unsorted, "{}: no wave out of id order", w.name());
     }
 }
+
+// A negative-weight cycle lowers SSSP distances forever: the batch that
+// closes one must be refused before it is seeded, leaving the graph and
+// every value as they were, under both executors' shared flow.
+#[test]
+fn a_negative_weight_cycle_is_refused_and_changes_nothing() {
+    let graph = gen::erdos_renyi(60, 240, 5);
+    let mut engine =
+        StreamingEngine::new(Workload::Sssp.instantiate(0), graph.clone(), EngineConfig::default());
+    engine.initial_compute();
+    // A sparse graph has a vertex pair joined neither way.
+    let (u, v) = (0..60)
+        .flat_map(|u| (0..60).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && !graph.has_edge(u, v) && !graph.has_edge(v, u))
+        .unwrap();
+    let mut cycle = UpdateBatch::new();
+    cycle.insert(u, v, -3.0).insert(v, u, -3.0);
+    let (values, csr) = (engine.values().to_vec(), engine.csr().clone());
+    let refused = Err(jetstream_graph::GraphError::InvalidWeight { source: u, target: v });
+    assert_eq!(csr.clone().check_batch(&cycle).map(|_| ()), refused);
+    assert_eq!(engine.apply_update_batch(&cycle).map(|_| ()), refused);
+    assert_eq!(engine.values(), &values[..]);
+    assert_eq!(engine.csr(), &csr);
+    assert_eq!(engine.validate_converged(), Ok(()));
+}

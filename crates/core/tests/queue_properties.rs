@@ -208,50 +208,67 @@ fn bitmap_queue_matches_the_naive_reference_exactly() {
     // after every single operation.
     run_cases("queue: bitmap == naive reference", 256, |rng| {
         let num_vertices = 1 + rng.gen_index(200);
-        let num_bins = 1 + rng.gen_index(8);
-        let mut real = CoalescingQueue::new(num_vertices, num_bins);
-        let mut naive = NaiveQueue::new(num_vertices, num_bins);
-        assert_eq!(real.num_bins(), naive.num_bins, "bin geometry diverged");
-        let mut scratch: Vec<Event> = Vec::new();
-        let mut deletes = rng.gen_bool(0.5);
-        for op in 0..rng.gen_index(300) {
-            match rng.gen_index(12) {
-                0..=6 => {
-                    let ev = arb_event(rng, num_vertices, deletes);
-                    real.insert(ev, &alg());
-                    naive.insert(ev, alg().reduce_op());
-                }
-                7 => {
-                    let bin = rng.gen_index(real.num_bins());
-                    scratch.clear();
-                    real.take_bin_into(bin, &mut scratch);
-                    assert_eq!(scratch, naive.take_bin(bin), "take_bin({bin}) at op {op}");
-                }
-                8 => {
-                    let lo = rng.gen_index(num_vertices + 1);
-                    let hi = lo + rng.gen_index(num_vertices + 1 - lo);
-                    scratch.clear();
-                    real.take_range_into(lo, hi, &mut scratch);
-                    assert_eq!(scratch, naive.take_range(lo, hi), "take_range at op {op}");
-                }
-                _ => {
-                    // Every phase switch drains whole; so do some drains.
-                    deletes ^= rng.gen_bool(0.7);
-                    scratch.clear();
-                    real.take_all_into(&mut scratch);
-                    assert_eq!(scratch, naive.take_all(), "take_all at op {op}");
-                }
-            }
-            assert_eq!(real.stats(), naive.stats, "stats diverged at op {op}");
-            real.validate().unwrap_or_else(|why| panic!("{why}"));
-        }
-        // Final full drain: both sides must empty identically.
-        scratch.clear();
-        real.take_all_into(&mut scratch);
-        assert_eq!(scratch, naive.take_all(), "final take_all");
-        assert!(real.is_empty());
-        assert_eq!(real.stats(), naive.stats, "final stats");
+        matches_the_naive_reference(rng, num_vertices);
     });
+}
+
+#[test]
+fn a_summary_over_many_words_matches_the_naive_reference() {
+    // The same differential property over vertex spaces of 2 to 4 summary
+    // words (4,096 vertices each), where drains skip unmarked words and
+    // `validate` checks every summary bit against its occupancy word.
+    run_cases("queue: summary over many words == naive reference", 32, |rng| {
+        let num_vertices = 4096 + rng.gen_index(3 * 4096);
+        matches_the_naive_reference(rng, num_vertices);
+    });
+}
+
+/// One random op sequence on a `num_vertices` queue and the naive
+/// reference, compared after every operation.
+fn matches_the_naive_reference(rng: &mut DetRng, num_vertices: usize) {
+    let num_bins = 1 + rng.gen_index(8);
+    let mut real = CoalescingQueue::new(num_vertices, num_bins);
+    let mut naive = NaiveQueue::new(num_vertices, num_bins);
+    assert_eq!(real.num_bins(), naive.num_bins, "bin geometry diverged");
+    let mut scratch: Vec<Event> = Vec::new();
+    let mut deletes = rng.gen_bool(0.5);
+    for op in 0..rng.gen_index(300) {
+        match rng.gen_index(12) {
+            0..=6 => {
+                let ev = arb_event(rng, num_vertices, deletes);
+                real.insert(ev, &alg());
+                naive.insert(ev, alg().reduce_op());
+            }
+            7 => {
+                let bin = rng.gen_index(real.num_bins());
+                scratch.clear();
+                real.take_bin_into(bin, &mut scratch);
+                assert_eq!(scratch, naive.take_bin(bin), "take_bin({bin}) at op {op}");
+            }
+            8 => {
+                let lo = rng.gen_index(num_vertices + 1);
+                let hi = lo + rng.gen_index(num_vertices + 1 - lo);
+                scratch.clear();
+                real.take_range_into(lo, hi, &mut scratch);
+                assert_eq!(scratch, naive.take_range(lo, hi), "take_range at op {op}");
+            }
+            _ => {
+                // Every phase switch drains whole; so do some drains.
+                deletes ^= rng.gen_bool(0.7);
+                scratch.clear();
+                real.take_all_into(&mut scratch);
+                assert_eq!(scratch, naive.take_all(), "take_all at op {op}");
+            }
+        }
+        assert_eq!(real.stats(), naive.stats, "stats diverged at op {op}");
+        real.validate().unwrap_or_else(|why| panic!("{why}"));
+    }
+    // Final full drain: both sides must empty identically.
+    scratch.clear();
+    real.take_all_into(&mut scratch);
+    assert_eq!(scratch, naive.take_all(), "final take_all");
+    assert!(real.is_empty());
+    assert_eq!(real.stats(), naive.stats, "final stats");
 }
 
 /// A random payload from a small set, so ties are common.

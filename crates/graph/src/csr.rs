@@ -113,6 +113,9 @@ pub struct Csr<W = Weight> {
     // calls; excluded from equality.
     pub(crate) scratch_deleted: Vec<(VertexId, VertexId)>,
     pub(crate) scratch_pending: Vec<(VertexId, VertexId)>,
+    // The row headers `check_batch` gathers before it validates, one per
+    // update in batch order. Empty between calls; excluded from equality.
+    pub(crate) scratch_rows: Vec<RowSpan>,
 }
 
 /// The in-edge view of a [`CsrPair`]: row `v` lists the sources of the

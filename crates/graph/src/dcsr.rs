@@ -23,6 +23,7 @@
 //! as it was.
 
 use crate::csr::{slots, RowSpan};
+use crate::update::valid_weight;
 use crate::{ix, Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Smallest slot count a relocated row receives: rows that grow once tend
@@ -114,39 +115,72 @@ impl Csr {
     }
 
     /// Validates a whole update batch against the graph without changing
-    /// it, and mints the [`CheckedBatch`] that [`CsrPair::commit`] needs. Runs on the graph's own sort scratch, which steady-state
-    /// streaming therefore allocates once.
+    /// it, and mints the [`CheckedBatch`] that [`CsrPair::commit`] needs.
+    /// Runs on the graph's own scratch, which steady-state streaming
+    /// therefore allocates once.
     ///
     /// Deletions are validated against the pre-batch graph and insertions
     /// must not duplicate surviving edges. A batch may delete an edge and
     /// re-insert it (a weight change), but may delete each edge at most
-    /// once.
+    /// once. An insertion's weight must be finite and not negative.
+    ///
+    /// The check first gathers every update's row header and the first
+    /// line of its row, and only then searches the rows, so a cold batch's
+    /// misses overlap instead of each waiting on the one before
+    /// (DESIGN.md §17.3).
     ///
     /// # Errors
     ///
     /// Returns the first validation error found.
-    // hot-path
     pub fn check_batch<'b>(
         &mut self,
         batch: &'b UpdateBatch,
     ) -> Result<CheckedBatch<'b>, GraphError> {
+        self.check_gathering(batch, |_| 0)
+    }
+
+    /// [`check_batch`](Csr::check_batch), with `touch(target)` loaded
+    /// beside each update's own row in the gathering pass.
+    // hot-path
+    fn check_gathering<'b>(
+        &mut self,
+        batch: &'b UpdateBatch,
+        touch: impl Fn(VertexId) -> VertexId,
+    ) -> Result<CheckedBatch<'b>, GraphError> {
+        let mut rows = std::mem::take(&mut self.scratch_rows);
         let mut deleted = std::mem::take(&mut self.scratch_deleted);
         let mut pending = std::mem::take(&mut self.scratch_pending);
-        let result = self.check_batch_with(batch, &mut deleted, &mut pending);
+        // No load in this pass waits on another update's: the core keeps
+        // every update's misses in flight at once.
+        let mut seen = 0;
+        for (u, v) in batch_edges(batch) {
+            let (row, first) = self.gather_row(u);
+            rows.push(row);
+            seen ^= first ^ touch(v);
+        }
+        std::hint::black_box(seen);
+        let result = self.check_batch_with(batch, &rows, &mut deleted, &mut pending);
+        rows.clear();
         deleted.clear();
         pending.clear();
+        self.scratch_rows = rows;
         self.scratch_deleted = deleted;
         self.scratch_pending = pending;
         result.map(|()| CheckedBatch { batch, stamp: self.version })
     }
 
+    /// Validates `batch` given `rows`, the header of each update's source
+    /// row in batch order (deletions first), as
+    /// [`gather_row`](Csr::gather_row) read them.
     // hot-path
     fn check_batch_with(
         &self,
         batch: &UpdateBatch,
+        rows: &[RowSpan],
         deleted: &mut Vec<(VertexId, VertexId)>,
         pending: &mut Vec<(VertexId, VertexId)>,
     ) -> Result<(), GraphError> {
+        let (deletion_rows, insertion_rows) = rows.split_at(batch.deletions().len());
         // Validate deletions against the pre-batch graph. A batch may
         // delete each edge at most once; a repeat is deleting an edge the
         // batch already removed.
@@ -157,10 +191,10 @@ impl Csr {
                 return Err(GraphError::MissingEdge { source: a.0, target: a.1 });
             }
         }
-        for &(u, v) in batch.deletions() {
+        for (&(u, v), &row) in batch.deletions().iter().zip(deletion_rows) {
             self.check_vertex(u)?;
             self.check_vertex(v)?;
-            if !self.has_edge(u, v) {
+            if slots(&self.targets, row).binary_search(&v).is_err() {
                 return Err(GraphError::MissingEdge { source: u, target: v });
             }
         }
@@ -173,13 +207,17 @@ impl Csr {
                 return Err(GraphError::DuplicateEdge { source: a.0, target: a.1 });
             }
         }
-        for &(u, v, _) in batch.insertions() {
+        for (&(u, v, w), &row) in batch.insertions().iter().zip(insertion_rows) {
             self.check_vertex(u)?;
             self.check_vertex(v)?;
             if u == v {
                 return Err(GraphError::SelfLoop { vertex: u });
             }
-            if self.has_edge(u, v) && deleted.binary_search(&(u, v)).is_err() {
+            if !valid_weight(w) {
+                return Err(GraphError::InvalidWeight { source: u, target: v });
+            }
+            let present = slots(&self.targets, row).binary_search(&v).is_ok();
+            if present && deleted.binary_search(&(u, v)).is_err() {
                 return Err(GraphError::DuplicateEdge { source: u, target: v });
             }
         }
@@ -221,7 +259,24 @@ impl Csr {
     }
 }
 
+/// Every update of `batch` as `(source, target)`, deletions first: the
+/// order [`Csr::check_batch`] gathers rows in.
+fn batch_edges(batch: &UpdateBatch) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+    let insertions = batch.insertions().iter().map(|&(u, v, _)| (u, v));
+    batch.deletions().iter().copied().chain(insertions)
+}
+
 impl<W: Copy + Default> Csr<W> {
+    /// Row `v`'s header and the first entry of its extent, loaded for a
+    /// batch check to search later; an empty header (and a zero) for an
+    /// id out of range, which the check rejects before reading its row.
+    // hot-path
+    #[inline(always)]
+    fn gather_row(&self, v: VertexId) -> (RowSpan, VertexId) {
+        let row = self.rows.get(ix(v)).copied().unwrap_or_default();
+        (row, self.targets.get(row.start()).copied().unwrap_or_default())
+    }
+
     /// Where `v` sits, or would go, in row `u`'s sorted live prefix.
     fn search(&self, u: VertexId, v: VertexId) -> Result<usize, usize> {
         self.neighbor_targets(u).binary_search(&v)
@@ -327,6 +382,22 @@ impl<W: Copy + Default> Csr<W> {
 }
 
 impl CsrPair {
+    /// [`Csr::check_batch`] on `out`, whose gathering pass also loads each
+    /// update's in-row header and first line in `inc`: the rows the commit
+    /// edits, fetched while the check's own misses are in flight. Accepts
+    /// and rejects exactly what `out.check_batch` does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first validation error found.
+    pub fn check_batch<'b>(
+        &mut self,
+        batch: &'b UpdateBatch,
+    ) -> Result<CheckedBatch<'b>, GraphError> {
+        let inc = &self.inc;
+        self.out.check_gathering(batch, |v| inc.gather_row(v).1)
+    }
+
     /// Writes a batch [`Csr::check_batch`] accepted on `out` to both views,
     /// without checking it again: to `out` and, endpoints swapped, to `inc`
     /// — the transpose of a graph the batch is valid for accepts the
@@ -353,10 +424,10 @@ impl CsrPair {
     /// # Errors
     ///
     /// Returns the first [`GraphError`] found (missing deletion, duplicate
-    /// insertion, self-loop, out-of-range endpoint); both views are left
-    /// untouched.
+    /// insertion, self-loop, out-of-range endpoint, invalid weight); both
+    /// views are left untouched.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        let checked = self.out.check_batch(batch)?;
+        let checked = self.check_batch(batch)?;
         self.commit(checked);
         Ok(())
     }
@@ -512,11 +583,11 @@ mod tests {
     // delete-then-reinsert `binary_search` exemption).
     #[test]
     fn invalid_batches_are_typed_errors_and_write_nothing() {
-        use GraphError::{DuplicateEdge, MissingEdge, SelfLoop, VertexOutOfRange};
+        use GraphError::{DuplicateEdge, InvalidWeight, MissingEdge, SelfLoop, VertexOutOfRange};
         let base = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (0, 3, 4.0)];
         let range = |vertex| VertexOutOfRange { vertex, num_vertices: 4 };
         #[rustfmt::skip]
-        let cases: [(&str, UpdateBatch, GraphError); 12] = [
+        let cases: [(&str, UpdateBatch, GraphError); 15] = [
             ("missing delete", batch_of(&[(1, 0)], &[]), MissingEdge { source: 1, target: 0 }),
             ("double delete", batch_of(&[(0, 1), (1, 2), (0, 1)], &[]), MissingEdge { source: 0, target: 1 }),
             ("double delete, not first in sort order", batch_of(&[(2, 0), (0, 1), (2, 0)], &[]), MissingEdge { source: 2, target: 0 }),
@@ -529,6 +600,9 @@ mod tests {
             ("insert source out of range", batch_of(&[], &[(9, 0, 1.0)]), range(9)),
             ("insert target out of range", batch_of(&[], &[(0, 4, 1.0)]), range(4)),
             ("deletions are judged before insertions", batch_of(&[(3, 0)], &[(2, 2, 1.0)]), MissingEdge { source: 3, target: 0 }),
+            ("negative weight", batch_of(&[], &[(3, 1, 1.0), (1, 3, -3.0)]), InvalidWeight { source: 1, target: 3 }),
+            ("NaN weight", batch_of(&[], &[(3, 1, f64::NAN)]), InvalidWeight { source: 3, target: 1 }),
+            ("negative re-weigh", batch_of(&[(0, 1)], &[(0, 1, -1.0)]), InvalidWeight { source: 0, target: 1 }),
         ];
         let graph = Csr::from_edges(4, &base);
         let pair = pair_of(&base, 4);
@@ -539,13 +613,15 @@ mod tests {
             assert_eq!(g.apply_batch(&batch), want, "{what}: Csr::apply_batch");
             assert_eq!(g, graph, "{what}: a rejected batch must leave the graph untouched");
             assert!(g.scratch_deleted.is_empty() && g.scratch_pending.is_empty(), "{what}");
+            assert!(g.scratch_rows.is_empty(), "{what}");
             let mut p = pair.clone();
+            assert_eq!(p.check_batch(&batch).map(|_| ()), want, "{what}: CsrPair::check_batch");
             assert_eq!(p.apply_batch(&batch), want, "{what}: CsrPair::apply_batch");
             assert_eq!(p, pair, "{what}: a rejected batch must leave both views untouched");
         }
         // Accepted: delete-then-reinsert is a weight change, also when the
-        // deleted pair is not the first in sort order.
-        let reweigh = batch_of(&[(0, 1), (2, 0)], &[(2, 0, 7.5), (3, 2, 1.0)]);
+        // deleted pair is not the first in sort order; `-0.0` is zero.
+        let reweigh = batch_of(&[(0, 1), (2, 0)], &[(2, 0, 7.5), (3, 2, -0.0)]);
         let mut g = graph.clone();
         assert!(g.check_batch(&reweigh).is_ok());
     }
@@ -605,9 +681,9 @@ mod tests {
         assert_eq!(compactions, 1, "exactly one removal crosses the bound");
     }
 
-    // kills jm-0fa592e6 (dcsr.rs len-off-by-one: relocation start past the
+    // kills jm-0fa5b983 (dcsr.rs len-off-by-one: relocation start past the
     // tail would leak a permanent one-slot hole per relocation) and
-    // jm-93cee4d3 (dcsr.rs const-01: slack must be zero-filled, the value
+    // jm-93ceeda9 (dcsr.rs const-01: slack must be zero-filled, the value
     // compaction and debug dumps rely on).
     #[test]
     fn relocation_appends_exactly_at_the_arena_tail() {

@@ -37,13 +37,14 @@ pub enum GraphError {
         /// The vertex that would loop onto itself.
         vertex: VertexId,
     },
-    /// An edge insertion carried a NaN or infinite weight.
+    /// An edge insertion carried a negative, NaN or infinite weight.
     ///
-    /// Produced by the wire-ingest validation path
-    /// ([`EdgeUpdate::check_bounds`](crate::EdgeUpdate::check_bounds)):
-    /// a non-finite weight would poison every value it propagates into,
-    /// so it is rejected at the boundary rather than absorbed.
-    NonFiniteWeight {
+    /// Rejected at every boundary a weight crosses — the wire-ingest check
+    /// ([`EdgeUpdate::check_bounds`](crate::EdgeUpdate::check_bounds)),
+    /// the text parser and the graph's own batch check: a non-finite
+    /// weight would poison every value it propagates into, and a negative
+    /// one lets a cycle lower a shortest path forever (`-0.0` is zero).
+    InvalidWeight {
         /// Source of the offending edge.
         source: VertexId,
         /// Target of the offending edge.
@@ -66,8 +67,8 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop { vertex } => {
                 write!(f, "self-loop on vertex {vertex} is not allowed")
             }
-            GraphError::NonFiniteWeight { source, target } => {
-                write!(f, "edge {source} -> {target} has a non-finite weight")
+            GraphError::InvalidWeight { source, target } => {
+                write!(f, "edge {source} -> {target} has a negative or non-finite weight")
             }
         }
     }

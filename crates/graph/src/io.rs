@@ -16,6 +16,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
+use crate::update::valid_weight;
 use crate::{Csr, GraphError, UpdateBatch, VertexId, Weight};
 
 /// Errors produced while parsing graph or update files.
@@ -121,10 +122,10 @@ fn parse_vertex(tok: &str, at: Loc) -> Result<VertexId, ParseError> {
 
 fn parse_weight(tok: &str, at: Loc) -> Result<Weight, ParseError> {
     let w: Weight = tok.parse().map_err(|_| at.syntax(format!("invalid weight {tok:?}")))?;
-    if w.is_finite() {
+    if valid_weight(w) {
         Ok(w)
     } else {
-        Err(at.syntax(format!("non-finite weight {tok:?}")))
+        Err(at.syntax(format!("negative or non-finite weight {tok:?}")))
     }
 }
 
@@ -267,8 +268,9 @@ pub fn read_update_batches<R: BufRead>(reader: R) -> Result<Vec<UpdateBatch>, Pa
 ///
 /// # Errors
 ///
-/// Returns any I/O error from the writer. A non-finite insertion weight is
-/// reported as [`std::io::ErrorKind::InvalidInput`] rather than written:
+/// Returns any I/O error from the writer. A negative or non-finite
+/// insertion weight is reported as [`std::io::ErrorKind::InvalidInput`]
+/// rather than written:
 /// [`read_update_batches`] would reject it, so writing it would produce a
 /// file that cannot be read back.
 pub fn write_update_batches<W: Write>(
@@ -285,10 +287,10 @@ pub fn write_update_batches<W: Write>(
         }
         wrote_any = true;
         for &(u, v, w) in batch.insertions() {
-            if !w.is_finite() {
+            if !valid_weight(w) {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
-                    format!("non-finite weight {w} on insertion {u} -> {v}"),
+                    format!("negative or non-finite weight {w} on insertion {u} -> {v}"),
                 ));
             }
             writeln!(writer, "a {u} {v} {w}")?;
@@ -347,6 +349,17 @@ mod tests {
     #[test]
     fn non_finite_weight_rejected() {
         assert!(read_edge_list(Cursor::new("0 1 inf\n"), 0).is_err());
+    }
+
+    #[test]
+    fn negative_weights_are_rejected_and_negative_zero_is_zero() {
+        assert!(read_edge_list(Cursor::new("0 1 -3\n"), 0).is_err());
+        assert!(read_update_batches(Cursor::new("a 0 1 -0.5\n")).is_err());
+        let g = read_edge_list(Cursor::new("0 1 -0\n"), 0).expect("-0 is a zero weight");
+        assert_eq!(g.edge_weight(0, 1), Some(0.0));
+        let mut b = UpdateBatch::new();
+        b.insert(0, 1, -1.0);
+        assert!(write_update_batches(&[b], Vec::new()).is_err());
     }
 
     #[test]
@@ -468,8 +481,8 @@ mod tests {
                 for _ in 0..n_ins {
                     let u = rng.gen_index(1000) as VertexId;
                     let v = rng.gen_index(1000) as VertexId;
-                    // Finite weights with varied magnitude and sign.
-                    let w = (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_index(7) as i32 - 3);
+                    // Valid weights of varied magnitude: finite, not negative.
+                    let w = rng.gen_f64() * 10f64.powi(rng.gen_index(7) as i32 - 3);
                     b.insert(u, v, w);
                 }
                 for _ in 0..n_del {

@@ -48,7 +48,7 @@ impl EdgeUpdate {
     /// Validates this update against a graph with `num_vertices` vertices
     /// without touching the graph itself: both endpoints must be in
     /// `0..num_vertices`, an insertion must not be a self-loop, and an
-    /// insertion weight must be finite.
+    /// insertion weight must be finite and not negative.
     ///
     /// This is the wire-ingest boundary check: updates arriving from an
     /// untrusted source (a network client, a parsed file) are rejected
@@ -72,12 +72,18 @@ impl EdgeUpdate {
             if source == target {
                 return Err(GraphError::SelfLoop { vertex: source });
             }
-            if !weight.is_finite() {
-                return Err(GraphError::NonFiniteWeight { source, target });
+            if !valid_weight(weight) {
+                return Err(GraphError::InvalidWeight { source, target });
             }
         }
         Ok(())
     }
+}
+
+/// True for a weight an edge may carry: finite and not negative (`-0.0`
+/// is zero). The one rule behind [`GraphError::InvalidWeight`].
+pub(crate) fn valid_weight(weight: Weight) -> bool {
+    weight.is_finite() && weight >= 0.0
 }
 
 /// A single update of an offered message rejected at the ingest boundary
@@ -234,15 +240,19 @@ mod tests {
     }
 
     #[test]
-    fn check_bounds_rejects_self_loops_and_non_finite_weights() {
+    fn check_bounds_rejects_self_loops_and_invalid_weights() {
         let loop_ = EdgeUpdate::Insert { source: 3, target: 3, weight: 1.0 };
         assert_eq!(loop_.check_bounds(10), Err(GraphError::SelfLoop { vertex: 3 }));
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, -f64::MIN_POSITIVE] {
             let upd = EdgeUpdate::Insert { source: 1, target: 2, weight: bad };
             assert_eq!(
                 upd.check_bounds(10),
-                Err(GraphError::NonFiniteWeight { source: 1, target: 2 })
+                Err(GraphError::InvalidWeight { source: 1, target: 2 })
             );
+        }
+        for good in [0.0, -0.0, 2.5] {
+            let upd = EdgeUpdate::Insert { source: 1, target: 2, weight: good };
+            assert_eq!(upd.check_bounds(10), Ok(()));
         }
         // Deletions carry no weight; only the endpoints are checked.
         assert_eq!(EdgeUpdate::Delete { source: 1, target: 2 }.check_bounds(10), Ok(()));

@@ -242,3 +242,74 @@ fn transpose_by_counting_round_trips_every_generator_profile() {
         EdgeModel::of(&g).assert_matches(&CsrPair::new(g), &format!("{profile:?}"));
     }
 }
+
+/// A batch that is valid or breaks any rule the check enforces: present
+/// and missing deletions (some repeated), fresh, duplicate and re-inserted
+/// edges, self-loops, endpoints one past the range, and negative, `-0.0`
+/// and non-finite weights.
+fn mixed_batch(host: &Csr, rng: &mut DetRng) -> UpdateBatch {
+    let n = host.num_vertices();
+    let edges: Vec<(VertexId, VertexId, f64)> = host.iter_edges().collect();
+    let any = |rng: &mut DetRng| {
+        let past = usize::from(rng.gen_bool(0.05));
+        vid(rng, n + past)
+    };
+    let mut batch = UpdateBatch::new();
+    for _ in 0..rng.gen_index(4) {
+        if !edges.is_empty() && rng.gen_bool(0.8) {
+            let (u, v, _) = edges[rng.gen_index(edges.len())];
+            batch.delete(u, v);
+        } else {
+            batch.delete(any(rng), any(rng));
+        }
+    }
+    for _ in 0..rng.gen_index(5) {
+        let weight = match rng.gen_index(20) {
+            0 => -1.5,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            _ => 1.0 + rng.gen_f64(),
+        };
+        let (u, v) = match batch.deletions().first() {
+            Some(&re) if rng.gen_bool(0.2) => re,
+            _ if !edges.is_empty() && rng.gen_bool(0.1) => {
+                let (u, v, _) = edges[rng.gen_index(edges.len())];
+                (u, v)
+            }
+            _ => (any(rng), any(rng)),
+        };
+        batch.insert(u, v, weight);
+    }
+    batch
+}
+
+#[test]
+fn the_pair_check_judges_every_batch_as_the_graph_check_does() {
+    // `CsrPair::check_batch` gathers the in-view's rows besides `out`'s;
+    // it must accept and reject exactly what `Csr::check_batch` does, with
+    // the same error, and an accepted batch must commit as `apply_batch`
+    // would.
+    jetstream_testkit::run_cases("dcsr: pair check == graph check", 64, |rng| {
+        let n = 2 + rng.gen_index(40);
+        let mut pair = CsrPair::new(gen::erdos_renyi(n, rng.gen_index(4 * n), rng.next_u64()));
+        let mut model = EdgeModel::of(&pair.out);
+        let (mut accepted, mut rejected) = (0, 0);
+        for step in 0..40 {
+            let batch = mixed_batch(&pair.out, rng);
+            let alone = pair.out.check_batch(&batch).map(|_| ());
+            let checked = pair.check_batch(&batch);
+            let verdict = checked.as_ref().map(|_| ()).map_err(Clone::clone);
+            assert_eq!(verdict, alone, "step {step}: {batch:?}");
+            if let Ok(checked) = checked {
+                pair.commit(checked);
+                model.apply(&batch);
+                model.assert_matches(&pair, &format!("step {step}"));
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+    });
+}

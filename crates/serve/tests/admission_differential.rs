@@ -148,7 +148,7 @@ impl Seen {
         let kind = match error {
             GraphError::VertexOutOfRange { .. } => 0,
             GraphError::SelfLoop { .. } => 1,
-            GraphError::NonFiniteWeight { .. } => 2,
+            GraphError::InvalidWeight { .. } => 2,
             GraphError::DuplicateEdge { .. } => 3,
             GraphError::MissingEdge { .. } => 4,
             other => panic!("admission rejected with {other:?}"),
@@ -163,8 +163,8 @@ fn bump(counter: &Cell<u32>) {
 
 /// A random message over `n` vertices: mostly edges among them (deletes
 /// drawn from `graph` half the time so many are valid), sometimes an
-/// endpoint past the range, a self-loop or an infinite weight, and
-/// sometimes the previous edge again with the other kind.
+/// endpoint past the range, a self-loop or an infinite or negative weight,
+/// and sometimes the previous edge again with the other kind.
 fn message(rng: &mut DetRng, graph: &Csr, n: u32) -> Vec<EdgeUpdate> {
     let edges: Vec<Edge> = graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
     let mut updates: Vec<EdgeUpdate> = Vec::new();
@@ -176,7 +176,7 @@ fn message(rng: &mut DetRng, graph: &Csr, n: u32) -> Vec<EdgeUpdate> {
         match rng.gen_index(12) {
             0 => target = n + rng.gen_index(2) as VertexId,
             1 => (target, insert) = (source, true),
-            2 => (insert, weight) = (true, f64::INFINITY),
+            2 => (insert, weight) = (true, [f64::INFINITY, -1.0][rng.gen_index(2)]),
             3..=5 if !updates.is_empty() => {
                 let last = updates[updates.len() - 1];
                 (source, target, insert) = (last.source(), last.target(), !last.is_insert());

@@ -280,6 +280,42 @@ fn a_lone_update_converges_without_waiting_for_the_flush_deadline() {
     assert_eq!(report.applied[0].batch.insertions(), &[(0, 8, 1.5)]);
 }
 
+/// A message whose insertions close a negative-weight cycle is bounced
+/// with `Rejected` at admission: admitted, it would lower SSSP distances
+/// forever and hold the single engine thread. The server keeps serving:
+/// the next message converges, and nothing of the bounced one is applied.
+#[test]
+fn a_negative_weight_cycle_is_rejected_and_the_server_keeps_serving() {
+    let handle = start(
+        Backend::Volatile(Box::new(fresh_engine(Workload::Sssp))),
+        config_without_timers(64),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).unwrap();
+    client.hello("negative").unwrap();
+    let cycle = vec![
+        EdgeUpdate::Insert { source: 10, target: 40, weight: -3.0 },
+        EdgeUpdate::Insert { source: 40, target: 10, weight: -3.0 },
+    ];
+    client.send(&Request::Update { token: 1, updates: cycle }).unwrap();
+    match client.recv_reply().unwrap() {
+        Response::Rejected { token, index, .. } => assert_eq!((token, index), (1, 0)),
+        other => panic!("expected the cycle's Rejected, got {other:?}"),
+    }
+    let update = EdgeUpdate::Insert { source: 0, target: 40, weight: 0.5 };
+    client.send(&Request::Update { token: 2, updates: vec![update] }).unwrap();
+    assert_admitted(&client.recv_reply().unwrap());
+    client.flush().unwrap();
+    let served = client.query_value(40).unwrap();
+    client.goodbye().unwrap();
+    let report = handle.shutdown();
+    assert!(report.fatal.is_none(), "server fatal: {:?}", report.fatal);
+    assert_eq!(report.applied.len(), 1);
+    assert_eq!(report.applied[0].batch.insertions(), &[(0, 40, 0.5)]);
+    assert_eq!(served, 0.5, "the shortcut from the root was applied");
+}
+
 /// A message bounced with `Busy` and resent is applied exactly once. Bursts
 /// of pipelined messages against an in-flight limit of one draw `Busy` for
 /// whichever the reader sees before the engine has converged their

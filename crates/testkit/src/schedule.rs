@@ -115,14 +115,51 @@ pub struct Divergence {
     pub step: usize,
     /// The schedule that exposed it.
     pub schedule: Schedule,
+    /// The vertex whose value is farthest from the oracle's.
+    pub worst_vertex: usize,
+    /// That vertex's error relative to the larger of the two values (at
+    /// least 1): the quantity [`ACCUMULATIVE_TOL`] bounds.
+    pub relative_error: f64,
+    /// The run's total finite value minus the oracle's.
+    pub total_difference: f64,
+}
+
+impl Divergence {
+    /// How far `actual` is from `expected`: the worst vertex, its
+    /// relative error and the difference in total value, as
+    /// [`Divergence`] reports them.
+    fn measure(actual: &[f64], expected: &[f64]) -> (usize, f64, f64) {
+        let relative = |a: f64, e: f64| {
+            if a.to_bits() == e.to_bits() {
+                0.0
+            } else if a.is_infinite() || e.is_infinite() {
+                f64::INFINITY
+            } else {
+                (a - e).abs() / a.abs().max(e.abs()).max(1.0)
+            }
+        };
+        let errors = actual.iter().zip(expected).map(|(&a, &e)| relative(a, e));
+        let (worst, error) =
+            errors.enumerate().fold((0, 0.0), |w, (v, r)| if r > w.1 { (v, r) } else { w });
+        let total = |xs: &[f64]| xs.iter().filter(|x| x.is_finite()).sum::<f64>();
+        (worst, error, total(actual) - total(expected))
+    }
 }
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{} values diverged from the sequential oracle at step {} under schedule [{}]",
-            self.workload, self.strategy, self.step, self.schedule
+            "{}/{} values diverged from the sequential oracle at step {} under schedule [{}]: \
+             vertex {} is off by {:.3e} relative (accumulative tolerance {ACCUMULATIVE_TOL:e}), \
+             total value off by {:+.4}",
+            self.workload,
+            self.strategy,
+            self.step,
+            self.schedule,
+            self.worst_vertex,
+            self.relative_error,
+            self.total_difference
         )
     }
 }
@@ -299,12 +336,17 @@ impl ScheduleFuzzer {
         batches: &[UpdateBatch],
         reference: &[Vec<f64>],
     ) -> Result<usize, FuzzFailure> {
-        let diverged = |step: usize| {
+        let diverged = |step: usize, actual: &[f64]| {
+            let (worst_vertex, relative_error, total_difference) =
+                Divergence::measure(actual, &reference[step]);
             FuzzFailure::Divergence(Box::new(Divergence {
                 workload: workload.name(),
                 strategy: strategy.label(),
                 step,
                 schedule: schedule.clone(),
+                worst_vertex,
+                relative_error,
+                total_difference,
             }))
         };
         let alg = workload.instantiate_with_epsilon(ROOT, EPSILON);
@@ -315,7 +357,7 @@ impl ScheduleFuzzer {
 
         engine.initial_compute();
         if !values_match(workload, engine.values(), &reference[0]) {
-            return Err(diverged(0));
+            return Err(diverged(0, engine.values()));
         }
         let mut comparisons = 1usize;
         for (i, batch) in batches.iter().enumerate() {
@@ -328,7 +370,7 @@ impl ScheduleFuzzer {
                 ))
             })?;
             if !values_match(workload, engine.values(), &reference[step]) {
-                return Err(diverged(step));
+                return Err(diverged(step, engine.values()));
             }
             comparisons += 1;
         }
@@ -430,6 +472,14 @@ mod tests {
                 match fuzzer.run_one(workload, strategy, schedule, &base, &batches, &reference) {
                     Err(FuzzFailure::Divergence(d)) => {
                         assert_eq!((d.workload, d.step), (workload.name(), step));
+                        // The planted vertex is the worst one, by what was
+                        // planted: one low bit, or twice the tolerance.
+                        assert_eq!(d.worst_vertex, v, "{d}");
+                        assert!(d.relative_error > 0.0, "{d}");
+                        if workload.kind() == UpdateKind::Accumulative {
+                            assert!(d.relative_error > ACCUMULATIVE_TOL, "{d}");
+                            assert!(d.total_difference < 0.0, "{d}");
+                        }
                     }
                     other => panic!(
                         "{} step {step}: planted divergence missed: {other:?}",

@@ -94,6 +94,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         Some(r) => r.parse().map_err(|_| "invalid --root")?,
         None => (0..graph.num_vertices() as VertexId).max_by_key(|&v| graph.degree(v)).unwrap_or(0),
     };
+    if root as usize >= graph.num_vertices() {
+        let n = graph.num_vertices();
+        return Err(format!("invalid --root {root}: the graph has {n} vertices"));
+    }
     let strategy = match args.options.get("strategy") {
         Some(s) => parse_strategy(s).ok_or("unknown strategy")?,
         None => DeleteStrategy::default(),

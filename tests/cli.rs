@@ -61,5 +61,14 @@ fn misuse_exits_nonzero() {
         assert_eq!(bad.status.code(), Some(1), "{fraction}: {}", stderr(&bad));
         assert!(stderr(&bad).starts_with("error: invalid --insert-fraction"), "{}", stderr(&bad));
     }
+    let far = cli(&dir, "run --graph lj.txt --algorithm sssp --root 999999");
+    assert_eq!(far.status.code(), Some(1), "{}", stderr(&far));
+    assert!(stderr(&far).contains("error: invalid --root 999999"), "{}", stderr(&far));
+    // A negative weight is refused where the file is read, before any
+    // batch reaches the engine.
+    std::fs::write(dir.join("negative.txt"), "a 1 2 -3\n").unwrap();
+    let negative = cli(&dir, "run --graph lj.txt --algorithm sssp --updates negative.txt");
+    assert_eq!(negative.status.code(), Some(1), "{}", stderr(&negative));
+    assert!(stderr(&negative).contains("negative or non-finite weight"), "{}", stderr(&negative));
     let _ = std::fs::remove_dir_all(&dir);
 }
